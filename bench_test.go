@@ -1,348 +1,26 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (§5), one testing.B target per figure, plus the ablations of
-// DESIGN.md §8 and throughput micro-benchmarks of the simulation kernel.
-//
-// Two kinds of numbers appear in the output:
-//
-//   - the usual ns/op, which measures how fast this *simulator* runs on
-//     the host (wall time to simulate one data point), and
-//   - custom "virt-µs..." metrics, which are the *virtual-time* results —
-//     the reproduction of the paper's measurements. These are
-//     deterministic: identical on every run and every machine.
-//
-// Run with: go test -bench=. -benchmem
 package nmad_test
 
 import (
 	"testing"
 
-	"nmad"
 	"nmad/internal/bench"
-	"nmad/internal/core"
-	"nmad/internal/simnet"
 )
 
-var (
-	mxRail  = []simnet.Profile{simnet.MX10G()}
-	qsRail  = []simnet.Profile{simnet.QsNetII()}
-	twoRail = []simnet.Profile{simnet.MX10G(), simnet.QsNetII()}
-)
-
-func mad() bench.Impl { return bench.MadMPI(core.DefaultOptions()) }
-
-// reportPingPong measures one (impl, rails, size) point per iteration and
-// reports the virtual latency.
-func reportPingPong(b *testing.B, impl bench.Impl, rails []simnet.Profile, size int, unit string) {
-	b.Helper()
-	var lat float64
-	for i := 0; i < b.N; i++ {
-		l, err := bench.PingPong(impl, rails, size)
-		if err != nil {
-			b.Fatal(err)
-		}
-		lat = l
-	}
-	b.ReportMetric(lat, unit)
-}
-
-// Figure 2(a): raw ping-pong latency over MX — small-message points.
-func BenchmarkFig2a_PingPongLatencyMX(b *testing.B) {
-	b.Run("MadMPI-4B", func(b *testing.B) { reportPingPong(b, mad(), mxRail, 4, "virt-µs") })
-	b.Run("MPICH-4B", func(b *testing.B) { reportPingPong(b, bench.MPICH(), mxRail, 4, "virt-µs") })
-	b.Run("OpenMPI-4B", func(b *testing.B) { reportPingPong(b, bench.OpenMPI(), mxRail, 4, "virt-µs") })
-	b.Run("MadMPI-4K", func(b *testing.B) { reportPingPong(b, mad(), mxRail, 4<<10, "virt-µs") })
-	b.Run("MPICH-4K", func(b *testing.B) { reportPingPong(b, bench.MPICH(), mxRail, 4<<10, "virt-µs") })
-}
-
-// Figure 2(b): raw ping-pong bandwidth over MX — large-message points.
-func BenchmarkFig2b_PingPongBandwidthMX(b *testing.B) {
-	for _, impl := range []bench.Impl{mad(), bench.MPICH(), bench.OpenMPI()} {
-		impl := impl
-		b.Run(impl.Name+"-2M", func(b *testing.B) {
-			var bw float64
-			for i := 0; i < b.N; i++ {
-				lat, err := bench.PingPong(impl, mxRail, 2<<20)
-				if err != nil {
+// BenchmarkFigure regenerates each figure of the bench registry (the
+// paper's §5 figures, the ablations and the scale workloads) once per
+// iteration. ns/op is the host cost of simulating the whole figure; the
+// virtual-time results themselves are the goldens under
+// internal/bench/testdata/figures. Profile one figure with
+//
+//	go test -run=NONE -bench 'BenchmarkFigure/2a$' -cpuprofile cpu.out .
+func BenchmarkFigure(b *testing.B) {
+	for _, info := range bench.Figures() {
+		b.Run(info.ID, func(b *testing.B) {
+			for b.Loop() {
+				if _, err := bench.Run(info.ID); err != nil {
 					b.Fatal(err)
 				}
-				bw = float64(2<<20) / lat
-			}
-			b.ReportMetric(bw, "virt-MB/s")
-		})
-	}
-}
-
-// Figure 2(c): raw ping-pong latency over Quadrics.
-func BenchmarkFig2c_PingPongLatencyQs(b *testing.B) {
-	b.Run("MadMPI-4B", func(b *testing.B) { reportPingPong(b, mad(), qsRail, 4, "virt-µs") })
-	b.Run("MPICH-4B", func(b *testing.B) { reportPingPong(b, bench.MPICH(), qsRail, 4, "virt-µs") })
-}
-
-// Figure 2(d): raw ping-pong bandwidth over Quadrics.
-func BenchmarkFig2d_PingPongBandwidthQs(b *testing.B) {
-	for _, impl := range []bench.Impl{mad(), bench.MPICH()} {
-		impl := impl
-		b.Run(impl.Name+"-2M", func(b *testing.B) {
-			var bw float64
-			for i := 0; i < b.N; i++ {
-				lat, err := bench.PingPong(impl, qsRail, 2<<20)
-				if err != nil {
-					b.Fatal(err)
-				}
-				bw = float64(2<<20) / lat
-			}
-			b.ReportMetric(bw, "virt-MB/s")
-		})
-	}
-}
-
-// §5.1 in-text numbers: the constant MAD-MPI overhead.
-func BenchmarkTab51_Overhead(b *testing.B) {
-	for _, rails := range [][]simnet.Profile{mxRail, qsRail} {
-		rails := rails
-		b.Run(rails[0].Name, func(b *testing.B) {
-			var over float64
-			for i := 0; i < b.N; i++ {
-				madLat, err := bench.PingPong(mad(), rails, 4)
-				if err != nil {
-					b.Fatal(err)
-				}
-				mpichLat, err := bench.PingPong(bench.MPICH(), rails, 4)
-				if err != nil {
-					b.Fatal(err)
-				}
-				over = madLat - mpichLat
-			}
-			b.ReportMetric(over, "virt-µs-overhead")
-		})
-	}
-}
-
-func reportMultiSeg(b *testing.B, impl bench.Impl, rails []simnet.Profile, segSize, nsegs int) {
-	b.Helper()
-	var lat float64
-	for i := 0; i < b.N; i++ {
-		l, err := bench.MultiSegPingPong(impl, rails, segSize, nsegs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		lat = l
-	}
-	b.ReportMetric(lat, "virt-µs")
-}
-
-// Figure 3(a): 8-segment ping-pong over MX.
-func BenchmarkFig3a_MultiSeg8MX(b *testing.B) {
-	b.Run("MadMPI", func(b *testing.B) { reportMultiSeg(b, mad(), mxRail, 64, 8) })
-	b.Run("MPICH", func(b *testing.B) { reportMultiSeg(b, bench.MPICH(), mxRail, 64, 8) })
-	b.Run("OpenMPI", func(b *testing.B) { reportMultiSeg(b, bench.OpenMPI(), mxRail, 64, 8) })
-}
-
-// Figure 3(b): 16-segment ping-pong over MX.
-func BenchmarkFig3b_MultiSeg16MX(b *testing.B) {
-	b.Run("MadMPI", func(b *testing.B) { reportMultiSeg(b, mad(), mxRail, 64, 16) })
-	b.Run("MPICH", func(b *testing.B) { reportMultiSeg(b, bench.MPICH(), mxRail, 64, 16) })
-	b.Run("OpenMPI", func(b *testing.B) { reportMultiSeg(b, bench.OpenMPI(), mxRail, 64, 16) })
-}
-
-// Figure 3(c): 8-segment ping-pong over Quadrics.
-func BenchmarkFig3c_MultiSeg8Qs(b *testing.B) {
-	b.Run("MadMPI", func(b *testing.B) { reportMultiSeg(b, mad(), qsRail, 64, 8) })
-	b.Run("MPICH", func(b *testing.B) { reportMultiSeg(b, bench.MPICH(), qsRail, 64, 8) })
-}
-
-// Figure 3(d): 16-segment ping-pong over Quadrics.
-func BenchmarkFig3d_MultiSeg16Qs(b *testing.B) {
-	b.Run("MadMPI", func(b *testing.B) { reportMultiSeg(b, mad(), qsRail, 64, 16) })
-	b.Run("MPICH", func(b *testing.B) { reportMultiSeg(b, bench.MPICH(), qsRail, 64, 16) })
-}
-
-func reportDatatype(b *testing.B, impl bench.Impl, rails []simnet.Profile, total int) {
-	b.Helper()
-	var lat float64
-	for i := 0; i < b.N; i++ {
-		l, err := bench.DatatypePingPong(impl, rails, total)
-		if err != nil {
-			b.Fatal(err)
-		}
-		lat = l
-	}
-	b.ReportMetric(lat, "virt-µs")
-}
-
-// Figure 4(a): indexed datatype over MX.
-func BenchmarkFig4a_IndexedDatatypeMX(b *testing.B) {
-	b.Run("MadMPI-2M", func(b *testing.B) { reportDatatype(b, mad(), mxRail, 2<<20) })
-	b.Run("MPICH-2M", func(b *testing.B) { reportDatatype(b, bench.MPICH(), mxRail, 2<<20) })
-	b.Run("OpenMPI-2M", func(b *testing.B) { reportDatatype(b, bench.OpenMPI(), mxRail, 2<<20) })
-}
-
-// Figure 4(b): indexed datatype over Quadrics.
-func BenchmarkFig4b_IndexedDatatypeQs(b *testing.B) {
-	b.Run("MadMPI-2M", func(b *testing.B) { reportDatatype(b, mad(), qsRail, 2<<20) })
-	b.Run("MPICH-2M", func(b *testing.B) { reportDatatype(b, bench.MPICH(), qsRail, 2<<20) })
-}
-
-// Ablation: the optimization window itself (aggreg vs default strategy).
-func BenchmarkAblationWindow(b *testing.B) {
-	for _, strat := range []string{"aggreg", "default", "prio"} {
-		strat := strat
-		b.Run(strat, func(b *testing.B) {
-			opts := core.DefaultOptions()
-			opts.Strategy = strat
-			reportMultiSeg(b, bench.MadMPI(opts), mxRail, 64, 16)
-		})
-	}
-}
-
-// Ablation: multi-rail splitting of an 8MB body.
-func BenchmarkAblationMultirail(b *testing.B) {
-	split := core.DefaultOptions()
-	split.Strategy = "split"
-	b.Run("MX-only", func(b *testing.B) { reportPingPong(b, mad(), mxRail, 8<<20, "virt-µs") })
-	b.Run("MX+Quadrics", func(b *testing.B) { reportPingPong(b, bench.MadMPI(split), twoRail, 8<<20, "virt-µs") })
-}
-
-// Ablation: the engine's software overheads on the critical path.
-func BenchmarkAblationOverhead(b *testing.B) {
-	zero := core.DefaultOptions()
-	zero.SubmitOverhead = 0
-	zero.ScheduleOverhead = 0
-	b.Run("full", func(b *testing.B) { reportPingPong(b, mad(), mxRail, 4, "virt-µs") })
-	b.Run("zero-overhead", func(b *testing.B) { reportPingPong(b, bench.MadMPI(zero), mxRail, 4, "virt-µs") })
-}
-
-// Ablation: rendezvous threshold (the aggregation cap).
-func BenchmarkAblationRdvThreshold(b *testing.B) {
-	for _, thr := range []int{8 << 10, 32 << 10, 128 << 10} {
-		thr := thr
-		prof := simnet.MX10G()
-		prof.RdvThreshold = thr
-		b.Run(prof.Name+"-thr", func(b *testing.B) {
-			reportPingPong(b, mad(), []simnet.Profile{prof}, 64<<10, "virt-µs")
-		})
-	}
-}
-
-// Ablation: the §3.2 scheduling modes.
-func BenchmarkAblationSchedulingModes(b *testing.B) {
-	jit := core.DefaultOptions()
-	ant := core.DefaultOptions()
-	ant.Anticipate = true
-	fl := core.DefaultOptions()
-	fl.FlushBacklog = 4
-	b.Run("just-in-time", func(b *testing.B) { reportMultiSeg(b, bench.MadMPI(jit), mxRail, 64, 16) })
-	b.Run("anticipate", func(b *testing.B) { reportMultiSeg(b, bench.MadMPI(ant), mxRail, 64, 16) })
-	b.Run("flush-4", func(b *testing.B) { reportMultiSeg(b, bench.MadMPI(fl), mxRail, 64, 16) })
-}
-
-// Ablation: control latency inside a bulk stream (the §2 composite
-// application scenario).
-func BenchmarkAblationComposite(b *testing.B) {
-	prio := core.DefaultOptions()
-	prio.Strategy = "prio"
-	cases := []struct {
-		name string
-		impl bench.Impl
-		flag bool
-	}{
-		{"MadMPI-prio", bench.MadMPI(prio), true},
-		{"MPICH", bench.MPICH(), false},
-	}
-	for _, c := range cases {
-		c := c
-		b.Run(c.name, func(b *testing.B) {
-			var lat float64
-			for i := 0; i < b.N; i++ {
-				l, err := bench.CompositeControlLatency(c.impl, mxRail, 16<<10, 16, c.flag)
-				if err != nil {
-					b.Fatal(err)
-				}
-				lat = l
-			}
-			b.ReportMetric(lat, "virt-µs-ctrl")
-		})
-	}
-}
-
-// Ablation: bandwidth sampling under congestion.
-func BenchmarkAblationSampling(b *testing.B) {
-	for _, c := range []struct {
-		name   string
-		warmup int
-	}{
-		{"cold-nominal-plan", 0},
-		{"warmed-sampled-plan", 4},
-	} {
-		c := c
-		b.Run(c.name, func(b *testing.B) {
-			var lat float64
-			for i := 0; i < b.N; i++ {
-				l, err := bench.CongestedTransfer(4<<20, 0.3, c.warmup)
-				if err != nil {
-					b.Fatal(err)
-				}
-				lat = l
-			}
-			b.ReportMetric(lat, "virt-µs")
-		})
-	}
-}
-
-// Micro-benchmarks of the library itself (host performance, ns/op is the
-// interesting number here).
-
-// BenchmarkEngineSmallSendHostSpeed measures how fast the simulator
-// executes a full small-message exchange (engine + NIC + kernel).
-func BenchmarkEngineSmallSendHostSpeed(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cl, err := nmad.NewCluster(2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e0, err := cl.Engine(0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e1, err := cl.Engine(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cl.Spawn("s", func(p *nmad.Proc) {
-			if err := e0.Gate(1).Send(p, 1, []byte("x")); err != nil {
-				b.Error(err)
 			}
 		})
-		cl.Spawn("r", func(p *nmad.Proc) {
-			if _, err := e1.Gate(0).Recv(p, 1, make([]byte, 1)); err != nil {
-				b.Error(err)
-			}
-		})
-		if err := cl.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimKernelEvents measures raw event throughput of the DES
-// kernel.
-func BenchmarkSimKernelEvents(b *testing.B) {
-	b.ReportAllocs()
-	cl, err := nmad.NewCluster(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := cl.World()
-	b.ResetTimer()
-	n := 0
-	for i := 0; i < b.N; i++ {
-		w.After(nmad.Time(i), func() { n++ })
-	}
-	if err := w.Run(); err != nil {
-		b.Fatal(err)
-	}
-	if n != b.N {
-		b.Fatalf("fired %d of %d events", n, b.N)
 	}
 }

@@ -1,34 +1,22 @@
 // Command nmad-bench regenerates the figures and tables of the paper's
-// evaluation section (§5) plus the ablations listed in DESIGN.md and the
-// incast overload workload.
+// evaluation section (§5) plus the ablations and scale workloads, in
+// deterministic virtual time.
 //
 // Usage:
 //
-//	nmad-bench -fig 2a            # one figure, aligned table on stdout
-//	nmad-bench -fig all           # everything (takes a minute)
-//	nmad-bench -fig 4a -format csv
-//	nmad-bench -fig incast,5.1 -json  # machine-readable, for BENCH_*.json trajectories
-//	nmad-bench -fig scale-nodes -seed 7   # lossy figures under another fault seed
-//	nmad-bench -fig engine-speed -cpuprofile cpu.out -memprofile mem.out
 //	nmad-bench -list              # figure ids with one-line descriptions
 //	nmad-bench -fig list          # same
+//	nmad-bench -fig 2a            # one figure, aligned table on stdout
+//	nmad-bench -fig all           # everything (scale-nodes alone takes minutes)
+//	nmad-bench -fig 4a -format csv
+//	nmad-bench -fig incast,5.1 -json  # machine-readable
 //
 // Every report is stamped with the strategy and engine options each
 // MAD-MPI series ran with; the lossy figures additionally stamp the
-// fault-injection seed and profile into each series, and the same seed
-// reproduces identical numbers. With -json and more than one figure the
-// output is a single JSON array.
-//
-// Figure ids: 2a 2b 2c 2d (raw ping-pong), 5.1 (overhead summary),
-// 3a 3b 3c 3d (multi-segment ping-pong), 4a 4b (indexed datatype),
-// incast (N-to-1 overload under credit flow control),
-// allreduce (collective schedule engine vs the seed blocking tree),
-// replay-ab (trace-driven replay: strategy A/B on the recorded
-// composite workload),
-// scale-nodes (collectives at 8..1024 emulated nodes, lossless vs 1% drop),
-// drop-resilience (16-segment ring exchange vs drop % per strategy),
-// ablation-strategies ablation-multirail ablation-overhead ablation-rdv
-// ablation-modes ablation-composite ablation-sampling.
+// fault-injection seed and profile into each series. With -json and more
+// than one figure the output is a single JSON array; one figure's -json
+// output is byte-for-byte its committed golden
+// (internal/bench/testdata/figures/<id>.json).
 package main
 
 import (
@@ -37,7 +25,7 @@ import (
 	"os"
 	"strings"
 
-	"nmad"
+	"nmad/internal/bench"
 )
 
 func main() {
@@ -45,37 +33,14 @@ func main() {
 	format := flag.String("format", "table", "output format: table, csv or json")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON results (same as -format json)")
 	list := flag.Bool("list", false, "list figure ids with descriptions and exit")
-	seed := flag.Uint64("seed", nmad.BenchSeed(), "fault-injection seed for the lossy figures (stamped into their series)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected figures to this file")
-	memprofile := flag.String("memprofile", "", "write a heap allocation profile to this file after the selected figures")
 	flag.Parse()
 	if *jsonOut {
 		*format = "json"
 	}
-	nmad.BenchSetSeed(*seed)
-	if *cpuprofile != "" {
-		stop, err := nmad.BenchStartCPUProfile(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "nmad-bench: %v\n", err)
-			os.Exit(1)
-		}
-		defer func() {
-			if err := stop(); err != nil {
-				fmt.Fprintf(os.Stderr, "nmad-bench: %v\n", err)
-			}
-		}()
-	}
-	if *memprofile != "" {
-		defer func() {
-			if err := nmad.BenchWriteMemProfile(*memprofile); err != nil {
-				fmt.Fprintf(os.Stderr, "nmad-bench: %v\n", err)
-			}
-		}()
-	}
 
 	if *list || *fig == "list" {
 		w := 0
-		infos := nmad.BenchFigures()
+		infos := bench.Figures()
 		for _, info := range infos {
 			if len(info.ID) > w {
 				w = len(info.ID)
@@ -93,30 +58,30 @@ func main() {
 
 	ids := strings.Split(*fig, ",")
 	if *fig == "all" {
-		ids = nmad.BenchFigureIDs()
+		ids = bench.FigureIDs()
 	}
 	var jsons []string
 	for _, id := range ids {
-		result, err := nmad.BenchRun(strings.TrimSpace(id))
+		result, err := bench.Run(strings.TrimSpace(id))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "nmad-bench: %v\n", err)
 			os.Exit(1)
 		}
 		switch *format {
 		case "table":
-			fmt.Println(nmad.BenchFormatTable(result))
+			fmt.Println(bench.FormatTable(result))
 		case "csv":
-			fmt.Printf("# figure %s: %s\n%s\n", result.ID, result.Title, nmad.BenchFormatCSV(result))
+			fmt.Printf("# figure %s: %s\n%s\n", result.ID, result.Title, bench.FormatCSV(result))
 		case "json":
-			jsons = append(jsons, nmad.BenchFormatJSON(result))
+			jsons = append(jsons, bench.FormatJSON(result))
 		default:
 			fmt.Fprintf(os.Stderr, "nmad-bench: unknown format %q\n", *format)
 			os.Exit(2)
 		}
 	}
 	if *format == "json" {
-		// One figure prints bare; several print as a JSON array so a
-		// BENCH_*.json trajectory file stays a single valid document.
+		// One figure prints bare; several print as a JSON array so the
+		// output stays a single valid document.
 		if len(jsons) == 1 {
 			fmt.Println(jsons[0])
 		} else {

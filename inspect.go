@@ -1,14 +1,12 @@
 package nmad
 
 import (
-	"nmad/internal/bench"
 	"nmad/internal/drivers"
 	"nmad/internal/sim"
 	"nmad/internal/simnet"
 )
 
-// Introspection and evaluation surface of the facade, so diagnostic
-// tools (nmad-info, nmad-bench) never reach into internal packages.
+// Introspection surface of the facade, for diagnostic tools (nmad-info).
 
 // RailCaps is the transfer-layer capability report the scheduling
 // strategies consume: rendezvous threshold, gather/scatter capacity,
@@ -31,38 +29,3 @@ func ProbeRail(p Profile) (name string, caps RailCaps, err error) {
 	}
 	return drv.Name(), drv.Caps(), nil
 }
-
-// Benchmark harness re-exports: the figures and tables of the paper's
-// evaluation (§5) plus the ablations, runnable by id.
-type BenchFigure = bench.Figure
-
-// BenchFigureInfo pairs a runnable figure id with its one-line
-// description, for discovery (nmad-bench -list).
-type BenchFigureInfo = bench.FigureInfo
-
-var (
-	// BenchFigureIDs lists every runnable figure id.
-	BenchFigureIDs = bench.FigureIDs
-	// BenchFigures lists every runnable figure with its description.
-	BenchFigures = bench.Figures
-	// BenchRun regenerates one figure.
-	BenchRun = bench.Run
-	// BenchFormatTable / BenchFormatCSV / BenchFormatJSON render a
-	// figure's data points; JSON carries the strategy and engine-option
-	// stamps for machine-readable result trajectories.
-	BenchFormatTable = bench.FormatTable
-	BenchFormatCSV   = bench.FormatCSV
-	BenchFormatJSON  = bench.FormatJSON
-	// BenchSetSeed / BenchSeed set and report the fault-injection seed
-	// the lossy figures (scale-nodes, drop-resilience) run under. The
-	// seed is stamped into every emitted series; the same seed
-	// reproduces identical numbers.
-	BenchSetSeed = bench.SetSeed
-	BenchSeed    = bench.Seed
-	// BenchStartCPUProfile / BenchWriteMemProfile expose the pprof
-	// plumbing behind nmad-bench's -cpuprofile / -memprofile flags: the
-	// reproducible way to profile the engine hot paths is to profile the
-	// figures the trajectory gates.
-	BenchStartCPUProfile = bench.StartCPUProfile
-	BenchWriteMemProfile = bench.WriteMemProfile
-)

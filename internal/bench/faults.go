@@ -15,16 +15,10 @@ import (
 // run verifies payload integrity — a figure is only emitted if zero
 // payloads were lost, truncated or duplicated.
 
-// benchSeed seeds every fault profile the lossy figures build. One knob
-// for the whole harness (cmd/nmad-bench -seed): the same seed reproduces
-// the same drops, and therefore the same completion numbers, bit for bit.
-var benchSeed uint64 = 42
-
-// SetSeed sets the fault-injection seed for subsequently built figures.
-func SetSeed(s uint64) { benchSeed = s }
-
-// Seed reports the active fault-injection seed.
-func Seed() uint64 { return benchSeed }
+// faultSeed seeds every fault profile the lossy figures build: the same
+// seed reproduces the same drops, and therefore the same completion
+// numbers, bit for bit.
+const faultSeed uint64 = 42
 
 // faultStamp renders a profile compactly for the Series stamp.
 func faultStamp(fp simnet.FaultProfile) string {
@@ -57,6 +51,8 @@ type LossyCollectiveConfig struct {
 	// engines run the reliability layer either way, so a lossless run
 	// measures the framing/ack overhead alone).
 	Drop float64
+	// Seed seeds the drop decisions (unused when Drop is 0).
+	Seed uint64
 	// Strategy overrides the engine strategy ("" = default aggreg).
 	Strategy string
 }
@@ -80,7 +76,7 @@ func LossyCollective(cfg LossyCollectiveConfig) (LossyCollectiveResult, error) {
 		return res, err
 	}
 	if cfg.Drop > 0 {
-		if err := f.SetFaults(simnet.UniformLoss(benchSeed, cfg.Drop, 1)); err != nil {
+		if err := f.SetFaults(simnet.UniformLoss(cfg.Seed, cfg.Drop, 1)); err != nil {
 			return res, err
 		}
 	}
@@ -195,7 +191,7 @@ func FigScaleNodes() (Figure, error) {
 		XLabel: "nodes", YLabel: "completion (µs)",
 		Notes: []string{
 			"dissemination barrier and 64B-per-rank allgather; every payload verified intact",
-			fmt.Sprintf("fault seed %d; drop applies per packet on the single MX rail", benchSeed),
+			fmt.Sprintf("fault seed %d; drop applies per packet on the single MX rail", faultSeed),
 		},
 	}
 	nodes := []int{8, 64, 256, 1024}
@@ -212,13 +208,13 @@ func FigScaleNodes() (Figure, error) {
 	for _, c := range cases {
 		s := Series{Label: c.label, Strategy: "aggreg"}
 		if c.drop > 0 {
-			s.Seed = benchSeed
-			s.Faults = faultStamp(simnet.UniformLoss(benchSeed, c.drop, 1))
+			s.Seed = faultSeed
+			s.Faults = faultStamp(simnet.UniformLoss(faultSeed, c.drop, 1))
 		}
 		retrans := 0
 		for _, n := range nodes {
 			r, err := LossyCollective(LossyCollectiveConfig{
-				Nodes: n, Kind: c.kind, Per: 64, Drop: c.drop,
+				Nodes: n, Kind: c.kind, Per: 64, Drop: c.drop, Seed: faultSeed,
 			})
 			if err != nil {
 				return fig, err
@@ -245,7 +241,7 @@ func FigDropResilience() (Figure, error) {
 		XLabel: "drop (%)", YLabel: "completion (µs)",
 		Notes: []string{
 			"reliability on; every segment verified intact at every point",
-			fmt.Sprintf("fault seed %d", benchSeed),
+			fmt.Sprintf("fault seed %d", faultSeed),
 		},
 	}
 	drops := []float64{0, 0.05, 0.10, 0.20, 0.30}
@@ -256,12 +252,12 @@ func FigDropResilience() (Figure, error) {
 		s := Series{
 			Label: "MadMPI[" + strat + "]", Strategy: strat,
 			EngineOptions: summarizeOptions(opts),
-			Seed:          benchSeed,
+			Seed:          faultSeed,
 			Faults:        "drop swept 0..30%",
 		}
 		for _, drop := range drops {
 			r, err := LossyCollective(LossyCollectiveConfig{
-				Nodes: 8, Kind: "multiseg", Per: 256, Drop: drop, Strategy: strat,
+				Nodes: 8, Kind: "multiseg", Per: 256, Drop: drop, Seed: faultSeed, Strategy: strat,
 			})
 			if err != nil {
 				return fig, err

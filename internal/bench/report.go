@@ -61,8 +61,8 @@ func strategyStamps(fig Figure) []string {
 	return out
 }
 
-// FormatJSON renders a figure as machine-readable JSON, for tracking
-// result trajectories across runs (BENCH_*.json files).
+// FormatJSON renders a figure as machine-readable JSON; the committed
+// goldens under testdata/figures are this output.
 func FormatJSON(fig Figure) string {
 	data, err := json.MarshalIndent(fig, "", "  ")
 	if err != nil {

@@ -50,8 +50,8 @@
 // retain window views (the spileak analyzer enforces the SPI aliasing
 // contract). Options.NoRecycle turns every pool off for A/B
 // comparison: the replayed timeline must be byte-identical either way,
-// which the pooling property test in internal/replay asserts. The
-// engine-speed and engine-allocs figures in internal/bench track the
-// resulting ops/sec and allocs/op per PR, and allocation-regression
-// pins live in alloc_test.go.
+// which the pooling property test in internal/replay asserts. The repo
+// benchmark (benchmark/, workload ring-replay-1024) measures the
+// resulting host cost and allocs/op, and allocation-regression pins
+// live in alloc_test.go.
 package core

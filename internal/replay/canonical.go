@@ -164,11 +164,10 @@ func RecordComposite(cfg CompositeConfig) (*trace.Recording, error) {
 // every node runs the canonical sender toward its successor and the
 // canonical receiver toward its predecessor, so all N engines schedule
 // concurrently and the offered load grows linearly with the ring. This is
-// the workload behind the engine-speed meta-figure (internal/bench),
-// which replays the recording at 8/256/1024 nodes and measures what the
-// engine itself costs in wall-clock time and allocations. With nodes = 2
-// the ring degenerates to the two-node composite with both directions
-// active.
+// the workload the repo benchmark's ring-replay-1024 replays to measure
+// what the engine itself costs in host time and allocations. With
+// nodes = 2 the ring degenerates to the two-node composite with both
+// directions active.
 func RecordCompositeRing(cfg CompositeConfig, nodes int) (*trace.Recording, error) {
 	if nodes < 2 {
 		return nil, fmt.Errorf("replay: composite ring needs at least 2 nodes, got %d", nodes)

@@ -85,19 +85,16 @@ type Event struct {
 	Note string
 }
 
-// recorderBlock is the unbounded recorder's block capacity: full blocks
-// are never copied again, so recording amortizes to one allocation per
-// recorderBlock events instead of the doubling-growth copies of a single
-// slice (a long replay records millions of events; the copies were a
-// measurable slice of engine time).
-const recorderBlock = 4096
+// recorderFirstCap sizes a recorder's first allocation: a replayed node
+// records a few hundred events, and growing there from a nil slice costs
+// more allocations than starting here.
+const recorderFirstCap = 128
 
 // Recorder accumulates events, optionally as a bounded ring.
 type Recorder struct {
-	blocks [][]Event // unbounded mode: fixed-capacity blocks
-	events []Event   // ring mode (limit > 0)
-	limit  int       // 0 = unbounded
-	start  int       // ring head when limit > 0
+	events []Event
+	limit  int // 0 = unbounded
+	start  int // ring head when limit > 0
 	total  int
 	counts [nKinds]int
 }
@@ -123,34 +120,25 @@ func (r *Recorder) Record(ev Event) {
 	if int(ev.Kind) < len(r.counts) {
 		r.counts[ev.Kind]++
 	}
-	if r.limit > 0 {
-		if len(r.events) == r.limit {
-			r.events[r.start] = ev
-			r.start = (r.start + 1) % r.limit
-			return
-		}
-		r.events = append(r.events, ev)
+	if r.limit > 0 && len(r.events) == r.limit {
+		r.events[r.start] = ev
+		r.start = (r.start + 1) % r.limit
 		return
 	}
-	n := len(r.blocks)
-	if n == 0 || len(r.blocks[n-1]) == recorderBlock {
-		r.blocks = append(r.blocks, make([]Event, 0, recorderBlock))
-		n++
+	if r.events == nil {
+		first := recorderFirstCap
+		if r.limit > 0 {
+			first = min(first, r.limit)
+		}
+		r.events = make([]Event, 0, first)
 	}
-	r.blocks[n-1] = append(r.blocks[n-1], ev)
+	r.events = append(r.events, ev)
 }
 
 // Events returns the retained events in chronological order.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
-	}
-	if r.limit == 0 {
-		out := make([]Event, 0, r.total)
-		for _, b := range r.blocks {
-			out = append(out, b...)
-		}
-		return out
 	}
 	if r.start == 0 {
 		return append([]Event(nil), r.events...)

@@ -32,6 +32,25 @@ func TestRecorderBasics(t *testing.T) {
 	}
 }
 
+// An unbounded recorder keeps everything, in order, across the slice's
+// growth steps.
+func TestUnboundedRecorderKeepsOrder(t *testing.T) {
+	const n = 10_000
+	r := NewRecorder()
+	for i := 0; i < n; i++ {
+		r.Record(Event{At: sim.Time(i), Kind: Submit})
+	}
+	evs := r.Events()
+	if len(evs) != n || r.Total() != n {
+		t.Fatalf("retained %d of %d events (Total %d)", len(evs), n, r.Total())
+	}
+	for i, ev := range evs {
+		if ev.At != sim.Time(i) {
+			t.Fatalf("events[%d].At = %v, want %d", i, ev.At, i)
+		}
+	}
+}
+
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Record(Event{Kind: Submit})

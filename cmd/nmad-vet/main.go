@@ -1,8 +1,7 @@
 // nmad-vet machine-checks the invariants the repository's tests can
-// only witness: determinism of the replayable packages, scenario
-// assertion tables covering every engine counter, errors.Is discipline
-// around the typed sentinels, and the SPI no-aliasing rule for
-// strategies.
+// only witness: determinism of the replayable packages, errors.Is
+// discipline around the typed sentinels, and the SPI no-aliasing rule
+// for strategies.
 //
 // Run it through the go command so test files are covered too:
 //

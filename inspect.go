@@ -2,7 +2,6 @@ package nmad
 
 import (
 	"nmad/internal/drivers"
-	"nmad/internal/sim"
 	"nmad/internal/simnet"
 )
 
@@ -17,13 +16,11 @@ type RailCaps = drivers.Caps
 // throwaway fabric and returns the driver name and its capability
 // report.
 func ProbeRail(p Profile) (name string, caps RailCaps, err error) {
-	w := sim.NewWorld()
-	f := simnet.NewFabric(w, 2, simnet.DefaultHost())
-	net, err := f.AddNetwork(p)
+	f, err := simnet.Machine{Nodes: 2, Rails: []Profile{p}}.Build()
 	if err != nil {
 		return "", RailCaps{}, err
 	}
-	drv, err := drivers.New(net, 0)
+	drv, err := drivers.New(f.Networks()[0], 0)
 	if err != nil {
 		return "", RailCaps{}, err
 	}

@@ -69,7 +69,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzers returns the full nmad-vet suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DeterminismAnalyzer, StatsSyncAnalyzer, SentinelCmpAnalyzer, SPILeakAnalyzer}
+	return []*Analyzer{DeterminismAnalyzer, SentinelCmpAnalyzer, SPILeakAnalyzer}
 }
 
 // RunAnalyzers runs every analyzer over one loaded package, applies the

@@ -10,10 +10,6 @@ func TestDeterminismNegativeControl(t *testing.T) {
 	runFixture(t, "nondeterm", DeterminismAnalyzer)
 }
 
-func TestStatsSyncFixture(t *testing.T) {
-	runFixture(t, "statstables", StatsSyncAnalyzer)
-}
-
 func TestSentinelCmpFixture(t *testing.T) {
 	runFixture(t, "sentinel", SentinelCmpAnalyzer)
 }

@@ -17,9 +17,9 @@ func TestModuleIsVetClean(t *testing.T) {
 }
 
 // TestSuiteIsNonEmpty pins the advertised analyzer set: CI wiring and
-// docs reference these four names.
+// docs reference these three names.
 func TestSuiteIsNonEmpty(t *testing.T) {
-	want := map[string]bool{"determinism": true, "statssync": true, "sentinelcmp": true, "spileak": true}
+	want := map[string]bool{"determinism": true, "sentinelcmp": true, "spileak": true}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("Analyzers() = %d analyzers, want %d", len(got), len(want))

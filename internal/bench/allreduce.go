@@ -42,17 +42,16 @@ func AllreduceTime(cfg AllreduceConfig) (float64, error) {
 	if cfg.Nodes < 2 || cfg.Elems < 1 {
 		return 0, fmt.Errorf("bench: allreduce needs ≥2 nodes and ≥1 element, got %+v", cfg)
 	}
-	w := sim.NewWorld()
-	f := simnet.NewFabric(w, cfg.Nodes, simnet.DefaultHost())
-	if _, err := f.AddNetwork(simnet.MX10G()); err != nil {
+	f, err := simnet.Machine{Nodes: cfg.Nodes, Rails: []simnet.Profile{simnet.MX10G()}}.Build()
+	if err != nil {
 		return 0, err
 	}
-	ranks := make([]*madmpi.MPI, cfg.Nodes)
-	for i := range ranks {
-		m, err := madmpi.Init(f, simnet.NodeID(i), core.DefaultOptions())
-		if err != nil {
-			return 0, err
-		}
+	w := f.World()
+	ranks, err := madmpi.InitAll(f, core.DefaultOptions())
+	if err != nil {
+		return 0, err
+	}
+	for _, m := range ranks {
 		if cfg.Algo != "" && cfg.Algo != SeedAlgo {
 			if err := m.ForceCollAlgo(madmpi.CollAllreduce, cfg.Algo); err != nil {
 				return 0, err
@@ -61,7 +60,6 @@ func AllreduceTime(cfg AllreduceConfig) (float64, error) {
 		if cfg.SegBytes > 0 {
 			m.SetCollSegment(cfg.SegBytes)
 		}
-		ranks[i] = m
 	}
 	allreduce := func(p *sim.Proc, m *madmpi.MPI, in, out []float64) error {
 		if cfg.Algo == SeedAlgo {

@@ -70,16 +70,16 @@ type LossyCollectiveResult struct {
 // payload. The run is fully deterministic in (config, seed).
 func LossyCollective(cfg LossyCollectiveConfig) (LossyCollectiveResult, error) {
 	var res LossyCollectiveResult
-	w := sim.NewWorld()
-	f := simnet.NewFabric(w, cfg.Nodes, simnet.DefaultHost())
-	if _, err := f.AddNetwork(simnet.MX10G()); err != nil {
+	m := simnet.Machine{Nodes: cfg.Nodes, Rails: []simnet.Profile{simnet.MX10G()}}
+	if cfg.Drop > 0 {
+		fp := simnet.UniformLoss(cfg.Seed, cfg.Drop, 1)
+		m.Faults = &fp
+	}
+	f, err := m.Build()
+	if err != nil {
 		return res, err
 	}
-	if cfg.Drop > 0 {
-		if err := f.SetFaults(simnet.UniformLoss(cfg.Seed, cfg.Drop, 1)); err != nil {
-			return res, err
-		}
-	}
+	w := f.World()
 	opts := core.DefaultOptions()
 	opts.Reliability = true
 	if cfg.Strategy != "" {
@@ -92,13 +92,9 @@ func LossyCollective(cfg LossyCollectiveConfig) (LossyCollectiveResult, error) {
 			firstErr = err
 		}
 	}
-	mpis := make([]*madmpi.MPI, cfg.Nodes)
-	for i := 0; i < cfg.Nodes; i++ {
-		m, err := madmpi.Init(f, simnet.NodeID(i), opts)
-		if err != nil {
-			return res, err
-		}
-		mpis[i] = m
+	mpis, err := madmpi.InitAll(f, opts)
+	if err != nil {
+		return res, err
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		m := mpis[i]

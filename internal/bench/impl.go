@@ -73,15 +73,11 @@ func MadMPI(opts core.Options) Impl {
 		Strategy:      strategy,
 		EngineOptions: summarizeOptions(opts),
 		Make: func(f *simnet.Fabric) (Peer, Peer, error) {
-			m0, err := madmpi.Init(f, 0, opts)
+			ranks, err := madmpi.InitAll(f, opts)
 			if err != nil {
 				return nil, nil, err
 			}
-			m1, err := madmpi.Init(f, 1, opts)
-			if err != nil {
-				return nil, nil, err
-			}
-			return &madPeer{mpi: m0}, &madPeer{mpi: m1}, nil
+			return &madPeer{mpi: ranks[0]}, &madPeer{mpi: ranks[1]}, nil
 		},
 	}
 }
@@ -208,14 +204,11 @@ func toBaselineSegs(segs []Seg) []baseline.Segment {
 	return out
 }
 
-// newFabric assembles a fresh world with the given rails.
+// newFabric assembles a fresh two-node world with the given rails.
 func newFabric(profs []simnet.Profile) (*sim.World, *simnet.Fabric, error) {
-	w := sim.NewWorld()
-	f := simnet.NewFabric(w, 2, simnet.DefaultHost())
-	for _, prof := range profs {
-		if _, err := f.AddNetwork(prof); err != nil {
-			return nil, nil, fmt.Errorf("bench: %w", err)
-		}
+	f, err := simnet.Machine{Nodes: 2, Rails: profs}.Build()
+	if err != nil {
+		return nil, nil, fmt.Errorf("bench: %w", err)
 	}
-	return w, f, nil
+	return f.World(), f, nil
 }

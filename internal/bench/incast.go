@@ -54,32 +54,19 @@ func Incast(cfg IncastConfig) (IncastResult, error) {
 	if cfg.Senders < 1 || cfg.Msgs < 1 {
 		return IncastResult{}, fmt.Errorf("bench: incast needs at least one sender and one message, got %+v", cfg)
 	}
-	w := sim.NewWorld()
-	f := simnet.NewFabric(w, cfg.Senders+1, simnet.DefaultHost())
-	if _, err := f.AddNetwork(simnet.MX10G()); err != nil {
-		return IncastResult{}, err
-	}
-	opts := core.DefaultOptions()
-	opts.Credits = cfg.Credits
-	opts.MaxGrants = cfg.MaxGrants
-
-	mkEngine := func(node simnet.NodeID) (*core.Engine, error) {
-		e, err := core.New(f, node, opts)
-		if err != nil {
-			return nil, err
-		}
-		return e, e.AttachFabric(f)
-	}
-	recv, err := mkEngine(0)
+	f, err := simnet.Machine{Nodes: cfg.Senders + 1, Rails: []simnet.Profile{simnet.MX10G()}}.Build()
 	if err != nil {
 		return IncastResult{}, err
 	}
-	senders := make([]*core.Engine, cfg.Senders)
-	for i := range senders {
-		if senders[i], err = mkEngine(simnet.NodeID(i + 1)); err != nil {
-			return IncastResult{}, err
-		}
+	w := f.World()
+	opts := core.DefaultOptions()
+	opts.Credits = cfg.Credits
+	opts.MaxGrants = cfg.MaxGrants
+	engines, err := core.NewEngines(f, func(int) core.Options { return opts })
+	if err != nil {
+		return IncastResult{}, err
 	}
+	recv, senders := engines[0], engines[1:]
 
 	fill := func(sender, msg int, buf []byte) {
 		for i := range buf {

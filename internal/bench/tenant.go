@@ -47,24 +47,16 @@ func TenantIsolation(cfg TenantIsolationConfig) (TenantIsolationResult, error) {
 	if cfg.Iters < 1 || cfg.RPCSize < 1 {
 		return TenantIsolationResult{}, fmt.Errorf("bench: tenant isolation needs a victim workload, got %+v", cfg)
 	}
-	const nodes = 4
-	w := sim.NewWorld()
-	f := simnet.NewFabric(w, nodes, simnet.DefaultHost())
-	if _, err := f.AddNetwork(simnet.MX10G()); err != nil {
+	f, err := simnet.Machine{Nodes: 4, Rails: []simnet.Profile{simnet.MX10G()}}.Build()
+	if err != nil {
 		return TenantIsolationResult{}, err
 	}
+	w := f.World()
 	opts := core.DefaultOptions()
 	opts.Strategy = "prio"
-	engines := make([]*core.Engine, nodes)
-	for n := range engines {
-		e, err := core.New(f, simnet.NodeID(n), opts)
-		if err != nil {
-			return TenantIsolationResult{}, err
-		}
-		if err := e.AttachFabric(f); err != nil {
-			return TenantIsolationResult{}, err
-		}
-		engines[n] = e
+	engines, err := core.NewEngines(f, func(int) core.Options { return opts })
+	if err != nil {
+		return TenantIsolationResult{}, err
 	}
 
 	q, err := queue.New(engines[0], queue.Config{

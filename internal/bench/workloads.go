@@ -83,34 +83,20 @@ func CompositeControlLatency(impl Impl, profs []simnet.Profile, bulkSize, nbulk 
 // uses nominal figures and overloads the congested rail. Returns the
 // measured transfer's one-way time in µs.
 func CongestedTransfer(size int, mxScale float64, warmup int) (float64, error) {
-	w := sim.NewWorld()
-	f := simnet.NewFabric(w, 2, simnet.DefaultHost())
-	mx, err := f.AddNetwork(simnet.MX10G())
+	f, err := simnet.Machine{Nodes: 2, Rails: []simnet.Profile{simnet.MX10G(), simnet.QsNetII()}}.Build()
 	if err != nil {
 		return 0, err
 	}
-	if _, err := f.AddNetwork(simnet.QsNetII()); err != nil {
-		return 0, err
-	}
-	mx.SetWireScale(mxScale)
+	w := f.World()
+	f.Networks()[0].SetWireScale(mxScale)
 
 	opts := core.DefaultOptions()
 	opts.Strategy = "split"
-	mkEngine := func(node simnet.NodeID) (*core.Engine, error) {
-		e, err := core.New(f, node, opts)
-		if err != nil {
-			return nil, err
-		}
-		return e, e.AttachFabric(f)
-	}
-	e0, err := mkEngine(0)
+	engines, err := core.NewEngines(f, func(int) core.Options { return opts })
 	if err != nil {
 		return 0, err
 	}
-	e1, err := mkEngine(1)
-	if err != nil {
-		return 0, err
-	}
+	e0, e1 := engines[0], engines[1]
 
 	var start, stop sim.Time
 	w.Spawn("sender", func(p *sim.Proc) {

@@ -718,7 +718,9 @@ func TestStatsSubmittedAndWindow(t *testing.T) {
 func TestEngineRequiresKnownStrategy(t *testing.T) {
 	w := sim.NewWorld()
 	f := simnet.NewFabric(w, 2, simnet.DefaultHost())
-	if _, err := New(f, 0, Options{Strategy: "nope"}); err == nil {
+	opts := DefaultOptions()
+	opts.Strategy = "nope"
+	if _, err := New(f, 0, opts); err == nil {
 		t.Error("unknown strategy must fail engine construction")
 	}
 }

@@ -11,78 +11,16 @@ import (
 	"nmad/sched"
 )
 
-// Options configures an Engine.
+// Options configures an Engine: the recorded personality (every option
+// that shapes a schedule, declared once in trace.NodeConfig) plus the
+// per-process attachments a recording cannot carry.
 type Options struct {
-	// Strategy selects the optimization function by registry name.
-	// Default: "aggreg" (the paper's aggregation strategy).
-	Strategy string
+	trace.NodeConfig
 	// StrategyImpl, when non-nil, is used directly as the optimization
 	// function and takes precedence over Strategy. The value is shared
 	// by every engine constructed with it; stateful strategies must
 	// synchronize or be registered instead (one instance per engine).
 	StrategyImpl sched.Strategy
-	// SubmitOverhead is the host software cost charged per request
-	// entering the collect layer (wrapping + list insertion). Together
-	// with ScheduleOverhead it reproduces the §5.1 constant overhead of
-	// MAD-MPI versus the synchronous MPIs.
-	SubmitOverhead sim.Time
-	// ScheduleOverhead is the host cost charged per output packet for
-	// inspecting the ready list and running the optimization function.
-	ScheduleOverhead sim.Time
-	// BodyChunk caps the size of one rendezvous body transaction; larger
-	// bodies are pipelined in BodyChunk pieces. 0 means one transaction
-	// per rail share.
-	BodyChunk int
-	// Anticipate enables the second scheduling mode of §3.2: while a rail
-	// is busy, the engine pre-builds one ready-to-send packet so the rail
-	// can be re-fed the instant it idles, hiding the election cost
-	// (ScheduleOverhead) behind the previous transmission. The packet is
-	// built from the backlog present at pre-election time; wrappers
-	// submitted after it stay in the window for the next round.
-	Anticipate bool
-	// FlushBacklog enables the third scheduling mode of §3.2: once the
-	// backlog a rail could send reaches this many wrappers, the engine
-	// runs the optimization function unconditionally and queues the
-	// output at the (possibly busy) NIC. 0 disables; the default
-	// just-in-time behaviour only elects on NIC-idle events.
-	FlushBacklog int
-	// Credits enables credit-based receive flow control: every gate
-	// starts with this many eager landing credits, each eager data
-	// wrapper sent consumes one, and the receiver returns credits as it
-	// consumes the wrappers (replenishment rides outbound traffic as an
-	// aggregable control entry). While a peer's credits are exhausted,
-	// data wrappers stay in the window and strategies do not see them —
-	// the receive queues (unexpected, resequencing) stay bounded by the
-	// budget instead of growing without limit under overload. Both ends
-	// of a gate must run with the same setting. 0 disables.
-	Credits int
-	// Reliability turns on the link-layer retransmit machinery for lossy
-	// fabrics (simnet.FaultProfile): sequence-checked eager delivery with
-	// ack/timeout/retransmit, rendezvous body progress watchdogs, and
-	// failed-rail detection with mid-flow re-election of survivors (see
-	// reliab.go). Every engine of a cluster must agree on this setting —
-	// the link framing changes the wire format.
-	Reliability bool
-	// RetransmitTimeout is how long an unacknowledged frame waits before
-	// re-injection. 0 means 200µs.
-	RetransmitTimeout sim.Time
-	// RetransmitBudget is how many transmissions one frame may consume on
-	// one rail before the rail is declared failed (when a surviving rail
-	// exists; the last rail retries forever). 0 means 8.
-	RetransmitBudget int
-	// ProbeBudget bounds the ping/pong liveness probe of a failed rail:
-	// after this many unanswered pings the engine gives the rail up for
-	// good and stops probing, so a run over a permanently dead rail
-	// terminates on its own instead of rescheduling probe events forever
-	// (which forces callers onto RunUntil horizons). A late pong still
-	// recovers an abandoned rail if one ever arrives. 0 means probe
-	// forever (the historical behaviour).
-	ProbeBudget int
-	// MaxGrants caps the concurrent inbound rendezvous transactions a
-	// node grants; further matched rendezvous requests wait with a
-	// deferred CTS until an active transaction retires. 0 means
-	// unbounded.
-	MaxGrants int
 	// NoRecycle disables the engine's free-list recycling of packet
 	// wrappers, output trains and receive entries (see pool.go), making
 	// every hot-path object a fresh allocation. It exists as the A/B
@@ -106,11 +44,11 @@ type Options struct {
 // evaluation: the aggregation strategy and the measured MAD-MPI software
 // overheads.
 func DefaultOptions() Options {
-	return Options{
+	return Options{NodeConfig: trace.NodeConfig{
 		Strategy:         "aggreg",
 		SubmitOverhead:   150 * sim.Nanosecond,
 		ScheduleOverhead: 150 * sim.Nanosecond,
-	}
+	}}
 }
 
 // Engine is one node's NewMadeleine instance: the collect layer, the
@@ -214,20 +152,9 @@ func New(f *simnet.Fabric, node simnet.NodeID, opts Options) (*Engine, error) {
 			opts.BodyChunk = defaultBodyChunkReliable
 		}
 	}
-	opts.Record.RegisterEngine(int(node), trace.NodeConfig{
-		Strategy:          strat.Name(),
-		SubmitOverhead:    opts.SubmitOverhead,
-		ScheduleOverhead:  opts.ScheduleOverhead,
-		BodyChunk:         opts.BodyChunk,
-		Anticipate:        opts.Anticipate,
-		FlushBacklog:      opts.FlushBacklog,
-		Credits:           opts.Credits,
-		MaxGrants:         opts.MaxGrants,
-		Reliability:       opts.Reliability,
-		RetransmitTimeout: opts.RetransmitTimeout,
-		RetransmitBudget:  opts.RetransmitBudget,
-		ProbeBudget:       opts.ProbeBudget,
-	})
+	// Recorded after defaulting, under the name the strategy resolved to.
+	opts.Strategy = strat.Name()
+	opts.Record.RegisterEngine(int(node), opts.NodeConfig)
 	w := f.World()
 	return &Engine{
 		world:    w,
@@ -274,14 +201,7 @@ func (e *Engine) Attach(drv drivers.Driver) error {
 // AttachFabric attaches one driver per network of the fabric, using the
 // port registry.
 func (e *Engine) AttachFabric(f *simnet.Fabric) error {
-	if e.opts.Record != nil {
-		rails := make([]simnet.Profile, 0, len(f.Networks()))
-		for _, net := range f.Networks() {
-			rails = append(rails, net.Profile())
-		}
-		e.opts.Record.RegisterTopology(f.Nodes(), rails, e.node.Host())
-		e.opts.Record.RegisterFaults(f.Faults())
-	}
+	e.opts.Record.RegisterFabric(f)
 	for _, net := range f.Networks() {
 		drv, err := drivers.New(net, e.node.ID)
 		if err != nil {
@@ -292,6 +212,23 @@ func (e *Engine) AttachFabric(f *simnet.Fabric) error {
 		}
 	}
 	return nil
+}
+
+// NewEngines puts one engine on every node of the fabric, attached to
+// every rail; opts gives each node's personality.
+func NewEngines(f *simnet.Fabric, opts func(node int) Options) ([]*Engine, error) {
+	engines := make([]*Engine, f.Nodes())
+	for node := range engines {
+		e, err := New(f, simnet.NodeID(node), opts(node))
+		if err == nil {
+			err = e.AttachFabric(f)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("node %d: %w", node, err)
+		}
+		engines[node] = e
+	}
+	return engines, nil
 }
 
 // Close shuts down every driver.

@@ -368,19 +368,6 @@ func (g *Gate) PendingUnexpected() int { return len(g.unexpected) }
 // PendingPosted reports how many posted receives await a match.
 func (g *Gate) PendingPosted() int { return len(g.posted) }
 
-// PendingHeld reports how many wrappers wait in the gate's resequencing
-// buffers across all flows (diagnostics).
-func (g *Gate) PendingHeld() int {
-	n := 0
-	for i := 0; i < g.flowN; i++ {
-		n += len(g.flowVals[i].held)
-	}
-	for _, f := range g.flows {
-		n += len(f.held)
-	}
-	return n
-}
-
 // Credits reports the remaining eager landing credits at the peer, or
 // -1 when flow control is disabled (Options.Credits == 0).
 func (g *Gate) Credits() int {

@@ -50,12 +50,18 @@ func Init(f *simnet.Fabric, node simnet.NodeID, opts core.Options) (*MPI, error)
 	return m, nil
 }
 
-// InitWithEngine wraps an already-configured engine (used by benchmarks
-// that attach custom rails).
-func InitWithEngine(eng *core.Engine, size int) *MPI {
-	m := &MPI{eng: eng, rank: int(eng.NodeID()), size: size, nextCommID: 1}
-	m.world = &Comm{mpi: m, id: m.nextCommID}
-	return m
+// InitAll creates one rank on every node of the fabric, all with the
+// same engine personality.
+func InitAll(f *simnet.Fabric, opts core.Options) ([]*MPI, error) {
+	ranks := make([]*MPI, f.Nodes())
+	for node := range ranks {
+		m, err := Init(f, simnet.NodeID(node), opts)
+		if err != nil {
+			return nil, fmt.Errorf("node %d: %w", node, err)
+		}
+		ranks[node] = m
+	}
+	return ranks, nil
 }
 
 // Rank returns this process's rank in COMM_WORLD.

@@ -1,9 +1,7 @@
 // Package names holds the one true Go-identifier → snake_case mapping
-// used to name engine counters in scenario assertions. The scenario
-// package derives its assertion-field tables under this rule and the
-// nmad-vet statssync analyzer re-derives the expected names from the
-// struct definitions with the same function, so the rule cannot drift
-// between the two sides.
+// used to name engine counters in scenario assertions: the scenario
+// package derives its assertion-field tables from the core.Stats and
+// simnet.FaultStats definitions under this rule.
 package names
 
 import "strings"

@@ -110,16 +110,9 @@ func compositeRecv(p *sim.Proc, g *core.Gate, cfg CompositeConfig) {
 // recordCluster builds an N-node recorded MX cluster under the composite
 // configuration's engine personality.
 func recordCluster(cfg CompositeConfig, nodes int) (*trace.Recording, *sim.World, []*core.Engine, error) {
-	rec := trace.NewRecording()
-	w := sim.NewWorld()
-	f := simnet.NewFabric(w, nodes, simnet.DefaultHost())
-	if _, err := f.AddNetwork(simnet.MX10G()); err != nil {
+	f, err := simnet.Machine{Nodes: nodes, Rails: []simnet.Profile{simnet.MX10G()}, Faults: cfg.Faults}.Build()
+	if err != nil {
 		return nil, nil, nil, err
-	}
-	if cfg.Faults != nil {
-		if err := f.SetFaults(*cfg.Faults); err != nil {
-			return nil, nil, nil, err
-		}
 	}
 	opts := core.DefaultOptions()
 	if cfg.Strategy != "" {
@@ -128,19 +121,12 @@ func recordCluster(cfg CompositeConfig, nodes int) (*trace.Recording, *sim.World
 	opts.Credits = cfg.Credits
 	opts.MaxGrants = cfg.MaxGrants
 	opts.Reliability = cfg.Reliability
-	opts.Record = rec
-	engines := make([]*core.Engine, nodes)
-	for i := range engines {
-		e, err := core.New(f, simnet.NodeID(i), opts)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if err := e.AttachFabric(f); err != nil {
-			return nil, nil, nil, err
-		}
-		engines[i] = e
+	opts.Record = trace.NewRecording()
+	engines, err := core.NewEngines(f, func(int) core.Options { return opts })
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return rec, w, engines, nil
+	return opts.Record, f.World(), engines, nil
 }
 
 // RecordComposite runs the composite workload live on a fresh two-node

@@ -128,63 +128,57 @@ func (r *Result) TimelineLines() []string {
 // Run replays a recording under the given configuration.
 func Run(rec *trace.Recording, cfg Config) (*Result, error) {
 	hdr := rec.Header()
-	if hdr.Nodes < 1 {
-		return nil, fmt.Errorf("replay: recording has no nodes")
-	}
-	rails := hdr.Rails
+	m := hdr.Machine
 	if len(cfg.Rails) > 0 {
-		rails = cfg.Rails
+		m.Rails = cfg.Rails
 	}
-	if len(rails) == 0 {
+	if len(m.Rails) == 0 {
 		return nil, fmt.Errorf("replay: recording has no rails (was the recording attached before AttachFabric?)")
 	}
-	host := hdr.Host
-	if host.MemcpyBandwidth <= 0 {
-		host = simnet.DefaultHost()
+	switch {
+	case cfg.DisableFaults:
+		m.Faults = nil
+	case m.Faults != nil && len(m.Faults.Rails) > len(m.Rails):
+		// A rail override shrank the machine below the recorded
+		// profile: apply what still has a rail.
+		fp := *m.Faults
+		fp.Rails = fp.Rails[:len(m.Rails)]
+		m.Faults = &fp
 	}
+	f, err := m.Build()
+	if err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
+	}
+	w := f.World()
 
-	w := sim.NewWorld()
-	f := simnet.NewFabric(w, hdr.Nodes, host)
-	for _, prof := range rails {
-		if _, err := f.AddNetwork(prof); err != nil {
-			return nil, fmt.Errorf("replay: %w", err)
-		}
-	}
-	if hdr.Faults != nil && !cfg.DisableFaults {
-		fp := *hdr.Faults
-		if len(fp.Rails) > len(rails) {
-			// A rail override shrank the machine below the recorded
-			// profile: apply what still has a rail.
-			fp.Rails = fp.Rails[:len(rails)]
-		}
-		if err := f.SetFaults(fp); err != nil {
-			return nil, fmt.Errorf("replay: recorded fault profile: %w", err)
-		}
-	}
-
-	engines := make([]*core.Engine, hdr.Nodes)
 	tracers := make([]*trace.Recorder, hdr.Nodes)
-	strategies := map[string]bool{}
-	for node := 0; node < hdr.Nodes; node++ {
+	engines, err := core.NewEngines(f, func(node int) core.Options {
 		opts := nodeOptions(hdr, node, cfg)
 		tracers[node] = trace.NewRecorder()
 		opts.Tracer = tracers[node]
-		e, err := core.New(f, simnet.NodeID(node), opts)
-		if err != nil {
-			return nil, fmt.Errorf("replay: node %d: %w", node, err)
-		}
-		if err := e.AttachFabric(f); err != nil {
-			return nil, fmt.Errorf("replay: node %d: %w", node, err)
-		}
-		engines[node] = e
+		return opts
+	})
+	if err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
+	}
+	strategies := map[string]bool{}
+	for _, e := range engines {
 		strategies[e.StrategyName()] = true
 	}
 
 	perNode := make([][]trace.Op, hdr.Nodes)
-	for _, op := range rec.Ops() {
+	for i, op := range rec.Ops() {
 		if op.Node < 0 || op.Node >= hdr.Nodes || op.Peer < 0 || op.Peer >= hdr.Nodes {
-			return nil, fmt.Errorf("replay: op addresses node %d -> %d outside the %d-node topology",
-				op.Node, op.Peer, hdr.Nodes)
+			return nil, fmt.Errorf("replay: op %d addresses node %d -> %d outside the %d-node topology",
+				i, op.Node, op.Peer, hdr.Nodes)
+		}
+		if op.Node == op.Peer {
+			return nil, fmt.Errorf("replay: op %d is addressed by node %d to itself", i, op.Node)
+		}
+		for _, n := range op.Segs {
+			if n < 0 {
+				return nil, fmt.Errorf("replay: op %d has a negative segment length %d", i, n)
+			}
 		}
 		perNode[op.Node] = append(perNode[op.Node], op)
 	}
@@ -200,7 +194,7 @@ func Run(rec *trace.Recording, cfg Config) (*Result, error) {
 	// processes — charge their overheads concurrently, as they did
 	// live.
 	res := &Result{}
-	nRails := len(rails)
+	nRails := len(m.Rails)
 	for node := range perNode {
 		ops := perNode[node]
 		if len(ops) == 0 {
@@ -288,20 +282,7 @@ func AB(rec *trace.Recording, strategies []string) ([]*Result, error) {
 func nodeOptions(hdr trace.RecordingHeader, node int, cfg Config) core.Options {
 	opts := core.DefaultOptions()
 	if nc, ok := hdr.Engines[node]; ok {
-		opts = core.Options{
-			Strategy:          nc.Strategy,
-			SubmitOverhead:    nc.SubmitOverhead,
-			ScheduleOverhead:  nc.ScheduleOverhead,
-			BodyChunk:         nc.BodyChunk,
-			Anticipate:        nc.Anticipate,
-			FlushBacklog:      nc.FlushBacklog,
-			Credits:           nc.Credits,
-			MaxGrants:         nc.MaxGrants,
-			Reliability:       nc.Reliability,
-			RetransmitTimeout: nc.RetransmitTimeout,
-			RetransmitBudget:  nc.RetransmitBudget,
-			ProbeBudget:       nc.ProbeBudget,
-		}
+		opts.NodeConfig = nc
 	}
 	if cfg.Strategy != "" {
 		opts.Strategy = cfg.Strategy

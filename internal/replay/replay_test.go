@@ -285,6 +285,65 @@ func TestRecordRejectsUnregisteredStrategyImpl(t *testing.T) {
 	}
 }
 
+// A recording is outside input: lines no engine would have written must
+// come back as errors naming the op, not as panics deep in the engine.
+func TestRunRejectsHostileOps(t *testing.T) {
+	golden, err := os.ReadFile(goldenRecording)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, _, _ := bytes.Cut(golden, []byte("\n"))
+	sane := `{"at":0,"node":0,"peer":1,"op":"send","tag":1,"segs":[64],"rail":-1}`
+	for name, tc := range map[string]struct{ line, want string }{
+		"negative segment": {`{"at":0,"node":1,"peer":0,"op":"recv","tag":1,"segs":[64,-5],"rail":-1}`, "op 1 has a negative segment length -5"},
+		"self-addressed":   {`{"at":0,"node":0,"peer":0,"op":"send","tag":1,"segs":[64],"rail":-1}`, "op 1 is addressed by node 0 to itself"},
+	} {
+		rec, err := trace.ReadRecording(strings.NewReader(string(header) + "\n" + sane + "\n" + tc.line + "\n"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := Run(rec, Config{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Run error = %v, want one containing %q", name, err, tc.want)
+		}
+	}
+}
+
+// Every field of the recorded personality must survive engine → recording
+// → JSONL → replay options: an option added to trace.NodeConfig is carried
+// by construction (core.Options embeds it), and this fails if a stage ever
+// goes back to copying fields one by one and misses one.
+func TestPersonalityRoundTrip(t *testing.T) {
+	var nc trace.NodeConfig
+	v := reflect.ValueOf(&nc).Elem()
+	for i := range v.NumField() {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.String:
+			f.SetString("prio") // the strategy: must resolve, and differ from the default
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(1000 + i))
+		default:
+			t.Fatalf("NodeConfig.%s: kind %s not handled — extend this test", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	f, err := simnet.Machine{Nodes: 2, Rails: []simnet.Profile{simnet.MX10G()}}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.NewRecording()
+	if _, err := core.New(f, 1, core.Options{NodeConfig: nc, Record: rec}); err != nil {
+		t.Fatal(err)
+	}
+	back, err := trace.ReadRecording(bytes.NewReader(recordingBytes(t, rec)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := nodeOptions(back.Header(), 1, Config{}).NodeConfig; got != nc {
+		t.Errorf("personality changed on the way to replay:\n got %+v\nwant %+v", got, nc)
+	}
+}
+
 func mustRecording(t *testing.T) *trace.Recording {
 	t.Helper()
 	rec, err := RecordCanonical()

@@ -2,9 +2,11 @@ package scenario
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 
 	"nmad/internal/core"
+	"nmad/internal/names"
 	"nmad/internal/sim"
 	"nmad/internal/simnet"
 )
@@ -23,56 +25,37 @@ type Snapshot struct {
 	Faults []simnet.FaultStats
 }
 
-// statsFields maps assertion field names to core.Stats accessors. The
-// names are the struct field names in snake_case — the schema the doc
-// reference lists.
-var statsFields = map[string]func(core.Stats) float64{
-	"submitted":              func(s core.Stats) float64 { return float64(s.Submitted) },
-	"output_packets":         func(s core.Stats) float64 { return float64(s.OutputPackets) },
-	"entries_sent":           func(s core.Stats) float64 { return float64(s.EntriesSent) },
-	"aggregated_packets":     func(s core.Stats) float64 { return float64(s.AggregatedPackets) },
-	"max_entries_per_packet": func(s core.Stats) float64 { return float64(s.MaxEntriesPerPacket) },
-	"ctrl_piggybacked":       func(s core.Stats) float64 { return float64(s.CtrlPiggybacked) },
-	"rdv_started":            func(s core.Stats) float64 { return float64(s.RdvStarted) },
-	"rdv_completed":          func(s core.Stats) float64 { return float64(s.RdvCompleted) },
-	"eager_bytes":            func(s core.Stats) float64 { return float64(s.EagerBytes) },
-	"body_bytes":             func(s core.Stats) float64 { return float64(s.BodyBytes) },
-	"wire_bytes":             func(s core.Stats) float64 { return float64(s.WireBytes) },
-	"reordered":              func(s core.Stats) float64 { return float64(s.Reordered) },
-	"unexpected":             func(s core.Stats) float64 { return float64(s.Unexpected) },
-	"peak_unexpected":        func(s core.Stats) float64 { return float64(s.PeakUnexpected) },
-	"peak_held":              func(s core.Stats) float64 { return float64(s.PeakHeld) },
-	"credits_sent":           func(s core.Stats) float64 { return float64(s.CreditsSent) },
-	"rdv_deferred":           func(s core.Stats) float64 { return float64(s.RdvDeferred) },
-	"rdv_truncated":          func(s core.Stats) float64 { return float64(s.RdvTruncated) },
-	"retransmits":            func(s core.Stats) float64 { return float64(s.Retransmits) },
-	"dup_acks":               func(s core.Stats) float64 { return float64(s.DupAcks) },
-	"reordered_accepts":      func(s core.Stats) float64 { return float64(s.ReorderedAccepts) },
-	"body_reissues":          func(s core.Stats) float64 { return float64(s.BodyReissues) },
-	"failed_rails":           func(s core.Stats) float64 { return float64(s.FailedRails) },
-	"recovered_rails":        func(s core.Stats) float64 { return float64(s.RecoveredRails) },
-	"abandoned_rails":        func(s core.Stats) float64 { return float64(s.AbandonedRails) },
-	"protocol_errors":        func(s core.Stats) float64 { return float64(s.ProtocolErrors) },
-	"jobs_admitted":          func(s core.Stats) float64 { return float64(s.JobsAdmitted) },
-	"jobs_rejected":          func(s core.Stats) float64 { return float64(s.JobsRejected) },
-	"jobs_dispatched":        func(s core.Stats) float64 { return float64(s.JobsDispatched) },
-	"jobs_completed":         func(s core.Stats) float64 { return float64(s.JobsCompleted) },
-	"jobs_aged":              func(s core.Stats) float64 { return float64(s.JobsAged) },
-	"peak_queue_depth":       func(s core.Stats) float64 { return float64(s.PeakQueueDepth) },
-	"peak_job_wait":          func(s core.Stats) float64 { return float64(s.PeakJobWait) },
-	"aggregation_ratio":      func(s core.Stats) float64 { return s.AggregationRatio() },
+// statsFields / faultFields map assertion field names to accessors: every
+// exported integer field of the struct under its names.Snake key, so a
+// counter added to core.Stats or simnet.FaultStats is assertable without
+// an edit here. The one derived quantity is added by name.
+var (
+	statsFields = fieldTable[core.Stats]()
+	faultFields = fieldTable[simnet.FaultStats]()
+)
+
+func init() {
+	statsFields["aggregation_ratio"] = (*core.Stats).AggregationRatio
 }
 
-// faultFields maps assertion field names to simnet.FaultStats accessors.
-var faultFields = map[string]func(simnet.FaultStats) float64{
-	"dropped":        func(s simnet.FaultStats) float64 { return float64(s.Dropped) },
-	"outage_dropped": func(s simnet.FaultStats) float64 { return float64(s.OutageDropped) },
-	"duplicated":     func(s simnet.FaultStats) float64 { return float64(s.Duplicated) },
-	"reordered":      func(s simnet.FaultStats) float64 { return float64(s.Reordered) },
+// fieldTable derives the accessor table of T. Accessors take *T and read
+// the field in place, so evaluating one neither copies nor boxes the
+// struct. Non-integer fields (core.Stats.PerDriverBytes) have no scalar
+// value and are skipped.
+func fieldTable[T any]() map[string]func(*T) float64 {
+	typ := reflect.TypeFor[T]()
+	table := make(map[string]func(*T) float64, typ.NumField())
+	for i := range typ.NumField() {
+		f := typ.Field(i)
+		if !f.IsExported() || !reflect.Zero(f.Type).CanInt() {
+			continue
+		}
+		table[names.Snake(f.Name)] = func(s *T) float64 {
+			return float64(reflect.ValueOf(s).Elem().Field(i).Int())
+		}
+	}
+	return table
 }
-
-func statsFieldNames() []string { return sortedKeys(statsFields) }
-func faultFieldNames() []string { return sortedKeys(faultFields) }
 
 func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
@@ -152,20 +135,20 @@ func (ctx *evalContext) eval(a AssertSpec) AssertResult {
 		var who string
 		switch a.Node {
 		case "", "sum":
-			for _, s := range snap.Stats {
-				got += fn(s)
+			for i := range snap.Stats {
+				got += fn(&snap.Stats[i])
 			}
 			who = "sum"
 		case "max":
-			for _, s := range snap.Stats {
-				if v := fn(s); v > got {
+			for i := range snap.Stats {
+				if v := fn(&snap.Stats[i]); v > got {
 					got = v
 				}
 			}
 			who = "max"
 		case "all":
-			for node, s := range snap.Stats {
-				if v := fn(s); !compare(v, a.Op, a.Value) {
+			for node := range snap.Stats {
+				if v := fn(&snap.Stats[node]); !compare(v, a.Op, a.Value) {
 					res.Detail = fmt.Sprintf("node %d %s = %v, want %s %v", node, a.Field, v, a.Op, a.Value)
 					return res
 				}
@@ -175,7 +158,7 @@ func (ctx *evalContext) eval(a AssertSpec) AssertResult {
 			return res
 		default:
 			id, _ := parseID(a.Node)
-			got = fn(snap.Stats[id])
+			got = fn(&snap.Stats[id])
 			who = fmt.Sprintf("node %d", id)
 		}
 		res.OK = compare(got, a.Op, a.Value)
@@ -187,13 +170,13 @@ func (ctx *evalContext) eval(a AssertSpec) AssertResult {
 		var who string
 		switch a.Rail {
 		case "", "sum":
-			for _, s := range snap.Faults {
-				got += fn(s)
+			for i := range snap.Faults {
+				got += fn(&snap.Faults[i])
 			}
 			who = "sum"
 		default:
 			id, _ := parseID(a.Rail)
-			got = fn(snap.Faults[id])
+			got = fn(&snap.Faults[id])
 			who = fmt.Sprintf("rail %d", id)
 		}
 		res.OK = compare(got, a.Op, a.Value)

@@ -82,10 +82,12 @@
 // replenishment on one node for a bounded window), checkpoint (snapshot
 // the counters under a name assertions can anchor at).
 //
-// Assertion types: stats (core.Stats fields, selector sum/max/all or a
-// node id), faults (simnet.FaultStats per rail or summed), completion
-// (virtual-time bounds on a phase or the whole run), integrity,
-// phase_order (one phase must finish no later than another).
+// Assertion types: stats (every exported integer field of core.Stats
+// under its snake_case name — OutputPackets is output_packets — plus the
+// derived aggregation_ratio; selector sum/max/all or a node id), faults
+// (likewise every field of simnet.FaultStats, per rail or summed),
+// completion (virtual-time bounds on a phase or the whole run),
+// integrity, phase_order (one phase must finish no later than another).
 //
 // Everything is virtual-time and seeded, so a scenario run is
 // byte-deterministic: the same file produces the same report, counters

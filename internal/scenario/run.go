@@ -174,18 +174,11 @@ func Run(sc *Scenario, cfg Config) (*Report, error) {
 	}
 	c := sc.Cluster
 
-	host := simnet.DefaultHost()
-	if c.MemcpyBW > 0 {
-		host.MemcpyBandwidth = c.MemcpyBW
+	f, err := c.machine().Build()
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
-	w := sim.NewWorld()
-	f := simnet.NewFabric(w, c.Nodes, host)
-	for _, name := range c.Rails {
-		prof, _ := simnet.ProfileByName(name)
-		if _, err := f.AddNetwork(prof); err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
-		}
-	}
+	w := f.World()
 	r := &Runner{
 		sc: sc, cfg: cfg, world: w, fabric: f,
 		collComms: map[int][]*madmpi.Comm{},
@@ -193,24 +186,13 @@ func Run(sc *Scenario, cfg Config) (*Report, error) {
 		railCfg:   make([]simnet.RailFaults, len(c.Rails)),
 	}
 	if c.Faults != nil {
-		fp := simnet.FaultProfile{Seed: c.Faults.Seed}
-		for _, rf := range c.Faults.Rails {
-			fp.Rails = append(fp.Rails, rf.toRailFaults())
-		}
-		if err := f.SetFaults(fp); err != nil {
-			return nil, fmt.Errorf("scenario %s: faults: %w", sc.Name, err)
-		}
-		copy(r.railCfg, fp.Rails)
+		copy(r.railCfg, c.Faults.Rails)
 	}
 
-	opts := engineOptions(c.Engine)
+	opts := c.Engine
 	opts.Record = cfg.Record
-	for node := 0; node < c.Nodes; node++ {
-		m, err := madmpi.Init(f, simnet.NodeID(node), opts)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: node %d: %w", sc.Name, node, err)
-		}
-		r.mpis = append(r.mpis, m)
+	if r.mpis, err = madmpi.InitAll(f, opts); err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
 	r.phaseCond = sim.NewCond(w)
 	if len(sc.Tenants) > 0 {
@@ -381,41 +363,6 @@ func (r *Runner) updateRail(rail int, cfg simnet.RailFaults) {
 		panic(fmt.Sprintf("scenario: UpdateRailFaults: %v", err))
 	}
 	r.railCfg[rail] = cfg
-}
-
-// engineOptions maps the declarative engine personality onto
-// core.Options.
-func engineOptions(e EngineSpec) core.Options {
-	opts := core.DefaultOptions()
-	if e.Strategy != "" {
-		opts.Strategy = e.Strategy
-	}
-	if e.Credits > 0 {
-		opts.Credits = e.Credits
-	}
-	if e.MaxGrants > 0 {
-		opts.MaxGrants = e.MaxGrants
-	}
-	opts.Reliability = e.Reliability
-	if e.RetransmitTimeout > 0 {
-		opts.RetransmitTimeout = e.RetransmitTimeout
-	}
-	if e.RetransmitBudget > 0 {
-		opts.RetransmitBudget = e.RetransmitBudget
-	}
-	if e.ProbeBudget > 0 {
-		opts.ProbeBudget = e.ProbeBudget
-	}
-	if e.Anticipate {
-		opts.Anticipate = true
-	}
-	if e.FlushBacklog > 0 {
-		opts.FlushBacklog = e.FlushBacklog
-	}
-	if e.BodyChunk > 0 {
-		opts.BodyChunk = e.BodyChunk
-	}
-	return opts
 }
 
 // ListDir loads every *.yaml scenario in a directory, in name order.

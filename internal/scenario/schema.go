@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"nmad/internal/core"
 	"nmad/internal/sim"
 	"nmad/internal/simnet"
 )
@@ -64,56 +65,25 @@ type ClusterSpec struct {
 	// Rails names the network profiles, in rail order (default: one
 	// mx10g rail). Names resolve through simnet.ProfileByName.
 	Rails []string
-	// MemcpyBW overrides the host memcpy bandwidth in bytes/s (0 keeps
-	// the paper's default host).
-	MemcpyBW float64
-	// Engine is the personality every node runs with.
-	Engine EngineSpec
+	// Host is the node machine model; a zero memcpy bandwidth keeps the
+	// paper's default host.
+	Host simnet.Host
+	// Engine is the personality every node runs with: the paper's
+	// defaults with the cluster.engine block decoded over them.
+	Engine core.Options
 	// Faults, when non-nil, makes the fabric lossy from time zero.
-	Faults *FaultSpec
+	Faults *simnet.FaultProfile
 }
 
-// EngineSpec mirrors the core engine options a scenario can set.
-type EngineSpec struct {
-	Strategy          string
-	Credits           int
-	MaxGrants         int
-	Reliability       bool
-	RetransmitTimeout sim.Time
-	RetransmitBudget  int
-	ProbeBudget       int
-	Anticipate        bool
-	FlushBacklog      int
-	BodyChunk         int
-}
-
-// FaultSpec is the declarative form of simnet.FaultProfile.
-type FaultSpec struct {
-	Seed  uint64
-	Rails []RailFaultSpec
-}
-
-// RailFaultSpec is one rail's fault configuration.
-type RailFaultSpec struct {
-	Drop    float64
-	Dup     float64
-	Reorder float64
-	Outages []OutageSpec
-}
-
-// OutageSpec is one scheduled rail death window.
-type OutageSpec struct {
-	At       sim.Time
-	Duration sim.Time
-}
-
-// toRailFaults converts to the simnet form.
-func (r RailFaultSpec) toRailFaults() simnet.RailFaults {
-	rf := simnet.RailFaults{DropProb: r.Drop, DupProb: r.Dup, ReorderProb: r.Reorder}
-	for _, o := range r.Outages {
-		rf.Outages = append(rf.Outages, simnet.Outage{At: o.At, Duration: o.Duration})
+// machine resolves the rail names into the machine description to build
+// (Validate vetted them).
+func (c ClusterSpec) machine() simnet.Machine {
+	m := simnet.Machine{Nodes: c.Nodes, Host: c.Host, Faults: c.Faults}
+	for _, name := range c.Rails {
+		prof, _ := simnet.ProfileByName(name)
+		m.Rails = append(m.Rails, prof)
 	}
-	return rf
+	return m
 }
 
 // Phase kinds the harness implements.
@@ -540,7 +510,7 @@ func ParseTime(s string) (sim.Time, error) {
 }
 
 func (d *decoder) cluster(m map[string]any) ClusterSpec {
-	c := ClusterSpec{Nodes: 2, Rails: []string{"mx10g"}}
+	c := ClusterSpec{Nodes: 2, Rails: []string{"mx10g"}, Engine: core.DefaultOptions()}
 	if m == nil {
 		return c
 	}
@@ -551,29 +521,30 @@ func (d *decoder) cluster(m map[string]any) ClusterSpec {
 	}
 	if host := d.child(m, "host"); host != nil {
 		d.strictKeys("cluster.host", host, "memcpy_bw")
-		c.MemcpyBW = d.float(host, "memcpy_bw", 0)
+		c.Host.MemcpyBandwidth = d.float(host, "memcpy_bw", 0)
 	}
 	if eng := d.child(m, "engine"); eng != nil {
+		// Keys are the recorded personality's JSON names; the two software
+		// overheads are the paper's measured constants, not scenario knobs.
 		d.strictKeys("cluster.engine", eng,
 			"strategy", "credits", "max_grants", "reliability",
 			"retransmit_timeout", "retransmit_budget", "probe_budget",
 			"anticipate", "flush_backlog", "body_chunk")
-		c.Engine = EngineSpec{
-			Strategy:          d.str(eng, "strategy", ""),
-			Credits:           d.integer(eng, "credits", 0),
-			MaxGrants:         d.integer(eng, "max_grants", 0),
-			Reliability:       d.boolean(eng, "reliability"),
-			RetransmitTimeout: d.duration(eng, "retransmit_timeout", 0),
-			RetransmitBudget:  d.integer(eng, "retransmit_budget", 0),
-			ProbeBudget:       d.integer(eng, "probe_budget", 0),
-			Anticipate:        d.boolean(eng, "anticipate"),
-			FlushBacklog:      d.integer(eng, "flush_backlog", 0),
-			BodyChunk:         d.integer(eng, "body_chunk", 0),
-		}
+		o := &c.Engine
+		o.Strategy = d.str(eng, "strategy", o.Strategy)
+		o.Credits = d.integer(eng, "credits", 0)
+		o.MaxGrants = d.integer(eng, "max_grants", 0)
+		o.Reliability = d.boolean(eng, "reliability")
+		o.RetransmitTimeout = d.duration(eng, "retransmit_timeout", 0)
+		o.RetransmitBudget = d.integer(eng, "retransmit_budget", 0)
+		o.ProbeBudget = d.integer(eng, "probe_budget", 0)
+		o.Anticipate = d.boolean(eng, "anticipate")
+		o.FlushBacklog = d.integer(eng, "flush_backlog", 0)
+		o.BodyChunk = d.integer(eng, "body_chunk", 0)
 	}
 	if fl := d.child(m, "faults"); fl != nil {
 		d.strictKeys("cluster.faults", fl, "seed", "rails")
-		fs := &FaultSpec{Seed: uint64(d.integer(fl, "seed", 0))}
+		c.Faults = &simnet.FaultProfile{Seed: uint64(d.integer(fl, "seed", 0))}
 		for i, item := range d.list(fl, "rails") {
 			path := fmt.Sprintf("cluster.faults.rails[%d]", i)
 			rm, ok := item.(map[string]any)
@@ -582,10 +553,10 @@ func (d *decoder) cluster(m map[string]any) ClusterSpec {
 				continue
 			}
 			d.strictKeys(path, rm, "drop", "dup", "reorder", "outages")
-			rf := RailFaultSpec{
-				Drop:    d.float(rm, "drop", 0),
-				Dup:     d.float(rm, "dup", 0),
-				Reorder: d.float(rm, "reorder", 0),
+			rf := simnet.RailFaults{
+				DropProb:    d.float(rm, "drop", 0),
+				DupProb:     d.float(rm, "dup", 0),
+				ReorderProb: d.float(rm, "reorder", 0),
 			}
 			for j, o := range d.list(rm, "outages") {
 				opath := fmt.Sprintf("%s.outages[%d]", path, j)
@@ -595,14 +566,13 @@ func (d *decoder) cluster(m map[string]any) ClusterSpec {
 					continue
 				}
 				d.strictKeys(opath, om, "at", "duration")
-				rf.Outages = append(rf.Outages, OutageSpec{
+				rf.Outages = append(rf.Outages, simnet.Outage{
 					At:       d.duration(om, "at", 0),
 					Duration: d.duration(om, "duration", 0),
 				})
 			}
-			fs.Rails = append(fs.Rails, rf)
+			c.Faults.Rails = append(c.Faults.Rails, rf)
 		}
-		c.Faults = fs
 	}
 	return c
 }

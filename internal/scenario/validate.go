@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"nmad/internal/queue"
@@ -32,20 +33,11 @@ func Validate(sc *Scenario) []error {
 			bad(ErrBadValue, "cluster.rails[%d]: unknown profile %q (known: mx10g, qsnet2, gm2000, sisci, tcp)", i, name)
 		}
 	}
-	if c.MemcpyBW < 0 {
-		bad(ErrBadValue, "cluster.host.memcpy_bw: must be positive, got %v", c.MemcpyBW)
+	if bw := c.Host.MemcpyBandwidth; bw < 0 {
+		bad(ErrBadValue, "cluster.host.memcpy_bw: must be positive, got %v", bw)
 	}
-	if s := c.Engine.Strategy; s != "" {
-		known := false
-		for _, n := range sched.Names() {
-			if n == s {
-				known = true
-				break
-			}
-		}
-		if !known {
-			bad(ErrBadValue, "cluster.engine.strategy: unknown strategy %q (known: %v)", s, sched.Names())
-		}
+	if s := c.Engine.Strategy; s != "" && !slices.Contains(sched.Names(), s) {
+		bad(ErrBadValue, "cluster.engine.strategy: unknown strategy %q (known: %v)", s, sched.Names())
 	}
 	for _, f := range []struct {
 		name string
@@ -71,7 +63,7 @@ func Validate(sc *Scenario) []error {
 			for _, p := range []struct {
 				name string
 				v    float64
-			}{{"drop", r.Drop}, {"dup", r.Dup}, {"reorder", r.Reorder}} {
+			}{{"drop", r.DropProb}, {"dup", r.DupProb}, {"reorder", r.ReorderProb}} {
 				if p.v < 0 || p.v > 1 {
 					bad(ErrBadValue, "cluster.faults.rails[%d].%s: probability %v outside [0,1]", i, p.name, p.v)
 				}
@@ -264,7 +256,7 @@ func Validate(sc *Scenario) []error {
 		switch a.Type {
 		case AssertStats:
 			if _, ok := statsFields[a.Field]; !ok {
-				bad(ErrBadValue, "%s: unknown stats field %q (known: %v)", path, a.Field, statsFieldNames())
+				bad(ErrBadValue, "%s: unknown stats field %q (known: %v)", path, a.Field, sortedKeys(statsFields))
 			}
 			switch a.Node {
 			case "", "sum", "max", "all":
@@ -279,7 +271,7 @@ func Validate(sc *Scenario) []error {
 			checkOp()
 		case AssertFaults:
 			if _, ok := faultFields[a.Field]; !ok {
-				bad(ErrBadValue, "%s: unknown faults field %q (known: %v)", path, a.Field, faultFieldNames())
+				bad(ErrBadValue, "%s: unknown faults field %q (known: %v)", path, a.Field, sortedKeys(faultFields))
 			}
 			switch a.Rail {
 			case "", "sum":

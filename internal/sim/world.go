@@ -132,7 +132,3 @@ func (w *World) runProc(p *Proc) {
 	<-w.yield
 	w.cur = nil
 }
-
-// Cur returns the process currently executing, or nil when called from
-// scheduler context (an event callback).
-func (w *World) Cur() *Proc { return w.cur }

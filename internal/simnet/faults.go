@@ -250,10 +250,6 @@ func (f *Fabric) UpdateRailFaults(rail int, cfg RailFaults) error {
 	return nil
 }
 
-// Faults returns the installed fault profile, or nil for a perfect
-// fabric.
-func (f *Fabric) Faults() *FaultProfile { return f.faults }
-
 // FaultStats reports what the injector did to this network (zero value
 // when no faults are installed).
 func (n *Network) FaultStats() FaultStats {

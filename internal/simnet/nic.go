@@ -120,9 +120,6 @@ func (n *NIC) Stats() NICStats { return n.stats }
 // Idle reports whether the NIC could start a new transaction immediately.
 func (n *NIC) Idle() bool { return !n.busy && len(n.queue) == 0 }
 
-// QueueLen reports how many transactions wait behind the current one.
-func (n *NIC) QueueLen() int { return len(n.queue) }
-
 // OnIdle registers the callback invoked each time the NIC drains.
 func (n *NIC) OnIdle(fn func()) { n.onIdle = fn }
 

@@ -74,41 +74,88 @@ type Op struct {
 	Rail int `json:"rail"`
 }
 
-// NodeConfig is the recorded engine personality of one node, enough to
-// rebuild core.Options at replay time (replay may override parts of it).
+// NodeConfig is the engine personality of one node: every option that
+// shapes a schedule. core.Options embeds it, so this is the one place an
+// engine option is declared — the recording stores it as is, replay
+// rebuilds core.Options around it (and may override parts of it), and the
+// scenario decoder fills it from a cluster.engine block.
 type NodeConfig struct {
-	Strategy         string   `json:"strategy"`
-	SubmitOverhead   sim.Time `json:"submit_overhead"`
+	// Strategy selects the optimization function by registry name.
+	// Default: "aggreg" (the paper's aggregation strategy).
+	Strategy string `json:"strategy"`
+	// SubmitOverhead is the host software cost charged per request
+	// entering the collect layer (wrapping + list insertion). Together
+	// with ScheduleOverhead it reproduces the §5.1 constant overhead of
+	// MAD-MPI versus the synchronous MPIs.
+	SubmitOverhead sim.Time `json:"submit_overhead"`
+	// ScheduleOverhead is the host cost charged per output packet for
+	// inspecting the ready list and running the optimization function.
 	ScheduleOverhead sim.Time `json:"schedule_overhead"`
-	BodyChunk        int      `json:"body_chunk,omitempty"`
-	Anticipate       bool     `json:"anticipate,omitempty"`
-	FlushBacklog     int      `json:"flush_backlog,omitempty"`
-	Credits          int      `json:"credits,omitempty"`
-	MaxGrants        int      `json:"max_grants,omitempty"`
-	// Link-layer reliability settings (core.Options.Reliability): a
-	// recording made on a lossy fabric replays with the same retransmit
-	// machinery enabled.
-	Reliability       bool     `json:"reliability,omitempty"`
+	// BodyChunk caps the size of one rendezvous body transaction; larger
+	// bodies are pipelined in BodyChunk pieces. 0 means one transaction
+	// per rail share.
+	BodyChunk int `json:"body_chunk,omitempty"`
+	// Anticipate enables the second scheduling mode of §3.2: while a rail
+	// is busy, the engine pre-builds one ready-to-send packet so the rail
+	// can be re-fed the instant it idles, hiding the election cost
+	// (ScheduleOverhead) behind the previous transmission. The packet is
+	// built from the backlog present at pre-election time; wrappers
+	// submitted after it stay in the window for the next round.
+	Anticipate bool `json:"anticipate,omitempty"`
+	// FlushBacklog enables the third scheduling mode of §3.2: once the
+	// backlog a rail could send reaches this many wrappers, the engine
+	// runs the optimization function unconditionally and queues the
+	// output at the (possibly busy) NIC. 0 disables; the default
+	// just-in-time behaviour only elects on NIC-idle events.
+	FlushBacklog int `json:"flush_backlog,omitempty"`
+	// Credits enables credit-based receive flow control: every gate
+	// starts with this many eager landing credits, each eager data
+	// wrapper sent consumes one, and the receiver returns credits as it
+	// consumes the wrappers (replenishment rides outbound traffic as an
+	// aggregable control entry). While a peer's credits are exhausted,
+	// data wrappers stay in the window and strategies do not see them —
+	// the receive queues (unexpected, resequencing) stay bounded by the
+	// budget instead of growing without limit under overload. Both ends
+	// of a gate must run with the same setting. 0 disables.
+	Credits int `json:"credits,omitempty"`
+	// MaxGrants caps the concurrent inbound rendezvous transactions a
+	// node grants; further matched rendezvous requests wait with a
+	// deferred CTS until an active transaction retires. 0 means
+	// unbounded.
+	MaxGrants int `json:"max_grants,omitempty"`
+	// Reliability turns on the link-layer retransmit machinery for lossy
+	// fabrics (simnet.FaultProfile): sequence-checked eager delivery with
+	// ack/timeout/retransmit, rendezvous body progress watchdogs, and
+	// failed-rail detection with mid-flow re-election of survivors (see
+	// core/reliab.go). Every engine of a cluster must agree on this
+	// setting — the link framing changes the wire format.
+	Reliability bool `json:"reliability,omitempty"`
+	// RetransmitTimeout is how long an unacknowledged frame waits before
+	// re-injection. 0 means 200µs.
 	RetransmitTimeout sim.Time `json:"retransmit_timeout,omitempty"`
-	RetransmitBudget  int      `json:"retransmit_budget,omitempty"`
-	ProbeBudget       int      `json:"probe_budget,omitempty"`
+	// RetransmitBudget is how many transmissions one frame may consume on
+	// one rail before the rail is declared failed (when a surviving rail
+	// exists; the last rail retries forever). 0 means 8.
+	RetransmitBudget int `json:"retransmit_budget,omitempty"`
+	// ProbeBudget bounds the ping/pong liveness probe of a failed rail:
+	// after this many unanswered pings the engine gives the rail up for
+	// good and stops probing, so a run over a permanently dead rail
+	// terminates on its own instead of rescheduling probe events forever
+	// (which forces callers onto RunUntil horizons). A late pong still
+	// recovers an abandoned rail if one ever arrives. 0 means probe
+	// forever (the historical behaviour).
+	ProbeBudget int `json:"probe_budget,omitempty"`
 }
 
 // RecordingHeader is the first JSONL line: format tag, version and the
-// cluster topology needed to reconstruct the machine.
+// cluster needed to reconstruct the run.
 type RecordingHeader struct {
 	Format  string `json:"format"`
 	Version int    `json:"version"`
-	// Nodes is the fabric size; Rails the full network profiles in
-	// attach order (full profiles, not names, so tuned thresholds
-	// replay exactly); Host the node machine model.
-	Nodes int              `json:"nodes"`
-	Rails []simnet.Profile `json:"rails"`
-	Host  simnet.Host      `json:"host"`
-	// Faults is the fault profile active on the recorded fabric, nil for
-	// a lossless run. Replay re-applies it (the injector is seeded, so
-	// the same faults hit the same packets) unless asked not to.
-	Faults *simnet.FaultProfile `json:"faults,omitempty"`
+	// Machine is the recorded cluster, inlined into the header object.
+	// Replay re-applies its fault profile (the injector is seeded, so the
+	// same faults hit the same packets) unless asked not to.
+	simnet.Machine
 	// Engines maps node id to the engine personality recorded there.
 	Engines map[int]NodeConfig `json:"engines"`
 	// Meta carries free-form provenance stamps ("scenario", "seed", ...)
@@ -136,31 +183,14 @@ func NewRecording() *Recording {
 	}}
 }
 
-// RegisterTopology records the machine: fabric size, rail profiles in
-// attach order and the host model. The first registration wins — every
-// engine of a cluster attaches the same fabric, so later calls are
-// redundant and ignored.
-func (r *Recording) RegisterTopology(nodes int, rails []simnet.Profile, host simnet.Host) {
+// RegisterFabric records the machine the engines run on. The first
+// registration wins — every engine of a cluster attaches the same fabric,
+// so later calls are redundant and ignored.
+func (r *Recording) RegisterFabric(f *simnet.Fabric) {
 	if r == nil || len(r.header.Rails) > 0 {
 		return
 	}
-	if nodes > r.header.Nodes {
-		r.header.Nodes = nodes
-	}
-	r.header.Rails = append([]simnet.Profile(nil), rails...)
-	r.header.Host = host
-}
-
-// RegisterFaults records the fabric's fault profile. First registration
-// wins, like RegisterTopology; a nil profile (lossless fabric) records
-// nothing.
-func (r *Recording) RegisterFaults(fp *simnet.FaultProfile) {
-	if r == nil || r.header.Faults != nil || fp == nil {
-		return
-	}
-	cp := *fp
-	cp.Rails = append([]simnet.RailFaults(nil), fp.Rails...)
-	r.header.Faults = &cp
+	r.header.Machine = f.Machine()
 }
 
 // SetMeta stamps one provenance key on the recording header (e.g. the

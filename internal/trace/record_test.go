@@ -9,6 +9,15 @@ import (
 	"nmad/internal/simnet"
 )
 
+func buildFabric(t *testing.T, m simnet.Machine) *simnet.Fabric {
+	t.Helper()
+	f, err := m.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestRecordingTopologyRegistration(t *testing.T) {
 	rec := NewRecording()
 	hdr := rec.Header()
@@ -16,10 +25,10 @@ func TestRecordingTopologyRegistration(t *testing.T) {
 		t.Fatalf("fresh recording header %+v", hdr)
 	}
 	rails := []simnet.Profile{simnet.MX10G(), simnet.QsNetII()}
-	rec.RegisterTopology(4, rails, simnet.DefaultHost())
+	rec.RegisterFabric(buildFabric(t, simnet.Machine{Nodes: 4, Rails: rails}))
 	// First registration wins; a second (same fabric, next engine) is a
 	// no-op.
-	rec.RegisterTopology(2, rails[:1], simnet.Host{MemcpyBandwidth: 1})
+	rec.RegisterFabric(buildFabric(t, simnet.Machine{Nodes: 2, Rails: rails[:1], Host: simnet.Host{MemcpyBandwidth: 1}}))
 	hdr = rec.Header()
 	if hdr.Nodes != 4 || len(hdr.Rails) != 2 || hdr.Rails[0].Name != "mx10g" {
 		t.Errorf("topology after double registration: %+v", hdr)
@@ -38,7 +47,7 @@ func TestRecordingNilSafety(t *testing.T) {
 	var rec *Recording
 	rec.RecordOp(Op{Kind: OpSend})
 	rec.RegisterEngine(0, NodeConfig{})
-	rec.RegisterTopology(1, nil, simnet.Host{})
+	rec.RegisterFabric(nil)
 	if rec.Len() != 0 {
 		t.Error("nil recording has length")
 	}
@@ -63,7 +72,7 @@ func TestReadRecordingErrors(t *testing.T) {
 
 func TestRecordingWriteReadEmptyOps(t *testing.T) {
 	rec := NewRecording()
-	rec.RegisterTopology(2, []simnet.Profile{simnet.MX10G()}, simnet.DefaultHost())
+	rec.RegisterFabric(buildFabric(t, simnet.Machine{Nodes: 2, Rails: []simnet.Profile{simnet.MX10G()}}))
 	rec.RegisterEngine(0, NodeConfig{Strategy: "aggreg", SubmitOverhead: 150, ScheduleOverhead: 150})
 	var buf bytes.Buffer
 	if err := rec.Write(&buf); err != nil {

@@ -226,26 +226,18 @@ type Cluster struct {
 //		nmad.WithHost(nmad.Host{MemcpyBandwidth: 2e9}),
 //	)
 func NewCluster(n int, opts ...ClusterOption) (*Cluster, error) {
-	cfg := clusterConfig{host: simnet.DefaultHost()}
+	m := simnet.Machine{Nodes: n}
 	for _, o := range opts {
-		o(&cfg)
+		o(&m)
 	}
-	if len(cfg.rails) == 0 {
-		cfg.rails = []Profile{simnet.MX10G()}
+	if len(m.Rails) == 0 {
+		m.Rails = []Profile{simnet.MX10G()}
 	}
-	w := sim.NewWorld()
-	f := simnet.NewFabric(w, n, cfg.host)
-	for _, prof := range cfg.rails {
-		if _, err := f.AddNetwork(prof); err != nil {
-			return nil, err
-		}
+	f, err := m.Build()
+	if err != nil {
+		return nil, err
 	}
-	if cfg.faults != nil {
-		if err := f.SetFaults(*cfg.faults); err != nil {
-			return nil, err
-		}
-	}
-	return &Cluster{world: w, fabric: f}, nil
+	return &Cluster{world: f.World(), fabric: f}, nil
 }
 
 // World returns the virtual-time world of the cluster.

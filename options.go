@@ -17,25 +17,19 @@ import (
 //	e, _ := cl.Engine(0, nmad.WithStrategy("aggreg"), nmad.WithTracer(tr))
 //	e.Gate(1).Isend(p, tag, data, nmad.Priority(), nmad.OnRail(1))
 
-// clusterConfig is the resolved NewCluster configuration.
-type clusterConfig struct {
-	rails  []Profile
-	host   simnet.Host
-	faults *simnet.FaultProfile
-}
-
-// ClusterOption configures NewCluster.
-type ClusterOption func(*clusterConfig)
+// ClusterOption configures NewCluster: it edits the description of the
+// machine to build.
+type ClusterOption func(*simnet.Machine)
 
 // WithRails equips every node with one NIC per given profile, in order
 // (rail 0 first). Without it the cluster gets a single MX/Myri-10G rail.
 func WithRails(profiles ...Profile) ClusterOption {
-	return func(c *clusterConfig) { c.rails = append(c.rails, profiles...) }
+	return func(m *simnet.Machine) { m.Rails = append(m.Rails, profiles...) }
 }
 
 // WithHost overrides the node host model (memcpy bandwidth etc.).
 func WithHost(h Host) ClusterOption {
-	return func(c *clusterConfig) { c.host = h }
+	return func(m *simnet.Machine) { m.Host = h }
 }
 
 // WithFaults makes the fabric lossy: the profile's seeded per-rail
@@ -47,7 +41,7 @@ func WithHost(h Host) ClusterOption {
 //	cl, _ := nmad.NewCluster(8, nmad.WithFaults(nmad.UniformLoss(42, 0.05, 1)))
 //	e, _ := cl.Engine(0, nmad.WithReliability())
 func WithFaults(fp FaultProfile) ClusterOption {
-	return func(c *clusterConfig) { c.faults = &fp }
+	return func(m *simnet.Machine) { m.Faults = &fp }
 }
 
 // EngineOption configures one engine (or the engine under an MPI rank).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"nmad/internal/sim"
 	"nmad/internal/simnet"
@@ -127,5 +128,18 @@ func TestAllocsRecyclingActuallyRecycles(t *testing.T) {
 	t.Logf("pooled %.2f vs no-recycle %.2f allocs per message", pooled, fresh)
 	if pooled >= fresh {
 		t.Errorf("recycling saves nothing: %.2f allocs pooled vs %.2f without", pooled, fresh)
+	}
+}
+
+// A request is one allocation per message, and both kinds fill their
+// malloc size class to the byte (SendRequest 64, RecvRequest 112). One
+// more word in either rounds every message's request up a class — 16
+// bytes per op, which on pingpong-64B alone is +2.6 % allocated bytes.
+func TestRequestSizeClasses(t *testing.T) {
+	if got := unsafe.Sizeof(SendRequest{}); got > 64 {
+		t.Errorf("SendRequest is %d bytes, over the 64-byte size class", got)
+	}
+	if got := unsafe.Sizeof(RecvRequest{}); got > 112 {
+		t.Errorf("RecvRequest is %d bytes, over the 112-byte size class", got)
 	}
 }

@@ -36,6 +36,17 @@
 // calls) and a tagged Isend/Irecv/Wait/Test interface on which MAD-MPI
 // (package madmpi) is built.
 //
+// Both take the calling simulated process, which sleeps through the host
+// costs of a submission (Options.SubmitOverhead, the software-gather
+// memcpy) and blocks in Wait. A driver that is itself event-driven — it
+// runs in World.At callbacks and has no process — submits through
+// Gate.PostSendv and Gate.PostRecvvMasked instead: the same costs elapse
+// as timed continuations on the event queue, pushed exactly where the
+// process's sleeps would have pushed its wake-ups, and completion is
+// reported to a callback. A workload driven either way produces the same
+// schedule event for event (post_test.go); package replay re-issues
+// recordings this way and needs no goroutine per operation.
+//
 // # Engine performance
 //
 // The engine's own cost is held down by free-list recycling (pool.go):

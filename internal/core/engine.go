@@ -307,6 +307,28 @@ func (e *Engine) chargeCopy(p *sim.Proc, n int) {
 	}
 }
 
+// afterSubmit and afterCopy are chargeSubmit and chargeCopy for a caller
+// in scheduler context (Gate.PostSendv / PostRecvvMasked): the cost
+// elapses before fn instead of putting a process to sleep. They push an
+// event exactly when their twins would — a zero overhead charges nothing
+// and runs fn inline, while a copy cost that rounds to zero still yields
+// the instant, as Sleep(0) does.
+func (e *Engine) afterSubmit(fn func()) {
+	if e.opts.SubmitOverhead > 0 {
+		e.world.After(e.opts.SubmitOverhead, fn)
+		return
+	}
+	fn()
+}
+
+func (e *Engine) afterCopy(n int, fn func()) {
+	if n > 0 {
+		e.world.After(e.node.CopyCost(n), fn)
+		return
+	}
+	fn()
+}
+
 // needsFlatten reports whether no rail eligible for a wrapper (its
 // pinned rail, or every rail for the common list) can move it without a
 // software gather: a rail carries the wrapper when it either gathers

@@ -120,8 +120,10 @@ func resolveSend(opts []SendOption) sendConfig {
 // Isend submits one piece of data on flow tag and returns immediately.
 // The request completes when the NIC has finished with the data (for
 // rendezvous sends, when the body has fully streamed out). p may be nil
-// when calling from non-process context; the submit overhead is then not
-// charged.
+// when calling from non-process context; neither the submit overhead nor
+// the software-gather copy cost is then charged, and nothing can Wait on
+// the request. A scheduler-context caller that wants the same schedule a
+// process would get uses PostSendv / PostRecvvMasked instead.
 func (g *Gate) Isend(p *sim.Proc, tag Tag, data []byte, opts ...SendOption) *SendRequest {
 	return g.isendIov(p, tag, singleIov(data), resolveSend(opts))
 }
@@ -137,9 +139,7 @@ func (g *Gate) Isendv(p *sim.Proc, tag Tag, segs [][]byte, opts ...SendOption) *
 
 func (g *Gate) isendIov(p *sim.Proc, tag Tag, iov iovec, cfg sendConfig) *SendRequest {
 	if len(g.eng.drvs) == 0 {
-		req := &SendRequest{request: request{eng: g.eng}, tag: tag}
-		req.complete(errNoDrivers)
-		return req
+		return g.failSend(tag, nil)
 	}
 	g.eng.recordSend(g, tag, iov, cfg)
 	g.eng.chargeSubmit(p)
@@ -153,7 +153,51 @@ func (g *Gate) isendIov(p *sim.Proc, tag Tag, iov iovec, cfg sendConfig) *SendRe
 		iov = iovec{iov.flatten()}
 		g.eng.chargeCopy(p, size)
 	}
-	req := &SendRequest{request: request{eng: g.eng}, tag: tag, bytes: size}
+	return g.submitSend(tag, iov, size, cfg, nil)
+}
+
+// PostSendv is Isendv for a caller in scheduler context — a World.At
+// callback, which has no process to sleep or Wait with. It enters the
+// collect layer at the current instant and pays exactly what a process
+// would: the submit overhead and, on the software-gather path, the copy
+// cost elapse as World.After continuations pushed where the process's
+// Sleeps would have pushed its wake-ups (none when the charge is skipped:
+// the continuation then runs inline), so a workload driven either way
+// produces the same schedule. done is called once, in scheduler context,
+// with the completion error at the instant the request completes —
+// possibly before PostSendv returns (no drivers attached).
+func (g *Gate) PostSendv(tag Tag, segs [][]byte, done func(err error), opts ...SendOption) {
+	iov, cfg, e := iovec(segs), resolveSend(opts), g.eng
+	if len(e.drvs) == 0 {
+		g.failSend(tag, done)
+		return
+	}
+	e.recordSend(g, tag, iov, cfg)
+	e.afterSubmit(func() {
+		size := iov.total()
+		if !e.needsFlatten(cfg.driver, 1+iov.segCount(), size) {
+			g.submitSend(tag, iov, size, cfg, done)
+			return
+		}
+		flat := iovec{iov.flatten()}
+		e.afterCopy(size, func() { g.submitSend(tag, flat, size, cfg, done) })
+	})
+}
+
+// failSend is the send on an engine with no rail: a request that is
+// already complete with errNoDrivers.
+func (g *Gate) failSend(tag Tag, hook func(error)) *SendRequest {
+	req := &SendRequest{request: request{eng: g.eng, hook: hook}, tag: tag}
+	req.complete(errNoDrivers)
+	return req
+}
+
+// submitSend is what a send does once its host costs are paid, whoever
+// paid them (a process in isendIov, continuations in PostSendv): wrap the
+// iovec, take the flow's next sequence number, and hand the wrapper to
+// the optimizer.
+func (g *Gate) submitSend(tag Tag, iov iovec, size int, cfg sendConfig, hook func(error)) *SendRequest {
+	req := &SendRequest{request: request{eng: g.eng, hook: hook}, tag: tag, bytes: size}
 	req.add(1)
 	// The wrapper comes from the engine free list; the iovec's segment
 	// headers are copied into the wrapper-owned backing array (reused
@@ -256,7 +300,24 @@ func (g *Gate) IrecvvMasked(p *sim.Proc, want, mask Tag, segs [][]byte) *RecvReq
 func (g *Gate) irecvIov(p *sim.Proc, want, mask Tag, iov iovec) *RecvRequest {
 	g.eng.recordRecv(g, want, mask, iov)
 	g.eng.chargeSubmit(p)
-	req := &RecvRequest{request: request{eng: g.eng}, want: want & mask, mask: mask, iov: iov}
+	return g.postRecv(want, mask, iov, nil)
+}
+
+// PostRecvvMasked is IrecvvMasked for a caller in scheduler context; see
+// PostSendv. With no submit overhead to wait out, a message already
+// waiting unexpected is matched before PostRecvvMasked returns; done
+// still follows by the payload copy cost, as completion does for a
+// waiting process.
+func (g *Gate) PostRecvvMasked(want, mask Tag, segs [][]byte, done func(err error)) {
+	iov := iovec(segs)
+	g.eng.recordRecv(g, want, mask, iov)
+	g.eng.afterSubmit(func() { g.postRecv(want, mask, iov, done) })
+}
+
+// postRecv is what a receive does once its submit overhead is paid: match
+// the oldest unexpected arrival, or queue behind the posted receives.
+func (g *Gate) postRecv(want, mask Tag, iov iovec, hook func(error)) *RecvRequest {
+	req := &RecvRequest{request: request{eng: g.eng, hook: hook}, want: want & mask, mask: mask, iov: iov}
 	if !g.matchUnexpected(req) {
 		g.posted = append(g.posted, req)
 	}

@@ -1,0 +1,271 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"nmad/internal/sim"
+	"nmad/internal/simnet"
+	"nmad/internal/trace"
+)
+
+// Gate.PostSendv / PostRecvvMasked promise the schedule a process would
+// have produced. These tests drive one two-node workload twice — once by
+// a process per operation (Isendv / IrecvvMasked + Wait), once from
+// World.At callbacks — and demand identical tracer timelines, Stats,
+// completion instants, errors and delivered bytes.
+
+// postOp is one operation of the workload; node issues it toward the
+// other node at instant at.
+type postOp struct {
+	at   sim.Time
+	node int
+	send bool
+	tag  Tag
+	mask Tag // receives; 0 means exact match
+	segs []int
+	opts []SendOption
+}
+
+// postResult is everything observable about one run of a workload.
+type postResult struct {
+	Events [2][]trace.Event
+	Stats  [2]Stats
+	DoneAt []sim.Time
+	Errs   []error
+	Got    [][]byte // flattened landing area of each receive
+}
+
+func repeatSegs(n, size int) []int {
+	segs := make([]int, n)
+	for i := range segs {
+		segs[i] = size
+	}
+	return segs
+}
+
+func runPostWorkload(t *testing.T, opts Options, host simnet.Host, ops []postOp, procs bool) postResult {
+	t.Helper()
+	w := sim.NewWorld()
+	f := simnet.NewFabric(w, 2, host)
+	if _, err := f.AddNetwork(simnet.MX10G()); err != nil {
+		t.Fatal(err)
+	}
+	var engines [2]*Engine
+	var tracers [2]*trace.Recorder
+	for node := range engines {
+		o := opts
+		tracers[node] = trace.NewRecorder()
+		o.Tracer = tracers[node]
+		e, err := New(f, simnet.NodeID(node), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.AttachFabric(f); err != nil {
+			t.Fatal(err)
+		}
+		engines[node] = e
+	}
+	res := postResult{
+		DoneAt: make([]sim.Time, len(ops)),
+		Errs:   make([]error, len(ops)),
+		Got:    make([][]byte, len(ops)),
+	}
+	bufs := make([][][]byte, len(ops))
+	for i, op := range ops {
+		bufs[i], _ = segsOf(sim.NewRNG(uint64(100+i)), op.segs...)
+	}
+	for i, op := range ops {
+		if op.mask == 0 {
+			op.mask = ^Tag(0)
+		}
+		g := func() *Gate { return engines[op.node].Gate(simnet.NodeID(1 - op.node)) }
+		if procs {
+			w.Spawn(fmt.Sprintf("op%d", i), func(p *sim.Proc) {
+				p.Sleep(op.at)
+				var req Request
+				if op.send {
+					req = g().Isendv(p, op.tag, bufs[i], op.opts...)
+				} else {
+					req = g().IrecvvMasked(p, op.tag, op.mask, bufs[i])
+				}
+				res.Errs[i] = req.Wait(p)
+				res.DoneAt[i] = p.Now()
+			})
+			continue
+		}
+		w.At(op.at, func() {
+			fired := false
+			done := func(err error) {
+				if fired {
+					t.Errorf("op %d: completion hook fired twice", i)
+				}
+				fired = true
+				res.Errs[i] = err
+				res.DoneAt[i] = w.Now()
+			}
+			if op.send {
+				g().PostSendv(op.tag, bufs[i], done, op.opts...)
+			} else {
+				g().PostRecvvMasked(op.tag, op.mask, bufs[i], done)
+			}
+		})
+	}
+	run(t, w)
+	for node := range engines {
+		res.Events[node] = tracers[node].Events()
+		res.Stats[node] = engines[node].Stats()
+	}
+	for i, op := range ops {
+		if !op.send {
+			res.Got[i] = iovec(bufs[i]).flatten()
+		}
+	}
+	return res
+}
+
+func TestPostMatchesProcessSubmission(t *testing.T) {
+	noOverhead := DefaultOptions()
+	noOverhead.SubmitOverhead = 0
+	// A host whose memcpy of a few dozen bytes rounds to zero
+	// nanoseconds: the gather path must still yield the instant.
+	fastHost := simnet.Host{MemcpyBandwidth: 1e12}
+
+	// The mix every case runs: overlapping eager sends on two flows, a
+	// rendezvous, a priority send, a masked receive, traffic both ways.
+	mix := []postOp{
+		{at: 0, node: 0, send: true, tag: 1, segs: []int{64, 5, 300}},
+		{at: 0, node: 0, send: true, tag: 2, segs: []int{128}},
+		{at: 0, node: 1, tag: 1, segs: []int{100, 269}},
+		{at: 0, node: 1, tag: 2, segs: []int{128}},
+		{at: 40, node: 0, send: true, tag: 1, segs: []int{512}, opts: []SendOption{Priority()}},
+		{at: 40, node: 1, tag: 0x10, mask: 0xf0, segs: []int{256 << 10}},
+		{at: 40, node: 1, send: true, tag: 7, segs: []int{1 << 10}},
+		{at: 90, node: 0, send: true, tag: 0x13, segs: []int{200 << 10, 56 << 10}},
+		{at: 90, node: 0, tag: 7, segs: []int{1 << 10}},
+		{at: 200, node: 1, tag: 1, segs: []int{512}},
+	}
+	with := func(extra ...postOp) []postOp { return append(append([]postOp(nil), mix...), extra...) }
+
+	for _, tc := range []struct {
+		name string
+		opts Options
+		host simnet.Host
+		ops  []postOp
+		// matchedAtPost lists receives that must complete one payload
+		// memcpy after their post, with no wire to wait for.
+		matchedAtPost []int
+	}{
+		{name: "submit overhead", opts: DefaultOptions(), host: simnet.DefaultHost(), ops: mix},
+		{name: "no submit overhead", opts: noOverhead, host: simnet.DefaultHost(), ops: mix},
+		{name: "software gather", opts: DefaultOptions(), host: simnet.DefaultHost(), ops: with(
+			// MX gathers 32 segments and 800 B is far under its rendezvous
+			// threshold: flattened, and the memcpy charged.
+			postOp{at: 60, node: 0, send: true, tag: 30, segs: repeatSegs(100, 8)},
+			postOp{at: 60, node: 0, send: true, tag: 31, segs: []int{64}},
+			postOp{at: 0, node: 1, tag: 30, segs: []int{800}},
+			postOp{at: 0, node: 1, tag: 31, segs: []int{64}},
+		)},
+		{name: "software gather at zero cost", opts: noOverhead, host: fastHost, ops: with(
+			postOp{at: 60, node: 0, send: true, tag: 30, segs: repeatSegs(40, 1)},
+			postOp{at: 60, node: 0, send: true, tag: 31, segs: []int{64}},
+			postOp{at: 0, node: 1, tag: 30, segs: []int{40}},
+			postOp{at: 0, node: 1, tag: 31, segs: []int{64}},
+		)},
+		{name: "synchronous send", opts: DefaultOptions(), host: simnet.DefaultHost(), ops: with(
+			postOp{at: 10, node: 0, send: true, tag: 40, segs: []int{96}, opts: []SendOption{Synchronous()}},
+			postOp{at: 300 * sim.Microsecond, node: 1, tag: 40, segs: []int{96}},
+		)},
+		{name: "receive matches an unexpected arrival", opts: noOverhead, host: simnet.DefaultHost(), ops: with(
+			postOp{at: 0, node: 0, send: true, tag: 50, segs: []int{96}},
+			postOp{at: 300 * sim.Microsecond, node: 1, tag: 50, segs: []int{96}},
+		), matchedAtPost: []int{len(mix) + 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			live := runPostWorkload(t, tc.opts, tc.host, tc.ops, true)
+			post := runPostWorkload(t, tc.opts, tc.host, tc.ops, false)
+			for i, err := range live.Errs {
+				if err != nil {
+					t.Errorf("op %d failed in the process-driven run: %v", i, err)
+				}
+			}
+			for node := range live.Events {
+				if len(live.Events[node]) == 0 {
+					t.Fatalf("node %d traced nothing", node)
+				}
+				if !reflect.DeepEqual(live.Events[node], post.Events[node]) {
+					t.Errorf("node %d timeline differs: %d events by processes, %d from scheduler context",
+						node, len(live.Events[node]), len(post.Events[node]))
+				}
+				if !reflect.DeepEqual(live.Stats[node], post.Stats[node]) {
+					t.Errorf("node %d stats differ:\nprocs: %+v\n post: %+v", node, live.Stats[node], post.Stats[node])
+				}
+			}
+			if !reflect.DeepEqual(live.DoneAt, post.DoneAt) {
+				t.Errorf("completion instants differ:\nprocs: %v\n post: %v", live.DoneAt, post.DoneAt)
+			}
+			if !reflect.DeepEqual(live.Errs, post.Errs) {
+				t.Errorf("completion errors differ:\nprocs: %v\n post: %v", live.Errs, post.Errs)
+			}
+			for i := range live.Got {
+				if !bytes.Equal(live.Got[i], post.Got[i]) {
+					t.Errorf("op %d delivered different bytes", i)
+				}
+			}
+			for _, i := range tc.matchedAtPost {
+				op := tc.ops[i]
+				want := op.at + sim.ByteTime(op.segs[0], tc.host.MemcpyBandwidth)
+				if post.DoneAt[i] != want {
+					t.Errorf("op %d completed at %v, want %v: the match did not happen inside the post", i, post.DoneAt[i], want)
+				}
+			}
+		})
+	}
+}
+
+// An engine with no rail attached fails a send at once: the process form
+// returns a completed request, the scheduler-context form calls the hook
+// before it returns.
+func TestPostSendvWithoutDrivers(t *testing.T) {
+	w := sim.NewWorld()
+	f := simnet.NewFabric(w, 2, simnet.DefaultHost())
+	e, err := New(f, 0, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := e.Gate(1).Isendv(nil, 1, [][]byte{make([]byte, 8)}).Err()
+	if !errors.Is(want, errNoDrivers) {
+		t.Fatalf("Isendv without drivers: %v", want)
+	}
+	calls := 0
+	var got error
+	e.Gate(1).PostSendv(1, [][]byte{make([]byte, 8)}, func(err error) { calls++; got = err })
+	if calls != 1 || !errors.Is(got, errNoDrivers) {
+		t.Errorf("hook called %d time(s) with %v, want once with %v", calls, got, errNoDrivers)
+	}
+	run(t, w)
+	if calls != 1 {
+		t.Errorf("hook called %d times after the run", calls)
+	}
+}
+
+// chargeSubmit does not sleep when there is no overhead to pay, so the
+// scheduler-context entries must not yield either: the wrapper is in the
+// window, and the receive posted, before the call returns.
+func TestPostWithoutOverheadSubmitsInline(t *testing.T) {
+	opts := DefaultOptions()
+	opts.SubmitOverhead = 0
+	_, e0, _ := testWorld(t, opts) // the world never runs: nothing here waits for the wire
+	g := e0.Gate(1)
+	g.PostSendv(1, [][]byte{make([]byte, 64)}, func(error) {})
+	if got := e0.Stats().Submitted; got != 1 {
+		t.Errorf("%d wrappers submitted when PostSendv returned, want 1", got)
+	}
+	g.PostRecvvMasked(2, ^Tag(0), [][]byte{make([]byte, 64)}, func(error) {})
+	if got := g.PendingPosted(); got != 1 {
+		t.Errorf("%d receives posted when PostRecvvMasked returned, want 1", got)
+	}
+}

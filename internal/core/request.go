@@ -105,6 +105,13 @@ type request struct {
 	eng  *Engine
 	done bool
 	err  error
+	// hook, when set, is called once with the completion error at the
+	// instant the request completes: how a submission from scheduler
+	// context (Gate.PostSendv / PostRecvvMasked), which has no process to
+	// Wait with, learns of completion. One word on purpose: it takes the
+	// last spare word of SendRequest's and RecvRequest's malloc size
+	// classes (see TestRequestSizeClasses).
+	hook func(err error)
 }
 
 // Done reports whether the request has completed.
@@ -141,6 +148,9 @@ func (r *request) complete(err error) {
 	r.done = true
 	r.err = err
 	r.eng.cond.Broadcast()
+	if r.hook != nil {
+		r.hook(err)
+	}
 }
 
 // SendRequest tracks one submitted message (one wrapper for Isend;

@@ -204,9 +204,9 @@ func runLive(t *testing.T, plan propPlan) (*trace.Recording, []core.Stats, [][]t
 						if op.rail >= 0 {
 							sopts = append(sopts, core.OnRail(op.rail))
 						}
-						reqs = append(reqs, g.Isendv(p, op.tag, makeSegs(op.segs), sopts...))
+						reqs = append(reqs, g.Isendv(p, op.tag, freshSegs(op.segs), sopts...))
 					} else {
-						reqs = append(reqs, g.Irecvv(p, op.tag, makeSegs(op.segs)))
+						reqs = append(reqs, g.Irecvv(p, op.tag, freshSegs(op.segs)))
 					}
 				}
 				if err := core.WaitAll(p, reqs...); err != nil {
@@ -228,6 +228,16 @@ func runLive(t *testing.T, plan propPlan) (*trace.Recording, []core.Stats, [][]t
 		events[node] = tracers[node].Events()
 	}
 	return rec, stats, events, completion
+}
+
+// freshSegs gives a live operation its own zeroed buffer in the planned
+// segment layout.
+func freshSegs(lens []int) [][]byte {
+	total := 0
+	for _, n := range lens {
+		total += n
+	}
+	return slice(make([]byte, total), lens)
 }
 
 func TestRecordReplaySameStrategyReproducesLiveRun(t *testing.T) {

@@ -20,6 +20,8 @@ package replay
 
 import (
 	"fmt"
+	"math"
+	"strings"
 
 	"nmad/internal/core"
 	"nmad/internal/sim"
@@ -125,6 +127,69 @@ func (r *Result) TimelineLines() []string {
 	return out
 }
 
+// UndrainedError reports that the event queue drained with re-issued
+// requests still in flight — a receive whose send is missing from the
+// recording, a synchronous send nobody matches. Nothing can complete them
+// any more, so the replay ended without finishing its load.
+type UndrainedError struct {
+	// At is the virtual time the queue drained.
+	At sim.Time
+	// Count is how many requests never completed.
+	Count int
+	// Ops names the first maxUndrainedListed of them in recording order:
+	// node, index into Recording.Ops, kind and tag.
+	Ops []string
+}
+
+// maxUndrainedListed caps UndrainedError.Ops: a missing send early in a
+// 1024-node ring strands thousands of ops behind it.
+const maxUndrainedListed = 16
+
+func (e *UndrainedError) Error() string {
+	more := ""
+	if n := e.Count - len(e.Ops); n > 0 {
+		more = fmt.Sprintf(" and %d more", n)
+	}
+	return fmt.Sprintf("replay: queue drained at %v with %d request(s) never completed: %s%s",
+		e.At, e.Count, strings.Join(e.Ops, ", "), more)
+}
+
+// maxOpBytes is the largest payload the engine can describe: the wire
+// header carries the length in 32 bits.
+const maxOpBytes int64 = math.MaxUint32
+
+// checkOps validates every recorded op before anything is built — a
+// recording is outside input, and Recording.RecordOp checks nothing. It
+// returns each node's ops as indexes into ops, in recorded order, and the
+// payload size of the largest op.
+func checkOps(ops []trace.Op, nodes int) (perNode [][]int, maxBytes int, err error) {
+	perNode = make([][]int, nodes)
+	for i, op := range ops {
+		if op.Node < 0 || op.Node >= nodes || op.Peer < 0 || op.Peer >= nodes {
+			return nil, 0, fmt.Errorf("replay: op %d addresses node %d -> %d outside the %d-node topology",
+				i, op.Node, op.Peer, nodes)
+		}
+		if op.Node == op.Peer {
+			return nil, 0, fmt.Errorf("replay: op %d is addressed by node %d to itself", i, op.Node)
+		}
+		if op.Kind != trace.OpSend && op.Kind != trace.OpRecv {
+			return nil, 0, fmt.Errorf("replay: op %d has unknown kind %q", i, op.Kind)
+		}
+		total := 0
+		for _, n := range op.Segs {
+			if n < 0 {
+				return nil, 0, fmt.Errorf("replay: op %d has a negative segment length %d", i, n)
+			}
+			if total += n; total < 0 || int64(total) > maxOpBytes {
+				return nil, 0, fmt.Errorf("replay: op %d is larger than the %d bytes a message can carry", i, maxOpBytes)
+			}
+		}
+		maxBytes = max(maxBytes, total)
+		perNode[op.Node] = append(perNode[op.Node], i)
+	}
+	return perNode, maxBytes, nil
+}
+
 // Run replays a recording under the given configuration.
 func Run(rec *trace.Recording, cfg Config) (*Result, error) {
 	hdr := rec.Header()
@@ -145,11 +210,14 @@ func Run(rec *trace.Recording, cfg Config) (*Result, error) {
 		fp.Rails = fp.Rails[:len(m.Rails)]
 		m.Faults = &fp
 	}
+	perNode, maxBytes, err := checkOps(rec.Ops(), hdr.Nodes)
+	if err != nil {
+		return nil, err
+	}
 	f, err := m.Build()
 	if err != nil {
 		return nil, fmt.Errorf("replay: %w", err)
 	}
-	w := f.World()
 
 	tracers := make([]*trace.Recorder, hdr.Nodes)
 	engines, err := core.NewEngines(f, func(node int) core.Options {
@@ -166,84 +234,47 @@ func Run(rec *trace.Recording, cfg Config) (*Result, error) {
 		strategies[e.StrategyName()] = true
 	}
 
-	perNode := make([][]trace.Op, hdr.Nodes)
-	for i, op := range rec.Ops() {
-		if op.Node < 0 || op.Node >= hdr.Nodes || op.Peer < 0 || op.Peer >= hdr.Nodes {
-			return nil, fmt.Errorf("replay: op %d addresses node %d -> %d outside the %d-node topology",
-				i, op.Node, op.Peer, hdr.Nodes)
+	// Replay is event-driven: a node's dispatcher and every op it issues
+	// are World.At callbacks, never processes. The schedule is the same
+	// one a process per node spawning a process per op would produce,
+	// because same-instant events fire in push order and this pushes the
+	// same events from the same places in the same order: one dispatcher
+	// first step per node at time zero; from the dispatcher, in recorded
+	// order, either its own continuation at the next op's recorded
+	// instant or — just in time, not pre-scheduled from time zero — that
+	// op's first step at the current instant, so an op's entry never
+	// jumps ahead of engine continuations created earlier; from the op's
+	// first step, the post-overhead continuations core.Gate.PostSendv
+	// pushes where a process would have slept. Ops that overlap (a node
+	// whose live application submitted from several processes at once)
+	// therefore charge their overheads concurrently, as they did live.
+	// What a process would add on top — the wake-up after Wait — pushes
+	// nothing and only reads the clock at the completion instant, which
+	// the completion hook reads directly.
+	r := &run{
+		w:      f.World(),
+		res:    &Result{},
+		ops:    rec.Ops(),
+		done:   make([]bool, rec.Len()),
+		nRails: len(m.Rails),
+		// Payload content is not part of a recording — scheduling depends
+		// on sizes and layout only — so every send gathers from one zero
+		// buffer and every receive lands in one sink nobody reads.
+		zero: make([]byte, maxBytes),
+		sink: make([]byte, maxBytes),
+	}
+	for node, idxs := range perNode {
+		if len(idxs) > 0 {
+			d := &dispatcher{run: r, eng: engines[node], mine: idxs}
+			d.stepFn = d.step
+			r.w.At(r.w.Now(), d.stepFn)
 		}
-		if op.Node == op.Peer {
-			return nil, fmt.Errorf("replay: op %d is addressed by node %d to itself", i, op.Node)
-		}
-		for _, n := range op.Segs {
-			if n < 0 {
-				return nil, fmt.Errorf("replay: op %d has a negative segment length %d", i, n)
-			}
-		}
-		perNode[op.Node] = append(perNode[op.Node], op)
 	}
 
-	// One dispatcher per node walks that node's ops in recorded order
-	// and, at each op's recorded entry instant, spawns a dedicated
-	// process that issues the operation and pays its own submit/copy
-	// overhead. Spawning just-in-time (rather than pre-sleeping every
-	// op process from time zero) keeps same-instant event ordering
-	// faithful to the live run: an op's entry never jumps ahead of
-	// engine continuations created earlier, and overlapping entries —
-	// a node whose live application submitted from several concurrent
-	// processes — charge their overheads concurrently, as they did
-	// live.
-	res := &Result{}
-	nRails := len(m.Rails)
-	for node := range perNode {
-		ops := perNode[node]
-		if len(ops) == 0 {
-			continue
-		}
-		eng := engines[node]
-		node := node
-		w.Spawn(fmt.Sprintf("replay-node%d", node), func(p *sim.Proc) {
-			for i, op := range ops {
-				if d := op.At - p.Now(); d > 0 {
-					p.Sleep(d)
-				}
-				op := op
-				w.Spawn(fmt.Sprintf("replay-node%d-op%d", node, i), func(q *sim.Proc) {
-					g := eng.Gate(simnet.NodeID(op.Peer))
-					var req core.Request
-					switch op.Kind {
-					case trace.OpSend:
-						var sopts []core.SendOption
-						if op.Priority {
-							sopts = append(sopts, core.Priority())
-						}
-						if op.Unordered {
-							sopts = append(sopts, core.Unordered())
-						}
-						if op.Synchronous {
-							sopts = append(sopts, core.Synchronous())
-						}
-						if op.Rail >= 0 && op.Rail < nRails {
-							sopts = append(sopts, core.OnRail(op.Rail))
-						}
-						req = g.Isendv(q, core.Tag(op.Tag), makeSegs(op.Segs), sopts...)
-					case trace.OpRecv:
-						req = g.IrecvvMasked(q, core.Tag(op.Tag), core.Tag(op.Mask), makeSegs(op.Segs))
-					}
-					if err := req.Wait(q); err != nil {
-						res.RequestErrors++
-					}
-					if now := q.Now(); now > res.Completion {
-						res.Completion = now
-					}
-				})
-			}
-		})
+	if err := r.w.Run(); err != nil {
+		return r.res, fmt.Errorf("replay: %w", err)
 	}
-
-	if err := w.Run(); err != nil {
-		return res, fmt.Errorf("replay: %w", err)
-	}
+	res := r.res
 	for node := 0; node < hdr.Nodes; node++ {
 		res.Stats = append(res.Stats, engines[node].Stats())
 		res.Events = append(res.Events, tracers[node].Events())
@@ -258,7 +289,107 @@ func Run(rec *trace.Recording, cfg Config) (*Result, error) {
 	default:
 		res.Strategy = "mixed"
 	}
-	return res, nil
+	return res, r.undrained()
+}
+
+// run is the state the callbacks of one Run share.
+type run struct {
+	w      *sim.World
+	res    *Result
+	ops    []trace.Op
+	done   []bool // by op index: the re-issued request completed
+	nRails int
+	zero   []byte
+	sink   []byte
+}
+
+// dispatcher walks one node's ops in recorded order.
+type dispatcher struct {
+	*run
+	eng    *core.Engine
+	mine   []int // the node's ops, as indexes into run.ops
+	next   int
+	stepFn func() // step, bound once: the dispatcher reschedules itself per op
+}
+
+// step issues every op due at the current instant, then reschedules
+// itself for the next one.
+func (d *dispatcher) step() {
+	for ; d.next < len(d.mine); d.next++ {
+		i := d.mine[d.next]
+		if at := d.ops[i].At; at > d.w.Now() {
+			d.w.At(at, d.stepFn)
+			return
+		}
+		d.w.At(d.w.Now(), func() { d.issue(i) })
+	}
+}
+
+// issue re-posts one recorded op; the engine charges its overheads from
+// here on.
+func (d *dispatcher) issue(i int) {
+	op := &d.ops[i]
+	g := d.eng.Gate(simnet.NodeID(op.Peer))
+	done := func(err error) { d.complete(i, err) }
+	if op.Kind == trace.OpRecv {
+		g.PostRecvvMasked(core.Tag(op.Tag), core.Tag(op.Mask), slice(d.sink, op.Segs), done)
+		return
+	}
+	sopts := make([]core.SendOption, 0, 4) // stays on the stack
+	if op.Priority {
+		sopts = append(sopts, core.Priority())
+	}
+	if op.Unordered {
+		sopts = append(sopts, core.Unordered())
+	}
+	if op.Synchronous {
+		sopts = append(sopts, core.Synchronous())
+	}
+	if op.Rail >= 0 && op.Rail < d.nRails {
+		sopts = append(sopts, core.OnRail(op.Rail))
+	}
+	g.PostSendv(core.Tag(op.Tag), slice(d.zero, op.Segs), done, sopts...)
+}
+
+// complete is every re-issued request's completion hook.
+func (r *run) complete(i int, err error) {
+	r.done[i] = true
+	if err != nil {
+		r.res.RequestErrors++
+	}
+	if now := r.w.Now(); now > r.res.Completion {
+		r.res.Completion = now
+	}
+}
+
+// undrained returns an *UndrainedError naming the ops whose requests
+// never completed, nil when all did.
+func (r *run) undrained() error {
+	e := &UndrainedError{At: r.w.Now()}
+	for i, done := range r.done {
+		if done {
+			continue
+		}
+		if e.Count++; len(e.Ops) < maxUndrainedListed {
+			op := r.ops[i]
+			e.Ops = append(e.Ops, fmt.Sprintf("node%d op%d %s tag=%#x", op.Node, i, op.Kind, op.Tag))
+		}
+	}
+	if e.Count == 0 {
+		return nil
+	}
+	return e
+}
+
+// slice lays the recorded segment lengths over buf, which is at least as
+// long as their sum.
+func slice(buf []byte, lens []int) [][]byte {
+	segs := make([][]byte, len(lens))
+	for i, n := range lens {
+		segs[i] = buf[:n:n]
+		buf = buf[n:]
+	}
+	return segs
 }
 
 // AB replays one recording under several strategies, in order.
@@ -295,22 +426,4 @@ func nodeOptions(hdr trace.RecordingHeader, node int, cfg Config) core.Options {
 	}
 	opts.NoRecycle = cfg.NoRecycle
 	return opts
-}
-
-// makeSegs allocates a zeroed iovec with the recorded segment layout.
-// Payload content is not part of the recording: scheduling decisions
-// depend on sizes and layout only. One backing buffer serves every
-// segment — two allocations per op instead of one per segment.
-func makeSegs(lens []int) [][]byte {
-	total := 0
-	for _, n := range lens {
-		total += n
-	}
-	buf := make([]byte, total)
-	segs := make([][]byte, len(lens))
-	for i, n := range lens {
-		segs[i] = buf[:n:n]
-		buf = buf[n:]
-	}
-	return segs
 }

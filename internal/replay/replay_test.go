@@ -2,10 +2,14 @@ package replay
 
 import (
 	"bytes"
+	"errors"
 	"flag"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -285,27 +289,105 @@ func TestRecordRejectsUnregisteredStrategyImpl(t *testing.T) {
 	}
 }
 
-// A recording is outside input: lines no engine would have written must
-// come back as errors naming the op, not as panics deep in the engine.
+// A recording is outside input: ops no engine would have recorded must
+// come back as errors naming the op, not as panics deep in the engine —
+// and before any engine is built: the unknown strategy every case asks
+// for would fail core.NewEngines, and must not get the chance.
 func TestRunRejectsHostileOps(t *testing.T) {
-	golden, err := os.ReadFile(goldenRecording)
-	if err != nil {
-		t.Fatal(err)
-	}
-	header, _, _ := bytes.Cut(golden, []byte("\n"))
-	sane := `{"at":0,"node":0,"peer":1,"op":"send","tag":1,"segs":[64],"rail":-1}`
-	for name, tc := range map[string]struct{ line, want string }{
-		"negative segment": {`{"at":0,"node":1,"peer":0,"op":"recv","tag":1,"segs":[64,-5],"rail":-1}`, "op 1 has a negative segment length -5"},
-		"self-addressed":   {`{"at":0,"node":0,"peer":0,"op":"send","tag":1,"segs":[64],"rail":-1}`, "op 1 is addressed by node 0 to itself"},
+	sane := trace.Op{Node: 0, Peer: 1, Kind: trace.OpSend, Tag: 1, Segs: []int{64}, Rail: -1}
+	for name, tc := range map[string]struct {
+		op   trace.Op
+		want string
+	}{
+		"negative segment": {trace.Op{Node: 1, Peer: 0, Kind: trace.OpRecv, Tag: 1, Segs: []int{64, -5}, Rail: -1}, "op 1 has a negative segment length -5"},
+		"self-addressed":   {trace.Op{Node: 0, Peer: 0, Kind: trace.OpSend, Tag: 1, Segs: []int{64}, Rail: -1}, "op 1 is addressed by node 0 to itself"},
+		// ReadRecording refuses unknown kinds; RecordOp checks nothing.
+		"unknown kind": {trace.Op{Node: 1, Peer: 0, Kind: "probe", Tag: 1, Segs: []int{64}, Rail: -1}, `op 1 has unknown kind "probe"`},
+		"oversized":    {trace.Op{Node: 1, Peer: 0, Kind: trace.OpRecv, Tag: 1, Segs: []int{math.MaxInt, math.MaxInt}, Rail: -1}, "op 1 is larger than"},
 	} {
-		rec, err := trace.ReadRecording(strings.NewReader(string(header) + "\n" + sane + "\n" + tc.line + "\n"))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if _, err := Run(rec, Config{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+		rec := goldenWithOps(t, sane, tc.op)
+		if _, err := Run(rec, Config{Strategy: "no-such-strategy"}); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Run error = %v, want one containing %q", name, err, tc.want)
 		}
 	}
+}
+
+// goldenWithOps is a recording of the golden machine and personalities
+// carrying the given ops instead of the golden ones.
+func goldenWithOps(t *testing.T, ops ...trace.Op) *trace.Recording {
+	t.Helper()
+	header, _, _ := bytes.Cut(recordingBytes(t, loadGolden(t)), []byte("\n"))
+	rec, err := trace.ReadRecording(bytes.NewReader(header))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range ops {
+		rec.RecordOp(op)
+	}
+	return rec
+}
+
+// withoutOps is the golden recording with the ops drop selects deleted.
+func withoutOps(t *testing.T, drop func(trace.Op) bool) *trace.Recording {
+	t.Helper()
+	var kept []trace.Op
+	for _, op := range loadGolden(t).Ops() {
+		if !drop(op) {
+			kept = append(kept, op)
+		}
+	}
+	return goldenWithOps(t, kept...)
+}
+
+// A recording whose load cannot finish — here, receives whose sends were
+// deleted — must say which re-issued requests were left, not return a
+// result as if the run had drained.
+func TestRunReportsUndrainedOps(t *testing.T) {
+	t.Run("one missing send", func(t *testing.T) {
+		rec := withoutOps(t, func(op trace.Op) bool { return op.Kind == trace.OpSend && op.Tag == uint64(ctrlTag) })
+		before := runtime.NumGoroutine()
+		res, err := Run(rec, Config{})
+		var undrained *UndrainedError
+		if !errors.As(err, &undrained) {
+			t.Fatalf("Run error = %v, want an *UndrainedError", err)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("the stranded request left %d goroutine(s) parked", after-before)
+		}
+		// The control receive and nothing else: replay is open-loop, so
+		// the reply it gated live is sent regardless.
+		want := ""
+		for i, op := range rec.Ops() {
+			if op.Kind == trace.OpRecv && op.Tag == uint64(ctrlTag) {
+				want = fmt.Sprintf("node%d op%d recv tag=0x2", op.Node, i)
+			}
+		}
+		if undrained.Count != 1 || len(undrained.Ops) != 1 || undrained.Ops[0] != want {
+			t.Errorf("undrained = %d %q, want exactly %q", undrained.Count, undrained.Ops, want)
+		}
+		if res == nil || len(res.Stats) != 2 || res.Completion <= 0 || res.Completion > undrained.At {
+			t.Errorf("no usable result beside the error: %+v (drained at %v)", res, undrained.At)
+		}
+	})
+	t.Run("capped and in recording order", func(t *testing.T) {
+		rec := withoutOps(t, func(op trace.Op) bool { return op.Kind == trace.OpSend })
+		_, err := Run(rec, Config{})
+		var undrained *UndrainedError
+		if !errors.As(err, &undrained) {
+			t.Fatalf("Run error = %v, want an *UndrainedError", err)
+		}
+		if undrained.Count != rec.Len() || len(undrained.Ops) != maxUndrainedListed {
+			t.Fatalf("undrained = %d listed %d, want %d listed %d", undrained.Count, len(undrained.Ops), rec.Len(), maxUndrainedListed)
+		}
+		for i, got := range undrained.Ops {
+			if want := fmt.Sprintf("op%d ", i); !strings.Contains(got, want) {
+				t.Errorf("listed[%d] = %q, want op %d", i, got, i)
+			}
+		}
+		if want := fmt.Sprintf("and %d more", rec.Len()-maxUndrainedListed); !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
+	})
 }
 
 // Every field of the recorded personality must survive engine → recording

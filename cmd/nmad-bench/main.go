@@ -73,7 +73,12 @@ func main() {
 		case "csv":
 			fmt.Printf("# figure %s: %s\n%s\n", result.ID, result.Title, bench.FormatCSV(result))
 		case "json":
-			jsons = append(jsons, bench.FormatJSON(result))
+			js, err := bench.FormatJSON(result)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "nmad-bench: %v\n", err)
+				os.Exit(1)
+			}
+			jsons = append(jsons, js)
 		default:
 			fmt.Fprintf(os.Stderr, "nmad-bench: unknown format %q\n", *format)
 			os.Exit(2)

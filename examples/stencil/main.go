@@ -107,7 +107,6 @@ func main() {
 	iters := make([]int, ranks)
 
 	for rank := 0; rank < ranks; rank++ {
-		rank := rank
 		m := mpis[rank]
 		cl.Spawn(fmt.Sprintf("rank%d", rank), func(p *nmad.Proc) {
 			c := m.CommWorld()

@@ -46,7 +46,6 @@ func AllreduceTime(cfg AllreduceConfig) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	w := f.World()
 	ranks, err := madmpi.InitAll(f, core.DefaultOptions())
 	if err != nil {
 		return 0, err
@@ -67,11 +66,10 @@ func AllreduceTime(cfg AllreduceConfig) (float64, error) {
 		}
 		return m.CommWorld().Allreduce(p, in, out, madmpi.OpSum)
 	}
-	var start, finish sim.Time
-	var firstErr error
+	g := sim.NewGroup(f.World())
+	var start sim.Time // the last rank out of the barrier
 	for _, m := range ranks {
-		m := m
-		w.Spawn(fmt.Sprintf("rank-%d", m.Rank()), func(p *sim.Proc) {
+		g.Go(fmt.Sprintf("rank-%d", m.Rank()), func(p *sim.Proc) error {
 			in := make([]float64, cfg.Elems)
 			for i := range in {
 				in[i] = float64(m.Rank() + i%5)
@@ -80,48 +78,29 @@ func AllreduceTime(cfg AllreduceConfig) (float64, error) {
 			// One warmup round reaches steady protocol state, then a
 			// barrier aligns the measured entry.
 			if err := allreduce(p, m, in, out); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
+				return err
 			}
 			if err := m.CommWorld().Barrier(p); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
+				return err
 			}
-			if p.Now() > start {
-				start = p.Now()
-			}
+			start = max(start, p.Now())
 			if err := allreduce(p, m, in, out); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			if p.Now() > finish {
-				finish = p.Now()
+				return err
 			}
 			for i := range out {
 				want := float64(i%5*cfg.Nodes + cfg.Nodes*(cfg.Nodes-1)/2)
 				if out[i] != want {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("bench: allreduce[%s] rank %d element %d = %g, want %g",
-							cfg.Algo, m.Rank(), i, out[i], want)
-					}
-					return
+					return fmt.Errorf("bench: allreduce[%s] rank %d element %d = %g, want %g",
+						cfg.Algo, m.Rank(), i, out[i], want)
 				}
 			}
+			return nil
 		})
 	}
-	if err := w.Run(); err != nil {
+	if err := g.Run(); err != nil {
 		return 0, fmt.Errorf("bench: allreduce(%+v): %w", cfg, err)
 	}
-	if firstErr != nil {
-		return 0, firstErr
-	}
-	return (finish - start).Microseconds(), nil
+	return (g.End() - start).Microseconds(), nil
 }
 
 // seedAllreduce reproduces the seed's collectives exactly: a blocking

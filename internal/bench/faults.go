@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 
 	"nmad/internal/core"
@@ -79,98 +78,69 @@ func LossyCollective(cfg LossyCollectiveConfig) (LossyCollectiveResult, error) {
 	if err != nil {
 		return res, err
 	}
-	w := f.World()
 	opts := core.DefaultOptions()
 	opts.Reliability = true
 	if cfg.Strategy != "" {
 		opts.Strategy = cfg.Strategy
 	}
 
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
 	mpis, err := madmpi.InitAll(f, opts)
 	if err != nil {
 		return res, err
 	}
-	for i := 0; i < cfg.Nodes; i++ {
-		m := mpis[i]
-		w.Spawn(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
+	g := sim.NewGroup(f.World())
+	for i, m := range mpis {
+		g.Go(fmt.Sprintf("rank%d", i), func(p *sim.Proc) error {
+			rank, c := m.Rank(), m.CommWorld()
 			switch cfg.Kind {
 			case "barrier":
-				if err := m.CommWorld().Barrier(p); err != nil {
-					fail(fmt.Errorf("rank %d barrier: %w", m.Rank(), err))
+				if err := c.Barrier(p); err != nil {
+					return fmt.Errorf("rank %d barrier: %w", rank, err)
 				}
 			case "allgather":
-				rank := m.Rank()
 				me := make([]byte, cfg.Per)
-				for j := range me {
-					me[j] = byte(rank*131 + j*7)
-				}
+				fill(me, rank, 0)
 				all := make([]byte, cfg.Nodes*cfg.Per)
-				if err := m.CommWorld().Allgather(p, me, all); err != nil {
-					fail(fmt.Errorf("rank %d allgather: %w", rank, err))
-					return
+				if err := c.Allgather(p, me, all); err != nil {
+					return fmt.Errorf("rank %d allgather: %w", rank, err)
 				}
-				want := make([]byte, cfg.Per)
 				for r := 0; r < cfg.Nodes; r++ {
-					for j := range want {
-						want[j] = byte(r*131 + j*7)
-					}
-					if !bytes.Equal(all[r*cfg.Per:(r+1)*cfg.Per], want) {
-						fail(fmt.Errorf("rank %d: slot %d corrupt — a payload was lost or duplicated", rank, r))
-						return
+					if !intact(all[r*cfg.Per:(r+1)*cfg.Per], r, 0) {
+						return fmt.Errorf("rank %d: slot %d corrupt — a payload was lost or duplicated", rank, r)
 					}
 				}
 			case "multiseg":
 				const segs = 16
-				rank := m.Rank()
 				next := (rank + 1) % cfg.Nodes
 				prev := (rank + cfg.Nodes - 1) % cfg.Nodes
-				c := m.CommWorld()
 				reqs := make([]*madmpi.Request, 0, 2*segs)
 				in := make([][]byte, segs)
 				for s := 0; s < segs; s++ {
 					out := make([]byte, cfg.Per)
-					for j := range out {
-						out[j] = byte(rank*131 + s*17 + j*7)
-					}
+					fill(out, rank, s)
 					in[s] = make([]byte, cfg.Per)
 					reqs = append(reqs,
 						c.Irecv(p, in[s], prev, s),
 						c.Isend(p, out, next, s))
 				}
 				if err := madmpi.Waitall(p, reqs...); err != nil {
-					fail(fmt.Errorf("rank %d multiseg: %w", rank, err))
-					return
+					return fmt.Errorf("rank %d multiseg: %w", rank, err)
 				}
-				want := make([]byte, cfg.Per)
 				for s := 0; s < segs; s++ {
-					for j := range want {
-						want[j] = byte(prev*131 + s*17 + j*7)
-					}
-					if !bytes.Equal(in[s], want) {
-						fail(fmt.Errorf("rank %d: segment %d corrupt — a payload was lost or duplicated", rank, s))
-						return
+					if !intact(in[s], prev, s) {
+						return fmt.Errorf("rank %d: segment %d corrupt — a payload was lost or duplicated", rank, s)
 					}
 				}
 			default:
-				fail(fmt.Errorf("bench: unknown lossy collective %q", cfg.Kind))
+				return fmt.Errorf("bench: unknown lossy collective %q", cfg.Kind)
 			}
-			if now := float64(p.Now()) / float64(sim.Microsecond); now > res.CompletionUs {
-				res.CompletionUs = now
-			}
+			return nil
 		})
 	}
-	if err := w.Run(); err != nil {
+	if err := g.Run(); err != nil {
 		return res, err
 	}
-	if firstErr != nil {
-		return res, firstErr
-	}
+	res.CompletionUs = g.End().Microseconds()
 	for _, m := range mpis {
 		res.Retransmits += m.Engine().Stats().Retransmits
 	}

@@ -53,7 +53,11 @@ func TestFiguresGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := FormatJSON(fig) + "\n"
+			got, err := FormatJSON(fig)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got += "\n"
 			if *update {
 				if err := os.WriteFile(goldenPath(id), []byte(got), 0o644); err != nil {
 					t.Fatal(err)

@@ -204,11 +204,13 @@ func toBaselineSegs(segs []Seg) []baseline.Segment {
 	return out
 }
 
-// newFabric assembles a fresh two-node world with the given rails.
-func newFabric(profs []simnet.Profile) (*sim.World, *simnet.Fabric, error) {
+// start builds a fresh two-node world over the given rails and the
+// implementation's two ranks on it, ready to spawn into.
+func (im Impl) start(profs []simnet.Profile) (*sim.Group, Peer, Peer, error) {
 	f, err := simnet.Machine{Nodes: 2, Rails: profs}.Build()
 	if err != nil {
-		return nil, nil, fmt.Errorf("bench: %w", err)
+		return nil, nil, nil, fmt.Errorf("bench: %w", err)
 	}
-	return f.World(), f, nil
+	p0, p1, err := im.Make(f)
+	return sim.NewGroup(f.World()), p0, p1, err
 }

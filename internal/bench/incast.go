@@ -58,7 +58,6 @@ func Incast(cfg IncastConfig) (IncastResult, error) {
 	if err != nil {
 		return IncastResult{}, err
 	}
-	w := f.World()
 	opts := core.DefaultOptions()
 	opts.Credits = cfg.Credits
 	opts.MaxGrants = cfg.MaxGrants
@@ -68,60 +67,34 @@ func Incast(cfg IncastConfig) (IncastResult, error) {
 	}
 	recv, senders := engines[0], engines[1:]
 
-	fill := func(sender, msg int, buf []byte) {
-		for i := range buf {
-			buf[i] = byte(sender*31 + msg*7 + i)
-		}
-	}
-
 	var res IncastResult
-	var done sim.Time
+	g := sim.NewGroup(f.World())
 	for s, e := range senders {
-		s, e := s, e
-		w.Spawn(fmt.Sprintf("sender-%d", s+1), func(p *sim.Proc) {
+		g.Go(fmt.Sprintf("sender-%d", s+1), func(p *sim.Proc) error {
 			reqs := make([]core.Request, 0, cfg.Msgs)
 			for m := 0; m < cfg.Msgs; m++ {
 				buf := make([]byte, cfg.Size)
-				fill(s+1, m, buf)
+				fill(buf, s+1, m)
 				reqs = append(reqs, e.Gate(0).Isend(p, Tagged(s+1), buf))
 			}
 			if err := core.WaitAll(p, reqs...); err != nil {
-				panic(fmt.Sprintf("incast sender %d: %v", s+1, err))
+				return fmt.Errorf("incast sender %d: %w", s+1, err)
 			}
+			return nil
 		})
 	}
 	for s := range senders {
-		s := s
-		w.Spawn(fmt.Sprintf("drain-%d", s+1), func(p *sim.Proc) {
-			g := recv.Gate(simnet.NodeID(s + 1))
-			want := make([]byte, cfg.Size)
-			for m := 0; m < cfg.Msgs; m++ {
-				if cfg.DrainGap > 0 {
-					p.Sleep(cfg.DrainGap)
-				}
-				buf := make([]byte, cfg.Size)
-				n, err := g.Recv(p, Tagged(s+1), buf)
-				if err != nil {
-					panic(fmt.Sprintf("incast recv from %d: %v", s+1, err))
-				}
-				fill(s+1, m, want)
-				for i := 0; i < n; i++ {
-					if buf[i] != want[i] {
-						panic(fmt.Sprintf("incast: corrupt byte %d from sender %d msg %d", i, s+1, m))
-					}
-				}
-				res.Delivered += int64(n)
-				if p.Now() > done {
-					done = p.Now()
-				}
-			}
+		g.Go(fmt.Sprintf("drain-%d", s+1), func(p *sim.Proc) error {
+			n, err := drain(p, recv.Gate(simnet.NodeID(s+1)), s+1, cfg.Msgs, cfg.Size, cfg.DrainGap)
+			res.Delivered += n
+			return err
 		})
 	}
-	if err := w.Run(); err != nil {
+	if err := g.Run(); err != nil {
 		return IncastResult{}, fmt.Errorf("bench: incast(%d senders, credits=%d): %w", cfg.Senders, cfg.Credits, err)
 	}
 	st := recv.Stats()
-	res.CompletionUs = done.Microseconds()
+	res.CompletionUs = g.End().Microseconds()
 	res.PeakUnexpected = st.PeakUnexpected
 	res.PeakHeld = st.PeakHeld
 	res.ProtocolErrors = st.ProtocolErrors

@@ -18,48 +18,56 @@ const (
 	defaultIters  = 5
 )
 
+// exchange is one direction of a ping-pong as rank me (0 or 1) sees it:
+// everything the rank posts toward, or expects from, rank 1-me.
+type exchange func(p *sim.Proc, peer Peer, me int) error
+
+// pingPong is the two-rank loop behind all three workloads, which differ
+// only in what a ping sends and what a pong receives: rank 0 sends then
+// receives, rank 1 mirrors it, and the clock is read on rank 0 around
+// the measured iterations. what labels the error of a failed run.
+func pingPong(impl Impl, profs []simnet.Profile, what string, send, recv exchange) (float64, error) {
+	g, p0, p1, err := impl.start(profs)
+	if err != nil {
+		return 0, err
+	}
+	var start, stop sim.Time
+	for me, peer := range []Peer{p0, p1} {
+		first, second := send, recv
+		if me == 1 {
+			first, second = recv, send
+		}
+		g.Go(fmt.Sprintf("rank%d", me), func(p *sim.Proc) error {
+			for i := 0; i < defaultWarmup+defaultIters; i++ {
+				if me == 0 && i == defaultWarmup {
+					start = p.Now()
+				}
+				if err := first(p, peer, me); err != nil {
+					return err
+				}
+				if err := second(p, peer, me); err != nil {
+					return err
+				}
+			}
+			if me == 0 {
+				stop = p.Now()
+			}
+			return nil
+		})
+	}
+	if err := g.Run(); err != nil {
+		return 0, fmt.Errorf("bench: %s: %w", what, err)
+	}
+	return (stop - start).Microseconds() / defaultIters / 2, nil // mean half round trip
+}
+
 // PingPong runs the §5.1 workload: a single-segment ping-pong of the
 // given size, returning the one-way latency in µs.
 func PingPong(impl Impl, profs []simnet.Profile, size int) (float64, error) {
-	w, f, err := newFabric(profs)
-	if err != nil {
-		return 0, err
-	}
-	p0, p1, err := impl.Make(f)
-	if err != nil {
-		return 0, err
-	}
-	buf0 := make([]byte, size)
-	buf1 := make([]byte, size)
-	var start, stop sim.Time
-	w.Spawn("rank0", func(p *sim.Proc) {
-		for i := 0; i < defaultWarmup+defaultIters; i++ {
-			if i == defaultWarmup {
-				start = p.Now()
-			}
-			if err := waitBoth(p, p0.Isend(p, buf0, 1, 0, 0), nil); err != nil {
-				panic(err)
-			}
-			if err := p0.Irecv(p, buf0, 1, 0, 0).Wait(p); err != nil {
-				panic(err)
-			}
-		}
-		stop = p.Now()
-	})
-	w.Spawn("rank1", func(p *sim.Proc) {
-		for i := 0; i < defaultWarmup+defaultIters; i++ {
-			if err := p1.Irecv(p, buf1, 0, 0, 0).Wait(p); err != nil {
-				panic(err)
-			}
-			if err := waitBoth(p, p1.Isend(p, buf1, 0, 0, 0), nil); err != nil {
-				panic(err)
-			}
-		}
-	})
-	if err := w.Run(); err != nil {
-		return 0, fmt.Errorf("bench: ping-pong(%s, %d): %w", impl.Name, size, err)
-	}
-	return halfRTT(start, stop, defaultIters), nil
+	buf := [2][]byte{make([]byte, size), make([]byte, size)}
+	return pingPong(impl, profs, fmt.Sprintf("ping-pong(%s, %d)", impl.Name, size),
+		func(p *sim.Proc, peer Peer, me int) error { return peer.Isend(p, buf[me], 1-me, 0, 0).Wait(p) },
+		func(p *sim.Proc, peer Peer, me int) error { return peer.Irecv(p, buf[me], 1-me, 0, 0).Wait(p) })
 }
 
 // MultiSegPingPong runs the §5.2 workload: each "ping" is nsegs
@@ -67,63 +75,26 @@ func PingPong(impl Impl, profs []simnet.Profile, size int) (float64, error) {
 // (showing that the optimization scope is global), completed by Wait on
 // every request. Returns the one-way latency in µs.
 func MultiSegPingPong(impl Impl, profs []simnet.Profile, segSize, nsegs int) (float64, error) {
-	w, f, err := newFabric(profs)
-	if err != nil {
-		return 0, err
-	}
-	p0, p1, err := impl.Make(f)
-	if err != nil {
-		return 0, err
-	}
-	bufs0 := make([][]byte, nsegs)
-	bufs1 := make([][]byte, nsegs)
-	for i := range bufs0 {
-		bufs0[i] = make([]byte, segSize)
-		bufs1[i] = make([]byte, segSize)
-	}
-	sendAll := func(p *sim.Proc, peer Peer, bufs [][]byte, dst int) {
-		reqs := make([]Pending, nsegs)
-		for i := 0; i < nsegs; i++ {
-			reqs[i] = peer.Isend(p, bufs[i], dst, 0, i)
+	var bufs [2][][]byte
+	for me := range bufs {
+		bufs[me] = make([][]byte, nsegs)
+		for i := range bufs[me] {
+			bufs[me][i] = make([]byte, segSize)
 		}
-		for _, r := range reqs {
-			if err := r.Wait(p); err != nil {
-				panic(err)
+	}
+	// Peer.Isend and Peer.Irecv share a signature, so one closure posts
+	// either on every communicator and waits for all of them.
+	all := func(post func(Peer, *sim.Proc, []byte, int, int, int) Pending) exchange {
+		return func(p *sim.Proc, peer Peer, me int) error {
+			reqs := make([]Pending, nsegs)
+			for i := range reqs {
+				reqs[i] = post(peer, p, bufs[me][i], 1-me, 0, i)
 			}
+			return waitEach(p, reqs)
 		}
 	}
-	recvAll := func(p *sim.Proc, peer Peer, bufs [][]byte, src int) {
-		reqs := make([]Pending, nsegs)
-		for i := 0; i < nsegs; i++ {
-			reqs[i] = peer.Irecv(p, bufs[i], src, 0, i)
-		}
-		for _, r := range reqs {
-			if err := r.Wait(p); err != nil {
-				panic(err)
-			}
-		}
-	}
-	var start, stop sim.Time
-	w.Spawn("rank0", func(p *sim.Proc) {
-		for i := 0; i < defaultWarmup+defaultIters; i++ {
-			if i == defaultWarmup {
-				start = p.Now()
-			}
-			sendAll(p, p0, bufs0, 1)
-			recvAll(p, p0, bufs0, 1)
-		}
-		stop = p.Now()
-	})
-	w.Spawn("rank1", func(p *sim.Proc) {
-		for i := 0; i < defaultWarmup+defaultIters; i++ {
-			recvAll(p, p1, bufs1, 0)
-			sendAll(p, p1, bufs1, 0)
-		}
-	})
-	if err := w.Run(); err != nil {
-		return 0, fmt.Errorf("bench: multiseg(%s, %d x %d): %w", impl.Name, nsegs, segSize, err)
-	}
-	return halfRTT(start, stop, defaultIters), nil
+	return pingPong(impl, profs, fmt.Sprintf("multiseg(%s, %d x %d)", impl.Name, nsegs, segSize),
+		all(Peer.Isend), all(Peer.Irecv))
 }
 
 // PaperDatatypeSegs builds the §5.3 layout: a sequence of (64 B small,
@@ -167,63 +138,10 @@ func DatatypeExtent(total int) int {
 // datatype (small/large block pairs) totalling total bytes. Returns the
 // one-way transfer time in µs.
 func DatatypePingPong(impl Impl, profs []simnet.Profile, total int) (float64, error) {
-	w, f, err := newFabric(profs)
-	if err != nil {
-		return 0, err
-	}
-	p0, p1, err := impl.Make(f)
-	if err != nil {
-		return 0, err
-	}
 	segs := PaperDatatypeSegs(total)
 	extent := DatatypeExtent(total)
-	base0 := make([]byte, extent)
-	base1 := make([]byte, extent)
-	var start, stop sim.Time
-	w.Spawn("rank0", func(p *sim.Proc) {
-		for i := 0; i < defaultWarmup+defaultIters; i++ {
-			if i == defaultWarmup {
-				start = p.Now()
-			}
-			if err := p0.SendTyped(p, base0, segs, 1, 0, 0); err != nil {
-				panic(err)
-			}
-			if err := p0.RecvTyped(p, base0, segs, 1, 0, 0); err != nil {
-				panic(err)
-			}
-		}
-		stop = p.Now()
-	})
-	w.Spawn("rank1", func(p *sim.Proc) {
-		for i := 0; i < defaultWarmup+defaultIters; i++ {
-			if err := p1.RecvTyped(p, base1, segs, 0, 0, 0); err != nil {
-				panic(err)
-			}
-			if err := p1.SendTyped(p, base1, segs, 0, 0, 0); err != nil {
-				panic(err)
-			}
-		}
-	})
-	if err := w.Run(); err != nil {
-		return 0, fmt.Errorf("bench: datatype(%s, %d): %w", impl.Name, total, err)
-	}
-	return halfRTT(start, stop, defaultIters), nil
-}
-
-func halfRTT(start, stop sim.Time, iters int) float64 {
-	return (stop - start).Microseconds() / float64(iters) / 2
-}
-
-func waitBoth(p *sim.Proc, a, b Pending) error {
-	if a != nil {
-		if err := a.Wait(p); err != nil {
-			return err
-		}
-	}
-	if b != nil {
-		if err := b.Wait(p); err != nil {
-			return err
-		}
-	}
-	return nil
+	base := [2][]byte{make([]byte, extent), make([]byte, extent)}
+	return pingPong(impl, profs, fmt.Sprintf("datatype(%s, %d)", impl.Name, total),
+		func(p *sim.Proc, peer Peer, me int) error { return peer.SendTyped(p, base[me], segs, 1-me, 0, 0) },
+		func(p *sim.Proc, peer Peer, me int) error { return peer.RecvTyped(p, base[me], segs, 1-me, 0, 0) })
 }

@@ -62,14 +62,14 @@ func strategyStamps(fig Figure) []string {
 }
 
 // FormatJSON renders a figure as machine-readable JSON; the committed
-// goldens under testdata/figures are this output.
-func FormatJSON(fig Figure) string {
+// goldens under testdata/figures are this output. It fails only on a
+// figure holding a value JSON cannot carry (a NaN or infinite point).
+func FormatJSON(fig Figure) (string, error) {
 	data, err := json.MarshalIndent(fig, "", "  ")
 	if err != nil {
-		// The figure types marshal cleanly by construction.
-		panic("bench: figure JSON encoding failed: " + err.Error())
+		return "", fmt.Errorf("bench: figure %s: %w", fig.ID, err)
 	}
-	return string(data)
+	return string(data), nil
 }
 
 // FormatCSV renders a figure as plain CSV (x, then one column per series).

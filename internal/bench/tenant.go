@@ -71,117 +71,84 @@ func TenantIsolation(cfg TenantIsolationConfig) (TenantIsolationResult, error) {
 	}
 
 	var res TenantIsolationResult
-	var runErrs []error
-	fail := func(err error) error { runErrs = append(runErrs, err); return err }
+	grp := sim.NewGroup(w)
+	// submit queues fn as the tenant's one job and spawns the watcher
+	// that stamps its completion time.
+	submit := func(tenant, name string, doneUs *float64, fn func(p *sim.Proc) error) {
+		job, err := q.Submit(tenant, name, fn)
+		if err != nil {
+			grp.Fail(err)
+			return
+		}
+		grp.Go(tenant+"-watch", func(p *sim.Proc) error {
+			if err := job.Wait(p); err != nil {
+				return fmt.Errorf("%s job: %w", tenant, err)
+			}
+			*doneUs = p.Now().Microseconds()
+			return nil
+		})
+	}
 
 	// The victim's remote peer: echo every round trip from node 1.
 	victim, _ := q.Tenant("victim")
-	w.Spawn("victim-echo", func(p *sim.Proc) {
+	grp.Go("victim-echo", func(p *sim.Proc) error {
 		g := engines[1].Gate(0)
 		buf := make([]byte, cfg.RPCSize)
 		for it := 0; it < cfg.Iters; it++ {
 			if _, err := g.Recv(p, Tagged(100), buf); err != nil {
-				fail(fmt.Errorf("victim echo recv: %w", err))
-				return
+				return fmt.Errorf("victim echo recv: %w", err)
 			}
 			if err := g.Isend(p, Tagged(101), buf).Wait(p); err != nil {
-				fail(fmt.Errorf("victim echo send: %w", err))
-				return
+				return fmt.Errorf("victim echo send: %w", err)
 			}
 		}
+		return nil
 	})
 	// Burst sinks on nodes 2 and 3 verify the flood byte for byte.
 	if cfg.BurstMsgs > 0 {
 		for _, sink := range []int{2, 3} {
-			sink := sink
-			w.Spawn(fmt.Sprintf("burst-sink-%d", sink), func(p *sim.Proc) {
-				g := engines[sink].Gate(0)
-				want := make([]byte, cfg.BurstSize)
-				for m := 0; m < cfg.BurstMsgs; m++ {
-					buf := make([]byte, cfg.BurstSize)
-					n, err := g.Recv(p, Tagged(sink), buf)
-					if err != nil {
-						fail(fmt.Errorf("burst sink %d: %w", sink, err))
-						return
-					}
-					for i := range want {
-						want[i] = byte(sink*31 + m*7 + i)
-					}
-					for i := 0; i < n; i++ {
-						if buf[i] != want[i] {
-							fail(fmt.Errorf("burst sink %d: corrupt byte %d of msg %d", sink, i, m))
-							return
-						}
-					}
-				}
+			grp.Go(fmt.Sprintf("burst-sink-%d", sink), func(p *sim.Proc) error {
+				_, err := drain(p, engines[sink].Gate(0), sink, cfg.BurstMsgs, cfg.BurstSize, 0)
+				return err
 			})
 		}
 	}
 
 	w.At(0, func() {
 		if cfg.BurstMsgs > 0 {
-			job, err := q.Submit("burst", "incast", func(p *sim.Proc) error {
+			submit("burst", "incast", &res.BurstUs, func(p *sim.Proc) error {
 				reqs := make([]core.Request, 0, 2*cfg.BurstMsgs)
 				for m := 0; m < cfg.BurstMsgs; m++ {
 					for _, sink := range []int{2, 3} {
 						buf := make([]byte, cfg.BurstSize)
-						for i := range buf {
-							buf[i] = byte(sink*31 + m*7 + i)
-						}
+						fill(buf, sink, m)
 						reqs = append(reqs, engines[0].Gate(simnet.NodeID(sink)).Isend(p, Tagged(sink), buf))
 					}
 				}
 				return core.WaitAll(p, reqs...)
 			})
-			if err != nil {
-				fail(err)
-				return
-			}
-			w.Spawn("burst-watch", func(p *sim.Proc) {
-				if err := job.Wait(p); err != nil {
-					fail(fmt.Errorf("burst job: %w", err))
-				}
-				res.BurstUs = p.Now().Microseconds()
-			})
 		}
-		job, err := q.Submit("victim", "pingpong", func(p *sim.Proc) error {
+		submit("victim", "pingpong", &res.VictimUs, func(p *sim.Proc) error {
 			g := engines[0].Gate(1)
 			buf := make([]byte, cfg.RPCSize)
 			for it := 0; it < cfg.Iters; it++ {
-				for i := range buf {
-					buf[i] = byte(it*7 + i)
-				}
+				fill(buf, 0, it)
 				if err := g.Isend(p, Tagged(100), buf, victim.SendOptions()...).Wait(p); err != nil {
 					return fmt.Errorf("victim send: %w", err)
 				}
 				if _, err := g.Recv(p, Tagged(101), buf); err != nil {
 					return fmt.Errorf("victim recv: %w", err)
 				}
-				for i := range buf {
-					if buf[i] != byte(it*7+i) {
-						return fmt.Errorf("victim: corrupt byte %d of iter %d", i, it)
-					}
+				if !intact(buf, 0, it) {
+					return fmt.Errorf("victim: corrupt payload in iter %d", it)
 				}
 			}
 			return nil
 		})
-		if err != nil {
-			fail(err)
-			return
-		}
-		w.Spawn("victim-watch", func(p *sim.Proc) {
-			if err := job.Wait(p); err != nil {
-				fail(fmt.Errorf("victim job: %w", err))
-			}
-			res.VictimUs = p.Now().Microseconds()
-		})
 	})
 
-	if err := w.Run(); err != nil {
+	if err := grp.Run(); err != nil {
 		return res, fmt.Errorf("bench: tenant isolation (%d burst msgs): %w", cfg.BurstMsgs, err)
-	}
-	if len(runErrs) > 0 {
-		return res, runErrs[0]
 	}
 	res.Stats = engines[0].Stats()
 	return res, nil

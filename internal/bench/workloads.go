@@ -21,11 +21,7 @@ import (
 // prio selects the engine's priority flag for the control message (only
 // meaningful for MAD-MPI).
 func CompositeControlLatency(impl Impl, profs []simnet.Profile, bulkSize, nbulk int, prio bool) (float64, error) {
-	w, f, err := newFabric(profs)
-	if err != nil {
-		return 0, err
-	}
-	p0, p1, err := impl.Make(f)
+	g, p0, p1, err := impl.start(profs)
 	if err != nil {
 		return 0, err
 	}
@@ -34,7 +30,7 @@ func CompositeControlLatency(impl Impl, profs []simnet.Profile, bulkSize, nbulk 
 		ctrlComm = 1
 	)
 	var sentAt, recvAt sim.Time
-	w.Spawn("sender", func(p *sim.Proc) {
+	g.Go("sender", func(p *sim.Proc) error {
 		reqs := make([]Pending, 0, nbulk+1)
 		half := nbulk / 2
 		for i := 0; i < nbulk; i++ {
@@ -48,29 +44,21 @@ func CompositeControlLatency(impl Impl, profs []simnet.Profile, bulkSize, nbulk 
 				}
 			}
 		}
-		for _, r := range reqs {
-			if err := r.Wait(p); err != nil {
-				panic(err)
-			}
-		}
+		return waitEach(p, reqs)
 	})
-	w.Spawn("receiver", func(p *sim.Proc) {
+	g.Go("receiver", func(p *sim.Proc) error {
 		ctrl := p1.Irecv(p, make([]byte, 16), 0, 0, ctrlComm)
 		bulk := make([]Pending, nbulk)
 		for i := 0; i < nbulk; i++ {
 			bulk[i] = p1.Irecv(p, make([]byte, bulkSize), 0, 0, bulkComm)
 		}
 		if err := ctrl.Wait(p); err != nil {
-			panic(err)
+			return err
 		}
 		recvAt = p.Now()
-		for _, r := range bulk {
-			if err := r.Wait(p); err != nil {
-				panic(err)
-			}
-		}
+		return waitEach(p, bulk)
 	})
-	if err := w.Run(); err != nil {
+	if err := g.Run(); err != nil {
 		return 0, fmt.Errorf("bench: composite(%s): %w", impl.Name, err)
 	}
 	return (recvAt - sentAt).Microseconds(), nil
@@ -87,7 +75,6 @@ func CongestedTransfer(size int, mxScale float64, warmup int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	w := f.World()
 	f.Networks()[0].SetWireScale(mxScale)
 
 	opts := core.DefaultOptions()
@@ -98,26 +85,29 @@ func CongestedTransfer(size int, mxScale float64, warmup int) (float64, error) {
 	}
 	e0, e1 := engines[0], engines[1]
 
+	g := sim.NewGroup(f.World())
 	var start, stop sim.Time
-	w.Spawn("sender", func(p *sim.Proc) {
+	g.Go("sender", func(p *sim.Proc) error {
 		for i := 0; i <= warmup; i++ {
 			if i == warmup {
 				start = p.Now()
 			}
 			if err := e0.Gate(1).Send(p, Tagged(i), make([]byte, size)); err != nil {
-				panic(err)
+				return err
 			}
 		}
+		return nil
 	})
-	w.Spawn("receiver", func(p *sim.Proc) {
+	g.Go("receiver", func(p *sim.Proc) error {
 		for i := 0; i <= warmup; i++ {
 			if _, err := e1.Gate(0).Recv(p, Tagged(i), make([]byte, size)); err != nil {
-				panic(err)
+				return err
 			}
-			stop = p.Now()
 		}
+		stop = p.Now()
+		return nil
 	})
-	if err := w.Run(); err != nil {
+	if err := g.Run(); err != nil {
 		return 0, err
 	}
 	return (stop - start).Microseconds(), nil
@@ -126,3 +116,53 @@ func CongestedTransfer(size int, mxScale float64, warmup int) (float64, error) {
 // Tagged converts a loop index to a flow tag (helper shared by the
 // congestion workloads).
 func Tagged(i int) core.Tag { return core.Tag(i + 1) }
+
+// waitEach waits for every request in posting order and returns the
+// first error.
+func waitEach(p *sim.Proc, reqs []Pending) error {
+	for _, r := range reqs {
+		if err := r.Wait(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fill writes the deterministic payload of message msg from sender;
+// intact reports whether buf still holds exactly that payload.
+func fill(buf []byte, sender, msg int) {
+	for i := range buf {
+		buf[i] = byte(sender*31 + msg*7 + i)
+	}
+}
+
+func intact(buf []byte, sender, msg int) bool {
+	for i, b := range buf {
+		if b != byte(sender*31+msg*7+i) {
+			return false
+		}
+	}
+	return true
+}
+
+// drain receives the msgs payloads of flow `flow` (tag Tagged(flow),
+// filled by fill(buf, flow, m)) from g one after another, working for
+// gap before each, and returns the bytes that arrived intact.
+func drain(p *sim.Proc, g *core.Gate, flow, msgs, size int, gap sim.Time) (int64, error) {
+	var delivered int64
+	buf := make([]byte, size)
+	for m := 0; m < msgs; m++ {
+		if gap > 0 {
+			p.Sleep(gap)
+		}
+		n, err := g.Recv(p, Tagged(flow), buf)
+		if err != nil {
+			return delivered, fmt.Errorf("drain flow %d: %w", flow, err)
+		}
+		if !intact(buf[:n], flow, m) {
+			return delivered, fmt.Errorf("drain flow %d: corrupt payload in msg %d", flow, m)
+		}
+		delivered += int64(n)
+	}
+	return delivered, nil
+}

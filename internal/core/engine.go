@@ -662,15 +662,26 @@ func (e *Engine) send(g *Gate, drv int, out *output) {
 	wire := out.wireSize()
 	if e.opts.Reliability {
 		e.linkSend(g, drv, out, payload, wire)
-		e.traceEvent(trace.Depart, g.peer, drv, 0, payload, len(entries), "")
-		if e.opts.Anticipate {
-			e.stage(drv)
-		}
-		return
+	} else {
+		e.transmit(g, drv, out, e.encodeOutput(out, nil), payload, wire, nil)
 	}
-	segs := e.encodeOutput(out, nil)
+	e.traceEvent(trace.Depart, g.peer, drv, 0, payload, len(entries), "")
+	if e.opts.Anticipate {
+		e.stage(drv)
+	}
+}
+
+// transmit hands an encoded train to the driver. When the NIC is done
+// with it the sampler and the strategy see the transaction (wire is the
+// byte count the measured duration covers), every entry's request is
+// credited, and the wrappers and the output are recycled — the
+// completions are their last readers. fr is the retained link frame
+// whose retransmit timer starts at that instant, nil without
+// reliability.
+func (e *Engine) transmit(g *Gate, drv int, out *output, segs [][]byte, payload, wire int, fr *linkFrame) {
 	t0 := e.world.Now()
 	err := e.drvs[drv].Send(g.peer, simnet.TxEager, segs, 0, func() {
+		entries := out.entries
 		e.samplers[drv].observe(wire, e.world.Now()-t0)
 		e.notifyComplete(drv, g.peer, payload, len(entries), e.world.Now()-t0)
 		for _, pw := range entries {
@@ -681,19 +692,16 @@ func (e *Engine) send(g *Gate, drv int, out *output) {
 				pw.req.doneOne()
 			}
 		}
-		// The NIC is done with the train: recycle the wrappers and the
-		// output (the completions above were the last readers).
 		for _, pw := range entries {
 			e.freePacket(pw)
 		}
 		e.freeOutput(out)
+		if fr != nil {
+			e.linkArm(g, fr)
+		}
 	})
 	if err != nil {
 		panic(fmt.Sprintf("core: strategy %s built an unsendable packet: %v", e.strat.Name(), err))
-	}
-	e.traceEvent(trace.Depart, g.peer, drv, 0, payload, len(entries), "")
-	if e.opts.Anticipate {
-		e.stage(drv)
 	}
 }
 

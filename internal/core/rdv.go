@@ -92,7 +92,7 @@ func (rr *rdvRecv) cover(lo, hi int) int {
 	j := i
 	for j < len(rr.spans) && rr.spans[j].lo <= hi {
 		s := rr.spans[j]
-		if olo, ohi := maxInt(s.lo, lo), minInt(s.hi, hi); ohi > olo {
+		if olo, ohi := max(s.lo, lo), min(s.hi, hi); ohi > olo {
 			newly -= ohi - olo
 		}
 		if s.lo < nlo {
@@ -109,20 +109,6 @@ func (rr *rdvRecv) cover(lo, hi int) int {
 	out = append(out, rr.spans[j:]...)
 	rr.spans = out
 	return newly
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // pendingGrant is a matched rendezvous request waiting for a grant slot

@@ -120,30 +120,9 @@ func (e *Engine) linkSend(g *Gate, drv int, out *output, payload, wire int) {
 	g.ltx.unacked[seq] = fr
 
 	e.stats.WireBytes += headerSize
-	entries := out.entries
-	t0 := e.world.Now()
-	err := e.drvs[drv].Send(g.peer, simnet.TxEager, segs, 0, func() {
-		e.samplers[drv].observe(headerSize+wire, e.world.Now()-t0)
-		e.notifyComplete(drv, g.peer, payload, len(entries), e.world.Now()-t0)
-		for _, pw := range entries {
-			if pw.onSent != nil {
-				pw.onSent()
-			}
-			if pw.req != nil && pw.kind != kindRTS {
-				pw.req.doneOne()
-			}
-		}
-		// The retained frame keeps its own flattened copy of the train,
-		// so the wrappers are dead even with retransmissions ahead.
-		for _, pw := range entries {
-			e.freePacket(pw)
-		}
-		e.freeOutput(out)
-		e.linkArm(g, fr)
-	})
-	if err != nil {
-		panic(fmt.Sprintf("core: strategy %s built an unsendable packet: %v", e.strat.Name(), err))
-	}
+	// The retained frame keeps its own flattened copy of the train, so
+	// transmit may recycle the wrappers even with retransmissions ahead.
+	e.transmit(g, drv, out, segs, payload, headerSize+wire, fr)
 }
 
 // linkArm schedules the retransmit check for a frame's current attempt.

@@ -59,7 +59,7 @@ const (
 
 // compositeSend drives one node's sender half of the composite workload
 // toward the peer behind g.
-func compositeSend(p *sim.Proc, g *core.Gate, cfg CompositeConfig) {
+func compositeSend(p *sim.Proc, g *core.Gate, cfg CompositeConfig) error {
 	var reqs []core.Request
 	for i := 0; i < cfg.NBulk; i++ {
 		reqs = append(reqs, g.Isend(p, bulkTag, make([]byte, cfg.Bulk)))
@@ -77,16 +77,17 @@ func compositeSend(p *sim.Proc, g *core.Gate, cfg CompositeConfig) {
 		}
 	}
 	if err := core.WaitAll(p, reqs...); err != nil {
-		panic(fmt.Sprintf("replay: composite sender: %v", err))
+		return fmt.Errorf("composite sender: %w", err)
 	}
 	if _, err := g.Recv(p, replyTag, make([]byte, 1<<10)); err != nil {
-		panic(fmt.Sprintf("replay: composite sender reply: %v", err))
+		return fmt.Errorf("composite sender reply: %w", err)
 	}
+	return nil
 }
 
 // compositeRecv drives one node's receiver half: posts for everything the
 // peer behind g sends, answering the control fragment with the reply.
-func compositeRecv(p *sim.Proc, g *core.Gate, cfg CompositeConfig) {
+func compositeRecv(p *sim.Proc, g *core.Gate, cfg CompositeConfig) error {
 	var reqs []core.Request
 	ctrl := g.Irecv(p, ctrlTag, make([]byte, 32))
 	for i := 0; i < cfg.NBulk; i++ {
@@ -99,17 +100,18 @@ func compositeRecv(p *sim.Proc, g *core.Gate, cfg CompositeConfig) {
 	// The reply goes out as soon as the control fragment lands: the
 	// RPC-response pattern, recorded from the live schedule.
 	if err := ctrl.Wait(p); err != nil {
-		panic(fmt.Sprintf("replay: composite receiver ctrl: %v", err))
+		return fmt.Errorf("composite receiver ctrl: %w", err)
 	}
 	reqs = append(reqs, g.Isend(p, replyTag, make([]byte, 1<<10)))
 	if err := core.WaitAll(p, reqs...); err != nil {
-		panic(fmt.Sprintf("replay: composite receiver: %v", err))
+		return fmt.Errorf("composite receiver: %w", err)
 	}
+	return nil
 }
 
 // recordCluster builds an N-node recorded MX cluster under the composite
-// configuration's engine personality.
-func recordCluster(cfg CompositeConfig, nodes int) (*trace.Recording, *sim.World, []*core.Engine, error) {
+// configuration's engine personality, and the group its workload runs in.
+func recordCluster(cfg CompositeConfig, nodes int) (*trace.Recording, *sim.Group, []*core.Engine, error) {
 	f, err := simnet.Machine{Nodes: nodes, Rails: []simnet.Profile{simnet.MX10G()}, Faults: cfg.Faults}.Build()
 	if err != nil {
 		return nil, nil, nil, err
@@ -126,7 +128,7 @@ func recordCluster(cfg CompositeConfig, nodes int) (*trace.Recording, *sim.World
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return opts.Record, f.World(), engines, nil
+	return opts.Record, sim.NewGroup(f.World()), engines, nil
 }
 
 // RecordComposite runs the composite workload live on a fresh two-node
@@ -134,13 +136,13 @@ func recordCluster(cfg CompositeConfig, nodes int) (*trace.Recording, *sim.World
 // is deterministic: the same configuration always yields the same
 // recording, byte for byte.
 func RecordComposite(cfg CompositeConfig) (*trace.Recording, error) {
-	rec, w, engines, err := recordCluster(cfg, 2)
+	rec, g, engines, err := recordCluster(cfg, 2)
 	if err != nil {
 		return nil, err
 	}
-	w.Spawn("sender", func(p *sim.Proc) { compositeSend(p, engines[0].Gate(1), cfg) })
-	w.Spawn("receiver", func(p *sim.Proc) { compositeRecv(p, engines[1].Gate(0), cfg) })
-	if err := w.Run(); err != nil {
+	g.Go("sender", func(p *sim.Proc) error { return compositeSend(p, engines[0].Gate(1), cfg) })
+	g.Go("receiver", func(p *sim.Proc) error { return compositeRecv(p, engines[1].Gate(0), cfg) })
+	if err := g.Run(); err != nil {
 		return nil, fmt.Errorf("replay: recording composite workload: %w", err)
 	}
 	return rec, nil
@@ -158,22 +160,21 @@ func RecordCompositeRing(cfg CompositeConfig, nodes int) (*trace.Recording, erro
 	if nodes < 2 {
 		return nil, fmt.Errorf("replay: composite ring needs at least 2 nodes, got %d", nodes)
 	}
-	rec, w, engines, err := recordCluster(cfg, nodes)
+	rec, g, engines, err := recordCluster(cfg, nodes)
 	if err != nil {
 		return nil, err
 	}
-	for i := range engines {
-		i := i
+	for i, e := range engines {
 		next := (i + 1) % nodes
 		prev := (i + nodes - 1) % nodes
-		w.Spawn(fmt.Sprintf("ring-send%d", i), func(p *sim.Proc) {
-			compositeSend(p, engines[i].Gate(simnet.NodeID(next)), cfg)
+		g.Go(fmt.Sprintf("ring-send%d", i), func(p *sim.Proc) error {
+			return compositeSend(p, e.Gate(simnet.NodeID(next)), cfg)
 		})
-		w.Spawn(fmt.Sprintf("ring-recv%d", i), func(p *sim.Proc) {
-			compositeRecv(p, engines[i].Gate(simnet.NodeID(prev)), cfg)
+		g.Go(fmt.Sprintf("ring-recv%d", i), func(p *sim.Proc) error {
+			return compositeRecv(p, e.Gate(simnet.NodeID(prev)), cfg)
 		})
 	}
-	if err := w.Run(); err != nil {
+	if err := g.Run(); err != nil {
 		return nil, fmt.Errorf("replay: recording %d-node composite ring: %w", nodes, err)
 	}
 	return rec, nil

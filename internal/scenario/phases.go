@@ -71,95 +71,110 @@ func nodesOrAll(nodes []int, n int) []int {
 	return all
 }
 
+// payloads returns n buffers of size bytes each.
+func payloads(n, size int) [][]byte {
+	bufs := make([][]byte, n)
+	for i := range bufs {
+		bufs[i] = make([]byte, size)
+	}
+	return bufs
+}
+
 // startPhase spawns the phase's processes. Called from scheduler
 // context at the phase's start instant.
 func (r *Runner) startPhase(pr *phaseRun) {
 	p := pr.spec
 	pr.start = r.world.Now()
 	base := p.index * tagStride
-	spawn := func(rank int, nproc string, body func(q *sim.Proc) int) {
+	spawn := func(rank int, nproc string, body func(q *sim.Proc) (bad int, err error)) {
 		pr.pending++
 		r.world.Spawn(fmt.Sprintf("%s/%s@%d", p.Name, nproc, rank), func(q *sim.Proc) {
-			pr.integrity += body(q)
+			bad, err := body(q)
+			if err != nil {
+				r.procErr(p.Name, err)
+			}
+			pr.integrity += bad
 			pr.finishOne(q.Now())
 			// Wake queued-phase jobs blocked on their phase closing.
 			r.phaseCond.Broadcast()
 		})
+	}
+	// everyRank spawns a collective phase's body on each rank with the
+	// phase's dedicated communicator.
+	everyRank := func(body func(q *sim.Proc, c *madmpi.Comm, rank int) (bad int, err error)) {
+		for rank := 0; rank < r.nodes(); rank++ {
+			c := r.collComm(p.index, rank)
+			spawn(rank, p.Kind, func(q *sim.Proc) (int, error) { return body(q, c, rank) })
+		}
 	}
 
 	switch p.Kind {
 	case PhasePingPong:
 		a, b := p.Nodes[0], p.Nodes[1]
 		size := max(p.Size, 1)
-		spawn(a, "ping", func(q *sim.Proc) int {
-			bad := 0
+		spawn(a, "ping", func(q *sim.Proc) (bad int, err error) {
 			c := r.comm(a)
 			buf := make([]byte, size)
 			for it := 0; it < p.Count; it++ {
 				fill(buf, p.index, a, it)
 				if err := c.Isend(q, buf, b, base).Wait(q); err != nil {
-					r.procErr(p.Name, err)
-					return bad
+					return bad, err
 				}
 				if err := c.Irecv(q, buf, b, base+1).Wait(q); err != nil {
-					r.procErr(p.Name, err)
-					return bad
+					return bad, err
 				}
 				bad += verify(buf, p.index, b, it)
 			}
-			return bad
+			return bad, nil
 		})
-		spawn(b, "pong", func(q *sim.Proc) int {
-			bad := 0
+		spawn(b, "pong", func(q *sim.Proc) (bad int, err error) {
 			c := r.comm(b)
 			buf := make([]byte, size)
 			for it := 0; it < p.Count; it++ {
 				if err := c.Irecv(q, buf, a, base).Wait(q); err != nil {
-					r.procErr(p.Name, err)
-					return bad
+					return bad, err
 				}
 				bad += verify(buf, p.index, a, it)
 				fill(buf, p.index, b, it)
 				if err := c.Isend(q, buf, a, base+1).Wait(q); err != nil {
-					r.procErr(p.Name, err)
-					return bad
+					return bad, err
 				}
 			}
-			return bad
+			return bad, nil
 		})
 
 	case PhaseRing:
 		members := nodesOrAll(p.Nodes, r.nodes())
 		size := max(p.Size, 1)
-		for slot := range members {
-			slot := slot
-			me := members[slot]
-			next := members[(slot+1)%len(members)]
-			prev := members[(slot-1+len(members))%len(members)]
+		for slot, me := range members {
 			prevSlot := (slot - 1 + len(members)) % len(members)
-			spawn(me, "ring", func(q *sim.Proc) int {
-				bad := 0
+			next, prev := members[(slot+1)%len(members)], members[prevSlot]
+			spawn(me, "ring", func(q *sim.Proc) (bad int, err error) {
 				c := r.comm(me)
+				// The receive buffers and the request list serve every round:
+				// all of a round's requests have completed at Waitall. The
+				// send buffers may not — under reliability a rendezvous
+				// send completes when its body has streamed out, yet the
+				// engine re-reads the caller's memory if the receiver asks
+				// for a lost span again, so each round sends fresh ones.
+				in := payloads(p.Msgs, size)
+				reqs := make([]*madmpi.Request, 0, 2*p.Msgs)
 				for round := 0; round < p.Count; round++ {
-					var reqs []*madmpi.Request
-					out := make([][]byte, p.Msgs)
-					in := make([][]byte, p.Msgs)
+					out := payloads(p.Msgs, size)
+					reqs = reqs[:0]
 					for m := 0; m < p.Msgs; m++ {
-						out[m] = make([]byte, size)
 						fill(out[m], p.index, slot, round*p.Msgs+m)
 						reqs = append(reqs, c.Isend(q, out[m], next, base+slot*p.Count+round))
-						in[m] = make([]byte, size)
 						reqs = append(reqs, c.Irecv(q, in[m], prev, base+prevSlot*p.Count+round))
 					}
 					if err := madmpi.Waitall(q, reqs...); err != nil {
-						r.procErr(p.Name, err)
-						return bad
+						return bad, err
 					}
 					for m := 0; m < p.Msgs; m++ {
 						bad += verify(in[m], p.index, prevSlot, round*p.Msgs+m)
 					}
 				}
-				return bad
+				return bad, nil
 			})
 		}
 
@@ -174,8 +189,7 @@ func (r *Runner) startPhase(pr *phaseRun) {
 		}
 		size := max(p.Size, 1)
 		for si, s := range senders {
-			si, s := si, s
-			spawn(s, "burst", func(q *sim.Proc) int {
+			spawn(s, "burst", func(q *sim.Proc) (int, error) {
 				c := r.comm(s)
 				var reqs []*madmpi.Request
 				for m := 0; m < p.Msgs; m++ {
@@ -183,29 +197,23 @@ func (r *Runner) startPhase(pr *phaseRun) {
 					fill(buf, p.index, s, m)
 					reqs = append(reqs, c.Isend(q, buf, p.Target, base+si))
 				}
-				if err := madmpi.Waitall(q, reqs...); err != nil {
-					r.procErr(p.Name, err)
-				}
-				return 0
+				return 0, madmpi.Waitall(q, reqs...)
 			})
 		}
 		for si, s := range senders {
-			si, s := si, s
-			spawn(p.Target, "drain", func(q *sim.Proc) int {
-				bad := 0
+			spawn(p.Target, "drain", func(q *sim.Proc) (bad int, err error) {
 				c := r.comm(p.Target)
 				buf := make([]byte, size)
 				for m := 0; m < p.Msgs; m++ {
 					if err := c.Irecv(q, buf, s, base+si).Wait(q); err != nil {
-						r.procErr(p.Name, err)
-						return bad
+						return bad, err
 					}
 					bad += verify(buf, p.index, s, m)
 					if p.DrainGap > 0 && m+1 < p.Msgs {
 						q.Sleep(p.DrainGap)
 					}
 				}
-				return bad
+				return bad, nil
 			})
 		}
 
@@ -216,7 +224,7 @@ func (r *Runner) startPhase(pr *phaseRun) {
 		a, b := p.Nodes[0], p.Nodes[1]
 		bulk := max(p.Size, 1)
 		const ctrlSize = 64
-		spawn(a, "mixer", func(q *sim.Proc) int {
+		spawn(a, "mixer", func(q *sim.Proc) (int, error) {
 			c := r.comm(a)
 			var reqs []*madmpi.Request
 			for m := 0; m < p.Msgs; m++ {
@@ -231,141 +239,105 @@ func (r *Runner) startPhase(pr *phaseRun) {
 					reqs = append(reqs, c.Isend(q, ctl, b, base+1))
 				}
 			}
-			if err := madmpi.Waitall(q, reqs...); err != nil {
-				r.procErr(p.Name, err)
-			}
-			return 0
+			return 0, madmpi.Waitall(q, reqs...)
 		})
-		spawn(b, "sink", func(q *sim.Proc) int {
-			bad := 0
+		spawn(b, "sink", func(q *sim.Proc) (bad int, err error) {
 			c := r.comm(b)
 			var reqs []*madmpi.Request
-			bigs := make([][]byte, p.Msgs)
-			ctls := make([][]byte, p.Msgs)
+			bigs, ctls := payloads(p.Msgs, bulk), payloads(p.Msgs, ctrlSize)
 			for m := 0; m < p.Msgs; m++ {
-				bigs[m] = make([]byte, bulk)
 				reqs = append(reqs, c.Irecv(q, bigs[m], a, base))
-				ctls[m] = make([]byte, ctrlSize)
 				reqs = append(reqs, c.Irecv(q, ctls[m], a, base+1))
 			}
 			if err := madmpi.Waitall(q, reqs...); err != nil {
-				r.procErr(p.Name, err)
-				return bad
+				return 0, err
 			}
 			for m := 0; m < p.Msgs; m++ {
 				bad += verify(bigs[m], p.index, a, 2*m)
 				bad += verify(ctls[m], p.index, a, 2*m+1)
 			}
-			return bad
+			return bad, nil
 		})
 
 	case PhaseBarrier:
-		for rank := 0; rank < r.nodes(); rank++ {
-			rank := rank
-			spawn(rank, "barrier", func(q *sim.Proc) int {
-				c := r.collComm(p.index, rank)
-				for it := 0; it < p.Count; it++ {
-					if err := c.Barrier(q); err != nil {
-						r.procErr(p.Name, err)
-						return 0
-					}
+		everyRank(func(q *sim.Proc, c *madmpi.Comm, _ int) (int, error) {
+			for it := 0; it < p.Count; it++ {
+				if err := c.Barrier(q); err != nil {
+					return 0, err
 				}
-				return 0
-			})
-		}
+			}
+			return 0, nil
+		})
 
 	case PhaseBcast:
 		size := max(p.Size, 1)
-		for rank := 0; rank < r.nodes(); rank++ {
-			rank := rank
-			spawn(rank, "bcast", func(q *sim.Proc) int {
-				bad := 0
-				c := r.collComm(p.index, rank)
-				buf := make([]byte, size)
-				for it := 0; it < p.Count; it++ {
-					if rank == p.Root {
-						fill(buf, p.index, p.Root, it)
-					}
-					if err := c.Bcast(q, buf, p.Root); err != nil {
-						r.procErr(p.Name, err)
-						return bad
-					}
-					bad += verify(buf, p.index, p.Root, it)
+		everyRank(func(q *sim.Proc, c *madmpi.Comm, rank int) (bad int, err error) {
+			buf := make([]byte, size)
+			for it := 0; it < p.Count; it++ {
+				if rank == p.Root {
+					fill(buf, p.index, p.Root, it)
 				}
-				return bad
-			})
-		}
+				if err := c.Bcast(q, buf, p.Root); err != nil {
+					return bad, err
+				}
+				bad += verify(buf, p.index, p.Root, it)
+			}
+			return bad, nil
+		})
 
 	case PhaseAllgather:
 		size := max(p.Size, 1)
 		n := r.nodes()
-		for rank := 0; rank < n; rank++ {
-			rank := rank
-			spawn(rank, "allgather", func(q *sim.Proc) int {
-				c := r.collComm(p.index, rank)
-				mine := make([]byte, size)
-				fill(mine, p.index, rank, 0)
-				all := make([]byte, size*n)
-				if err := c.Allgather(q, mine, all); err != nil {
-					r.procErr(p.Name, err)
-					return 0
-				}
-				bad := 0
-				for s := 0; s < n; s++ {
-					bad += verify(all[s*size:(s+1)*size], p.index, s, 0)
-				}
-				return bad
-			})
-		}
+		everyRank(func(q *sim.Proc, c *madmpi.Comm, rank int) (bad int, err error) {
+			mine := make([]byte, size)
+			fill(mine, p.index, rank, 0)
+			all := make([]byte, size*n)
+			if err := c.Allgather(q, mine, all); err != nil {
+				return 0, err
+			}
+			for s := 0; s < n; s++ {
+				bad += verify(all[s*size:(s+1)*size], p.index, s, 0)
+			}
+			return bad, nil
+		})
 
 	case PhaseAllreduce:
 		n := r.nodes()
 		elems := max(p.Size/8, 1) // Size is in bytes; float64 elements
-		for rank := 0; rank < n; rank++ {
-			rank := rank
-			spawn(rank, "allreduce", func(q *sim.Proc) int {
-				c := r.collComm(p.index, rank)
-				send := make([]float64, elems)
-				for i := range send {
-					send[i] = float64(rank + 1)
+		everyRank(func(q *sim.Proc, c *madmpi.Comm, rank int) (int, error) {
+			send := make([]float64, elems)
+			for i := range send {
+				send[i] = float64(rank + 1)
+			}
+			recv := make([]float64, elems)
+			if err := c.Allreduce(q, send, recv, madmpi.OpSum); err != nil {
+				return 0, err
+			}
+			want := float64(n*(n+1)) / 2
+			for i := range recv {
+				if recv[i] != want {
+					return 1, nil
 				}
-				recv := make([]float64, elems)
-				if err := c.Allreduce(q, send, recv, madmpi.OpSum); err != nil {
-					r.procErr(p.Name, err)
-					return 0
-				}
-				want := float64(n*(n+1)) / 2
-				for i := range recv {
-					if recv[i] != want {
-						return 1
-					}
-				}
-				return 0
-			})
-		}
+			}
+			return 0, nil
+		})
 
 	case PhaseAlltoall:
 		size := max(p.Size, 1)
 		n := r.nodes()
-		for rank := 0; rank < n; rank++ {
-			rank := rank
-			spawn(rank, "alltoall", func(q *sim.Proc) int {
-				c := r.collComm(p.index, rank)
-				send := make([]byte, size*n)
-				for dst := 0; dst < n; dst++ {
-					fill(send[dst*size:(dst+1)*size], p.index, rank, dst)
-				}
-				recv := make([]byte, size*n)
-				if err := c.Alltoall(q, send, recv); err != nil {
-					r.procErr(p.Name, err)
-					return 0
-				}
-				bad := 0
-				for src := 0; src < n; src++ {
-					bad += verify(recv[src*size:(src+1)*size], p.index, src, rank)
-				}
-				return bad
-			})
-		}
+		everyRank(func(q *sim.Proc, c *madmpi.Comm, rank int) (bad int, err error) {
+			send := make([]byte, size*n)
+			for dst := 0; dst < n; dst++ {
+				fill(send[dst*size:(dst+1)*size], p.index, rank, dst)
+			}
+			recv := make([]byte, size*n)
+			if err := c.Alltoall(q, send, recv); err != nil {
+				return 0, err
+			}
+			for src := 0; src < n; src++ {
+				bad += verify(recv[src*size:(src+1)*size], p.index, src, rank)
+			}
+			return bad, nil
+		})
 	}
 }

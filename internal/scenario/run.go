@@ -268,7 +268,6 @@ func Run(sc *Scenario, cfg Config) (*Report, error) {
 		})
 	}
 	for _, e := range sc.Events {
-		e := e
 		w.At(e.At, func() { r.fireEvent(e) })
 	}
 

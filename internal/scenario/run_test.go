@@ -333,3 +333,40 @@ assertions:
 		t.Fatalf("%d failures", rep.Failures())
 	}
 }
+
+// TestRingSendBuffersSurviveBodyReissue: a ring of rendezvous-sized
+// messages on a lossy fabric. The engine re-streams a lost body span
+// from the sender's buffer after the send request has completed, so the
+// ring phase must not refill a round's send buffers for the next round;
+// doing so shows up here as corrupted payloads.
+func TestRingSendBuffersSurviveBodyReissue(t *testing.T) {
+	doc := `
+name: rdv-ring
+cluster:
+  nodes: 4
+  rails: [mx10g]
+  engine:
+    reliability: true
+    retransmit_timeout: 400us
+    retransmit_budget: 3
+  faults:
+    seed: 7
+    rails:
+      - drop: 0.02
+phases:
+  - name: exchange
+    kind: ring
+    at: 0us
+    msgs: 3
+    size: 262144
+    count: 12
+assertions:
+  - type: integrity
+  - type: stats
+    node: sum
+    field: body_reissues
+    op: ">"
+    value: 0
+`
+	runDoc(t, doc, Config{})
+}

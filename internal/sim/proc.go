@@ -30,9 +30,14 @@ func (w *World) Spawn(name string, fn func(p *Proc)) *Proc {
 	w.live++
 	go func() {
 		<-p.resume // wait for the scheduler to give us our first step
+		// Deferred so a process that ends through runtime.Goexit (a
+		// t.Fatal inside fn) still hands control back; otherwise Run
+		// would wait on yield forever.
+		defer func() {
+			w.live--
+			w.yield <- struct{}{}
+		}()
 		fn(p)
-		p.w.live--
-		p.w.yield <- struct{}{} // hand control back one last time
 	}()
 	w.At(w.now, p.runFn)
 	return p

@@ -114,6 +114,37 @@ func TestUnexpectedBuffered(t *testing.T) {
 	}
 }
 
+// TestUnexpectedSurvivesLaterTraffic: a buffered unexpected message is a
+// slice of the wire frame it arrived in; equal-sized messages sent one at
+// a time afterwards would refill that frame if the rank did not hold it.
+func TestUnexpectedSurvivesLaterTraffic(t *testing.T) {
+	const n = 8
+	w, r0, r1 := pairRanks(t, MPICH(), simnet.MX10G())
+	w.Spawn("send", func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			if err := r0.Send(p, bytes.Repeat([]byte{byte('a' + i)}, 64), 1, 9, 0); err != nil {
+				t.Error(err)
+			}
+			p.Sleep(20 * sim.Microsecond) // delivered before the next leaves
+		}
+	})
+	w.Spawn("recv", func(p *sim.Proc) {
+		p.Sleep(sim.Millisecond)
+		buf := make([]byte, 64)
+		for i := 0; i < n; i++ {
+			if _, err := r1.Recv(p, buf, 0, 9, 0); err != nil {
+				t.Error(err)
+			}
+			if !bytes.Equal(buf, bytes.Repeat([]byte{byte('a' + i)}, 64)) {
+				t.Fatalf("message %d read back as %q", i, buf[:8])
+			}
+		}
+	})
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCommIsolation(t *testing.T) {
 	w, r0, r1 := pairRanks(t, MPICH(), simnet.MX10G())
 	w.Spawn("send", func(p *sim.Proc) {

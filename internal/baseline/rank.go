@@ -31,11 +31,13 @@ type Rank struct {
 	nextRdvID uint32
 }
 
-// bMsg is a buffered unexpected arrival.
+// bMsg is one arrival being matched. payload is a slice of the wire
+// frame; a message buffered as unexpected holds a reference to it.
 type bMsg struct {
 	kind    byte
 	tag     uint64
 	payload []byte
+	frame   *simnet.Frame
 	size    int    // body size for RTS
 	aux     uint32 // rdv id
 }
@@ -197,6 +199,7 @@ func (r *Rank) Irecv(p *sim.Proc, buf []byte, src, tag, comm int) *bRecv {
 		if m.tag == req.tag {
 			r.unexpected[node] = append(q[:i], q[i+1:]...)
 			r.consume(node, req, m)
+			m.frame.Release() // consume copied the payload out
 			return req
 		}
 	}
@@ -243,7 +246,7 @@ func (r *Rank) onRecv(d simnet.Delivery) {
 			req.finish(err)
 		}
 	case bKindMsg, bKindRTS:
-		m := &bMsg{kind: kind, tag: tag, payload: payload, size: length, aux: aux}
+		m := &bMsg{kind: kind, tag: tag, payload: payload, frame: d.Frame, size: length, aux: aux}
 		q := r.posted[d.Src]
 		for i, req := range q {
 			if req.tag == tag {
@@ -252,6 +255,7 @@ func (r *Rank) onRecv(d simnet.Delivery) {
 				return
 			}
 		}
+		d.Frame.Retain() // the payload outlives this handler
 		r.unexpected[d.Src] = append(r.unexpected[d.Src], m)
 	default:
 		panic("baseline: unknown packet kind")

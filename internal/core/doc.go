@@ -51,14 +51,20 @@
 //
 // The engine's own cost is held down by free-list recycling (pool.go):
 // packet wrappers, output trains, held receive entries and the
-// per-train encode scratch are recycled on plain per-engine slices.
-// sync.Pool is deliberately not used — its GC-driven emptying would
-// couple allocation behavior to collector timing in packages that
-// promise determinism. The ownership rules that make recycling safe
-// are documented in pool.go; the short form is that wrappers own their
-// iovec backing (isendIov copies the caller's segment headers), the
-// NIC snapshots gather segments at Submit time, and strategies cannot
-// retain window views (the spileak analyzer enforces the SPI aliasing
+// per-train encode scratch are recycled on plain per-engine slices, and
+// the bytes themselves travel in reference-counted wire frames
+// (simnet.Frame) drawn from the fabric's list. sync.Pool is deliberately
+// not used — its GC-driven emptying would couple allocation behavior to
+// collector timing in packages that promise determinism. A byte is
+// copied once below the engine: a train or body chunk is flattened into
+// its frame when it is handed to the driver, the NIC delivers that frame,
+// the reliability layer retransmits that frame, and the receive path
+// scatters out of it. The ownership rules that make recycling safe are
+// documented in pool.go; the short form is that wrappers own their
+// iovec backing (isendIov copies the caller's segment headers), user
+// memory is read for the last time when the frame is filled, whoever
+// parks frame bytes holds a reference, and strategies cannot retain
+// window views (the spileak analyzer enforces the SPI aliasing
 // contract). Options.NoRecycle turns every pool off for A/B
 // comparison: the replayed timeline must be byte-identical either way,
 // which the pooling property test in internal/replay asserts. The repo

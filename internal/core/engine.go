@@ -22,10 +22,11 @@ type Options struct {
 	// synchronize or be registered instead (one instance per engine).
 	StrategyImpl sched.Strategy
 	// NoRecycle disables the engine's free-list recycling of packet
-	// wrappers, output trains and receive entries (see pool.go), making
-	// every hot-path object a fresh allocation. It exists as the A/B
-	// escape hatch for the pooling property test and for leak hunting;
-	// the virtual timeline and Stats must be byte-identical either way.
+	// wrappers, output trains, receive entries and wire frames (see
+	// pool.go), making every hot-path object a fresh allocation. It exists
+	// as the A/B escape hatch for the pooling property test and for leak
+	// hunting; the virtual timeline and Stats must be byte-identical
+	// either way.
 	// The flag is deliberately not part of the recorded NodeConfig — it
 	// changes nothing a replay could observe.
 	NoRecycle bool
@@ -104,6 +105,9 @@ type Engine struct {
 
 	// Free-list recycling and encode scratch (see pool.go). All
 	// per-engine and unsynchronized: the world is single-threaded.
+	// frames is the fabric's list, shared with the NICs; nil under
+	// Options.NoRecycle, which makes frames no list takes back.
+	frames   *simnet.FrameList
 	freePkts []*packet
 	freeOuts []*output
 	freeEnts []*inEntry
@@ -156,11 +160,16 @@ func New(f *simnet.Fabric, node simnet.NodeID, opts Options) (*Engine, error) {
 	opts.Strategy = strat.Name()
 	opts.Record.RegisterEngine(int(node), opts.NodeConfig)
 	w := f.World()
+	frames := f.Frames()
+	if opts.NoRecycle {
+		frames = nil
+	}
 	return &Engine{
 		world:    w,
 		node:     f.Node(node),
 		opts:     opts,
 		strat:    strat,
+		frames:   frames,
 		gates:    make(map[simnet.NodeID]*Gate),
 		rdvSend:  make(map[uint32]*rdvSend),
 		rdvRecv:  make(map[rdvKey]*rdvRecv),
@@ -663,7 +672,8 @@ func (e *Engine) send(g *Gate, drv int, out *output) {
 	if e.opts.Reliability {
 		e.linkSend(g, drv, out, payload, wire)
 	} else {
-		e.transmit(g, drv, out, e.encodeOutput(out, nil), payload, wire, nil)
+		segs := e.encodeOutput(out, nil)
+		e.transmit(g, drv, out, e.frames.New(segs), len(segs), payload, wire, nil)
 	}
 	e.traceEvent(trace.Depart, g.peer, drv, 0, payload, len(entries), "")
 	if e.opts.Anticipate {
@@ -671,16 +681,17 @@ func (e *Engine) send(g *Gate, drv int, out *output) {
 	}
 }
 
-// transmit hands an encoded train to the driver. When the NIC is done
-// with it the sampler and the strategy see the transaction (wire is the
-// byte count the measured duration covers), every entry's request is
-// credited, and the wrappers and the output are recycled — the
-// completions are their last readers. fr is the retained link frame
-// whose retransmit timer starts at that instant, nil without
-// reliability.
-func (e *Engine) transmit(g *Gate, drv int, out *output, segs [][]byte, payload, wire int, fr *linkFrame) {
+// transmit hands an encoded train — flattened once into frame, from the
+// nsegs segments of its gather list — to the driver, which takes over the
+// caller's reference. When the NIC is done with it the sampler and the
+// strategy see the transaction (wire is the byte count the measured
+// duration covers), every entry's request is credited, and the wrappers
+// and the output are recycled — the completions are their last readers.
+// fr is the retained link frame whose retransmit timer starts at that
+// instant, nil without reliability.
+func (e *Engine) transmit(g *Gate, drv int, out *output, frame *simnet.Frame, nsegs, payload, wire int, fr *linkFrame) {
 	t0 := e.world.Now()
-	err := e.drvs[drv].Send(g.peer, simnet.TxEager, segs, 0, func() {
+	err := e.drvs[drv].SendFrame(g.peer, simnet.TxEager, frame, nsegs, 0, func() {
 		entries := out.entries
 		e.samplers[drv].observe(wire, e.world.Now()-t0)
 		e.notifyComplete(drv, g.peer, payload, len(entries), e.world.Now()-t0)

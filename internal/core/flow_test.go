@@ -405,6 +405,14 @@ func TestIncastBoundedQueuesUnderCredits(t *testing.T) {
 	}
 }
 
+// arrive dispatches one wrapper the way a delivery would: the payload
+// sits in a wire frame whose reference is dropped when dispatch returns.
+func arrive(e *Engine, src simnet.NodeID, h header, payload []byte) {
+	fr := (*simnet.FrameList)(nil).New([][]byte{payload})
+	e.dispatch(src, h, fr.Bytes(), fr)
+	fr.Release()
+}
+
 // TestDroppedDuplicateReturnsCredit: a data wrapper dropped as a
 // duplicate still spent a sender credit; the drop must return it, or
 // every counted anomaly would permanently shrink the gate's budget.
@@ -415,8 +423,8 @@ func TestDroppedDuplicateReturnsCredit(t *testing.T) {
 	w.Spawn("inject", func(p *sim.Proc) {
 		g := e1.Gate(0)
 		g.Irecv(p, 3, make([]byte, 2))
-		e1.dispatch(0, header{kind: kindData, tag: 3, seq: 0, length: 2}, []byte{1, 2})
-		e1.dispatch(0, header{kind: kindData, tag: 3, seq: 0, length: 2}, []byte{1, 2})
+		arrive(e1, 0, header{kind: kindData, tag: 3, seq: 0, length: 2}, []byte{1, 2})
+		arrive(e1, 0, header{kind: kindData, tag: 3, seq: 0, length: 2}, []byte{1, 2})
 	})
 	run(t, w)
 	if got := e1.Stats().ProtocolErrors; got != 1 {
@@ -444,9 +452,9 @@ func TestDuplicateDeferredRendezvousRejected(t *testing.T) {
 		g.Irecv(p, 2, make([]byte, 16))
 		// The first RTS takes the only grant slot; the second defers;
 		// the duplicated second must be counted and dropped.
-		e1.dispatch(0, header{kind: kindRTS, flags: FlagUnordered, tag: 1, length: 16, aux: 1}, nil)
-		e1.dispatch(0, header{kind: kindRTS, flags: FlagUnordered, tag: 2, length: 16, aux: 2}, nil)
-		e1.dispatch(0, header{kind: kindRTS, flags: FlagUnordered, tag: 2, length: 16, aux: 2}, nil)
+		arrive(e1, 0, header{kind: kindRTS, flags: FlagUnordered, tag: 1, length: 16, aux: 1}, nil)
+		arrive(e1, 0, header{kind: kindRTS, flags: FlagUnordered, tag: 2, length: 16, aux: 2}, nil)
+		arrive(e1, 0, header{kind: kindRTS, flags: FlagUnordered, tag: 2, length: 16, aux: 2}, nil)
 	})
 	run(t, w)
 	if got := e1.Stats().ProtocolErrors; got != 1 {
@@ -464,14 +472,14 @@ func TestProtocolAnomaliesCountedNotFatal(t *testing.T) {
 	w.Spawn("inject", func(p *sim.Proc) {
 		g := e1.Gate(0)
 		g.Irecv(p, 9, make([]byte, 4))
-		e1.dispatch(0, header{kind: kindData, tag: 9, seq: 0, length: 1}, []byte{1})
-		e1.dispatch(0, header{kind: kindData, tag: 9, seq: 0, length: 1}, []byte{1}) // duplicate seq
-		e1.dispatch(0, header{kind: kindData, tag: 9, seq: 5, length: 1}, []byte{5}) // held (out of order)
-		e1.dispatch(0, header{kind: kindData, tag: 9, seq: 5, length: 1}, []byte{5}) // duplicate of a held entry
-		e1.onAck(g, 77)                                                              // unknown sync-send id
-		e1.onBody(0, 99, 0, []byte{1, 2, 3})                                         // unknown rendezvous
-		e1.onDelivery(0, simnet.Delivery{Src: 0, Data: []byte{0xFF, 1, 2}})          // corrupt train
-		e1.dispatch(0, header{kind: entryKind(42)}, nil)                             // unknown kind
+		arrive(e1, 0, header{kind: kindData, tag: 9, seq: 0, length: 1}, []byte{1})
+		arrive(e1, 0, header{kind: kindData, tag: 9, seq: 0, length: 1}, []byte{1}) // duplicate seq
+		arrive(e1, 0, header{kind: kindData, tag: 9, seq: 5, length: 1}, []byte{5}) // held (out of order)
+		arrive(e1, 0, header{kind: kindData, tag: 9, seq: 5, length: 1}, []byte{5}) // duplicate of a held entry
+		e1.onAck(g, 77)                                                             // unknown sync-send id
+		e1.onBody(0, 99, 0, []byte{1, 2, 3})                                        // unknown rendezvous
+		e1.onDelivery(0, simnet.Delivery{Src: 0, Data: []byte{0xFF, 1, 2}})         // corrupt train
+		arrive(e1, 0, header{kind: entryKind(42)}, nil)                             // unknown kind
 	})
 	run(t, w)
 

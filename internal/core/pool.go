@@ -1,5 +1,7 @@
 package core
 
+import "nmad/internal/simnet"
+
 // Free-list recycling for the engine hot path. Every eager send allocates
 // a packet wrapper, every elected train an output, every out-of-order or
 // unexpected arrival an inEntry — at replay scale these dominate the
@@ -21,9 +23,35 @@ package core
 //   - Strategies never see wrappers after election (the spileak analyzer
 //     forbids retaining SPI views), so recycling cannot dangle into sched.
 //
-// Options.NoRecycle turns the free lists off for A/B testing; the
-// timeline must be byte-identical either way (see the pooling property
-// test in package replay).
+// Wire frames (simnet.Frame) are the one pooled object shared with the
+// layers below: the engine draws them from the fabric's list, fills each
+// once — the flatten of an elected train, a rendezvous body chunk or a
+// link control entry is the only copy the bytes see below the engine —
+// and hands them to the driver. They are reference-counted, and a frame
+// returns to the list when the last of these holders lets go:
+//
+//   - a transaction queued at the NIC, and each delivery the fabric has
+//     scheduled for it (none for a dropped packet, two for a duplicated
+//     one); the receive handler borrows that last reference, so what it
+//     reads synchronously — consume, onBody and linkAccept all copy or
+//     dispatch before returning — needs none of its own;
+//   - an unacknowledged link frame (linkFrame.frame), from linkSend until
+//     the cumulative ack that retires it: retransmissions re-submit the
+//     very frame, retained once more for the NIC each time;
+//   - an un-retired rendezvous transaction under Options.Reliability
+//     (rdvSend.kept), for every RDMA chunk of its body until the
+//     receiver's kindDone: a reissue after the request completed reads
+//     these, never the caller's memory;
+//   - a parked inEntry — held for resequencing or waiting unexpected —
+//     whose payload is a slice of the frame it arrived in: newInEntry
+//     retains, freeInEntry releases. An entry re-parked out of the
+//     resequencing drain keeps following its own frame, not the frame of
+//     the delivery that let it through.
+//
+// Options.NoRecycle turns the free lists off for A/B testing — the
+// engine's frames then belong to no list — and the timeline must be
+// byte-identical either way (see the pooling property test in package
+// replay).
 
 // newPacket returns a zeroed wrapper, recycled when the free list has
 // one. The iov field may carry a non-nil empty slice whose backing array
@@ -81,8 +109,9 @@ func (e *Engine) freeOutput(out *output) {
 }
 
 // newInEntry returns a filled receive-side entry (resequencing hold or
-// unexpected arrival), recycled when possible.
-func (e *Engine) newInEntry(h header, payload []byte) *inEntry {
+// unexpected arrival), recycled when possible. The entry takes its own
+// reference to fr, the frame payload is a slice of.
+func (e *Engine) newInEntry(h header, payload []byte, fr *simnet.Frame) *inEntry {
 	var ent *inEntry
 	if n := len(e.freeEnts) - 1; n >= 0 {
 		ent = e.freeEnts[n]
@@ -91,16 +120,20 @@ func (e *Engine) newInEntry(h header, payload []byte) *inEntry {
 	} else {
 		ent = &inEntry{}
 	}
+	fr.Retain()
 	ent.h = h
 	ent.payload = payload
+	ent.frame = fr
 	ent.at = e.world.Now()
 	return ent
 }
 
-// freeInEntry recycles an entry whose payload has been consumed (the
-// copy into the user buffer happens synchronously in consume, so the
-// entry is dead the moment the match returns).
+// freeInEntry drops the frame reference of an entry whose payload has
+// been consumed and recycles the entry (the copy into the user buffer
+// happens synchronously in consume, so the entry is dead the moment the
+// match returns).
 func (e *Engine) freeInEntry(ent *inEntry) {
+	ent.frame.Release()
 	if e.opts.NoRecycle {
 		return
 	}
@@ -112,9 +145,9 @@ func (e *Engine) freeInEntry(ent *inEntry) {
 // segment per entry header, one per payload segment, preceded by link
 // when the reliability layer frames the train. Headers pack into the
 // engine's scratch byte array and the list itself reuses the engine's
-// scratch segment slice — both are dead the moment the driver's Send
-// returns, because the NIC snapshots the bytes at Submit time and the
-// software-gather bounce path flattens before queueing.
+// scratch segment slice — both are dead the moment the list has been
+// flattened into its wire frame, which the send path does before
+// anything else can encode.
 //
 // The header array is pre-sized from the output's running wire totals
 // (maintained by output.add at election time), so the appends below

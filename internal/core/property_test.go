@@ -305,7 +305,7 @@ func TestPropertyResequencerHandlesAnyArrivalOrder(t *testing.T) {
 				g.Irecv(p, 5, make([]byte, 1))
 			}
 			for _, seq := range perm {
-				e1.dispatch(0, header{
+				arrive(e1, 0, header{
 					kind:   kindData,
 					tag:    5,
 					seq:    SeqNum(seq),

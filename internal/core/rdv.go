@@ -44,6 +44,51 @@ type rdvSend struct {
 	// link layer and the receiver may ask for the span again.
 	started bool
 	done    bool
+
+	// kept holds, under Options.Reliability, a reference to the wire
+	// frame of every RDMA chunk of the original stream until the
+	// receiver's kindDone retires the transaction: once the request has
+	// completed the caller may overwrite its buffer, so a reissue from
+	// then on reads the body out of these frames (see stable).
+	kept []keptChunk
+}
+
+// keptChunk is one retained body frame: the bytes from offset off on.
+type keptChunk struct {
+	off int
+	fr  *simnet.Frame
+}
+
+// stable returns the body span [off, off+n) as a gather list over the
+// retained frames instead of the caller's memory. A stretch no frame
+// holds — it travelled as eager chunks, under the link layer's
+// protection, and a re-plan moved it to an RDMA rail — still comes from
+// the caller's iovec.
+func (rs *rdvSend) stable(off, n int) iovec {
+	var segs iovec
+	for n > 0 {
+		var piece []byte
+		gap := n // distance to the next retained frame
+		for _, k := range rs.kept {
+			b := k.fr.Bytes()
+			if k.off <= off && off < k.off+len(b) {
+				piece = b[off-k.off:]
+				break
+			}
+			if k.off > off {
+				gap = min(gap, k.off-off)
+			}
+		}
+		if piece == nil {
+			segs = rs.body.slice(off, gap).appendSegs(segs)
+			off, n = off+gap, n-gap
+			continue
+		}
+		piece = piece[:min(len(piece), n)]
+		segs = append(segs, piece)
+		off, n = off+len(piece), n-len(piece)
+	}
+	return segs
 }
 
 // rdvKey identifies a receiver-side transaction: rendezvous ids are
@@ -403,7 +448,19 @@ func (e *Engine) streamBody(rs *rdvSend, granted int, reissue bool) {
 	sendRdma = func(drv int, q []chunk) {
 		c := q[0]
 		rest := q[1:]
+		// The gather shape the NIC charges is always that of the caller's
+		// iovec; the bytes are too, until the request has completed and
+		// the memory is the caller's again.
 		data := rs.body.slice(c.off, c.len)
+		nsegs := len(data)
+		if reissue && rs.done {
+			data = rs.stable(c.off, c.len)
+		}
+		fr := e.frames.New(data)
+		if e.opts.Reliability && !reissue {
+			fr.Retain()
+			rs.kept = append(rs.kept, keptChunk{off: c.off, fr: fr})
+		}
 		e.stats.BodyBytes += int64(c.len)
 		e.stats.PerDriverBytes[drv] += int64(c.len)
 		e.stats.WireBytes += int64(c.len)
@@ -411,7 +468,7 @@ func (e *Engine) streamBody(rs *rdvSend, granted int, reissue bool) {
 		req := chunkReq
 		size := c.len
 		t0 := e.world.Now()
-		err := e.drvs[drv].Send(rs.gate.peer, simnet.TxRdma, data, aux, func() {
+		err := e.drvs[drv].SendFrame(rs.gate.peer, simnet.TxRdma, fr, nsegs, aux, func() {
 			e.samplers[drv].observe(size, e.world.Now()-t0)
 			e.notifyComplete(drv, rs.gate.peer, size, 0, e.world.Now()-t0)
 			if req != nil {
@@ -466,9 +523,10 @@ func (e *Engine) streamBody(rs *rdvSend, granted int, reissue bool) {
 	e.pumpAll()
 }
 
-// onRdvDone retires sender-side rendezvous state when the receiver
-// reports the whole body landed (Options.Reliability; the entry rides a
-// reliable frame, so it arrives exactly once).
+// onRdvDone retires sender-side rendezvous state, retained body frames
+// included, when the receiver reports the whole body landed
+// (Options.Reliability; the entry rides a reliable frame, so it arrives
+// exactly once).
 func (e *Engine) onRdvDone(g *Gate, id uint32) {
 	rs, ok := e.rdvSend[id]
 	if !ok {
@@ -478,6 +536,9 @@ func (e *Engine) onRdvDone(g *Gate, id uint32) {
 	if !rs.done {
 		rs.done = true
 		e.stats.RdvCompleted++
+	}
+	for _, k := range rs.kept {
+		k.fr.Release()
 	}
 	delete(e.rdvSend, id)
 }

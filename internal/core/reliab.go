@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"nmad/internal/sim"
 	"nmad/internal/simnet"
@@ -16,9 +15,10 @@ import (
 // ack floor. The receiver deduplicates whole trains by frame sequence
 // before dispatching any entry — the per-flow resequencing above is
 // untouched — and acknowledges with delayed, coalesced floor updates
-// that ride outbound frames for free whenever there are any. Unacked
-// frames are retained (flattened) on the sender and retransmitted on
-// timeout; a frame that exhausts its retransmit budget declares its rail
+// that ride outbound frames for free whenever there are any. The sender
+// keeps a reference to the wire frame of every unacked train — the very
+// frame the NIC sent, not a copy of it — and retransmits that on timeout;
+// a frame that exhausts its retransmit budget declares its rail
 // failed: pinned wrappers re-home to the common list, in-flight frames
 // re-issue on a surviving rail, elections skip the rail, and a periodic
 // ping/pong probe rides the dead rail until it answers again.
@@ -49,20 +49,24 @@ const (
 	linkAckDelay = 2 * sim.Microsecond
 )
 
-// linkFrame is one unacknowledged reliable train, flattened so it can be
-// re-injected verbatim after the original segments' buffers were reused.
+// linkFrame is one unacknowledged reliable train: a reference to the wire
+// frame it was flattened into, so it can be re-injected verbatim after
+// the original segments' buffers were reused.
 type linkFrame struct {
 	seq      uint32
-	data     []byte // link header + encoded train
-	rail     int    // rail of the last (re)transmission
-	attempts int    // transmissions so far
+	frame    *simnet.Frame // link header + encoded train
+	rail     int           // rail of the last (re)transmission
+	attempts int           // transmissions so far
+	acked    bool          // retired: a pending retransmit check is void
 }
 
-// linkTx is the sender half of a gate's link state.
+// linkTx is the sender half of a gate's link state. Frame sequence
+// numbers are issued in order and acks are cumulative, so unacked is
+// ordered by seq and an ack retires a prefix of it.
 type linkTx struct {
 	nextSeq uint32
 	acked   uint32 // highest cumulative ack floor seen
-	unacked map[uint32]*linkFrame
+	unacked []*linkFrame
 }
 
 // linkRx is the receiver half: the cumulative floor (all frames below it
@@ -94,9 +98,6 @@ func linkHeader(sub uint32, seq uint32, floor uint32) []byte {
 // linkSend frames one output as a reliable link frame and hands it to
 // the driver: the engine.send path when Options.Reliability is on.
 func (e *Engine) linkSend(g *Gate, drv int, out *output, payload, wire int) {
-	if g.ltx.unacked == nil {
-		g.ltx.unacked = make(map[uint32]*linkFrame)
-	}
 	seq := g.ltx.nextSeq
 	g.ltx.nextSeq++
 	hdr := linkHeader(linkFrameTag, seq, g.lrx.floor)
@@ -109,20 +110,18 @@ func (e *Engine) linkSend(g *Gate, drv int, out *output, payload, wire int) {
 	// reserved the slot).
 	segs := e.encodeOutput(out, hdr)
 
-	// Snapshot the train for retransmission — the payload segments point
-	// into user buffers the application may reuse once the NIC is done,
-	// and the header scratch is reused by the next encode.
-	flat := make([]byte, 0, headerSize+wire)
-	for _, s := range segs {
-		flat = append(flat, s...)
-	}
-	fr := &linkFrame{seq: seq, data: flat, rail: drv, attempts: 1}
-	g.ltx.unacked[seq] = fr
+	// The one flatten of the train serves its every transmission: the
+	// payload segments point into user buffers the application may reuse
+	// once the NIC is done, and the header scratch is reused by the next
+	// encode, so the link layer holds on to the frame itself (its own
+	// reference; transmit passes the other one to the NIC) and transmit
+	// may recycle the wrappers even with retransmissions ahead.
+	fr := &linkFrame{seq: seq, frame: e.frames.New(segs), rail: drv, attempts: 1}
+	fr.frame.Retain()
+	g.ltx.unacked = append(g.ltx.unacked, fr)
 
 	e.stats.WireBytes += headerSize
-	// The retained frame keeps its own flattened copy of the train, so
-	// transmit may recycle the wrappers even with retransmissions ahead.
-	e.transmit(g, drv, out, segs, payload, headerSize+wire, fr)
+	e.transmit(g, drv, out, fr.frame, len(segs), payload, headerSize+wire, fr)
 }
 
 // linkArm schedules the retransmit check for a frame's current attempt.
@@ -140,7 +139,7 @@ func (e *Engine) linkArm(g *Gate, fr *linkFrame) {
 
 // linkExpire fires when a frame's ack did not arrive in time.
 func (e *Engine) linkExpire(g *Gate, fr *linkFrame, attempt int) {
-	if g.ltx.unacked[fr.seq] != fr || fr.attempts != attempt {
+	if fr.acked || fr.attempts != attempt {
 		return // acked, or a newer attempt owns the timer
 	}
 	if fr.attempts >= e.opts.RetransmitBudget {
@@ -165,15 +164,19 @@ func (e *Engine) linkExpire(g *Gate, fr *linkFrame, attempt int) {
 }
 
 // linkResend re-injects a retained frame, bypassing the window: the
-// wrappers inside were already elected and accounted once.
+// wrappers inside were already elected and accounted once. The frame was
+// contiguous on the host ever since its first transmission, so every
+// retransmission is a one-segment transaction.
 func (e *Engine) linkResend(g *Gate, fr *linkFrame, drv int) {
 	fr.attempts++
 	fr.rail = drv
+	size := len(fr.frame.Bytes())
 	e.stats.Retransmits++
 	e.railRetrans[drv]++
-	e.stats.WireBytes += int64(len(fr.data))
-	e.traceEvent(trace.Retransmit, g.peer, drv, 0, len(fr.data), fr.attempts, fmt.Sprintf("frame %d", fr.seq))
-	err := e.drvs[drv].Send(g.peer, simnet.TxEager, [][]byte{fr.data}, 0, func() { e.linkArm(g, fr) })
+	e.stats.WireBytes += int64(size)
+	e.traceEvent(trace.Retransmit, g.peer, drv, 0, size, fr.attempts, fmt.Sprintf("frame %d", fr.seq))
+	fr.frame.Retain() // the NIC's reference; the link layer keeps its own
+	err := e.drvs[drv].SendFrame(g.peer, simnet.TxEager, fr.frame, 1, 0, func() { e.linkArm(g, fr) })
 	if err != nil {
 		panic("core: link retransmit failed: " + err.Error())
 	}
@@ -193,7 +196,7 @@ func (e *Engine) linkOnDelivery(drv int, d simnet.Delivery) bool {
 	switch h.aux {
 	case linkFrameTag:
 		e.linkAckIn(g, h.length, false)
-		e.linkAccept(g, drv, h, d.Data[headerSize:])
+		e.linkAccept(g, drv, h, d.Data[headerSize:], d.Frame)
 	case linkAckTag:
 		e.linkAckIn(g, h.length, true)
 	case linkPingTag:
@@ -207,8 +210,9 @@ func (e *Engine) linkOnDelivery(drv int, d simnet.Delivery) bool {
 	return true
 }
 
-// linkAccept deduplicates one reliable frame and dispatches its train.
-func (e *Engine) linkAccept(g *Gate, drv int, h header, train []byte) {
+// linkAccept deduplicates one reliable frame and dispatches its train,
+// a slice of fr.
+func (e *Engine) linkAccept(g *Gate, drv int, h header, train []byte, fr *simnet.Frame) {
 	if g.lrx.seen == nil {
 		g.lrx.seen = make(map[uint32]bool)
 	}
@@ -231,7 +235,7 @@ func (e *Engine) linkAccept(g *Gate, drv int, h header, train []byte) {
 	}
 	e.linkScheduleAck(g)
 	err := walkEntries(train, func(h header, payload []byte) error {
-		e.dispatch(g.peer, h, payload)
+		e.dispatch(g.peer, h, payload, fr)
 		return nil
 	})
 	if err != nil {
@@ -239,7 +243,8 @@ func (e *Engine) linkAccept(g *Gate, drv int, h header, train []byte) {
 	}
 }
 
-// linkAckIn advances the sender-side ack floor, retiring retained frames.
+// linkAckIn advances the sender-side ack floor, retiring the retained
+// frames below it and dropping the link layer's reference to each.
 func (e *Engine) linkAckIn(g *Gate, floor uint32, explicit bool) {
 	if explicit && floor <= g.ltx.acked {
 		e.stats.DupAcks++
@@ -247,11 +252,21 @@ func (e *Engine) linkAckIn(g *Gate, floor uint32, explicit bool) {
 	if floor > g.ltx.acked {
 		g.ltx.acked = floor
 	}
-	for seq := range g.ltx.unacked {
-		if seq < floor {
-			delete(g.ltx.unacked, seq)
-		}
+	un := g.ltx.unacked
+	n := 0
+	for n < len(un) && un[n].seq < floor {
+		un[n].acked = true
+		un[n].frame.Release()
+		n++
 	}
+	if n == 0 {
+		return
+	}
+	// Close the gap in place so the backing array serves the gate for
+	// good; the window of unacked frames is short.
+	rest := copy(un, un[n:])
+	clear(un[rest:])
+	g.ltx.unacked = un[:rest]
 }
 
 // linkScheduleAck arranges a delayed pure ack, coalescing bursts: one
@@ -282,7 +297,7 @@ func (e *Engine) linkScheduleAck(g *Gate) {
 func (e *Engine) linkCtl(g *Gate, drv int, sub uint32, seq uint32, floor uint32) {
 	hdr := linkHeader(sub, seq, floor)
 	e.stats.WireBytes += headerSize
-	if err := e.drvs[drv].Send(g.peer, simnet.TxEager, [][]byte{hdr}, 0, nil); err != nil {
+	if err := e.drvs[drv].SendFrame(g.peer, simnet.TxEager, e.frames.New([][]byte{hdr}), 1, 0, nil); err != nil {
 		panic("core: link control send failed: " + err.Error())
 	}
 }
@@ -331,19 +346,13 @@ func (e *Engine) railFail(drv int, peer simnet.NodeID) {
 		if alt < 0 {
 			continue
 		}
-		// Re-issue the rail's in-flight frames on the survivor, budget
-		// reset (sorted: map order must not leak into the timeline).
-		var seqs []uint32
-		for seq, fr := range g.ltx.unacked {
+		// Re-issue the rail's in-flight frames on the survivor, in seq
+		// order, budget reset.
+		for _, fr := range g.ltx.unacked {
 			if fr.rail == drv {
-				seqs = append(seqs, seq)
+				fr.attempts = 0
+				e.linkResend(g, fr, alt)
 			}
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		for _, seq := range seqs {
-			fr := g.ltx.unacked[seq]
-			fr.attempts = 0
-			e.linkResend(g, fr, alt)
 		}
 	}
 	e.probeRail(drv, peer)

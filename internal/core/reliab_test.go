@@ -14,6 +14,14 @@ import (
 // profile, and one reliability-enabled engine per node.
 func lossyPair(t *testing.T, opts Options, fp simnet.FaultProfile, profs ...simnet.Profile) (*sim.World, *Engine, *Engine) {
 	t.Helper()
+	opts.Reliability = true
+	return faultyPair(t, opts, fp, profs...)
+}
+
+// faultyPair is lossyPair with the engines as opts has them: without
+// reliability the fabric may reorder and duplicate but must not lose.
+func faultyPair(t *testing.T, opts Options, fp simnet.FaultProfile, profs ...simnet.Profile) (*sim.World, *Engine, *Engine) {
+	t.Helper()
 	if len(profs) == 0 {
 		profs = []simnet.Profile{simnet.MX10G()}
 	}
@@ -27,7 +35,6 @@ func lossyPair(t *testing.T, opts Options, fp simnet.FaultProfile, profs ...simn
 	if err := f.SetFaults(fp); err != nil {
 		t.Fatal(err)
 	}
-	opts.Reliability = true
 	mk := func(id simnet.NodeID) *Engine {
 		e, err := New(f, id, opts)
 		if err != nil {

@@ -33,10 +33,13 @@ type rxFlow struct {
 	held map[SeqNum]*inEntry
 }
 
-// inEntry is one arrived wrapper awaiting resequencing or matching.
+// inEntry is one arrived wrapper awaiting resequencing or matching. Its
+// payload is a slice of the wire frame it arrived in, which the entry
+// keeps alive with a reference of its own.
 type inEntry struct {
 	h       header
 	payload []byte
+	frame   *simnet.Frame
 	at      sim.Time
 }
 
@@ -89,7 +92,7 @@ func (e *Engine) onDelivery(drv int, d simnet.Delivery) {
 		return
 	}
 	err := walkEntries(d.Data, func(h header, payload []byte) error {
-		e.dispatch(d.Src, h, payload)
+		e.dispatch(d.Src, h, payload, d.Frame)
 		return nil
 	})
 	if err != nil {
@@ -100,8 +103,9 @@ func (e *Engine) onDelivery(drv int, d simnet.Delivery) {
 }
 
 // dispatch routes one wrapper by kind, applying flow resequencing to
-// ordered kinds.
-func (e *Engine) dispatch(src simnet.NodeID, h header, payload []byte) {
+// ordered kinds. payload is a slice of fr, valid until the delivery
+// handler returns: whoever parks it retains fr (newInEntry does).
+func (e *Engine) dispatch(src simnet.NodeID, h header, payload []byte, fr *simnet.Frame) {
 	g := e.Gate(src)
 	switch h.kind {
 	case kindCTS:
@@ -116,13 +120,13 @@ func (e *Engine) dispatch(src simnet.NodeID, h header, payload []byte) {
 		e.onRdvDone(g, h.aux)
 	case kindData, kindRTS:
 		if h.flags&FlagUnordered != 0 {
-			e.deliver(g, h, payload)
+			e.deliver(g, h, payload, fr)
 			return
 		}
 		f := g.flow(h.tag)
 		switch {
 		case h.seq == f.next:
-			e.deliver(g, h, payload)
+			e.deliver(g, h, payload, fr)
 			f.next++
 			for {
 				ent, ok := f.held[f.next]
@@ -130,8 +134,10 @@ func (e *Engine) dispatch(src simnet.NodeID, h header, payload []byte) {
 					break
 				}
 				delete(f.held, f.next)
-				e.deliver(g, ent.h, ent.payload)
-				e.freeInEntry(ent) // deliver copied or re-parked the payload
+				// The held entry brings its own frame, not fr; deliver
+				// copied the payload or re-parked it under a new reference.
+				e.deliver(g, ent.h, ent.payload, ent.frame)
+				e.freeInEntry(ent)
 				f.next++
 			}
 		case h.seq > f.next:
@@ -147,7 +153,7 @@ func (e *Engine) dispatch(src simnet.NodeID, h header, payload []byte) {
 			if f.held == nil {
 				f.held = make(map[SeqNum]*inEntry)
 			}
-			f.held[h.seq] = e.newInEntry(h, payload)
+			f.held[h.seq] = e.newInEntry(h, payload, fr)
 			e.stats.Reordered++
 			if len(f.held) > e.stats.PeakHeld {
 				e.stats.PeakHeld = len(f.held)
@@ -168,7 +174,7 @@ func (e *Engine) dispatch(src simnet.NodeID, h header, payload []byte) {
 
 // deliver matches one in-order wrapper against the posted receives, or
 // parks it on the unexpected queue.
-func (e *Engine) deliver(g *Gate, h header, payload []byte) {
+func (e *Engine) deliver(g *Gate, h header, payload []byte, fr *simnet.Frame) {
 	for i, r := range g.posted {
 		if r.matchesTag(h.tag) {
 			g.posted = append(g.posted[:i], g.posted[i+1:]...)
@@ -176,7 +182,7 @@ func (e *Engine) deliver(g *Gate, h header, payload []byte) {
 			return
 		}
 	}
-	g.unexpected = append(g.unexpected, e.newInEntry(h, payload))
+	g.unexpected = append(g.unexpected, e.newInEntry(h, payload, fr))
 	e.stats.Unexpected++
 	if len(g.unexpected) > e.stats.PeakUnexpected {
 		e.stats.PeakUnexpected = len(g.unexpected)

@@ -49,7 +49,9 @@ type Driver interface {
 	Caps() Caps
 	// Open binds receive and idle handlers to the NIC. The idle handler
 	// runs whenever the NIC drains — the hook the optimizer-scheduler
-	// layer uses to elect the next packet.
+	// layer uses to elect the next packet. A delivery's Data is valid
+	// until the receive handler returns unless the handler retains the
+	// delivery's Frame (see simnet.Delivery).
 	Open(onRecv func(simnet.Delivery), onIdle func()) error
 	// Close detaches the handlers. Traffic in flight still arrives.
 	Close() error
@@ -57,6 +59,11 @@ type Driver interface {
 	// returns. onSent (optional) fires when the NIC is done with the
 	// transaction on the sending side.
 	Send(dst simnet.NodeID, kind simnet.TxKind, segs [][]byte, aux uint64, onSent func()) error
+	// SendFrame is Send for a caller that flattened the transaction
+	// itself: fr travels as it is, charged as the nsegs-segment gather it
+	// was filled from, and the driver takes over one reference (see
+	// simnet.Tx.Frame); on error it has taken nothing.
+	SendFrame(dst simnet.NodeID, kind simnet.TxKind, fr *simnet.Frame, nsegs int, aux uint64, onSent func()) error
 	// Poll reports whether the driver could accept a transaction right
 	// now without queueing (the NIC is idle).
 	Poll() bool
@@ -117,33 +124,39 @@ func (b *base) Close() error {
 }
 
 func (b *base) Send(dst simnet.NodeID, kind simnet.TxKind, segs [][]byte, aux uint64, onSent func()) error {
+	return b.post(&simnet.Tx{Dst: dst, Kind: kind, Segs: segs, Aux: aux, OnSent: onSent}, len(segs))
+}
+
+func (b *base) SendFrame(dst simnet.NodeID, kind simnet.TxKind, fr *simnet.Frame, nsegs int, aux uint64, onSent func()) error {
+	return b.post(&simnet.Tx{Dst: dst, Kind: kind, Frame: fr, NSegs: nsegs, Aux: aux, OnSent: onSent}, nsegs)
+}
+
+// post submits a transaction gathered from nsegs segments, through the
+// software gather when that is more than the NIC takes natively.
+func (b *base) post(tx *simnet.Tx, nsegs int) error {
 	if !b.open {
 		return ErrNotOpen
 	}
-	prof := b.nic.Profile()
-	if len(segs) > prof.MaxSegments {
-		if b.bounceLimit == 0 || len(segs) > b.bounceLimit {
-			return fmt.Errorf("%w on %s: %d segments", simnet.ErrTooManySegments, b.name, len(segs))
-		}
-		// Software gather: flatten into a bounce buffer and charge the
-		// memcpy by delaying the submission.
-		size := 0
-		for _, s := range segs {
-			size += len(s)
-		}
-		flat := make([]byte, 0, size)
-		for _, s := range segs {
-			flat = append(flat, s...)
-		}
-		delay := b.nic.Node().CopyCost(size)
-		b.nicWorld().After(delay, func() {
-			if err := b.nic.Submit(&simnet.Tx{Dst: dst, Kind: kind, Segs: [][]byte{flat}, Aux: aux, OnSent: onSent}); err != nil {
-				panic("drivers: bounce submit failed: " + err.Error())
-			}
-		})
-		return nil
+	if nsegs <= b.nic.Profile().MaxSegments {
+		return b.nic.Submit(tx)
 	}
-	return b.nic.Submit(&simnet.Tx{Dst: dst, Kind: kind, Segs: segs, Aux: aux, OnSent: onSent})
+	if b.bounceLimit == 0 || nsegs > b.bounceLimit {
+		return fmt.Errorf("%w on %s: %d segments", simnet.ErrTooManySegments, b.name, nsegs)
+	}
+	// Software gather: the bounce buffer is the transaction's frame —
+	// flattened here unless the caller already did — and the memcpy is
+	// charged by delaying the submission of what is now one segment.
+	if tx.Frame == nil {
+		tx.Frame, tx.Segs = b.nic.Network().Frames().New(tx.Segs), nil
+	}
+	tx.NSegs = 1
+	delay := b.nic.Node().CopyCost(len(tx.Frame.Bytes()))
+	b.nicWorld().After(delay, func() {
+		if err := b.nic.Submit(tx); err != nil {
+			panic("drivers: bounce submit failed: " + err.Error())
+		}
+	})
+	return nil
 }
 
 func (b *base) nicWorld() *sim.World { return b.nic.Network().World() }

@@ -171,6 +171,66 @@ func TestGMRejectsBeyondSoftLimit(t *testing.T) {
 	}
 }
 
+// TestSendFrameTimedLikeItsGatherList: a transaction the caller already
+// flattened is charged by the shape it declares, not by the one buffer it
+// has become — PerSegment natively, the bounce memcpy beyond the NIC's
+// gather capacity, a refusal beyond the soft limit — so it arrives, and
+// frees the NIC, at the instants the gather list itself would have.
+func TestSendFrameTimedLikeItsGatherList(t *testing.T) {
+	deliver := func(nsegs int, framed bool) (arrived, sent sim.Time) {
+		w, d0, d1 := pair(t, simnet.GM2000())
+		if err := d1.Open(func(d simnet.Delivery) {
+			arrived = w.Now()
+			if len(d.Data) != 4096 || d.Data[4095] != byte(nsegs-1) {
+				t.Errorf("%d segments, framed %v: payload damaged", nsegs, framed)
+			}
+		}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := d0.Open(func(simnet.Delivery) {}, nil); err != nil {
+			t.Fatal(err)
+		}
+		segs := make([][]byte, nsegs)
+		for i := range segs {
+			segs[i] = make([]byte, 4096/nsegs)
+			for j := range segs[i] {
+				segs[i][j] = byte(i)
+			}
+		}
+		onSent := func() { sent = w.Now() }
+		var err error
+		if framed {
+			var list *simnet.FrameList // frames no list takes back
+			err = d0.SendFrame(1, simnet.TxEager, list.New(segs), nsegs, 0, onSent)
+		} else {
+			err = d0.Send(1, simnet.TxEager, segs, 0, onSent)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return arrived, sent
+	}
+	for _, nsegs := range []int{1, 2, 8} { // contiguous, native gather, bounced
+		a0, s0 := deliver(nsegs, false)
+		a1, s1 := deliver(nsegs, true)
+		if a0 != a1 || s0 != s1 {
+			t.Errorf("%d segments: gather list arrives %v / sent %v, its frame %v / %v", nsegs, a0, s0, a1, s1)
+		}
+	}
+	_, d0, _ := pair(t, simnet.GM2000())
+	if err := d0.Open(func(simnet.Delivery) {}, nil); err != nil {
+		t.Fatal(err)
+	}
+	var list *simnet.FrameList
+	err := d0.SendFrame(1, simnet.TxEager, list.New([][]byte{{1}}), gmSoftSegments+1, 0, nil)
+	if !errors.Is(err, simnet.ErrTooManySegments) {
+		t.Errorf("frame shaped beyond the soft limit: err = %v, want ErrTooManySegments", err)
+	}
+}
+
 func TestSISCIBouncesEverythingNonContiguous(t *testing.T) {
 	w, d0, d1 := pair(t, simnet.SISCI())
 	var got []byte

@@ -151,16 +151,15 @@ func (r *Runner) startPhase(pr *phaseRun) {
 			next, prev := members[(slot+1)%len(members)], members[prevSlot]
 			spawn(me, "ring", func(q *sim.Proc) (bad int, err error) {
 				c := r.comm(me)
-				// The receive buffers and the request list serve every round:
-				// all of a round's requests have completed at Waitall. The
-				// send buffers may not — under reliability a rendezvous
-				// send completes when its body has streamed out, yet the
-				// engine re-reads the caller's memory if the receiver asks
-				// for a lost span again, so each round sends fresh ones.
-				in := payloads(p.Msgs, size)
+				// The buffers and the request list serve every round: all of
+				// a round's requests have completed at Waitall, and a
+				// completed send's memory is the caller's again — even under
+				// reliability, where the engine may still have to re-stream
+				// a lost rendezvous span, it does so from the wire frames it
+				// kept, not from here.
+				out, in := payloads(p.Msgs, size), payloads(p.Msgs, size)
 				reqs := make([]*madmpi.Request, 0, 2*p.Msgs)
 				for round := 0; round < p.Count; round++ {
-					out := payloads(p.Msgs, size)
 					reqs = reqs[:0]
 					for m := 0; m < p.Msgs; m++ {
 						fill(out[m], p.index, slot, round*p.Msgs+m)

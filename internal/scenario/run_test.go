@@ -335,10 +335,11 @@ assertions:
 }
 
 // TestRingSendBuffersSurviveBodyReissue: a ring of rendezvous-sized
-// messages on a lossy fabric. The engine re-streams a lost body span
-// from the sender's buffer after the send request has completed, so the
-// ring phase must not refill a round's send buffers for the next round;
-// doing so shows up here as corrupted payloads.
+// messages on a lossy fabric. The ring phase refills its send buffers
+// every round, as soon as the round's sends have completed, while the
+// engine may yet have to re-stream a lost body span of that round: it
+// must take the span from the wire frames it retained, not from the
+// caller's memory, or the refill shows up here as corrupted payloads.
 func TestRingSendBuffersSurviveBodyReissue(t *testing.T) {
 	doc := `
 name: rdv-ring

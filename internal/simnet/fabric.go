@@ -68,6 +68,7 @@ type Fabric struct {
 	nodes  []*Node
 	nets   []*Network
 	faults *FaultProfile // installed fault injection, nil = perfect fabric
+	frames FrameList     // every frame in flight on the fabric is drawn from here
 }
 
 // NewFabric creates n nodes sharing one world and one host parameter set.
@@ -84,6 +85,10 @@ func NewFabric(w *sim.World, n int, host Host) *Fabric {
 
 // World returns the simulation world of the fabric.
 func (f *Fabric) World() *sim.World { return f.world }
+
+// Frames returns the fabric's frame free list: where a sender that
+// flattens its own transactions (Tx.Frame) draws them from.
+func (f *Fabric) Frames() *FrameList { return &f.frames }
 
 // Nodes reports how many hosts the fabric has.
 func (f *Fabric) Nodes() int { return len(f.nodes) }
@@ -152,6 +157,9 @@ func (n *Network) Profile() Profile { return n.prof }
 
 // World returns the simulation world the network lives in.
 func (n *Network) World() *sim.World { return n.fabric.world }
+
+// Frames returns the frame free list of the network's fabric.
+func (n *Network) Frames() *FrameList { return &n.fabric.frames }
 
 // NIC returns the adapter of the given node on this network.
 func (n *Network) NIC(id NodeID) *NIC {

@@ -33,13 +33,25 @@ func (k TxKind) String() string {
 	}
 }
 
-// Tx is one NIC transaction: a gather list bound for a peer node.
+// Tx is one NIC transaction: bytes bound for a peer node, given either as
+// a gather list for the NIC to snapshot or as a frame already filled.
+// Inside the NIC there is one form: Submit turns Segs into a frame on
+// entry, and every queued transaction holds one.
 type Tx struct {
 	Dst  NodeID
 	Kind TxKind
 	// Segs is the gather list. The NIC snapshots the bytes at Submit time,
 	// so callers may reuse their buffers once Submit returns.
 	Segs [][]byte
+	// Frame, when non-nil, replaces Segs: the bytes were flattened once
+	// already and travel as they are. Submit takes over one reference —
+	// a caller that wants the frame afterwards (to retransmit it) retains
+	// it first; a Submit that fails has taken nothing. NSegs is the
+	// gather shape the transaction is charged for, PerSegment and
+	// MaxSegments alike: how many segments the sending host gathered the
+	// frame from, 0 or 1 for a buffer that was contiguous to begin with.
+	Frame *Frame
+	NSegs int
 	// Aux is 64 bits of out-of-band immediate data delivered with the
 	// packet (models RDMA immediate data / MX match bits). The engine uses
 	// it for rendezvous body identification.
@@ -47,22 +59,20 @@ type Tx struct {
 	// OnSent, if non-nil, fires when the NIC finishes with the transaction
 	// on the sending side.
 	OnSent func()
-
-	// Snapshot state filled by Submit: the flattened bytes and the
-	// gather-list shape, captured before Submit returns so the caller may
-	// reuse both the segment buffers and the Segs slice itself while the
-	// transaction waits in the queue.
-	data  []byte
-	nsegs int
 }
 
 // Delivery is an arrived transaction, handed to the receiving NIC's
-// handler RecvOverhead after wire arrival.
+// handler RecvOverhead after wire arrival. Data is valid until the
+// handler returns: the NIC then drops the delivery's reference and the
+// frame may be refilled by later traffic. A handler that parks Data, or
+// any slice of it, retains Frame and releases it when the bytes have
+// been consumed.
 type Delivery struct {
-	Src  NodeID
-	Kind TxKind
-	Aux  uint64
-	Data []byte // concatenated gather list
+	Src   NodeID
+	Kind  TxKind
+	Aux   uint64
+	Data  []byte // concatenated gather list: Frame.Bytes()
+	Frame *Frame
 }
 
 // Errors returned by Submit.
@@ -94,7 +104,8 @@ type NIC struct {
 	net   *Network
 
 	busy   bool
-	queue  []*Tx
+	queue  []*Tx // FIFO behind the transaction in progress; qhead is its front
+	qhead  int
 	onIdle func()
 	onRecv func(Delivery)
 
@@ -118,7 +129,7 @@ func (n *NIC) Profile() Profile { return n.net.prof }
 func (n *NIC) Stats() NICStats { return n.stats }
 
 // Idle reports whether the NIC could start a new transaction immediately.
-func (n *NIC) Idle() bool { return !n.busy && len(n.queue) == 0 }
+func (n *NIC) Idle() bool { return !n.busy }
 
 // OnIdle registers the callback invoked each time the NIC drains.
 func (n *NIC) OnIdle(fn func()) { n.onIdle = fn }
@@ -130,9 +141,17 @@ func (n *NIC) OnRecv(fn func(Delivery)) { n.onRecv = fn }
 // Submit validates and enqueues a transaction, starting it at once if the
 // NIC is idle.
 func (n *NIC) Submit(tx *Tx) error {
-	p := n.net.prof
-	if len(tx.Segs) > p.MaxSegments {
-		return fmt.Errorf("%w: %d segments > %d on %s", ErrTooManySegments, len(tx.Segs), p.MaxSegments, p.Name)
+	p := &n.net.prof
+	nsegs, size := len(tx.Segs), 0
+	if tx.Frame != nil {
+		nsegs, size = max(tx.NSegs, 1), len(tx.Frame.buf)
+	} else {
+		for _, s := range tx.Segs {
+			size += len(s)
+		}
+	}
+	if nsegs > p.MaxSegments {
+		return fmt.Errorf("%w: %d segments > %d on %s", ErrTooManySegments, nsegs, p.MaxSegments, p.Name)
 	}
 	if tx.Dst == n.node.ID {
 		return ErrSelfSend
@@ -140,43 +159,52 @@ func (n *NIC) Submit(tx *Tx) error {
 	if int(tx.Dst) < 0 || int(tx.Dst) >= len(n.net.nics) {
 		return fmt.Errorf("simnet: no node %d on %s", tx.Dst, p.Name)
 	}
-	size := 0
-	for _, s := range tx.Segs {
-		size += len(s)
-	}
 	if p.MTU > 0 && size > p.MTU {
 		return fmt.Errorf("%w: %d bytes > MTU %d on %s", ErrOversized, size, p.MTU, p.Name)
 	}
-	// Snapshot now, not at transmission start: a queued transaction must
-	// not read the caller's buffers later (the documented Segs contract).
-	tx.nsegs = len(tx.Segs)
-	tx.data = make([]byte, 0, size)
-	for _, s := range tx.Segs {
-		tx.data = append(tx.data, s...)
+	if tx.Frame == nil {
+		// Snapshot now, not at transmission start: a queued transaction
+		// must not read the caller's buffers later (the documented Segs
+		// contract).
+		tx.Frame = n.net.fabric.frames.New(tx.Segs)
+		tx.Segs = nil
 	}
-	tx.Segs = nil
-	n.queue = append(n.queue, tx)
-	if len(n.queue) > n.stats.MaxQueue {
-		n.stats.MaxQueue = len(n.queue)
+	tx.NSegs = nsegs
+	if depth := len(n.queue) - n.qhead + 1; depth > n.stats.MaxQueue {
+		n.stats.MaxQueue = depth
 	}
-	if !n.busy {
-		n.startNext()
+	if n.busy {
+		n.queue = append(n.queue, tx)
+		return nil
 	}
+	n.start(tx)
 	return nil
 }
 
-// startNext pops the queue head and runs its timing model.
-func (n *NIC) startNext() {
-	tx := n.queue[0]
-	n.queue = n.queue[1:]
+// next pops the queue head; the backing array is reused once it drains.
+func (n *NIC) next() *Tx {
+	tx := n.queue[n.qhead]
+	n.queue[n.qhead] = nil
+	n.qhead++
+	if n.qhead == len(n.queue) {
+		n.queue, n.qhead = n.queue[:0], 0
+	}
+	return tx
+}
+
+// start runs one transaction's timing model. The NIC holds the queued
+// transaction's reference to its frame; it becomes the reference of the
+// scheduled delivery — dropped here when the fabric loses the packet,
+// doubled when it duplicates it.
+func (n *NIC) start(tx *Tx) {
 	n.busy = true
 
-	p := n.net.prof
-	size := len(tx.data)
-	data := tx.data
+	p := &n.net.prof
+	fr := tx.Frame
+	size := len(fr.buf)
 
 	now := n.world.Now()
-	setup := p.SendOverhead + p.Gap + sim.Time(tx.nsegs)*p.PerSegment
+	setup := p.SendOverhead + p.Gap + sim.Time(tx.NSegs)*p.PerSegment
 	var arrival, nicFree sim.Time
 	switch tx.Kind {
 	case TxEager:
@@ -197,15 +225,15 @@ func (n *NIC) startNext() {
 
 	n.stats.TxPackets++
 	n.stats.TxBytes += int64(size)
-	n.stats.TxSegs += tx.nsegs
+	n.stats.TxSegs += tx.NSegs
 
 	// Sender-side completion: free the NIC, then refill.
 	n.world.At(nicFree, func() {
 		if tx.OnSent != nil {
 			tx.OnSent()
 		}
-		if len(n.queue) > 0 {
-			n.startNext()
+		if n.qhead < len(n.queue) {
+			n.start(n.next())
 			return
 		}
 		n.busy = false
@@ -219,27 +247,34 @@ func (n *NIC) startNext() {
 	// paid above), reorder jitter delays this delivery only, and a
 	// duplicate schedules a second delivery of the same bits.
 	peer := n.net.nics[tx.Dst]
-	src := n.node.ID
 	deliverAt := func(t sim.Time) {
-		n.world.At(t, func() {
-			peer.stats.RxPackets++
-			peer.stats.RxBytes += int64(len(data))
-			if peer.onRecv == nil {
-				panic(fmt.Sprintf("simnet: delivery on %s node %d with no receive handler", p.Name, tx.Dst))
-			}
-			peer.onRecv(Delivery{Src: src, Kind: tx.Kind, Aux: tx.Aux, Data: data})
-		})
+		n.world.At(t, func() { peer.deliver(n.node.ID, tx) })
 	}
 	if fs := n.net.faults; fs != nil {
 		v := fs.decide(arrival, p.Latency)
 		if !v.deliver {
+			fr.Release()
 			return
 		}
 		deliverAt(arrival + v.jitter + p.RecvOverhead)
 		if v.duplicate {
+			fr.Retain()
 			deliverAt(arrival + v.jitter + v.dupDelay + p.RecvOverhead)
 		}
 		return
 	}
 	deliverAt(arrival + p.RecvOverhead)
+}
+
+// deliver hands one arrived transaction to the receive handler and then
+// drops the delivery's reference to the frame.
+func (n *NIC) deliver(src NodeID, tx *Tx) {
+	fr := tx.Frame
+	n.stats.RxPackets++
+	n.stats.RxBytes += int64(len(fr.buf))
+	if n.onRecv == nil {
+		panic(fmt.Sprintf("simnet: delivery on %s node %d with no receive handler", n.net.prof.Name, n.node.ID))
+	}
+	n.onRecv(Delivery{Src: src, Kind: tx.Kind, Aux: tx.Aux, Data: fr.buf, Frame: fr})
+	fr.Release()
 }

@@ -38,7 +38,8 @@
 //
 // Both take the calling simulated process, which sleeps through the host
 // costs of a submission (Options.SubmitOverhead, the software-gather
-// memcpy) and blocks in Wait. A driver that is itself event-driven — it
+// memcpy) and parks in Wait, where the completing request wakes it and
+// nobody else on the node. A driver that is itself event-driven — it
 // runs in World.At callbacks and has no process — submits through
 // Gate.PostSendv and Gate.PostRecvvMasked instead: the same costs elapse
 // as timed continuations on the event queue, pushed exactly where the

@@ -100,7 +100,6 @@ type Engine struct {
 	// credit-squeeze event.
 	creditFreeze bool
 
-	cond  *sim.Cond
 	stats Stats
 
 	// Free-list recycling and encode scratch (see pool.go). All
@@ -174,7 +173,6 @@ func New(f *simnet.Fabric, node simnet.NodeID, opts Options) (*Engine, error) {
 		rdvSend:  make(map[uint32]*rdvSend),
 		rdvRecv:  make(map[rdvKey]*rdvRecv),
 		syncAcks: make(map[uint32]*SendRequest),
-		cond:     sim.NewCond(w),
 	}, nil
 }
 
@@ -263,12 +261,6 @@ func (e *Engine) Drivers() []drivers.Driver { return e.drvs }
 // StrategyName reports the active optimization strategy.
 func (e *Engine) StrategyName() string { return e.strat.Name() }
 
-// Cond exposes the engine-wide completion condition variable: it is
-// broadcast whenever any request completes or an unexpected message
-// arrives, so layered code (MPI Waitany, probing loops) can block on
-// engine progress.
-func (e *Engine) Cond() *sim.Cond { return e.cond }
-
 // Stats returns a snapshot of the engine counters.
 func (e *Engine) Stats() Stats {
 	s := e.stats
@@ -281,9 +273,9 @@ func (e *Engine) Gate(peer simnet.NodeID) *Gate {
 	if g, ok := e.gates[peer]; ok {
 		return g
 	}
-	// The per-flow maps (sendSeq, flows) are made lazily: the flat
-	// tag-slot fast path covers every tag a typical run ever mints, so
-	// most gates never pay for the maps at all.
+	// The per-flow maps (sendSeq, flows) are made lazily: a gate with at
+	// most tagSlots flows never pays for them (see tagSlots for which
+	// workloads stay under it).
 	g := &Gate{
 		eng:     e,
 		peer:    peer,

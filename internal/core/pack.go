@@ -21,7 +21,7 @@ type Message struct {
 // BeginPack starts a message on the given flow. Options apply to every
 // packed piece.
 func (g *Gate) BeginPack(p *sim.Proc, tag Tag, opts ...SendOption) *Message {
-	req := &SendRequest{request: request{eng: g.eng}, tag: tag}
+	req := &SendRequest{tag: tag}
 	req.add(1) // construction hold, released by End
 	return &Message{g: g, tag: tag, cfg: resolveSend(opts), req: req}
 }

@@ -18,9 +18,10 @@ var (
 // operations layered above (MAD-MPI requests) — presents the same
 // isend/irecv/wait/test surface of the paper's API set.
 //
-// The interface is sealed: completion is always signalled through an
-// engine's shared condition variable, so outside implementations cannot
-// exist. Compose operations with RequestGroup instead.
+// The interface is sealed: a request records the process waiting on it
+// and wakes that process itself when it completes, so outside
+// implementations cannot exist. Compose operations with RequestGroup
+// instead.
 type Request interface {
 	// Done reports whether the request has completed.
 	Done() bool
@@ -32,16 +33,17 @@ type Request interface {
 	Err() error
 	// Wait blocks the process until the request completes and returns
 	// the completion error. Waiting on an already-completed request
-	// returns the stored error immediately.
+	// returns the stored error immediately. One process waits on a
+	// handle at a time (MPI's rule): a later waiter replaces an earlier.
 	Wait(p *sim.Proc) error
 	// Bytes is the payload size the request moved: the submitted bytes
 	// of a send, the received bytes of a completed receive.
 	Bytes() int
 
-	// completionCond exposes the engine condition variable the request
-	// completes on (nil for immediately-failed requests). It seals the
-	// interface and lets WaitAny block on engine progress.
-	completionCond() *sim.Cond
+	// watch makes p the process the request unparks when it completes
+	// (when any member does, for a group). It seals the interface and is
+	// how WaitAny blocks on several requests at once.
+	watch(p *sim.Proc)
 }
 
 // WaitAll blocks until every request has completed and returns the first
@@ -56,61 +58,43 @@ func WaitAll(p *sim.Proc, reqs ...Request) error {
 	return first
 }
 
-// waitAnyPollInterval paces WaitAny when its requests complete on
-// different engines (no single condition variable covers them all).
-const waitAnyPollInterval = sim.Microsecond
-
 // WaitAny blocks until at least one request has completed and returns its
 // index and completion error. Already-completed requests are returned
-// immediately (lowest index first). When every request completes on one
-// engine the wait blocks on that engine's shared condition variable;
-// requests spanning engines fall back to deterministic virtual-time
-// polling.
+// immediately (lowest index first). The completion of any request it
+// scanned, on whichever engine, wakes the process to scan again. Requests
+// still pending when WaitAny returns keep p as their watcher: a late
+// completion unparks p wherever it is by then, which the contract of
+// sim.Proc.Park makes harmless.
 func WaitAny(p *sim.Proc, reqs ...Request) (int, error) {
 	if len(reqs) == 0 {
 		return -1, ErrNoRequests
 	}
 	for {
-		shared, mixed := (*sim.Cond)(nil), false
 		for i, r := range reqs {
 			if r.Test() {
 				return i, r.Err()
 			}
-			switch c := r.completionCond(); {
-			case c == nil:
-				// An incomplete request without a cond: its members span
-				// engines (a mixed RequestGroup); poll.
-				mixed = true
-			case shared == nil:
-				shared = c
-			case shared != c:
-				mixed = true
-			}
+			r.watch(p)
 		}
-		if mixed || shared == nil {
-			// Blocking on any single cond could sleep through the other
-			// engines' completions; bounded virtual-time polling stays
-			// deterministic and correct.
-			p.Sleep(waitAnyPollInterval)
-			continue
-		}
-		shared.Wait(p)
+		p.Park()
 	}
 }
 
 // request is the completion state shared by send and receive requests.
-// Completion is signalled through the engine-wide condition variable;
-// simulated processes block in Wait, engine callbacks never block.
+// It knows the one process waiting on it and unparks that process when
+// it completes; engine callbacks never block.
 type request struct {
-	eng  *Engine
-	done bool
-	err  error
+	// waiter is the process to unpark at completion: the one in Wait, or
+	// the last one whose WaitAny scanned the request.
+	waiter *sim.Proc
+	done   bool
+	err    error
 	// hook, when set, is called once with the completion error at the
 	// instant the request completes: how a submission from scheduler
 	// context (Gate.PostSendv / PostRecvvMasked), which has no process to
-	// Wait with, learns of completion. One word on purpose: it takes the
-	// last spare word of SendRequest's and RecvRequest's malloc size
-	// classes (see TestRequestSizeClasses).
+	// Wait with, learns of completion. waiter and hook are one word each
+	// on purpose: together they fill SendRequest's and RecvRequest's
+	// malloc size classes (see TestRequestSizeClasses).
 	hook func(err error)
 }
 
@@ -128,26 +112,29 @@ func (r *request) Test() bool { return r.done }
 // completion error.
 func (r *request) Wait(p *sim.Proc) error {
 	for !r.done {
-		r.eng.cond.Wait(p)
+		r.waiter = p
+		p.Park()
 	}
 	return r.err
 }
 
-func (r *request) completionCond() *sim.Cond {
-	if r.eng == nil {
-		return nil
+// watch stores only on change: WaitAny scans thousands of pending
+// requests on every pass and must not dirty each one to re-watch it.
+func (r *request) watch(p *sim.Proc) {
+	if r.waiter != p {
+		r.waiter = p
 	}
-	return r.eng.cond
 }
 
-// complete finalizes the request and wakes every waiter.
+// complete finalizes the request, wakes the process waiting on it and
+// calls the hook.
 func (r *request) complete(err error) {
 	if r.done {
 		return
 	}
 	r.done = true
 	r.err = err
-	r.eng.cond.Broadcast()
+	r.waiter.Unpark()
 	if r.hook != nil {
 		r.hook(err)
 	}
@@ -290,20 +277,9 @@ func (g *RequestGroup) Bytes() int {
 	return n
 }
 
-// completionCond reports the one condition variable every member
-// completes on, or nil when members span engines (WaitAny then polls).
-func (g *RequestGroup) completionCond() *sim.Cond {
-	var shared *sim.Cond
+// watch makes p the watcher of every member.
+func (g *RequestGroup) watch(p *sim.Proc) {
 	for _, r := range g.reqs {
-		c := r.completionCond()
-		if c == nil {
-			continue
-		}
-		if shared == nil {
-			shared = c
-		} else if shared != c {
-			return nil
-		}
+		r.watch(p)
 	}
-	return shared
 }

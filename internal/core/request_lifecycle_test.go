@@ -6,10 +6,12 @@ import (
 	"testing"
 
 	"nmad/internal/sim"
+	"nmad/internal/simnet"
 )
 
 // Tests for the unified Request interface: completion state machines,
-// WaitAll / WaitAny on the shared condition variable, request groups.
+// WaitAll / WaitAny, request groups, and the blocking contract — a
+// request wakes the one process waiting on it, at the completion instant.
 
 func TestWaitAfterCompletionReturnsStoredError(t *testing.T) {
 	w, e0, e1 := testWorld(t, DefaultOptions())
@@ -136,38 +138,64 @@ func TestWaitAnyPicksTheFirstCompletion(t *testing.T) {
 }
 
 func TestWaitAnyAcrossEngines(t *testing.T) {
-	// Requests from two different engines: the request that can never be
-	// signalled through the first engine's cond must not stall the one
-	// completing on the other engine.
-	w, engines := nWorld(t, 3, DefaultOptions())
-	e0, e2 := engines[0], engines[2]
-	w.Spawn("driver", func(p *sim.Proc) {
-		// A receive on e0 from node 1 that is matched only much later...
-		stuck := e0.Gate(1).Irecv(p, 5, make([]byte, 8))
-		// ...and a send on e2, a different engine, that completes fast.
-		fast := e2.Gate(1).Isend(p, 6, []byte("quick"))
-		idx, err := WaitAny(p, stuck, fast)
-		if err != nil {
-			t.Error(err)
+	// Requests from different engines: the one matched only much later
+	// must not stall what completes on another engine, and WaitAny
+	// returns at the instant of that completion — the process blocks on
+	// the requests, not on an engine and not on a clock tick. "group"
+	// puts the two engines inside one RequestGroup member.
+	for _, grouped := range []bool{false, true} {
+		name := "send"
+		if grouped {
+			name = "group"
 		}
-		if idx != 1 {
-			t.Errorf("WaitAny picked %d, want the cross-engine send (1)", idx)
-		}
-		if err := stuck.Wait(p); err != nil {
-			t.Error(err)
-		}
-	})
-	w.Spawn("node1", func(p *sim.Proc) {
-		e1 := engines[1]
-		if _, err := e1.Gate(2).Recv(p, 6, make([]byte, 8)); err != nil {
-			t.Error(err)
-		}
-		p.Sleep(500 * sim.Microsecond)
-		if err := e1.Gate(0).Send(p, 5, []byte("late")); err != nil {
-			t.Error(err)
-		}
-	})
-	run(t, w)
+		t.Run(name, func(t *testing.T) {
+			w, engines := nWorld(t, 3, DefaultOptions())
+			e0, e1, e2 := engines[0], engines[1], engines[2]
+			w.Spawn("driver", func(p *sim.Proc) {
+				// A receive on e0 from node 1 that is matched only much later...
+				stuck := e0.Gate(1).Irecv(p, 5, make([]byte, 8))
+				// ...and a send on e2, a different engine, that completes fast.
+				fast := e2.Gate(1).Isend(p, 6, []byte("quick"))
+				var doneAt sim.Time
+				fast.hook = func(error) { doneAt = p.Now() }
+				var quick Request = fast
+				if grouped {
+					// Node 1 answers the send at once, back on e0.
+					echo := e0.Gate(1).Irecv(p, 7, make([]byte, 8))
+					echo.hook = func(error) { doneAt = p.Now() }
+					quick = NewRequestGroup(fast, echo)
+				}
+				idx, err := WaitAny(p, stuck, quick)
+				if err != nil {
+					t.Error(err)
+				}
+				if idx != 1 {
+					t.Errorf("WaitAny picked %d, want the cross-engine request (1)", idx)
+				}
+				if doneAt == 0 || p.Now() != doneAt {
+					t.Errorf("WaitAny returned at %v, want the completion instant %v", p.Now(), doneAt)
+				}
+				if err := stuck.Wait(p); err != nil {
+					t.Error(err)
+				}
+			})
+			w.Spawn("node1", func(p *sim.Proc) {
+				if _, err := e1.Gate(2).Recv(p, 6, make([]byte, 8)); err != nil {
+					t.Error(err)
+				}
+				if grouped {
+					if err := e1.Gate(0).Send(p, 7, []byte("echo")); err != nil {
+						t.Error(err)
+					}
+				}
+				p.Sleep(500 * sim.Microsecond)
+				if err := e1.Gate(0).Send(p, 5, []byte("late")); err != nil {
+					t.Error(err)
+				}
+			})
+			run(t, w)
+		})
+	}
 }
 
 func TestWaitAnyNoRequests(t *testing.T) {
@@ -255,3 +283,110 @@ var (
 	_ Request = (*RecvRequest)(nil)
 	_ Request = (*RequestGroup)(nil)
 )
+
+// A process blocked in Wait on a receive nobody sends is what the
+// deadlock report names.
+func TestWaitOnUnsentReceiveIsNamedInDeadlock(t *testing.T) {
+	w, _, e1 := testWorld(t, DefaultOptions())
+	w.Spawn("waits-forever", func(p *sim.Proc) {
+		e1.Gate(0).Irecv(p, 1, make([]byte, 8)).Wait(p)
+		t.Error("Wait returned on a receive nobody sent")
+	})
+	var dl *sim.DeadlockError
+	if err := w.Run(); !errors.As(err, &dl) {
+		t.Fatalf("Run() = %v, want *sim.DeadlockError", err)
+	}
+	if len(dl.Blocked) != 1 || dl.Blocked[0] != "waits-forever" {
+		t.Errorf("blocked = %v, want [waits-forever]", dl.Blocked)
+	}
+}
+
+// WaitAny leaves its process recorded on the requests still pending when
+// it returns. Such a stale watcher firing while the process is inside
+// Sleep must neither shorten the sleep nor resume the process a second
+// time when the sleep's own timer fires.
+func TestStaleWatcherDoesNotDisturbSleep(t *testing.T) {
+	w, e0, e1 := testWorld(t, DefaultOptions())
+	w.Spawn("send", func(p *sim.Proc) {
+		if err := e0.Gate(1).Send(p, 1, []byte("early")); err != nil {
+			t.Error(err)
+		}
+		p.Sleep(100 * sim.Microsecond)
+		if err := e0.Gate(1).Send(p, 2, []byte("late")); err != nil {
+			t.Error(err)
+		}
+	})
+	w.Spawn("recv", func(p *sim.Proc) {
+		early := e1.Gate(0).Irecv(p, 1, make([]byte, 8))
+		late := e1.Gate(0).Irecv(p, 2, make([]byte, 8))
+		var lateAt sim.Time
+		late.hook = func(error) { lateAt = p.Now() }
+		if idx, err := WaitAny(p, early, late); idx != 0 || err != nil {
+			t.Fatalf("WaitAny = %d, %v; want the early receive", idx, err)
+		}
+		start := p.Now()
+		p.Sleep(300 * sim.Microsecond)
+		if lateAt <= start || lateAt >= p.Now() {
+			t.Fatalf("late receive completed at %v, not inside the sleep from %v", lateAt, start)
+		}
+		if got := p.Now() - start; got != 300*sim.Microsecond {
+			t.Errorf("Sleep(300µs) lasted %v with a stale watcher firing inside it", got)
+		}
+		p.Sleep(50 * sim.Microsecond)
+		if got := p.Now() - start; got != 350*sim.Microsecond {
+			t.Errorf("the following Sleep(50µs) ended %v after the first began: resumed twice", got)
+		}
+		if !late.Done() {
+			t.Error("late receive not done")
+		}
+	})
+	run(t, w)
+}
+
+// Completions wake the process waiting on them and nobody else: eight
+// processes sit in Recv on eight gates of one engine while one peer
+// sends m messages to one of them. What the seven bystanders add to the
+// run's event count must not depend on m — with a wake-everyone
+// completion it grows by seven per message. An event count, so the same
+// on any machine.
+func TestBystandersCostNoEvents(t *testing.T) {
+	const gates = 8
+	events := func(m int, bystanders bool) uint64 {
+		w, engines := nWorld(t, gates+1, DefaultOptions())
+		recv := func(peer, n int) {
+			w.Spawn("recv", func(p *sim.Proc) {
+				for i := 0; i < n; i++ {
+					if _, err := engines[0].Gate(simnet.NodeID(peer)).Recv(p, 1, make([]byte, 8)); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+		}
+		send := func(peer, n int, at sim.Time) {
+			w.Spawn("send", func(p *sim.Proc) {
+				p.Sleep(at)
+				for i := 0; i < n; i++ {
+					if err := engines[peer].Gate(0).Send(p, 1, []byte("payload")); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+		}
+		recv(1, m)
+		send(1, m, 10*sim.Microsecond)
+		if bystanders {
+			// Parked through the whole exchange, released long after it.
+			for peer := 2; peer <= gates; peer++ {
+				recv(peer, 1)
+				send(peer, 1, 10*sim.Millisecond)
+			}
+		}
+		run(t, w)
+		return w.Events()
+	}
+	one := events(1, true) - events(1, false)
+	ten := events(10, true) - events(10, false)
+	if one != ten {
+		t.Errorf("seven parked bystanders cost %d events next to 1 message and %d next to 10", one, ten)
+	}
+}

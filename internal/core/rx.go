@@ -188,7 +188,11 @@ func (e *Engine) deliver(g *Gate, h header, payload []byte, fr *simnet.Frame) {
 		e.stats.PeakUnexpected = len(g.unexpected)
 	}
 	e.traceEvent(trace.Unexpected, g.peer, -1, h.tag, len(payload), 0, h.kind.String())
-	e.cond.Broadcast() // wake probers
+	for i, p := range g.probers {
+		p.Unpark()
+		g.probers[i] = nil
+	}
+	g.probers = g.probers[:0]
 }
 
 // matchUnexpected looks for an already-arrived wrapper satisfying a newly

@@ -6,6 +6,7 @@ import (
 
 	"nmad/internal/sim"
 	"nmad/internal/simnet"
+	"nmad/internal/trace"
 )
 
 func TestSsendCompletesOnlyAfterMatch(t *testing.T) {
@@ -118,6 +119,53 @@ func TestProbeSeesUnexpected(t *testing.T) {
 		}
 	})
 	run(t, w)
+
+	// A prober parks on its own gate: it returns at the arrival instant
+	// of the message it probes for, and an unexpected arrival on another
+	// gate does not resume it — the run pushes the same number of events
+	// whether that arrival found the prober parked or not yet probing.
+	probe := func(startAt sim.Time) (events uint64) {
+		rec := trace.NewRecorder()
+		opts := DefaultOptions()
+		opts.Tracer = rec
+		w, engines := nWorld(t, 3, opts)
+		w.Spawn("other-gate", func(p *sim.Proc) {
+			engines[2].Gate(0).Isend(p, 9, []byte("nobody probes for this"))
+		})
+		w.Spawn("send", func(p *sim.Proc) {
+			p.Sleep(100 * sim.Microsecond)
+			engines[1].Gate(0).Isend(p, 42, []byte("probe me"))
+		})
+		var returned sim.Time
+		w.Spawn("probe", func(p *sim.Proc) {
+			p.Sleep(startAt)
+			engines[0].Gate(1).ProbeWait(p, 42, ^Tag(0))
+			returned = p.Now()
+			if _, err := engines[0].Gate(1).Recv(p, 42, make([]byte, 16)); err != nil {
+				t.Error(err)
+			}
+			if _, err := engines[0].Gate(2).Recv(p, 9, make([]byte, 32)); err != nil {
+				t.Error(err)
+			}
+		})
+		run(t, w)
+		for _, ev := range rec.Filter(trace.Unexpected) {
+			if ev.Node != 0 {
+				continue
+			}
+			if ev.Tag == 9 && ev.At >= 50*sim.Microsecond {
+				t.Fatalf("other gate's message arrived at %v, too late to tell the two runs apart", ev.At)
+			}
+			if ev.Tag == 42 && returned != ev.At {
+				t.Errorf("ProbeWait returned at %v, the message arrived at %v", returned, ev.At)
+			}
+		}
+		return w.Events()
+	}
+	if parked, notYet := probe(sim.Nanosecond), probe(50*sim.Microsecond); parked != notYet {
+		t.Errorf("an unexpected arrival on another gate cost %d events with a prober parked, %d without",
+			parked, notYet)
+	}
 }
 
 // TestEngineOverEveryProfile runs the same mixed workload (eager burst +

@@ -51,13 +51,23 @@ func TestIssendTestTransitions(t *testing.T) {
 }
 
 func TestProbeAndIprobe(t *testing.T) {
-	job(t, 2, func(p *sim.Proc, m *MPI) {
+	const delay = 100 * sim.Microsecond
+	job(t, 3, func(p *sim.Proc, m *MPI) {
 		c := m.CommWorld()
-		if m.Rank() == 0 {
+		switch m.Rank() {
+		case 0:
+			p.Sleep(delay)
 			if err := c.Send(p, []byte("probe-target"), 1, 17); err != nil {
 				t.Error(err)
 			}
-		} else {
+		case 2:
+			// Same tag, other source, long before rank 0's message: it
+			// waits unexpected on another gate of rank 1 and must not
+			// satisfy (or confuse) a probe for rank 0.
+			if err := c.Send(p, []byte("bystander"), 1, 17); err != nil {
+				t.Error(err)
+			}
+		case 1:
 			ok, _, err := c.Iprobe(p, 0, 17)
 			if err != nil {
 				t.Fatal(err)
@@ -72,13 +82,21 @@ func TestProbeAndIprobe(t *testing.T) {
 			if st.Tag != 17 || st.Count != len("probe-target") || st.Source != 0 {
 				t.Errorf("Probe status %+v", st)
 			}
+			if p.Now() < delay {
+				t.Errorf("Probe(0) returned at %v, before rank 0 sent anything", p.Now())
+			}
 			ok, st2, err := c.Iprobe(p, 0, 17)
 			if err != nil || !ok || st2.Count != st.Count {
 				t.Errorf("Iprobe after Probe: %v %+v %v", ok, st2, err)
 			}
+			if ok, st3, err := c.Iprobe(p, 2, 17); err != nil || !ok || st3.Count != len("bystander") {
+				t.Errorf("Iprobe of the other source: %v %+v %v", ok, st3, err)
+			}
 			// Probe must not consume.
-			if _, err := c.Recv(p, make([]byte, 32), 0, 17); err != nil {
-				t.Error(err)
+			for _, src := range []int{0, 2} {
+				if _, err := c.Recv(p, make([]byte, 32), src, 17); err != nil {
+					t.Error(err)
+				}
 			}
 		}
 	})

@@ -156,10 +156,10 @@ func (t *Tenant) SendOptions() []core.SendOption {
 
 // Job is one submitted unit of work.
 type Job struct {
-	q      *Queue
 	tenant *Tenant
 	name   string
 	fn     func(p *sim.Proc) error
+	waiter *sim.Proc // the process in Wait, unparked at completion
 
 	submitted  sim.Time
 	dispatched sim.Time
@@ -186,10 +186,12 @@ func (j *Job) Submitted() sim.Time  { return j.submitted }
 func (j *Job) Dispatched() sim.Time { return j.dispatched }
 func (j *Job) Completed() sim.Time  { return j.completed }
 
-// Wait blocks the calling proc until the job completes.
+// Wait blocks the calling proc until the job completes. As with a
+// request, one process waits on a job at a time.
 func (j *Job) Wait(p *sim.Proc) error {
 	for !j.done {
-		j.q.cond.Wait(p)
+		j.waiter = p
+		p.Park()
 	}
 	return j.err
 }
@@ -198,9 +200,8 @@ func (j *Job) Wait(p *sim.Proc) error {
 // single-world, single-threaded: all methods must run on the world's
 // scheduler (procs, timers, callbacks).
 type Queue struct {
-	eng  *core.Engine
-	cfg  Config
-	cond *sim.Cond
+	eng *core.Engine
+	cfg Config
 
 	tenants []*Tenant // registration order: the deterministic tiebreak
 	byName  map[string]*Tenant
@@ -231,7 +232,6 @@ func New(eng *core.Engine, cfg Config) (*Queue, error) {
 	q := &Queue{
 		eng:    eng,
 		cfg:    cfg,
-		cond:   sim.NewCond(eng.World()),
 		byName: make(map[string]*Tenant, len(cfg.Tenants)),
 	}
 	for _, ts := range cfg.Tenants {
@@ -284,7 +284,7 @@ func (q *Queue) Submit(tenant, name string, fn func(p *sim.Proc) error) (*Job, e
 		q.eng.NoteJobRejected()
 		return nil, fmt.Errorf("%w: %q rejected for tenant %q at depth %d", ErrQueueFull, name, tenant, q.queued)
 	}
-	j := &Job{q: q, tenant: t, name: name, fn: fn, submitted: q.eng.World().Now()}
+	j := &Job{tenant: t, name: name, fn: fn, submitted: q.eng.World().Now()}
 	if len(t.heads) == 0 {
 		// Re-entering tenants resume at the current stride clock rather
 		// than their stale pass: an idle tenant must not bank credit and
@@ -330,7 +330,7 @@ func (q *Queue) pick(now sim.Time) (*Tenant, bool) {
 // dispatch fills open worker slots. Event-driven: each job runs on a
 // fresh proc spawned at dispatch (parked worker procs would read as a
 // deadlock to the world's termination detection), and completion both
-// wakes Wait-ers and re-runs dispatch for the freed slot.
+// wakes the job's waiter and re-runs dispatch for the freed slot.
 func (q *Queue) dispatch() {
 	now := q.eng.World().Now()
 	for q.active < q.cfg.Workers {
@@ -363,7 +363,7 @@ func (q *Queue) dispatch() {
 			j.tenant.stats.Completed++
 			q.active--
 			q.eng.NoteJobCompleted()
-			q.cond.Broadcast()
+			j.waiter.Unpark()
 			q.dispatch()
 		})
 	}

@@ -303,3 +303,76 @@ func TestSendOptionsFollowClass(t *testing.T) {
 		t.Error("ClassByName(vip) should fail")
 	}
 }
+
+// A finished job wakes the one process waiting on it: with k jobs each
+// waited on by its own process, the first completion resumes one waiter
+// and leaves the others parked.
+func TestJobCompletionWakesOnlyItsWaiter(t *testing.T) {
+	w, e := newTestEngine(t)
+	const k = 4
+	q, err := New(e, Config{Workers: k, Tenants: []TenantSpec{{Name: "a", Weight: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := 0
+	w.At(0, func() {
+		for i := 0; i < k; i++ {
+			// Job i runs for 10(i+1) µs, so job 0 finishes alone at 10 µs.
+			j, err := q.Submit("a", fmt.Sprint(i), sleeper(sim.Time(i+1)*10*us, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Spawn("waiter", func(p *sim.Proc) {
+				if err := j.Wait(p); err != nil {
+					t.Error(err)
+				}
+				resumed++
+			})
+		}
+	})
+	var before uint64
+	w.At(10*us-1, func() { before = w.Events() })
+	w.At(15*us, func() {
+		if resumed != 1 {
+			t.Errorf("%d waiters resumed by the first completion, want 1", resumed)
+		}
+		// Every timer was pushed before: the one event since is the
+		// wake-up of job 0's waiter.
+		if got := w.Events() - before; got != 1 {
+			t.Errorf("first of %d waited-on jobs completing pushed %d events, want 1", k, got)
+		}
+	})
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if resumed != k {
+		t.Errorf("%d of %d waiters resumed", resumed, k)
+	}
+}
+
+// A process blocked in Job.Wait on a job that never finishes is what the
+// deadlock report names.
+func TestWaitOnStuckJobIsNamedInDeadlock(t *testing.T) {
+	w, e := newTestEngine(t)
+	q, err := New(e, Config{Tenants: []TenantSpec{{Name: "a", Weight: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Spawn("waits-on-job", func(p *sim.Proc) {
+		j, err := q.Submit("a", "stuck", func(p *sim.Proc) error {
+			return e.Gate(1).Irecv(p, 1, make([]byte, 8)).Wait(p) // nobody sends
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Wait(p)
+		t.Error("Job.Wait returned on a job that cannot finish")
+	})
+	var dl *sim.DeadlockError
+	if err := w.Run(); !errors.As(err, &dl) {
+		t.Fatalf("Run() = %v, want *sim.DeadlockError", err)
+	}
+	if len(dl.Blocked) != 2 || dl.Blocked[1] != "waits-on-job" {
+		t.Errorf("blocked = %v, want the stuck job's process and waits-on-job", dl.Blocked)
+	}
+}

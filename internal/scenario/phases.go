@@ -29,15 +29,18 @@ type phaseRun struct {
 	done      bool
 	integrity int // corrupted payloads observed by this phase
 	pending   int // running processes
+	// waiter is the queue job holding its worker slot until the phase closes.
+	waiter *sim.Proc
 }
 
 // finishOne marks one participant process done; the last one closes the
-// phase.
+// phase and wakes its job.
 func (pr *phaseRun) finishOne(now sim.Time) {
 	pr.pending--
 	if pr.pending == 0 {
 		pr.end = now
 		pr.done = true
+		pr.waiter.Unpark()
 	}
 }
 
@@ -95,8 +98,6 @@ func (r *Runner) startPhase(pr *phaseRun) {
 			}
 			pr.integrity += bad
 			pr.finishOne(q.Now())
-			// Wake queued-phase jobs blocked on their phase closing.
-			r.phaseCond.Broadcast()
 		})
 	}
 	// everyRank spawns a collective phase's body on each rank with the

@@ -130,10 +130,8 @@ type Runner struct {
 	snapshots map[string]*Snapshot
 	procErrs  []string
 	// queue is the multi-tenant job queue (nil unless the scenario
-	// declares tenants); phaseCond wakes queued-phase jobs whenever any
-	// phase process finishes, so a job can block until its phase closes.
-	queue     *queue.Queue
-	phaseCond *sim.Cond
+	// declares tenants).
+	queue *queue.Queue
 }
 
 func (r *Runner) nodes() int { return r.fabric.Nodes() }
@@ -194,7 +192,6 @@ func Run(sc *Scenario, cfg Config) (*Report, error) {
 	if r.mpis, err = madmpi.InitAll(f, opts); err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
-	r.phaseCond = sim.NewCond(w)
 	if len(sc.Tenants) > 0 {
 		qnode := 0
 		var qcfg queue.Config
@@ -254,7 +251,8 @@ func Run(sc *Scenario, cfg Config) (*Report, error) {
 					r.logf("%v: phase %s (%s) dispatched", q.Now(), pr.spec.Name, pr.spec.Kind)
 					r.startPhase(pr)
 					for !pr.done {
-						r.phaseCond.Wait(q)
+						pr.waiter = q
+						q.Park()
 					}
 					return nil
 				})

@@ -1,30 +1,32 @@
 package sim
 
-// Cond is a condition variable for simulated processes. As with sync.Cond,
-// waiters must re-check their predicate in a loop:
+import "slices"
+
+// Cond is a condition variable for simulated processes: a list of
+// waiters over Proc.Park and Proc.Unpark. As with sync.Cond, waiters
+// re-check their predicate in a loop:
 //
-//	for !req.done {
+//	for !ready {
 //		cond.Wait(p)
 //	}
 //
 // Signal and Broadcast may be called from scheduler context (event
-// callbacks — e.g. a NIC completion that finishes a request) or from
-// another process; wakeups are delivered as immediate events, preserving
-// the one-runnable-at-a-time invariant.
+// callbacks) or from another process; wake-ups are delivered as immediate
+// events, preserving the one-runnable-at-a-time invariant.
 type Cond struct {
-	w       *World
 	waiters []*Proc
 }
 
-// NewCond returns a condition variable bound to w.
-func NewCond(w *World) *Cond { return &Cond{w: w} }
+// NewCond returns a condition variable for the processes of w.
+func NewCond(w *World) *Cond { return &Cond{} }
 
-// Wait blocks p until a Signal or Broadcast wakes it.
+// Wait blocks p until a Signal or Broadcast takes it off the list; a
+// spurious wake-up (see Proc.Park) parks it again.
 func (c *Cond) Wait(p *Proc) {
 	c.waiters = append(c.waiters, p)
-	p.waitIdx = len(c.w.waiting)
-	c.w.waiting = append(c.w.waiting, p)
-	p.block()
+	for slices.Contains(c.waiters, p) {
+		p.Park()
+	}
 }
 
 // Signal wakes the longest-waiting process, if any.
@@ -33,29 +35,22 @@ func (c *Cond) Signal() {
 		return
 	}
 	p := c.waiters[0]
-	n := copy(c.waiters, c.waiters[1:])
-	c.waiters[n] = nil
-	c.waiters = c.waiters[:n]
-	c.wake(p)
+	c.waiters = slices.Delete(c.waiters, 0, 1)
+	p.Unpark()
 }
 
 // Broadcast wakes every waiting process. The waiter list's backing array
-// is kept for the next Wait: wake only schedules events (nothing re-
-// enters Wait synchronously), so clearing in place is safe — and the
-// wait/broadcast churn of request completion stops allocating once the
-// list has seen its high-water mark.
+// is kept for the next Wait: Unpark only schedules events (nothing re-
+// enters Wait synchronously), so clearing in place is safe and a
+// wait/broadcast cycle stops allocating once the list has seen its
+// high-water mark.
 func (c *Cond) Broadcast() {
 	ws := c.waiters
 	for i, p := range ws {
-		c.wake(p)
+		p.Unpark()
 		ws[i] = nil
 	}
 	c.waiters = ws[:0]
-}
-
-func (c *Cond) wake(p *Proc) {
-	c.w.unwait(p)
-	c.w.At(c.w.now, p.runFn)
 }
 
 // Waiters reports how many processes are currently blocked on c.

@@ -101,7 +101,7 @@ func TestGroupGoSpawnsLikeSpawn(t *testing.T) {
 		if err := w.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return steps, w.seq
+		return steps, w.Events()
 	}
 	plainSteps, plainEvents := run(func(w *World) func(string, func(*Proc)) {
 		return func(name string, fn func(p *Proc)) { w.Spawn(name, fn) }

@@ -2,7 +2,7 @@ package sim
 
 // Proc is a cooperative simulated process. Application-level code (MPI
 // ranks, benchmark drivers, example programs) runs inside processes so it
-// can block — on time with Sleep, or on state with Cond.Wait — while the
+// can block — on time with Sleep, or on state with Park — while the
 // engine underneath runs in event callbacks.
 //
 // Exactly one process executes at a time; a process runs until it blocks
@@ -12,13 +12,13 @@ type Proc struct {
 	name   string
 	resume chan struct{}
 	// runFn is the one resume closure the process ever needs: every
-	// wake-up — Sleep timers, Cond wakes, the first step — schedules this
+	// wake-up — Sleep timers, Unpark, the first step — schedules this
 	// same function instead of allocating a fresh closure per blocking
 	// call. Sleeps and waits are the hottest operations of a large replay,
 	// so the saving is per-op, not per-process.
 	runFn func()
-	// waitIdx is the process's slot in World.waiting while blocked on a
-	// Cond, -1 otherwise (see Cond.Wait / World.unwait).
+	// waitIdx is the process's slot in World.waiting while parked, -1
+	// otherwise (see Park / Unpark).
 	waitIdx int
 }
 
@@ -63,9 +63,46 @@ func (p *Proc) Sleep(d Time) {
 	p.block()
 }
 
-// block parks the process and returns control to the scheduler. Something
-// must eventually call w.runProc(p) (a timer event, or a Cond wake) or the
-// process is dead; the kernel then reports a deadlock.
+// Park blocks the process until Unpark: the one way a process blocks on
+// state (a request completing, a job finishing, a Cond). The contract:
+//
+//   - A wake-up may be spurious — something p asked to be woken by
+//     earlier may call Unpark late — so every caller parks in a loop on
+//     its own predicate: for !done { p.Park() }.
+//   - Sleep is not a park: Unpark does nothing to a sleeping or running
+//     process, so a late wake-up neither shortens a sleep nor leaves a
+//     second resume behind for the sleep's timer to collide with.
+//
+// A parked process nothing unparks is named in Run's DeadlockError.
+func (p *Proc) Park() {
+	p.waitIdx = len(p.w.waiting)
+	p.w.waiting = append(p.w.waiting, p)
+	p.block()
+}
+
+// Unpark resumes p at the current instant — as an event of its own, once
+// the caller has yielded — if p is parked, and does nothing otherwise (a
+// nil p is nobody waiting), so one Park is never resumed twice. It may be
+// called from scheduler context or from another process.
+func (p *Proc) Unpark() {
+	if p == nil || p.waitIdx < 0 {
+		return
+	}
+	// Swap-remove: World.waiting is a set kept as a slice, so park/unpark
+	// cycles allocate nothing; deadlock reports sort it by name.
+	w, i := p.w, p.waitIdx
+	last := len(w.waiting) - 1
+	w.waiting[i] = w.waiting[last]
+	w.waiting[i].waitIdx = i
+	w.waiting[last] = nil
+	w.waiting = w.waiting[:last]
+	p.waitIdx = -1
+	w.At(w.now, p.runFn)
+}
+
+// block hands control back to the scheduler. Something must eventually
+// call w.runProc(p) (a Sleep timer, or Unpark) or the process is dead;
+// the kernel then reports a deadlock.
 func (p *Proc) block() {
 	if p.w.cur != p {
 		panic("sim: blocking call from the wrong context (process " + p.name + " is not running)")

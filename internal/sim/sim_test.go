@@ -380,3 +380,121 @@ func TestCondWaitersCount(t *testing.T) {
 		t.Errorf("Waiters() = %d after broadcast, want 0", c.Waiters())
 	}
 }
+
+// One Unpark costs one event however many other processes are parked:
+// what a targeted wake-up buys over a broadcast, pinned as a count that is
+// the same on any machine.
+func TestUnparkWakesOnlyItsProcess(t *testing.T) {
+	w := NewWorld()
+	const n = 8
+	procs := make([]*Proc, n)
+	resumed := make([]int, n)
+	release := false
+	for i := range procs {
+		procs[i] = w.Spawn("parked", func(p *Proc) {
+			for !release {
+				p.Park()
+				resumed[i]++
+			}
+		})
+	}
+	w.At(10, func() {
+		before := w.Events()
+		procs[3].Unpark()
+		procs[3].Unpark() // already on its way: not parked, no second resume
+		if got := w.Events() - before; got != 1 {
+			t.Errorf("one Unpark among %d parked processes pushed %d events, want 1", n, got)
+		}
+	})
+	w.At(20, func() {
+		for i, r := range resumed {
+			want := 0
+			if i == 3 {
+				want = 1
+			}
+			if r != want {
+				t.Errorf("process %d resumed %d times, want %d", i, r, want)
+			}
+		}
+		release = true
+		for _, p := range procs {
+			p.Unpark()
+		}
+	})
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Sleep is not a park: an Unpark that reaches a sleeping process neither
+// cuts the sleep short nor leaves a second resume behind for the sleep's
+// own timer to collide with.
+func TestUnparkDoesNotDisturbSleep(t *testing.T) {
+	w := NewWorld()
+	steps := 0
+	sleeper := w.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(100)
+		steps++
+		if p.Now() != 100 {
+			t.Errorf("Sleep(100) returned at %v", p.Now())
+		}
+		p.Sleep(100)
+		steps++
+		if p.Now() != 200 {
+			t.Errorf("second Sleep(100) returned at %v, want 200ns", p.Now())
+		}
+	})
+	w.At(50, func() {
+		before := w.Events()
+		sleeper.Unpark()
+		if w.Events() != before {
+			t.Error("Unpark of a sleeping process scheduled an event")
+		}
+	})
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if steps != 2 {
+		t.Errorf("sleeper took %d steps, want 2", steps)
+	}
+}
+
+// A parked process nothing unparks is what a deadlock report names.
+func TestDeadlockNamesParkedProcess(t *testing.T) {
+	w := NewWorld()
+	w.Spawn("parked", func(p *Proc) { p.Park() })
+	w.Spawn("sleeps-then-ends", func(p *Proc) { p.Sleep(5) })
+	var dl *DeadlockError
+	if err := w.Run(); !errors.As(err, &dl) {
+		t.Fatalf("Run() = %v, want *DeadlockError", err)
+	}
+	if len(dl.Blocked) != 1 || dl.Blocked[0] != "parked" {
+		t.Errorf("blocked = %v, want [parked]", dl.Blocked)
+	}
+}
+
+// Cond.Wait returns on Signal or Broadcast only: a stray Unpark (a
+// request the process once watched completing late) parks it again and
+// does not leave it listed twice.
+func TestCondWaitIgnoresStrayUnpark(t *testing.T) {
+	w := NewWorld()
+	c := NewCond(w)
+	var woke Time = -1
+	waiter := w.Spawn("waiter", func(p *Proc) {
+		c.Wait(p)
+		woke = p.Now()
+	})
+	w.At(10, waiter.Unpark)
+	w.At(15, func() {
+		if c.Waiters() != 1 {
+			t.Errorf("Waiters() = %d after a stray Unpark, want 1", c.Waiters())
+		}
+	})
+	w.At(20, c.Signal)
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if woke != 20 {
+		t.Errorf("Wait returned at %v, want the Signal at 20ns", woke)
+	}
+}

@@ -19,7 +19,7 @@ type World struct {
 	yield chan struct{} // a process signals here when it blocks or finishes
 
 	live    int     // spawned processes that have not finished
-	waiting []*Proc // processes blocked on a Cond (for deadlock reports)
+	waiting []*Proc // parked processes (for deadlock reports)
 
 	stopped bool
 	limit   Time // RunUntil horizon; 0 = none
@@ -28,24 +28,6 @@ type World struct {
 // NewWorld returns an empty world with the clock at zero.
 func NewWorld() *World {
 	return &World{yield: make(chan struct{})}
-}
-
-// unwait removes p from the blocked-process registry (swap-remove: the
-// registry is a set kept as a slice so wait/wake cycles on the request
-// hot path stay allocation-free; order is irrelevant — deadlock reports
-// sort by name).
-func (w *World) unwait(p *Proc) {
-	i := p.waitIdx
-	if i < 0 {
-		return
-	}
-	last := len(w.waiting) - 1
-	moved := w.waiting[last]
-	w.waiting[i] = moved
-	moved.waitIdx = i
-	w.waiting[last] = nil
-	w.waiting = w.waiting[:last]
-	p.waitIdx = -1
 }
 
 // Now reports the current virtual time.
@@ -64,6 +46,11 @@ func (w *World) At(t Time, fn func()) {
 
 // After schedules fn to run d from now. Negative d means now.
 func (w *World) After(d Time, fn func()) { w.At(w.now+d, fn) }
+
+// Events reports how many events have been scheduled so far: a count of
+// the work a run gave the scheduler (a wake-up is one) that is the same
+// on any machine.
+func (w *World) Events() uint64 { return w.seq }
 
 // Stop makes Run return after the event currently firing.
 func (w *World) Stop() { w.stopped = true }

@@ -98,9 +98,9 @@ type (
 
 // Re-exported constants and constructors.
 var (
-	// WaitAll / WaitAny complete sets of requests on the engine's shared
-	// completion condition (MPI_Waitall / MPI_Waitany shaped, but for any
-	// Request).
+	// WaitAll / WaitAny complete sets of requests (MPI_Waitall /
+	// MPI_Waitany shaped, but for any Request, of any engine): each
+	// request wakes the process waiting on it at the instant it completes.
 	WaitAll = core.WaitAll
 	WaitAny = core.WaitAny
 	// NewRequestGroup composes requests into one handle.

@@ -109,8 +109,13 @@ func OnRail(driver int) SendOption {
 	return func(c *sendConfig) { c.driver = driver }
 }
 
-// resolveSend folds options over the default configuration.
+// resolveSend folds options over the default configuration. The common
+// send has no options and returns before c exists: an option takes c's
+// address, which moves c to the heap — one allocation per message.
 func resolveSend(opts []SendOption) sendConfig {
+	if len(opts) == 0 {
+		return sendConfig{driver: AnyDriver}
+	}
 	c := sendConfig{driver: AnyDriver}
 	for _, o := range opts {
 		o(&c)

@@ -15,13 +15,13 @@ var (
 
 // Request is the unified completion handle of the engine: every
 // nonblocking operation — a send, a receive, a packed message, a group of
-// operations layered above (MAD-MPI requests) — presents the same
+// them, a handle layered above (MAD-MPI requests) — presents the same
 // isend/irecv/wait/test surface of the paper's API set.
 //
 // The interface is sealed: a request records the process waiting on it
 // and wakes that process itself when it completes, so outside
-// implementations cannot exist. Compose operations with RequestGroup
-// instead.
+// implementations cannot exist. Compose operations with RequestGroup, or
+// embed the Request a layer above wraps, instead.
 type Request interface {
 	// Done reports whether the request has completed.
 	Done() bool
@@ -204,9 +204,9 @@ func (r *RecvRequest) Source() simnet.NodeID { return r.src }
 func (r *RecvRequest) matchesTag(tag Tag) bool { return tag&r.mask == r.want }
 
 // RequestGroup composes several requests into one: it completes when
-// every member has, and its error is the first member error. MAD-MPI
-// builds its Request on it; applications can use it to treat a whole
-// exchange as one handle. The zero value is an empty, completed group.
+// every member has, and its error is the first member error.
+// Applications use it to treat a whole exchange as one handle. The zero
+// value is an empty, completed group.
 type RequestGroup struct {
 	reqs []Request
 	err  error // immediate validation error, set by Fail

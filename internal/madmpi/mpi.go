@@ -3,8 +3,8 @@
 // the NewMadeleine engine (§3.4). The four point-to-point nonblocking
 // posting (Isend, Irecv) and completion (Wait, Test) operations map
 // directly onto the equivalent engine operations; completion itself is
-// the engine's unified core.Request layer (Request is a
-// core.RequestGroup); communicators multiplex onto engine flow tags;
+// the engine's unified core.Request layer (Request embeds the one
+// engine request it posted); communicators multiplex onto engine flow tags;
 // derived datatypes flatten onto the engine's vector (iovec) path, so a
 // non-contiguous layout travels as one multi-segment wrapper the
 // scheduling strategies aggregate natively (§5.3).
@@ -168,50 +168,32 @@ type Status struct {
 	Count  int
 }
 
-// Request is a nonblocking operation handle. It is a core.RequestGroup
-// (so it satisfies the engine's unified core.Request interface — the MPI
-// layer no longer reimplements completion) plus the status bookkeeping
-// MPI semantics need. Typed (derived-datatype) operations fan their
-// engine requests into the same group.
+// Request is a nonblocking operation handle: the one engine request
+// the operation posted (every MPI operation, typed ones included, is a
+// single wrapper below), so it satisfies the engine's unified
+// core.Request interface by embedding it — the MPI layer does not
+// reimplement completion — plus what MPI_Status needs.
 type Request struct {
-	*core.RequestGroup
-	comm  *Comm
-	recvs []*core.RecvRequest // receive legs, for status extraction
+	core.Request
+	recv *core.RecvRequest // the same request when it is a receive, for Status
 }
 
 // Request is used by core.WaitAll/WaitAny through the unified interface.
 var _ core.Request = (*Request)(nil)
 
-// newRequest bundles engine legs under one MPI handle.
-func newRequest(c *Comm, sends []*core.SendRequest, recvs []*core.RecvRequest) *Request {
-	g := core.NewRequestGroup()
-	for _, s := range sends {
-		g.Add(s)
-	}
-	for _, r := range recvs {
-		g.Add(r)
-	}
-	return &Request{RequestGroup: g, comm: c, recvs: recvs}
-}
-
 // failedRequest wraps an immediate validation error so Wait/Test report
 // it.
-func failedRequest(c *Comm, err error) *Request {
-	return &Request{RequestGroup: core.FailedRequest(err), comm: c}
+func failedRequest(err error) *Request {
+	return &Request{Request: core.FailedRequest(err)}
 }
 
-// Status returns the receive status (zero-valued Source/Tag of -1 for
-// pure sends). Valid once the request is Done.
+// Status returns the receive status (Source and Tag of -1 and a zero
+// Count for sends). Valid once the request is Done.
 func (r *Request) Status() Status {
-	st := Status{Source: -1, Tag: -1}
-	for i, rr := range r.recvs {
-		st.Count += rr.N()
-		if i == 0 {
-			st.Source = int(rr.Source())
-			st.Tag = userTag(rr.Tag())
-		}
+	if r.recv == nil {
+		return Status{Source: -1, Tag: -1}
 	}
-	return st
+	return Status{Source: int(r.recv.Source()), Tag: userTag(r.recv.Tag()), Count: r.recv.N()}
 }
 
 // WaitStatus blocks until completion and returns the receive status

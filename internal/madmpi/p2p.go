@@ -14,20 +14,20 @@ import (
 // through as MAD-MPI extensions.
 func (c *Comm) Isend(p *sim.Proc, buf []byte, dest, tag int, opts ...core.SendOption) *Request {
 	if err := c.checkPeer(dest); err != nil {
-		return failedRequest(c, err)
+		return failedRequest(err)
 	}
 	if err := checkTag(tag); err != nil {
-		return failedRequest(c, err)
+		return failedRequest(err)
 	}
 	req := c.gate(dest).Isend(p, c.flowTag(tag), buf, opts...)
-	return newRequest(c, []*core.SendRequest{req}, nil)
+	return &Request{Request: req}
 }
 
 // Irecv starts a nonblocking receive into buf from rank src. tag may be
 // AnyTag.
 func (c *Comm) Irecv(p *sim.Proc, buf []byte, src, tag int) *Request {
 	if err := c.checkPeer(src); err != nil {
-		return failedRequest(c, err)
+		return failedRequest(err)
 	}
 	var req *core.RecvRequest
 	if tag == AnyTag {
@@ -35,11 +35,11 @@ func (c *Comm) Irecv(p *sim.Proc, buf []byte, src, tag int) *Request {
 		req = c.gate(src).IrecvMasked(p, want, mask, buf)
 	} else {
 		if err := checkTag(tag); err != nil {
-			return failedRequest(c, err)
+			return failedRequest(err)
 		}
 		req = c.gate(src).Irecv(p, c.flowTag(tag), buf)
 	}
-	return newRequest(c, nil, []*core.RecvRequest{req})
+	return &Request{Request: req, recv: req}
 }
 
 // Send is the blocking form of Isend.

@@ -14,13 +14,13 @@ import (
 // that aggregates with its outbound traffic.
 func (c *Comm) Issend(p *sim.Proc, buf []byte, dest, tag int) *Request {
 	if err := c.checkPeer(dest); err != nil {
-		return failedRequest(c, err)
+		return failedRequest(err)
 	}
 	if err := checkTag(tag); err != nil {
-		return failedRequest(c, err)
+		return failedRequest(err)
 	}
 	req := c.gate(dest).Issend(p, c.flowTag(tag), buf)
-	return newRequest(c, []*core.SendRequest{req}, nil)
+	return &Request{Request: req}
 }
 
 // Ssend is the blocking form of Issend (MPI_Ssend).

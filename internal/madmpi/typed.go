@@ -3,7 +3,6 @@ package madmpi
 import (
 	"fmt"
 
-	"nmad/internal/core"
 	"nmad/internal/sim"
 )
 
@@ -21,17 +20,17 @@ import (
 // read from base (the address of the first element).
 func (c *Comm) IsendTyped(p *sim.Proc, base []byte, t Datatype, count, dest, tag int) *Request {
 	if err := c.checkPeer(dest); err != nil {
-		return failedRequest(c, err)
+		return failedRequest(err)
 	}
 	if err := checkTag(tag); err != nil {
-		return failedRequest(c, err)
+		return failedRequest(err)
 	}
 	iov, err := Iovec(base, t, count)
 	if err != nil {
-		return failedRequest(c, err)
+		return failedRequest(err)
 	}
 	req := c.gate(dest).Isendv(p, c.flowTag(tag), iov)
-	return newRequest(c, []*core.SendRequest{req}, nil)
+	return &Request{Request: req}
 }
 
 // IrecvTyped starts a nonblocking receive of count elements of datatype t
@@ -40,17 +39,17 @@ func (c *Comm) IsendTyped(p *sim.Proc, base []byte, t Datatype, count, dest, tag
 // scatters across the blocks in flattening order.
 func (c *Comm) IrecvTyped(p *sim.Proc, base []byte, t Datatype, count, src, tag int) *Request {
 	if err := c.checkPeer(src); err != nil {
-		return failedRequest(c, err)
+		return failedRequest(err)
 	}
 	if err := checkTag(tag); err != nil {
-		return failedRequest(c, err)
+		return failedRequest(err)
 	}
 	iov, err := Iovec(base, t, count)
 	if err != nil {
-		return failedRequest(c, err)
+		return failedRequest(err)
 	}
 	req := c.gate(src).Irecvv(p, c.flowTag(tag), iov)
-	return newRequest(c, nil, []*core.RecvRequest{req})
+	return &Request{Request: req, recv: req}
 }
 
 // Iovec flattens count elements of datatype t at base into the gather

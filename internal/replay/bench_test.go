@@ -45,8 +45,9 @@ func BenchmarkRun(b *testing.B) {
 // Run is event-driven: it must start no goroutine (a simulated process
 // is one), and what it allocates per recorded op — request, wrapper
 // bookkeeping, tracer events, the op's two closures and its segment
-// slice — stays under a ceiling that a process per op (five allocations
-// for the process alone) or a payload buffer per op cannot meet.
+// slice — stays under a ceiling that a process per op (fourteen
+// allocations for the process alone) or a payload buffer per op cannot
+// meet.
 func TestRunSpawnsNothingAndAllocatesLittle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")

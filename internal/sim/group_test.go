@@ -2,32 +2,9 @@ package sim
 
 import (
 	"errors"
-	"runtime"
 	"slices"
 	"testing"
 )
-
-// A process that ends through runtime.Goexit — what t.Fatal does inside a
-// spawned process — must still hand control back to Run. Before the
-// hand-off moved into a defer this test hung until the package timeout.
-func TestProcGoexitReturnsControl(t *testing.T) {
-	w := NewWorld()
-	after := false
-	w.Spawn("quitter", func(p *Proc) {
-		p.Sleep(5)
-		runtime.Goexit()
-	})
-	w.Spawn("bystander", func(p *Proc) {
-		p.Sleep(10)
-		after = true
-	})
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !after || w.Live() != 0 {
-		t.Errorf("after Goexit: bystander ran = %v, live = %d; want true, 0", after, w.Live())
-	}
-}
 
 func TestGroupFirstErrorBeatsTheDeadlockItCauses(t *testing.T) {
 	w := NewWorld()

@@ -1,16 +1,29 @@
 package sim
 
+import (
+	"fmt"
+	"iter"
+	"runtime/debug"
+)
+
 // Proc is a cooperative simulated process. Application-level code (MPI
 // ranks, benchmark drivers, example programs) runs inside processes so it
 // can block — on time with Sleep, or on state with Park — while the
 // engine underneath runs in event callbacks.
 //
+// A process is a coroutine (iter.Pull): the scheduler resumes it with
+// next, it suspends itself with yield, and a switch either way goes
+// straight from one to the other without a trip through the Go scheduler.
 // Exactly one process executes at a time; a process runs until it blocks
 // or returns, so plain Go code inside a process needs no synchronization.
 type Proc struct {
-	w      *World
-	name   string
-	resume chan struct{}
+	w    *World
+	name string
+	// next runs the process until it blocks or finishes; yield, called by
+	// the process, suspends it and makes next return. Both come from the
+	// one iter.Pull in Spawn.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 	// runFn is the one resume closure the process ever needs: every
 	// wake-up — Sleep timers, Unpark, the first step — schedules this
 	// same function instead of allocating a fresh closure per blocking
@@ -22,23 +35,51 @@ type Proc struct {
 	waitIdx int
 }
 
+// ProcPanic is what World.Run panics with when a process panics. The
+// coroutine hand-off re-raises a process's panic on the stack of whoever
+// called Run, where the traceback no longer shows the process; ProcPanic
+// carries what that loses.
+type ProcPanic struct {
+	Proc  string // name of the process that panicked
+	Value any    // what it panicked with
+	Stack []byte // the process's stack at the panic (debug.Stack)
+}
+
+func (e *ProcPanic) Error() string {
+	return fmt.Sprintf("sim: process %s panicked: %v\n\n%s", e.Proc, e.Value, e.Stack)
+}
+
+// Unwrap returns the panic value when the process panicked with an error.
+func (e *ProcPanic) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
+}
+
 // Spawn creates a process executing fn and schedules its first step at the
 // current virtual time. fn receives the process itself for blocking calls.
+//
+// Whatever ends fn abnormally surfaces in the goroutine that called Run,
+// from inside Run, with the process no longer counted live: a panic as a
+// *ProcPanic, a runtime.Goexit (a t.Fatal inside fn) as the Goexit of
+// that goroutine.
 func (w *World) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{w: w, name: name, resume: make(chan struct{}), waitIdx: -1}
+	p := &Proc{w: w, name: name, waitIdx: -1}
 	p.runFn = func() { w.runProc(p) }
 	w.live++
-	go func() {
-		<-p.resume // wait for the scheduler to give us our first step
-		// Deferred so a process that ends through runtime.Goexit (a
-		// t.Fatal inside fn) still hands control back; otherwise Run
-		// would wait on yield forever.
+	// The stop function is dropped on purpose: a process that never
+	// finishes stays suspended in its coroutine for a deadlock report to
+	// name; unwinding it would make Park return into code that believes
+	// it was woken.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			w.live--
-			w.yield <- struct{}{}
+			if v := recover(); v != nil {
+				panic(&ProcPanic{Proc: p.name, Value: v, Stack: debug.Stack()})
+			}
 		}()
 		fn(p)
-	}()
+	})
 	w.At(w.now, p.runFn)
 	return p
 }
@@ -100,13 +141,13 @@ func (p *Proc) Unpark() {
 	w.At(w.now, p.runFn)
 }
 
-// block hands control back to the scheduler. Something must eventually
-// call w.runProc(p) (a Sleep timer, or Unpark) or the process is dead;
-// the kernel then reports a deadlock.
+// block suspends the process: the next() that resumed it returns in the
+// scheduler. Something must eventually call w.runProc(p) again (a Sleep
+// timer, or Unpark) or the process is dead; the kernel then reports a
+// deadlock.
 func (p *Proc) block() {
 	if p.w.cur != p {
 		panic("sim: blocking call from the wrong context (process " + p.name + " is not running)")
 	}
-	p.w.yield <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 }

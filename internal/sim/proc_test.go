@@ -1,0 +1,233 @@
+package sim
+
+import (
+	"errors"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// switchAllocs returns allocations per extra process switch between a
+// short and a long run of the same workload (the marginalAllocs shape of
+// core/alloc_test.go): what a world and its spawns cost cancels out.
+func switchAllocs(run func(switches int), short, long int) float64 {
+	run(4) // warm lazy runtime paths out of the measurement
+	a1 := testing.AllocsPerRun(5, func() { run(short) })
+	a2 := testing.AllocsPerRun(5, func() { run(long) })
+	return (a2 - a1) / float64(long-short)
+}
+
+func mustRun(tb testing.TB, w *World) {
+	tb.Helper()
+	if err := w.Run(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// yieldLoop runs one process through n Sleep(0) switches.
+func yieldLoop(tb testing.TB, n int) {
+	w := NewWorld()
+	w.Spawn("yielder", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			p.Sleep(0)
+		}
+	})
+	mustRun(tb, w)
+}
+
+// wakeLoop runs a waiter that blocks n times through wait and a waker
+// that wakes it n times through wake, yielding first so the waiter is
+// blocked by then: two switches per wake-up.
+func wakeLoop(tb testing.TB, n int, wait func(p *Proc), wake func(waiter *Proc)) {
+	w := NewWorld()
+	waiter := w.Spawn("waiter", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			wait(p)
+		}
+	})
+	w.Spawn("waker", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			p.Sleep(0)
+			wake(waiter)
+		}
+	})
+	mustRun(tb, w)
+}
+
+// A steady-state switch allocates nothing, whichever way the process
+// blocks: the coroutine, the one runFn and the waiting set are all built
+// by the time a process first runs.
+func TestSwitchAllocatesNothing(t *testing.T) {
+	c := NewCond(nil) // a bare waiter list: one serves every run
+	for _, tc := range []struct {
+		name string
+		run  func(n int)
+	}{
+		{"Sleep(0)", func(n int) { yieldLoop(t, n) }},
+		{"Park/Unpark", func(n int) { wakeLoop(t, n, (*Proc).Park, (*Proc).Unpark) }},
+		{"Cond.Wait/Signal", func(n int) { wakeLoop(t, n, c.Wait, func(*Proc) { c.Signal() }) }},
+	} {
+		if got := switchAllocs(tc.run, 64, 1088); got != 0 {
+			t.Errorf("%s: %.3f allocations per switch, want 0", tc.name, got)
+		}
+	}
+}
+
+// Spawn and Unpark only schedule: the child's first step and the woken
+// process's resume are events behind whatever the current instant already
+// holds, and run once the caller has blocked — in (at, seq) order, the
+// order TestEventOrdering asserts for plain events.
+func TestSpawnAndUnparkInterleaveInEventOrder(t *testing.T) {
+	w := NewWorld()
+	var trace []string
+	say := func(s string) { trace = append(trace, s) }
+	parked := w.Spawn("parked", func(p *Proc) {
+		say("parked starts")
+		p.Park()
+		say("parked woken")
+	})
+	w.Spawn("parent", func(p *Proc) {
+		say("parent starts")
+		w.Spawn("child", func(p *Proc) {
+			say("child starts")
+			p.Sleep(0)
+			say("child ends")
+		})
+		say("parent spawned")
+		parked.Unpark()
+		say("parent unparked")
+		p.Sleep(0)
+		say("parent ends")
+	})
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"parked starts", "parent starts", "parent spawned", "parent unparked",
+		"child starts", "parked woken", "parent ends", "child ends",
+	}
+	if !slices.Equal(trace, want) {
+		t.Errorf("interleaving\n got %v\nwant %v", trace, want)
+	}
+}
+
+// A process that ends through runtime.Goexit — what t.Fatal does inside a
+// spawned process — ends the goroutine that called Run, from inside Run:
+// in a test that is the test's own goroutine, the only one testing allows
+// FailNow on. The process is no longer live and nothing is left marked
+// running, so the world is still usable.
+func TestProcGoexitReturnsControl(t *testing.T) {
+	w := NewWorld()
+	bystander := false
+	w.Spawn("quitter", func(p *Proc) {
+		p.Sleep(5)
+		runtime.Goexit()
+	})
+	w.Spawn("bystander", func(p *Proc) {
+		p.Sleep(10)
+		bystander = true
+	})
+	unwound, returned := false, false
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		defer func() { unwound = true }()
+		_ = w.Run()
+		returned = true
+	}()
+	<-ended
+	if !unwound || returned {
+		t.Fatalf("goroutine in Run: deferred call ran = %v, Run returned = %v; want true, false", unwound, returned)
+	}
+	if w.Live() != 1 || w.cur != nil || w.Now() != 5 {
+		t.Errorf("after Goexit: live = %d, cur = %v, now = %v; want 1, nil, 5ns", w.Live(), w.cur, w.Now())
+	}
+	if err := w.Run(); err != nil || !bystander || w.Live() != 0 {
+		t.Errorf("second Run = %v, bystander ran = %v, live = %d; want nil, true, 0", err, bystander, w.Live())
+	}
+}
+
+var errBoom = errors.New("boom")
+
+//go:noinline
+func panicOuter() { panicMiddle() }
+
+//go:noinline
+func panicMiddle() { panicInnermost() }
+
+//go:noinline
+func panicInnermost() { panic(errBoom) }
+
+// A process's panic comes out of Run with the process's name and the
+// stack it happened on; the re-raised panic's own traceback shows only
+// the scheduler.
+func TestProcPanicKeepsNameAndStack(t *testing.T) {
+	w := NewWorld()
+	w.Spawn("bystander", func(p *Proc) { p.Sleep(10) })
+	w.Spawn("faulty", func(p *Proc) {
+		p.Sleep(5)
+		panicOuter()
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_ = w.Run()
+	}()
+	pp, ok := got.(*ProcPanic)
+	if !ok {
+		t.Fatalf("Run panicked with %T (%v), want *ProcPanic", got, got)
+	}
+	if pp.Proc != "faulty" || !errors.Is(pp, errBoom) {
+		t.Errorf("ProcPanic{Proc: %q, Value: %v}, want faulty and a Value errors.Is finds errBoom in", pp.Proc, pp.Value)
+	}
+	if !strings.Contains(string(pp.Stack), "panicInnermost") {
+		t.Errorf("stack does not reach the panicking function:\n%s", pp.Stack)
+	}
+	for _, part := range []string{"faulty", "boom", "panicInnermost"} {
+		if !strings.Contains(pp.Error(), part) {
+			t.Errorf("Error() lacks %q:\n%s", part, pp.Error())
+		}
+	}
+	if w.Live() != 1 || w.cur != nil {
+		t.Errorf("after the panic: live = %d, cur = %v; want 1, nil", w.Live(), w.cur)
+	}
+}
+
+func TestDeadlockListsEveryParkedProcessSorted(t *testing.T) {
+	w := NewWorld()
+	for _, name := range []string{"zeta", "alpha", "mu"} {
+		w.Spawn(name, func(p *Proc) {
+			p.Sleep(3)
+			p.Park()
+		})
+	}
+	var dl *DeadlockError
+	if err := w.Run(); !errors.As(err, &dl) {
+		t.Fatalf("Run() = %v, want *DeadlockError", err)
+	}
+	if want := []string{"alpha", "mu", "zeta"}; !slices.Equal(dl.Blocked, want) {
+		t.Errorf("blocked = %v, want %v", dl.Blocked, want)
+	}
+}
+
+// A finished process gives its coroutine back: nothing of it outlives
+// the return of its function.
+func TestFinishedProcessesLeaveNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	w := NewWorld()
+	finished := 0
+	for i := 0; i < 10000; i++ {
+		w.Spawn("short-lived", func(p *Proc) {
+			p.Sleep(Time(i % 7))
+			finished++
+		})
+	}
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Not != : a goroutine of an earlier test may still be on its way out.
+	if after := runtime.NumGoroutine(); finished != 10000 || after > before {
+		t.Errorf("%d processes finished, goroutines %d -> %d; want 10000 and no growth", finished, before, after)
+	}
+}

@@ -7,16 +7,17 @@ import (
 
 // World owns the virtual clock, the event queue and every process spawned
 // into the simulation. A World is single-threaded by construction: the
-// scheduler goroutine (the one that calls Run) and at most one process
-// goroutine are ever runnable, and they hand control to each other through
-// unbuffered channels. No locking is needed anywhere above the kernel.
+// scheduler (whoever calls Run) and the processes are coroutines of one
+// another — an event resumes a process, the process runs until it blocks
+// or finishes, and control comes back to the event loop — so exactly one
+// of them executes at any moment. No locking is needed anywhere above the
+// kernel.
 type World struct {
 	now   Time
 	queue eventQueue
 	seq   uint64
 
-	cur   *Proc         // process currently executing, nil in scheduler context
-	yield chan struct{} // a process signals here when it blocks or finishes
+	cur *Proc // process currently executing, nil in scheduler context
 
 	live    int     // spawned processes that have not finished
 	waiting []*Proc // parked processes (for deadlock reports)
@@ -27,7 +28,7 @@ type World struct {
 
 // NewWorld returns an empty world with the clock at zero.
 func NewWorld() *World {
-	return &World{yield: make(chan struct{})}
+	return &World{}
 }
 
 // Now reports the current virtual time.
@@ -109,13 +110,15 @@ func (w *World) deadlock() error {
 func (w *World) Live() int { return w.live }
 
 // runProc transfers control to p until it blocks or finishes. Must be
-// called from scheduler context only (i.e. from inside an event).
+// called from scheduler context only (i.e. from inside an event). cur is
+// cleared in a defer because next does not always return: it re-raises a
+// process's panic or Goexit here, in the goroutine running the world (see
+// Spawn), and a caller that recovers must find the world consistent.
 func (w *World) runProc(p *Proc) {
 	if w.cur != nil {
 		panic("sim: runProc while another process is running")
 	}
 	w.cur = p
-	p.resume <- struct{}{}
-	<-w.yield
-	w.cur = nil
+	defer func() { w.cur = nil }()
+	p.next()
 }

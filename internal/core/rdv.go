@@ -100,7 +100,7 @@ type rdvKey struct {
 
 // rdvRecv is the receiver-side state of one rendezvous transaction.
 type rdvRecv struct {
-	req       *rdvRecvReq
+	req       *RecvRequest
 	remaining int // granted bytes not yet landed
 	granted   int // bytes the CTS allowed (clamped to the landing area)
 	total     int // full body size the RTS announced
@@ -163,9 +163,6 @@ type pendingGrant struct {
 	r *RecvRequest
 	h header
 }
-
-// rdvRecvReq narrows what the body path needs from a receive request.
-type rdvRecvReq = RecvRequest
 
 // defaultBodyChunkNonRDMA bounds eager body chunks when the driver
 // reports no usable threshold.

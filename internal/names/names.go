@@ -1,7 +1,7 @@
 // Package names holds the one true Go-identifier → snake_case mapping
-// used to name engine counters in scenario assertions: the scenario
-// package derives its assertion-field tables from the core.Stats and
-// simnet.FaultStats definitions under this rule.
+// scenario files are spelled in: the scenario package derives its
+// assertion-field tables from the core.Stats and simnet.FaultStats
+// definitions, and the keys of its own schema structs, under this rule.
 package names
 
 import "strings"

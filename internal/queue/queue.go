@@ -21,6 +21,7 @@ package queue
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"nmad/internal/core"
 	"nmad/internal/sim"
@@ -53,27 +54,24 @@ const (
 	ClassLatency
 )
 
+// classNames is the scenario-file spelling of each class, in class order.
+var classNames = [...]string{ClassBulk: "bulk", ClassNormal: "normal", ClassLatency: "latency"}
+
+// ClassNames lists the class spellings ClassByName accepts, lowest class
+// first.
+func ClassNames() []string { return slices.Clone(classNames[:]) }
+
 func (c Class) String() string {
-	switch c {
-	case ClassBulk:
-		return "bulk"
-	case ClassNormal:
-		return "normal"
-	case ClassLatency:
-		return "latency"
+	if c < 0 || int(c) >= len(classNames) {
+		return fmt.Sprintf("Class(%d)", int(c))
 	}
-	return fmt.Sprintf("Class(%d)", int(c))
+	return classNames[c]
 }
 
 // ClassByName maps the scenario-file spelling to a Class.
 func ClassByName(name string) (Class, bool) {
-	switch name {
-	case "bulk":
-		return ClassBulk, true
-	case "normal":
-		return ClassNormal, true
-	case "latency":
-		return ClassLatency, true
+	if i := slices.Index(classNames[:], name); i >= 0 {
+		return Class(i), true
 	}
 	return 0, false
 }

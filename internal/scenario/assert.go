@@ -2,8 +2,10 @@ package scenario
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
-	"sort"
+	"slices"
+	"strconv"
 
 	"nmad/internal/core"
 	"nmad/internal/names"
@@ -57,14 +59,7 @@ func fieldTable[T any]() map[string]func(*T) float64 {
 	return table
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+func sortedKeys[V any](m map[string]V) []string { return slices.Sorted(maps.Keys(m)) }
 
 func compare(got float64, op string, want float64) bool {
 	switch op {
@@ -127,105 +122,176 @@ func (ctx *evalContext) eval(a AssertSpec) AssertResult {
 		res.Detail = fmt.Sprintf("no snapshot at %q", anchor)
 		return res
 	}
-
-	switch a.Type {
-	case AssertStats:
-		fn := statsFields[a.Field]
-		var got float64
-		var who string
-		switch a.Node {
-		case "", "sum":
-			for i := range snap.Stats {
-				got += fn(&snap.Stats[i])
-			}
-			who = "sum"
-		case "max":
-			for i := range snap.Stats {
-				if v := fn(&snap.Stats[i]); v > got {
-					got = v
-				}
-			}
-			who = "max"
-		case "all":
-			for node := range snap.Stats {
-				if v := fn(&snap.Stats[node]); !compare(v, a.Op, a.Value) {
-					res.Detail = fmt.Sprintf("node %d %s = %v, want %s %v", node, a.Field, v, a.Op, a.Value)
-					return res
-				}
-			}
-			res.OK = true
-			res.Detail = fmt.Sprintf("%s %s %v on all %d nodes", a.Field, a.Op, a.Value, len(snap.Stats))
-			return res
-		default:
-			id, _ := parseID(a.Node)
-			got = fn(&snap.Stats[id])
-			who = fmt.Sprintf("node %d", id)
-		}
-		res.OK = compare(got, a.Op, a.Value)
-		res.Detail = fmt.Sprintf("%s %s = %v, want %s %v", who, a.Field, got, a.Op, a.Value)
-
-	case AssertFaults:
-		fn := faultFields[a.Field]
-		var got float64
-		var who string
-		switch a.Rail {
-		case "", "sum":
-			for i := range snap.Faults {
-				got += fn(&snap.Faults[i])
-			}
-			who = "sum"
-		default:
-			id, _ := parseID(a.Rail)
-			got = fn(&snap.Faults[id])
-			who = fmt.Sprintf("rail %d", id)
-		}
-		res.OK = compare(got, a.Op, a.Value)
-		res.Detail = fmt.Sprintf("%s %s = %v, want %s %v", who, a.Field, got, a.Op, a.Value)
-
-	case AssertCompletion:
-		var done sim.Time
-		var who string
-		if a.Phase == "" {
-			done, who = ctx.runEnd, "run"
-		} else {
-			pr := ctx.phases[a.Phase]
-			if pr == nil || !pr.done {
-				res.Detail = fmt.Sprintf("phase %q never completed", a.Phase)
-				return res
-			}
-			done, who = pr.end, "phase "+a.Phase
-		}
-		switch {
-		case a.Max > 0 && done > a.Max:
-			res.Detail = fmt.Sprintf("%s completed at %v, want <= %v", who, done, a.Max)
-		case a.Min > 0 && done < a.Min:
-			res.Detail = fmt.Sprintf("%s completed at %v, want >= %v", who, done, a.Min)
-		default:
-			res.OK = true
-			res.Detail = fmt.Sprintf("%s completed at %v", who, done)
-		}
-
-	case AssertIntegrity:
-		res.OK = ctx.integrity == 0
-		if res.OK {
-			res.Detail = "every payload verified"
-		} else {
-			res.Detail = fmt.Sprintf("%d corrupted payload(s)", ctx.integrity)
-		}
-
-	case AssertPhaseOrder:
-		before, after := ctx.phases[a.Before], ctx.phases[a.After]
-		switch {
-		case before == nil || !before.done:
-			res.Detail = fmt.Sprintf("phase %q never completed", a.Before)
-		case after == nil || !after.done:
-			res.Detail = fmt.Sprintf("phase %q never completed", a.After)
-		case before.end > after.end:
-			res.Detail = fmt.Sprintf("%s completed at %v, after %s at %v", a.Before, before.end, a.After, after.end)
-		default:
-			res.OK = true
-			res.Detail = fmt.Sprintf("%s at %v <= %s at %v", a.Before, before.end, a.After, after.end)
-		}
-	}
+	res.OK, res.Detail = assertTypes[a.Type].eval(ctx, snap, a)
 	return res
+}
+
+// assertType is one row of the assertion vocabulary: what Validate demands
+// of an assertion of the type (nil: nothing), how it is decided against the
+// snapshot it anchors at, and how reports spell it.
+type assertType struct {
+	check func(v *validator, path string, a AssertSpec)
+	eval  func(ctx *evalContext, snap *Snapshot, a AssertSpec) (ok bool, detail string)
+	label func(a AssertSpec) string
+}
+
+var assertTypes = map[string]assertType{
+	"stats": counterAssert("node", statsFields, []Selector{"sum", "max", "all"},
+		func(a AssertSpec) Selector { return a.Node }, (*validator).node,
+		func(s *Snapshot) []core.Stats { return s.Stats }),
+	"faults": counterAssert("rail", faultFields, []Selector{"sum"},
+		func(a AssertSpec) Selector { return a.Rail }, (*validator).rail,
+		func(s *Snapshot) []simnet.FaultStats { return s.Faults }),
+	"completion": {
+		check: func(v *validator, path string, a AssertSpec) {
+			if _, ok := v.phases[a.Phase]; a.Phase != "" && !ok {
+				v.bad(ErrBadTarget, "%s: no phase named %q", path, a.Phase)
+			}
+			if a.Max == 0 && a.Min == 0 {
+				v.bad(ErrBadValue, "%s: a completion assertion needs max and/or min", path)
+			}
+			if a.Max > 0 && a.Min > a.Max {
+				v.bad(ErrBadValue, "%s: min %v exceeds max %v", path, a.Min, a.Max)
+			}
+		},
+		eval: func(ctx *evalContext, _ *Snapshot, a AssertSpec) (bool, string) {
+			done, who := ctx.runEnd, "run"
+			if a.Phase != "" {
+				pr := ctx.phases[a.Phase]
+				if pr == nil || !pr.done {
+					return false, fmt.Sprintf("phase %q never completed", a.Phase)
+				}
+				done, who = pr.end, "phase "+a.Phase
+			}
+			switch {
+			case a.Max > 0 && done > a.Max:
+				return false, fmt.Sprintf("%s completed at %v, want <= %v", who, done, a.Max)
+			case a.Min > 0 && done < a.Min:
+				return false, fmt.Sprintf("%s completed at %v, want >= %v", who, done, a.Min)
+			}
+			return true, fmt.Sprintf("%s completed at %v", who, done)
+		},
+		label: func(a AssertSpec) string {
+			s := "completion run"
+			if a.Phase != "" {
+				s = "completion " + a.Phase
+			}
+			if a.Min > 0 {
+				s += fmt.Sprintf(" >= %v", a.Min)
+			}
+			if a.Max > 0 {
+				s += fmt.Sprintf(" <= %v", a.Max)
+			}
+			return s
+		},
+	},
+	// No parameters: every phase verifies its payloads; the assertion
+	// demands zero corruption.
+	"integrity": {
+		eval: func(ctx *evalContext, _ *Snapshot, _ AssertSpec) (bool, string) {
+			if ctx.integrity != 0 {
+				return false, fmt.Sprintf("%d corrupted payload(s)", ctx.integrity)
+			}
+			return true, "every payload verified"
+		},
+		label: func(AssertSpec) string { return "integrity" },
+	},
+	// Before must complete no later than after completes, and both must
+	// complete.
+	"phase_order": {
+		check: func(v *validator, path string, a AssertSpec) {
+			for _, ref := range []struct{ field, name string }{{"before", a.Before}, {"after", a.After}} {
+				if ref.name == "" {
+					v.bad(ErrBadValue, "%s: missing %s phase", path, ref.field)
+				} else if _, ok := v.phases[ref.name]; !ok {
+					v.bad(ErrBadTarget, "%s: no phase named %q", path, ref.name)
+				}
+			}
+		},
+		eval: func(ctx *evalContext, _ *Snapshot, a AssertSpec) (bool, string) {
+			before, after := ctx.phases[a.Before], ctx.phases[a.After]
+			switch {
+			case before == nil || !before.done:
+				return false, fmt.Sprintf("phase %q never completed", a.Before)
+			case after == nil || !after.done:
+				return false, fmt.Sprintf("phase %q never completed", a.After)
+			case before.end > after.end:
+				return false, fmt.Sprintf("%s completed at %v, after %s at %v", a.Before, before.end, a.After, after.end)
+			}
+			return true, fmt.Sprintf("%s at %v <= %s at %v", a.Before, before.end, a.After, after.end)
+		},
+		label: func(a AssertSpec) string { return fmt.Sprintf("order %s -> %s", a.Before, a.After) },
+	},
+}
+
+// label renders an assertion compactly for reports.
+func (a AssertSpec) label() string {
+	if typ, ok := assertTypes[a.Type]; ok {
+		return typ.label(a)
+	}
+	return a.Type
+}
+
+// counterAssert builds the row of a counter assertion — field op value
+// over one table of counters, one row per unit (a stats assertion reads
+// core.Stats per node, a faults assertion simnet.FaultStats per rail). The
+// selector is a unit id or one of words: sum (the default) adds the rows
+// up, max takes the largest, all demands the predicate of every row.
+func counterAssert[T any](
+	unit string, fields map[string]func(*T) float64, words []Selector,
+	selector func(AssertSpec) Selector, inCluster func(v *validator, path string, id int),
+	rows func(*Snapshot) []T,
+) assertType {
+	return assertType{
+		check: func(v *validator, path string, a AssertSpec) {
+			if _, ok := fields[a.Field]; !ok {
+				v.bad(ErrBadValue, "%s: unknown %s field %q (known: %v)", path, a.Type, a.Field, sortedKeys(fields))
+			}
+			if sel := selector(a); sel != "" && !slices.Contains(words, sel) {
+				if id, err := strconv.Atoi(string(sel)); err != nil {
+					v.bad(ErrBadValue, "%s: %s selector %q (want a %s id or one of %v)", path, unit, sel, unit, words)
+				} else {
+					inCluster(v, path+"."+unit, id)
+				}
+			}
+			switch a.Op {
+			case "<", "<=", ">", ">=", "==", "!=":
+			case "":
+				v.bad(ErrBadValue, "%s: missing op", path)
+			default:
+				v.bad(ErrBadValue, "%s: unknown op %q (want < <= > >= == !=)", path, a.Op)
+			}
+		},
+		eval: func(_ *evalContext, snap *Snapshot, a AssertSpec) (bool, string) {
+			fn, all := fields[a.Field], rows(snap)
+			var got float64
+			who := string(selector(a))
+			switch who {
+			case "", "sum":
+				for i := range all {
+					got += fn(&all[i])
+				}
+				who = "sum"
+			case "max":
+				for i := range all {
+					got = max(got, fn(&all[i]))
+				}
+			case "all":
+				for i := range all {
+					if v := fn(&all[i]); !compare(v, a.Op, a.Value) {
+						return false, fmt.Sprintf("%s %d %s = %v, want %s %v", unit, i, a.Field, v, a.Op, a.Value)
+					}
+				}
+				return true, fmt.Sprintf("%s %s %v on all %d %ss", a.Field, a.Op, a.Value, len(all), unit)
+			default:
+				id, _ := strconv.Atoi(who) // Validate vetted it
+				got = fn(&all[id])
+				who = fmt.Sprintf("%s %d", unit, id)
+			}
+			return compare(got, a.Op, a.Value), fmt.Sprintf("%s %s = %v, want %s %v", who, a.Field, got, a.Op, a.Value)
+		},
+		label: func(a AssertSpec) string {
+			return fmt.Sprintf("%s[%s] %s %s %v", a.Type, selector(a), a.Field, a.Op, a.Value)
+		},
+	}
 }

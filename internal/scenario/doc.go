@@ -3,67 +3,19 @@
 // workload phases, mid-run interventions, and assertions — and runs it
 // on the simulated optimizer, reporting which assertions held.
 //
-// A scenario file has up to seven sections — name, description,
-// cluster, tenants (with its queue sibling), phases, events and
-// assertions:
+// The format is defined by the structs of schema.go (a mapping's keys are
+// its struct's fields) and three vocabulary tables: phaseKinds,
+// eventActions and assertTypes, one row per name with its validation and
+// its behaviour. The one prose listing of every key and name is the
+// "Schema reference" paragraph of the repository README, next to a worked
+// example; TestReadmeNamesTheSchema fails when it misses one. What no
+// listing says:
 //
-//	name: midrun-failover
-//	description: traffic survives a rail outage at 1% drop
-//	cluster:
-//	  nodes: 4
-//	  rails: [mx10g, tcp]          # simnet profiles, in rail order
-//	  engine:                      # the per-node personality
-//	    strategy: aggreg
-//	    reliability: true
-//	    credits: 16
-//	  faults:                      # lossy fabric from time zero
-//	    seed: 42
-//	    rails:
-//	      - drop: 0.01
-//	phases:                        # the workload timeline
-//	  - name: storm
-//	    kind: incast
-//	    at: 100us
-//	    target: 0
-//	    msgs: 32
-//	    size: 2048
-//	events:                        # mid-run interventions
-//	  - at: 300us
-//	    action: rail_outage
-//	    rail: 0
-//	    duration: 150us
-//	  - at: 600us
-//	    action: checkpoint
-//	    name: after-outage
-//	assertions:
-//	  - type: integrity            # every payload verified
-//	  - type: stats
-//	    field: retransmits
-//	    op: ">"
-//	    value: 0
-//	  - type: completion
-//	    max: 20ms
-//
-// Phase kinds: pingpong, ring, incast, composite (bulk + urgent control
-// on one gate), barrier, bcast, allgather, allreduce, alltoall. Every
-// payload carries a deterministic fill pattern that the receiver
+// Every payload carries a deterministic fill pattern that the receiver
 // verifies; corruption is counted and surfaced through the `integrity`
 // assertion. Phases are declared in strictly increasing start order but
 // may overlap in flight — that is how bursty multi-phase scenarios are
 // built.
-//
-// A top-level tenants list declares multi-tenant workloads:
-//
-//	tenants:
-//	  - name: interactive
-//	    weight: 4
-//	    class: latency             # bulk | normal | latency
-//	  - name: batch                # weight defaults to 1, class to normal
-//	queue:                         # optional; defaults apply when absent
-//	  node: 0                      # which node hosts the queue
-//	  capacity: 8
-//	  workers: 1
-//	  aging: 2ms
 //
 // When a tenants list is present, every phase tagged `tenant: <name>`
 // is submitted through a job queue (package queue) on the chosen node
@@ -75,19 +27,12 @@
 // assertable like any other field. Without a tenants list, `tenant`
 // stays a report-only label.
 //
-// Event actions: degrade_rail / restore_rail (wire-speed scaling),
-// set_faults (new drop/dup/reorder probabilities, preserving the seeded
-// RNG stream), rail_outage (a death window starting now), slow_node /
-// restore_node (host memcpy slowdown), squeeze_credits (freeze credit
-// replenishment on one node for a bounded window), checkpoint (snapshot
-// the counters under a name assertions can anchor at).
-//
-// Assertion types: stats (every exported integer field of core.Stats
-// under its snake_case name — OutputPackets is output_packets — plus the
-// derived aggregation_ratio; selector sum/max/all or a node id), faults
-// (likewise every field of simnet.FaultStats, per rail or summed),
-// completion (virtual-time bounds on a phase or the whole run),
-// integrity, phase_order (one phase must finish no later than another).
+// A stats assertion reads any exported integer field of core.Stats under
+// its snake_case name — OutputPackets is output_packets — plus the
+// derived aggregation_ratio; a faults assertion likewise any field of
+// simnet.FaultStats. A checkpoint event snapshots the counters under a
+// name, and an assertion anchored `at:` that name sees the mid-run
+// values.
 //
 // Everything is virtual-time and seeded, so a scenario run is
 // byte-deterministic: the same file produces the same report, counters
@@ -99,5 +44,6 @@
 // the repository needs no YAML dependency; files using unsupported
 // constructs fail with ErrSyntax. All parse and validation failures
 // wrap the sentinel errors in errors.go, so `nmad-sim validate` can
-// classify every mistake in a file.
+// classify every mistake in a file. Validate also bounds what a file may
+// make Run allocate (maxNodes, maxSize, ... in validate.go).
 package scenario

@@ -51,7 +51,7 @@ func TestEngineBlockCoversPersonality(t *testing.T) {
 			t.Errorf("cluster.engine.%s (NodeConfig.%s) is not decodable: %v", key, f.Name, err)
 			continue
 		}
-		if got := reflect.ValueOf(sc.Cluster.Engine.NodeConfig).Field(i).Interface(); got != want {
+		if got := reflect.ValueOf(sc.Cluster.Engine).Field(i).Interface(); got != want {
 			t.Errorf("cluster.engine.%s: %s landed as NodeConfig.%s = %v, want %v", key, yaml, f.Name, got, want)
 		}
 	}

@@ -31,6 +31,8 @@ type phaseRun struct {
 	pending   int // running processes
 	// waiter is the queue job holding its worker slot until the phase closes.
 	waiter *sim.Proc
+	// comms is a collective phase's dedicated communicator, one per rank.
+	comms []*madmpi.Comm
 }
 
 // finishOne marks one participant process done; the last one closes the
@@ -83,261 +85,303 @@ func payloads(n, size int) [][]byte {
 	return bufs
 }
 
+// phaseKind is one row of the phase vocabulary: what Validate demands of a
+// phase of the kind beyond the common fields (nil: nothing), and how its
+// processes are spawned.
+type phaseKind struct {
+	// collective phases span every node on a dedicated communicator:
+	// Validate rejects a nodes list, Run dups the communicator at setup.
+	collective bool
+	check      func(v *validator, path string, p *PhaseSpec)
+	start      func(r *Runner, pr *phaseRun)
+}
+
+var phaseKinds = map[string]phaseKind{
+	"pingpong":  {check: checkPair, start: startPingPong},
+	"ring":      {check: checkRing, start: startRing},
+	"incast":    {check: checkIncast, start: startIncast},
+	"composite": {check: checkPair, start: startComposite},
+	"barrier":   {collective: true, start: startBarrier},
+	"bcast":     {collective: true, check: checkBcast, start: startBcast},
+	"allgather": {collective: true, start: startAllgather},
+	"allreduce": {collective: true, start: startAllreduce},
+	"alltoall":  {collective: true, start: startAlltoall},
+}
+
 // startPhase spawns the phase's processes. Called from scheduler
 // context at the phase's start instant.
 func (r *Runner) startPhase(pr *phaseRun) {
-	p := pr.spec
 	pr.start = r.world.Now()
-	base := p.index * tagStride
-	spawn := func(rank int, nproc string, body func(q *sim.Proc) (bad int, err error)) {
-		pr.pending++
-		r.world.Spawn(fmt.Sprintf("%s/%s@%d", p.Name, nproc, rank), func(q *sim.Proc) {
-			bad, err := body(q)
-			if err != nil {
-				r.procErr(p.Name, err)
-			}
-			pr.integrity += bad
-			pr.finishOne(q.Now())
-		})
-	}
-	// everyRank spawns a collective phase's body on each rank with the
-	// phase's dedicated communicator.
-	everyRank := func(body func(q *sim.Proc, c *madmpi.Comm, rank int) (bad int, err error)) {
-		for rank := 0; rank < r.nodes(); rank++ {
-			c := r.collComm(p.index, rank)
-			spawn(rank, p.Kind, func(q *sim.Proc) (int, error) { return body(q, c, rank) })
-		}
-	}
+	phaseKinds[pr.spec.Kind].start(r, pr)
+}
 
-	switch p.Kind {
-	case PhasePingPong:
-		a, b := p.Nodes[0], p.Nodes[1]
-		size := max(p.Size, 1)
-		spawn(a, "ping", func(q *sim.Proc) (bad int, err error) {
-			c := r.comm(a)
-			buf := make([]byte, size)
-			for it := 0; it < p.Count; it++ {
-				fill(buf, p.index, a, it)
-				if err := c.Isend(q, buf, b, base).Wait(q); err != nil {
+// spawn starts one process of the phase on a rank; the phase closes when
+// its last process returns.
+func (r *Runner) spawn(pr *phaseRun, rank int, nproc string, body func(q *sim.Proc) (bad int, err error)) {
+	pr.pending++
+	r.world.Spawn(fmt.Sprintf("%s/%s@%d", pr.spec.Name, nproc, rank), func(q *sim.Proc) {
+		bad, err := body(q)
+		if err != nil {
+			r.procErr(pr.spec.Name, err)
+		}
+		pr.integrity += bad
+		pr.finishOne(q.Now())
+	})
+}
+
+// everyRank spawns a collective phase's body on each rank with the
+// phase's dedicated communicator.
+func (r *Runner) everyRank(pr *phaseRun, body func(q *sim.Proc, c *madmpi.Comm, rank int) (bad int, err error)) {
+	for rank := 0; rank < r.nodes(); rank++ {
+		c := pr.comms[rank]
+		r.spawn(pr, rank, pr.spec.Kind, func(q *sim.Proc) (int, error) { return body(q, c, rank) })
+	}
+}
+
+func startPingPong(r *Runner, pr *phaseRun) {
+	p, base := pr.spec, pr.spec.index*tagStride
+	a, b := p.Nodes[0], p.Nodes[1]
+	size := max(p.Size, 1)
+	r.spawn(pr, a, "ping", func(q *sim.Proc) (bad int, err error) {
+		c := r.comm(a)
+		buf := make([]byte, size)
+		for it := 0; it < p.Count; it++ {
+			fill(buf, p.index, a, it)
+			if err := c.Isend(q, buf, b, base).Wait(q); err != nil {
+				return bad, err
+			}
+			if err := c.Irecv(q, buf, b, base+1).Wait(q); err != nil {
+				return bad, err
+			}
+			bad += verify(buf, p.index, b, it)
+		}
+		return bad, nil
+	})
+	r.spawn(pr, b, "pong", func(q *sim.Proc) (bad int, err error) {
+		c := r.comm(b)
+		buf := make([]byte, size)
+		for it := 0; it < p.Count; it++ {
+			if err := c.Irecv(q, buf, a, base).Wait(q); err != nil {
+				return bad, err
+			}
+			bad += verify(buf, p.index, a, it)
+			fill(buf, p.index, b, it)
+			if err := c.Isend(q, buf, a, base+1).Wait(q); err != nil {
+				return bad, err
+			}
+		}
+		return bad, nil
+	})
+}
+
+func startRing(r *Runner, pr *phaseRun) {
+	p, base := pr.spec, pr.spec.index*tagStride
+	members := nodesOrAll(p.Nodes, r.nodes())
+	size := max(p.Size, 1)
+	for slot, me := range members {
+		prevSlot := (slot - 1 + len(members)) % len(members)
+		next, prev := members[(slot+1)%len(members)], members[prevSlot]
+		r.spawn(pr, me, "ring", func(q *sim.Proc) (bad int, err error) {
+			c := r.comm(me)
+			// The buffers and the request list serve every round: all of
+			// a round's requests have completed at Waitall, and a
+			// completed send's memory is the caller's again — even under
+			// reliability, where the engine may still have to re-stream
+			// a lost rendezvous span, it does so from the wire frames it
+			// kept, not from here.
+			out, in := payloads(p.Msgs, size), payloads(p.Msgs, size)
+			reqs := make([]*madmpi.Request, 0, 2*p.Msgs)
+			for round := 0; round < p.Count; round++ {
+				reqs = reqs[:0]
+				for m := 0; m < p.Msgs; m++ {
+					fill(out[m], p.index, slot, round*p.Msgs+m)
+					reqs = append(reqs, c.Isend(q, out[m], next, base+slot*p.Count+round))
+					reqs = append(reqs, c.Irecv(q, in[m], prev, base+prevSlot*p.Count+round))
+				}
+				if err := madmpi.Waitall(q, reqs...); err != nil {
 					return bad, err
 				}
-				if err := c.Irecv(q, buf, b, base+1).Wait(q); err != nil {
-					return bad, err
+				for m := 0; m < p.Msgs; m++ {
+					bad += verify(in[m], p.index, prevSlot, round*p.Msgs+m)
 				}
-				bad += verify(buf, p.index, b, it)
 			}
 			return bad, nil
 		})
-		spawn(b, "pong", func(q *sim.Proc) (bad int, err error) {
-			c := r.comm(b)
-			buf := make([]byte, size)
-			for it := 0; it < p.Count; it++ {
-				if err := c.Irecv(q, buf, a, base).Wait(q); err != nil {
-					return bad, err
-				}
-				bad += verify(buf, p.index, a, it)
-				fill(buf, p.index, b, it)
-				if err := c.Isend(q, buf, a, base+1).Wait(q); err != nil {
-					return bad, err
-				}
-			}
-			return bad, nil
-		})
+	}
+}
 
-	case PhaseRing:
-		members := nodesOrAll(p.Nodes, r.nodes())
-		size := max(p.Size, 1)
-		for slot, me := range members {
-			prevSlot := (slot - 1 + len(members)) % len(members)
-			next, prev := members[(slot+1)%len(members)], members[prevSlot]
-			spawn(me, "ring", func(q *sim.Proc) (bad int, err error) {
-				c := r.comm(me)
-				// The buffers and the request list serve every round: all of
-				// a round's requests have completed at Waitall, and a
-				// completed send's memory is the caller's again — even under
-				// reliability, where the engine may still have to re-stream
-				// a lost rendezvous span, it does so from the wire frames it
-				// kept, not from here.
-				out, in := payloads(p.Msgs, size), payloads(p.Msgs, size)
-				reqs := make([]*madmpi.Request, 0, 2*p.Msgs)
-				for round := 0; round < p.Count; round++ {
-					reqs = reqs[:0]
-					for m := 0; m < p.Msgs; m++ {
-						fill(out[m], p.index, slot, round*p.Msgs+m)
-						reqs = append(reqs, c.Isend(q, out[m], next, base+slot*p.Count+round))
-						reqs = append(reqs, c.Irecv(q, in[m], prev, base+prevSlot*p.Count+round))
-					}
-					if err := madmpi.Waitall(q, reqs...); err != nil {
-						return bad, err
-					}
-					for m := 0; m < p.Msgs; m++ {
-						bad += verify(in[m], p.index, prevSlot, round*p.Msgs+m)
-					}
-				}
-				return bad, nil
-			})
-		}
-
-	case PhaseIncast:
-		senders := p.Senders
-		if len(senders) == 0 {
-			for n := 0; n < r.nodes(); n++ {
-				if n != p.Target {
-					senders = append(senders, n)
-				}
+func startIncast(r *Runner, pr *phaseRun) {
+	p, base := pr.spec, pr.spec.index*tagStride
+	senders := p.Senders
+	if len(senders) == 0 {
+		for n := 0; n < r.nodes(); n++ {
+			if n != p.Target {
+				senders = append(senders, n)
 			}
 		}
-		size := max(p.Size, 1)
-		for si, s := range senders {
-			spawn(s, "burst", func(q *sim.Proc) (int, error) {
-				c := r.comm(s)
-				var reqs []*madmpi.Request
-				for m := 0; m < p.Msgs; m++ {
-					buf := make([]byte, size)
-					fill(buf, p.index, s, m)
-					reqs = append(reqs, c.Isend(q, buf, p.Target, base+si))
-				}
-				return 0, madmpi.Waitall(q, reqs...)
-			})
-		}
-		for si, s := range senders {
-			spawn(p.Target, "drain", func(q *sim.Proc) (bad int, err error) {
-				c := r.comm(p.Target)
-				buf := make([]byte, size)
-				for m := 0; m < p.Msgs; m++ {
-					if err := c.Irecv(q, buf, s, base+si).Wait(q); err != nil {
-						return bad, err
-					}
-					bad += verify(buf, p.index, s, m)
-					if p.DrainGap > 0 && m+1 < p.Msgs {
-						q.Sleep(p.DrainGap)
-					}
-				}
-				return bad, nil
-			})
-		}
-
-	case PhaseComposite:
-		// The paper's headline composite: a bulk transfer with a small
-		// urgent control message submitted right behind it. With the
-		// priority flag the control message overtakes the bulk queue.
-		a, b := p.Nodes[0], p.Nodes[1]
-		bulk := max(p.Size, 1)
-		const ctrlSize = 64
-		spawn(a, "mixer", func(q *sim.Proc) (int, error) {
-			c := r.comm(a)
+	}
+	size := max(p.Size, 1)
+	for si, s := range senders {
+		r.spawn(pr, s, "burst", func(q *sim.Proc) (int, error) {
+			c := r.comm(s)
 			var reqs []*madmpi.Request
 			for m := 0; m < p.Msgs; m++ {
-				big := make([]byte, bulk)
-				fill(big, p.index, a, 2*m)
-				reqs = append(reqs, c.Isend(q, big, b, base))
-				ctl := make([]byte, ctrlSize)
-				fill(ctl, p.index, a, 2*m+1)
-				if p.Priority {
-					reqs = append(reqs, c.IsendPriority(q, ctl, b, base+1))
-				} else {
-					reqs = append(reqs, c.Isend(q, ctl, b, base+1))
-				}
+				buf := make([]byte, size)
+				fill(buf, p.index, s, m)
+				reqs = append(reqs, c.Isend(q, buf, p.Target, base+si))
 			}
 			return 0, madmpi.Waitall(q, reqs...)
 		})
-		spawn(b, "sink", func(q *sim.Proc) (bad int, err error) {
-			c := r.comm(b)
-			var reqs []*madmpi.Request
-			bigs, ctls := payloads(p.Msgs, bulk), payloads(p.Msgs, ctrlSize)
-			for m := 0; m < p.Msgs; m++ {
-				reqs = append(reqs, c.Irecv(q, bigs[m], a, base))
-				reqs = append(reqs, c.Irecv(q, ctls[m], a, base+1))
-			}
-			if err := madmpi.Waitall(q, reqs...); err != nil {
-				return 0, err
-			}
-			for m := 0; m < p.Msgs; m++ {
-				bad += verify(bigs[m], p.index, a, 2*m)
-				bad += verify(ctls[m], p.index, a, 2*m+1)
-			}
-			return bad, nil
-		})
-
-	case PhaseBarrier:
-		everyRank(func(q *sim.Proc, c *madmpi.Comm, _ int) (int, error) {
-			for it := 0; it < p.Count; it++ {
-				if err := c.Barrier(q); err != nil {
-					return 0, err
-				}
-			}
-			return 0, nil
-		})
-
-	case PhaseBcast:
-		size := max(p.Size, 1)
-		everyRank(func(q *sim.Proc, c *madmpi.Comm, rank int) (bad int, err error) {
+	}
+	for si, s := range senders {
+		r.spawn(pr, p.Target, "drain", func(q *sim.Proc) (bad int, err error) {
+			c := r.comm(p.Target)
 			buf := make([]byte, size)
-			for it := 0; it < p.Count; it++ {
-				if rank == p.Root {
-					fill(buf, p.index, p.Root, it)
-				}
-				if err := c.Bcast(q, buf, p.Root); err != nil {
+			for m := 0; m < p.Msgs; m++ {
+				if err := c.Irecv(q, buf, s, base+si).Wait(q); err != nil {
 					return bad, err
 				}
-				bad += verify(buf, p.index, p.Root, it)
-			}
-			return bad, nil
-		})
-
-	case PhaseAllgather:
-		size := max(p.Size, 1)
-		n := r.nodes()
-		everyRank(func(q *sim.Proc, c *madmpi.Comm, rank int) (bad int, err error) {
-			mine := make([]byte, size)
-			fill(mine, p.index, rank, 0)
-			all := make([]byte, size*n)
-			if err := c.Allgather(q, mine, all); err != nil {
-				return 0, err
-			}
-			for s := 0; s < n; s++ {
-				bad += verify(all[s*size:(s+1)*size], p.index, s, 0)
-			}
-			return bad, nil
-		})
-
-	case PhaseAllreduce:
-		n := r.nodes()
-		elems := max(p.Size/8, 1) // Size is in bytes; float64 elements
-		everyRank(func(q *sim.Proc, c *madmpi.Comm, rank int) (int, error) {
-			send := make([]float64, elems)
-			for i := range send {
-				send[i] = float64(rank + 1)
-			}
-			recv := make([]float64, elems)
-			if err := c.Allreduce(q, send, recv, madmpi.OpSum); err != nil {
-				return 0, err
-			}
-			want := float64(n*(n+1)) / 2
-			for i := range recv {
-				if recv[i] != want {
-					return 1, nil
+				bad += verify(buf, p.index, s, m)
+				if p.DrainGap > 0 && m+1 < p.Msgs {
+					q.Sleep(p.DrainGap)
 				}
-			}
-			return 0, nil
-		})
-
-	case PhaseAlltoall:
-		size := max(p.Size, 1)
-		n := r.nodes()
-		everyRank(func(q *sim.Proc, c *madmpi.Comm, rank int) (bad int, err error) {
-			send := make([]byte, size*n)
-			for dst := 0; dst < n; dst++ {
-				fill(send[dst*size:(dst+1)*size], p.index, rank, dst)
-			}
-			recv := make([]byte, size*n)
-			if err := c.Alltoall(q, send, recv); err != nil {
-				return 0, err
-			}
-			for src := 0; src < n; src++ {
-				bad += verify(recv[src*size:(src+1)*size], p.index, src, rank)
 			}
 			return bad, nil
 		})
 	}
+}
+
+func startComposite(r *Runner, pr *phaseRun) {
+	p, base := pr.spec, pr.spec.index*tagStride
+	// The paper's headline composite: a bulk transfer with a small
+	// urgent control message submitted right behind it. With the
+	// priority flag the control message overtakes the bulk queue.
+	a, b := p.Nodes[0], p.Nodes[1]
+	bulk := max(p.Size, 1)
+	const ctrlSize = 64
+	r.spawn(pr, a, "mixer", func(q *sim.Proc) (int, error) {
+		c := r.comm(a)
+		var reqs []*madmpi.Request
+		for m := 0; m < p.Msgs; m++ {
+			big := make([]byte, bulk)
+			fill(big, p.index, a, 2*m)
+			reqs = append(reqs, c.Isend(q, big, b, base))
+			ctl := make([]byte, ctrlSize)
+			fill(ctl, p.index, a, 2*m+1)
+			if p.Priority {
+				reqs = append(reqs, c.IsendPriority(q, ctl, b, base+1))
+			} else {
+				reqs = append(reqs, c.Isend(q, ctl, b, base+1))
+			}
+		}
+		return 0, madmpi.Waitall(q, reqs...)
+	})
+	r.spawn(pr, b, "sink", func(q *sim.Proc) (bad int, err error) {
+		c := r.comm(b)
+		var reqs []*madmpi.Request
+		bigs, ctls := payloads(p.Msgs, bulk), payloads(p.Msgs, ctrlSize)
+		for m := 0; m < p.Msgs; m++ {
+			reqs = append(reqs, c.Irecv(q, bigs[m], a, base))
+			reqs = append(reqs, c.Irecv(q, ctls[m], a, base+1))
+		}
+		if err := madmpi.Waitall(q, reqs...); err != nil {
+			return 0, err
+		}
+		for m := 0; m < p.Msgs; m++ {
+			bad += verify(bigs[m], p.index, a, 2*m)
+			bad += verify(ctls[m], p.index, a, 2*m+1)
+		}
+		return bad, nil
+	})
+}
+
+func startBarrier(r *Runner, pr *phaseRun) {
+	p := pr.spec
+	r.everyRank(pr, func(q *sim.Proc, c *madmpi.Comm, _ int) (int, error) {
+		for it := 0; it < p.Count; it++ {
+			if err := c.Barrier(q); err != nil {
+				return 0, err
+			}
+		}
+		return 0, nil
+	})
+}
+
+func startBcast(r *Runner, pr *phaseRun) {
+	p := pr.spec
+	size := max(p.Size, 1)
+	r.everyRank(pr, func(q *sim.Proc, c *madmpi.Comm, rank int) (bad int, err error) {
+		buf := make([]byte, size)
+		for it := 0; it < p.Count; it++ {
+			if rank == p.Root {
+				fill(buf, p.index, p.Root, it)
+			}
+			if err := c.Bcast(q, buf, p.Root); err != nil {
+				return bad, err
+			}
+			bad += verify(buf, p.index, p.Root, it)
+		}
+		return bad, nil
+	})
+}
+
+func startAllgather(r *Runner, pr *phaseRun) {
+	p := pr.spec
+	size := max(p.Size, 1)
+	n := r.nodes()
+	r.everyRank(pr, func(q *sim.Proc, c *madmpi.Comm, rank int) (bad int, err error) {
+		mine := make([]byte, size)
+		fill(mine, p.index, rank, 0)
+		all := make([]byte, size*n)
+		if err := c.Allgather(q, mine, all); err != nil {
+			return 0, err
+		}
+		for s := 0; s < n; s++ {
+			bad += verify(all[s*size:(s+1)*size], p.index, s, 0)
+		}
+		return bad, nil
+	})
+}
+
+func startAllreduce(r *Runner, pr *phaseRun) {
+	p := pr.spec
+	n := r.nodes()
+	elems := max(p.Size/8, 1) // Size is in bytes; float64 elements
+	r.everyRank(pr, func(q *sim.Proc, c *madmpi.Comm, rank int) (int, error) {
+		send := make([]float64, elems)
+		for i := range send {
+			send[i] = float64(rank + 1)
+		}
+		recv := make([]float64, elems)
+		if err := c.Allreduce(q, send, recv, madmpi.OpSum); err != nil {
+			return 0, err
+		}
+		want := float64(n*(n+1)) / 2
+		for i := range recv {
+			if recv[i] != want {
+				return 1, nil
+			}
+		}
+		return 0, nil
+	})
+}
+
+func startAlltoall(r *Runner, pr *phaseRun) {
+	p := pr.spec
+	size := max(p.Size, 1)
+	n := r.nodes()
+	r.everyRank(pr, func(q *sim.Proc, c *madmpi.Comm, rank int) (bad int, err error) {
+		send := make([]byte, size*n)
+		for dst := 0; dst < n; dst++ {
+			fill(send[dst*size:(dst+1)*size], p.index, rank, dst)
+		}
+		recv := make([]byte, size*n)
+		if err := c.Alltoall(q, send, recv); err != nil {
+			return 0, err
+		}
+		for src := 0; src < n; src++ {
+			bad += verify(recv[src*size:(src+1)*size], p.index, src, rank)
+		}
+		return bad, nil
+	})
 }

@@ -119,11 +119,7 @@ type Runner struct {
 	world  *sim.World
 	fabric *simnet.Fabric
 	mpis   []*madmpi.MPI
-	// collComms[phase index] is the dedicated communicator of a
-	// collective phase, one per rank (dup'd in phase order everywhere,
-	// so the communicator ids agree across the cluster).
-	collComms map[int][]*madmpi.Comm
-	phases    []*phaseRun
+	phases []*phaseRun
 	// railCfg mirrors the live per-rail fault configuration, the base
 	// mid-run set_faults / rail_outage events build on.
 	railCfg   []simnet.RailFaults
@@ -137,8 +133,6 @@ type Runner struct {
 func (r *Runner) nodes() int { return r.fabric.Nodes() }
 
 func (r *Runner) comm(rank int) *madmpi.Comm { return r.mpis[rank].CommWorld() }
-
-func (r *Runner) collComm(phase, rank int) *madmpi.Comm { return r.collComms[phase][rank] }
 
 // procErr records an engine-level error a phase process absorbed.
 func (r *Runner) procErr(phase string, err error) {
@@ -179,7 +173,6 @@ func Run(sc *Scenario, cfg Config) (*Report, error) {
 	w := f.World()
 	r := &Runner{
 		sc: sc, cfg: cfg, world: w, fabric: f,
-		collComms: map[int][]*madmpi.Comm{},
 		snapshots: map[string]*Snapshot{},
 		railCfg:   make([]simnet.RailFaults, len(c.Rails)),
 	}
@@ -187,9 +180,7 @@ func Run(sc *Scenario, cfg Config) (*Report, error) {
 		copy(r.railCfg, c.Faults.Rails)
 	}
 
-	opts := c.Engine
-	opts.Record = cfg.Record
-	if r.mpis, err = madmpi.InitAll(f, opts); err != nil {
+	if r.mpis, err = madmpi.InitAll(f, core.Options{NodeConfig: c.Engine, Record: cfg.Record}); err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
 	if len(sc.Tenants) > 0 {
@@ -222,19 +213,6 @@ func Run(sc *Scenario, cfg Config) (*Report, error) {
 		cfg.Record.SetMeta("seed", strconv.FormatUint(seed, 10))
 	}
 
-	// Dedicated communicators for collective phases, dup'd in phase
-	// order on every rank so the ids match cluster-wide.
-	for _, p := range sc.Phases {
-		switch p.Kind {
-		case PhaseBarrier, PhaseBcast, PhaseAllgather, PhaseAllreduce, PhaseAlltoall:
-			comms := make([]*madmpi.Comm, c.Nodes)
-			for rank := range comms {
-				comms[rank] = r.mpis[rank].CommWorld().Dup()
-			}
-			r.collComms[p.index] = comms
-		}
-	}
-
 	// The timeline: phases at their start instants, events at theirs.
 	// Tenant-tagged phases on a multi-tenant run are submitted to the
 	// queue at their instant instead; fair-share dispatch decides when
@@ -244,6 +222,12 @@ func Run(sc *Scenario, cfg Config) (*Report, error) {
 	for _, p := range sc.Phases {
 		pr := &phaseRun{spec: p}
 		r.phases = append(r.phases, pr)
+		if phaseKinds[p.Kind].collective {
+			pr.comms = make([]*madmpi.Comm, c.Nodes)
+			for rank := range pr.comms {
+				pr.comms[rank] = r.mpis[rank].CommWorld().Dup()
+			}
+		}
 		w.At(p.At, func() {
 			if r.queue != nil && pr.spec.Tenant != "" {
 				r.logf("%v: phase %s (%s) submitted for tenant %s", w.Now(), pr.spec.Name, pr.spec.Kind, pr.spec.Tenant)
@@ -321,34 +305,96 @@ func Run(sc *Scenario, cfg Config) (*Report, error) {
 // at the event's instant.
 func (r *Runner) fireEvent(e EventSpec) {
 	r.logf("%v: event %s", r.world.Now(), e.Action)
-	switch e.Action {
-	case ActionDegradeRail:
-		r.fabric.Networks()[e.Rail].SetWireScale(e.Scale)
-	case ActionRestoreRail:
-		r.fabric.Networks()[e.Rail].SetWireScale(1)
-	case ActionSetFaults:
-		cfg := r.railCfg[e.Rail]
-		cfg.DropProb, cfg.DupProb, cfg.ReorderProb = e.Drop, e.Dup, e.Reorder
-		r.updateRail(e.Rail, cfg)
-	case ActionRailOutage:
-		cfg := r.railCfg[e.Rail]
-		cfg.Outages = append(append([]simnet.Outage(nil), cfg.Outages...),
-			simnet.Outage{At: r.world.Now(), Duration: e.Duration})
-		r.updateRail(e.Rail, cfg)
-	case ActionSlowNode:
-		r.fabric.Node(simnet.NodeID(e.Node)).SetSlowdown(e.Factor)
-	case ActionRestoreNode:
-		r.fabric.Node(simnet.NodeID(e.Node)).SetSlowdown(1)
-	case ActionSqueezeCredits:
-		eng := r.mpis[e.Node].Engine()
-		eng.FreezeCredits(true)
-		r.world.After(e.Duration, func() {
-			r.logf("%v: event squeeze_credits on node %d released", r.world.Now(), e.Node)
-			eng.FreezeCredits(false)
-		})
-	case ActionCheckpoint:
-		r.snapshots[e.Name] = r.snapshot()
-	}
+	eventActions[e.Action].fire(r, e)
+}
+
+// eventAction is one row of the event vocabulary: what Validate demands of
+// an event with the action, and what the action does to the running
+// cluster.
+type eventAction struct {
+	check func(v *validator, path string, e EventSpec)
+	fire  func(r *Runner, e EventSpec)
+}
+
+var eventActions = map[string]eventAction{
+	"degrade_rail": {
+		check: func(v *validator, path string, e EventSpec) {
+			v.rail(path, e.Rail)
+			if e.Scale <= 0 || e.Scale > 1 {
+				v.bad(ErrBadValue, "%s: scale %v outside (0,1]", path, e.Scale)
+			}
+		},
+		fire: func(r *Runner, e EventSpec) { r.fabric.Networks()[e.Rail].SetWireScale(e.Scale) },
+	},
+	"restore_rail": {
+		check: func(v *validator, path string, e EventSpec) { v.rail(path, e.Rail) },
+		fire:  func(r *Runner, e EventSpec) { r.fabric.Networks()[e.Rail].SetWireScale(1) },
+	},
+	"set_faults": {
+		check: func(v *validator, path string, e EventSpec) {
+			v.rail(path, e.Rail)
+			v.probs(path, e.Drop, e.Dup, e.Reorder)
+		},
+		fire: func(r *Runner, e EventSpec) {
+			cfg := r.railCfg[e.Rail]
+			cfg.DropProb, cfg.DupProb, cfg.ReorderProb = e.Drop, e.Dup, e.Reorder
+			r.updateRail(e.Rail, cfg)
+		},
+	},
+	"rail_outage": {
+		check: func(v *validator, path string, e EventSpec) {
+			v.rail(path, e.Rail)
+			if e.Duration < 0 {
+				v.bad(ErrBadValue, "%s: negative duration", path)
+			}
+		},
+		fire: func(r *Runner, e EventSpec) {
+			cfg := r.railCfg[e.Rail]
+			cfg.Outages = append(append([]simnet.Outage(nil), cfg.Outages...),
+				simnet.Outage{At: r.world.Now(), Duration: e.Duration})
+			r.updateRail(e.Rail, cfg)
+		},
+	},
+	"slow_node": {
+		check: func(v *validator, path string, e EventSpec) {
+			v.node(path, e.Node)
+			if e.Factor < 1 {
+				v.bad(ErrBadValue, "%s: factor %v must be >= 1", path, e.Factor)
+			}
+		},
+		fire: func(r *Runner, e EventSpec) { r.fabric.Node(simnet.NodeID(e.Node)).SetSlowdown(e.Factor) },
+	},
+	"restore_node": {
+		check: func(v *validator, path string, e EventSpec) { v.node(path, e.Node) },
+		fire:  func(r *Runner, e EventSpec) { r.fabric.Node(simnet.NodeID(e.Node)).SetSlowdown(1) },
+	},
+	"squeeze_credits": {
+		check: func(v *validator, path string, e EventSpec) {
+			v.node(path, e.Node)
+			if e.Duration <= 0 {
+				v.bad(ErrBadValue, "%s: squeeze_credits needs a positive duration (a permanent squeeze deadlocks the run)", path)
+			}
+		},
+		fire: func(r *Runner, e EventSpec) {
+			eng := r.mpis[e.Node].Engine()
+			eng.FreezeCredits(true)
+			r.world.After(e.Duration, func() {
+				r.logf("%v: event squeeze_credits on node %d released", r.world.Now(), e.Node)
+				eng.FreezeCredits(false)
+			})
+		},
+	},
+	"checkpoint": {
+		check: func(v *validator, path string, e EventSpec) {
+			if e.Name == "" {
+				v.bad(ErrBadValue, "%s: a checkpoint needs a name", path)
+			} else if v.checkpoints[e.Name] {
+				v.bad(ErrBadValue, "%s: duplicate checkpoint %q", path, e.Name)
+			}
+			v.checkpoints[e.Name] = true
+		},
+		fire: func(r *Runner, e EventSpec) { r.snapshots[e.Name] = r.snapshot() },
+	},
 }
 
 // updateRail pushes a new rail fault configuration and keeps the mirror

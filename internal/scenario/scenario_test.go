@@ -50,7 +50,7 @@ func TestParseValidDoc(t *testing.T) {
 	if sc.Name != "base" || len(sc.Phases) != 2 || len(sc.Events) != 1 || len(sc.Assertions) != 1 {
 		t.Fatalf("decoded scenario off: %+v", sc)
 	}
-	if sc.Phases[1].Kind != PhaseIncast || sc.Phases[1].Msgs != 4 {
+	if sc.Phases[1].Kind != "incast" || sc.Phases[1].Msgs != 4 {
 		t.Fatalf("phase b off: %+v", sc.Phases[1])
 	}
 }
@@ -212,6 +212,8 @@ func TestParseTime(t *testing.T) {
 		"2s":    2_000_000_000,
 		"40ns":  40,
 		"3µs":   3_000,
+		// The largest whole second the clock holds.
+		"9223372036s": 9_223_372_036_000_000_000,
 	}
 	for in, want := range cases {
 		got, err := ParseTime(in)
@@ -219,7 +221,9 @@ func TestParseTime(t *testing.T) {
 			t.Errorf("ParseTime(%q) = %v, %v; want %d", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"", "100", "us", "-1ms", "1h", "1.2.3s"} {
+	// The last row: a product past the int64 nanosecond clock used to wrap.
+	for _, bad := range []string{"", "100", "us", "-1ms", "1h", "1.2.3s", "-0.4ns", "NaNs", "Infs",
+		"1e30s", "9223372037s", "1e19ns", "9223372036854775808ns"} {
 		if _, err := ParseTime(bad); err == nil {
 			t.Errorf("ParseTime(%q) should fail", bad)
 		}

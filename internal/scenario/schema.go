@@ -2,13 +2,12 @@ package scenario
 
 import (
 	"fmt"
-	"math"
-	"strconv"
-	"strings"
+	"reflect"
 
 	"nmad/internal/core"
 	"nmad/internal/sim"
 	"nmad/internal/simnet"
+	"nmad/internal/trace"
 )
 
 // The scenario schema: a declarative description of one cluster workload
@@ -23,7 +22,11 @@ import (
 //	events:      mid-run interventions (degrade a rail, slow a node, ...)
 //	assertions:  what must hold, at named checkpoints or at the end
 //
-// See doc.go for the full field reference and a worked example.
+// The structs below ARE the format: the decoder (decode.go) derives each
+// mapping's keys from them — a field's yaml tag, else its json name, else
+// its Go name in snake_case — so adding a field adds its key. The README's
+// "Schema reference" paragraph is the one prose listing (a test keeps it
+// complete), next to a worked example.
 
 // Scenario is one parsed scenario file.
 type Scenario struct {
@@ -70,7 +73,7 @@ type ClusterSpec struct {
 	Host simnet.Host
 	// Engine is the personality every node runs with: the paper's
 	// defaults with the cluster.engine block decoded over them.
-	Engine core.Options
+	Engine trace.NodeConfig
 	// Faults, when non-nil, makes the fabric lossy from time zero.
 	Faults *simnet.FaultProfile
 }
@@ -85,19 +88,6 @@ func (c ClusterSpec) machine() simnet.Machine {
 	}
 	return m
 }
-
-// Phase kinds the harness implements.
-const (
-	PhasePingPong  = "pingpong"
-	PhaseRing      = "ring"
-	PhaseIncast    = "incast"
-	PhaseComposite = "composite"
-	PhaseBarrier   = "barrier"
-	PhaseBcast     = "bcast"
-	PhaseAllgather = "allgather"
-	PhaseAllreduce = "allreduce"
-	PhaseAlltoall  = "alltoall"
-)
 
 // PhaseSpec is one workload phase on the timeline. Phases are declared
 // in strictly increasing start-time order; a phase's traffic may still
@@ -140,23 +130,11 @@ type PhaseSpec struct {
 	index int // position in Scenario.Phases, set by Parse
 }
 
-// Event actions the harness implements.
-const (
-	ActionDegradeRail    = "degrade_rail"
-	ActionRestoreRail    = "restore_rail"
-	ActionSetFaults      = "set_faults"
-	ActionRailOutage     = "rail_outage"
-	ActionSlowNode       = "slow_node"
-	ActionRestoreNode    = "restore_node"
-	ActionSqueezeCredits = "squeeze_credits"
-	ActionCheckpoint     = "checkpoint"
-)
-
 // EventSpec is one mid-run intervention (or a named checkpoint snapshot).
 type EventSpec struct {
 	At     sim.Time
 	Action string
-	// Name names a checkpoint (ActionCheckpoint only).
+	// Name names a checkpoint (the checkpoint action only).
 	Name string
 	// Rail targets the rail actions; Scale is the degrade factor in
 	// (0, 1]; Drop/Dup/Reorder the new probabilities of set_faults.
@@ -172,15 +150,6 @@ type EventSpec struct {
 	Duration sim.Time
 }
 
-// Assertion types the harness implements.
-const (
-	AssertStats      = "stats"
-	AssertFaults     = "faults"
-	AssertCompletion = "completion"
-	AssertIntegrity  = "integrity"
-	AssertPhaseOrder = "phase_order"
-)
-
 // AssertSpec is one assertion, evaluated at a named checkpoint or at
 // the end of the run (the default).
 type AssertSpec struct {
@@ -190,8 +159,8 @@ type AssertSpec struct {
 	// Node selects engines for stats assertions: a node id ("3"), or
 	// one of "sum", "max", "all" (all = the predicate must hold on
 	// every node). Rail likewise for fault assertions ("sum" allowed).
-	Node string
-	Rail string
+	Node Selector
+	Rail Selector
 	// Field / Op / Value form the predicate: Field names a core.Stats
 	// or simnet.FaultStats counter, Op is one of < <= > >= == !=.
 	Field string
@@ -208,32 +177,16 @@ type AssertSpec struct {
 	After  string
 }
 
-// label renders an assertion compactly for reports.
-func (a AssertSpec) label() string {
-	switch a.Type {
-	case AssertStats:
-		return fmt.Sprintf("stats[%s] %s %s %v", a.Node, a.Field, a.Op, a.Value)
-	case AssertFaults:
-		return fmt.Sprintf("faults[%s] %s %s %v", a.Rail, a.Field, a.Op, a.Value)
-	case AssertCompletion:
-		who := a.Phase
-		if who == "" {
-			who = "run"
-		}
-		s := "completion " + who
-		if a.Min > 0 {
-			s += fmt.Sprintf(" >= %v", a.Min)
-		}
-		if a.Max > 0 {
-			s += fmt.Sprintf(" <= %v", a.Max)
-		}
-		return s
-	case AssertIntegrity:
-		return "integrity"
-	case AssertPhaseOrder:
-		return fmt.Sprintf("order %s -> %s", a.Before, a.After)
-	}
-	return a.Type
+// Selector picks the rows a counter assertion reads: a node or rail id,
+// or a word (sum, max, all). It is the one scalar a file may spell as an
+// integer or as a string.
+type Selector string
+
+// elemDefaults is what a list element holds before its mapping is decoded
+// over it (the zero value when absent).
+var elemDefaults = map[reflect.Type]reflect.Value{
+	reflect.TypeFor[TenantSpec](): reflect.ValueOf(TenantSpec{Weight: 1, Class: "normal"}),
+	reflect.TypeFor[PhaseSpec]():  reflect.ValueOf(PhaseSpec{Msgs: 1, Count: 1}),
 }
 
 // Parse decodes one scenario document. The returned error wraps
@@ -244,426 +197,24 @@ func Parse(src []byte) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	root, ok := tree.(map[string]any)
-	if !ok {
-		return nil, fmt.Errorf("%w: top level must be a mapping", ErrSchema)
-	}
-	d := &decoder{}
-	sc := &Scenario{}
-	d.strictKeys("", root, "name", "description", "cluster", "tenants", "queue", "phases", "events", "assertions")
-	sc.Name = d.str(root, "name", "")
-	sc.Description = d.str(root, "description", "")
-	sc.Cluster = d.cluster(d.child(root, "cluster"))
-	for i, item := range d.list(root, "tenants") {
-		path := fmt.Sprintf("tenants[%d]", i)
-		m, ok := item.(map[string]any)
-		if !ok {
-			d.failf(ErrSchema, "%s: expected a mapping", path)
-			continue
-		}
-		d.strictKeys(path, m, "name", "weight", "class")
-		sc.Tenants = append(sc.Tenants, TenantSpec{
-			Name:   d.str(m, "name", ""),
-			Weight: d.integer(m, "weight", 1),
-			Class:  d.str(m, "class", "normal"),
-		})
-	}
-	if qm := d.child(root, "queue"); qm != nil {
-		d.strictKeys("queue", qm, "node", "capacity", "workers", "aging")
-		sc.Queue = &QueueSpec{
-			Node:     d.integer(qm, "node", 0),
-			Capacity: d.integer(qm, "capacity", 0),
-			Workers:  d.integer(qm, "workers", 0),
-			Aging:    d.duration(qm, "aging", 0),
-		}
-	}
-	for i, item := range d.list(root, "phases") {
-		p := d.phase(fmt.Sprintf("phases[%d]", i), item)
-		p.index = i
-		if p.Name == "" {
-			p.Name = fmt.Sprintf("phase%d", i)
-		}
-		sc.Phases = append(sc.Phases, p)
-	}
-	for i, item := range d.list(root, "events") {
-		sc.Events = append(sc.Events, d.event(fmt.Sprintf("events[%d]", i), item))
-	}
-	for i, item := range d.list(root, "assertions") {
-		sc.Assertions = append(sc.Assertions, d.assert(fmt.Sprintf("assertions[%d]", i), item))
-	}
-	if d.err != nil {
-		return nil, d.err
+	sc := &Scenario{Cluster: ClusterSpec{
+		Nodes: 2, Rails: []string{"mx10g"}, Engine: core.DefaultOptions().NodeConfig,
+	}}
+	// Room for the deepest position (cluster.faults.rails[i].outages[j].at,
+	// seven steps), so the stack is allocated once.
+	d := decoder{at: make([]step, 0, 8)}
+	if err := d.decode(reflect.ValueOf(sc).Elem(), tree); err != nil {
+		return nil, err
 	}
 	if sc.Name == "" {
 		return nil, fmt.Errorf("%w: missing required field \"name\"", ErrSchema)
 	}
+	for i := range sc.Phases {
+		p := &sc.Phases[i]
+		p.index = i
+		if p.Name == "" {
+			p.Name = fmt.Sprintf("phase%d", i)
+		}
+	}
 	return sc, nil
-}
-
-// decoder walks the generic tree with dotted-path error context. The
-// first error wins; subsequent lookups keep running so a single Parse
-// call never dereferences nil unexpectedly.
-type decoder struct {
-	err error
-}
-
-func (d *decoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-}
-
-func (d *decoder) failf(base error, format string, args ...any) {
-	d.fail(fmt.Errorf("%w: %s", base, fmt.Sprintf(format, args...)))
-}
-
-// strictKeys rejects unknown fields — a typo'd key must not silently
-// deconfigure a scenario.
-func (d *decoder) strictKeys(path string, m map[string]any, allowed ...string) {
-	ok := make(map[string]bool, len(allowed))
-	for _, k := range allowed {
-		ok[k] = true
-	}
-	// Sorted so the reported unknown field is the same on every run.
-	for _, k := range sortedKeys(m) {
-		if !ok[k] {
-			at := path
-			if at == "" {
-				at = "top level"
-			}
-			d.failf(ErrSchema, "%s: unknown field %q (known: %s)", at, k, strings.Join(allowed, ", "))
-			return
-		}
-	}
-}
-
-func (d *decoder) child(m map[string]any, key string) map[string]any {
-	v, ok := m[key]
-	if !ok || v == nil {
-		return nil
-	}
-	mm, ok := v.(map[string]any)
-	if !ok {
-		d.failf(ErrSchema, "%s: expected a mapping", key)
-		return nil
-	}
-	return mm
-}
-
-func (d *decoder) list(m map[string]any, key string) []any {
-	v, ok := m[key]
-	if !ok || v == nil {
-		return nil
-	}
-	l, ok := v.([]any)
-	if !ok {
-		d.failf(ErrSchema, "%s: expected a sequence", key)
-		return nil
-	}
-	return l
-}
-
-func (d *decoder) str(m map[string]any, key, def string) string {
-	v, ok := m[key]
-	if !ok || v == nil {
-		return def
-	}
-	s, ok := v.(string)
-	if !ok {
-		d.failf(ErrSchema, "%s: expected a string, got %T", key, v)
-		return def
-	}
-	return s
-}
-
-func (d *decoder) boolean(m map[string]any, key string) bool {
-	v, ok := m[key]
-	if !ok || v == nil {
-		return false
-	}
-	b, ok := v.(bool)
-	if !ok {
-		d.failf(ErrSchema, "%s: expected true/false, got %v", key, v)
-		return false
-	}
-	return b
-}
-
-func (d *decoder) integer(m map[string]any, key string, def int) int {
-	v, ok := m[key]
-	if !ok || v == nil {
-		return def
-	}
-	n, ok := v.(int64)
-	if !ok {
-		d.failf(ErrSchema, "%s: expected an integer, got %v", key, v)
-		return def
-	}
-	return int(n)
-}
-
-func (d *decoder) float(m map[string]any, key string, def float64) float64 {
-	v, ok := m[key]
-	if !ok || v == nil {
-		return def
-	}
-	switch n := v.(type) {
-	case float64:
-		return n
-	case int64:
-		return float64(n)
-	}
-	d.failf(ErrSchema, "%s: expected a number, got %v", key, v)
-	return def
-}
-
-func (d *decoder) ints(m map[string]any, key string) []int {
-	v, ok := m[key]
-	if !ok || v == nil {
-		return nil
-	}
-	l, ok := v.([]any)
-	if !ok {
-		d.failf(ErrSchema, "%s: expected a sequence of integers", key)
-		return nil
-	}
-	out := make([]int, 0, len(l))
-	for i, item := range l {
-		n, ok := item.(int64)
-		if !ok {
-			d.failf(ErrSchema, "%s[%d]: expected an integer, got %v", key, i, item)
-			return nil
-		}
-		out = append(out, int(n))
-	}
-	return out
-}
-
-func (d *decoder) strs(m map[string]any, key string) []string {
-	v, ok := m[key]
-	if !ok || v == nil {
-		return nil
-	}
-	l, ok := v.([]any)
-	if !ok {
-		d.failf(ErrSchema, "%s: expected a sequence of strings", key)
-		return nil
-	}
-	out := make([]string, 0, len(l))
-	for i, item := range l {
-		s, ok := item.(string)
-		if !ok {
-			d.failf(ErrSchema, "%s[%d]: expected a string, got %v", key, i, item)
-			return nil
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
-// duration parses a "<number><unit>" virtual-time scalar (ns, us, µs,
-// ms, s). Plain numbers are rejected: a bare "100" is ambiguous and has
-// bitten every timeline format that allowed it.
-func (d *decoder) duration(m map[string]any, key string, def sim.Time) sim.Time {
-	v, ok := m[key]
-	if !ok || v == nil {
-		return def
-	}
-	s, ok := v.(string)
-	if !ok {
-		d.failf(ErrSchema, "%s: expected a duration string like \"250us\", got %v", key, v)
-		return def
-	}
-	t, err := ParseTime(s)
-	if err != nil {
-		d.failf(ErrSchema, "%s: %v", key, err)
-		return def
-	}
-	return t
-}
-
-// ParseTime parses a virtual-time scalar: a decimal number immediately
-// followed by one of ns, us, µs, ms, s.
-func ParseTime(s string) (sim.Time, error) {
-	units := []struct {
-		suffix string
-		mult   sim.Time
-	}{
-		{"ns", sim.Nanosecond},
-		{"µs", sim.Microsecond},
-		{"us", sim.Microsecond},
-		{"ms", sim.Millisecond},
-		{"s", sim.Second},
-	}
-	for _, u := range units {
-		num, found := strings.CutSuffix(s, u.suffix)
-		if !found || num == "" {
-			continue
-		}
-		f, err := strconv.ParseFloat(num, 64)
-		if err != nil || f < 0 || math.IsInf(f, 0) || math.IsNaN(f) {
-			return 0, fmt.Errorf("bad duration %q", s)
-		}
-		return sim.Time(math.Round(f * float64(u.mult))), nil
-	}
-	return 0, fmt.Errorf("bad duration %q (want <number><ns|us|ms|s>)", s)
-}
-
-func (d *decoder) cluster(m map[string]any) ClusterSpec {
-	c := ClusterSpec{Nodes: 2, Rails: []string{"mx10g"}, Engine: core.DefaultOptions()}
-	if m == nil {
-		return c
-	}
-	d.strictKeys("cluster", m, "nodes", "rails", "host", "engine", "faults")
-	c.Nodes = d.integer(m, "nodes", 2)
-	if rails := d.strs(m, "rails"); len(rails) > 0 {
-		c.Rails = rails
-	}
-	if host := d.child(m, "host"); host != nil {
-		d.strictKeys("cluster.host", host, "memcpy_bw")
-		c.Host.MemcpyBandwidth = d.float(host, "memcpy_bw", 0)
-	}
-	if eng := d.child(m, "engine"); eng != nil {
-		// Keys are the recorded personality's JSON names; the two software
-		// overheads are the paper's measured constants, not scenario knobs.
-		d.strictKeys("cluster.engine", eng,
-			"strategy", "credits", "max_grants", "reliability",
-			"retransmit_timeout", "retransmit_budget", "probe_budget",
-			"anticipate", "flush_backlog", "body_chunk")
-		o := &c.Engine
-		o.Strategy = d.str(eng, "strategy", o.Strategy)
-		o.Credits = d.integer(eng, "credits", 0)
-		o.MaxGrants = d.integer(eng, "max_grants", 0)
-		o.Reliability = d.boolean(eng, "reliability")
-		o.RetransmitTimeout = d.duration(eng, "retransmit_timeout", 0)
-		o.RetransmitBudget = d.integer(eng, "retransmit_budget", 0)
-		o.ProbeBudget = d.integer(eng, "probe_budget", 0)
-		o.Anticipate = d.boolean(eng, "anticipate")
-		o.FlushBacklog = d.integer(eng, "flush_backlog", 0)
-		o.BodyChunk = d.integer(eng, "body_chunk", 0)
-	}
-	if fl := d.child(m, "faults"); fl != nil {
-		d.strictKeys("cluster.faults", fl, "seed", "rails")
-		c.Faults = &simnet.FaultProfile{Seed: uint64(d.integer(fl, "seed", 0))}
-		for i, item := range d.list(fl, "rails") {
-			path := fmt.Sprintf("cluster.faults.rails[%d]", i)
-			rm, ok := item.(map[string]any)
-			if !ok {
-				d.failf(ErrSchema, "%s: expected a mapping", path)
-				continue
-			}
-			d.strictKeys(path, rm, "drop", "dup", "reorder", "outages")
-			rf := simnet.RailFaults{
-				DropProb:    d.float(rm, "drop", 0),
-				DupProb:     d.float(rm, "dup", 0),
-				ReorderProb: d.float(rm, "reorder", 0),
-			}
-			for j, o := range d.list(rm, "outages") {
-				opath := fmt.Sprintf("%s.outages[%d]", path, j)
-				om, ok := o.(map[string]any)
-				if !ok {
-					d.failf(ErrSchema, "%s: expected a mapping", opath)
-					continue
-				}
-				d.strictKeys(opath, om, "at", "duration")
-				rf.Outages = append(rf.Outages, simnet.Outage{
-					At:       d.duration(om, "at", 0),
-					Duration: d.duration(om, "duration", 0),
-				})
-			}
-			c.Faults.Rails = append(c.Faults.Rails, rf)
-		}
-	}
-	return c
-}
-
-func (d *decoder) phase(path string, item any) PhaseSpec {
-	m, ok := item.(map[string]any)
-	if !ok {
-		d.failf(ErrSchema, "%s: expected a mapping", path)
-		return PhaseSpec{}
-	}
-	d.strictKeys(path, m,
-		"name", "kind", "at", "tenant", "nodes", "target", "senders",
-		"msgs", "size", "count", "root", "drain_gap", "priority")
-	return PhaseSpec{
-		Name:     d.str(m, "name", ""),
-		Kind:     d.str(m, "kind", ""),
-		At:       d.duration(m, "at", 0),
-		Tenant:   d.str(m, "tenant", ""),
-		Nodes:    d.ints(m, "nodes"),
-		Target:   d.integer(m, "target", 0),
-		Senders:  d.ints(m, "senders"),
-		Msgs:     d.integer(m, "msgs", 1),
-		Size:     d.integer(m, "size", 0),
-		Count:    d.integer(m, "count", 1),
-		Root:     d.integer(m, "root", 0),
-		DrainGap: d.duration(m, "drain_gap", 0),
-		Priority: d.boolean(m, "priority"),
-	}
-}
-
-func (d *decoder) event(path string, item any) EventSpec {
-	m, ok := item.(map[string]any)
-	if !ok {
-		d.failf(ErrSchema, "%s: expected a mapping", path)
-		return EventSpec{}
-	}
-	d.strictKeys(path, m,
-		"at", "action", "name", "rail", "scale", "drop", "dup", "reorder",
-		"node", "factor", "duration")
-	return EventSpec{
-		At:       d.duration(m, "at", 0),
-		Action:   d.str(m, "action", ""),
-		Name:     d.str(m, "name", ""),
-		Rail:     d.integer(m, "rail", 0),
-		Scale:    d.float(m, "scale", 0),
-		Drop:     d.float(m, "drop", 0),
-		Dup:      d.float(m, "dup", 0),
-		Reorder:  d.float(m, "reorder", 0),
-		Node:     d.integer(m, "node", 0),
-		Factor:   d.float(m, "factor", 0),
-		Duration: d.duration(m, "duration", 0),
-	}
-}
-
-func (d *decoder) assert(path string, item any) AssertSpec {
-	m, ok := item.(map[string]any)
-	if !ok {
-		d.failf(ErrSchema, "%s: expected a mapping", path)
-		return AssertSpec{}
-	}
-	d.strictKeys(path, m,
-		"type", "at", "node", "rail", "field", "op", "value",
-		"phase", "max", "min", "before", "after")
-	a := AssertSpec{
-		Type:   d.str(m, "type", ""),
-		At:     d.str(m, "at", ""),
-		Field:  d.str(m, "field", ""),
-		Op:     d.str(m, "op", ""),
-		Value:  d.float(m, "value", 0),
-		Phase:  d.str(m, "phase", ""),
-		Max:    d.duration(m, "max", 0),
-		Min:    d.duration(m, "min", 0),
-		Before: d.str(m, "before", ""),
-		After:  d.str(m, "after", ""),
-	}
-	// node / rail selectors accept an integer or a selector word. Fixed
-	// order, so a scenario bad in both reports the same failure first.
-	for _, sel := range []struct {
-		key string
-		dst *string
-	}{{"node", &a.Node}, {"rail", &a.Rail}} {
-		key, dst := sel.key, sel.dst
-		switch v := m[key].(type) {
-		case nil:
-		case int64:
-			*dst = strconv.FormatInt(v, 10)
-		case string:
-			*dst = v
-		default:
-			d.failf(ErrSchema, "%s.%s: expected a node id or selector, got %v", path, key, v)
-		}
-	}
-	return a
 }

@@ -20,9 +20,9 @@ import (
 // strings and tags are rejected with ErrSyntax. Scalars that look like
 // durations ("250us") stay strings; the schema layer parses them.
 //
-// The parse result is the generic tree decode.go walks:
-// map[string]any, []any, and scalar leaves (bool, int64, float64,
-// string).
+// The parse result is the generic tree the decoder (decode.go) lays over
+// the schema structs: map[string]any, []any, and scalar leaves (bool,
+// int64, float64, string).
 
 // yamlLine is one significant source line.
 type yamlLine struct {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -19,6 +20,10 @@ func TestTimeString(t *testing.T) {
 		{25 * Millisecond, "25.000ms"},
 		{12 * Second, "12.000s"},
 		{-3 * Microsecond, "-3000ns"},
+		{-1, "-1ns"},
+		{math.MaxInt64, "9223372036.855s"},
+		// -t of the minimum is itself: formatting it must not recurse.
+		{math.MinInt64, "-9223372036.855s"},
 	}
 	for _, c := range cases {
 		if got := c.t.String(); got != c.want {

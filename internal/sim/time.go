@@ -33,9 +33,12 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // String formats the time with a unit chosen by magnitude.
 func (t Time) String() string {
-	switch abs := t; {
-	case abs < 0:
-		return fmt.Sprintf("-%v", -t)
+	switch {
+	case t < 0:
+		if t == math.MinInt64 {
+			t++ // -t would be t again; its neighbour prints the same three decimals
+		}
+		return "-" + (-t).String()
 	case t < 10*Microsecond:
 		return fmt.Sprintf("%dns", int64(t))
 	case t < 10*Millisecond:

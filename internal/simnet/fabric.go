@@ -14,8 +14,8 @@ type NodeID int
 type Host struct {
 	// MemcpyBandwidth is the sustained host memory copy rate in bytes per
 	// second. Eager receives, datatype pack/unpack and unexpected-message
-	// buffering are charged against it.
-	MemcpyBandwidth float64
+	// buffering are charged against it. Scenario files spell it memcpy_bw.
+	MemcpyBandwidth float64 `yaml:"memcpy_bw"`
 }
 
 // DefaultHost matches the 2006 Opteron testbed of the paper.

@@ -18,21 +18,23 @@ import (
 // delivery path of every transaction, exactly where a real fabric loses
 // packets: after the sender believes the transaction is done.
 
-// RailFaults is the fault configuration of one rail (one network).
+// RailFaults is the fault configuration of one rail (one network). The
+// yaml tags are the scenario-file spelling where it differs from the
+// recording's JSON name ("-": not settable from a scenario file).
 type RailFaults struct {
 	// DropProb is the probability a packet is lost in the fabric: it
 	// pays its wire time but is never delivered.
-	DropProb float64 `json:"drop_prob,omitempty"`
+	DropProb float64 `json:"drop_prob,omitempty" yaml:"drop"`
 	// DupProb is the probability a packet is delivered twice (the second
 	// copy one extra wire latency later).
-	DupProb float64 `json:"dup_prob,omitempty"`
+	DupProb float64 `json:"dup_prob,omitempty" yaml:"dup"`
 	// ReorderProb is the probability a packet's delivery is delayed by a
 	// random jitter in (0, ReorderJitter], letting packets sent later
 	// overtake it. The wire occupancy chain is unaffected.
-	ReorderProb float64 `json:"reorder_prob,omitempty"`
+	ReorderProb float64 `json:"reorder_prob,omitempty" yaml:"reorder"`
 	// ReorderJitter bounds the reorder delay; 0 means 4x the rail's wire
 	// latency.
-	ReorderJitter sim.Time `json:"reorder_jitter,omitempty"`
+	ReorderJitter sim.Time `json:"reorder_jitter,omitempty" yaml:"-"`
 	// Outages schedule rail death windows: every delivery whose arrival
 	// falls inside a window is dropped (the rail is dark; senders only
 	// notice through their own timeouts).

@@ -78,7 +78,9 @@ type Op struct {
 // shapes a schedule. core.Options embeds it, so this is the one place an
 // engine option is declared — the recording stores it as is, replay
 // rebuilds core.Options around it (and may override parts of it), and the
-// scenario decoder fills it from a cluster.engine block.
+// scenario decoder fills it from a cluster.engine block: a field is a
+// scenario key under its JSON name unless it is tagged `yaml:"-"` (the
+// paper's measured overheads are constants of the model, not knobs).
 type NodeConfig struct {
 	// Strategy selects the optimization function by registry name.
 	// Default: "aggreg" (the paper's aggregation strategy).
@@ -87,10 +89,10 @@ type NodeConfig struct {
 	// entering the collect layer (wrapping + list insertion). Together
 	// with ScheduleOverhead it reproduces the §5.1 constant overhead of
 	// MAD-MPI versus the synchronous MPIs.
-	SubmitOverhead sim.Time `json:"submit_overhead"`
+	SubmitOverhead sim.Time `json:"submit_overhead" yaml:"-"`
 	// ScheduleOverhead is the host cost charged per output packet for
 	// inspecting the ready list and running the optimization function.
-	ScheduleOverhead sim.Time `json:"schedule_overhead"`
+	ScheduleOverhead sim.Time `json:"schedule_overhead" yaml:"-"`
 	// BodyChunk caps the size of one rendezvous body transaction; larger
 	// bodies are pipelined in BodyChunk pieces. 0 means one transaction
 	// per rail share.

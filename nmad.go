@@ -112,8 +112,6 @@ var (
 	Strategies       = sched.Names
 	RegisterStrategy = sched.Register
 	ChainStrategies  = sched.Chain
-	// StrategyNames is the historical alias of Strategies.
-	StrategyNames = sched.Names
 	// NewTracer / NewRingTracer create scheduling-decision recorders.
 	NewTracer     = trace.NewRecorder
 	NewRingTracer = trace.NewRingRecorder

@@ -5,7 +5,6 @@
 // Usage:
 //
 //	nmad-bench -list              # figure ids with one-line descriptions
-//	nmad-bench -fig list          # same
 //	nmad-bench -fig 2a            # one figure, aligned table on stdout
 //	nmad-bench -fig all           # everything (scale-nodes alone takes minutes)
 //	nmad-bench -fig 4a -format csv
@@ -29,16 +28,17 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "", "figure id(s, comma-separated) to regenerate, 'all', or 'list'")
-	format := flag.String("format", "table", "output format: table, csv or json")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON results (same as -format json)")
+	fig := flag.String("fig", "", "figure id(s, comma-separated) to regenerate, or 'all'")
+	format := flag.String("format", "table", "human-readable output format: table or csv")
+	jsonOut := flag.Bool("json", false, "emit machine-readable JSON results instead")
 	list := flag.Bool("list", false, "list figure ids with descriptions and exit")
 	flag.Parse()
-	if *jsonOut {
-		*format = "json"
+	if *format != "table" && *format != "csv" {
+		fmt.Fprintf(os.Stderr, "nmad-bench: unknown format %q (table or csv; -json for JSON)\n", *format)
+		os.Exit(2)
 	}
 
-	if *list || *fig == "list" {
+	if *list {
 		w := 0
 		infos := bench.Figures()
 		for _, info := range infos {
@@ -67,24 +67,21 @@ func main() {
 			fmt.Fprintf(os.Stderr, "nmad-bench: %v\n", err)
 			os.Exit(1)
 		}
-		switch *format {
-		case "table":
-			fmt.Println(bench.FormatTable(result))
-		case "csv":
-			fmt.Printf("# figure %s: %s\n%s\n", result.ID, result.Title, bench.FormatCSV(result))
-		case "json":
+		switch {
+		case *jsonOut:
 			js, err := bench.FormatJSON(result)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "nmad-bench: %v\n", err)
 				os.Exit(1)
 			}
 			jsons = append(jsons, js)
+		case *format == "csv":
+			fmt.Printf("# figure %s: %s\n%s\n", result.ID, result.Title, bench.FormatCSV(result))
 		default:
-			fmt.Fprintf(os.Stderr, "nmad-bench: unknown format %q\n", *format)
-			os.Exit(2)
+			fmt.Println(bench.FormatTable(result))
 		}
 	}
-	if *format == "json" {
+	if *jsonOut {
 		// One figure prints bare; several print as a JSON array so the
 		// output stays a single valid document.
 		if len(jsons) == 1 {

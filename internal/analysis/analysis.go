@@ -44,23 +44,23 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 
-	diags *[]Diagnostic
+	diags *[]diagnostic
 }
 
-// Diagnostic is one finding.
-type Diagnostic struct {
+// diagnostic is one finding.
+type diagnostic struct {
 	Analyzer string
 	Pos      token.Position
 	Message  string
 }
 
-func (d Diagnostic) String() string {
+func (d diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
 }
 
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
+// reportf records a finding at pos.
+func (p *Pass) reportf(pos token.Pos, format string, args ...any) {
+	*p.diags = append(*p.diags, diagnostic{
 		Analyzer: p.Analyzer.Name,
 		Pos:      p.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
@@ -69,15 +69,15 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzers returns the full nmad-vet suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DeterminismAnalyzer, SentinelCmpAnalyzer, SPILeakAnalyzer}
+	return []*Analyzer{determinismAnalyzer, sentinelCmpAnalyzer, spiLeakAnalyzer}
 }
 
-// RunAnalyzers runs every analyzer over one loaded package, applies the
+// runAnalyzers runs every analyzer over one loaded package, applies the
 // allow comments, and returns the surviving diagnostics sorted by
 // position. Stale and malformed allow comments surface as "nmadvet"
 // diagnostics of their own.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	var raw []Diagnostic
+func runAnalyzers(pkg *Package, analyzers []*Analyzer) []diagnostic {
+	var raw []diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer: a,
@@ -88,11 +88,11 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 			diags:    &raw,
 		}
 		if err := a.Run(pass); err != nil {
-			raw = append(raw, Diagnostic{Analyzer: a.Name, Message: err.Error()})
+			raw = append(raw, diagnostic{Analyzer: a.Name, Message: err.Error()})
 		}
 	}
 	allows, broken := collectAllows(pkg, analyzers)
-	var out []Diagnostic
+	var out []diagnostic
 	for _, d := range raw {
 		if al := allows.match(d); al != nil {
 			al.used = true
@@ -103,7 +103,7 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	out = append(out, broken...)
 	for _, al := range allows.list {
 		if !al.used {
-			out = append(out, Diagnostic{
+			out = append(out, diagnostic{
 				Analyzer: "nmadvet",
 				Pos:      al.pos,
 				Message:  fmt.Sprintf("stale //nmadvet:allow %s comment: it suppresses no finding", al.analyzer),
@@ -137,7 +137,7 @@ type allow struct {
 
 type allowSet struct{ list []*allow }
 
-func (s *allowSet) match(d Diagnostic) *allow {
+func (s *allowSet) match(d diagnostic) *allow {
 	for _, al := range s.list {
 		if al.analyzer != d.Analyzer || al.file != d.Pos.Filename {
 			continue
@@ -155,13 +155,13 @@ var allowRe = regexp.MustCompile(`^//nmadvet:allow\s+([a-z]+)\(([^)]*)\)`)
 
 // collectAllows parses every allow comment in the package. Malformed
 // comments (unknown analyzer, missing reason) come back as diagnostics.
-func collectAllows(pkg *Package, analyzers []*Analyzer) (allowSet, []Diagnostic) {
+func collectAllows(pkg *Package, analyzers []*Analyzer) (allowSet, []diagnostic) {
 	known := map[string]bool{}
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
 	var set allowSet
-	var broken []Diagnostic
+	var broken []diagnostic
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -175,19 +175,19 @@ func collectAllows(pkg *Package, analyzers []*Analyzer) (allowSet, []Diagnostic)
 				m := allowRe.FindStringSubmatch(c.Text)
 				switch {
 				case m == nil:
-					broken = append(broken, Diagnostic{
+					broken = append(broken, diagnostic{
 						Analyzer: "nmadvet",
 						Pos:      pos,
 						Message:  "malformed nmadvet comment: want //nmadvet:allow <analyzer>(<reason>)",
 					})
 				case !known[m[1]]:
-					broken = append(broken, Diagnostic{
+					broken = append(broken, diagnostic{
 						Analyzer: "nmadvet",
 						Pos:      pos,
 						Message:  fmt.Sprintf("//nmadvet:allow names unknown analyzer %q", m[1]),
 					})
 				case strings.TrimSpace(m[2]) == "":
-					broken = append(broken, Diagnostic{
+					broken = append(broken, diagnostic{
 						Analyzer: "nmadvet",
 						Pos:      pos,
 						Message:  "//nmadvet:allow needs a reason: //nmadvet:allow " + m[1] + "(why this site is safe)",

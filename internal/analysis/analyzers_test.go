@@ -3,17 +3,17 @@ package analysis
 import "testing"
 
 func TestDeterminismFixture(t *testing.T) {
-	runFixture(t, "determ", DeterminismAnalyzer)
+	runFixture(t, "determ", determinismAnalyzer)
 }
 
 func TestDeterminismNegativeControl(t *testing.T) {
-	runFixture(t, "nondeterm", DeterminismAnalyzer)
+	runFixture(t, "nondeterm", determinismAnalyzer)
 }
 
 func TestSentinelCmpFixture(t *testing.T) {
-	runFixture(t, "sentinel", SentinelCmpAnalyzer)
+	runFixture(t, "sentinel", sentinelCmpAnalyzer)
 }
 
 func TestSPILeakFixture(t *testing.T) {
-	runFixture(t, "spileak", SPILeakAnalyzer)
+	runFixture(t, "spileak", spiLeakAnalyzer)
 }

@@ -9,7 +9,7 @@ import (
 	"strings"
 )
 
-// DeterministicPkgPaths lists the packages whose behavior must be a
+// deterministicPkgPaths lists the packages whose behavior must be a
 // pure function of their inputs: the engine, the virtual-time machine,
 // the fabric, MPI, scenarios, the job queue, replay, the recording
 // format and the SPI.
@@ -17,7 +17,7 @@ import (
 // scenario corpus (PR 7) all stand on this property. A package outside
 // the list can opt in by carrying a //nmadvet:deterministic comment in
 // any of its files.
-var DeterministicPkgPaths = []string{
+var deterministicPkgPaths = []string{
 	"nmad/internal/core",
 	"nmad/internal/sim",
 	"nmad/internal/simnet",
@@ -39,13 +39,13 @@ var wallClockFuncs = map[string]bool{
 	"Sleep": true,
 }
 
-// DeterminismAnalyzer flags, inside the deterministic packages:
+// determinismAnalyzer flags, inside the deterministic packages:
 // wall-clock calls, any use of math/rand (the engine's seeded sim.RNG is
 // the only legal randomness), range statements over maps whose body has
 // order-dependent effects (calls, channel sends, or appends to an outer
 // slice that is never sorted afterwards), and map-typed struct fields
 // that serialize into recordings without a sorted-marshal path.
-var DeterminismAnalyzer = &Analyzer{
+var determinismAnalyzer = &Analyzer{
 	Name: "determinism",
 	Doc: "forbid wall-clock reads, math/rand and order-dependent map iteration " +
 		"in the packages that must replay byte-identically",
@@ -78,7 +78,7 @@ func runDeterminism(pass *Pass) error {
 
 func deterministicPackage(pass *Pass) bool {
 	path := pass.Pkg.Path()
-	for _, p := range DeterministicPkgPaths {
+	for _, p := range deterministicPkgPaths {
 		if path == p || strings.HasPrefix(path, p+"/") {
 			return true
 		}
@@ -99,7 +99,7 @@ func checkImports(pass *Pass, f *ast.File) {
 	for _, imp := range f.Imports {
 		path := strings.Trim(imp.Path.Value, `"`)
 		if path == "math/rand" || path == "math/rand/v2" {
-			pass.Reportf(imp.Pos(),
+			pass.reportf(imp.Pos(),
 				"import of %s in a deterministic package: use the seeded sim.RNG instead", path)
 		}
 	}
@@ -111,7 +111,7 @@ func checkWallClock(pass *Pass, call *ast.CallExpr) {
 		return
 	}
 	if wallClockFuncs[fn.Name()] {
-		pass.Reportf(call.Pos(),
+		pass.reportf(call.Pos(),
 			"time.%s reads the wall clock: deterministic packages run on virtual sim.Time only", fn.Name())
 	}
 }
@@ -180,7 +180,7 @@ func checkMapRange(pass *Pass, file *ast.File, rs *ast.RangeStmt) {
 		return true
 	})
 	if len(reasons) > 0 {
-		pass.Reportf(rs.Pos(),
+		pass.reportf(rs.Pos(),
 			"map iteration order is random and the loop body %s: iterate a sorted key "+
 				"slice (sortedKeys-style) or annotate //nmadvet:allow determinism(reason)",
 			strings.Join(reasons, ", "))
@@ -326,7 +326,7 @@ func checkMapFields(pass *Pass, st *ast.StructType) {
 				continue // encoding/json sorts these keys
 			}
 		}
-		pass.Reportf(field.Pos(),
+		pass.reportf(field.Pos(),
 			"serialized map field %s has key type %s with no sorted JSON marshal order: "+
 				"key by a string or integer, or marshal through a sorted slice",
 			field.Names[0].Name, m.Key())

@@ -32,7 +32,7 @@ func runFixture(t *testing.T, fixture string, analyzers ...*Analyzer) {
 		t.Fatalf("loaded %d packages from %s, want 1", len(pkgs), rel)
 	}
 	pkg := pkgs[0]
-	diags := RunAnalyzers(pkg, analyzers)
+	diags := runAnalyzers(pkg, analyzers)
 
 	wants := parseWants(t, pkg)
 	for _, d := range diags {

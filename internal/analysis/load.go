@@ -82,7 +82,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		for _, f := range t.GoFiles {
 			files = append(files, filepath.Join(t.Dir, f))
 		}
-		pkg, err := TypeCheck(t.ImportPath, files, nil, exports)
+		pkg, err := typeCheck(t.ImportPath, files, nil, exports)
 		if err != nil {
 			return nil, err
 		}
@@ -91,11 +91,11 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// TypeCheck parses and type-checks one package from its file list.
+// typeCheck parses and type-checks one package from its file list.
 // importMap translates source-level import paths to canonical ones (nil
 // for the identity map); exports maps canonical import paths to
 // compiler export data files.
-func TypeCheck(path string, files []string, importMap, exports map[string]string) (*Package, error) {
+func typeCheck(path string, files []string, importMap, exports map[string]string) (*Package, error) {
 	fset := token.NewFileSet()
 	var syntax []*ast.File
 	for _, name := range files {

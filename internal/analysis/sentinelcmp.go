@@ -11,12 +11,12 @@ import (
 // analyzers police nmad's own error contracts, not the stdlib's.
 const modulePrefix = "nmad"
 
-// SentinelCmpAnalyzer flags direct comparisons against the repo's
+// sentinelCmpAnalyzer flags direct comparisons against the repo's
 // sentinel errors — `err == ErrProtocol`, `switch err { case ErrSyntax:`
 // — and type assertions or type switches on module error types. The
 // engine wraps errors as they cross layers (gate → engine → facade), so
 // only errors.Is / errors.As match reliably.
-var SentinelCmpAnalyzer = &Analyzer{
+var sentinelCmpAnalyzer = &Analyzer{
 	Name: "sentinelcmp",
 	Doc: "require errors.Is/errors.As instead of ==, != or type switches " +
 		"against the module's sentinel errors",
@@ -57,7 +57,7 @@ func checkSentinelCompare(pass *Pass, cmp *ast.BinaryExpr) {
 			if cmp.Op == token.NEQ {
 				verb = "!errors.Is"
 			}
-			pass.Reportf(cmp.Pos(),
+			pass.reportf(cmp.Pos(),
 				"direct %s comparison against sentinel %s misses wrapped errors: use %s(err, %s)",
 				cmp.Op, v.Name(), verb, v.Name())
 			return
@@ -79,7 +79,7 @@ func checkSentinelSwitch(pass *Pass, sw *ast.SwitchStmt) {
 		}
 		for _, e := range cc.List {
 			if v := sentinelVar(pass, e); v != nil {
-				pass.Reportf(e.Pos(),
+				pass.reportf(e.Pos(),
 					"switch case matches sentinel %s by identity and misses wrapped errors: use errors.Is in an if/else chain",
 					v.Name())
 			}
@@ -92,7 +92,7 @@ func checkErrorAssert(pass *Pass, ta *ast.TypeAssertExpr) {
 		return
 	}
 	if name := moduleErrorType(pass, ta.Type); name != "" {
-		pass.Reportf(ta.Pos(),
+		pass.reportf(ta.Pos(),
 			"type assertion to error type %s misses wrapped errors: use errors.As", name)
 	}
 }
@@ -118,7 +118,7 @@ func checkErrorTypeSwitch(pass *Pass, ts *ast.TypeSwitchStmt) {
 		}
 		for _, te := range cc.List {
 			if name := moduleErrorType(pass, te); name != "" {
-				pass.Reportf(te.Pos(),
+				pass.reportf(te.Pos(),
 					"type switch case on error type %s misses wrapped errors: use errors.As", name)
 			}
 		}

@@ -6,13 +6,13 @@ import (
 	"go/types"
 )
 
-// SPILeakAnalyzer enforces the SPI aliasing rule: the views the engine
+// spiLeakAnalyzer enforces the SPI aliasing rule: the views the engine
 // hands a strategy — the sched.Window, wrapper pointers, the RailInfo
 // slice — are valid only for the duration of the call. A strategy that
 // stows one in a struct field, a package variable, or a closure that
 // outlives the call will read stale or recycled engine state. The docs
 // forbid it; this analyzer detects it.
-var SPILeakAnalyzer = &Analyzer{
+var spiLeakAnalyzer = &Analyzer{
 	Name: "spileak",
 	Doc: "forbid strategy implementations from retaining sched.Window, " +
 		"*sched.Wrapper or []sched.RailInfo beyond the SPI call",
@@ -117,7 +117,7 @@ func runSPILeak(pass *Pass) error {
 							continue
 						}
 						if why := spi.forbidden(v.Type()); why != "" {
-							pass.Reportf(name.Pos(),
+							pass.reportf(name.Pos(),
 								"package variable %s retains %s: engine views are only valid during the SPI call",
 								name.Name, why)
 						}
@@ -209,7 +209,7 @@ func checkPersistentStores(pass *Pass, spi *spiTypes, method string, as *ast.Ass
 			continue
 		}
 		if why := spi.forbidden(tv.Type); why != "" {
-			pass.Reportf(as.Pos(),
+			pass.reportf(as.Pos(),
 				"%s stores %s into %s: engine views are only valid during the SPI call — copy the data you need",
 				method, why, dest)
 		}
@@ -263,7 +263,7 @@ func checkEscapingClosure(pass *Pass, spi *spiTypes, method string, lit *ast.Fun
 		}
 		if why := spi.forbidden(v.Type()); why != "" {
 			reported[v] = true
-			pass.Reportf(id.Pos(),
+			pass.reportf(id.Pos(),
 				"%s leaks %s into %s that outlives the SPI call (captured %s)",
 				method, why, dest, v.Name())
 		}

@@ -72,7 +72,7 @@ func Main(analyzers ...*Analyzer) {
 		os.Exit(2)
 	}
 	// Standalone mode: treat the arguments as package patterns.
-	os.Exit(RunStandalone(os.Stderr, ".", args, analyzers))
+	os.Exit(runStandalone(os.Stderr, ".", args, analyzers))
 }
 
 func printVersion(progname string) {
@@ -129,7 +129,7 @@ func runUnit(cfgPath string, analyzers []*Analyzer) int {
 		return 0
 	}
 
-	pkg, err := TypeCheck(cfg.ImportPath, cfg.GoFiles, cfg.ImportMap, cfg.PackageFile)
+	pkg, err := typeCheck(cfg.ImportPath, cfg.GoFiles, cfg.ImportMap, cfg.PackageFile)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
 			return 0
@@ -137,7 +137,7 @@ func runUnit(cfgPath string, analyzers []*Analyzer) int {
 		fmt.Fprintf(os.Stderr, "nmad-vet: %v\n", err)
 		return 1
 	}
-	diags := RunAnalyzers(pkg, analyzers)
+	diags := runAnalyzers(pkg, analyzers)
 	for _, d := range diags {
 		fmt.Fprintln(os.Stderr, d)
 	}
@@ -147,11 +147,11 @@ func runUnit(cfgPath string, analyzers []*Analyzer) int {
 	return 0
 }
 
-// RunStandalone loads patterns from dir, runs the suite, and prints
+// runStandalone loads patterns from dir, runs the suite, and prints
 // findings to w. It returns 0 when clean, 2 on findings, 1 on load
 // errors. Unlike the vet path it analyzes only non-test files (export
 // data for test variants is not materialized by `go list -export`).
-func RunStandalone(w io.Writer, dir string, patterns []string, analyzers []*Analyzer) int {
+func runStandalone(w io.Writer, dir string, patterns []string, analyzers []*Analyzer) int {
 	pkgs, err := Load(dir, patterns...)
 	if err != nil {
 		fmt.Fprintf(w, "nmad-vet: %v\n", err)
@@ -159,7 +159,7 @@ func RunStandalone(w io.Writer, dir string, patterns []string, analyzers []*Anal
 	}
 	total := 0
 	for _, pkg := range pkgs {
-		for _, d := range RunAnalyzers(pkg, analyzers) {
+		for _, d := range runAnalyzers(pkg, analyzers) {
 			fmt.Fprintln(w, d)
 			total++
 		}

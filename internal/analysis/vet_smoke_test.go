@@ -10,7 +10,7 @@ import (
 // CI's `go vet -vettool=nmad-vet ./...` additionally covers test files.
 func TestModuleIsVetClean(t *testing.T) {
 	var out bytes.Buffer
-	code := RunStandalone(&out, "../..", []string{"./..."}, Analyzers())
+	code := runStandalone(&out, "../..", []string{"./..."}, Analyzers())
 	if code != 0 {
 		t.Fatalf("nmad-vet over the module exited %d:\n%s", code, out.String())
 	}

@@ -49,7 +49,7 @@ func TestEagerSendRecv(t *testing.T) {
 	})
 	w.Spawn("recv", func(p *sim.Proc) {
 		buf := make([]byte, 64)
-		n, err := r1.Recv(p, buf, 0, 3, 0)
+		n, err := r1.recv(p, buf, 0, 3, 0)
 		if err != nil {
 			t.Error(err)
 		}
@@ -76,7 +76,7 @@ func TestRendezvousSendRecv(t *testing.T) {
 			})
 			w.Spawn("recv", func(p *sim.Proc) {
 				buf := make([]byte, len(big))
-				n, err := r1.Recv(p, buf, 0, 1, 0)
+				n, err := r1.recv(p, buf, 0, 1, 0)
 				if err != nil {
 					t.Error(err)
 				}
@@ -101,7 +101,7 @@ func TestUnexpectedBuffered(t *testing.T) {
 	w.Spawn("recv", func(p *sim.Proc) {
 		p.Sleep(100 * sim.Microsecond)
 		buf := make([]byte, 8)
-		n, err := r1.Recv(p, buf, 0, 9, 0)
+		n, err := r1.recv(p, buf, 0, 9, 0)
 		if err != nil {
 			t.Error(err)
 		}
@@ -132,7 +132,7 @@ func TestUnexpectedSurvivesLaterTraffic(t *testing.T) {
 		p.Sleep(sim.Millisecond)
 		buf := make([]byte, 64)
 		for i := 0; i < n; i++ {
-			if _, err := r1.Recv(p, buf, 0, 9, 0); err != nil {
+			if _, err := r1.recv(p, buf, 0, 9, 0); err != nil {
 				t.Error(err)
 			}
 			if !bytes.Equal(buf, bytes.Repeat([]byte{byte('a' + i)}, 64)) {
@@ -157,14 +157,14 @@ func TestCommIsolation(t *testing.T) {
 	})
 	w.Spawn("recv", func(p *sim.Proc) {
 		buf := make([]byte, 4)
-		n, err := r1.Recv(p, buf, 0, 5, 2)
+		n, err := r1.recv(p, buf, 0, 5, 2)
 		if err != nil {
 			t.Error(err)
 		}
 		if string(buf[:n]) != "c2" {
 			t.Errorf("comm 2 got %q", buf[:n])
 		}
-		n, err = r1.Recv(p, buf, 0, 5, 1)
+		n, err = r1.recv(p, buf, 0, 5, 1)
 		if err != nil {
 			t.Error(err)
 		}
@@ -184,8 +184,8 @@ func TestTruncation(t *testing.T) {
 	})
 	w.Spawn("recv", func(p *sim.Proc) {
 		buf := make([]byte, 3)
-		_, err := r1.Recv(p, buf, 0, 0, 0)
-		if !errors.Is(err, ErrBaselineTruncated) {
+		_, err := r1.recv(p, buf, 0, 0, 0)
+		if !errors.Is(err, errTruncated) {
 			t.Errorf("err = %v, want ErrBaselineTruncated", err)
 		}
 	})
@@ -196,10 +196,10 @@ func TestTruncation(t *testing.T) {
 
 func TestBadPeer(t *testing.T) {
 	_, r0, _ := pairRanks(t, MPICH(), simnet.MX10G())
-	if err := r0.Isend(nil, nil, 7, 0, 0).err; !errors.Is(err, ErrBadPeer) {
+	if err := r0.Isend(nil, nil, 7, 0, 0).err; !errors.Is(err, errBadPeer) {
 		t.Errorf("bad dest: %v", err)
 	}
-	if err := r0.Irecv(nil, nil, 0, 0, 0).err; !errors.Is(err, ErrBadPeer) {
+	if err := r0.Irecv(nil, nil, 0, 0, 0).err; !errors.Is(err, errBadPeer) {
 		t.Errorf("self recv: %v", err)
 	}
 }
@@ -215,7 +215,7 @@ func TestNoAggregationEver(t *testing.T) {
 	})
 	w.Spawn("recv", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
-			if _, err := r1.Recv(p, make([]byte, 64), 0, i, 0); err != nil {
+			if _, err := r1.recv(p, make([]byte, 64), 0, i, 0); err != nil {
 				t.Error(err)
 			}
 		}
@@ -223,7 +223,7 @@ func TestNoAggregationEver(t *testing.T) {
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := r0.Driver().Stats().TxPackets; got != n {
+	if got := r0.drv.Stats().TxPackets; got != n {
 		t.Errorf("baseline sent %d packets for %d sends, want exactly %d", got, n, n)
 	}
 }
@@ -288,7 +288,7 @@ func TestTypedCopiesCostTime(t *testing.T) {
 			if typed {
 				err = r1.RecvTyped(p, buf, segs, 0, 0, 0)
 			} else {
-				_, err = r1.Recv(p, buf, 0, 0, 0)
+				_, err = r1.recv(p, buf, 0, 0, 0)
 			}
 			if err != nil {
 				t.Error(err)

@@ -66,7 +66,7 @@ func (r *Rank) RecvTyped(p *sim.Proc, base []byte, segs []Segment, src, tag, com
 	total := totalLen(segs)
 	tmp := make([]byte, total)
 	if !r.opts.PipelinedDatatypes || r.opts.PackChunk <= 0 || total <= r.opts.PackChunk {
-		if _, err := r.Recv(p, tmp, src, tag, comm); err != nil {
+		if _, err := r.recv(p, tmp, src, tag, comm); err != nil {
 			return err
 		}
 	} else {

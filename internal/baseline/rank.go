@@ -114,14 +114,11 @@ func NewRank(f *simnet.Fabric, netIdx int, node simnet.NodeID, opts Options) (*R
 // Name reports the personality name.
 func (r *Rank) Name() string { return r.opts.Name }
 
-// Rank returns the process's rank (its node id).
-func (r *Rank) Rank() int { return int(r.node.ID) }
+// rank returns the process's rank (its node id).
+func (r *Rank) rank() int { return int(r.node.ID) }
 
 // Size returns the job size.
 func (r *Rank) Size() int { return r.size }
-
-// Driver exposes the bound transfer layer.
-func (r *Rank) Driver() drivers.Driver { return r.drv }
 
 func (r *Rank) threshold() int {
 	if r.opts.RdvThreshold > 0 {
@@ -149,16 +146,16 @@ func encodeBHeader(kind byte, tag uint64, length int, aux uint32) []byte {
 
 // Errors.
 var (
-	ErrBaselineTruncated = errors.New("baseline: message longer than the receive buffer")
-	ErrBadPeer           = errors.New("baseline: peer out of range")
+	errTruncated = errors.New("baseline: message longer than the receive buffer")
+	errBadPeer   = errors.New("baseline: peer out of range")
 )
 
 // Isend maps the send directly onto the NIC: eager below the threshold,
 // rendezvous above — the synchronous architecture of §2.
 func (r *Rank) Isend(p *sim.Proc, buf []byte, dest, tag, comm int) *bSend {
 	req := &bSend{rank: r}
-	if dest < 0 || dest >= r.size || dest == r.Rank() {
-		req.finish(fmt.Errorf("%w: %d", ErrBadPeer, dest))
+	if dest < 0 || dest >= r.size || dest == r.rank() {
+		req.finish(fmt.Errorf("%w: %d", errBadPeer, dest))
 		return req
 	}
 	r.charge(p)
@@ -188,8 +185,8 @@ func (r *Rank) Isend(p *sim.Proc, buf []byte, dest, tag, comm int) *bSend {
 // Irecv posts a receive matched by (source, comm, tag), FIFO.
 func (r *Rank) Irecv(p *sim.Proc, buf []byte, src, tag, comm int) *bRecv {
 	req := &bRecv{rank: r, tag: tag64(comm, tag), buf: buf}
-	if src < 0 || src >= r.size || src == r.Rank() {
-		req.finish(fmt.Errorf("%w: %d", ErrBadPeer, src))
+	if src < 0 || src >= r.size || src == r.rank() {
+		req.finish(fmt.Errorf("%w: %d", errBadPeer, src))
 		return req
 	}
 	r.charge(p)
@@ -207,12 +204,12 @@ func (r *Rank) Irecv(p *sim.Proc, buf []byte, src, tag, comm int) *bRecv {
 	return req
 }
 
-// Send and Recv are the blocking forms.
+// Send and recv are the blocking forms.
 func (r *Rank) Send(p *sim.Proc, buf []byte, dest, tag, comm int) error {
 	return r.Isend(p, buf, dest, tag, comm).Wait(p)
 }
 
-func (r *Rank) Recv(p *sim.Proc, buf []byte, src, tag, comm int) (int, error) {
+func (r *Rank) recv(p *sim.Proc, buf []byte, src, tag, comm int) (int, error) {
 	req := r.Irecv(p, buf, src, tag, comm)
 	err := req.Wait(p)
 	return req.N(), err
@@ -270,7 +267,7 @@ func (r *Rank) consume(src simnet.NodeID, req *bRecv, m *bMsg) {
 		req.n = n
 		var err error
 		if len(m.payload) > len(req.buf) {
-			err = ErrBaselineTruncated
+			err = errTruncated
 		}
 		r.world.After(r.node.CopyCost(n), func() { req.finish(err) })
 	case bKindRTS:
@@ -295,7 +292,7 @@ func (r *Rank) onBody(d simnet.Delivery) {
 	req.n = n
 	var err error
 	if len(d.Data) > len(req.buf) {
-		err = ErrBaselineTruncated
+		err = errTruncated
 	}
 	req.finish(err)
 }

@@ -18,27 +18,27 @@ import (
 // count, so the benefit of pipelining through the optimizer is a curve,
 // not an anecdote.
 
-// SeedAlgo selects the pre-engine baseline in AllreduceTime: the seed's
+// seedAlgo selects the pre-engine baseline in allreduceTime: the seed's
 // blocking binomial reduce-then-broadcast, reproduced verbatim on the
 // point-to-point layer.
-const SeedAlgo = "seed"
+const seedAlgo = "seed"
 
-// AllreduceConfig parameterizes one measured allreduce.
-type AllreduceConfig struct {
+// allreduceConfig parameterizes one measured allreduce.
+type allreduceConfig struct {
 	// Nodes ranks on one MX rail reduce a vector of Elems float64s.
 	Nodes int
 	Elems int
 	// Algo is a registered allreduce algorithm ("tree", "ring"), the
-	// SeedAlgo baseline, or "" for the automatic selection.
+	// seedAlgo baseline, or "" for the automatic selection.
 	Algo string
 	// SegBytes overrides the pipelining segment (0 = default).
 	SegBytes int
 }
 
-// AllreduceTime measures one allreduce: virtual microseconds from every
+// allreduceTime measures one allreduce: virtual microseconds from every
 // rank entering the operation (after a warmup round and a barrier) to
 // the last rank completing it, verifying the reduction on every rank.
-func AllreduceTime(cfg AllreduceConfig) (float64, error) {
+func allreduceTime(cfg allreduceConfig) (float64, error) {
 	if cfg.Nodes < 2 || cfg.Elems < 1 {
 		return 0, fmt.Errorf("bench: allreduce needs ≥2 nodes and ≥1 element, got %+v", cfg)
 	}
@@ -51,7 +51,7 @@ func AllreduceTime(cfg AllreduceConfig) (float64, error) {
 		return 0, err
 	}
 	for _, m := range ranks {
-		if cfg.Algo != "" && cfg.Algo != SeedAlgo {
+		if cfg.Algo != "" && cfg.Algo != seedAlgo {
 			if err := m.ForceCollAlgo(madmpi.CollAllreduce, cfg.Algo); err != nil {
 				return 0, err
 			}
@@ -61,7 +61,7 @@ func AllreduceTime(cfg AllreduceConfig) (float64, error) {
 		}
 	}
 	allreduce := func(p *sim.Proc, m *madmpi.MPI, in, out []float64) error {
-		if cfg.Algo == SeedAlgo {
+		if cfg.Algo == seedAlgo {
 			return seedAllreduce(p, m.CommWorld(), in, out)
 		}
 		return m.CommWorld().Allreduce(p, in, out, madmpi.OpSum)
@@ -161,9 +161,9 @@ func seedAllreduce(p *sim.Proc, c *madmpi.Comm, send, recv []float64) error {
 	return nil
 }
 
-// FigAllreduce sweeps vector size × node count × algorithm: the measure
+// figAllreduce sweeps vector size × node count × algorithm: the measure
 // of the collective schedule engine against the seed's blocking trees.
-func FigAllreduce() (Figure, error) {
+func figAllreduce() (Figure, error) {
 	fig := Figure{
 		ID:     "allreduce",
 		Title:  "Allreduce — schedule-engine algorithms vs the seed blocking tree (MX, float64 vectors)",
@@ -176,13 +176,13 @@ func FigAllreduce() (Figure, error) {
 	sizes := []int{8 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20}
 	stamp := summarizeOptions(core.DefaultOptions())
 	for _, nodes := range []int{4, 8} {
-		for _, algo := range []string{SeedAlgo, "tree", "ring"} {
+		for _, algo := range []string{seedAlgo, "tree", "ring"} {
 			s := Series{Label: fmt.Sprintf("%s n=%d", algo, nodes), Strategy: "aggreg", EngineOptions: stamp}
-			if algo == SeedAlgo {
+			if algo == seedAlgo {
 				s.EngineOptions = stamp + " (blocking p2p loops)"
 			}
 			for _, bytes := range sizes {
-				t, err := AllreduceTime(AllreduceConfig{Nodes: nodes, Elems: bytes / 8, Algo: algo})
+				t, err := allreduceTime(allreduceConfig{Nodes: nodes, Elems: bytes / 8, Algo: algo})
 				if err != nil {
 					return fig, err
 				}
@@ -193,7 +193,7 @@ func FigAllreduce() (Figure, error) {
 	}
 	for _, nodes := range []int{4, 8} {
 		big := sizes[len(sizes)-1]
-		gain, err := Speedup(fig, fmt.Sprintf("ring n=%d", nodes), fmt.Sprintf("%s n=%d", SeedAlgo, nodes), big)
+		gain, err := speedup(fig, fmt.Sprintf("ring n=%d", nodes), fmt.Sprintf("%s n=%d", seedAlgo, nodes), big)
 		if err != nil {
 			return fig, err
 		}

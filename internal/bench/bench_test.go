@@ -17,11 +17,11 @@ func TestFig2OverheadUnderHalfMicrosecond(t *testing.T) {
 	// §5.1: "MAD-MPI introduces a constant overhead of less than 0.5 µs".
 	for _, rails := range [][]simnet.Profile{mxRails(), qsRails()} {
 		for _, size := range []int{4, 64, 1024} {
-			mad, err := PingPong(MadMPI(core.DefaultOptions()), rails, size)
+			mad, err := rawPingPong(madMPI(core.DefaultOptions()), rails, size)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mpich, err := PingPong(MPICH(), rails, size)
+			mpich, err := rawPingPong(mpichLike(), rails, size)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,11 +41,11 @@ func TestFig2BandwidthConverges(t *testing.T) {
 	// At 2MB the curves must converge: the optimizer costs nothing when
 	// there is nothing to optimize.
 	size := 2 << 20
-	mad, err := PingPong(MadMPI(core.DefaultOptions()), mxRails(), size)
+	mad, err := rawPingPong(madMPI(core.DefaultOptions()), mxRails(), size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpich, err := PingPong(MPICH(), mxRails(), size)
+	mpich, err := rawPingPong(mpichLike(), mxRails(), size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestFig2BandwidthConverges(t *testing.T) {
 	if bw < 1000 || bw > 1300 {
 		t.Errorf("MX peak bandwidth %.0f MB/s, want in the Myri-10G ballpark (paper: 1155)", bw)
 	}
-	qs, err := PingPong(MadMPI(core.DefaultOptions()), qsRails(), size)
+	qs, err := rawPingPong(madMPI(core.DefaultOptions()), qsRails(), size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestFig2BandwidthConverges(t *testing.T) {
 func TestFig2LatencyMonotonicInSize(t *testing.T) {
 	prev := 0.0
 	for _, size := range fig2Sizes {
-		lat, err := PingPong(MadMPI(core.DefaultOptions()), mxRails(), size)
+		lat, err := rawPingPong(madMPI(core.DefaultOptions()), mxRails(), size)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,11 +83,11 @@ func TestFig3SmallSegmentsBigWin(t *testing.T) {
 	// §5.2: "MAD-MPI is up to 70% faster than other implementations of
 	// MPI over MX-10G, and up to 50% faster than MPICH over QUADRICS".
 	check := func(rails []simnet.Profile, nsegs int, wantMin, wantMax float64) {
-		mad, err := MultiSegPingPong(MadMPI(core.DefaultOptions()), rails, 4, nsegs)
+		mad, err := multiSegPingPong(madMPI(core.DefaultOptions()), rails, 4, nsegs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mpich, err := MultiSegPingPong(MPICH(), rails, 4, nsegs)
+		mpich, err := multiSegPingPong(mpichLike(), rails, 4, nsegs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,11 +106,11 @@ func TestFig3SmallSegmentsBigWin(t *testing.T) {
 func TestFig3Converges(t *testing.T) {
 	// Once the aggregated size reaches the rendezvous threshold the
 	// curves must (nearly) meet.
-	mad, err := MultiSegPingPong(MadMPI(core.DefaultOptions()), mxRails(), 16<<10, 16)
+	mad, err := multiSegPingPong(madMPI(core.DefaultOptions()), mxRails(), 16<<10, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpich, err := MultiSegPingPong(MPICH(), mxRails(), 16<<10, 16)
+	mpich, err := multiSegPingPong(mpichLike(), mxRails(), 16<<10, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,15 +124,15 @@ func TestFig4DatatypeGains(t *testing.T) {
 	// with OpenMPI over MX and until about 70% versus MPICH over
 	// QUADRICS".
 	size := 2 << 20
-	mad, err := DatatypePingPong(MadMPI(core.DefaultOptions()), mxRails(), size)
+	mad, err := datatypePingPong(madMPI(core.DefaultOptions()), mxRails(), size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpich, err := DatatypePingPong(MPICH(), mxRails(), size)
+	mpich, err := datatypePingPong(mpichLike(), mxRails(), size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ompi, err := DatatypePingPong(OpenMPI(), mxRails(), size)
+	ompi, err := datatypePingPong(openMPILike(), mxRails(), size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +145,11 @@ func TestFig4DatatypeGains(t *testing.T) {
 	if ompi >= mpich {
 		t.Error("OpenMPI must beat MPICH on datatypes (pipelined pack), as in the paper's Figure 4")
 	}
-	qmad, err := DatatypePingPong(MadMPI(core.DefaultOptions()), qsRails(), size)
+	qmad, err := datatypePingPong(madMPI(core.DefaultOptions()), qsRails(), size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qmpich, err := DatatypePingPong(MPICH(), qsRails(), size)
+	qmpich, err := datatypePingPong(mpichLike(), qsRails(), size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestFig4DatatypeGains(t *testing.T) {
 }
 
 func TestPaperDatatypeSegs(t *testing.T) {
-	segs := PaperDatatypeSegs(2 * (64 + 256<<10))
+	segs := paperDatatypeSegs(2 * (64 + 256<<10))
 	if len(segs) != 4 {
 		t.Fatalf("2 pairs should flatten to 4 blocks, got %d", len(segs))
 	}
@@ -178,12 +178,12 @@ func TestPaperDatatypeSegs(t *testing.T) {
 	if total != 2*(64+256<<10) {
 		t.Errorf("segments carry %d data bytes", total)
 	}
-	if DatatypeExtent(total) <= total {
+	if datatypeExtent(total) <= total {
 		t.Error("extent must exceed the data size (the gaps)")
 	}
 	// Non-multiple totals still carry exactly the requested data.
 	for _, odd := range []int{100, 64 + 256<<10 + 1000, 3 << 20} {
-		segs := PaperDatatypeSegs(odd)
+		segs := paperDatatypeSegs(odd)
 		total := 0
 		for _, s := range segs {
 			total += s.Len
@@ -243,11 +243,11 @@ func TestSpeedupHelper(t *testing.T) {
 		{Label: "fast", Points: []Point{{8, 2}}},
 		{Label: "slow", Points: []Point{{8, 6}}},
 	}}
-	s, err := Speedup(fig, "fast", "slow", 8)
+	s, err := speedup(fig, "fast", "slow", 8)
 	if err != nil || s != 3 {
 		t.Errorf("Speedup = %v, %v; want 3", s, err)
 	}
-	if _, err := Speedup(fig, "fast", "slow", 9); err == nil {
+	if _, err := speedup(fig, "fast", "slow", 9); err == nil {
 		t.Error("missing x should error")
 	}
 }
@@ -258,18 +258,18 @@ func TestAblationStrategiesOrdering(t *testing.T) {
 	agg := core.DefaultOptions()
 	def := core.DefaultOptions()
 	def.Strategy = "default"
-	aggLat, err := MultiSegPingPong(MadMPI(agg), mxRails(), 64, 16)
+	aggLat, err := multiSegPingPong(madMPI(agg), mxRails(), 64, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defLat, err := MultiSegPingPong(MadMPI(def), mxRails(), 64, 16)
+	defLat, err := multiSegPingPong(madMPI(def), mxRails(), 64, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if aggLat >= defLat {
 		t.Errorf("aggreg %.2f µs vs default %.2f µs: the window is the whole point", aggLat, defLat)
 	}
-	mpichLat, err := MultiSegPingPong(MPICH(), mxRails(), 64, 16)
+	mpichLat, err := multiSegPingPong(mpichLike(), mxRails(), 64, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,11 +283,11 @@ func TestCompositePriorityBeatsFIFO(t *testing.T) {
 	// priority strategy must deliver it far sooner than MPICH's FIFO.
 	prioOpts := core.DefaultOptions()
 	prioOpts.Strategy = "prio"
-	prio, err := CompositeControlLatency(MadMPI(prioOpts), mxRails(), 16<<10, 16, true)
+	prio, err := compositeControlLatency(madMPI(prioOpts), mxRails(), 16<<10, 16, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fifo, err := CompositeControlLatency(MPICH(), mxRails(), 16<<10, 16, false)
+	fifo, err := compositeControlLatency(mpichLike(), mxRails(), 16<<10, 16, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,11 +297,11 @@ func TestCompositePriorityBeatsFIFO(t *testing.T) {
 }
 
 func TestSamplingAdaptsToCongestion(t *testing.T) {
-	cold, err := CongestedTransfer(4<<20, 0.3, 0)
+	cold, err := congestedTransfer(4<<20, 0.3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := CongestedTransfer(4<<20, 0.3, 4)
+	warm, err := congestedTransfer(4<<20, 0.3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,11 +310,11 @@ func TestSamplingAdaptsToCongestion(t *testing.T) {
 	}
 	// Without congestion the sampled plan must not be worse than nominal
 	// by more than a whisker.
-	coldOK, err := CongestedTransfer(4<<20, 1.0, 0)
+	coldOK, err := congestedTransfer(4<<20, 1.0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmOK, err := CongestedTransfer(4<<20, 1.0, 4)
+	warmOK, err := congestedTransfer(4<<20, 1.0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,11 +326,11 @@ func TestSamplingAdaptsToCongestion(t *testing.T) {
 func TestMultirailAblationWins(t *testing.T) {
 	split := core.DefaultOptions()
 	split.Strategy = "split"
-	two, err := PingPong(MadMPI(split), []simnet.Profile{simnet.MX10G(), simnet.QsNetII()}, 8<<20)
+	two, err := rawPingPong(madMPI(split), []simnet.Profile{simnet.MX10G(), simnet.QsNetII()}, 8<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := PingPong(MadMPI(core.DefaultOptions()), mxRails(), 8<<20)
+	one, err := rawPingPong(madMPI(core.DefaultOptions()), mxRails(), 8<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestMultirailAblationWins(t *testing.T) {
 }
 
 func TestIncastWorkloadBoundedByCredits(t *testing.T) {
-	bounded, err := Incast(IncastConfig{
+	bounded, err := incast(incastConfig{
 		Senders: 4, Msgs: 24, Size: 1 << 10,
 		Credits: 8, MaxGrants: 2, DrainGap: 2 * sim.Microsecond,
 	})
@@ -356,7 +356,7 @@ func TestIncastWorkloadBoundedByCredits(t *testing.T) {
 	if want := int64(4 * 24 * (1 << 10)); bounded.Delivered != want {
 		t.Errorf("delivered %d bytes, want %d", bounded.Delivered, want)
 	}
-	free, err := Incast(IncastConfig{
+	free, err := incast(incastConfig{
 		Senders: 4, Msgs: 24, Size: 1 << 10, DrainGap: 2 * sim.Microsecond,
 	})
 	if err != nil {
@@ -373,13 +373,13 @@ func TestAllreduceWorkload(t *testing.T) {
 	var seed, tree, ring float64
 	var err error
 	const nodes, bytes = 8, 1 << 20
-	if seed, err = AllreduceTime(AllreduceConfig{Nodes: nodes, Elems: bytes / 8, Algo: SeedAlgo}); err != nil {
+	if seed, err = allreduceTime(allreduceConfig{Nodes: nodes, Elems: bytes / 8, Algo: seedAlgo}); err != nil {
 		t.Fatal(err)
 	}
-	if tree, err = AllreduceTime(AllreduceConfig{Nodes: nodes, Elems: bytes / 8, Algo: "tree"}); err != nil {
+	if tree, err = allreduceTime(allreduceConfig{Nodes: nodes, Elems: bytes / 8, Algo: "tree"}); err != nil {
 		t.Fatal(err)
 	}
-	if ring, err = AllreduceTime(AllreduceConfig{Nodes: nodes, Elems: bytes / 8, Algo: "ring"}); err != nil {
+	if ring, err = allreduceTime(allreduceConfig{Nodes: nodes, Elems: bytes / 8, Algo: "ring"}); err != nil {
 		t.Fatal(err)
 	}
 	if seed <= 0 || tree <= 0 || ring <= 0 {
@@ -396,10 +396,10 @@ func TestAllreduceWorkload(t *testing.T) {
 		t.Errorf("schedule-engine tree (%.0f µs) slower than the seed blocking tree (%.0f µs)", tree, seed)
 	}
 	// Bad configurations are rejected.
-	if _, err := AllreduceTime(AllreduceConfig{Nodes: 1, Elems: 8}); err == nil {
+	if _, err := allreduceTime(allreduceConfig{Nodes: 1, Elems: 8}); err == nil {
 		t.Error("single-node allreduce bench must be rejected")
 	}
-	if _, err := AllreduceTime(AllreduceConfig{Nodes: 4, Elems: 16, Algo: "no-such"}); err == nil {
+	if _, err := allreduceTime(allreduceConfig{Nodes: 4, Elems: 16, Algo: "no-such"}); err == nil {
 		t.Error("unknown algorithm must be rejected")
 	}
 }

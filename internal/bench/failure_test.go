@@ -10,7 +10,7 @@ import (
 
 var errStub = errors.New("stub: request failed")
 
-// stubPeer is a Peer whose operations never touch a fabric: every
+// stubPeer is a mpiPeer whose operations never touch a fabric: every
 // request either fails at once (fail) or never completes.
 type stubPeer struct {
 	fail  bool
@@ -25,18 +25,18 @@ func (s stubPeer) Wait(p *sim.Proc) error {
 	return nil
 }
 
-func (s stubPeer) Isend(*sim.Proc, []byte, int, int, int) Pending { return s }
-func (s stubPeer) Irecv(*sim.Proc, []byte, int, int, int) Pending { return s }
+func (s stubPeer) Isend(*sim.Proc, []byte, int, int, int) pending { return s }
+func (s stubPeer) Irecv(*sim.Proc, []byte, int, int, int) pending { return s }
 
-func (s stubPeer) SendTyped(p *sim.Proc, _ []byte, _ []Seg, _, _, _ int) error { return s.Wait(p) }
-func (s stubPeer) RecvTyped(p *sim.Proc, _ []byte, _ []Seg, _, _, _ int) error { return s.Wait(p) }
+func (s stubPeer) SendTyped(p *sim.Proc, _ []byte, _ []seg, _, _, _ int) error { return s.Wait(p) }
+func (s stubPeer) RecvTyped(p *sim.Proc, _ []byte, _ []seg, _, _, _ int) error { return s.Wait(p) }
 
 // stubImpl pairs a rank whose requests fail with a rank whose requests
 // hang, so a run ends in one process error plus the deadlock that error
 // strands the other rank in.
-func stubImpl(failing int) Impl {
-	return Impl{Name: "stub", Make: func(f *simnet.Fabric) (Peer, Peer, error) {
-		peers := [2]Peer{}
+func stubImpl(failing int) mpiImpl {
+	return mpiImpl{Name: "stub", Make: func(f *simnet.Fabric) (mpiPeer, mpiPeer, error) {
+		peers := [2]mpiPeer{}
 		for rank := range peers {
 			peers[rank] = stubPeer{fail: rank == failing, never: sim.NewCond(f.World())}
 		}
@@ -50,12 +50,12 @@ func TestRunnersReturnRequestErrors(t *testing.T) {
 	mx := []simnet.Profile{simnet.MX10G()}
 	runners := []struct {
 		name string
-		run  func(Impl) (float64, error)
+		run  func(mpiImpl) (float64, error)
 	}{
-		{"PingPong", func(im Impl) (float64, error) { return PingPong(im, mx, 64) }},
-		{"MultiSegPingPong", func(im Impl) (float64, error) { return MultiSegPingPong(im, mx, 64, 4) }},
-		{"DatatypePingPong", func(im Impl) (float64, error) { return DatatypePingPong(im, mx, 1<<20) }},
-		{"CompositeControlLatency", func(im Impl) (float64, error) { return CompositeControlLatency(im, mx, 1024, 4, false) }},
+		{"PingPong", func(im mpiImpl) (float64, error) { return rawPingPong(im, mx, 64) }},
+		{"MultiSegPingPong", func(im mpiImpl) (float64, error) { return multiSegPingPong(im, mx, 64, 4) }},
+		{"DatatypePingPong", func(im mpiImpl) (float64, error) { return datatypePingPong(im, mx, 1<<20) }},
+		{"CompositeControlLatency", func(im mpiImpl) (float64, error) { return compositeControlLatency(im, mx, 1024, 4, false) }},
 	}
 	for _, r := range runners {
 		for failing := 0; failing < 2; failing++ {
@@ -66,7 +66,7 @@ func TestRunnersReturnRequestErrors(t *testing.T) {
 	}
 	// The engine-level runners build their own cluster; the one input
 	// that fails inside their processes is an unknown collective.
-	if _, err := LossyCollective(LossyCollectiveConfig{Nodes: 4, Kind: "nope", Per: 8}); err == nil {
+	if _, err := lossyCollective(lossyCollectiveConfig{Nodes: 4, Kind: "nope", Per: 8}); err == nil {
 		t.Error("LossyCollective with an unknown kind returned no error")
 	}
 }

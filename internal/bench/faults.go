@@ -35,8 +35,8 @@ func faultStamp(fp simnet.FaultProfile) string {
 	return s
 }
 
-// LossyCollectiveConfig parameterizes one lossy collective run.
-type LossyCollectiveConfig struct {
+// lossyCollectiveConfig parameterizes one lossy collective run.
+type lossyCollectiveConfig struct {
 	// Nodes is the emulated job size; Kind is "barrier", "allgather" or
 	// "multiseg" (a 16-segment ring neighbor exchange — the workload
 	// where the optimization window matters, since aggregation packs
@@ -56,19 +56,19 @@ type LossyCollectiveConfig struct {
 	Strategy string
 }
 
-// LossyCollectiveResult is one verified run.
-type LossyCollectiveResult struct {
+// lossyCollectiveResult is one verified run.
+type lossyCollectiveResult struct {
 	// CompletionUs is the virtual time the last rank finished, in µs.
 	CompletionUs float64
 	// Retransmits sums link-frame re-injections across all ranks.
 	Retransmits int
 }
 
-// LossyCollective runs one collective across an emulated lossy MX
+// lossyCollective runs one collective across an emulated lossy MX
 // fabric with reliability-enabled engines and verifies every delivered
 // payload. The run is fully deterministic in (config, seed).
-func LossyCollective(cfg LossyCollectiveConfig) (LossyCollectiveResult, error) {
-	var res LossyCollectiveResult
+func lossyCollective(cfg lossyCollectiveConfig) (lossyCollectiveResult, error) {
+	var res lossyCollectiveResult
 	m := simnet.Machine{Nodes: cfg.Nodes, Rails: []simnet.Profile{simnet.MX10G()}}
 	if cfg.Drop > 0 {
 		fp := simnet.UniformLoss(cfg.Seed, cfg.Drop, 1)
@@ -147,11 +147,11 @@ func LossyCollective(cfg LossyCollectiveConfig) (LossyCollectiveResult, error) {
 	return res, nil
 }
 
-// FigScaleNodes sweeps the emulated job size from 8 to 1024 nodes:
+// figScaleNodes sweeps the emulated job size from 8 to 1024 nodes:
 // barrier and allgather completion, lossless vs 1% drop, reliability on
 // throughout. The paper runs on real clusters; this is where the
 // simulation goes beyond them.
-func FigScaleNodes() (Figure, error) {
+func figScaleNodes() (Figure, error) {
 	fig := Figure{
 		ID: "scale-nodes", Title: "Scale — collective completion vs emulated job size (MX, reliability on)",
 		XLabel: "nodes", YLabel: "completion (µs)",
@@ -179,7 +179,7 @@ func FigScaleNodes() (Figure, error) {
 		}
 		retrans := 0
 		for _, n := range nodes {
-			r, err := LossyCollective(LossyCollectiveConfig{
+			r, err := lossyCollective(lossyCollectiveConfig{
 				Nodes: n, Kind: c.kind, Per: 64, Drop: c.drop, Seed: faultSeed,
 			})
 			if err != nil {
@@ -196,12 +196,12 @@ func FigScaleNodes() (Figure, error) {
 	return fig, nil
 }
 
-// FigDropResilience sweeps the drop probability on an 8-node 16-segment
+// figDropResilience sweeps the drop probability on an 8-node 16-segment
 // ring exchange under each strategy: how completion degrades as the
 // fabric gets worse, and whether the optimization window still pays off
 // under loss — aggregation packs segments into fewer packets, and fewer
 // packets means fewer drops to repair.
-func FigDropResilience() (Figure, error) {
+func figDropResilience() (Figure, error) {
 	fig := Figure{
 		ID: "drop-resilience", Title: "Drop resilience — 8-node 16-segment ring exchange (256B/segment) completion vs packet loss (MX)",
 		XLabel: "drop (%)", YLabel: "completion (µs)",
@@ -222,7 +222,7 @@ func FigDropResilience() (Figure, error) {
 			Faults:        "drop swept 0..30%",
 		}
 		for _, drop := range drops {
-			r, err := LossyCollective(LossyCollectiveConfig{
+			r, err := lossyCollective(lossyCollectiveConfig{
 				Nodes: 8, Kind: "multiseg", Per: 256, Drop: drop, Seed: faultSeed, Strategy: strat,
 			})
 			if err != nil {

@@ -5,9 +5,9 @@ import "testing"
 // The lossy figures' acceptance property: the same fault seed
 // reproduces identical numbers, and the seed actually matters.
 func TestLossyCollectiveSeededDeterminism(t *testing.T) {
-	run := func(seed uint64) LossyCollectiveResult {
+	run := func(seed uint64) lossyCollectiveResult {
 		t.Helper()
-		r, err := LossyCollective(LossyCollectiveConfig{Nodes: 8, Kind: "multiseg", Per: 256, Drop: 0.30, Seed: seed})
+		r, err := lossyCollective(lossyCollectiveConfig{Nodes: 8, Kind: "multiseg", Per: 256, Drop: 0.30, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,8 +38,8 @@ type Figure struct {
 	Notes  []string `json:"notes,omitempty"`
 }
 
-// Sizes returns the powers of two in [lo, hi], the paper's sweep grids.
-func Sizes(lo, hi int) []int {
+// sizes returns the powers of two in [lo, hi], the paper's sweep grids.
+func sizes(lo, hi int) []int {
 	var out []int
 	for s := lo; s <= hi; s *= 2 {
 		out = append(out, s)
@@ -53,7 +53,7 @@ func qsRails() []simnet.Profile { return []simnet.Profile{simnet.QsNetII()} }
 
 // sweep measures fn over sizes for each implementation, stamping each
 // series with the implementation's engine configuration.
-func sweep(impls []Impl, sizes []int, fn func(Impl, int) (float64, error)) ([]Series, error) {
+func sweep(impls []mpiImpl, sizes []int, fn func(mpiImpl, int) (float64, error)) ([]Series, error) {
 	var out []Series
 	for _, impl := range impls {
 		s := Series{Label: impl.Name, Strategy: impl.Strategy, EngineOptions: impl.EngineOptions}
@@ -86,18 +86,18 @@ func toBandwidth(in []Series) []Series {
 
 // The paper's sweep grids.
 var (
-	fig2Sizes   = Sizes(4, 2<<20)
-	fig3SizesMX = Sizes(4, 16<<10)
-	fig3SizesQs = Sizes(4, 8<<10)
+	fig2Sizes   = sizes(4, 2<<20)
+	fig3SizesMX = sizes(4, 16<<10)
+	fig3SizesQs = sizes(4, 8<<10)
 	fig4Sizes   = []int{256 << 10, 512 << 10, 1 << 20, 2 << 20}
 )
 
-// Fig2a: raw ping-pong latency over MX/Myrinet.
-func Fig2a() (Figure, error) {
+// fig2a: raw ping-pong latency over MX/Myrinet.
+func fig2a() (Figure, error) {
 	series, err := sweep(
-		[]Impl{MadMPI(core.DefaultOptions()), MPICH(), OpenMPI()},
+		[]mpiImpl{madMPI(core.DefaultOptions()), mpichLike(), openMPILike()},
 		fig2Sizes,
-		func(impl Impl, size int) (float64, error) { return PingPong(impl, mxRails(), size) },
+		func(impl mpiImpl, size int) (float64, error) { return rawPingPong(impl, mxRails(), size) },
 	)
 	return Figure{
 		ID: "2a", Title: "Raw point-to-point ping-pong — latency over MX/Myri-10G",
@@ -106,9 +106,9 @@ func Fig2a() (Figure, error) {
 	}, err
 }
 
-// Fig2b: raw ping-pong bandwidth over MX/Myrinet.
-func Fig2b() (Figure, error) {
-	fig, err := Fig2a()
+// fig2b: raw ping-pong bandwidth over MX/Myrinet.
+func fig2b() (Figure, error) {
+	fig, err := fig2a()
 	if err != nil {
 		return Figure{}, err
 	}
@@ -120,12 +120,12 @@ func Fig2b() (Figure, error) {
 	}, nil
 }
 
-// Fig2c: raw ping-pong latency over Elan/Quadrics.
-func Fig2c() (Figure, error) {
+// fig2c: raw ping-pong latency over Elan/Quadrics.
+func fig2c() (Figure, error) {
 	series, err := sweep(
-		[]Impl{MadMPI(core.DefaultOptions()), MPICH()},
+		[]mpiImpl{madMPI(core.DefaultOptions()), mpichLike()},
 		fig2Sizes,
-		func(impl Impl, size int) (float64, error) { return PingPong(impl, qsRails(), size) },
+		func(impl mpiImpl, size int) (float64, error) { return rawPingPong(impl, qsRails(), size) },
 	)
 	return Figure{
 		ID: "2c", Title: "Raw point-to-point ping-pong — latency over Elan/Quadrics",
@@ -133,9 +133,9 @@ func Fig2c() (Figure, error) {
 	}, err
 }
 
-// Fig2d: raw ping-pong bandwidth over Elan/Quadrics.
-func Fig2d() (Figure, error) {
-	fig, err := Fig2c()
+// fig2d: raw ping-pong bandwidth over Elan/Quadrics.
+func fig2d() (Figure, error) {
+	fig, err := fig2c()
 	if err != nil {
 		return Figure{}, err
 	}
@@ -147,9 +147,9 @@ func Fig2d() (Figure, error) {
 	}, nil
 }
 
-// Tab51 reproduces the §5.1 in-text numbers: the constant software
+// tab51 reproduces the §5.1 in-text numbers: the constant software
 // overhead of MAD-MPI vs MPICH at small sizes, and the peak bandwidths.
-func Tab51() (Figure, error) {
+func tab51() (Figure, error) {
 	fig := Figure{
 		ID: "5.1", Title: "§5.1 summary — MAD-MPI overhead and peak bandwidth",
 		XLabel: "-", YLabel: "-",
@@ -164,11 +164,11 @@ func Tab51() (Figure, error) {
 		var overhead float64
 		smalls := []int{4, 8, 16, 32, 64}
 		for _, size := range smalls {
-			mad, err := PingPong(MadMPI(core.DefaultOptions()), net.rails, size)
+			mad, err := rawPingPong(madMPI(core.DefaultOptions()), net.rails, size)
 			if err != nil {
 				return fig, err
 			}
-			mpich, err := PingPong(MPICH(), net.rails, size)
+			mpich, err := rawPingPong(mpichLike(), net.rails, size)
 			if err != nil {
 				return fig, err
 			}
@@ -176,7 +176,7 @@ func Tab51() (Figure, error) {
 		}
 		overhead /= float64(len(smalls))
 		peakAt := 2 << 20
-		lat, err := PingPong(MadMPI(core.DefaultOptions()), net.rails, peakAt)
+		lat, err := rawPingPong(madMPI(core.DefaultOptions()), net.rails, peakAt)
 		if err != nil {
 			return fig, err
 		}
@@ -188,25 +188,25 @@ func Tab51() (Figure, error) {
 	return fig, nil
 }
 
-// Fig3a: 8-segment ping-pong latency over MX.
-func Fig3a() (Figure, error) { return fig3("3a", mxRails(), fig3SizesMX, 8, true) }
+// fig3a: 8-segment ping-pong latency over MX.
+func fig3a() (Figure, error) { return fig3("3a", mxRails(), fig3SizesMX, 8, true) }
 
-// Fig3b: 16-segment ping-pong latency over MX.
-func Fig3b() (Figure, error) { return fig3("3b", mxRails(), fig3SizesMX, 16, true) }
+// fig3b: 16-segment ping-pong latency over MX.
+func fig3b() (Figure, error) { return fig3("3b", mxRails(), fig3SizesMX, 16, true) }
 
-// Fig3c: 8-segment ping-pong latency over Quadrics.
-func Fig3c() (Figure, error) { return fig3("3c", qsRails(), fig3SizesQs, 8, false) }
+// fig3c: 8-segment ping-pong latency over Quadrics.
+func fig3c() (Figure, error) { return fig3("3c", qsRails(), fig3SizesQs, 8, false) }
 
-// Fig3d: 16-segment ping-pong latency over Quadrics.
-func Fig3d() (Figure, error) { return fig3("3d", qsRails(), fig3SizesQs, 16, false) }
+// fig3d: 16-segment ping-pong latency over Quadrics.
+func fig3d() (Figure, error) { return fig3("3d", qsRails(), fig3SizesQs, 16, false) }
 
 func fig3(id string, rails []simnet.Profile, sizes []int, nsegs int, withOpenMPI bool) (Figure, error) {
-	impls := []Impl{MadMPI(core.DefaultOptions()), MPICH()}
+	impls := []mpiImpl{madMPI(core.DefaultOptions()), mpichLike()}
 	if withOpenMPI {
-		impls = append(impls, OpenMPI())
+		impls = append(impls, openMPILike())
 	}
-	series, err := sweep(impls, sizes, func(impl Impl, size int) (float64, error) {
-		return MultiSegPingPong(impl, rails, size, nsegs)
+	series, err := sweep(impls, sizes, func(impl mpiImpl, size int) (float64, error) {
+		return multiSegPingPong(impl, rails, size, nsegs)
 	})
 	net := rails[0].Name
 	return Figure{
@@ -216,19 +216,19 @@ func fig3(id string, rails []simnet.Profile, sizes []int, nsegs int, withOpenMPI
 	}, err
 }
 
-// Fig4a: indexed datatype transfer time over MX.
-func Fig4a() (Figure, error) { return fig4("4a", mxRails(), true) }
+// fig4a: indexed datatype transfer time over MX.
+func fig4a() (Figure, error) { return fig4("4a", mxRails(), true) }
 
-// Fig4b: indexed datatype transfer time over Quadrics.
-func Fig4b() (Figure, error) { return fig4("4b", qsRails(), false) }
+// fig4b: indexed datatype transfer time over Quadrics.
+func fig4b() (Figure, error) { return fig4("4b", qsRails(), false) }
 
 func fig4(id string, rails []simnet.Profile, withOpenMPI bool) (Figure, error) {
-	impls := []Impl{MadMPI(core.DefaultOptions()), MPICH()}
+	impls := []mpiImpl{madMPI(core.DefaultOptions()), mpichLike()}
 	if withOpenMPI {
-		impls = append(impls, OpenMPI())
+		impls = append(impls, openMPILike())
 	}
-	series, err := sweep(impls, fig4Sizes, func(impl Impl, size int) (float64, error) {
-		return DatatypePingPong(impl, rails, size)
+	series, err := sweep(impls, fig4Sizes, func(impl mpiImpl, size int) (float64, error) {
+		return datatypePingPong(impl, rails, size)
 	})
 	return Figure{
 		ID: id, Title: fmt.Sprintf("Indexed datatype (64B + 256KB blocks) — transfer time over %s", rails[0].Name),
@@ -237,22 +237,22 @@ func fig4(id string, rails []simnet.Profile, withOpenMPI bool) (Figure, error) {
 	}, err
 }
 
-// AblationStrategies compares the engine's strategies on the Figure 3
+// ablationStrategies compares the engine's strategies on the Figure 3
 // workload: the value of the optimization window itself.
-func AblationStrategies() (Figure, error) {
+func ablationStrategies() (Figure, error) {
 	mk := func(name string) core.Options {
 		o := core.DefaultOptions()
 		o.Strategy = name
 		return o
 	}
-	impls := []Impl{
-		MadMPI(mk("aggreg")),
-		MadMPI(mk("default")),
-		MadMPI(mk("prio")),
-		MPICH(),
+	impls := []mpiImpl{
+		madMPI(mk("aggreg")),
+		madMPI(mk("default")),
+		madMPI(mk("prio")),
+		mpichLike(),
 	}
-	series, err := sweep(impls, Sizes(4, 4<<10), func(impl Impl, size int) (float64, error) {
-		return MultiSegPingPong(impl, mxRails(), size, 16)
+	series, err := sweep(impls, sizes(4, 4<<10), func(impl mpiImpl, size int) (float64, error) {
+		return multiSegPingPong(impl, mxRails(), size, 16)
 	})
 	return Figure{
 		ID: "ablation-strategies", Title: "Ablation — strategy choice on the 16-segment workload (MX)",
@@ -261,20 +261,20 @@ func AblationStrategies() (Figure, error) {
 	}, err
 }
 
-// AblationMultirail measures heterogeneous multi-rail splitting: one
+// ablationMultirail measures heterogeneous multi-rail splitting: one
 // large body over MX alone vs MX+Quadrics with the split strategy.
-func AblationMultirail() (Figure, error) {
+func ablationMultirail() (Figure, error) {
 	split := core.DefaultOptions()
 	split.Strategy = "split"
-	sizes := Sizes(64<<10, 16<<20)
-	oneRail, err := sweep([]Impl{MadMPI(core.DefaultOptions())}, sizes,
-		func(impl Impl, size int) (float64, error) { return PingPong(impl, mxRails(), size) })
+	sizes := sizes(64<<10, 16<<20)
+	oneRail, err := sweep([]mpiImpl{madMPI(core.DefaultOptions())}, sizes,
+		func(impl mpiImpl, size int) (float64, error) { return rawPingPong(impl, mxRails(), size) })
 	if err != nil {
 		return Figure{}, err
 	}
-	twoRails, err := sweep([]Impl{MadMPI(split)}, sizes,
-		func(impl Impl, size int) (float64, error) {
-			return PingPong(impl, []simnet.Profile{simnet.MX10G(), simnet.QsNetII()}, size)
+	twoRails, err := sweep([]mpiImpl{madMPI(split)}, sizes,
+		func(impl mpiImpl, size int) (float64, error) {
+			return rawPingPong(impl, []simnet.Profile{simnet.MX10G(), simnet.QsNetII()}, size)
 		})
 	if err != nil {
 		return Figure{}, err
@@ -289,9 +289,9 @@ func AblationMultirail() (Figure, error) {
 	}, nil
 }
 
-// AblationOverhead decomposes the §5.1 constant overhead into its two
+// ablationOverhead decomposes the §5.1 constant overhead into its two
 // software components by zeroing them in turn.
-func AblationOverhead() (Figure, error) {
+func ablationOverhead() (Figure, error) {
 	mk := func(submit, sched sim.Time) core.Options {
 		o := core.DefaultOptions()
 		o.SubmitOverhead = submit
@@ -299,20 +299,20 @@ func AblationOverhead() (Figure, error) {
 		return o
 	}
 	full := core.DefaultOptions()
-	rename := func(name string, o core.Options) Impl {
-		impl := MadMPI(o)
+	rename := func(name string, o core.Options) mpiImpl {
+		impl := madMPI(o)
 		impl.Name = name
 		return impl
 	}
-	impls := []Impl{
-		MadMPI(full),
+	impls := []mpiImpl{
+		madMPI(full),
 		rename("MadMPI[no-submit]", mk(0, full.ScheduleOverhead)),
 		rename("MadMPI[no-sched]", mk(full.SubmitOverhead, 0)),
 		rename("MadMPI[zero-overhead]", mk(0, 0)),
-		MPICH(),
+		mpichLike(),
 	}
-	series, err := sweep(impls, []int{4, 64, 1024}, func(impl Impl, size int) (float64, error) {
-		return PingPong(impl, mxRails(), size)
+	series, err := sweep(impls, []int{4, 64, 1024}, func(impl mpiImpl, size int) (float64, error) {
+		return rawPingPong(impl, mxRails(), size)
 	})
 	return Figure{
 		ID: "ablation-overhead", Title: "Ablation — decomposing the MAD-MPI critical-path overhead (MX, small messages)",
@@ -321,8 +321,8 @@ func AblationOverhead() (Figure, error) {
 	}, err
 }
 
-// AblationRdvThreshold sweeps the aggregation cap / rendezvous switch.
-func AblationRdvThreshold() (Figure, error) {
+// ablationRdvThreshold sweeps the aggregation cap / rendezvous switch.
+func ablationRdvThreshold() (Figure, error) {
 	// The threshold lives in the profile; sweep by building custom rails.
 	fig := Figure{
 		ID: "ablation-rdv", Title: "Ablation — rendezvous threshold / aggregation cap (MX, 16KB..256KB)",
@@ -333,8 +333,8 @@ func AblationRdvThreshold() (Figure, error) {
 		prof := simnet.MX10G()
 		prof.RdvThreshold = thr
 		s := Series{Label: fmt.Sprintf("MadMPI[rdv=%dK]", thr>>10), Strategy: "aggreg", EngineOptions: summarizeOptions(core.DefaultOptions())}
-		for _, size := range Sizes(16<<10, 256<<10) {
-			y, err := PingPong(MadMPI(core.DefaultOptions()), []simnet.Profile{prof}, size)
+		for _, size := range sizes(16<<10, 256<<10) {
+			y, err := rawPingPong(madMPI(core.DefaultOptions()), []simnet.Profile{prof}, size)
 			if err != nil {
 				return fig, err
 			}
@@ -345,25 +345,25 @@ func AblationRdvThreshold() (Figure, error) {
 	return fig, nil
 }
 
-// AblationModes compares the three scheduling modes of §3.2 on the
+// ablationModes compares the three scheduling modes of §3.2 on the
 // 16-segment workload: just-in-time (the default), anticipation
 // (pre-built packets) and backlog flush.
-func AblationModes() (Figure, error) {
-	mk := func(name string, mod func(*core.Options)) Impl {
+func ablationModes() (Figure, error) {
+	mk := func(name string, mod func(*core.Options)) mpiImpl {
 		opts := core.DefaultOptions()
 		mod(&opts)
-		impl := MadMPI(opts)
+		impl := madMPI(opts)
 		impl.Name = name
 		return impl
 	}
-	impls := []Impl{
+	impls := []mpiImpl{
 		mk("just-in-time", func(*core.Options) {}),
 		mk("anticipate", func(o *core.Options) { o.Anticipate = true }),
 		mk("flush-4", func(o *core.Options) { o.FlushBacklog = 4 }),
 		mk("flush-8", func(o *core.Options) { o.FlushBacklog = 8 }),
 	}
-	series, err := sweep(impls, Sizes(4, 4<<10), func(impl Impl, size int) (float64, error) {
-		return MultiSegPingPong(impl, mxRails(), size, 16)
+	series, err := sweep(impls, sizes(4, 4<<10), func(impl mpiImpl, size int) (float64, error) {
+		return multiSegPingPong(impl, mxRails(), size, 16)
 	})
 	return Figure{
 		ID: "ablation-modes", Title: "Ablation — §3.2 scheduling modes on the 16-segment workload (MX)",
@@ -375,10 +375,10 @@ func AblationModes() (Figure, error) {
 	}, err
 }
 
-// AblationComposite measures control-message latency inside a bulk
+// ablationComposite measures control-message latency inside a bulk
 // stream: the multiplexing scenario of §2. The priority strategy lets the
 // control fragment jump the accumulated bulk.
-func AblationComposite() (Figure, error) {
+func ablationComposite() (Figure, error) {
 	fig := Figure{
 		ID: "ablation-composite", Title: "Ablation — control latency inside a bulk stream (MX, 16 x 16KB bulk)",
 		XLabel: "bulk chunk size (bytes)", YLabel: "control latency (µs)",
@@ -388,17 +388,17 @@ func AblationComposite() (Figure, error) {
 	prioOpts.Strategy = "prio"
 	cases := []struct {
 		label string
-		impl  Impl
+		impl  mpiImpl
 		prio  bool
 	}{
-		{"MadMPI[prio]+priority-flag", MadMPI(prioOpts), true},
-		{"MadMPI[aggreg]", MadMPI(core.DefaultOptions()), false},
-		{"MPICH", MPICH(), false},
+		{"MadMPI[prio]+priority-flag", madMPI(prioOpts), true},
+		{"MadMPI[aggreg]", madMPI(core.DefaultOptions()), false},
+		{"MPICH", mpichLike(), false},
 	}
 	for _, c := range cases {
 		s := Series{Label: c.label, Strategy: c.impl.Strategy, EngineOptions: c.impl.EngineOptions}
 		for _, bulk := range []int{4 << 10, 8 << 10, 16 << 10} {
-			lat, err := CompositeControlLatency(c.impl, mxRails(), bulk, 16, c.prio)
+			lat, err := compositeControlLatency(c.impl, mxRails(), bulk, 16, c.prio)
 			if err != nil {
 				return fig, err
 			}
@@ -409,11 +409,11 @@ func AblationComposite() (Figure, error) {
 	return fig, nil
 }
 
-// AblationSampling shows the functional-bandwidth sampler at work: a
+// ablationSampling shows the functional-bandwidth sampler at work: a
 // two-rail transfer with the MX rail congested to 30% of nominal. Cold
 // engines plan with nominal figures and overload the congested rail;
 // warmed engines rebalance from samples.
-func AblationSampling() (Figure, error) {
+func ablationSampling() (Figure, error) {
 	fig := Figure{
 		ID: "ablation-sampling", Title: "Ablation — bandwidth sampling under congestion (MX at 30%, split strategy)",
 		XLabel: "message size (bytes)", YLabel: "transfer time (µs)",
@@ -428,7 +428,7 @@ func AblationSampling() (Figure, error) {
 	} {
 		s := Series{Label: c.label, Strategy: "split"}
 		for _, size := range []int{2 << 20, 4 << 20, 8 << 20} {
-			t, err := CongestedTransfer(size, 0.3, c.warmup)
+			t, err := congestedTransfer(size, 0.3, c.warmup)
 			if err != nil {
 				return fig, err
 			}
@@ -439,11 +439,11 @@ func AblationSampling() (Figure, error) {
 	return fig, nil
 }
 
-// FigIncast measures the incast overload scenario: N senders flood one
+// figIncast measures the incast overload scenario: N senders flood one
 // slow receiver with a burst of eager messages. Without flow control the
 // receiver's unexpected queue grows with the burst; with a credit budget
 // it is bounded by the budget while every payload still arrives intact.
-func FigIncast() (Figure, error) {
+func figIncast() (Figure, error) {
 	fig := Figure{
 		ID: "incast", Title: "Incast overload — receiver queue high-water mark (MX, 32 x 1KB burst per sender, slow receiver)",
 		XLabel: "senders", YLabel: "peak unexpected queue (wrappers)",
@@ -461,9 +461,9 @@ func FigIncast() (Figure, error) {
 		stamp.Credits = c.credits
 		stamp.MaxGrants = 4
 		s := Series{Label: c.label, Strategy: "aggreg", EngineOptions: summarizeOptions(stamp)}
-		var last IncastResult
+		var last incastResult
 		for _, n := range []int{2, 4, 8} {
-			r, err := Incast(IncastConfig{
+			r, err := incast(incastConfig{
 				Senders: n, Msgs: 32, Size: 1 << 10,
 				Credits: c.credits, MaxGrants: 4,
 				DrainGap: 2 * sim.Microsecond,
@@ -496,30 +496,30 @@ var figureList = []struct {
 	desc string
 	fn   func() (Figure, error)
 }{
-	{"2a", "raw ping-pong latency over MX/Myri-10G (vs MPICH, OpenMPI)", Fig2a},
-	{"2b", "raw ping-pong bandwidth over MX/Myri-10G", Fig2b},
-	{"2c", "raw ping-pong latency over Elan/Quadrics", Fig2c},
-	{"2d", "raw ping-pong bandwidth over Elan/Quadrics", Fig2d},
-	{"5.1", "§5.1 summary: constant software overhead and peak bandwidths", Tab51},
-	{"3a", "8-segment ping-pong over MX, one communicator per segment", Fig3a},
-	{"3b", "16-segment ping-pong over MX", Fig3b},
-	{"3c", "8-segment ping-pong over Quadrics", Fig3c},
-	{"3d", "16-segment ping-pong over Quadrics", Fig3d},
-	{"4a", "indexed-datatype (64B+256KB blocks) transfer time over MX", Fig4a},
-	{"4b", "indexed-datatype transfer time over Quadrics", Fig4b},
-	{"incast", "N-to-1 eager overload: receiver queue bound under credit flow control", FigIncast},
-	{"allreduce", "collective schedule engine: tree/pipelined-ring allreduce vs the seed blocking tree, size × nodes", FigAllreduce},
-	{"replay-ab", "trace-driven replay A/B: strategies on the recorded composite workload, identical submission timing", FigReplayAB},
-	{"ablation-strategies", "strategy choice (aggreg/default/prio) on the 16-segment workload", AblationStrategies},
-	{"ablation-multirail", "heterogeneous multi-rail body splitting (MX + Quadrics)", AblationMultirail},
-	{"ablation-overhead", "decomposing the critical-path software overhead (submit vs sched)", AblationOverhead},
-	{"ablation-rdv", "rendezvous threshold / aggregation cap sweep", AblationRdvThreshold},
-	{"ablation-modes", "§3.2 scheduling modes: just-in-time vs anticipation vs backlog flush", AblationModes},
-	{"ablation-composite", "control-message latency inside a bulk stream (priority strategy)", AblationComposite},
-	{"ablation-sampling", "bandwidth sampling under congestion (cold vs warmed split plan)", AblationSampling},
-	{"scale-nodes", "collective completion vs emulated job size, 8..1024 nodes, lossless vs 1% drop", FigScaleNodes},
-	{"drop-resilience", "8-node allgather completion vs packet-drop probability per strategy", FigDropResilience},
-	{"tenant-isolation", "multi-tenant job queue: victim pingpong latency under a competing tenant's incast burst", FigTenantIsolation},
+	{"2a", "raw ping-pong latency over MX/Myri-10G (vs MPICH, OpenMPI)", fig2a},
+	{"2b", "raw ping-pong bandwidth over MX/Myri-10G", fig2b},
+	{"2c", "raw ping-pong latency over Elan/Quadrics", fig2c},
+	{"2d", "raw ping-pong bandwidth over Elan/Quadrics", fig2d},
+	{"5.1", "§5.1 summary: constant software overhead and peak bandwidths", tab51},
+	{"3a", "8-segment ping-pong over MX, one communicator per segment", fig3a},
+	{"3b", "16-segment ping-pong over MX", fig3b},
+	{"3c", "8-segment ping-pong over Quadrics", fig3c},
+	{"3d", "16-segment ping-pong over Quadrics", fig3d},
+	{"4a", "indexed-datatype (64B+256KB blocks) transfer time over MX", fig4a},
+	{"4b", "indexed-datatype transfer time over Quadrics", fig4b},
+	{"incast", "N-to-1 eager overload: receiver queue bound under credit flow control", figIncast},
+	{"allreduce", "collective schedule engine: tree/pipelined-ring allreduce vs the seed blocking tree, size × nodes", figAllreduce},
+	{"replay-ab", "trace-driven replay A/B: strategies on the recorded composite workload, identical submission timing", figReplayAB},
+	{"ablation-strategies", "strategy choice (aggreg/default/prio) on the 16-segment workload", ablationStrategies},
+	{"ablation-multirail", "heterogeneous multi-rail body splitting (MX + Quadrics)", ablationMultirail},
+	{"ablation-overhead", "decomposing the critical-path software overhead (submit vs sched)", ablationOverhead},
+	{"ablation-rdv", "rendezvous threshold / aggregation cap sweep", ablationRdvThreshold},
+	{"ablation-modes", "§3.2 scheduling modes: just-in-time vs anticipation vs backlog flush", ablationModes},
+	{"ablation-composite", "control-message latency inside a bulk stream (priority strategy)", ablationComposite},
+	{"ablation-sampling", "bandwidth sampling under congestion (cold vs warmed split plan)", ablationSampling},
+	{"scale-nodes", "collective completion vs emulated job size, 8..1024 nodes, lossless vs 1% drop", figScaleNodes},
+	{"drop-resilience", "8-node allgather completion vs packet-drop probability per strategy", figDropResilience},
+	{"tenant-isolation", "multi-tenant job queue: victim pingpong latency under a competing tenant's incast burst", figTenantIsolation},
 }
 
 // FigureIDs lists the registry keys in stable (sorted) order.

@@ -21,45 +21,45 @@ import (
 	"nmad/internal/simnet"
 )
 
-// Seg is one contiguous block of a non-contiguous layout, shared between
+// seg is one contiguous block of a non-contiguous layout, shared between
 // the MAD-MPI and baseline typed paths.
-type Seg struct {
+type seg struct {
 	Off int
 	Len int
 }
 
-// Pending is a nonblocking operation in flight.
-type Pending interface {
+// pending is a nonblocking operation in flight.
+type pending interface {
 	Wait(p *sim.Proc) error
 }
 
-// Peer is the MPI surface the benchmarks need, implemented by MAD-MPI and
+// mpiPeer is the MPI surface the benchmarks need, implemented by MAD-MPI and
 // by both baseline personalities.
-type Peer interface {
+type mpiPeer interface {
 	// Isend/Irecv address (rank, tag, communicator); communicators are
 	// dense small integers starting at 0.
-	Isend(p *sim.Proc, buf []byte, dest, tag, comm int) Pending
-	Irecv(p *sim.Proc, buf []byte, src, tag, comm int) Pending
+	Isend(p *sim.Proc, buf []byte, dest, tag, comm int) pending
+	Irecv(p *sim.Proc, buf []byte, src, tag, comm int) pending
 	// SendTyped/RecvTyped move a non-contiguous layout, each
 	// implementation using its own datatype engine.
-	SendTyped(p *sim.Proc, base []byte, segs []Seg, dest, tag, comm int) error
-	RecvTyped(p *sim.Proc, base []byte, segs []Seg, src, tag, comm int) error
+	SendTyped(p *sim.Proc, base []byte, segs []seg, dest, tag, comm int) error
+	RecvTyped(p *sim.Proc, base []byte, segs []seg, src, tag, comm int) error
 }
 
-// Impl names an MPI implementation and builds a two-rank job over a
+// mpiImpl names an MPI implementation and builds a two-rank job over a
 // fabric. Strategy and EngineOptions stamp the engine configuration into
 // every series measured with the implementation (empty for baselines),
 // so reports record what they ran.
-type Impl struct {
+type mpiImpl struct {
 	Name          string
 	Strategy      string
 	EngineOptions string
-	Make          func(f *simnet.Fabric) (Peer, Peer, error)
+	Make          func(f *simnet.Fabric) (mpiPeer, mpiPeer, error)
 }
 
-// MadMPI returns the MAD-MPI implementation with the given engine
+// madMPI returns the MAD-MPI implementation with the given engine
 // options (DefaultOptions reproduces the paper's configuration).
-func MadMPI(opts core.Options) Impl {
+func madMPI(opts core.Options) mpiImpl {
 	name := "MadMPI"
 	if opts.Strategy != "" && opts.Strategy != "aggreg" {
 		name = "MadMPI[" + opts.Strategy + "]"
@@ -68,11 +68,11 @@ func MadMPI(opts core.Options) Impl {
 	if strategy == "" {
 		strategy = "aggreg"
 	}
-	return Impl{
+	return mpiImpl{
 		Name:          name,
 		Strategy:      strategy,
 		EngineOptions: summarizeOptions(opts),
-		Make: func(f *simnet.Fabric) (Peer, Peer, error) {
+		Make: func(f *simnet.Fabric) (mpiPeer, mpiPeer, error) {
 			ranks, err := madmpi.InitAll(f, opts)
 			if err != nil {
 				return nil, nil, err
@@ -107,16 +107,16 @@ func summarizeOptions(o core.Options) string {
 	return strings.Join(parts, " ")
 }
 
-// MPICH returns the MPICH-like baseline.
-func MPICH() Impl { return baselineImpl("MPICH", baseline.MPICH()) }
+// mpichLike returns the MPICH-like baseline.
+func mpichLike() mpiImpl { return baselineImpl("MPICH", baseline.MPICH()) }
 
-// OpenMPI returns the OpenMPI-like baseline.
-func OpenMPI() Impl { return baselineImpl("OpenMPI", baseline.OpenMPI()) }
+// openMPILike returns the OpenMPI-like baseline.
+func openMPILike() mpiImpl { return baselineImpl("OpenMPI", baseline.OpenMPI()) }
 
-func baselineImpl(name string, opts baseline.Options) Impl {
-	return Impl{
+func baselineImpl(name string, opts baseline.Options) mpiImpl {
+	return mpiImpl{
 		Name: name,
-		Make: func(f *simnet.Fabric) (Peer, Peer, error) {
+		Make: func(f *simnet.Fabric) (mpiPeer, mpiPeer, error) {
 			r0, err := baseline.NewRank(f, 0, 0, opts)
 			if err != nil {
 				return nil, nil, err
@@ -130,7 +130,7 @@ func baselineImpl(name string, opts baseline.Options) Impl {
 	}
 }
 
-// madPeer adapts madmpi to the Peer interface.
+// madPeer adapts madmpi to the mpiPeer interface.
 type madPeer struct {
 	mpi   *madmpi.MPI
 	comms []*madmpi.Comm
@@ -148,26 +148,26 @@ func (m *madPeer) comm(i int) *madmpi.Comm {
 	return m.comms[i]
 }
 
-func (m *madPeer) Isend(p *sim.Proc, buf []byte, dest, tag, comm int) Pending {
+func (m *madPeer) Isend(p *sim.Proc, buf []byte, dest, tag, comm int) pending {
 	return m.comm(comm).Isend(p, buf, dest, tag)
 }
 
-func (m *madPeer) Irecv(p *sim.Proc, buf []byte, src, tag, comm int) Pending {
+func (m *madPeer) Irecv(p *sim.Proc, buf []byte, src, tag, comm int) pending {
 	return m.comm(comm).Irecv(p, buf, src, tag)
 }
 
-func (m *madPeer) SendTyped(p *sim.Proc, base []byte, segs []Seg, dest, tag, comm int) error {
+func (m *madPeer) SendTyped(p *sim.Proc, base []byte, segs []seg, dest, tag, comm int) error {
 	return m.comm(comm).IsendTyped(p, base, segsToDatatype(segs), 1, dest, tag).Wait(p)
 }
 
-func (m *madPeer) RecvTyped(p *sim.Proc, base []byte, segs []Seg, src, tag, comm int) error {
+func (m *madPeer) RecvTyped(p *sim.Proc, base []byte, segs []seg, src, tag, comm int) error {
 	return m.comm(comm).IrecvTyped(p, base, segsToDatatype(segs), 1, src, tag).Wait(p)
 }
 
 // Stats exposes the engine counters for assertions and reports.
 func (m *madPeer) Stats() core.Stats { return m.mpi.Engine().Stats() }
 
-func segsToDatatype(segs []Seg) madmpi.Datatype {
+func segsToDatatype(segs []seg) madmpi.Datatype {
 	lens := make([]int, len(segs))
 	displs := make([]int, len(segs))
 	for i, s := range segs {
@@ -177,26 +177,26 @@ func segsToDatatype(segs []Seg) madmpi.Datatype {
 	return madmpi.Hindexed(lens, displs, madmpi.Byte)
 }
 
-// basePeer adapts a baseline rank to the Peer interface.
+// basePeer adapts a baseline rank to the mpiPeer interface.
 type basePeer struct{ r *baseline.Rank }
 
-func (b *basePeer) Isend(p *sim.Proc, buf []byte, dest, tag, comm int) Pending {
+func (b *basePeer) Isend(p *sim.Proc, buf []byte, dest, tag, comm int) pending {
 	return b.r.Isend(p, buf, dest, tag, comm)
 }
 
-func (b *basePeer) Irecv(p *sim.Proc, buf []byte, src, tag, comm int) Pending {
+func (b *basePeer) Irecv(p *sim.Proc, buf []byte, src, tag, comm int) pending {
 	return b.r.Irecv(p, buf, src, tag, comm)
 }
 
-func (b *basePeer) SendTyped(p *sim.Proc, base []byte, segs []Seg, dest, tag, comm int) error {
+func (b *basePeer) SendTyped(p *sim.Proc, base []byte, segs []seg, dest, tag, comm int) error {
 	return b.r.SendTyped(p, base, toBaselineSegs(segs), dest, tag, comm)
 }
 
-func (b *basePeer) RecvTyped(p *sim.Proc, base []byte, segs []Seg, src, tag, comm int) error {
+func (b *basePeer) RecvTyped(p *sim.Proc, base []byte, segs []seg, src, tag, comm int) error {
 	return b.r.RecvTyped(p, base, toBaselineSegs(segs), src, tag, comm)
 }
 
-func toBaselineSegs(segs []Seg) []baseline.Segment {
+func toBaselineSegs(segs []seg) []baseline.Segment {
 	out := make([]baseline.Segment, len(segs))
 	for i, s := range segs {
 		out[i] = baseline.Segment{Offset: s.Off, Len: s.Len}
@@ -206,7 +206,7 @@ func toBaselineSegs(segs []Seg) []baseline.Segment {
 
 // start builds a fresh two-node world over the given rails and the
 // implementation's two ranks on it, ready to spawn into.
-func (im Impl) start(profs []simnet.Profile) (*sim.Group, Peer, Peer, error) {
+func (im mpiImpl) start(profs []simnet.Profile) (*sim.Group, mpiPeer, mpiPeer, error) {
 	f, err := simnet.Machine{Nodes: 2, Rails: profs}.Build()
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("bench: %w", err)

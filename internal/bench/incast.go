@@ -15,8 +15,8 @@ import (
 // each sender's collect layer and the receiver's queues stay bounded by
 // the per-gate budget; without it they grow with the flood.
 
-// IncastConfig parameterizes one incast run.
-type IncastConfig struct {
+// incastConfig parameterizes one incast run.
+type incastConfig struct {
 	// Senders is the fan-in: nodes 1..Senders all target node 0.
 	Senders int
 	// Msgs eager messages of Size bytes per sender, submitted as one
@@ -33,8 +33,8 @@ type IncastConfig struct {
 	DrainGap sim.Time
 }
 
-// IncastResult is what one incast run measured.
-type IncastResult struct {
+// incastResult is what one incast run measured.
+type incastResult struct {
 	// CompletionUs is the virtual time until every payload delivered.
 	CompletionUs float64
 	// PeakUnexpected / PeakHeld are the receiver's high-water marks: the
@@ -48,26 +48,26 @@ type IncastResult struct {
 	Delivered int64
 }
 
-// Incast runs the workload on a single-rail MX fabric and verifies every
+// incast runs the workload on a single-rail MX fabric and verifies every
 // delivered payload byte.
-func Incast(cfg IncastConfig) (IncastResult, error) {
+func incast(cfg incastConfig) (incastResult, error) {
 	if cfg.Senders < 1 || cfg.Msgs < 1 {
-		return IncastResult{}, fmt.Errorf("bench: incast needs at least one sender and one message, got %+v", cfg)
+		return incastResult{}, fmt.Errorf("bench: incast needs at least one sender and one message, got %+v", cfg)
 	}
 	f, err := simnet.Machine{Nodes: cfg.Senders + 1, Rails: []simnet.Profile{simnet.MX10G()}}.Build()
 	if err != nil {
-		return IncastResult{}, err
+		return incastResult{}, err
 	}
 	opts := core.DefaultOptions()
 	opts.Credits = cfg.Credits
 	opts.MaxGrants = cfg.MaxGrants
 	engines, err := core.NewEngines(f, func(int) core.Options { return opts })
 	if err != nil {
-		return IncastResult{}, err
+		return incastResult{}, err
 	}
 	recv, senders := engines[0], engines[1:]
 
-	var res IncastResult
+	var res incastResult
 	g := sim.NewGroup(f.World())
 	for s, e := range senders {
 		g.Go(fmt.Sprintf("sender-%d", s+1), func(p *sim.Proc) error {
@@ -75,7 +75,7 @@ func Incast(cfg IncastConfig) (IncastResult, error) {
 			for m := 0; m < cfg.Msgs; m++ {
 				buf := make([]byte, cfg.Size)
 				fill(buf, s+1, m)
-				reqs = append(reqs, e.Gate(0).Isend(p, Tagged(s+1), buf))
+				reqs = append(reqs, e.Gate(0).Isend(p, tagged(s+1), buf))
 			}
 			if err := core.WaitAll(p, reqs...); err != nil {
 				return fmt.Errorf("incast sender %d: %w", s+1, err)
@@ -91,7 +91,7 @@ func Incast(cfg IncastConfig) (IncastResult, error) {
 		})
 	}
 	if err := g.Run(); err != nil {
-		return IncastResult{}, fmt.Errorf("bench: incast(%d senders, credits=%d): %w", cfg.Senders, cfg.Credits, err)
+		return incastResult{}, fmt.Errorf("bench: incast(%d senders, credits=%d): %w", cfg.Senders, cfg.Credits, err)
 	}
 	st := recv.Stats()
 	res.CompletionUs = g.End().Microseconds()

@@ -7,13 +7,13 @@ import (
 	"nmad/internal/replay"
 )
 
-// FigReplayAB is the trace-driven replay A/B figure: the canonical
+// figReplayAB is the trace-driven replay A/B figure: the canonical
 // composite workload is recorded ONCE per bulk-chunk size (under the
 // aggreg personality), then the identical offered load — same
 // submission instants, same sizes, same flows — is re-driven under each
 // strategy. Unlike live ablations, the submission timing cannot drift
 // with the schedule, so the deltas are pure strategy effects.
-func FigReplayAB() (Figure, error) {
+func figReplayAB() (Figure, error) {
 	fig := Figure{
 		ID:     "replay-ab",
 		Title:  "Trace-driven replay A/B — strategies on the recorded composite workload (MX)",

@@ -160,9 +160,9 @@ func writeAligned(b *strings.Builder, rows [][]string, unit string) {
 	}
 }
 
-// Speedup reports how much faster series a is than series b at the given
+// speedup reports how much faster series a is than series b at the given
 // X (b/a as a factor), for assertions and summaries.
-func Speedup(fig Figure, labelA, labelB string, x int) (float64, error) {
+func speedup(fig Figure, labelA, labelB string, x int) (float64, error) {
 	var ya, yb float64
 	var oka, okb bool
 	for _, s := range fig.Series {

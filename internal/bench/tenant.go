@@ -18,8 +18,8 @@ import (
 // order, and the prio strategy plus the Priority() send flag keep the
 // victim's wrappers from riding behind bulk trains on the wire.
 
-// TenantIsolationConfig parameterizes one run.
-type TenantIsolationConfig struct {
+// tenantIsolationConfig parameterizes one run.
+type tenantIsolationConfig struct {
 	// BurstMsgs eager messages of BurstSize bytes go from node 0 to each
 	// of nodes 2 and 3. BurstMsgs = 0 disables the burst tenant — the
 	// victim's unloaded baseline.
@@ -30,8 +30,8 @@ type TenantIsolationConfig struct {
 	RPCSize int
 }
 
-// TenantIsolationResult is what one run measured.
-type TenantIsolationResult struct {
+// tenantIsolationResult is what one run measured.
+type tenantIsolationResult struct {
 	// VictimUs / BurstUs are each tenant's submit-to-completion virtual
 	// time. BurstUs is 0 when the burst is disabled.
 	VictimUs float64
@@ -41,22 +41,22 @@ type TenantIsolationResult struct {
 	Stats core.Stats
 }
 
-// TenantIsolation runs both tenants through a queue on node 0's engine
+// tenantIsolation runs both tenants through a queue on node 0's engine
 // (prio strategy, one MX rail, 4 nodes) and verifies every payload.
-func TenantIsolation(cfg TenantIsolationConfig) (TenantIsolationResult, error) {
+func tenantIsolation(cfg tenantIsolationConfig) (tenantIsolationResult, error) {
 	if cfg.Iters < 1 || cfg.RPCSize < 1 {
-		return TenantIsolationResult{}, fmt.Errorf("bench: tenant isolation needs a victim workload, got %+v", cfg)
+		return tenantIsolationResult{}, fmt.Errorf("bench: tenant isolation needs a victim workload, got %+v", cfg)
 	}
 	f, err := simnet.Machine{Nodes: 4, Rails: []simnet.Profile{simnet.MX10G()}}.Build()
 	if err != nil {
-		return TenantIsolationResult{}, err
+		return tenantIsolationResult{}, err
 	}
 	w := f.World()
 	opts := core.DefaultOptions()
 	opts.Strategy = "prio"
 	engines, err := core.NewEngines(f, func(int) core.Options { return opts })
 	if err != nil {
-		return TenantIsolationResult{}, err
+		return tenantIsolationResult{}, err
 	}
 
 	q, err := queue.New(engines[0], queue.Config{
@@ -67,10 +67,10 @@ func TenantIsolation(cfg TenantIsolationConfig) (TenantIsolationResult, error) {
 		},
 	})
 	if err != nil {
-		return TenantIsolationResult{}, err
+		return tenantIsolationResult{}, err
 	}
 
-	var res TenantIsolationResult
+	var res tenantIsolationResult
 	grp := sim.NewGroup(w)
 	// submit queues fn as the tenant's one job and spawns the watcher
 	// that stamps its completion time.
@@ -95,10 +95,10 @@ func TenantIsolation(cfg TenantIsolationConfig) (TenantIsolationResult, error) {
 		g := engines[1].Gate(0)
 		buf := make([]byte, cfg.RPCSize)
 		for it := 0; it < cfg.Iters; it++ {
-			if _, err := g.Recv(p, Tagged(100), buf); err != nil {
+			if _, err := g.Recv(p, tagged(100), buf); err != nil {
 				return fmt.Errorf("victim echo recv: %w", err)
 			}
-			if err := g.Isend(p, Tagged(101), buf).Wait(p); err != nil {
+			if err := g.Isend(p, tagged(101), buf).Wait(p); err != nil {
 				return fmt.Errorf("victim echo send: %w", err)
 			}
 		}
@@ -122,7 +122,7 @@ func TenantIsolation(cfg TenantIsolationConfig) (TenantIsolationResult, error) {
 					for _, sink := range []int{2, 3} {
 						buf := make([]byte, cfg.BurstSize)
 						fill(buf, sink, m)
-						reqs = append(reqs, engines[0].Gate(simnet.NodeID(sink)).Isend(p, Tagged(sink), buf))
+						reqs = append(reqs, engines[0].Gate(simnet.NodeID(sink)).Isend(p, tagged(sink), buf))
 					}
 				}
 				return core.WaitAll(p, reqs...)
@@ -133,10 +133,10 @@ func TenantIsolation(cfg TenantIsolationConfig) (TenantIsolationResult, error) {
 			buf := make([]byte, cfg.RPCSize)
 			for it := 0; it < cfg.Iters; it++ {
 				fill(buf, 0, it)
-				if err := g.Isend(p, Tagged(100), buf, victim.SendOptions()...).Wait(p); err != nil {
+				if err := g.Isend(p, tagged(100), buf, victim.SendOptions()...).Wait(p); err != nil {
 					return fmt.Errorf("victim send: %w", err)
 				}
-				if _, err := g.Recv(p, Tagged(101), buf); err != nil {
+				if _, err := g.Recv(p, tagged(101), buf); err != nil {
 					return fmt.Errorf("victim recv: %w", err)
 				}
 				if !intact(buf, 0, it) {
@@ -154,10 +154,10 @@ func TenantIsolation(cfg TenantIsolationConfig) (TenantIsolationResult, error) {
 	return res, nil
 }
 
-// FigTenantIsolation sweeps the burst intensity and plots the victim's
+// figTenantIsolation sweeps the burst intensity and plots the victim's
 // completion time against its unloaded baseline — the tenant-isolation
 // claim as a trend-gated figure.
-func FigTenantIsolation() (Figure, error) {
+func figTenantIsolation() (Figure, error) {
 	fig := Figure{
 		ID:     "tenant-isolation",
 		Title:  "Multi-tenant isolation — victim pingpong vs competing incast burst (MX, prio, job queue on node 0)",
@@ -167,10 +167,10 @@ func FigTenantIsolation() (Figure, error) {
 			"victim: 16 x 64B priority pingpong; acceptance: loaded within 2x unloaded while the burst completes",
 		},
 	}
-	base := TenantIsolationConfig{BurstSize: 4 << 10, Iters: 16, RPCSize: 64}
+	base := tenantIsolationConfig{BurstSize: 4 << 10, Iters: 16, RPCSize: 64}
 	unloadedCfg := base
 	unloadedCfg.BurstMsgs = 0
-	unloaded, err := TenantIsolation(unloadedCfg)
+	unloaded, err := tenantIsolation(unloadedCfg)
 	if err != nil {
 		return fig, err
 	}
@@ -181,7 +181,7 @@ func FigTenantIsolation() (Figure, error) {
 	for _, msgs := range sweeps {
 		cfg := base
 		cfg.BurstMsgs = msgs
-		r, err := TenantIsolation(cfg)
+		r, err := tenantIsolation(cfg)
 		if err != nil {
 			return fig, err
 		}

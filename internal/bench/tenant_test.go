@@ -6,8 +6,8 @@ import (
 )
 
 func TestTenantIsolationBound(t *testing.T) {
-	base := TenantIsolationConfig{BurstSize: 4 << 10, Iters: 16, RPCSize: 64}
-	unloaded, err := TenantIsolation(base)
+	base := tenantIsolationConfig{BurstSize: 4 << 10, Iters: 16, RPCSize: 64}
+	unloaded, err := tenantIsolation(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,7 +17,7 @@ func TestTenantIsolationBound(t *testing.T) {
 	for _, msgs := range []int{8, 32, 128} {
 		cfg := base
 		cfg.BurstMsgs = msgs
-		r, err := TenantIsolation(cfg)
+		r, err := tenantIsolation(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,12 +39,12 @@ func TestTenantIsolationBound(t *testing.T) {
 }
 
 func TestTenantIsolationDeterministic(t *testing.T) {
-	cfg := TenantIsolationConfig{BurstMsgs: 32, BurstSize: 4 << 10, Iters: 16, RPCSize: 64}
-	a, err := TenantIsolation(cfg)
+	cfg := tenantIsolationConfig{BurstMsgs: 32, BurstSize: 4 << 10, Iters: 16, RPCSize: 64}
+	a, err := tenantIsolation(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TenantIsolation(cfg)
+	b, err := tenantIsolation(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,13 +14,13 @@ import (
 // communication schemes"), and a congestion scenario exercising the
 // bandwidth sampler.
 
-// CompositeControlLatency models a composite application: node 0 pushes a
+// compositeControlLatency models a composite application: node 0 pushes a
 // continuous bulk stream (nbulk chunks of bulkSize) and, mid-stream,
 // issues one small control message. It returns the control message's
 // delivery latency in µs — the figure of merit for multiplexing quality.
 // prio selects the engine's priority flag for the control message (only
 // meaningful for MAD-MPI).
-func CompositeControlLatency(impl Impl, profs []simnet.Profile, bulkSize, nbulk int, prio bool) (float64, error) {
+func compositeControlLatency(impl mpiImpl, profs []simnet.Profile, bulkSize, nbulk int, prio bool) (float64, error) {
 	g, p0, p1, err := impl.start(profs)
 	if err != nil {
 		return 0, err
@@ -31,7 +31,7 @@ func CompositeControlLatency(impl Impl, profs []simnet.Profile, bulkSize, nbulk 
 	)
 	var sentAt, recvAt sim.Time
 	g.Go("sender", func(p *sim.Proc) error {
-		reqs := make([]Pending, 0, nbulk+1)
+		reqs := make([]pending, 0, nbulk+1)
 		half := nbulk / 2
 		for i := 0; i < nbulk; i++ {
 			reqs = append(reqs, p0.Isend(p, make([]byte, bulkSize), 1, 0, bulkComm))
@@ -48,7 +48,7 @@ func CompositeControlLatency(impl Impl, profs []simnet.Profile, bulkSize, nbulk 
 	})
 	g.Go("receiver", func(p *sim.Proc) error {
 		ctrl := p1.Irecv(p, make([]byte, 16), 0, 0, ctrlComm)
-		bulk := make([]Pending, nbulk)
+		bulk := make([]pending, nbulk)
 		for i := 0; i < nbulk; i++ {
 			bulk[i] = p1.Irecv(p, make([]byte, bulkSize), 0, 0, bulkComm)
 		}
@@ -64,13 +64,13 @@ func CompositeControlLatency(impl Impl, profs []simnet.Profile, bulkSize, nbulk 
 	return (recvAt - sentAt).Microseconds(), nil
 }
 
-// CongestedTransfer measures a large two-rail transfer when one rail is
+// congestedTransfer measures a large two-rail transfer when one rail is
 // congested below its nominal bandwidth. With warmup > 0, warmup
 // transfers run first so the engine's sampler learns the functional
 // bandwidth and the split strategy rebalances; with warmup == 0 the plan
 // uses nominal figures and overloads the congested rail. Returns the
 // measured transfer's one-way time in µs.
-func CongestedTransfer(size int, mxScale float64, warmup int) (float64, error) {
+func congestedTransfer(size int, mxScale float64, warmup int) (float64, error) {
 	f, err := simnet.Machine{Nodes: 2, Rails: []simnet.Profile{simnet.MX10G(), simnet.QsNetII()}}.Build()
 	if err != nil {
 		return 0, err
@@ -92,7 +92,7 @@ func CongestedTransfer(size int, mxScale float64, warmup int) (float64, error) {
 			if i == warmup {
 				start = p.Now()
 			}
-			if err := e0.Gate(1).Send(p, Tagged(i), make([]byte, size)); err != nil {
+			if err := e0.Gate(1).Send(p, tagged(i), make([]byte, size)); err != nil {
 				return err
 			}
 		}
@@ -100,7 +100,7 @@ func CongestedTransfer(size int, mxScale float64, warmup int) (float64, error) {
 	})
 	g.Go("receiver", func(p *sim.Proc) error {
 		for i := 0; i <= warmup; i++ {
-			if _, err := e1.Gate(0).Recv(p, Tagged(i), make([]byte, size)); err != nil {
+			if _, err := e1.Gate(0).Recv(p, tagged(i), make([]byte, size)); err != nil {
 				return err
 			}
 		}
@@ -113,13 +113,13 @@ func CongestedTransfer(size int, mxScale float64, warmup int) (float64, error) {
 	return (stop - start).Microseconds(), nil
 }
 
-// Tagged converts a loop index to a flow tag (helper shared by the
+// tagged converts a loop index to a flow tag (helper shared by the
 // congestion workloads).
-func Tagged(i int) core.Tag { return core.Tag(i + 1) }
+func tagged(i int) core.Tag { return core.Tag(i + 1) }
 
 // waitEach waits for every request in posting order and returns the
 // first error.
-func waitEach(p *sim.Proc, reqs []Pending) error {
+func waitEach(p *sim.Proc, reqs []pending) error {
 	for _, r := range reqs {
 		if err := r.Wait(p); err != nil {
 			return err
@@ -145,7 +145,7 @@ func intact(buf []byte, sender, msg int) bool {
 	return true
 }
 
-// drain receives the msgs payloads of flow `flow` (tag Tagged(flow),
+// drain receives the msgs payloads of flow `flow` (tag tagged(flow),
 // filled by fill(buf, flow, m)) from g one after another, working for
 // gap before each, and returns the bytes that arrived intact.
 func drain(p *sim.Proc, g *core.Gate, flow, msgs, size int, gap sim.Time) (int64, error) {
@@ -155,7 +155,7 @@ func drain(p *sim.Proc, g *core.Gate, flow, msgs, size int, gap sim.Time) (int64
 		if gap > 0 {
 			p.Sleep(gap)
 		}
-		n, err := g.Recv(p, Tagged(flow), buf)
+		n, err := g.Recv(p, tagged(flow), buf)
 		if err != nil {
 			return delivered, fmt.Errorf("drain flow %d: %w", flow, err)
 		}

@@ -143,3 +143,61 @@ func TestRequestSizeClasses(t *testing.T) {
 		t.Errorf("RecvRequest is %d bytes, over the 112-byte size class", got)
 	}
 }
+
+// retransmitWorkload sends one eager message into a rail that is dark
+// for the first `dark` of the run: the link layer re-injects the frame
+// every RetransmitTimeout until the outage ends. It returns how many
+// retransmissions that took.
+func retransmitWorkload(dark sim.Time) int {
+	w := sim.NewWorld()
+	f := simnet.NewFabric(w, 2, simnet.DefaultHost())
+	if _, err := f.AddNetwork(simnet.MX10G()); err != nil {
+		panic(err)
+	}
+	fp := simnet.FaultProfile{Rails: []simnet.RailFaults{{Outages: []simnet.Outage{{At: 0, Duration: dark}}}}}
+	if err := f.SetFaults(fp); err != nil {
+		panic(err)
+	}
+	opts := DefaultOptions()
+	opts.Reliability = true
+	engines, err := NewEngines(f, func(int) Options { return opts })
+	if err != nil {
+		panic(err)
+	}
+	w.Spawn("send", func(p *sim.Proc) { engines[0].Gate(1).Isend(p, 7, make([]byte, 512)) })
+	w.Spawn("recv", func(p *sim.Proc) {
+		if _, err := engines[1].Gate(0).Recv(p, 7, make([]byte, 1024)); err != nil {
+			panic(err)
+		}
+	})
+	if err := w.Run(); err != nil {
+		panic(err)
+	}
+	return engines[0].Stats().Retransmits
+}
+
+// Observation costs nothing when off: with no tracer attached, a
+// retransmission must not format the note of the trace event nobody
+// records. Measured like the eager path — the difference between a long
+// and a short outage, per extra retransmission — so the ceiling is what
+// the timer, the transaction and the NIC's events cost, and one
+// fmt.Sprintf on top of them fails it.
+func TestAllocsRetransmitWithoutTracer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement")
+	}
+	const short, long = 5 * sim.Millisecond, 25 * sim.Millisecond
+	retransmitWorkload(short)
+	var rShort, rLong int
+	a1 := testing.AllocsPerRun(5, func() { rShort = retransmitWorkload(short) })
+	a2 := testing.AllocsPerRun(5, func() { rLong = retransmitWorkload(long) })
+	if rLong-rShort < 50 {
+		t.Fatalf("%d and %d retransmissions: the outages do not differ enough to measure", rShort, rLong)
+	}
+	got := (a2 - a1) / float64(rLong-rShort)
+	t.Logf("retransmission without tracer: %.2f allocs each (%d vs %d retransmissions)", got, rShort, rLong)
+	const ceiling = 4 // exact: the run is deterministic
+	if got > ceiling {
+		t.Errorf("a retransmission allocates %.2f with no tracer attached, ceiling %d — the trace note is being built for nobody again", got, ceiling)
+	}
+}

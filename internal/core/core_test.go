@@ -45,7 +45,7 @@ func run(t *testing.T, w *sim.World) {
 }
 
 func TestWireHeaderRoundTrip(t *testing.T) {
-	h := header{kind: kindRTS, flags: FlagPriority | FlagUnordered, tag: 0xDEADBEEFCAFE, seq: 42, length: 1 << 20, aux: 7}
+	h := header{kind: kindRTS, flags: flagPriority | flagUnordered, tag: 0xDEADBEEFCAFE, seq: 42, length: 1 << 20, aux: 7}
 	enc := encodeHeader(nil, h)
 	if len(enc) != headerSize {
 		t.Fatalf("encoded header is %d bytes, want %d", len(enc), headerSize)
@@ -60,22 +60,22 @@ func TestWireHeaderRoundTrip(t *testing.T) {
 }
 
 func TestWireDecodeRejectsGarbage(t *testing.T) {
-	if _, err := decodeHeader([]byte{1, 2, 3}); !errors.Is(err, ErrBadWire) {
+	if _, err := decodeHeader([]byte{1, 2, 3}); !errors.Is(err, errBadWire) {
 		t.Errorf("short header: %v, want ErrBadWire", err)
 	}
 	bad := encodeHeader(nil, header{kind: kindData})
 	bad[0] = 0x00
-	if _, err := decodeHeader(bad); !errors.Is(err, ErrBadWire) {
+	if _, err := decodeHeader(bad); !errors.Is(err, errBadWire) {
 		t.Errorf("bad magic: %v, want ErrBadWire", err)
 	}
 	bad2 := encodeHeader(nil, header{kind: kindData})
 	bad2[1] = 99
-	if _, err := decodeHeader(bad2); !errors.Is(err, ErrBadWire) {
+	if _, err := decodeHeader(bad2); !errors.Is(err, errBadWire) {
 		t.Errorf("bad kind: %v, want ErrBadWire", err)
 	}
 	// Truncated payload.
 	train := encodeHeader(nil, header{kind: kindData, length: 100})
-	if err := walkEntries(train, func(header, []byte) error { return nil }); !errors.Is(err, ErrBadWire) {
+	if err := walkEntries(train, func(header, []byte) error { return nil }); !errors.Is(err, errBadWire) {
 		t.Errorf("truncated payload: %v, want ErrBadWire", err)
 	}
 }

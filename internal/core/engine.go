@@ -347,7 +347,7 @@ func (e *Engine) needsFlatten(driver, segs, size int) bool {
 		}
 		return true
 	}
-	if driver != AnyDriver {
+	if driver != anyDriver {
 		return stuck(e.drvs[driver])
 	}
 	for _, d := range e.drvs {
@@ -392,9 +392,9 @@ func (e *Engine) recordSend(g *Gate, tag Tag, iov iovec, cfg sendConfig) {
 		Kind:        trace.OpSend,
 		Tag:         uint64(tag),
 		Segs:        iov.segLens(),
-		Priority:    cfg.flags&FlagPriority != 0,
-		Unordered:   cfg.flags&FlagUnordered != 0,
-		Synchronous: cfg.flags&FlagNeedAck != 0,
+		Priority:    cfg.flags&flagPriority != 0,
+		Unordered:   cfg.flags&flagUnordered != 0,
+		Synchronous: cfg.flags&flagNeedAck != 0,
 		Rail:        cfg.driver,
 	})
 }
@@ -413,7 +413,7 @@ func (e *Engine) recordRecv(g *Gate, want, mask Tag, iov iovec) {
 		Tag:  uint64(want),
 		Mask: uint64(mask),
 		Segs: iov.segLens(),
-		Rail: AnyDriver,
+		Rail: anyDriver,
 	})
 }
 
@@ -421,7 +421,7 @@ func (e *Engine) recordRecv(g *Gate, want, mask Tag, iov iovec) {
 func (e *Engine) submit(pw *packet) {
 	pw.submittedAt = e.world.Now()
 	pw.gate.win.push(pw)
-	if pw.driver == AnyDriver {
+	if pw.driver == anyDriver {
 		e.pendingCommon++
 	} else {
 		e.pendingPinned[pw.driver]++
@@ -578,7 +578,7 @@ func (e *Engine) prepare(g *Gate, drv int, caps drivers.Caps) {
 func (e *Engine) account(g *Gate, drv int, out *output) {
 	g.win.take(out.entries)
 	for _, pw := range out.entries {
-		if pw.driver == AnyDriver {
+		if pw.driver == anyDriver {
 			e.pendingCommon--
 		} else {
 			e.pendingPinned[pw.driver]--
@@ -733,4 +733,10 @@ func (e *Engine) notifyComplete(drv int, peer simnet.NodeID, bytes, entries int,
 	}
 }
 
-var errNoDrivers = errors.New("core: engine has no attached drivers")
+// Entry errors of a send (Gate.sendCheck).
+var (
+	errNoDrivers = errors.New("core: engine has no attached drivers")
+	// ErrBadRail: the submission was pinned (OnRail) to a rail index the
+	// engine has no driver for.
+	ErrBadRail = errors.New("core: send pinned to a rail that is not attached")
+)

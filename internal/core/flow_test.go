@@ -452,9 +452,9 @@ func TestDuplicateDeferredRendezvousRejected(t *testing.T) {
 		g.Irecv(p, 2, make([]byte, 16))
 		// The first RTS takes the only grant slot; the second defers;
 		// the duplicated second must be counted and dropped.
-		arrive(e1, 0, header{kind: kindRTS, flags: FlagUnordered, tag: 1, length: 16, aux: 1}, nil)
-		arrive(e1, 0, header{kind: kindRTS, flags: FlagUnordered, tag: 2, length: 16, aux: 2}, nil)
-		arrive(e1, 0, header{kind: kindRTS, flags: FlagUnordered, tag: 2, length: 16, aux: 2}, nil)
+		arrive(e1, 0, header{kind: kindRTS, flags: flagUnordered, tag: 1, length: 16, aux: 1}, nil)
+		arrive(e1, 0, header{kind: kindRTS, flags: flagUnordered, tag: 2, length: 16, aux: 2}, nil)
+		arrive(e1, 0, header{kind: kindRTS, flags: flagUnordered, tag: 2, length: 16, aux: 2}, nil)
 	})
 	run(t, w)
 	if got := e1.Stats().ProtocolErrors; got != 1 {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"nmad/internal/sim"
 	"nmad/internal/simnet"
 )
@@ -22,9 +24,9 @@ type Gate struct {
 	// live in a flat association array scanned linearly; sendSeq is made
 	// lazily, only for gates exceeding the slots.
 	seqTags [tagSlots]Tag
-	seqVals [tagSlots]SeqNum
+	seqVals [tagSlots]seqNum
 	seqN    int
-	sendSeq map[Tag]SeqNum
+	sendSeq map[Tag]seqNum
 
 	// receiver side: resequencing per flow, posted receives, unexpected
 	// arrivals. The flow lookup uses the same flat-slots-then-map scheme
@@ -74,9 +76,9 @@ func (g *Gate) Engine() *Engine { return g.eng }
 // sendConfig is the resolved scheduling configuration of one submission.
 type sendConfig struct {
 	// flags carry the scheduling/delivery hints on the wrapper.
-	flags Flags
+	flags flags
 	// driver pins the wrapper to one rail (index into Engine.Drivers),
-	// or AnyDriver for the load-balanced common list.
+	// or anyDriver for the load-balanced common list.
 	driver int
 }
 
@@ -88,23 +90,24 @@ type SendOption func(*sendConfig)
 // Priority asks the optimizer to favor earliest delivery of this
 // submission (the paper's RPC service-id pattern).
 func Priority() SendOption {
-	return func(c *sendConfig) { c.flags |= FlagPriority }
+	return func(c *sendConfig) { c.flags |= flagPriority }
 }
 
 // Unordered lets the receiver deliver this submission as soon as it
 // arrives, outside the per-flow sequence order.
 func Unordered() SendOption {
-	return func(c *sendConfig) { c.flags |= FlagUnordered }
+	return func(c *sendConfig) { c.flags |= flagUnordered }
 }
 
 // Synchronous completes the send only once the receiver has matched it
 // (MPI_Issend semantics).
 func Synchronous() SendOption {
-	return func(c *sendConfig) { c.flags |= FlagNeedAck }
+	return func(c *sendConfig) { c.flags |= flagNeedAck }
 }
 
 // OnRail pins the submission to one rail (an index into Engine.Drivers)
-// instead of the load-balanced common list.
+// instead of the load-balanced common list. A send pinned to a rail the
+// engine does not have completes at once with ErrBadRail.
 func OnRail(driver int) SendOption {
 	return func(c *sendConfig) { c.driver = driver }
 }
@@ -114,9 +117,9 @@ func OnRail(driver int) SendOption {
 // address, which moves c to the heap — one allocation per message.
 func resolveSend(opts []SendOption) sendConfig {
 	if len(opts) == 0 {
-		return sendConfig{driver: AnyDriver}
+		return sendConfig{driver: anyDriver}
 	}
-	c := sendConfig{driver: AnyDriver}
+	c := sendConfig{driver: anyDriver}
 	for _, o := range opts {
 		o(&c)
 	}
@@ -143,9 +146,22 @@ func (g *Gate) Isendv(p *sim.Proc, tag Tag, segs [][]byte, opts ...SendOption) *
 	return g.isendIov(p, tag, iovec(segs), resolveSend(opts))
 }
 
+// sendCheck is the entry check of every send, packed pieces included:
+// the engine has a rail, and the rail the submission is pinned to exists.
+func (g *Gate) sendCheck(cfg sendConfig) error {
+	n := len(g.eng.drvs)
+	if n == 0 {
+		return errNoDrivers
+	}
+	if cfg.driver != anyDriver && (cfg.driver < 0 || cfg.driver >= n) {
+		return fmt.Errorf("%w: rail %d of %d", ErrBadRail, cfg.driver, n)
+	}
+	return nil
+}
+
 func (g *Gate) isendIov(p *sim.Proc, tag Tag, iov iovec, cfg sendConfig) *SendRequest {
-	if len(g.eng.drvs) == 0 {
-		return g.failSend(tag, nil)
+	if err := g.sendCheck(cfg); err != nil {
+		return failedSend(tag, nil, err)
 	}
 	g.eng.recordSend(g, tag, iov, cfg)
 	g.eng.chargeSubmit(p)
@@ -171,11 +187,11 @@ func (g *Gate) isendIov(p *sim.Proc, tag Tag, iov iovec, cfg sendConfig) *SendRe
 // the continuation then runs inline), so a workload driven either way
 // produces the same schedule. done is called once, in scheduler context,
 // with the completion error at the instant the request completes —
-// possibly before PostSendv returns (no drivers attached).
+// possibly before PostSendv returns (a send that fails its entry check).
 func (g *Gate) PostSendv(tag Tag, segs [][]byte, done func(err error), opts ...SendOption) {
 	iov, cfg, e := iovec(segs), resolveSend(opts), g.eng
-	if len(e.drvs) == 0 {
-		g.failSend(tag, done)
+	if err := g.sendCheck(cfg); err != nil {
+		failedSend(tag, done, err)
 		return
 	}
 	e.recordSend(g, tag, iov, cfg)
@@ -190,11 +206,11 @@ func (g *Gate) PostSendv(tag Tag, segs [][]byte, done func(err error), opts ...S
 	})
 }
 
-// failSend is the send on an engine with no rail: a request that is
-// already complete with errNoDrivers.
-func (g *Gate) failSend(tag Tag, hook func(error)) *SendRequest {
+// failedSend is the send that failed sendCheck: a request that is
+// already complete with the error.
+func failedSend(tag Tag, hook func(error), err error) *SendRequest {
 	req := &SendRequest{request: request{hook: hook}, tag: tag}
-	req.complete(errNoDrivers)
+	req.complete(err)
 	return req
 }
 
@@ -205,20 +221,10 @@ func (g *Gate) failSend(tag Tag, hook func(error)) *SendRequest {
 func (g *Gate) submitSend(tag Tag, iov iovec, size int, cfg sendConfig, hook func(error)) *SendRequest {
 	req := &SendRequest{request: request{hook: hook}, tag: tag, bytes: size}
 	req.add(1)
-	// The wrapper comes from the engine free list; the iovec's segment
-	// headers are copied into the wrapper-owned backing array (reused
-	// across recycles), never aliasing the caller's slice.
-	pw := g.eng.newPacket()
-	pw.gate = g
-	pw.kind = kindData
-	pw.flags = cfg.flags
-	pw.tag = tag
-	pw.seq = g.seqFor(tag, cfg.flags)
-	pw.iov = append(pw.iov, iov...)
-	pw.size = uint32(size)
-	pw.driver = cfg.driver
-	pw.req = req
-	if cfg.flags&FlagNeedAck != 0 {
+	pw := g.eng.newPacket(g, header{
+		kind: kindData, flags: cfg.flags, tag: tag, seq: g.seqFor(tag, cfg.flags), length: uint32(size),
+	}, cfg.driver, iov, req)
+	if cfg.flags&flagNeedAck != 0 {
 		// Synchronous semantics: an extra completion unit retired only by
 		// the receiver's ack.
 		req.add(1)
@@ -384,7 +390,7 @@ func (g *Gate) dropData(pw *packet) {
 const tagSlots = 8
 
 // nextSeq assigns the next sender-side sequence number of a flow.
-func (g *Gate) nextSeq(tag Tag) SeqNum {
+func (g *Gate) nextSeq(tag Tag) seqNum {
 	for i := 0; i < g.seqN; i++ {
 		if g.seqTags[i] == tag {
 			s := g.seqVals[i]
@@ -399,7 +405,7 @@ func (g *Gate) nextSeq(tag Tag) SeqNum {
 		return 0
 	}
 	if g.sendSeq == nil {
-		g.sendSeq = make(map[Tag]SeqNum)
+		g.sendSeq = make(map[Tag]seqNum)
 	}
 	s := g.sendSeq[tag]
 	g.sendSeq[tag] = s + 1
@@ -411,8 +417,8 @@ func (g *Gate) nextSeq(tag Tag) SeqNum {
 // consume a slot in the flow order: an ordered send following an
 // unordered one on the same flow would otherwise wait forever for a
 // sequence number nobody delivers in order.
-func (g *Gate) seqFor(tag Tag, flags Flags) SeqNum {
-	if flags&FlagUnordered != 0 {
+func (g *Gate) seqFor(tag Tag, flags flags) seqNum {
+	if flags&flagUnordered != 0 {
 		return 0
 	}
 	return g.nextSeq(tag)
@@ -422,15 +428,9 @@ func (g *Gate) seqFor(tag Tag, flags Flags) SeqNum {
 // wrappers are priority + unordered and ride the common list so the first
 // idle rail carries them.
 func (g *Gate) pushCtrl(kind entryKind, tag Tag, size uint32, rdvID uint32) {
-	pw := g.eng.newPacket()
-	pw.gate = g
-	pw.kind = kind
-	pw.flags = FlagPriority | FlagUnordered
-	pw.tag = tag
-	pw.size = size
-	pw.aux = rdvID
-	pw.driver = AnyDriver
-	g.eng.submit(pw)
+	g.eng.submit(g.eng.newPacket(g, header{
+		kind: kind, flags: flagPriority | flagUnordered, tag: tag, length: size, aux: rdvID,
+	}, anyDriver, nil, nil))
 }
 
 // PendingUnexpected reports how many arrived-but-unmatched wrappers the

@@ -169,7 +169,7 @@ func TestCommonListUsesIdleRails(t *testing.T) {
 }
 
 func TestUnorderedFlagBypassesResequencing(t *testing.T) {
-	// With FlagUnordered the receiver may see submissions out of order;
+	// With flagUnordered the receiver may see submissions out of order;
 	// what matters is that all of them arrive and none is held back.
 	w, engines := nWorld(t, 2, DefaultOptions())
 	e0, e1 := engines[0], engines[1]

@@ -35,34 +35,34 @@ func (m *Message) Pack(p *sim.Proc, data []byte) {
 // PackPriority appends a piece flagged for earliest delivery (the RPC
 // service-id pattern of the paper's §2).
 func (m *Message) PackPriority(p *sim.Proc, data []byte) {
-	m.pack(p, data, m.cfg.flags|FlagPriority)
+	m.pack(p, data, m.cfg.flags|flagPriority)
 }
 
-func (m *Message) pack(p *sim.Proc, data []byte, flags Flags) {
+func (m *Message) pack(p *sim.Proc, data []byte, flags flags) {
 	if m.ended {
 		panic("core: Pack after End")
 	}
 	// Pack has no ack machinery (End's barrier already synchronizes), so
 	// the flag must not reach the wire: the receiver would ack aux 0 and
 	// the sender would count a protocol error for every piece.
-	flags &^= FlagNeedAck
+	flags &^= flagNeedAck
+	g, e := m.g, m.g.eng
+	if err := g.sendCheck(m.cfg); err != nil {
+		// As for Isend: nothing is submitted, and the message's request —
+		// what End waits on — completes with the error.
+		m.req.complete(err)
+		return
+	}
 	// Pack pieces record as independent sends: each submits an identical
 	// wrapper.
-	m.g.eng.recordSend(m.g, m.tag, singleIov(data), sendConfig{flags: flags, driver: m.cfg.driver})
-	m.g.eng.chargeSubmit(p)
+	iov := singleIov(data)
+	e.recordSend(g, m.tag, iov, sendConfig{flags: flags, driver: m.cfg.driver})
+	e.chargeSubmit(p)
 	m.req.add(1)
 	m.req.bytes += len(data)
-	pw := m.g.eng.newPacket()
-	pw.gate = m.g
-	pw.kind = kindData
-	pw.flags = flags
-	pw.tag = m.tag
-	pw.seq = m.g.seqFor(m.tag, flags)
-	pw.iov = append(pw.iov, data)
-	pw.size = uint32(len(data))
-	pw.driver = m.cfg.driver
-	pw.req = m.req
-	m.g.eng.submit(pw)
+	e.submit(e.newPacket(g, header{
+		kind: kindData, flags: flags, tag: m.tag, seq: g.seqFor(m.tag, flags), length: uint32(len(data)),
+	}, m.cfg.driver, iov, m.req))
 }
 
 // End finalizes the message and blocks until every piece has left the

@@ -2,11 +2,11 @@ package core
 
 import "nmad/internal/sim"
 
-// AnyDriver targets the common submission list: the engine balances the
+// anyDriver targets the common submission list: the engine balances the
 // wrapper onto whichever rail idles first (paper §3.3: "the collected
 // pieces of data are inserted ... on the common list for automatized
 // load-balancing among all the NICs").
-const AnyDriver = -1
+const anyDriver = -1
 
 // packet is a packet wrapper ("pw" in NewMadeleine): one piece of
 // application data plus the metadata the receiving side needs. Packet
@@ -17,14 +17,14 @@ const AnyDriver = -1
 type packet struct {
 	gate  *Gate
 	kind  entryKind
-	flags Flags
+	flags flags
 	tag   Tag
-	seq   SeqNum
+	seq   seqNum
 	iov   iovec  // payload segments for data entries; nil for control entries
 	aux   uint32 // rendezvous id for rts/cts
 	size  uint32 // body size for rts; payload length otherwise
 
-	// driver pins the wrapper to one rail, or AnyDriver for the common
+	// driver pins the wrapper to one rail, or anyDriver for the common
 	// list.
 	driver int
 
@@ -77,7 +77,7 @@ func (pw *packet) ctrl() bool {
 }
 
 // prio reports whether the optimizer should favor early delivery.
-func (pw *packet) prio() bool { return pw.flags&FlagPriority != 0 || pw.ctrl() }
+func (pw *packet) prio() bool { return pw.flags&flagPriority != 0 || pw.ctrl() }
 
 // header builds the wire header for the wrapper.
 func (pw *packet) header() header {
@@ -105,7 +105,7 @@ func newWindow(nDrivers int) *window {
 
 // push inserts a wrapper at the tail of its submission list.
 func (w *window) push(pw *packet) {
-	if pw.driver == AnyDriver {
+	if pw.driver == anyDriver {
 		w.common = append(w.common, pw)
 		return
 	}

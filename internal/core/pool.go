@@ -53,17 +53,26 @@ import "nmad/internal/simnet"
 // byte-identical either way (see the pooling property test in package
 // replay).
 
-// newPacket returns a zeroed wrapper, recycled when the free list has
-// one. The iov field may carry a non-nil empty slice whose backing array
-// is reused by the append at the fill site.
-func (e *Engine) newPacket() *packet {
+// newPacket is the one place a wrapper is filled: a wrapper for gate g
+// that will travel under header h, pinned to driver (or anyDriver) and
+// completing req. It is recycled when the free list has one; iov's
+// segment headers are copied into the wrapper-owned backing array (kept
+// across recycles), never aliasing the caller's slice.
+func (e *Engine) newPacket(g *Gate, h header, driver int, iov iovec, req *SendRequest) *packet {
+	var pw *packet
 	if n := len(e.freePkts) - 1; n >= 0 {
-		pw := e.freePkts[n]
+		pw = e.freePkts[n]
 		e.freePkts[n] = nil
 		e.freePkts = e.freePkts[:n]
-		return pw
+	} else {
+		pw = &packet{}
 	}
-	return &packet{}
+	pw.gate = g
+	pw.kind, pw.flags, pw.tag, pw.seq, pw.size, pw.aux = h.kind, h.flags, h.tag, h.seq, h.length, h.aux
+	pw.iov = append(pw.iov, iov...)
+	pw.driver = driver
+	pw.req = req
+	return pw
 }
 
 // freePacket recycles a wrapper the engine is completely done with. The

@@ -252,6 +252,62 @@ func TestPostSendvWithoutDrivers(t *testing.T) {
 	}
 }
 
+// A send pinned to a rail the engine does not have fails the entry check
+// of every send form with ErrBadRail; nothing is submitted and the run
+// drains. (Unchecked, the rail indexes past the driver list and comes out
+// of World.Run as a process panic.)
+func TestOnRailOutOfRangeFailsTheSend(t *testing.T) {
+	for _, rail := range []int{7, 1, -2} {
+		w, e0, _ := testWorld(t, DefaultOptions()) // one rail: index 0
+		g := e0.Gate(1)
+		data := make([]byte, 64)
+		var posted error
+		w.Spawn("sender", func(p *sim.Proc) {
+			if err := g.Isend(p, 1, data, OnRail(rail)).Wait(p); !errors.Is(err, ErrBadRail) {
+				t.Errorf("Isend on rail %d: %v, want ErrBadRail", rail, err)
+			}
+			if err := g.Isendv(p, 1, [][]byte{data, data}, OnRail(rail)).Wait(p); !errors.Is(err, ErrBadRail) {
+				t.Errorf("Isendv on rail %d: %v, want ErrBadRail", rail, err)
+			}
+			m := g.BeginPack(p, 2, OnRail(rail))
+			m.Pack(p, data)
+			m.PackPriority(p, data)
+			if err := m.End(p); !errors.Is(err, ErrBadRail) {
+				t.Errorf("BeginPack on rail %d: End = %v, want ErrBadRail", rail, err)
+			}
+		})
+		w.At(0, func() {
+			g.PostSendv(3, [][]byte{data}, func(err error) { posted = err }, OnRail(rail))
+		})
+		run(t, w)
+		if !errors.Is(posted, ErrBadRail) {
+			t.Errorf("PostSendv on rail %d: hook got %v, want ErrBadRail", rail, posted)
+		}
+		if n := e0.Stats().Submitted; n != 0 {
+			t.Errorf("rail %d: %d wrappers submitted, want none", rail, n)
+		}
+	}
+}
+
+// Pack makes the same entry check as Isend: on an engine with no rail
+// the message fails at once instead of parking End forever.
+func TestPackWithoutDriversFails(t *testing.T) {
+	w := sim.NewWorld()
+	f := simnet.NewFabric(w, 2, simnet.DefaultHost())
+	e, err := New(f, 0, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Spawn("packer", func(p *sim.Proc) {
+		m := e.Gate(1).BeginPack(p, 1)
+		m.Pack(p, make([]byte, 8))
+		if err := m.End(p); !errors.Is(err, errNoDrivers) {
+			t.Errorf("End = %v, want errNoDrivers", err)
+		}
+	})
+	run(t, w)
+}
+
 // chargeSubmit does not sleep when there is no overhead to pay, so the
 // scheduler-context entries must not yield either: the wrapper is in the
 // window, and the receive posted, before the call returns.

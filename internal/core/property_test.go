@@ -191,9 +191,9 @@ func TestPropertyWireTrainRoundTrip(t *testing.T) {
 			kinds := []entryKind{kindData, kindRTS, kindCTS, kindChunk, kindAck}
 			h := header{
 				kind:  kinds[rng.Intn(len(kinds))],
-				flags: Flags(rng.Intn(8)),
+				flags: flags(rng.Intn(8)),
 				tag:   Tag(rng.Uint64()),
-				seq:   SeqNum(rng.Intn(1 << 20)),
+				seq:   seqNum(rng.Intn(1 << 20)),
 				aux:   uint32(rng.Intn(1 << 16)),
 			}
 			var payload []byte
@@ -235,14 +235,14 @@ func TestPropertyWindowTakeIsExact(t *testing.T) {
 		w := newWindow(2)
 		var all []*packet
 		for i := 0; i < n; i++ {
-			pw := &packet{tag: Tag(i), driver: []int{AnyDriver, 0, 1}[rng.Intn(3)]}
+			pw := &packet{tag: Tag(i), driver: []int{anyDriver, 0, 1}[rng.Intn(3)]}
 			all = append(all, pw)
 			w.push(pw)
 		}
 		var taken []*packet
 		isTaken := map[*packet]bool{}
 		for _, pw := range all {
-			if rng.Bool() {
+			if rng.Intn(2) == 1 {
 				taken = append(taken, pw)
 				isTaken[pw] = true
 			}
@@ -269,7 +269,7 @@ func TestPropertyWindowTakeIsExact(t *testing.T) {
 				continue
 			}
 			want := 1
-			if pw.driver == AnyDriver {
+			if pw.driver == anyDriver {
 				want = 2 // visible to both rails
 			}
 			if seen[pw] != want {
@@ -308,7 +308,7 @@ func TestPropertyResequencerHandlesAnyArrivalOrder(t *testing.T) {
 				arrive(e1, 0, header{
 					kind:   kindData,
 					tag:    5,
-					seq:    SeqNum(seq),
+					seq:    seqNum(seq),
 					length: 1,
 				}, []byte{byte(seq)})
 			}

@@ -31,7 +31,7 @@ type rdvSend struct {
 	id   uint32
 	gate *Gate
 	tag  Tag
-	seq  SeqNum
+	seq  seqNum
 	body iovec
 	req  *SendRequest
 	left int // chunks not yet fully sent
@@ -177,30 +177,23 @@ const defaultBodyChunkReliable = 64 << 10
 
 // convertToRTS swaps a data wrapper for a rendezvous request in place.
 func (e *Engine) convertToRTS(pw *packet) *packet {
-	if pw.flags&FlagNeedAck != 0 {
+	if pw.flags&flagNeedAck != 0 {
 		// The rendezvous handshake already implies a receiver-side match,
 		// so the explicit ack is redundant: release its completion unit.
 		if req, ok := e.syncAcks[pw.aux]; ok {
 			delete(e.syncAcks, pw.aux)
 			req.doneOne()
 		}
-		pw.flags &^= FlagNeedAck
+		pw.flags &^= flagNeedAck
 		pw.aux = 0
 	}
 	e.nextRdvID++
 	id := e.nextRdvID
 	size := pw.payloadLen()
 	g := pw.gate
-	rts := e.newPacket()
-	rts.gate = g
-	rts.kind = kindRTS
-	rts.flags = pw.flags
-	rts.tag = pw.tag
-	rts.seq = pw.seq
-	rts.size = uint32(size)
-	rts.aux = id
-	rts.driver = pw.driver
-	rts.req = pw.req
+	rts := e.newPacket(g, header{
+		kind: kindRTS, flags: pw.flags, tag: pw.tag, seq: pw.seq, length: uint32(size), aux: id,
+	}, pw.driver, nil, pw.req)
 	e.rdvSend[id] = &rdvSend{
 		id:   id,
 		gate: g,
@@ -333,7 +326,9 @@ func (e *Engine) onCTS(g *Gate, h header) {
 		// accounting; the receiver's span tracking discards what already
 		// landed.
 		e.stats.BodyReissues++
-		e.traceEvent(trace.Retransmit, g.peer, -1, rs.tag, int(h.length), 0, fmt.Sprintf("rdv %d reissue", rs.id))
+		if e.opts.Tracer != nil { // the note is built for a tracer only
+			e.traceEvent(trace.Retransmit, g.peer, -1, rs.tag, int(h.length), 0, fmt.Sprintf("rdv %d reissue", rs.id))
+		}
 		e.streamBody(rs, int(h.length), true)
 		return
 	}
@@ -492,18 +487,11 @@ func (e *Engine) streamBody(rs *rdvSend, granted int, reissue bool) {
 		data := rs.body.slice(c.off, c.len)
 		e.stats.BodyBytes += int64(c.len)
 		// Non-RDMA rail: the chunk flows through the window as an eager
-		// entry bound for the registered landing buffer.
-		pw := e.newPacket()
-		pw.gate = rs.gate
-		pw.kind = kindChunk
-		pw.flags = FlagUnordered
-		pw.tag = rs.tag
-		pw.seq = SeqNum(uint32(c.off)) // chunk offset rides the seq field
-		pw.iov = append(pw.iov, data...)
-		pw.size = uint32(c.len)
-		pw.aux = rs.id
-		pw.driver = c.drv
-		pw.req = chunkReq // feed retires one unit per chunk entry
+		// entry bound for the registered landing buffer. The chunk offset
+		// rides the seq field; feed retires one unit of chunkReq per entry.
+		pw := e.newPacket(rs.gate, header{
+			kind: kindChunk, flags: flagUnordered, tag: rs.tag, seq: seqNum(uint32(c.off)), length: uint32(c.len), aux: rs.id,
+		}, c.drv, data, chunkReq)
 		if !reissue {
 			pw.onSent = retire
 		}

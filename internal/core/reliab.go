@@ -89,7 +89,7 @@ func (e *Engine) probeInterval() sim.Time { return 4 * e.opts.RetransmitTimeout 
 func linkHeader(sub uint32, seq uint32, floor uint32) []byte {
 	return encodeHeader(make([]byte, 0, headerSize), header{
 		kind:   kindLink,
-		seq:    SeqNum(seq),
+		seq:    seqNum(seq),
 		length: floor,
 		aux:    sub,
 	})
@@ -174,7 +174,9 @@ func (e *Engine) linkResend(g *Gate, fr *linkFrame, drv int) {
 	e.stats.Retransmits++
 	e.railRetrans[drv]++
 	e.stats.WireBytes += int64(size)
-	e.traceEvent(trace.Retransmit, g.peer, drv, 0, size, fr.attempts, fmt.Sprintf("frame %d", fr.seq))
+	if e.opts.Tracer != nil { // the note is built for a tracer only
+		e.traceEvent(trace.Retransmit, g.peer, drv, 0, size, fr.attempts, fmt.Sprintf("frame %d", fr.seq))
+	}
 	fr.frame.Retain() // the NIC's reference; the link layer keeps its own
 	err := e.drvs[drv].SendFrame(g.peer, simnet.TxEager, fr.frame, 1, 0, func() { e.linkArm(g, fr) })
 	if err != nil {
@@ -337,7 +339,7 @@ func (e *Engine) railFail(drv int, peer simnet.NodeID) {
 	alt := e.aliveRailExcept(drv)
 	for _, g := range e.gateOrder {
 		for _, pw := range g.win.perDriver[drv] {
-			pw.driver = AnyDriver
+			pw.driver = anyDriver
 			g.win.common = append(g.win.common, pw)
 			e.pendingPinned[drv]--
 			e.pendingCommon++

@@ -29,8 +29,8 @@ var ErrProtocol = errors.New("core: protocol anomaly")
 // is made lazily at the first out-of-order arrival: an in-order flow —
 // the overwhelmingly common case — never allocates it.
 type rxFlow struct {
-	next SeqNum
-	held map[SeqNum]*inEntry
+	next seqNum
+	held map[seqNum]*inEntry
 }
 
 // inEntry is one arrived wrapper awaiting resequencing or matching. Its
@@ -119,7 +119,7 @@ func (e *Engine) dispatch(src simnet.NodeID, h header, payload []byte, fr *simne
 	case kindDone:
 		e.onRdvDone(g, h.aux)
 	case kindData, kindRTS:
-		if h.flags&FlagUnordered != 0 {
+		if h.flags&flagUnordered != 0 {
 			e.deliver(g, h, payload, fr)
 			return
 		}
@@ -151,7 +151,7 @@ func (e *Engine) dispatch(src simnet.NodeID, h header, payload []byte, fr *simne
 				return
 			}
 			if f.held == nil {
-				f.held = make(map[SeqNum]*inEntry)
+				f.held = make(map[seqNum]*inEntry)
 			}
 			f.held[h.seq] = e.newInEntry(h, payload, fr)
 			e.stats.Reordered++
@@ -229,7 +229,7 @@ func (e *Engine) consume(g *Gate, r *RecvRequest, h header, payload []byte) {
 		if len(payload) > r.iov.total() {
 			err = ErrTruncated
 		}
-		if h.flags&FlagNeedAck != 0 {
+		if h.flags&flagNeedAck != 0 {
 			// Synchronous send: tell the sender the match happened. The
 			// ack rides the window like any wrapper and may aggregate
 			// with outbound data.

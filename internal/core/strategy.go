@@ -74,10 +74,10 @@ func (g *Gate) scanEligible(drv int, visit func(pw *packet) bool) {
 // election hands back.
 func wrapperView(pw *packet) sched.Wrapper {
 	var fl sched.Flags
-	if pw.flags&FlagPriority != 0 {
+	if pw.flags&flagPriority != 0 {
 		fl |= sched.Priority
 	}
-	if pw.flags&FlagUnordered != 0 {
+	if pw.flags&flagUnordered != 0 {
 		fl |= sched.Unordered
 	}
 	if pw.ctrl() {

@@ -11,28 +11,28 @@ import (
 // high bits), and the engine optimizes across flows regardless.
 type Tag uint64
 
-// SeqNum orders the packets of one (gate, tag) flow. Senders assign
+// seqNum orders the packets of one (gate, tag) flow. Senders assign
 // sequence numbers at submission time; receivers restore submission order
 // even when the optimizer sent packets out of order or over different
 // rails.
-type SeqNum uint32
+type seqNum uint32
 
-// Flags modify how a packet wrapper may be scheduled and delivered.
-type Flags uint16
+// flags modify how a packet wrapper may be scheduled and delivered.
+type flags uint16
 
 const (
-	// FlagPriority asks the optimizer to favor earlier delivery of this
+	// flagPriority asks the optimizer to favor earlier delivery of this
 	// wrapper (the paper's example: an RPC service id needed to prepare
 	// the data areas for the arguments).
-	FlagPriority Flags = 1 << iota
-	// FlagUnordered lets the receiver deliver this wrapper as soon as it
+	flagPriority flags = 1 << iota
+	// flagUnordered lets the receiver deliver this wrapper as soon as it
 	// arrives, outside the per-flow sequence order.
-	FlagUnordered
-	// FlagNeedAck makes the send complete only once the receiver has
+	flagUnordered
+	// flagNeedAck makes the send complete only once the receiver has
 	// matched the wrapper to a posted receive (synchronous-send
 	// semantics; the receiver answers with an ack control entry, which
 	// aggregates with its outbound traffic like any other wrapper).
-	FlagNeedAck
+	flagNeedAck
 )
 
 // entryKind discriminates the entries of the engine wire format.
@@ -94,15 +94,15 @@ const (
 // header is the decoded form of one entry header.
 type header struct {
 	kind   entryKind
-	flags  Flags
+	flags  flags
 	tag    Tag
-	seq    SeqNum
+	seq    seqNum
 	length uint32
 	aux    uint32
 }
 
-// ErrBadWire reports a malformed entry train.
-var ErrBadWire = errors.New("core: malformed wire data")
+// errBadWire reports a malformed entry train.
+var errBadWire = errors.New("core: malformed wire data")
 
 // encodeHeader appends the 24-byte encoding of h to dst.
 func encodeHeader(dst []byte, h header) []byte {
@@ -120,16 +120,16 @@ func encodeHeader(dst []byte, h header) []byte {
 // decodeHeader reads one header from the front of data.
 func decodeHeader(data []byte) (header, error) {
 	if len(data) < headerSize {
-		return header{}, fmt.Errorf("%w: %d bytes, need a %d-byte header", ErrBadWire, len(data), headerSize)
+		return header{}, fmt.Errorf("%w: %d bytes, need a %d-byte header", errBadWire, len(data), headerSize)
 	}
 	if data[0] != headerMagic {
-		return header{}, fmt.Errorf("%w: bad magic %#x", ErrBadWire, data[0])
+		return header{}, fmt.Errorf("%w: bad magic %#x", errBadWire, data[0])
 	}
 	h := header{
 		kind:   entryKind(data[1]),
-		flags:  Flags(binary.LittleEndian.Uint16(data[2:4])),
+		flags:  flags(binary.LittleEndian.Uint16(data[2:4])),
 		tag:    Tag(binary.LittleEndian.Uint64(data[4:12])),
-		seq:    SeqNum(binary.LittleEndian.Uint32(data[12:16])),
+		seq:    seqNum(binary.LittleEndian.Uint32(data[12:16])),
 		length: binary.LittleEndian.Uint32(data[16:20]),
 		aux:    binary.LittleEndian.Uint32(data[20:24]),
 	}
@@ -137,7 +137,7 @@ func decodeHeader(data []byte) (header, error) {
 	case kindData, kindRTS, kindCTS, kindChunk, kindAck, kindCredit, kindLink, kindDone:
 		return h, nil
 	default:
-		return header{}, fmt.Errorf("%w: unknown entry kind %d", ErrBadWire, data[1])
+		return header{}, fmt.Errorf("%w: unknown entry kind %d", errBadWire, data[1])
 	}
 }
 
@@ -157,7 +157,7 @@ func walkEntries(data []byte, fn func(h header, payload []byte) error) error {
 		var payload []byte
 		if h.kind.hasPayload() {
 			if int(h.length) > len(data) {
-				return fmt.Errorf("%w: entry declares %d payload bytes, %d remain", ErrBadWire, h.length, len(data))
+				return fmt.Errorf("%w: entry declares %d payload bytes, %d remain", errBadWire, h.length, len(data))
 			}
 			payload = data[:h.length]
 			data = data[h.length:]

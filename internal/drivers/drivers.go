@@ -71,28 +71,96 @@ type Driver interface {
 	Stats() simnet.NICStats
 }
 
-// Errors common to all drivers.
-var (
-	ErrClosed  = errors.New("drivers: driver is closed")
-	ErrNotOpen = errors.New("drivers: driver is not open")
-)
+// errNotOpen is what Send and Close return on a port that is not open.
+var errNotOpen = errors.New("drivers: driver is not open")
 
-// base carries the behaviour shared by every port.
-type base struct {
+// port is one row of the table below: what a technology's driver calls
+// itself and, where the hardware's gather list is shorter than the engine
+// needs, the software gather limit the port advertises instead.
+type port struct {
 	name string
+	// softSegments, when set, replaces the NIC's native gather capacity in
+	// the capability report: transactions with more segments than the NIC
+	// accepts are flattened into one contiguous bounce buffer, and the
+	// memcpy is charged to the host by delaying the NIC submission.
+	softSegments int
+}
+
+// ports maps a network profile name to its port. The ports are thin — at
+// best a direct call to the "hardware" — and differ only where the
+// hardware differs.
+var ports = map[string]port{
+	// Myrinet EXpress for Myri-10G — the paper's primary evaluation
+	// network. MX exposes a native gather list and RDMA, so every engine
+	// request maps directly onto one NIC call; the rendezvous threshold
+	// reported by the driver (32 KiB, MX's eager limit) is the aggregation
+	// cap the paper's strategy uses.
+	"mx10g": {name: "mx"},
+	// Quadrics QsNetII (Elan4/QM500) — the paper's second evaluation
+	// network. Elan offers native put/get RDMA and a moderate gather list;
+	// small transactions go out through the fast PIO ("STEN") path, large
+	// bodies through the DMA engine.
+	"qsnet2": {name: "elan"},
+	// Myrinet-2000 using the GM driver — the generation before MX. GM's
+	// gather list has only two entries, so the port advertises a larger
+	// software limit and bounces anything beyond the native two. GM has no
+	// general RDMA, so the engine streams rendezvous bodies as eager chunk
+	// packets into the pre-registered landing buffer.
+	"gm2000": {name: "gm", softSegments: 32},
+	// Dolphin SCI using the SISCI API. SCI moves data by PIO writes into a
+	// remotely mapped window, strictly contiguously, so every multi-segment
+	// packet is bounced. Remote-window placement counts as RDMA for
+	// rendezvous purposes.
+	"sisci": {name: "sisci", softSegments: 32},
+	// The Ethernet fallback through the kernel TCP stack. writev provides a
+	// gather list; there is no RDMA, so rendezvous bodies stream as eager
+	// chunk packets, and latency is dominated by the kernel path.
+	"tcp": {name: "tcp"},
+}
+
+// New binds the port matching the network's profile name to the given
+// node's NIC. It is the registry the engine uses to bind whatever rails a
+// fabric offers.
+func New(net *simnet.Network, node simnet.NodeID) (Driver, error) {
+	pt, ok := ports[net.Profile().Name]
+	if !ok {
+		return nil, fmt.Errorf("drivers: no port for network %q", net.Profile().Name)
+	}
+	return pt.bind(net, node), nil
+}
+
+// NewMX binds the MX port whatever the network calls itself; the network
+// should use the mx10g profile.
+func NewMX(net *simnet.Network, node simnet.NodeID) Driver {
+	return ports["mx10g"].bind(net, node)
+}
+
+func (pt port) bind(net *simnet.Network, node simnet.NodeID) *base {
+	nic := net.NIC(node)
+	p := nic.Profile()
+	maxSegs := p.MaxSegments
+	if pt.softSegments > 0 {
+		maxSegs = pt.softSegments
+	}
+	return &base{
+		port: pt,
+		nic:  nic,
+		caps: Caps{
+			RdvThreshold: p.RdvThreshold,
+			MaxSegments:  maxSegs,
+			RDMA:         p.RDMA,
+			Latency:      p.Latency,
+			Bandwidth:    p.Bandwidth,
+		},
+	}
+}
+
+// base is the one implementation of Driver: a port bound to a NIC.
+type base struct {
+	port
 	nic  *simnet.NIC
 	caps Caps
 	open bool
-
-	// bounce, when set, is the software gather limit: transactions with
-	// more native segments than the NIC accepts are flattened into one
-	// contiguous buffer, and the memcpy is charged to the host by
-	// delaying the NIC submission.
-	bounceLimit int
-}
-
-func newBase(name string, nic *simnet.NIC, caps Caps, bounceLimit int) *base {
-	return &base{name: name, nic: nic, caps: caps, bounceLimit: bounceLimit}
 }
 
 func (b *base) Name() string { return b.name }
@@ -115,7 +183,7 @@ func (b *base) Open(onRecv func(simnet.Delivery), onIdle func()) error {
 
 func (b *base) Close() error {
 	if !b.open {
-		return ErrNotOpen
+		return errNotOpen
 	}
 	b.nic.OnRecv(func(simnet.Delivery) {}) // drain late arrivals silently
 	b.nic.OnIdle(nil)
@@ -135,12 +203,12 @@ func (b *base) SendFrame(dst simnet.NodeID, kind simnet.TxKind, fr *simnet.Frame
 // software gather when that is more than the NIC takes natively.
 func (b *base) post(tx *simnet.Tx, nsegs int) error {
 	if !b.open {
-		return ErrNotOpen
+		return errNotOpen
 	}
 	if nsegs <= b.nic.Profile().MaxSegments {
 		return b.nic.Submit(tx)
 	}
-	if b.bounceLimit == 0 || nsegs > b.bounceLimit {
+	if nsegs > b.softSegments {
 		return fmt.Errorf("%w on %s: %d segments", simnet.ErrTooManySegments, b.name, nsegs)
 	}
 	// Software gather: the bounce buffer is the transaction's frame —
@@ -151,42 +219,10 @@ func (b *base) post(tx *simnet.Tx, nsegs int) error {
 	}
 	tx.NSegs = 1
 	delay := b.nic.Node().CopyCost(len(tx.Frame.Bytes()))
-	b.nicWorld().After(delay, func() {
+	b.nic.Network().World().After(delay, func() {
 		if err := b.nic.Submit(tx); err != nil {
 			panic("drivers: bounce submit failed: " + err.Error())
 		}
 	})
 	return nil
-}
-
-func (b *base) nicWorld() *sim.World { return b.nic.Network().World() }
-
-// capsFrom derives the generic capability report from a NIC profile.
-func capsFrom(p simnet.Profile, maxSegs int) Caps {
-	return Caps{
-		RdvThreshold: p.RdvThreshold,
-		MaxSegments:  maxSegs,
-		RDMA:         p.RDMA,
-		Latency:      p.Latency,
-		Bandwidth:    p.Bandwidth,
-	}
-}
-
-// New constructs the port matching the network's profile name. It is the
-// registry the engine uses to bind whatever rails a fabric offers.
-func New(net *simnet.Network, node simnet.NodeID) (Driver, error) {
-	switch net.Profile().Name {
-	case "mx10g":
-		return NewMX(net, node), nil
-	case "qsnet2":
-		return NewElan(net, node), nil
-	case "gm2000":
-		return NewGM(net, node), nil
-	case "sisci":
-		return NewSISCI(net, node), nil
-	case "tcp":
-		return NewTCP(net, node), nil
-	default:
-		return nil, fmt.Errorf("drivers: no port for network %q", net.Profile().Name)
-	}
 }

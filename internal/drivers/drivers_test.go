@@ -69,8 +69,8 @@ func TestRegistryUnknownNetwork(t *testing.T) {
 func TestSendRequiresOpen(t *testing.T) {
 	_, d0, _ := pair(t, simnet.MX10G())
 	err := d0.Send(1, simnet.TxEager, [][]byte{{1}}, 0, nil)
-	if !errors.Is(err, ErrNotOpen) {
-		t.Errorf("Send before Open: err = %v, want ErrNotOpen", err)
+	if !errors.Is(err, errNotOpen) {
+		t.Errorf("Send before Open: err = %v, want errNotOpen", err)
 	}
 }
 
@@ -104,8 +104,8 @@ func TestOpenSendReceiveClose(t *testing.T) {
 	if err := d0.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d0.Close(); !errors.Is(err, ErrNotOpen) {
-		t.Errorf("double Close: err = %v, want ErrNotOpen", err)
+	if err := d0.Close(); !errors.Is(err, errNotOpen) {
+		t.Errorf("double Close: err = %v, want errNotOpen", err)
 	}
 	if d0.Stats().TxPackets != 1 {
 		t.Errorf("TxPackets = %d, want 1", d0.Stats().TxPackets)
@@ -162,7 +162,7 @@ func TestGMRejectsBeyondSoftLimit(t *testing.T) {
 	if err := d0.Open(func(simnet.Delivery) {}, nil); err != nil {
 		t.Fatal(err)
 	}
-	segs := make([][]byte, gmSoftSegments+1)
+	segs := make([][]byte, d0.Caps().MaxSegments+1)
 	for i := range segs {
 		segs[i] = []byte{1}
 	}
@@ -225,7 +225,7 @@ func TestSendFrameTimedLikeItsGatherList(t *testing.T) {
 		t.Fatal(err)
 	}
 	var list *simnet.FrameList
-	err := d0.SendFrame(1, simnet.TxEager, list.New([][]byte{{1}}), gmSoftSegments+1, 0, nil)
+	err := d0.SendFrame(1, simnet.TxEager, list.New([][]byte{{1}}), d0.Caps().MaxSegments+1, 0, nil)
 	if !errors.Is(err, simnet.ErrTooManySegments) {
 		t.Errorf("frame shaped beyond the soft limit: err = %v, want ErrTooManySegments", err)
 	}

@@ -185,9 +185,9 @@ func defaultCollAlgo(kind CollKind, n, bytes int) string {
 	}
 }
 
-// DefaultCollSegment is the default pipelining segment for the segmented
+// defaultCollSegment is the default pipelining segment for the segmented
 // algorithms; MPI.SetCollSegment (or nmad.WithCollSegment) tunes it.
-const DefaultCollSegment = 8 << 10
+const defaultCollSegment = 8 << 10
 
 // ForceCollAlgo pins the algorithm used for one collective kind on every
 // communicator of this rank, bypassing the automatic selection. The name
@@ -207,7 +207,7 @@ func (m *MPI) ForceCollAlgo(kind CollKind, name string) error {
 // CollSegment returns the pipelining segment size in bytes.
 func (m *MPI) CollSegment() int {
 	if m.collSeg <= 0 {
-		return DefaultCollSegment
+		return defaultCollSegment
 	}
 	return m.collSeg
 }

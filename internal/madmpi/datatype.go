@@ -9,9 +9,9 @@ import "fmt"
 // (with the rendezvous requests of the large ones) and keep the large
 // blocks zero-copy.
 
-// Segment is one contiguous block of a flattened datatype, relative to
+// segment is one contiguous block of a flattened datatype, relative to
 // the message base address.
-type Segment struct {
+type segment struct {
 	Offset int
 	Len    int
 }
@@ -25,25 +25,20 @@ type Datatype interface {
 	// second consecutive element starts.
 	Extent() int
 	// append adds the segments of one element, placed at base, to out.
-	append(base int, out []Segment) []Segment
+	append(base int, out []segment) []segment
 	// String names the type for diagnostics.
 	String() string
 }
 
-// Predefined basic types.
-var (
-	Byte    Datatype = basic{1}
-	Int32   Datatype = basic{4}
-	Int64   Datatype = basic{8}
-	Float64 Datatype = basic{8}
-)
+// Byte is the predefined basic type every layout is built from.
+var Byte Datatype = basic{1}
 
 type basic struct{ n int }
 
 func (b basic) Size() int   { return b.n }
 func (b basic) Extent() int { return b.n }
-func (b basic) append(base int, out []Segment) []Segment {
-	return append(out, Segment{Offset: base, Len: b.n})
+func (b basic) append(base int, out []segment) []segment {
+	return append(out, segment{Offset: base, Len: b.n})
 }
 func (b basic) String() string { return fmt.Sprintf("basic(%d)", b.n) }
 
@@ -60,7 +55,7 @@ type contiguous struct {
 
 func (t *contiguous) Size() int   { return t.count * t.old.Size() }
 func (t *contiguous) Extent() int { return t.count * t.old.Extent() }
-func (t *contiguous) append(base int, out []Segment) []Segment {
+func (t *contiguous) append(base int, out []segment) []segment {
 	return appendRun(t.old, t.count, base, out)
 }
 func (t *contiguous) String() string { return fmt.Sprintf("contiguous(%d, %s)", t.count, t.old) }
@@ -93,7 +88,7 @@ func (t *hvector) Extent() int {
 	}
 	return last
 }
-func (t *hvector) append(base int, out []Segment) []Segment {
+func (t *hvector) append(base int, out []segment) []segment {
 	for i := 0; i < t.count; i++ {
 		out = appendRun(t.old, t.blocklen, base+i*t.strideBytes, out)
 	}
@@ -157,7 +152,7 @@ func (t *hindexed) Extent() int {
 	}
 	return max
 }
-func (t *hindexed) append(base int, out []Segment) []Segment {
+func (t *hindexed) append(base int, out []segment) []segment {
 	for i := range t.lens {
 		out = appendRun(t.old, t.elems[i], base+t.displs[i], out)
 	}
@@ -204,7 +199,7 @@ func (t *structType) Extent() int {
 	}
 	return max
 }
-func (t *structType) append(base int, out []Segment) []Segment {
+func (t *structType) append(base int, out []segment) []segment {
 	for i := range t.types {
 		out = appendRun(t.types[i], t.lens[i], base+t.displs[i], out)
 	}
@@ -229,7 +224,7 @@ type resized struct {
 
 func (t *resized) Size() int   { return t.old.Size() }
 func (t *resized) Extent() int { return t.extent }
-func (t *resized) append(base int, out []Segment) []Segment {
+func (t *resized) append(base int, out []segment) []segment {
 	return t.old.append(base, out)
 }
 func (t *resized) String() string { return fmt.Sprintf("resized(%d, %s)", t.extent, t.old) }
@@ -238,9 +233,9 @@ func (t *resized) String() string { return fmt.Sprintf("resized(%d, %s)", t.exte
 // Dense types — whose elements tile their extent with no holes — take the
 // fast path: one segment for the whole run, however many bytes it spans
 // (the walk stays proportional to the number of *blocks*, not bytes).
-func appendRun(t Datatype, count, base int, out []Segment) []Segment {
+func appendRun(t Datatype, count, base int, out []segment) []segment {
 	if t.Size() == t.Extent() {
-		return append(out, Segment{Offset: base, Len: count * t.Size()})
+		return append(out, segment{Offset: base, Len: count * t.Size()})
 	}
 	for i := 0; i < count; i++ {
 		out = t.append(base+i*t.Extent(), out)
@@ -248,10 +243,10 @@ func appendRun(t Datatype, count, base int, out []Segment) []Segment {
 	return out
 }
 
-// Flatten expands count elements of a datatype into contiguous segments,
+// flatten expands count elements of a datatype into contiguous segments,
 // coalescing adjacent blocks (so Contiguous(n, Byte) flattens to a single
 // segment, like MPICH's dataloop optimizer would).
-func Flatten(t Datatype, count int) []Segment {
+func flatten(t Datatype, count int) []segment {
 	raw := appendRun(t, count, 0, nil)
 	if len(raw) == 0 {
 		return nil

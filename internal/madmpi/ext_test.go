@@ -219,43 +219,6 @@ func TestReduceValidatesRoot(t *testing.T) {
 	})
 }
 
-func TestWaitany(t *testing.T) {
-	job(t, 2, func(p *sim.Proc, m *MPI) {
-		c := m.CommWorld()
-		if m.Rank() == 0 {
-			// The message for tag 1 goes out much later than tag 0's.
-			if err := c.Send(p, []byte("first"), 1, 0); err != nil {
-				t.Error(err)
-			}
-			p.Sleep(200 * sim.Microsecond)
-			if err := c.Send(p, []byte("second"), 1, 1); err != nil {
-				t.Error(err)
-			}
-		} else {
-			slow := c.Irecv(p, make([]byte, 8), 0, 1)
-			fast := c.Irecv(p, make([]byte, 8), 0, 0)
-			idx, st, err := Waitany(p, slow, fast)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if idx != 1 || st.Tag != 0 {
-				t.Errorf("Waitany picked request %d (tag %d), want the early one", idx, st.Tag)
-			}
-			if _, _, err := Waitany(p, slow); err != nil {
-				t.Error(err)
-			}
-		}
-	})
-}
-
-func TestWaitanyNoRequests(t *testing.T) {
-	job(t, 2, func(p *sim.Proc, m *MPI) {
-		if _, _, err := Waitany(p); err == nil {
-			t.Error("Waitany() with no requests must fail")
-		}
-	})
-}
-
 func TestOpsAreSane(t *testing.T) {
 	if OpSum(2, 3) != 5 || OpProd(2, 3) != 6 {
 		t.Error("sum/prod wrong")

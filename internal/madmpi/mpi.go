@@ -213,20 +213,6 @@ func Waitall(p *sim.Proc, reqs ...*Request) error {
 	return core.WaitAll(p, asCoreRequests(reqs)...)
 }
 
-// Waitany blocks until at least one of the requests has completed and
-// returns its index and status (MPI_Waitany over the engine's unified
-// WaitAny). Completed requests passed again return immediately.
-func Waitany(p *sim.Proc, reqs ...*Request) (int, Status, error) {
-	idx, err := core.WaitAny(p, asCoreRequests(reqs)...)
-	if idx < 0 {
-		if errors.Is(err, core.ErrNoRequests) {
-			err = errors.New("madmpi: Waitany with no requests")
-		}
-		return idx, Status{}, err
-	}
-	return idx, reqs[idx].Status(), err
-}
-
 func asCoreRequests(reqs []*Request) []core.Request {
 	out := make([]core.Request, len(reqs))
 	for i, r := range reqs {

@@ -25,7 +25,7 @@ func (c *Comm) IsendTyped(p *sim.Proc, base []byte, t Datatype, count, dest, tag
 	if err := checkTag(tag); err != nil {
 		return failedRequest(err)
 	}
-	iov, err := Iovec(base, t, count)
+	iov, err := iovec(base, t, count)
 	if err != nil {
 		return failedRequest(err)
 	}
@@ -44,7 +44,7 @@ func (c *Comm) IrecvTyped(p *sim.Proc, base []byte, t Datatype, count, src, tag 
 	if err := checkTag(tag); err != nil {
 		return failedRequest(err)
 	}
-	iov, err := Iovec(base, t, count)
+	iov, err := iovec(base, t, count)
 	if err != nil {
 		return failedRequest(err)
 	}
@@ -52,10 +52,10 @@ func (c *Comm) IrecvTyped(p *sim.Proc, base []byte, t Datatype, count, src, tag 
 	return &Request{Request: req, recv: req}
 }
 
-// Iovec flattens count elements of datatype t at base into the gather
+// iovec flattens count elements of datatype t at base into the gather
 // list the engine's vector path consumes, bounds-checking every block.
-func Iovec(base []byte, t Datatype, count int) ([][]byte, error) {
-	segs := Flatten(t, count)
+func iovec(base []byte, t Datatype, count int) ([][]byte, error) {
+	segs := flatten(t, count)
 	if err := checkBounds(base, segs); err != nil {
 		return nil, err
 	}
@@ -75,7 +75,7 @@ func (c *Comm) RecvTyped(p *sim.Proc, base []byte, t Datatype, count, src, tag i
 	return c.IrecvTyped(p, base, t, count, src, tag).WaitStatus(p)
 }
 
-func checkBounds(base []byte, segs []Segment) error {
+func checkBounds(base []byte, segs []segment) error {
 	for _, s := range segs {
 		if s.Offset < 0 || s.Offset+s.Len > len(base) {
 			return fmt.Errorf("madmpi: datatype segment [%d,%d) outside the %d-byte buffer",
@@ -83,28 +83,4 @@ func checkBounds(base []byte, segs []Segment) error {
 		}
 	}
 	return nil
-}
-
-// Pack copies the data described by (t, count) at base into a contiguous
-// buffer (MPI_Pack). MAD-MPI itself never packs for transmission; this
-// exists for applications and for the baseline comparison.
-func Pack(base []byte, t Datatype, count int) []byte {
-	segs := Flatten(t, count)
-	out := make([]byte, 0, t.Size()*count)
-	for _, s := range segs {
-		out = append(out, base[s.Offset:s.Offset+s.Len]...)
-	}
-	return out
-}
-
-// Unpack scatters a contiguous buffer back into the layout described by
-// (t, count) at base (MPI_Unpack). It returns the number of bytes
-// consumed.
-func Unpack(packed []byte, base []byte, t Datatype, count int) int {
-	segs := Flatten(t, count)
-	n := 0
-	for _, s := range segs {
-		n += copy(base[s.Offset:s.Offset+s.Len], packed[n:])
-	}
-	return n
 }

@@ -87,12 +87,12 @@ type TenantSpec struct {
 type Config struct {
 	// Capacity bounds the backlog (queued, undispatched jobs) across all
 	// tenants; submissions beyond it are rejected with ErrQueueFull.
-	// 0 means DefaultCapacity.
+	// 0 means defaultCapacity.
 	Capacity int
-	// Workers bounds concurrently running jobs. 0 means DefaultWorkers.
+	// Workers bounds concurrently running jobs. 0 means defaultWorkers.
 	Workers int
 	// Aging is the waiting time that lifts a backlog head's effective
-	// class by one level. 0 means DefaultAging.
+	// class by one level. 0 means defaultAging.
 	Aging sim.Time
 	// Tenants declares the tenant set; at least one is required.
 	Tenants []TenantSpec
@@ -100,9 +100,9 @@ type Config struct {
 
 // Defaults for zero Config fields.
 const (
-	DefaultCapacity = 256
-	DefaultWorkers  = 4
-	DefaultAging    = sim.Time(1_000_000) // 1ms of virtual time
+	defaultCapacity = 256
+	defaultWorkers  = 4
+	defaultAging    = sim.Time(1_000_000) // 1ms of virtual time
 )
 
 // strideScale is the virtual-pass numerator: pass advances by
@@ -213,13 +213,13 @@ type Queue struct {
 // New builds a queue dispatching onto eng's world.
 func New(eng *core.Engine, cfg Config) (*Queue, error) {
 	if cfg.Capacity == 0 {
-		cfg.Capacity = DefaultCapacity
+		cfg.Capacity = defaultCapacity
 	}
 	if cfg.Workers == 0 {
-		cfg.Workers = DefaultWorkers
+		cfg.Workers = defaultWorkers
 	}
 	if cfg.Aging == 0 {
-		cfg.Aging = DefaultAging
+		cfg.Aging = defaultAging
 	}
 	if cfg.Capacity < 0 || cfg.Workers < 0 || cfg.Aging < 0 {
 		return nil, fmt.Errorf("%w: negative capacity, workers or aging", ErrBadConfig)

@@ -59,7 +59,7 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.cfg.Capacity != DefaultCapacity || q.cfg.Workers != DefaultWorkers || q.cfg.Aging != DefaultAging {
+	if q.cfg.Capacity != defaultCapacity || q.cfg.Workers != defaultWorkers || q.cfg.Aging != defaultAging {
 		t.Errorf("zero fields not defaulted: %+v", q.cfg)
 	}
 }

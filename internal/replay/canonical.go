@@ -179,9 +179,3 @@ func RecordCompositeRing(cfg CompositeConfig, nodes int) (*trace.Recording, erro
 	}
 	return rec, nil
 }
-
-// RecordCanonical records the canonical composite workload — the one
-// the committed golden recording and the CI smoke replay.
-func RecordCanonical() (*trace.Recording, error) {
-	return RecordComposite(CanonicalConfig())
-}

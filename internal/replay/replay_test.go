@@ -53,14 +53,19 @@ func loadGolden(t *testing.T) *trace.Recording {
 	return rec
 }
 
+// recordCanonical records the workload behind the golden recording.
+func recordCanonical() (*trace.Recording, error) {
+	return RecordComposite(CanonicalConfig())
+}
+
 // The recording itself must be deterministic: the same live workload
 // records byte-identically run over run.
 func TestRecordCanonicalDeterministic(t *testing.T) {
-	a, err := RecordCanonical()
+	a, err := recordCanonical()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RecordCanonical()
+	b, err := recordCanonical()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +81,7 @@ func TestRecordCanonicalDeterministic(t *testing.T) {
 // records for the canonical workload — when it drifts (a legitimate
 // submission-path change), regenerate with -update and review the diff.
 func TestGoldenRecordingUpToDate(t *testing.T) {
-	rec, err := RecordCanonical()
+	rec, err := recordCanonical()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +107,7 @@ func TestGoldenRecordingUpToDate(t *testing.T) {
 
 // Round-trip: what Write emits, ReadRecording restores exactly.
 func TestRecordingRoundTrip(t *testing.T) {
-	rec, err := RecordCanonical()
+	rec, err := recordCanonical()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +433,7 @@ func TestPersonalityRoundTrip(t *testing.T) {
 
 func mustRecording(t *testing.T) *trace.Recording {
 	t.Helper()
-	rec, err := RecordCanonical()
+	rec, err := recordCanonical()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,14 +14,14 @@ import (
 )
 
 // The assertion engine. At every named checkpoint (and implicitly at
-// the end of the run) the runner takes a Snapshot — the per-node engine
+// the end of the run) the runner takes a snapshot — the per-node engine
 // counters, the per-rail fault counters and the clock — and each
 // assertion evaluates against the snapshot it anchors at. Evaluation is
 // pure: all the state an assertion may consult is in the snapshot, so
 // checkpoint assertions see mid-run values, not end-of-run ones.
 
-// Snapshot is the observable state of a run at one instant.
-type Snapshot struct {
+// snapshot is the observable state of a run at one instant.
+type snapshot struct {
 	At     sim.Time
 	Stats  []core.Stats
 	Faults []simnet.FaultStats
@@ -103,7 +103,7 @@ func (r AssertResult) String() string {
 // evalContext is everything assertions may consult, assembled by the
 // runner after the world drains.
 type evalContext struct {
-	snapshots map[string]*Snapshot // checkpoint name -> snapshot; "end" always present
+	snapshots map[string]*snapshot // checkpoint name -> snapshot; "end" always present
 	phases    map[string]*phaseRun // phase name -> outcome
 	runEnd    sim.Time             // completion time of the whole workload
 	integrity int                  // total payload corruption count across phases
@@ -131,17 +131,17 @@ func (ctx *evalContext) eval(a AssertSpec) AssertResult {
 // snapshot it anchors at, and how reports spell it.
 type assertType struct {
 	check func(v *validator, path string, a AssertSpec)
-	eval  func(ctx *evalContext, snap *Snapshot, a AssertSpec) (ok bool, detail string)
+	eval  func(ctx *evalContext, snap *snapshot, a AssertSpec) (ok bool, detail string)
 	label func(a AssertSpec) string
 }
 
 var assertTypes = map[string]assertType{
 	"stats": counterAssert("node", statsFields, []Selector{"sum", "max", "all"},
 		func(a AssertSpec) Selector { return a.Node }, (*validator).node,
-		func(s *Snapshot) []core.Stats { return s.Stats }),
+		func(s *snapshot) []core.Stats { return s.Stats }),
 	"faults": counterAssert("rail", faultFields, []Selector{"sum"},
 		func(a AssertSpec) Selector { return a.Rail }, (*validator).rail,
-		func(s *Snapshot) []simnet.FaultStats { return s.Faults }),
+		func(s *snapshot) []simnet.FaultStats { return s.Faults }),
 	"completion": {
 		check: func(v *validator, path string, a AssertSpec) {
 			if _, ok := v.phases[a.Phase]; a.Phase != "" && !ok {
@@ -154,7 +154,7 @@ var assertTypes = map[string]assertType{
 				v.bad(ErrBadValue, "%s: min %v exceeds max %v", path, a.Min, a.Max)
 			}
 		},
-		eval: func(ctx *evalContext, _ *Snapshot, a AssertSpec) (bool, string) {
+		eval: func(ctx *evalContext, _ *snapshot, a AssertSpec) (bool, string) {
 			done, who := ctx.runEnd, "run"
 			if a.Phase != "" {
 				pr := ctx.phases[a.Phase]
@@ -188,7 +188,7 @@ var assertTypes = map[string]assertType{
 	// No parameters: every phase verifies its payloads; the assertion
 	// demands zero corruption.
 	"integrity": {
-		eval: func(ctx *evalContext, _ *Snapshot, _ AssertSpec) (bool, string) {
+		eval: func(ctx *evalContext, _ *snapshot, _ AssertSpec) (bool, string) {
 			if ctx.integrity != 0 {
 				return false, fmt.Sprintf("%d corrupted payload(s)", ctx.integrity)
 			}
@@ -208,7 +208,7 @@ var assertTypes = map[string]assertType{
 				}
 			}
 		},
-		eval: func(ctx *evalContext, _ *Snapshot, a AssertSpec) (bool, string) {
+		eval: func(ctx *evalContext, _ *snapshot, a AssertSpec) (bool, string) {
 			before, after := ctx.phases[a.Before], ctx.phases[a.After]
 			switch {
 			case before == nil || !before.done:
@@ -240,7 +240,7 @@ func (a AssertSpec) label() string {
 func counterAssert[T any](
 	unit string, fields map[string]func(*T) float64, words []Selector,
 	selector func(AssertSpec) Selector, inCluster func(v *validator, path string, id int),
-	rows func(*Snapshot) []T,
+	rows func(*snapshot) []T,
 ) assertType {
 	return assertType{
 		check: func(v *validator, path string, a AssertSpec) {
@@ -262,7 +262,7 @@ func counterAssert[T any](
 				v.bad(ErrBadValue, "%s: unknown op %q (want < <= > >= == !=)", path, a.Op)
 			}
 		},
-		eval: func(_ *evalContext, snap *Snapshot, a AssertSpec) (bool, string) {
+		eval: func(_ *evalContext, snap *snapshot, a AssertSpec) (bool, string) {
 			fn, all := fields[a.Field], rows(snap)
 			var got float64
 			who := string(selector(a))

@@ -72,7 +72,7 @@ func TestDerivedStatsTable(t *testing.T) {
 // The scenario-corpus benchmark workload bounds host_allocs_per_op at 2%:
 // evaluating an assertion must not box or copy the snapshot.
 func TestStatsAccessorDoesNotAllocate(t *testing.T) {
-	snap := &Snapshot{Stats: make([]core.Stats, 4), Faults: make([]simnet.FaultStats, 2)}
+	snap := &snapshot{Stats: make([]core.Stats, 4), Faults: make([]simnet.FaultStats, 2)}
 	snap.Stats[2].Retransmits = 7
 	stat, ratio, fault := statsFields["retransmits"], statsFields["aggregation_ratio"], faultFields["dropped"]
 	var sink float64

@@ -110,7 +110,7 @@ func (d *decoder) decode(dst reflect.Value, raw any) error {
 		if !ok {
 			return d.errorf("expected a duration string like \"250us\", got %v", raw)
 		}
-		t, err := ParseTime(s)
+		t, err := parseTime(s)
 		if err != nil {
 			return d.errorf("%v", err)
 		}
@@ -226,9 +226,9 @@ func (d *decoder) decode(dst reflect.Value, raw any) error {
 	return nil
 }
 
-// ParseTime parses a virtual-time scalar: a non-negative decimal number
+// parseTime parses a virtual-time scalar: a non-negative decimal number
 // immediately followed by one of ns, us, µs, ms, s.
-func ParseTime(s string) (sim.Time, error) {
+func parseTime(s string) (sim.Time, error) {
 	units := []struct {
 		suffix string
 		mult   sim.Time

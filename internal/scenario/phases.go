@@ -93,7 +93,7 @@ type phaseKind struct {
 	// Validate rejects a nodes list, Run dups the communicator at setup.
 	collective bool
 	check      func(v *validator, path string, p *PhaseSpec)
-	start      func(r *Runner, pr *phaseRun)
+	start      func(r *runner, pr *phaseRun)
 }
 
 var phaseKinds = map[string]phaseKind{
@@ -110,14 +110,14 @@ var phaseKinds = map[string]phaseKind{
 
 // startPhase spawns the phase's processes. Called from scheduler
 // context at the phase's start instant.
-func (r *Runner) startPhase(pr *phaseRun) {
+func (r *runner) startPhase(pr *phaseRun) {
 	pr.start = r.world.Now()
 	phaseKinds[pr.spec.Kind].start(r, pr)
 }
 
 // spawn starts one process of the phase on a rank; the phase closes when
 // its last process returns.
-func (r *Runner) spawn(pr *phaseRun, rank int, nproc string, body func(q *sim.Proc) (bad int, err error)) {
+func (r *runner) spawn(pr *phaseRun, rank int, nproc string, body func(q *sim.Proc) (bad int, err error)) {
 	pr.pending++
 	r.world.Spawn(fmt.Sprintf("%s/%s@%d", pr.spec.Name, nproc, rank), func(q *sim.Proc) {
 		bad, err := body(q)
@@ -131,14 +131,14 @@ func (r *Runner) spawn(pr *phaseRun, rank int, nproc string, body func(q *sim.Pr
 
 // everyRank spawns a collective phase's body on each rank with the
 // phase's dedicated communicator.
-func (r *Runner) everyRank(pr *phaseRun, body func(q *sim.Proc, c *madmpi.Comm, rank int) (bad int, err error)) {
+func (r *runner) everyRank(pr *phaseRun, body func(q *sim.Proc, c *madmpi.Comm, rank int) (bad int, err error)) {
 	for rank := 0; rank < r.nodes(); rank++ {
 		c := pr.comms[rank]
 		r.spawn(pr, rank, pr.spec.Kind, func(q *sim.Proc) (int, error) { return body(q, c, rank) })
 	}
 }
 
-func startPingPong(r *Runner, pr *phaseRun) {
+func startPingPong(r *runner, pr *phaseRun) {
 	p, base := pr.spec, pr.spec.index*tagStride
 	a, b := p.Nodes[0], p.Nodes[1]
 	size := max(p.Size, 1)
@@ -174,7 +174,7 @@ func startPingPong(r *Runner, pr *phaseRun) {
 	})
 }
 
-func startRing(r *Runner, pr *phaseRun) {
+func startRing(r *runner, pr *phaseRun) {
 	p, base := pr.spec, pr.spec.index*tagStride
 	members := nodesOrAll(p.Nodes, r.nodes())
 	size := max(p.Size, 1)
@@ -210,7 +210,7 @@ func startRing(r *Runner, pr *phaseRun) {
 	}
 }
 
-func startIncast(r *Runner, pr *phaseRun) {
+func startIncast(r *runner, pr *phaseRun) {
 	p, base := pr.spec, pr.spec.index*tagStride
 	senders := p.Senders
 	if len(senders) == 0 {
@@ -251,7 +251,7 @@ func startIncast(r *Runner, pr *phaseRun) {
 	}
 }
 
-func startComposite(r *Runner, pr *phaseRun) {
+func startComposite(r *runner, pr *phaseRun) {
 	p, base := pr.spec, pr.spec.index*tagStride
 	// The paper's headline composite: a bulk transfer with a small
 	// urgent control message submitted right behind it. With the
@@ -295,7 +295,7 @@ func startComposite(r *Runner, pr *phaseRun) {
 	})
 }
 
-func startBarrier(r *Runner, pr *phaseRun) {
+func startBarrier(r *runner, pr *phaseRun) {
 	p := pr.spec
 	r.everyRank(pr, func(q *sim.Proc, c *madmpi.Comm, _ int) (int, error) {
 		for it := 0; it < p.Count; it++ {
@@ -307,7 +307,7 @@ func startBarrier(r *Runner, pr *phaseRun) {
 	})
 }
 
-func startBcast(r *Runner, pr *phaseRun) {
+func startBcast(r *runner, pr *phaseRun) {
 	p := pr.spec
 	size := max(p.Size, 1)
 	r.everyRank(pr, func(q *sim.Proc, c *madmpi.Comm, rank int) (bad int, err error) {
@@ -325,7 +325,7 @@ func startBcast(r *Runner, pr *phaseRun) {
 	})
 }
 
-func startAllgather(r *Runner, pr *phaseRun) {
+func startAllgather(r *runner, pr *phaseRun) {
 	p := pr.spec
 	size := max(p.Size, 1)
 	n := r.nodes()
@@ -343,7 +343,7 @@ func startAllgather(r *Runner, pr *phaseRun) {
 	})
 }
 
-func startAllreduce(r *Runner, pr *phaseRun) {
+func startAllreduce(r *runner, pr *phaseRun) {
 	p := pr.spec
 	n := r.nodes()
 	elems := max(p.Size/8, 1) // Size is in bytes; float64 elements
@@ -366,7 +366,7 @@ func startAllreduce(r *Runner, pr *phaseRun) {
 	})
 }
 
-func startAlltoall(r *Runner, pr *phaseRun) {
+func startAlltoall(r *runner, pr *phaseRun) {
 	p := pr.spec
 	size := max(p.Size, 1)
 	n := r.nodes()

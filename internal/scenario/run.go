@@ -112,8 +112,8 @@ func (rep *Report) Write(w io.Writer) {
 	fmt.Fprintf(w, "  assertions: %d passed, %d failed\n", len(rep.Results)-rep.Failures(), rep.Failures())
 }
 
-// Runner holds the live state of one scenario run.
-type Runner struct {
+// runner holds the live state of one scenario run.
+type runner struct {
 	sc     *Scenario
 	cfg    Config
 	world  *sim.World
@@ -123,31 +123,31 @@ type Runner struct {
 	// railCfg mirrors the live per-rail fault configuration, the base
 	// mid-run set_faults / rail_outage events build on.
 	railCfg   []simnet.RailFaults
-	snapshots map[string]*Snapshot
+	snapshots map[string]*snapshot
 	procErrs  []string
 	// queue is the multi-tenant job queue (nil unless the scenario
 	// declares tenants).
 	queue *queue.Queue
 }
 
-func (r *Runner) nodes() int { return r.fabric.Nodes() }
+func (r *runner) nodes() int { return r.fabric.Nodes() }
 
-func (r *Runner) comm(rank int) *madmpi.Comm { return r.mpis[rank].CommWorld() }
+func (r *runner) comm(rank int) *madmpi.Comm { return r.mpis[rank].CommWorld() }
 
 // procErr records an engine-level error a phase process absorbed.
-func (r *Runner) procErr(phase string, err error) {
+func (r *runner) procErr(phase string, err error) {
 	r.procErrs = append(r.procErrs, fmt.Sprintf("phase %s: %v", phase, err))
 }
 
-func (r *Runner) logf(format string, args ...any) {
+func (r *runner) logf(format string, args ...any) {
 	if r.cfg.Verbose != nil {
 		fmt.Fprintf(r.cfg.Verbose, format+"\n", args...)
 	}
 }
 
 // snapshot captures the observable state of the run right now.
-func (r *Runner) snapshot() *Snapshot {
-	s := &Snapshot{At: r.world.Now()}
+func (r *runner) snapshot() *snapshot {
+	s := &snapshot{At: r.world.Now()}
 	for _, m := range r.mpis {
 		s.Stats = append(s.Stats, m.Engine().Stats())
 	}
@@ -171,9 +171,9 @@ func Run(sc *Scenario, cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
 	w := f.World()
-	r := &Runner{
+	r := &runner{
 		sc: sc, cfg: cfg, world: w, fabric: f,
-		snapshots: map[string]*Snapshot{},
+		snapshots: map[string]*snapshot{},
 		railCfg:   make([]simnet.RailFaults, len(c.Rails)),
 	}
 	if c.Faults != nil {
@@ -303,7 +303,7 @@ func Run(sc *Scenario, cfg Config) (*Report, error) {
 
 // fireEvent applies one mid-run intervention. Runs in scheduler context
 // at the event's instant.
-func (r *Runner) fireEvent(e EventSpec) {
+func (r *runner) fireEvent(e EventSpec) {
 	r.logf("%v: event %s", r.world.Now(), e.Action)
 	eventActions[e.Action].fire(r, e)
 }
@@ -313,7 +313,7 @@ func (r *Runner) fireEvent(e EventSpec) {
 // cluster.
 type eventAction struct {
 	check func(v *validator, path string, e EventSpec)
-	fire  func(r *Runner, e EventSpec)
+	fire  func(r *runner, e EventSpec)
 }
 
 var eventActions = map[string]eventAction{
@@ -324,18 +324,18 @@ var eventActions = map[string]eventAction{
 				v.bad(ErrBadValue, "%s: scale %v outside (0,1]", path, e.Scale)
 			}
 		},
-		fire: func(r *Runner, e EventSpec) { r.fabric.Networks()[e.Rail].SetWireScale(e.Scale) },
+		fire: func(r *runner, e EventSpec) { r.fabric.Networks()[e.Rail].SetWireScale(e.Scale) },
 	},
 	"restore_rail": {
 		check: func(v *validator, path string, e EventSpec) { v.rail(path, e.Rail) },
-		fire:  func(r *Runner, e EventSpec) { r.fabric.Networks()[e.Rail].SetWireScale(1) },
+		fire:  func(r *runner, e EventSpec) { r.fabric.Networks()[e.Rail].SetWireScale(1) },
 	},
 	"set_faults": {
 		check: func(v *validator, path string, e EventSpec) {
 			v.rail(path, e.Rail)
 			v.probs(path, e.Drop, e.Dup, e.Reorder)
 		},
-		fire: func(r *Runner, e EventSpec) {
+		fire: func(r *runner, e EventSpec) {
 			cfg := r.railCfg[e.Rail]
 			cfg.DropProb, cfg.DupProb, cfg.ReorderProb = e.Drop, e.Dup, e.Reorder
 			r.updateRail(e.Rail, cfg)
@@ -348,7 +348,7 @@ var eventActions = map[string]eventAction{
 				v.bad(ErrBadValue, "%s: negative duration", path)
 			}
 		},
-		fire: func(r *Runner, e EventSpec) {
+		fire: func(r *runner, e EventSpec) {
 			cfg := r.railCfg[e.Rail]
 			cfg.Outages = append(append([]simnet.Outage(nil), cfg.Outages...),
 				simnet.Outage{At: r.world.Now(), Duration: e.Duration})
@@ -362,11 +362,11 @@ var eventActions = map[string]eventAction{
 				v.bad(ErrBadValue, "%s: factor %v must be >= 1", path, e.Factor)
 			}
 		},
-		fire: func(r *Runner, e EventSpec) { r.fabric.Node(simnet.NodeID(e.Node)).SetSlowdown(e.Factor) },
+		fire: func(r *runner, e EventSpec) { r.fabric.Node(simnet.NodeID(e.Node)).SetSlowdown(e.Factor) },
 	},
 	"restore_node": {
 		check: func(v *validator, path string, e EventSpec) { v.node(path, e.Node) },
-		fire:  func(r *Runner, e EventSpec) { r.fabric.Node(simnet.NodeID(e.Node)).SetSlowdown(1) },
+		fire:  func(r *runner, e EventSpec) { r.fabric.Node(simnet.NodeID(e.Node)).SetSlowdown(1) },
 	},
 	"squeeze_credits": {
 		check: func(v *validator, path string, e EventSpec) {
@@ -375,7 +375,7 @@ var eventActions = map[string]eventAction{
 				v.bad(ErrBadValue, "%s: squeeze_credits needs a positive duration (a permanent squeeze deadlocks the run)", path)
 			}
 		},
-		fire: func(r *Runner, e EventSpec) {
+		fire: func(r *runner, e EventSpec) {
 			eng := r.mpis[e.Node].Engine()
 			eng.FreezeCredits(true)
 			r.world.After(e.Duration, func() {
@@ -393,13 +393,13 @@ var eventActions = map[string]eventAction{
 			}
 			v.checkpoints[e.Name] = true
 		},
-		fire: func(r *Runner, e EventSpec) { r.snapshots[e.Name] = r.snapshot() },
+		fire: func(r *runner, e EventSpec) { r.snapshots[e.Name] = r.snapshot() },
 	},
 }
 
 // updateRail pushes a new rail fault configuration and keeps the mirror
 // in sync.
-func (r *Runner) updateRail(rail int, cfg simnet.RailFaults) {
+func (r *runner) updateRail(rail int, cfg simnet.RailFaults) {
 	if err := r.fabric.UpdateRailFaults(rail, cfg); err != nil {
 		// Validate bounds every event parameter before the run; an
 		// error here is a harness bug, not a scenario bug.

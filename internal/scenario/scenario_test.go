@@ -216,7 +216,7 @@ func TestParseTime(t *testing.T) {
 		"9223372036s": 9_223_372_036_000_000_000,
 	}
 	for in, want := range cases {
-		got, err := ParseTime(in)
+		got, err := parseTime(in)
 		if err != nil || int64(got) != want {
 			t.Errorf("ParseTime(%q) = %v, %v; want %d", in, got, err, want)
 		}
@@ -224,7 +224,7 @@ func TestParseTime(t *testing.T) {
 	// The last row: a product past the int64 nanosecond clock used to wrap.
 	for _, bad := range []string{"", "100", "us", "-1ms", "1h", "1.2.3s", "-0.4ns", "NaNs", "Infs",
 		"1e30s", "9223372037s", "1e19ns", "9223372036854775808ns"} {
-		if _, err := ParseTime(bad); err == nil {
+		if _, err := parseTime(bad); err == nil {
 			t.Errorf("ParseTime(%q) should fail", bad)
 		}
 	}

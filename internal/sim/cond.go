@@ -52,6 +52,3 @@ func (c *Cond) Broadcast() {
 	}
 	c.waiters = ws[:0]
 }
-
-// Waiters reports how many processes are currently blocked on c.
-func (c *Cond) Waiters() int { return len(c.waiters) }

@@ -17,8 +17,8 @@ func TestGroupFirstErrorBeatsTheDeadlockItCauses(t *testing.T) {
 	if err := g.Run(); err != first {
 		t.Fatalf("Run() = %v, want the first process error", err)
 	}
-	if w.Live() != 1 {
-		t.Errorf("live = %d, want the stranded peer still blocked", w.Live())
+	if w.live != 1 {
+		t.Errorf("live = %d, want the stranded peer still blocked", w.live)
 	}
 }
 

@@ -140,11 +140,11 @@ func TestProcGoexitReturnsControl(t *testing.T) {
 	if !unwound || returned {
 		t.Fatalf("goroutine in Run: deferred call ran = %v, Run returned = %v; want true, false", unwound, returned)
 	}
-	if w.Live() != 1 || w.cur != nil || w.Now() != 5 {
-		t.Errorf("after Goexit: live = %d, cur = %v, now = %v; want 1, nil, 5ns", w.Live(), w.cur, w.Now())
+	if w.live != 1 || w.cur != nil || w.Now() != 5 {
+		t.Errorf("after Goexit: live = %d, cur = %v, now = %v; want 1, nil, 5ns", w.live, w.cur, w.Now())
 	}
-	if err := w.Run(); err != nil || !bystander || w.Live() != 0 {
-		t.Errorf("second Run = %v, bystander ran = %v, live = %d; want nil, true, 0", err, bystander, w.Live())
+	if err := w.Run(); err != nil || !bystander || w.live != 0 {
+		t.Errorf("second Run = %v, bystander ran = %v, live = %d; want nil, true, 0", err, bystander, w.live)
 	}
 }
 
@@ -189,8 +189,8 @@ func TestProcPanicKeepsNameAndStack(t *testing.T) {
 			t.Errorf("Error() lacks %q:\n%s", part, pp.Error())
 		}
 	}
-	if w.Live() != 1 || w.cur != nil {
-		t.Errorf("after the panic: live = %d, cur = %v; want 1, nil", w.Live(), w.cur)
+	if w.live != 1 || w.cur != nil {
+		t.Errorf("after the panic: live = %d, cur = %v; want 1, nil", w.live, w.cur)
 	}
 }
 

@@ -39,9 +39,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
 }
 
-// Bool returns true with probability 1/2.
-func (r *RNG) Bool() bool { return r.Uint64()&1 == 1 }
-
 // Bytes fills b with pseudo-random bytes.
 func (r *RNG) Bytes(b []byte) {
 	var w uint64

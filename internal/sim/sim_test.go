@@ -113,8 +113,8 @@ func TestProcSleep(t *testing.T) {
 			t.Errorf("wakeup %d at %v, want %v", i, at, want)
 		}
 	}
-	if w.Live() != 0 {
-		t.Errorf("%d processes still live after Run", w.Live())
+	if w.live != 0 {
+		t.Errorf("%d processes still live after Run", w.live)
 	}
 }
 
@@ -373,16 +373,16 @@ func TestCondWaitersCount(t *testing.T) {
 	w.Spawn("a", func(p *Proc) { c.Wait(p) })
 	w.Spawn("b", func(p *Proc) {
 		p.Sleep(1)
-		if got := c.Waiters(); got != 1 {
-			t.Errorf("Waiters() = %d, want 1", got)
+		if got := len(c.waiters); got != 1 {
+			t.Errorf("waiters = %d, want 1", got)
 		}
 		c.Broadcast()
 	})
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Waiters() != 0 {
-		t.Errorf("Waiters() = %d after broadcast, want 0", c.Waiters())
+	if len(c.waiters) != 0 {
+		t.Errorf("waiters = %d after broadcast, want 0", len(c.waiters))
 	}
 }
 
@@ -491,8 +491,8 @@ func TestCondWaitIgnoresStrayUnpark(t *testing.T) {
 	})
 	w.At(10, waiter.Unpark)
 	w.At(15, func() {
-		if c.Waiters() != 1 {
-			t.Errorf("Waiters() = %d after a stray Unpark, want 1", c.Waiters())
+		if len(c.waiters) != 1 {
+			t.Errorf("waiters = %d after a stray Unpark, want 1", len(c.waiters))
 		}
 	})
 	w.At(20, c.Signal)

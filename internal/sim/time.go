@@ -50,9 +50,9 @@ func (t Time) String() string {
 	}
 }
 
-// FromSeconds converts a floating-point number of seconds to a Time,
+// fromSeconds converts a floating-point number of seconds to a Time,
 // rounding to the nearest nanosecond.
-func FromSeconds(s float64) Time { return Time(math.Round(s * float64(Second))) }
+func fromSeconds(s float64) Time { return Time(math.Round(s * float64(Second))) }
 
 // FromMicroseconds converts a floating-point number of microseconds to a
 // Time, rounding to the nearest nanosecond.
@@ -66,5 +66,5 @@ func ByteTime(n int, bw float64) Time {
 	if n <= 0 || bw <= 0 {
 		return 0
 	}
-	return FromSeconds(float64(n) / bw)
+	return fromSeconds(float64(n) / bw)
 }

@@ -106,9 +106,6 @@ func (w *World) deadlock() error {
 	return &DeadlockError{Now: w.now, Blocked: names}
 }
 
-// Live reports how many spawned processes have not yet finished.
-func (w *World) Live() int { return w.live }
-
 // runProc transfers control to p until it blocks or finishes. Must be
 // called from scheduler context only (i.e. from inside an event). cur is
 // cleared in a defer because next does not always return: it re-raises a

@@ -33,9 +33,6 @@ type Node struct {
 	slowdown float64
 }
 
-// Host returns the machine parameters of the node.
-func (n *Node) Host() Host { return n.host }
-
 // SetSlowdown scales the node's host-model costs by the given factor
 // (>= 1; 1 restores the nominal machine). It takes effect immediately:
 // every memcpy charged after the call pays factor times the nominal
@@ -47,8 +44,8 @@ func (n *Node) SetSlowdown(factor float64) {
 	n.slowdown = factor
 }
 
-// Slowdown reports the current host-model scale factor (1 = nominal).
-func (n *Node) Slowdown() float64 {
+// slowdownFactor is the current host-model scale factor (1 = nominal).
+func (n *Node) slowdownFactor() float64 {
 	if n.slowdown == 0 {
 		return 1
 	}
@@ -57,7 +54,7 @@ func (n *Node) Slowdown() float64 {
 
 // CopyCost is the virtual time needed to memcpy n bytes on this host.
 func (n *Node) CopyCost(size int) sim.Time {
-	return sim.ByteTime(size, n.host.MemcpyBandwidth/n.Slowdown())
+	return sim.ByteTime(size, n.host.MemcpyBandwidth/n.slowdownFactor())
 }
 
 // Fabric is a set of nodes joined by one or more networks. Each call to
@@ -144,8 +141,8 @@ func (n *Network) SetWireScale(scale float64) {
 	n.wireScale = scale
 }
 
-// WireScale reports the current congestion factor.
-func (n *Network) WireScale() float64 {
+// scale is the current congestion factor (1 = uncongested).
+func (n *Network) scale() float64 {
 	if n.wireScale == 0 {
 		return 1
 	}
@@ -182,7 +179,7 @@ func (n *Network) reserveWire(src, dst NodeID, wireBytes int, ready, drainFloor 
 	if free := n.wireFree[key]; free > depart {
 		depart = free
 	}
-	drain := depart + sim.ByteTime(wireBytes, n.prof.Bandwidth*n.WireScale())
+	drain := depart + sim.ByteTime(wireBytes, n.prof.Bandwidth*n.scale())
 	if drain < drainFloor {
 		drain = drainFloor
 	}

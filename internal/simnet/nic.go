@@ -78,8 +78,8 @@ type Delivery struct {
 // Errors returned by Submit.
 var (
 	ErrTooManySegments = errors.New("simnet: transaction exceeds the NIC gather list capacity")
-	ErrOversized       = errors.New("simnet: transaction exceeds the NIC MTU")
-	ErrSelfSend        = errors.New("simnet: transaction addressed to the sending node")
+	errOversized       = errors.New("simnet: transaction exceeds the NIC MTU")
+	errSelfSend        = errors.New("simnet: transaction addressed to the sending node")
 )
 
 // NICStats counts traffic through one adapter.
@@ -154,13 +154,13 @@ func (n *NIC) Submit(tx *Tx) error {
 		return fmt.Errorf("%w: %d segments > %d on %s", ErrTooManySegments, nsegs, p.MaxSegments, p.Name)
 	}
 	if tx.Dst == n.node.ID {
-		return ErrSelfSend
+		return errSelfSend
 	}
 	if int(tx.Dst) < 0 || int(tx.Dst) >= len(n.net.nics) {
 		return fmt.Errorf("simnet: no node %d on %s", tx.Dst, p.Name)
 	}
 	if p.MTU > 0 && size > p.MTU {
-		return fmt.Errorf("%w: %d bytes > MTU %d on %s", ErrOversized, size, p.MTU, p.Name)
+		return fmt.Errorf("%w: %d bytes > MTU %d on %s", errOversized, size, p.MTU, p.Name)
 	}
 	if tx.Frame == nil {
 		// Snapshot now, not at transmission start: a queued transaction

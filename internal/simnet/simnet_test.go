@@ -118,7 +118,7 @@ func TestSubmitValidation(t *testing.T) {
 	if !errors.Is(err, ErrTooManySegments) {
 		t.Errorf("2 segments on sisci: err = %v, want ErrTooManySegments", err)
 	}
-	if err := nic.Submit(&Tx{Dst: 0, Segs: [][]byte{{1}}}); !errors.Is(err, ErrSelfSend) {
+	if err := nic.Submit(&Tx{Dst: 0, Segs: [][]byte{{1}}}); !errors.Is(err, errSelfSend) {
 		t.Errorf("self send: err = %v, want ErrSelfSend", err)
 	}
 	if err := nic.Submit(&Tx{Dst: 9, Segs: [][]byte{{1}}}); err == nil {
@@ -132,7 +132,7 @@ func TestSubmitValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := small.NIC(0).Submit(&Tx{Dst: 1, Segs: [][]byte{make([]byte, 17)}}); !errors.Is(err, ErrOversized) {
+	if err := small.NIC(0).Submit(&Tx{Dst: 1, Segs: [][]byte{make([]byte, 17)}}); !errors.Is(err, errOversized) {
 		t.Errorf("oversized tx: err = %v, want ErrOversized", err)
 	}
 }
@@ -419,8 +419,8 @@ func TestWireScaleDegradesBandwidth(t *testing.T) {
 		if scale != 1 {
 			net.SetWireScale(scale)
 		}
-		if net.WireScale() != scale {
-			t.Fatalf("WireScale() = %v, want %v", net.WireScale(), scale)
+		if net.scale() != scale {
+			t.Fatalf("scale() = %v, want %v", net.scale(), scale)
 		}
 		var at sim.Time
 		net.NIC(1).OnRecv(func(Delivery) { at = w.Now() })

@@ -31,8 +31,8 @@ import (
 //
 //	version 1: initial format.
 const (
-	// RecordingFormat tags the header line of every recording.
-	RecordingFormat = "nmad-recording"
+	// recordingFormat tags the header line of every recording.
+	recordingFormat = "nmad-recording"
 	// RecordingVersion is the current (and maximum readable) format
 	// version.
 	RecordingVersion = 1
@@ -179,7 +179,7 @@ type Recording struct {
 // NewRecording returns an empty current-version recording.
 func NewRecording() *Recording {
 	return &Recording{header: RecordingHeader{
-		Format:  RecordingFormat,
+		Format:  recordingFormat,
 		Version: RecordingVersion,
 		Engines: make(map[int]NodeConfig),
 	}}
@@ -285,8 +285,8 @@ func ReadRecording(rd io.Reader) (*Recording, error) {
 	if err := json.Unmarshal(sc.Bytes(), &rec.header); err != nil {
 		return nil, fmt.Errorf("trace: bad recording header: %w", err)
 	}
-	if rec.header.Format != RecordingFormat {
-		return nil, fmt.Errorf("trace: not a recording (format %q, want %q)", rec.header.Format, RecordingFormat)
+	if rec.header.Format != recordingFormat {
+		return nil, fmt.Errorf("trace: not a recording (format %q, want %q)", rec.header.Format, recordingFormat)
 	}
 	if rec.header.Version < 1 || rec.header.Version > RecordingVersion {
 		return nil, fmt.Errorf("trace: recording version %d unsupported (this reader handles 1..%d)",

@@ -21,7 +21,7 @@ func buildFabric(t *testing.T, m simnet.Machine) *simnet.Fabric {
 func TestRecordingTopologyRegistration(t *testing.T) {
 	rec := NewRecording()
 	hdr := rec.Header()
-	if hdr.Format != RecordingFormat || hdr.Version != RecordingVersion {
+	if hdr.Format != recordingFormat || hdr.Version != RecordingVersion {
 		t.Fatalf("fresh recording header %+v", hdr)
 	}
 	rails := []simnet.Profile{simnet.MX10G(), simnet.QsNetII()}

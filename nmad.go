@@ -74,6 +74,9 @@ type (
 	// Proc is a simulated process; Time is virtual time.
 	Proc = sim.Proc
 	Time = sim.Time
+	// DeadlockError is what Cluster.Run returns when processes block
+	// forever; it names them. Match it with errors.As.
+	DeadlockError = sim.DeadlockError
 	// Tracer records the engine's scheduling decisions (WithTracer).
 	Tracer = trace.Recorder
 	// TraceEvent is one recorded scheduling decision; TraceKind
@@ -164,6 +167,9 @@ var (
 	// ErrProtocol: a receive-path protocol anomaly was attributed to the
 	// request (see Stats.ProtocolErrors / Gate.ProtocolErrors).
 	ErrProtocol = core.ErrProtocol
+	// ErrBadRail: the send was pinned with OnRail to a rail the engine
+	// does not have; nothing was submitted.
+	ErrBadRail = core.ErrBadRail
 )
 
 // AnyTag matches any tag of a communicator (MPI_ANY_TAG).
@@ -303,5 +309,5 @@ func (c *Cluster) MPI(node int, opts ...EngineOption) (*MPI, error) {
 func (c *Cluster) Spawn(name string, fn func(p *Proc)) { c.world.Spawn(name, fn) }
 
 // Run drives the simulation until every process finishes. It returns a
-// *sim.DeadlockError if processes block forever.
+// *DeadlockError if processes block forever.
 func (c *Cluster) Run() error { return c.world.Run() }

@@ -3,6 +3,8 @@ package nmad_test
 import (
 	"bytes"
 	"errors"
+	"os"
+	"strings"
 	"testing"
 
 	"nmad"
@@ -381,5 +383,46 @@ func TestFacadeLossyCluster(t *testing.T) {
 	}
 	if e0.Stats().Retransmits == 0 {
 		t.Error("20% drop produced no retransmissions — WithFaults did not reach the fabric")
+	}
+}
+
+// The two error types the docs promise can be matched from outside the
+// module: errors.As needs a name for the type, and the facade has one.
+func TestFacadeNamesTheErrorTypes(t *testing.T) {
+	cl, err := nmad.NewCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e1, err := cl.Engine(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Spawn("stuck", func(p *nmad.Proc) {
+		_, _ = e1.Gate(0).Recv(p, 1, make([]byte, 8)) // nobody sends: Run reports it
+	})
+	var deadlock *nmad.DeadlockError
+	if err := cl.Run(); !errors.As(err, &deadlock) || len(deadlock.Blocked) != 1 || deadlock.Blocked[0] != "stuck" {
+		t.Errorf("Run with a receive nobody sends to: %v, want a *nmad.DeadlockError naming the process", err)
+	}
+
+	// The golden recording with its first send removed cannot drain.
+	golden, err := os.ReadFile("internal/replay/testdata/canonical.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(golden), "\n")
+	for i, l := range lines {
+		if strings.Contains(l, `"op":"send"`) {
+			lines = append(lines[:i], lines[i+1:]...)
+			break
+		}
+	}
+	rec, err := nmad.ReadRecording(strings.NewReader(strings.Join(lines, "")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var undrained *nmad.UndrainedError
+	if _, err := nmad.Replay(rec, nmad.ReplayConfig{}); !errors.As(err, &undrained) || undrained.Count == 0 {
+		t.Errorf("Replay of a recording with a send missing: %v, want a *nmad.UndrainedError counting the stranded ops", err)
 	}
 }

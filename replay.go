@@ -47,6 +47,11 @@ type ReplayConfig = replay.Config
 // engine counters, wire footprint and the per-node event timelines.
 type ReplayResult = replay.Result
 
+// UndrainedError is what Replay returns when the recording's load cannot
+// finish — a receive whose send is missing, a synchronous send nobody
+// matches; it names the stranded operations. Match it with errors.As.
+type UndrainedError = replay.UndrainedError
+
 var (
 	// Replay re-drives a recording under one configuration.
 	Replay = replay.Run

@@ -114,8 +114,7 @@
 //   - internal/bench: the harness regenerating every evaluation figure,
 //     each pinned byte-for-byte by a golden under testdata/figures.
 //   - internal/analysis, cmd/nmad-vet: the static-analysis suite
-//     enforcing the engine's invariants; internal/names holds the shared
-//     snake_case naming rule it cross-checks against internal/scenario.
+//     enforcing the engine's invariants.
 //
 // # Quick start
 //

@@ -46,19 +46,36 @@ var nmadExports = exportRule{
 	allow:    "testdata/exports.allow",
 }
 
+// loaded keeps what load read, by module list: the export rule and the
+// dead-code rule (deadcode_test.go) ask about the same packages.
+var loaded = map[string]map[string]*Package{}
+
+// load type-checks every package of the rule's modules, by import path.
+func (r exportRule) load() (map[string]*Package, error) {
+	key := strings.Join(r.modules, " ")
+	if loaded[key] == nil {
+		pkgs := map[string]*Package{}
+		for _, dir := range r.modules {
+			ps, err := Load(dir, "./...")
+			if err != nil {
+				return nil, err
+			}
+			for _, p := range ps {
+				pkgs[p.Path] = p
+			}
+		}
+		loaded[key] = pkgs
+	}
+	return loaded[key], nil
+}
+
 // check returns one line per violation (unneeded exports and stale or
 // malformed allow lines) and, per package, the number of exported
 // identifiers the rule covers.
 func (r exportRule) check() (findings []string, checked map[string]int, err error) {
-	pkgs := map[string]*Package{}
-	for _, dir := range r.modules {
-		loaded, err := Load(dir, "./...")
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, p := range loaded {
-			pkgs[p.Path] = p
-		}
+	pkgs, err := r.load()
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// What the rule covers, by "<pkg>.<Name>" or "<pkg>.<Type>.<Method>".
@@ -100,7 +117,7 @@ func (r exportRule) check() (findings []string, checked map[string]int, err erro
 		walkNamed(t, func(n *types.Named) { mark(objKey(n.Obj())) })
 	}
 
-	byIface := map[string]bool{}
+	byIface := ifaceMethods(pkgs)
 	for _, n := range ifaceNames {
 		byIface[n] = true
 	}
@@ -108,16 +125,6 @@ func (r exportRule) check() (findings []string, checked map[string]int, err erro
 		for _, obj := range p.Info.Uses {
 			if obj.Pkg() != nil && obj.Pkg() != p.Types {
 				mark(objKey(obj))
-			}
-		}
-		for expr, tv := range p.Info.Types {
-			if _, ok := expr.(*ast.InterfaceType); !ok {
-				continue
-			}
-			if it, ok := tv.Type.(*types.Interface); ok {
-				for i := 0; i < it.NumMethods(); i++ {
-					byIface[it.Method(i).Name()] = true
-				}
 			}
 		}
 	}
@@ -192,6 +199,25 @@ func (r exportRule) check() (findings []string, checked map[string]int, err erro
 		checked[obj.Pkg().Path()]++
 	}
 	return findings, checked, nil
+}
+
+// ifaceMethods is the set of method names the interfaces written in pkgs
+// declare: a method of such a name is reached through the interface.
+func ifaceMethods(pkgs map[string]*Package) map[string]bool {
+	names := map[string]bool{}
+	for _, p := range pkgs {
+		for expr, tv := range p.Info.Types {
+			if _, ok := expr.(*ast.InterfaceType); !ok {
+				continue
+			}
+			if it, ok := tv.Type.(*types.Interface); ok {
+				for i := 0; i < it.NumMethods(); i++ {
+					names[it.Method(i).Name()] = true
+				}
+			}
+		}
+	}
+	return names
 }
 
 // objKey names a package-level object or a method the way the allow file

@@ -1,4 +1,5 @@
-// Package a declares one export for every way the rule can go.
+// Package a declares one export for every way the export rule can go, and
+// below them one unexported function for every way the dead-code rule can.
 package a
 
 // UsedByB is named by a non-test file of package b: live.
@@ -36,4 +37,25 @@ func (*Thing) Do() {}
 // Result is never named, but Make, which b calls, returns it: live.
 type Result struct{}
 
-func Make() Result { return Result{} }
+func Make() Result { usedHelper(); return Result{} }
+
+// usedHelper is called by Make: live.
+func usedHelper() {}
+
+// testedHelper is named by a's own test file only: live.
+func testedHelper() {}
+
+// deadHelper is referred to by nothing: a finding.
+func deadHelper() {}
+
+// loop is referred to by itself only: a finding.
+func loop() { loop() }
+
+// sealer is an interface written in the module.
+type sealer interface{ sealed() }
+
+// sealed is reached through sealer, never by name: live.
+func (Square) sealed() {}
+
+// idle is no interface's method and nobody calls it: a finding.
+func (Square) idle() {}

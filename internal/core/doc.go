@@ -48,6 +48,22 @@
 // schedule event for event (post_test.go); package replay re-issues
 // recordings this way and needs no goroutine per operation.
 //
+// # Engine state
+//
+// State lives on the thing it describes. One rail record (engine.go) holds
+// everything the engine keeps per attached driver — the claim counter and
+// overhead window of the outputs being fed to it, the pre-staged output,
+// the bandwidth sampler, the pinned backlog, the bytes carried and the
+// link layer's failed / retransmits / probing state — and Engine.rails is
+// the only slice Attach grows: sched.RailInfo is a projection of the
+// record, Stats.PerDriverBytes a snapshot of it. One output (packet.go)
+// records its gate, its rail and its totals when it is elected, so every
+// later step — account, feed, send, linkSend, transmit and the NIC
+// completion — takes the output alone, and the two events of its life are
+// method values bound once per recycled output. Per-gate state that is
+// indexed by rail (the pinned window lists and the SPI views) grows with
+// Attach too; per-flow state is one tagTable each way.
+//
 // # Engine performance
 //
 // The engine's own cost is held down by free-list recycling (pool.go):

@@ -60,25 +60,14 @@ type Engine struct {
 	opts  Options
 	strat sched.Strategy
 
-	drvs []drivers.Driver
-	// feeding counts the outputs claiming a rail while their schedule
-	// overhead is still being paid; railFreeAt is when the rail's last
-	// claimed overhead window ends, so back-to-back flush elections
-	// serialize instead of overlapping.
-	feeding    []int
-	railFreeAt []sim.Time
-	staged     []*stagedOutput // pre-built packet per rail (Options.Anticipate)
-	samplers   []*railSampler  // achieved-bandwidth estimators per rail
-	// pendingCommon / pendingPinned track the engine-wide window
-	// population incrementally, so RailInfo.Backlog is O(1) on the
+	// rails is the transfer layer in attach order: one record per driver
+	// holding everything the engine keeps per rail, and the only engine
+	// state Attach grows.
+	rails []*rail
+	// pendingCommon and each rail's pinned count track the engine-wide
+	// window population incrementally, so RailInfo.Backlog is O(1) on the
 	// NIC-idle hot path instead of a sweep over every gate.
 	pendingCommon int
-	pendingPinned []int
-	// Link-layer reliability per-rail state (Options.Reliability):
-	// failure flag, retransmission tally and probe-in-progress latch.
-	railFailed  []bool
-	railRetrans []int
-	probing     []bool
 
 	gates     map[simnet.NodeID]*Gate
 	gateOrder []*Gate // deterministic iteration
@@ -107,15 +96,36 @@ type Engine struct {
 	// frames is the fabric's list, shared with the NICs; nil under
 	// Options.NoRecycle, which makes frames no list takes back.
 	frames   *simnet.FrameList
-	freePkts []*packet
-	freeOuts []*output
-	freeEnts []*inEntry
+	freePkts freeList[packet]
+	freeOuts freeList[output]
+	freeEnts freeList[inEntry]
 	encHdrs  []byte
 	encSegs  [][]byte
 	// railScratch backs railInfos() so the per-body-plan rail survey
 	// stops allocating (strategies must not retain the slice — the
 	// spileak analyzer enforces that).
 	railScratch []sched.RailInfo
+}
+
+// rail is one attached NIC: its driver and the engine's state about it.
+type rail struct {
+	idx int // position in Engine.rails, the index the SPI and the window lists use
+	drv drivers.Driver
+	// feeding counts the outputs claiming the rail while their schedule
+	// overhead is still being paid; freeAt is when the last claimed
+	// overhead window ends, so back-to-back flush elections serialize
+	// instead of overlapping.
+	feeding int
+	freeAt  sim.Time
+	staged  *output     // pre-built packet (Options.Anticipate)
+	sampler railSampler // achieved-bandwidth estimator
+	pinned  int         // window wrappers pinned to this rail, over every gate
+	bytes   int64       // payload carried (Stats.PerDriverBytes)
+	// Link-layer reliability (Options.Reliability): failure flag,
+	// retransmission tally and probe-in-progress latch.
+	failed  bool
+	retrans int
+	probing bool
 }
 
 // New creates an engine for one node of a fabric. Drivers must then be
@@ -178,29 +188,20 @@ func New(f *simnet.Fabric, node simnet.NodeID, opts Options) (*Engine, error) {
 
 // Attach registers and opens one transfer-layer driver as a new rail.
 func (e *Engine) Attach(drv drivers.Driver) error {
-	idx := len(e.drvs)
+	r := &rail{idx: len(e.rails), drv: drv}
 	if err := drv.Open(
-		func(d simnet.Delivery) { e.onDelivery(idx, d) },
-		func() { e.pump(idx) },
+		func(d simnet.Delivery) { e.onDelivery(r, d) },
+		func() { e.pump(r) },
 	); err != nil {
 		return err
 	}
-	e.drvs = append(e.drvs, drv)
-	e.feeding = append(e.feeding, 0)
-	e.railFreeAt = append(e.railFreeAt, 0)
-	e.pendingPinned = append(e.pendingPinned, 0)
-	e.staged = append(e.staged, nil)
-	e.samplers = append(e.samplers, new(railSampler))
-	e.railFailed = append(e.railFailed, false)
-	e.railRetrans = append(e.railRetrans, 0)
-	e.probing = append(e.probing, false)
-	e.stats.PerDriverBytes = append(e.stats.PerDriverBytes, 0)
+	e.rails = append(e.rails, r)
 	for _, g := range e.gateOrder {
 		g.win.perDriver = append(g.win.perDriver, nil)
-		g.views = append(g.views, windowView{g: g, drv: idx})
+		g.views = append(g.views, windowView{g: g, drv: r.idx})
 	}
 	if a, ok := e.strat.(sched.Attacher); ok {
-		a.OnAttach(e.railInfo(idx))
+		a.OnAttach(e.railInfo(r))
 	}
 	return nil
 }
@@ -241,8 +242,8 @@ func NewEngines(f *simnet.Fabric, opts func(node int) Options) ([]*Engine, error
 // Close shuts down every driver.
 func (e *Engine) Close() error {
 	var first error
-	for _, d := range e.drvs {
-		if err := d.Close(); err != nil && first == nil {
+	for _, r := range e.rails {
+		if err := r.drv.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -256,7 +257,13 @@ func (e *Engine) World() *sim.World { return e.world }
 func (e *Engine) NodeID() simnet.NodeID { return e.node.ID }
 
 // Drivers returns the attached rails in attach order.
-func (e *Engine) Drivers() []drivers.Driver { return e.drvs }
+func (e *Engine) Drivers() []drivers.Driver {
+	drvs := make([]drivers.Driver, len(e.rails))
+	for i, r := range e.rails {
+		drvs[i] = r.drv
+	}
+	return drvs
+}
 
 // StrategyName reports the active optimization strategy.
 func (e *Engine) StrategyName() string { return e.strat.Name() }
@@ -264,7 +271,10 @@ func (e *Engine) StrategyName() string { return e.strat.Name() }
 // Stats returns a snapshot of the engine counters.
 func (e *Engine) Stats() Stats {
 	s := e.stats
-	s.PerDriverBytes = append([]int64(nil), e.stats.PerDriverBytes...)
+	s.PerDriverBytes = make([]int64, len(e.rails))
+	for i, r := range e.rails {
+		s.PerDriverBytes[i] = r.bytes
+	}
 	return s
 }
 
@@ -273,14 +283,11 @@ func (e *Engine) Gate(peer simnet.NodeID) *Gate {
 	if g, ok := e.gates[peer]; ok {
 		return g
 	}
-	// The per-flow maps (sendSeq, flows) are made lazily: a gate with at
-	// most tagSlots flows never pays for them (see tagSlots for which
-	// workloads stay under it).
 	g := &Gate{
 		eng:     e,
 		peer:    peer,
-		win:     newWindow(len(e.drvs)),
-		views:   make([]windowView, len(e.drvs)),
+		win:     newWindow(len(e.rails)),
+		views:   make([]windowView, len(e.rails)),
 		credits: e.opts.Credits,
 	}
 	for i := range g.views {
@@ -348,10 +355,10 @@ func (e *Engine) needsFlatten(driver, segs, size int) bool {
 		return true
 	}
 	if driver != anyDriver {
-		return stuck(e.drvs[driver])
+		return stuck(e.rails[driver].drv)
 	}
-	for _, d := range e.drvs {
-		if !stuck(d) {
+	for _, r := range e.rails {
+		if !stuck(r.drv) {
 			return false
 		}
 	}
@@ -424,7 +431,7 @@ func (e *Engine) submit(pw *packet) {
 	if pw.driver == anyDriver {
 		e.pendingCommon++
 	} else {
-		e.pendingPinned[pw.driver]++
+		e.rails[pw.driver].pinned++
 	}
 	if pw.kind == kindData && e.opts.Credits > 0 {
 		pw.gate.dataFIFO = append(pw.gate.dataFIFO, pw)
@@ -443,113 +450,93 @@ func (e *Engine) kick(g *Gate) {
 		e.flush(g)
 	}
 	if e.opts.Anticipate {
-		for i := range e.drvs {
-			e.stage(i)
+		for _, r := range e.rails {
+			e.stage(r)
 		}
 	}
 }
 
 // pumpAll offers work to every idle rail.
 func (e *Engine) pumpAll() {
-	for i := range e.drvs {
-		e.pump(i)
+	for _, r := range e.rails {
+		e.pump(r)
 	}
 }
 
 // elect asks the strategy for the next output packet for a rail,
-// round-robin fair over the gates. It returns (nil, nil) when nothing is
+// round-robin fair over the gates. It returns nil when nothing is
 // electable.
-func (e *Engine) elect(drv int) (*Gate, *output) {
-	caps := e.drvs[drv].Caps()
+func (e *Engine) elect(r *rail) *output {
 	n := len(e.gateOrder)
 	for i := 0; i < n; i++ {
 		g := e.gateOrder[(e.rr+i)%n]
-		if g.win.pending(drv) == 0 {
+		if g.win.pending(r.idx) == 0 {
 			continue
 		}
-		e.prepare(g, drv, caps)
-		out := e.electOutput(g, drv, caps)
-		if out == nil {
-			continue
+		e.prepare(g, r)
+		if out := e.electOutput(g, r); out != nil {
+			e.rr = (e.rr + i + 1) % n
+			return out
 		}
-		e.rr = (e.rr + i + 1) % n
-		return g, out
 	}
-	return nil, nil
+	return nil
 }
 
 // pump is the heart of the optimizer-scheduler layer: called whenever
-// rail drv might be idle, it hands over the pre-staged packet if
+// rail r might be idle, it hands over the pre-staged packet if
 // anticipation built one, or asks the strategy for the next output and
 // feeds the rail. The paper's just-in-time property comes from being
 // driven by NIC-idle events rather than by the application.
-func (e *Engine) pump(drv int) {
-	if e.railFailed[drv] || e.feeding[drv] > 0 || !e.drvs[drv].Poll() {
+func (e *Engine) pump(r *rail) {
+	if r.failed || r.feeding > 0 || !r.drv.Poll() {
 		return
 	}
-	if st := e.staged[drv]; st != nil {
+	if out := r.staged; out != nil {
 		// Anticipation: the packet was built while the rail was busy;
 		// submit as soon as its preparation has finished (usually
 		// immediately — the election cost hid behind the transmission).
-		e.staged[drv] = nil
-		e.feeding[drv]++
-		delay := st.readyAt - e.world.Now()
-		if delay < 0 {
-			delay = 0
-		}
-		if end := e.world.Now() + delay; end > e.railFreeAt[drv] {
-			e.railFreeAt[drv] = end
-		}
-		e.world.After(delay, func() {
-			e.feeding[drv]--
-			e.send(st.gate, drv, st.out)
-		})
+		r.staged = nil
+		r.feeding++
+		delay := max(out.readyAt-e.world.Now(), 0)
+		r.freeAt = max(r.freeAt, e.world.Now()+delay)
+		e.world.After(delay, out.onReady)
 		return
 	}
-	g, out := e.elect(drv)
-	if out == nil {
-		return
+	if out := e.elect(r); out != nil {
+		e.feed(out)
 	}
-	e.feed(g, drv, out)
-}
-
-// stagedOutput is a packet pre-built for a busy rail (Options.Anticipate).
-type stagedOutput struct {
-	gate    *Gate
-	out     *output
-	readyAt sim.Time
 }
 
 // stage pre-elects an output for a busy rail so the next idle event can
 // be answered instantly (§3.2's second scheduling mode).
-func (e *Engine) stage(drv int) {
-	if !e.opts.Anticipate || e.railFailed[drv] || e.staged[drv] != nil || e.feeding[drv] > 0 || e.drvs[drv].Poll() {
+func (e *Engine) stage(r *rail) {
+	if !e.opts.Anticipate || r.failed || r.staged != nil || r.feeding > 0 || r.drv.Poll() {
 		return
 	}
-	g, out := e.elect(drv)
+	out := e.elect(r)
 	if out == nil {
 		return
 	}
-	e.account(g, drv, out)
-	e.staged[drv] = &stagedOutput{gate: g, out: out, readyAt: e.world.Now() + e.opts.ScheduleOverhead}
+	e.account(out)
+	out.readyAt = e.world.Now() + e.opts.ScheduleOverhead
+	r.staged = out
 }
 
 // flush force-elects whenever a rail's visible backlog reaches the
 // configured threshold, queueing the output at the (possibly busy) NIC
 // (§3.2's third scheduling mode).
 func (e *Engine) flush(g *Gate) {
-	for drv := range e.drvs {
-		if e.railFailed[drv] {
+	for _, r := range e.rails {
+		if r.failed {
 			continue
 		}
-		for g.win.pending(drv) >= e.opts.FlushBacklog {
-			caps := e.drvs[drv].Caps()
-			e.prepare(g, drv, caps)
-			out := e.electOutput(g, drv, caps)
+		for g.win.pending(r.idx) >= e.opts.FlushBacklog {
+			e.prepare(g, r)
+			out := e.electOutput(g, r)
 			if out == nil {
 				break
 			}
-			e.feed(g, drv, out)
+			e.feed(out)
 		}
 	}
 }
@@ -560,10 +547,11 @@ func (e *Engine) flush(g *Gate) {
 // eligible rail's gather list were already flattened (and the copy
 // charged) at submission; a wrapper that merely exceeds THIS rail's
 // capacity is left for a wider rail — strategies skip it.
-func (e *Engine) prepare(g *Gate, drv int, caps drivers.Caps) {
+func (e *Engine) prepare(g *Gate, r *rail) {
+	threshold := r.drv.Caps().RdvThreshold
 	var oversized []*packet
-	g.win.scan(drv, func(pw *packet) bool {
-		if pw.kind == kindData && caps.RdvThreshold > 0 && pw.payloadLen() >= caps.RdvThreshold {
+	g.win.scan(r.idx, func(pw *packet) bool {
+		if pw.kind == kindData && threshold > 0 && pw.payloadLen() >= threshold {
 			oversized = append(oversized, pw)
 		}
 		return true
@@ -575,13 +563,14 @@ func (e *Engine) prepare(g *Gate, drv int, caps drivers.Caps) {
 
 // account books the output's statistics and removes its wrappers from the
 // window (they are now owned by the output).
-func (e *Engine) account(g *Gate, drv int, out *output) {
+func (e *Engine) account(out *output) {
+	g, r := out.gate, out.rail
 	g.win.take(out.entries)
 	for _, pw := range out.entries {
 		if pw.driver == anyDriver {
 			e.pendingCommon--
 		} else {
-			e.pendingPinned[pw.driver]--
+			e.rails[pw.driver].pinned--
 		}
 		if pw.kind == kindData && e.opts.Credits > 0 {
 			g.dropData(pw)
@@ -607,7 +596,6 @@ func (e *Engine) account(g *Gate, drv int, out *output) {
 			hasData = true
 			e.stats.EagerBytes += int64(pw.payloadLen())
 		}
-		e.stats.PerDriverBytes[drv] += int64(pw.payloadLen())
 		if pw.kind == kindData && e.opts.Credits > 0 {
 			g.credits--
 		}
@@ -615,97 +603,101 @@ func (e *Engine) account(g *Gate, drv int, out *output) {
 	if hasData && hasCtrl {
 		e.stats.CtrlPiggybacked++
 	}
-	e.stats.WireBytes += int64(out.wireSize())
-	e.traceEvent(trace.Elect, g.peer, drv, 0, out.wireSize(), len(out.entries), e.strat.Name())
+	r.bytes += int64(out.payload)
+	e.stats.WireBytes += int64(out.wire)
+	e.traceEvent(trace.Elect, g.peer, r.idx, 0, out.wire, len(out.entries), e.strat.Name())
 }
 
 // feed claims the rail, charges the scheduling overhead, then hands the
 // encoded output to the driver. The claim is a counter and overhead
-// windows chain through railFreeAt: when flush elects several outputs
+// windows chain through rail.freeAt: when flush elects several outputs
 // back-to-back, each pays its full per-packet overhead after the
 // previous one, and pump stays out until every claimed output has been
 // handed over — outputs are serialized per rail.
-func (e *Engine) feed(g *Gate, drv int, out *output) {
-	e.account(g, drv, out)
-	e.feeding[drv]++
+func (e *Engine) feed(out *output) {
+	e.account(out)
+	r := out.rail
+	r.feeding++
 	now := e.world.Now()
-	start := now
-	if e.railFreeAt[drv] > start {
-		start = e.railFreeAt[drv]
-	}
-	done := start + e.opts.ScheduleOverhead
-	e.railFreeAt[drv] = done
-	send := func() {
-		e.feeding[drv]--
-		e.send(g, drv, out)
-	}
+	done := max(now, r.freeAt) + e.opts.ScheduleOverhead
+	r.freeAt = done
 	if done > now {
-		e.world.After(done-now, send)
+		e.world.After(done-now, out.onReady)
 	} else {
-		send()
+		out.ready()
 	}
 }
 
-// send hands the encoded output to the driver, arranges per-wrapper
-// completions and bandwidth sampling, and pre-stages the next packet if
-// anticipation is on.
-func (e *Engine) send(g *Gate, drv int, out *output) {
-	entries := out.entries
-	payload := 0
-	for _, pw := range entries {
-		payload += pw.payloadLen()
-	}
-	// The sampler sees the wire footprint — entry headers included,
-	// notably the per-chunk headers of eager rendezvous bodies — because
-	// that is what the measured duration covers; feeding it payload bytes
-	// would bias the functional-bandwidth estimate low exactly on the
-	// aggregation-heavy trains the adaptive strategy watches.
-	wire := out.wireSize()
+// ready runs when the output's schedule overhead has been paid: the claim
+// on the rail is released and the train goes to the driver.
+func (o *output) ready() {
+	o.rail.feeding--
+	o.gate.eng.send(o)
+}
+
+// send hands the output to the driver — through the link layer when
+// reliability is on — and pre-stages the next packet if anticipation is
+// on. The NIC's completion (output.sent, which recycles the output) is a
+// later event, so the output is still this function's after the
+// hand-off.
+func (e *Engine) send(out *output) {
 	if e.opts.Reliability {
-		e.linkSend(g, drv, out, payload, wire)
+		e.linkSend(out)
 	} else {
-		segs := e.encodeOutput(out, nil)
-		e.transmit(g, drv, out, e.frames.New(segs), len(segs), payload, wire, nil)
+		e.transmit(out)
 	}
-	e.traceEvent(trace.Depart, g.peer, drv, 0, payload, len(entries), "")
+	e.traceEvent(trace.Depart, out.gate.peer, out.rail.idx, 0, out.payload, len(out.entries), "")
 	if e.opts.Anticipate {
-		e.stage(drv)
+		e.stage(out.rail)
 	}
 }
 
-// transmit hands an encoded train — flattened once into frame, from the
-// nsegs segments of its gather list — to the driver, which takes over the
-// caller's reference. When the NIC is done with it the sampler and the
-// strategy see the transaction (wire is the byte count the measured
-// duration covers), every entry's request is credited, and the wrappers
-// and the output are recycled — the completions are their last readers.
-// fr is the retained link frame whose retransmit timer starts at that
-// instant, nil without reliability.
-func (e *Engine) transmit(g *Gate, drv int, out *output, frame *simnet.Frame, nsegs, payload, wire int, fr *linkFrame) {
-	t0 := e.world.Now()
-	err := e.drvs[drv].SendFrame(g.peer, simnet.TxEager, frame, nsegs, 0, func() {
-		entries := out.entries
-		e.samplers[drv].observe(wire, e.world.Now()-t0)
-		e.notifyComplete(drv, g.peer, payload, len(entries), e.world.Now()-t0)
-		for _, pw := range entries {
-			if pw.onSent != nil {
-				pw.onSent()
-			}
-			if pw.req != nil && pw.kind != kindRTS {
-				pw.req.doneOne()
-			}
-		}
-		for _, pw := range entries {
-			e.freePacket(pw)
-		}
-		e.freeOutput(out)
-		if fr != nil {
-			e.linkArm(g, fr)
-		}
-	})
-	if err != nil {
+// transmit flattens the encoded train once into a wire frame and hands
+// it to the driver, which takes over the caller's reference; a train the
+// link layer framed (out.link) leaves a second reference with its link
+// frame, the one every retransmission re-submits.
+func (e *Engine) transmit(out *output) {
+	segs := e.encodeOutput(out)
+	frame := e.frames.New(segs)
+	if out.link != nil {
+		out.link.frame = frame
+		frame.Retain()
+	}
+	out.sentAt = e.world.Now()
+	if err := out.rail.drv.SendFrame(out.gate.peer, simnet.TxEager, frame, len(segs), 0, out.onSent); err != nil {
 		panic(fmt.Sprintf("core: strategy %s built an unsendable packet: %v", e.strat.Name(), err))
 	}
+}
+
+// sent runs when the NIC is done with the train: the sampler and the
+// strategy see the transaction, every entry's request is credited, the
+// link frame's retransmit timer starts, and the wrappers and the output
+// are recycled — this completion is their last reader. The sampler sees
+// the wire footprint — entry headers included, notably the per-chunk
+// headers of eager rendezvous bodies — because that is what the measured
+// duration covers; feeding it payload bytes would bias the
+// functional-bandwidth estimate low exactly on the aggregation-heavy
+// trains the adaptive strategy watches.
+func (o *output) sent() {
+	e, g, r := o.gate.eng, o.gate, o.rail
+	dur := e.world.Now() - o.sentAt
+	r.sampler.observe(o.wire, dur)
+	e.notifyComplete(r.idx, g.peer, o.payload, len(o.entries), dur)
+	for _, pw := range o.entries {
+		if pw.onSent != nil {
+			pw.onSent()
+		}
+		if pw.req != nil && pw.kind != kindRTS {
+			pw.req.doneOne()
+		}
+	}
+	for _, pw := range o.entries {
+		e.freePacket(pw)
+	}
+	if o.link != nil {
+		e.linkArm(g, o.link)
+	}
+	e.freeOutput(o)
 }
 
 // WindowEmpty reports whether every gate's window has drained (useful for

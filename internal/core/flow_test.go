@@ -102,7 +102,7 @@ func TestSamplerObservesWireSize(t *testing.T) {
 	if dur <= 0 {
 		t.Fatalf("bad duration %v", dur)
 	}
-	got := e0.samplers[0].rate
+	got := e0.rails[0].sampler.rate
 	want := float64(size+headerSize) / dur.Seconds()
 	payloadOnly := float64(size) / dur.Seconds()
 	if rel := math.Abs(got-want) / want; rel > 1e-9 {
@@ -473,13 +473,13 @@ func TestProtocolAnomaliesCountedNotFatal(t *testing.T) {
 		g := e1.Gate(0)
 		g.Irecv(p, 9, make([]byte, 4))
 		arrive(e1, 0, header{kind: kindData, tag: 9, seq: 0, length: 1}, []byte{1})
-		arrive(e1, 0, header{kind: kindData, tag: 9, seq: 0, length: 1}, []byte{1}) // duplicate seq
-		arrive(e1, 0, header{kind: kindData, tag: 9, seq: 5, length: 1}, []byte{5}) // held (out of order)
-		arrive(e1, 0, header{kind: kindData, tag: 9, seq: 5, length: 1}, []byte{5}) // duplicate of a held entry
-		e1.onAck(g, 77)                                                             // unknown sync-send id
-		e1.onBody(0, 99, 0, []byte{1, 2, 3})                                        // unknown rendezvous
-		e1.onDelivery(0, simnet.Delivery{Src: 0, Data: []byte{0xFF, 1, 2}})         // corrupt train
-		arrive(e1, 0, header{kind: entryKind(42)}, nil)                             // unknown kind
+		arrive(e1, 0, header{kind: kindData, tag: 9, seq: 0, length: 1}, []byte{1})   // duplicate seq
+		arrive(e1, 0, header{kind: kindData, tag: 9, seq: 5, length: 1}, []byte{5})   // held (out of order)
+		arrive(e1, 0, header{kind: kindData, tag: 9, seq: 5, length: 1}, []byte{5})   // duplicate of a held entry
+		e1.onAck(g, 77)                                                               // unknown sync-send id
+		e1.onBody(0, 99, 0, []byte{1, 2, 3})                                          // unknown rendezvous
+		e1.onDelivery(e1.rails[0], simnet.Delivery{Src: 0, Data: []byte{0xFF, 1, 2}}) // corrupt train
+		arrive(e1, 0, header{kind: entryKind(42)}, nil)                               // unknown kind
 	})
 	run(t, w)
 

@@ -68,7 +68,7 @@ func FuzzWalkEntries(f *testing.F) {
 			}
 
 			fr := e0.frames.New([][]byte{data})
-			e0.onDelivery(0, simnet.Delivery{Src: 1, Kind: simnet.TxEager, Data: fr.Bytes(), Frame: fr})
+			e0.onDelivery(e0.rails[0], simnet.Delivery{Src: 1, Kind: simnet.TxEager, Data: fr.Bytes(), Frame: fr})
 			fr.Release()
 
 			// What must have been counted: the reliable engine walks only

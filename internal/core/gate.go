@@ -19,22 +19,12 @@ type Gate struct {
 	// boxing a fresh view per Elect call (see strategy.go).
 	views []windowView
 
-	// sender side: next sequence number per flow tag. A gate typically
-	// carries a handful of distinct tags, so the first tagSlots of them
-	// live in a flat association array scanned linearly; sendSeq is made
-	// lazily, only for gates exceeding the slots.
-	seqTags [tagSlots]Tag
-	seqVals [tagSlots]seqNum
-	seqN    int
-	sendSeq map[Tag]seqNum
+	// sender side: next sequence number per flow tag.
+	sendSeq tagTable[seqNum]
 
 	// receiver side: resequencing per flow, posted receives, unexpected
-	// arrivals. The flow lookup uses the same flat-slots-then-map scheme
-	// as the sender sequence numbers.
-	flowTags   [tagSlots]Tag
-	flowVals   [tagSlots]*rxFlow
-	flowN      int
-	flows      map[Tag]*rxFlow
+	// arrivals.
+	flows      tagTable[rxFlow]
 	posted     []*RecvRequest
 	unexpected []*inEntry
 	probers    []*sim.Proc // parked in ProbeWait, woken by the next unexpected arrival
@@ -149,7 +139,7 @@ func (g *Gate) Isendv(p *sim.Proc, tag Tag, segs [][]byte, opts ...SendOption) *
 // sendCheck is the entry check of every send, packed pieces included:
 // the engine has a rail, and the rail the submission is pinned to exists.
 func (g *Gate) sendCheck(cfg sendConfig) error {
-	n := len(g.eng.drvs)
+	n := len(g.eng.rails)
 	if n == 0 {
 		return errNoDrivers
 	}
@@ -377,8 +367,8 @@ func (g *Gate) dropData(pw *packet) {
 	}
 }
 
-// tagSlots is how many distinct flow tags per gate the flat fast-path
-// association arrays hold before falling back to a map. Tags are
+// tagSlots is how many distinct flow tags per gate a tagTable holds in
+// its flat fast-path array before falling back to a map. Tags are
 // arbitrary 64-bit values (MAD-MPI packs the communicator id into the
 // high bits), so the slots pair tag and value rather than indexing by
 // tag; a linear scan over at most tagSlots entries beats a map probe and
@@ -389,27 +379,45 @@ func (g *Gate) dropData(pw *packet) {
 // as do 16 % of ring-replay-1024's (11 tags) and 27 % of scenario-corpus's.
 const tagSlots = 8
 
-// nextSeq assigns the next sender-side sequence number of a flow.
-func (g *Gate) nextSeq(tag Tag) seqNum {
-	for i := 0; i < g.seqN; i++ {
-		if g.seqTags[i] == tag {
-			s := g.seqVals[i]
-			g.seqVals[i] = s + 1
-			return s
+// tagTable is a gate's per-flow state keyed by flow tag: the first
+// tagSlots distinct tags live in a flat association array scanned
+// linearly, the rest in a map made lazily — a gate with at most tagSlots
+// flows never pays for it.
+type tagTable[V any] struct {
+	tags [tagSlots]Tag
+	vals [tagSlots]V
+	n    int
+	more map[Tag]*V
+}
+
+// at returns the state of a flow, zero on first use.
+func (t *tagTable[V]) at(tag Tag) *V {
+	for i := 0; i < t.n; i++ {
+		if t.tags[i] == tag {
+			return &t.vals[i]
 		}
 	}
-	if g.seqN < tagSlots {
-		g.seqTags[g.seqN] = tag
-		g.seqVals[g.seqN] = 1
-		g.seqN++
-		return 0
+	if t.n < tagSlots {
+		t.tags[t.n] = tag
+		t.n++
+		return &t.vals[t.n-1]
 	}
-	if g.sendSeq == nil {
-		g.sendSeq = make(map[Tag]seqNum)
+	v := t.more[tag]
+	if v == nil {
+		if t.more == nil {
+			t.more = make(map[Tag]*V)
+		}
+		v = new(V)
+		t.more[tag] = v
 	}
-	s := g.sendSeq[tag]
-	g.sendSeq[tag] = s + 1
-	return s
+	return v
+}
+
+// nextSeq assigns the next sender-side sequence number of a flow.
+func (g *Gate) nextSeq(tag Tag) seqNum {
+	s := g.sendSeq.at(tag)
+	*s++
+	return *s - 1
 }
 
 // seqFor assigns the flow sequence number of one data wrapper. Unordered

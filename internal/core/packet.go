@@ -76,9 +76,6 @@ func (pw *packet) ctrl() bool {
 	return pw.kind == kindRTS || pw.kind == kindCTS || pw.kind == kindAck || pw.kind == kindCredit
 }
 
-// prio reports whether the optimizer should favor early delivery.
-func (pw *packet) prio() bool { return pw.flags&flagPriority != 0 || pw.ctrl() }
-
 // header builds the wire header for the wrapper.
 func (pw *packet) header() header {
 	return header{
@@ -168,15 +165,14 @@ func (w *window) take(pws []*packet) {
 // replace swaps old for nw in place, keeping window position (used when a
 // data wrapper is converted to a rendezvous request).
 func (w *window) replace(old, nw *packet) bool {
-	lists := make([][]*packet, 0, 1+len(w.perDriver))
-	lists = append(lists, w.common)
-	lists = append(lists, w.perDriver...)
-	for _, l := range lists {
-		for i, pw := range l {
-			if pw == old {
-				l[i] = nw
-				return true
-			}
+	list := w.common
+	if old.driver != anyDriver {
+		list = w.perDriver[old.driver]
+	}
+	for i, pw := range list {
+		if pw == old {
+			list[i] = nw
+			return true
 		}
 	}
 	return false
@@ -198,26 +194,35 @@ func filterOut(list []*packet) []*packet {
 }
 
 // output is one physical packet synthesized by a strategy: an ordered
-// train of wrappers bound for the same gate over one rail. The segment
-// and wire totals are maintained incrementally by add, so the accounting
-// and encode paths never recount the train.
+// train of wrappers bound for one gate over one rail, carrying what every
+// later step of its life needs — account, feed, send, the link layer and
+// the NIC completion each take the output alone. The totals are
+// maintained incrementally by add, so the accounting and encode paths
+// never recount the train.
 type output struct {
+	gate    *Gate
+	rail    *rail
 	entries []*packet
 	segs    int // running gather-segment total
-	wire    int // running wire-byte total
+	payload int // running application-payload total
+	wire    int // running wire-byte total (plus the link entry once framed)
+
+	readyAt sim.Time   // when a staged output's preparation ends (Options.Anticipate)
+	sentAt  sim.Time   // when the train was handed to the driver
+	link    *linkFrame // the retained link frame (Options.Reliability)
+
+	// onReady and onSent are the method values o.ready and o.sent, bound
+	// when the output is first allocated and kept across recycling: the
+	// two events of an output's life capture nothing but the output, so a
+	// recycled one schedules them without allocating a closure.
+	onReady, onSent func()
 }
 
 // add appends one wrapper to the train, keeping the running totals
-// current (encodeOutput pre-sizes its scratch from them, and account
-// books wireSize twice per train).
+// current.
 func (o *output) add(pw *packet) {
 	o.entries = append(o.entries, pw)
 	o.segs += pw.segCount()
+	o.payload += pw.payloadLen()
 	o.wire += pw.wireSize()
 }
-
-// segCount is the total gather segments the output needs.
-func (o *output) segCount() int { return o.segs }
-
-// wireSize is the total payload handed to the NIC.
-func (o *output) wireSize() int { return o.wire }

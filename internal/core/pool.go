@@ -53,20 +53,31 @@ import "nmad/internal/simnet"
 // byte-identical either way (see the pooling property test in package
 // replay).
 
+// freeList is the one free list: a stack of recycled *T. get pops one, or
+// allocates a zero T when the stack is empty; put takes back a T its
+// caller has reset.
+type freeList[T any] []*T
+
+func (l *freeList[T]) get() *T {
+	n := len(*l) - 1
+	if n < 0 {
+		return new(T)
+	}
+	v := (*l)[n]
+	(*l)[n] = nil
+	*l = (*l)[:n]
+	return v
+}
+
+func (l *freeList[T]) put(v *T) { *l = append(*l, v) }
+
 // newPacket is the one place a wrapper is filled: a wrapper for gate g
 // that will travel under header h, pinned to driver (or anyDriver) and
 // completing req. It is recycled when the free list has one; iov's
 // segment headers are copied into the wrapper-owned backing array (kept
 // across recycles), never aliasing the caller's slice.
 func (e *Engine) newPacket(g *Gate, h header, driver int, iov iovec, req *SendRequest) *packet {
-	var pw *packet
-	if n := len(e.freePkts) - 1; n >= 0 {
-		pw = e.freePkts[n]
-		e.freePkts[n] = nil
-		e.freePkts = e.freePkts[:n]
-	} else {
-		pw = &packet{}
-	}
+	pw := e.freePkts.get()
 	pw.gate = g
 	pw.kind, pw.flags, pw.tag, pw.seq, pw.size, pw.aux = h.kind, h.flags, h.tag, h.seq, h.length, h.aux
 	pw.iov = append(pw.iov, iov...)
@@ -83,24 +94,19 @@ func (e *Engine) freePacket(pw *packet) {
 	if e.opts.NoRecycle {
 		return
 	}
-	iov := pw.iov
-	for i := range iov {
-		iov[i] = nil
-	}
-	*pw = packet{iov: iov[:0]}
-	e.freePkts = append(e.freePkts, pw)
+	clear(pw.iov)
+	*pw = packet{iov: pw.iov[:0]}
+	e.freePkts.put(pw)
 }
 
 // newOutput returns an empty output train, reusing a recycled one's
-// entries backing array.
+// entries backing array and bound callbacks.
 func (e *Engine) newOutput() *output {
-	if n := len(e.freeOuts) - 1; n >= 0 {
-		out := e.freeOuts[n]
-		e.freeOuts[n] = nil
-		e.freeOuts = e.freeOuts[:n]
-		return out
+	out := e.freeOuts.get()
+	if out.onSent == nil { // fresh, not recycled
+		out.onReady, out.onSent = out.ready, out.sent
 	}
-	return &output{}
+	return out
 }
 
 // freeOutput recycles an output whose entries have all been freed (or
@@ -109,31 +115,18 @@ func (e *Engine) freeOutput(out *output) {
 	if e.opts.NoRecycle {
 		return
 	}
-	for i := range out.entries {
-		out.entries[i] = nil
-	}
-	out.entries = out.entries[:0]
-	out.segs, out.wire = 0, 0
-	e.freeOuts = append(e.freeOuts, out)
+	clear(out.entries)
+	*out = output{entries: out.entries[:0], onReady: out.onReady, onSent: out.onSent}
+	e.freeOuts.put(out)
 }
 
 // newInEntry returns a filled receive-side entry (resequencing hold or
 // unexpected arrival), recycled when possible. The entry takes its own
 // reference to fr, the frame payload is a slice of.
 func (e *Engine) newInEntry(h header, payload []byte, fr *simnet.Frame) *inEntry {
-	var ent *inEntry
-	if n := len(e.freeEnts) - 1; n >= 0 {
-		ent = e.freeEnts[n]
-		e.freeEnts[n] = nil
-		e.freeEnts = e.freeEnts[:n]
-	} else {
-		ent = &inEntry{}
-	}
+	ent := e.freeEnts.get()
 	fr.Retain()
-	ent.h = h
-	ent.payload = payload
-	ent.frame = fr
-	ent.at = e.world.Now()
+	*ent = inEntry{h: h, payload: payload, frame: fr, at: e.world.Now()}
 	return ent
 }
 
@@ -147,32 +140,32 @@ func (e *Engine) freeInEntry(ent *inEntry) {
 		return
 	}
 	*ent = inEntry{}
-	e.freeEnts = append(e.freeEnts, ent)
+	e.freeEnts.put(ent)
 }
 
 // encodeOutput turns an output train into the NIC gather list: one
-// segment per entry header, one per payload segment, preceded by link
-// when the reliability layer frames the train. Headers pack into the
-// engine's scratch byte array and the list itself reuses the engine's
-// scratch segment slice — both are dead the moment the list has been
-// flattened into its wire frame, which the send path does before
-// anything else can encode.
+// segment per entry header, one per payload segment, preceded by the link
+// entry when the reliability layer framed the train (electOutput reserved
+// the slot). Headers pack into the engine's scratch byte array and the
+// list itself reuses the engine's scratch segment slice — both are dead
+// the moment the list has been flattened into its wire frame, which the
+// send path does before anything else can encode.
 //
 // The header array is pre-sized from the output's running wire totals
 // (maintained by output.add at election time), so the appends below
 // never reallocate — segment pointers into hdrs stay valid.
-func (e *Engine) encodeOutput(out *output, link []byte) [][]byte {
+func (e *Engine) encodeOutput(out *output) [][]byte {
 	need := headerSize * len(out.entries)
 	hdrs := e.encHdrs[:0]
 	if cap(hdrs) < need {
 		hdrs = make([]byte, 0, need)
 	}
 	segs := e.encSegs[:0]
-	if cap(segs) < out.segCount()+1 {
-		segs = make([][]byte, 0, out.segCount()+1)
+	if cap(segs) < out.segs+1 {
+		segs = make([][]byte, 0, out.segs+1)
 	}
-	if link != nil {
-		segs = append(segs, link)
+	if fr := out.link; fr != nil {
+		segs = append(segs, linkHeader(linkFrameTag, fr.seq, out.gate.lrx.floor))
 	}
 	for _, pw := range out.entries {
 		start := len(hdrs)

@@ -320,7 +320,7 @@ func TestPropertyResequencerHandlesAnyArrivalOrder(t *testing.T) {
 		// Posted receives match in posting order; with resequencing they
 		// must have received 0..n-1 in order.
 		_ = delivered
-		return g.PendingPosted() == 0 && len(g.flow(5).held) == 0
+		return g.PendingPosted() == 0 && len(g.flows.at(5).held) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

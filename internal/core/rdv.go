@@ -350,7 +350,7 @@ func (e *Engine) streamBody(rs *rdvSend, granted int, reissue bool) {
 	plan := e.planBody(size)
 
 	type chunk struct {
-		drv      int
+		rail     *rail
 		off, len int
 		rdma     bool
 	}
@@ -359,7 +359,8 @@ func (e *Engine) streamBody(rs *rdvSend, granted int, reissue bool) {
 		if share.Size <= 0 {
 			continue
 		}
-		caps := e.drvs[share.Rail].Caps()
+		r := e.rails[share.Rail]
+		caps := r.drv.Caps()
 		csize := share.Size
 		if caps.RDMA {
 			if e.opts.BodyChunk > 0 && e.opts.BodyChunk < csize {
@@ -384,7 +385,7 @@ func (e *Engine) streamBody(rs *rdvSend, granted int, reissue bool) {
 				n = rest
 			}
 			n = rs.body.capSegs(off, n, segCap)
-			chunks = append(chunks, chunk{drv: share.Rail, off: off, len: n, rdma: caps.RDMA})
+			chunks = append(chunks, chunk{rail: r, off: off, len: n, rdma: caps.RDMA})
 			off += n
 		}
 	}
@@ -434,12 +435,13 @@ func (e *Engine) streamBody(rs *rdvSend, granted int, reissue bool) {
 	// body; under reliability that starvation shows up as spurious
 	// retransmissions. Chained, the wire is never claimed more than one
 	// chunk ahead.
-	rdmaQueues := make(map[int][]chunk)
-	var rdmaOrder []int
-	var sendRdma func(drv int, q []chunk)
-	sendRdma = func(drv int, q []chunk) {
+	rdmaQueues := make(map[*rail][]chunk)
+	var rdmaOrder []*rail
+	var sendRdma func(q []chunk)
+	sendRdma = func(q []chunk) {
 		c := q[0]
 		rest := q[1:]
+		r := c.rail
 		// The gather shape the NIC charges is always that of the caller's
 		// iovec; the bytes are too, until the request has completed and
 		// the memory is the caller's again.
@@ -454,21 +456,21 @@ func (e *Engine) streamBody(rs *rdvSend, granted int, reissue bool) {
 			rs.kept = append(rs.kept, keptChunk{off: c.off, fr: fr})
 		}
 		e.stats.BodyBytes += int64(c.len)
-		e.stats.PerDriverBytes[drv] += int64(c.len)
+		r.bytes += int64(c.len)
 		e.stats.WireBytes += int64(c.len)
 		aux := uint64(rs.id)<<32 | uint64(uint32(c.off))
 		req := chunkReq
 		size := c.len
 		t0 := e.world.Now()
-		err := e.drvs[drv].SendFrame(rs.gate.peer, simnet.TxRdma, fr, nsegs, aux, func() {
-			e.samplers[drv].observe(size, e.world.Now()-t0)
-			e.notifyComplete(drv, rs.gate.peer, size, 0, e.world.Now()-t0)
+		err := r.drv.SendFrame(rs.gate.peer, simnet.TxRdma, fr, nsegs, aux, func() {
+			r.sampler.observe(size, e.world.Now()-t0)
+			e.notifyComplete(r.idx, rs.gate.peer, size, 0, e.world.Now()-t0)
 			if req != nil {
 				req.doneOne()
 			}
 			retire()
 			if len(rest) > 0 {
-				sendRdma(drv, rest)
+				sendRdma(rest)
 			}
 		})
 		if err != nil {
@@ -478,10 +480,10 @@ func (e *Engine) streamBody(rs *rdvSend, granted int, reissue bool) {
 
 	for _, c := range chunks {
 		if c.rdma {
-			if _, ok := rdmaQueues[c.drv]; !ok {
-				rdmaOrder = append(rdmaOrder, c.drv)
+			if _, ok := rdmaQueues[c.rail]; !ok {
+				rdmaOrder = append(rdmaOrder, c.rail)
 			}
-			rdmaQueues[c.drv] = append(rdmaQueues[c.drv], c)
+			rdmaQueues[c.rail] = append(rdmaQueues[c.rail], c)
 			continue
 		}
 		data := rs.body.slice(c.off, c.len)
@@ -491,14 +493,14 @@ func (e *Engine) streamBody(rs *rdvSend, granted int, reissue bool) {
 		// rides the seq field; feed retires one unit of chunkReq per entry.
 		pw := e.newPacket(rs.gate, header{
 			kind: kindChunk, flags: flagUnordered, tag: rs.tag, seq: seqNum(uint32(c.off)), length: uint32(c.len), aux: rs.id,
-		}, c.drv, data, chunkReq)
+		}, c.rail.idx, data, chunkReq)
 		if !reissue {
 			pw.onSent = retire
 		}
 		e.submit(pw)
 	}
-	for _, drv := range rdmaOrder {
-		sendRdma(drv, rdmaQueues[drv])
+	for _, r := range rdmaOrder {
+		sendRdma(rdmaQueues[r])
 	}
 	if !reissue {
 		// Retire the unit the original Isend registered, now that the

@@ -55,7 +55,7 @@ const (
 type linkFrame struct {
 	seq      uint32
 	frame    *simnet.Frame // link header + encoded train
-	rail     int           // rail of the last (re)transmission
+	rail     *rail         // rail of the last (re)transmission
 	attempts int           // transmissions so far
 	acked    bool          // retired: a pending retransmit check is void
 }
@@ -96,32 +96,29 @@ func linkHeader(sub uint32, seq uint32, floor uint32) []byte {
 }
 
 // linkSend frames one output as a reliable link frame and hands it to
-// the driver: the engine.send path when Options.Reliability is on.
-func (e *Engine) linkSend(g *Gate, drv int, out *output, payload, wire int) {
-	seq := g.ltx.nextSeq
+// the driver: the engine.send path when Options.Reliability is on. The
+// link entry — the next frame sequence number plus the current ack floor —
+// travels as the train's leading gather segment and counts in its wire
+// footprint.
+//
+// The one flatten of the train (transmit) serves its every transmission:
+// the payload segments point into user buffers the application may reuse
+// once the NIC is done, and the header scratch is reused by the next
+// encode, so the link layer holds on to the frame itself (its own
+// reference; the NIC gets the other one) and the completion may recycle
+// the wrappers even with retransmissions ahead.
+func (e *Engine) linkSend(out *output) {
+	g := out.gate
+	out.link = &linkFrame{seq: g.ltx.nextSeq, rail: out.rail, attempts: 1}
 	g.ltx.nextSeq++
-	hdr := linkHeader(linkFrameTag, seq, g.lrx.floor)
+	g.ltx.unacked = append(g.ltx.unacked, out.link)
+	out.wire += headerSize
+	e.stats.WireBytes += headerSize
 	// The outbound frame carries the current floor: any pure ack still
 	// pending is now redundant.
 	g.lrx.ackPending = false
 	g.lrx.ackGen++
-
-	// The link header travels as the leading gather segment (electOutput
-	// reserved the slot).
-	segs := e.encodeOutput(out, hdr)
-
-	// The one flatten of the train serves its every transmission: the
-	// payload segments point into user buffers the application may reuse
-	// once the NIC is done, and the header scratch is reused by the next
-	// encode, so the link layer holds on to the frame itself (its own
-	// reference; transmit passes the other one to the NIC) and transmit
-	// may recycle the wrappers even with retransmissions ahead.
-	fr := &linkFrame{seq: seq, frame: e.frames.New(segs), rail: drv, attempts: 1}
-	fr.frame.Retain()
-	g.ltx.unacked = append(g.ltx.unacked, fr)
-
-	e.stats.WireBytes += headerSize
-	e.transmit(g, drv, out, fr.frame, len(segs), payload, headerSize+wire, fr)
+	e.transmit(out)
 }
 
 // linkArm schedules the retransmit check for a frame's current attempt.
@@ -143,7 +140,7 @@ func (e *Engine) linkExpire(g *Gate, fr *linkFrame, attempt int) {
 		return // acked, or a newer attempt owns the timer
 	}
 	if fr.attempts >= e.opts.RetransmitBudget {
-		if alt := e.aliveRailExcept(fr.rail); alt < 0 {
+		if e.aliveRail(fr.rail) == nil {
 			// No surviving alternative: the last rail is never declared
 			// dead. Keep retrying — on a lossy-but-alive rail this
 			// converges; during an outage it rides it out.
@@ -154,31 +151,31 @@ func (e *Engine) linkExpire(g *Gate, fr *linkFrame, attempt int) {
 		e.railFail(fr.rail, g.peer)
 		return // railFail re-issued every frame of the rail, this one included
 	}
-	drv := fr.rail
-	if drv < len(e.railFailed) && e.railFailed[drv] {
-		if alt := e.aliveRailExcept(drv); alt >= 0 {
-			drv = alt
+	r := fr.rail
+	if r.failed {
+		if alt := e.aliveRail(r); alt != nil {
+			r = alt
 		}
 	}
-	e.linkResend(g, fr, drv)
+	e.linkResend(g, fr, r)
 }
 
 // linkResend re-injects a retained frame, bypassing the window: the
 // wrappers inside were already elected and accounted once. The frame was
 // contiguous on the host ever since its first transmission, so every
 // retransmission is a one-segment transaction.
-func (e *Engine) linkResend(g *Gate, fr *linkFrame, drv int) {
+func (e *Engine) linkResend(g *Gate, fr *linkFrame, r *rail) {
 	fr.attempts++
-	fr.rail = drv
+	fr.rail = r
 	size := len(fr.frame.Bytes())
 	e.stats.Retransmits++
-	e.railRetrans[drv]++
+	r.retrans++
 	e.stats.WireBytes += int64(size)
 	if e.opts.Tracer != nil { // the note is built for a tracer only
-		e.traceEvent(trace.Retransmit, g.peer, drv, 0, size, fr.attempts, fmt.Sprintf("frame %d", fr.seq))
+		e.traceEvent(trace.Retransmit, g.peer, r.idx, 0, size, fr.attempts, fmt.Sprintf("frame %d", fr.seq))
 	}
 	fr.frame.Retain() // the NIC's reference; the link layer keeps its own
-	err := e.drvs[drv].SendFrame(g.peer, simnet.TxEager, fr.frame, 1, 0, func() { e.linkArm(g, fr) })
+	err := r.drv.SendFrame(g.peer, simnet.TxEager, fr.frame, 1, 0, func() { e.linkArm(g, fr) })
 	if err != nil {
 		panic("core: link retransmit failed: " + err.Error())
 	}
@@ -189,7 +186,7 @@ func (e *Engine) linkResend(g *Gate, fr *linkFrame, drv int) {
 // control, or a duplicate frame); a frame train's entries are dispatched
 // before returning. Trains without a leading link entry fall through to
 // the normal path untouched.
-func (e *Engine) linkOnDelivery(drv int, d simnet.Delivery) bool {
+func (e *Engine) linkOnDelivery(r *rail, d simnet.Delivery) bool {
 	h, err := decodeHeader(d.Data)
 	if err != nil || h.kind != kindLink {
 		return false
@@ -198,14 +195,14 @@ func (e *Engine) linkOnDelivery(drv int, d simnet.Delivery) bool {
 	switch h.aux {
 	case linkFrameTag:
 		e.linkAckIn(g, h.length, false)
-		e.linkAccept(g, drv, h, d.Data[headerSize:], d.Frame)
+		e.linkAccept(g, r, h, d.Data[headerSize:], d.Frame)
 	case linkAckTag:
 		e.linkAckIn(g, h.length, true)
 	case linkPingTag:
 		// Answer on the probed rail itself: a pong proves it works again.
-		e.linkCtl(g, drv, linkPongTag, uint32(h.seq), g.lrx.floor)
+		e.linkCtl(g, r, linkPongTag, uint32(h.seq), g.lrx.floor)
 	case linkPongTag:
-		e.railRecover(drv)
+		e.railRecover(r)
 	default:
 		e.protoErr(g, fmt.Sprintf("unknown link subkind %d", h.aux))
 	}
@@ -214,7 +211,7 @@ func (e *Engine) linkOnDelivery(drv int, d simnet.Delivery) bool {
 
 // linkAccept deduplicates one reliable frame and dispatches its train,
 // a slice of fr.
-func (e *Engine) linkAccept(g *Gate, drv int, h header, train []byte, fr *simnet.Frame) {
+func (e *Engine) linkAccept(g *Gate, r *rail, h header, train []byte, fr *simnet.Frame) {
 	if g.lrx.seen == nil {
 		g.lrx.seen = make(map[uint32]bool)
 	}
@@ -241,7 +238,7 @@ func (e *Engine) linkAccept(g *Gate, drv int, h header, train []byte, fr *simnet
 		return nil
 	})
 	if err != nil {
-		e.protoErr(g, fmt.Sprintf("corrupt packet train on rail %d: %v", drv, err))
+		e.protoErr(g, fmt.Sprintf("corrupt packet train on rail %d: %v", r.idx, err))
 	}
 }
 
@@ -286,78 +283,69 @@ func (e *Engine) linkScheduleAck(g *Gate) {
 			return
 		}
 		g.lrx.ackPending = false
-		drv := e.aliveRail()
-		if drv < 0 {
-			drv = 0
+		r := e.aliveRail(nil)
+		if r == nil {
+			r = e.rails[0]
 		}
-		e.linkCtl(g, drv, linkAckTag, 0, g.lrx.floor)
+		e.linkCtl(g, r, linkAckTag, 0, g.lrx.floor)
 	})
 }
 
 // linkCtl injects one pure link control entry directly through a driver,
 // below the optimization window. Pure control is unreliable by design.
-func (e *Engine) linkCtl(g *Gate, drv int, sub uint32, seq uint32, floor uint32) {
+func (e *Engine) linkCtl(g *Gate, r *rail, sub uint32, seq uint32, floor uint32) {
 	hdr := linkHeader(sub, seq, floor)
 	e.stats.WireBytes += headerSize
-	if err := e.drvs[drv].SendFrame(g.peer, simnet.TxEager, e.frames.New([][]byte{hdr}), 1, 0, nil); err != nil {
+	if err := r.drv.SendFrame(g.peer, simnet.TxEager, e.frames.New([][]byte{hdr}), 1, 0, nil); err != nil {
 		panic("core: link control send failed: " + err.Error())
 	}
 }
 
-// aliveRail returns the first rail not marked failed, or -1.
-func (e *Engine) aliveRail() int {
-	for i := range e.drvs {
-		if !e.railFailed[i] {
-			return i
+// aliveRail returns the first rail not marked failed other than except
+// (nil excepts none), or nil.
+func (e *Engine) aliveRail(except *rail) *rail {
+	for _, r := range e.rails {
+		if r != except && !r.failed {
+			return r
 		}
 	}
-	return -1
-}
-
-// aliveRailExcept returns the first live rail other than x, or -1.
-func (e *Engine) aliveRailExcept(x int) int {
-	for i := range e.drvs {
-		if i != x && !e.railFailed[i] {
-			return i
-		}
-	}
-	return -1
+	return nil
 }
 
 // railFail declares a rail dead: a frame exhausted its retransmit budget
 // on it and a surviving rail exists. Pinned window wrappers re-home to
 // the common list, retained frames re-issue elsewhere, elections skip
 // the rail, and a probe starts riding it until the peer answers.
-func (e *Engine) railFail(drv int, peer simnet.NodeID) {
-	if e.railFailed[drv] {
+func (e *Engine) railFail(r *rail, peer simnet.NodeID) {
+	if r.failed {
 		return
 	}
-	e.railFailed[drv] = true
+	r.failed = true
 	e.stats.FailedRails++
-	e.traceEvent(trace.RailEvent, peer, drv, 0, 0, 0, "failed")
-	e.staged[drv] = nil
-	alt := e.aliveRailExcept(drv)
+	e.traceEvent(trace.RailEvent, peer, r.idx, 0, 0, 0, "failed")
+	r.staged = nil
+	alt := e.aliveRail(r)
 	for _, g := range e.gateOrder {
-		for _, pw := range g.win.perDriver[drv] {
+		for _, pw := range g.win.perDriver[r.idx] {
 			pw.driver = anyDriver
 			g.win.common = append(g.win.common, pw)
-			e.pendingPinned[drv]--
+			r.pinned--
 			e.pendingCommon++
 		}
-		g.win.perDriver[drv] = g.win.perDriver[drv][:0]
-		if alt < 0 {
+		g.win.perDriver[r.idx] = g.win.perDriver[r.idx][:0]
+		if alt == nil {
 			continue
 		}
 		// Re-issue the rail's in-flight frames on the survivor, in seq
 		// order, budget reset.
 		for _, fr := range g.ltx.unacked {
-			if fr.rail == drv {
+			if fr.rail == r {
 				fr.attempts = 0
 				e.linkResend(g, fr, alt)
 			}
 		}
 	}
-	e.probeRail(drv, peer)
+	e.probeRail(r, peer)
 	e.pumpAll()
 }
 
@@ -367,38 +355,38 @@ func (e *Engine) railFail(drv int, peer simnet.NodeID) {
 // stays failed, and the run can terminate without a RunUntil horizon. A
 // recovery (railRecover) resets the count, so the budget is per failure
 // episode, not per rail lifetime.
-func (e *Engine) probeRail(drv int, peer simnet.NodeID) {
-	if e.probing[drv] {
+func (e *Engine) probeRail(r *rail, peer simnet.NodeID) {
+	if r.probing {
 		return
 	}
-	e.probing[drv] = true
+	r.probing = true
 	sent := 0
 	var tick func()
 	tick = func() {
-		if !e.railFailed[drv] {
-			e.probing[drv] = false
+		if !r.failed {
+			r.probing = false
 			return
 		}
 		if e.opts.ProbeBudget > 0 && sent >= e.opts.ProbeBudget {
-			e.probing[drv] = false
+			r.probing = false
 			e.stats.AbandonedRails++
-			e.traceEvent(trace.RailEvent, peer, drv, 0, 0, sent, "abandoned")
+			e.traceEvent(trace.RailEvent, peer, r.idx, 0, 0, sent, "abandoned")
 			return
 		}
 		sent++
-		e.linkCtl(e.Gate(peer), drv, linkPingTag, 0, 0)
+		e.linkCtl(e.Gate(peer), r, linkPingTag, 0, 0)
 		e.world.After(e.probeInterval(), tick)
 	}
 	tick()
 }
 
 // railRecover puts a rail back in service when its probe is answered.
-func (e *Engine) railRecover(drv int) {
-	if drv >= len(e.railFailed) || !e.railFailed[drv] {
+func (e *Engine) railRecover(r *rail) {
+	if !r.failed {
 		return
 	}
-	e.railFailed[drv] = false
+	r.failed = false
 	e.stats.RecoveredRails++
-	e.traceEvent(trace.RailEvent, -1, drv, 0, 0, 0, "recovered")
+	e.traceEvent(trace.RailEvent, -1, r.idx, 0, 0, 0, "recovered")
 	e.pumpAll()
 }

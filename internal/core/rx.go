@@ -43,32 +43,6 @@ type inEntry struct {
 	at      sim.Time
 }
 
-// flow returns (creating on demand) the resequencing state for a tag,
-// through the gate's flat tag slots first (see tagSlots).
-func (g *Gate) flow(tag Tag) *rxFlow {
-	for i := 0; i < g.flowN; i++ {
-		if g.flowTags[i] == tag {
-			return g.flowVals[i]
-		}
-	}
-	if g.flowN < tagSlots {
-		f := &rxFlow{}
-		g.flowTags[g.flowN] = tag
-		g.flowVals[g.flowN] = f
-		g.flowN++
-		return f
-	}
-	f := g.flows[tag]
-	if f == nil {
-		if g.flows == nil {
-			g.flows = make(map[Tag]*rxFlow)
-		}
-		f = &rxFlow{}
-		g.flows[tag] = f
-	}
-	return f
-}
-
 // protoErr counts one receive-path protocol anomaly against a gate
 // instead of panicking: the engine stays up, the event is visible in
 // Stats.ProtocolErrors, Gate.ProtocolErrors and the trace.
@@ -80,15 +54,15 @@ func (e *Engine) protoErr(g *Gate, note string) {
 
 // onDelivery is the engine's receive entry point, bound to every driver
 // at Attach time.
-func (e *Engine) onDelivery(drv int, d simnet.Delivery) {
-	e.traceEvent(trace.Arrive, d.Src, drv, 0, len(d.Data), 0, d.Kind.String())
+func (e *Engine) onDelivery(r *rail, d simnet.Delivery) {
+	e.traceEvent(trace.Arrive, d.Src, r.idx, 0, len(d.Data), 0, d.Kind.String())
 	if d.Kind == simnet.TxRdma {
 		id := uint32(d.Aux >> 32)
 		off := int(uint32(d.Aux))
 		e.onBody(d.Src, id, off, d.Data)
 		return
 	}
-	if e.opts.Reliability && e.linkOnDelivery(drv, d) {
+	if e.opts.Reliability && e.linkOnDelivery(r, d) {
 		return
 	}
 	err := walkEntries(d.Data, func(h header, payload []byte) error {
@@ -98,7 +72,7 @@ func (e *Engine) onDelivery(drv int, d simnet.Delivery) {
 	if err != nil {
 		// Entries decoded before the corruption were dispatched; the
 		// malformed tail is dropped and counted.
-		e.protoErr(e.Gate(d.Src), fmt.Sprintf("corrupt packet train on rail %d: %v", drv, err))
+		e.protoErr(e.Gate(d.Src), fmt.Sprintf("corrupt packet train on rail %d: %v", r.idx, err))
 	}
 }
 
@@ -123,7 +97,7 @@ func (e *Engine) dispatch(src simnet.NodeID, h header, payload []byte, fr *simne
 			e.deliver(g, h, payload, fr)
 			return
 		}
-		f := g.flow(h.tag)
+		f := g.flows.at(h.tag)
 		switch {
 		case h.seq == f.next:
 			e.deliver(g, h, payload, fr)

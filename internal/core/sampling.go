@@ -53,20 +53,12 @@ func (s *railSampler) estimate() float64 {
 }
 
 // SampledBandwidth reports the measured bandwidth of a rail in bytes per
-// second, or 0 while the sampler is still warming up. Strategies fall
-// back to the nominal capability figure in that case.
+// second, or 0 while the sampler is still warming up (and for a rail the
+// engine does not have). Strategies fall back to the nominal capability
+// figure in that case.
 func (e *Engine) SampledBandwidth(drv int) float64 {
-	if drv < 0 || drv >= len(e.samplers) {
+	if drv < 0 || drv >= len(e.rails) {
 		return 0
 	}
-	return e.samplers[drv].estimate()
-}
-
-// railBandwidth is the figure strategies should plan with: functional
-// (sampled) when available, nominal otherwise.
-func (e *Engine) railBandwidth(drv int) float64 {
-	if bw := e.SampledBandwidth(drv); bw > 0 {
-		return bw
-	}
-	return e.drvs[drv].Caps().Bandwidth
+	return e.rails[drv].sampler.estimate()
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"nmad/internal/drivers"
-	"nmad/sched"
-)
+import "nmad/sched"
 
 // The engine's side of the public scheduling SPI (package sched): this
 // file adapts the internal window and packet wrappers to the read-only
@@ -95,20 +92,20 @@ func wrapperView(pw *packet) sched.Wrapper {
 	}
 }
 
-// railInfo combines a rail's nominal capability report with the sampled
-// functional bandwidth and the current backlog — the full RailInfo the
-// SPI promises. The backlog comes from the engine's incremental
+// railInfo projects a rail record onto the RailInfo the SPI promises: the
+// nominal capability report, the sampled functional bandwidth and the
+// current backlog. The backlog comes from the engine's incremental
 // counters: railInfo runs on the NIC-idle hot path, once per gate per
 // pump sweep.
-func (e *Engine) railInfo(drv int) sched.RailInfo {
+func (e *Engine) railInfo(r *rail) sched.RailInfo {
 	return sched.RailInfo{
-		Index:       drv,
-		Name:        e.drvs[drv].Name(),
-		Caps:        e.drvs[drv].Caps(),
-		Sampled:     e.samplers[drv].estimate(),
-		Backlog:     e.pendingPinned[drv] + e.pendingCommon,
-		Failed:      e.railFailed[drv],
-		Retransmits: e.railRetrans[drv],
+		Index:       r.idx,
+		Name:        r.drv.Name(),
+		Caps:        r.drv.Caps(),
+		Sampled:     r.sampler.estimate(),
+		Backlog:     r.pinned + e.pendingCommon,
+		Failed:      r.failed,
+		Retransmits: r.retrans,
 	}
 }
 
@@ -117,24 +114,25 @@ func (e *Engine) railInfo(drv int) sched.RailInfo {
 // for the duration of one PlanBody and must not retain it (the spileak
 // analyzer enforces exactly that contract).
 func (e *Engine) railInfos() []sched.RailInfo {
-	if cap(e.railScratch) < len(e.drvs) {
-		e.railScratch = make([]sched.RailInfo, len(e.drvs))
+	if cap(e.railScratch) < len(e.rails) {
+		e.railScratch = make([]sched.RailInfo, len(e.rails))
 	}
-	out := e.railScratch[:len(e.drvs)]
-	for i := range e.drvs {
-		out[i] = e.railInfo(i)
+	out := e.railScratch[:len(e.rails)]
+	for i, r := range e.rails {
+		out[i] = e.railInfo(r)
 	}
 	return out
 }
 
 // electOutput runs the strategy for one (gate, rail) pair and converts
-// its election into an output, enforcing the SPI contract: a pick must
-// still be in the rail's view (not stale), appear once (no duplication),
-// and fit the rail's gather capacity (sendable). Invalid picks are
-// dropped and their wrappers stay in the window — no strategy can lose
-// or duplicate application data.
-func (e *Engine) electOutput(g *Gate, drv int, caps drivers.Caps) *output {
-	el := e.strat.Elect(&g.views[drv], e.railInfo(drv))
+// its election into an output that records both, enforcing the SPI
+// contract: a pick must still be in the rail's view (not stale), appear
+// once (no duplication), and fit the rail's gather capacity (sendable).
+// Invalid picks are dropped and their wrappers stay in the window — no
+// strategy can lose or duplicate application data.
+func (e *Engine) electOutput(g *Gate, r *rail) *output {
+	info := e.railInfo(r)
+	el := e.strat.Elect(&g.views[r.idx], info)
 	if el.Empty() {
 		return nil
 	}
@@ -147,21 +145,22 @@ func (e *Engine) electOutput(g *Gate, drv int, caps drivers.Caps) *output {
 	// beyond the peer's credit budget loses the pick, not the credit
 	// invariant.
 	e.electGen++
-	g.scanEligible(drv, func(pw *packet) bool {
+	g.scanEligible(r.idx, func(pw *packet) bool {
 		pw.gen = e.electGen
 		return true
 	})
-	maxSegs := caps.MaxSegments
+	maxSegs := info.Caps.MaxSegments
 	if e.opts.Reliability && maxSegs > 1 {
 		maxSegs-- // one gather slot is spent on the link framing header
 	}
 	out := e.newOutput()
+	out.gate, out.rail = g, r
 	for _, w := range el.Wrappers() {
 		pw, ok := w.Ref.(*packet)
 		if !ok || pw.gate == nil || pw.gate.eng != e || pw.gen != e.electGen {
 			continue // foreign, stale or duplicated pick
 		}
-		if out.segCount()+pw.segCount() > maxSegs {
+		if out.segs+pw.segCount() > maxSegs {
 			continue // the rail cannot gather this train; leave it behind
 		}
 		pw.gen = 0
@@ -215,10 +214,7 @@ func (e *Engine) planBody(size int) []sched.BodyShare {
 func (e *Engine) validPlan(plan []sched.BodyShare, size int) bool {
 	off := 0
 	for _, s := range plan {
-		if s.Rail < 0 || s.Rail >= len(e.drvs) || s.Offset != off || s.Size <= 0 {
-			return false
-		}
-		if e.railFailed[s.Rail] {
+		if s.Rail < 0 || s.Rail >= len(e.rails) || e.rails[s.Rail].failed || s.Offset != off || s.Size <= 0 {
 			return false
 		}
 		off += s.Size

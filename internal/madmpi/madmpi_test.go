@@ -226,6 +226,10 @@ func TestDatatypeSizeExtent(t *testing.T) {
 	if idx.Size() != 5 || idx.Extent() != 7 {
 		t.Errorf("Indexed size %d extent %d, want 5/7", idx.Size(), idx.Extent())
 	}
+	// The Figure 4 datatype, byte displacements.
+	if h := Hindexed([]int{64, 256 << 10}, []int{0, 64}, Byte); h.Size() != 64+256<<10 {
+		t.Errorf("Hindexed size %d, want %d", h.Size(), 64+256<<10)
+	}
 }
 
 func TestFlattenCoalesces(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"strconv"
 
 	"nmad/internal/core"
-	"nmad/internal/names"
 	"nmad/internal/sim"
 	"nmad/internal/simnet"
 )
@@ -28,7 +27,7 @@ type snapshot struct {
 }
 
 // statsFields / faultFields map assertion field names to accessors: every
-// exported integer field of the struct under its names.Snake key, so a
+// exported integer field of the struct under its snake key, so a
 // counter added to core.Stats or simnet.FaultStats is assertable without
 // an edit here. The one derived quantity is added by name.
 var (
@@ -52,7 +51,7 @@ func fieldTable[T any]() map[string]func(*T) float64 {
 		if !f.IsExported() || !reflect.Zero(f.Type).CanInt() {
 			continue
 		}
-		table[names.Snake(f.Name)] = func(s *T) float64 {
+		table[snake(f.Name)] = func(s *T) float64 {
 			return float64(reflect.ValueOf(s).Elem().Field(i).Int())
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"nmad/internal/core"
-	"nmad/internal/names"
 	"nmad/internal/simnet"
 )
 
@@ -41,7 +40,7 @@ func TestDerivedStatsTable(t *testing.T) {
 	v := reflect.ValueOf(&s).Elem()
 	for i := range v.NumField() {
 		f := v.Type().Field(i)
-		fn := statsFields[names.Snake(f.Name)]
+		fn := statsFields[snake(f.Name)]
 		if skipped[f.Name] {
 			if fn != nil {
 				t.Errorf("core.Stats.%s is not a scalar but has an accessor", f.Name)
@@ -55,7 +54,7 @@ func TestDerivedStatsTable(t *testing.T) {
 		want := int64(1000 + i)
 		v.Field(i).SetInt(want)
 		if got := fn(&s); got != float64(want) {
-			t.Errorf("accessor %q reads %v, want %v", names.Snake(f.Name), got, want)
+			t.Errorf("accessor %q reads %v, want %v", snake(f.Name), got, want)
 		}
 	}
 	if len(faultFields) != reflect.TypeFor[simnet.FaultStats]().NumField() {
@@ -83,5 +82,27 @@ func TestStatsAccessorDoesNotAllocate(t *testing.T) {
 	}
 	if sink == 0 {
 		t.Error("accessors read nothing")
+	}
+}
+
+func TestSnake(t *testing.T) {
+	cases := map[string]string{
+		"Submitted":           "submitted",
+		"OutputPackets":       "output_packets",
+		"MaxEntriesPerPacket": "max_entries_per_packet",
+		"RdvStarted":          "rdv_started",
+		"DupAcks":             "dup_acks",
+		"CtrlPiggybacked":     "ctrl_piggybacked",
+		"WireBytes":           "wire_bytes",
+		"RDMABytes":           "rdma_bytes",
+		"AggregationRatio":    "aggregation_ratio",
+		"OutageDropped":       "outage_dropped",
+		"X":                   "x",
+		"":                    "",
+	}
+	for in, want := range cases {
+		if got := snake(in); got != want {
+			t.Errorf("snake(%q) = %q, want %q", in, got, want)
+		}
 	}
 }

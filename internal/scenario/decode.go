@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 
-	"nmad/internal/names"
 	"nmad/internal/sim"
 )
 
@@ -32,8 +31,7 @@ var schema = map[reflect.Type]*structKeys{}
 func init() { learn(reflect.TypeFor[Scenario]()) }
 
 // learn records t's key table and those of the structs below it. A field's
-// key is its yaml tag, else its json name, else names.Snake of its Go
-// name; `yaml:"-"` closes a field of a shared struct to scenario files.
+// key is its yaml tag, else its json name, else snake of its Go name; `yaml:"-"` closes a field of a shared struct to scenario files.
 func learn(t reflect.Type) {
 	for t.Kind() == reflect.Pointer || t.Kind() == reflect.Slice {
 		t = t.Elem()
@@ -50,7 +48,7 @@ func learn(t reflect.Type) {
 			key, _, _ = strings.Cut(f.Tag.Get("json"), ",")
 		}
 		if key == "" {
-			key = names.Snake(f.Name)
+			key = snake(f.Name)
 		}
 		if key == "-" || !f.IsExported() {
 			continue
@@ -60,6 +58,37 @@ func learn(t reflect.Type) {
 		learn(f.Type)
 	}
 }
+
+// snake is the one Go-identifier → snake_case mapping scenario files are
+// spelled in — the keys of the schema structs and the assertion fields
+// derived from core.Stats and simnet.FaultStats: word boundaries open
+// before an upper-case letter that follows a lower-case letter or digit
+// ("OutputPackets" → "output_packets"), and before the last upper-case
+// letter of an acronym run that is followed by a lower-case letter
+// ("RDMABytes" → "rdma_bytes").
+func snake(ident string) string {
+	var b strings.Builder
+	runes := []rune(ident)
+	for i, r := range runes {
+		if isUpper(r) {
+			boundary := false
+			if i > 0 && !isUpper(runes[i-1]) {
+				boundary = true // aB → a_b
+			} else if i > 0 && i+1 < len(runes) && isUpper(runes[i-1]) && !isUpper(runes[i+1]) {
+				boundary = true // ABc → a_bc (end of acronym run)
+			}
+			if boundary {
+				b.WriteByte('_')
+			}
+			b.WriteRune(r - 'A' + 'a')
+			continue
+		}
+		b.WriteRune(r)
+	}
+	return b.String()
+}
+
+func isUpper(r rune) bool { return r >= 'A' && r <= 'Z' }
 
 // decoder carries the position of the value being decoded as a stack of
 // steps, rendered only when an error names it.

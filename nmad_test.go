@@ -82,32 +82,6 @@ func TestClusterMPI(t *testing.T) {
 	}
 }
 
-func TestStrategyNamesExported(t *testing.T) {
-	// The registry is open (this test binary registers its own), so
-	// check the built-ins are present rather than an exact count.
-	names := nmad.Strategies()
-	has := func(want string) bool {
-		for _, n := range names {
-			if n == want {
-				return true
-			}
-		}
-		return false
-	}
-	for _, want := range []string{"default", "aggreg", "split", "prio", "adaptive"} {
-		if !has(want) {
-			t.Errorf("Strategies() = %v, missing %q", names, want)
-		}
-	}
-}
-
-func TestDatatypeConstructorsExported(t *testing.T) {
-	dt := nmad.Hindexed([]int{64, 256 << 10}, []int{0, 64}, nmad.ByteType)
-	if dt.Size() != 64+256<<10 {
-		t.Errorf("datatype size %d", dt.Size())
-	}
-}
-
 // TestIndexedDatatypeAggregatesIntoOnePacket is the §5.3 acceptance
 // check through the facade: the blocks of an Indexed datatype ride the
 // vector path (Isendv) as ONE wrapper and depart in ONE physical packet,

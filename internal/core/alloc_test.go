@@ -77,8 +77,10 @@ func eagerWorkload(opts Options) func(msgs int) {
 }
 
 // The eager Isend path: wrapper, window push, election, train encode,
-// NIC round trip, dispatch, match, completion. With recycling this
-// whole cycle must stay in single-digit allocations per message.
+// NIC round trip, dispatch, match, completion. With recycling the cycle
+// allocates the two requests the callers keep; the rest of the measured
+// 3.40 is the free lists growing with the backlog of a sender that never
+// waits (wrappers, unexpected entries, frames, flights).
 func TestAllocsEagerIsendPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
@@ -87,9 +89,9 @@ func TestAllocsEagerIsendPath(t *testing.T) {
 	opts.Strategy = "aggreg"
 	got := marginalAllocs(eagerWorkload(opts), 64, 320)
 	t.Logf("eager Isend path: %.2f allocs per message", got)
-	const ceiling = 8
+	const ceiling = 4.5
 	if got > ceiling {
-		t.Errorf("eager Isend path allocates %.2f per message, ceiling %d — a hot-path allocation crept back in", got, ceiling)
+		t.Errorf("eager Isend path allocates %.2f per message, ceiling %.1f — a hot-path allocation crept back in", got, ceiling)
 	}
 }
 
@@ -106,7 +108,7 @@ func TestAllocsFlushPath(t *testing.T) {
 	opts.FlushBacklog = 4
 	got := marginalAllocs(eagerWorkload(opts), 64, 320)
 	t.Logf("flush path: %.2f allocs per message", got)
-	const ceiling = 11
+	const ceiling = 7 // measured 5.49
 	if got > ceiling {
 		t.Errorf("flush path allocates %.2f per message, ceiling %d — a hot-path allocation crept back in", got, ceiling)
 	}
@@ -131,16 +133,20 @@ func TestAllocsRecyclingActuallyRecycles(t *testing.T) {
 	}
 }
 
-// A request is one allocation per message, and both kinds fill their
-// malloc size class to the byte (SendRequest 64, RecvRequest 112). One
-// more word in either rounds every message's request up a class — 16
-// bytes per op, which on pingpong-64B alone is +2.6 % allocated bytes.
+// A request is one allocation per message. SendRequest fills its malloc
+// size class to the byte (64): one more word rounds every send up a
+// class. RecvRequest is 136 bytes in the 144-byte class: the 112 bytes of
+// completion and match state plus the 24-byte slice header of the
+// single-segment landing area, which used to be a second allocation of
+// its own (112 + 24 in the 112- and 24-byte classes — 8 bytes less and
+// one object more per receive). One word is left before the next class
+// (160).
 func TestRequestSizeClasses(t *testing.T) {
 	if got := unsafe.Sizeof(SendRequest{}); got > 64 {
 		t.Errorf("SendRequest is %d bytes, over the 64-byte size class", got)
 	}
-	if got := unsafe.Sizeof(RecvRequest{}); got > 112 {
-		t.Errorf("RecvRequest is %d bytes, over the 112-byte size class", got)
+	if got := unsafe.Sizeof(RecvRequest{}); got > 144 {
+		t.Errorf("RecvRequest is %d bytes, over the 144-byte size class", got)
 	}
 }
 

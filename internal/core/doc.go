@@ -82,7 +82,23 @@
 // memory is read for the last time when the frame is filled, whoever
 // parks frame bytes holds a reference, and strategies cannot retain
 // window views (the spileak analyzer enforces the SPI aliasing
-// contract). Options.NoRecycle turns every pool off for A/B
+// contract). Three more objects live for one election, one NIC
+// transaction and one receive completion, and are owned rather than
+// allocated each time. The election a built-in strategy returns is that
+// strategy value's own, reset at its next Elect with its picks cleared;
+// electOutput reads it before anything can elect again and keeps only
+// the *packet behind each Ref. A transaction inside the NIC is a
+// simnet flight, drawn from the fabric's list at Submit — which copies
+// the driver's Tx and keeps nothing of it — and held by the events the
+// NIC scheduled for it: the sender-side completion and every delivery,
+// late duplicates included; the last to fire files it back. The deferred
+// completion of an eager receive is a recvDone (pool.go), the engine's
+// from the match until the copy cost has elapsed, filed back as its
+// event fires. Each binds its callbacks once, so none of the three
+// events allocates a closure, and a plain Irecv's one-segment landing
+// area is a field of its request. What a steady-state message leaves on
+// the heap is what its caller keeps: the SendRequest and the
+// RecvRequest. Options.NoRecycle turns every pool off for A/B
 // comparison: the replayed timeline must be byte-identical either way,
 // which the pooling property test in internal/replay asserts. The repo
 // benchmark (benchmark/, workload ring-replay-1024) measures the

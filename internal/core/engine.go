@@ -99,6 +99,7 @@ type Engine struct {
 	freePkts freeList[packet]
 	freeOuts freeList[output]
 	freeEnts freeList[inEntry]
+	freeDone freeList[recvDone]
 	encHdrs  []byte
 	encSegs  [][]byte
 	// railScratch backs railInfos() so the per-body-plan rail survey
@@ -408,7 +409,7 @@ func (e *Engine) recordSend(g *Gate, tag Tag, iov iovec, cfg sendConfig) {
 
 // recordRecv appends one application-level receive posting to the
 // attached recording.
-func (e *Engine) recordRecv(g *Gate, want, mask Tag, iov iovec) {
+func (e *Engine) recordRecv(g *Gate, req *RecvRequest) {
 	if e.opts.Record == nil {
 		return
 	}
@@ -417,9 +418,9 @@ func (e *Engine) recordRecv(g *Gate, want, mask Tag, iov iovec) {
 		Node: int(e.node.ID),
 		Peer: int(g.peer),
 		Kind: trace.OpRecv,
-		Tag:  uint64(want),
-		Mask: uint64(mask),
-		Segs: iov.segLens(),
+		Tag:  uint64(req.want),
+		Mask: uint64(req.mask),
+		Segs: req.iov.segLens(),
 		Rail: anyDriver,
 	})
 }
@@ -564,7 +565,7 @@ func (e *Engine) prepare(g *Gate, r *rail) {
 // account books the output's statistics and removes its wrappers from the
 // window (they are now owned by the output).
 func (e *Engine) account(out *output) {
-	g, r := out.gate, out.rail
+	g := out.gate
 	g.win.take(out.entries)
 	for _, pw := range out.entries {
 		if pw.driver == anyDriver {
@@ -576,14 +577,20 @@ func (e *Engine) account(out *output) {
 			g.dropData(pw)
 		}
 	}
-
-	e.stats.OutputPackets++
-	e.stats.EntriesSent += len(out.entries)
-	if len(out.entries) > 1 {
-		e.stats.AggregatedPackets++
-	}
+	e.book(out, 1)
 	if len(out.entries) > e.stats.MaxEntriesPerPacket {
 		e.stats.MaxEntriesPerPacket = len(out.entries)
+	}
+	e.traceEvent(trace.Elect, g.peer, out.rail.idx, 0, out.wire, len(out.entries), e.strat.Name())
+}
+
+// book adds the output to the election counters and spends the landing
+// credits of its data wrappers — or, with sign -1, takes both back.
+func (e *Engine) book(out *output, sign int) {
+	e.stats.OutputPackets += sign
+	e.stats.EntriesSent += sign * len(out.entries)
+	if len(out.entries) > 1 {
+		e.stats.AggregatedPackets += sign
 	}
 	hasData, hasCtrl := false, false
 	for _, pw := range out.entries {
@@ -594,18 +601,42 @@ func (e *Engine) account(out *output) {
 			hasData = true // body bytes were counted at startBody time
 		default:
 			hasData = true
-			e.stats.EagerBytes += int64(pw.payloadLen())
+			e.stats.EagerBytes += int64(sign * pw.payloadLen())
 		}
 		if pw.kind == kindData && e.opts.Credits > 0 {
-			g.credits--
+			out.gate.credits -= sign
 		}
 	}
 	if hasData && hasCtrl {
-		e.stats.CtrlPiggybacked++
+		e.stats.CtrlPiggybacked += sign
 	}
-	r.bytes += int64(out.payload)
-	e.stats.WireBytes += int64(out.wire)
-	e.traceEvent(trace.Elect, g.peer, r.idx, 0, out.wire, len(out.entries), e.strat.Name())
+	out.rail.bytes += int64(sign * out.payload)
+	e.stats.WireBytes += int64(sign * out.wire)
+}
+
+// unstage undoes stage for a rail that failed with a pre-built packet
+// waiting: the packet's wrappers left the window when it was elected, so
+// they go back to the head of it — on the common list, for whichever
+// rail idles next — and the election is taken out of the books.
+func (e *Engine) unstage(r *rail) {
+	out := r.staged
+	if out == nil {
+		return
+	}
+	r.staged = nil
+	g := out.gate
+	e.book(out, -1)
+	var data []*packet
+	for _, pw := range out.entries {
+		pw.driver = anyDriver
+		if pw.kind == kindData && e.opts.Credits > 0 {
+			data = append(data, pw)
+		}
+	}
+	e.pendingCommon += len(out.entries)
+	g.win.common = append(append([]*packet(nil), out.entries...), g.win.common...)
+	g.dataFIFO, g.dataHead = append(data, g.dataWindow()...), 0
+	e.freeOutput(out)
 }
 
 // feed claims the rail, charges the scheduling overhead, then hands the

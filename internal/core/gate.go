@@ -275,7 +275,7 @@ func (g *Gate) Send(p *sim.Proc, tag Tag, data []byte) error {
 // Irecv posts a receive for the next message on flow tag, delivering into
 // buf. The request completes once the payload is in place.
 func (g *Gate) Irecv(p *sim.Proc, tag Tag, buf []byte) *RecvRequest {
-	return g.irecvIov(p, tag, ^Tag(0), singleIov(buf))
+	return g.irecv(p, singleRecv(tag, ^Tag(0), buf))
 }
 
 // Irecvv is the vector form of Irecv: the payload of the matched message
@@ -283,27 +283,38 @@ func (g *Gate) Irecv(p *sim.Proc, tag Tag, buf []byte) *RecvRequest {
 // pairs with Isendv — the usual contract of matching layouts on both
 // sides.
 func (g *Gate) Irecvv(p *sim.Proc, tag Tag, segs [][]byte) *RecvRequest {
-	return g.irecvIov(p, tag, ^Tag(0), iovec(segs))
+	return g.irecv(p, &RecvRequest{want: tag, mask: ^Tag(0), iov: segs})
 }
 
 // IrecvMasked posts a wildcard receive: it matches the first arriving
-// message whose tag satisfies tag&mask == want. MAD-MPI builds ANY_TAG
-// receives on it by masking out the user-tag bits.
+// message whose tag satisfies tag&mask == want&mask. MAD-MPI builds
+// ANY_TAG receives on it by masking out the user-tag bits.
 func (g *Gate) IrecvMasked(p *sim.Proc, want, mask Tag, buf []byte) *RecvRequest {
-	return g.irecvIov(p, want, mask, singleIov(buf))
+	return g.irecv(p, singleRecv(want, mask, buf))
 }
 
 // IrecvvMasked is the vector form of IrecvMasked: a wildcard receive
 // scattering across the iovec segments. It is the general receive shape
 // a replayed recording re-posts (package replay).
 func (g *Gate) IrecvvMasked(p *sim.Proc, want, mask Tag, segs [][]byte) *RecvRequest {
-	return g.irecvIov(p, want, mask, iovec(segs))
+	return g.irecv(p, &RecvRequest{want: want, mask: mask, iov: segs})
 }
 
-func (g *Gate) irecvIov(p *sim.Proc, want, mask Tag, iov iovec) *RecvRequest {
-	g.eng.recordRecv(g, want, mask, iov)
+// singleRecv builds the request of a receive into one buffer (possibly
+// nil). Its one-segment landing area is the request's own, so the
+// receive is one allocation, not a request and an iovec.
+func singleRecv(want, mask Tag, buf []byte) *RecvRequest {
+	req := &RecvRequest{want: want, mask: mask}
+	req.one[0] = buf
+	req.iov = req.one[:]
+	return req
+}
+
+func (g *Gate) irecv(p *sim.Proc, req *RecvRequest) *RecvRequest {
+	g.eng.recordRecv(g, req)
 	g.eng.chargeSubmit(p)
-	return g.postRecv(want, mask, iov, nil)
+	g.postRecv(req)
+	return req
 }
 
 // PostRecvvMasked is IrecvvMasked for a caller in scheduler context; see
@@ -312,19 +323,17 @@ func (g *Gate) irecvIov(p *sim.Proc, want, mask Tag, iov iovec) *RecvRequest {
 // still follows by the payload copy cost, as completion does for a
 // waiting process.
 func (g *Gate) PostRecvvMasked(want, mask Tag, segs [][]byte, done func(err error)) {
-	iov := iovec(segs)
-	g.eng.recordRecv(g, want, mask, iov)
-	g.eng.afterSubmit(func() { g.postRecv(want, mask, iov, done) })
+	req := &RecvRequest{request: request{hook: done}, want: want, mask: mask, iov: segs}
+	g.eng.recordRecv(g, req)
+	g.eng.afterSubmit(func() { g.postRecv(req) })
 }
 
 // postRecv is what a receive does once its submit overhead is paid: match
 // the oldest unexpected arrival, or queue behind the posted receives.
-func (g *Gate) postRecv(want, mask Tag, iov iovec, hook func(error)) *RecvRequest {
-	req := &RecvRequest{request: request{hook: hook}, want: want & mask, mask: mask, iov: iov}
+func (g *Gate) postRecv(req *RecvRequest) {
 	if !g.matchUnexpected(req) {
 		g.posted = append(g.posted, req)
 	}
-	return req
 }
 
 // Recv is the blocking convenience over Irecv; it returns the payload

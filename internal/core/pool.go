@@ -1,10 +1,14 @@
 package core
 
-import "nmad/internal/simnet"
+import (
+	"nmad/internal/sim"
+	"nmad/internal/simnet"
+)
 
 // Free-list recycling for the engine hot path. Every eager send allocates
 // a packet wrapper, every elected train an output, every out-of-order or
-// unexpected arrival an inEntry — at replay scale these dominate the
+// unexpected arrival an inEntry, every eager receive a deferred
+// completion (recvDone) — at replay scale these dominate the
 // engine's allocation profile. The engine recycles them through plain
 // per-engine free lists rather than sync.Pool: the deterministic packages
 // must not couple behaviour (or even allocation addresses feeding map
@@ -141,6 +145,38 @@ func (e *Engine) freeInEntry(ent *inEntry) {
 	}
 	*ent = inEntry{}
 	e.freeEnts.put(ent)
+}
+
+// recvDone is the deferred completion of one eager receive: the request
+// completes when the payload copy into the user buffer has been paid for.
+// The engine owns the record from completeAfter until its event fires,
+// which takes the request out and files the record back before
+// completing; fire is d.run, bound when the record is first made, so the
+// event captures nothing per message.
+type recvDone struct {
+	eng  *Engine
+	req  *RecvRequest
+	err  error
+	fire func()
+}
+
+// completeAfter completes r with err once delay has elapsed.
+func (e *Engine) completeAfter(delay sim.Time, r *RecvRequest, err error) {
+	d := e.freeDone.get()
+	if d.fire == nil { // fresh, not recycled
+		d.eng, d.fire = e, d.run
+	}
+	d.req, d.err = r, err
+	e.world.After(delay, d.fire)
+}
+
+func (d *recvDone) run() {
+	r, err := d.req, d.err
+	d.req, d.err = nil, nil
+	if !d.eng.opts.NoRecycle {
+		d.eng.freeDone.put(d)
+	}
+	r.complete(err)
 }
 
 // encodeOutput turns an output train into the NIC gather list: one

@@ -314,8 +314,9 @@ func (e *Engine) aliveRail(except *rail) *rail {
 
 // railFail declares a rail dead: a frame exhausted its retransmit budget
 // on it and a surviving rail exists. Pinned window wrappers re-home to
-// the common list, retained frames re-issue elsewhere, elections skip
-// the rail, and a probe starts riding it until the peer answers.
+// the common list, as do those of a packet pre-staged for the rail,
+// retained frames re-issue elsewhere, elections skip the rail, and a
+// probe starts riding it until the peer answers.
 func (e *Engine) railFail(r *rail, peer simnet.NodeID) {
 	if r.failed {
 		return
@@ -323,7 +324,7 @@ func (e *Engine) railFail(r *rail, peer simnet.NodeID) {
 	r.failed = true
 	e.stats.FailedRails++
 	e.traceEvent(trace.RailEvent, peer, r.idx, 0, 0, 0, "failed")
-	r.staged = nil
+	e.unstage(r)
 	alt := e.aliveRail(r)
 	for _, g := range e.gateOrder {
 		for _, pw := range g.win.perDriver[r.idx] {

@@ -222,6 +222,85 @@ func TestRailFailoverAndRecovery(t *testing.T) {
 	}
 }
 
+// TestRailFailKeepsStagedOutput: with anticipation on, a busy rail holds
+// a pre-built packet whose wrappers have already left the window. When
+// the rail is declared dead those wrappers must go back to the window
+// for the survivor — dropping the staged packet loses them for good and
+// their sends never complete.
+func TestRailFailKeepsStagedOutput(t *testing.T) {
+	for _, credits := range []int{0, 64} {
+		t.Run(fmt.Sprintf("credits=%d", credits), func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Anticipate = true
+			opts.Credits = credits
+			opts.RetransmitTimeout = 20 * sim.Microsecond
+			opts.RetransmitBudget = 2
+			opts.ProbeBudget = 2
+			// Rail 1 is dark for the whole run. Its NIC still completes on
+			// the sending side, so the rail keeps electing, sending and
+			// pre-staging out of the backlog until a frame runs out of
+			// retransmissions.
+			fp := simnet.FaultProfile{Seed: 5, Rails: []simnet.RailFaults{
+				{},
+				{Outages: []simnet.Outage{{At: 0, Duration: sim.FromMicroseconds(1e6)}}},
+			}}
+			w, e0, e1 := lossyPair(t, opts, fp, simnet.MX10G(), simnet.QsNetII())
+			const n, size = 96, 4 << 10
+			stagedAtFailure := false
+			w.Spawn("send", func(p *sim.Proc) {
+				reqs := make([]Request, n)
+				for i := range reqs {
+					msg := make([]byte, size)
+					fillSeq(msg, byte(i))
+					reqs[i] = e0.Gate(1).Isend(p, Tag(i%3), msg)
+				}
+				// Watch for the instant before the failure: the dead rail
+				// must be holding a staged packet then, or the test is
+				// not testing the hand-back.
+				for e0.Stats().FailedRails == 0 {
+					stagedAtFailure = e0.rails[1].staged != nil
+					p.Sleep(sim.Microsecond / 4)
+				}
+				if err := WaitAll(p, reqs...); err != nil {
+					t.Errorf("sends: %v", err)
+				}
+			})
+			w.Spawn("recv", func(p *sim.Proc) {
+				next := [3]int{0, 1, 2}
+				for i := 0; i < n; i++ {
+					buf, want := make([]byte, size), make([]byte, size)
+					fl := i % 3
+					if got, err := e1.Gate(0).Recv(p, Tag(fl), buf); err != nil || got != size {
+						t.Fatalf("recv %d: n=%d err=%v", i, got, err)
+					}
+					fillSeq(want, byte(next[fl]))
+					next[fl] += 3
+					if !bytes.Equal(buf, want) {
+						t.Fatalf("recv %d: corrupt or out-of-order payload on flow %d", i, fl)
+					}
+				}
+			})
+			run(t, w)
+			st := e0.Stats()
+			if st.FailedRails != 1 {
+				t.Fatalf("FailedRails = %d, want 1", st.FailedRails)
+			}
+			if !stagedAtFailure {
+				t.Fatal("rail 1 held no staged packet when it failed: the workload no longer reaches the hand-back")
+			}
+			if st.Submitted != st.EntriesSent {
+				t.Errorf("Submitted %d != EntriesSent %d: a handed-back wrapper was lost or booked twice", st.Submitted, st.EntriesSent)
+			}
+			if !e0.WindowEmpty() || e0.rails[0].pinned+e0.rails[1].pinned+e0.pendingCommon != 0 {
+				t.Errorf("window not drained: common %d, pinned %d/%d", e0.pendingCommon, e0.rails[0].pinned, e0.rails[1].pinned)
+			}
+			if credits > 0 && e0.Gate(1).Credits() != credits {
+				t.Errorf("credits ended at %d, want the full budget %d back", e0.Gate(1).Credits(), credits)
+			}
+		})
+	}
+}
+
 // reliableRun drives a fixed mixed workload over a lossy rail and
 // returns both engines' stats plus the virtual completion time.
 func reliableRun(t *testing.T, seed uint64) (Stats, Stats, sim.Time) {

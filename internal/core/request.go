@@ -172,14 +172,16 @@ func (r *SendRequest) doneOne() {
 }
 
 // RecvRequest is a posted receive. It matches incoming wrappers by
-// (tag & Mask) == Want, in arrival order, FIFO against other posted
-// receives of the same gate. The landing area is an iovec: Irecv posts a
-// single segment, Irecvv scatters into many.
+// tag&mask == want&mask, in arrival order, FIFO against other posted
+// receives of the same gate. The landing area is an iovec: Irecvv
+// scatters into the caller's many segments, Irecv into the single
+// segment the request itself holds (one; iov is then one[:]).
 type RecvRequest struct {
 	request
 	want Tag
 	mask Tag
 	iov  iovec
+	one  [1][]byte
 
 	matched bool
 	n       int
@@ -201,7 +203,7 @@ func (r *RecvRequest) Tag() Tag { return r.tag }
 func (r *RecvRequest) Source() simnet.NodeID { return r.src }
 
 // matches reports whether an incoming tag satisfies this receive.
-func (r *RecvRequest) matchesTag(tag Tag) bool { return tag&r.mask == r.want }
+func (r *RecvRequest) matchesTag(tag Tag) bool { return (tag^r.want)&r.mask == 0 }
 
 // RequestGroup composes several requests into one: it completes when
 // every member has, and its error is the first member error.

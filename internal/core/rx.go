@@ -210,7 +210,7 @@ func (e *Engine) consume(g *Gate, r *RecvRequest, h header, payload []byte) {
 			g.pushCtrl(kindAck, h.tag, 0, h.aux)
 		}
 		e.returnCredit(g)
-		e.world.After(e.node.CopyCost(n), func() { r.complete(err) })
+		e.completeAfter(e.node.CopyCost(n), r, err)
 	case kindRTS:
 		e.acceptRdv(g, r, h)
 	default:

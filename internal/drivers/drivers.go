@@ -213,14 +213,16 @@ func (b *base) post(tx *simnet.Tx, nsegs int) error {
 	}
 	// Software gather: the bounce buffer is the transaction's frame —
 	// flattened here unless the caller already did — and the memcpy is
-	// charged by delaying the submission of what is now one segment.
-	if tx.Frame == nil {
-		tx.Frame, tx.Segs = b.nic.Network().Frames().New(tx.Segs), nil
+	// charged by delaying the submission of what is now one segment: a
+	// copy of the transaction, so that tx itself never leaves the stack.
+	bounced := *tx
+	if bounced.Frame == nil {
+		bounced.Frame, bounced.Segs = b.nic.Network().Frames().New(tx.Segs), nil
 	}
-	tx.NSegs = 1
-	delay := b.nic.Node().CopyCost(len(tx.Frame.Bytes()))
+	bounced.NSegs = 1
+	delay := b.nic.Node().CopyCost(len(bounced.Frame.Bytes()))
 	b.nic.Network().World().After(delay, func() {
-		if err := b.nic.Submit(tx); err != nil {
+		if err := b.nic.Submit(&bounced); err != nil {
 			panic("drivers: bounce submit failed: " + err.Error())
 		}
 	})

@@ -486,3 +486,43 @@ func TestFinalize(t *testing.T) {
 		}
 	})
 }
+
+// TestAllocsBlockingPingPong pins what a blocking round trip leaves on
+// the heap: the two engine requests of each direction and nothing else —
+// no *Request handle for a caller who never sees one, no per-election,
+// per-transaction or per-completion object below. The figure is the
+// marginal one (a long run minus a short run, per extra round trip), so
+// world and engine construction cancel out, and it is exact: the runs
+// are deterministic.
+func TestAllocsBlockingPingPong(t *testing.T) {
+	pingpong := func(rounds int) {
+		ping, pong := make([]byte, 64), make([]byte, 64)
+		job(t, 2, func(p *sim.Proc, m *MPI) {
+			c, peer := m.CommWorld(), 1-m.Rank()
+			for i := 0; i < rounds; i++ {
+				var err error
+				if m.Rank() == 0 {
+					if err = c.Send(p, ping, peer, 0); err == nil {
+						_, err = c.Recv(p, pong, peer, 0)
+					}
+				} else {
+					if _, err = c.Recv(p, ping, peer, 0); err == nil {
+						err = c.Send(p, pong, peer, 0)
+					}
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	const short, long = 32, 288
+	pingpong(4) // warm lazy runtime and package init paths out of the measurement
+	a1 := testing.AllocsPerRun(5, func() { pingpong(short) })
+	a2 := testing.AllocsPerRun(5, func() { pingpong(long) })
+	got := (a2 - a1) / (long - short)
+	t.Logf("blocking ping-pong: %.2f objects per round trip", got)
+	if got > 5 {
+		t.Errorf("a blocking round trip allocates %.2f objects, want the 4 engine requests (ceiling 5)", got)
+	}
+}

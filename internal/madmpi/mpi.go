@@ -193,7 +193,12 @@ func (r *Request) Status() Status {
 	if r.recv == nil {
 		return Status{Source: -1, Tag: -1}
 	}
-	return Status{Source: int(r.recv.Source()), Tag: userTag(r.recv.Tag()), Count: r.recv.N()}
+	return recvStatus(r.recv)
+}
+
+// recvStatus is the MPI_Status of an engine receive.
+func recvStatus(r *core.RecvRequest) Status {
+	return Status{Source: int(r.Source()), Tag: userTag(r.Tag()), Count: r.N()}
 }
 
 // WaitStatus blocks until completion and returns the receive status
@@ -207,16 +212,14 @@ func (r *Request) WaitStatus(p *sim.Proc) (Status, error) {
 	return r.Status(), err
 }
 
-// Waitall completes every request, returning the first error
-// (MPI_Waitall over the engine's unified WaitAll).
+// Waitall completes every request in argument order, returning the first
+// error (MPI_Waitall).
 func Waitall(p *sim.Proc, reqs ...*Request) error {
-	return core.WaitAll(p, asCoreRequests(reqs)...)
-}
-
-func asCoreRequests(reqs []*Request) []core.Request {
-	out := make([]core.Request, len(reqs))
-	for i, r := range reqs {
-		out[i] = r
+	var first error
+	for _, r := range reqs {
+		if err := r.Wait(p); err != nil && first == nil {
+			first = err
+		}
 	}
-	return out
+	return first
 }

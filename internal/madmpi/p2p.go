@@ -13,54 +13,87 @@ import (
 // tag. Engine send options (core.Priority, core.OnRail, ...) pass
 // through as MAD-MPI extensions.
 func (c *Comm) Isend(p *sim.Proc, buf []byte, dest, tag int, opts ...core.SendOption) *Request {
-	if err := c.checkPeer(dest); err != nil {
+	req, err := c.isend(p, buf, dest, tag, opts...)
+	if err != nil {
 		return failedRequest(err)
+	}
+	return &Request{Request: req}
+}
+
+// isend validates and posts a send; Isend wraps the engine request in a
+// handle, the blocking forms wait on it directly.
+func (c *Comm) isend(p *sim.Proc, buf []byte, dest, tag int, opts ...core.SendOption) (*core.SendRequest, error) {
+	if err := c.checkPeer(dest); err != nil {
+		return nil, err
 	}
 	if err := checkTag(tag); err != nil {
-		return failedRequest(err)
+		return nil, err
 	}
-	req := c.gate(dest).Isend(p, c.flowTag(tag), buf, opts...)
-	return &Request{Request: req}
+	return c.gate(dest).Isend(p, c.flowTag(tag), buf, opts...), nil
 }
 
 // Irecv starts a nonblocking receive into buf from rank src. tag may be
 // AnyTag.
 func (c *Comm) Irecv(p *sim.Proc, buf []byte, src, tag int) *Request {
-	if err := c.checkPeer(src); err != nil {
+	req, err := c.irecv(p, buf, src, tag)
+	if err != nil {
 		return failedRequest(err)
-	}
-	var req *core.RecvRequest
-	if tag == AnyTag {
-		want, mask := c.tagSpace()
-		req = c.gate(src).IrecvMasked(p, want, mask, buf)
-	} else {
-		if err := checkTag(tag); err != nil {
-			return failedRequest(err)
-		}
-		req = c.gate(src).Irecv(p, c.flowTag(tag), buf)
 	}
 	return &Request{Request: req, recv: req}
 }
 
+// irecv is isend's receive twin.
+func (c *Comm) irecv(p *sim.Proc, buf []byte, src, tag int) (*core.RecvRequest, error) {
+	if err := c.checkPeer(src); err != nil {
+		return nil, err
+	}
+	if tag == AnyTag {
+		want, mask := c.tagSpace()
+		return c.gate(src).IrecvMasked(p, want, mask, buf), nil
+	}
+	if err := checkTag(tag); err != nil {
+		return nil, err
+	}
+	return c.gate(src).Irecv(p, c.flowTag(tag), buf), nil
+}
+
 // Send is the blocking form of Isend.
 func (c *Comm) Send(p *sim.Proc, buf []byte, dest, tag int) error {
-	return c.Isend(p, buf, dest, tag).Wait(p)
+	req, err := c.isend(p, buf, dest, tag)
+	if err != nil {
+		return err
+	}
+	return req.Wait(p)
 }
 
 // Recv is the blocking form of Irecv.
 func (c *Comm) Recv(p *sim.Proc, buf []byte, src, tag int) (Status, error) {
-	return c.Irecv(p, buf, src, tag).WaitStatus(p)
+	req, err := c.irecv(p, buf, src, tag)
+	return waitRecv(p, req, err)
+}
+
+// waitRecv completes a receive irecv posted (or failed to: err) and
+// reports its status, populated even when the receive ends in an error.
+func waitRecv(p *sim.Proc, req *core.RecvRequest, err error) (Status, error) {
+	if err != nil {
+		return Status{Source: -1, Tag: -1}, err
+	}
+	err = req.Wait(p)
+	return recvStatus(req), err
 }
 
 // Sendrecv exchanges messages with a peer without deadlocking: both
 // directions are posted nonblocking, then completed.
 func (c *Comm) Sendrecv(p *sim.Proc, sendBuf []byte, dest, sendTag int, recvBuf []byte, src, recvTag int) (Status, error) {
-	rr := c.Irecv(p, recvBuf, src, recvTag)
-	sr := c.Isend(p, sendBuf, dest, sendTag)
-	if err := sr.Wait(p); err != nil {
+	rr, rerr := c.irecv(p, recvBuf, src, recvTag)
+	sr, err := c.isend(p, sendBuf, dest, sendTag)
+	if err == nil {
+		err = sr.Wait(p)
+	}
+	if err != nil {
 		return Status{}, err
 	}
-	return rr.WaitStatus(p)
+	return waitRecv(p, rr, rerr)
 }
 
 // IsendPriority is a MAD-MPI extension exposing the engine's priority

@@ -66,6 +66,9 @@ type Fabric struct {
 	nets   []*Network
 	faults *FaultProfile // installed fault injection, nil = perfect fabric
 	frames FrameList     // every frame in flight on the fabric is drawn from here
+	// flights is the free list of NIC transaction records (see flight),
+	// shared by every NIC of the fabric and linked through the records.
+	flights *flight
 }
 
 // NewFabric creates n nodes sharing one world and one host parameter set.

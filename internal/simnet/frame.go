@@ -6,7 +6,7 @@ import "math/bits"
 // contiguous, reference-counted buffer that is filled once — the single
 // host copy a byte sees between the sender's memory and the receiver's —
 // and is read-only from then on. Whoever needs the bytes to outlive the
-// call that showed them holds a reference: a queued Tx, each scheduled
+// call that showed them holds a reference: a queued transaction, each scheduled
 // delivery, and above the NIC a sender that may transmit the frame again
 // or a receiver that parked a slice of it. The last Release returns the
 // frame, header and bytes together, to the free list it was drawn from.

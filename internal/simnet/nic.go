@@ -33,10 +33,11 @@ func (k TxKind) String() string {
 	}
 }
 
-// Tx is one NIC transaction: bytes bound for a peer node, given either as
-// a gather list for the NIC to snapshot or as a frame already filled.
-// Inside the NIC there is one form: Submit turns Segs into a frame on
-// entry, and every queued transaction holds one.
+// Tx is one NIC transaction as its caller describes it: bytes bound for a
+// peer node, given either as a gather list for the NIC to snapshot or as
+// a frame already filled. Submit copies what it needs into a flight, the
+// one form inside the NIC, and keeps nothing of the Tx: a caller builds
+// it on its stack.
 type Tx struct {
 	Dst  NodeID
 	Kind TxKind
@@ -104,7 +105,7 @@ type NIC struct {
 	net   *Network
 
 	busy   bool
-	queue  []*Tx // FIFO behind the transaction in progress; qhead is its front
+	queue  []*flight // FIFO behind the transaction in progress; qhead is its front
 	qhead  int
 	onIdle func()
 	onRecv func(Delivery)
@@ -138,6 +139,57 @@ func (n *NIC) OnIdle(fn func()) { n.onIdle = fn }
 // a driver must be bound before traffic flows.
 func (n *NIC) OnRecv(fn func(Delivery)) { n.onRecv = fn }
 
+// flight is one transaction inside the NIC: queued, in progress, or sent
+// and still owed to the receiver. It holds the transaction's reference to
+// its frame, which becomes the reference of the scheduled delivery —
+// dropped when the fabric loses the packet, doubled when it duplicates
+// it. Flights are recycled per fabric, as frames are, and their two
+// event callbacks are bound once, so a recycled flight schedules its
+// sender-side completion and its deliveries without allocating. pending
+// counts the scheduled events that have yet to read the flight — the
+// completion, and each delivery however late jitter or duplication
+// makes it — and the last of them to fire returns it to the list.
+type flight struct {
+	nic    *NIC // the sending adapter
+	dst    NodeID
+	kind   TxKind
+	nsegs  int
+	aux    uint64
+	frame  *Frame
+	onSent func()
+
+	pending int
+	next    *flight // free-list link while released
+
+	sentFn, deliverFn func() // fl.sent and fl.deliver, bound when fl is first made
+}
+
+// newFlight draws a zeroed flight from the fabric's free list.
+func (f *Fabric) newFlight() *flight {
+	fl := f.flights
+	if fl == nil {
+		fl = new(flight)
+		fl.sentFn, fl.deliverFn = fl.sent, fl.deliver
+		return fl
+	}
+	f.flights, fl.next = fl.next, nil
+	return fl
+}
+
+// done retires one scheduled event of the flight; the last one clears it
+// and files it back.
+func (fl *flight) done() {
+	if fl.pending <= 0 {
+		panic("simnet: release of a released transaction")
+	}
+	fl.pending--
+	if fl.pending == 0 {
+		f := fl.nic.net.fabric
+		*fl = flight{next: f.flights, sentFn: fl.sentFn, deliverFn: fl.deliverFn}
+		f.flights = fl
+	}
+}
+
 // Submit validates and enqueues a transaction, starting it at once if the
 // NIC is idle.
 func (n *NIC) Submit(tx *Tx) error {
@@ -162,119 +214,126 @@ func (n *NIC) Submit(tx *Tx) error {
 	if p.MTU > 0 && size > p.MTU {
 		return fmt.Errorf("%w: %d bytes > MTU %d on %s", errOversized, size, p.MTU, p.Name)
 	}
-	if tx.Frame == nil {
+	fl := n.net.fabric.newFlight()
+	fl.nic, fl.dst, fl.kind, fl.nsegs, fl.aux, fl.onSent = n, tx.Dst, tx.Kind, nsegs, tx.Aux, tx.OnSent
+	if fl.frame = tx.Frame; fl.frame == nil {
 		// Snapshot now, not at transmission start: a queued transaction
 		// must not read the caller's buffers later (the documented Segs
 		// contract).
-		tx.Frame = n.net.fabric.frames.New(tx.Segs)
-		tx.Segs = nil
+		fl.frame = n.net.fabric.frames.New(tx.Segs)
 	}
-	tx.NSegs = nsegs
 	if depth := len(n.queue) - n.qhead + 1; depth > n.stats.MaxQueue {
 		n.stats.MaxQueue = depth
 	}
 	if n.busy {
-		n.queue = append(n.queue, tx)
+		n.queue = append(n.queue, fl)
 		return nil
 	}
-	n.start(tx)
+	n.start(fl)
 	return nil
 }
 
 // next pops the queue head; the backing array is reused once it drains.
-func (n *NIC) next() *Tx {
-	tx := n.queue[n.qhead]
+func (n *NIC) next() *flight {
+	fl := n.queue[n.qhead]
 	n.queue[n.qhead] = nil
 	n.qhead++
 	if n.qhead == len(n.queue) {
 		n.queue, n.qhead = n.queue[:0], 0
 	}
-	return tx
+	return fl
 }
 
-// start runs one transaction's timing model. The NIC holds the queued
-// transaction's reference to its frame; it becomes the reference of the
-// scheduled delivery — dropped here when the fabric loses the packet,
-// doubled when it duplicates it.
-func (n *NIC) start(tx *Tx) {
+// start runs one transaction's timing model and schedules its events:
+// the sender-side completion first, then what the fabric delivers.
+func (n *NIC) start(fl *flight) {
 	n.busy = true
 
 	p := &n.net.prof
-	fr := tx.Frame
-	size := len(fr.buf)
+	size := len(fl.frame.buf)
 
 	now := n.world.Now()
-	setup := p.SendOverhead + p.Gap + sim.Time(tx.NSegs)*p.PerSegment
+	setup := p.SendOverhead + p.Gap + sim.Time(fl.nsegs)*p.PerSegment
 	var arrival, nicFree sim.Time
-	switch tx.Kind {
+	switch fl.kind {
 	case TxEager:
 		// Cut-through PIO: the host copies the payload into the NIC while
 		// the wire drains concurrently; the packet cannot finish before
 		// either stage does. The NIC frees when the host copy lands.
 		nicDone := now + setup + sim.ByteTime(size, p.PIOBandwidth)
-		arrival = n.net.reserveWire(n.node.ID, tx.Dst, size+p.HeaderBytes, now+setup, nicDone)
+		arrival = n.net.reserveWire(n.node.ID, fl.dst, size+p.HeaderBytes, now+setup, nicDone)
 		nicFree = nicDone
 	case TxRdma:
 		// DMA setup is constant; the DMA engine then occupies the NIC at
 		// wire pace until the body has streamed out.
-		arrival = n.net.reserveWire(n.node.ID, tx.Dst, size+p.HeaderBytes, now+setup, 0)
+		arrival = n.net.reserveWire(n.node.ID, fl.dst, size+p.HeaderBytes, now+setup, 0)
 		nicFree = arrival - p.Latency // drain instant on the sender side
 	default:
-		panic("simnet: unknown TxKind " + tx.Kind.String())
+		panic("simnet: unknown TxKind " + fl.kind.String())
 	}
 
 	n.stats.TxPackets++
 	n.stats.TxBytes += int64(size)
-	n.stats.TxSegs += tx.NSegs
+	n.stats.TxSegs += fl.nsegs
 
-	// Sender-side completion: free the NIC, then refill.
-	n.world.At(nicFree, func() {
-		if tx.OnSent != nil {
-			tx.OnSent()
-		}
-		if n.qhead < len(n.queue) {
-			n.start(n.next())
-			return
-		}
-		n.busy = false
-		if n.onIdle != nil {
-			n.onIdle()
-		}
-	})
+	fl.pending = 1
+	n.world.At(nicFree, fl.sentFn)
 
 	// Receiver-side delivery, through the fault injector when one is
 	// installed: a drop schedules nothing (the wire time was already
 	// paid above), reorder jitter delays this delivery only, and a
 	// duplicate schedules a second delivery of the same bits.
-	peer := n.net.nics[tx.Dst]
-	deliverAt := func(t sim.Time) {
-		n.world.At(t, func() { peer.deliver(n.node.ID, tx) })
-	}
 	if fs := n.net.faults; fs != nil {
 		v := fs.decide(arrival, p.Latency)
 		if !v.deliver {
-			fr.Release()
+			fl.frame.Release()
 			return
 		}
-		deliverAt(arrival + v.jitter + p.RecvOverhead)
+		fl.deliverAt(arrival + v.jitter + p.RecvOverhead)
 		if v.duplicate {
-			fr.Retain()
-			deliverAt(arrival + v.jitter + v.dupDelay + p.RecvOverhead)
+			fl.frame.Retain()
+			fl.deliverAt(arrival + v.jitter + v.dupDelay + p.RecvOverhead)
 		}
 		return
 	}
-	deliverAt(arrival + p.RecvOverhead)
+	fl.deliverAt(arrival + p.RecvOverhead)
 }
 
-// deliver hands one arrived transaction to the receive handler and then
-// drops the delivery's reference to the frame.
-func (n *NIC) deliver(src NodeID, tx *Tx) {
-	fr := tx.Frame
+// sent is the sender-side completion: free the NIC, then refill.
+func (fl *flight) sent() {
+	n, onSent := fl.nic, fl.onSent
+	fl.done()
+	if onSent != nil {
+		onSent()
+	}
+	if n.qhead < len(n.queue) {
+		n.start(n.next())
+		return
+	}
+	n.busy = false
+	if n.onIdle != nil {
+		n.onIdle()
+	}
+}
+
+// deliverAt schedules one delivery of the flight.
+func (fl *flight) deliverAt(t sim.Time) {
+	fl.pending++
+	fl.nic.world.At(t, fl.deliverFn)
+}
+
+// deliver hands one arrived transaction to the peer's receive handler
+// and then drops the delivery's reference to the frame. The flight is
+// retired first: a handler that answers at once reuses it.
+func (fl *flight) deliver() {
+	n, fr := fl.nic.net.nics[fl.dst], fl.frame
+	d := Delivery{Src: fl.nic.node.ID, Kind: fl.kind, Aux: fl.aux, Data: fr.buf, Frame: fr}
+	fl.done()
 	n.stats.RxPackets++
 	n.stats.RxBytes += int64(len(fr.buf))
 	if n.onRecv == nil {
 		panic(fmt.Sprintf("simnet: delivery on %s node %d with no receive handler", n.net.prof.Name, n.node.ID))
 	}
-	n.onRecv(Delivery{Src: src, Kind: tx.Kind, Aux: tx.Aux, Data: fr.buf, Frame: fr})
+	n.onRecv(d)
 	fr.Release()
 }

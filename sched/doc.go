@@ -33,6 +33,16 @@
 //	})
 //	return el
 //
+// An election is read at once: the engine (and Chain) consumes it before
+// asking the same strategy value again and keeps nothing of it. A
+// strategy may therefore own its Election — Reset it at the top of Elect,
+// return a pointer to it — and bind its Scan visitor once, as a method
+// value in its constructor; the built-ins do both and allocate nothing
+// per election, so an *Election a built-in returns is valid until that
+// strategy value's next Elect. The example above, which makes a new
+// election and a new closure per call, is equally correct and costs two
+// small objects plus the train's storage each time.
+//
 // The engine enforces the contract, not the strategy: picks that are
 // stale, duplicated, or that the rail cannot physically gather are
 // ignored, so no strategy — however buggy — can lose, duplicate or
@@ -58,7 +68,9 @@
 // and engines accept either a registry name or a Strategy value directly
 // (nmad.WithStrategy). Registered constructors produce one instance per
 // engine; a Strategy value handed to several engines is shared between
-// them and must synchronize any internal state of its own.
+// them and must synchronize any internal state of its own — which every
+// built-in has (its election), so a value from New serves the engines of
+// one world, never two worlds running on different goroutines.
 //
 // The built-ins live here too, written purely against this SPI:
 // "default" (FIFO, no optimization), "aggreg" (the paper's aggregation

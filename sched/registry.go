@@ -67,9 +67,9 @@ func Names() []string {
 }
 
 func init() {
-	mustRegister("default", func() Strategy { return defaultStrategy{} })
-	mustRegister("aggreg", func() Strategy { return aggregStrategy{} })
-	mustRegister("split", func() Strategy { return splitStrategy{} })
-	mustRegister("prio", func() Strategy { return new(prioStrategy) })
+	mustRegister("default", func() Strategy { return defaultStrategy{newAccumulator()} })
+	mustRegister("aggreg", func() Strategy { return aggregStrategy{newAccumulator()} })
+	mustRegister("split", func() Strategy { return splitStrategy{aggregStrategy{newAccumulator()}} })
+	mustRegister("prio", func() Strategy { return newPrio() })
 	mustRegister("adaptive", func() Strategy { return newAdaptive() })
 }

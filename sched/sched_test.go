@@ -26,6 +26,13 @@ func (f fakeWindow) Scan(visit func(Wrapper) bool) {
 
 const testHeader = 24 // mirrors the engine's entry header size
 
+// The value-typed built-ins as the registry makes them.
+func newDefault() Strategy { return defaultStrategy{newAccumulator()} }
+func newAggreg() Strategy  { return aggregStrategy{newAccumulator()} }
+func newSplit() splitStrategy {
+	return splitStrategy{aggregStrategy{newAccumulator()}}
+}
+
 func mkw(payload, paySegs int, fl Flags) Wrapper {
 	return Wrapper{
 		Len:      payload,
@@ -91,7 +98,7 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("Names() = %v, missing built-in %q", names, want)
 		}
 	}
-	if err := Register("aggreg", func() Strategy { return defaultStrategy{} }); err == nil {
+	if err := Register("aggreg", func() Strategy { return newDefault() }); err == nil {
 		t.Error("duplicate registration must error")
 	}
 	if err := Register("", nil); err == nil {
@@ -115,7 +122,7 @@ func TestAggregElection(t *testing.T) {
 	bulk.Tag, small1.Tag, ctrl.Tag, small2.Tag = 1, 2, 3, 4
 	w := fakeWindow{ws: []Wrapper{bulk, small1, ctrl, small2}}
 
-	el := aggregStrategy{}.Elect(w, rail)
+	el := newAggreg().Elect(w, rail)
 	got := tags(el)
 	// Control jumps to the front; the bulk wrapper fits, smalls follow.
 	want := []uint64{3, 1, 2, 4}
@@ -136,13 +143,13 @@ func TestAggregReordersPastMisfit(t *testing.T) {
 	big.Tag, small.Tag = 1, 2
 	w := fakeWindow{ws: []Wrapper{big, small}}
 
-	el := aggregStrategy{}.Elect(w, rail)
+	el := newAggreg().Elect(w, rail)
 	// The small wrapper is pulled past the misfit...
 	if got := tags(el); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("elected %v, want [2]", got)
 	}
 	// ...and the lone misfit still goes out by itself (progress).
-	el = aggregStrategy{}.Elect(fakeWindow{ws: []Wrapper{big}}, rail)
+	el = newAggreg().Elect(fakeWindow{ws: []Wrapper{big}}, rail)
 	if got := tags(el); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("elected %v, want [1]", got)
 	}
@@ -153,11 +160,11 @@ func TestDefaultSkipsUngatherable(t *testing.T) {
 	wide := mkw(100, 4, 0) // 5 segments on a 2-segment rail
 	ok := mkw(100, 1, 0)
 	wide.Tag, ok.Tag = 1, 2
-	el := defaultStrategy{}.Elect(fakeWindow{ws: []Wrapper{wide, ok}}, rail)
+	el := newDefault().Elect(fakeWindow{ws: []Wrapper{wide, ok}}, rail)
 	if got := tags(el); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("elected %v, want [2]", got)
 	}
-	if el := (defaultStrategy{}).Elect(fakeWindow{ws: []Wrapper{wide}}, rail); !el.Empty() {
+	if el := newDefault().Elect(fakeWindow{ws: []Wrapper{wide}}, rail); !el.Empty() {
 		t.Error("nothing sendable: election must be empty")
 	}
 }
@@ -167,12 +174,12 @@ func TestPrioPreemptsBulk(t *testing.T) {
 	bulk := mkw(8<<10, 1, 0)
 	urgent := mkw(16, 1, Priority)
 	bulk.Tag, urgent.Tag = 1, 2
-	el := new(prioStrategy).Elect(fakeWindow{ws: []Wrapper{bulk, urgent}}, rail)
+	el := newPrio().Elect(fakeWindow{ws: []Wrapper{bulk, urgent}}, rail)
 	if got := tags(el); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("elected %v, want the urgent wrapper alone", got)
 	}
 	// Without urgent traffic it degrades to aggregation.
-	el = new(prioStrategy).Elect(fakeWindow{ws: []Wrapper{bulk}}, rail)
+	el = newPrio().Elect(fakeWindow{ws: []Wrapper{bulk}}, rail)
 	if got := tags(el); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("elected %v, want [1]", got)
 	}
@@ -187,7 +194,7 @@ func TestPrioSkipsUnfitUrgentAcrossFlows(t *testing.T) {
 	small := mkw(16, 1, Priority)
 	bulk := mkw(8<<10, 1, 0)
 	huge.Tag, small.Tag, bulk.Tag = 1, 2, 3
-	el := new(prioStrategy).Elect(fakeWindow{ws: []Wrapper{huge, small, bulk}}, rail)
+	el := newPrio().Elect(fakeWindow{ws: []Wrapper{huge, small, bulk}}, rail)
 	if got := tags(el); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("elected %v, want the fitting urgent wrapper [2] alone", got)
 	}
@@ -205,7 +212,7 @@ func TestPrioHoldsOrderedFlowBehindUnfitHead(t *testing.T) {
 	head.Tag, head.Seq = 7, 0
 	next.Tag, next.Seq = 7, 1
 	other.Tag = 9
-	el := new(prioStrategy).Elect(fakeWindow{ws: []Wrapper{head, next, other}}, rail)
+	el := newPrio().Elect(fakeWindow{ws: []Wrapper{head, next, other}}, rail)
 	if got := tags(el); len(got) != 1 || got[0] != 9 {
 		t.Fatalf("elected %v, want only the other flow [9]", got)
 	}
@@ -213,7 +220,7 @@ func TestPrioHoldsOrderedFlowBehindUnfitHead(t *testing.T) {
 	// stays eligible.
 	ctrl := mkw(0, 0, Priority|Unordered)
 	ctrl.Tag = 7
-	el = new(prioStrategy).Elect(fakeWindow{ws: []Wrapper{head, ctrl}}, rail)
+	el = newPrio().Elect(fakeWindow{ws: []Wrapper{head, ctrl}}, rail)
 	if got := tags(el); len(got) != 1 || got[0] != 7 {
 		t.Fatalf("elected %v, want the unordered control wrapper", got)
 	}
@@ -228,7 +235,7 @@ func TestPrioLoneUnfitUrgentStillDeparts(t *testing.T) {
 	huge := mkw(16<<10-10, 1, Priority)
 	bulk := mkw(8<<10, 1, 0)
 	huge.Tag, bulk.Tag = 1, 3
-	el := new(prioStrategy).Elect(fakeWindow{ws: []Wrapper{huge, bulk}}, rail)
+	el := newPrio().Elect(fakeWindow{ws: []Wrapper{huge, bulk}}, rail)
 	if got := tags(el); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("elected %v, want the oversized urgent wrapper [1] alone", got)
 	}
@@ -247,7 +254,7 @@ func TestPrioCapsFallbackWhileUrgentPending(t *testing.T) {
 		b.Tag = uint64(10 + i)
 		ws = append(ws, b)
 	}
-	el := new(prioStrategy).Elect(fakeWindow{ws: ws}, rail)
+	el := newPrio().Elect(fakeWindow{ws: ws}, rail)
 	if el.Empty() {
 		t.Fatal("bulk must keep flowing while the urgent wrapper waits for a wider rail")
 	}
@@ -260,7 +267,7 @@ func TestPrioCapsFallbackWhileUrgentPending(t *testing.T) {
 		t.Errorf("fallback train carries %dB of wire, want <= the %dB headroom cap", el.WireSize(), cap)
 	}
 	// Without urgent traffic the fallback budget is the full threshold.
-	full := new(prioStrategy).Elect(fakeWindow{ws: ws[1:]}, rail)
+	full := newPrio().Elect(fakeWindow{ws: ws[1:]}, rail)
 	if full.WireSize() <= el.WireSize() {
 		t.Errorf("unconstrained fallback (%dB) should out-aggregate the capped one (%dB)", full.WireSize(), el.WireSize())
 	}
@@ -287,7 +294,7 @@ func TestSplitPlanProportional(t *testing.T) {
 	rails := []RailInfo{fast, slow}
 
 	size := 4 << 20
-	plan := splitStrategy{}.PlanBody(rails, size)
+	plan := newSplit().PlanBody(rails, size)
 	validateCover(t, plan, size)
 	if len(plan) != 2 {
 		t.Fatalf("plan %v, want two shares", plan)
@@ -298,7 +305,7 @@ func TestSplitPlanProportional(t *testing.T) {
 	}
 
 	// Small bodies stay on the best rail.
-	plan = splitStrategy{}.PlanBody(rails, 1<<10)
+	plan = newSplit().PlanBody(rails, 1<<10)
 	if len(plan) != 1 || plan[0].Rail != 0 {
 		t.Errorf("small-body plan %v, want single share on rail 0", plan)
 	}
@@ -306,7 +313,7 @@ func TestSplitPlanProportional(t *testing.T) {
 	// The sampled figure overrides the nominal one.
 	congested := fast
 	congested.Sampled = 0.5e9
-	plan = splitStrategy{}.PlanBody([]RailInfo{congested, slow}, size)
+	plan = newSplit().PlanBody([]RailInfo{congested, slow}, size)
 	validateCover(t, plan, size)
 	if plan[0].Size >= plan[1].Size {
 		t.Errorf("plan %v: congested rail must get the smaller share", plan)
@@ -314,7 +321,7 @@ func TestSplitPlanProportional(t *testing.T) {
 }
 
 func TestChainFallback(t *testing.T) {
-	c := Chain("", new(prioStrategy), defaultStrategy{})
+	c := Chain("", newPrio(), newDefault())
 	if c.Name() != "prio+default" {
 		t.Errorf("derived name %q", c.Name())
 	}
@@ -335,7 +342,7 @@ func TestChainFallback(t *testing.T) {
 	if len(plan) != 1 || plan[0].Size != 1<<20 {
 		t.Errorf("plannerless chain plan %v", plan)
 	}
-	c2 := Chain("x", new(prioStrategy), splitStrategy{})
+	c2 := Chain("x", newPrio(), newSplit())
 	fast, slow := testRail(16, 32<<10, 2e9, 0), testRail(16, 32<<10, 2e9, 0)
 	fast.Index, slow.Index = 0, 1
 	plan = c2.(BodyPlanner).PlanBody([]RailInfo{fast, slow}, 4<<20)
@@ -359,7 +366,7 @@ func TestAccumulateZeroThresholdStillAggregates(t *testing.T) {
 	ctrl := mkw(0, 0, Control)
 	ctrl.Tag = 9
 	ws = append(ws, ctrl)
-	for _, s := range []Strategy{aggregStrategy{}, newAdaptive()} {
+	for _, s := range []Strategy{newAggreg(), newAdaptive()} {
 		el := s.Elect(fakeWindow{ws: ws}, rail)
 		if el.Len() != len(ws) {
 			t.Errorf("%s elected %d of %d wrappers on a RdvThreshold=0 rail", s.Name(), el.Len(), len(ws))
@@ -374,7 +381,7 @@ func TestAccumulateZeroThresholdStillAggregates(t *testing.T) {
 	bulk := mkw(8<<10, 1, 0)
 	urgent := mkw(16, 1, Priority)
 	bulk.Tag, urgent.Tag = 1, 42
-	el := new(prioStrategy).Elect(fakeWindow{ws: []Wrapper{bulk, urgent}}, rail)
+	el := newPrio().Elect(fakeWindow{ws: []Wrapper{bulk, urgent}}, rail)
 	if got := tags(el); len(got) != 1 || got[0] != 42 {
 		t.Errorf("prio on a RdvThreshold=0 rail elected %v, want the urgent wrapper alone", got)
 	}
@@ -427,10 +434,10 @@ func TestAdaptiveShrinksAggregationUnderCongestion(t *testing.T) {
 		ws = append(ws, w)
 	}
 	s := newAdaptive()
-	full := s.Elect(fakeWindow{ws: ws}, healthy)
+	full := s.Elect(fakeWindow{ws: ws}, healthy).Len() // read before the value's next Elect reuses the election
 	short := s.Elect(fakeWindow{ws: ws}, congested)
-	if full.Len() <= short.Len() {
-		t.Errorf("congested rail train (%d) must be shorter than healthy (%d)", short.Len(), full.Len())
+	if full <= short.Len() {
+		t.Errorf("congested rail train (%d) must be shorter than healthy (%d)", short.Len(), full)
 	}
 	if short.Empty() {
 		t.Error("congestion must never starve the rail entirely")
@@ -481,5 +488,72 @@ func TestAdaptiveFeedbackLog(t *testing.T) {
 	l := snap[0]
 	if !l.Attached || l.Packets != 1 || l.Bodies != 1 || l.Entries != 3 || l.Bytes != 1000+1<<20 {
 		t.Errorf("feedback log %+v", l)
+	}
+}
+
+// deepWindow is a 64-deep window as the multiflow workload fills it:
+// 256-byte data wrappers over 16 flows, with a control entry every
+// sixteenth so the urgent pass and prio's own scan both pick.
+func deepWindow() Window {
+	ws := make([]Wrapper, 64)
+	for i := range ws {
+		var fl Flags
+		if i%16 == 5 {
+			fl = Control | Unordered
+		}
+		ws[i] = mkw(256, 1, fl)
+		ws[i].Tag, ws[i].Seq = uint64(i%16), uint32(i/16)
+	}
+	return fakeWindow{ws: ws}
+}
+
+// TestElectAllocatesNothing: a built-in strategy value owns its election
+// and its scan visitors, so once the train's storage has grown to the
+// window's depth an election makes no heap object at all. The counts are
+// exact — the run is deterministic.
+func TestElectAllocatesNothing(t *testing.T) {
+	rail := testRail(32, 32<<10, 1e9, 0)
+	win := deepWindow() // boxed once, outside the measurement
+	for _, s := range []Strategy{
+		newDefault(), newAggreg(), newSplit(), newPrio(), newAdaptive(),
+		Chain("", newPrio(), newAggreg()),
+	} {
+		picked := 0
+		allocs := testing.AllocsPerRun(100, func() { picked += s.Elect(win, rail).Len() })
+		if allocs != 0 {
+			t.Errorf("%s: %.0f allocations per election over a 64-deep window, want 0", s.Name(), allocs)
+		}
+		if picked == 0 {
+			t.Errorf("%s: elected nothing", s.Name())
+		}
+	}
+}
+
+// TestElectionNotLeakedIntoTheNext: the election a strategy value returns
+// is its own scratch, valid until its next Elect — which must start from
+// nothing: no pick, byte or segment of the first train survives into the
+// second, and the storage no longer holds the first train's Refs.
+func TestElectionNotLeakedIntoTheNext(t *testing.T) {
+	rail := testRail(32, 32<<10, 1e9, 0)
+	big := fakeWindow{ws: []Wrapper{mkw(100, 1, 0), mkw(200, 1, Priority), mkw(300, 1, 0)}}
+	lone := mkw(50, 1, 0)
+	for _, s := range []Strategy{newDefault(), newAggreg(), newSplit(), newPrio(), newAdaptive()} {
+		first := s.Elect(big, rail)
+		stale := first.Wrappers()[:cap(first.Wrappers())]
+		n := first.Len()
+		second := s.Elect(fakeWindow{ws: []Wrapper{lone}}, rail)
+		if second.Len() != 1 || second.Wrappers()[0].Ref != lone.Ref ||
+			second.WireSize() != lone.WireSize || second.Segments() != lone.Segments {
+			t.Errorf("%s: second election is %d picks, %d B, %d segs after a first of %d picks; want the lone wrapper alone",
+				s.Name(), second.Len(), second.WireSize(), second.Segments(), n)
+		}
+		for i, w := range stale[1:] {
+			if w.Ref != nil {
+				t.Errorf("%s: slot %d of the reused train still pins a Ref of the first election", s.Name(), i+1)
+			}
+		}
+		if s.Elect(fakeWindow{}, rail) != nil {
+			t.Errorf("%s: an empty window elected something", s.Name())
+		}
 	}
 }

@@ -31,6 +31,7 @@ import (
 // across engines requires Options.StrategyImpl, whose documentation
 // already places synchronization on the caller.
 type adaptiveStrategy struct {
+	*accumulator
 	rails map[int]*railLog
 }
 
@@ -63,7 +64,7 @@ const adaptiveMinBudget = 256
 const adaptiveCollapseFrac = 0.10
 
 func newAdaptive() *adaptiveStrategy {
-	return &adaptiveStrategy{rails: make(map[int]*railLog)}
+	return &adaptiveStrategy{accumulator: newAccumulator(), rails: make(map[int]*railLog)}
 }
 
 func (s *adaptiveStrategy) Name() string { return "adaptive" }
@@ -89,7 +90,7 @@ func (s *adaptiveStrategy) Elect(w Window, rail RailInfo) *Election {
 			limit = floor
 		}
 	}
-	return accumulate(w, rail, limit)
+	return s.accumulate(w, rail, limit)
 }
 
 // PlanBody shares a rendezvous body proportionally to functional

@@ -4,21 +4,16 @@ package sched
 // wrapper per physical packet, no aggregation, no reordering. It is the
 // ablation baseline showing what the engine costs without its window —
 // roughly how the synchronous libraries of the paper's §2 behave.
-type defaultStrategy struct{}
+type defaultStrategy struct{ *accumulator }
 
 func (defaultStrategy) Name() string { return "default" }
 
-func (defaultStrategy) Elect(w Window, rail RailInfo) *Election {
-	el := new(Election)
-	w.Scan(func(pw Wrapper) bool {
-		if pw.Segments > rail.Caps.MaxSegments {
-			return true // this rail cannot gather it; a wider rail will
-		}
-		el.Pick(pw)
-		return false
-	})
-	if el.Empty() {
+func (s defaultStrategy) Elect(w Window, rail RailInfo) *Election {
+	s.el.Reset()
+	s.maxSegs = rail.Caps.MaxSegments
+	w.Scan(s.first) // the first wrapper this rail can gather, alone
+	if s.el.Empty() {
 		return nil
 	}
-	return el
+	return &s.el
 }

@@ -18,6 +18,14 @@ type Strategy interface {
 	// rendezvous requests before Elect runs. Elections are validated by
 	// the engine: stale, duplicated or physically unsendable picks are
 	// ignored and their wrappers stay in the window.
+	//
+	// The caller reads the election before it asks the same strategy
+	// value for another, and keeps nothing of it afterwards. That lets a
+	// strategy own one Election and Reset it at the top of every Elect
+	// instead of allocating one per call, which is what every built-in
+	// does: an *Election a built-in returns is valid until that strategy
+	// value's next Elect. A strategy that returns a fresh Election each
+	// time is just as correct.
 	Elect(w Window, rail RailInfo) *Election
 }
 

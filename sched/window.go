@@ -84,6 +84,15 @@ type Election struct {
 	segs    int
 }
 
+// Reset empties the election for reuse, keeping the train's storage: a
+// strategy that owns one Election and resets it at the top of every
+// Elect allocates nothing per election. The old picks are cleared, so
+// the storage never pins a wrapper's Ref past the election that made it.
+func (e *Election) Reset() {
+	clear(e.entries)
+	*e = Election{entries: e.entries[:0]}
+}
+
 // Pick appends a wrapper to the train and returns the election for
 // chaining.
 func (e *Election) Pick(w Wrapper) *Election {

@@ -21,12 +21,17 @@ import (
 
 // allocEngines mirrors testWorld without *testing.T so workloads can
 // run inside testing.AllocsPerRun; construction errors panic, which
-// fails the test just as loudly.
-func allocEngines(opts Options) (*sim.World, *Engine, *Engine) {
+// fails the test just as loudly. The rails are profs, or one MX rail.
+func allocEngines(opts Options, profs ...simnet.Profile) (*sim.World, *Engine, *Engine) {
 	w := sim.NewWorld()
 	f := simnet.NewFabric(w, 2, simnet.DefaultHost())
-	if _, err := f.AddNetwork(simnet.MX10G()); err != nil {
-		panic(err)
+	if len(profs) == 0 {
+		profs = []simnet.Profile{simnet.MX10G()}
+	}
+	for _, p := range profs {
+		if _, err := f.AddNetwork(p); err != nil {
+			panic(err)
+		}
 	}
 	mk := func(id simnet.NodeID) *Engine {
 		e, err := New(f, id, opts)
@@ -52,15 +57,22 @@ func marginalAllocs(run func(msgs int), short, long int) float64 {
 
 // eagerWorkload pushes msgs eager-sized messages through one gate pair
 // and receives them; buffers are reused so the measurement sees the
-// engine's allocations, not the harness's.
-func eagerWorkload(opts Options) func(msgs int) {
+// engine's allocations, not the harness's. The sender never waits,
+// unless wait asks it to wait out each send — the steady state, where
+// every record a message used is back on its list before the next.
+func eagerWorkload(opts Options, wait bool) func(msgs int) {
 	return func(msgs int) {
 		w, e0, e1 := allocEngines(opts)
 		data := make([]byte, 512)
 		buf := make([]byte, 1024)
 		w.Spawn("send", func(p *sim.Proc) {
 			for i := 0; i < msgs; i++ {
-				e0.Gate(1).Isend(p, 7, data)
+				req := e0.Gate(1).Isend(p, 7, data)
+				if wait {
+					if err := req.Wait(p); err != nil {
+						panic(err)
+					}
+				}
 			}
 		})
 		w.Spawn("recv", func(p *sim.Proc) {
@@ -87,7 +99,7 @@ func TestAllocsEagerIsendPath(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Strategy = "aggreg"
-	got := marginalAllocs(eagerWorkload(opts), 64, 320)
+	got := marginalAllocs(eagerWorkload(opts, false), 64, 320)
 	t.Logf("eager Isend path: %.2f allocs per message", got)
 	const ceiling = 4.5
 	if got > ceiling {
@@ -106,11 +118,30 @@ func TestAllocsFlushPath(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Strategy = "aggreg"
 	opts.FlushBacklog = 4
-	got := marginalAllocs(eagerWorkload(opts), 64, 320)
+	got := marginalAllocs(eagerWorkload(opts, false), 64, 320)
 	t.Logf("flush path: %.2f allocs per message", got)
 	const ceiling = 7 // measured 5.49
 	if got > ceiling {
 		t.Errorf("flush path allocates %.2f per message, ceiling %d — a hot-path allocation crept back in", got, ceiling)
+	}
+}
+
+// The link layer adds nothing per message on a lossless fabric: its
+// frame records are recycled, its headers are encoded into the train's
+// scratch or on the stack, and its timers and delayed acks are callbacks
+// bound once per record or gate.
+func TestAllocsReliableEagerPath(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement")
+	}
+	opts := DefaultOptions()
+	opts.Strategy = "aggreg"
+	plain := marginalAllocs(eagerWorkload(opts, true), 512, 1024)
+	opts.Reliability = true
+	reliable := marginalAllocs(eagerWorkload(opts, true), 512, 1024)
+	t.Logf("eager Isend path: %.2f allocs per message with reliability, %.2f without", reliable, plain)
+	if reliable > plain+0.1 {
+		t.Errorf("the link layer allocates %.2f per message on a lossless fabric, want at most 0.1", reliable-plain)
 	}
 }
 
@@ -124,9 +155,9 @@ func TestAllocsRecyclingActuallyRecycles(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Strategy = "aggreg"
-	pooled := marginalAllocs(eagerWorkload(opts), 64, 320)
+	pooled := marginalAllocs(eagerWorkload(opts, false), 64, 320)
 	opts.NoRecycle = true
-	fresh := marginalAllocs(eagerWorkload(opts), 64, 320)
+	fresh := marginalAllocs(eagerWorkload(opts, false), 64, 320)
 	t.Logf("pooled %.2f vs no-recycle %.2f allocs per message", pooled, fresh)
 	if pooled >= fresh {
 		t.Errorf("recycling saves nothing: %.2f allocs pooled vs %.2f without", pooled, fresh)
@@ -185,9 +216,10 @@ func retransmitWorkload(dark sim.Time) int {
 // Observation costs nothing when off: with no tracer attached, a
 // retransmission must not format the note of the trace event nobody
 // records. Measured like the eager path — the difference between a long
-// and a short outage, per extra retransmission — so the ceiling is what
-// the timer, the transaction and the NIC's events cost, and one
-// fmt.Sprintf on top of them fails it.
+// and a short outage, per extra retransmission. The timer, the
+// transaction and the NIC's events cost nothing (the link frame's
+// callbacks are bound once, the flight is recycled), so one fmt.Sprintf
+// fails it.
 func TestAllocsRetransmitWithoutTracer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
@@ -202,8 +234,52 @@ func TestAllocsRetransmitWithoutTracer(t *testing.T) {
 	}
 	got := (a2 - a1) / float64(rLong-rShort)
 	t.Logf("retransmission without tracer: %.2f allocs each (%d vs %d retransmissions)", got, rShort, rLong)
-	const ceiling = 4 // exact: the run is deterministic
+	const ceiling = 0.5 // measured 0, exactly: the run is deterministic
 	if got > ceiling {
-		t.Errorf("a retransmission allocates %.2f with no tracer attached, ceiling %d — the trace note is being built for nobody again", got, ceiling)
+		t.Errorf("a retransmission allocates %.2f with no tracer attached, ceiling %.1f — the trace note is being built for nobody again", got, ceiling)
+	}
+}
+
+// rendezvousWorkload sends msgs blocking 4 MB messages from node 0 to
+// node 1 under "split" over MX and Quadrics — the bulk-4MB-2rail shape:
+// the body plan, one RDMA chain per rail and the rendezvous state of both
+// sides, per message.
+func rendezvousWorkload(msgs int) {
+	opts := DefaultOptions()
+	opts.Strategy = "split"
+	w, e0, e1 := allocEngines(opts, simnet.MX10G(), simnet.QsNetII())
+	data, buf := make([]byte, 4<<20), make([]byte, 4<<20)
+	w.Spawn("send", func(p *sim.Proc) {
+		for i := 0; i < msgs; i++ {
+			if err := e0.Gate(1).Send(p, 7, data); err != nil {
+				panic(err)
+			}
+		}
+	})
+	w.Spawn("recv", func(p *sim.Proc) {
+		for i := 0; i < msgs; i++ {
+			if _, err := e1.Gate(0).Recv(p, 7, buf); err != nil {
+				panic(err)
+			}
+		}
+	})
+	if err := w.Run(); err != nil {
+		panic(err)
+	}
+}
+
+// The rendezvous path: the transaction state of both sides, the body
+// plan, the chunk gather lists and the RDMA chains are recycled, so a
+// large message leaves on the heap what its callers keep — the two
+// requests.
+func TestAllocsRendezvousPath(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement")
+	}
+	got := marginalAllocs(rendezvousWorkload, 4, 24)
+	t.Logf("rendezvous path: %.2f allocs per 4 MB message", got)
+	const ceiling = 2.6 // measured 2.00
+	if got > ceiling {
+		t.Errorf("rendezvous path allocates %.2f per message, ceiling %.1f — a per-message allocation is back in the rendezvous state", got, ceiling)
 	}
 }

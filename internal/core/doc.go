@@ -98,7 +98,26 @@
 // events allocates a closure, and a plain Irecv's one-segment landing
 // area is a field of its request. What a steady-state message leaves on
 // the heap is what its caller keeps: the SendRequest and the
-// RecvRequest. Options.NoRecycle turns every pool off for A/B
+// RecvRequest.
+//
+// Work run from scheduler callbacks follows the same rule: whatever is
+// pushed with World.At / After or handed to a NIC is a callback bound
+// once, on a record that is owned and recycled or on a FIFO. A
+// PostSendv / PostRecvvMasked waits out its submit overhead in the
+// engine's post FIFO (every such wait lasts SubmitOverhead, so they end
+// in the order they began) and returns the request it made at entry, so
+// its caller needs no closure per message either; a rendezvous body runs
+// on recycled rdvSend / rdvRecv records, its plan copied into the
+// transaction, with one recycled rdmaChain per rail that computes each
+// next chunk as it goes; the link layer takes its linkFrames from a free
+// list, encodes headers into scratch, and binds its retransmit check and
+// delayed ack once per record or gate. A timer cannot be cancelled, so a
+// record counts the events still pending on it; all of a record's timers
+// wait the same delay and fire in the order they were armed, so a count
+// also tells which of them are void (a delayed ack superseded by a later
+// one, a retransmit check armed before the latest retransmission); and a
+// record returns to its list only once it is retired and the count is
+// zero — the rule of the NIC's flight. Options.NoRecycle turns every pool off for A/B
 // comparison: the replayed timeline must be byte-identical either way,
 // which the pooling property test in internal/replay asserts. The repo
 // benchmark (benchmark/, workload ring-replay-1024) measures the

@@ -80,6 +80,13 @@ type Engine struct {
 	rdvWait   []pendingGrant // matched RTSes awaiting a grant slot (Options.MaxGrants)
 	nextRdvID uint32
 
+	// posts[postHead:] are the PostSendv / PostRecvvMasked calls waiting
+	// out their submit overhead, oldest first; postFn is runPost, bound
+	// on the first post (see post).
+	posts    []pendingPost
+	postHead int
+	postFn   func()
+
 	syncAcks   map[uint32]*SendRequest // synchronous sends awaiting the ack
 	nextSyncID uint32
 
@@ -100,12 +107,26 @@ type Engine struct {
 	freeOuts freeList[output]
 	freeEnts freeList[inEntry]
 	freeDone freeList[recvDone]
-	encHdrs  []byte
-	encSegs  [][]byte
+	// Rendezvous and link-layer records (rdv.go, reliab.go): each is
+	// filed back once nothing pending refers to it any more.
+	freeRdvSends freeList[rdvSend]
+	freeRdvRecvs freeList[rdvRecv]
+	freeChains   freeList[rdmaChain]
+	freeLinks    freeList[linkFrame]
+	encHdrs      []byte
+	// encSegs is the gather-list scratch: an encoded train's (see
+	// encodeOutput) or a rendezvous body chunk's (see streamBody), dead
+	// once a frame or a wrapper has copied it.
+	encSegs [][]byte
 	// railScratch backs railInfos() so the per-body-plan rail survey
 	// stops allocating (strategies must not retain the slice — the
-	// spileak analyzer enforces that).
+	// spileak analyzer enforces that). singlePlan backs the single-rail
+	// body plan, which streamBody copies before anything can plan again.
 	railScratch []sched.RailInfo
+	singlePlan  [1]sched.BodyShare
+	// oversized is prepare's list of wrappers to convert, dead once
+	// prepare returns.
+	oversized []*packet
 }
 
 // rail is one attached NIC: its driver and the engine's state about it.
@@ -316,18 +337,69 @@ func (e *Engine) chargeCopy(p *sim.Proc, n int) {
 	}
 }
 
-// afterSubmit and afterCopy are chargeSubmit and chargeCopy for a caller
-// in scheduler context (Gate.PostSendv / PostRecvvMasked): the cost
-// elapses before fn instead of putting a process to sleep. They push an
-// event exactly when their twins would — a zero overhead charges nothing
-// and runs fn inline, while a copy cost that rounds to zero still yields
-// the instant, as Sleep(0) does.
-func (e *Engine) afterSubmit(fn func()) {
-	if e.opts.SubmitOverhead > 0 {
-		e.world.After(e.opts.SubmitOverhead, fn)
+// pendingPost is one Gate.PostSendv or PostRecvvMasked waiting out its
+// submit overhead: a send (its request, iovec and configuration) or a
+// receive (its request).
+type pendingPost struct {
+	g    *Gate
+	send *SendRequest
+	recv *RecvRequest
+	iov  iovec
+	cfg  sendConfig
+}
+
+// post and afterCopy are chargeSubmit and chargeCopy for a caller in
+// scheduler context (Gate.PostSendv / PostRecvvMasked): the cost elapses
+// before the work runs instead of putting a process to sleep. They push
+// an event exactly when their twins would — a zero overhead charges
+// nothing and runs the work inline, while a copy cost that rounds to zero
+// still yields the instant, as Sleep(0) does.
+//
+// Every submit-overhead wait of an engine lasts SubmitOverhead, so the
+// waits end in the order they began: the posts queue in one FIFO and each
+// event runs its head (runPost). postFn is bound on the first post, not in
+// New, where it would cost every engine an object whether it posts or not.
+func (e *Engine) post(p pendingPost) {
+	if e.opts.SubmitOverhead <= 0 {
+		e.runPosted(p)
 		return
 	}
-	fn()
+	if e.postFn == nil {
+		e.postFn = e.runPost
+	}
+	e.posts = append(e.posts, p)
+	e.world.After(e.opts.SubmitOverhead, e.postFn)
+}
+
+// runPost runs the oldest waiting post. It pops the FIFO before running
+// it, so a completion hook that posts again queues behind, not in place;
+// the dead prefix is compacted away once it outgrows the tail.
+func (e *Engine) runPost() {
+	p := e.posts[e.postHead]
+	e.posts[e.postHead] = pendingPost{}
+	if e.postHead++; e.postHead*2 >= len(e.posts) {
+		n := copy(e.posts, e.posts[e.postHead:])
+		clear(e.posts[n:])
+		e.posts, e.postHead = e.posts[:n], 0
+	}
+	e.runPosted(p)
+}
+
+// runPosted is what a post does once its submit overhead is paid: post
+// the receive, or submit the send — after the software-gather copy when
+// no eligible rail can move its iovec.
+func (e *Engine) runPosted(p pendingPost) {
+	if p.recv != nil {
+		p.g.postRecv(p.recv)
+		return
+	}
+	size := p.send.bytes
+	if !e.needsFlatten(p.cfg.driver, 1+p.iov.segCount(), size) {
+		p.g.submitSend(p.send, p.iov, p.cfg)
+		return
+	}
+	flat := iovec{p.iov.flatten()}
+	e.afterCopy(size, func() { p.g.submitSend(p.send, flat, p.cfg) })
 }
 
 func (e *Engine) afterCopy(n int, fn func()) {
@@ -550,7 +622,7 @@ func (e *Engine) flush(g *Gate) {
 // capacity is left for a wider rail — strategies skip it.
 func (e *Engine) prepare(g *Gate, r *rail) {
 	threshold := r.drv.Caps().RdvThreshold
-	var oversized []*packet
+	oversized := e.oversized[:0]
 	g.win.scan(r.idx, func(pw *packet) bool {
 		if pw.kind == kindData && threshold > 0 && pw.payloadLen() >= threshold {
 			oversized = append(oversized, pw)
@@ -560,6 +632,7 @@ func (e *Engine) prepare(g *Gate, r *rail) {
 	for _, pw := range oversized {
 		e.convertToRTS(pw)
 	}
+	e.oversized = oversized
 }
 
 // account books the output's statistics and removes its wrappers from the
@@ -715,8 +788,8 @@ func (o *output) sent() {
 	r.sampler.observe(o.wire, dur)
 	e.notifyComplete(r.idx, g.peer, o.payload, len(o.entries), dur)
 	for _, pw := range o.entries {
-		if pw.onSent != nil {
-			pw.onSent()
+		if pw.rdv != nil {
+			pw.rdv.retire()
 		}
 		if pw.req != nil && pw.kind != kindRTS {
 			pw.req.doneOne()
@@ -726,7 +799,7 @@ func (o *output) sent() {
 		e.freePacket(pw)
 	}
 	if o.link != nil {
-		e.linkArm(g, o.link)
+		o.link.arm()
 	}
 	e.freeOutput(o)
 }

@@ -20,7 +20,7 @@ func fuzzTrains() [][]byte {
 		if k.hasPayload() {
 			train = append(train, 1, 2, 3, 4)
 		}
-		out = append(out, train, append(linkHeader(linkFrameTag, 0, 0), train...))
+		out = append(out, train, append(appendLinkHeader(nil, linkFrameTag, 0, 0), train...))
 	}
 	return out
 }

@@ -165,7 +165,7 @@ func (g *Gate) isendIov(p *sim.Proc, tag Tag, iov iovec, cfg sendConfig) *SendRe
 		iov = iovec{iov.flatten()}
 		g.eng.chargeCopy(p, size)
 	}
-	return g.submitSend(tag, iov, size, cfg, nil)
+	return g.submitSend(&SendRequest{tag: tag, bytes: size}, iov, cfg)
 }
 
 // PostSendv is Isendv for a caller in scheduler context — a World.At
@@ -178,22 +178,21 @@ func (g *Gate) isendIov(p *sim.Proc, tag Tag, iov iovec, cfg sendConfig) *SendRe
 // produces the same schedule. done is called once, in scheduler context,
 // with the completion error at the instant the request completes —
 // possibly before PostSendv returns (a send that fails its entry check).
-func (g *Gate) PostSendv(tag Tag, segs [][]byte, done func(err error), opts ...SendOption) {
-	iov, cfg, e := iovec(segs), resolveSend(opts), g.eng
+//
+// The returned request is the send's, made at entry: it is pending while
+// the overheads elapse and the message travels, and Done from the instant
+// done is called. Nothing can Wait on it (there is no process); a caller
+// keeps it to ask Done or Err later instead of capturing per-message state
+// in done, which lets one hook serve every send.
+func (g *Gate) PostSendv(tag Tag, segs [][]byte, done func(err error), opts ...SendOption) *SendRequest {
+	iov, cfg := iovec(segs), resolveSend(opts)
 	if err := g.sendCheck(cfg); err != nil {
-		failedSend(tag, done, err)
-		return
+		return failedSend(tag, done, err)
 	}
-	e.recordSend(g, tag, iov, cfg)
-	e.afterSubmit(func() {
-		size := iov.total()
-		if !e.needsFlatten(cfg.driver, 1+iov.segCount(), size) {
-			g.submitSend(tag, iov, size, cfg, done)
-			return
-		}
-		flat := iovec{iov.flatten()}
-		e.afterCopy(size, func() { g.submitSend(tag, flat, size, cfg, done) })
-	})
+	g.eng.recordSend(g, tag, iov, cfg)
+	req := &SendRequest{request: request{hook: done}, tag: tag, bytes: iov.total()}
+	g.eng.post(pendingPost{g: g, send: req, iov: iov, cfg: cfg})
+	return req
 }
 
 // failedSend is the send that failed sendCheck: a request that is
@@ -205,14 +204,13 @@ func failedSend(tag Tag, hook func(error), err error) *SendRequest {
 }
 
 // submitSend is what a send does once its host costs are paid, whoever
-// paid them (a process in isendIov, continuations in PostSendv): wrap the
-// iovec, take the flow's next sequence number, and hand the wrapper to
-// the optimizer.
-func (g *Gate) submitSend(tag Tag, iov iovec, size int, cfg sendConfig, hook func(error)) *SendRequest {
-	req := &SendRequest{request: request{hook: hook}, tag: tag, bytes: size}
+// paid them (a process in isendIov, the post FIFO for PostSendv): wrap
+// the iovec, take the flow's next sequence number, and hand the wrapper
+// to the optimizer. req carries the tag and the size.
+func (g *Gate) submitSend(req *SendRequest, iov iovec, cfg sendConfig) *SendRequest {
 	req.add(1)
 	pw := g.eng.newPacket(g, header{
-		kind: kindData, flags: cfg.flags, tag: tag, seq: g.seqFor(tag, cfg.flags), length: uint32(size),
+		kind: kindData, flags: cfg.flags, tag: req.tag, seq: g.seqFor(req.tag, cfg.flags), length: uint32(req.bytes),
 	}, cfg.driver, iov, req)
 	if cfg.flags&flagNeedAck != 0 {
 		// Synchronous semantics: an extra completion unit retired only by
@@ -321,11 +319,15 @@ func (g *Gate) irecv(p *sim.Proc, req *RecvRequest) *RecvRequest {
 // PostSendv. With no submit overhead to wait out, a message already
 // waiting unexpected is matched before PostRecvvMasked returns; done
 // still follows by the payload copy cost, as completion does for a
-// waiting process.
-func (g *Gate) PostRecvvMasked(want, mask Tag, segs [][]byte, done func(err error)) {
+// waiting process. The returned request is the receive's, posted once the
+// overhead has elapsed and Done from the instant done is called; as with
+// PostSendv, it is what a caller keeps instead of per-receive state in
+// done.
+func (g *Gate) PostRecvvMasked(want, mask Tag, segs [][]byte, done func(err error)) *RecvRequest {
 	req := &RecvRequest{request: request{hook: done}, want: want, mask: mask, iov: segs}
 	g.eng.recordRecv(g, req)
-	g.eng.afterSubmit(func() { g.postRecv(req) })
+	g.eng.post(pendingPost{g: g, recv: req})
+	return req
 }
 
 // postRecv is what a receive does once its submit overhead is paid: match

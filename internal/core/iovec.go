@@ -56,36 +56,32 @@ func (v iovec) appendSegs(segs [][]byte) [][]byte {
 	return segs
 }
 
-// slice returns the sub-range [off, off+n) as an iovec sharing the
-// underlying segments (zero-copy). It panics when the range exceeds the
-// logical length.
-func (v iovec) slice(off, n int) iovec {
+// appendRange appends the sub-range [off, off+n) to segs as segments
+// sharing the underlying memory (zero-copy), and returns the extended
+// list. It panics when the range exceeds the logical length.
+func (v iovec) appendRange(segs iovec, off, n int) iovec {
 	if n == 0 {
-		return nil
+		return segs
 	}
-	var out iovec
 	for _, s := range v {
 		if off >= len(s) {
 			off -= len(s)
 			continue
 		}
-		take := len(s) - off
-		if take > n {
-			take = n
-		}
-		out = append(out, s[off:off+take])
+		take := min(len(s)-off, n)
+		segs = append(segs, s[off:off+take])
 		n -= take
 		off = 0
 		if n == 0 {
-			return out
+			return segs
 		}
 	}
-	panic("core: iovec slice out of range")
+	panic("core: iovec range out of bounds")
 }
 
-// capSegs returns the largest m <= n such that slice(off, m) spans at
-// most maxSegs segments — how rendezvous chunks stay within a rail's
-// native gather capacity. It returns at least one segment's worth of
+// capSegs returns the largest m <= n such that the range [off, off+m)
+// spans at most maxSegs segments — how rendezvous chunks stay within a
+// rail's native gather capacity. It returns at least one segment's worth of
 // bytes whenever n > 0 and off is in range.
 func (v iovec) capSegs(off, n, maxSegs int) int {
 	if maxSegs <= 0 {

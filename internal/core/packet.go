@@ -43,11 +43,12 @@ type packet struct {
 	taken bool
 
 	submittedAt sim.Time
-	// onSent fires when the NIC finishes the physical packet carrying
-	// this wrapper.
-	onSent func()
 	// req is the send request this wrapper belongs to, if any.
 	req *SendRequest
+	// rdv is set on the eager body chunks of a rendezvous transaction's
+	// original stream: the NIC's completion of the chunk's train counts
+	// it in the transaction's countdown (rdvSend.retire).
+	rdv *rdvSend
 }
 
 // payloadLen is the wrapper's logical payload size (0 for control

@@ -8,7 +8,9 @@ import (
 // Free-list recycling for the engine hot path. Every eager send allocates
 // a packet wrapper, every elected train an output, every out-of-order or
 // unexpected arrival an inEntry, every eager receive a deferred
-// completion (recvDone) — at replay scale these dominate the
+// completion (recvDone), every rendezvous a transaction record on each
+// side (rdvSend, rdvRecv) and a chain per RDMA rail (rdmaChain), every
+// reliable train a linkFrame — at replay scale these dominate the
 // engine's allocation profile. The engine recycles them through plain
 // per-engine free lists rather than sync.Pool: the deterministic packages
 // must not couple behaviour (or even allocation addresses feeding map
@@ -22,10 +24,27 @@ import (
 //     callback for elected entries, convertToRTS for the data wrapper a
 //     rendezvous request replaces.
 //   - A freed wrapper's iov backing array is kept for reuse, so whoever
-//     transfers the payload out (convertToRTS handing the body to the
-//     rendezvous state) must nil the field first.
+//     transfers the payload out must leave the wrapper another array:
+//     convertToRTS swaps it with the rendezvous record's old one
+//     (newRdvSend), so neither side regrows one.
 //   - Strategies never see wrappers after election (the spileak analyzer
 //     forbids retaining SPI views), so recycling cannot dangle into sched.
+//   - A record an event or a NIC completion refers to returns to its list
+//     only when nothing pending refers to it. A timer cannot be
+//     cancelled, so the record counts what is pending on it and is filed
+//     back once it is retired and the count is zero: a linkFrame once
+//     acked with no transmission in flight and no retransmit check armed
+//     (linkFrame.sending, checks), an rdvRecv once landed with no body
+//     watch armed (rdvRecv.watches), an rdvSend once retired with no chunk
+//     of its original stream unsent and no RDMA chain — reissues
+//     included — streaming (rdvSend.left, rdvSend.chains). All of a
+//     record's timers wait one delay and fire in the order armed, so
+//     counts also replace the attempt or generation stamp a closure per
+//     timer used to carry: a delayed ack that fires while a later one is
+//     pending is void, as is a retransmit check armed before the frame's
+//     latest retransmission (linkFrame.stale). The callbacks themselves
+//     are method values bound when the record is first made (or first
+//     needs them) and kept across recycling.
 //
 // Wire frames (simnet.Frame) are the one pooled object shared with the
 // layers below: the engine draws them from the fabric's list, fills each
@@ -191,7 +210,7 @@ func (d *recvDone) run() {
 // (maintained by output.add at election time), so the appends below
 // never reallocate — segment pointers into hdrs stay valid.
 func (e *Engine) encodeOutput(out *output) [][]byte {
-	need := headerSize * len(out.entries)
+	need := headerSize * (len(out.entries) + 1)
 	hdrs := e.encHdrs[:0]
 	if cap(hdrs) < need {
 		hdrs = make([]byte, 0, need)
@@ -201,7 +220,8 @@ func (e *Engine) encodeOutput(out *output) [][]byte {
 		segs = make([][]byte, 0, out.segs+1)
 	}
 	if fr := out.link; fr != nil {
-		segs = append(segs, linkHeader(linkFrameTag, fr.seq, out.gate.lrx.floor))
+		hdrs = appendLinkHeader(hdrs, linkFrameTag, fr.seq, out.gate.lrx.floor)
+		segs = append(segs, hdrs[:headerSize])
 	}
 	for _, pw := range out.entries {
 		start := len(hdrs)

@@ -13,27 +13,35 @@ import (
 )
 
 // Gate.PostSendv / PostRecvvMasked promise the schedule a process would
-// have produced. These tests drive one two-node workload twice — once by
-// a process per operation (Isendv / IrecvvMasked + Wait), once from
-// World.At callbacks — and demand identical tracer timelines, Stats,
+// have produced. These tests drive one workload on three nodes twice —
+// once by a process per operation (Isendv / IrecvvMasked + Wait), once
+// from World.At callbacks — and demand identical tracer timelines, Stats,
 // completion instants, errors and delivered bytes.
 
-// postOp is one operation of the workload; node issues it toward the
-// other node at instant at.
+// postOp is one operation of the workload: node issues it toward peer at
+// instant at — or, when after is set, as soon as op after-1 has completed:
+// its process goes on to it in the live run, its completion hook posts it
+// in the other.
 type postOp struct {
-	at   sim.Time
-	node int
-	send bool
-	tag  Tag
-	mask Tag // receives; 0 means exact match
-	segs []int
-	opts []SendOption
+	at    sim.Time
+	after int
+	node  int
+	peer  int // 0 and 1 default to each other: a node never addresses itself
+	send  bool
+	tag   Tag
+	mask  Tag // receives; 0 means exact match
+	segs  []int
+	opts  []SendOption
+	err   error // the completion error the op must end with
 }
+
+// postNodes is the size of every post workload's fabric.
+const postNodes = 3
 
 // postResult is everything observable about one run of a workload.
 type postResult struct {
-	Events [2][]trace.Event
-	Stats  [2]Stats
+	Events [postNodes][]trace.Event
+	Stats  [postNodes]Stats
 	DoneAt []sim.Time
 	Errs   []error
 	Got    [][]byte // flattened landing area of each receive
@@ -50,12 +58,12 @@ func repeatSegs(n, size int) []int {
 func runPostWorkload(t *testing.T, opts Options, host simnet.Host, ops []postOp, procs bool) postResult {
 	t.Helper()
 	w := sim.NewWorld()
-	f := simnet.NewFabric(w, 2, host)
+	f := simnet.NewFabric(w, postNodes, host)
 	if _, err := f.AddNetwork(simnet.MX10G()); err != nil {
 		t.Fatal(err)
 	}
-	var engines [2]*Engine
-	var tracers [2]*trace.Recorder
+	var engines [postNodes]*Engine
+	var tracers [postNodes]*trace.Recorder
 	for node := range engines {
 		o := opts
 		tracers[node] = trace.NewRecorder()
@@ -75,44 +83,80 @@ func runPostWorkload(t *testing.T, opts Options, host simnet.Host, ops []postOp,
 		Got:    make([][]byte, len(ops)),
 	}
 	bufs := make([][][]byte, len(ops))
+	next := make([]int, len(ops)) // 1 + the op issued when op i completes, 0 for none
 	for i, op := range ops {
 		bufs[i], _ = segsOf(sim.NewRNG(uint64(100+i)), op.segs...)
+		if op.after > 0 {
+			next[op.after-1] = i + 1
+		}
+	}
+	gate := func(i int) *Gate {
+		op := ops[i]
+		if op.peer == op.node {
+			op.peer = 1 - op.node
+		}
+		return engines[op.node].Gate(simnet.NodeID(op.peer))
+	}
+	mask := func(i int) Tag {
+		if ops[i].mask == 0 {
+			return ^Tag(0)
+		}
+		return ops[i].mask
+	}
+	// live runs op i, and whatever chains on it, in process p.
+	var live func(p *sim.Proc, i int)
+	live = func(p *sim.Proc, i int) {
+		op := ops[i]
+		var req Request
+		if op.send {
+			req = gate(i).Isendv(p, op.tag, bufs[i], op.opts...)
+		} else {
+			req = gate(i).IrecvvMasked(p, op.tag, mask(i), bufs[i])
+		}
+		res.Errs[i] = req.Wait(p)
+		res.DoneAt[i] = p.Now()
+		if next[i] > 0 {
+			live(p, next[i]-1)
+		}
+	}
+	// post posts op i from scheduler context; its hook posts what chains
+	// on it.
+	var post func(i int)
+	post = func(i int) {
+		op := ops[i]
+		fired := false
+		done := func(err error) {
+			if fired {
+				t.Errorf("op %d: completion hook fired twice", i)
+			}
+			fired = true
+			res.Errs[i] = err
+			res.DoneAt[i] = w.Now()
+			if next[i] > 0 {
+				post(next[i] - 1)
+			}
+		}
+		var req Request
+		if op.send {
+			req = gate(i).PostSendv(op.tag, bufs[i], done, op.opts...)
+		} else {
+			req = gate(i).PostRecvvMasked(op.tag, mask(i), bufs[i], done)
+		}
+		if req.Done() != fired {
+			t.Errorf("op %d: the returned request reads Done=%v with the hook fired=%v", i, req.Done(), fired)
+		}
 	}
 	for i, op := range ops {
-		if op.mask == 0 {
-			op.mask = ^Tag(0)
-		}
-		g := func() *Gate { return engines[op.node].Gate(simnet.NodeID(1 - op.node)) }
-		if procs {
+		switch {
+		case op.after > 0:
+		case procs:
 			w.Spawn(fmt.Sprintf("op%d", i), func(p *sim.Proc) {
 				p.Sleep(op.at)
-				var req Request
-				if op.send {
-					req = g().Isendv(p, op.tag, bufs[i], op.opts...)
-				} else {
-					req = g().IrecvvMasked(p, op.tag, op.mask, bufs[i])
-				}
-				res.Errs[i] = req.Wait(p)
-				res.DoneAt[i] = p.Now()
+				live(p, i)
 			})
-			continue
+		default:
+			w.At(op.at, func() { post(i) })
 		}
-		w.At(op.at, func() {
-			fired := false
-			done := func(err error) {
-				if fired {
-					t.Errorf("op %d: completion hook fired twice", i)
-				}
-				fired = true
-				res.Errs[i] = err
-				res.DoneAt[i] = w.Now()
-			}
-			if op.send {
-				g().PostSendv(op.tag, bufs[i], done, op.opts...)
-			} else {
-				g().PostRecvvMasked(op.tag, op.mask, bufs[i], done)
-			}
-		})
 	}
 	run(t, w)
 	for node := range engines {
@@ -183,17 +227,39 @@ func TestPostMatchesProcessSubmission(t *testing.T) {
 			postOp{at: 0, node: 0, send: true, tag: 50, segs: []int{96}},
 			postOp{at: 300 * sim.Microsecond, node: 1, tag: 50, segs: []int{96}},
 		), matchedAtPost: []int{len(mix) + 1}},
+		{name: "a hook posts again on another gate", opts: DefaultOptions(), host: simnet.DefaultHost(), ops: with(
+			// Node 1 receives a waiting rendezvous into no room at all: the
+			// grant is zero, so the receive completes with ErrTruncated
+			// inside the FIFO event that posts it, and its hook — its
+			// process, in the live run — at once sends to node 2, while a
+			// receive from node 2 posted at the same instant is still
+			// queued behind it in node 1's FIFO.
+			postOp{at: 0, node: 0, send: true, tag: 60, segs: []int{256 << 10}},
+			postOp{at: 300 * sim.Microsecond, node: 1, tag: 60, segs: []int{0}, err: ErrTruncated},
+			postOp{at: 300 * sim.Microsecond, node: 1, peer: 2, tag: 61, segs: []int{64}},
+			postOp{after: len(mix) + 2, node: 1, peer: 2, send: true, tag: 62, segs: []int{128}},
+			postOp{at: 0, node: 2, peer: 1, tag: 62, segs: []int{128}},
+			postOp{at: 310 * sim.Microsecond, node: 2, peer: 1, send: true, tag: 61, segs: []int{64}},
+			// And a chain on node 2, the other way: its receive's hook
+			// answers node 1, whose receive is already posted.
+			postOp{at: 320 * sim.Microsecond, node: 1, peer: 2, send: true, tag: 63, segs: []int{32}},
+			postOp{at: 0, node: 2, peer: 1, tag: 63, segs: []int{32}},
+			postOp{after: len(mix) + 8, node: 2, peer: 1, send: true, tag: 64, segs: []int{48}},
+			postOp{at: 0, node: 1, peer: 2, tag: 64, segs: []int{48}},
+		)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			live := runPostWorkload(t, tc.opts, tc.host, tc.ops, true)
 			post := runPostWorkload(t, tc.opts, tc.host, tc.ops, false)
+			busy := [postNodes]bool{}
 			for i, err := range live.Errs {
-				if err != nil {
-					t.Errorf("op %d failed in the process-driven run: %v", i, err)
+				if op := tc.ops[i]; !errors.Is(err, op.err) || (err == nil) != (op.err == nil) {
+					t.Errorf("op %d ended with %v in the process-driven run, want %v", i, err, op.err)
 				}
+				busy[tc.ops[i].node] = true
 			}
 			for node := range live.Events {
-				if len(live.Events[node]) == 0 {
+				if busy[node] && len(live.Events[node]) == 0 {
 					t.Fatalf("node %d traced nothing", node)
 				}
 				if !reflect.DeepEqual(live.Events[node], post.Events[node]) {

@@ -3,8 +3,11 @@ package core
 import (
 	"fmt"
 
+	"nmad/internal/drivers"
+	"nmad/internal/sim"
 	"nmad/internal/simnet"
 	"nmad/internal/trace"
+	"nmad/sched"
 )
 
 // The rendezvous protocol. A data wrapper whose payload reaches the
@@ -26,15 +29,24 @@ import (
 
 // rdvSend is the sender-side state of one rendezvous transaction. The
 // body is an iovec: a vector send streams straight out of its scattered
-// user-space segments.
+// user-space segments. Records are recycled (Engine.freeRdvSends); see
+// releaseRdvSend for when one may return.
 type rdvSend struct {
+	eng  *Engine
 	id   uint32
 	gate *Gate
 	tag  Tag
-	seq  seqNum
 	body iovec
 	req  *SendRequest
-	left int // chunks not yet fully sent
+	left int // chunks of the original stream not yet fully sent
+
+	// plan holds the body plans of the streams whose chains are still
+	// running, each taken from the strategy before anything is submitted
+	// (a built-in's plan is its own storage, valid only until its next
+	// PlanBody). A stream's chains read their shares by index, so a
+	// reissue appends its plan and the slice is reset only when no chain
+	// is left.
+	plan []sched.BodyShare
 
 	// Reliability bookkeeping (Options.Reliability): started marks the
 	// first CTS consumed (a later CTS is a reissue request), done marks
@@ -51,6 +63,11 @@ type rdvSend struct {
 	// completed the caller may overwrite its buffer, so a reissue from
 	// then on reads the body out of these frames (see stable).
 	kept []keptChunk
+
+	// live marks the transaction as in Engine.rdvSend (not yet retired);
+	// chains counts its RDMA chains still streaming, reissues included.
+	live   bool
+	chains int
 }
 
 // keptChunk is one retained body frame: the bytes from offset off on.
@@ -80,7 +97,7 @@ func (rs *rdvSend) stable(off, n int) iovec {
 			}
 		}
 		if piece == nil {
-			segs = rs.body.slice(off, gap).appendSegs(segs)
+			segs = rs.body.appendRange(segs, off, gap)
 			off, n = off+gap, n-gap
 			continue
 		}
@@ -91,6 +108,61 @@ func (rs *rdvSend) stable(off, n int) iovec {
 	return segs
 }
 
+// retire counts one chunk of the original stream fully sent — an RDMA
+// chain's, or an eager chunk's from its train's completion (packet.rdv).
+// The last one completes the transaction's stream-out; without
+// reliability it also retires the state.
+func (rs *rdvSend) retire() {
+	if rs.left--; rs.left > 0 {
+		return
+	}
+	e := rs.eng
+	if !rs.done {
+		rs.done = true
+		e.stats.RdvCompleted++
+	}
+	if !e.opts.Reliability {
+		// Under reliability the state must survive a possible reissue
+		// request; the receiver's kindDone entry retires it instead.
+		e.dropRdvSend(rs)
+	}
+	e.releaseRdvSend(rs)
+}
+
+// newRdvSend fills a recycled sender-side record for a data wrapper being
+// converted to a rendezvous request. The body iovec changes hands with
+// the record's old (cleared) backing, which the wrapper keeps, so neither
+// side regrows one.
+func (e *Engine) newRdvSend(id uint32, pw *packet) *rdvSend {
+	rs := e.freeRdvSends.get()
+	rs.eng = e
+	rs.id, rs.gate, rs.tag, rs.req, rs.live = id, pw.gate, pw.tag, pw.req, true
+	rs.body, pw.iov = pw.iov, rs.body
+	e.rdvSend[id] = rs
+	return rs
+}
+
+// dropRdvSend retires a transaction: it leaves Engine.rdvSend.
+func (e *Engine) dropRdvSend(rs *rdvSend) {
+	delete(e.rdvSend, rs.id)
+	rs.live = false
+}
+
+// releaseRdvSend recycles a record nothing refers to any more: the
+// transaction is retired, every chunk of its original stream is sent
+// (an eager chunk's wrapper refers to the record until then), and none of
+// its RDMA chains is still streaming — a reissue can outlive the
+// retirement.
+func (e *Engine) releaseRdvSend(rs *rdvSend) {
+	if rs.live || rs.left > 0 || rs.chains > 0 || e.opts.NoRecycle {
+		return
+	}
+	clear(rs.body)
+	clear(rs.kept)
+	*rs = rdvSend{body: rs.body[:0], plan: rs.plan[:0], kept: rs.kept[:0]}
+	e.freeRdvSends.put(rs)
+}
+
 // rdvKey identifies a receiver-side transaction: rendezvous ids are
 // sender-local, so the peer disambiguates.
 type rdvKey struct {
@@ -99,7 +171,13 @@ type rdvKey struct {
 }
 
 // rdvRecv is the receiver-side state of one rendezvous transaction.
+// Records are recycled (Engine.freeRdvRecvs): one returns once it has
+// left Engine.rdvRecv and no body watch of it is pending.
 type rdvRecv struct {
+	eng       *Engine
+	gate      *Gate
+	key       rdvKey
+	tag       Tag
 	req       *RecvRequest
 	remaining int // granted bytes not yet landed
 	granted   int // bytes the CTS allowed (clamped to the landing area)
@@ -110,6 +188,15 @@ type rdvRecv struct {
 	// nothing, so duplicated body traffic can never double-credit
 	// remaining.
 	spans []span
+
+	// live marks the transaction as in Engine.rdvRecv. watches counts
+	// the pending body-watch events (Options.Reliability) and mark is
+	// remaining when the latest was armed; watchFn is watch, bound at the
+	// record's first watch and kept across recycling.
+	live    bool
+	watches int
+	mark    int
+	watchFn func()
 }
 
 // span is one covered byte range [lo, hi) of a rendezvous body.
@@ -117,7 +204,8 @@ type span struct{ lo, hi int }
 
 // cover merges [lo, hi) into the covered set and returns how many bytes
 // were newly covered. Bodies arrive as a handful of large fragments, so
-// a sorted slice with insertion-merge is plenty.
+// a sorted slice merged in place is plenty: the spans [i, j) that touch
+// the fragment collapse into one, or the fragment is inserted at i.
 func (rr *rdvRecv) cover(lo, hi int) int {
 	if hi > rr.granted {
 		hi = rr.granted // beyond the grant never counts
@@ -140,20 +228,27 @@ func (rr *rdvRecv) cover(lo, hi int) int {
 		if olo, ohi := max(s.lo, lo), min(s.hi, hi); ohi > olo {
 			newly -= ohi - olo
 		}
-		if s.lo < nlo {
-			nlo = s.lo
-		}
-		if s.hi > nhi {
-			nhi = s.hi
-		}
+		nlo, nhi = min(nlo, s.lo), max(nhi, s.hi)
 		j++
 	}
-	out := make([]span, 0, len(rr.spans)-(j-i)+1)
-	out = append(out, rr.spans[:i]...)
-	out = append(out, span{nlo, nhi})
-	out = append(out, rr.spans[j:]...)
-	rr.spans = out
+	if i == j {
+		rr.spans = append(rr.spans, span{})
+		copy(rr.spans[i+1:], rr.spans[i:])
+	} else {
+		rr.spans = append(rr.spans[:i+1], rr.spans[j:]...)
+	}
+	rr.spans[i] = span{nlo, nhi}
 	return newly
+}
+
+// releaseRdvRecv recycles a receiver-side record once it is retired and
+// no body watch of it is still pending.
+func (e *Engine) releaseRdvRecv(rr *rdvRecv) {
+	if rr.live || rr.watches > 0 || e.opts.NoRecycle {
+		return
+	}
+	*rr = rdvRecv{spans: rr.spans[:0], watchFn: rr.watchFn}
+	e.freeRdvRecvs.put(rr)
 }
 
 // pendingGrant is a matched rendezvous request waiting for a grant slot
@@ -194,14 +289,7 @@ func (e *Engine) convertToRTS(pw *packet) *packet {
 	rts := e.newPacket(g, header{
 		kind: kindRTS, flags: pw.flags, tag: pw.tag, seq: pw.seq, length: uint32(size), aux: id,
 	}, pw.driver, nil, pw.req)
-	e.rdvSend[id] = &rdvSend{
-		id:   id,
-		gate: g,
-		tag:  pw.tag,
-		seq:  pw.seq,
-		body: pw.iov,
-		req:  pw.req,
-	}
+	e.newRdvSend(id, pw)
 	if !g.win.replace(pw, rts) {
 		panic("core: rendezvous conversion of a wrapper not in the window")
 	}
@@ -211,9 +299,9 @@ func (e *Engine) convertToRTS(pw *packet) *packet {
 	e.stats.RdvStarted++
 	e.traceEvent(trace.RdvStart, g.peer, -1, pw.tag, size, 0, "")
 	// The data wrapper is fully replaced: the rendezvous state owns its
-	// iovec now (nil it so recycling cannot reuse the backing array under
-	// the body), and nothing else references the wrapper.
-	pw.iov = nil
+	// iovec now (the wrapper holds the record's old backing instead, so
+	// recycling cannot reuse the array under the body), and nothing else
+	// references the wrapper.
 	e.freePacket(pw)
 	return rts
 }
@@ -269,11 +357,14 @@ func (e *Engine) grantRdv(g *Gate, r *RecvRequest, h header) {
 		r.complete(err)
 		return
 	}
-	key := rdvKey{src: g.peer, id: h.aux}
-	e.rdvRecv[key] = &rdvRecv{req: r, remaining: grant, granted: grant, total: int(h.length)}
+	rr := e.freeRdvRecvs.get()
+	rr.eng = e
+	rr.gate, rr.key, rr.tag, rr.req, rr.live = g, rdvKey{src: g.peer, id: h.aux}, h.tag, r, true
+	rr.remaining, rr.granted, rr.total = grant, grant, int(h.length)
+	e.rdvRecv[rr.key] = rr
 	g.pushCtrl(kindCTS, h.tag, uint32(grant), h.aux)
 	if e.opts.Reliability {
-		e.armBodyWatch(g, key, h.tag)
+		e.armBodyWatch(rr)
 	}
 }
 
@@ -281,23 +372,29 @@ func (e *Engine) grantRdv(g *Gate, r *RecvRequest, h header) {
 // watched transaction makes no progress over one body-timeout window —
 // RDMA fragments travel below the link layer and can be lost outright —
 // the receiver re-pushes the CTS and the sender re-streams the span
-// (span tracking keeps duplicates harmless).
-func (e *Engine) armBodyWatch(g *Gate, key rdvKey, tag Tag) {
-	rr, ok := e.rdvRecv[key]
-	if !ok {
+// (span tracking keeps duplicates harmless). One watch is pending at a
+// time; the record keeps what it compares against.
+func (e *Engine) armBodyWatch(rr *rdvRecv) {
+	if rr.watchFn == nil {
+		rr.watchFn = rr.watch
+	}
+	rr.mark = rr.remaining
+	rr.watches++
+	e.world.After(e.bodyTimeout(), rr.watchFn)
+}
+
+// watch is the body watch's event.
+func (rr *rdvRecv) watch() {
+	rr.watches--
+	e := rr.eng
+	if !rr.live {
+		e.releaseRdvRecv(rr) // landed; the watchdog dies with it
 		return
 	}
-	last := rr.remaining
-	e.world.After(e.bodyTimeout(), func() {
-		rr, ok := e.rdvRecv[key]
-		if !ok {
-			return // landed (or retired); the watchdog dies with it
-		}
-		if rr.remaining >= last {
-			g.pushCtrl(kindCTS, tag, uint32(rr.granted), key.id)
-		}
-		e.armBodyWatch(g, key, tag)
-	})
+	if rr.remaining >= rr.mark {
+		rr.gate.pushCtrl(kindCTS, rr.tag, uint32(rr.granted), rr.key.id)
+	}
+	e.armBodyWatch(rr)
 }
 
 // releaseGrants hands freed grant slots to deferred rendezvous requests
@@ -342,54 +439,30 @@ func (e *Engine) onCTS(g *Gate, h header) {
 // leaves the sender. A reissued span repeats the wire traffic of the
 // original stream but touches neither the send request nor the chunk
 // countdown — those completed the first time around.
+//
+// Nothing here allocates per message: the plan is copied into the
+// transaction's record first, a counting pass sizes the countdown before
+// anything is submitted, eager chunks go out in plan order, and each RDMA
+// rail gets one recycled chain that computes its chunks as it streams.
 func (e *Engine) streamBody(rs *rdvSend, granted int, reissue bool) {
 	size := rs.body.total()
 	if granted < size {
 		size = granted
 	}
-	plan := e.planBody(size)
+	if rs.chains == 0 {
+		rs.plan = rs.plan[:0]
+	}
+	base := len(rs.plan)
+	rs.plan = append(rs.plan, e.planBody(size)...)
 
-	type chunk struct {
-		rail     *rail
-		off, len int
-		rdma     bool
-	}
-	var chunks []chunk
-	for _, share := range plan {
-		if share.Size <= 0 {
-			continue
-		}
-		r := e.rails[share.Rail]
-		caps := r.drv.Caps()
-		csize := share.Size
-		if caps.RDMA {
-			if e.opts.BodyChunk > 0 && e.opts.BodyChunk < csize {
-				csize = e.opts.BodyChunk
-			}
-		} else {
-			csize = caps.RdvThreshold
-			if csize <= 0 {
-				csize = defaultBodyChunkNonRDMA
-			}
-		}
-		// One gather slot is reserved for the chunk header on non-RDMA
-		// rails; respecting the capacity here keeps vector bodies within
-		// the rail's native gather list.
-		segCap := caps.MaxSegments - 1
-		if segCap <= 0 {
-			segCap = 1
-		}
-		for off := share.Offset; off < share.Offset+share.Size; {
-			n := csize
-			if rest := share.Offset + share.Size - off; n > rest {
-				n = rest
-			}
-			n = rs.body.capSegs(off, n, segCap)
-			chunks = append(chunks, chunk{rail: r, off: off, len: n, rdma: caps.RDMA})
-			off += n
+	chunks := 0
+	for _, share := range rs.plan[base:] {
+		caps := e.rails[share.Rail].drv.Caps()
+		for off, end := share.Offset, share.Offset+share.Size; off < end; chunks++ {
+			off += rs.chunkLen(caps, off, end)
 		}
 	}
-	if len(chunks) == 0 {
+	if chunks == 0 {
 		if reissue {
 			return
 		}
@@ -397,110 +470,55 @@ func (e *Engine) streamBody(rs *rdvSend, granted int, reissue bool) {
 		// the wrapper.
 		rs.req.doneOne()
 		e.stats.RdvCompleted++
-		delete(e.rdvSend, rs.id)
+		e.dropRdvSend(rs)
+		e.releaseRdvSend(rs)
 		return
 	}
 
 	if !reissue {
-		rs.req.add(len(chunks))
-		rs.left = len(chunks)
+		rs.req.add(chunks)
+		rs.left = chunks
 	}
-	retire := func() {
-		if reissue {
-			return // the original stream owns the countdown
-		}
-		rs.left--
-		if rs.left != 0 {
-			return
-		}
-		if !rs.done {
-			rs.done = true
-			e.stats.RdvCompleted++
-		}
-		if !e.opts.Reliability {
-			// Under reliability the state must survive a possible reissue
-			// request; the receiver's kindDone entry retires it instead.
-			delete(e.rdvSend, rs.id)
-		}
-	}
-	chunkReq := rs.req
+	chunkReq, chunkRdv := rs.req, rs
 	if reissue {
-		chunkReq = nil
+		chunkReq, chunkRdv = nil, nil
 	}
-
+	for i := base; i < len(rs.plan); i++ {
+		share := rs.plan[i]
+		r := e.rails[share.Rail]
+		caps := r.drv.Caps()
+		if caps.RDMA {
+			continue
+		}
+		for off, end := share.Offset, share.Offset+share.Size; off < end; {
+			n := rs.chunkLen(caps, off, end)
+			e.stats.BodyBytes += int64(n)
+			// Non-RDMA rail: the chunk flows through the window as an eager
+			// entry bound for the registered landing buffer. The chunk
+			// offset rides the seq field; feed retires one unit of chunkReq
+			// per entry, and one chunk of the original stream's countdown.
+			// The wrapper copies the gather list out of the encode scratch.
+			e.encSegs = rs.body.appendRange(e.encSegs[:0], off, n)
+			pw := e.newPacket(rs.gate, header{
+				kind: kindChunk, flags: flagUnordered, tag: rs.tag, seq: seqNum(uint32(off)), length: uint32(n), aux: rs.id,
+			}, r.idx, e.encSegs, chunkReq)
+			pw.rdv = chunkRdv
+			e.submit(pw)
+			off += n
+		}
+	}
 	// RDMA chunks are chained per rail: chunk i+1 is handed to the NIC
 	// only when chunk i completes. Submitting the whole body at once
 	// would reserve the directed wire end to end, and anything queued
 	// after it — link-layer acks in particular — would wait out the full
 	// body; under reliability that starvation shows up as spurious
 	// retransmissions. Chained, the wire is never claimed more than one
-	// chunk ahead.
-	rdmaQueues := make(map[*rail][]chunk)
-	var rdmaOrder []*rail
-	var sendRdma func(q []chunk)
-	sendRdma = func(q []chunk) {
-		c := q[0]
-		rest := q[1:]
-		r := c.rail
-		// The gather shape the NIC charges is always that of the caller's
-		// iovec; the bytes are too, until the request has completed and
-		// the memory is the caller's again.
-		data := rs.body.slice(c.off, c.len)
-		nsegs := len(data)
-		if reissue && rs.done {
-			data = rs.stable(c.off, c.len)
+	// chunk ahead. The chains start once every eager chunk is submitted,
+	// in the order their rails first appear in the plan.
+	for i := base; i < len(rs.plan); i++ {
+		if r := e.rails[rs.plan[i].Rail]; r.drv.Caps().RDMA && rs.firstOnRail(base, i) {
+			e.newChain(rs, r, reissue, i, len(rs.plan)).send()
 		}
-		fr := e.frames.New(data)
-		if e.opts.Reliability && !reissue {
-			fr.Retain()
-			rs.kept = append(rs.kept, keptChunk{off: c.off, fr: fr})
-		}
-		e.stats.BodyBytes += int64(c.len)
-		r.bytes += int64(c.len)
-		e.stats.WireBytes += int64(c.len)
-		aux := uint64(rs.id)<<32 | uint64(uint32(c.off))
-		req := chunkReq
-		size := c.len
-		t0 := e.world.Now()
-		err := r.drv.SendFrame(rs.gate.peer, simnet.TxRdma, fr, nsegs, aux, func() {
-			r.sampler.observe(size, e.world.Now()-t0)
-			e.notifyComplete(r.idx, rs.gate.peer, size, 0, e.world.Now()-t0)
-			if req != nil {
-				req.doneOne()
-			}
-			retire()
-			if len(rest) > 0 {
-				sendRdma(rest)
-			}
-		})
-		if err != nil {
-			panic("core: rendezvous body submit failed: " + err.Error())
-		}
-	}
-
-	for _, c := range chunks {
-		if c.rdma {
-			if _, ok := rdmaQueues[c.rail]; !ok {
-				rdmaOrder = append(rdmaOrder, c.rail)
-			}
-			rdmaQueues[c.rail] = append(rdmaQueues[c.rail], c)
-			continue
-		}
-		data := rs.body.slice(c.off, c.len)
-		e.stats.BodyBytes += int64(c.len)
-		// Non-RDMA rail: the chunk flows through the window as an eager
-		// entry bound for the registered landing buffer. The chunk offset
-		// rides the seq field; feed retires one unit of chunkReq per entry.
-		pw := e.newPacket(rs.gate, header{
-			kind: kindChunk, flags: flagUnordered, tag: rs.tag, seq: seqNum(uint32(c.off)), length: uint32(c.len), aux: rs.id,
-		}, c.rail.idx, data, chunkReq)
-		if !reissue {
-			pw.onSent = retire
-		}
-		e.submit(pw)
-	}
-	for _, r := range rdmaOrder {
-		sendRdma(rdmaQueues[r])
 	}
 	if !reissue {
 		// Retire the unit the original Isend registered, now that the
@@ -508,6 +526,140 @@ func (e *Engine) streamBody(rs *rdvSend, granted int, reissue bool) {
 		rs.req.doneOne()
 	}
 	e.pumpAll()
+}
+
+// firstOnRail reports whether share i is the first of the stream whose
+// plan starts at base to move bytes on its rail.
+func (rs *rdvSend) firstOnRail(base, i int) bool {
+	if rs.plan[i].Size <= 0 {
+		return false
+	}
+	for _, s := range rs.plan[base:i] {
+		if s.Rail == rs.plan[i].Rail && s.Size > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// chunkLen is the length of the body chunk at off on a rail with these
+// capabilities, ending no later than end: a whole share on an RDMA rail
+// (or Options.BodyChunk of it), the rendezvous threshold on an eager one,
+// and never more of the iovec than the rail gathers natively — one slot
+// is reserved for the chunk header on eager rails, and respecting it
+// keeps vector bodies within the rail's gather list.
+func (rs *rdvSend) chunkLen(caps drivers.Caps, off, end int) int {
+	n := end - off
+	if caps.RDMA {
+		if bc := rs.eng.opts.BodyChunk; bc > 0 {
+			n = min(n, bc)
+		}
+	} else {
+		csize := caps.RdvThreshold
+		if csize <= 0 {
+			csize = defaultBodyChunkNonRDMA
+		}
+		n = min(n, csize)
+	}
+	return rs.body.capSegs(off, n, max(caps.MaxSegments-1, 1))
+}
+
+// rdmaChain streams the chunks one body stream — the original or a
+// reissue — puts on one RDMA rail, one chunk in flight at a time. It is
+// recycled (Engine.freeChains) once its last chunk has completed; until
+// then it counts in rdvSend.chains, which keeps the transaction's record,
+// and the plan the chain reads its shares from, in place.
+type rdmaChain struct {
+	rs      *rdvSend
+	rail    *rail
+	reissue bool
+	// share indexes rs.plan at the share being streamed, end past the
+	// stream's last share; off is the next chunk's offset.
+	share, end int
+	off        int
+	// t0 and size describe the chunk in flight; sentFn is sent, bound
+	// when the record is first made.
+	t0     sim.Time
+	size   int
+	sentFn func()
+}
+
+// newChain starts a recycled chain on rail r at share i of the stream
+// whose plan ends at end.
+func (e *Engine) newChain(rs *rdvSend, r *rail, reissue bool, i, end int) *rdmaChain {
+	c := e.freeChains.get()
+	if c.sentFn == nil { // fresh, not recycled
+		c.sentFn = c.sent
+	}
+	c.rs, c.rail, c.reissue = rs, r, reissue
+	c.share, c.end, c.off = i, end, rs.plan[i].Offset
+	rs.chains++
+	return c
+}
+
+// send hands the chain's next chunk to the NIC and moves past it.
+func (c *rdmaChain) send() {
+	rs, r := c.rs, c.rail
+	e := rs.eng
+	end := rs.plan[c.share].Offset + rs.plan[c.share].Size
+	n := rs.chunkLen(r.drv.Caps(), c.off, end)
+	// The gather shape the NIC charges is always that of the caller's
+	// iovec; the bytes are too, until the request has completed and the
+	// memory is the caller's again. The gather list is dead once the
+	// frame holds the bytes, so it is built in the encode scratch.
+	e.encSegs = rs.body.appendRange(e.encSegs[:0], c.off, n)
+	data := e.encSegs
+	nsegs := len(data)
+	if c.reissue && rs.done {
+		data = rs.stable(c.off, n)
+	}
+	fr := e.frames.New(data)
+	if e.opts.Reliability && !c.reissue {
+		fr.Retain()
+		rs.kept = append(rs.kept, keptChunk{off: c.off, fr: fr})
+	}
+	e.stats.BodyBytes += int64(n)
+	r.bytes += int64(n)
+	e.stats.WireBytes += int64(n)
+	aux := uint64(rs.id)<<32 | uint64(uint32(c.off))
+	c.t0, c.size = e.world.Now(), n
+	if c.off += n; c.off == end {
+		// On to the rail's next share of the stream, if the plan has one.
+		for c.share++; c.share < c.end; c.share++ {
+			if s := rs.plan[c.share]; s.Rail == r.idx && s.Size > 0 {
+				c.off = s.Offset
+				break
+			}
+		}
+	}
+	if err := r.drv.SendFrame(rs.gate.peer, simnet.TxRdma, fr, nsegs, aux, c.sentFn); err != nil {
+		panic("core: rendezvous body submit failed: " + err.Error())
+	}
+}
+
+// sent runs when the NIC is done with the chunk in flight: the sampler and
+// the strategy see the transaction, the original stream counts the chunk,
+// and the next chunk goes out — or the chain is done and recycled.
+func (c *rdmaChain) sent() {
+	rs, r := c.rs, c.rail
+	e := rs.eng
+	dur := e.world.Now() - c.t0
+	r.sampler.observe(c.size, dur)
+	e.notifyComplete(r.idx, rs.gate.peer, c.size, 0, dur)
+	if !c.reissue {
+		rs.req.doneOne()
+		rs.retire()
+	}
+	if c.share < c.end {
+		c.send()
+		return
+	}
+	rs.chains--
+	if !e.opts.NoRecycle {
+		*c = rdmaChain{sentFn: c.sentFn}
+		e.freeChains.put(c)
+	}
+	e.releaseRdvSend(rs)
 }
 
 // onRdvDone retires sender-side rendezvous state, retained body frames
@@ -527,7 +679,10 @@ func (e *Engine) onRdvDone(g *Gate, id uint32) {
 	for _, k := range rs.kept {
 		k.fr.Release()
 	}
-	delete(e.rdvSend, id)
+	clear(rs.kept)
+	rs.kept = rs.kept[:0]
+	e.dropRdvSend(rs)
+	e.releaseRdvSend(rs)
 }
 
 // onBody places an arriving body fragment (zero-copy: no host copy is
@@ -556,6 +711,7 @@ func (e *Engine) onBody(src simnet.NodeID, id uint32, offset int, data []byte) {
 	e.traceEvent(trace.RdvBody, src, -1, r.tag, len(data), 0, "")
 	if rr.remaining == 0 {
 		delete(e.rdvRecv, key)
+		rr.live = false
 		if e.opts.Reliability {
 			// Tell the sender it may retire its state (it keeps the body
 			// around for reissue requests until this arrives).
@@ -566,6 +722,7 @@ func (e *Engine) onBody(src simnet.NodeID, id uint32, offset int, data []byte) {
 		if rr.total > rr.granted {
 			err = ErrTruncated
 		}
+		e.releaseRdvRecv(rr)
 		r.complete(err)
 		e.releaseGrants()
 	}

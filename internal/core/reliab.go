@@ -52,12 +52,27 @@ const (
 // linkFrame is one unacknowledged reliable train: a reference to the wire
 // frame it was flattened into, so it can be re-injected verbatim after
 // the original segments' buffers were reused.
+//
+// Records are recycled (Engine.freeLinks). A timer cannot be cancelled,
+// so the record counts the events that still refer to it — sending
+// transmissions, whose NIC completion arms a check, and checks armed but
+// not fired — and returns to the list only once it is acked and both
+// counts are zero (see releaseLink). Every check waits the same delay, so
+// checks fire in the order they were armed: stale counts the oldest
+// pending ones, armed before the latest retransmission, which are void.
 type linkFrame struct {
+	eng      *Engine
+	gate     *Gate
 	seq      uint32
 	frame    *simnet.Frame // link header + encoded train
 	rail     *rail         // rail of the last (re)transmission
 	attempts int           // transmissions so far
 	acked    bool          // retired: a pending retransmit check is void
+
+	sending, checks, stale int
+	// armFn and expireFn are arm and expire, bound when the record is
+	// first made: a transmission's NIC completion and the check it arms.
+	armFn, expireFn func()
 }
 
 // linkTx is the sender half of a gate's link state. Frame sequence
@@ -75,7 +90,10 @@ type linkRx struct {
 	floor      uint32
 	seen       map[uint32]bool
 	ackPending bool
-	ackGen     uint64 // invalidates stale delayed-ack events
+	// acks counts the delayed-ack events not yet fired; ackFn is
+	// Gate.linkAckDue, bound at the gate's first delayed ack.
+	acks  int
+	ackFn func()
 }
 
 // bodyTimeout is the rendezvous body progress window: generous relative
@@ -85,9 +103,9 @@ func (e *Engine) bodyTimeout() sim.Time { return 2 * e.opts.RetransmitTimeout }
 // probeInterval paces the ping/pong liveness probe of a failed rail.
 func (e *Engine) probeInterval() sim.Time { return 4 * e.opts.RetransmitTimeout }
 
-// linkHeader encodes one pure link entry.
-func linkHeader(sub uint32, seq uint32, floor uint32) []byte {
-	return encodeHeader(make([]byte, 0, headerSize), header{
+// appendLinkHeader appends one encoded link entry to dst.
+func appendLinkHeader(dst []byte, sub uint32, seq uint32, floor uint32) []byte {
+	return encodeHeader(dst, header{
 		kind:   kindLink,
 		seq:    seqNum(seq),
 		length: floor,
@@ -109,35 +127,50 @@ func linkHeader(sub uint32, seq uint32, floor uint32) []byte {
 // the wrappers even with retransmissions ahead.
 func (e *Engine) linkSend(out *output) {
 	g := out.gate
-	out.link = &linkFrame{seq: g.ltx.nextSeq, rail: out.rail, attempts: 1}
+	fr := e.freeLinks.get()
+	if fr.armFn == nil { // fresh, not recycled
+		fr.eng, fr.armFn, fr.expireFn = e, fr.arm, fr.expire
+	}
+	// The train's own transmission is the first sending one; its
+	// completion (output.sent) arms the first check.
+	fr.gate, fr.seq, fr.rail, fr.attempts, fr.sending = g, g.ltx.nextSeq, out.rail, 1, 1
+	out.link = fr
 	g.ltx.nextSeq++
-	g.ltx.unacked = append(g.ltx.unacked, out.link)
+	g.ltx.unacked = append(g.ltx.unacked, fr)
 	out.wire += headerSize
 	e.stats.WireBytes += headerSize
 	// The outbound frame carries the current floor: any pure ack still
 	// pending is now redundant.
 	g.lrx.ackPending = false
-	g.lrx.ackGen++
 	e.transmit(out)
 }
 
-// linkArm schedules the retransmit check for a frame's current attempt.
-// It runs from the NIC's send-completion callback, not at submission:
-// the ack clock must not start while the frame still waits behind a long
-// wire reservation (a rendezvous body can hold the pair's wire for
-// longer than the whole timeout), or an idle fabric would retransmit
-// spuriously. Simulation events cannot be cancelled, so the check
-// captures the attempt number and no-ops when the frame was acked or
-// re-sent since.
-func (e *Engine) linkArm(g *Gate, fr *linkFrame) {
-	attempt := fr.attempts
-	e.world.After(e.opts.RetransmitTimeout, func() { e.linkExpire(g, fr, attempt) })
+// arm schedules the retransmit check of the transmission that just
+// completed. It runs from the NIC's send-completion callback, not at
+// submission: the ack clock must not start while the frame still waits
+// behind a long wire reservation (a rendezvous body can hold the pair's
+// wire for longer than the whole timeout), or an idle fabric would
+// retransmit spuriously.
+func (fr *linkFrame) arm() {
+	fr.sending--
+	fr.checks++
+	fr.eng.world.After(fr.eng.opts.RetransmitTimeout, fr.expireFn)
 }
 
-// linkExpire fires when a frame's ack did not arrive in time.
-func (e *Engine) linkExpire(g *Gate, fr *linkFrame, attempt int) {
-	if fr.acked || fr.attempts != attempt {
-		return // acked, or a newer attempt owns the timer
+// expire fires when a check's timeout has elapsed. A check armed before
+// the frame's latest retransmission is void — a newer attempt owns the
+// frame — as is any check of an acked frame.
+func (fr *linkFrame) expire() {
+	e, g := fr.eng, fr.gate
+	fr.checks--
+	if fr.stale > 0 {
+		fr.stale--
+		e.releaseLink(fr)
+		return
+	}
+	if fr.acked {
+		e.releaseLink(fr)
+		return
 	}
 	if fr.attempts >= e.opts.RetransmitBudget {
 		if e.aliveRail(fr.rail) == nil {
@@ -160,12 +193,23 @@ func (e *Engine) linkExpire(g *Gate, fr *linkFrame, attempt int) {
 	e.linkResend(g, fr, r)
 }
 
+// releaseLink recycles an acked frame record no pending event refers to.
+func (e *Engine) releaseLink(fr *linkFrame) {
+	if !fr.acked || fr.sending > 0 || fr.checks > 0 || e.opts.NoRecycle {
+		return
+	}
+	*fr = linkFrame{eng: e, armFn: fr.armFn, expireFn: fr.expireFn}
+	e.freeLinks.put(fr)
+}
+
 // linkResend re-injects a retained frame, bypassing the window: the
 // wrappers inside were already elected and accounted once. The frame was
 // contiguous on the host ever since its first transmission, so every
 // retransmission is a one-segment transaction.
 func (e *Engine) linkResend(g *Gate, fr *linkFrame, r *rail) {
 	fr.attempts++
+	fr.sending++
+	fr.stale = fr.checks
 	fr.rail = r
 	size := len(fr.frame.Bytes())
 	e.stats.Retransmits++
@@ -175,7 +219,7 @@ func (e *Engine) linkResend(g *Gate, fr *linkFrame, r *rail) {
 		e.traceEvent(trace.Retransmit, g.peer, r.idx, 0, size, fr.attempts, fmt.Sprintf("frame %d", fr.seq))
 	}
 	fr.frame.Retain() // the NIC's reference; the link layer keeps its own
-	err := r.drv.SendFrame(g.peer, simnet.TxEager, fr.frame, 1, 0, func() { e.linkArm(g, fr) })
+	err := r.drv.SendFrame(g.peer, simnet.TxEager, fr.frame, 1, 0, fr.armFn)
 	if err != nil {
 		panic("core: link retransmit failed: " + err.Error())
 	}
@@ -256,6 +300,7 @@ func (e *Engine) linkAckIn(g *Gate, floor uint32, explicit bool) {
 	for n < len(un) && un[n].seq < floor {
 		un[n].acked = true
 		un[n].frame.Release()
+		e.releaseLink(un[n])
 		n++
 	}
 	if n == 0 {
@@ -276,27 +321,39 @@ func (e *Engine) linkScheduleAck(g *Gate) {
 		return
 	}
 	g.lrx.ackPending = true
-	g.lrx.ackGen++
-	gen := g.lrx.ackGen
-	e.world.After(linkAckDelay, func() {
-		if !g.lrx.ackPending || g.lrx.ackGen != gen {
-			return
-		}
-		g.lrx.ackPending = false
-		r := e.aliveRail(nil)
-		if r == nil {
-			r = e.rails[0]
-		}
-		e.linkCtl(g, r, linkAckTag, 0, g.lrx.floor)
-	})
+	g.lrx.acks++
+	if g.lrx.ackFn == nil {
+		g.lrx.ackFn = g.linkAckDue
+	}
+	e.world.After(linkAckDelay, g.lrx.ackFn)
+}
+
+// linkAckDue is the delayed ack's event. Every one waits linkAckDelay, so
+// they fire in the order they were scheduled, and one that fires while a
+// later one is pending is stale: an outbound frame carried the floor
+// since and the gate scheduled again. The latest sends the ack unless an
+// outbound frame has carried the floor after it was scheduled.
+func (g *Gate) linkAckDue() {
+	if g.lrx.acks--; g.lrx.acks > 0 || !g.lrx.ackPending {
+		return
+	}
+	g.lrx.ackPending = false
+	e := g.eng
+	r := e.aliveRail(nil)
+	if r == nil {
+		r = e.rails[0]
+	}
+	e.linkCtl(g, r, linkAckTag, 0, g.lrx.floor)
 }
 
 // linkCtl injects one pure link control entry directly through a driver,
 // below the optimization window. Pure control is unreliable by design.
+// The entry is encoded on the stack: the frame copies it.
 func (e *Engine) linkCtl(g *Gate, r *rail, sub uint32, seq uint32, floor uint32) {
-	hdr := linkHeader(sub, seq, floor)
+	var buf [headerSize]byte
+	hdr := [][]byte{appendLinkHeader(buf[:0], sub, seq, floor)}
 	e.stats.WireBytes += headerSize
-	if err := r.drv.SendFrame(g.peer, simnet.TxEager, e.frames.New([][]byte{hdr}), 1, 0, nil); err != nil {
+	if err := r.drv.SendFrame(g.peer, simnet.TxEager, e.frames.New(hdr), 1, 0, nil); err != nil {
 		panic("core: link control send failed: " + err.Error())
 	}
 }

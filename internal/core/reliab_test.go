@@ -301,6 +301,45 @@ func TestRailFailKeepsStagedOutput(t *testing.T) {
 	}
 }
 
+// A retransmit check armed before a retransmission is void, even when
+// that retransmission reset the frame's budget: railFail re-issues the
+// dead rail's frames with attempts back at one, which a check stamped
+// with its attempt number could not tell from the check armed at the
+// first transmission. Two frames leave on a dark rail a microsecond
+// apart; the first one's check fails the rail, re-issuing both; the
+// second one's check, armed before that, fires a microsecond later and
+// must not send a third copy while the re-issued one is in flight.
+func TestRailFailReissueVoidsEarlierChecks(t *testing.T) {
+	opts := DefaultOptions()
+	opts.RetransmitBudget = 1
+	opts.ProbeBudget = 1
+	fp := simnet.FaultProfile{Seed: 1, Rails: []simnet.RailFaults{
+		{},
+		{Outages: []simnet.Outage{{At: 0, Duration: sim.FromMicroseconds(1e6)}}},
+	}}
+	w, e0, e1 := lossyPair(t, opts, fp, simnet.MX10G(), simnet.QsNetII())
+	data := make([]byte, 64)
+	w.Spawn("send", func(p *sim.Proc) {
+		first := e0.Gate(1).Isend(p, 1, data, OnRail(1))
+		p.Sleep(sim.Microsecond)
+		if err := WaitAll(p, first, e0.Gate(1).Isend(p, 2, data, OnRail(1))); err != nil {
+			t.Error(err)
+		}
+	})
+	w.Spawn("recv", func(p *sim.Proc) {
+		for tag := Tag(1); tag <= 2; tag++ {
+			if _, err := e1.Gate(0).Recv(p, tag, make([]byte, 64)); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	run(t, w)
+	if st := e0.Stats(); st.FailedRails != 1 || st.Retransmits != 2 {
+		t.Errorf("FailedRails = %d, Retransmits = %d; want the rail failed once and each frame re-issued once",
+			st.FailedRails, st.Retransmits)
+	}
+}
+
 // reliableRun drives a fixed mixed workload over a lossy rail and
 // returns both engines' stats plus the virtual completion time.
 func reliableRun(t *testing.T, seed uint64) (Stats, Stats, sim.Time) {
@@ -400,5 +439,96 @@ func TestProbeBudgetAbandonsPermanentOutage(t *testing.T) {
 	}
 	if st.RecoveredRails != 0 {
 		t.Errorf("RecoveredRails = %d, want 0 (the rail never answered)", st.RecoveredRails)
+	}
+}
+
+// A link frame record returns to its list only once the retransmit check
+// armed at its transmission has fired, even though the frame was acked
+// long before: the check cannot be cancelled, and on a recycled record it
+// would judge the wrong frame. A train sent meanwhile gets another
+// record; one sent after the check fired reuses one; and on a lossless
+// fabric nothing is ever retransmitted.
+func TestLinkFrameRecycledOnlyAfterItsCheck(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Reliability = true
+	w, e0, e1 := testWorld(t, opts)
+	g := e0.Gate(1)
+	data, buf := make([]byte, 512), make([]byte, 512)
+	sends := []sim.Time{0, 100 * sim.Microsecond, 500 * sim.Microsecond}
+	w.Spawn("send", func(p *sim.Proc) {
+		for _, at := range sends {
+			p.Sleep(at - p.Now())
+			if err := g.Send(p, 7, data); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	w.Spawn("recv", func(p *sim.Proc) {
+		for range sends {
+			if _, err := e1.Gate(0).Recv(p, 7, buf); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	// inFlight is the record of the one train in flight just after a send.
+	inFlight := func() *linkFrame {
+		if len(g.ltx.unacked) != 1 {
+			t.Fatalf("at %v: %d unacked trains, want 1", w.Now(), len(g.ltx.unacked))
+		}
+		return g.ltx.unacked[0]
+	}
+	var first, second *linkFrame
+	w.At(sim.Microsecond, func() { first = inFlight() })
+	w.At(50*sim.Microsecond, func() {
+		if !first.acked || first.checks != 1 || len(e0.freeLinks) != 0 {
+			t.Errorf("acked frame: acked=%v checks=%d with %d records listed; want acked, its check pending, none listed",
+				first.acked, first.checks, len(e0.freeLinks))
+		}
+	})
+	w.At(101*sim.Microsecond, func() {
+		if second = inFlight(); second == first {
+			t.Error("a train reused the record of a frame whose check is still pending")
+		}
+	})
+	w.At(450*sim.Microsecond, func() {
+		if len(e0.freeLinks) != 2 {
+			t.Errorf("%d records listed once both checks fired, want 2", len(e0.freeLinks))
+		}
+	})
+	w.At(501*sim.Microsecond, func() {
+		if third := inFlight(); third != first && third != second {
+			t.Error("a train after both checks fired took a fresh record")
+		}
+	})
+	run(t, w)
+	if n := e0.Stats().Retransmits; n != 0 {
+		t.Errorf("%d retransmissions on a lossless fabric", n)
+	}
+}
+
+// A delayed ack superseded before it fires — an outbound frame carried
+// the floor, then a new arrival scheduled the ack again — does nothing
+// when it fires: only the latest event sends, once.
+func TestStaleAckEventDoesNothing(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Reliability = true
+	w, e0, _ := testWorld(t, opts)
+	g := e0.Gate(1)
+	w.At(0, func() {
+		e0.linkScheduleAck(g)
+		g.lrx.ackPending = false // what linkSend does: the frame carries the floor
+	})
+	w.At(sim.Microsecond, func() { e0.linkScheduleAck(g) })
+	w.At(linkAckDelay+sim.Microsecond/2, func() {
+		if n := e0.Stats().WireBytes; n != 0 {
+			t.Errorf("the superseded ack event sent %d bytes", n)
+		}
+		if !g.lrx.ackPending || g.lrx.acks != 1 {
+			t.Errorf("after the stale event: ackPending=%v with %d events pending, want true and 1", g.lrx.ackPending, g.lrx.acks)
+		}
+	})
+	run(t, w)
+	if n := e0.Stats().WireBytes; n != headerSize {
+		t.Errorf("%d bytes of pure acks sent, want one ack (%d)", n, headerSize)
 	}
 }

@@ -176,7 +176,8 @@ func (e *Engine) electOutput(g *Gate, r *rail) *output {
 // planBody asks the strategy for a rendezvous body plan and validates
 // it: shares must cover [0, size) exactly, in ascending offset order, on
 // attached rails. Invalid plans (and non-planner strategies) stream over
-// the best single rail.
+// the best single rail. The plan is storage of the strategy's or of the
+// engine's, valid until the next planBody: the caller copies it.
 func (e *Engine) planBody(size int) []sched.BodyShare {
 	rails := e.railInfos()
 	// Failed rails are withdrawn from the offer: a mid-flow body plan
@@ -198,15 +199,14 @@ func (e *Engine) planBody(size int) []sched.BodyShare {
 	if len(alive) == 0 {
 		alive = rails // cannot happen (the last rail never fails), but never plan over nothing
 	}
-	bp, ok := e.strat.(sched.BodyPlanner)
-	if !ok || len(alive) <= 1 {
-		return sched.SingleRail(alive, size)
+	if bp, ok := e.strat.(sched.BodyPlanner); ok && len(alive) > 1 {
+		if plan := bp.PlanBody(alive, size); e.validPlan(plan, size) {
+			return plan
+		}
 	}
-	plan := bp.PlanBody(alive, size)
-	if !e.validPlan(plan, size) {
-		return sched.SingleRail(alive, size)
-	}
-	return plan
+	// sched.SingleRail, in the engine's own storage.
+	e.singlePlan[0] = sched.BodyShare{Rail: sched.BestRail(alive), Size: size}
+	return e.singlePlan[:]
 }
 
 // validPlan checks the BodyPlanner contract (and that no share landed on

@@ -272,8 +272,11 @@ func TestIovecHelpers(t *testing.T) {
 	if got := string(v.flatten()); got != "abcdefghi" {
 		t.Errorf("flatten = %q", got)
 	}
-	if got := string(iovec.flatten(v.slice(2, 4))); got != "cdef" {
-		t.Errorf("slice(2,4) = %q, want cdef", got)
+	if got := string(iovec.flatten(v.appendRange(nil, 2, 4))); got != "cdef" {
+		t.Errorf("appendRange(nil,2,4) = %q, want cdef", got)
+	}
+	if got := v.appendRange(iovec{[]byte("z")}, 8, 1); len(got) != 2 || string(got[1]) != "i" {
+		t.Errorf("appendRange(z,8,1) = %q, want [z i]", got)
 	}
 	if n := v.capSegs(0, 9, 2); n != 8 {
 		t.Errorf("capSegs(0,9,2) = %d, want 8 (abc + defgh)", n)

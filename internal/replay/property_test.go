@@ -237,7 +237,7 @@ func freshSegs(lens []int) [][]byte {
 	for _, n := range lens {
 		total += n
 	}
-	return slice(make([]byte, total), lens)
+	return slice(make([][]byte, len(lens)), make([]byte, total), lens)
 }
 
 func TestRecordReplaySameStrategyReproducesLiveRun(t *testing.T) {

@@ -16,6 +16,33 @@
 // later does not push subsequent submissions back the way a live
 // application's blocking calls would. That is the point — the load is
 // frozen, only the schedule varies.
+//
+// # The dispatcher
+//
+// Replay is event-driven: a node's dispatcher and every op it issues are
+// World.At callbacks, never processes. The schedule is the same one a
+// process per node spawning a process per op would produce, because
+// same-instant events fire in push order and the dispatcher pushes the
+// same events from the same places in the same order: one first step per
+// node at time zero; from a step, in recorded order, either the step's
+// own continuation at the next op's recorded instant or — just in time,
+// not pre-scheduled from time zero — that op's issue at the current
+// instant, so an op's entry never jumps ahead of engine continuations
+// created earlier; from the issue, the post-overhead continuations
+// core.Gate.PostSendv pushes where a process would have slept. Ops that
+// overlap (a node whose live application submitted from several
+// processes at once) therefore charge their overheads concurrently, as
+// they did live. What a process would add on top — the wake-up after
+// Wait — pushes nothing and only reads the clock at the completion
+// instant, which the completion hook reads directly.
+//
+// Nothing of this is allocated per op beyond the engine request the op
+// posts. Step and issue are method values bound once per node; an issue
+// event finds its op by a cursor, since a node's issues at one instant
+// fire in the order step pushed them; every op's segment list is a slice
+// of one arena sized by checkOps; and one completion hook serves every
+// request, which the run keeps by op index — an op whose request is not
+// Done when the queue drains is what UndrainedError reports.
 package replay
 
 import (
@@ -160,34 +187,35 @@ const maxOpBytes int64 = math.MaxUint32
 
 // checkOps validates every recorded op before anything is built — a
 // recording is outside input, and Recording.RecordOp checks nothing. It
-// returns each node's ops as indexes into ops, in recorded order, and the
-// payload size of the largest op.
-func checkOps(ops []trace.Op, nodes int) (perNode [][]int, maxBytes int, err error) {
+// returns each node's ops as indexes into ops, in recorded order, the
+// payload size of the largest op and the segment count of all of them.
+func checkOps(ops []trace.Op, nodes int) (perNode [][]int, maxBytes, segs int, err error) {
 	perNode = make([][]int, nodes)
 	for i, op := range ops {
 		if op.Node < 0 || op.Node >= nodes || op.Peer < 0 || op.Peer >= nodes {
-			return nil, 0, fmt.Errorf("replay: op %d addresses node %d -> %d outside the %d-node topology",
+			return nil, 0, 0, fmt.Errorf("replay: op %d addresses node %d -> %d outside the %d-node topology",
 				i, op.Node, op.Peer, nodes)
 		}
 		if op.Node == op.Peer {
-			return nil, 0, fmt.Errorf("replay: op %d is addressed by node %d to itself", i, op.Node)
+			return nil, 0, 0, fmt.Errorf("replay: op %d is addressed by node %d to itself", i, op.Node)
 		}
 		if op.Kind != trace.OpSend && op.Kind != trace.OpRecv {
-			return nil, 0, fmt.Errorf("replay: op %d has unknown kind %q", i, op.Kind)
+			return nil, 0, 0, fmt.Errorf("replay: op %d has unknown kind %q", i, op.Kind)
 		}
 		total := 0
 		for _, n := range op.Segs {
 			if n < 0 {
-				return nil, 0, fmt.Errorf("replay: op %d has a negative segment length %d", i, n)
+				return nil, 0, 0, fmt.Errorf("replay: op %d has a negative segment length %d", i, n)
 			}
 			if total += n; total < 0 || int64(total) > maxOpBytes {
-				return nil, 0, fmt.Errorf("replay: op %d is larger than the %d bytes a message can carry", i, maxOpBytes)
+				return nil, 0, 0, fmt.Errorf("replay: op %d is larger than the %d bytes a message can carry", i, maxOpBytes)
 			}
 		}
 		maxBytes = max(maxBytes, total)
+		segs += len(op.Segs)
 		perNode[op.Node] = append(perNode[op.Node], i)
 	}
-	return perNode, maxBytes, nil
+	return perNode, maxBytes, segs, nil
 }
 
 // Run replays a recording under the given configuration.
@@ -210,7 +238,7 @@ func Run(rec *trace.Recording, cfg Config) (*Result, error) {
 		fp.Rails = fp.Rails[:len(m.Rails)]
 		m.Faults = &fp
 	}
-	perNode, maxBytes, err := checkOps(rec.Ops(), hdr.Nodes)
+	perNode, maxBytes, nSegs, err := checkOps(rec.Ops(), hdr.Nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -234,28 +262,12 @@ func Run(rec *trace.Recording, cfg Config) (*Result, error) {
 		strategies[e.StrategyName()] = true
 	}
 
-	// Replay is event-driven: a node's dispatcher and every op it issues
-	// are World.At callbacks, never processes. The schedule is the same
-	// one a process per node spawning a process per op would produce,
-	// because same-instant events fire in push order and this pushes the
-	// same events from the same places in the same order: one dispatcher
-	// first step per node at time zero; from the dispatcher, in recorded
-	// order, either its own continuation at the next op's recorded
-	// instant or — just in time, not pre-scheduled from time zero — that
-	// op's first step at the current instant, so an op's entry never
-	// jumps ahead of engine continuations created earlier; from the op's
-	// first step, the post-overhead continuations core.Gate.PostSendv
-	// pushes where a process would have slept. Ops that overlap (a node
-	// whose live application submitted from several processes at once)
-	// therefore charge their overheads concurrently, as they did live.
-	// What a process would add on top — the wake-up after Wait — pushes
-	// nothing and only reads the clock at the completion instant, which
-	// the completion hook reads directly.
 	r := &run{
 		w:      f.World(),
 		res:    &Result{},
 		ops:    rec.Ops(),
-		done:   make([]bool, rec.Len()),
+		reqs:   make([]core.Request, rec.Len()),
+		arena:  make([][]byte, nSegs),
 		nRails: len(m.Rails),
 		// Payload content is not part of a recording — scheduling depends
 		// on sizes and layout only — so every send gathers from one zero
@@ -263,10 +275,11 @@ func Run(rec *trace.Recording, cfg Config) (*Result, error) {
 		zero: make([]byte, maxBytes),
 		sink: make([]byte, maxBytes),
 	}
+	r.doneFn = r.complete
 	for node, idxs := range perNode {
 		if len(idxs) > 0 {
 			d := &dispatcher{run: r, eng: engines[node], mine: idxs}
-			d.stepFn = d.step
+			d.stepFn, d.issueFn = d.step, d.issueNext
 			r.w.At(r.w.Now(), d.stepFn)
 		}
 	}
@@ -297,42 +310,50 @@ type run struct {
 	w      *sim.World
 	res    *Result
 	ops    []trace.Op
-	done   []bool // by op index: the re-issued request completed
+	reqs   []core.Request // by op index: the re-issued request, nil until issued
+	arena  [][]byte       // the segment slots no issued op has taken yet
 	nRails int
 	zero   []byte
 	sink   []byte
+	doneFn func(error) // complete, bound once: the hook of every request
 }
 
-// dispatcher walks one node's ops in recorded order.
+// dispatcher walks one node's ops in recorded order: next is the first
+// op step has not scheduled, issued the first one not yet issued.
 type dispatcher struct {
 	*run
-	eng    *core.Engine
-	mine   []int // the node's ops, as indexes into run.ops
-	next   int
-	stepFn func() // step, bound once: the dispatcher reschedules itself per op
+	eng          *core.Engine
+	mine         []int // the node's ops, as indexes into run.ops
+	next, issued int
+	// step and issueNext, bound once: the dispatcher reschedules itself
+	// and issues its ops without a closure per op.
+	stepFn, issueFn func()
 }
 
-// step issues every op due at the current instant, then reschedules
-// itself for the next one.
+// step schedules the issue of every op due at the current instant, then
+// reschedules itself for the next one.
 func (d *dispatcher) step() {
 	for ; d.next < len(d.mine); d.next++ {
-		i := d.mine[d.next]
-		if at := d.ops[i].At; at > d.w.Now() {
+		if at := d.ops[d.mine[d.next]].At; at > d.w.Now() {
 			d.w.At(at, d.stepFn)
 			return
 		}
-		d.w.At(d.w.Now(), func() { d.issue(i) })
+		d.w.At(d.w.Now(), d.issueFn)
 	}
 }
 
-// issue re-posts one recorded op; the engine charges its overheads from
-// here on.
-func (d *dispatcher) issue(i int) {
+// issueNext re-posts the oldest op step scheduled and nobody issued yet;
+// the engine charges its overheads from here on. Which op an event issues
+// needs no record: step pushes a node's issues at one instant in recorded
+// order, and same-instant events fire in push order, all before the
+// dispatcher's next step.
+func (d *dispatcher) issueNext() {
+	i := d.mine[d.issued]
+	d.issued++
 	op := &d.ops[i]
 	g := d.eng.Gate(simnet.NodeID(op.Peer))
-	done := func(err error) { d.complete(i, err) }
 	if op.Kind == trace.OpRecv {
-		g.PostRecvvMasked(core.Tag(op.Tag), core.Tag(op.Mask), slice(d.sink, op.Segs), done)
+		d.reqs[i] = g.PostRecvvMasked(core.Tag(op.Tag), core.Tag(op.Mask), d.segsOver(d.sink, op.Segs), d.doneFn)
 		return
 	}
 	sopts := make([]core.SendOption, 0, 4) // stays on the stack
@@ -348,12 +369,12 @@ func (d *dispatcher) issue(i int) {
 	if op.Rail >= 0 && op.Rail < d.nRails {
 		sopts = append(sopts, core.OnRail(op.Rail))
 	}
-	g.PostSendv(core.Tag(op.Tag), slice(d.zero, op.Segs), done, sopts...)
+	d.reqs[i] = g.PostSendv(core.Tag(op.Tag), d.segsOver(d.zero, op.Segs), d.doneFn, sopts...)
 }
 
-// complete is every re-issued request's completion hook.
-func (r *run) complete(i int, err error) {
-	r.done[i] = true
+// complete is every re-issued request's completion hook; the request
+// itself records which op completed.
+func (r *run) complete(err error) {
 	if err != nil {
 		r.res.RequestErrors++
 	}
@@ -366,8 +387,8 @@ func (r *run) complete(i int, err error) {
 // never completed, nil when all did.
 func (r *run) undrained() error {
 	e := &UndrainedError{At: r.w.Now()}
-	for i, done := range r.done {
-		if done {
+	for i, req := range r.reqs {
+		if req != nil && req.Done() {
 			continue
 		}
 		if e.Count++; len(e.Ops) < maxUndrainedListed {
@@ -381,10 +402,19 @@ func (r *run) undrained() error {
 	return e
 }
 
+// segsOver cuts an op's segment list from the run's arena — checkOps
+// counted a slot for every segment of every op, and each op is issued
+// once — and lays the recorded lengths over buf in it.
+func (r *run) segsOver(buf []byte, lens []int) [][]byte {
+	n := len(lens)
+	segs := r.arena[:n:n]
+	r.arena = r.arena[n:]
+	return slice(segs, buf, lens)
+}
+
 // slice lays the recorded segment lengths over buf, which is at least as
-// long as their sum.
-func slice(buf []byte, lens []int) [][]byte {
-	segs := make([][]byte, len(lens))
+// long as their sum, one segment per slot of segs.
+func slice(segs [][]byte, buf []byte, lens []int) [][]byte {
 	for i, n := range lens {
 		segs[i] = buf[:n:n]
 		buf = buf[n:]

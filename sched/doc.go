@@ -54,7 +54,9 @@
 // A strategy may additionally implement:
 //
 //   - BodyPlanner, to control how rendezvous bodies split over the rails
-//     (the paper's heterogeneous multi-rail transfer);
+//     (the paper's heterogeneous multi-rail transfer). A plan is read at
+//     once, like an election, so "split" and "adaptive" return their own
+//     storage, valid until that value's next PlanBody;
 //   - Attacher, to observe rails as the engine binds them;
 //   - Completer, to receive per-transaction feedback (bytes, entries,
 //     duration) after the NIC finishes each physical packet.
@@ -69,8 +71,9 @@
 // (nmad.WithStrategy). Registered constructors produce one instance per
 // engine; a Strategy value handed to several engines is shared between
 // them and must synchronize any internal state of its own — which every
-// built-in has (its election), so a value from New serves the engines of
-// one world, never two worlds running on different goroutines.
+// built-in has (its election, and a planner's body plan), so a value from
+// New serves the engines of one world, never two worlds running on
+// different goroutines.
 //
 // The built-ins live here too, written purely against this SPI:
 // "default" (FIFO, no optimization), "aggreg" (the paper's aggregation

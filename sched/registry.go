@@ -69,7 +69,7 @@ func Names() []string {
 func init() {
 	mustRegister("default", func() Strategy { return defaultStrategy{newAccumulator()} })
 	mustRegister("aggreg", func() Strategy { return aggregStrategy{newAccumulator()} })
-	mustRegister("split", func() Strategy { return splitStrategy{aggregStrategy{newAccumulator()}} })
+	mustRegister("split", func() Strategy { return newSplit() })
 	mustRegister("prio", func() Strategy { return newPrio() })
 	mustRegister("adaptive", func() Strategy { return newAdaptive() })
 }

@@ -29,9 +29,6 @@ const testHeader = 24 // mirrors the engine's entry header size
 // The value-typed built-ins as the registry makes them.
 func newDefault() Strategy { return defaultStrategy{newAccumulator()} }
 func newAggreg() Strategy  { return aggregStrategy{newAccumulator()} }
-func newSplit() splitStrategy {
-	return splitStrategy{aggregStrategy{newAccumulator()}}
-}
 
 func mkw(payload, paySegs int, fl Flags) Wrapper {
 	return Wrapper{
@@ -554,6 +551,27 @@ func TestElectionNotLeakedIntoTheNext(t *testing.T) {
 		}
 		if s.Elect(fakeWindow{}, rail) != nil {
 			t.Errorf("%s: an empty window elected something", s.Name())
+		}
+	}
+}
+
+// TestPlanBodyAllocatesNothing: "split" and "adaptive" return plans
+// backed by the strategy value's own storage (valid until its next
+// PlanBody), so once that storage has grown to the rail count a body plan
+// makes no heap object — adaptive's collapsed-rail filter included. The
+// counts are exact.
+func TestPlanBodyAllocatesNothing(t *testing.T) {
+	fast := testRail(16, 32<<10, 3e9, 0)
+	slow := testRail(16, 32<<10, 1e9, 0)
+	dead := testRail(16, 32<<10, 1e9, 0.02e9) // collapsed: adaptive drops it
+	fast.Index, slow.Index, dead.Index = 0, 1, 2
+	rails := []RailInfo{fast, slow, dead}
+	const size = 4 << 20
+	for _, s := range []BodyPlanner{newSplit(), newAdaptive()} {
+		validateCover(t, s.PlanBody(rails, size), size)
+		allocs := testing.AllocsPerRun(100, func() { s.PlanBody(rails, size) })
+		if allocs != 0 {
+			t.Errorf("%s: %.0f allocations per body plan, want 0", s.(Strategy).Name(), allocs)
 		}
 	}
 }

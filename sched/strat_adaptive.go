@@ -32,6 +32,7 @@ import (
 // already places synchronization on the caller.
 type adaptiveStrategy struct {
 	*accumulator
+	planStore
 	rails map[int]*railLog
 }
 
@@ -94,7 +95,8 @@ func (s *adaptiveStrategy) Elect(w Window, rail RailInfo) *Election {
 }
 
 // PlanBody shares a rendezvous body proportionally to functional
-// bandwidth, dropping collapsed rails.
+// bandwidth, dropping collapsed rails (the best rail always clears the
+// floor, so the plan is never empty).
 func (s *adaptiveStrategy) PlanBody(rails []RailInfo, size int) []BodyShare {
 	best := 0.0
 	for _, r := range rails {
@@ -102,16 +104,8 @@ func (s *adaptiveStrategy) PlanBody(rails []RailInfo, size int) []BodyShare {
 			best = bw
 		}
 	}
-	usable := make([]RailInfo, 0, len(rails))
-	for _, r := range rails {
-		if r.Bandwidth() >= best*adaptiveCollapseFrac {
-			usable = append(usable, r)
-		}
-	}
-	if len(usable) == 0 {
-		usable = rails
-	}
-	return proportionalPlan(usable, size, RailInfo.Bandwidth)
+	s.plan = proportionalPlan(s.plan[:0], rails, size, best*adaptiveCollapseFrac)
+	return s.plan
 }
 
 // OnAttach seeds the feedback log for a rail.

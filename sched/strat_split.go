@@ -1,5 +1,7 @@
 package sched
 
+import "math"
+
 // splitStrategy is the paper's multi-rails strategy (§4): it "balances
 // the communication flow over the set of available NICs, possibly by
 // splitting messages in a heterogeneous manner if necessary". Election
@@ -9,9 +11,22 @@ package sched
 // across every rail proportionally to bandwidth.
 type splitStrategy struct {
 	aggregStrategy
+	*planStore
+}
+
+func newSplit() splitStrategy {
+	return splitStrategy{aggregStrategy{newAccumulator()}, new(planStore)}
 }
 
 func (splitStrategy) Name() string { return "split" }
+
+// planStore is the storage behind a built-in planner's body plans: the
+// plan PlanBody returns is backed by it and valid until the same
+// strategy value's next PlanBody (the BodyPlanner rule), so planning a
+// body allocates nothing.
+type planStore struct {
+	plan []BodyShare
+}
 
 // minShare is the smallest body slice worth a dedicated rail transaction;
 // below it the per-transaction costs eat the parallelism.
@@ -20,29 +35,40 @@ const minShare = 4 << 10
 // PlanBody implements BodyPlanner with bandwidth-proportional shares.
 // Proportions use the sampled (functional) bandwidth of each rail when
 // the sampler has warmed up, the nominal capability figure before that.
-func (splitStrategy) PlanBody(rails []RailInfo, size int) []BodyShare {
-	return proportionalPlan(rails, size, RailInfo.Bandwidth)
+func (s splitStrategy) PlanBody(rails []RailInfo, size int) []BodyShare {
+	s.plan = proportionalPlan(s.plan[:0], rails, size, math.Inf(-1))
+	return s.plan
 }
 
-// proportionalPlan shares size bytes over the rails proportionally to
-// the given bandwidth figure, giving rounding remainders to the last
-// share and degenerating to a single rail for small bodies.
-func proportionalPlan(rails []RailInfo, size int, bw func(RailInfo) float64) []BodyShare {
+// proportionalPlan appends to plan the shares of size bytes over the
+// rails whose planning bandwidth (RailInfo.Bandwidth) is at least floor,
+// proportionally to it, giving rounding remainders to the last share and
+// degenerating to a single rail for small bodies. Filtering by a floor
+// rather than taking a filtered slice keeps the plan free of rail
+// storage a strategy may not retain.
+func proportionalPlan(plan []BodyShare, rails []RailInfo, size int, floor float64) []BodyShare {
 	var total float64
-	for _, r := range rails {
-		total += bw(r)
+	n, last := 0, -1
+	for i, r := range rails {
+		if bw := r.Bandwidth(); bw >= floor {
+			total += bw
+			n, last = n+1, i
+		}
 	}
-	if len(rails) == 1 || size < 2*minShare || total <= 0 {
-		return SingleRail(rails, size)
+	if n == 1 || size < 2*minShare || total <= 0 {
+		return append(plan, BodyShare{Rail: bestRail(rails, floor), Offset: 0, Size: size}) // SingleRail
 	}
-	var plan []BodyShare
 	off := 0
 	for i, r := range rails {
+		bw := r.Bandwidth()
+		if bw < floor {
+			continue
+		}
 		var share int
-		if i == len(rails)-1 {
+		if i == last {
 			share = size - off // exact cover, absorb rounding
 		} else {
-			share = int(float64(size) * bw(r) / total)
+			share = int(float64(size) * bw / total)
 			share = min(share, size-off)
 		}
 		if share <= 0 {
@@ -54,7 +80,7 @@ func proportionalPlan(rails []RailInfo, size int, bw func(RailInfo) float64) []B
 	if off != size {
 		// All rounding ended up dropping bytes; give the remainder to the
 		// fastest rail.
-		plan = append(plan, BodyShare{Rail: BestRail(rails), Offset: off, Size: size - off})
+		plan = append(plan, BodyShare{Rail: bestRail(rails, floor), Offset: off, Size: size - off})
 	}
 	return plan
 }

@@ -1,6 +1,10 @@
 package sched
 
-import "nmad/internal/sim"
+import (
+	"math"
+
+	"nmad/internal/sim"
+)
 
 // Strategy is the optimization function of the paper's §3.2: when a rail
 // idles, the engine asks the strategy to elect the next physical packet
@@ -37,6 +41,13 @@ type BodyPlanner interface {
 	// PlanBody splits size bytes into per-rail shares. Shares must cover
 	// [0, size) exactly, in ascending offset order; invalid plans are
 	// replaced by a single-rail plan.
+	//
+	// As with Elect, the caller reads the plan before it asks the same
+	// strategy value for another and keeps nothing of it: the engine
+	// copies the shares into the transaction before it submits anything.
+	// A planner may therefore return its own storage, which is what the
+	// built-ins do — a plan "split" or "adaptive" returns is valid until
+	// that strategy value's next PlanBody.
 	PlanBody(rails []RailInfo, size int) []BodyShare
 }
 
@@ -82,11 +93,20 @@ type Completer interface {
 // result is the rail's engine index (RailInfo.Index), valid even when
 // rails is a filtered or reordered subset.
 func BestRail(rails []RailInfo) int {
+	return bestRail(rails, math.Inf(-1))
+}
+
+// bestRail is BestRail over the rails whose planning bandwidth is at
+// least floor.
+func bestRail(rails []RailInfo, floor float64) int {
 	if len(rails) == 0 {
 		return 0
 	}
 	best, bestScore := 0, -1.0
 	for i, r := range rails {
+		if r.Bandwidth() < floor {
+			continue
+		}
 		score := r.Caps.Bandwidth
 		if r.Caps.RDMA {
 			score *= 2

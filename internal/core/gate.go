@@ -124,7 +124,9 @@ func resolveSend(opts []SendOption) sendConfig {
 // the request. A scheduler-context caller that wants the same schedule a
 // process would get uses PostSendv / PostRecvvMasked instead.
 func (g *Gate) Isend(p *sim.Proc, tag Tag, data []byte, opts ...SendOption) *SendRequest {
-	return g.isendIov(p, tag, singleIov(data), resolveSend(opts))
+	req := new(SendRequest)
+	g.isendIov(req, p, tag, singleIov(data), resolveSend(opts))
+	return req
 }
 
 // Isendv is the vector form of Isend: the segments of the iovec travel as
@@ -133,7 +135,19 @@ func (g *Gate) Isend(p *sim.Proc, tag Tag, data []byte, opts ...SendOption) *Sen
 // blocks so the strategies can aggregate and reorder the whole layout
 // natively (the paper's §5.3 optimization without per-block requests).
 func (g *Gate) Isendv(p *sim.Proc, tag Tag, segs [][]byte, opts ...SendOption) *SendRequest {
-	return g.isendIov(p, tag, iovec(segs), resolveSend(opts))
+	req := new(SendRequest)
+	IsendvInto(req, g, p, tag, segs, opts...)
+	return req
+}
+
+// IsendvInto is g.Isendv with the request in the caller's storage: req,
+// which must be a zero SendRequest that is never copied, becomes the
+// send's request. A layer that keeps its own handle beside the engine
+// request (MAD-MPI's Request) allocates the two as one record this way.
+// segs is not retained, so a one-buffer send can pass a composite literal
+// that stays on the caller's stack.
+func IsendvInto(req *SendRequest, g *Gate, p *sim.Proc, tag Tag, segs [][]byte, opts ...SendOption) {
+	g.isendIov(req, p, tag, iovec(segs), resolveSend(opts))
 }
 
 // sendCheck is the entry check of every send, packed pieces included:
@@ -149,9 +163,13 @@ func (g *Gate) sendCheck(cfg sendConfig) error {
 	return nil
 }
 
-func (g *Gate) isendIov(p *sim.Proc, tag Tag, iov iovec, cfg sendConfig) *SendRequest {
+// isendIov initialises req as the send of iov on flow tag and submits it;
+// a send that fails its entry check completes req with the error.
+func (g *Gate) isendIov(req *SendRequest, p *sim.Proc, tag Tag, iov iovec, cfg sendConfig) {
+	req.tag = tag
 	if err := g.sendCheck(cfg); err != nil {
-		return failedSend(tag, nil, err)
+		req.complete(err)
+		return
 	}
 	g.eng.recordSend(g, tag, iov, cfg)
 	g.eng.chargeSubmit(p)
@@ -165,7 +183,8 @@ func (g *Gate) isendIov(p *sim.Proc, tag Tag, iov iovec, cfg sendConfig) *SendRe
 		iov = iovec{iov.flatten()}
 		g.eng.chargeCopy(p, size)
 	}
-	return g.submitSend(&SendRequest{tag: tag, bytes: size}, iov, cfg)
+	req.bytes = size
+	g.submitSend(req, iov, cfg)
 }
 
 // PostSendv is Isendv for a caller in scheduler context — a World.At
@@ -186,20 +205,14 @@ func (g *Gate) isendIov(p *sim.Proc, tag Tag, iov iovec, cfg sendConfig) *SendRe
 // in done, which lets one hook serve every send.
 func (g *Gate) PostSendv(tag Tag, segs [][]byte, done func(err error), opts ...SendOption) *SendRequest {
 	iov, cfg := iovec(segs), resolveSend(opts)
+	req := &SendRequest{request: request{hook: done}, tag: tag}
 	if err := g.sendCheck(cfg); err != nil {
-		return failedSend(tag, done, err)
+		req.complete(err)
+		return req
 	}
 	g.eng.recordSend(g, tag, iov, cfg)
-	req := &SendRequest{request: request{hook: done}, tag: tag, bytes: iov.total()}
+	req.bytes = iov.total()
 	g.eng.post(pendingPost{g: g, send: req, iov: iov, cfg: cfg})
-	return req
-}
-
-// failedSend is the send that failed sendCheck: a request that is
-// already complete with the error.
-func failedSend(tag Tag, hook func(error), err error) *SendRequest {
-	req := &SendRequest{request: request{hook: hook}, tag: tag}
-	req.complete(err)
 	return req
 }
 
@@ -207,7 +220,7 @@ func failedSend(tag Tag, hook func(error), err error) *SendRequest {
 // paid them (a process in isendIov, the post FIFO for PostSendv): wrap
 // the iovec, take the flow's next sequence number, and hand the wrapper
 // to the optimizer. req carries the tag and the size.
-func (g *Gate) submitSend(req *SendRequest, iov iovec, cfg sendConfig) *SendRequest {
+func (g *Gate) submitSend(req *SendRequest, iov iovec, cfg sendConfig) {
 	req.add(1)
 	pw := g.eng.newPacket(g, header{
 		kind: kindData, flags: cfg.flags, tag: req.tag, seq: g.seqFor(req.tag, cfg.flags), length: uint32(req.bytes),
@@ -221,7 +234,6 @@ func (g *Gate) submitSend(req *SendRequest, iov iovec, cfg sendConfig) *SendRequ
 		g.eng.syncAcks[pw.aux] = req
 	}
 	g.eng.submit(pw)
-	return req
 }
 
 // Issend is Isend with synchronous completion: the request finishes only
@@ -273,7 +285,7 @@ func (g *Gate) Send(p *sim.Proc, tag Tag, data []byte) error {
 // Irecv posts a receive for the next message on flow tag, delivering into
 // buf. The request completes once the payload is in place.
 func (g *Gate) Irecv(p *sim.Proc, tag Tag, buf []byte) *RecvRequest {
-	return g.irecv(p, singleRecv(tag, ^Tag(0), buf))
+	return g.IrecvMasked(p, tag, ^Tag(0), buf)
 }
 
 // Irecvv is the vector form of Irecv: the payload of the matched message
@@ -281,38 +293,43 @@ func (g *Gate) Irecv(p *sim.Proc, tag Tag, buf []byte) *RecvRequest {
 // pairs with Isendv — the usual contract of matching layouts on both
 // sides.
 func (g *Gate) Irecvv(p *sim.Proc, tag Tag, segs [][]byte) *RecvRequest {
-	return g.irecv(p, &RecvRequest{want: tag, mask: ^Tag(0), iov: segs})
+	return g.IrecvvMasked(p, tag, ^Tag(0), segs)
 }
 
 // IrecvMasked posts a wildcard receive: it matches the first arriving
 // message whose tag satisfies tag&mask == want&mask. MAD-MPI builds
 // ANY_TAG receives on it by masking out the user-tag bits.
 func (g *Gate) IrecvMasked(p *sim.Proc, want, mask Tag, buf []byte) *RecvRequest {
-	return g.irecv(p, singleRecv(want, mask, buf))
+	req := new(RecvRequest)
+	IrecvMaskedInto(req, g, p, want, mask, buf)
+	return req
 }
 
 // IrecvvMasked is the vector form of IrecvMasked: a wildcard receive
 // scattering across the iovec segments. It is the general receive shape
 // a replayed recording re-posts (package replay).
 func (g *Gate) IrecvvMasked(p *sim.Proc, want, mask Tag, segs [][]byte) *RecvRequest {
-	return g.irecv(p, &RecvRequest{want: want, mask: mask, iov: segs})
-}
-
-// singleRecv builds the request of a receive into one buffer (possibly
-// nil). Its one-segment landing area is the request's own, so the
-// receive is one allocation, not a request and an iovec.
-func singleRecv(want, mask Tag, buf []byte) *RecvRequest {
-	req := &RecvRequest{want: want, mask: mask}
-	req.one[0] = buf
-	req.iov = req.one[:]
+	req := new(RecvRequest)
+	IrecvvMaskedInto(req, g, p, want, mask, segs)
 	return req
 }
 
-func (g *Gate) irecv(p *sim.Proc, req *RecvRequest) *RecvRequest {
+// IrecvMaskedInto is g.IrecvMasked with the request in the caller's
+// storage, as IsendvInto is for a send: req must be a zero RecvRequest
+// that is never copied. The one-segment landing area is the request's
+// own, so the receive allocates nothing beyond req.
+func IrecvMaskedInto(req *RecvRequest, g *Gate, p *sim.Proc, want, mask Tag, buf []byte) {
+	req.one[0] = buf
+	IrecvvMaskedInto(req, g, p, want, mask, req.one[:])
+}
+
+// IrecvvMaskedInto is the vector form of IrecvMaskedInto; the request
+// lands the payload in segs, which it keeps until it completes.
+func IrecvvMaskedInto(req *RecvRequest, g *Gate, p *sim.Proc, want, mask Tag, segs [][]byte) {
+	req.want, req.mask, req.iov = want, mask, segs
 	g.eng.recordRecv(g, req)
 	g.eng.chargeSubmit(p)
 	g.postRecv(req)
-	return req
 }
 
 // PostRecvvMasked is IrecvvMasked for a caller in scheduler context; see

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"unsafe"
 
 	"nmad/internal/core"
 	"nmad/internal/sim"
@@ -487,14 +488,13 @@ func TestFinalize(t *testing.T) {
 	})
 }
 
-// TestAllocsBlockingPingPong pins what a blocking round trip leaves on
-// the heap: the two engine requests of each direction and nothing else —
-// no *Request handle for a caller who never sees one, no per-election,
-// per-transaction or per-completion object below. The figure is the
-// marginal one (a long run minus a short run, per extra round trip), so
-// world and engine construction cancel out, and it is exact: the runs
-// are deterministic.
-func TestAllocsBlockingPingPong(t *testing.T) {
+// roundTripAllocs is what one ping-pong round trip between two ranks
+// leaves on the heap when each message goes out through send and comes
+// in through recv. The figure is the marginal one (a long run minus a
+// short run, per extra round trip), so world and engine construction
+// cancel out, and it is exact: the runs are deterministic.
+func roundTripAllocs(t *testing.T, send, recv func(p *sim.Proc, c *Comm, buf []byte, peer int) error) float64 {
+	t.Helper()
 	pingpong := func(rounds int) {
 		ping, pong := make([]byte, 64), make([]byte, 64)
 		job(t, 2, func(p *sim.Proc, m *MPI) {
@@ -502,12 +502,12 @@ func TestAllocsBlockingPingPong(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				var err error
 				if m.Rank() == 0 {
-					if err = c.Send(p, ping, peer, 0); err == nil {
-						_, err = c.Recv(p, pong, peer, 0)
+					if err = send(p, c, ping, peer); err == nil {
+						err = recv(p, c, pong, peer)
 					}
 				} else {
-					if _, err = c.Recv(p, ping, peer, 0); err == nil {
-						err = c.Send(p, pong, peer, 0)
+					if err = recv(p, c, ping, peer); err == nil {
+						err = send(p, c, pong, peer)
 					}
 				}
 				if err != nil {
@@ -520,9 +520,49 @@ func TestAllocsBlockingPingPong(t *testing.T) {
 	pingpong(4) // warm lazy runtime and package init paths out of the measurement
 	a1 := testing.AllocsPerRun(5, func() { pingpong(short) })
 	a2 := testing.AllocsPerRun(5, func() { pingpong(long) })
-	got := (a2 - a1) / (long - short)
+	return (a2 - a1) / (long - short)
+}
+
+// TestAllocsBlockingPingPong pins what a blocking round trip leaves on
+// the heap: the two engine requests of each direction and nothing else —
+// no *Request handle for a caller who never sees one, no per-election,
+// per-transaction or per-completion object below.
+func TestAllocsBlockingPingPong(t *testing.T) {
+	got := roundTripAllocs(t,
+		func(p *sim.Proc, c *Comm, buf []byte, peer int) error { return c.Send(p, buf, peer, 0) },
+		func(p *sim.Proc, c *Comm, buf []byte, peer int) error {
+			_, err := c.Recv(p, buf, peer, 0)
+			return err
+		})
 	t.Logf("blocking ping-pong: %.2f objects per round trip", got)
 	if got > 5 {
 		t.Errorf("a blocking round trip allocates %.2f objects, want the 4 engine requests (ceiling 5)", got)
+	}
+}
+
+// TestAllocsNonblockingPingPong is the same round trip through Isend /
+// Irecv and Wait: the handle a nonblocking operation returns and the
+// engine request it names are one record, so the caller's four handles
+// are the whole cost — the same as the blocking forms.
+func TestAllocsNonblockingPingPong(t *testing.T) {
+	got := roundTripAllocs(t,
+		func(p *sim.Proc, c *Comm, buf []byte, peer int) error { return c.Isend(p, buf, peer, 0).Wait(p) },
+		func(p *sim.Proc, c *Comm, buf []byte, peer int) error { return c.Irecv(p, buf, peer, 0).Wait(p) })
+	t.Logf("nonblocking ping-pong: %.2f objects per round trip", got)
+	if got > 5 {
+		t.Errorf("a nonblocking round trip allocates %.2f objects, want the 4 handles, each one record with its engine request (ceiling 5)", got)
+	}
+}
+
+// The record of a nonblocking operation fills a malloc size class: a
+// send is the 16-byte handle and the 64-byte engine request (80), a
+// receive the handle and the 136-byte request (152, in the 160-byte
+// class). One more word on the handle rounds every send up a class.
+func TestOpRecordSizeClasses(t *testing.T) {
+	if got := unsafe.Sizeof(sendOp{}); got > 80 {
+		t.Errorf("sendOp is %d bytes, over the 80-byte size class", got)
+	}
+	if got := unsafe.Sizeof(recvOp{}); got > 160 {
+		t.Errorf("recvOp is %d bytes, over the 160-byte size class", got)
 	}
 }

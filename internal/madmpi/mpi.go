@@ -4,7 +4,8 @@
 // posting (Isend, Irecv) and completion (Wait, Test) operations map
 // directly onto the equivalent engine operations; completion itself is
 // the engine's unified core.Request layer (Request embeds the one
-// engine request it posted); communicators multiplex onto engine flow tags;
+// engine request it posted, and a nonblocking operation allocates the
+// two as one record); communicators multiplex onto engine flow tags;
 // derived datatypes flatten onto the engine's vector (iovec) path, so a
 // non-contiguous layout travels as one multi-segment wrapper the
 // scheduling strategies aggregate natively (§5.3).
@@ -172,14 +173,35 @@ type Status struct {
 // the operation posted (every MPI operation, typed ones included, is a
 // single wrapper below), so it satisfies the engine's unified
 // core.Request interface by embedding it — the MPI layer does not
-// reimplement completion — plus what MPI_Status needs.
+// reimplement completion. A nonblocking send or receive allocates the
+// handle and that engine request as one record (sendOp, recvOp), so an
+// MPI operation costs the engine's single allocation and no more.
 type Request struct {
 	core.Request
-	recv *core.RecvRequest // the same request when it is a receive, for Status
 }
 
 // Request is used by core.WaitAll/WaitAny through the unified interface.
 var _ core.Request = (*Request)(nil)
+
+// sendOp and recvOp are that record: the handle the caller keeps and the
+// engine request it names, side by side (80 and 160 bytes, each filling
+// its malloc size class).
+type sendOp struct {
+	Request
+	s core.SendRequest
+}
+
+type recvOp struct {
+	Request
+	r core.RecvRequest
+}
+
+// newRecvOp returns a receive record whose handle names its request.
+func newRecvOp() *recvOp {
+	op := new(recvOp)
+	op.Request.Request = &op.r
+	return op
+}
 
 // failedRequest wraps an immediate validation error so Wait/Test report
 // it.
@@ -190,10 +212,10 @@ func failedRequest(err error) *Request {
 // Status returns the receive status (Source and Tag of -1 and a zero
 // Count for sends). Valid once the request is Done.
 func (r *Request) Status() Status {
-	if r.recv == nil {
-		return Status{Source: -1, Tag: -1}
+	if rr, ok := r.Request.(*core.RecvRequest); ok {
+		return recvStatus(rr)
 	}
-	return recvStatus(r.recv)
+	return Status{Source: -1, Tag: -1}
 }
 
 // recvStatus is the MPI_Status of an engine receive.

@@ -13,48 +13,74 @@ import (
 // tag. Engine send options (core.Priority, core.OnRail, ...) pass
 // through as MAD-MPI extensions.
 func (c *Comm) Isend(p *sim.Proc, buf []byte, dest, tag int, opts ...core.SendOption) *Request {
-	req, err := c.isend(p, buf, dest, tag, opts...)
-	if err != nil {
+	if err := c.checkSend(dest, tag); err != nil {
 		return failedRequest(err)
 	}
-	return &Request{Request: req}
+	return c.postSend(p, [][]byte{buf}, dest, tag, opts)
 }
 
-// isend validates and posts a send; Isend wraps the engine request in a
-// handle, the blocking forms wait on it directly.
-func (c *Comm) isend(p *sim.Proc, buf []byte, dest, tag int, opts ...core.SendOption) (*core.SendRequest, error) {
+// postSend posts a validated send into a new sendOp and returns its
+// handle.
+func (c *Comm) postSend(p *sim.Proc, segs [][]byte, dest, tag int, opts []core.SendOption) *Request {
+	op := new(sendOp)
+	op.Request.Request = &op.s
+	core.IsendvInto(&op.s, c.gate(dest), p, c.flowTag(tag), segs, opts...)
+	return &op.Request
+}
+
+// isend validates and posts a send for the blocking forms, which wait on
+// the engine request and never need a handle.
+func (c *Comm) isend(p *sim.Proc, buf []byte, dest, tag int) (*core.SendRequest, error) {
+	if err := c.checkSend(dest, tag); err != nil {
+		return nil, err
+	}
+	return c.gate(dest).Isend(p, c.flowTag(tag), buf), nil
+}
+
+// checkSend validates the peer and the tag of a send.
+func (c *Comm) checkSend(dest, tag int) error {
 	if err := c.checkPeer(dest); err != nil {
-		return nil, err
+		return err
 	}
-	if err := checkTag(tag); err != nil {
-		return nil, err
-	}
-	return c.gate(dest).Isend(p, c.flowTag(tag), buf, opts...), nil
+	return checkTag(tag)
 }
 
 // Irecv starts a nonblocking receive into buf from rank src. tag may be
 // AnyTag.
 func (c *Comm) Irecv(p *sim.Proc, buf []byte, src, tag int) *Request {
-	req, err := c.irecv(p, buf, src, tag)
+	want, mask, err := c.recvMatch(src, tag)
 	if err != nil {
 		return failedRequest(err)
 	}
-	return &Request{Request: req, recv: req}
+	op := newRecvOp()
+	core.IrecvMaskedInto(&op.r, c.gate(src), p, want, mask, buf)
+	return &op.Request
 }
 
 // irecv is isend's receive twin.
 func (c *Comm) irecv(p *sim.Proc, buf []byte, src, tag int) (*core.RecvRequest, error) {
-	if err := c.checkPeer(src); err != nil {
+	want, mask, err := c.recvMatch(src, tag)
+	if err != nil {
 		return nil, err
+	}
+	return c.gate(src).IrecvMasked(p, want, mask, buf), nil
+}
+
+// recvMatch validates a receive's peer and tag and returns the engine
+// tag pattern it matches: the whole communicator for AnyTag, one flow
+// tag otherwise.
+func (c *Comm) recvMatch(src, tag int) (want, mask core.Tag, err error) {
+	if err := c.checkPeer(src); err != nil {
+		return 0, 0, err
 	}
 	if tag == AnyTag {
-		want, mask := c.tagSpace()
-		return c.gate(src).IrecvMasked(p, want, mask, buf), nil
+		want, mask = c.tagSpace()
+		return want, mask, nil
 	}
 	if err := checkTag(tag); err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	return c.gate(src).Irecv(p, c.flowTag(tag), buf), nil
+	return c.flowTag(tag), ^core.Tag(0), nil
 }
 
 // Send is the blocking form of Isend.

@@ -13,14 +13,7 @@ import (
 // implies the match); below it the receiver returns an ack control entry
 // that aggregates with its outbound traffic.
 func (c *Comm) Issend(p *sim.Proc, buf []byte, dest, tag int) *Request {
-	if err := c.checkPeer(dest); err != nil {
-		return failedRequest(err)
-	}
-	if err := checkTag(tag); err != nil {
-		return failedRequest(err)
-	}
-	req := c.gate(dest).Issend(p, c.flowTag(tag), buf)
-	return &Request{Request: req}
+	return c.Isend(p, buf, dest, tag, core.Synchronous())
 }
 
 // Ssend is the blocking form of Issend (MPI_Ssend).

@@ -3,6 +3,7 @@ package madmpi
 import (
 	"fmt"
 
+	"nmad/internal/core"
 	"nmad/internal/sim"
 )
 
@@ -19,18 +20,14 @@ import (
 // IsendTyped starts a nonblocking send of count elements of datatype t
 // read from base (the address of the first element).
 func (c *Comm) IsendTyped(p *sim.Proc, base []byte, t Datatype, count, dest, tag int) *Request {
-	if err := c.checkPeer(dest); err != nil {
-		return failedRequest(err)
-	}
-	if err := checkTag(tag); err != nil {
+	if err := c.checkSend(dest, tag); err != nil {
 		return failedRequest(err)
 	}
 	iov, err := iovec(base, t, count)
 	if err != nil {
 		return failedRequest(err)
 	}
-	req := c.gate(dest).Isendv(p, c.flowTag(tag), iov)
-	return &Request{Request: req}
+	return c.postSend(p, iov, dest, tag, nil)
 }
 
 // IrecvTyped starts a nonblocking receive of count elements of datatype t
@@ -48,8 +45,9 @@ func (c *Comm) IrecvTyped(p *sim.Proc, base []byte, t Datatype, count, src, tag 
 	if err != nil {
 		return failedRequest(err)
 	}
-	req := c.gate(src).Irecvv(p, c.flowTag(tag), iov)
-	return &Request{Request: req, recv: req}
+	op := newRecvOp()
+	core.IrecvvMaskedInto(&op.r, c.gate(src), p, c.flowTag(tag), ^core.Tag(0), iov)
+	return &op.Request
 }
 
 // iovec flattens count elements of datatype t at base into the gather

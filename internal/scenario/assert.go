@@ -129,7 +129,7 @@ func (ctx *evalContext) eval(a AssertSpec) AssertResult {
 // of an assertion of the type (nil: nothing), how it is decided against the
 // snapshot it anchors at, and how reports spell it.
 type assertType struct {
-	check func(v *validator, path string, a AssertSpec)
+	check func(v *validator, at loc, a AssertSpec)
 	eval  func(ctx *evalContext, snap *snapshot, a AssertSpec) (ok bool, detail string)
 	label func(a AssertSpec) string
 }
@@ -142,15 +142,15 @@ var assertTypes = map[string]assertType{
 		func(a AssertSpec) Selector { return a.Rail }, (*validator).rail,
 		func(s *snapshot) []simnet.FaultStats { return s.Faults }),
 	"completion": {
-		check: func(v *validator, path string, a AssertSpec) {
+		check: func(v *validator, at loc, a AssertSpec) {
 			if _, ok := v.phases[a.Phase]; a.Phase != "" && !ok {
-				v.bad(ErrBadTarget, "%s: no phase named %q", path, a.Phase)
+				v.bad(ErrBadTarget, "%s: no phase named %q", at, a.Phase)
 			}
 			if a.Max == 0 && a.Min == 0 {
-				v.bad(ErrBadValue, "%s: a completion assertion needs max and/or min", path)
+				v.bad(ErrBadValue, "%s: a completion assertion needs max and/or min", at)
 			}
 			if a.Max > 0 && a.Min > a.Max {
-				v.bad(ErrBadValue, "%s: min %v exceeds max %v", path, a.Min, a.Max)
+				v.bad(ErrBadValue, "%s: min %v exceeds max %v", at, a.Min, a.Max)
 			}
 		},
 		eval: func(ctx *evalContext, _ *snapshot, a AssertSpec) (bool, string) {
@@ -198,12 +198,12 @@ var assertTypes = map[string]assertType{
 	// Before must complete no later than after completes, and both must
 	// complete.
 	"phase_order": {
-		check: func(v *validator, path string, a AssertSpec) {
+		check: func(v *validator, at loc, a AssertSpec) {
 			for _, ref := range []struct{ field, name string }{{"before", a.Before}, {"after", a.After}} {
 				if ref.name == "" {
-					v.bad(ErrBadValue, "%s: missing %s phase", path, ref.field)
+					v.bad(ErrBadValue, "%s: missing %s phase", at, ref.field)
 				} else if _, ok := v.phases[ref.name]; !ok {
-					v.bad(ErrBadTarget, "%s: no phase named %q", path, ref.name)
+					v.bad(ErrBadTarget, "%s: no phase named %q", at, ref.name)
 				}
 			}
 		},
@@ -238,27 +238,27 @@ func (a AssertSpec) label() string {
 // up, max takes the largest, all demands the predicate of every row.
 func counterAssert[T any](
 	unit string, fields map[string]func(*T) float64, words []Selector,
-	selector func(AssertSpec) Selector, inCluster func(v *validator, path string, id int),
+	selector func(AssertSpec) Selector, inCluster func(v *validator, at loc, id int),
 	rows func(*snapshot) []T,
 ) assertType {
 	return assertType{
-		check: func(v *validator, path string, a AssertSpec) {
+		check: func(v *validator, at loc, a AssertSpec) {
 			if _, ok := fields[a.Field]; !ok {
-				v.bad(ErrBadValue, "%s: unknown %s field %q (known: %v)", path, a.Type, a.Field, sortedKeys(fields))
+				v.bad(ErrBadValue, "%s: unknown %s field %q (known: %v)", at, a.Type, a.Field, sortedKeys(fields))
 			}
 			if sel := selector(a); sel != "" && !slices.Contains(words, sel) {
 				if id, err := strconv.Atoi(string(sel)); err != nil {
-					v.bad(ErrBadValue, "%s: %s selector %q (want a %s id or one of %v)", path, unit, sel, unit, words)
+					v.bad(ErrBadValue, "%s: %s selector %q (want a %s id or one of %v)", at, unit, sel, unit, words)
 				} else {
-					inCluster(v, path+"."+unit, id)
+					inCluster(v, at.field(unit), id)
 				}
 			}
 			switch a.Op {
 			case "<", "<=", ">", ">=", "==", "!=":
 			case "":
-				v.bad(ErrBadValue, "%s: missing op", path)
+				v.bad(ErrBadValue, "%s: missing op", at)
 			default:
-				v.bad(ErrBadValue, "%s: unknown op %q (want < <= > >= == !=)", path, a.Op)
+				v.bad(ErrBadValue, "%s: unknown op %q (want < <= > >= == !=)", at, a.Op)
 			}
 		},
 		eval: func(_ *evalContext, snap *snapshot, a AssertSpec) (bool, string) {

@@ -15,18 +15,8 @@ import (
 // seeds are the documents the repository already commits: the corpus
 // under scenarios/ and the hostile documents under testdata/hostile.
 func FuzzParse(f *testing.F) {
-	for _, glob := range []string{"../../scenarios/*.yaml", "testdata/hostile/*.yaml"} {
-		files, err := filepath.Glob(glob)
-		if err != nil || len(files) == 0 {
-			f.Fatalf("%s: %d seed documents (err %v)", glob, len(files), err)
-		}
-		for _, path := range files {
-			src, err := os.ReadFile(path)
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(src)
-		}
+	for _, src := range seedDocs(f) {
+		f.Add(src)
 	}
 	sentinels := []error{ErrBadValue, ErrUnknownPhase, ErrUnknownAction, ErrUnknownAssert,
 		ErrBadTarget, ErrPhaseOverlap, ErrUnknownCheckpoint}
@@ -48,4 +38,24 @@ func FuzzParse(f *testing.F) {
 			t.Errorf("Validate error wraps no sentinel: %v", v)
 		}
 	})
+}
+
+// seedDocs reads FuzzParse's seed documents.
+func seedDocs(tb testing.TB) [][]byte {
+	tb.Helper()
+	var docs [][]byte
+	for _, glob := range []string{"../../scenarios/*.yaml", "testdata/hostile/*.yaml"} {
+		files, err := filepath.Glob(glob)
+		if err != nil || len(files) == 0 {
+			tb.Fatalf("%s: %d seed documents (err %v)", glob, len(files), err)
+		}
+		for _, path := range files {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			docs = append(docs, src)
+		}
+	}
+	return docs
 }

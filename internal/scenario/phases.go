@@ -13,6 +13,11 @@ import (
 // deterministic fill pattern derived from (phase, sender, message,
 // offset) and every receiver verifies it — payload corruption is
 // counted, not fatal, and surfaces through the `integrity` assertion.
+// A sender that posts many messages at once (ring, incast, composite)
+// fills one read-only pattern and sends windows onto it: the pattern
+// repeats every 256 bytes, so message m is the slice of it that starts
+// at byte 7m mod 256. The windows overlap; the engine only reads them, and
+// a write into one would break the payloads verified downstream.
 //
 // Tag discipline: phase i owns the user-tag window [i*tagStride,
 // (i+1)*tagStride), so overlapping phases never steal each other's
@@ -54,6 +59,23 @@ func fill(buf []byte, ph, s, m int) {
 	}
 }
 
+// pattern returns the read-only pattern of sender s in phase ph for
+// messages of size bytes: fill's bytes for message 0, 255 bytes longer
+// than a message so that every message is a window onto it.
+func pattern(ph, s, size int) []byte {
+	pat := make([]byte, size+255)
+	fill(pat, ph, s, 0)
+	return pat
+}
+
+// window returns message m of size bytes from a pattern — byte for byte
+// what fill writes for it — capped so that nothing appended to it can
+// reach the bytes beyond.
+func window(pat []byte, m, size int) []byte {
+	o := (7 * m) & 255
+	return pat[o : o+size : o+size]
+}
+
 // verify counts a corrupted payload (1 per bad message, not per byte).
 func verify(buf []byte, ph, s, m int) int {
 	for i := range buf {
@@ -76,11 +98,13 @@ func nodesOrAll(nodes []int, n int) []int {
 	return all
 }
 
-// payloads returns n buffers of size bytes each.
+// payloads returns n distinct buffers of size bytes each, cut from one
+// backing array and capped so that none can grow into the next.
 func payloads(n, size int) [][]byte {
+	back := make([]byte, n*size)
 	bufs := make([][]byte, n)
 	for i := range bufs {
-		bufs[i] = make([]byte, size)
+		bufs[i] = back[i*size : (i+1)*size : (i+1)*size]
 	}
 	return bufs
 }
@@ -92,7 +116,7 @@ type phaseKind struct {
 	// collective phases span every node on a dedicated communicator:
 	// Validate rejects a nodes list, Run dups the communicator at setup.
 	collective bool
-	check      func(v *validator, path string, p *PhaseSpec)
+	check      func(v *validator, at loc, p *PhaseSpec)
 	start      func(r *runner, pr *phaseRun)
 }
 
@@ -183,19 +207,17 @@ func startRing(r *runner, pr *phaseRun) {
 		next, prev := members[(slot+1)%len(members)], members[prevSlot]
 		r.spawn(pr, me, "ring", func(q *sim.Proc) (bad int, err error) {
 			c := r.comm(me)
-			// The buffers and the request list serve every round: all of
-			// a round's requests have completed at Waitall, and a
-			// completed send's memory is the caller's again — even under
-			// reliability, where the engine may still have to re-stream
-			// a lost rendezvous span, it does so from the wire frames it
-			// kept, not from here.
-			out, in := payloads(p.Msgs, size), payloads(p.Msgs, size)
+			// Every send of every round is a window onto one pattern.
+			// The receive buffers and the request list serve every
+			// round: all of a round's requests have completed at
+			// Waitall.
+			pat, in := pattern(p.index, slot, size), payloads(p.Msgs, size)
 			reqs := make([]*madmpi.Request, 0, 2*p.Msgs)
 			for round := 0; round < p.Count; round++ {
 				reqs = reqs[:0]
 				for m := 0; m < p.Msgs; m++ {
-					fill(out[m], p.index, slot, round*p.Msgs+m)
-					reqs = append(reqs, c.Isend(q, out[m], next, base+slot*p.Count+round))
+					out := window(pat, round*p.Msgs+m, size)
+					reqs = append(reqs, c.Isend(q, out, next, base+slot*p.Count+round))
 					reqs = append(reqs, c.Irecv(q, in[m], prev, base+prevSlot*p.Count+round))
 				}
 				if err := madmpi.Waitall(q, reqs...); err != nil {
@@ -224,11 +246,10 @@ func startIncast(r *runner, pr *phaseRun) {
 	for si, s := range senders {
 		r.spawn(pr, s, "burst", func(q *sim.Proc) (int, error) {
 			c := r.comm(s)
-			var reqs []*madmpi.Request
+			pat := pattern(p.index, s, size)
+			reqs := make([]*madmpi.Request, 0, p.Msgs)
 			for m := 0; m < p.Msgs; m++ {
-				buf := make([]byte, size)
-				fill(buf, p.index, s, m)
-				reqs = append(reqs, c.Isend(q, buf, p.Target, base+si))
+				reqs = append(reqs, c.Isend(q, window(pat, m, size), p.Target, base+si))
 			}
 			return 0, madmpi.Waitall(q, reqs...)
 		})
@@ -261,13 +282,11 @@ func startComposite(r *runner, pr *phaseRun) {
 	const ctrlSize = 64
 	r.spawn(pr, a, "mixer", func(q *sim.Proc) (int, error) {
 		c := r.comm(a)
-		var reqs []*madmpi.Request
+		pat := pattern(p.index, a, max(bulk, ctrlSize))
+		reqs := make([]*madmpi.Request, 0, 2*p.Msgs)
 		for m := 0; m < p.Msgs; m++ {
-			big := make([]byte, bulk)
-			fill(big, p.index, a, 2*m)
-			reqs = append(reqs, c.Isend(q, big, b, base))
-			ctl := make([]byte, ctrlSize)
-			fill(ctl, p.index, a, 2*m+1)
+			reqs = append(reqs, c.Isend(q, window(pat, 2*m, bulk), b, base))
+			ctl := window(pat, 2*m+1, ctrlSize)
 			if p.Priority {
 				reqs = append(reqs, c.IsendPriority(q, ctl, b, base+1))
 			} else {
@@ -278,7 +297,7 @@ func startComposite(r *runner, pr *phaseRun) {
 	})
 	r.spawn(pr, b, "sink", func(q *sim.Proc) (bad int, err error) {
 		c := r.comm(b)
-		var reqs []*madmpi.Request
+		reqs := make([]*madmpi.Request, 0, 2*p.Msgs)
 		bigs, ctls := payloads(p.Msgs, bulk), payloads(p.Msgs, ctrlSize)
 		for m := 0; m < p.Msgs; m++ {
 			reqs = append(reqs, c.Irecv(q, bigs[m], a, base))

@@ -312,28 +312,28 @@ func (r *runner) fireEvent(e EventSpec) {
 // an event with the action, and what the action does to the running
 // cluster.
 type eventAction struct {
-	check func(v *validator, path string, e EventSpec)
+	check func(v *validator, at loc, e EventSpec)
 	fire  func(r *runner, e EventSpec)
 }
 
 var eventActions = map[string]eventAction{
 	"degrade_rail": {
-		check: func(v *validator, path string, e EventSpec) {
-			v.rail(path, e.Rail)
+		check: func(v *validator, at loc, e EventSpec) {
+			v.rail(at, e.Rail)
 			if e.Scale <= 0 || e.Scale > 1 {
-				v.bad(ErrBadValue, "%s: scale %v outside (0,1]", path, e.Scale)
+				v.bad(ErrBadValue, "%s: scale %v outside (0,1]", at, e.Scale)
 			}
 		},
 		fire: func(r *runner, e EventSpec) { r.fabric.Networks()[e.Rail].SetWireScale(e.Scale) },
 	},
 	"restore_rail": {
-		check: func(v *validator, path string, e EventSpec) { v.rail(path, e.Rail) },
+		check: func(v *validator, at loc, e EventSpec) { v.rail(at, e.Rail) },
 		fire:  func(r *runner, e EventSpec) { r.fabric.Networks()[e.Rail].SetWireScale(1) },
 	},
 	"set_faults": {
-		check: func(v *validator, path string, e EventSpec) {
-			v.rail(path, e.Rail)
-			v.probs(path, e.Drop, e.Dup, e.Reorder)
+		check: func(v *validator, at loc, e EventSpec) {
+			v.rail(at, e.Rail)
+			v.probs(at, e.Drop, e.Dup, e.Reorder)
 		},
 		fire: func(r *runner, e EventSpec) {
 			cfg := r.railCfg[e.Rail]
@@ -342,10 +342,10 @@ var eventActions = map[string]eventAction{
 		},
 	},
 	"rail_outage": {
-		check: func(v *validator, path string, e EventSpec) {
-			v.rail(path, e.Rail)
+		check: func(v *validator, at loc, e EventSpec) {
+			v.rail(at, e.Rail)
 			if e.Duration < 0 {
-				v.bad(ErrBadValue, "%s: negative duration", path)
+				v.bad(ErrBadValue, "%s: negative duration", at)
 			}
 		},
 		fire: func(r *runner, e EventSpec) {
@@ -356,23 +356,23 @@ var eventActions = map[string]eventAction{
 		},
 	},
 	"slow_node": {
-		check: func(v *validator, path string, e EventSpec) {
-			v.node(path, e.Node)
+		check: func(v *validator, at loc, e EventSpec) {
+			v.node(at, e.Node)
 			if e.Factor < 1 {
-				v.bad(ErrBadValue, "%s: factor %v must be >= 1", path, e.Factor)
+				v.bad(ErrBadValue, "%s: factor %v must be >= 1", at, e.Factor)
 			}
 		},
 		fire: func(r *runner, e EventSpec) { r.fabric.Node(simnet.NodeID(e.Node)).SetSlowdown(e.Factor) },
 	},
 	"restore_node": {
-		check: func(v *validator, path string, e EventSpec) { v.node(path, e.Node) },
+		check: func(v *validator, at loc, e EventSpec) { v.node(at, e.Node) },
 		fire:  func(r *runner, e EventSpec) { r.fabric.Node(simnet.NodeID(e.Node)).SetSlowdown(1) },
 	},
 	"squeeze_credits": {
-		check: func(v *validator, path string, e EventSpec) {
-			v.node(path, e.Node)
+		check: func(v *validator, at loc, e EventSpec) {
+			v.node(at, e.Node)
 			if e.Duration <= 0 {
-				v.bad(ErrBadValue, "%s: squeeze_credits needs a positive duration (a permanent squeeze deadlocks the run)", path)
+				v.bad(ErrBadValue, "%s: squeeze_credits needs a positive duration (a permanent squeeze deadlocks the run)", at)
 			}
 		},
 		fire: func(r *runner, e EventSpec) {
@@ -385,11 +385,11 @@ var eventActions = map[string]eventAction{
 		},
 	},
 	"checkpoint": {
-		check: func(v *validator, path string, e EventSpec) {
+		check: func(v *validator, at loc, e EventSpec) {
 			if e.Name == "" {
-				v.bad(ErrBadValue, "%s: a checkpoint needs a name", path)
+				v.bad(ErrBadValue, "%s: a checkpoint needs a name", at)
 			} else if v.checkpoints[e.Name] {
-				v.bad(ErrBadValue, "%s: duplicate checkpoint %q", path, e.Name)
+				v.bad(ErrBadValue, "%s: duplicate checkpoint %q", at, e.Name)
 			}
 			v.checkpoints[e.Name] = true
 		},

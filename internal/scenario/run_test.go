@@ -335,11 +335,13 @@ assertions:
 }
 
 // TestRingSendBuffersSurviveBodyReissue: a ring of rendezvous-sized
-// messages on a lossy fabric. The ring phase refills its send buffers
-// every round, as soon as the round's sends have completed, while the
-// engine may yet have to re-stream a lost body span of that round: it
-// must take the span from the wire frames it retained, not from the
-// caller's memory, or the refill shows up here as corrupted payloads.
+// messages on a lossy fabric, where lost body spans are re-streamed. The
+// ring's sends are overlapping windows onto one pattern per rank, so a
+// reissue that reads the wrong stretch, or an engine write into a send
+// buffer, shows up here as corrupted payloads. That a reissue reads the
+// wire frames it retained rather than the caller's memory, which the
+// caller may have reused by then, is core's
+// TestRendezvousBufferReusableOnceWaitReturns.
 func TestRingSendBuffersSurviveBodyReissue(t *testing.T) {
 	doc := `
 name: rdv-ring

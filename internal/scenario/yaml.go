@@ -18,7 +18,9 @@ import (
 //
 // Anchors, aliases, multi-document streams, flow mappings, multi-line
 // strings and tags are rejected with ErrSyntax. Scalars that look like
-// durations ("250us") stay strings; the schema layer parses them.
+// durations ("250us") stay strings; the schema layer parses them. A
+// scalar goes to strconv only when its shape could be a number (see
+// numeric), so typing a name or a duration builds no error to discard.
 //
 // The parse result is the generic tree the decoder (decode.go) lays over
 // the schema structs: map[string]any, []any, and scalar leaves (bool,
@@ -290,11 +292,47 @@ func scalar(s string, num int) (any, error) {
 	case "false":
 		return false, nil
 	}
-	if n, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return n, nil
+	return plain(s), nil
+}
+
+// plain types a plain scalar that is not a keyword: an int64 or a
+// float64 when strconv reads it as one, the string itself otherwise.
+func plain(s string) any {
+	if numeric(s) {
+		if n, err := strconv.ParseInt(s, 10, 64); err == nil {
+			return n
+		}
+		if f, err := strconv.ParseFloat(s, 64); err == nil {
+			return f
+		}
 	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		return f, nil
+	return s
+}
+
+// numberBytes are the bytes of the decimal and hexadecimal numbers
+// strconv reads: digits, hex digits (the exponent e among them), the
+// 0x prefix, the binary exponent p, signs, the point and digit
+// separators.
+const numberBytes = "0123456789abcdefABCDEF+-._xXpP"
+
+// numeric reports whether strconv could read s as a number: every byte
+// is one of numberBytes, or s, with one sign dropped, is inf, infinity
+// or nan in any case. That admits every string ParseInt and ParseFloat
+// accept, so asking first changes no typed value; it spares the names
+// and durations a file is mostly made of ("ring-a", "250us") the error
+// value a failed parse builds.
+func numeric(s string) bool {
+	u := s
+	if u != "" && (u[0] == '+' || u[0] == '-') {
+		u = u[1:]
 	}
-	return s, nil
+	if strings.EqualFold(u, "inf") || strings.EqualFold(u, "infinity") || strings.EqualFold(u, "nan") {
+		return true
+	}
+	for i := 0; i < len(s); i++ {
+		if strings.IndexByte(numberBytes, s[i]) < 0 {
+			return false
+		}
+	}
+	return true
 }

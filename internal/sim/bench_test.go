@@ -29,3 +29,50 @@ func BenchmarkSpawn(b *testing.B) {
 		mustRun(b, w)
 	}
 }
+
+// The event queue's three costs. Each op is one event fired and the next
+// one scheduled (benchmark/layers.go's simEvents).
+
+// BenchmarkEventShallow is a chain of future events alone in the queue.
+func BenchmarkEventShallow(b *testing.B) {
+	b.ReportAllocs()
+	eventChain(b, 0, 1)
+}
+
+// BenchmarkEventDeep is the same chain with 1 000 000 later events queued
+// the whole time: the heap's depth is what it measures.
+func BenchmarkEventDeep(b *testing.B) {
+	b.ReportAllocs()
+	eventChain(b, 1_000_000, 1)
+}
+
+// BenchmarkEventSameInstant is a chain of events each scheduled for the
+// current instant, the FIFO in front of the heap.
+func BenchmarkEventSameInstant(b *testing.B) {
+	b.ReportAllocs()
+	eventChain(b, 0, 0)
+}
+
+// eventChain fires b.N events, each scheduling the next step later, with
+// depth other events waiting behind them.
+func eventChain(b *testing.B, depth int, step Time) {
+	w := NewWorld()
+	nop := func() {}
+	for i := 0; i < depth; i++ {
+		w.At(Second+Time(i), nop)
+	}
+	left := b.N
+	var next func()
+	next = func() {
+		if left--; left == 0 {
+			w.Stop()
+			return
+		}
+		w.After(step, next)
+	}
+	w.After(step, next)
+	b.ResetTimer()
+	if err := w.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

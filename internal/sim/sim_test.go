@@ -241,6 +241,39 @@ func TestRunUntil(t *testing.T) {
 	if len(fired) != 4 {
 		t.Errorf("resumed Run fired %v, want all four events", fired)
 	}
+
+	// A horizon of zero is a horizon, not "none".
+	w = NewWorld()
+	n := 0
+	w.At(10, func() { n++ })
+	if err := w.RunUntil(0); err != nil {
+		t.Fatal(err)
+	}
+	if n != 0 || w.Now() != 0 {
+		t.Errorf("RunUntil(0) fired %d events and left the clock at %v, want none at 0ns", n, w.Now())
+	}
+
+	// A horizon behind the clock fires nothing and does not rewind it.
+	w.At(200, func() { n++ })
+	if err := w.RunUntil(150); err != nil {
+		t.Fatal(err)
+	}
+	if n != 1 || w.Now() != 150 {
+		t.Fatalf("RunUntil(150) fired %d events, clock %v; want 1 at 150ns", n, w.Now())
+	}
+	w.At(150, func() { n++ }) // due at the clock: behind the next horizon
+	if err := w.RunUntil(50); err != nil {
+		t.Fatal(err)
+	}
+	if n != 1 || w.Now() != 150 {
+		t.Errorf("RunUntil(50) at 150ns fired %d events, clock %v; want 1 and 150ns", n, w.Now())
+	}
+	if err := w.RunUntil(150); err != nil { // a horizon on the clock fires what is due at it
+		t.Fatal(err)
+	}
+	if n != 2 || w.Now() != 150 {
+		t.Errorf("RunUntil(150) at 150ns fired %d events, clock %v; want 2 and 150ns", n, w.Now())
+	}
 }
 
 func TestStop(t *testing.T) {

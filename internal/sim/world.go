@@ -12,6 +12,10 @@ import (
 // or finishes, and control comes back to the event loop — so exactly one
 // of them executes at any moment. No locking is needed anywhere above the
 // kernel.
+//
+// The queue (event.go) keeps future events in a heap of pointer-free keys
+// and the current instant's events on a FIFO in front of it; the clock
+// moves only when that FIFO is empty.
 type World struct {
 	now   Time
 	queue eventQueue
@@ -23,7 +27,8 @@ type World struct {
 	waiting []*Proc // parked processes (for deadlock reports)
 
 	stopped bool
-	limit   Time // RunUntil horizon; 0 = none
+	bounded bool // inside RunUntil: events due after limit stay queued
+	limit   Time
 }
 
 // NewWorld returns an empty world with the clock at zero.
@@ -38,11 +43,8 @@ func (w *World) Now() Time { return w.now }
 // fn runs in scheduler context: it may schedule further events, signal
 // conditions and complete requests, but it must not block.
 func (w *World) At(t Time, fn func()) {
-	if t < w.now {
-		t = w.now
-	}
 	w.seq++
-	w.queue.push(event{at: t, seq: w.seq, fn: fn})
+	w.queue.push(w.now, t, w.seq, fn)
 }
 
 // After schedules fn to run d from now. Negative d means now.
@@ -73,27 +75,30 @@ func (e *DeadlockError) Error() string {
 // processes remain blocked when no event can ever wake them, nil otherwise.
 func (w *World) Run() error {
 	w.stopped = false
-	for !w.stopped && w.queue.len() > 0 {
-		if w.limit > 0 && w.queue.peek().at > w.limit {
-			// Past the horizon: leave the event unfired for a later Run.
-			w.now = w.limit
+	for !w.stopped && !w.queue.empty() {
+		if w.bounded && w.queue.nextAt(w.now) > w.limit {
+			// Past the horizon: leave the event unfired for a later Run,
+			// and never move the clock backwards.
+			w.now = max(w.now, w.limit)
 			return nil
 		}
-		ev := w.queue.pop()
-		w.now = ev.at
-		ev.fn()
+		var fn func()
+		w.now, fn = w.queue.pop(w.now)
+		fn()
 	}
-	if w.queue.len() == 0 && w.live > 0 {
+	if w.queue.empty() && w.live > 0 {
 		return w.deadlock()
 	}
 	return nil
 }
 
 // RunUntil drives the simulation, stopping once the clock would pass t.
-// Events scheduled later than t stay queued for a subsequent Run/RunUntil.
+// Events scheduled later than t stay queued for a subsequent Run/RunUntil,
+// and the clock is left at t. A horizon at or before Now fires nothing due
+// after it and leaves the clock where it is.
 func (w *World) RunUntil(t Time) error {
-	w.limit = t
-	defer func() { w.limit = 0 }()
+	w.bounded, w.limit = true, t
+	defer func() { w.bounded = false }()
 	return w.Run()
 }
 

@@ -11,8 +11,8 @@
 //	nmad-trace -record out.jsonl  # replayable recording of the offered load
 //	nmad-trace -strategy default
 //
-// A recording written with -record can be re-driven under any strategy,
-// credit budget or rail set with nmad-replay.
+// A recording written with -record can be re-driven under any strategy
+// or credit budget with nmad-replay.
 package main
 
 import (

@@ -103,8 +103,8 @@
 //     pluggable algorithm registry.
 //   - internal/trace: scheduling-decision timelines (text and Chrome
 //     trace-event export) and the versioned record/replay format.
-//   - internal/replay: re-drives a recording under any strategy, credit
-//     budget or rail set; golden-timeline determinism tests.
+//   - internal/replay: re-drives a recording under any strategy or
+//     credit budget; golden-timeline determinism tests.
 //   - internal/scenario: the declarative scenario harness — YAML-subset
 //     parser, validation, phase workloads, mid-run events, assertions.
 //   - internal/queue: the multi-tenant job queue — bounded admission,

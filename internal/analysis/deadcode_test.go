@@ -66,17 +66,12 @@ func (r exportRule) dead() ([]string, error) {
 				used[fn] = true
 			}
 		}
-		dir := filepath.Dir(p.Fset.Position(p.Files[0].Pos()).Filename)
-		tests, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		tests, err := testFiles(p)
 		if err != nil {
 			return nil, err
 		}
 		inTests := map[string]bool{}
-		for _, name := range tests {
-			f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return nil, err
-			}
+		for _, f := range tests {
 			ast.Inspect(f, func(n ast.Node) bool {
 				if id, ok := n.(*ast.Ident); ok {
 					inTests[id.Name] = true
@@ -98,6 +93,25 @@ func (r exportRule) dead() ([]string, error) {
 	}
 	sort.Strings(findings)
 	return findings, nil
+}
+
+// testFiles parses the test files in p's directory. They are not
+// type-checked, so a rule can only match what they spell.
+func testFiles(p *Package) ([]*ast.File, error) {
+	dir := filepath.Dir(p.Fset.Position(p.Files[0].Pos()).Filename)
+	names, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
 }
 
 // TestUnexportedHaveUsers applies the rule to the repository.

@@ -26,9 +26,10 @@ import (
 //
 // Everything else is unexported or deleted, or listed in the allow file
 // with a reason; a line there that excuses nothing is stale and fails
-// too. Struct fields are not checked. The question is module-wide, which
-// is why it is a test over Load and not a fourth analyzer: the vet unit
-// sees one package at a time.
+// too. Struct fields are not checked here; the field rule
+// (fields_test.go) asks whether they are read. The question is
+// module-wide, which is why it is a test over Load and not a fourth
+// analyzer: the vet unit sees one package at a time.
 type exportRule struct {
 	modules  []string // directories; every package of each is loaded
 	internal string   // import-path prefix of the checked packages

@@ -1,5 +1,6 @@
 // Package a declares one export for every way the export rule can go, and
-// below them one unexported function for every way the dead-code rule can.
+// below them one unexported function for every way the dead-code rule can;
+// fields.go does the same for the field rule.
 package a
 
 // UsedByB is named by a non-test file of package b: live.

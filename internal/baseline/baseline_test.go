@@ -338,3 +338,56 @@ func TestOpenMPIPipelinedDatatypesFasterThanMPICH(t *testing.T) {
 		t.Errorf("openmpi typed %v vs mpich %v: the pipeline must win", ompi, mpich)
 	}
 }
+
+// A completion wakes the process waiting on it and nobody else: seven
+// processes wait on their own receives of one rank while an eighth
+// receives m messages on it. What the seven add to the run's event count
+// must not depend on m — with a rank-wide broadcast every delivery wakes
+// all seven. An event count, so the same on any machine.
+func TestBystandersCostNoEvents(t *testing.T) {
+	const bystanders = 7
+	events := func(m int, withBystanders bool) uint64 {
+		w, r0, r1 := pairRanks(t, MPICH(), simnet.MX10G())
+		recv := func(tag, n int) {
+			w.Spawn("recv", func(p *sim.Proc) {
+				for i := 0; i < n; i++ {
+					if _, err := r1.recv(p, make([]byte, 8), 0, tag, 0); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+		}
+		recv(0, m)
+		if withBystanders {
+			for tag := 1; tag <= bystanders; tag++ {
+				recv(tag, 1)
+			}
+		}
+		w.Spawn("send", func(p *sim.Proc) {
+			p.Sleep(10 * sim.Microsecond)
+			for i := 0; i < m; i++ {
+				if err := r0.Send(p, []byte("payload"), 1, 0, 0); err != nil {
+					t.Error(err)
+				}
+			}
+			if withBystanders {
+				// Parked through the whole exchange, released long after it.
+				p.Sleep(10 * sim.Millisecond)
+				for tag := 1; tag <= bystanders; tag++ {
+					if err := r0.Send(p, []byte("release"), 1, tag, 0); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		})
+		if err := w.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return w.Events()
+	}
+	one := events(1, true) - events(1, false)
+	ten := events(10, true) - events(10, false)
+	if one != ten {
+		t.Errorf("%d parked bystanders cost %d events next to 1 message and %d next to 10", bystanders, one, ten)
+	}
+}

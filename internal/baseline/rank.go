@@ -20,8 +20,6 @@ type Rank struct {
 	size  int
 	opts  Options
 
-	cond *sim.Cond
-
 	// Matching state, per source node.
 	posted     map[simnet.NodeID][]*bRecv
 	unexpected map[simnet.NodeID][]*bMsg
@@ -44,15 +42,10 @@ type bMsg struct {
 
 // bRecv is a posted receive.
 type bRecv struct {
-	rank *Rank
-	tag  uint64
-	buf  []byte
-
-	done bool
-	err  error
-	n    int
-
-	bodyLeft int // rendezvous bytes still expected
+	bReq
+	tag uint64
+	buf []byte
+	n   int
 }
 
 // bRdvOut is sender-side rendezvous state.
@@ -68,10 +61,14 @@ type bRdvKey struct {
 }
 
 // bSend is a send handle.
-type bSend struct {
-	rank *Rank
-	done bool
-	err  error
+type bSend struct{ bReq }
+
+// bReq is the completion state of a handle. It knows the one process
+// waiting on it and unparks that process when it finishes.
+type bReq struct {
+	waiter *sim.Proc
+	done   bool
+	err    error
 }
 
 // Baseline wire format: kind(1) pad(3) tag(8) len(4) aux(4) = 20 bytes.
@@ -99,7 +96,6 @@ func NewRank(f *simnet.Fabric, netIdx int, node simnet.NodeID, opts Options) (*R
 		drv:        drv,
 		size:       f.Nodes(),
 		opts:       opts,
-		cond:       sim.NewCond(f.World()),
 		posted:     make(map[simnet.NodeID][]*bRecv),
 		unexpected: make(map[simnet.NodeID][]*bMsg),
 		rdvOut:     make(map[uint32]*bRdvOut),
@@ -153,7 +149,7 @@ var (
 // Isend maps the send directly onto the NIC: eager below the threshold,
 // rendezvous above — the synchronous architecture of §2.
 func (r *Rank) Isend(p *sim.Proc, buf []byte, dest, tag, comm int) *bSend {
-	req := &bSend{rank: r}
+	req := &bSend{}
 	if dest < 0 || dest >= r.size || dest == r.rank() {
 		req.finish(fmt.Errorf("%w: %d", errBadPeer, dest))
 		return req
@@ -184,7 +180,7 @@ func (r *Rank) Isend(p *sim.Proc, buf []byte, dest, tag, comm int) *bSend {
 
 // Irecv posts a receive matched by (source, comm, tag), FIFO.
 func (r *Rank) Irecv(p *sim.Proc, buf []byte, src, tag, comm int) *bRecv {
-	req := &bRecv{rank: r, tag: tag64(comm, tag), buf: buf}
+	req := &bRecv{tag: tag64(comm, tag), buf: buf}
 	if src < 0 || src >= r.size || src == r.rank() {
 		req.finish(fmt.Errorf("%w: %d", errBadPeer, src))
 		return req
@@ -271,7 +267,6 @@ func (r *Rank) consume(src simnet.NodeID, req *bRecv, m *bMsg) {
 		}
 		r.world.After(r.node.CopyCost(n), func() { req.finish(err) })
 	case bKindRTS:
-		req.bodyLeft = m.size
 		r.rdvIn[bRdvKey{src: src, id: m.aux}] = req
 		cts := encodeBHeader(bKindCTS, m.tag, m.size, m.aux)
 		if err := r.drv.Send(src, simnet.TxEager, [][]byte{cts}, 0, nil); err != nil {
@@ -299,40 +294,23 @@ func (r *Rank) onBody(d simnet.Delivery) {
 
 // Request completion plumbing.
 
-func (s *bSend) finish(err error) {
-	if s.done {
-		return
-	}
-	s.done = true
-	s.err = err
-	s.rank.cond.Broadcast()
-}
-
-func (s *bSend) Test() bool { return s.done }
-
-func (s *bSend) Wait(p *sim.Proc) error {
-	for !s.done {
-		s.rank.cond.Wait(p)
-	}
-	return s.err
-}
-
-func (q *bRecv) finish(err error) {
+func (q *bReq) finish(err error) {
 	if q.done {
 		return
 	}
 	q.done = true
 	q.err = err
-	q.rank.cond.Broadcast()
+	q.waiter.Unpark()
 }
 
-func (q *bRecv) Test() bool { return q.done }
-
-func (q *bRecv) N() int { return q.n }
-
-func (q *bRecv) Wait(p *sim.Proc) error {
+// Wait parks p until the request finishes. One process waits on a
+// handle at a time: a later waiter replaces an earlier.
+func (q *bReq) Wait(p *sim.Proc) error {
 	for !q.done {
-		q.rank.cond.Wait(p)
+		q.waiter = p
+		p.Park()
 	}
 	return q.err
 }
+
+func (q *bRecv) N() int { return q.n }

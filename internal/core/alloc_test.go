@@ -164,20 +164,18 @@ func TestAllocsRecyclingActuallyRecycles(t *testing.T) {
 	}
 }
 
-// A request is one allocation per message. SendRequest fills its malloc
-// size class to the byte (64): one more word rounds every send up a
-// class. RecvRequest is 136 bytes in the 144-byte class: the 112 bytes of
+// A request is one allocation per message, and each fills its malloc
+// size class to the byte: one more word rounds every message up a class.
+// SendRequest is 64 bytes. RecvRequest is 128: the 104 bytes of
 // completion and match state plus the 24-byte slice header of the
-// single-segment landing area, which used to be a second allocation of
-// its own (112 + 24 in the 112- and 24-byte classes — 8 bytes less and
-// one object more per receive). One word is left before the next class
-// (160).
+// single-segment landing area, which would otherwise be a second
+// allocation of its own.
 func TestRequestSizeClasses(t *testing.T) {
 	if got := unsafe.Sizeof(SendRequest{}); got > 64 {
 		t.Errorf("SendRequest is %d bytes, over the 64-byte size class", got)
 	}
-	if got := unsafe.Sizeof(RecvRequest{}); got > 144 {
-		t.Errorf("RecvRequest is %d bytes, over the 144-byte size class", got)
+	if got := unsafe.Sizeof(RecvRequest{}); got > 128 {
+		t.Errorf("RecvRequest is %d bytes, over the 128-byte size class", got)
 	}
 }
 

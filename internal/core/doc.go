@@ -117,10 +117,13 @@
 // also tells which of them are void (a delayed ack superseded by a later
 // one, a retransmit check armed before the latest retransmission); and a
 // record returns to its list only once it is retired and the count is
-// zero — the rule of the NIC's flight. Options.NoRecycle turns every pool off for A/B
-// comparison: the replayed timeline must be byte-identical either way,
-// which the pooling property test in internal/replay asserts. The repo
-// benchmark (benchmark/, workload ring-replay-1024) measures the
-// resulting host cost and allocs/op, and allocation-regression pins
-// live in alloc_test.go.
+// zero — the rule of the NIC's flight. An rdvRecv keeps no count: under
+// reliability its one body watch is pending from the grant on, and the
+// watch that finds the transaction landed files the record back.
+// Options.NoRecycle turns every pool off for A/B comparison: the
+// replayed timeline must be byte-identical either way, which the pooling
+// property test in internal/replay asserts. The repo benchmark
+// (benchmark/, workload ring-replay-1024) measures the resulting host
+// cost and allocs/op, and allocation-regression pins live in
+// alloc_test.go.
 package core

@@ -499,7 +499,6 @@ func (e *Engine) recordRecv(g *Gate, req *RecvRequest) {
 
 // submit inserts a wrapper into the window and kicks the scheduler.
 func (e *Engine) submit(pw *packet) {
-	pw.submittedAt = e.world.Now()
 	pw.gate.win.push(pw)
 	if pw.driver == anyDriver {
 		e.pendingCommon++

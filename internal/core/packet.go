@@ -42,7 +42,6 @@ type packet struct {
 	// runs once per elected output on the pump hot path.
 	taken bool
 
-	submittedAt sim.Time
 	// req is the send request this wrapper belongs to, if any.
 	req *SendRequest
 	// rdv is set on the eager body chunks of a rendezvous transaction's

@@ -34,10 +34,12 @@ import (
 //     cancelled, so the record counts what is pending on it and is filed
 //     back once it is retired and the count is zero: a linkFrame once
 //     acked with no transmission in flight and no retransmit check armed
-//     (linkFrame.sending, checks), an rdvRecv once landed with no body
-//     watch armed (rdvRecv.watches), an rdvSend once retired with no chunk
+//     (linkFrame.sending, checks), an rdvSend once retired with no chunk
 //     of its original stream unsent and no RDMA chain — reissues
-//     included — streaming (rdvSend.left, rdvSend.chains). All of a
+//     included — streaming (rdvSend.left, rdvSend.chains). An rdvRecv
+//     needs no count: under Options.Reliability exactly one body watch
+//     is pending from the grant on, and the watch that finds the record
+//     landed files it back; without reliability onBody does. All of a
 //     record's timers wait one delay and fire in the order armed, so
 //     counts also replace the attempt or generation stamp a closure per
 //     timer used to carry: a delayed ack that fires while a later one is
@@ -149,7 +151,7 @@ func (e *Engine) freeOutput(out *output) {
 func (e *Engine) newInEntry(h header, payload []byte, fr *simnet.Frame) *inEntry {
 	ent := e.freeEnts.get()
 	fr.Retain()
-	*ent = inEntry{h: h, payload: payload, frame: fr, at: e.world.Now()}
+	*ent = inEntry{h: h, payload: payload, frame: fr}
 	return ent
 }
 

@@ -48,14 +48,13 @@ type rdvSend struct {
 	// is left.
 	plan []sched.BodyShare
 
-	// Reliability bookkeeping (Options.Reliability): started marks the
-	// first CTS consumed (a later CTS is a reissue request), done marks
-	// the first full stream-out (RdvCompleted counted once). Under
-	// reliability the state is retired by the receiver's kindDone entry,
-	// not by left reaching 0 — RDMA body fragments can be lost below the
-	// link layer and the receiver may ask for the span again.
-	started bool
-	done    bool
+	// done marks the first full stream-out (RdvCompleted counted once).
+	// Under Options.Reliability the state is retired by the receiver's
+	// kindDone entry, not by left reaching 0 — RDMA body fragments can be
+	// lost below the link layer and the receiver may ask for the span
+	// again: a CTS that finds the stream started (left > 0) or done is
+	// such a request.
+	done bool
 
 	// kept holds, under Options.Reliability, a reference to the wire
 	// frame of every RDMA chunk of the original stream until the
@@ -171,8 +170,10 @@ type rdvKey struct {
 }
 
 // rdvRecv is the receiver-side state of one rendezvous transaction.
-// Records are recycled (Engine.freeRdvRecvs): one returns once it has
-// left Engine.rdvRecv and no body watch of it is pending.
+// Records are recycled (Engine.freeRdvRecvs) once they have left
+// Engine.rdvRecv. Under Options.Reliability exactly one body watch is
+// pending from the grant on, so the watch that finds the record retired
+// files it back; without reliability onBody does.
 type rdvRecv struct {
 	eng       *Engine
 	gate      *Gate
@@ -189,12 +190,10 @@ type rdvRecv struct {
 	// remaining.
 	spans []span
 
-	// live marks the transaction as in Engine.rdvRecv. watches counts
-	// the pending body-watch events (Options.Reliability) and mark is
-	// remaining when the latest was armed; watchFn is watch, bound at the
-	// record's first watch and kept across recycling.
+	// live marks the transaction as in Engine.rdvRecv. mark is remaining
+	// when the pending body watch was armed; watchFn is watch, bound at
+	// the record's first watch and kept across recycling.
 	live    bool
-	watches int
 	mark    int
 	watchFn func()
 }
@@ -241,10 +240,10 @@ func (rr *rdvRecv) cover(lo, hi int) int {
 	return newly
 }
 
-// releaseRdvRecv recycles a receiver-side record once it is retired and
-// no body watch of it is still pending.
+// releaseRdvRecv recycles a retired receiver-side record that no body
+// watch refers to any more.
 func (e *Engine) releaseRdvRecv(rr *rdvRecv) {
-	if rr.live || rr.watches > 0 || e.opts.NoRecycle {
+	if e.opts.NoRecycle {
 		return
 	}
 	*rr = rdvRecv{spans: rr.spans[:0], watchFn: rr.watchFn}
@@ -379,13 +378,11 @@ func (e *Engine) armBodyWatch(rr *rdvRecv) {
 		rr.watchFn = rr.watch
 	}
 	rr.mark = rr.remaining
-	rr.watches++
 	e.world.After(e.bodyTimeout(), rr.watchFn)
 }
 
 // watch is the body watch's event.
 func (rr *rdvRecv) watch() {
-	rr.watches--
 	e := rr.eng
 	if !rr.live {
 		e.releaseRdvRecv(rr) // landed; the watchdog dies with it
@@ -416,7 +413,7 @@ func (e *Engine) onCTS(g *Gate, h header) {
 		e.protoErr(g, fmt.Sprintf("CTS for unknown rendezvous %d", h.aux))
 		return
 	}
-	if rs.started {
+	if rs.left > 0 || rs.done {
 		// A second CTS for a live transaction is the receiver's body
 		// watchdog asking for the span again (fragments were lost below
 		// the link layer). Re-stream the whole grant outside the request
@@ -429,7 +426,6 @@ func (e *Engine) onCTS(g *Gate, h header) {
 		e.streamBody(rs, int(h.length), true)
 		return
 	}
-	rs.started = true
 	e.streamBody(rs, int(h.length), false)
 }
 
@@ -722,7 +718,9 @@ func (e *Engine) onBody(src simnet.NodeID, id uint32, offset int, data []byte) {
 		if rr.total > rr.granted {
 			err = ErrTruncated
 		}
-		e.releaseRdvRecv(rr)
+		if !e.opts.Reliability {
+			e.releaseRdvRecv(rr) // else the pending body watch does
+		}
 		r.complete(err)
 		e.releaseGrants()
 	}

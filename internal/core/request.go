@@ -183,10 +183,9 @@ type RecvRequest struct {
 	iov  iovec
 	one  [1][]byte
 
-	matched bool
-	n       int
-	tag     Tag
-	src     simnet.NodeID
+	n   int
+	tag Tag
+	src simnet.NodeID
 }
 
 // N returns the received payload size (valid once Done).

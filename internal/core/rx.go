@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"nmad/internal/sim"
 	"nmad/internal/simnet"
 	"nmad/internal/trace"
 )
@@ -40,7 +39,6 @@ type inEntry struct {
 	h       header
 	payload []byte
 	frame   *simnet.Frame
-	at      sim.Time
 }
 
 // protoErr counts one receive-path protocol anomaly against a gate
@@ -189,7 +187,6 @@ func (g *Gate) matchUnexpected(r *RecvRequest) bool {
 // buffer (the memcpy is charged to the host), rendezvous requests are
 // granted. Consuming an eager data wrapper frees its landing credit.
 func (e *Engine) consume(g *Gate, r *RecvRequest, h header, payload []byte) {
-	r.matched = true
 	r.tag = h.tag
 	r.src = g.peer
 	e.traceEvent(trace.Deliver, g.peer, -1, h.tag, len(payload), 0, h.kind.String())

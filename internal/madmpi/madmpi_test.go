@@ -554,15 +554,15 @@ func TestAllocsNonblockingPingPong(t *testing.T) {
 	}
 }
 
-// The record of a nonblocking operation fills a malloc size class: a
-// send is the 16-byte handle and the 64-byte engine request (80), a
-// receive the handle and the 136-byte request (152, in the 160-byte
-// class). One more word on the handle rounds every send up a class.
+// The record of a nonblocking operation fills a malloc size class to the
+// byte: a send is the 16-byte handle and the 64-byte engine request (80),
+// a receive the handle and the 128-byte request (144). One more word on
+// the handle rounds every operation up a class.
 func TestOpRecordSizeClasses(t *testing.T) {
 	if got := unsafe.Sizeof(sendOp{}); got > 80 {
 		t.Errorf("sendOp is %d bytes, over the 80-byte size class", got)
 	}
-	if got := unsafe.Sizeof(recvOp{}); got > 160 {
-		t.Errorf("recvOp is %d bytes, over the 160-byte size class", got)
+	if got := unsafe.Sizeof(recvOp{}); got > 144 {
+		t.Errorf("recvOp is %d bytes, over the 144-byte size class", got)
 	}
 }

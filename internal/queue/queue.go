@@ -122,7 +122,6 @@ type TenantStats struct {
 
 // Tenant is one registered workload source.
 type Tenant struct {
-	q     *Queue
 	spec  TenantSpec
 	pass  int64 // stride virtual time; lowest runs next within a class
 	heads []*Job
@@ -245,7 +244,7 @@ func New(eng *core.Engine, cfg Config) (*Queue, error) {
 		if ts.Class < ClassBulk || ts.Class > ClassLatency {
 			return nil, fmt.Errorf("%w: tenant %q class %d out of range", ErrBadConfig, ts.Name, ts.Class)
 		}
-		t := &Tenant{q: q, spec: ts}
+		t := &Tenant{spec: ts}
 		q.tenants = append(q.tenants, t)
 		q.byName[ts.Name] = t
 	}

@@ -2,7 +2,7 @@
 // through the engine: each recorded Isend/Irecv/Isendv is re-issued at
 // its recorded virtual submission time, on a cluster reconstructed from
 // the recorded topology — under the recorded engine personality, or
-// under a different strategy, credit budget or rail set.
+// under a different strategy or credit budget.
 //
 // This separates the offered load from the scheduling decisions made on
 // it: the same recording replayed under two strategies is an exact A/B
@@ -66,10 +66,6 @@ type Config struct {
 	// budgets on every node.
 	Credits   *int
 	MaxGrants *int
-	// Rails, when non-empty, replaces the recorded rail set. Rail-pinned
-	// sends recorded on rails beyond the new set fall back to the common
-	// list.
-	Rails []simnet.Profile
 	// NoRecycle replays with the engine's free-list recycling disabled
 	// (core.Options.NoRecycle): every wrapper, train and receive entry is
 	// a fresh allocation. Recycling is a pure memory optimization — the
@@ -82,9 +78,7 @@ type Config struct {
 	// change what is delivered, only its ack/framing overhead). By
 	// default the recorded profile is re-applied, and since the injector
 	// is seeded, the same faults hit the same packets — a lossy recording
-	// replays deterministically, retransmissions included. When Rails
-	// overrides the rail set, a recorded per-rail profile still applies
-	// by rail index; indexes beyond the new rail set are ignored.
+	// replays deterministically, retransmissions included.
 	DisableFaults bool
 }
 
@@ -222,21 +216,11 @@ func checkOps(ops []trace.Op, nodes int) (perNode [][]int, maxBytes, segs int, e
 func Run(rec *trace.Recording, cfg Config) (*Result, error) {
 	hdr := rec.Header()
 	m := hdr.Machine
-	if len(cfg.Rails) > 0 {
-		m.Rails = cfg.Rails
-	}
 	if len(m.Rails) == 0 {
 		return nil, fmt.Errorf("replay: recording has no rails (was the recording attached before AttachFabric?)")
 	}
-	switch {
-	case cfg.DisableFaults:
+	if cfg.DisableFaults {
 		m.Faults = nil
-	case m.Faults != nil && len(m.Faults.Rails) > len(m.Rails):
-		// A rail override shrank the machine below the recorded
-		// profile: apply what still has a rail.
-		fp := *m.Faults
-		fp.Rails = fp.Rails[:len(m.Rails)]
-		m.Faults = &fp
 	}
 	perNode, maxBytes, nSegs, err := checkOps(rec.Ops(), hdr.Nodes)
 	if err != nil {

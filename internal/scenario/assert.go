@@ -14,14 +14,13 @@ import (
 
 // The assertion engine. At every named checkpoint (and implicitly at
 // the end of the run) the runner takes a snapshot — the per-node engine
-// counters, the per-rail fault counters and the clock — and each
+// counters and the per-rail fault counters — and each
 // assertion evaluates against the snapshot it anchors at. Evaluation is
 // pure: all the state an assertion may consult is in the snapshot, so
 // checkpoint assertions see mid-run values, not end-of-run ones.
 
 // snapshot is the observable state of a run at one instant.
 type snapshot struct {
-	At     sim.Time
 	Stats  []core.Stats
 	Faults []simnet.FaultStats
 }

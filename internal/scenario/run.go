@@ -114,7 +114,6 @@ func (rep *Report) Write(w io.Writer) {
 
 // runner holds the live state of one scenario run.
 type runner struct {
-	sc     *Scenario
 	cfg    Config
 	world  *sim.World
 	fabric *simnet.Fabric
@@ -147,7 +146,7 @@ func (r *runner) logf(format string, args ...any) {
 
 // snapshot captures the observable state of the run right now.
 func (r *runner) snapshot() *snapshot {
-	s := &snapshot{At: r.world.Now()}
+	s := &snapshot{}
 	for _, m := range r.mpis {
 		s.Stats = append(s.Stats, m.Engine().Stats())
 	}
@@ -172,7 +171,7 @@ func Run(sc *Scenario, cfg Config) (*Report, error) {
 	}
 	w := f.World()
 	r := &runner{
-		sc: sc, cfg: cfg, world: w, fabric: f,
+		cfg: cfg, world: w, fabric: f,
 		snapshots: map[string]*snapshot{},
 		railCfg:   make([]simnet.RailFaults, len(c.Rails)),
 	}

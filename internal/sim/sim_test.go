@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -147,13 +148,12 @@ func TestTwoProcsInterleave(t *testing.T) {
 	}
 }
 
-func TestCondSignalAndBroadcast(t *testing.T) {
+func TestCondSignalWakesLongestWaiting(t *testing.T) {
 	w := NewWorld()
 	c := NewCond(w)
 	ready := false
 	var woke []string
 	for _, name := range []string{"w1", "w2", "w3"} {
-		name := name
 		w.Spawn(name, func(p *Proc) {
 			for !ready {
 				c.Wait(p)
@@ -164,16 +164,18 @@ func TestCondSignalAndBroadcast(t *testing.T) {
 	w.Spawn("waker", func(p *Proc) {
 		p.Sleep(5 * Microsecond)
 		ready = true
-		c.Broadcast()
+		for range 3 {
+			c.Signal()
+		}
 	})
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(woke) != 3 {
-		t.Fatalf("only %d of 3 waiters woke: %v", len(woke), woke)
+	if strings.Join(woke, " ") != "w1 w2 w3" {
+		t.Fatalf("woke %v, want all three waiters in the order they waited", woke)
 	}
 	if w.Now() != 5*Microsecond {
-		t.Errorf("broadcast wakeups should be immediate; clock at %v", w.Now())
+		t.Errorf("signalled wakeups should be immediate; clock at %v", w.Now())
 	}
 }
 
@@ -298,7 +300,7 @@ func TestDeterminism(t *testing.T) {
 		w.Spawn("p1", func(p *Proc) {
 			p.Sleep(7)
 			flag = true
-			c.Broadcast()
+			c.Signal()
 			p.Sleep(7)
 			stamps = append(stamps, p.Now())
 		})
@@ -409,13 +411,13 @@ func TestCondWaitersCount(t *testing.T) {
 		if got := len(c.waiters); got != 1 {
 			t.Errorf("waiters = %d, want 1", got)
 		}
-		c.Broadcast()
+		c.Signal()
 	})
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.waiters) != 0 {
-		t.Errorf("waiters = %d after broadcast, want 0", len(c.waiters))
+		t.Errorf("waiters = %d after signal, want 0", len(c.waiters))
 	}
 }
 
@@ -511,7 +513,7 @@ func TestDeadlockNamesParkedProcess(t *testing.T) {
 	}
 }
 
-// Cond.Wait returns on Signal or Broadcast only: a stray Unpark (a
+// Cond.Wait returns on Signal only: a stray Unpark (a
 // request the process once watched completing late) parks it again and
 // does not leave it listed twice.
 func TestCondWaitIgnoresStrayUnpark(t *testing.T) {

@@ -170,6 +170,14 @@ var (
 	// ErrBadRail: the send was pinned with OnRail to a rail the engine
 	// does not have; nothing was submitted.
 	ErrBadRail = core.ErrBadRail
+	// ErrNoRequests: WaitAny was handed no requests.
+	ErrNoRequests = core.ErrNoRequests
+	// ErrBadRank: an MPI call named a peer or root rank outside the
+	// communicator.
+	ErrBadRank = madmpi.ErrBadRank
+	// ErrSelfMessage: an MPI point-to-point call addressed its own rank,
+	// which MAD-MPI does not support.
+	ErrSelfMessage = madmpi.ErrSelfMessage
 )
 
 // AnyTag matches any tag of a communicator (MPI_ANY_TAG).

@@ -400,3 +400,62 @@ func TestFacadeNamesTheErrorTypes(t *testing.T) {
 		t.Errorf("Replay of a recording with a send missing: %v, want a *nmad.UndrainedError counting the stranded ops", err)
 	}
 }
+
+// Every sentinel a facade caller can be handed is matchable by its facade
+// name.
+func TestSentinelsMatchThroughFacade(t *testing.T) {
+	mpiErr := func(t *testing.T, dest int) error {
+		t.Helper()
+		cl, err := nmad.NewCluster(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := cl.MPI(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sendErr error
+		cl.Spawn("send", func(p *nmad.Proc) { sendErr = m.CommWorld().Send(p, []byte("x"), dest, 0) })
+		if err := cl.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return sendErr
+	}
+	t.Run("ErrBadRank", func(t *testing.T) {
+		if err := mpiErr(t, 5); !errors.Is(err, nmad.ErrBadRank) {
+			t.Errorf("send to rank 5 of 2: %v, want ErrBadRank", err)
+		}
+	})
+	t.Run("ErrSelfMessage", func(t *testing.T) {
+		if err := mpiErr(t, 0); !errors.Is(err, nmad.ErrSelfMessage) {
+			t.Errorf("send to self: %v, want ErrSelfMessage", err)
+		}
+	})
+	t.Run("ErrNoRequests", func(t *testing.T) {
+		cl, err := nmad.NewCluster(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.Spawn("wait", func(p *nmad.Proc) {
+			if _, err := nmad.WaitAny(p); !errors.Is(err, nmad.ErrNoRequests) {
+				t.Errorf("WaitAny with no requests: %v, want ErrNoRequests", err)
+			}
+		})
+		if err := cl.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("ErrBadConfig", func(t *testing.T) {
+		cl, err := nmad.NewCluster(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := cl.Engine(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nmad.NewQueue(e); !errors.Is(err, nmad.ErrBadConfig) {
+			t.Errorf("queue without a tenant: %v, want ErrBadConfig", err)
+		}
+	})
+}

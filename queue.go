@@ -35,6 +35,9 @@ const (
 var (
 	ErrQueueFull     = queue.ErrQueueFull
 	ErrUnknownTenant = queue.ErrUnknownTenant
+	// ErrBadConfig: NewQueue was given no tenant, a duplicate or unnamed
+	// one, a weight below 1, a class out of range, or a negative bound.
+	ErrBadConfig = queue.ErrBadConfig
 )
 
 // QueueOption configures NewQueue.

@@ -6,8 +6,8 @@ import (
 )
 
 // Record/replay surface of the facade: capture a run's offered load once
-// (WithRecording), then re-drive it under any strategy, credit budget or
-// rail set — exact A/B comparisons on identical submission timing, and
+// (WithRecording), then re-drive it under any strategy or credit budget
+// — exact A/B comparisons on identical submission timing, and
 // deterministic golden-timeline regression tests.
 //
 //	rec := nmad.NewRecording()
@@ -39,7 +39,7 @@ var (
 )
 
 // ReplayConfig selects what varies between the recording and the
-// replay: strategy, credit budget, grant cap, rail set. The zero value
+// replay: strategy, credit budget, grant cap. The zero value
 // replays the recording exactly as recorded.
 type ReplayConfig = replay.Config
 

@@ -59,7 +59,9 @@
 //     storage, valid until that value's next PlanBody;
 //   - Attacher, to observe rails as the engine binds them;
 //   - Completer, to receive per-transaction feedback (bytes, entries,
-//     duration) after the NIC finishes each physical packet.
+//     duration) after the NIC finishes each physical packet, as
+//     examples/customstrategy does. The achieved bandwidth needs no
+//     hook: RailInfo.Sampled carries it, and it is all "adaptive" reads.
 //
 // Chain composes strategies with first-non-empty-election-wins
 // semantics, for fallback stacks.

@@ -476,18 +476,6 @@ func TestBestRailOnFilteredSubset(t *testing.T) {
 	}
 }
 
-func TestAdaptiveFeedbackLog(t *testing.T) {
-	s := newAdaptive()
-	s.OnAttach(testRail(16, 32<<10, 1e9, 0))
-	s.OnComplete(Completion{Rail: 0, Bytes: 1000, Entries: 3, Duration: 10})
-	s.OnComplete(Completion{Rail: 0, Bytes: 1 << 20, Entries: 0, Duration: 100}) // a body
-	snap := s.Snapshot()
-	l := snap[0]
-	if !l.Attached || l.Packets != 1 || l.Bodies != 1 || l.Entries != 3 || l.Bytes != 1000+1<<20 {
-		t.Errorf("feedback log %+v", l)
-	}
-}
-
 // deepWindow is a 64-deep window as the multiflow workload fills it:
 // 256-byte data wrappers over 16 flows, with a control entry every
 // sixteenth so the urgent pass and prio's own scan both pick.

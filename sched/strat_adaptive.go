@@ -1,9 +1,5 @@
 package sched
 
-import (
-	"nmad/internal/sim"
-)
-
 // adaptiveStrategy closes the paper's feedback loop (§3.2: strategies
 // consume "the nominal and functional characteristics of the underlying
 // network") using only this package's SPI — no engine internals. Two
@@ -21,30 +17,17 @@ import (
 //     dropped from the plan entirely instead of being handed a share it
 //     cannot move in time.
 //
-// The OnAttach/OnComplete hooks feed a per-rail transaction log the
-// strategy (and its tests) can inspect; the bandwidth estimate itself
-// comes pre-smoothed from the engine's EWMA sampler via RailInfo.
+// The signal is RailInfo.Sampled, pre-smoothed by the engine's EWMA
+// sampler from every transaction the rail completes, so the strategy
+// keeps no feedback of its own and needs no completion hook.
 //
 // No mutex: registered strategies are instantiated per engine and every
-// hook runs inside the engine's single-threaded sim.World (OnComplete
-// fires once per transaction — it is hot-path). Sharing one instance
-// across engines requires Options.StrategyImpl, whose documentation
-// already places synchronization on the caller.
+// call runs inside the engine's single-threaded sim.World. Sharing one
+// instance across engines requires Options.StrategyImpl, whose
+// documentation already places synchronization on the caller.
 type adaptiveStrategy struct {
 	*accumulator
 	planStore
-	rails map[int]*railLog
-}
-
-// railLog is the per-rail feedback record accumulated from completions.
-type railLog struct {
-	Name     string
-	Packets  int      // aggregated output packets completed
-	Bodies   int      // rendezvous body transactions completed
-	Bytes    int64    // payload bytes moved
-	Busy     sim.Time // cumulated transaction time
-	Entries  int      // wrappers carried by completed packets
-	Attached bool
 }
 
 // adaptiveMinFactor floors the aggregation-budget scaling so a badly
@@ -65,7 +48,7 @@ const adaptiveMinBudget = 256
 const adaptiveCollapseFrac = 0.10
 
 func newAdaptive() *adaptiveStrategy {
-	return &adaptiveStrategy{accumulator: newAccumulator(), rails: make(map[int]*railLog)}
+	return &adaptiveStrategy{accumulator: newAccumulator()}
 }
 
 func (s *adaptiveStrategy) Name() string { return "adaptive" }
@@ -106,41 +89,4 @@ func (s *adaptiveStrategy) PlanBody(rails []RailInfo, size int) []BodyShare {
 	}
 	s.plan = proportionalPlan(s.plan[:0], rails, size, best*adaptiveCollapseFrac)
 	return s.plan
-}
-
-// OnAttach seeds the feedback log for a rail.
-func (s *adaptiveStrategy) OnAttach(rail RailInfo) {
-	s.log(rail.Index).Name = rail.Name
-	s.log(rail.Index).Attached = true
-}
-
-// OnComplete records one finished transaction.
-func (s *adaptiveStrategy) OnComplete(c Completion) {
-	l := s.log(c.Rail)
-	if c.Entries == 0 {
-		l.Bodies++
-	} else {
-		l.Packets++
-		l.Entries += c.Entries
-	}
-	l.Bytes += int64(c.Bytes)
-	l.Busy += c.Duration
-}
-
-func (s *adaptiveStrategy) log(rail int) *railLog {
-	l := s.rails[rail]
-	if l == nil {
-		l = &railLog{}
-		s.rails[rail] = l
-	}
-	return l
-}
-
-// Snapshot copies the per-rail feedback log (diagnostics and tests).
-func (s *adaptiveStrategy) Snapshot() map[int]railLog {
-	out := make(map[int]railLog, len(s.rails))
-	for i, l := range s.rails {
-		out[i] = *l
-	}
-	return out
 }

@@ -8,13 +8,13 @@
 //	nmad-bench -fig 2a            # one figure, aligned table on stdout
 //	nmad-bench -fig all           # everything (scale-nodes alone takes minutes)
 //	nmad-bench -fig 4a -format csv
-//	nmad-bench -fig incast,5.1 -json  # machine-readable
+//	nmad-bench -fig incast,5.1 -format json  # machine-readable
 //
 // Every report is stamped with the strategy and engine options each
 // MAD-MPI series ran with; the lossy figures additionally stamp the
-// fault-injection seed and profile into each series. With -json and more
-// than one figure the output is a single JSON array; one figure's -json
-// output is byte-for-byte its committed golden
+// fault-injection seed and profile into each series. With -format json
+// and more than one figure the output is a single JSON array; one
+// figure's JSON output is byte-for-byte its committed golden
 // (internal/bench/testdata/figures/<id>.json).
 package main
 
@@ -29,12 +29,11 @@ import (
 
 func main() {
 	fig := flag.String("fig", "", "figure id(s, comma-separated) to regenerate, or 'all'")
-	format := flag.String("format", "table", "human-readable output format: table or csv")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON results instead")
+	format := flag.String("format", "table", "output format: table, csv or json")
 	list := flag.Bool("list", false, "list figure ids with descriptions and exit")
 	flag.Parse()
-	if *format != "table" && *format != "csv" {
-		fmt.Fprintf(os.Stderr, "nmad-bench: unknown format %q (table or csv; -json for JSON)\n", *format)
+	if *format != "table" && *format != "csv" && *format != "json" {
+		fmt.Fprintf(os.Stderr, "nmad-bench: unknown format %q (table, csv or json)\n", *format)
 		os.Exit(2)
 	}
 
@@ -67,21 +66,21 @@ func main() {
 			fmt.Fprintf(os.Stderr, "nmad-bench: %v\n", err)
 			os.Exit(1)
 		}
-		switch {
-		case *jsonOut:
+		switch *format {
+		case "json":
 			js, err := bench.FormatJSON(result)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "nmad-bench: %v\n", err)
 				os.Exit(1)
 			}
 			jsons = append(jsons, js)
-		case *format == "csv":
+		case "csv":
 			fmt.Printf("# figure %s: %s\n%s\n", result.ID, result.Title, bench.FormatCSV(result))
 		default:
 			fmt.Println(bench.FormatTable(result))
 		}
 	}
-	if *jsonOut {
+	if *format == "json" {
 		// One figure prints bare; several print as a JSON array so the
 		// output stays a single valid document.
 		if len(jsons) == 1 {

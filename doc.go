@@ -92,8 +92,8 @@
 //   - internal/drivers: the transfer layer — one minimal driver per
 //     network, with capability reports.
 //   - sched: the public scheduling SPI — Strategy, the Window/Wrapper
-//     views, Election, RailInfo, lifecycle hooks, the Chain combinator,
-//     the strategy registry and the five built-in strategies.
+//     views, Election, RailInfo, lifecycle hooks, the strategy registry
+//     and the five built-in strategies.
 //   - internal/core: the engine — collect layer, optimization window,
 //     election validation against the SPI, rendezvous protocol,
 //     resequencing receive path, the unified Request layer and the

@@ -31,8 +31,8 @@ const slowFigure = "scale-nodes"
 
 func goldenPath(id string) string { return filepath.Join(goldenDir, id+".json") }
 
-// A golden is what `nmad-bench -json -fig <id>` prints: FormatJSON plus
-// the final newline.
+// A golden is what `nmad-bench -format json -fig <id>` prints: FormatJSON
+// plus the final newline.
 func TestFiguresGolden(t *testing.T) {
 	registered := map[string]bool{}
 	for _, info := range Figures() {

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"unsafe"
 
 	"nmad/internal/sim"
 	"nmad/internal/simnet"
+	"nmad/sched"
 )
 
 // Allocation regression pins for the engine hot paths. The free-list
@@ -279,5 +281,30 @@ func TestAllocsRendezvousPath(t *testing.T) {
 	const ceiling = 2.6 // measured 2.00
 	if got > ceiling {
 		t.Errorf("rendezvous path allocates %.2f per message, ceiling %.1f — a per-message allocation is back in the rendezvous state", got, ceiling)
+	}
+}
+
+// TestPlanBodyOverLiveRails: a body plan is offered the live rails only,
+// surveyed into the engine's scratch. With rail 0 of two failed, "split"
+// has nothing to split over and the plan streams the whole body on rail
+// 1; neither that plan nor a healthy two-rail one makes a heap object.
+func TestPlanBodyOverLiveRails(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Strategy = "split"
+	_, e0, _ := allocEngines(opts, simnet.MX10G(), simnet.QsNetII())
+	const size = 4 << 20
+	if plan := e0.planBody(size); len(plan) != 2 {
+		t.Fatalf("healthy plan %v, want a share on each rail", plan)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { e0.planBody(size) }); allocs != 0 {
+		t.Errorf("healthy body plan: %.1f allocations, want 0", allocs)
+	}
+	e0.rails[0].failed = true
+	want := []sched.BodyShare{{Rail: 1, Offset: 0, Size: size}}
+	if plan := e0.planBody(size); !slices.Equal(plan, want) {
+		t.Fatalf("plan with rail 0 failed: %v, want %v", plan, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { e0.planBody(size) }); allocs != 0 {
+		t.Errorf("body plan with rail 0 failed: %.1f allocations, want 0", allocs)
 	}
 }

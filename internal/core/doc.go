@@ -53,12 +53,13 @@
 // State lives on the thing it describes. One rail record (engine.go) holds
 // everything the engine keeps per attached driver — the claim counter and
 // overhead window of the outputs being fed to it, the pre-staged output,
-// the bandwidth sampler, the pinned backlog, the bytes carried and the
-// link layer's failed / retransmits / probing state — and Engine.rails is
-// the only slice Attach grows: sched.RailInfo is a projection of the
-// record, Stats.PerDriverBytes a snapshot of it. One output (packet.go)
-// records its gate, its rail and its totals when it is elected, so every
-// later step — account, feed, send, linkSend, transmit and the NIC
+// the bandwidth sampler, the bytes carried and the link layer's failed /
+// probing state — and Engine.rails is the only slice Attach grows:
+// sched.RailInfo is a projection of the record (the driver's capability
+// report plus the sampler's estimate), Stats.PerDriverBytes a snapshot of
+// it. One output (packet.go) records its gate, its rail and its totals
+// when it is elected, so every later step — account, feed, send,
+// linkSend, transmit and the NIC
 // completion — takes the output alone, and the two events of its life are
 // method values bound once per recycled output. Per-gate state that is
 // indexed by rail (the pinned window lists and the SPI views) grows with

@@ -64,10 +64,6 @@ type Engine struct {
 	// holding everything the engine keeps per rail, and the only engine
 	// state Attach grows.
 	rails []*rail
-	// pendingCommon and each rail's pinned count track the engine-wide
-	// window population incrementally, so RailInfo.Backlog is O(1) on the
-	// NIC-idle hot path instead of a sweep over every gate.
-	pendingCommon int
 
 	gates     map[simnet.NodeID]*Gate
 	gateOrder []*Gate // deterministic iteration
@@ -118,7 +114,7 @@ type Engine struct {
 	// encodeOutput) or a rendezvous body chunk's (see streamBody), dead
 	// once a frame or a wrapper has copied it.
 	encSegs [][]byte
-	// railScratch backs railInfos() so the per-body-plan rail survey
+	// railScratch backs liveRails() so the per-body-plan rail survey
 	// stops allocating (strategies must not retain the slice — the
 	// spileak analyzer enforces that). singlePlan backs the single-rail
 	// body plan, which streamBody copies before anything can plan again.
@@ -141,12 +137,10 @@ type rail struct {
 	freeAt  sim.Time
 	staged  *output     // pre-built packet (Options.Anticipate)
 	sampler railSampler // achieved-bandwidth estimator
-	pinned  int         // window wrappers pinned to this rail, over every gate
 	bytes   int64       // payload carried (Stats.PerDriverBytes)
-	// Link-layer reliability (Options.Reliability): failure flag,
-	// retransmission tally and probe-in-progress latch.
+	// Link-layer reliability (Options.Reliability): failure flag and
+	// probe-in-progress latch.
 	failed  bool
-	retrans int
 	probing bool
 }
 
@@ -223,7 +217,7 @@ func (e *Engine) Attach(drv drivers.Driver) error {
 		g.views = append(g.views, windowView{g: g, drv: r.idx})
 	}
 	if a, ok := e.strat.(sched.Attacher); ok {
-		a.OnAttach(e.railInfo(r))
+		a.OnAttach(railInfo(r))
 	}
 	return nil
 }
@@ -500,11 +494,6 @@ func (e *Engine) recordRecv(g *Gate, req *RecvRequest) {
 // submit inserts a wrapper into the window and kicks the scheduler.
 func (e *Engine) submit(pw *packet) {
 	pw.gate.win.push(pw)
-	if pw.driver == anyDriver {
-		e.pendingCommon++
-	} else {
-		e.rails[pw.driver].pinned++
-	}
 	if pw.kind == kindData && e.opts.Credits > 0 {
 		pw.gate.dataFIFO = append(pw.gate.dataFIFO, pw)
 	}
@@ -640,11 +629,6 @@ func (e *Engine) account(out *output) {
 	g := out.gate
 	g.win.take(out.entries)
 	for _, pw := range out.entries {
-		if pw.driver == anyDriver {
-			e.pendingCommon--
-		} else {
-			e.rails[pw.driver].pinned--
-		}
 		if pw.kind == kindData && e.opts.Credits > 0 {
 			g.dropData(pw)
 		}
@@ -705,7 +689,6 @@ func (e *Engine) unstage(r *rail) {
 			data = append(data, pw)
 		}
 	}
-	e.pendingCommon += len(out.entries)
 	g.win.common = append(append([]*packet(nil), out.entries...), g.win.common...)
 	g.dataFIFO, g.dataHead = append(data, g.dataWindow()...), 0
 	e.freeOutput(out)

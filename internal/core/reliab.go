@@ -213,7 +213,6 @@ func (e *Engine) linkResend(g *Gate, fr *linkFrame, r *rail) {
 	fr.rail = r
 	size := len(fr.frame.Bytes())
 	e.stats.Retransmits++
-	r.retrans++
 	e.stats.WireBytes += int64(size)
 	if e.opts.Tracer != nil { // the note is built for a tracer only
 		e.traceEvent(trace.Retransmit, g.peer, r.idx, 0, size, fr.attempts, fmt.Sprintf("frame %d", fr.seq))
@@ -387,8 +386,6 @@ func (e *Engine) railFail(r *rail, peer simnet.NodeID) {
 		for _, pw := range g.win.perDriver[r.idx] {
 			pw.driver = anyDriver
 			g.win.common = append(g.win.common, pw)
-			r.pinned--
-			e.pendingCommon++
 		}
 		g.win.perDriver[r.idx] = g.win.perDriver[r.idx][:0]
 		if alt == nil {

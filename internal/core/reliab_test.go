@@ -291,8 +291,8 @@ func TestRailFailKeepsStagedOutput(t *testing.T) {
 			if st.Submitted != st.EntriesSent {
 				t.Errorf("Submitted %d != EntriesSent %d: a handed-back wrapper was lost or booked twice", st.Submitted, st.EntriesSent)
 			}
-			if !e0.WindowEmpty() || e0.rails[0].pinned+e0.rails[1].pinned+e0.pendingCommon != 0 {
-				t.Errorf("window not drained: common %d, pinned %d/%d", e0.pendingCommon, e0.rails[0].pinned, e0.rails[1].pinned)
+			if !e0.WindowEmpty() {
+				t.Error("window not drained")
 			}
 			if credits > 0 && e0.Gate(1).Credits() != credits {
 				t.Errorf("credits ended at %d, want the full budget %d back", e0.Gate(1).Credits(), credits)

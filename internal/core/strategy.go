@@ -20,8 +20,6 @@ type windowView struct {
 	drv int
 }
 
-func (v *windowView) Peer() int { return int(v.g.peer) }
-
 func (v *windowView) Pending() int { return v.g.win.pending(v.drv) }
 
 func (v *windowView) Credits() int { return v.g.Credits() }
@@ -93,35 +91,35 @@ func wrapperView(pw *packet) sched.Wrapper {
 }
 
 // railInfo projects a rail record onto the RailInfo the SPI promises: the
-// nominal capability report, the sampled functional bandwidth and the
-// current backlog. The backlog comes from the engine's incremental
-// counters: railInfo runs on the NIC-idle hot path, once per gate per
-// pump sweep.
-func (e *Engine) railInfo(r *rail) sched.RailInfo {
+// nominal capability report and the sampled functional bandwidth.
+func railInfo(r *rail) sched.RailInfo {
 	return sched.RailInfo{
-		Index:       r.idx,
-		Name:        r.drv.Name(),
-		Caps:        r.drv.Caps(),
-		Sampled:     r.sampler.estimate(),
-		Backlog:     r.pinned + e.pendingCommon,
-		Failed:      r.failed,
-		Retransmits: r.retrans,
+		Index:   r.idx,
+		Name:    r.drv.Name(),
+		Caps:    r.drv.Caps(),
+		Sampled: r.sampler.estimate(),
 	}
 }
 
-// railInfos reports every attached rail, in attach order. The slice is
-// engine-owned scratch, valid until the next call: strategies receive it
+// liveRails reports every attached rail the reliability layer has not
+// declared failed, in attach order: a mid-flow body plan re-elects the
+// survivors, and RailInfo.Index keeps the attach-order value, so shares
+// still address the right driver. The last live rail never fails, so the
+// survey is never empty. The slice is engine-owned scratch, sized to the
+// rail count once and valid until the next call: strategies receive it
 // for the duration of one PlanBody and must not retain it (the spileak
 // analyzer enforces exactly that contract).
-func (e *Engine) railInfos() []sched.RailInfo {
+func (e *Engine) liveRails() []sched.RailInfo {
 	if cap(e.railScratch) < len(e.rails) {
-		e.railScratch = make([]sched.RailInfo, len(e.rails))
+		e.railScratch = make([]sched.RailInfo, 0, len(e.rails))
 	}
-	out := e.railScratch[:len(e.rails)]
-	for i, r := range e.rails {
-		out[i] = e.railInfo(r)
+	live := e.railScratch[:0]
+	for _, r := range e.rails {
+		if !r.failed {
+			live = append(live, railInfo(r))
+		}
 	}
-	return out
+	return live
 }
 
 // electOutput runs the strategy for one (gate, rail) pair and converts
@@ -131,7 +129,7 @@ func (e *Engine) railInfos() []sched.RailInfo {
 // Invalid picks are dropped and their wrappers stay in the window — no
 // strategy can lose or duplicate application data.
 func (e *Engine) electOutput(g *Gate, r *rail) *output {
-	info := e.railInfo(r)
+	info := railInfo(r)
 	el := e.strat.Elect(&g.views[r.idx], info)
 	if el.Empty() {
 		return nil
@@ -179,33 +177,14 @@ func (e *Engine) electOutput(g *Gate, r *rail) *output {
 // the best single rail. The plan is storage of the strategy's or of the
 // engine's, valid until the next planBody: the caller copies it.
 func (e *Engine) planBody(size int) []sched.BodyShare {
-	rails := e.railInfos()
-	// Failed rails are withdrawn from the offer: a mid-flow body plan
-	// must re-elect the survivors. RailInfo.Index keeps the original
-	// attach-order value, so shares still address the right driver. With
-	// no failure (the common case) the survey is passed through as-is.
-	alive := rails
-	for _, r := range rails {
-		if r.Failed {
-			alive = rails[:0:0]
-			for _, r := range rails {
-				if !r.Failed {
-					alive = append(alive, r)
-				}
-			}
-			break
-		}
-	}
-	if len(alive) == 0 {
-		alive = rails // cannot happen (the last rail never fails), but never plan over nothing
-	}
-	if bp, ok := e.strat.(sched.BodyPlanner); ok && len(alive) > 1 {
-		if plan := bp.PlanBody(alive, size); e.validPlan(plan, size) {
+	rails := e.liveRails()
+	if bp, ok := e.strat.(sched.BodyPlanner); ok && len(rails) > 1 {
+		if plan := bp.PlanBody(rails, size); e.validPlan(plan, size) {
 			return plan
 		}
 	}
 	// sched.SingleRail, in the engine's own storage.
-	e.singlePlan[0] = sched.BodyShare{Rail: sched.BestRail(alive), Size: size}
+	e.singlePlan[0] = sched.BodyShare{Rail: sched.BestRail(rails), Size: size}
 	return e.singlePlan[:]
 }
 

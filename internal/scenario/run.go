@@ -114,14 +114,11 @@ func (rep *Report) Write(w io.Writer) {
 
 // runner holds the live state of one scenario run.
 type runner struct {
-	cfg    Config
-	world  *sim.World
-	fabric *simnet.Fabric
-	mpis   []*madmpi.MPI
-	phases []*phaseRun
-	// railCfg mirrors the live per-rail fault configuration, the base
-	// mid-run set_faults / rail_outage events build on.
-	railCfg   []simnet.RailFaults
+	cfg       Config
+	world     *sim.World
+	fabric    *simnet.Fabric
+	mpis      []*madmpi.MPI
+	phases    []*phaseRun
 	snapshots map[string]*snapshot
 	procErrs  []string
 	// queue is the multi-tenant job queue (nil unless the scenario
@@ -173,10 +170,6 @@ func Run(sc *Scenario, cfg Config) (*Report, error) {
 	r := &runner{
 		cfg: cfg, world: w, fabric: f,
 		snapshots: map[string]*snapshot{},
-		railCfg:   make([]simnet.RailFaults, len(c.Rails)),
-	}
-	if c.Faults != nil {
-		copy(r.railCfg, c.Faults.Rails)
 	}
 
 	if r.mpis, err = madmpi.InitAll(f, core.Options{NodeConfig: c.Engine, Record: cfg.Record}); err != nil {
@@ -335,7 +328,7 @@ var eventActions = map[string]eventAction{
 			v.probs(at, e.Drop, e.Dup, e.Reorder)
 		},
 		fire: func(r *runner, e EventSpec) {
-			cfg := r.railCfg[e.Rail]
+			cfg := r.railFaults(e.Rail)
 			cfg.DropProb, cfg.DupProb, cfg.ReorderProb = e.Drop, e.Dup, e.Reorder
 			r.updateRail(e.Rail, cfg)
 		},
@@ -348,7 +341,7 @@ var eventActions = map[string]eventAction{
 			}
 		},
 		fire: func(r *runner, e EventSpec) {
-			cfg := r.railCfg[e.Rail]
+			cfg := r.railFaults(e.Rail)
 			cfg.Outages = append(append([]simnet.Outage(nil), cfg.Outages...),
 				simnet.Outage{At: r.world.Now(), Duration: e.Duration})
 			r.updateRail(e.Rail, cfg)
@@ -396,15 +389,22 @@ var eventActions = map[string]eventAction{
 	},
 }
 
-// updateRail pushes a new rail fault configuration and keeps the mirror
-// in sync.
+// railFaults reads a rail's live fault configuration back from the
+// fabric, the base a mid-run set_faults / rail_outage event builds on.
+func (r *runner) railFaults(rail int) simnet.RailFaults {
+	if fp := r.fabric.Machine().Faults; fp != nil {
+		return fp.Rail(rail)
+	}
+	return simnet.RailFaults{}
+}
+
+// updateRail pushes a new rail fault configuration to the fabric.
 func (r *runner) updateRail(rail int, cfg simnet.RailFaults) {
 	if err := r.fabric.UpdateRailFaults(rail, cfg); err != nil {
 		// Validate bounds every event parameter before the run; an
 		// error here is a harness bug, not a scenario bug.
 		panic(fmt.Sprintf("scenario: UpdateRailFaults: %v", err))
 	}
-	r.railCfg[rail] = cfg
 }
 
 // ListDir loads every *.yaml scenario in a directory, in name order.

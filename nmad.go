@@ -39,8 +39,8 @@ type (
 	// Strategy is the public scheduling SPI (package sched): user code
 	// implements it to program the optimizer, and WithStrategy accepts
 	// values of it directly. The remaining SPI surface — Window,
-	// Wrapper, Election, RailInfo, the lifecycle hooks and the Chain
-	// combinator — lives in package nmad/sched.
+	// Wrapper, Election, RailInfo and the lifecycle hooks — lives in
+	// package nmad/sched.
 	Strategy = sched.Strategy
 	// RailInfo describes one rail to a strategy: nominal driver
 	// capabilities plus the sampled achieved bandwidth.
@@ -111,10 +111,9 @@ var (
 
 	// Strategy registry access. Strategies lists the registered names;
 	// RegisterStrategy adds a constructor, returning an error on a
-	// duplicate name; ChainStrategies composes fallback stacks.
+	// duplicate name.
 	Strategies       = sched.Names
 	RegisterStrategy = sched.Register
-	ChainStrategies  = sched.Chain
 	// NewTracer / NewRingTracer create scheduling-decision recorders.
 	NewTracer     = trace.NewRecorder
 	NewRingTracer = trace.NewRingRecorder

@@ -120,27 +120,6 @@ func WithRecording(rec *trace.Recording) EngineOption {
 	return func(c *engineConfig) { c.Record = rec }
 }
 
-// WithSubmitOverhead sets the host software cost charged per request
-// entering the collect layer.
-func WithSubmitOverhead(d Time) EngineOption {
-	return func(c *engineConfig) { c.SubmitOverhead = d }
-}
-
-// WithScheduleOverhead sets the host cost charged per output packet for
-// running the optimization function.
-func WithScheduleOverhead(d Time) EngineOption {
-	return func(c *engineConfig) { c.ScheduleOverhead = d }
-}
-
-// WithoutOverheads zeroes both software overheads (the idealized-engine
-// ablation).
-func WithoutOverheads() EngineOption {
-	return func(c *engineConfig) {
-		c.SubmitOverhead = 0
-		c.ScheduleOverhead = 0
-	}
-}
-
 // WithBodyChunk caps the size of one rendezvous body transaction; larger
 // bodies are pipelined in chunks of this size.
 func WithBodyChunk(bytes int) EngineOption {

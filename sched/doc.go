@@ -33,8 +33,8 @@
 //	})
 //	return el
 //
-// An election is read at once: the engine (and Chain) consumes it before
-// asking the same strategy value again and keeps nothing of it. A
+// An election is read at once: the engine consumes it before asking the
+// same strategy value again and keeps nothing of it. A
 // strategy may therefore own its Election — Reset it at the top of Elect,
 // return a pointer to it — and bind its Scan visitor once, as a method
 // value in its constructor; the built-ins do both and allocate nothing
@@ -62,9 +62,6 @@
 //     duration) after the NIC finishes each physical packet, as
 //     examples/customstrategy does. The achieved bandwidth needs no
 //     hook: RailInfo.Sampled carries it, and it is all "adaptive" reads.
-//
-// Chain composes strategies with first-non-empty-election-wins
-// semantics, for fallback stacks.
 //
 // # Registration
 //

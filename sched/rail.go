@@ -10,7 +10,8 @@ type Caps = drivers.Caps
 // RailInfo describes one rail to a strategy: the nominal capability
 // report of its driver combined with the functional characteristic the
 // engine samples at runtime. This is the paper's "nominal and functional
-// characteristics of the underlying network" in one value.
+// characteristics of the underlying network" in one value. A strategy is
+// only ever offered live rails.
 type RailInfo struct {
 	// Index is the rail's position in the engine's attach order (the
 	// value Gate send options pin with OnRail).
@@ -25,20 +26,6 @@ type RailInfo struct {
 	// each transaction (entry headers included), matching what the
 	// measured duration covers.
 	Sampled float64
-	// Backlog is the number of wrappers currently awaiting election
-	// that this rail could send, summed over every gate — the same
-	// backlog signal that drives the engine's flush scheduling mode,
-	// made visible so strategies can react to queue build-up.
-	Backlog int
-	// Failed reports that the engine's reliability layer declared this
-	// rail dead (a frame exhausted its retransmit budget on it). The
-	// engine never offers a failed rail for election or body planning;
-	// the flag lets strategies see why their rail set shrank.
-	Failed bool
-	// Retransmits is how many link-layer frame re-injections this rail
-	// has cost so far — a functional-characteristics loss signal
-	// strategies can weigh against the sampled bandwidth.
-	Retransmits int
 }
 
 // Bandwidth is the figure strategies should plan with: the sampled

@@ -8,11 +8,9 @@ import (
 // fakeWindow drives strategies without an engine: the SPI is testable in
 // isolation, which is half the point of having it.
 type fakeWindow struct {
-	peer int
-	ws   []Wrapper
+	ws []Wrapper
 }
 
-func (f fakeWindow) Peer() int    { return f.peer }
 func (f fakeWindow) Pending() int { return len(f.ws) }
 func (f fakeWindow) Credits() int { return -1 }
 
@@ -317,37 +315,6 @@ func TestSplitPlanProportional(t *testing.T) {
 	}
 }
 
-func TestChainFallback(t *testing.T) {
-	c := Chain("", newPrio(), newDefault())
-	if c.Name() != "prio+default" {
-		t.Errorf("derived name %q", c.Name())
-	}
-	rail := testRail(16, 32<<10, 1e9, 0)
-	bulk := mkw(100, 1, 0)
-	bulk.Tag = 7
-	el := c.Elect(fakeWindow{ws: []Wrapper{bulk}}, rail)
-	if got := tags(el); len(got) != 1 || got[0] != 7 {
-		t.Fatalf("chain elected %v", got)
-	}
-	if el := c.Elect(fakeWindow{}, rail); !el.Empty() {
-		t.Error("empty window must elect nothing")
-	}
-	// Body planning falls through to the first planner member; with none,
-	// single rail.
-	rails := []RailInfo{rail}
-	plan := c.(BodyPlanner).PlanBody(rails, 1<<20)
-	if len(plan) != 1 || plan[0].Size != 1<<20 {
-		t.Errorf("plannerless chain plan %v", plan)
-	}
-	c2 := Chain("x", newPrio(), newSplit())
-	fast, slow := testRail(16, 32<<10, 2e9, 0), testRail(16, 32<<10, 2e9, 0)
-	fast.Index, slow.Index = 0, 1
-	plan = c2.(BodyPlanner).PlanBody([]RailInfo{fast, slow}, 4<<20)
-	if len(plan) != 2 {
-		t.Errorf("chain must delegate to split's planner, got %v", plan)
-	}
-}
-
 func TestAccumulateZeroThresholdStillAggregates(t *testing.T) {
 	// RdvThreshold 0 is legal (an eager-only rail). It must mean "no byte
 	// budget", not "no budget at all": the buggy version rejected every
@@ -499,10 +466,7 @@ func deepWindow() Window {
 func TestElectAllocatesNothing(t *testing.T) {
 	rail := testRail(32, 32<<10, 1e9, 0)
 	win := deepWindow() // boxed once, outside the measurement
-	for _, s := range []Strategy{
-		newDefault(), newAggreg(), newSplit(), newPrio(), newAdaptive(),
-		Chain("", newPrio(), newAggreg()),
-	} {
+	for _, s := range []Strategy{newDefault(), newAggreg(), newSplit(), newPrio(), newAdaptive()} {
 		picked := 0
 		allocs := testing.AllocsPerRun(100, func() { picked += s.Elect(win, rail).Len() })
 		if allocs != 0 {

@@ -59,7 +59,8 @@ type BodyShare struct {
 }
 
 // Attacher is an optional lifecycle hook: OnAttach runs once per rail as
-// the engine binds it, before any traffic flows.
+// the engine binds it, before any traffic flows. No built-in implements
+// it; it stays because the election benchmark of benchmark/ calls it.
 type Attacher interface {
 	OnAttach(rail RailInfo)
 }
@@ -83,7 +84,7 @@ type Completion struct {
 
 // Completer is an optional lifecycle hook: OnComplete runs after the NIC
 // finishes each physical packet or rendezvous body chunk the strategy's
-// engine sent.
+// engine sent. examples/customstrategy closes its feedback loop with it.
 type Completer interface {
 	OnComplete(c Completion)
 }

@@ -21,9 +21,11 @@ func (f Flags) Has(mask Flags) bool { return f&mask != 0 }
 
 // Wrapper is the read-only descriptor of one packet wrapper in the
 // optimization window: the per-packet characteristics the paper's §3.2
-// hands to the optimization function.
+// hands to the optimization function (destination, flow tag, length,
+// sequence number, flags), kept whole even where no built-in reads one.
 type Wrapper struct {
-	// Dest is the destination node of the wrapper's gate.
+	// Dest is the destination node of the wrapper's gate, the same for
+	// every wrapper of one Window.
 	Dest int
 	// Tag is the logical flow the wrapper belongs to.
 	Tag uint64
@@ -53,19 +55,21 @@ func (w Wrapper) Urgent() bool { return w.Flags.Has(Priority | Control) }
 
 // Window is the per-rail view over one gate's optimization window: every
 // wrapper the rail could send (its pinned submissions plus the common
-// load-balanced list), in submission order.
+// load-balanced list), in submission order. The destination is each
+// wrapper's Dest.
 type Window interface {
-	// Peer is the destination node of every wrapper in this view.
-	Peer() int
 	// Pending is the number of wrappers in the window this rail could
 	// send, including data wrappers currently held back by flow control
-	// (the gate's raw backlog).
+	// (the gate's raw backlog) — the window size the paper's §3.2 lists
+	// among the optimization function's inputs.
 	Pending() int
 	// Credits is the flow-control view: how many more eager data
 	// wrappers the peer can accept right now (its remaining landing
 	// credits), or -1 when flow control is disabled. Data wrappers
 	// beyond the budget are already hidden from Scan; Credits lets a
-	// strategy modulate its decisions as backpressure builds.
+	// strategy modulate its decisions as backpressure builds. It is the
+	// one flow-control signal Scan does not show, and the engine answers
+	// it from the gate's credit count, keeping no state for it.
 	Credits() int
 	// Scan visits the electable wrappers in submission order until visit
 	// returns false. The view is stable for the duration of one Elect

@@ -323,17 +323,6 @@ func TestWithStrategyValueAndErrors(t *testing.T) {
 	if e.StrategyName() != "spi-test-fifo" {
 		t.Errorf("StrategyName = %q", e.StrategyName())
 	}
-	// A chain combinator value through the same path.
-	prio, err := sched.New("prio")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e, err = cl.Engine(1, nmad.WithStrategy(nmad.ChainStrategies("combo", fifoStrategy{}, prio))); err != nil {
-		t.Fatalf("WithStrategy(chain): %v", err)
-	}
-	if e.StrategyName() != "combo" {
-		t.Errorf("chain StrategyName = %q", e.StrategyName())
-	}
 	// Errors surface from construction, not panics.
 	if _, err := cl.Engine(0, nmad.WithStrategy(42)); err == nil {
 		t.Error("WithStrategy(42) must error")

@@ -25,7 +25,7 @@ type Rank struct {
 	unexpected map[simnet.NodeID][]*bMsg
 
 	rdvOut    map[uint32]*bRdvOut
-	rdvIn     map[bRdvKey]*bRecv
+	rdvIn     landings
 	nextRdvID uint32
 }
 
@@ -58,6 +58,18 @@ type bRdvOut struct {
 type bRdvKey struct {
 	src simnet.NodeID
 	id  uint32
+}
+
+// landings is the rank's granted rendezvous receives and, bound to its
+// NIC, where the NIC places their bodies when the sender's DMA read ends.
+type landings map[bRdvKey]*bRecv
+
+// Place copies the bytes at offset at of a rendezvous body into its
+// receive buffer, dropping what does not fit.
+func (l landings) Place(src simnet.NodeID, aux uint64, at int, b []byte) {
+	if req, ok := l[bRdvKey{src: src, id: uint32(aux)}]; ok && at < len(req.buf) {
+		copy(req.buf[at:], b)
+	}
 }
 
 // bSend is a send handle.
@@ -99,11 +111,12 @@ func NewRank(f *simnet.Fabric, netIdx int, node simnet.NodeID, opts Options) (*R
 		posted:     make(map[simnet.NodeID][]*bRecv),
 		unexpected: make(map[simnet.NodeID][]*bMsg),
 		rdvOut:     make(map[uint32]*bRdvOut),
-		rdvIn:      make(map[bRdvKey]*bRecv),
+		rdvIn:      make(landings),
 	}
 	if err := drv.Open(r.onRecv, nil); err != nil {
 		return nil, err
 	}
+	drv.OnPlace(r.rdvIn)
 	return r, nil
 }
 
@@ -275,7 +288,8 @@ func (r *Rank) consume(src simnet.NodeID, req *bRecv, m *bMsg) {
 	}
 }
 
-// onBody places a rendezvous body (single transaction in the baselines).
+// onBody completes the receive of a rendezvous body (single transaction
+// in the baselines), which the NIC has placed already (landings.Place).
 func (r *Rank) onBody(d simnet.Delivery) {
 	key := bRdvKey{src: d.Src, id: uint32(d.Aux)}
 	req, ok := r.rdvIn[key]
@@ -283,10 +297,9 @@ func (r *Rank) onBody(d simnet.Delivery) {
 		panic("baseline: body for unknown rendezvous")
 	}
 	delete(r.rdvIn, key)
-	n := copy(req.buf, d.Data)
-	req.n = n
+	req.n = min(d.Len, len(req.buf))
 	var err error
-	if len(d.Data) > len(req.buf) {
+	if d.Len > len(req.buf) {
 		err = errTruncated
 	}
 	req.finish(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 	"unsafe"
@@ -244,27 +245,33 @@ func TestAllocsRetransmitWithoutTracer(t *testing.T) {
 // node 1 under "split" over MX and Quadrics — the bulk-4MB-2rail shape:
 // the body plan, one RDMA chain per rail and the rendezvous state of both
 // sides, per message.
-func rendezvousWorkload(msgs int) {
+func rendezvousWorkload(msgs int) { rendezvousRun(msgs)() }
+
+// rendezvousRun builds rendezvousWorkload's engines and buffers and
+// returns what runs it.
+func rendezvousRun(msgs int) func() {
 	opts := DefaultOptions()
 	opts.Strategy = "split"
 	w, e0, e1 := allocEngines(opts, simnet.MX10G(), simnet.QsNetII())
 	data, buf := make([]byte, 4<<20), make([]byte, 4<<20)
-	w.Spawn("send", func(p *sim.Proc) {
-		for i := 0; i < msgs; i++ {
-			if err := e0.Gate(1).Send(p, 7, data); err != nil {
-				panic(err)
+	return func() {
+		w.Spawn("send", func(p *sim.Proc) {
+			for i := 0; i < msgs; i++ {
+				if err := e0.Gate(1).Send(p, 7, data); err != nil {
+					panic(err)
+				}
 			}
-		}
-	})
-	w.Spawn("recv", func(p *sim.Proc) {
-		for i := 0; i < msgs; i++ {
-			if _, err := e1.Gate(0).Recv(p, 7, buf); err != nil {
-				panic(err)
+		})
+		w.Spawn("recv", func(p *sim.Proc) {
+			for i := 0; i < msgs; i++ {
+				if _, err := e1.Gate(0).Recv(p, 7, buf); err != nil {
+					panic(err)
+				}
 			}
+		})
+		if err := w.Run(); err != nil {
+			panic(err)
 		}
-	})
-	if err := w.Run(); err != nil {
-		panic(err)
 	}
 }
 
@@ -281,6 +288,31 @@ func TestAllocsRendezvousPath(t *testing.T) {
 	const ceiling = 2.6 // measured 2.00
 	if got > ceiling {
 		t.Errorf("rendezvous path allocates %.2f per message, ceiling %.1f — a per-message allocation is back in the rendezvous state", got, ceiling)
+	}
+}
+
+// TestRendezvousDrawsNoFrame: a body byte is copied once, by the NIC from
+// the sender's memory into the receiver's when the chunk's DMA read ends,
+// so a 4 MB rendezvous draws no frame for its body — not even from a cold
+// fabric, whose frame list starts empty. Everything the engines, the NICs
+// and the rendezvous state allocate over a run from cold stays under
+// 64 KB per message; one body frame per chunk, recycled or not, reads
+// over 1 MB per message across four.
+func TestRendezvousDrawsNoFrame(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement")
+	}
+	rendezvousWorkload(1) // warm lazy runtime and package init paths
+	const msgs = 4
+	run := rendezvousRun(msgs)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	run()
+	runtime.ReadMemStats(&m1)
+	perMsg := (m1.TotalAlloc - m0.TotalAlloc) / msgs
+	t.Logf("rendezvous from a cold fabric: %d bytes allocated per 4 MB message", perMsg)
+	if perMsg >= 64<<10 {
+		t.Errorf("a 4 MB rendezvous allocates %d bytes per message from cold, want under 64 KB: a body frame is back", perMsg)
 	}
 }
 

@@ -74,14 +74,20 @@
 // (simnet.Frame) drawn from the fabric's list. sync.Pool is deliberately
 // not used — its GC-driven emptying would couple allocation behavior to
 // collector timing in packages that promise determinism. A byte is
-// copied once below the engine: a train or body chunk is flattened into
-// its frame when it is handed to the driver, the NIC delivers that frame,
-// the reliability layer retransmits that frame, and the receive path
-// scatters out of it. The ownership rules that make recycling safe are
-// documented in pool.go; the short form is that wrappers own their
-// iovec backing (isendIov copies the caller's segment headers), user
-// memory is read for the last time when the frame is filled, whoever
-// parks frame bytes holds a reference, and strategies cannot retain
+// copied once below the engine. An eager train is flattened into its
+// frame when it is handed to the driver, the NIC delivers that frame, the
+// reliability layer retransmits that frame, and the receive path scatters
+// out of it. An RDMA body chunk makes no frame: the NIC reads the
+// caller's iovec when the chunk's DMA read ends and places the bytes
+// straight into the landing buffer (the landings registry, rdv.go), before
+// the chunk's completion can hand the sender's memory back. Only bytes
+// that must outlive the send request are flattened first — a reissue's,
+// and under reliability each original chunk's retained frame. The
+// ownership rules that make recycling safe are documented in pool.go; the
+// short form is that wrappers own their iovec backing (isendIov copies
+// the caller's segment headers), user memory is read for the last time
+// when the frame is filled or the DMA read ends, whoever parks frame
+// bytes holds a reference, and strategies cannot retain
 // window views (the spileak analyzer enforces the SPI aliasing
 // contract). Three more objects live for one election, one NIC
 // transaction and one receive completion, and are owned rather than
@@ -90,9 +96,10 @@
 // electOutput reads it before anything can elect again and keeps only
 // the *packet behind each Ref. A transaction inside the NIC is a
 // simnet flight, drawn from the fabric's list at Submit — which copies
-// the driver's Tx and keeps nothing of it — and held by the events the
-// NIC scheduled for it: the sender-side completion and every delivery,
-// late duplicates included; the last to fire files it back. The deferred
+// the driver's Tx and keeps nothing of it but an RDMA gather list's
+// slice header — and held by the events the NIC scheduled for it: the
+// sender-side completion and every delivery, late duplicates included;
+// the last to fire files it back. The deferred
 // completion of an eager receive is a recvDone (pool.go), the engine's
 // from the match until the copy cost has elapsed, filed back as its
 // event fires. Each binds its callbacks once, so none of the three

@@ -72,7 +72,7 @@ type Engine struct {
 	creditGen uint64  // credit-window stamp generation (see scanEligible)
 
 	rdvSend   map[uint32]*rdvSend
-	rdvRecv   map[rdvKey]*rdvRecv
+	rdvRecv   landings
 	rdvWait   []pendingGrant // matched RTSes awaiting a grant slot (Options.MaxGrants)
 	nextRdvID uint32
 
@@ -197,7 +197,7 @@ func New(f *simnet.Fabric, node simnet.NodeID, opts Options) (*Engine, error) {
 		frames:   frames,
 		gates:    make(map[simnet.NodeID]*Gate),
 		rdvSend:  make(map[uint32]*rdvSend),
-		rdvRecv:  make(map[rdvKey]*rdvRecv),
+		rdvRecv:  make(landings),
 		syncAcks: make(map[uint32]*SendRequest),
 	}, nil
 }
@@ -211,6 +211,7 @@ func (e *Engine) Attach(drv drivers.Driver) error {
 	); err != nil {
 		return err
 	}
+	drv.OnPlace(e.rdvRecv)
 	e.rails = append(e.rails, r)
 	for _, g := range e.gateOrder {
 		g.win.perDriver = append(g.win.perDriver, nil)

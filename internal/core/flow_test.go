@@ -477,7 +477,7 @@ func TestProtocolAnomaliesCountedNotFatal(t *testing.T) {
 		arrive(e1, 0, header{kind: kindData, tag: 9, seq: 5, length: 1}, []byte{5})   // held (out of order)
 		arrive(e1, 0, header{kind: kindData, tag: 9, seq: 5, length: 1}, []byte{5})   // duplicate of a held entry
 		e1.onAck(g, 77)                                                               // unknown sync-send id
-		e1.onBody(0, 99, 0, []byte{1, 2, 3})                                          // unknown rendezvous
+		e1.onBody(0, 99, 0, 3, []byte{1, 2, 3})                                       // unknown rendezvous
 		e1.onDelivery(e1.rails[0], simnet.Delivery{Src: 0, Data: []byte{0xFF, 1, 2}}) // corrupt train
 		arrive(e1, 0, header{kind: entryKind(42)}, nil)                               // unknown kind
 	})

@@ -60,7 +60,10 @@ type rdvSend struct {
 	// frame of every RDMA chunk of the original stream until the
 	// receiver's kindDone retires the transaction: once the request has
 	// completed the caller may overwrite its buffer, so a reissue from
-	// then on reads the body out of these frames (see stable).
+	// then on reads the body out of these frames (see stable). That frame
+	// is the reliable path's second host copy of a body byte; without
+	// reliability an original chunk makes none, as the NIC reads the
+	// caller's memory directly (rdmaChain.send).
 	kept []keptChunk
 
 	// live marks the transaction as in Engine.rdvSend (not yet retired);
@@ -167,6 +170,30 @@ func (e *Engine) releaseRdvSend(rs *rdvSend) {
 type rdvKey struct {
 	src simnet.NodeID
 	id  uint32
+}
+
+// landings is the engine's live receiver-side transactions (see rdvRecv)
+// and, bound to every rail (Attach), the registry the NICs place RDMA
+// bodies through: the one copy a body byte makes, from the sender's memory
+// into the landing buffer, when the chunk's DMA read ends. What the bytes
+// count toward is settled when the chunk's delivery arrives (onBody).
+type landings map[rdvKey]*rdvRecv
+
+// Place writes the bytes at offset at of an RDMA body chunk into its
+// transaction's landing buffer. A transaction that has retired takes
+// nothing — a late reissue must not write into a buffer that is the
+// caller's again.
+func (l landings) Place(src simnet.NodeID, aux uint64, at int, b []byte) {
+	id, off := splitBodyAux(aux)
+	if rr, ok := l[rdvKey{src: src, id: id}]; ok {
+		rr.req.iov.copyAt(off+at, b)
+	}
+}
+
+// splitBodyAux reads the immediate data of an RDMA body chunk: the
+// rendezvous id, and the chunk's offset in the body (see rdmaChain.send).
+func splitBodyAux(aux uint64) (id uint32, off int) {
+	return uint32(aux >> 32), int(uint32(aux))
 }
 
 // rdvRecv is the receiver-side state of one rendezvous transaction.
@@ -578,6 +605,11 @@ type rdmaChain struct {
 	t0     sim.Time
 	size   int
 	sentFn func()
+	// segs is the chunk's gather list over the caller's iovec. An
+	// original-stream chunk travels as this very list, which the NIC reads
+	// when the chunk's DMA read ends, so it stays put until sent; its
+	// backing is kept across recycling.
+	segs [][]byte
 }
 
 // newChain starts a recycled chain on rail r at share i of the stream
@@ -600,17 +632,21 @@ func (c *rdmaChain) send() {
 	end := rs.plan[c.share].Offset + rs.plan[c.share].Size
 	n := rs.chunkLen(r.drv.Caps(), c.off, end)
 	// The gather shape the NIC charges is always that of the caller's
-	// iovec; the bytes are too, until the request has completed and the
-	// memory is the caller's again. The gather list is dead once the
-	// frame holds the bytes, so it is built in the encode scratch.
-	e.encSegs = rs.body.appendRange(e.encSegs[:0], c.off, n)
-	data := e.encSegs
-	nsegs := len(data)
-	if c.reissue && rs.done {
-		data = rs.stable(c.off, n)
-	}
-	fr := e.frames.New(data)
-	if e.opts.Reliability && !c.reissue {
+	// iovec. An original-stream chunk is read from there when its DMA
+	// read ends, before its completion can hand the memory back to the
+	// caller. Bytes that must outlive the request are flattened into a
+	// frame now instead: a reissue's, from the retained frames once the
+	// request has completed, and under Options.Reliability the original
+	// chunk's, whose frame is retained for those reissues.
+	c.segs = rs.body.appendRange(c.segs[:0], c.off, n)
+	var fr *simnet.Frame
+	switch {
+	case c.reissue && rs.done:
+		fr = e.frames.New(rs.stable(c.off, n))
+	case c.reissue:
+		fr = e.frames.New(c.segs)
+	case e.opts.Reliability:
+		fr = e.frames.New(c.segs)
 		fr.Retain()
 		rs.kept = append(rs.kept, keptChunk{off: c.off, fr: fr})
 	}
@@ -628,7 +664,13 @@ func (c *rdmaChain) send() {
 			}
 		}
 	}
-	if err := r.drv.SendFrame(rs.gate.peer, simnet.TxRdma, fr, nsegs, aux, c.sentFn); err != nil {
+	var err error
+	if fr != nil {
+		err = r.drv.SendFrame(rs.gate.peer, simnet.TxRdma, fr, len(c.segs), aux, c.sentFn)
+	} else {
+		err = r.drv.Send(rs.gate.peer, simnet.TxRdma, c.segs, aux, c.sentFn)
+	}
+	if err != nil {
 		panic("core: rendezvous body submit failed: " + err.Error())
 	}
 }
@@ -652,7 +694,8 @@ func (c *rdmaChain) sent() {
 	}
 	rs.chains--
 	if !e.opts.NoRecycle {
-		*c = rdmaChain{sentFn: c.sentFn}
+		clear(c.segs)
+		*c = rdmaChain{sentFn: c.sentFn, segs: c.segs[:0]}
 		e.freeChains.put(c)
 	}
 	e.releaseRdvSend(rs)
@@ -681,10 +724,12 @@ func (e *Engine) onRdvDone(g *Gate, id uint32) {
 	e.releaseRdvSend(rs)
 }
 
-// onBody places an arriving body fragment (zero-copy: no host copy is
-// charged; RDMA and GM-style rendezvous land directly in the registered
-// buffer).
-func (e *Engine) onBody(src simnet.NodeID, id uint32, offset int, data []byte) {
+// onBody accounts for an arrived body fragment of n bytes at offset: an
+// eager chunk's payload, which it copies into the landing buffer, or an
+// RDMA chunk's (data nil), which the NIC placed when the chunk's DMA read
+// ended (landings.Place). Either way no host copy is charged: the
+// registered buffer is written directly.
+func (e *Engine) onBody(src simnet.NodeID, id uint32, offset, n int, data []byte) {
 	key := rdvKey{src: src, id: id}
 	rr, ok := e.rdvRecv[key]
 	if !ok {
@@ -696,15 +741,15 @@ func (e *Engine) onBody(src simnet.NodeID, id uint32, offset int, data []byte) {
 	if e.opts.Reliability {
 		// Only newly covered bytes count: a re-streamed span overlaps
 		// what already landed and must not double-credit remaining.
-		rr.remaining -= rr.cover(offset, offset+len(data))
+		rr.remaining -= rr.cover(offset, offset+n)
 	} else {
-		rr.remaining -= len(data)
+		rr.remaining -= n
 	}
 	if rr.remaining < 0 {
 		e.protoErr(e.Gate(src), fmt.Sprintf("rendezvous %v over-delivered", key))
 		rr.remaining = 0
 	}
-	e.traceEvent(trace.RdvBody, src, -1, r.tag, len(data), 0, "")
+	e.traceEvent(trace.RdvBody, src, -1, r.tag, n, 0, "")
 	if rr.remaining == 0 {
 		delete(e.rdvRecv, key)
 		rr.live = false

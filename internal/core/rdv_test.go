@@ -146,3 +146,59 @@ func TestBodyReissueOnRecycledRecords(t *testing.T) {
 	t.Logf("%d bodies, %d reissues: %d/%d/%d records", bodies, st.BodyReissues,
 		len(e0.freeRdvSends), len(e0.freeChains), len(e1.freeRdvRecvs))
 }
+
+// TestLateReissueLeavesTheRepostedBuffer: under Options.Reliability a
+// sender keeps a rendezvous until the receiver's done entry arrives, and
+// streams the body again when a CTS asks for it before then. A reissue
+// that reaches a receiver which has already retired the transaction — and
+// handed the landing buffer back to a caller who reposted it at once —
+// must land nowhere: the NIC places RDMA bytes only into a live
+// transaction, and the stray chunks are counted as protocol errors.
+func TestLateReissueLeavesTheRepostedBuffer(t *testing.T) {
+	const size, small = 256 << 10, 16
+	opts := DefaultOptions()
+	opts.Reliability = true
+	w, e0, e1 := testWorld(t, opts)
+	body, next := make([]byte, size), make([]byte, small)
+	fillSeq(body, 1)
+	fillSeq(next, 2)
+	w.Spawn("send", func(p *sim.Proc) {
+		if err := e0.Gate(1).Send(p, 5, body); err != nil {
+			t.Errorf("rendezvous send: %v", err)
+		}
+		p.Sleep(2 * sim.Millisecond) // the reissue has streamed out by then
+		if err := e0.Gate(1).Send(p, 6, next); err != nil {
+			t.Errorf("small send: %v", err)
+		}
+	})
+	w.Spawn("recv", func(p *sim.Proc) {
+		buf := make([]byte, size)
+		if n, err := e1.Gate(0).Recv(p, 5, buf); err != nil || n != size || !bytes.Equal(buf, body) {
+			t.Fatalf("rendezvous recv: %d bytes, %v", n, err)
+		}
+		// The done entry is still on its way: ask the sender for the body
+		// again, as a body watch that fired just before the last chunk
+		// landed would have.
+		arrive(e0, 1, header{kind: kindCTS, tag: 5, length: size, aux: e0.nextRdvID}, nil)
+		// The buffer is the caller's: refill it and post it again at once.
+		for i := range buf {
+			buf[i] = 0xEE
+		}
+		if n, err := e1.Gate(0).Recv(p, 6, buf); err != nil || n != small {
+			t.Fatalf("small recv: %d bytes, %v", n, err)
+		}
+		if !bytes.Equal(buf[:small], next) {
+			t.Error("the reposted receive did not get its own message")
+		}
+		if !bytes.Equal(buf[small:], bytes.Repeat([]byte{0xEE}, size-small)) {
+			t.Error("a reissued chunk of the retired rendezvous wrote into the reposted buffer")
+		}
+	})
+	run(t, w)
+	if got := e0.Stats().BodyReissues; got != 1 {
+		t.Fatalf("BodyReissues = %d, want the one the CTS asked for", got)
+	}
+	if e1.Stats().ProtocolErrors == 0 {
+		t.Error("no stray body chunk reached the receiver: the reissue came too early to test anything")
+	}
+}

@@ -53,11 +53,11 @@ func (e *Engine) protoErr(g *Gate, note string) {
 // onDelivery is the engine's receive entry point, bound to every driver
 // at Attach time.
 func (e *Engine) onDelivery(r *rail, d simnet.Delivery) {
-	e.traceEvent(trace.Arrive, d.Src, r.idx, 0, len(d.Data), 0, d.Kind.String())
+	e.traceEvent(trace.Arrive, d.Src, r.idx, 0, d.Len, 0, d.Kind.String())
 	if d.Kind == simnet.TxRdma {
-		id := uint32(d.Aux >> 32)
-		off := int(uint32(d.Aux))
-		e.onBody(d.Src, id, off, d.Data)
+		// The NIC placed the bytes already (landings.Place).
+		id, off := splitBodyAux(d.Aux)
+		e.onBody(d.Src, id, off, d.Len, nil)
 		return
 	}
 	if e.opts.Reliability && e.linkOnDelivery(r, d) {
@@ -83,7 +83,7 @@ func (e *Engine) dispatch(src simnet.NodeID, h header, payload []byte, fr *simne
 	case kindCTS:
 		e.onCTS(g, h)
 	case kindChunk:
-		e.onBody(src, h.aux, int(uint32(h.seq)), payload)
+		e.onBody(src, h.aux, int(uint32(h.seq)), len(payload), payload)
 	case kindAck:
 		e.onAck(g, h.aux)
 	case kindCredit:

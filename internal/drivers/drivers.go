@@ -53,11 +53,17 @@ type Driver interface {
 	// until the receive handler returns unless the handler retains the
 	// delivery's Frame (see simnet.Delivery).
 	Open(onRecv func(simnet.Delivery), onIdle func()) error
+	// OnPlace binds where RDMA bytes arriving for this node land (see
+	// simnet.Placer): the NIC writes them there when the sender's DMA read
+	// ends. Close unbinds it.
+	OnPlace(p simnet.Placer)
 	// Close detaches the handlers. Traffic in flight still arrives.
 	Close() error
-	// Send posts one transaction. Segments are snapshotted before Send
-	// returns. onSent (optional) fires when the NIC is done with the
-	// transaction on the sending side.
+	// Send posts one transaction. An eager transaction's segments are
+	// snapshotted before Send returns; an RDMA transaction's are read when
+	// the NIC finishes and must stay unchanged until then (see simnet.Tx).
+	// onSent (optional) fires when the NIC is done with the transaction on
+	// the sending side.
 	Send(dst simnet.NodeID, kind simnet.TxKind, segs [][]byte, aux uint64, onSent func()) error
 	// SendFrame is Send for a caller that flattened the transaction
 	// itself: fr travels as it is, charged as the nsegs-segment gather it
@@ -181,12 +187,15 @@ func (b *base) Open(onRecv func(simnet.Delivery), onIdle func()) error {
 	return nil
 }
 
+func (b *base) OnPlace(p simnet.Placer) { b.nic.OnPlace(p) }
+
 func (b *base) Close() error {
 	if !b.open {
 		return errNotOpen
 	}
 	b.nic.OnRecv(func(simnet.Delivery) {}) // drain late arrivals silently
 	b.nic.OnIdle(nil)
+	b.nic.OnPlace(nil)
 	b.open = false
 	return nil
 }

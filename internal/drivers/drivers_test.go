@@ -301,3 +301,50 @@ func TestOnSentFiresPerSend(t *testing.T) {
 		t.Errorf("OnSent fired %d times, want 3", sent)
 	}
 }
+
+// landing is a Placer with one landing buffer, for immediate data 1.
+type landing []byte
+
+func (l landing) Place(_ simnet.NodeID, aux uint64, at int, b []byte) {
+	if aux == 1 {
+		copy(l[at:], b)
+	}
+}
+
+// TestRdmaLandsThroughOnPlace: RDMA bytes reach the buffer bound with
+// OnPlace — through SISCI's software gather too, which bounces a
+// two-segment list into one frame — and the delivery carries the length.
+// Once the port is closed nothing lands any more.
+func TestRdmaLandsThroughOnPlace(t *testing.T) {
+	w, d0, d1 := pair(t, simnet.SISCI())
+	buf := make(landing, 4)
+	d1.OnPlace(buf)
+	var lens []int
+	if err := d1.Open(func(d simnet.Delivery) { lens = append(lens, d.Len) }, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := d0.Open(func(simnet.Delivery) {}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := d0.Send(1, simnet.TxRdma, [][]byte{[]byte("ab"), []byte("cd")}, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if string(buf) != "abcd" || len(lens) != 1 || lens[0] != 4 {
+		t.Fatalf("landed %q with deliveries of %v bytes, want \"abcd\" and [4]", buf, lens)
+	}
+	if err := d1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d0.Send(1, simnet.TxRdma, [][]byte{[]byte("wxyz")}, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if string(buf) != "abcd" {
+		t.Errorf("a closed port still placed: buffer %q", buf)
+	}
+}

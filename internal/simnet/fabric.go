@@ -113,7 +113,7 @@ func (f *Fabric) AddNetwork(prof Profile) (*Network, error) {
 		wireFree: make(map[[2]NodeID]sim.Time),
 	}
 	for _, node := range f.nodes {
-		net.nics = append(net.nics, newNIC(f.world, node, net))
+		net.nics = append(net.nics, newNIC(node, net))
 	}
 	f.nets = append(f.nets, net)
 	return net, nil

@@ -2,14 +2,17 @@ package simnet
 
 import "math/bits"
 
-// Frame is the one representation of bytes in flight below the engine: a
-// contiguous, reference-counted buffer that is filled once — the single
-// host copy a byte sees between the sender's memory and the receiver's —
-// and is read-only from then on. Whoever needs the bytes to outlive the
-// call that showed them holds a reference: a queued transaction, each scheduled
-// delivery, and above the NIC a sender that may transmit the frame again
-// or a receiver that parked a slice of it. The last Release returns the
-// frame, header and bytes together, to the free list it was drawn from.
+// Frame is the one representation of bytes held in flight below the
+// engine: a contiguous, reference-counted buffer that is filled once and
+// is read-only from then on. Eager bytes are copied into one — the single
+// host copy they see between the sender's memory and the receiver's — and
+// so are RDMA bytes that must outlive the sender's buffer (a retained body
+// chunk, a software-gather bounce); an RDMA transaction otherwise makes no
+// frame at all (see TxRdma). Whoever needs the bytes to outlive the call
+// that showed them holds a reference: a queued transaction, each scheduled
+// eager delivery, and above the NIC a sender that may transmit the frame
+// again or a receiver that parked a slice of it. The last Release returns
+// the frame, header and bytes together, to the free list it was drawn from.
 type Frame struct {
 	buf  []byte
 	refs int

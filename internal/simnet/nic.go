@@ -17,8 +17,10 @@ const (
 	TxEager TxKind = iota
 	// TxRdma is a DMA/RDMA transaction: setup is cheap, the payload
 	// streams from user memory at wire speed, and the NIC's DMA engine
-	// stays busy until the stream drains. Receivers get the payload
-	// without a host copy (zero-copy placement).
+	// stays busy until the stream drains. The bytes make one copy, from
+	// the sender's memory into the receiver's: when the DMA read ends the
+	// receiving NIC's Placer writes them where they belong, and the
+	// deliveries that follow carry only their length.
 	TxRdma
 )
 
@@ -34,15 +36,17 @@ func (k TxKind) String() string {
 }
 
 // Tx is one NIC transaction as its caller describes it: bytes bound for a
-// peer node, given either as a gather list for the NIC to snapshot or as
-// a frame already filled. Submit copies what it needs into a flight, the
-// one form inside the NIC, and keeps nothing of the Tx: a caller builds
-// it on its stack.
+// peer node, given either as a gather list or as a frame already filled.
+// Submit copies what it needs into a flight, the one form inside the NIC,
+// and keeps nothing of the Tx itself: a caller builds it on its stack.
 type Tx struct {
 	Dst  NodeID
 	Kind TxKind
-	// Segs is the gather list. The NIC snapshots the bytes at Submit time,
-	// so callers may reuse their buffers once Submit returns.
+	// Segs is the gather list. A TxEager transaction snapshots the bytes
+	// at Submit, so the caller may reuse its buffers once Submit returns.
+	// A TxRdma transaction keeps the list by reference and reads it when
+	// the NIC finishes, the instant its DMA read ends: keep the segments,
+	// and the bytes they show, unchanged until OnSent.
 	Segs [][]byte
 	// Frame, when non-nil, replaces Segs: the bytes were flattened once
 	// already and travel as they are. Submit takes over one reference —
@@ -63,17 +67,36 @@ type Tx struct {
 }
 
 // Delivery is an arrived transaction, handed to the receiving NIC's
-// handler RecvOverhead after wire arrival. Data is valid until the
-// handler returns: the NIC then drops the delivery's reference and the
-// frame may be refilled by later traffic. A handler that parks Data, or
-// any slice of it, retains Frame and releases it when the bytes have
-// been consumed.
+// handler RecvOverhead after wire arrival. Len is its size in bytes.
+//
+// A TxEager delivery carries the bytes: Data is valid until the handler
+// returns, as the NIC then drops the delivery's reference and the frame
+// may be refilled by later traffic. A handler that parks Data, or any
+// slice of it, retains Frame and releases it when the bytes have been
+// consumed.
+//
+// A TxRdma delivery carries no Data and no Frame: its bytes were written
+// into the receiver's memory by the NIC's Placer when the sender's DMA
+// read ended, before this delivery and before the sender's OnSent.
 type Delivery struct {
 	Src   NodeID
 	Kind  TxKind
 	Aux   uint64
-	Data  []byte // concatenated gather list: Frame.Bytes()
-	Frame *Frame
+	Len   int
+	Data  []byte // TxEager: the concatenated gather list, Frame.Bytes()
+	Frame *Frame // TxEager only
+}
+
+// Placer is what a receiving NIC writes TxRdma bytes through: the host's
+// registry of landing buffers. When a transaction's DMA read ends and the
+// fabric is to deliver it, the NIC calls Place once per source segment, at
+// its offset within the transaction, with src and aux as the sender gave
+// them; b is the sender's memory, readable only during the call. Place
+// copies b where (src, aux) says, or writes nothing when that names no
+// buffer it still holds. A dropped transaction is never placed, a
+// duplicated one once.
+type Placer interface {
+	Place(src NodeID, aux uint64, at int, b []byte)
 }
 
 // Errors returned by Submit.
@@ -100,21 +123,24 @@ type NICStats struct {
 // "the transfer layer ... requests from the upper layer a new optimized
 // packet to be sent, as soon as a card becomes idle").
 type NIC struct {
-	world *sim.World
-	node  *Node
-	net   *Network
+	node *Node
+	net  *Network
 
-	busy   bool
-	queue  []*flight // FIFO behind the transaction in progress; qhead is its front
-	qhead  int
-	onIdle func()
-	onRecv func(Delivery)
+	// busy marks a transaction in progress. The queued transactions are
+	// a FIFO of flights, qhead to qtail, linked through flight.next;
+	// queued counts them.
+	busy         bool
+	qhead, qtail *flight
+	queued       int
+	onIdle       func()
+	onRecv       func(Delivery)
+	place        Placer
 
 	stats NICStats
 }
 
-func newNIC(w *sim.World, node *Node, net *Network) *NIC {
-	return &NIC{world: w, node: node, net: net}
+func newNIC(node *Node, net *Network) *NIC {
+	return &NIC{node: node, net: net}
 }
 
 // Node returns the host this NIC is plugged into.
@@ -139,29 +165,41 @@ func (n *NIC) OnIdle(fn func()) { n.onIdle = fn }
 // a driver must be bound before traffic flows.
 func (n *NIC) OnRecv(fn func(Delivery)) { n.onRecv = fn }
 
+// OnPlace registers where TxRdma bytes arriving at this NIC land. With
+// none registered they land nowhere; the deliveries still arrive.
+func (n *NIC) OnPlace(p Placer) { n.place = p }
+
 // flight is one transaction inside the NIC: queued, in progress, or sent
-// and still owed to the receiver. It holds the transaction's reference to
-// its frame, which becomes the reference of the scheduled delivery —
-// dropped when the fabric loses the packet, doubled when it duplicates
-// it. Flights are recycled per fabric, as frames are, and their two
-// event callbacks are bound once, so a recycled flight schedules its
-// sender-side completion and its deliveries without allocating. pending
-// counts the scheduled events that have yet to read the flight — the
-// completion, and each delivery however late jitter or duplication
-// makes it — and the last of them to fire returns it to the list.
+// and still owed to the receiver. An eager flight holds the transaction's
+// reference to its frame, which becomes the reference of the scheduled
+// delivery — dropped when the fabric loses the packet, doubled when it
+// duplicates it. An RDMA flight holds its source — the caller's gather
+// list by reference, or its frame — until its DMA read ends, when sent
+// places the bytes and lets the source go; a dropped one lets it go at
+// once, and its deliveries carry the length alone.
+//
+// Flights are recycled per fabric, as frames are, and their one event
+// callback is bound once, so a recycled flight schedules its sender-side
+// completion and its deliveries without allocating. pending counts the
+// scheduled events that have yet to read the flight — the completion, and
+// each delivery however late jitter or duplication makes it — and the last
+// of them to fire returns it to the list. A flight fills its 96-byte size
+// class (TestFlightSizeClass): the small fields share two words.
 type flight struct {
-	nic    *NIC // the sending adapter
-	dst    NodeID
-	kind   TxKind
-	nsegs  int
-	aux    uint64
+	nic    *NIC     // the sending adapter
+	segs   [][]byte // a TxRdma gather list, read by sent; nil when frame holds the bytes
 	frame  *Frame
+	size   int
+	aux    uint64
 	onSent func()
+	next   *flight // the NIC's FIFO while queued, the fabric's free list while released
+	fireFn func()  // fl.fire, bound when fl is first made
 
-	pending int
-	next    *flight // free-list link while released
-
-	sentFn, deliverFn func() // fl.sent and fl.deliver, bound when fl is first made
+	dst     int32 // a NodeID
+	nsegs   int32
+	kind    TxKind
+	isSent  bool  // the sender-side completion has run
+	pending uint8 // at most three: the completion and two deliveries
 }
 
 // newFlight draws a zeroed flight from the fabric's free list.
@@ -169,7 +207,7 @@ func (f *Fabric) newFlight() *flight {
 	fl := f.flights
 	if fl == nil {
 		fl = new(flight)
-		fl.sentFn, fl.deliverFn = fl.sent, fl.deliver
+		fl.fireFn = fl.fire
 		return fl
 	}
 	f.flights, fl.next = fl.next, nil
@@ -179,13 +217,13 @@ func (f *Fabric) newFlight() *flight {
 // done retires one scheduled event of the flight; the last one clears it
 // and files it back.
 func (fl *flight) done() {
-	if fl.pending <= 0 {
+	if fl.pending == 0 {
 		panic("simnet: release of a released transaction")
 	}
 	fl.pending--
 	if fl.pending == 0 {
 		f := fl.nic.net.fabric
-		*fl = flight{next: f.flights, sentFn: fl.sentFn, deliverFn: fl.deliverFn}
+		*fl = flight{next: f.flights, fireFn: fl.fireFn}
 		f.flights = fl
 	}
 }
@@ -215,32 +253,44 @@ func (n *NIC) Submit(tx *Tx) error {
 		return fmt.Errorf("%w: %d bytes > MTU %d on %s", errOversized, size, p.MTU, p.Name)
 	}
 	fl := n.net.fabric.newFlight()
-	fl.nic, fl.dst, fl.kind, fl.nsegs, fl.aux, fl.onSent = n, tx.Dst, tx.Kind, nsegs, tx.Aux, tx.OnSent
-	if fl.frame = tx.Frame; fl.frame == nil {
-		// Snapshot now, not at transmission start: a queued transaction
-		// must not read the caller's buffers later (the documented Segs
-		// contract).
+	fl.nic, fl.dst, fl.kind, fl.nsegs, fl.size, fl.aux, fl.onSent = n, int32(tx.Dst), tx.Kind, int32(nsegs), size, tx.Aux, tx.OnSent
+	switch {
+	case tx.Frame != nil:
+		fl.frame = tx.Frame
+	case tx.Kind == TxRdma:
+		// The DMA read happens when the transaction ends (sent): keep the
+		// list, never the bytes.
+		fl.segs = tx.Segs
+	default:
+		// Snapshot now, not at transmission start: a queued eager
+		// transaction must not read the caller's buffers later (the
+		// documented Segs contract).
 		fl.frame = n.net.fabric.frames.New(tx.Segs)
 	}
-	if depth := len(n.queue) - n.qhead + 1; depth > n.stats.MaxQueue {
+	if depth := n.queued + 1; depth > n.stats.MaxQueue {
 		n.stats.MaxQueue = depth
 	}
-	if n.busy {
-		n.queue = append(n.queue, fl)
+	if !n.busy {
+		n.start(fl)
 		return nil
 	}
-	n.start(fl)
+	if n.qtail == nil {
+		n.qhead = fl
+	} else {
+		n.qtail.next = fl
+	}
+	n.qtail = fl
+	n.queued++
 	return nil
 }
 
-// next pops the queue head; the backing array is reused once it drains.
+// next pops the queue head.
 func (n *NIC) next() *flight {
-	fl := n.queue[n.qhead]
-	n.queue[n.qhead] = nil
-	n.qhead++
-	if n.qhead == len(n.queue) {
-		n.queue, n.qhead = n.queue[:0], 0
+	fl := n.qhead
+	if n.qhead, fl.next = fl.next, nil; n.qhead == nil {
+		n.qtail = nil
 	}
+	n.queued--
 	return fl
 }
 
@@ -250,9 +300,10 @@ func (n *NIC) start(fl *flight) {
 	n.busy = true
 
 	p := &n.net.prof
-	size := len(fl.frame.buf)
+	w := n.net.fabric.world
+	size, dst := fl.size, NodeID(fl.dst)
 
-	now := n.world.Now()
+	now := w.Now()
 	setup := p.SendOverhead + p.Gap + sim.Time(fl.nsegs)*p.PerSegment
 	var arrival, nicFree sim.Time
 	switch fl.kind {
@@ -261,12 +312,12 @@ func (n *NIC) start(fl *flight) {
 		// the wire drains concurrently; the packet cannot finish before
 		// either stage does. The NIC frees when the host copy lands.
 		nicDone := now + setup + sim.ByteTime(size, p.PIOBandwidth)
-		arrival = n.net.reserveWire(n.node.ID, fl.dst, size+p.HeaderBytes, now+setup, nicDone)
+		arrival = n.net.reserveWire(n.node.ID, dst, size+p.HeaderBytes, now+setup, nicDone)
 		nicFree = nicDone
 	case TxRdma:
 		// DMA setup is constant; the DMA engine then occupies the NIC at
 		// wire pace until the body has streamed out.
-		arrival = n.net.reserveWire(n.node.ID, fl.dst, size+p.HeaderBytes, now+setup, 0)
+		arrival = n.net.reserveWire(n.node.ID, dst, size+p.HeaderBytes, now+setup, 0)
 		nicFree = arrival - p.Latency // drain instant on the sender side
 	default:
 		panic("simnet: unknown TxKind " + fl.kind.String())
@@ -274,39 +325,64 @@ func (n *NIC) start(fl *flight) {
 
 	n.stats.TxPackets++
 	n.stats.TxBytes += int64(size)
-	n.stats.TxSegs += fl.nsegs
+	n.stats.TxSegs += int(fl.nsegs)
 
+	// The completion is the flight's first event to fire (fire): the NIC
+	// frees no later than the packet arrives, and it is scheduled first.
 	fl.pending = 1
-	n.world.At(nicFree, fl.sentFn)
+	w.At(nicFree, fl.fireFn)
 
 	// Receiver-side delivery, through the fault injector when one is
 	// installed: a drop schedules nothing (the wire time was already
 	// paid above), reorder jitter delays this delivery only, and a
-	// duplicate schedules a second delivery of the same bits.
+	// duplicate schedules a second delivery of the same bits. An eager
+	// flight's frame reference goes with its deliveries; an RDMA flight
+	// keeps its source until sent, which places the bytes once however
+	// many deliveries follow.
+	v := verdict{deliver: true}
 	if fs := n.net.faults; fs != nil {
-		v := fs.decide(arrival, p.Latency)
-		if !v.deliver {
+		v = fs.decide(arrival, p.Latency)
+	}
+	if !v.deliver {
+		if fl.frame != nil {
 			fl.frame.Release()
-			return
+			fl.frame = nil
 		}
-		fl.deliverAt(arrival + v.jitter + p.RecvOverhead)
-		if v.duplicate {
-			fl.frame.Retain()
-			fl.deliverAt(arrival + v.jitter + v.dupDelay + p.RecvOverhead)
-		}
+		fl.segs = nil // nothing for sent to place
 		return
 	}
-	fl.deliverAt(arrival + p.RecvOverhead)
+	fl.deliverAt(arrival + v.jitter + p.RecvOverhead)
+	if v.duplicate {
+		if fl.kind == TxEager {
+			fl.frame.Retain()
+		}
+		fl.deliverAt(arrival + v.jitter + v.dupDelay + p.RecvOverhead)
+	}
 }
 
-// sent is the sender-side completion: free the NIC, then refill.
+// fire is the flight's one event callback: the sender-side completion the
+// first time, a delivery every time after.
+func (fl *flight) fire() {
+	if fl.isSent {
+		fl.deliver()
+		return
+	}
+	fl.isSent = true
+	fl.sent()
+}
+
+// sent is the sender-side completion: end an RDMA flight's DMA read, free
+// the NIC, then refill.
 func (fl *flight) sent() {
 	n, onSent := fl.nic, fl.onSent
+	if fl.kind == TxRdma {
+		fl.dmaRead()
+	}
 	fl.done()
 	if onSent != nil {
 		onSent()
 	}
-	if n.qhead < len(n.queue) {
+	if n.qhead != nil {
 		n.start(n.next())
 		return
 	}
@@ -316,24 +392,52 @@ func (fl *flight) sent() {
 	}
 }
 
+// dmaRead ends an RDMA flight's DMA read: the bytes go straight into the
+// receiver's memory, once, and the flight lets go of its source. A flight
+// the fabric dropped has none left (start).
+func (fl *flight) dmaRead() {
+	if pl := fl.nic.net.nics[fl.dst].place; pl != nil {
+		src := fl.nic.node.ID
+		if fl.frame != nil {
+			pl.Place(src, fl.aux, 0, fl.frame.buf)
+		}
+		at := 0
+		for _, s := range fl.segs {
+			pl.Place(src, fl.aux, at, s)
+			at += len(s)
+		}
+	}
+	if fl.frame != nil {
+		fl.frame.Release()
+		fl.frame = nil
+	}
+	fl.segs = nil
+}
+
 // deliverAt schedules one delivery of the flight.
 func (fl *flight) deliverAt(t sim.Time) {
 	fl.pending++
-	fl.nic.world.At(t, fl.deliverFn)
+	fl.nic.net.fabric.world.At(t, fl.fireFn)
 }
 
 // deliver hands one arrived transaction to the peer's receive handler
-// and then drops the delivery's reference to the frame. The flight is
-// retired first: a handler that answers at once reuses it.
+// and then drops an eager delivery's reference to the frame; an RDMA
+// flight let go of its frame in sent. The flight is retired first: a
+// handler that answers at once reuses it.
 func (fl *flight) deliver() {
 	n, fr := fl.nic.net.nics[fl.dst], fl.frame
-	d := Delivery{Src: fl.nic.node.ID, Kind: fl.kind, Aux: fl.aux, Data: fr.buf, Frame: fr}
+	d := Delivery{Src: fl.nic.node.ID, Kind: fl.kind, Aux: fl.aux, Len: fl.size}
+	if fr != nil {
+		d.Data, d.Frame = fr.buf, fr
+	}
 	fl.done()
 	n.stats.RxPackets++
-	n.stats.RxBytes += int64(len(fr.buf))
+	n.stats.RxBytes += int64(d.Len)
 	if n.onRecv == nil {
 		panic(fmt.Sprintf("simnet: delivery on %s node %d with no receive handler", n.net.prof.Name, n.node.ID))
 	}
 	n.onRecv(d)
-	fr.Release()
+	if fr != nil {
+		fr.Release()
+	}
 }

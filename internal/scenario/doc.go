@@ -11,8 +11,11 @@
 // example; TestReadmeNamesTheSchema fails when it misses one. What no
 // listing says:
 //
-// Every payload carries a deterministic fill pattern that the receiver
-// verifies; corruption is counted and surfaced through the `integrity`
+// Every payload carries a deterministic fill pattern, a byte ramp that
+// starts at a byte c fixed by its phase, sender and message. The
+// receiver checks that the receive completed at full length and that
+// every 256-byte chunk is memequal to the ramp's window at c;
+// corruption is counted and surfaced through the `integrity`
 // assertion. Phases are declared in strictly increasing start order but
 // may overlap in flight — that is how bursty multi-phase scenarios are
 // built.

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"fmt"
 
 	"nmad/internal/madmpi"
@@ -9,15 +10,18 @@ import (
 
 // The phase workloads. Every phase is a set of cooperating processes
 // spawned on its participant ranks at the phase's start instant; a
-// phase completes when the last of them finishes. All payloads carry a
-// deterministic fill pattern derived from (phase, sender, message,
-// offset) and every receiver verifies it — payload corruption is
-// counted, not fatal, and surfaces through the `integrity` assertion.
-// A sender that posts many messages at once (ring, incast, composite)
-// fills one read-only pattern and sends windows onto it: the pattern
-// repeats every 256 bytes, so message m is the slice of it that starts
-// at byte 7m mod 256. The windows overlap; the engine only reads them, and
-// a write into one would break the payloads verified downstream.
+// phase completes when the last of them finishes. Every payload is a
+// byte ramp: byte i of message m from sender s in phase ph is
+// byte(c + i), with c = byte(ph*53 + s*31 + m*7). Every receiver checks
+// it, one 256-byte chunk at a time against a window of one package-level
+// ramp (a memequal per chunk), and checks that the receive completed at
+// full length — payload corruption is counted, not fatal, and surfaces
+// through the `integrity` assertion. A sender that posts many messages
+// at once (ring, incast, composite) fills one read-only pattern and
+// sends windows onto it: the pattern repeats every 256 bytes, so message
+// m is the slice of it that starts at byte 7m mod 256. The windows
+// overlap; the engine only reads them, and a write into one would break
+// the payloads verified downstream.
 //
 // Tag discipline: phase i owns the user-tag window [i*tagStride,
 // (i+1)*tagStride), so overlapping phases never steal each other's
@@ -51,11 +55,29 @@ func (pr *phaseRun) finishOne(now sim.Time) {
 	}
 }
 
+// ramp holds two periods of the byte ramp, ramp[j] == byte(j), so that
+// every 256-byte window of a payload is one slice of it.
+var ramp = func() (r [511]byte) {
+	for j := range r {
+		r[j] = byte(j)
+	}
+	return r
+}()
+
+// rampAt returns the 256 bytes that every chunk of message m from sender
+// s in phase ph starts with: its byte i is byte(c + i), where c is the
+// message's first byte.
+func rampAt(ph, s, m int) []byte {
+	c := byte(ph*53 + s*31 + m*7)
+	return ramp[c : int(c)+256]
+}
+
 // fill writes the deterministic pattern of message m from sender s in
-// phase ph.
+// phase ph: the byte ramp starting at c, one 256-byte window per chunk.
 func fill(buf []byte, ph, s, m int) {
-	for i := range buf {
-		buf[i] = byte(ph*53 + s*31 + m*7 + i)
+	w := rampAt(ph, s, m)
+	for len(buf) > 0 {
+		buf = buf[copy(buf, w):]
 	}
 }
 
@@ -76,14 +98,29 @@ func window(pat []byte, m, size int) []byte {
 	return pat[o : o+size : o+size]
 }
 
-// verify counts a corrupted payload (1 per bad message, not per byte).
+// verify counts a corrupted payload (1 per bad message, not per byte):
+// it compares buf with fill's bytes one 256-byte chunk at a time.
 func verify(buf []byte, ph, s, m int) int {
-	for i := range buf {
-		if buf[i] != byte(ph*53+s*31+m*7+i) {
+	w := rampAt(ph, s, m)
+	for len(buf) > 0 {
+		n := min(len(buf), len(w))
+		if !bytes.Equal(buf[:n], w[:n]) {
 			return 1
 		}
+		buf = buf[n:]
 	}
 	return 0
+}
+
+// received counts a received payload as corrupted when it is not all of
+// message m from sender s: n is the byte count the receive completed
+// with. Receive buffers serve message after message, so one that
+// completed short still holds the previous message's bytes past n.
+func received(buf []byte, n, ph, s, m int) int {
+	if n != len(buf) {
+		return 1
+	}
+	return verify(buf, ph, s, m)
 }
 
 // nodesOrAll defaults an empty participant list to the whole cluster.
@@ -174,10 +211,11 @@ func startPingPong(r *runner, pr *phaseRun) {
 			if err := c.Isend(q, buf, b, base).Wait(q); err != nil {
 				return bad, err
 			}
-			if err := c.Irecv(q, buf, b, base+1).Wait(q); err != nil {
+			st, err := c.Irecv(q, buf, b, base+1).WaitStatus(q)
+			if err != nil {
 				return bad, err
 			}
-			bad += verify(buf, p.index, b, it)
+			bad += received(buf, st.Count, p.index, b, it)
 		}
 		return bad, nil
 	})
@@ -185,10 +223,11 @@ func startPingPong(r *runner, pr *phaseRun) {
 		c := r.comm(b)
 		buf := make([]byte, size)
 		for it := 0; it < p.Count; it++ {
-			if err := c.Irecv(q, buf, a, base).Wait(q); err != nil {
+			st, err := c.Irecv(q, buf, a, base).WaitStatus(q)
+			if err != nil {
 				return bad, err
 			}
-			bad += verify(buf, p.index, a, it)
+			bad += received(buf, st.Count, p.index, a, it)
 			fill(buf, p.index, b, it)
 			if err := c.Isend(q, buf, a, base+1).Wait(q); err != nil {
 				return bad, err
@@ -224,7 +263,8 @@ func startRing(r *runner, pr *phaseRun) {
 					return bad, err
 				}
 				for m := 0; m < p.Msgs; m++ {
-					bad += verify(in[m], p.index, prevSlot, round*p.Msgs+m)
+					n := reqs[2*m+1].Status().Count
+					bad += received(in[m], n, p.index, prevSlot, round*p.Msgs+m)
 				}
 			}
 			return bad, nil
@@ -259,10 +299,11 @@ func startIncast(r *runner, pr *phaseRun) {
 			c := r.comm(p.Target)
 			buf := make([]byte, size)
 			for m := 0; m < p.Msgs; m++ {
-				if err := c.Irecv(q, buf, s, base+si).Wait(q); err != nil {
+				st, err := c.Irecv(q, buf, s, base+si).WaitStatus(q)
+				if err != nil {
 					return bad, err
 				}
-				bad += verify(buf, p.index, s, m)
+				bad += received(buf, st.Count, p.index, s, m)
 				if p.DrainGap > 0 && m+1 < p.Msgs {
 					q.Sleep(p.DrainGap)
 				}
@@ -307,8 +348,8 @@ func startComposite(r *runner, pr *phaseRun) {
 			return 0, err
 		}
 		for m := 0; m < p.Msgs; m++ {
-			bad += verify(bigs[m], p.index, a, 2*m)
-			bad += verify(ctls[m], p.index, a, 2*m+1)
+			bad += received(bigs[m], reqs[2*m].Status().Count, p.index, a, 2*m)
+			bad += received(ctls[m], reqs[2*m+1].Status().Count, p.index, a, 2*m+1)
 		}
 		return bad, nil
 	})

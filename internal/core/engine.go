@@ -345,10 +345,10 @@ type pendingPost struct {
 
 // post and afterCopy are chargeSubmit and chargeCopy for a caller in
 // scheduler context (Gate.PostSendv / PostRecvvMasked): the cost elapses
-// before the work runs instead of putting a process to sleep. They push
-// an event exactly when their twins would — a zero overhead charges
-// nothing and runs the work inline, while a copy cost that rounds to zero
-// still yields the instant, as Sleep(0) does.
+// before the work runs instead of putting a process to sleep. They take
+// an event number exactly when their twins would — a zero overhead
+// charges nothing and runs the work inline, while a copy cost that rounds
+// to zero still yields the instant, as Sleep(0) does.
 //
 // Every submit-overhead wait of an engine lasts SubmitOverhead, so the
 // waits end in the order they began: the posts queue in one FIFO and each

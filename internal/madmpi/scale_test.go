@@ -1,6 +1,7 @@
 package madmpi
 
 import (
+	"fmt"
 	"testing"
 
 	"nmad/internal/core"
@@ -8,29 +9,30 @@ import (
 	"nmad/internal/simnet"
 )
 
-// lossyJob spawns size ranks over an MX fabric with the given fault
-// profile and reliability-enabled engines, and runs body on each rank.
-func lossyJob(t *testing.T, size int, fp simnet.FaultProfile, body func(p *sim.Proc, m *MPI)) {
-	t.Helper()
+// reliableJob spawns size ranks over an MX fabric with the given fault
+// profile (the zero profile is lossless) and reliability-enabled engines,
+// and runs body on each rank.
+func reliableJob(tb testing.TB, size int, fp simnet.FaultProfile, body func(p *sim.Proc, m *MPI)) {
+	tb.Helper()
 	w := sim.NewWorld()
 	f := simnet.NewFabric(w, size, simnet.DefaultHost())
 	if _, err := f.AddNetwork(simnet.MX10G()); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := f.SetFaults(fp); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	opts := core.DefaultOptions()
 	opts.Reliability = true
 	for i := 0; i < size; i++ {
 		m, err := Init(f, simnet.NodeID(i), opts)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		w.Spawn("rank", func(p *sim.Proc) { body(p, m) })
 	}
 	if err := w.Run(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 }
 
@@ -46,7 +48,7 @@ func TestScaleBarrier1024Lossy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-node emulation skipped in -short mode")
 	}
-	lossyJob(t, 1024, onePercentDrop(7), func(p *sim.Proc, m *MPI) {
+	reliableJob(t, 1024, onePercentDrop(7), func(p *sim.Proc, m *MPI) {
 		for round := 0; round < 2; round++ {
 			if err := m.CommWorld().Barrier(p); err != nil {
 				t.Errorf("rank %d barrier round %d: %v", m.Rank(), round, err)
@@ -66,7 +68,7 @@ func TestScaleAllgather1024Lossy(t *testing.T) {
 	}
 	const size = 1024
 	const per = 8
-	lossyJob(t, size, onePercentDrop(13), func(p *sim.Proc, m *MPI) {
+	reliableJob(t, size, onePercentDrop(13), func(p *sim.Proc, m *MPI) {
 		rank := m.Rank()
 		me := make([]byte, per)
 		for i := range me {
@@ -88,4 +90,26 @@ func TestScaleAllgather1024Lossy(t *testing.T) {
 			}
 		}
 	})
+}
+
+// BenchmarkAllgatherRing is the host cost of one lossless allgather of
+// 64 B per rank (reliability on, one MX rail) across 256 and 512 ranks:
+// the collective executor's per-layer number. At that size the automatic
+// selection runs gather-bcast on 256 ranks and the ring on 512, where the
+// executor's rescans of every in-flight step dominate. Run it with
+// go test -run=NONE -bench AllgatherRing -benchtime 1x ./internal/madmpi
+func BenchmarkAllgatherRing(b *testing.B) {
+	const per = 64
+	for _, size := range []int{256, 512} {
+		b.Run(fmt.Sprintf("ranks=%d", size), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				reliableJob(b, size, simnet.FaultProfile{}, func(p *sim.Proc, m *MPI) {
+					all := make([]byte, size*per)
+					if err := m.CommWorld().Allgather(p, make([]byte, per), all); err != nil {
+						b.Errorf("rank %d allgather: %v", m.Rank(), err)
+					}
+				})
+			}
+		})
+	}
 }

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -242,6 +243,36 @@ assertions:
 	hit := runDoc(t, degraded, Config{})
 	if hit.Completion <= clean.Completion {
 		t.Errorf("degrade_rail had no effect: %v vs %v", hit.Completion, clean.Completion)
+	}
+}
+
+// TestHugeDrainGapWaitsToTheEndOfTime: the largest drain gap a document
+// can spell stalls the sink until the end of time. It used to wrap the
+// clock negative and fire at once: the run completed at 4.602 µs, before
+// the same incast with a 10 µs gap (13.483 µs).
+func TestHugeDrainGapWaitsToTheEndOfTime(t *testing.T) {
+	doc := func(gap string) string {
+		return `
+name: gap
+cluster:
+  nodes: 2
+phases:
+  - name: burst
+    kind: incast
+    at: 0us
+    target: 0
+    msgs: 2
+    size: 64
+    drain_gap: ` + gap + `
+assertions:
+  - type: integrity
+`
+	}
+	short := runDoc(t, doc("10us"), Config{})
+	huge := runDoc(t, doc("9223372036854774784ns"), Config{})
+	if short.Completion != 13483 || huge.Completion != math.MaxInt64 {
+		t.Errorf("completion with a 10 µs gap %v, with the largest gap %v; want 13.483µs and the end of time",
+			short.Completion, huge.Completion)
 	}
 }
 

@@ -2,14 +2,28 @@ package sim
 
 import "testing"
 
-// The kernel's three process costs, readable without the benchmark/
-// module: go test -run=NONE -bench . ./internal/sim
+// The kernel's process costs, readable without the benchmark/ module:
+// go test -run=NONE -bench . ./internal/sim
 
 // BenchmarkSwitch is one block-and-resume: a timer event, out of the
-// process, back in.
+// process, back in. Two processes take turns, so no Sleep returns in
+// place.
 func BenchmarkSwitch(b *testing.B) {
 	b.ReportAllocs()
 	yieldLoop(b, b.N)
+}
+
+// BenchmarkSleepInPlace is a Sleep whose wake-up is the next event: a
+// lone process, so the clock moves with no event queued and no switch.
+func BenchmarkSleepInPlace(b *testing.B) {
+	w := NewWorld()
+	b.ReportAllocs()
+	w.Spawn("lone", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(1)
+		}
+	})
+	mustRun(b, w)
 }
 
 // BenchmarkParkUnpark is one wake-up on state: the waker yields, unparks

@@ -70,6 +70,14 @@ func (q *eventQueue) nextAt(now Time) Time {
 	return q.heap[0].at
 }
 
+// firesNext reports whether an event pushed now for at would be the next
+// one popped: nothing is queued for the current instant and nothing in
+// the heap is due by at (a key at exactly at has a lower seq, so it fires
+// first).
+func (q *eventQueue) firesNext(at Time) bool {
+	return q.head == 0 && (len(q.heap) == 0 || q.heap[0].at > at)
+}
+
 // push queues fn to run at at: on the FIFO if at is not after now (an
 // earlier at is clamped to now), else in the heap, its key sifted up.
 func (q *eventQueue) push(now, at Time, seq uint64, fn func()) {

@@ -96,11 +96,21 @@ func (p *Proc) Now() Time { return p.w.now }
 // Sleep blocks the process for d of virtual time. Sleep(0) yields: every
 // event already scheduled for the current instant fires before the process
 // resumes.
+//
+// When the wake-up would be the next event to fire — nothing else is due
+// by then, no Stop is pending and no RunUntil horizon comes first — Sleep
+// returns in place: it takes the wake-up's event number and moves the
+// clock, with no event queued and no switch out of the process. The order
+// in which everything fires, and Events, are the same either way.
 func (p *Proc) Sleep(d Time) {
-	if d < 0 {
-		d = 0
+	w := p.w
+	at := w.after(max(d, 0))
+	if w.cur == p && !w.stopped && (!w.bounded || at <= w.limit) && w.queue.firesNext(at) {
+		w.seq++
+		w.now = at
+		return
 	}
-	p.w.After(d, p.runFn)
+	w.At(at, p.runFn)
 	p.block()
 }
 

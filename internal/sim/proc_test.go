@@ -25,14 +25,17 @@ func mustRun(tb testing.TB, w *World) {
 	}
 }
 
-// yieldLoop runs one process through n Sleep(0) switches.
+// yieldLoop runs two processes through n Sleep(0) switches between them:
+// each finds the other's wake-up already due, so none returns in place.
 func yieldLoop(tb testing.TB, n int) {
 	w := NewWorld()
-	w.Spawn("yielder", func(p *Proc) {
-		for i := 0; i < n; i++ {
-			p.Sleep(0)
-		}
-	})
+	for _, k := range []int{(n + 1) / 2, n / 2} {
+		w.Spawn("yielder", func(p *Proc) {
+			for i := 0; i < k; i++ {
+				p.Sleep(0)
+			}
+		})
+	}
 	mustRun(tb, w)
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -47,12 +48,22 @@ func (w *World) At(t Time, fn func()) {
 	w.queue.push(w.now, t, w.seq, fn)
 }
 
-// After schedules fn to run d from now. Negative d means now.
-func (w *World) After(d Time, fn func()) { w.At(w.now+d, fn) }
+// After schedules fn to run d from now. Negative d means now; a d that
+// would carry past the largest Time means the end of time.
+func (w *World) After(d Time, fn func()) { w.At(w.after(d), fn) }
+
+// after is the instant d from now, saturated at the end of time: now+d
+// past the largest Time would wrap negative and be clamped to now.
+func (w *World) after(d Time) Time {
+	if d > math.MaxInt64-w.now {
+		return math.MaxInt64
+	}
+	return w.now + d
+}
 
 // Events reports how many events have been scheduled so far: a count of
-// the work a run gave the scheduler (a wake-up is one) that is the same
-// on any machine.
+// the work a run gave the scheduler (a wake-up is one, including a Sleep
+// that returned in place) that is the same on any machine.
 func (w *World) Events() uint64 { return w.seq }
 
 // Stop makes Run return after the event currently firing.

@@ -179,7 +179,7 @@ func (e *UndrainedError) Error() string {
 // header carries the length in 32 bits.
 const maxOpBytes int64 = math.MaxUint32
 
-// checkOps validates every recorded op before anything is built — a
+// checkOps validates every recorded op before any engine is built — a
 // recording is outside input, and Recording.RecordOp checks nothing. It
 // returns each node's ops as indexes into ops, in recorded order, the
 // payload size of the largest op and the segment count of all of them.
@@ -222,13 +222,14 @@ func Run(rec *trace.Recording, cfg Config) (*Result, error) {
 	if cfg.DisableFaults {
 		m.Faults = nil
 	}
-	perNode, maxBytes, nSegs, err := checkOps(rec.Ops(), hdr.Nodes)
-	if err != nil {
-		return nil, err
-	}
+	// Build checks the node count checkOps sizes its per-node lists by.
 	f, err := m.Build()
 	if err != nil {
 		return nil, fmt.Errorf("replay: %w", err)
+	}
+	perNode, maxBytes, nSegs, err := checkOps(rec.Ops(), hdr.Nodes)
+	if err != nil {
+		return nil, err
 	}
 
 	tracers := make([]*trace.Recorder, hdr.Nodes)

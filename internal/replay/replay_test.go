@@ -317,6 +317,21 @@ func TestRunRejectsHostileOps(t *testing.T) {
 	}
 }
 
+// A header is outside input too: a node count below one is the machine's
+// error, not a panic sizing the per-node op lists from it.
+func TestRunRejectsNodelessRecording(t *testing.T) {
+	for _, nodes := range []int{0, -1} {
+		header := fmt.Sprintf(`{"format":"nmad-recording","version":1,"nodes":%d,"rails":[{"name":"MX"}],"host":{"memcpy_bw":1},"engines":{}}`, nodes)
+		rec, err := trace.ReadRecording(strings.NewReader(header))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(rec, Config{}); err == nil || !strings.Contains(err.Error(), "needs at least one node") {
+			t.Errorf("nodes %d: Run error = %v, want the machine's node-count error", nodes, err)
+		}
+	}
+}
+
 // goldenWithOps is a recording of the golden machine and personalities
 // carrying the given ops instead of the golden ones.
 func goldenWithOps(t *testing.T, ops ...trace.Op) *trace.Recording {

@@ -67,6 +67,34 @@ func BenchmarkEventSameInstant(b *testing.B) {
 	eventChain(b, 0, 0)
 }
 
+// BenchmarkEventFewInstants is the replayed ring's shape: 1 024 chains of
+// 14 events, so 14 336 are pending, each event rescheduling itself at one
+// of three shared offsets — thousands of events on each of a handful of
+// instants.
+func BenchmarkEventFewInstants(b *testing.B) {
+	w := NewWorld()
+	offsets := [...]Time{10, 20, 30}
+	left := b.N
+	for i := range 1024 * 14 {
+		hop := i
+		var next func()
+		next = func() {
+			if left--; left == 0 {
+				w.Stop()
+				return
+			}
+			hop++
+			w.After(offsets[hop%len(offsets)], next)
+		}
+		w.At(offsets[hop%len(offsets)], next)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := w.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // eventChain fires b.N events, each scheduling the next step later, with
 // depth other events waiting behind them.
 func eventChain(b *testing.B, depth int, step Time) {

@@ -3,25 +3,42 @@ package sim
 // eventQueue holds the pending callbacks of a World in (at, seq) order:
 // earliest instant first, and within one instant in scheduling order, which
 // keeps the simulation deterministic. Every submit overhead, NIC
-// completion, delivery, timer and process wake-up is one of its events; a
-// 1024-node ring replay pushes 134 144 of them with at most 14 336 pending
-// at once, 30 % of them for the current instant.
+// completion, delivery, timer and process wake-up is one of its events.
 //
-// It is two structures over one slab of callbacks:
+// Events are grouped by instant. A 1024-node ring replay pushes 134 144
+// events, 94 208 of them for a future instant with up to 14 336 pending at
+// once — but onto only 42 distinct instants, because its nodes run in
+// lockstep, and 81 % of future pushes are for the instant of the previous
+// one. A heap of one key per event held thousands of ties and sifted ~7
+// levels per pop to order them by seq, which is only push order; a heap
+// of one key per bucket of same-instant events makes 44 keys in that run.
 //
-//   - Future events (at > now) sit in a 4-ary min-heap of eventKeys. A key
-//     holds no pointer — its callback stays put in the slab — so the heap's
-//     backing array is memory the collector never scans, and a sift level
-//     moves 24 plain bytes with no write barrier. Sifts move a hole down
-//     (or up) and write the displaced key once, instead of swapping.
-//   - Events for the current instant skip the heap: they are appended to a
-//     FIFO threaded through the slab, which is seq order.
+// It is three structures over one slab of callbacks:
 //
-// The clock only advances by popping a heap key, and pop takes the FIFO
-// head unless the heap top is also at now, so time advances only once the
-// FIFO is empty. A heap key at now was pushed while the clock was still
-// earlier, so its seq is below every FIFO entry's: heap-first at now is
-// (at, seq) order.
+//   - A bucket is a FIFO of events due at one future instant, threaded
+//     through the slab by eventSlot.next; its first slot keeps its last
+//     in eventSlot.last.
+//   - Buckets sit in a 4-ary min-heap of eventKeys, keyed by their instant
+//     and the seq of their first event. A key holds no pointer — the
+//     callbacks stay put in the slab — so the heap's backing array is
+//     memory the collector never scans, and a sift level moves 24 plain
+//     bytes with no write barrier. Sifts move a hole down (or up) and
+//     write the displaced key once, instead of swapping.
+//   - Events for the current instant are on a FIFO through the slab.
+//
+// A future push appends to one of the last openBuckets buckets opened if
+// it is for the same instant — the newest is tried first — or opens a new
+// bucket, which evicts the oldest from that set. A bucket that has left
+// the set never takes another event, so when a second bucket opens for an
+// instant that already has one, every event of the first precedes every
+// event of the second, and (at, first seq) orders them. An entry of the
+// set whose bucket has already fired has at <= now, so a future push
+// (at > now) never matches it.
+//
+// The clock moves only when the current-instant FIFO is empty: pop then
+// takes the heap top's instant and splices every bucket due then onto the
+// FIFO, in heap order, which is seq order. No key at now is ever left in
+// the heap.
 //
 // Both slices grow by doubling from minQueueCap: a world that reaches
 // depth 16 384 allocates 18 slice backings, against 20 for the one
@@ -30,23 +47,38 @@ type eventQueue struct {
 	heap []eventKey
 	slab []eventSlot
 	// free and head/tail are lists through eventSlot.next: the unused
-	// slots, and the same-instant FIFO.
+	// slots, and the current-instant FIFO.
 	free       slotLink
 	head, tail slotLink
+	// open are the last buckets opened, open[newest] the latest.
+	open   [openBuckets]openBucket
+	newest uint
 }
 
-// eventKey is a future event's place in the heap.
+// openBuckets is how many recently opened buckets a future push tries
+// before opening another: 4 catches the ring's lockstep instants (44 keys
+// made, against 43 for 8).
+const openBuckets = 4
+
+// openBucket is a recently opened bucket: its instant and first slot.
+type openBucket struct {
+	at    Time
+	first slotLink
+}
+
+// eventKey is a bucket's place in the heap.
 type eventKey struct {
 	at   Time
-	seq  uint64
-	slot int32 // index of the callback in the slab
+	seq  uint64 // of the bucket's first event
+	slot int32  // index of the bucket's first slot in the slab
 }
 
-// eventSlot holds one pending callback. next links the slot into the FIFO
-// while it is queued there, and into the free list while it is unused.
+// eventSlot holds one pending callback. next links the slot into its
+// bucket or the FIFO while it is queued, and into the free list while it
+// is unused. last is the bucket's last slot, kept in its first.
 type eventSlot struct {
-	fn   func()
-	next slotLink
+	fn         func()
+	next, last slotLink
 }
 
 // slotLink is a slab index plus one, so 0 — the zero value — ends a list
@@ -72,14 +104,15 @@ func (q *eventQueue) nextAt(now Time) Time {
 
 // firesNext reports whether an event pushed now for at would be the next
 // one popped: nothing is queued for the current instant and nothing in
-// the heap is due by at (a key at exactly at has a lower seq, so it fires
-// first).
+// the heap is due by at (a bucket at exactly at has a lower seq, so it
+// fires first).
 func (q *eventQueue) firesNext(at Time) bool {
 	return q.head == 0 && (len(q.heap) == 0 || q.heap[0].at > at)
 }
 
 // push queues fn to run at at: on the FIFO if at is not after now (an
-// earlier at is clamped to now), else in the heap, its key sifted up.
+// earlier at is clamped to now), else on an open bucket for at or a new
+// one, its key sifted up the heap.
 func (q *eventQueue) push(now, at Time, seq uint64, fn func()) {
 	if q.free == 0 {
 		q.extend()
@@ -89,14 +122,23 @@ func (q *eventQueue) push(now, at Time, seq uint64, fn func()) {
 	q.free = s.next
 	s.fn, s.next = fn, 0
 	if at <= now {
-		if q.tail != 0 {
-			q.slab[q.tail-1].next = l
-		} else {
-			q.head = l
-		}
-		q.tail = l
+		q.enqueue(l, l)
 		return
 	}
+	// With the heap empty every open bucket has fired.
+	if len(q.heap) != 0 {
+		for i := range uint(openBuckets) {
+			if b := q.open[(q.newest-i)%openBuckets]; b.at == at {
+				f := &q.slab[b.first-1]
+				q.slab[f.last-1].next = l
+				f.last = l
+				return
+			}
+		}
+	}
+	s.last = l
+	q.newest = (q.newest + 1) % openBuckets
+	q.open[q.newest] = openBucket{at: at, first: l}
 	h := q.heap
 	if len(h) == cap(h) {
 		h = grow(h)
@@ -119,21 +161,51 @@ func (q *eventQueue) push(now, at Time, seq uint64, fn func()) {
 // pop removes the earliest event and returns its time and callback. The
 // queue must not be empty.
 func (q *eventQueue) pop(now Time) (Time, func()) {
-	if q.head != 0 && (len(q.heap) == 0 || q.heap[0].at != now) {
-		l := q.head
-		q.head = q.slab[l-1].next
-		if q.head == 0 {
-			q.tail = 0
+	l := q.head
+	if l == 0 {
+		// Move to the next instant: every bucket due then joins the FIFO.
+		k := q.popKey()
+		now, l = k.at, slotLink(k.slot+1)
+		q.tail = q.slab[l-1].last
+		for len(q.heap) != 0 && q.heap[0].at == now {
+			first := slotLink(q.popKey().slot + 1)
+			q.enqueue(first, q.slab[first-1].last)
 		}
-		return now, q.release(l)
 	}
+	q.head = q.slab[l-1].next
+	if q.head == 0 {
+		q.tail = 0
+	}
+	return now, q.release(l)
+}
+
+// enqueue appends the list of slots from first to last to the FIFO.
+func (q *eventQueue) enqueue(first, last slotLink) {
+	if q.tail != 0 {
+		q.slab[q.tail-1].next = first
+	} else {
+		q.head = first
+	}
+	q.tail = last
+}
+
+// popKey removes the heap's top key and returns it. The heap must not be
+// empty.
+func (q *eventQueue) popKey() eventKey {
 	h := q.heap
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h = h[:n]
-	q.heap = h
-	// Sift the hole left at the root down to where last belongs.
+	top, n := h[0], len(h)-1
+	if n > 0 {
+		siftDown(h[:n], h[n])
+	}
+	q.heap = h[:n]
+	return top
+}
+
+// siftDown moves the hole at the root of the non-empty heap h down to
+// where k belongs and writes k there. It is kept apart from popKey so
+// that popping the last key, a shallow queue's every pop, inlines.
+func siftDown(h []eventKey, k eventKey) {
+	n := len(h)
 	i := 0
 	for {
 		c := 4*i + 1
@@ -146,16 +218,13 @@ func (q *eventQueue) pop(now Time) (Time, func()) {
 				m = j
 			}
 		}
-		if !h[m].before(last) {
+		if !h[m].before(k) {
 			break
 		}
 		h[i] = h[m]
 		i = m
 	}
-	if i < n {
-		h[i] = last
-	}
-	return top.at, q.release(slotLink(top.slot + 1))
+	h[i] = k
 }
 
 // extend puts a new slot on the empty free list.

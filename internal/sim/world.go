@@ -14,9 +14,10 @@ import (
 // of them executes at any moment. No locking is needed anywhere above the
 // kernel.
 //
-// The queue (event.go) keeps future events in a heap of pointer-free keys
-// and the current instant's events on a FIFO in front of it; the clock
-// moves only when that FIFO is empty.
+// The queue (event.go) keeps future events in buckets of one instant each,
+// ordered by a heap of pointer-free keys, and the current instant's events
+// on a FIFO in front of it; the clock moves only when that FIFO is empty,
+// and then every bucket due at the new instant joins it.
 type World struct {
 	now   Time
 	queue eventQueue

@@ -7,7 +7,6 @@
 //	nmad-bench -list              # figure ids with one-line descriptions
 //	nmad-bench -fig 2a            # one figure, aligned table on stdout
 //	nmad-bench -fig all           # everything (scale-nodes alone takes minutes)
-//	nmad-bench -fig 4a -format csv
 //	nmad-bench -fig incast,5.1 -format json  # machine-readable
 //
 // Every report is stamped with the strategy and engine options each
@@ -29,11 +28,11 @@ import (
 
 func main() {
 	fig := flag.String("fig", "", "figure id(s, comma-separated) to regenerate, or 'all'")
-	format := flag.String("format", "table", "output format: table, csv or json")
+	format := flag.String("format", "table", "output format: table or json")
 	list := flag.Bool("list", false, "list figure ids with descriptions and exit")
 	flag.Parse()
-	if *format != "table" && *format != "csv" && *format != "json" {
-		fmt.Fprintf(os.Stderr, "nmad-bench: unknown format %q (table, csv or json)\n", *format)
+	if *format != "table" && *format != "json" {
+		fmt.Fprintf(os.Stderr, "nmad-bench: unknown format %q (table or json)\n", *format)
 		os.Exit(2)
 	}
 
@@ -74,8 +73,6 @@ func main() {
 				os.Exit(1)
 			}
 			jsons = append(jsons, js)
-		case "csv":
-			fmt.Printf("# figure %s: %s\n%s\n", result.ID, result.Title, bench.FormatCSV(result))
 		default:
 			fmt.Println(bench.FormatTable(result))
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nmad/internal/core"
+	"nmad/internal/scenario"
 	"nmad/internal/sim"
 	"nmad/internal/simnet"
 )
@@ -210,7 +211,7 @@ func TestRunRegistry(t *testing.T) {
 	}
 }
 
-func TestFormatTableAndCSV(t *testing.T) {
+func TestFormatTable(t *testing.T) {
 	fig := Figure{
 		ID: "t", Title: "test", XLabel: "size", YLabel: "µs",
 		Series: []Series{
@@ -224,17 +225,6 @@ func TestFormatTableAndCSV(t *testing.T) {
 		if !strings.Contains(tbl, want) {
 			t.Errorf("table missing %q:\n%s", want, tbl)
 		}
-	}
-	csv := FormatCSV(fig)
-	lines := strings.Split(strings.TrimSpace(csv), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("csv has %d lines, want header + 2 rows:\n%s", len(lines), csv)
-	}
-	if lines[0] != "x,A,B" {
-		t.Errorf("csv header %q", lines[0])
-	}
-	if lines[2] != "1024,2.50," {
-		t.Errorf("csv row %q, want missing B cell empty", lines[2])
 	}
 }
 
@@ -340,31 +330,26 @@ func TestMultirailAblationWins(t *testing.T) {
 }
 
 func TestIncastWorkloadBoundedByCredits(t *testing.T) {
-	bounded, err := incast(incastConfig{
-		Senders: 4, Msgs: 24, Size: 1 << 10,
-		Credits: 8, MaxGrants: 2, DrainGap: 2 * sim.Microsecond,
-	})
+	burst := scenario.PhaseSpec{Kind: "incast", Target: 0, Msgs: 24, Size: 1 << 10, Count: 1, DrainGap: 2 * sim.Microsecond}
+	opts := core.DefaultOptions()
+	opts.Credits, opts.MaxGrants = 8, 2
+	bounded, err := runPhase(5, opts, 0, 0, burst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bounded.PeakUnexpected > 8 {
-		t.Errorf("peak unexpected queue %d exceeds the credit budget 8", bounded.PeakUnexpected)
+	if peak := bounded.Stats[0].PeakUnexpected; peak > 8 {
+		t.Errorf("peak unexpected queue %d exceeds the credit budget 8", peak)
 	}
-	if bounded.ProtocolErrors != 0 {
-		t.Errorf("protocol errors under overload: %d", bounded.ProtocolErrors)
+	if n := bounded.Stats[0].ProtocolErrors; n != 0 {
+		t.Errorf("protocol errors under overload: %d", n)
 	}
-	if want := int64(4 * 24 * (1 << 10)); bounded.Delivered != want {
-		t.Errorf("delivered %d bytes, want %d", bounded.Delivered, want)
-	}
-	free, err := incast(incastConfig{
-		Senders: 4, Msgs: 24, Size: 1 << 10, DrainGap: 2 * sim.Microsecond,
-	})
+	free, err := runPhase(5, core.DefaultOptions(), 0, 0, burst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if free.PeakUnexpected <= bounded.PeakUnexpected {
+	if free.Stats[0].PeakUnexpected <= bounded.Stats[0].PeakUnexpected {
 		t.Errorf("without flow control the queue peaked at %d, bounded run at %d: the workload no longer overloads",
-			free.PeakUnexpected, bounded.PeakUnexpected)
+			free.Stats[0].PeakUnexpected, bounded.Stats[0].PeakUnexpected)
 	}
 }
 

@@ -11,17 +11,15 @@ import (
 var errStub = errors.New("stub: request failed")
 
 // stubPeer is a mpiPeer whose operations never touch a fabric: every
-// request either fails at once (fail) or never completes.
-type stubPeer struct {
-	fail  bool
-	never *sim.Cond
-}
+// request either fails at once (fail) or never completes — its waiter
+// parks and nothing wakes it.
+type stubPeer struct{ fail bool }
 
 func (s stubPeer) Wait(p *sim.Proc) error {
 	if s.fail {
 		return errStub
 	}
-	s.never.Wait(p)
+	p.Park()
 	return nil
 }
 
@@ -35,12 +33,8 @@ func (s stubPeer) RecvTyped(p *sim.Proc, _ []byte, _ []seg, _, _, _ int) error {
 // hang, so a run ends in one process error plus the deadlock that error
 // strands the other rank in.
 func stubImpl(failing int) mpiImpl {
-	return mpiImpl{Name: "stub", Make: func(f *simnet.Fabric) (mpiPeer, mpiPeer, error) {
-		peers := [2]mpiPeer{}
-		for rank := range peers {
-			peers[rank] = stubPeer{fail: rank == failing, never: sim.NewCond(f.World())}
-		}
-		return peers[0], peers[1], nil
+	return mpiImpl{Name: "stub", Make: func(*simnet.Fabric) (mpiPeer, mpiPeer, error) {
+		return stubPeer{fail: failing == 0}, stubPeer{fail: failing == 1}, nil
 	}}
 }
 
@@ -63,10 +57,5 @@ func TestRunnersReturnRequestErrors(t *testing.T) {
 				t.Errorf("%s with rank %d failing: got %v, want the request's error", r.name, failing, err)
 			}
 		}
-	}
-	// The engine-level runners build their own cluster; the one input
-	// that fails inside their processes is an unknown collective.
-	if _, err := lossyCollective(lossyCollectiveConfig{Nodes: 4, Kind: "nope", Per: 8}); err == nil {
-		t.Error("LossyCollective with an unknown kind returned no error")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"nmad/internal/core"
+	"nmad/internal/scenario"
 	"nmad/internal/sim"
 	"nmad/internal/simnet"
 )
@@ -457,26 +458,24 @@ func figIncast() (Figure, error) {
 		{"credits=16", 16},
 		{"credits=8", 8},
 	} {
-		stamp := core.DefaultOptions()
-		stamp.Credits = c.credits
-		stamp.MaxGrants = 4
-		s := Series{Label: c.label, Strategy: "aggreg", EngineOptions: summarizeOptions(stamp)}
-		var last incastResult
+		opts := core.DefaultOptions()
+		opts.Credits = c.credits
+		opts.MaxGrants = 4
+		s := Series{Label: c.label, Strategy: "aggreg", EngineOptions: summarizeOptions(opts)}
+		var last *scenario.Report
 		for _, n := range []int{2, 4, 8} {
-			r, err := incast(incastConfig{
-				Senders: n, Msgs: 32, Size: 1 << 10,
-				Credits: c.credits, MaxGrants: 4,
-				DrainGap: 2 * sim.Microsecond,
+			rep, err := runPhase(n+1, opts, 0, 0, scenario.PhaseSpec{
+				Kind: "incast", Target: 0, Msgs: 32, Size: 1 << 10, Count: 1, DrainGap: 2 * sim.Microsecond,
 			})
 			if err != nil {
 				return fig, err
 			}
-			s.Points = append(s.Points, Point{X: n, Y: float64(r.PeakUnexpected)})
-			last = r
+			s.Points = append(s.Points, Point{X: n, Y: float64(rep.Stats[0].PeakUnexpected)})
+			last = rep
 		}
 		fig.Notes = append(fig.Notes, fmt.Sprintf(
 			"%s: 8-to-1 completion %.0f µs, peak held %d, protocol errors %d",
-			s.Label, last.CompletionUs, last.PeakHeld, last.ProtocolErrors))
+			s.Label, last.Completion.Microseconds(), last.Stats[0].PeakHeld, last.Stats[0].ProtocolErrors))
 		fig.Series = append(fig.Series, s)
 	}
 	return fig, nil
@@ -518,7 +517,7 @@ var figureList = []struct {
 	{"ablation-composite", "control-message latency inside a bulk stream (priority strategy)", ablationComposite},
 	{"ablation-sampling", "bandwidth sampling under congestion (cold vs warmed split plan)", ablationSampling},
 	{"scale-nodes", "collective completion vs emulated job size, 8..1024 nodes, lossless vs 1% drop", figScaleNodes},
-	{"drop-resilience", "8-node allgather completion vs packet-drop probability per strategy", figDropResilience},
+	{"drop-resilience", "8-node 16-segment ring exchange completion vs packet-drop probability per strategy", figDropResilience},
 	{"tenant-isolation", "multi-tenant job queue: victim pingpong latency under a competing tenant's incast burst", figTenantIsolation},
 }
 

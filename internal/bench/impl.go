@@ -2,12 +2,17 @@
 // the paper's evaluation (§5): the raw ping-pong (Figure 2 and the §5.1
 // overhead numbers), the multi-segment ping-pong over separate
 // communicators (Figure 3), and the indexed-datatype transfer (Figure 4),
-// plus the ablations DESIGN.md calls out.
+// plus the ablations DESIGN.md calls out and the scale workloads.
 //
 // Measurements are virtual-time exact: each data point builds a fresh
-// two-node world, runs the workload and reads the clock. No wall-clock
-// noise, no warmup heuristics — two iterations of warmup only to reach
-// steady protocol state (established gates, drained first-packet effects).
+// world, runs the workload and reads the clock. No wall-clock noise, no
+// warmup heuristics — the ping-pongs run two iterations of warmup only
+// to reach steady protocol state (established gates, drained
+// first-packet effects). The paper's figures compare MAD-MPI with the
+// MPICH- and OpenMPI-like baselines on two nodes through mpiPeer; the
+// figures whose workload is a phase of package scenario (incast,
+// scale-nodes, drop-resilience) run it as a one-phase scenario
+// (runPhase) instead of driving it here.
 package bench
 
 import (

@@ -7,7 +7,8 @@ import (
 	"strings"
 )
 
-// Report formatting: aligned text tables for terminals, CSV for plotting.
+// Report formatting: aligned text tables for terminals, JSON for the
+// goldens and for tools.
 
 // FormatTable renders a figure as an aligned text table, one row per X
 // value, one column per series.
@@ -70,30 +71,6 @@ func FormatJSON(fig Figure) (string, error) {
 		return "", fmt.Errorf("bench: figure %s: %w", fig.ID, err)
 	}
 	return string(data), nil
-}
-
-// FormatCSV renders a figure as plain CSV (x, then one column per series).
-func FormatCSV(fig Figure) string {
-	var b strings.Builder
-	cols := []string{"x"}
-	for _, s := range fig.Series {
-		cols = append(cols, strings.ReplaceAll(s.Label, ",", ";"))
-	}
-	b.WriteString(strings.Join(cols, ","))
-	b.WriteByte('\n')
-	for _, x := range collectXs(fig) {
-		row := []string{fmt.Sprint(x)}
-		for _, s := range fig.Series {
-			v := lookup(s, x)
-			if v == "-" {
-				v = ""
-			}
-			row = append(row, v)
-		}
-		b.WriteString(strings.Join(row, ","))
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 func collectXs(fig Figure) []int {

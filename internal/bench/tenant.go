@@ -108,7 +108,7 @@ func tenantIsolation(cfg tenantIsolationConfig) (tenantIsolationResult, error) {
 	if cfg.BurstMsgs > 0 {
 		for _, sink := range []int{2, 3} {
 			grp.Go(fmt.Sprintf("burst-sink-%d", sink), func(p *sim.Proc) error {
-				_, err := drain(p, engines[sink].Gate(0), sink, cfg.BurstMsgs, cfg.BurstSize, 0)
+				_, err := drain(p, engines[sink].Gate(0), sink, cfg.BurstMsgs, cfg.BurstSize)
 				return err
 			})
 		}

@@ -146,15 +146,12 @@ func intact(buf []byte, sender, msg int) bool {
 }
 
 // drain receives the msgs payloads of flow `flow` (tag tagged(flow),
-// filled by fill(buf, flow, m)) from g one after another, working for
-// gap before each, and returns the bytes that arrived intact.
-func drain(p *sim.Proc, g *core.Gate, flow, msgs, size int, gap sim.Time) (int64, error) {
+// filled by fill(buf, flow, m)) from g one after another and returns the
+// bytes that arrived intact.
+func drain(p *sim.Proc, g *core.Gate, flow, msgs, size int) (int64, error) {
 	var delivered int64
 	buf := make([]byte, size)
 	for m := 0; m < msgs; m++ {
-		if gap > 0 {
-			p.Sleep(gap)
-		}
 		n, err := g.Recv(p, tagged(flow), buf)
 		if err != nil {
 			return delivered, fmt.Errorf("drain flow %d: %w", flow, err)

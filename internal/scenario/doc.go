@@ -18,7 +18,15 @@
 // corruption is counted and surfaced through the `integrity`
 // assertion. Phases are declared in strictly increasing start order but
 // may overlap in flight — that is how bursty multi-phase scenarios are
-// built.
+// built. Each phase owns the user-tag window and the payload pattern of
+// its position in Scenario.Phases, so overlapping phases never match
+// each other's messages.
+//
+// A Scenario may also be built in Go rather than parsed: Run validates
+// it as it would a file, and the figure harness (package bench) runs
+// its incast and lossy-collective points that way. A literal spells out
+// what Parse would default — a phase's Count and Msgs of 1, the cluster's
+// rails and engine personality (core.DefaultOptions().NodeConfig).
 //
 // When a tenants list is present, every phase tagged `tenant: <name>`
 // is submitted through a job queue (package queue) on the chosen node

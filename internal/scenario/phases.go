@@ -32,7 +32,10 @@ const tagStride = 1 << 16
 
 // phaseRun tracks one phase's outcome.
 type phaseRun struct {
-	spec      PhaseSpec
+	spec PhaseSpec
+	// index is the phase's position in Scenario.Phases: its tag window
+	// and the first term of its payload pattern.
+	index     int
 	start     sim.Time
 	end       sim.Time
 	done      bool
@@ -200,14 +203,14 @@ func (r *runner) everyRank(pr *phaseRun, body func(q *sim.Proc, c *madmpi.Comm, 
 }
 
 func startPingPong(r *runner, pr *phaseRun) {
-	p, base := pr.spec, pr.spec.index*tagStride
+	p, ph, base := pr.spec, pr.index, pr.index*tagStride
 	a, b := p.Nodes[0], p.Nodes[1]
 	size := max(p.Size, 1)
 	r.spawn(pr, a, "ping", func(q *sim.Proc) (bad int, err error) {
 		c := r.comm(a)
 		buf := make([]byte, size)
 		for it := 0; it < p.Count; it++ {
-			fill(buf, p.index, a, it)
+			fill(buf, ph, a, it)
 			if err := c.Isend(q, buf, b, base).Wait(q); err != nil {
 				return bad, err
 			}
@@ -215,7 +218,7 @@ func startPingPong(r *runner, pr *phaseRun) {
 			if err != nil {
 				return bad, err
 			}
-			bad += received(buf, st.Count, p.index, b, it)
+			bad += received(buf, st.Count, ph, b, it)
 		}
 		return bad, nil
 	})
@@ -227,8 +230,8 @@ func startPingPong(r *runner, pr *phaseRun) {
 			if err != nil {
 				return bad, err
 			}
-			bad += received(buf, st.Count, p.index, a, it)
-			fill(buf, p.index, b, it)
+			bad += received(buf, st.Count, ph, a, it)
+			fill(buf, ph, b, it)
 			if err := c.Isend(q, buf, a, base+1).Wait(q); err != nil {
 				return bad, err
 			}
@@ -238,7 +241,7 @@ func startPingPong(r *runner, pr *phaseRun) {
 }
 
 func startRing(r *runner, pr *phaseRun) {
-	p, base := pr.spec, pr.spec.index*tagStride
+	p, ph, base := pr.spec, pr.index, pr.index*tagStride
 	members := nodesOrAll(p.Nodes, r.nodes())
 	size := max(p.Size, 1)
 	for slot, me := range members {
@@ -250,7 +253,7 @@ func startRing(r *runner, pr *phaseRun) {
 			// The receive buffers and the request list serve every
 			// round: all of a round's requests have completed at
 			// Waitall.
-			pat, in := pattern(p.index, slot, size), payloads(p.Msgs, size)
+			pat, in := pattern(ph, slot, size), payloads(p.Msgs, size)
 			reqs := make([]*madmpi.Request, 0, 2*p.Msgs)
 			for round := 0; round < p.Count; round++ {
 				reqs = reqs[:0]
@@ -264,7 +267,7 @@ func startRing(r *runner, pr *phaseRun) {
 				}
 				for m := 0; m < p.Msgs; m++ {
 					n := reqs[2*m+1].Status().Count
-					bad += received(in[m], n, p.index, prevSlot, round*p.Msgs+m)
+					bad += received(in[m], n, ph, prevSlot, round*p.Msgs+m)
 				}
 			}
 			return bad, nil
@@ -273,7 +276,7 @@ func startRing(r *runner, pr *phaseRun) {
 }
 
 func startIncast(r *runner, pr *phaseRun) {
-	p, base := pr.spec, pr.spec.index*tagStride
+	p, ph, base := pr.spec, pr.index, pr.index*tagStride
 	senders := p.Senders
 	if len(senders) == 0 {
 		for n := 0; n < r.nodes(); n++ {
@@ -286,7 +289,7 @@ func startIncast(r *runner, pr *phaseRun) {
 	for si, s := range senders {
 		r.spawn(pr, s, "burst", func(q *sim.Proc) (int, error) {
 			c := r.comm(s)
-			pat := pattern(p.index, s, size)
+			pat := pattern(ph, s, size)
 			reqs := make([]*madmpi.Request, 0, p.Msgs)
 			for m := 0; m < p.Msgs; m++ {
 				reqs = append(reqs, c.Isend(q, window(pat, m, size), p.Target, base+si))
@@ -303,7 +306,7 @@ func startIncast(r *runner, pr *phaseRun) {
 				if err != nil {
 					return bad, err
 				}
-				bad += received(buf, st.Count, p.index, s, m)
+				bad += received(buf, st.Count, ph, s, m)
 				if p.DrainGap > 0 && m+1 < p.Msgs {
 					q.Sleep(p.DrainGap)
 				}
@@ -314,7 +317,7 @@ func startIncast(r *runner, pr *phaseRun) {
 }
 
 func startComposite(r *runner, pr *phaseRun) {
-	p, base := pr.spec, pr.spec.index*tagStride
+	p, ph, base := pr.spec, pr.index, pr.index*tagStride
 	// The paper's headline composite: a bulk transfer with a small
 	// urgent control message submitted right behind it. With the
 	// priority flag the control message overtakes the bulk queue.
@@ -323,7 +326,7 @@ func startComposite(r *runner, pr *phaseRun) {
 	const ctrlSize = 64
 	r.spawn(pr, a, "mixer", func(q *sim.Proc) (int, error) {
 		c := r.comm(a)
-		pat := pattern(p.index, a, max(bulk, ctrlSize))
+		pat := pattern(ph, a, max(bulk, ctrlSize))
 		reqs := make([]*madmpi.Request, 0, 2*p.Msgs)
 		for m := 0; m < p.Msgs; m++ {
 			reqs = append(reqs, c.Isend(q, window(pat, 2*m, bulk), b, base))
@@ -348,8 +351,8 @@ func startComposite(r *runner, pr *phaseRun) {
 			return 0, err
 		}
 		for m := 0; m < p.Msgs; m++ {
-			bad += received(bigs[m], reqs[2*m].Status().Count, p.index, a, 2*m)
-			bad += received(ctls[m], reqs[2*m+1].Status().Count, p.index, a, 2*m+1)
+			bad += received(bigs[m], reqs[2*m].Status().Count, ph, a, 2*m)
+			bad += received(ctls[m], reqs[2*m+1].Status().Count, ph, a, 2*m+1)
 		}
 		return bad, nil
 	})
@@ -368,36 +371,36 @@ func startBarrier(r *runner, pr *phaseRun) {
 }
 
 func startBcast(r *runner, pr *phaseRun) {
-	p := pr.spec
+	p, ph := pr.spec, pr.index
 	size := max(p.Size, 1)
 	r.everyRank(pr, func(q *sim.Proc, c *madmpi.Comm, rank int) (bad int, err error) {
 		buf := make([]byte, size)
 		for it := 0; it < p.Count; it++ {
 			if rank == p.Root {
-				fill(buf, p.index, p.Root, it)
+				fill(buf, ph, p.Root, it)
 			}
 			if err := c.Bcast(q, buf, p.Root); err != nil {
 				return bad, err
 			}
-			bad += verify(buf, p.index, p.Root, it)
+			bad += verify(buf, ph, p.Root, it)
 		}
 		return bad, nil
 	})
 }
 
 func startAllgather(r *runner, pr *phaseRun) {
-	p := pr.spec
+	p, ph := pr.spec, pr.index
 	size := max(p.Size, 1)
 	n := r.nodes()
 	r.everyRank(pr, func(q *sim.Proc, c *madmpi.Comm, rank int) (bad int, err error) {
 		mine := make([]byte, size)
-		fill(mine, p.index, rank, 0)
+		fill(mine, ph, rank, 0)
 		all := make([]byte, size*n)
 		if err := c.Allgather(q, mine, all); err != nil {
 			return 0, err
 		}
 		for s := 0; s < n; s++ {
-			bad += verify(all[s*size:(s+1)*size], p.index, s, 0)
+			bad += verify(all[s*size:(s+1)*size], ph, s, 0)
 		}
 		return bad, nil
 	})
@@ -427,20 +430,20 @@ func startAllreduce(r *runner, pr *phaseRun) {
 }
 
 func startAlltoall(r *runner, pr *phaseRun) {
-	p := pr.spec
+	p, ph := pr.spec, pr.index
 	size := max(p.Size, 1)
 	n := r.nodes()
 	r.everyRank(pr, func(q *sim.Proc, c *madmpi.Comm, rank int) (bad int, err error) {
 		send := make([]byte, size*n)
 		for dst := 0; dst < n; dst++ {
-			fill(send[dst*size:(dst+1)*size], p.index, rank, dst)
+			fill(send[dst*size:(dst+1)*size], ph, rank, dst)
 		}
 		recv := make([]byte, size*n)
 		if err := c.Alltoall(q, send, recv); err != nil {
 			return 0, err
 		}
 		for src := 0; src < n; src++ {
-			bad += verify(recv[src*size:(src+1)*size], p.index, src, rank)
+			bad += verify(recv[src*size:(src+1)*size], ph, src, rank)
 		}
 		return bad, nil
 	})

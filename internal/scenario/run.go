@@ -211,8 +211,8 @@ func Run(sc *Scenario, cfg Config) (*Report, error) {
 	// each actually starts. The job holds its worker slot until the
 	// phase's last process finishes, so the queue's worker bound caps
 	// concurrently running tenant phases.
-	for _, p := range sc.Phases {
-		pr := &phaseRun{spec: p}
+	for i, p := range sc.Phases {
+		pr := &phaseRun{spec: p, index: i}
 		r.phases = append(r.phases, pr)
 		if phaseKinds[p.Kind].collective {
 			pr.comms = make([]*madmpi.Comm, c.Nodes)

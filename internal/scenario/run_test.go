@@ -7,7 +7,9 @@ import (
 	"reflect"
 	"testing"
 
+	"nmad/internal/core"
 	"nmad/internal/replay"
+	"nmad/internal/sim"
 	"nmad/internal/trace"
 )
 
@@ -403,4 +405,55 @@ assertions:
     value: 0
 `
 	runDoc(t, doc, Config{})
+}
+
+// A Scenario built in Go runs as the same file parsed: each phase owns the
+// tag window and payload pattern of its position in Phases. Two incasts
+// into one sink, the second posting larger messages while the first still
+// drains, would otherwise match each other's sends.
+func TestBuiltScenarioRunsAsParsed(t *testing.T) {
+	parsed := mustParse(t, `
+name: two-incasts
+cluster:
+  nodes: 3
+phases:
+  - name: a
+    kind: incast
+    at: 0us
+    target: 0
+    msgs: 8
+    size: 64
+  - name: b
+    kind: incast
+    at: 1ns
+    target: 0
+    msgs: 8
+    size: 128
+assertions:
+  - type: integrity
+`)
+	built := &Scenario{
+		Name:    "two-incasts",
+		Cluster: ClusterSpec{Nodes: 3, Rails: []string{"mx10g"}, Engine: core.DefaultOptions().NodeConfig},
+		Phases: []PhaseSpec{
+			{Name: "a", Kind: "incast", Target: 0, Msgs: 8, Size: 64, Count: 1},
+			{Name: "b", Kind: "incast", At: sim.Nanosecond, Target: 0, Msgs: 8, Size: 128, Count: 1},
+		},
+		Assertions: []AssertSpec{{Type: "integrity"}},
+	}
+	var texts [2]bytes.Buffer
+	var stats [2][]core.Stats
+	for i, sc := range []*Scenario{parsed, built} {
+		rep, err := Run(sc, Config{})
+		if rep != nil {
+			rep.Write(&texts[i])
+			stats[i] = rep.Stats
+		}
+		if err != nil {
+			t.Fatalf("run %d: %v\n%s", i, err, texts[i].String())
+		}
+	}
+	if texts[0].String() != texts[1].String() || !reflect.DeepEqual(stats[0], stats[1]) {
+		t.Errorf("built scenario ran differently:\n--- parsed\n%s--- built\n%s", texts[0].String(), texts[1].String())
+	}
 }

@@ -126,8 +126,6 @@ type PhaseSpec struct {
 	// Priority sends the composite phase's control message with the
 	// priority flag.
 	Priority bool
-
-	index int // position in Scenario.Phases, set by Parse
 }
 
 // EventSpec is one mid-run intervention (or a named checkpoint snapshot).
@@ -211,7 +209,6 @@ func Parse(src []byte) (*Scenario, error) {
 	}
 	for i := range sc.Phases {
 		p := &sc.Phases[i]
-		p.index = i
 		if p.Name == "" {
 			p.Name = fmt.Sprintf("phase%d", i)
 		}

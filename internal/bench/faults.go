@@ -5,15 +5,17 @@ import (
 
 	"nmad/internal/core"
 	"nmad/internal/scenario"
+	"nmad/internal/sim"
 	"nmad/internal/simnet"
 )
 
-// The figures whose workload is a phase of the scenario harness run it as
-// a one-phase scenario (runPhase): the incast overload, and collectives
-// and the ring exchange at emulation scale on a fabric that drops
-// packets, measuring what the reliability layer costs. Every run verifies
-// payload integrity — a figure is only emitted if zero payloads were
-// lost, truncated or duplicated.
+// The figures whose workload is a scenario run it through scenario.Run:
+// the incast overload, and collectives and the ring exchange at emulation
+// scale on a fabric that drops packets, measuring what the reliability
+// layer costs, each as a one-phase scenario (runPhase); and two tenants
+// sharing one engine through the job queue (tenantIsolation). Every run
+// verifies payload integrity — a figure is only emitted if zero payloads
+// were lost, truncated or duplicated.
 
 // faultSeed seeds every fault profile the lossy figures build: the same
 // seed reproduces the same drops, and therefore the same completion
@@ -141,5 +143,76 @@ func figDropResilience() (Figure, error) {
 		}
 		fig.Series = append(fig.Series, s)
 	}
+	return fig, nil
+}
+
+// tenantIsolation runs the two-tenant workload on 4 MX nodes under the
+// prio strategy, both tenants submitting through node 0's job queue. The
+// victim tenant (class latency, so its sends carry Priority) pingpongs
+// 16 x 64 B with node 1; when msgs > 0 the burst tenant (class bulk)
+// floods nodes 2 and 3 from node 0 with msgs x 4 KB each, one incast
+// phase per sink. Three workers run every job at once: contention is on
+// the shared engine, not in the queue. Phase 0 of the report is the
+// victim; phases 1 and 2 are the burst.
+func tenantIsolation(msgs int) (*scenario.Report, error) {
+	opts := core.DefaultOptions()
+	opts.Strategy = "prio"
+	sc := &scenario.Scenario{
+		Name:    "tenant-isolation",
+		Cluster: scenario.ClusterSpec{Nodes: 4, Rails: []string{"mx10g"}, Engine: opts.NodeConfig},
+		Tenants: []scenario.TenantSpec{
+			{Name: "burst", Weight: 1, Class: "bulk"},
+			{Name: "victim", Weight: 4, Class: "latency"},
+		},
+		Queue: &scenario.QueueSpec{Workers: 3},
+		Phases: []scenario.PhaseSpec{
+			{Name: "victim", Kind: "pingpong", Tenant: "victim", Nodes: []int{0, 1}, Msgs: 1, Count: 16, Size: 64},
+		},
+		Assertions: []scenario.AssertSpec{{Type: "integrity"}},
+	}
+	if msgs > 0 {
+		// Validate wants strictly increasing starts: the second sink's
+		// phase is submitted 1 ns after the first.
+		for i, sink := range []int{2, 3} {
+			sc.Phases = append(sc.Phases, scenario.PhaseSpec{
+				Name: fmt.Sprintf("burst-%d", sink), Kind: "incast", At: sim.Time(i + 1), Tenant: "burst",
+				Target: sink, Senders: []int{0}, Msgs: msgs, Count: 1, Size: 4 << 10,
+			})
+		}
+	}
+	return scenario.Run(sc, scenario.Config{})
+}
+
+// figTenantIsolation sweeps the burst intensity and plots the victim's
+// completion time against its unloaded baseline — the tenant-isolation
+// claim as a trend-gated figure.
+func figTenantIsolation() (Figure, error) {
+	fig := Figure{
+		ID:     "tenant-isolation",
+		Title:  "Multi-tenant isolation — victim pingpong vs competing incast burst (MX, prio, job queue on node 0)",
+		XLabel: "burst messages per sink (4KB each, two sinks)",
+		YLabel: "completion (µs)",
+		Notes: []string{
+			"victim: 16 x 64B priority pingpong; acceptance: loaded within 2x unloaded while the burst completes",
+		},
+	}
+	unloaded, err := tenantIsolation(0)
+	if err != nil {
+		return fig, err
+	}
+	loadedS := Series{Label: "victim[under-burst]", Strategy: "prio"}
+	baseS := Series{Label: "victim[unloaded]", Strategy: "prio"}
+	burstS := Series{Label: "burst[completion]", Strategy: "prio"}
+	for _, msgs := range []int{8, 32, 128} {
+		rep, err := tenantIsolation(msgs)
+		if err != nil {
+			return fig, err
+		}
+		burst := max(rep.Phases[1].End, rep.Phases[2].End)
+		loadedS.Points = append(loadedS.Points, Point{X: msgs, Y: rep.Phases[0].End.Microseconds()})
+		baseS.Points = append(baseS.Points, Point{X: msgs, Y: unloaded.Phases[0].End.Microseconds()})
+		burstS.Points = append(burstS.Points, Point{X: msgs, Y: burst.Microseconds()})
+	}
+	fig.Series = []Series{loadedS, baseS, burstS}
 	return fig, nil
 }

@@ -10,9 +10,10 @@
 // to reach steady protocol state (established gates, drained
 // first-packet effects). The paper's figures compare MAD-MPI with the
 // MPICH- and OpenMPI-like baselines on two nodes through mpiPeer; the
-// figures whose workload is a phase of package scenario (incast,
-// scale-nodes, drop-resilience) run it as a one-phase scenario
-// (runPhase) instead of driving it here.
+// figures whose workload is a scenario of package scenario (incast,
+// scale-nodes, drop-resilience, tenant-isolation) build it as a
+// scenario.Scenario literal and run it through scenario.Run instead of
+// driving it here.
 package bench
 
 import (

@@ -6,45 +6,46 @@ import (
 )
 
 func TestTenantIsolationBound(t *testing.T) {
-	base := tenantIsolationConfig{BurstSize: 4 << 10, Iters: 16, RPCSize: 64}
-	unloaded, err := tenantIsolation(base)
+	unloaded, err := tenantIsolation(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if unloaded.VictimUs <= 0 {
-		t.Fatalf("unloaded victim completion %v, want > 0", unloaded.VictimUs)
+	base := unloaded.Phases[0].End
+	if base <= 0 {
+		t.Fatalf("unloaded victim completion %v, want > 0", base)
+	}
+	if st := unloaded.Stats[0]; st.JobsCompleted != 1 || st.JobsRejected != 0 {
+		t.Errorf("unloaded: jobs completed/rejected = %d/%d, want 1/0", st.JobsCompleted, st.JobsRejected)
 	}
 	for _, msgs := range []int{8, 32, 128} {
-		cfg := base
-		cfg.BurstMsgs = msgs
-		r, err := tenantIsolation(cfg)
+		rep, err := tenantIsolation(msgs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// The acceptance bound: the competing burst must not starve the
 		// victim past 2x its unloaded completion, and the burst tenant
 		// must itself complete.
-		if r.VictimUs > 2*unloaded.VictimUs {
-			t.Errorf("msgs=%d: victim %.1fµs under burst > 2x unloaded %.1fµs",
-				msgs, r.VictimUs, unloaded.VictimUs)
+		if victim := rep.Phases[0].End; victim > 2*base {
+			t.Errorf("msgs=%d: victim %v under burst > 2x unloaded %v", msgs, victim, base)
 		}
-		if r.BurstUs <= 0 {
-			t.Errorf("msgs=%d: burst tenant never completed", msgs)
+		for _, ph := range rep.Phases[1:] {
+			if !ph.Done || ph.End <= 0 {
+				t.Errorf("msgs=%d: burst phase %s never completed", msgs, ph.Name)
+			}
 		}
-		if st := r.Stats; st.JobsCompleted != 2 || st.JobsRejected != 0 {
-			t.Errorf("msgs=%d: jobs completed/rejected = %d/%d, want 2/0",
+		if st := rep.Stats[0]; st.JobsCompleted != 3 || st.JobsRejected != 0 {
+			t.Errorf("msgs=%d: jobs completed/rejected = %d/%d, want 3/0",
 				msgs, st.JobsCompleted, st.JobsRejected)
 		}
 	}
 }
 
 func TestTenantIsolationDeterministic(t *testing.T) {
-	cfg := tenantIsolationConfig{BurstMsgs: 32, BurstSize: 4 << 10, Iters: 16, RPCSize: 64}
-	a, err := tenantIsolation(cfg)
+	a, err := tenantIsolation(32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := tenantIsolation(cfg)
+	b, err := tenantIsolation(32)
 	if err != nil {
 		t.Fatal(err)
 	}

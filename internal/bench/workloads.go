@@ -127,39 +127,3 @@ func waitEach(p *sim.Proc, reqs []pending) error {
 	}
 	return nil
 }
-
-// fill writes the deterministic payload of message msg from sender;
-// intact reports whether buf still holds exactly that payload.
-func fill(buf []byte, sender, msg int) {
-	for i := range buf {
-		buf[i] = byte(sender*31 + msg*7 + i)
-	}
-}
-
-func intact(buf []byte, sender, msg int) bool {
-	for i, b := range buf {
-		if b != byte(sender*31+msg*7+i) {
-			return false
-		}
-	}
-	return true
-}
-
-// drain receives the msgs payloads of flow `flow` (tag tagged(flow),
-// filled by fill(buf, flow, m)) from g one after another and returns the
-// bytes that arrived intact.
-func drain(p *sim.Proc, g *core.Gate, flow, msgs, size int) (int64, error) {
-	var delivered int64
-	buf := make([]byte, size)
-	for m := 0; m < msgs; m++ {
-		n, err := g.Recv(p, tagged(flow), buf)
-		if err != nil {
-			return delivered, fmt.Errorf("drain flow %d: %w", flow, err)
-		}
-		if !intact(buf[:n], flow, m) {
-			return delivered, fmt.Errorf("drain flow %d: corrupt payload in msg %d", flow, m)
-		}
-		delivered += int64(n)
-	}
-	return delivered, nil
-}

@@ -24,19 +24,23 @@
 //
 // A Scenario may also be built in Go rather than parsed: Run validates
 // it as it would a file, and the figure harness (package bench) runs
-// its incast and lossy-collective points that way. A literal spells out
-// what Parse would default — a phase's Count and Msgs of 1, the cluster's
-// rails and engine personality (core.DefaultOptions().NodeConfig).
+// its incast, lossy-collective and tenant-isolation points that way. A
+// literal spells out what Parse would default — a phase's Count and Msgs
+// of 1, the cluster's rails and engine personality
+// (core.DefaultOptions().NodeConfig).
 //
 // When a tenants list is present, every phase tagged `tenant: <name>`
 // is submitted through a job queue (package queue) on the chosen node
 // instead of spawning at its start time: its `at` becomes the submit
 // instant, and dispatch order follows the tenants' weighted fair
-// share, classes and aging. The queue's counters (jobs_admitted,
-// jobs_rejected, jobs_dispatched, jobs_completed, jobs_aged,
-// peak_queue_depth, peak_job_wait) land in core.Stats and are
-// assertable like any other field. Without a tenants list, `tenant`
-// stays a report-only label.
+// share, classes and aging. The phase's point-to-point sends carry its
+// tenant's send options (queue.Tenant.SendOptions: Priority for the
+// latency class), so the engine schedules the phase the way the queue
+// ranks it; collective phases take no send options. The queue's
+// counters (jobs_admitted, jobs_rejected, jobs_dispatched,
+// jobs_completed, jobs_aged, peak_queue_depth, peak_job_wait) land in
+// core.Stats and are assertable like any other field. Without a tenants
+// list, `tenant` stays a report-only label.
 //
 // A stats assertion reads any exported integer field of core.Stats under
 // its snake_case name — OutputPackets is output_packets — plus the

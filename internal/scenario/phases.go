@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"nmad/internal/core"
 	"nmad/internal/madmpi"
 	"nmad/internal/sim"
 )
@@ -41,6 +42,10 @@ type phaseRun struct {
 	done      bool
 	integrity int // corrupted payloads observed by this phase
 	pending   int // running processes
+	// send are the options every point-to-point send of the phase
+	// carries: its tenant's SendOptions when the phase runs through the
+	// job queue, none otherwise.
+	send []core.SendOption
 	// waiter is the queue job holding its worker slot until the phase closes.
 	waiter *sim.Proc
 	// comms is a collective phase's dedicated communicator, one per rank.
@@ -211,7 +216,7 @@ func startPingPong(r *runner, pr *phaseRun) {
 		buf := make([]byte, size)
 		for it := 0; it < p.Count; it++ {
 			fill(buf, ph, a, it)
-			if err := c.Isend(q, buf, b, base).Wait(q); err != nil {
+			if err := c.Isend(q, buf, b, base, pr.send...).Wait(q); err != nil {
 				return bad, err
 			}
 			st, err := c.Irecv(q, buf, b, base+1).WaitStatus(q)
@@ -232,7 +237,7 @@ func startPingPong(r *runner, pr *phaseRun) {
 			}
 			bad += received(buf, st.Count, ph, a, it)
 			fill(buf, ph, b, it)
-			if err := c.Isend(q, buf, a, base+1).Wait(q); err != nil {
+			if err := c.Isend(q, buf, a, base+1, pr.send...).Wait(q); err != nil {
 				return bad, err
 			}
 		}
@@ -259,7 +264,7 @@ func startRing(r *runner, pr *phaseRun) {
 				reqs = reqs[:0]
 				for m := 0; m < p.Msgs; m++ {
 					out := window(pat, round*p.Msgs+m, size)
-					reqs = append(reqs, c.Isend(q, out, next, base+slot*p.Count+round))
+					reqs = append(reqs, c.Isend(q, out, next, base+slot*p.Count+round, pr.send...))
 					reqs = append(reqs, c.Irecv(q, in[m], prev, base+prevSlot*p.Count+round))
 				}
 				if err := madmpi.Waitall(q, reqs...); err != nil {
@@ -292,7 +297,7 @@ func startIncast(r *runner, pr *phaseRun) {
 			pat := pattern(ph, s, size)
 			reqs := make([]*madmpi.Request, 0, p.Msgs)
 			for m := 0; m < p.Msgs; m++ {
-				reqs = append(reqs, c.Isend(q, window(pat, m, size), p.Target, base+si))
+				reqs = append(reqs, c.Isend(q, window(pat, m, size), p.Target, base+si, pr.send...))
 			}
 			return 0, madmpi.Waitall(q, reqs...)
 		})
@@ -329,12 +334,12 @@ func startComposite(r *runner, pr *phaseRun) {
 		pat := pattern(ph, a, max(bulk, ctrlSize))
 		reqs := make([]*madmpi.Request, 0, 2*p.Msgs)
 		for m := 0; m < p.Msgs; m++ {
-			reqs = append(reqs, c.Isend(q, window(pat, 2*m, bulk), b, base))
+			reqs = append(reqs, c.Isend(q, window(pat, 2*m, bulk), b, base, pr.send...))
 			ctl := window(pat, 2*m+1, ctrlSize)
 			if p.Priority {
 				reqs = append(reqs, c.IsendPriority(q, ctl, b, base+1))
 			} else {
-				reqs = append(reqs, c.Isend(q, ctl, b, base+1))
+				reqs = append(reqs, c.Isend(q, ctl, b, base+1, pr.send...))
 			}
 		}
 		return 0, madmpi.Waitall(q, reqs...)

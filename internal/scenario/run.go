@@ -210,10 +210,15 @@ func Run(sc *Scenario, cfg Config) (*Report, error) {
 	// queue at their instant instead; fair-share dispatch decides when
 	// each actually starts. The job holds its worker slot until the
 	// phase's last process finishes, so the queue's worker bound caps
-	// concurrently running tenant phases.
+	// concurrently running tenant phases, and its point-to-point sends
+	// carry the tenant's send options (Priority for a latency tenant).
 	for i, p := range sc.Phases {
 		pr := &phaseRun{spec: p, index: i}
 		r.phases = append(r.phases, pr)
+		if r.queue != nil && p.Tenant != "" {
+			t, _ := r.queue.Tenant(p.Tenant) // Validate vetted the name
+			pr.send = t.SendOptions()
+		}
 		if phaseKinds[p.Kind].collective {
 			pr.comms = make([]*madmpi.Comm, c.Nodes)
 			for rank := range pr.comms {

@@ -188,6 +188,39 @@ func TestRecordReplay(t *testing.T) {
 	_ = rep
 }
 
+// TestTenantPhasesSendWithTheirClass: a tenant phase run through the job
+// queue sends with its tenant's options. In the committed multi-tenant
+// scenario every send of the latency tenant's rpc carries the priority
+// flag and no send of the bulk tenant's bursts does. A send's phase is
+// its user tag's window (the low 32 bits of the flow tag).
+func TestTenantPhasesSendWithTheirClass(t *testing.T) {
+	sc, err := Load(corpusDir + "/multi-tenant-queue.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.NewRecording()
+	if _, err := Run(sc, Config{Record: rec}); err != nil {
+		t.Fatal(err)
+	}
+	sends := map[string]int{}
+	for _, op := range rec.Ops() {
+		if op.Kind != trace.OpSend {
+			continue
+		}
+		name := sc.Phases[uint32(op.Tag)/tagStride].Name
+		sends[name]++
+		if want := name == "rpc"; op.Priority != want {
+			t.Errorf("phase %s: send %d -> %d at %v has priority %v, want %v",
+				name, op.Node, op.Peer, op.At, op.Priority, want)
+		}
+	}
+	for _, name := range []string{"burst-a", "burst-b", "rpc"} {
+		if sends[name] == 0 {
+			t.Errorf("phase %s recorded no send", name)
+		}
+	}
+}
+
 // TestSlowNodeStretchesCompletion: the same workload with the target
 // host slowed 8x must finish later.
 func TestSlowNodeStretchesCompletion(t *testing.T) {

@@ -104,7 +104,10 @@ type PhaseSpec struct {
 	// scenario declares a tenants block — submits the phase to the job
 	// queue at its instant instead of starting it unconditionally: the
 	// phase then runs when the queue's fair-share dispatch grants its
-	// tenant a worker. Empty is fine (the phase starts at At as usual).
+	// tenant a worker, and its point-to-point sends (pingpong, ring,
+	// incast, composite) carry the tenant's send options, Priority for a
+	// latency tenant. Collective phases take no send options. Empty is
+	// fine (the phase starts at At as usual).
 	Tenant string
 	// Nodes are the participants: the [a, b] pair of a pingpong or
 	// composite, the ring members in ring order, empty = every node

@@ -17,15 +17,14 @@ func NewGroup(w *World) *Group { return &Group{w: w} }
 // start event — and records its error and its finish instant.
 func (g *Group) Go(name string, fn func(p *Proc) error) {
 	g.w.Spawn(name, func(p *Proc) {
-		g.Fail(fn(p))
+		g.fail(fn(p))
 		g.end = p.Now() // the clock never runs backwards: the last write is the latest
 	})
 }
 
-// Fail records err as the group's result unless it is nil or an earlier
-// error already is. It is how code in scheduler context (an At callback
-// that cannot return an error) reports into the group.
-func (g *Group) Fail(err error) {
+// fail records err as the group's result unless it is nil or an earlier
+// error already is.
+func (g *Group) fail(err error) {
 	if g.err == nil {
 		g.err = err
 	}

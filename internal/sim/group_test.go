@@ -54,10 +54,10 @@ func TestGroupFailFromSchedulerContext(t *testing.T) {
 	w := NewWorld()
 	g := NewGroup(w)
 	boom := errors.New("boom")
-	w.At(3, func() { g.Fail(nil); g.Fail(boom); g.Fail(errors.New("later")) })
+	w.At(3, func() { g.fail(nil); g.fail(boom); g.fail(errors.New("later")) })
 	g.Go("fine", func(p *Proc) error { p.Sleep(5); return nil })
 	if err := g.Run(); err != boom {
-		t.Fatalf("Run() = %v, want the first non-nil Fail", err)
+		t.Fatalf("Run() = %v, want the first non-nil fail", err)
 	}
 }
 

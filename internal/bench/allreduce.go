@@ -31,8 +31,6 @@ type allreduceConfig struct {
 	// Algo is a registered allreduce algorithm ("tree", "ring"), the
 	// seedAlgo baseline, or "" for the automatic selection.
 	Algo string
-	// SegBytes overrides the pipelining segment (0 = default).
-	SegBytes int
 }
 
 // allreduceTime measures one allreduce: virtual microseconds from every
@@ -55,9 +53,6 @@ func allreduceTime(cfg allreduceConfig) (float64, error) {
 			if err := m.ForceCollAlgo(madmpi.CollAllreduce, cfg.Algo); err != nil {
 				return 0, err
 			}
-		}
-		if cfg.SegBytes > 0 {
-			m.SetCollSegment(cfg.SegBytes)
 		}
 	}
 	allreduce := func(p *sim.Proc, m *madmpi.MPI, in, out []float64) error {

@@ -109,43 +109,6 @@ func figScaleNodes() (Figure, error) {
 	return fig, nil
 }
 
-// figDropResilience sweeps the drop probability on an 8-node 16-segment
-// ring exchange under each strategy: how completion degrades as the
-// fabric gets worse, and whether the optimization window still pays off
-// under loss — aggregation packs segments into fewer packets, and fewer
-// packets means fewer drops to repair.
-func figDropResilience() (Figure, error) {
-	fig := Figure{
-		ID: "drop-resilience", Title: "Drop resilience — 8-node 16-segment ring exchange (256B/segment) completion vs packet loss (MX)",
-		XLabel: "drop (%)", YLabel: "completion (µs)",
-		Notes: []string{
-			"reliability on; every segment verified intact at every point",
-			fmt.Sprintf("fault seed %d", faultSeed),
-		},
-	}
-	drops := []float64{0, 0.05, 0.10, 0.20, 0.30}
-	for _, strat := range []string{"aggreg", "default", "prio"} {
-		opts := core.DefaultOptions()
-		opts.Strategy = strat
-		opts.Reliability = true
-		s := Series{
-			Label: "MadMPI[" + strat + "]", Strategy: strat,
-			EngineOptions: summarizeOptions(opts),
-			Seed:          faultSeed,
-			Faults:        "drop swept 0..30%",
-		}
-		for _, drop := range drops {
-			rep, err := runPhase(8, opts, drop, faultSeed, scenario.PhaseSpec{Kind: "ring", Msgs: 16, Size: 256, Count: 1})
-			if err != nil {
-				return fig, err
-			}
-			s.Points = append(s.Points, Point{X: int(100 * drop), Y: rep.Completion.Microseconds()})
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
-}
-
 // tenantIsolation runs the two-tenant workload on 4 MX nodes under the
 // prio strategy, both tenants submitting through node 0's job queue. The
 // victim tenant (class latency, so its sends carry Priority) pingpongs
@@ -155,8 +118,7 @@ func figDropResilience() (Figure, error) {
 // the shared engine, not in the queue. Phase 0 of the report is the
 // victim; phases 1 and 2 are the burst.
 func tenantIsolation(msgs int) (*scenario.Report, error) {
-	opts := core.DefaultOptions()
-	opts.Strategy = "prio"
+	opts := strategy("prio")
 	sc := &scenario.Scenario{
 		Name:    "tenant-isolation",
 		Cluster: scenario.ClusterSpec{Nodes: 4, Rails: []string{"mx10g"}, Engine: opts.NodeConfig},

@@ -52,22 +52,48 @@ func mxRails() []simnet.Profile { return []simnet.Profile{simnet.MX10G()} }
 
 func qsRails() []simnet.Profile { return []simnet.Profile{simnet.QsNetII()} }
 
-// sweep measures fn over sizes for each implementation, stamping each
-// series with the implementation's engine configuration.
-func sweep(impls []mpiImpl, sizes []int, fn func(mpiImpl, int) (float64, error)) ([]Series, error) {
-	var out []Series
-	for _, impl := range impls {
-		s := Series{Label: impl.Name, Strategy: impl.Strategy, EngineOptions: impl.EngineOptions}
-		for _, size := range sizes {
-			y, err := fn(impl, size)
-			if err != nil {
-				return nil, err
-			}
-			s.Points = append(s.Points, Point{X: size, Y: y})
+// line is one series of a measured figure: its stamped Series and the
+// measurement that yields its point at each x of the figure's grid.
+type line struct {
+	Series
+	measure func(x int) (float64, error)
+}
+
+// sweep turns implementations into lines, one each, stamped with the
+// implementation's engine configuration and measured by measure.
+func sweep(impls []mpiImpl, measure func(impl mpiImpl, x int) (float64, error)) []line {
+	return each(impls, func(impl mpiImpl) line {
+		return line{
+			Series{Label: impl.Name, Strategy: impl.Strategy, EngineOptions: impl.EngineOptions},
+			func(x int) (float64, error) { return measure(impl, x) },
 		}
-		out = append(out, s)
+	})
+}
+
+// each builds one line per parameter value.
+func each[P any](params []P, mk func(P) line) []line {
+	lines := make([]line, len(params))
+	for i, p := range params {
+		lines[i] = mk(p)
 	}
-	return out, nil
+	return lines
+}
+
+// strategy is the paper's engine configuration under another strategy.
+func strategy(name string) core.Options {
+	o := core.DefaultOptions()
+	o.Strategy = name
+	return o
+}
+
+// variant is MAD-MPI labelled label, its paper configuration changed by
+// mod.
+func variant(label string, mod func(*core.Options)) mpiImpl {
+	o := core.DefaultOptions()
+	mod(&o)
+	impl := madMPI(o)
+	impl.Name = label
+	return impl
 }
 
 // toBandwidth converts latency series (µs) to bandwidth (MB/s): bytes per
@@ -92,61 +118,6 @@ var (
 	fig3SizesQs = sizes(4, 8<<10)
 	fig4Sizes   = []int{256 << 10, 512 << 10, 1 << 20, 2 << 20}
 )
-
-// fig2a: raw ping-pong latency over MX/Myrinet.
-func fig2a() (Figure, error) {
-	series, err := sweep(
-		[]mpiImpl{madMPI(core.DefaultOptions()), mpichLike(), openMPILike()},
-		fig2Sizes,
-		func(impl mpiImpl, size int) (float64, error) { return rawPingPong(impl, mxRails(), size) },
-	)
-	return Figure{
-		ID: "2a", Title: "Raw point-to-point ping-pong — latency over MX/Myri-10G",
-		XLabel: "message size (bytes)", YLabel: "latency (µs)", Series: series,
-		Notes: []string{"paper: MAD-MPI tracks MPICH with a constant < 0.5 µs overhead"},
-	}, err
-}
-
-// fig2b: raw ping-pong bandwidth over MX/Myrinet.
-func fig2b() (Figure, error) {
-	fig, err := fig2a()
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID: "2b", Title: "Raw point-to-point ping-pong — bandwidth over MX/Myri-10G",
-		XLabel: "message size (bytes)", YLabel: "bandwidth (MB/s)",
-		Series: toBandwidth(fig.Series),
-		Notes:  []string{"paper: MAD-MPI reaches 1155 MB/s over MYRI-10G"},
-	}, nil
-}
-
-// fig2c: raw ping-pong latency over Elan/Quadrics.
-func fig2c() (Figure, error) {
-	series, err := sweep(
-		[]mpiImpl{madMPI(core.DefaultOptions()), mpichLike()},
-		fig2Sizes,
-		func(impl mpiImpl, size int) (float64, error) { return rawPingPong(impl, qsRails(), size) },
-	)
-	return Figure{
-		ID: "2c", Title: "Raw point-to-point ping-pong — latency over Elan/Quadrics",
-		XLabel: "message size (bytes)", YLabel: "latency (µs)", Series: series,
-	}, err
-}
-
-// fig2d: raw ping-pong bandwidth over Elan/Quadrics.
-func fig2d() (Figure, error) {
-	fig, err := fig2c()
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID: "2d", Title: "Raw point-to-point ping-pong — bandwidth over Elan/Quadrics",
-		XLabel: "message size (bytes)", YLabel: "bandwidth (MB/s)",
-		Series: toBandwidth(fig.Series),
-		Notes:  []string{"paper: MAD-MPI reaches 835 MB/s over QUADRICS"},
-	}, nil
-}
 
 // tab51 reproduces the §5.1 in-text numbers: the constant software
 // overhead of MAD-MPI vs MPICH at small sizes, and the peak bandwidths.
@@ -185,257 +156,6 @@ func tab51() (Figure, error) {
 		fig.Notes = append(fig.Notes,
 			fmt.Sprintf("%s: MAD-MPI constant overhead vs MPICH = %.2f µs (paper: < 0.5 µs); peak bandwidth = %.0f MB/s",
 				net.name, overhead, peak))
-	}
-	return fig, nil
-}
-
-// fig3a: 8-segment ping-pong latency over MX.
-func fig3a() (Figure, error) { return fig3("3a", mxRails(), fig3SizesMX, 8, true) }
-
-// fig3b: 16-segment ping-pong latency over MX.
-func fig3b() (Figure, error) { return fig3("3b", mxRails(), fig3SizesMX, 16, true) }
-
-// fig3c: 8-segment ping-pong latency over Quadrics.
-func fig3c() (Figure, error) { return fig3("3c", qsRails(), fig3SizesQs, 8, false) }
-
-// fig3d: 16-segment ping-pong latency over Quadrics.
-func fig3d() (Figure, error) { return fig3("3d", qsRails(), fig3SizesQs, 16, false) }
-
-func fig3(id string, rails []simnet.Profile, sizes []int, nsegs int, withOpenMPI bool) (Figure, error) {
-	impls := []mpiImpl{madMPI(core.DefaultOptions()), mpichLike()}
-	if withOpenMPI {
-		impls = append(impls, openMPILike())
-	}
-	series, err := sweep(impls, sizes, func(impl mpiImpl, size int) (float64, error) {
-		return multiSegPingPong(impl, rails, size, nsegs)
-	})
-	net := rails[0].Name
-	return Figure{
-		ID: id, Title: fmt.Sprintf("%d-segment ping-pong — latency over %s (one communicator per segment)", nsegs, net),
-		XLabel: "per-segment size (bytes)", YLabel: "latency (µs)", Series: series,
-		Notes: []string{"paper: MAD-MPI up to 70% faster over MX, up to 50% over Quadrics"},
-	}, err
-}
-
-// fig4a: indexed datatype transfer time over MX.
-func fig4a() (Figure, error) { return fig4("4a", mxRails(), true) }
-
-// fig4b: indexed datatype transfer time over Quadrics.
-func fig4b() (Figure, error) { return fig4("4b", qsRails(), false) }
-
-func fig4(id string, rails []simnet.Profile, withOpenMPI bool) (Figure, error) {
-	impls := []mpiImpl{madMPI(core.DefaultOptions()), mpichLike()}
-	if withOpenMPI {
-		impls = append(impls, openMPILike())
-	}
-	series, err := sweep(impls, fig4Sizes, func(impl mpiImpl, size int) (float64, error) {
-		return datatypePingPong(impl, rails, size)
-	})
-	return Figure{
-		ID: id, Title: fmt.Sprintf("Indexed datatype (64B + 256KB blocks) — transfer time over %s", rails[0].Name),
-		XLabel: "total message size (bytes)", YLabel: "transfer time (µs)", Series: series,
-		Notes: []string{"paper: ~70% gain vs MPICH, ~50% vs OpenMPI over MX; up to ~70% vs MPICH over Quadrics"},
-	}, err
-}
-
-// ablationStrategies compares the engine's strategies on the Figure 3
-// workload: the value of the optimization window itself.
-func ablationStrategies() (Figure, error) {
-	mk := func(name string) core.Options {
-		o := core.DefaultOptions()
-		o.Strategy = name
-		return o
-	}
-	impls := []mpiImpl{
-		madMPI(mk("aggreg")),
-		madMPI(mk("default")),
-		madMPI(mk("prio")),
-		mpichLike(),
-	}
-	series, err := sweep(impls, sizes(4, 4<<10), func(impl mpiImpl, size int) (float64, error) {
-		return multiSegPingPong(impl, mxRails(), size, 16)
-	})
-	return Figure{
-		ID: "ablation-strategies", Title: "Ablation — strategy choice on the 16-segment workload (MX)",
-		XLabel: "per-segment size (bytes)", YLabel: "latency (µs)", Series: series,
-		Notes: []string{"default = FIFO without aggregation: the engine without its window"},
-	}, err
-}
-
-// ablationMultirail measures heterogeneous multi-rail splitting: one
-// large body over MX alone vs MX+Quadrics with the split strategy.
-func ablationMultirail() (Figure, error) {
-	split := core.DefaultOptions()
-	split.Strategy = "split"
-	sizes := sizes(64<<10, 16<<20)
-	oneRail, err := sweep([]mpiImpl{madMPI(core.DefaultOptions())}, sizes,
-		func(impl mpiImpl, size int) (float64, error) { return rawPingPong(impl, mxRails(), size) })
-	if err != nil {
-		return Figure{}, err
-	}
-	twoRails, err := sweep([]mpiImpl{madMPI(split)}, sizes,
-		func(impl mpiImpl, size int) (float64, error) {
-			return rawPingPong(impl, []simnet.Profile{simnet.MX10G(), simnet.QsNetII()}, size)
-		})
-	if err != nil {
-		return Figure{}, err
-	}
-	oneRail[0].Label = "MadMPI (MX only)"
-	twoRails[0].Label = "MadMPI[split] (MX + Quadrics)"
-	return Figure{
-		ID: "ablation-multirail", Title: "Ablation — multi-rail body splitting (paper §7 future work)",
-		XLabel: "message size (bytes)", YLabel: "latency (µs)",
-		Series: append(oneRail, twoRails...),
-		Notes:  []string{"bandwidth-proportional heterogeneous splitting across 1250+900 MB/s rails"},
-	}, nil
-}
-
-// ablationOverhead decomposes the §5.1 constant overhead into its two
-// software components by zeroing them in turn.
-func ablationOverhead() (Figure, error) {
-	mk := func(submit, sched sim.Time) core.Options {
-		o := core.DefaultOptions()
-		o.SubmitOverhead = submit
-		o.ScheduleOverhead = sched
-		return o
-	}
-	full := core.DefaultOptions()
-	rename := func(name string, o core.Options) mpiImpl {
-		impl := madMPI(o)
-		impl.Name = name
-		return impl
-	}
-	impls := []mpiImpl{
-		madMPI(full),
-		rename("MadMPI[no-submit]", mk(0, full.ScheduleOverhead)),
-		rename("MadMPI[no-sched]", mk(full.SubmitOverhead, 0)),
-		rename("MadMPI[zero-overhead]", mk(0, 0)),
-		mpichLike(),
-	}
-	series, err := sweep(impls, []int{4, 64, 1024}, func(impl mpiImpl, size int) (float64, error) {
-		return rawPingPong(impl, mxRails(), size)
-	})
-	return Figure{
-		ID: "ablation-overhead", Title: "Ablation — decomposing the MAD-MPI critical-path overhead (MX, small messages)",
-		XLabel: "message size (bytes)", YLabel: "latency (µs)", Series: series,
-		Notes: []string{"submit = collect-layer wrapping; sched = ready-list inspection per output packet (§5.1)"},
-	}, err
-}
-
-// ablationRdvThreshold sweeps the aggregation cap / rendezvous switch.
-func ablationRdvThreshold() (Figure, error) {
-	// The threshold lives in the profile; sweep by building custom rails.
-	fig := Figure{
-		ID: "ablation-rdv", Title: "Ablation — rendezvous threshold / aggregation cap (MX, 16KB..256KB)",
-		XLabel: "message size (bytes)", YLabel: "latency (µs)",
-		Notes: []string{"low threshold: early zero-copy but more handshakes; high: longer eager copies"},
-	}
-	for _, thr := range []int{8 << 10, 32 << 10, 128 << 10} {
-		prof := simnet.MX10G()
-		prof.RdvThreshold = thr
-		s := Series{Label: fmt.Sprintf("MadMPI[rdv=%dK]", thr>>10), Strategy: "aggreg", EngineOptions: summarizeOptions(core.DefaultOptions())}
-		for _, size := range sizes(16<<10, 256<<10) {
-			y, err := rawPingPong(madMPI(core.DefaultOptions()), []simnet.Profile{prof}, size)
-			if err != nil {
-				return fig, err
-			}
-			s.Points = append(s.Points, Point{X: size, Y: y})
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
-}
-
-// ablationModes compares the three scheduling modes of §3.2 on the
-// 16-segment workload: just-in-time (the default), anticipation
-// (pre-built packets) and backlog flush.
-func ablationModes() (Figure, error) {
-	mk := func(name string, mod func(*core.Options)) mpiImpl {
-		opts := core.DefaultOptions()
-		mod(&opts)
-		impl := madMPI(opts)
-		impl.Name = name
-		return impl
-	}
-	impls := []mpiImpl{
-		mk("just-in-time", func(*core.Options) {}),
-		mk("anticipate", func(o *core.Options) { o.Anticipate = true }),
-		mk("flush-4", func(o *core.Options) { o.FlushBacklog = 4 }),
-		mk("flush-8", func(o *core.Options) { o.FlushBacklog = 8 }),
-	}
-	series, err := sweep(impls, sizes(4, 4<<10), func(impl mpiImpl, size int) (float64, error) {
-		return multiSegPingPong(impl, mxRails(), size, 16)
-	})
-	return Figure{
-		ID: "ablation-modes", Title: "Ablation — §3.2 scheduling modes on the 16-segment workload (MX)",
-		XLabel: "per-segment size (bytes)", YLabel: "latency (µs)", Series: series,
-		Notes: []string{
-			"just-in-time elects on NIC-idle; anticipation pre-builds one packet (less aggregation);",
-			"flush-N elects whenever N wrappers queue (bounded trains, earlier first byte)",
-		},
-	}, err
-}
-
-// ablationComposite measures control-message latency inside a bulk
-// stream: the multiplexing scenario of §2. The priority strategy lets the
-// control fragment jump the accumulated bulk.
-func ablationComposite() (Figure, error) {
-	fig := Figure{
-		ID: "ablation-composite", Title: "Ablation — control latency inside a bulk stream (MX, 16 x 16KB bulk)",
-		XLabel: "bulk chunk size (bytes)", YLabel: "control latency (µs)",
-		Notes: []string{"one small control message issued mid-stream; lower is better"},
-	}
-	prioOpts := core.DefaultOptions()
-	prioOpts.Strategy = "prio"
-	cases := []struct {
-		label string
-		impl  mpiImpl
-		prio  bool
-	}{
-		{"MadMPI[prio]+priority-flag", madMPI(prioOpts), true},
-		{"MadMPI[aggreg]", madMPI(core.DefaultOptions()), false},
-		{"MPICH", mpichLike(), false},
-	}
-	for _, c := range cases {
-		s := Series{Label: c.label, Strategy: c.impl.Strategy, EngineOptions: c.impl.EngineOptions}
-		for _, bulk := range []int{4 << 10, 8 << 10, 16 << 10} {
-			lat, err := compositeControlLatency(c.impl, mxRails(), bulk, 16, c.prio)
-			if err != nil {
-				return fig, err
-			}
-			s.Points = append(s.Points, Point{X: bulk, Y: lat})
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
-}
-
-// ablationSampling shows the functional-bandwidth sampler at work: a
-// two-rail transfer with the MX rail congested to 30% of nominal. Cold
-// engines plan with nominal figures and overload the congested rail;
-// warmed engines rebalance from samples.
-func ablationSampling() (Figure, error) {
-	fig := Figure{
-		ID: "ablation-sampling", Title: "Ablation — bandwidth sampling under congestion (MX at 30%, split strategy)",
-		XLabel: "message size (bytes)", YLabel: "transfer time (µs)",
-		Notes: []string{"cold = nominal-bandwidth plan; warmed = plan from sampled functional bandwidth"},
-	}
-	for _, c := range []struct {
-		label  string
-		warmup int
-	}{
-		{"cold (nominal plan)", 0},
-		{"warmed (sampled plan)", 4},
-	} {
-		s := Series{Label: c.label, Strategy: "split"}
-		for _, size := range []int{2 << 20, 4 << 20, 8 << 20} {
-			t, err := congestedTransfer(size, 0.3, c.warmup)
-			if err != nil {
-				return fig, err
-			}
-			s.Points = append(s.Points, Point{X: size, Y: t})
-		}
-		fig.Series = append(fig.Series, s)
 	}
 	return fig, nil
 }
@@ -487,38 +207,256 @@ type FigureInfo struct {
 	Desc string
 }
 
+// figure is one row of the registry. A measured row is a header, an x
+// grid and its lines, which run measures; a derived row (2b, 2d) converts
+// the series of the latency row it names to bandwidth. The figures whose
+// notes or points come from runs several series share keep a builder.
+type figure struct {
+	id, desc string // the registry key and its -list line
+	head     Figure // title, axis labels and static notes
+	xs       []int
+	lines    []line
+	from     string
+	build    func() (Figure, error)
+}
+
+// run regenerates the row's figure; a measured row measures every line at
+// every x, line by line.
+func (f figure) run() (Figure, error) {
+	if f.build != nil {
+		return f.build()
+	}
+	fig := f.head
+	fig.ID = f.id
+	if f.from != "" {
+		src, err := Run(f.from)
+		fig.Series = toBandwidth(src.Series)
+		return fig, err
+	}
+	for _, l := range f.lines {
+		s := l.Series
+		for _, x := range f.xs {
+			y, err := l.measure(x)
+			if err != nil {
+				return fig, err
+			}
+			s.Points = append(s.Points, Point{X: x, Y: y})
+		}
+		fig.Series = append(fig.Series, s)
+	}
+	return fig, nil
+}
+
+// What the rows share: axis labels, and MAD-MPI in the paper's
+// configuration against MPICH, and against OpenMPI too where the paper
+// has it (MX only).
+const (
+	sizeAxis    = "message size (bytes)"
+	segAxis     = "per-segment size (bytes)"
+	latencyAxis = "latency (µs)"
+)
+
+var (
+	madVsMPICH = []mpiImpl{madMPI(core.DefaultOptions()), mpichLike()}
+	madVsAll   = []mpiImpl{madMPI(core.DefaultOptions()), mpichLike(), openMPILike()}
+	fig3Notes  = []string{"paper: MAD-MPI up to 70% faster over MX, up to 50% over Quadrics"}
+	fig4Notes  = []string{"paper: ~70% gain vs MPICH, ~50% vs OpenMPI over MX; up to ~70% vs MPICH over Quadrics"}
+)
+
 // figureList is the registry of everything the harness can regenerate,
 // in curated order: paper figures first, then the ablations and the
 // scale workloads.
-var figureList = []struct {
-	id   string
-	desc string
-	fn   func() (Figure, error)
-}{
-	{"2a", "raw ping-pong latency over MX/Myri-10G (vs MPICH, OpenMPI)", fig2a},
-	{"2b", "raw ping-pong bandwidth over MX/Myri-10G", fig2b},
-	{"2c", "raw ping-pong latency over Elan/Quadrics", fig2c},
-	{"2d", "raw ping-pong bandwidth over Elan/Quadrics", fig2d},
-	{"5.1", "§5.1 summary: constant software overhead and peak bandwidths", tab51},
-	{"3a", "8-segment ping-pong over MX, one communicator per segment", fig3a},
-	{"3b", "16-segment ping-pong over MX", fig3b},
-	{"3c", "8-segment ping-pong over Quadrics", fig3c},
-	{"3d", "16-segment ping-pong over Quadrics", fig3d},
-	{"4a", "indexed-datatype (64B+256KB blocks) transfer time over MX", fig4a},
-	{"4b", "indexed-datatype transfer time over Quadrics", fig4b},
-	{"incast", "N-to-1 eager overload: receiver queue bound under credit flow control", figIncast},
-	{"allreduce", "collective schedule engine: tree/pipelined-ring allreduce vs the seed blocking tree, size × nodes", figAllreduce},
-	{"replay-ab", "trace-driven replay A/B: strategies on the recorded composite workload, identical submission timing", figReplayAB},
-	{"ablation-strategies", "strategy choice (aggreg/default/prio) on the 16-segment workload", ablationStrategies},
-	{"ablation-multirail", "heterogeneous multi-rail body splitting (MX + Quadrics)", ablationMultirail},
-	{"ablation-overhead", "decomposing the critical-path software overhead (submit vs sched)", ablationOverhead},
-	{"ablation-rdv", "rendezvous threshold / aggregation cap sweep", ablationRdvThreshold},
-	{"ablation-modes", "§3.2 scheduling modes: just-in-time vs anticipation vs backlog flush", ablationModes},
-	{"ablation-composite", "control-message latency inside a bulk stream (priority strategy)", ablationComposite},
-	{"ablation-sampling", "bandwidth sampling under congestion (cold vs warmed split plan)", ablationSampling},
-	{"scale-nodes", "collective completion vs emulated job size, 8..1024 nodes, lossless vs 1% drop", figScaleNodes},
-	{"drop-resilience", "8-node 16-segment ring exchange completion vs packet-drop probability per strategy", figDropResilience},
-	{"tenant-isolation", "multi-tenant job queue: victim pingpong latency under a competing tenant's incast burst", figTenantIsolation},
+var figureList = []figure{
+	{
+		id: "2a", desc: "raw ping-pong latency over MX/Myri-10G (vs MPICH, OpenMPI)",
+		head: Figure{Title: "Raw point-to-point ping-pong — latency over MX/Myri-10G", XLabel: sizeAxis, YLabel: latencyAxis,
+			Notes: []string{"paper: MAD-MPI tracks MPICH with a constant < 0.5 µs overhead"}},
+		xs:    fig2Sizes,
+		lines: sweep(madVsAll, func(im mpiImpl, x int) (float64, error) { return rawPingPong(im, mxRails(), x) }),
+	},
+	{
+		id: "2b", desc: "raw ping-pong bandwidth over MX/Myri-10G", from: "2a",
+		head: Figure{Title: "Raw point-to-point ping-pong — bandwidth over MX/Myri-10G", XLabel: sizeAxis, YLabel: "bandwidth (MB/s)",
+			Notes: []string{"paper: MAD-MPI reaches 1155 MB/s over MYRI-10G"}},
+	},
+	{
+		id: "2c", desc: "raw ping-pong latency over Elan/Quadrics",
+		head:  Figure{Title: "Raw point-to-point ping-pong — latency over Elan/Quadrics", XLabel: sizeAxis, YLabel: latencyAxis},
+		xs:    fig2Sizes,
+		lines: sweep(madVsMPICH, func(im mpiImpl, x int) (float64, error) { return rawPingPong(im, qsRails(), x) }),
+	},
+	{
+		id: "2d", desc: "raw ping-pong bandwidth over Elan/Quadrics", from: "2c",
+		head: Figure{Title: "Raw point-to-point ping-pong — bandwidth over Elan/Quadrics", XLabel: sizeAxis, YLabel: "bandwidth (MB/s)",
+			Notes: []string{"paper: MAD-MPI reaches 835 MB/s over QUADRICS"}},
+	},
+	{id: "5.1", desc: "§5.1 summary: constant software overhead and peak bandwidths", build: tab51},
+	{
+		id: "3a", desc: "8-segment ping-pong over MX, one communicator per segment",
+		head:  Figure{Title: "8-segment ping-pong — latency over mx10g (one communicator per segment)", XLabel: segAxis, YLabel: latencyAxis, Notes: fig3Notes},
+		xs:    fig3SizesMX,
+		lines: sweep(madVsAll, func(im mpiImpl, x int) (float64, error) { return multiSegPingPong(im, mxRails(), x, 8) }),
+	},
+	{
+		id: "3b", desc: "16-segment ping-pong over MX",
+		head:  Figure{Title: "16-segment ping-pong — latency over mx10g (one communicator per segment)", XLabel: segAxis, YLabel: latencyAxis, Notes: fig3Notes},
+		xs:    fig3SizesMX,
+		lines: sweep(madVsAll, func(im mpiImpl, x int) (float64, error) { return multiSegPingPong(im, mxRails(), x, 16) }),
+	},
+	{
+		id: "3c", desc: "8-segment ping-pong over Quadrics",
+		head:  Figure{Title: "8-segment ping-pong — latency over qsnet2 (one communicator per segment)", XLabel: segAxis, YLabel: latencyAxis, Notes: fig3Notes},
+		xs:    fig3SizesQs,
+		lines: sweep(madVsMPICH, func(im mpiImpl, x int) (float64, error) { return multiSegPingPong(im, qsRails(), x, 8) }),
+	},
+	{
+		id: "3d", desc: "16-segment ping-pong over Quadrics",
+		head:  Figure{Title: "16-segment ping-pong — latency over qsnet2 (one communicator per segment)", XLabel: segAxis, YLabel: latencyAxis, Notes: fig3Notes},
+		xs:    fig3SizesQs,
+		lines: sweep(madVsMPICH, func(im mpiImpl, x int) (float64, error) { return multiSegPingPong(im, qsRails(), x, 16) }),
+	},
+	{
+		id: "4a", desc: "indexed-datatype (64B+256KB blocks) transfer time over MX",
+		head: Figure{Title: "Indexed datatype (64B + 256KB blocks) — transfer time over mx10g",
+			XLabel: "total message size (bytes)", YLabel: "transfer time (µs)", Notes: fig4Notes},
+		xs:    fig4Sizes,
+		lines: sweep(madVsAll, func(im mpiImpl, x int) (float64, error) { return datatypePingPong(im, mxRails(), x) }),
+	},
+	{
+		id: "4b", desc: "indexed-datatype transfer time over Quadrics",
+		head: Figure{Title: "Indexed datatype (64B + 256KB blocks) — transfer time over qsnet2",
+			XLabel: "total message size (bytes)", YLabel: "transfer time (µs)", Notes: fig4Notes},
+		xs:    fig4Sizes,
+		lines: sweep(madVsMPICH, func(im mpiImpl, x int) (float64, error) { return datatypePingPong(im, qsRails(), x) }),
+	},
+	{id: "incast", desc: "N-to-1 eager overload: receiver queue bound under credit flow control", build: figIncast},
+	{id: "allreduce", desc: "collective schedule engine: tree/pipelined-ring allreduce vs the seed blocking tree, size × nodes", build: figAllreduce},
+	{id: "replay-ab", desc: "trace-driven replay A/B: strategies on the recorded composite workload, identical submission timing", build: figReplayAB},
+	{
+		// The value of the optimization window itself, on the Figure 3 workload.
+		id: "ablation-strategies", desc: "strategy choice (aggreg/default/prio) on the 16-segment workload",
+		head: Figure{Title: "Ablation — strategy choice on the 16-segment workload (MX)", XLabel: segAxis, YLabel: latencyAxis,
+			Notes: []string{"default = FIFO without aggregation: the engine without its window"}},
+		xs: sizes(4, 4<<10),
+		lines: sweep([]mpiImpl{madMPI(core.DefaultOptions()), madMPI(strategy("default")), madMPI(strategy("prio")), mpichLike()},
+			func(im mpiImpl, x int) (float64, error) { return multiSegPingPong(im, mxRails(), x, 16) }),
+	},
+	{
+		// One large body over MX alone vs MX+Quadrics under the split strategy.
+		id: "ablation-multirail", desc: "heterogeneous multi-rail body splitting (MX + Quadrics)",
+		head: Figure{Title: "Ablation — multi-rail body splitting (paper §7 future work)", XLabel: sizeAxis, YLabel: latencyAxis,
+			Notes: []string{"bandwidth-proportional heterogeneous splitting across 1250+900 MB/s rails"}},
+		xs: sizes(64<<10, 16<<20),
+		lines: append(
+			sweep([]mpiImpl{variant("MadMPI (MX only)", func(*core.Options) {})},
+				func(im mpiImpl, x int) (float64, error) { return rawPingPong(im, mxRails(), x) }),
+			sweep([]mpiImpl{variant("MadMPI[split] (MX + Quadrics)", func(o *core.Options) { o.Strategy = "split" })},
+				func(im mpiImpl, x int) (float64, error) {
+					return rawPingPong(im, []simnet.Profile{simnet.MX10G(), simnet.QsNetII()}, x)
+				})...),
+	},
+	{
+		// The §5.1 constant overhead, its two software components zeroed in turn.
+		id: "ablation-overhead", desc: "decomposing the critical-path software overhead (submit vs sched)",
+		head: Figure{Title: "Ablation — decomposing the MAD-MPI critical-path overhead (MX, small messages)", XLabel: sizeAxis, YLabel: latencyAxis,
+			Notes: []string{"submit = collect-layer wrapping; sched = ready-list inspection per output packet (§5.1)"}},
+		xs: []int{4, 64, 1024},
+		lines: sweep([]mpiImpl{
+			madMPI(core.DefaultOptions()),
+			variant("MadMPI[no-submit]", func(o *core.Options) { o.SubmitOverhead = 0 }),
+			variant("MadMPI[no-sched]", func(o *core.Options) { o.ScheduleOverhead = 0 }),
+			variant("MadMPI[zero-overhead]", func(o *core.Options) { o.SubmitOverhead, o.ScheduleOverhead = 0, 0 }),
+			mpichLike(),
+		}, func(im mpiImpl, x int) (float64, error) { return rawPingPong(im, mxRails(), x) }),
+	},
+	{
+		// The threshold lives in the profile: each line has its own MX rail.
+		id: "ablation-rdv", desc: "rendezvous threshold / aggregation cap sweep",
+		head: Figure{Title: "Ablation — rendezvous threshold / aggregation cap (MX, 16KB..256KB)", XLabel: sizeAxis, YLabel: latencyAxis,
+			Notes: []string{"low threshold: early zero-copy but more handshakes; high: longer eager copies"}},
+		xs: sizes(16<<10, 256<<10),
+		lines: each([]int{8 << 10, 32 << 10, 128 << 10}, func(thr int) line {
+			prof := simnet.MX10G()
+			prof.RdvThreshold = thr
+			impl := madMPI(core.DefaultOptions())
+			return line{
+				Series{Label: fmt.Sprintf("MadMPI[rdv=%dK]", thr>>10), Strategy: impl.Strategy, EngineOptions: impl.EngineOptions},
+				func(x int) (float64, error) { return rawPingPong(impl, []simnet.Profile{prof}, x) },
+			}
+		}),
+	},
+	{
+		// The three scheduling modes of §3.2 on the 16-segment workload.
+		id: "ablation-modes", desc: "§3.2 scheduling modes: just-in-time vs anticipation vs backlog flush",
+		head: Figure{Title: "Ablation — §3.2 scheduling modes on the 16-segment workload (MX)", XLabel: segAxis, YLabel: latencyAxis,
+			Notes: []string{
+				"just-in-time elects on NIC-idle; anticipation pre-builds one packet (less aggregation);",
+				"flush-N elects whenever N wrappers queue (bounded trains, earlier first byte)",
+			}},
+		xs: sizes(4, 4<<10),
+		lines: sweep([]mpiImpl{
+			variant("just-in-time", func(*core.Options) {}),
+			variant("anticipate", func(o *core.Options) { o.Anticipate = true }),
+			variant("flush-4", func(o *core.Options) { o.FlushBacklog = 4 }),
+			variant("flush-8", func(o *core.Options) { o.FlushBacklog = 8 }),
+		}, func(im mpiImpl, x int) (float64, error) { return multiSegPingPong(im, mxRails(), x, 16) }),
+	},
+	{
+		// The multiplexing scenario of §2: under the prio strategy the
+		// control message carries the priority flag and jumps the bulk.
+		id: "ablation-composite", desc: "control-message latency inside a bulk stream (priority strategy)",
+		head: Figure{Title: "Ablation — control latency inside a bulk stream (MX, 16 x 16KB bulk)",
+			XLabel: "bulk chunk size (bytes)", YLabel: "control latency (µs)",
+			Notes: []string{"one small control message issued mid-stream; lower is better"}},
+		xs: []int{4 << 10, 8 << 10, 16 << 10},
+		lines: sweep([]mpiImpl{
+			variant("MadMPI[prio]+priority-flag", func(o *core.Options) { o.Strategy = "prio" }),
+			variant("MadMPI[aggreg]", func(*core.Options) {}),
+			mpichLike(),
+		}, func(im mpiImpl, x int) (float64, error) {
+			return compositeControlLatency(im, mxRails(), x, 16, im.Strategy == "prio")
+		}),
+	},
+	{
+		// Two rails, MX congested to 30% of nominal: a cold engine plans
+		// with nominal figures and overloads it, a warmed one rebalances
+		// from samples.
+		id: "ablation-sampling", desc: "bandwidth sampling under congestion (cold vs warmed split plan)",
+		head: Figure{Title: "Ablation — bandwidth sampling under congestion (MX at 30%, split strategy)",
+			XLabel: sizeAxis, YLabel: "transfer time (µs)",
+			Notes: []string{"cold = nominal-bandwidth plan; warmed = plan from sampled functional bandwidth"}},
+		xs: []int{2 << 20, 4 << 20, 8 << 20},
+		lines: []line{
+			{Series{Label: "cold (nominal plan)", Strategy: "split"}, func(x int) (float64, error) { return congestedTransfer(x, 0.3, 0) }},
+			{Series{Label: "warmed (sampled plan)", Strategy: "split"}, func(x int) (float64, error) { return congestedTransfer(x, 0.3, 4) }},
+		},
+	},
+	{id: "scale-nodes", desc: "collective completion vs emulated job size, 8..1024 nodes, lossless vs 1% drop", build: figScaleNodes},
+	{
+		// How completion degrades as the fabric gets worse, and whether the
+		// window still pays off under loss: aggregation packs segments
+		// into fewer packets, and fewer packets means fewer drops to repair.
+		id: "drop-resilience", desc: "8-node 16-segment ring exchange completion vs packet-drop probability per strategy",
+		head: Figure{Title: "Drop resilience — 8-node 16-segment ring exchange (256B/segment) completion vs packet loss (MX)",
+			XLabel: "drop (%)", YLabel: "completion (µs)",
+			Notes: []string{"reliability on; every segment verified intact at every point", fmt.Sprintf("fault seed %d", faultSeed)}},
+		xs: []int{0, 5, 10, 20, 30},
+		lines: each([]string{"aggreg", "default", "prio"}, func(strat string) line {
+			opts := strategy(strat)
+			opts.Reliability = true
+			return line{
+				Series{Label: "MadMPI[" + strat + "]", Strategy: strat, EngineOptions: summarizeOptions(opts), Seed: faultSeed, Faults: "drop swept 0..30%"},
+				func(pct int) (float64, error) {
+					rep, err := runPhase(8, opts, float64(pct)/100, faultSeed, scenario.PhaseSpec{Kind: "ring", Msgs: 16, Size: 256, Count: 1})
+					if err != nil {
+						return 0, err
+					}
+					return rep.Completion.Microseconds(), nil
+				},
+			}
+		}),
+	},
+	{id: "tenant-isolation", desc: "multi-tenant job queue: victim pingpong latency under a competing tenant's incast burst", build: figTenantIsolation},
 }
 
 // FigureIDs lists the registry keys in stable (sorted) order.
@@ -545,7 +483,7 @@ func Figures() []FigureInfo {
 func Run(id string) (Figure, error) {
 	for _, e := range figureList {
 		if e.id == id {
-			return e.fn()
+			return e.run()
 		}
 	}
 	return Figure{}, fmt.Errorf("bench: unknown figure %q (have %v)", id, FigureIDs())

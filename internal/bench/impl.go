@@ -14,6 +14,13 @@
 // scale-nodes, drop-resilience, tenant-isolation) build it as a
 // scenario.Scenario literal and run it through scenario.Run instead of
 // driving it here.
+//
+// A figure is a row of the registry (figureList): its header, an x grid
+// and its lines, each a stamped Series with the measurement of one point,
+// all measured by one loop (figure.run); 2b and 2d convert the series of
+// 2a and 2c to bandwidth. Only the figures whose notes or points come
+// from runs several series share — 5.1, incast, allreduce, replay-ab,
+// scale-nodes and tenant-isolation — keep a builder function.
 package bench
 
 import (

@@ -25,15 +25,12 @@ func figReplayAB() (Figure, error) {
 		},
 	}
 	strategies := []string{"aggreg", "default", "prio", "adaptive"}
-	// The recorded personality every strategy replays under (only the
-	// strategy itself varies): stamped like every other figure's series.
-	base := replay.CanonicalConfig()
-	recordedOpts := core.DefaultOptions()
-	recordedOpts.Credits = base.Credits
-	recordedOpts.MaxGrants = base.MaxGrants
+	// Every strategy replays under the recorded personality, the paper's
+	// configuration: only the strategy itself varies.
+	stamp := summarizeOptions(core.DefaultOptions())
 	series := make(map[string]*Series, len(strategies))
 	for _, s := range strategies {
-		series[s] = &Series{Label: "replay[" + s + "]", Strategy: s, EngineOptions: summarizeOptions(recordedOpts)}
+		series[s] = &Series{Label: "replay[" + s + "]", Strategy: s, EngineOptions: stamp}
 	}
 	sizes := []int{2 << 10, 8 << 10, 32 << 10}
 	for _, bulk := range sizes {

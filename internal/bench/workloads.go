@@ -38,7 +38,7 @@ func compositeControlLatency(impl mpiImpl, profs []simnet.Profile, bulkSize, nbu
 			if i == half {
 				sentAt = p.Now()
 				if mp, ok := p0.(*madPeer); ok && prio {
-					reqs = append(reqs, mp.comm(ctrlComm).IsendPriority(p, []byte("ctrl"), 1, 0))
+					reqs = append(reqs, mp.comm(ctrlComm).Isend(p, []byte("ctrl"), 1, 0, core.Priority()))
 				} else {
 					reqs = append(reqs, p0.Isend(p, []byte("ctrl"), 1, 0, ctrlComm))
 				}

@@ -121,10 +121,3 @@ func (c *Comm) Sendrecv(p *sim.Proc, sendBuf []byte, dest, sendTag int, recvBuf 
 	}
 	return waitRecv(p, rr, rerr)
 }
-
-// IsendPriority is a MAD-MPI extension exposing the engine's priority
-// flag (the RPC service-id pattern): the message is scheduled ahead of
-// accumulated bulk data.
-func (c *Comm) IsendPriority(p *sim.Proc, buf []byte, dest, tag int) *Request {
-	return c.Isend(p, buf, dest, tag, core.Priority())
-}

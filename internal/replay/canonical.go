@@ -24,10 +24,6 @@ type CompositeConfig struct {
 	Small int
 	// Large is the size of the single rendezvous transfer.
 	Large int
-	// Strategy etc. set the recorded engine personality.
-	Strategy  string
-	Credits   int
-	MaxGrants int
 	// Faults, when non-nil, makes the fabric lossy for the live run (the
 	// profile is stamped into the recording header, so replay re-applies
 	// it); Reliability enables the engines' link-layer retransmission —
@@ -40,11 +36,10 @@ type CompositeConfig struct {
 // recording (testdata/canonical.jsonl) and the CI replay smoke.
 func CanonicalConfig() CompositeConfig {
 	return CompositeConfig{
-		Bulk:     8 << 10,
-		NBulk:    12,
-		Small:    8,
-		Large:    256 << 10,
-		Strategy: "aggreg",
+		Bulk:  8 << 10,
+		NBulk: 12,
+		Small: 8,
+		Large: 256 << 10,
 	}
 }
 
@@ -109,19 +104,15 @@ func compositeRecv(p *sim.Proc, g *core.Gate, cfg CompositeConfig) error {
 	return nil
 }
 
-// recordCluster builds an N-node recorded MX cluster under the composite
-// configuration's engine personality, and the group its workload runs in.
+// recordCluster builds an N-node recorded MX cluster of engines in the
+// paper's configuration (core.DefaultOptions, reliability as cfg says),
+// and the group its workload runs in.
 func recordCluster(cfg CompositeConfig, nodes int) (*trace.Recording, *sim.Group, []*core.Engine, error) {
 	f, err := simnet.Machine{Nodes: nodes, Rails: []simnet.Profile{simnet.MX10G()}, Faults: cfg.Faults}.Build()
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	opts := core.DefaultOptions()
-	if cfg.Strategy != "" {
-		opts.Strategy = cfg.Strategy
-	}
-	opts.Credits = cfg.Credits
-	opts.MaxGrants = cfg.MaxGrants
 	opts.Reliability = cfg.Reliability
 	opts.Record = trace.NewRecording()
 	engines, err := core.NewEngines(f, func(int) core.Options { return opts })

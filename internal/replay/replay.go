@@ -179,11 +179,12 @@ func (e *UndrainedError) Error() string {
 // header carries the length in 32 bits.
 const maxOpBytes int64 = math.MaxUint32
 
-// checkOps validates every recorded op before any engine is built — a
-// recording is outside input, and Recording.RecordOp checks nothing. It
-// returns each node's ops as indexes into ops, in recorded order, the
-// payload size of the largest op and the segment count of all of them.
-func checkOps(ops []trace.Op, nodes int) (perNode [][]int, maxBytes, segs int, err error) {
+// checkOps validates every recorded op against a topology of nodes
+// engines and rails rails before any engine is built — a recording is
+// outside input, and Recording.RecordOp checks nothing. It returns each
+// node's ops as indexes into ops, in recorded order, the payload size of
+// the largest op and the segment count of all of them.
+func checkOps(ops []trace.Op, nodes, rails int) (perNode [][]int, maxBytes, segs int, err error) {
 	perNode = make([][]int, nodes)
 	for i, op := range ops {
 		if op.Node < 0 || op.Node >= nodes || op.Peer < 0 || op.Peer >= nodes {
@@ -195,6 +196,9 @@ func checkOps(ops []trace.Op, nodes int) (perNode [][]int, maxBytes, segs int, e
 		}
 		if op.Kind != trace.OpSend && op.Kind != trace.OpRecv {
 			return nil, 0, 0, fmt.Errorf("replay: op %d has unknown kind %q", i, op.Kind)
+		}
+		if op.Kind == trace.OpSend && (op.Rail < -1 || op.Rail >= rails) {
+			return nil, 0, 0, fmt.Errorf("replay: op %d pins rail %d outside the %d-rail topology", i, op.Rail, rails)
 		}
 		total := 0
 		for _, n := range op.Segs {
@@ -227,7 +231,7 @@ func Run(rec *trace.Recording, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("replay: %w", err)
 	}
-	perNode, maxBytes, nSegs, err := checkOps(rec.Ops(), hdr.Nodes)
+	perNode, maxBytes, nSegs, err := checkOps(rec.Ops(), hdr.Nodes, len(m.Rails))
 	if err != nil {
 		return nil, err
 	}
@@ -248,12 +252,11 @@ func Run(rec *trace.Recording, cfg Config) (*Result, error) {
 	}
 
 	r := &run{
-		w:      f.World(),
-		res:    &Result{},
-		ops:    rec.Ops(),
-		reqs:   make([]core.Request, rec.Len()),
-		arena:  make([][]byte, nSegs),
-		nRails: len(m.Rails),
+		w:     f.World(),
+		res:   &Result{},
+		ops:   rec.Ops(),
+		reqs:  make([]core.Request, rec.Len()),
+		arena: make([][]byte, nSegs),
 		// Payload content is not part of a recording — scheduling depends
 		// on sizes and layout only — so every send gathers from one zero
 		// buffer and every receive lands in one sink nobody reads.
@@ -297,7 +300,6 @@ type run struct {
 	ops    []trace.Op
 	reqs   []core.Request // by op index: the re-issued request, nil until issued
 	arena  [][]byte       // the segment slots no issued op has taken yet
-	nRails int
 	zero   []byte
 	sink   []byte
 	doneFn func(error) // complete, bound once: the hook of every request
@@ -351,7 +353,7 @@ func (d *dispatcher) issueNext() {
 	if op.Synchronous {
 		sopts = append(sopts, core.Synchronous())
 	}
-	if op.Rail >= 0 && op.Rail < d.nRails {
+	if op.Rail >= 0 {
 		sopts = append(sopts, core.OnRail(op.Rail))
 	}
 	d.reqs[i] = g.PostSendv(core.Tag(op.Tag), d.segsOver(d.zero, op.Segs), d.doneFn, sopts...)

@@ -309,6 +309,9 @@ func TestRunRejectsHostileOps(t *testing.T) {
 		// ReadRecording refuses unknown kinds; RecordOp checks nothing.
 		"unknown kind": {trace.Op{Node: 1, Peer: 0, Kind: "probe", Tag: 1, Segs: []int{64}, Rail: -1}, `op 1 has unknown kind "probe"`},
 		"oversized":    {trace.Op{Node: 1, Peer: 0, Kind: trace.OpRecv, Tag: 1, Segs: []int{math.MaxInt, math.MaxInt}, Rail: -1}, "op 1 is larger than"},
+		// A live engine refuses such a send before recording it.
+		"off-topology rail": {trace.Op{Node: 1, Peer: 0, Kind: trace.OpSend, Tag: 1, Segs: []int{64}, Rail: 7}, "op 1 pins rail 7 outside the"},
+		"rail below -1":     {trace.Op{Node: 1, Peer: 0, Kind: trace.OpSend, Tag: 1, Segs: []int{64}, Rail: -2}, "op 1 pins rail -2 outside the"},
 	} {
 		rec := goldenWithOps(t, sane, tc.op)
 		if _, err := Run(rec, Config{Strategy: "no-such-strategy"}); err == nil || !strings.Contains(err.Error(), tc.want) {

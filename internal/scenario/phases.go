@@ -337,7 +337,7 @@ func startComposite(r *runner, pr *phaseRun) {
 			reqs = append(reqs, c.Isend(q, window(pat, 2*m, bulk), b, base, pr.send...))
 			ctl := window(pat, 2*m+1, ctrlSize)
 			if p.Priority {
-				reqs = append(reqs, c.IsendPriority(q, ctl, b, base+1))
+				reqs = append(reqs, c.Isend(q, ctl, b, base+1, core.Priority()))
 			} else {
 				reqs = append(reqs, c.Isend(q, ctl, b, base+1, pr.send...))
 			}

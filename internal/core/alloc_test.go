@@ -244,14 +244,17 @@ func TestAllocsRetransmitWithoutTracer(t *testing.T) {
 // rendezvousWorkload sends msgs blocking 4 MB messages from node 0 to
 // node 1 under "split" over MX and Quadrics — the bulk-4MB-2rail shape:
 // the body plan, one RDMA chain per rail and the rendezvous state of both
-// sides, per message.
-func rendezvousWorkload(msgs int) { rendezvousRun(msgs)() }
+// sides, per message — with the link-layer reliability protocol on or off.
+func rendezvousWorkload(reliable bool) func(msgs int) {
+	return func(msgs int) { rendezvousRun(msgs, reliable)() }
+}
 
 // rendezvousRun builds rendezvousWorkload's engines and buffers and
 // returns what runs it.
-func rendezvousRun(msgs int) func() {
+func rendezvousRun(msgs int, reliable bool) func() {
 	opts := DefaultOptions()
 	opts.Strategy = "split"
+	opts.Reliability = reliable
 	w, e0, e1 := allocEngines(opts, simnet.MX10G(), simnet.QsNetII())
 	data, buf := make([]byte, 4<<20), make([]byte, 4<<20)
 	return func() {
@@ -278,41 +281,46 @@ func rendezvousRun(msgs int) func() {
 // The rendezvous path: the transaction state of both sides, the body
 // plan, the chunk gather lists and the RDMA chains are recycled, so a
 // large message leaves on the heap what its callers keep — the two
-// requests.
+// requests — reliable or not.
 func TestAllocsRendezvousPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
 	}
-	got := marginalAllocs(rendezvousWorkload, 4, 24)
-	t.Logf("rendezvous path: %.2f allocs per 4 MB message", got)
-	const ceiling = 2.6 // measured 2.00
-	if got > ceiling {
-		t.Errorf("rendezvous path allocates %.2f per message, ceiling %.1f — a per-message allocation is back in the rendezvous state", got, ceiling)
+	for _, reliable := range []bool{false, true} {
+		got := marginalAllocs(rendezvousWorkload(reliable), 4, 24)
+		t.Logf("rendezvous path, reliability %v: %.2f allocs per 4 MB message", reliable, got)
+		const ceiling = 2.6 // measured 2.00 either way
+		if got > ceiling {
+			t.Errorf("rendezvous path (reliability %v) allocates %.2f per message, ceiling %.1f — a per-message allocation is back in the rendezvous state", reliable, got, ceiling)
+		}
 	}
 }
 
 // TestRendezvousDrawsNoFrame: a body byte is copied once, by the NIC from
 // the sender's memory into the receiver's when the chunk's DMA read ends,
 // so a 4 MB rendezvous draws no frame for its body — not even from a cold
-// fabric, whose frame list starts empty. Everything the engines, the NICs
-// and the rendezvous state allocate over a run from cold stays under
-// 64 KB per message; one body frame per chunk, recycled or not, reads
-// over 1 MB per message across four.
+// fabric, whose frame list starts empty, and not under reliability, whose
+// sender keeps the caller's memory pending instead of a copy of it.
+// Everything the engines, the NICs and the rendezvous state allocate over
+// a run from cold stays under 64 KB per message; one body frame per
+// chunk, recycled or not, reads over 1 MB per message across four.
 func TestRendezvousDrawsNoFrame(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
 	}
-	rendezvousWorkload(1) // warm lazy runtime and package init paths
-	const msgs = 4
-	run := rendezvousRun(msgs)
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	run()
-	runtime.ReadMemStats(&m1)
-	perMsg := (m1.TotalAlloc - m0.TotalAlloc) / msgs
-	t.Logf("rendezvous from a cold fabric: %d bytes allocated per 4 MB message", perMsg)
-	if perMsg >= 64<<10 {
-		t.Errorf("a 4 MB rendezvous allocates %d bytes per message from cold, want under 64 KB: a body frame is back", perMsg)
+	for _, reliable := range []bool{false, true} {
+		rendezvousWorkload(reliable)(1) // warm lazy runtime and package init paths
+		const msgs = 4
+		run := rendezvousRun(msgs, reliable)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		run()
+		runtime.ReadMemStats(&m1)
+		perMsg := (m1.TotalAlloc - m0.TotalAlloc) / msgs
+		t.Logf("rendezvous from a cold fabric, reliability %v: %d bytes allocated per 4 MB message", reliable, perMsg)
+		if perMsg >= 64<<10 {
+			t.Errorf("a 4 MB rendezvous (reliability %v) allocates %d bytes per message from cold, want under 64 KB: a body frame is back", reliable, perMsg)
+		}
 	}
 }
 

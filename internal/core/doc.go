@@ -80,9 +80,10 @@
 // out of it. An RDMA body chunk makes no frame: the NIC reads the
 // caller's iovec when the chunk's DMA read ends and places the bytes
 // straight into the landing buffer (the landings registry, rdv.go), before
-// the chunk's completion can hand the sender's memory back. Only bytes
-// that must outlive the send request are flattened first — a reissue's,
-// and under reliability each original chunk's retained frame. The
+// the send request's completion can hand the sender's memory back. A
+// reissue's bytes come from there as well: a reliable send completes
+// only when the receiver reports its body landed, and a reissue still
+// reading after that places nothing. The
 // ownership rules that make recycling safe are documented in pool.go; the
 // short form is that wrappers own their iovec backing (isendIov copies
 // the caller's segment headers), user memory is read for the last time

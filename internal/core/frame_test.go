@@ -9,47 +9,67 @@ import (
 )
 
 // TestRendezvousBufferReusableOnceWaitReturns: a completed send's memory
-// is the caller's again. Under reliability a rendezvous send completes
-// when its body has streamed out, yet RDMA fragments can be lost below
-// the link layer and the receiver may ask for the span again long after;
-// that reissue must carry the bytes the send was posted with, not what
-// the caller has put in the buffer since.
+// is the caller's again, and a received body holds exactly the bytes the
+// send was posted with. Under reliability RDMA fragments can be lost
+// below the link layer and the receiver may ask for a span again; the
+// send completes only when the receiver reports its body landed, so no
+// reissue reads what the caller has put in the buffer since. Without
+// reliability a duplicating fabric delivers some body fragments twice;
+// each byte counts once, so the receive completes only when its last
+// chunk has landed — on an RDMA rail chunked by BodyChunk and on TCP's
+// eager body chunks alike.
 func TestRendezvousBufferReusableOnceWaitReturns(t *testing.T) {
 	const bodies = 8
 	const size = 256 << 10
-	w, e0, e1 := lossyPair(t, DefaultOptions(),
-		simnet.FaultProfile{Seed: 9, Rails: []simnet.RailFaults{{DropProb: 0.25}}})
-	w.Spawn("send", func(p *sim.Proc) {
-		msg := make([]byte, size)
-		for i := 0; i < bodies; i++ {
-			fillSeq(msg, byte(i))
-			if err := e0.Gate(1).Isend(p, 5, msg).Wait(p); err != nil {
-				t.Errorf("send %d: %v", i, err)
+	reliable, chunked := DefaultOptions(), DefaultOptions()
+	reliable.Reliability = true
+	chunked.BodyChunk = 64 << 10
+	dup := simnet.FaultProfile{Seed: 9, Rails: []simnet.RailFaults{{DupProb: 0.5}}}
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		faults simnet.FaultProfile
+		prof   simnet.Profile
+	}{
+		{"reliable-lossy", reliable, simnet.FaultProfile{Seed: 9, Rails: []simnet.RailFaults{{DropProb: 0.25}}}, simnet.MX10G()},
+		{"dup-mx-chunked", chunked, dup, simnet.MX10G()},
+		{"dup-tcp", DefaultOptions(), dup, simnet.TCPGbE()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, e0, e1 := faultyPair(t, tc.opts, tc.faults, tc.prof)
+			w.Spawn("send", func(p *sim.Proc) {
+				msg := make([]byte, size)
+				for i := 0; i < bodies; i++ {
+					fillSeq(msg, byte(i))
+					if err := e0.Gate(1).Isend(p, 5, msg).Wait(p); err != nil {
+						t.Errorf("send %d: %v", i, err)
+					}
+					for j := range msg {
+						msg[j] = 0xEE // the moment Wait returns
+					}
+				}
+			})
+			w.Spawn("recv", func(p *sim.Proc) {
+				buf, want := make([]byte, size), make([]byte, size)
+				for i := 0; i < bodies; i++ {
+					got, err := e1.Gate(0).Recv(p, 5, buf)
+					if err != nil {
+						t.Fatalf("recv %d: %v", i, err)
+					}
+					fillSeq(want, byte(i))
+					if got != size || !bytes.Equal(buf, want) {
+						t.Fatalf("recv %d: body differs from what was sent — it completed before its last chunk landed, or a reissued span read the reused send buffer", i)
+					}
+				}
+			})
+			run(t, w)
+			if tc.opts.Reliability && e0.Stats().BodyReissues == 0 {
+				t.Error("no body span was reissued: the test exercised nothing")
 			}
-			for j := range msg {
-				msg[j] = 0xEE // the moment Wait returns
+			if len(e0.rdvSend) != 0 {
+				t.Errorf("%d rendezvous transactions never retired", len(e0.rdvSend))
 			}
-		}
-	})
-	w.Spawn("recv", func(p *sim.Proc) {
-		buf, want := make([]byte, size), make([]byte, size)
-		for i := 0; i < bodies; i++ {
-			got, err := e1.Gate(0).Recv(p, 5, buf)
-			if err != nil {
-				t.Fatalf("recv %d: %v", i, err)
-			}
-			fillSeq(want, byte(i))
-			if got != size || !bytes.Equal(buf, want) {
-				t.Fatalf("recv %d: body differs from what was sent — a reissued span read the reused send buffer", i)
-			}
-		}
-	})
-	run(t, w)
-	if e0.Stats().BodyReissues == 0 {
-		t.Error("no body span was reissued: the test exercised nothing")
-	}
-	if len(e0.rdvSend) != 0 {
-		t.Errorf("%d rendezvous transactions (and their retained frames) never retired", len(e0.rdvSend))
+		})
 	}
 }
 
@@ -108,32 +128,4 @@ func TestParkedArrivalsKeepTheirBytes(t *testing.T) {
 			t.Error("15% drop produced no retransmission")
 		}
 	})
-}
-
-// TestStableReadsRetainedFramesFirst: a reissue after completion takes
-// each stretch of the body from the retained frame that holds it and
-// only the stretches no frame holds from the caller's memory.
-func TestStableReadsRetainedFramesFirst(t *testing.T) {
-	var list *simnet.FrameList
-	sent := make([]byte, 200)
-	fillSeq(sent, 1)
-	rs := &rdvSend{
-		body: iovec{bytes.Repeat([]byte{0xEE}, 120), bytes.Repeat([]byte{0xEE}, 80)}, // overwritten since
-		kept: []keptChunk{
-			{off: 150, fr: list.New([][]byte{sent[150:200]})},
-			{off: 0, fr: list.New([][]byte{sent[0:60], sent[60:100]})},
-		},
-	}
-	want := append([]byte(nil), sent...)
-	copy(want[100:150], bytes.Repeat([]byte{0xEE}, 50)) // eager span: no frame kept
-	for _, span := range [][2]int{{0, 200}, {50, 120}, {100, 50}, {99, 2}, {160, 40}, {10, 0}} {
-		off, n := span[0], span[1]
-		var got []byte
-		for _, s := range rs.stable(off, n) {
-			got = append(got, s...)
-		}
-		if !bytes.Equal(got, want[off:off+n]) {
-			t.Errorf("stable(%d, %d) returned %d bytes that are not the retained ones", off, n, len(got))
-		}
-	}
 }

@@ -118,7 +118,8 @@ func resolveSend(opts []SendOption) sendConfig {
 
 // Isend submits one piece of data on flow tag and returns immediately.
 // The request completes when the NIC has finished with the data (for
-// rendezvous sends, when the body has fully streamed out). p may be nil
+// rendezvous sends, when the body has fully streamed out, and under
+// Options.Reliability when the receiver reports it landed). p may be nil
 // when calling from non-process context; neither the submit overhead nor
 // the software-gather copy cost is then charged, and nothing can Wait on
 // the request. A scheduler-context caller that wants the same schedule a

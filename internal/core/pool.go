@@ -52,26 +52,19 @@ import (
 // layers below: the engine draws them from the fabric's list, fills each
 // once — the flatten of an elected train or a link control entry is the
 // only copy the bytes see below the engine — and hands them to the
-// driver. An RDMA body chunk of the original stream takes none: the NIC
+// driver. An RDMA body chunk, original or reissue, takes none: the NIC
 // reads the caller's memory when the DMA read ends and places the bytes
-// (landings.Place). A body chunk that must outlive the send request — a
-// reissue, or the chunk a reliable sender retains — is flattened into a
-// frame like a train. They are reference-counted, and a frame returns to
+// (landings.Place). They are reference-counted, and a frame returns to
 // the list when the last of these holders lets go:
 //
 //   - a transaction queued at the NIC, and each eager delivery the fabric
 //     has scheduled for it (none for a dropped packet, two for a
 //     duplicated one); the receive handler borrows that last reference,
 //     so what it reads synchronously — consume, onBody and linkAccept all
-//     copy or dispatch before returning — needs none of its own. An RDMA
-//     transaction's frame goes when its DMA read ends;
+//     copy or dispatch before returning — needs none of its own;
 //   - an unacknowledged link frame (linkFrame.frame), from linkSend until
 //     the cumulative ack that retires it: retransmissions re-submit the
 //     very frame, retained once more for the NIC each time;
-//   - an un-retired rendezvous transaction under Options.Reliability
-//     (rdvSend.kept), for every RDMA chunk of its body until the
-//     receiver's kindDone: a reissue after the request completed reads
-//     these, never the caller's memory;
 //   - a parked inEntry — held for resequencing or waiting unexpected —
 //     whose payload is a slice of the frame it arrived in: newInEntry
 //     retains, freeInEntry releases. An entry re-parked out of the

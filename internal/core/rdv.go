@@ -53,61 +53,14 @@ type rdvSend struct {
 	// kindDone entry, not by left reaching 0 — RDMA body fragments can be
 	// lost below the link layer and the receiver may ask for the span
 	// again: a CTS that finds the stream started (left > 0) or done is
-	// such a request.
+	// such a request. The send request stays pending until then too, so
+	// a reissue reads the caller's memory like the original stream.
 	done bool
-
-	// kept holds, under Options.Reliability, a reference to the wire
-	// frame of every RDMA chunk of the original stream until the
-	// receiver's kindDone retires the transaction: once the request has
-	// completed the caller may overwrite its buffer, so a reissue from
-	// then on reads the body out of these frames (see stable). That frame
-	// is the reliable path's second host copy of a body byte; without
-	// reliability an original chunk makes none, as the NIC reads the
-	// caller's memory directly (rdmaChain.send).
-	kept []keptChunk
 
 	// live marks the transaction as in Engine.rdvSend (not yet retired);
 	// chains counts its RDMA chains still streaming, reissues included.
 	live   bool
 	chains int
-}
-
-// keptChunk is one retained body frame: the bytes from offset off on.
-type keptChunk struct {
-	off int
-	fr  *simnet.Frame
-}
-
-// stable returns the body span [off, off+n) as a gather list over the
-// retained frames instead of the caller's memory. A stretch no frame
-// holds — it travelled as eager chunks, under the link layer's
-// protection, and a re-plan moved it to an RDMA rail — still comes from
-// the caller's iovec.
-func (rs *rdvSend) stable(off, n int) iovec {
-	var segs iovec
-	for n > 0 {
-		var piece []byte
-		gap := n // distance to the next retained frame
-		for _, k := range rs.kept {
-			b := k.fr.Bytes()
-			if k.off <= off && off < k.off+len(b) {
-				piece = b[off-k.off:]
-				break
-			}
-			if k.off > off {
-				gap = min(gap, k.off-off)
-			}
-		}
-		if piece == nil {
-			segs = rs.body.appendRange(segs, off, gap)
-			off, n = off+gap, n-gap
-			continue
-		}
-		piece = piece[:min(len(piece), n)]
-		segs = append(segs, piece)
-		off, n = off+len(piece), n-len(piece)
-	}
-	return segs
 }
 
 // retire counts one chunk of the original stream fully sent — an RDMA
@@ -160,8 +113,7 @@ func (e *Engine) releaseRdvSend(rs *rdvSend) {
 		return
 	}
 	clear(rs.body)
-	clear(rs.kept)
-	*rs = rdvSend{body: rs.body[:0], plan: rs.plan[:0], kept: rs.kept[:0]}
+	*rs = rdvSend{body: rs.body[:0], plan: rs.plan[:0]}
 	e.freeRdvSends.put(rs)
 }
 
@@ -211,10 +163,9 @@ type rdvRecv struct {
 	granted   int // bytes the CTS allowed (clamped to the landing area)
 	total     int // full body size the RTS announced
 
-	// spans tracks which byte ranges have landed (Options.Reliability):
-	// re-streamed fragments overlapping an already-covered range count
-	// nothing, so duplicated body traffic can never double-credit
-	// remaining.
+	// spans tracks which byte ranges have landed: re-streamed fragments
+	// overlapping an already-covered range count nothing, so duplicated
+	// body traffic can never double-credit remaining.
 	spans []span
 
 	// live marks the transaction as in Engine.rdvRecv. mark is remaining
@@ -461,7 +412,10 @@ func (e *Engine) onCTS(g *Gate, h header) {
 // (the receiver clamped the CTS to its landing area); the excess never
 // leaves the sender. A reissued span repeats the wire traffic of the
 // original stream but touches neither the send request nor the chunk
-// countdown — those completed the first time around.
+// countdown — those completed the first time around. Under
+// Options.Reliability the unit the original Isend registered stays
+// pending until the receiver's kindDone (onRdvDone): the caller's body
+// must stay valid for as long as a reissue can read it.
 //
 // Nothing here allocates per message: the plan is copied into the
 // transaction's record first, a counting pass sizes the countdown before
@@ -543,7 +497,7 @@ func (e *Engine) streamBody(rs *rdvSend, granted int, reissue bool) {
 			e.newChain(rs, r, reissue, i, len(rs.plan)).send()
 		}
 	}
-	if !reissue {
+	if !reissue && !e.opts.Reliability {
 		// Retire the unit the original Isend registered, now that the
 		// chunk units carry the completion.
 		rs.req.doneOne()
@@ -605,10 +559,10 @@ type rdmaChain struct {
 	t0     sim.Time
 	size   int
 	sentFn func()
-	// segs is the chunk's gather list over the caller's iovec. An
-	// original-stream chunk travels as this very list, which the NIC reads
-	// when the chunk's DMA read ends, so it stays put until sent; its
-	// backing is kept across recycling.
+	// segs is the chunk's gather list over the caller's iovec. The chunk
+	// travels as this very list, which the NIC reads when the chunk's DMA
+	// read ends, so it stays put until sent; its backing is kept across
+	// recycling.
 	segs [][]byte
 }
 
@@ -631,25 +585,12 @@ func (c *rdmaChain) send() {
 	e := rs.eng
 	end := rs.plan[c.share].Offset + rs.plan[c.share].Size
 	n := rs.chunkLen(r.drv.Caps(), c.off, end)
-	// The gather shape the NIC charges is always that of the caller's
-	// iovec. An original-stream chunk is read from there when its DMA
-	// read ends, before its completion can hand the memory back to the
-	// caller. Bytes that must outlive the request are flattened into a
-	// frame now instead: a reissue's, from the retained frames once the
-	// request has completed, and under Options.Reliability the original
-	// chunk's, whose frame is retained for those reissues.
+	// Every chunk, original or reissue, is read from the caller's iovec
+	// when its DMA read ends. An original chunk's unit keeps the send
+	// request pending until then; a reissue is covered by the unit only
+	// the receiver's kindDone retires, and one still reading after that
+	// places nothing (the receiver has retired the transaction).
 	c.segs = rs.body.appendRange(c.segs[:0], c.off, n)
-	var fr *simnet.Frame
-	switch {
-	case c.reissue && rs.done:
-		fr = e.frames.New(rs.stable(c.off, n))
-	case c.reissue:
-		fr = e.frames.New(c.segs)
-	case e.opts.Reliability:
-		fr = e.frames.New(c.segs)
-		fr.Retain()
-		rs.kept = append(rs.kept, keptChunk{off: c.off, fr: fr})
-	}
 	e.stats.BodyBytes += int64(n)
 	r.bytes += int64(n)
 	e.stats.WireBytes += int64(n)
@@ -664,13 +605,7 @@ func (c *rdmaChain) send() {
 			}
 		}
 	}
-	var err error
-	if fr != nil {
-		err = r.drv.SendFrame(rs.gate.peer, simnet.TxRdma, fr, len(c.segs), aux, c.sentFn)
-	} else {
-		err = r.drv.Send(rs.gate.peer, simnet.TxRdma, c.segs, aux, c.sentFn)
-	}
-	if err != nil {
+	if err := r.drv.Send(rs.gate.peer, simnet.TxRdma, c.segs, aux, c.sentFn); err != nil {
 		panic("core: rendezvous body submit failed: " + err.Error())
 	}
 }
@@ -701,10 +636,11 @@ func (c *rdmaChain) sent() {
 	e.releaseRdvSend(rs)
 }
 
-// onRdvDone retires sender-side rendezvous state, retained body frames
-// included, when the receiver reports the whole body landed
-// (Options.Reliability; the entry rides a reliable frame, so it arrives
-// exactly once).
+// onRdvDone retires sender-side rendezvous state when the receiver
+// reports the whole body landed (Options.Reliability; the entry rides a
+// reliable frame, so it arrives exactly once), and with it the unit of
+// the send request that streamBody left pending: the caller's body is
+// the caller's again.
 func (e *Engine) onRdvDone(g *Gate, id uint32) {
 	rs, ok := e.rdvSend[id]
 	if !ok {
@@ -715,13 +651,10 @@ func (e *Engine) onRdvDone(g *Gate, id uint32) {
 		rs.done = true
 		e.stats.RdvCompleted++
 	}
-	for _, k := range rs.kept {
-		k.fr.Release()
-	}
-	clear(rs.kept)
-	rs.kept = rs.kept[:0]
+	req := rs.req
 	e.dropRdvSend(rs)
 	e.releaseRdvSend(rs)
+	req.doneOne()
 }
 
 // onBody accounts for an arrived body fragment of n bytes at offset: an
@@ -738,24 +671,16 @@ func (e *Engine) onBody(src simnet.NodeID, id uint32, offset, n int, data []byte
 	}
 	r := rr.req
 	r.iov.copyAt(offset, data)
-	if e.opts.Reliability {
-		// Only newly covered bytes count: a re-streamed span overlaps
-		// what already landed and must not double-credit remaining.
-		rr.remaining -= rr.cover(offset, offset+n)
-	} else {
-		rr.remaining -= n
-	}
-	if rr.remaining < 0 {
-		e.protoErr(e.Gate(src), fmt.Sprintf("rendezvous %v over-delivered", key))
-		rr.remaining = 0
-	}
+	// Only newly covered bytes count: a re-streamed or duplicated span
+	// overlaps what already landed and must not double-credit remaining.
+	rr.remaining -= rr.cover(offset, offset+n)
 	e.traceEvent(trace.RdvBody, src, -1, r.tag, n, 0, "")
 	if rr.remaining == 0 {
 		delete(e.rdvRecv, key)
 		rr.live = false
 		if e.opts.Reliability {
-			// Tell the sender it may retire its state (it keeps the body
-			// around for reissue requests until this arrives).
+			// Tell the sender it may retire its state and complete the
+			// send (both wait for this to answer reissue requests).
 			e.Gate(src).pushCtrl(kindDone, r.tag, 0, id)
 		}
 		var err error

@@ -202,3 +202,39 @@ func TestLateReissueLeavesTheRepostedBuffer(t *testing.T) {
 		t.Error("no stray body chunk reached the receiver: the reissue came too early to test anything")
 	}
 }
+
+// TestReliableSendCompletesWhenBodyLands: the completion contract of a
+// rendezvous send. Without reliability the send completes when its body
+// has streamed out, before the receiver's last chunk is delivered; under
+// Options.Reliability it completes only when the receiver's done entry
+// has come back, so the caller's body stays valid for any reissue.
+func TestReliableSendCompletesWhenBodyLands(t *testing.T) {
+	const size = 256 << 10
+	for _, reliable := range []bool{false, true} {
+		opts := DefaultOptions()
+		opts.Strategy = "split"
+		opts.Reliability = reliable
+		w, e0, e1 := testWorld(t, opts, simnet.MX10G(), simnet.QsNetII())
+		var sent, recvd sim.Time
+		w.Spawn("send", func(p *sim.Proc) {
+			if err := e0.Gate(1).Send(p, 5, make([]byte, size)); err != nil {
+				t.Errorf("send: %v", err)
+			}
+			sent = p.Now()
+		})
+		w.Spawn("recv", func(p *sim.Proc) {
+			if _, err := e1.Gate(0).Recv(p, 5, make([]byte, size)); err != nil {
+				t.Errorf("recv: %v", err)
+			}
+			recvd = p.Now()
+		})
+		run(t, w)
+		t.Logf("reliability %v: Send returned at %v, Recv at %v", reliable, sent, recvd)
+		if reliable && sent < recvd {
+			t.Errorf("reliable Send returned at %v, before Recv at %v: the body may still be reissued from the caller's memory", sent, recvd)
+		}
+		if !reliable && sent >= recvd {
+			t.Errorf("Send returned at %v, no earlier than Recv at %v: it waited for the receiver", sent, recvd)
+		}
+	}
+}

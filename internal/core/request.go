@@ -143,7 +143,9 @@ func (r *request) complete(err error) {
 // SendRequest tracks one submitted message (one wrapper for Isend;
 // several for a packed message). It completes when the NIC has finished
 // with every wrapper — for rendezvous sends, when the whole body has
-// streamed out.
+// streamed out, and under Options.Reliability when the receiver's
+// kindDone reports it landed, so a reissue still reads the caller's
+// memory.
 type SendRequest struct {
 	request
 	tag     Tag

@@ -93,9 +93,10 @@ func eagerWorkload(opts Options, wait bool) func(msgs int) {
 
 // The eager Isend path: wrapper, window push, election, train encode,
 // NIC round trip, dispatch, match, completion. With recycling the cycle
-// allocates the two requests the callers keep; the rest of the measured
-// 3.40 is the free lists growing with the backlog of a sender that never
-// waits (wrappers, unexpected entries, frames, flights).
+// allocates the send request its caller keeps (the blocking Recv's is
+// the engine's); the rest of the measured 2.38 is the free lists growing
+// with the backlog of a sender that never waits (wrappers, unexpected
+// entries, frames, flights).
 func TestAllocsEagerIsendPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
@@ -104,7 +105,7 @@ func TestAllocsEagerIsendPath(t *testing.T) {
 	opts.Strategy = "aggreg"
 	got := marginalAllocs(eagerWorkload(opts, false), 64, 320)
 	t.Logf("eager Isend path: %.2f allocs per message", got)
-	const ceiling = 4.5
+	const ceiling = 3.2
 	if got > ceiling {
 		t.Errorf("eager Isend path allocates %.2f per message, ceiling %.1f — a hot-path allocation crept back in", got, ceiling)
 	}
@@ -123,9 +124,9 @@ func TestAllocsFlushPath(t *testing.T) {
 	opts.FlushBacklog = 4
 	got := marginalAllocs(eagerWorkload(opts, false), 64, 320)
 	t.Logf("flush path: %.2f allocs per message", got)
-	const ceiling = 7 // measured 5.49
+	const ceiling = 5.6 // measured 4.30
 	if got > ceiling {
-		t.Errorf("flush path allocates %.2f per message, ceiling %d — a hot-path allocation crept back in", got, ceiling)
+		t.Errorf("flush path allocates %.2f per message, ceiling %.1f — a hot-path allocation crept back in", got, ceiling)
 	}
 }
 
@@ -145,6 +146,59 @@ func TestAllocsReliableEagerPath(t *testing.T) {
 	t.Logf("eager Isend path: %.2f allocs per message with reliability, %.2f without", reliable, plain)
 	if reliable > plain+0.1 {
 		t.Errorf("the link layer allocates %.2f per message on a lossless fabric, want at most 0.1", reliable-plain)
+	}
+}
+
+// TestAllocsBlockingSendRecv: a blocking call's request is the engine's,
+// taken from a free list and filed back before the call returns, so a
+// steady ping-pong of blocking calls allocates nothing per message —
+// with Send or with Ssend, whose acknowledgement adds a control entry
+// and nothing on the heap.
+func TestAllocsBlockingSendRecv(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement")
+	}
+	for _, tc := range []struct {
+		name string
+		send func(g *Gate, p *sim.Proc, tag Tag, data []byte) error
+	}{
+		{"Send", (*Gate).Send},
+		{"Ssend", (*Gate).Ssend},
+	} {
+		pingpong := func(msgs int) {
+			w, e0, e1 := allocEngines(DefaultOptions())
+			out, in := make([]byte, 64), make([]byte, 64)
+			side := func(e *Engine, peer simnet.NodeID, first bool) func(p *sim.Proc) {
+				return func(p *sim.Proc) {
+					g := e.Gate(peer)
+					for i := 0; i < msgs; i++ {
+						if first {
+							if err := tc.send(g, p, 7, out); err != nil {
+								panic(err)
+							}
+						}
+						if _, err := g.Recv(p, 7, in); err != nil {
+							panic(err)
+						}
+						if !first {
+							if err := tc.send(g, p, 7, out); err != nil {
+								panic(err)
+							}
+						}
+					}
+				}
+			}
+			w.Spawn("ping", side(e0, 1, true))
+			w.Spawn("pong", side(e1, 0, false))
+			if err := w.Run(); err != nil {
+				panic(err)
+			}
+		}
+		got := marginalAllocs(pingpong, 64, 320) / 2 // two messages a round trip
+		t.Logf("blocking %s/Recv: %.3f allocs per message", tc.name, got)
+		if got > 0.05 {
+			t.Errorf("a blocking %s/Recv message allocates %.3f objects, want 0: the call's request comes from the heap again", tc.name, got)
+		}
 	}
 }
 
@@ -279,9 +333,9 @@ func rendezvousRun(msgs int, reliable bool) func() {
 }
 
 // The rendezvous path: the transaction state of both sides, the body
-// plan, the chunk gather lists and the RDMA chains are recycled, so a
-// large message leaves on the heap what its callers keep — the two
-// requests — reliable or not.
+// plan, the chunk gather lists and the RDMA chains are recycled, and the
+// blocking Send and Recv run on the engine's own requests, so a large
+// message leaves nothing on the heap, reliable or not.
 func TestAllocsRendezvousPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
@@ -289,7 +343,7 @@ func TestAllocsRendezvousPath(t *testing.T) {
 	for _, reliable := range []bool{false, true} {
 		got := marginalAllocs(rendezvousWorkload(reliable), 4, 24)
 		t.Logf("rendezvous path, reliability %v: %.2f allocs per 4 MB message", reliable, got)
-		const ceiling = 2.6 // measured 2.00 either way
+		const ceiling = 0.5 // measured 0.00 either way
 		if got > ceiling {
 			t.Errorf("rendezvous path (reliability %v) allocates %.2f per message, ceiling %.1f — a per-message allocation is back in the rendezvous state", reliable, got, ceiling)
 		}

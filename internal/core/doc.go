@@ -106,8 +106,14 @@
 // event fires. Each binds its callbacks once, so none of the three
 // events allocates a closure, and a plain Irecv's one-segment landing
 // area is a field of its request. What a steady-state message leaves on
-// the heap is what its caller keeps: the SendRequest and the
-// RecvRequest.
+// the heap is what its caller keeps: the request of a nonblocking call.
+// The caller of a blocking Send, Ssend, Recv or RecvMasked never sees
+// its request, so that request is the engine's (as MPI frees a blocking
+// call's request inside the call): taken from a per-engine free list and
+// filed back before the call returns. The rule that makes this safe:
+// once a request completes, no engine record touches it again — every
+// unit of a send retires exactly once, and a receive completes only
+// after it has left every list that matches or grants it.
 //
 // Work run from scheduler callbacks follows the same rule: whatever is
 // pushed with World.At / After or handed to a NIC is a callback bound

@@ -22,11 +22,11 @@ type Options struct {
 	// synchronize or be registered instead (one instance per engine).
 	StrategyImpl sched.Strategy
 	// NoRecycle disables the engine's free-list recycling of packet
-	// wrappers, output trains, receive entries and wire frames (see
-	// pool.go), making every hot-path object a fresh allocation. It exists
-	// as the A/B escape hatch for the pooling property test and for leak
-	// hunting; the virtual timeline and Stats must be byte-identical
-	// either way.
+	// wrappers, output trains, receive entries, the requests of blocking
+	// calls and wire frames (see pool.go), making every hot-path object
+	// a fresh allocation. It exists as the A/B escape hatch for the
+	// pooling property tests and for leak hunting; the virtual timeline
+	// and Stats must be byte-identical either way.
 	// The flag is deliberately not part of the recorded NodeConfig — it
 	// changes nothing a replay could observe.
 	NoRecycle bool
@@ -103,6 +103,10 @@ type Engine struct {
 	freeOuts freeList[output]
 	freeEnts freeList[inEntry]
 	freeDone freeList[recvDone]
+	// The requests of blocking calls (Gate.Send, Ssend, RecvMasked):
+	// taken at entry, filed back once the call has its result.
+	freeSends freeList[SendRequest]
+	freeRecvs freeList[RecvRequest]
 	// Rendezvous and link-layer records (rdv.go, reliab.go): each is
 	// filed back once nothing pending refers to it any more.
 	freeRdvSends freeList[rdvSend]

@@ -246,9 +246,10 @@ func (g *Gate) Issend(p *sim.Proc, tag Tag, data []byte, opts ...SendOption) *Se
 	return g.Isend(p, tag, data, append(opts, Synchronous())...)
 }
 
-// Ssend is the blocking form of Issend.
+// Ssend is the blocking form of Issend; like Send, it runs on a request
+// of the engine's.
 func (g *Gate) Ssend(p *sim.Proc, tag Tag, data []byte) error {
-	return g.Issend(p, tag, data).Wait(p)
+	return g.send(p, tag, data, sendConfig{flags: flagNeedAck, driver: anyDriver})
 }
 
 // Probe reports whether a message matching (want, mask) has arrived and
@@ -278,9 +279,21 @@ func (g *Gate) ProbeWait(p *sim.Proc, want, mask Tag) (tag Tag, size int) {
 	}
 }
 
-// Send is the blocking convenience over Isend.
+// Send is the blocking form of Isend. The caller never sees its
+// request, so the request is the engine's: taken from a free list and
+// filed back before Send returns.
 func (g *Gate) Send(p *sim.Proc, tag Tag, data []byte) error {
-	return g.Isend(p, tag, data).Wait(p)
+	return g.send(p, tag, data, sendConfig{driver: anyDriver})
+}
+
+// send submits data on an engine-owned request, waits it out and files
+// the request back (pool.go has the ownership rule that allows it).
+func (g *Gate) send(p *sim.Proc, tag Tag, data []byte, cfg sendConfig) error {
+	req := g.eng.freeSends.get()
+	g.isendIov(req, p, tag, singleIov(data), cfg)
+	err := req.Wait(p)
+	g.eng.freeSendRequest(req)
+	return err
 }
 
 // Irecv posts a receive for the next message on flow tag, delivering into
@@ -356,14 +369,23 @@ func (g *Gate) postRecv(req *RecvRequest) {
 	}
 }
 
-// Recv is the blocking convenience over Irecv; it returns the payload
-// size.
+// Recv is the blocking form of Irecv; it returns the payload size.
 func (g *Gate) Recv(p *sim.Proc, tag Tag, buf []byte) (int, error) {
-	req := g.Irecv(p, tag, buf)
-	if err := req.Wait(p); err != nil {
-		return req.N(), err
-	}
-	return req.N(), nil
+	n, _, err := g.RecvMasked(p, tag, ^Tag(0), buf)
+	return n, err
+}
+
+// RecvMasked is the blocking form of IrecvMasked: it returns the payload
+// size and the matched tag, set even when the receive ends in an error
+// (ErrTruncated). As for Send, the request is the engine's and goes back
+// on its list before RecvMasked returns.
+func (g *Gate) RecvMasked(p *sim.Proc, want, mask Tag, buf []byte) (n int, tag Tag, err error) {
+	req := g.eng.freeRecvs.get()
+	IrecvMaskedInto(req, g, p, want, mask, buf)
+	err = req.Wait(p)
+	n, tag = req.n, req.tag
+	g.eng.freeRecvRequest(req)
+	return n, tag, err
 }
 
 // dataWindow is the live credit-eligibility FIFO, oldest unsent data

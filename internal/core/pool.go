@@ -10,12 +10,14 @@ import (
 // unexpected arrival an inEntry, every eager receive a deferred
 // completion (recvDone), every rendezvous a transaction record on each
 // side (rdvSend, rdvRecv) and a chain per RDMA rail (rdmaChain), every
-// reliable train a linkFrame — at replay scale these dominate the
-// engine's allocation profile. The engine recycles them through plain
-// per-engine free lists rather than sync.Pool: the deterministic packages
-// must not couple behaviour (or even allocation addresses feeding map
-// iteration) to GC timing, and a World is single-threaded by construction
-// so an unsynchronized slice is all the machinery needed.
+// reliable train a linkFrame, and every blocking Send, Ssend or Recv the
+// request its caller never sees (SendRequest, RecvRequest) — at replay
+// scale these dominate the engine's allocation profile. The engine
+// recycles them through plain per-engine free lists rather than
+// sync.Pool: the deterministic packages must not couple behaviour (or
+// even allocation addresses feeding map iteration) to GC timing, and a
+// World is single-threaded by construction so an unsynchronized slice is
+// all the machinery needed.
 //
 // Ownership rules, enforced by the call sites:
 //
@@ -27,6 +29,17 @@ import (
 //     transfers the payload out must leave the wrapper another array:
 //     convertToRTS swaps it with the rendezvous record's old one
 //     (newRdvSend), so neither side regrows one.
+//   - A blocking call's request is taken at entry and filed back once
+//     the call has its result, so it is always complete by then, and a
+//     completed request is touched by no engine record again: a send
+//     completes when its last unit (wrapper, body chunk, sync ack, the
+//     done entry of a reliable rendezvous) retires, and each unit
+//     retires once; a receive completes after its match has left the
+//     posted list, the grant queue and the live rendezvous
+//     transactions. A call that never gets its result (its process
+//     ends parked in Wait) leaves its request off the list. The requests
+//     of nonblocking and Post* calls are their callers' and never
+//     recycled.
 //   - Strategies never see wrappers after election (the spileak analyzer
 //     forbids retaining SPI views), so recycling cannot dangle into sched.
 //   - A record an event or a NIC completion refers to returns to its list
@@ -196,6 +209,25 @@ func (d *recvDone) run() {
 		d.eng.freeDone.put(d)
 	}
 	r.complete(err)
+}
+
+// freeSendRequest files back the completed request of a blocking send
+// (see the ownership rules above); freeRecvRequest does the same for a
+// receive.
+func (e *Engine) freeSendRequest(r *SendRequest) {
+	if e.opts.NoRecycle {
+		return
+	}
+	*r = SendRequest{}
+	e.freeSends.put(r)
+}
+
+func (e *Engine) freeRecvRequest(r *RecvRequest) {
+	if e.opts.NoRecycle {
+		return
+	}
+	*r = RecvRequest{}
+	e.freeRecvs.put(r)
 }
 
 // encodeOutput turns an output train into the NIC gather list: one

@@ -7,7 +7,10 @@ import (
 
 // Point-to-point operations. The four nonblocking primitives (Isend,
 // Irecv, Wait, Test) are direct mappings onto the engine, per §3.4 of the
-// paper; the blocking forms are conveniences layered on them.
+// paper. The blocking forms map onto the engine's blocking calls, whose
+// request the engine takes from a free list and files back before the
+// call returns: the caller never sees it, and MPI frees the request of a
+// blocking call inside the call.
 
 // Isend starts a nonblocking send of buf to rank dest with the given
 // tag. Engine send options (core.Priority, core.OnRail, ...) pass
@@ -26,15 +29,6 @@ func (c *Comm) postSend(p *sim.Proc, segs [][]byte, dest, tag int, opts []core.S
 	op.Request.Request = &op.s
 	core.IsendvInto(&op.s, c.gate(dest), p, c.flowTag(tag), segs, opts...)
 	return &op.Request
-}
-
-// isend validates and posts a send for the blocking forms, which wait on
-// the engine request and never need a handle.
-func (c *Comm) isend(p *sim.Proc, buf []byte, dest, tag int) (*core.SendRequest, error) {
-	if err := c.checkSend(dest, tag); err != nil {
-		return nil, err
-	}
-	return c.gate(dest).Isend(p, c.flowTag(tag), buf), nil
 }
 
 // checkSend validates the peer and the tag of a send.
@@ -57,15 +51,6 @@ func (c *Comm) Irecv(p *sim.Proc, buf []byte, src, tag int) *Request {
 	return &op.Request
 }
 
-// irecv is isend's receive twin.
-func (c *Comm) irecv(p *sim.Proc, buf []byte, src, tag int) (*core.RecvRequest, error) {
-	want, mask, err := c.recvMatch(src, tag)
-	if err != nil {
-		return nil, err
-	}
-	return c.gate(src).IrecvMasked(p, want, mask, buf), nil
-}
-
 // recvMatch validates a receive's peer and tag and returns the engine
 // tag pattern it matches: the whole communicator for AnyTag, one flow
 // tag otherwise.
@@ -85,39 +70,39 @@ func (c *Comm) recvMatch(src, tag int) (want, mask core.Tag, err error) {
 
 // Send is the blocking form of Isend.
 func (c *Comm) Send(p *sim.Proc, buf []byte, dest, tag int) error {
-	req, err := c.isend(p, buf, dest, tag)
-	if err != nil {
+	if err := c.checkSend(dest, tag); err != nil {
 		return err
 	}
-	return req.Wait(p)
+	return c.gate(dest).Send(p, c.flowTag(tag), buf)
 }
 
-// Recv is the blocking form of Irecv.
+// Recv is the blocking form of Irecv. Like WaitStatus, it populates the
+// status even when the receive ends in an error.
 func (c *Comm) Recv(p *sim.Proc, buf []byte, src, tag int) (Status, error) {
-	req, err := c.irecv(p, buf, src, tag)
-	return waitRecv(p, req, err)
-}
-
-// waitRecv completes a receive irecv posted (or failed to: err) and
-// reports its status, populated even when the receive ends in an error.
-func waitRecv(p *sim.Proc, req *core.RecvRequest, err error) (Status, error) {
+	want, mask, err := c.recvMatch(src, tag)
 	if err != nil {
 		return Status{Source: -1, Tag: -1}, err
 	}
-	err = req.Wait(p)
-	return recvStatus(req), err
+	n, matched, err := c.gate(src).RecvMasked(p, want, mask, buf)
+	return Status{Source: src, Tag: userTag(matched), Count: n}, err
 }
 
-// Sendrecv exchanges messages with a peer without deadlocking: both
-// directions are posted nonblocking, then completed.
+// Sendrecv exchanges messages with a peer without deadlocking: the
+// receive is posted nonblocking, then the send completes, then the
+// receive. Both peers are validated first, so a failed call posts
+// nothing.
 func (c *Comm) Sendrecv(p *sim.Proc, sendBuf []byte, dest, sendTag int, recvBuf []byte, src, recvTag int) (Status, error) {
-	rr, rerr := c.irecv(p, recvBuf, src, recvTag)
-	sr, err := c.isend(p, sendBuf, dest, sendTag)
-	if err == nil {
-		err = sr.Wait(p)
-	}
-	if err != nil {
+	if err := c.checkSend(dest, sendTag); err != nil {
 		return Status{}, err
 	}
-	return waitRecv(p, rr, rerr)
+	want, mask, err := c.recvMatch(src, recvTag)
+	if err != nil {
+		return Status{Source: -1, Tag: -1}, err
+	}
+	rr := c.gate(src).IrecvMasked(p, want, mask, recvBuf)
+	if err := c.gate(dest).Send(p, c.flowTag(sendTag), sendBuf); err != nil {
+		return Status{}, err
+	}
+	err = rr.Wait(p)
+	return recvStatus(rr), err
 }

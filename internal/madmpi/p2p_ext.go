@@ -18,7 +18,10 @@ func (c *Comm) Issend(p *sim.Proc, buf []byte, dest, tag int) *Request {
 
 // Ssend is the blocking form of Issend (MPI_Ssend).
 func (c *Comm) Ssend(p *sim.Proc, buf []byte, dest, tag int) error {
-	return c.Issend(p, buf, dest, tag).Wait(p)
+	if err := c.checkSend(dest, tag); err != nil {
+		return err
+	}
+	return c.gate(dest).Ssend(p, c.flowTag(tag), buf)
 }
 
 // Iprobe reports, without blocking or consuming, whether a message from

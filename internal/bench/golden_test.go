@@ -19,14 +19,14 @@ import (
 // -slow adds slowFigure, in either mode.
 var (
 	update = flag.Bool("update", false, "rewrite the golden figure files")
-	slow   = flag.Bool("slow", false, "include the figures that take minutes to regenerate")
+	slow   = flag.Bool("slow", false, "include the figures too slow for go test ./...")
 )
 
 const goldenDir = "testdata/figures"
 
-// slowFigure is skipped without -slow: it spends minutes of host time in
-// its two 1024-rank allgather points. CI's faults job, which already owns
-// the 1024-node lossy runs, checks it.
+// slowFigure is skipped without -slow: it spends about 30 s of host time
+// (a shared 2-core Xeon), most of it in its two 1024-rank allgather points.
+// CI's faults job, which already owns the 1024-node lossy runs, checks it.
 const slowFigure = "scale-nodes"
 
 func goldenPath(id string) string { return filepath.Join(goldenDir, id+".json") }
@@ -47,7 +47,7 @@ func TestFiguresGolden(t *testing.T) {
 				}
 			}
 			if id == slowFigure && !*slow {
-				t.Skipf("takes minutes; run: go test ./internal/bench -run 'TestFiguresGolden/%s$' -slow -timeout 30m", id)
+				t.Skipf("takes about 30 s; run: go test ./internal/bench -run 'TestFiguresGolden/%s$' -slow -timeout 30m", id)
 			}
 			fig, err := Run(id)
 			if err != nil {

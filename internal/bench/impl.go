@@ -2,7 +2,7 @@
 // the paper's evaluation (§5): the raw ping-pong (Figure 2 and the §5.1
 // overhead numbers), the multi-segment ping-pong over separate
 // communicators (Figure 3), and the indexed-datatype transfer (Figure 4),
-// plus the ablations DESIGN.md calls out and the scale workloads.
+// plus the strategy ablations and the scale workloads.
 //
 // Measurements are virtual-time exact: each data point builds a fresh
 // world, runs the workload and reads the clock. No wall-clock noise, no

@@ -46,7 +46,10 @@
 // process's sleeps would have pushed its wake-ups, and completion is
 // reported to a callback. A workload driven either way produces the same
 // schedule event for event (post_test.go); package replay re-issues
-// recordings this way and needs no goroutine per operation.
+// recordings this way and needs no goroutine per operation. A process
+// with many requests in flight can take the same callback (IsendvInto,
+// IrecvvMaskedInto) and learn which request finished without scanning
+// them, as MAD-MPI's collective executor does.
 //
 // # Engine state
 //
@@ -117,24 +120,25 @@
 //
 // Work run from scheduler callbacks follows the same rule: whatever is
 // pushed with World.At / After or handed to a NIC is a callback bound
-// once, on a record that is owned and recycled or on a FIFO. A
-// PostSendv / PostRecvvMasked waits out its submit overhead in the
-// engine's post FIFO (every such wait lasts SubmitOverhead, so they end
-// in the order they began) and returns the request it made at entry, so
-// its caller needs no closure per message either; a rendezvous body runs
-// on recycled rdvSend / rdvRecv records, its plan copied into the
-// transaction, with one recycled rdmaChain per rail that computes each
-// next chunk as it goes; the link layer takes its linkFrames from a free
-// list, encodes headers into scratch, and binds its retransmit check and
-// delayed ack once per record or gate. A timer cannot be cancelled, so a
-// record counts the events still pending on it; all of a record's timers
-// wait the same delay and fire in the order they were armed, so a count
-// also tells which of them are void (a delayed ack superseded by a later
-// one, a retransmit check armed before the latest retransmission); and a
-// record returns to its list only once it is retired and the count is
-// zero — the rule of the NIC's flight. An rdvRecv keeps no count: under
-// reliability its one body watch is pending from the grant on, and the
-// watch that finds the transaction landed files the record back.
+// once, on a record that is owned and recycled or on a FIFO. A PostSendv
+// / PostRecvvMasked waits out its submit overhead in the engine's post
+// FIFO (every such wait lasts SubmitOverhead, so they end in the order
+// they began) on a request in its caller's storage, so a caller that
+// keeps its requests in a slab needs neither an object nor a closure per
+// message; a rendezvous body runs on recycled rdvSend / rdvRecv records,
+// its plan copied into the transaction, with one recycled rdmaChain per
+// rail that computes each next chunk as it goes; the link layer takes
+// its linkFrames from a free list, encodes headers into scratch, and
+// binds its retransmit check and delayed ack once per record or gate. A
+// timer cannot be cancelled, so a record counts the events still pending
+// on it; all of a record's timers wait the same delay and fire in the
+// order they were armed, so a count also tells which of them are void (a
+// delayed ack superseded by a later one, a retransmit check armed before
+// the latest retransmission); and a record returns to its list only once
+// it is retired and the count is zero — the rule of the NIC's flight. An
+// rdvRecv keeps no count: under reliability its one body watch is
+// pending from the grant on, and the watch that finds the transaction
+// landed files the record back.
 // Options.NoRecycle turns every pool off for A/B comparison: the
 // replayed timeline must be byte-identical either way, which the pooling
 // property test in internal/replay asserts. The repo benchmark

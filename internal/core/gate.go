@@ -137,7 +137,7 @@ func (g *Gate) Isend(p *sim.Proc, tag Tag, data []byte, opts ...SendOption) *Sen
 // natively (the paper's §5.3 optimization without per-block requests).
 func (g *Gate) Isendv(p *sim.Proc, tag Tag, segs [][]byte, opts ...SendOption) *SendRequest {
 	req := new(SendRequest)
-	IsendvInto(req, g, p, tag, segs, opts...)
+	IsendvInto(req, g, p, tag, segs, nil, opts...)
 	return req
 }
 
@@ -146,8 +146,13 @@ func (g *Gate) Isendv(p *sim.Proc, tag Tag, segs [][]byte, opts ...SendOption) *
 // send's request. A layer that keeps its own handle beside the engine
 // request (MAD-MPI's Request) allocates the two as one record this way.
 // segs is not retained, so a one-buffer send can pass a composite literal
-// that stays on the caller's stack.
-func IsendvInto(req *SendRequest, g *Gate, p *sim.Proc, tag Tag, segs [][]byte, opts ...SendOption) {
+// that stays on the caller's stack. done, when not nil, is called once in
+// scheduler context with the completion error at the instant req
+// completes — before IsendvInto returns for a send that fails its entry
+// check — so a caller with many requests in flight learns which one
+// finished without scanning them.
+func IsendvInto(req *SendRequest, g *Gate, p *sim.Proc, tag Tag, segs [][]byte, done func(err error), opts ...SendOption) {
+	req.hook = done
 	g.isendIov(req, p, tag, iovec(segs), resolveSend(opts))
 }
 
@@ -199,22 +204,23 @@ func (g *Gate) isendIov(req *SendRequest, p *sim.Proc, tag Tag, iov iovec, cfg s
 // with the completion error at the instant the request completes —
 // possibly before PostSendv returns (a send that fails its entry check).
 //
-// The returned request is the send's, made at entry: it is pending while
-// the overheads elapse and the message travels, and Done from the instant
+// req, a zero SendRequest in the caller's storage that is never copied,
+// becomes the send's request, as for IsendvInto: it is pending while the
+// overheads elapse and the message travels, and Done from the instant
 // done is called. Nothing can Wait on it (there is no process); a caller
-// keeps it to ask Done or Err later instead of capturing per-message state
-// in done, which lets one hook serve every send.
-func (g *Gate) PostSendv(tag Tag, segs [][]byte, done func(err error), opts ...SendOption) *SendRequest {
+// that keeps its requests side by side asks them Done or Err later
+// instead of capturing per-message state in done, which lets one hook
+// serve every send.
+func (g *Gate) PostSendv(req *SendRequest, tag Tag, segs [][]byte, done func(err error), opts ...SendOption) {
 	iov, cfg := iovec(segs), resolveSend(opts)
-	req := &SendRequest{request: request{hook: done}, tag: tag}
+	req.hook, req.tag = done, tag
 	if err := g.sendCheck(cfg); err != nil {
 		req.complete(err)
-		return req
+		return
 	}
 	g.eng.recordSend(g, tag, iov, cfg)
 	req.bytes = iov.total()
 	g.eng.post(pendingPost{g: g, send: req, iov: iov, cfg: cfg})
-	return req
 }
 
 // submitSend is what a send does once its host costs are paid, whoever
@@ -315,7 +321,7 @@ func (g *Gate) Irecvv(p *sim.Proc, tag Tag, segs [][]byte) *RecvRequest {
 // ANY_TAG receives on it by masking out the user-tag bits.
 func (g *Gate) IrecvMasked(p *sim.Proc, want, mask Tag, buf []byte) *RecvRequest {
 	req := new(RecvRequest)
-	IrecvMaskedInto(req, g, p, want, mask, buf)
+	IrecvMaskedInto(req, g, p, want, mask, buf, nil)
 	return req
 }
 
@@ -324,23 +330,24 @@ func (g *Gate) IrecvMasked(p *sim.Proc, want, mask Tag, buf []byte) *RecvRequest
 // a replayed recording re-posts (package replay).
 func (g *Gate) IrecvvMasked(p *sim.Proc, want, mask Tag, segs [][]byte) *RecvRequest {
 	req := new(RecvRequest)
-	IrecvvMaskedInto(req, g, p, want, mask, segs)
+	IrecvvMaskedInto(req, g, p, want, mask, segs, nil)
 	return req
 }
 
 // IrecvMaskedInto is g.IrecvMasked with the request in the caller's
 // storage, as IsendvInto is for a send: req must be a zero RecvRequest
-// that is never copied. The one-segment landing area is the request's
-// own, so the receive allocates nothing beyond req.
-func IrecvMaskedInto(req *RecvRequest, g *Gate, p *sim.Proc, want, mask Tag, buf []byte) {
+// that is never copied, and done, when not nil, is called at the instant
+// it completes. The one-segment landing area is the request's own, so
+// the receive allocates nothing beyond req.
+func IrecvMaskedInto(req *RecvRequest, g *Gate, p *sim.Proc, want, mask Tag, buf []byte, done func(err error)) {
 	req.one[0] = buf
-	IrecvvMaskedInto(req, g, p, want, mask, req.one[:])
+	IrecvvMaskedInto(req, g, p, want, mask, req.one[:], done)
 }
 
 // IrecvvMaskedInto is the vector form of IrecvMaskedInto; the request
 // lands the payload in segs, which it keeps until it completes.
-func IrecvvMaskedInto(req *RecvRequest, g *Gate, p *sim.Proc, want, mask Tag, segs [][]byte) {
-	req.want, req.mask, req.iov = want, mask, segs
+func IrecvvMaskedInto(req *RecvRequest, g *Gate, p *sim.Proc, want, mask Tag, segs [][]byte, done func(err error)) {
+	req.hook, req.want, req.mask, req.iov = done, want, mask, segs
 	g.eng.recordRecv(g, req)
 	g.eng.chargeSubmit(p)
 	g.postRecv(req)
@@ -350,15 +357,13 @@ func IrecvvMaskedInto(req *RecvRequest, g *Gate, p *sim.Proc, want, mask Tag, se
 // PostSendv. With no submit overhead to wait out, a message already
 // waiting unexpected is matched before PostRecvvMasked returns; done
 // still follows by the payload copy cost, as completion does for a
-// waiting process. The returned request is the receive's, posted once the
-// overhead has elapsed and Done from the instant done is called; as with
-// PostSendv, it is what a caller keeps instead of per-receive state in
-// done.
-func (g *Gate) PostRecvvMasked(want, mask Tag, segs [][]byte, done func(err error)) *RecvRequest {
-	req := &RecvRequest{request: request{hook: done}, want: want, mask: mask, iov: segs}
+// waiting process. req, a zero RecvRequest in the caller's storage, is
+// posted once the overhead has elapsed and is Done from the instant done
+// is called.
+func (g *Gate) PostRecvvMasked(req *RecvRequest, want, mask Tag, segs [][]byte, done func(err error)) {
+	req.hook, req.want, req.mask, req.iov = done, want, mask, segs
 	g.eng.recordRecv(g, req)
 	g.eng.post(pendingPost{g: g, recv: req})
-	return req
 }
 
 // postRecv is what a receive does once its submit overhead is paid: match
@@ -381,7 +386,7 @@ func (g *Gate) Recv(p *sim.Proc, tag Tag, buf []byte) (int, error) {
 // on its list before RecvMasked returns.
 func (g *Gate) RecvMasked(p *sim.Proc, want, mask Tag, buf []byte) (n int, tag Tag, err error) {
 	req := g.eng.freeRecvs.get()
-	IrecvMaskedInto(req, g, p, want, mask, buf)
+	IrecvMaskedInto(req, g, p, want, mask, buf, nil)
 	err = req.Wait(p)
 	n, tag = req.n, req.tag
 	g.eng.freeRecvRequest(req)

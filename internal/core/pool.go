@@ -37,9 +37,10 @@ import (
 //     retires once; a receive completes after its match has left the
 //     posted list, the grant queue and the live rendezvous
 //     transactions. A call that never gets its result (its process
-//     ends parked in Wait) leaves its request off the list. The requests
-//     of nonblocking and Post* calls are their callers' and never
-//     recycled.
+//     ends parked in Wait) leaves its request off the list. The request
+//     of a nonblocking or Post* call is its caller's — returned to it, or
+//     in storage it passed (a MAD-MPI handle, a replay or collective
+//     slab) — and the engine never recycles it.
 //   - Strategies never see wrappers after election (the spileak analyzer
 //     forbids retaining SPI views), so recycling cannot dangle into sched.
 //   - A record an event or a NIC completion refers to returns to its list

@@ -14,9 +14,9 @@ import (
 
 // Gate.PostSendv / PostRecvvMasked promise the schedule a process would
 // have produced. These tests drive one workload on three nodes twice —
-// once by a process per operation (Isendv / IrecvvMasked + Wait), once
-// from World.At callbacks — and demand identical tracer timelines, Stats,
-// completion instants, errors and delivered bytes.
+// once by a process per operation (IsendvInto / IrecvvMaskedInto + Wait),
+// once from World.At callbacks — and demand identical tracer timelines,
+// Stats, completion instants, errors and delivered bytes.
 
 // postOp is one operation of the workload: node issues it toward peer at
 // instant at — or, when after is set, as soon as op after-1 has completed:
@@ -103,18 +103,30 @@ func runPostWorkload(t *testing.T, opts Options, host simnet.Host, ops []postOp,
 		}
 		return ops[i].mask
 	}
-	// live runs op i, and whatever chains on it, in process p.
+	// live runs op i, and whatever chains on it, in process p. Its
+	// request's hook must fire once, at the instant Wait returns, with
+	// the error Wait returns.
 	var live func(p *sim.Proc, i int)
 	live = func(p *sim.Proc, i int) {
 		op := ops[i]
+		hooks, hookAt, hookErr := 0, sim.Time(0), error(nil)
+		hook := func(err error) { hooks, hookAt, hookErr = hooks+1, w.Now(), err }
 		var req Request
 		if op.send {
-			req = gate(i).Isendv(p, op.tag, bufs[i], op.opts...)
+			s := new(SendRequest)
+			IsendvInto(s, gate(i), p, op.tag, bufs[i], hook, op.opts...)
+			req = s
 		} else {
-			req = gate(i).IrecvvMasked(p, op.tag, mask(i), bufs[i])
+			r := new(RecvRequest)
+			IrecvvMaskedInto(r, gate(i), p, op.tag, mask(i), bufs[i], hook)
+			req = r
 		}
 		res.Errs[i] = req.Wait(p)
 		res.DoneAt[i] = p.Now()
+		if hooks != 1 || hookAt != p.Now() || hookErr != res.Errs[i] {
+			t.Errorf("op %d: hook fired %d time(s), last at %v with %v; Wait returned %v at %v",
+				i, hooks, hookAt, hookErr, res.Errs[i], p.Now())
+		}
 		if next[i] > 0 {
 			live(p, next[i]-1)
 		}
@@ -138,9 +150,13 @@ func runPostWorkload(t *testing.T, opts Options, host simnet.Host, ops []postOp,
 		}
 		var req Request
 		if op.send {
-			req = gate(i).PostSendv(op.tag, bufs[i], done, op.opts...)
+			s := new(SendRequest)
+			gate(i).PostSendv(s, op.tag, bufs[i], done, op.opts...)
+			req = s
 		} else {
-			req = gate(i).PostRecvvMasked(op.tag, mask(i), bufs[i], done)
+			r := new(RecvRequest)
+			gate(i).PostRecvvMasked(r, op.tag, mask(i), bufs[i], done)
+			req = r
 		}
 		if req.Done() != fired {
 			t.Errorf("op %d: the returned request reads Done=%v with the hook fired=%v", i, req.Done(), fired)
@@ -308,7 +324,7 @@ func TestPostSendvWithoutDrivers(t *testing.T) {
 	}
 	calls := 0
 	var got error
-	e.Gate(1).PostSendv(1, [][]byte{make([]byte, 8)}, func(err error) { calls++; got = err })
+	e.Gate(1).PostSendv(new(SendRequest), 1, [][]byte{make([]byte, 8)}, func(err error) { calls++; got = err })
 	if calls != 1 || !errors.Is(got, errNoDrivers) {
 		t.Errorf("hook called %d time(s) with %v, want once with %v", calls, got, errNoDrivers)
 	}
@@ -343,7 +359,7 @@ func TestOnRailOutOfRangeFailsTheSend(t *testing.T) {
 			}
 		})
 		w.At(0, func() {
-			g.PostSendv(3, [][]byte{data}, func(err error) { posted = err }, OnRail(rail))
+			g.PostSendv(new(SendRequest), 3, [][]byte{data}, func(err error) { posted = err }, OnRail(rail))
 		})
 		run(t, w)
 		if !errors.Is(posted, ErrBadRail) {
@@ -382,11 +398,11 @@ func TestPostWithoutOverheadSubmitsInline(t *testing.T) {
 	opts.SubmitOverhead = 0
 	_, e0, _ := testWorld(t, opts) // the world never runs: nothing here waits for the wire
 	g := e0.Gate(1)
-	g.PostSendv(1, [][]byte{make([]byte, 64)}, func(error) {})
+	g.PostSendv(new(SendRequest), 1, [][]byte{make([]byte, 64)}, func(error) {})
 	if got := e0.Stats().Submitted; got != 1 {
 		t.Errorf("%d wrappers submitted when PostSendv returned, want 1", got)
 	}
-	g.PostRecvvMasked(2, ^Tag(0), [][]byte{make([]byte, 64)}, func(error) {})
+	g.PostRecvvMasked(new(RecvRequest), 2, ^Tag(0), [][]byte{make([]byte, 64)}, func(error) {})
 	if got := g.PendingPosted(); got != 1 {
 		t.Errorf("%d receives posted when PostRecvvMasked returned, want 1", got)
 	}

@@ -92,7 +92,9 @@ type request struct {
 	// hook, when set, is called once with the completion error at the
 	// instant the request completes: how a submission from scheduler
 	// context (Gate.PostSendv / PostRecvvMasked), which has no process to
-	// Wait with, learns of completion. waiter and hook are one word each
+	// Wait with, learns of completion, and how a process with many
+	// requests in flight (IsendvInto, IrecvvMaskedInto) learns which one
+	// finished without scanning them. waiter and hook are one word each
 	// on purpose: together they fill SendRequest's and RecvRequest's
 	// malloc size classes (see TestRequestSizeClasses).
 	hook func(err error)

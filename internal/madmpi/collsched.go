@@ -12,11 +12,13 @@ import (
 
 // The collective schedule engine. A collective is compiled into a DAG of
 // nonblocking steps — sends, receives and local compute (reduction folds,
-// packing) — and executed with request groups: every step whose
+// packing) — and executed by the calling process: every step whose
 // dependencies are satisfied is posted immediately, so multiple rounds
 // and segments of one collective are in flight at once and all of the
 // traffic flows through the engine's optimization window, where the
-// scheduling strategies aggregate and balance it. This replaces the
+// scheduling strategies aggregate and balance it. Each posted request
+// reports its completion through a hook onto a FIFO the process drains,
+// so a step in flight costs nothing until it finishes. This replaces the
 // seed's blocking Sendrecv round-loops, which serialized every round and
 // gave the strategy layer nothing to optimize.
 //
@@ -207,9 +209,12 @@ func (c *Comm) collTags(seq uint64) (core.Tag, error) {
 }
 
 // execute runs a compiled schedule to completion on the calling process,
-// on the tag lane of collective slot seq. Ready steps are posted in step
-// order; thereafter any completion — in any order — unlocks its
-// dependents, keeping every independent transfer in flight at once.
+// on the tag lane of collective slot seq. The process posts ready steps
+// in step order, paying their submit overheads one after another, each
+// on the next request of the run's send or receive slab with a hook that
+// queues the step on the run's FIFO as it completes. It finishes steps
+// off the FIFO in completion order, posting what each unlocks, and parks
+// only when the FIFO is empty: no step in flight is looked at twice.
 func (c *Comm) execute(p *sim.Proc, seq uint64, pl *CollPlan) error {
 	if pl.err != nil {
 		return pl.err
@@ -218,47 +223,58 @@ func (c *Comm) execute(p *sim.Proc, seq uint64, pl *CollPlan) error {
 	if err != nil {
 		return err
 	}
-	if len(pl.steps) == 0 {
-		return nil
-	}
 	n := len(pl.steps)
-	indeg := make([]int, n)
-	dependents := make([][]int, n)
+	var kinds [3]int        // steps of each stepKind
+	off := make([]int, n+1) // step d's dependents: adj[off[d]:off[d+1]]
 	for i, s := range pl.steps {
 		if s.kind != stepCompute {
 			if err := c.checkPeer(s.peer); err != nil {
 				return fmt.Errorf("madmpi: collective schedule step %d: %w", i, err)
 			}
 		}
+		kinds[s.kind]++
 		for _, d := range s.deps {
 			if d < 0 || d >= i {
 				return fmt.Errorf("madmpi: collective schedule step %d has invalid dependency %d", i, d)
 			}
-			indeg[i]++
-			dependents[d] = append(dependents[d], i)
+			off[d+1]++
 		}
 	}
-	var ready []int
-	for i := range pl.steps {
+	for d := range n {
+		off[d+1] += off[d]
+	}
+	// Each step becomes ready once and each send or receive completes
+	// once, so neither the ready queue nor the FIFO outgrows its part.
+	edges, io := off[n], kinds[stepSend]+kinds[stepRecv]
+	slab := make([]int, 2*n+edges+io)
+	indeg, adj, ready := slab[:n], slab[n:n+edges], slab[n+edges:n+edges:2*n+edges]
+	x := &collRun{p: p, fifo: slab[2*n+edges : 2*n+edges]}
+	for i, s := range pl.steps {
+		indeg[i] = len(s.deps)
+		for _, d := range s.deps {
+			adj[off[d]] = i
+			off[d]++
+		}
 		if indeg[i] == 0 {
 			ready = append(ready, i)
 		}
 	}
-	var inflight []core.Request
-	var inflightStep []int
+	copy(off[1:], off) // each off[d] advanced to d's end: shift back
+	off[0] = 0
+	sends := make([]core.SendRequest, kinds[stepSend])
+	recvs := make([]core.RecvRequest, kinds[stepRecv])
 	done := 0
 	finish := func(i int) {
 		done++
-		for _, j := range dependents[i] {
+		for _, j := range adj[off[i]:off[i+1]] {
 			if indeg[j]--; indeg[j] == 0 {
 				ready = append(ready, j)
 			}
 		}
 	}
-	for done < n {
-		for len(ready) > 0 {
-			i := ready[0]
-			ready = ready[1:]
+	for next, head := 0, 0; done < n; {
+		for ; next < len(ready); next++ {
+			i := ready[next]
 			s := &pl.steps[i]
 			switch s.kind {
 			case stepCompute:
@@ -267,37 +283,55 @@ func (c *Comm) execute(p *sim.Proc, seq uint64, pl *CollPlan) error {
 				}
 				finish(i)
 			case stepSend:
-				req := c.gate(s.peer).Isend(p, base+core.Tag(s.sub), s.buf)
-				inflight = append(inflight, req)
-				inflightStep = append(inflightStep, i)
+				core.IsendvInto(&sends[0], c.gate(s.peer), p, base+core.Tag(s.sub), [][]byte{s.buf}, x.hook(i))
+				sends = sends[1:]
 			case stepRecv:
-				req := c.gate(s.peer).Irecv(p, base+core.Tag(s.sub), s.buf)
-				inflight = append(inflight, req)
-				inflightStep = append(inflightStep, i)
+				core.IrecvMaskedInto(&recvs[0], c.gate(s.peer), p, base+core.Tag(s.sub), ^core.Tag(0), s.buf, x.hook(i))
+				recvs = recvs[1:]
 			}
 		}
 		if done == n {
 			break
 		}
-		if len(inflight) == 0 {
-			return fmt.Errorf("madmpi: collective schedule stuck with %d of %d steps unreachable", n-done, n)
+		if head == len(x.fifo) {
+			p.Park()
+			continue
 		}
-		idx, err := core.WaitAny(p, inflight...)
-		if err != nil {
-			s := pl.steps[inflightStep[idx]]
+		i := x.fifo[head]
+		if x.err != nil && head == x.failed {
+			x.p = nil // steps still in flight complete into x, waking nobody
+			s := pl.steps[i]
 			dir := "send to"
 			if s.kind == stepRecv {
 				dir = "recv from"
 			}
-			return fmt.Errorf("madmpi: collective %s rank %d: %w", dir, s.peer, err)
+			return fmt.Errorf("madmpi: collective %s rank %d: %w", dir, s.peer, x.err)
 		}
-		i := inflightStep[idx]
-		last := len(inflight) - 1
-		inflight[idx], inflight = inflight[last], inflight[:last]
-		inflightStep[idx], inflightStep = inflightStep[last], inflightStep[:last]
+		head++
 		finish(i)
 	}
 	return nil
+}
+
+// collRun is what the hooks of one execute share with its process. It is
+// never reused: a step still in flight when execute fails completes into
+// storage nothing else reads.
+type collRun struct {
+	p      *sim.Proc // woken by each completion while execute runs
+	fifo   []int     // completed steps, in completion order
+	err    error     // the first failure, of the step at fifo[failed]
+	failed int
+}
+
+// hook returns step i's completion hook.
+func (x *collRun) hook(i int) func(error) {
+	return func(err error) {
+		if err != nil && x.err == nil {
+			x.err, x.failed = err, len(x.fifo)
+		}
+		x.fifo = append(x.fifo, i)
+		x.p.Unpark()
+	}
 }
 
 // runColl is the common tail of every collective entry point: resolve

@@ -527,3 +527,73 @@ func TestCollectivePipelining(t *testing.T) {
 		t.Errorf("pipelined bcast finished at %v, not faster than the serialized chain bound %v", finish, serialized)
 	}
 }
+
+// A step that fails ends the collective on its rank with the step's
+// direction, peer and engine error, while the other ranks' collectives
+// succeed, and every rank goes on to the next collective. When the
+// failing rank returns with steps still in flight, their completions
+// come later, while that rank runs its next collective; they must land
+// in the failed run's own storage and leave the next run alone.
+func TestCollectiveStepErrorSurfaces(t *testing.T) {
+	t.Run("bcast into a short buffer", func(t *testing.T) {
+		const want = "madmpi: bcast: madmpi: collective recv from rank 0: core: message longer than the receive buffer"
+		job(t, 2, func(p *sim.Proc, m *MPI) {
+			buf := make([]byte, 64)
+			if m.Rank() == 1 {
+				buf = buf[:32]
+			}
+			err := m.CommWorld().Bcast(p, buf, 0)
+			if m.Rank() == 0 && err != nil {
+				t.Errorf("rank 0: Bcast = %v, want nil", err)
+			}
+			if m.Rank() == 1 && (!errors.Is(err, core.ErrTruncated) || err.Error() != want) {
+				t.Errorf("rank 1: Bcast = %v, want %q", err, want)
+			}
+			if err := m.CommWorld().Dup().Barrier(p); err != nil {
+				t.Errorf("rank %d: Barrier = %v", m.Rank(), err)
+			}
+		})
+	})
+	t.Run("steps in flight when it returns", func(t *testing.T) {
+		// Rank 1 takes 16 B slices where ranks 0 and 2 send 32 B: its
+		// receive from rank 0 fails at once, while its receive from rank
+		// 2, which enters a millisecond late, is still posted.
+		const late = sim.Millisecond
+		const want = "madmpi: alltoall: madmpi: collective recv from rank 0: core: message longer than the receive buffer"
+		jobCfg(t, 3,
+			func(m *MPI) {
+				if err := m.ForceCollAlgo(CollAlltoall, "linear"); err != nil {
+					t.Fatal(err)
+				}
+			},
+			func(p *sim.Proc, m *MPI) {
+				me := m.Rank()
+				per := 32
+				if me == 1 {
+					per = 16
+				}
+				if me == 2 {
+					p.Sleep(late)
+				}
+				err := m.CommWorld().Alltoall(p, make([]byte, 3*per), make([]byte, 3*per))
+				switch {
+				case me != 1 && err != nil:
+					t.Errorf("rank %d: Alltoall = %v, want nil", me, err)
+				case me == 1 && (!errors.Is(err, core.ErrTruncated) || err.Error() != want):
+					t.Errorf("rank 1: Alltoall = %v, want %q", err, want)
+				case me == 1 && p.Now() >= late:
+					t.Fatalf("rank 1 returned at %v, after rank 2 sent: no step was left in flight", p.Now())
+				}
+				send := bytes.Repeat([]byte{byte('a' + me)}, 48)
+				got := make([]byte, 3*len(send))
+				if err := m.CommWorld().Dup().Allgather(p, send, got); err != nil {
+					t.Errorf("rank %d: Allgather = %v", me, err)
+				}
+				for r := range 3 {
+					if w := bytes.Repeat([]byte{byte('a' + r)}, 48); !bytes.Equal(got[r*48:(r+1)*48], w) {
+						t.Errorf("rank %d: Allgather block %d = %q, want %q", me, r, got[r*48:(r+1)*48], w)
+					}
+				}
+			})
+	})
+}

@@ -27,7 +27,7 @@ func (c *Comm) Isend(p *sim.Proc, buf []byte, dest, tag int, opts ...core.SendOp
 func (c *Comm) postSend(p *sim.Proc, segs [][]byte, dest, tag int, opts []core.SendOption) *Request {
 	op := new(sendOp)
 	op.Request.Request = &op.s
-	core.IsendvInto(&op.s, c.gate(dest), p, c.flowTag(tag), segs, opts...)
+	core.IsendvInto(&op.s, c.gate(dest), p, c.flowTag(tag), segs, nil, opts...)
 	return &op.Request
 }
 
@@ -47,7 +47,7 @@ func (c *Comm) Irecv(p *sim.Proc, buf []byte, src, tag int) *Request {
 		return failedRequest(err)
 	}
 	op := newRecvOp()
-	core.IrecvMaskedInto(&op.r, c.gate(src), p, want, mask, buf)
+	core.IrecvMaskedInto(&op.r, c.gate(src), p, want, mask, buf, nil)
 	return &op.Request
 }
 

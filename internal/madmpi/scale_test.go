@@ -95,9 +95,10 @@ func TestScaleAllgather1024Lossy(t *testing.T) {
 // BenchmarkAllgatherRing is the host cost of one lossless allgather of
 // 64 B per rank (reliability on, one MX rail) across 256 and 512 ranks:
 // the collective executor's per-layer number. At that size the automatic
-// selection runs gather-bcast on 256 ranks and the ring on 512, where the
-// executor's rescans of every in-flight step dominate. Run it with
-// go test -run=NONE -bench AllgatherRing -benchtime 1x ./internal/madmpi
+// selection runs gather-bcast on 256 ranks and the ring on 512, about
+// 261 000 messages, where the engine's per-message work dominates: the
+// executor finishes each step once, off its completion FIFO. Run it with
+// go test -run=NONE -bench AllgatherRing -benchtime 1x -benchmem ./internal/madmpi
 func BenchmarkAllgatherRing(b *testing.B) {
 	const per = 64
 	for _, size := range []int{256, 512} {

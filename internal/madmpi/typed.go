@@ -46,7 +46,7 @@ func (c *Comm) IrecvTyped(p *sim.Proc, base []byte, t Datatype, count, src, tag 
 		return failedRequest(err)
 	}
 	op := newRecvOp()
-	core.IrecvvMaskedInto(&op.r, c.gate(src), p, c.flowTag(tag), ^core.Tag(0), iov)
+	core.IrecvvMaskedInto(&op.r, c.gate(src), p, c.flowTag(tag), ^core.Tag(0), iov, nil)
 	return &op.Request
 }
 

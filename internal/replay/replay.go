@@ -36,13 +36,14 @@
 // Wait — pushes nothing and only reads the clock at the completion
 // instant, which the completion hook reads directly.
 //
-// Nothing of this is allocated per op beyond the engine request the op
-// posts. Step and issue are method values bound once per node; an issue
-// event finds its op by a cursor, since a node's issues at one instant
-// fire in the order step pushed them; every op's segment list is a slice
-// of one arena sized by checkOps; and one completion hook serves every
-// request, which the run keeps by op index — an op whose request is not
-// Done when the queue drains is what UndrainedError reports.
+// Nothing of this is allocated per op. Step and issue are method values
+// bound once per node; an issue event finds its op by a cursor, since a
+// node's issues at one instant fire in the order step pushed them; every
+// op's segment list is a slice of one arena, and its engine request the
+// next slot of one send or one receive slab, all three sized by checkOps;
+// and one completion hook serves every request, which the run keeps by
+// op index — an op whose request is not Done when the queue drains is
+// what UndrainedError reports.
 package replay
 
 import (
@@ -183,37 +184,40 @@ const maxOpBytes int64 = math.MaxUint32
 // engines and rails rails before any engine is built — a recording is
 // outside input, and Recording.RecordOp checks nothing. It returns each
 // node's ops as indexes into ops, in recorded order, the payload size of
-// the largest op and the segment count of all of them.
-func checkOps(ops []trace.Op, nodes, rails int) (perNode [][]int, maxBytes, segs int, err error) {
+// the largest op, the segment count of all of them and how many are
+// receives.
+func checkOps(ops []trace.Op, nodes, rails int) (perNode [][]int, maxBytes, segs, recvs int, err error) {
 	perNode = make([][]int, nodes)
 	for i, op := range ops {
 		if op.Node < 0 || op.Node >= nodes || op.Peer < 0 || op.Peer >= nodes {
-			return nil, 0, 0, fmt.Errorf("replay: op %d addresses node %d -> %d outside the %d-node topology",
+			return nil, 0, 0, 0, fmt.Errorf("replay: op %d addresses node %d -> %d outside the %d-node topology",
 				i, op.Node, op.Peer, nodes)
 		}
 		if op.Node == op.Peer {
-			return nil, 0, 0, fmt.Errorf("replay: op %d is addressed by node %d to itself", i, op.Node)
+			return nil, 0, 0, 0, fmt.Errorf("replay: op %d is addressed by node %d to itself", i, op.Node)
 		}
-		if op.Kind != trace.OpSend && op.Kind != trace.OpRecv {
-			return nil, 0, 0, fmt.Errorf("replay: op %d has unknown kind %q", i, op.Kind)
-		}
-		if op.Kind == trace.OpSend && (op.Rail < -1 || op.Rail >= rails) {
-			return nil, 0, 0, fmt.Errorf("replay: op %d pins rail %d outside the %d-rail topology", i, op.Rail, rails)
+		switch {
+		case op.Kind == trace.OpRecv:
+			recvs++
+		case op.Kind != trace.OpSend:
+			return nil, 0, 0, 0, fmt.Errorf("replay: op %d has unknown kind %q", i, op.Kind)
+		case op.Rail < -1 || op.Rail >= rails:
+			return nil, 0, 0, 0, fmt.Errorf("replay: op %d pins rail %d outside the %d-rail topology", i, op.Rail, rails)
 		}
 		total := 0
 		for _, n := range op.Segs {
 			if n < 0 {
-				return nil, 0, 0, fmt.Errorf("replay: op %d has a negative segment length %d", i, n)
+				return nil, 0, 0, 0, fmt.Errorf("replay: op %d has a negative segment length %d", i, n)
 			}
 			if total += n; total < 0 || int64(total) > maxOpBytes {
-				return nil, 0, 0, fmt.Errorf("replay: op %d is larger than the %d bytes a message can carry", i, maxOpBytes)
+				return nil, 0, 0, 0, fmt.Errorf("replay: op %d is larger than the %d bytes a message can carry", i, maxOpBytes)
 			}
 		}
 		maxBytes = max(maxBytes, total)
 		segs += len(op.Segs)
 		perNode[op.Node] = append(perNode[op.Node], i)
 	}
-	return perNode, maxBytes, segs, nil
+	return perNode, maxBytes, segs, recvs, nil
 }
 
 // Run replays a recording under the given configuration.
@@ -231,7 +235,7 @@ func Run(rec *trace.Recording, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("replay: %w", err)
 	}
-	perNode, maxBytes, nSegs, err := checkOps(rec.Ops(), hdr.Nodes, len(m.Rails))
+	perNode, maxBytes, nSegs, nRecvs, err := checkOps(rec.Ops(), hdr.Nodes, len(m.Rails))
 	if err != nil {
 		return nil, err
 	}
@@ -256,6 +260,8 @@ func Run(rec *trace.Recording, cfg Config) (*Result, error) {
 		res:   &Result{},
 		ops:   rec.Ops(),
 		reqs:  make([]core.Request, rec.Len()),
+		sends: make([]core.SendRequest, rec.Len()-nRecvs),
+		recvs: make([]core.RecvRequest, nRecvs),
 		arena: make([][]byte, nSegs),
 		// Payload content is not part of a recording — scheduling depends
 		// on sizes and layout only — so every send gathers from one zero
@@ -298,8 +304,10 @@ type run struct {
 	w      *sim.World
 	res    *Result
 	ops    []trace.Op
-	reqs   []core.Request // by op index: the re-issued request, nil until issued
-	arena  [][]byte       // the segment slots no issued op has taken yet
+	reqs   []core.Request     // by op index: the re-issued request, nil until issued
+	sends  []core.SendRequest // the send requests no issued op has taken yet
+	recvs  []core.RecvRequest // the same for receives
+	arena  [][]byte           // the segment slots no issued op has taken yet
 	zero   []byte
 	sink   []byte
 	doneFn func(error) // complete, bound once: the hook of every request
@@ -340,7 +348,9 @@ func (d *dispatcher) issueNext() {
 	op := &d.ops[i]
 	g := d.eng.Gate(simnet.NodeID(op.Peer))
 	if op.Kind == trace.OpRecv {
-		d.reqs[i] = g.PostRecvvMasked(core.Tag(op.Tag), core.Tag(op.Mask), d.segsOver(d.sink, op.Segs), d.doneFn)
+		req := &d.recvs[0]
+		d.recvs, d.reqs[i] = d.recvs[1:], req
+		g.PostRecvvMasked(req, core.Tag(op.Tag), core.Tag(op.Mask), d.segsOver(d.sink, op.Segs), d.doneFn)
 		return
 	}
 	sopts := make([]core.SendOption, 0, 4) // stays on the stack
@@ -356,7 +366,9 @@ func (d *dispatcher) issueNext() {
 	if op.Rail >= 0 {
 		sopts = append(sopts, core.OnRail(op.Rail))
 	}
-	d.reqs[i] = g.PostSendv(core.Tag(op.Tag), d.segsOver(d.zero, op.Segs), d.doneFn, sopts...)
+	req := &d.sends[0]
+	d.sends, d.reqs[i] = d.sends[1:], req
+	g.PostSendv(req, core.Tag(op.Tag), d.segsOver(d.zero, op.Segs), d.doneFn, sopts...)
 }
 
 // complete is every re-issued request's completion hook; the request

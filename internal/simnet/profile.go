@@ -84,7 +84,7 @@ func (e errProfile) Error() string { return "simnet: bad profile: " + string(e) 
 
 // The five technologies the NewMadeleine prototype was ported to (paper
 // §4), calibrated against the 2006 testbed of §5 (two 1.8 GHz Opteron
-// nodes). See DESIGN.md §5 for the calibration rationale.
+// nodes). Each profile's comment names the figures it is calibrated to.
 
 // MX10G models a Myri-10G NIC with the MX 1.2 driver — the paper's primary
 // evaluation network (~2.3 µs MPI latency, ~1.2 GB/s).

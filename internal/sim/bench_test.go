@@ -27,10 +27,19 @@ func BenchmarkSleepInPlace(b *testing.B) {
 }
 
 // BenchmarkParkUnpark is one wake-up on state: the waker yields, unparks
-// the waiter, and the waiter runs and parks again — two switches.
+// the waiter, and the waiter runs and parks again — two switches, since
+// each wakes the other process.
 func BenchmarkParkUnpark(b *testing.B) {
 	b.ReportAllocs()
 	wakeLoop(b, b.N, (*Proc).Park, (*Proc).Unpark)
+}
+
+// BenchmarkParkSelfWake is a wait that the process's own traffic ends: it
+// parks, and a chain of three plain events unparks it. It fires them on
+// its own stack and returns in place, so no switch.
+func BenchmarkParkSelfWake(b *testing.B) {
+	b.ReportAllocs()
+	selfWakeLoop(b, b.N)
 }
 
 // BenchmarkSpawn is a process's whole life with nothing in it: Spawn, the

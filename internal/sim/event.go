@@ -3,7 +3,7 @@ package sim
 // eventQueue holds the pending callbacks of a World in (at, seq) order:
 // earliest instant first, and within one instant in scheduling order, which
 // keeps the simulation deterministic. Every submit overhead, NIC
-// completion, delivery, timer and process wake-up is one of its events.
+// completion, delivery, timer and process wake-up is one (see wakeBit).
 //
 // Events are grouped by instant. A 1024-node ring replay pushes 134 144
 // events, 94 208 of them for a future instant with up to 14 336 pending at
@@ -75,7 +75,8 @@ type eventKey struct {
 
 // eventSlot holds one pending callback. next links the slot into its
 // bucket or the FIFO while it is queued, and into the free list while it
-// is unused. last is the bucket's last slot, kept in its first.
+// is unused. last is the bucket's last slot, kept in its first, or'ed
+// with wakeBit in a process's wake-up, so a slot stays 16 bytes.
 type eventSlot struct {
 	fn         func()
 	next, last slotLink
@@ -84,6 +85,8 @@ type eventSlot struct {
 // slotLink is a slab index plus one, so 0 — the zero value — ends a list
 // and a zero eventQueue is empty.
 type slotLink int32
+
+const wakeBit slotLink = -1 << 31 // the sign bit: no slab index reaches it
 
 const minQueueCap = 64
 
@@ -110,33 +113,42 @@ func (q *eventQueue) firesNext(at Time) bool {
 	return q.head == 0 && (len(q.heap) == 0 || q.heap[0].at > at)
 }
 
-// push queues fn to run at at: on the FIFO if at is not after now (an
-// earlier at is clamped to now), else on an open bucket for at or a new
-// one, its key sifted up the heap.
-func (q *eventQueue) push(now, at Time, seq uint64, fn func()) {
+// nextWake is the earliest event's slot if it resumes a process, else 0.
+func (q *eventQueue) nextWake() slotLink {
+	l := q.head
+	if l == 0 {
+		l = slotLink(q.heap[0].slot + 1)
+	}
+	return l & (q.slab[l-1].last >> 31) // all ones for a wake-up
+}
+
+// push queues fn (a wake-up if wake is wakeBit) at at and returns its
+// slot: on the FIFO if at is not after now (an earlier at is clamped to
+// now), else on an open or new bucket for at, its key sifted up the heap.
+func (q *eventQueue) push(now, at Time, seq uint64, fn func(), wake slotLink) slotLink {
 	if q.free == 0 {
 		q.extend()
 	}
 	l := q.free
 	s := &q.slab[l-1]
 	q.free = s.next
-	s.fn, s.next = fn, 0
+	s.fn, s.next, s.last = fn, 0, wake
 	if at <= now {
 		q.enqueue(l, l)
-		return
+		return l
 	}
 	// With the heap empty every open bucket has fired.
 	if len(q.heap) != 0 {
 		for i := range uint(openBuckets) {
 			if b := q.open[(q.newest-i)%openBuckets]; b.at == at {
 				f := &q.slab[b.first-1]
-				q.slab[f.last-1].next = l
-				f.last = l
-				return
+				q.slab[f.last&^wakeBit-1].next = l
+				f.last = f.last&wakeBit | l
+				return l
 			}
 		}
 	}
-	s.last = l
+	s.last |= l
 	q.newest = (q.newest + 1) % openBuckets
 	q.open[q.newest] = openBucket{at: at, first: l}
 	h := q.heap
@@ -156,6 +168,7 @@ func (q *eventQueue) push(now, at Time, seq uint64, fn func()) {
 	}
 	h[i] = k
 	q.heap = h
+	return l
 }
 
 // pop removes the earliest event and returns its time and callback. The
@@ -166,10 +179,10 @@ func (q *eventQueue) pop(now Time) (Time, func()) {
 		// Move to the next instant: every bucket due then joins the FIFO.
 		k := q.popKey()
 		now, l = k.at, slotLink(k.slot+1)
-		q.tail = q.slab[l-1].last
+		q.tail = q.slab[l-1].last &^ wakeBit
 		for len(q.heap) != 0 && q.heap[0].at == now {
 			first := slotLink(q.popKey().slot + 1)
-			q.enqueue(first, q.slab[first-1].last)
+			q.enqueue(first, q.slab[first-1].last&^wakeBit)
 		}
 	}
 	q.head = q.slab[l-1].next

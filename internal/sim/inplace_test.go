@@ -12,19 +12,20 @@ import (
 
 // TestSleepInPlaceIsExact runs seeded random programs two ways: as
 // processes, and as the same steps written as callbacks that schedule
-// their continuation with After and At, which is what every Sleep was
-// before it could return in place. A program is a few processes that
-// sleep 0, 1, 2 or 5, park, unpark each other, spawn, stop the world and
-// schedule plain events (often for the very instant a wake-up is due),
-// driven by Run and by RunUntil horizons before, on and after wake-ups,
-// with more plain events scheduled between runs. Both ways must log the
-// same (time, what, Events()) lines.
+// their continuation with After and At, which is what every Sleep and
+// every wait was before a process could return in place. A program is a
+// few processes that sleep 0, 1, 2 or 5, park, park until a chain of plain
+// events wakes them, unpark each other, spawn, stop the world and schedule
+// plain events (often for the very instant a wake-up is due), driven by
+// Run and by RunUntil horizons before, on and after wake-ups, with more
+// plain events scheduled between runs. Both ways must log the same (time,
+// what, Events()) lines.
 func TestSleepInPlaceIsExact(t *testing.T) {
-	var sleeps, resumed, callbacks int
+	var total blockCounts
 	for seed := uint64(1); seed <= 500; seed++ {
 		procs, roots := genProgram(NewRNG(seed))
-		got, r := runAsProcs(seed, procs, roots)
-		want, c, s := runAsCallbacks(seed, procs, roots)
+		got, n := runAsProcs(seed, procs, roots)
+		want := runAsCallbacks(seed, procs, roots)
 		if !slices.Equal(got, want) {
 			i := 0
 			for i < min(len(got), len(want)) && got[i] == want[i] {
@@ -33,13 +34,27 @@ func TestSleepInPlaceIsExact(t *testing.T) {
 			t.Fatalf("seed %d: logs differ at line %d\nprocesses: %v\ncallbacks: %v",
 				seed, i, got[max(i-3, 0):min(i+3, len(got))], want[max(i-3, 0):min(i+3, len(want))])
 		}
-		sleeps, resumed, callbacks = sleeps+s, resumed+r, callbacks+c
+		total.sleeps += n.sleeps
+		total.sleptInPlace += n.sleptInPlace
+		total.parks += n.parks
+		total.parkedInPlace += n.parkedInPlace
 	}
-	// Every resume a callback program takes is a switch the processes take
-	// too, unless a Sleep returned in place: both kinds must occur.
-	if inPlace := callbacks - resumed; inPlace <= 0 || inPlace >= sleeps {
-		t.Errorf("%d of %d sleeps returned in place; want some but not all", inPlace, sleeps)
+	// Both ways of returning — in place, and by a switch from Run — must
+	// occur, for sleeps and for parks alike.
+	if n := total.sleptInPlace; n <= 0 || n >= total.sleeps {
+		t.Errorf("%d of %d sleeps returned in place; want some but not all", n, total.sleeps)
 	}
+	if n := total.parkedInPlace; n <= 0 || n >= total.parks {
+		t.Errorf("%d of %d parks returned in place; want some but not all", n, total.parks)
+	}
+}
+
+// blockCounts counts the blocking steps of a program run as processes,
+// and how many of them returned in place: without Run switching back into
+// the process.
+type blockCounts struct {
+	sleeps, sleptInPlace int
+	parks, parkedInPlace int
 }
 
 type stepKind uint8
@@ -47,6 +62,7 @@ type stepKind uint8
 const (
 	stepSleep stepKind = iota
 	stepPark
+	stepParkChain // park until a chain of arg After(d) callbacks unparks
 	stepUnpark
 	stepSpawn
 	stepAt
@@ -56,8 +72,8 @@ const (
 // step is one thing a process of a generated program does.
 type step struct {
 	kind stepKind
-	d    Time // the delay of a Sleep or an At
-	arg  int  // the process an Unpark wakes or a Spawn starts
+	d    Time // the delay of a Sleep, an At or a chain's links
+	arg  int  // the process an Unpark wakes or a Spawn starts; a chain's length
 }
 
 // logLine is what both ways of running a program log.
@@ -79,13 +95,15 @@ func genProgram(r *RNG) (procs [][]step, roots int) {
 	for i := range procs {
 		for range r.Range(0, 10) {
 			s := step{kind: stepSleep, d: stepDelays[r.Intn(len(stepDelays))]}
-			switch x := r.Intn(20); {
+			switch x := r.Intn(22); {
 			case x < 9:
 			case x < 12:
 				s.kind = stepAt
 			case x < 14:
 				s.kind = stepPark
-			case x < 18:
+			case x < 16:
+				s.kind, s.arg = stepParkChain, r.Range(1, 3)
+			case x < 20:
 				s.kind, s.arg = stepUnpark, r.Intn(n)
 			default:
 				s.kind = stepStop
@@ -101,6 +119,23 @@ func genProgram(r *RNG) (procs [][]step, roots int) {
 }
 
 func procName(i int) string { return fmt.Sprintf("p%d", i) }
+
+// afterChain schedules s.arg plain events, each s.d after the one before
+// it; the last calls wake.
+func afterChain(w *World, what string, s step, say func(string), wake func()) {
+	var link func(k int)
+	link = func(k int) {
+		w.After(s.d, func() {
+			say(fmt.Sprintf("%s link %d", what, k))
+			if k < s.arg {
+				link(k + 1)
+			} else {
+				wake()
+			}
+		})
+	}
+	link(1)
+}
 
 // drive runs w to completion the same way for both forms: before each run
 // it schedules zero to two plain events (each may unpark a process or stop
@@ -132,22 +167,36 @@ func drive(seed uint64, w *World, nprocs int, say func(string), unpark func(int)
 	}
 }
 
-// runAsProcs runs the program as processes and reports its log and how
-// many times a process was resumed after its first step.
-func runAsProcs(seed uint64, procs [][]step, roots int) (log []logLine, resumed int) {
+// runAsProcs runs the program as processes and reports its log and its
+// blocking steps. A step returned in place if Run did not resume the
+// process during it, which the runFn wrapper counts.
+func runAsProcs(seed uint64, procs [][]step, roots int) (log []logLine, n blockCounts) {
 	w := NewWorld()
 	say := func(what string) { log = append(log, logLine{w.Now(), what, w.Events()}) }
 	ps := make([]*Proc, len(procs))
+	resumed := make([]int, len(procs))
 	var spawn func(i int)
 	spawn = func(i int) {
 		p := w.Spawn(procName(i), func(p *Proc) {
 			for j, s := range procs[i] {
 				say(fmt.Sprintf("p%d.%d", i, j))
+				before := resumed[i]
 				switch s.kind {
 				case stepSleep:
 					p.Sleep(s.d)
-				case stepPark:
+					n.sleeps++
+					if resumed[i] == before {
+						n.sleptInPlace++
+					}
+				case stepPark, stepParkChain:
+					if s.kind == stepParkChain {
+						afterChain(w, fmt.Sprintf("p%d.%d", i, j), s, say, p.Unpark)
+					}
 					p.Park()
+					n.parks++
+					if resumed[i] == before {
+						n.parkedInPlace++
+					}
 				case stepUnpark:
 					ps[s.arg].Unpark()
 				case stepSpawn:
@@ -162,7 +211,7 @@ func runAsProcs(seed uint64, procs [][]step, roots int) (log []logLine, resumed 
 			say(procName(i) + " ends")
 		})
 		run := p.runFn // Spawn queued the first step already
-		p.runFn = func() { resumed++; run() }
+		p.runFn = func() { resumed[i]++; run() }
 		ps[i] = p
 	}
 	for i := range roots {
@@ -175,20 +224,18 @@ func runAsProcs(seed uint64, procs [][]step, roots int) (log []logLine, resumed 
 		}
 		return fmt.Sprint(err)
 	})
-	return log, resumed
+	return log, n
 }
 
 // runAsCallbacks runs the program as event callbacks, each process a
 // program counter whose blocking steps schedule its continuation, and
-// reports its log, how many continuations ran after a first step, and how
-// many sleeps it took.
-func runAsCallbacks(seed uint64, procs [][]step, roots int) (log []logLine, resumed, sleeps int) {
+// reports its log.
+func runAsCallbacks(seed uint64, procs [][]step, roots int) (log []logLine) {
 	w := NewWorld()
 	say := func(what string) { log = append(log, logLine{w.Now(), what, w.Events()}) }
 	pc := make([]int, len(procs))
 	parked := make([]bool, len(procs))
-	start := make([]func(), len(procs))
-	resume := make([]func(), len(procs))
+	resume := make([]func(), len(procs)) // the continuation, first step included
 	unpark := func(i int) {
 		if parked[i] {
 			parked[i] = false
@@ -203,16 +250,18 @@ func runAsCallbacks(seed uint64, procs [][]step, roots int) (log []logLine, resu
 			say(fmt.Sprintf("p%d.%d", i, j))
 			switch s.kind {
 			case stepSleep:
-				sleeps++
 				w.After(s.d, resume[i])
 				return
+			case stepParkChain:
+				afterChain(w, fmt.Sprintf("p%d.%d", i, j), s, say, func() { unpark(i) })
+				fallthrough
 			case stepPark:
 				parked[i] = true
 				return
 			case stepUnpark:
 				unpark(s.arg)
 			case stepSpawn:
-				w.At(w.Now(), start[s.arg])
+				w.At(w.Now(), resume[s.arg])
 			case stepAt:
 				what := fmt.Sprintf("p%d.%d fires", i, j)
 				w.After(s.d, func() { say(what) })
@@ -223,11 +272,10 @@ func runAsCallbacks(seed uint64, procs [][]step, roots int) (log []logLine, resu
 		say(procName(i) + " ends")
 	}
 	for i := range procs {
-		start[i] = func() { run(i) }
-		resume[i] = func() { resumed++; run(i) }
+		resume[i] = func() { run(i) }
 	}
 	for i := range roots {
-		w.At(w.Now(), start[i])
+		w.At(w.Now(), resume[i])
 	}
 	drive(seed, w, len(procs), say, unpark, func(err error) string {
 		var blocked []string
@@ -242,7 +290,7 @@ func runAsCallbacks(seed uint64, procs [][]step, roots int) (log []logLine, resu
 		}
 		return fmt.Sprint(err)
 	})
-	return log, resumed, sleeps
+	return log
 }
 
 // A process sleeping alone returns in place every time: its wake-ups are

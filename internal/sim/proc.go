@@ -11,11 +11,12 @@ import (
 // can block — on time with Sleep, or on state with Park — while the
 // engine underneath runs in event callbacks.
 //
-// A process is a coroutine (iter.Pull): the scheduler resumes it with
-// next, it suspends itself with yield, and a switch either way goes
-// straight from one to the other without a trip through the Go scheduler.
-// Exactly one process executes at a time; a process runs until it blocks
-// or returns, so plain Go code inside a process needs no synchronization.
+// A process is a coroutine (iter.Pull) that the scheduler resumes with
+// next. Blocked, it fires the events before its own wake-up itself and
+// yields (a switch that skips the Go scheduler) only when another
+// process's wake-up comes first. Exactly one process executes at a time;
+// a process runs until it blocks or returns, so plain Go code inside a
+// process needs no synchronization.
 type Proc struct {
 	w    *World
 	name string
@@ -30,6 +31,7 @@ type Proc struct {
 	// call. Sleeps and waits are the hottest operations of a large replay,
 	// so the saving is per-op, not per-process.
 	runFn func()
+	wake  slotLink // the queued wake-up's slot, 0 if none
 	// waitIdx is the process's slot in World.waiting while parked, -1
 	// otherwise (see Park / Unpark).
 	waitIdx int
@@ -61,7 +63,7 @@ func (e *ProcPanic) Unwrap() error {
 // Whatever ends fn abnormally surfaces in the goroutine that called Run,
 // from inside Run, with the process no longer counted live: a panic as a
 // *ProcPanic, a runtime.Goexit (a t.Fatal inside fn) as the Goexit of
-// that goroutine.
+// that goroutine; a callback fired while fn blocks panics as itself.
 func (w *World) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{w: w, name: name, waitIdx: -1}
 	p.runFn = func() { w.runProc(p) }
@@ -80,7 +82,7 @@ func (w *World) Spawn(name string, fn func(p *Proc)) *Proc {
 		}()
 		fn(p)
 	})
-	w.At(w.now, p.runFn)
+	w.atProc(w.now, p)
 	return p
 }
 
@@ -110,8 +112,10 @@ func (p *Proc) Sleep(d Time) {
 		w.now = at
 		return
 	}
-	w.At(at, p.runFn)
-	p.block()
+	w.atProc(at, p)
+	if !p.block() {
+		p.yield(struct{}{})
+	}
 }
 
 // Park blocks the process until Unpark: the one way a process blocks on
@@ -123,16 +127,20 @@ func (p *Proc) Sleep(d Time) {
 //   - Sleep is not a park: Unpark does nothing to a sleeping or running
 //     process, so a late wake-up neither shortens a sleep nor leaves a
 //     second resume behind for the sleep's timer to collide with.
+//   - Park may fire the callbacks that end the wait itself (see block),
+//     as scheduler context and in event order, as Run would.
 //
 // A parked process nothing unparks is named in Run's DeadlockError.
 func (p *Proc) Park() {
 	p.waitIdx = len(p.w.waiting)
 	p.w.waiting = append(p.w.waiting, p)
-	p.block()
+	if !p.block() {
+		p.yield(struct{}{})
+	}
 }
 
 // Unpark resumes p at the current instant — as an event of its own, once
-// the caller has yielded — if p is parked, and does nothing otherwise (a
+// the caller has blocked — if p is parked, and does nothing otherwise (a
 // nil p is nobody waiting), so one Park is never resumed twice. It may be
 // called from scheduler context or from another process.
 func (p *Proc) Unpark() {
@@ -148,16 +156,41 @@ func (p *Proc) Unpark() {
 	w.waiting[last] = nil
 	w.waiting = w.waiting[:last]
 	p.waitIdx = -1
-	w.At(w.now, p.runFn)
+	w.atProc(w.now, p)
 }
 
-// block suspends the process: the next() that resumed it returns in the
-// scheduler. Something must eventually call w.runProc(p) again (a Sleep
-// timer, or Unpark) or the process is dead; the kernel then reports a
-// deadlock.
-func (p *Proc) block() {
-	if p.w.cur != p {
+// block fires the plain callbacks due before p's wake-up on p's stack,
+// with no process current, as Run would, and reports true when the
+// wake-up came next. Otherwise the caller yields and Run goes on. A
+// callback's panic stops before unwinding p; runProc raises it over an
+// aborted panic carrying the callback's stack. Something must eventually
+// wake p (a Sleep timer or Unpark) or the process is dead; the kernel then
+// reports a deadlock.
+func (p *Proc) block() bool {
+	w := p.w
+	if w.cur != p {
 		panic("sim: blocking call from the wrong context (process " + p.name + " is not running)")
 	}
-	p.yield(struct{}{})
+	w.cur = nil
+	defer func() {
+		w.cur = p
+		if v := recover(); v != nil {
+			msg := fmt.Sprintf("sim: event callback panicked: %v\n\n%s", v, debug.Stack())
+			w.reraise = func() { w.reraise = nil; defer func() { panic(v) }(); panic(msg) }
+		}
+	}()
+	for w.ready() {
+		if l := w.queue.nextWake(); l != 0 {
+			if l != p.wake {
+				return false
+			}
+			w.now, _ = w.queue.pop(w.now)
+			p.wake = 0
+			return true
+		}
+		var fn func()
+		w.now, fn = w.queue.pop(w.now)
+		fn()
+	}
+	return false
 }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"os"
+	"os/exec"
 	"runtime"
 	"slices"
 	"strings"
@@ -58,9 +60,28 @@ func wakeLoop(tb testing.TB, n int, wait func(p *Proc), wake func(waiter *Proc))
 	mustRun(tb, w)
 }
 
+// selfWakeLoop runs a process that parks n times, each time until a
+// chain of three plain events — the shape of a NIC completion — unparks
+// it: it fires them itself and returns in place, with no switch.
+func selfWakeLoop(tb testing.TB, n int) {
+	w := NewWorld()
+	var waiter *Proc
+	wake := func() { waiter.Unpark() }
+	hop2 := func() { w.After(1, wake) }
+	hop1 := func() { w.After(1, hop2) }
+	waiter = w.Spawn("waiter", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			w.After(1, hop1)
+			p.Park()
+		}
+	})
+	mustRun(tb, w)
+}
+
 // A steady-state switch allocates nothing, whichever way the process
-// blocks: the coroutine, the one runFn and the waiting set are all built
-// by the time a process first runs.
+// blocks, and neither does a wait that returns in place: the coroutine,
+// the one runFn and the waiting set are all built by the time a process
+// first runs.
 func TestSwitchAllocatesNothing(t *testing.T) {
 	c := NewCond(nil) // a bare waiter list: one serves every run
 	for _, tc := range []struct {
@@ -70,6 +91,7 @@ func TestSwitchAllocatesNothing(t *testing.T) {
 		{"Sleep(0)", func(n int) { yieldLoop(t, n) }},
 		{"Park/Unpark", func(n int) { wakeLoop(t, n, (*Proc).Park, (*Proc).Unpark) }},
 		{"Cond.Wait/Signal", func(n int) { wakeLoop(t, n, c.Wait, func(*Proc) { c.Signal() }) }},
+		{"Park/self-wake", func(n int) { selfWakeLoop(t, n) }},
 	} {
 		if got := switchAllocs(tc.run, 64, 1088); got != 0 {
 			t.Errorf("%s: %.3f allocations per switch, want 0", tc.name, got)
@@ -119,7 +141,8 @@ func TestSpawnAndUnparkInterleaveInEventOrder(t *testing.T) {
 // spawned process — ends the goroutine that called Run, from inside Run:
 // in a test that is the test's own goroutine, the only one testing allows
 // FailNow on. The process is no longer live and nothing is left marked
-// running, so the world is still usable.
+// running, so the world is still usable. A Goexit from a callback that a
+// blocked process fires on its own stack ends that goroutine too.
 func TestProcGoexitReturnsControl(t *testing.T) {
 	w := NewWorld()
 	bystander := false
@@ -131,6 +154,27 @@ func TestProcGoexitReturnsControl(t *testing.T) {
 		p.Sleep(10)
 		bystander = true
 	})
+	runToGoexit(t, w)
+	if w.live != 1 || w.cur != nil || w.Now() != 5 {
+		t.Errorf("after Goexit: live = %d, cur = %v, now = %v; want 1, nil, 5ns", w.live, w.cur, w.Now())
+	}
+	if err := w.Run(); err != nil || !bystander || w.live != 0 {
+		t.Errorf("second Run = %v, bystander ran = %v, live = %d; want nil, true, 0", err, bystander, w.live)
+	}
+
+	w = NewWorld()
+	w.Spawn("parked", (*Proc).Park)
+	w.At(5, runtime.Goexit) // the next event once parked has blocked: fired on its stack
+	runToGoexit(t, w)
+	if w.cur != nil || w.Now() != 5 {
+		t.Errorf("after a callback's Goexit: cur = %v, now = %v; want nil, 5ns", w.cur, w.Now())
+	}
+}
+
+// runToGoexit runs w in a goroutine of its own and fails the test unless
+// a Goexit ended that goroutine inside Run.
+func runToGoexit(t *testing.T, w *World) {
+	t.Helper()
 	unwound, returned := false, false
 	ended := make(chan struct{})
 	go func() {
@@ -142,12 +186,6 @@ func TestProcGoexitReturnsControl(t *testing.T) {
 	<-ended
 	if !unwound || returned {
 		t.Fatalf("goroutine in Run: deferred call ran = %v, Run returned = %v; want true, false", unwound, returned)
-	}
-	if w.live != 1 || w.cur != nil || w.Now() != 5 {
-		t.Errorf("after Goexit: live = %d, cur = %v, now = %v; want 1, nil, 5ns", w.live, w.cur, w.Now())
-	}
-	if err := w.Run(); err != nil || !bystander || w.live != 0 {
-		t.Errorf("second Run = %v, bystander ran = %v, live = %d; want nil, true, 0", err, bystander, w.live)
 	}
 }
 
@@ -194,6 +232,68 @@ func TestProcPanicKeepsNameAndStack(t *testing.T) {
 	}
 	if w.live != 1 || w.cur != nil {
 		t.Errorf("after the panic: live = %d, cur = %v; want 1, nil", w.live, w.cur)
+	}
+}
+
+// A callback that panics while a blocked process fires it comes out of
+// Run as its own value, not as a *ProcPanic of that process: the process
+// stays parked, a later Run names it in its deadlock report, and an
+// Unpark still wakes it.
+func TestInlineCallbackPanicLeavesTheProcessParked(t *testing.T) {
+	w := NewWorld()
+	woken := false
+	bystander := w.Spawn("bystander", func(p *Proc) {
+		p.Park()
+		woken = true
+	})
+	w.At(5, panicOuter)
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_ = w.Run()
+	}()
+	if got != errBoom {
+		t.Fatalf("Run panicked with %T (%v), want errBoom itself", got, got)
+	}
+	if w.live != 1 || w.cur != nil || w.Now() != 5 {
+		t.Errorf("after the panic: live = %d, cur = %v, now = %v; want 1, nil, 5ns", w.live, w.cur, w.Now())
+	}
+	var dl *DeadlockError
+	if err := w.Run(); !errors.As(err, &dl) || !slices.Equal(dl.Blocked, []string{"bystander"}) {
+		t.Fatalf("second Run = %v, want a deadlock of bystander", err)
+	}
+	w.At(7, bystander.Unpark)
+	if err := w.Run(); err != nil || !woken || w.live != 0 {
+		t.Errorf("Run after Unpark = %v, woken = %v, live = %d; want nil, true, 0", err, woken, w.live)
+	}
+}
+
+// The callback's stack, on the blocked process's coroutine and so not in
+// the traceback of Run's goroutine, is in the crash report of a panic
+// nobody recovers, as ProcPanic's Error carries a process's. The crash
+// runs in a child test binary.
+func TestInlineCallbackPanicKeepsItsStack(t *testing.T) {
+	const child = "SIM_INLINE_CALLBACK_CRASH"
+	if os.Getenv(child) != "" {
+		w := NewWorld()
+		w.Spawn("bystander", (*Proc).Park)
+		w.At(5, panicOuter)
+		_ = w.Run()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestInlineCallbackPanicKeepsItsStack$")
+	cmd.Env = append(os.Environ(), child+"=1")
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("the crashing child exited 0:\n%s", out)
+	}
+	for _, part := range []string{"event callback panicked: boom", "panicInnermost", "panic: boom"} {
+		if !strings.Contains(string(out), part) {
+			t.Errorf("crash report lacks %q:\n%s", part, out)
+		}
+	}
+	if strings.Contains(string(out), "process bystander panicked") {
+		t.Errorf("crash report blames the bystander:\n%s", out)
 	}
 }
 

@@ -9,10 +9,9 @@ import (
 // World owns the virtual clock, the event queue and every process spawned
 // into the simulation. A World is single-threaded by construction: the
 // scheduler (whoever calls Run) and the processes are coroutines of one
-// another — an event resumes a process, the process runs until it blocks
-// or finishes, and control comes back to the event loop — so exactly one
-// of them executes at any moment. No locking is needed anywhere above the
-// kernel.
+// another — an event resumes a process, which runs until it blocks (and
+// then fires the callbacks due before its wake-up: Proc.block) or finishes
+// — so exactly one runs at any moment, and nothing above the kernel locks.
 //
 // The queue (event.go) keeps future events in buckets of one instant each,
 // ordered by a heap of pointer-free keys, and the current instant's events
@@ -23,7 +22,8 @@ type World struct {
 	queue eventQueue
 	seq   uint64
 
-	cur *Proc // process currently executing, nil in scheduler context
+	cur     *Proc  // process currently executing, nil in scheduler context
+	reraise func() // a callback's panic that block stopped, for runProc
 
 	live    int     // spawned processes that have not finished
 	waiting []*Proc // parked processes (for deadlock reports)
@@ -46,7 +46,13 @@ func (w *World) Now() Time { return w.now }
 // conditions and complete requests, but it must not block.
 func (w *World) At(t Time, fn func()) {
 	w.seq++
-	w.queue.push(w.now, t, w.seq, fn)
+	w.queue.push(w.now, t, w.seq, fn, 0)
+}
+
+// atProc schedules p's wake-up at t: Spawn's first step, Unpark, Sleep.
+func (w *World) atProc(t Time, p *Proc) {
+	w.seq++
+	p.wake = w.queue.push(w.now, t, w.seq, p.runFn, wakeBit)
 }
 
 // After schedules fn to run d from now. Negative d means now; a d that
@@ -87,21 +93,24 @@ func (e *DeadlockError) Error() string {
 // processes remain blocked when no event can ever wake them, nil otherwise.
 func (w *World) Run() error {
 	w.stopped = false
-	for !w.stopped && !w.queue.empty() {
-		if w.bounded && w.queue.nextAt(w.now) > w.limit {
-			// Past the horizon: leave the event unfired for a later Run,
-			// and never move the clock backwards.
-			w.now = max(w.now, w.limit)
-			return nil
-		}
+	for w.ready() {
 		var fn func()
 		w.now, fn = w.queue.pop(w.now)
 		fn()
 	}
-	if w.queue.empty() && w.live > 0 {
+	if !w.stopped && !w.queue.empty() {
+		// Past the horizon: leave the event unfired for a later Run,
+		// and never move the clock backwards.
+		w.now = max(w.now, w.limit)
+	} else if w.queue.empty() && w.live > 0 {
 		return w.deadlock()
 	}
 	return nil
+}
+
+// ready reports whether Run would fire the next event now.
+func (w *World) ready() bool {
+	return !w.stopped && !w.queue.empty() && (!w.bounded || w.queue.nextAt(w.now) <= w.limit)
 }
 
 // RunUntil drives the simulation, stopping once the clock would pass t.
@@ -127,12 +136,16 @@ func (w *World) deadlock() error {
 // called from scheduler context only (i.e. from inside an event). cur is
 // cleared in a defer because next does not always return: it re-raises a
 // process's panic or Goexit here, in the goroutine running the world (see
-// Spawn), and a caller that recovers must find the world consistent.
+// Spawn) or of a callback p fired, and a caller that recovers must find
+// the world consistent.
 func (w *World) runProc(p *Proc) {
 	if w.cur != nil {
 		panic("sim: runProc while another process is running")
 	}
-	w.cur = p
+	w.cur, p.wake = p, 0
 	defer func() { w.cur = nil }()
 	p.next()
+	if w.reraise != nil {
+		w.reraise()
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/parser"
-	"go/token"
 	"go/types"
 	"path/filepath"
 	"slices"
@@ -95,9 +94,16 @@ func (r exportRule) dead() ([]string, error) {
 	return findings, nil
 }
 
-// testFiles parses the test files in p's directory. They are not
-// type-checked, so a rule can only match what they spell.
+// parsedTests keeps what testFiles read, by package: several rules ask
+// about the same test files.
+var parsedTests = map[*Package][]*ast.File{}
+
+// testFiles parses the test files in p's directory into p.Fset, once.
+// They are not type-checked, so a rule can only match what they spell.
 func testFiles(p *Package) ([]*ast.File, error) {
+	if files, ok := parsedTests[p]; ok {
+		return files, nil
+	}
 	dir := filepath.Dir(p.Fset.Position(p.Files[0].Pos()).Filename)
 	names, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
 	if err != nil {
@@ -105,12 +111,13 @@ func testFiles(p *Package) ([]*ast.File, error) {
 	}
 	var files []*ast.File
 	for _, name := range names {
-		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(p.Fset, name, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
 	}
+	parsedTests[p] = files
 	return files, nil
 }
 

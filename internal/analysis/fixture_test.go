@@ -32,22 +32,39 @@ func runFixture(t *testing.T, fixture string, analyzers ...*Analyzer) {
 		t.Fatalf("loaded %d packages from %s, want 1", len(pkgs), rel)
 	}
 	pkg := pkgs[0]
-	diags := runAnalyzers(pkg, analyzers)
+	var got []finding
+	for _, d := range runAnalyzers(pkg, analyzers) {
+		got = append(got, finding{d.Pos, d.Analyzer + ": " + d.Message})
+	}
+	var names []string
+	for _, f := range pkg.Files {
+		names = append(names, pkg.Fset.Position(f.Package).Filename)
+	}
+	matchWants(t, parseWants(t, names), got)
+}
 
-	wants := parseWants(t, pkg)
-	for _, d := range diags {
-		key := posKey{filepath.Base(d.Pos.Filename), d.Pos.Line}
+// finding is one diagnostic a fixture is checked against.
+type finding struct {
+	pos token.Position
+	msg string
+}
+
+// matchWants fails t on every finding no want of its line matches and on
+// every want no finding consumed.
+func matchWants(t *testing.T, wants map[posKey][]*want, got []finding) {
+	t.Helper()
+	for _, d := range got {
+		key := posKey{d.pos.Filename, d.pos.Line}
 		matched := false
 		for _, w := range wants[key] {
-			if !w.used && w.re.MatchString(d.Analyzer+": "+d.Message) {
+			if !w.used && w.re.MatchString(d.msg) {
 				w.used = true
 				matched = true
 				break
 			}
 		}
 		if !matched {
-			t.Errorf("unexpected finding at %s:%d: %s: %s",
-				key.file, key.line, d.Analyzer, d.Message)
+			t.Errorf("unexpected finding at %s:%d: %s", key.file, key.line, d.msg)
 		}
 	}
 	for key, ws := range wants {
@@ -71,14 +88,13 @@ type want struct {
 
 var wantRe = regexp.MustCompile(`//\s*want\s+(.*)$`)
 
-// parseWants scans the fixture sources for `// want` annotations. It
-// works on the raw file text (not the parsed comment lists) so wants
+// parseWants scans the named fixture sources for `// want` annotations.
+// It works on the raw file text (not the parsed comment lists) so wants
 // survive inside any context.
-func parseWants(t *testing.T, pkg *Package) map[posKey][]*want {
+func parseWants(t *testing.T, names []string) map[posKey][]*want {
 	t.Helper()
 	out := map[posKey][]*want{}
-	for _, f := range pkg.Files {
-		name := pkg.Fset.Position(f.Package).Filename
+	for _, name := range names {
 		data, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)
@@ -88,7 +104,7 @@ func parseWants(t *testing.T, pkg *Package) map[posKey][]*want {
 			if m == nil {
 				continue
 			}
-			key := posKey{filepath.Base(name), i + 1}
+			key := posKey{name, i + 1}
 			for _, pat := range scanPatterns(t, name, i+1, m[1]) {
 				re, err := regexp.Compile(pat)
 				if err != nil {

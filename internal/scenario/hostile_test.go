@@ -25,6 +25,8 @@ func TestHostileDocuments(t *testing.T) {
 		"engine-schedule-overhead": ErrSchema,
 		"engine-strategy-impl":     ErrSchema,
 		"rail-reorder-jitter":      ErrSchema,
+		"event-outage-zero":        ErrBadValue,
+		"cluster-outage-zero":      ErrBadValue,
 	}
 	files, err := filepath.Glob("testdata/hostile/*.yaml")
 	if err != nil || len(files) != len(want) {

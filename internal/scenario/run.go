@@ -341,8 +341,8 @@ var eventActions = map[string]eventAction{
 	"rail_outage": {
 		check: func(v *validator, at loc, e EventSpec) {
 			v.rail(at, e.Rail)
-			if e.Duration < 0 {
-				v.bad(ErrBadValue, "%s: negative duration", at)
+			if e.Duration <= 0 {
+				v.bad(ErrBadValue, "%s: rail_outage needs a positive duration", at)
 			}
 		},
 		fire: func(r *runner, e EventSpec) {

@@ -163,8 +163,8 @@ func Validate(sc *Scenario) []error {
 		for i, r := range c.Faults.Rails {
 			v.probs(entryLoc("cluster.faults.rails", i, nil), r.DropProb, r.DupProb, r.ReorderProb)
 			for j, o := range r.Outages {
-				if o.Duration < 0 {
-					v.bad(ErrBadValue, "cluster.faults.rails[%d].outages[%d]: negative duration", i, j)
+				if o.At < 0 || o.Duration <= 0 {
+					v.bad(ErrBadValue, "cluster.faults.rails[%d].outages[%d]: at %v for %v is not a window (want at >= 0, duration > 0)", i, j, o.At, o.Duration)
 				}
 			}
 		}

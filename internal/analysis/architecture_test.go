@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"path"
 	"path/filepath"
 	"regexp"
@@ -32,7 +33,7 @@ var architecture = []archRow{
 		name:  "workload drivers and the job API return errors",
 		pkgs:  []string{"internal/bench", "internal/replay", "internal/queue", "cmd/..."},
 		check: callsPanic,
-		msg:   "a workload driver panics; return the error through sim.Group instead",
+		msg:   "a workload driver, the job API or a command panics: return a typed error (through sim.Group in a driver)",
 	},
 	{
 		name:  "one tenant path",
@@ -90,7 +91,7 @@ type archRow struct {
 type archFile struct {
 	*ast.File
 	info *types.Info    // nil for a test file: parsed, not type-checked
-	pkg  *types.Package // the file's package (its imports, for a test file too)
+	pkg  *types.Package // the file's package
 	mod  string         // import path of the module
 }
 
@@ -106,17 +107,12 @@ func (row archRow) covers(rel string) bool {
 	return match(row.pkgs) && !match(row.skip)
 }
 
-// importPath is the path of the package x names, when x is the name of
-// one of the file's imports, and "" otherwise.
+// importPath is the path of the package x names, when x spells the name
+// of one of the file's imports, and "" otherwise. It reads what the file
+// spells, so it works on test files too.
 func (f archFile) importPath(x ast.Expr) string {
 	id, ok := x.(*ast.Ident)
 	if !ok {
-		return ""
-	}
-	if f.info != nil {
-		if pn, ok := f.info.Uses[id].(*types.PkgName); ok {
-			return pn.Imported().Path()
-		}
 		return ""
 	}
 	for _, spec := range f.Imports {
@@ -261,9 +257,27 @@ func handKeptLists(f archFile, report func(ast.Node)) {
 	})
 }
 
+// modulePath is the path the go.mod file in dir declares.
+func modulePath(dir string) (string, error) {
+	data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
+	if err != nil {
+		return "", err
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
+			return strings.Trim(f[1], `"`), nil
+		}
+	}
+	return "", fmt.Errorf("%s/go.mod declares no module", dir)
+}
+
 // architecture checks rows over the packages of r's first module. A row
 // that covers no package is an error: the paths it names have moved.
 func (r exportRule) architecture(rows []archRow) ([]finding, error) {
+	module, err := modulePath(r.modules[0])
+	if err != nil {
+		return nil, err
+	}
 	pkgs, err := r.load()
 	if err != nil {
 		return nil, err
@@ -272,14 +286,14 @@ func (r exportRule) architecture(rows []archRow) ([]finding, error) {
 	for _, row := range rows {
 		covered := false
 		for _, p := range pkgs {
-			inModule := p.Path == r.module || strings.HasPrefix(p.Path, r.module+"/")
-			if !inModule || !row.covers(strings.TrimPrefix(p.Path[len(r.module):], "/")) {
+			inModule := p.Path == module || strings.HasPrefix(p.Path, module+"/")
+			if !inModule || !row.covers(strings.TrimPrefix(p.Path[len(module):], "/")) {
 				continue
 			}
 			covered = true
 			var files []archFile
 			for _, f := range p.Files {
-				files = append(files, archFile{f, p.Info, p.Types, r.module})
+				files = append(files, archFile{f, p.Info, p.Types, module})
 			}
 			if row.tests {
 				tests, err := testFiles(p)
@@ -287,7 +301,7 @@ func (r exportRule) architecture(rows []archRow) ([]finding, error) {
 					return nil, err
 				}
 				for _, f := range tests {
-					files = append(files, archFile{f, nil, p.Types, r.module})
+					files = append(files, archFile{f, nil, p.Types, module})
 				}
 			}
 			for _, f := range files {
@@ -297,7 +311,7 @@ func (r exportRule) architecture(rows []archRow) ([]finding, error) {
 			}
 		}
 		if !covered {
-			return nil, fmt.Errorf("row %q covers no package of %s", row.name, r.module)
+			return nil, fmt.Errorf("row %q covers no package of %s", row.name, module)
 		}
 	}
 	return findings, nil
@@ -331,7 +345,7 @@ func TestArchitecture(t *testing.T) {
 // package paths the rows name, and every line a row must report carries a
 // want; every other line, test files included, must pass.
 func TestArchitectureOnFixture(t *testing.T) {
-	rule := exportRule{modules: []string{"testdata/archmod"}, module: "archmod"}
+	rule := exportRule{modules: []string{"testdata/archmod"}}
 	findings, err := rule.architecture(architecture)
 	if err != nil {
 		t.Fatal(err)

@@ -94,16 +94,9 @@ func (r exportRule) dead() ([]string, error) {
 	return findings, nil
 }
 
-// parsedTests keeps what testFiles read, by package: several rules ask
-// about the same test files.
-var parsedTests = map[*Package][]*ast.File{}
-
-// testFiles parses the test files in p's directory into p.Fset, once.
+// testFiles parses the test files in p's directory into p.Fset.
 // They are not type-checked, so a rule can only match what they spell.
 func testFiles(p *Package) ([]*ast.File, error) {
-	if files, ok := parsedTests[p]; ok {
-		return files, nil
-	}
 	dir := filepath.Dir(p.Fset.Position(p.Files[0].Pos()).Filename)
 	names, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
 	if err != nil {
@@ -117,7 +110,6 @@ func testFiles(p *Package) ([]*ast.File, error) {
 		}
 		files = append(files, f)
 	}
-	parsedTests[p] = files
 	return files, nil
 }
 

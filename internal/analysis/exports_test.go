@@ -32,7 +32,6 @@ import (
 // analyzer: the vet unit sees one package at a time.
 type exportRule struct {
 	modules  []string // directories; every package of each is loaded
-	module   string   // import path of modules[0], which the architecture rows are relative to
 	internal string   // import-path prefix of the checked packages
 	public   []string // import paths of the packages whose aliases are API
 	allow    string   // allow file: "<pkg>.<Name>[.<Method>] <reason>" lines
@@ -43,7 +42,6 @@ var ifaceNames = []string{"Error", "String", "Unwrap", "MarshalJSON"}
 
 var nmadExports = exportRule{
 	modules:  []string{"../..", "../../benchmark"},
-	module:   "nmad",
 	internal: "nmad/internal/",
 	public:   []string{"nmad", "nmad/sched"},
 	allow:    "testdata/exports.allow",

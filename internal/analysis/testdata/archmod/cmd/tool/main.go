@@ -5,6 +5,6 @@ import "os"
 
 func main() {
 	if len(os.Args) > 3 {
-		panic("too many arguments") // want "a workload driver panics"
+		panic("too many arguments") // want "a workload driver, the job API or a command panics"
 	}
 }

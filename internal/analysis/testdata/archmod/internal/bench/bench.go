@@ -11,10 +11,10 @@ import (
 // run drives one point.
 func run(err error) error {
 	if err != nil {
-		panic /* spaced */ (err) // want "a workload driver panics"
+		panic /* spaced */ (err) // want "a workload driver, the job API or a command panics"
 	}
 	if err == nil {
-		(panic)(fmt.Sprint("x")) // want "a workload driver panics"
+		(panic)(fmt.Sprint("x")) // want "a workload driver, the job API or a command panics"
 	}
 	fmt.Println("panic(", "not a call")
 	return queue.Submit(nil)

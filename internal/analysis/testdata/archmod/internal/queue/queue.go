@@ -9,7 +9,7 @@ type Job struct{}
 // Submit refuses a nil job.
 func Submit(j *Job) error {
 	if j == nil {
-		panic(errors.New("nil job")) // want "a workload driver panics"
+		panic(errors.New("nil job")) // want "a workload driver, the job API or a command panics"
 	}
 	return nil
 }

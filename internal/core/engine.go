@@ -217,8 +217,10 @@ func (e *Engine) Attach(drv drivers.Driver) error {
 	}
 	drv.OnPlace(e.rdvRecv)
 	e.rails = append(e.rails, r)
+	bigAt := e.minRdvThreshold()
 	for _, g := range e.gateOrder {
 		g.win.perDriver = append(g.win.perDriver, nil)
+		g.win.setBigAt(bigAt)
 		g.views = append(g.views, windowView{g: g, drv: r.idx})
 	}
 	if a, ok := e.strat.(sched.Attacher); ok {
@@ -307,7 +309,7 @@ func (e *Engine) Gate(peer simnet.NodeID) *Gate {
 	g := &Gate{
 		eng:     e,
 		peer:    peer,
-		win:     newWindow(len(e.rails)),
+		win:     newWindow(len(e.rails), e.minRdvThreshold()),
 		views:   make([]windowView, len(e.rails)),
 		credits: e.opts.Credits,
 	}
@@ -317,6 +319,19 @@ func (e *Engine) Gate(peer simnet.NodeID) *Gate {
 	e.gates[peer] = g
 	e.gateOrder = append(e.gateOrder, g)
 	return g
+}
+
+// minRdvThreshold is the smallest positive rendezvous threshold of the
+// attached rails, or 0 when none switches to rendezvous: the size from
+// which a window counts a data wrapper as one prepare may convert.
+func (e *Engine) minRdvThreshold() int {
+	m := 0
+	for _, r := range e.rails {
+		if t := r.drv.Caps().RdvThreshold; t > 0 && (m == 0 || t < m) {
+			m = t
+		}
+	}
+	return m
 }
 
 // chargeSubmit models the host software cost of entering the collect
@@ -612,12 +627,21 @@ func (e *Engine) flush(g *Gate) {
 // body chunks, which are exempt). Vector wrappers wider than every
 // eligible rail's gather list were already flattened (and the copy
 // charged) at submission; a wrapper that merely exceeds THIS rail's
-// capacity is left for a wider rail — strategies skip it.
+// capacity is left for a wider rail — strategies skip it. The walk only
+// runs while the window holds a data wrapper at least as large as the
+// smallest threshold of any rail (window.big): no smaller wrapper can
+// reach this rail's.
 func (e *Engine) prepare(g *Gate, r *rail) {
+	if g.win.big == 0 {
+		return
+	}
 	threshold := r.drv.Caps().RdvThreshold
+	if threshold <= 0 {
+		return
+	}
 	oversized := e.oversized[:0]
 	g.win.scan(r.idx, func(pw *packet) bool {
-		if pw.kind == kindData && threshold > 0 && pw.payloadLen() >= threshold {
+		if pw.kind == kindData && pw.payloadLen() >= threshold {
 			oversized = append(oversized, pw)
 		}
 		return true
@@ -694,7 +718,7 @@ func (e *Engine) unstage(r *rail) {
 			data = append(data, pw)
 		}
 	}
-	g.win.common = append(append([]*packet(nil), out.entries...), g.win.common...)
+	g.win.pushFront(out.entries)
 	g.dataFIFO, g.dataHead = append(data, g.dataWindow()...), 0
 	e.freeOutput(out)
 }

@@ -28,10 +28,10 @@ type packet struct {
 	// list.
 	driver int
 
-	// gen is the election-validation stamp: electOutput marks every
-	// wrapper of the current view with the engine's election generation,
-	// and clears it on pick. Stale or duplicated picks mismatch without
-	// needing a membership set.
+	// gen is the election-validation stamp: windowView.Scan marks every
+	// wrapper it shows with the engine's election generation, and
+	// electOutput clears it on pick. Stale or duplicated picks mismatch
+	// without needing a membership set.
 	gen uint64
 	// creditStamp marks the wrapper as inside the credit-eligibility
 	// window of the current scan (see Gate.scanEligible), the same
@@ -91,22 +91,75 @@ func (pw *packet) header() header {
 // window is the optimization window of one gate: the submission lists of
 // the collect layer. perDriver[i] holds wrappers pinned to rail i; common
 // holds wrappers any rail may take.
+//
+// big counts the data wrappers of the window whose payload reaches
+// bigAt, the smallest positive rendezvous threshold of the engine's rails
+// (0: no rail switches to rendezvous, and big stays 0): while it is zero,
+// no rail has a wrapper to convert and prepare skips its walk. Every
+// method that moves data in or out of the lists keeps it current.
 type window struct {
 	common    []*packet
 	perDriver [][]*packet
+	bigAt     int
+	big       int
 }
 
-func newWindow(nDrivers int) *window {
-	return &window{perDriver: make([][]*packet, nDrivers)}
+func newWindow(nDrivers, bigAt int) *window {
+	return &window{perDriver: make([][]*packet, nDrivers), bigAt: bigAt}
+}
+
+// oversize reports whether the wrapper counts in big.
+func (w *window) oversize(pw *packet) bool {
+	return pw.kind == kindData && w.bigAt > 0 && pw.payloadLen() >= w.bigAt
+}
+
+// setBigAt moves the oversize threshold (a rail was attached) and
+// recounts big against it.
+func (w *window) setBigAt(bigAt int) {
+	w.bigAt = bigAt
+	w.big = w.countBig(w.common)
+	for _, l := range w.perDriver {
+		w.big += w.countBig(l)
+	}
+}
+
+// countBig counts the wrappers of list that count in big.
+func (w *window) countBig(list []*packet) int {
+	n := 0
+	for _, pw := range list {
+		if w.oversize(pw) {
+			n++
+		}
+	}
+	return n
 }
 
 // push inserts a wrapper at the tail of its submission list.
 func (w *window) push(pw *packet) {
+	if w.oversize(pw) {
+		w.big++
+	}
 	if pw.driver == anyDriver {
 		w.common = append(w.common, pw)
 		return
 	}
 	w.perDriver[pw.driver] = append(w.perDriver[pw.driver], pw)
+}
+
+// pushFront puts wrappers back at the head of the common list, in order
+// (a failed rail's staged packet returning to the window).
+func (w *window) pushFront(pws []*packet) {
+	w.big += w.countBig(pws)
+	w.common = append(append([]*packet(nil), pws...), w.common...)
+}
+
+// size counts every wrapper waiting in the window, on any list.
+func (w *window) size() int {
+	n := len(w.common)
+	for _, l := range w.perDriver {
+		n += len(l)
+	}
+	return n
 }
 
 // empty reports whether no wrapper is waiting anywhere.
@@ -151,9 +204,9 @@ func (w *window) take(pws []*packet) {
 	for _, pw := range pws {
 		pw.taken = true
 	}
-	w.common = filterOut(w.common)
+	w.common = w.filterOut(w.common)
 	for i := range w.perDriver {
-		w.perDriver[i] = filterOut(w.perDriver[i])
+		w.perDriver[i] = w.filterOut(w.perDriver[i])
 	}
 	// Clear the marks: a wrapper that was replaced in place (and so never
 	// filtered) must not vanish from a later take's sweep by accident.
@@ -163,7 +216,8 @@ func (w *window) take(pws []*packet) {
 }
 
 // replace swaps old for nw in place, keeping window position (used when a
-// data wrapper is converted to a rendezvous request).
+// data wrapper is converted to a rendezvous request, a control wrapper:
+// only old leaves the oversize count).
 func (w *window) replace(old, nw *packet) bool {
 	list := w.common
 	if old.driver != anyDriver {
@@ -171,6 +225,9 @@ func (w *window) replace(old, nw *packet) bool {
 	}
 	for i, pw := range list {
 		if pw == old {
+			if w.oversize(old) {
+				w.big--
+			}
 			list[i] = nw
 			return true
 		}
@@ -179,11 +236,13 @@ func (w *window) replace(old, nw *packet) bool {
 }
 
 // filterOut compacts list, dropping wrappers whose taken mark is set.
-func filterOut(list []*packet) []*packet {
+func (w *window) filterOut(list []*packet) []*packet {
 	out := list[:0]
 	for _, pw := range list {
 		if !pw.taken {
 			out = append(out, pw)
+		} else if w.oversize(pw) {
+			w.big--
 		}
 	}
 	// Zero the tail so removed wrappers can be collected.

@@ -232,7 +232,7 @@ func TestPropertyWindowTakeIsExact(t *testing.T) {
 	f := func(seed uint64, n8 uint8) bool {
 		rng := sim.NewRNG(seed)
 		n := int(n8%20) + 1
-		w := newWindow(2)
+		w := newWindow(2, 0)
 		var all []*packet
 		for i := 0; i < n; i++ {
 			pw := &packet{tag: Tag(i), driver: []int{anyDriver, 0, 1}[rng.Intn(3)]}

@@ -266,10 +266,10 @@ func (e *Engine) convertToRTS(pw *packet) *packet {
 	rts := e.newPacket(g, header{
 		kind: kindRTS, flags: pw.flags, tag: pw.tag, seq: pw.seq, length: uint32(size), aux: id,
 	}, pw.driver, nil, pw.req)
-	e.newRdvSend(id, pw)
 	if !g.win.replace(pw, rts) {
 		panic("core: rendezvous conversion of a wrapper not in the window")
 	}
+	e.newRdvSend(id, pw) // after replace: it takes the payload the window counted
 	if e.opts.Credits > 0 {
 		g.dropData(pw) // rendezvous traffic is credit-exempt
 	}

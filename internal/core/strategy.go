@@ -24,8 +24,16 @@ func (v *windowView) Pending() int { return v.g.win.pending(v.drv) }
 
 func (v *windowView) Credits() int { return v.g.Credits() }
 
+// Scan stamps every wrapper it shows with the current election
+// generation before the strategy sees it: that stamp is what electOutput
+// validates picks against, so a pick counts only if this Elect call's
+// Scan showed it.
 func (v *windowView) Scan(visit func(sched.Wrapper) bool) {
-	v.g.scanEligible(v.drv, func(pw *packet) bool { return visit(wrapperView(pw)) })
+	gen := v.g.eng.electGen
+	v.g.scanEligible(v.drv, func(pw *packet) bool {
+		pw.gen = gen
+		return visit(wrapperView(pw))
+	})
 }
 
 // scanEligible visits the wrappers a strategy may elect for one rail:
@@ -38,6 +46,16 @@ func (v *windowView) Scan(visit func(sched.Wrapper) bool) {
 // window, which is what makes exhaustion a stall instead of a deadlock.
 // Control entries (rendezvous handshake, acks, credits) and pre-granted
 // body chunks always pass.
+//
+// The filtered scan costs O(credits + eligible prefix), not O(window):
+// it knows how many wrappers it can still show and stops once none is
+// left. Two window invariants give the count. Every data wrapper in the
+// window is in the FIFO, so the gate's other wrappers number the window
+// size minus the FIFO length; and the stamped data wrappers this rail
+// sees are counted while stamping. A credit-starved gate with no control
+// traffic returns without walking at all. A control wrapper pinned to
+// another rail keeps the count above zero, and the scan walks the whole
+// view.
 func (g *Gate) scanEligible(drv int, visit func(pw *packet) bool) {
 	queue := g.dataWindow()
 	if g.eng.opts.Credits == 0 || g.credits >= len(queue) {
@@ -48,19 +66,32 @@ func (g *Gate) scanEligible(drv int, visit func(pw *packet) bool) {
 	}
 	// Stamp the credit window — the first `credits` FIFO entries — with
 	// a fresh generation so the scan filters with one comparison per
-	// wrapper: O(credits + window), not a membership probe per entry.
+	// wrapper, not a membership probe per entry.
 	e := g.eng
 	e.creditGen++
+	data := 0 // stamped wrappers this rail can see
 	if g.credits > 0 {
 		for _, pw := range queue[:g.credits] {
 			pw.creditStamp = e.creditGen
+			if pw.driver == drv || pw.driver == anyDriver {
+				data++
+			}
 		}
 	}
+	other := g.win.size() - len(queue) // the gate's non-data wrappers
+	if data == 0 && other == 0 {
+		return
+	}
 	g.win.scan(drv, func(pw *packet) bool {
-		if pw.kind == kindData && pw.creditStamp != e.creditGen {
+		switch {
+		case pw.kind != kindData:
+			other--
+		case pw.creditStamp != e.creditGen:
 			return true // beyond the credit window: invisible
+		default:
+			data--
 		}
-		return visit(pw)
+		return visit(pw) && (data > 0 || other > 0)
 	})
 }
 
@@ -124,29 +155,27 @@ func (e *Engine) liveRails() []sched.RailInfo {
 
 // electOutput runs the strategy for one (gate, rail) pair and converts
 // its election into an output that records both, enforcing the SPI
-// contract: a pick must still be in the rail's view (not stale), appear
-// once (no duplication), and fit the rail's gather capacity (sendable).
-// Invalid picks are dropped and their wrappers stay in the window — no
-// strategy can lose or duplicate application data.
+// contract: a pick must have been shown by this Elect call's Scan (not
+// stale), appear once (no duplication), and fit the rail's gather
+// capacity (sendable). Invalid picks are dropped and their wrappers stay
+// in the window — no strategy can lose or duplicate application data.
 func (e *Engine) electOutput(g *Gate, r *rail) *output {
 	info := railInfo(r)
+	// Membership check without allocating a set or walking the view
+	// again: the view's Scan stamps what it shows with this fresh
+	// generation, a valid pick carries the stamp, and the stamp is
+	// cleared on pick so duplicates mismatch. Only flow-control-eligible
+	// wrappers are shown — a strategy that somehow picks a wrapper beyond
+	// the peer's credit budget loses the pick, not the credit invariant.
+	// Picks of another gate or rail (a strategy that scanned a view it
+	// kept, which the SPI forbids) and of another engine (a strategy
+	// value shared between engines) are rejected explicitly, since the
+	// stamp alone does not tell them apart.
+	e.electGen++
 	el := e.strat.Elect(&g.views[r.idx], info)
 	if el.Empty() {
 		return nil
 	}
-	// Membership check without allocating a set: stamp the current view
-	// with a fresh generation; a valid pick carries the stamp, which is
-	// cleared on pick so duplicates mismatch. Picks from another engine
-	// (a strategy value shared between engines) are rejected explicitly
-	// since their stamps are not ours. Only flow-control-eligible
-	// wrappers are stamped — a strategy that somehow picks a wrapper
-	// beyond the peer's credit budget loses the pick, not the credit
-	// invariant.
-	e.electGen++
-	g.scanEligible(r.idx, func(pw *packet) bool {
-		pw.gen = e.electGen
-		return true
-	})
 	maxSegs := info.Caps.MaxSegments
 	if e.opts.Reliability && maxSegs > 1 {
 		maxSegs-- // one gather slot is spent on the link framing header
@@ -155,7 +184,7 @@ func (e *Engine) electOutput(g *Gate, r *rail) *output {
 	out.gate, out.rail = g, r
 	for _, w := range el.Wrappers() {
 		pw, ok := w.Ref.(*packet)
-		if !ok || pw.gate == nil || pw.gate.eng != e || pw.gen != e.electGen {
+		if !ok || pw.gate != g || pw.gen != e.electGen || (pw.driver != anyDriver && pw.driver != r.idx) {
 			continue // foreign, stale or duplicated pick
 		}
 		if out.segs+pw.segCount() > maxSegs {

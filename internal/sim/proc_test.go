@@ -252,7 +252,8 @@ func TestInlineCallbackPanicLeavesTheProcessParked(t *testing.T) {
 		defer func() { got = recover() }()
 		_ = w.Run()
 	}()
-	if got != errBoom {
+	var pp *ProcPanic
+	if err, ok := got.(error); !ok || errors.As(err, &pp) || !errors.Is(err, errBoom) {
 		t.Fatalf("Run panicked with %T (%v), want errBoom itself", got, got)
 	}
 	if w.live != 1 || w.cur != nil || w.Now() != 5 {

@@ -43,9 +43,10 @@ type Wrapper struct {
 	Flags Flags
 
 	// Ref is the engine-private identity of the wrapper. It is opaque:
-	// strategies must carry it through into elections untouched. A
-	// wrapper whose Ref is stale (already sent) or foreign is silently
-	// dropped from elections by the engine.
+	// strategies must carry it through into elections untouched. A pick
+	// is valid only if the same Elect call's Scan showed it: a wrapper
+	// whose Ref is stale (kept from an earlier call, already sent) or
+	// foreign is silently dropped from elections by the engine.
 	Ref any
 }
 
@@ -73,7 +74,8 @@ type Window interface {
 	Credits() int
 	// Scan visits the electable wrappers in submission order until visit
 	// returns false. The view is stable for the duration of one Elect
-	// call. Data wrappers beyond the peer's credit budget are not
+	// call, and the engine accepts a pick only if a Scan of that call
+	// showed it. Data wrappers beyond the peer's credit budget are not
 	// visited (see Credits).
 	Scan(visit func(w Wrapper) bool)
 }

@@ -1,8 +1,8 @@
 // Command nmad-replay re-drives a recorded offered load (written by
-// nmad-trace -record or nmad.WithRecording) through the engine: every
-// recorded submission is re-issued at its recorded virtual time, on the
-// recorded topology, under the recorded strategy — or under a different
-// one, for exact A/B comparisons on identical load.
+// nmad-trace -record, nmad-sim run -record or nmad.WithRecording) through
+// the engine: every recorded submission is re-issued at its recorded
+// virtual time, on the recorded topology, under the recorded strategy —
+// or under a different one, for exact A/B comparisons on identical load.
 //
 // Usage:
 //

@@ -474,18 +474,21 @@ func (e *Engine) traceEvent(kind trace.Kind, peer simnet.NodeID, rail int, tag T
 // recordSend appends one application-level send to the attached
 // recording (Options.Record): called at entry, before the submit
 // overhead is charged, so replay re-drives the call at the same instant
-// and pays the same costs.
+// and pays the same costs. The segment lengths go in from the stack:
+// RecordOp copies them, and the Engine has no word to spare for a scratch
+// (it fills its malloc size class, see doc.go).
 func (e *Engine) recordSend(g *Gate, tag Tag, iov iovec, cfg sendConfig) {
 	if e.opts.Record == nil {
 		return
 	}
+	var lens [4]int
 	e.opts.Record.RecordOp(trace.Op{
 		At:          e.world.Now(),
 		Node:        int(e.node.ID),
 		Peer:        int(g.peer),
 		Kind:        trace.OpSend,
 		Tag:         uint64(tag),
-		Segs:        iov.segLens(),
+		Segs:        iov.segLens(lens[:0]),
 		Priority:    cfg.flags&flagPriority != 0,
 		Unordered:   cfg.flags&flagUnordered != 0,
 		Synchronous: cfg.flags&flagNeedAck != 0,
@@ -494,11 +497,12 @@ func (e *Engine) recordSend(g *Gate, tag Tag, iov iovec, cfg sendConfig) {
 }
 
 // recordRecv appends one application-level receive posting to the
-// attached recording.
+// attached recording, its segment lengths from the stack like a send's.
 func (e *Engine) recordRecv(g *Gate, req *RecvRequest) {
 	if e.opts.Record == nil {
 		return
 	}
+	var lens [4]int
 	e.opts.Record.RecordOp(trace.Op{
 		At:   e.world.Now(),
 		Node: int(e.node.ID),
@@ -506,7 +510,7 @@ func (e *Engine) recordRecv(g *Gate, req *RecvRequest) {
 		Kind: trace.OpRecv,
 		Tag:  uint64(req.want),
 		Mask: uint64(req.mask),
-		Segs: req.iov.segLens(),
+		Segs: req.iov.segLens(lens[:0]),
 		Rail: anyDriver,
 	})
 }

@@ -36,14 +36,13 @@ func (v iovec) segCount() int {
 	return n
 }
 
-// segLens returns the segment lengths (empty segments included, so a
-// recorded layout replays exactly as it was submitted).
-func (v iovec) segLens() []int {
-	out := make([]int, len(v))
-	for i, s := range v {
-		out[i] = len(s)
+// segLens appends the segment lengths to dst (empty segments included,
+// so a recorded layout replays exactly as it was submitted).
+func (v iovec) segLens(dst []int) []int {
+	for _, s := range v {
+		dst = append(dst, len(s))
 	}
-	return out
+	return dst
 }
 
 // appendSegs appends the non-empty segments to a gather list.

@@ -43,6 +43,53 @@ func BenchmarkRun(b *testing.B) {
 	b.ReportMetric(float64(rec.Len())*float64(b.N)/b.Elapsed().Seconds(), "ops/s")
 }
 
+// BenchmarkRecordCompositeRing is the set-up the ring replays need: one
+// live recording of a 256-node ring per iteration.
+//
+//	go test -run=NONE -bench='BenchmarkRecordCompositeRing$' -benchmem ./internal/replay
+func BenchmarkRecordCompositeRing(b *testing.B) {
+	b.ReportAllocs()
+	var ops int
+	for b.Loop() {
+		ops = recordRing(b, 256).Len()
+	}
+	b.ReportMetric(float64(ops)*float64(b.N)/b.Elapsed().Seconds(), "ops/s")
+}
+
+// A live recording costs what its engines do: the composite sends from
+// one zero buffer and receives into one sink, the op log grows in chunks
+// it never copies, and the engine's record path hands over its segment
+// lengths from the stack. Measured like the engine pins: the difference
+// between recording a 256-node ring and a 64-node one, per extra op, so
+// fixed costs cancel out. Measured 6.7 objects and 1.2 KB per op (8.7
+// and 4.3 KB before): a payload per op comes back as about 2.6 KB more,
+// a lengths slice per op as one object more.
+func TestRecordCompositeRingAllocatesLittle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement")
+	}
+	record := func(nodes int) (objs, heap uint64, ops int) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		ops = recordRing(t, nodes).Len()
+		runtime.ReadMemStats(&m1)
+		return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc, ops
+	}
+	record(64) // warm lazy runtime and package init paths
+	o1, b1, n1 := record(64)
+	o2, b2, n2 := record(256)
+	extra := float64(n2 - n1)
+	objs, size := float64(o2-o1)/extra, float64(b2-b1)/extra
+	t.Logf("%.2f objects and %.0f bytes per recorded op", objs, size)
+	const objCeiling, byteCeiling = 7.6, 2700
+	if objs > objCeiling {
+		t.Errorf("recording allocates %.2f objects per op, ceiling %.1f", objs, objCeiling)
+	}
+	if size > byteCeiling {
+		t.Errorf("recording allocates %.0f bytes per op, ceiling %d", size, byteCeiling)
+	}
+}
+
 // repeatGolden is the golden recording's load n times over, each
 // repetition starting once the previous one has drained: the same op mix
 // on engines that have already carried it.
@@ -67,9 +114,10 @@ func repeatGolden(t *testing.T, n int) *trace.Recording {
 // Run is event-driven: it must start no goroutine (a simulated process
 // is one), and per recorded op it allocates next to nothing — no engine
 // request, closure, segment list or completion record of its own (a
-// process per op costs fourteen allocations for the process alone). Measured like the engine pins: the difference between
-// replaying the golden load eight times and twice, per extra op, so
-// world, engine and tracer construction cancel out.
+// process per op costs fourteen allocations for the process alone).
+// Measured like the engine pins: the difference between replaying the
+// golden load eight times and twice, per extra op, so world, engine and
+// tracer construction cancel out.
 func TestRunSpawnsNothingAndAllocatesLittle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")

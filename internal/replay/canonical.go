@@ -15,6 +15,11 @@ import (
 // latency-sensitive priority control message, with a small reply flowing
 // back. It exercises aggregation, rendezvous conversion, priority
 // election and control piggybacking in one recording.
+//
+// A recording keeps sizes and instants, not payload bytes, so a run of
+// the workload allocates no payload per operation: every send gathers
+// from one shared zero buffer, and every receive lands in one shared
+// sink, which nothing reads.
 type CompositeConfig struct {
 	// Bulk is the bulk chunk size; NBulk how many chunks stream.
 	Bulk  int
@@ -52,29 +57,46 @@ const (
 	smallTag = core.Tag(16) // smallTag+i, one flow per small send
 )
 
+// Payload sizes of the composite's fixed messages.
+const (
+	smallSize = 128
+	ctrlSize  = 32
+	replySize = 1 << 10
+)
+
+// payload is the one zero buffer every send of a recording gathers from,
+// and the one sink every receive lands in, each as large as the largest
+// message of cfg.
+type payload struct{ zero, sink []byte }
+
+func newPayload(cfg CompositeConfig) payload {
+	n := max(cfg.Bulk, cfg.Large, replySize)
+	return payload{zero: make([]byte, n), sink: make([]byte, n)}
+}
+
 // compositeSend drives one node's sender half of the composite workload
 // toward the peer behind g.
-func compositeSend(p *sim.Proc, g *core.Gate, cfg CompositeConfig) error {
+func compositeSend(p *sim.Proc, g *core.Gate, cfg CompositeConfig, buf payload) error {
 	var reqs []core.Request
 	for i := 0; i < cfg.NBulk; i++ {
-		reqs = append(reqs, g.Isend(p, bulkTag, make([]byte, cfg.Bulk)))
+		reqs = append(reqs, g.Isend(p, bulkTag, buf.zero[:cfg.Bulk]))
 		switch i {
 		case cfg.NBulk / 3:
 			// The burst of small multi-flow sends lands mid-stream.
 			for j := 0; j < cfg.Small; j++ {
-				reqs = append(reqs, g.Isend(p, smallTag+core.Tag(j), make([]byte, 128)))
+				reqs = append(reqs, g.Isend(p, smallTag+core.Tag(j), buf.zero[:smallSize]))
 			}
 		case cfg.NBulk / 2:
 			// The latency-sensitive control fragment and the large
 			// rendezvous transfer.
-			reqs = append(reqs, g.Isend(p, ctrlTag, make([]byte, 32), core.Priority()))
-			reqs = append(reqs, g.Isend(p, largeTag, make([]byte, cfg.Large)))
+			reqs = append(reqs, g.Isend(p, ctrlTag, buf.zero[:ctrlSize], core.Priority()))
+			reqs = append(reqs, g.Isend(p, largeTag, buf.zero[:cfg.Large]))
 		}
 	}
 	if err := core.WaitAll(p, reqs...); err != nil {
 		return fmt.Errorf("composite sender: %w", err)
 	}
-	if _, err := g.Recv(p, replyTag, make([]byte, 1<<10)); err != nil {
+	if _, err := g.Recv(p, replyTag, buf.sink[:replySize]); err != nil {
 		return fmt.Errorf("composite sender reply: %w", err)
 	}
 	return nil
@@ -82,22 +104,22 @@ func compositeSend(p *sim.Proc, g *core.Gate, cfg CompositeConfig) error {
 
 // compositeRecv drives one node's receiver half: posts for everything the
 // peer behind g sends, answering the control fragment with the reply.
-func compositeRecv(p *sim.Proc, g *core.Gate, cfg CompositeConfig) error {
+func compositeRecv(p *sim.Proc, g *core.Gate, cfg CompositeConfig, buf payload) error {
 	var reqs []core.Request
-	ctrl := g.Irecv(p, ctrlTag, make([]byte, 32))
+	ctrl := g.Irecv(p, ctrlTag, buf.sink[:ctrlSize])
 	for i := 0; i < cfg.NBulk; i++ {
-		reqs = append(reqs, g.Irecv(p, bulkTag, make([]byte, cfg.Bulk)))
+		reqs = append(reqs, g.Irecv(p, bulkTag, buf.sink[:cfg.Bulk]))
 	}
 	for j := 0; j < cfg.Small; j++ {
-		reqs = append(reqs, g.Irecv(p, smallTag+core.Tag(j), make([]byte, 128)))
+		reqs = append(reqs, g.Irecv(p, smallTag+core.Tag(j), buf.sink[:smallSize]))
 	}
-	reqs = append(reqs, g.Irecv(p, largeTag, make([]byte, cfg.Large)))
+	reqs = append(reqs, g.Irecv(p, largeTag, buf.sink[:cfg.Large]))
 	// The reply goes out as soon as the control fragment lands: the
 	// RPC-response pattern, recorded from the live schedule.
 	if err := ctrl.Wait(p); err != nil {
 		return fmt.Errorf("composite receiver ctrl: %w", err)
 	}
-	reqs = append(reqs, g.Isend(p, replyTag, make([]byte, 1<<10)))
+	reqs = append(reqs, g.Isend(p, replyTag, buf.zero[:replySize]))
 	if err := core.WaitAll(p, reqs...); err != nil {
 		return fmt.Errorf("composite receiver: %w", err)
 	}
@@ -131,8 +153,9 @@ func RecordComposite(cfg CompositeConfig) (*trace.Recording, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.Go("sender", func(p *sim.Proc) error { return compositeSend(p, engines[0].Gate(1), cfg) })
-	g.Go("receiver", func(p *sim.Proc) error { return compositeRecv(p, engines[1].Gate(0), cfg) })
+	buf := newPayload(cfg)
+	g.Go("sender", func(p *sim.Proc) error { return compositeSend(p, engines[0].Gate(1), cfg, buf) })
+	g.Go("receiver", func(p *sim.Proc) error { return compositeRecv(p, engines[1].Gate(0), cfg, buf) })
 	if err := g.Run(); err != nil {
 		return nil, fmt.Errorf("replay: recording composite workload: %w", err)
 	}
@@ -146,7 +169,8 @@ func RecordComposite(cfg CompositeConfig) (*trace.Recording, error) {
 // the workload the repo benchmark's ring-replay-1024 replays to measure
 // what the engine itself costs in host time and allocations. With
 // nodes = 2 the ring degenerates to the two-node composite with both
-// directions active.
+// directions active. All N nodes share one zero buffer and one sink (see
+// CompositeConfig).
 func RecordCompositeRing(cfg CompositeConfig, nodes int) (*trace.Recording, error) {
 	if nodes < 2 {
 		return nil, fmt.Errorf("replay: composite ring needs at least 2 nodes, got %d", nodes)
@@ -155,14 +179,15 @@ func RecordCompositeRing(cfg CompositeConfig, nodes int) (*trace.Recording, erro
 	if err != nil {
 		return nil, err
 	}
+	buf := newPayload(cfg)
 	for i, e := range engines {
 		next := (i + 1) % nodes
 		prev := (i + nodes - 1) % nodes
 		g.Go(fmt.Sprintf("ring-send%d", i), func(p *sim.Proc) error {
-			return compositeSend(p, e.Gate(simnet.NodeID(next)), cfg)
+			return compositeSend(p, e.Gate(simnet.NodeID(next)), cfg, buf)
 		})
 		g.Go(fmt.Sprintf("ring-recv%d", i), func(p *sim.Proc) error {
-			return compositeRecv(p, e.Gate(simnet.NodeID(prev)), cfg)
+			return compositeRecv(p, e.Gate(simnet.NodeID(prev)), cfg, buf)
 		})
 	}
 	if err := g.Run(); err != nil {

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"flag"
 	"fmt"
@@ -74,6 +75,23 @@ func TestRecordCanonicalDeterministic(t *testing.T) {
 	}
 	if a.Len() == 0 {
 		t.Fatal("canonical workload recorded no operations")
+	}
+}
+
+// The load the benchmark's ring replays is pinned beyond the two-node
+// golden: the SHA-256 of what RecordCompositeRing writes under the ring
+// configuration, at 64 and 1 024 nodes.
+func TestCompositeRingRecordingDigest(t *testing.T) {
+	for _, tc := range []struct {
+		nodes int
+		want  string
+	}{
+		{64, "3f00dfd695393b7ba645186e118cf809330260240e7b12d82e5b0025ea7deffa"},
+		{1024, "286cf0e074f490989a1218e8b25cb0f3899f55b932037bd73b9b05f61e46253c"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(recordingBytes(t, recordRing(t, tc.nodes)))); got != tc.want {
+			t.Errorf("%d-node ring recording digest %s, want %s", tc.nodes, got, tc.want)
+		}
 	}
 }
 

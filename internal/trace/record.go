@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 
 	"nmad/internal/sim"
 	"nmad/internal/simnet"
@@ -173,8 +174,25 @@ type RecordingHeader struct {
 // application-level submission appends one Op.
 type Recording struct {
 	header RecordingHeader
-	ops    []Op
+	// ops is the log as the last Ops call flattened it; tail holds the
+	// ops recorded since, in chunks that fill in place, so the log never
+	// copies itself while it grows (a slice grown by append copies its
+	// pointerful ops about five times over by 38 912 ops). n counts both.
+	ops  []Op
+	tail [][]Op
+	n    int
+	// segs is the arena RecordOp copies segment lists into: a recorded op
+	// holds no slice of its caller's, and the log no object per op.
+	segs []int
 }
+
+// Chunk sizes of the op log and the segment arena: chunks grow
+// geometrically, from a few hundred bytes for a short recording up to the
+// largest, which bounds the slack a long one carries.
+const (
+	minOpChunk, maxOpChunk   = 32, 1024
+	minSegChunk, maxSegChunk = 64, 4096
+)
 
 // NewRecording returns an empty current-version recording.
 func NewRecording() *Recording {
@@ -226,33 +244,91 @@ func (r *Recording) RegisterEngine(node int, cfg NodeConfig) {
 	r.header.Engines[node] = cfg
 }
 
-// RecordOp appends one operation. Safe to call on a nil recording.
+// RecordOp appends one operation. It keeps nothing of op's: the segment
+// lengths are copied into the recording's arena, so the caller may reuse
+// its slice, or pass one from its stack. Safe to call on a nil recording.
 func (r *Recording) RecordOp(op Op) {
 	if r == nil {
 		return
 	}
-	for _, n := range []int{op.Node, op.Peer} {
-		if n+1 > r.header.Nodes {
-			r.header.Nodes = n + 1
-		}
+	r.header.Nodes = max(r.header.Nodes, op.Node+1, op.Peer+1)
+	// Built field by field, with the kind taken from the constants:
+	// storing op, or its Kind, would let the compiler assume op.Segs is
+	// kept too, and move every caller's lengths to the heap.
+	var kind string
+	switch op.Kind {
+	case OpSend:
+		kind = OpSend
+	case OpRecv:
+		kind = OpRecv
+	default: // a hand-built op; ReadRecording refuses other kinds
+		kind = strings.Clone(op.Kind)
 	}
-	r.ops = append(r.ops, op)
+	r.push(Op{
+		At: op.At, Node: op.Node, Peer: op.Peer, Kind: kind,
+		Tag: op.Tag, Mask: op.Mask, Segs: r.copySegs(op.Segs),
+		Priority: op.Priority, Unordered: op.Unordered, Synchronous: op.Synchronous,
+		Rail: op.Rail,
+	})
+}
+
+// copySegs copies a segment list into the arena, nil and empty kept
+// apart (they serialize differently).
+func (r *Recording) copySegs(segs []int) []int {
+	switch {
+	case segs == nil:
+		return nil
+	case len(segs) == 0:
+		return []int{}
+	}
+	if len(segs) > cap(r.segs)-len(r.segs) {
+		r.segs = make([]int, 0, max(min(2*cap(r.segs), maxSegChunk), minSegChunk, len(segs)))
+	}
+	at := len(r.segs)
+	r.segs = append(r.segs, segs...)
+	return r.segs[at:len(r.segs):len(r.segs)]
+}
+
+// push appends one op to the tail, starting a chunk as large as the log
+// so far (within bounds) when the last is full.
+func (r *Recording) push(op Op) {
+	last := len(r.tail) - 1
+	if last < 0 || len(r.tail[last]) == cap(r.tail[last]) {
+		r.tail = append(r.tail, make([]Op, 0, min(max(r.n, minOpChunk), maxOpChunk)))
+		last++
+	}
+	r.tail[last] = append(r.tail[last], op)
+	r.n++
 }
 
 // Header returns the recorded topology (a shallow copy; Rails and
 // Engines are shared — treat them as read-only).
 func (r *Recording) Header() RecordingHeader { return r.header }
 
-// Ops returns the recorded operations in submission order (the backing
-// slice is shared — treat it as read-only).
-func (r *Recording) Ops() []Op { return r.ops }
+// Ops returns the recorded operations in submission order. The first
+// call after a RecordOp flattens the log into one slice of exactly its
+// length; later calls return that slice as is. The slice and the
+// segment lists of its ops, which share the recording's arena, are the
+// recording's own — treat them as read-only. Like RecordOp, Ops must not
+// run concurrently with another call on the same recording.
+func (r *Recording) Ops() []Op {
+	if len(r.tail) > 0 {
+		flat := make([]Op, 0, r.n)
+		flat = append(flat, r.ops...)
+		for _, chunk := range r.tail {
+			flat = append(flat, chunk...)
+		}
+		r.ops, r.tail = flat, nil
+	}
+	return r.ops
+}
 
 // Len reports how many operations were recorded.
 func (r *Recording) Len() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.ops)
+	return r.n
 }
 
 // Write serializes the recording as versioned JSONL: the header line,
@@ -262,7 +338,7 @@ func (r *Recording) Write(w io.Writer) error {
 	if err := enc.Encode(r.header); err != nil {
 		return err
 	}
-	for _, op := range r.ops {
+	for _, op := range r.Ops() {
 		if err := enc.Encode(op); err != nil {
 			return err
 		}
@@ -308,10 +384,11 @@ func ReadRecording(rd io.Reader) (*Recording, error) {
 		if op.Kind != OpSend && op.Kind != OpRecv {
 			return nil, fmt.Errorf("trace: recording line %d: unknown op %q", line, op.Kind)
 		}
-		rec.ops = append(rec.ops, op)
+		rec.push(op) // the decoded Segs are the recording's already
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	rec.Ops() // flattened here, so reading a loaded recording writes nothing
 	return rec, nil
 }

@@ -2,10 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
 
+	"nmad/internal/sim"
 	"nmad/internal/simnet"
 )
 
@@ -87,5 +89,74 @@ func TestRecordingWriteReadEmptyOps(t *testing.T) {
 	}
 	if back.Len() != 0 {
 		t.Errorf("ops appeared from nowhere: %d", back.Len())
+	}
+}
+
+// RecordOp keeps nothing of its caller's: a caller that reuses its
+// lengths buffer, as the engine's record path does, must not rewrite the
+// ops it has already recorded. The log spans several op and arena
+// chunks, one list larger than an arena chunk, and both the nil and the
+// empty segment list (they serialize differently), and it stays whole
+// across an Ops call in the middle of recording.
+func TestRecordOpCopiesSegs(t *testing.T) {
+	rec := NewRecording()
+	var want []Op
+	lens := make([]int, maxSegChunk+1)
+	record := func(i int) {
+		var segs []int
+		switch {
+		case i%97 == 1:
+			// nil
+		case i%97 == 2:
+			segs = lens[:0]
+		case i == 1500:
+			segs = lens
+		default:
+			segs = lens[:1+i%3]
+		}
+		for j := range segs {
+			segs[j] = i + j
+		}
+		op := Op{At: sim.Time(i), Node: i % 4, Peer: (i + 1) % 4, Kind: OpSend, Tag: uint64(i), Segs: segs, Rail: -1}
+		rec.RecordOp(op)
+		if segs != nil {
+			op.Segs = append([]int{}, segs...)
+		}
+		want = append(want, op)
+		for j := range lens {
+			lens[j] = -1 // the caller reuses its buffer
+		}
+	}
+	for i := range 1000 {
+		record(i)
+	}
+	if got := rec.Ops(); !reflect.DeepEqual(got, want) {
+		t.Fatal("ops recorded before the first Ops call changed with the caller's buffer")
+	}
+	for i := 1000; i < 3000; i++ {
+		record(i)
+	}
+	got := rec.Ops()
+	if rec.Len() != len(want) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Len %d, ops differ from what was recorded (want %d)", rec.Len(), len(want))
+	}
+	if again := rec.Ops(); &again[0] != &got[0] {
+		t.Error("a second Ops call copied the log again")
+	}
+	var written, lines bytes.Buffer
+	if err := rec.Write(&written); err != nil {
+		t.Fatal(err)
+	}
+	enc := json.NewEncoder(&lines)
+	if err := enc.Encode(rec.Header()); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range want {
+		if err := enc.Encode(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(written.Bytes(), lines.Bytes()) {
+		t.Error("Write output differs from the ops as recorded")
 	}
 }

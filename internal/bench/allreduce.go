@@ -36,11 +36,11 @@ type allreduceConfig struct {
 // allreduceTime measures one allreduce: virtual microseconds from every
 // rank entering the operation (after a warmup round and a barrier) to
 // the last rank completing it, verifying the reduction on every rank.
-func allreduceTime(cfg allreduceConfig) (float64, error) {
+func allreduceTime(wk *sim.Work, cfg allreduceConfig) (float64, error) {
 	if cfg.Nodes < 2 || cfg.Elems < 1 {
 		return 0, fmt.Errorf("bench: allreduce needs ≥2 nodes and ≥1 element, got %+v", cfg)
 	}
-	f, err := simnet.Machine{Nodes: cfg.Nodes, Rails: []simnet.Profile{simnet.MX10G()}}.Build()
+	f, err := build(wk, simnet.Machine{Nodes: cfg.Nodes, Rails: []simnet.Profile{simnet.MX10G()}})
 	if err != nil {
 		return 0, err
 	}
@@ -158,7 +158,7 @@ func seedAllreduce(p *sim.Proc, c *madmpi.Comm, send, recv []float64) error {
 
 // figAllreduce sweeps vector size × node count × algorithm: the measure
 // of the collective schedule engine against the seed's blocking trees.
-func figAllreduce() (Figure, error) {
+func figAllreduce(wk *sim.Work) (Figure, error) {
 	fig := Figure{
 		ID:     "allreduce",
 		Title:  "Allreduce — schedule-engine algorithms vs the seed blocking tree (MX, float64 vectors)",
@@ -177,7 +177,7 @@ func figAllreduce() (Figure, error) {
 				s.EngineOptions = stamp + " (blocking p2p loops)"
 			}
 			for _, bytes := range sizes {
-				t, err := allreduceTime(allreduceConfig{Nodes: nodes, Elems: bytes / 8, Algo: algo})
+				t, err := allreduceTime(wk, allreduceConfig{Nodes: nodes, Elems: bytes / 8, Algo: algo})
 				if err != nil {
 					return fig, err
 				}

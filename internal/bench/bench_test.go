@@ -18,11 +18,11 @@ func TestFig2OverheadUnderHalfMicrosecond(t *testing.T) {
 	// §5.1: "MAD-MPI introduces a constant overhead of less than 0.5 µs".
 	for _, rails := range [][]simnet.Profile{mxRails(), qsRails()} {
 		for _, size := range []int{4, 64, 1024} {
-			mad, err := rawPingPong(madMPI(core.DefaultOptions()), rails, size)
+			mad, err := rawPingPong(nil, madMPI(core.DefaultOptions()), rails, size)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mpich, err := rawPingPong(mpichLike(), rails, size)
+			mpich, err := rawPingPong(nil, mpichLike(), rails, size)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,11 +42,11 @@ func TestFig2BandwidthConverges(t *testing.T) {
 	// At 2MB the curves must converge: the optimizer costs nothing when
 	// there is nothing to optimize.
 	size := 2 << 20
-	mad, err := rawPingPong(madMPI(core.DefaultOptions()), mxRails(), size)
+	mad, err := rawPingPong(nil, madMPI(core.DefaultOptions()), mxRails(), size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpich, err := rawPingPong(mpichLike(), mxRails(), size)
+	mpich, err := rawPingPong(nil, mpichLike(), mxRails(), size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestFig2BandwidthConverges(t *testing.T) {
 	if bw < 1000 || bw > 1300 {
 		t.Errorf("MX peak bandwidth %.0f MB/s, want in the Myri-10G ballpark (paper: 1155)", bw)
 	}
-	qs, err := rawPingPong(madMPI(core.DefaultOptions()), qsRails(), size)
+	qs, err := rawPingPong(nil, madMPI(core.DefaultOptions()), qsRails(), size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestFig2BandwidthConverges(t *testing.T) {
 func TestFig2LatencyMonotonicInSize(t *testing.T) {
 	prev := 0.0
 	for _, size := range fig2Sizes {
-		lat, err := rawPingPong(madMPI(core.DefaultOptions()), mxRails(), size)
+		lat, err := rawPingPong(nil, madMPI(core.DefaultOptions()), mxRails(), size)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,11 +84,11 @@ func TestFig3SmallSegmentsBigWin(t *testing.T) {
 	// §5.2: "MAD-MPI is up to 70% faster than other implementations of
 	// MPI over MX-10G, and up to 50% faster than MPICH over QUADRICS".
 	check := func(rails []simnet.Profile, nsegs int, wantMin, wantMax float64) {
-		mad, err := multiSegPingPong(madMPI(core.DefaultOptions()), rails, 4, nsegs)
+		mad, err := multiSegPingPong(nil, madMPI(core.DefaultOptions()), rails, 4, nsegs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mpich, err := multiSegPingPong(mpichLike(), rails, 4, nsegs)
+		mpich, err := multiSegPingPong(nil, mpichLike(), rails, 4, nsegs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,11 +107,11 @@ func TestFig3SmallSegmentsBigWin(t *testing.T) {
 func TestFig3Converges(t *testing.T) {
 	// Once the aggregated size reaches the rendezvous threshold the
 	// curves must (nearly) meet.
-	mad, err := multiSegPingPong(madMPI(core.DefaultOptions()), mxRails(), 16<<10, 16)
+	mad, err := multiSegPingPong(nil, madMPI(core.DefaultOptions()), mxRails(), 16<<10, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpich, err := multiSegPingPong(mpichLike(), mxRails(), 16<<10, 16)
+	mpich, err := multiSegPingPong(nil, mpichLike(), mxRails(), 16<<10, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,15 +125,15 @@ func TestFig4DatatypeGains(t *testing.T) {
 	// with OpenMPI over MX and until about 70% versus MPICH over
 	// QUADRICS".
 	size := 2 << 20
-	mad, err := datatypePingPong(madMPI(core.DefaultOptions()), mxRails(), size)
+	mad, err := datatypePingPong(nil, madMPI(core.DefaultOptions()), mxRails(), size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpich, err := datatypePingPong(mpichLike(), mxRails(), size)
+	mpich, err := datatypePingPong(nil, mpichLike(), mxRails(), size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ompi, err := datatypePingPong(openMPILike(), mxRails(), size)
+	ompi, err := datatypePingPong(nil, openMPILike(), mxRails(), size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +146,11 @@ func TestFig4DatatypeGains(t *testing.T) {
 	if ompi >= mpich {
 		t.Error("OpenMPI must beat MPICH on datatypes (pipelined pack), as in the paper's Figure 4")
 	}
-	qmad, err := datatypePingPong(madMPI(core.DefaultOptions()), qsRails(), size)
+	qmad, err := datatypePingPong(nil, madMPI(core.DefaultOptions()), qsRails(), size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qmpich, err := datatypePingPong(mpichLike(), qsRails(), size)
+	qmpich, err := datatypePingPong(nil, mpichLike(), qsRails(), size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,18 +248,18 @@ func TestAblationStrategiesOrdering(t *testing.T) {
 	agg := core.DefaultOptions()
 	def := core.DefaultOptions()
 	def.Strategy = "default"
-	aggLat, err := multiSegPingPong(madMPI(agg), mxRails(), 64, 16)
+	aggLat, err := multiSegPingPong(nil, madMPI(agg), mxRails(), 64, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defLat, err := multiSegPingPong(madMPI(def), mxRails(), 64, 16)
+	defLat, err := multiSegPingPong(nil, madMPI(def), mxRails(), 64, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if aggLat >= defLat {
 		t.Errorf("aggreg %.2f µs vs default %.2f µs: the window is the whole point", aggLat, defLat)
 	}
-	mpichLat, err := multiSegPingPong(mpichLike(), mxRails(), 64, 16)
+	mpichLat, err := multiSegPingPong(nil, mpichLike(), mxRails(), 64, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,11 +273,11 @@ func TestCompositePriorityBeatsFIFO(t *testing.T) {
 	// priority strategy must deliver it far sooner than MPICH's FIFO.
 	prioOpts := core.DefaultOptions()
 	prioOpts.Strategy = "prio"
-	prio, err := compositeControlLatency(madMPI(prioOpts), mxRails(), 16<<10, 16, true)
+	prio, err := compositeControlLatency(nil, madMPI(prioOpts), mxRails(), 16<<10, 16, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fifo, err := compositeControlLatency(mpichLike(), mxRails(), 16<<10, 16, false)
+	fifo, err := compositeControlLatency(nil, mpichLike(), mxRails(), 16<<10, 16, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,11 +287,11 @@ func TestCompositePriorityBeatsFIFO(t *testing.T) {
 }
 
 func TestSamplingAdaptsToCongestion(t *testing.T) {
-	cold, err := congestedTransfer(4<<20, 0.3, 0)
+	cold, err := congestedTransfer(nil, 4<<20, 0.3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := congestedTransfer(4<<20, 0.3, 4)
+	warm, err := congestedTransfer(nil, 4<<20, 0.3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,11 +300,11 @@ func TestSamplingAdaptsToCongestion(t *testing.T) {
 	}
 	// Without congestion the sampled plan must not be worse than nominal
 	// by more than a whisker.
-	coldOK, err := congestedTransfer(4<<20, 1.0, 0)
+	coldOK, err := congestedTransfer(nil, 4<<20, 1.0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmOK, err := congestedTransfer(4<<20, 1.0, 4)
+	warmOK, err := congestedTransfer(nil, 4<<20, 1.0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,11 +316,11 @@ func TestSamplingAdaptsToCongestion(t *testing.T) {
 func TestMultirailAblationWins(t *testing.T) {
 	split := core.DefaultOptions()
 	split.Strategy = "split"
-	two, err := rawPingPong(madMPI(split), []simnet.Profile{simnet.MX10G(), simnet.QsNetII()}, 8<<20)
+	two, err := rawPingPong(nil, madMPI(split), []simnet.Profile{simnet.MX10G(), simnet.QsNetII()}, 8<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := rawPingPong(madMPI(core.DefaultOptions()), mxRails(), 8<<20)
+	one, err := rawPingPong(nil, madMPI(core.DefaultOptions()), mxRails(), 8<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestIncastWorkloadBoundedByCredits(t *testing.T) {
 	burst := scenario.PhaseSpec{Kind: "incast", Target: 0, Msgs: 24, Size: 1 << 10, Count: 1, DrainGap: 2 * sim.Microsecond}
 	opts := core.DefaultOptions()
 	opts.Credits, opts.MaxGrants = 8, 2
-	bounded, err := runPhase(5, opts, 0, 0, burst)
+	bounded, err := runPhase(nil, 5, opts, 0, 0, burst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestIncastWorkloadBoundedByCredits(t *testing.T) {
 	if n := bounded.Stats[0].ProtocolErrors; n != 0 {
 		t.Errorf("protocol errors under overload: %d", n)
 	}
-	free, err := runPhase(5, core.DefaultOptions(), 0, 0, burst)
+	free, err := runPhase(nil, 5, core.DefaultOptions(), 0, 0, burst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,13 +358,13 @@ func TestAllreduceWorkload(t *testing.T) {
 	var seed, tree, ring float64
 	var err error
 	const nodes, bytes = 8, 1 << 20
-	if seed, err = allreduceTime(allreduceConfig{Nodes: nodes, Elems: bytes / 8, Algo: seedAlgo}); err != nil {
+	if seed, err = allreduceTime(nil, allreduceConfig{Nodes: nodes, Elems: bytes / 8, Algo: seedAlgo}); err != nil {
 		t.Fatal(err)
 	}
-	if tree, err = allreduceTime(allreduceConfig{Nodes: nodes, Elems: bytes / 8, Algo: "tree"}); err != nil {
+	if tree, err = allreduceTime(nil, allreduceConfig{Nodes: nodes, Elems: bytes / 8, Algo: "tree"}); err != nil {
 		t.Fatal(err)
 	}
-	if ring, err = allreduceTime(allreduceConfig{Nodes: nodes, Elems: bytes / 8, Algo: "ring"}); err != nil {
+	if ring, err = allreduceTime(nil, allreduceConfig{Nodes: nodes, Elems: bytes / 8, Algo: "ring"}); err != nil {
 		t.Fatal(err)
 	}
 	if seed <= 0 || tree <= 0 || ring <= 0 {
@@ -381,10 +381,10 @@ func TestAllreduceWorkload(t *testing.T) {
 		t.Errorf("schedule-engine tree (%.0f µs) slower than the seed blocking tree (%.0f µs)", tree, seed)
 	}
 	// Bad configurations are rejected.
-	if _, err := allreduceTime(allreduceConfig{Nodes: 1, Elems: 8}); err == nil {
+	if _, err := allreduceTime(nil, allreduceConfig{Nodes: 1, Elems: 8}); err == nil {
 		t.Error("single-node allreduce bench must be rejected")
 	}
-	if _, err := allreduceTime(allreduceConfig{Nodes: 4, Elems: 16, Algo: "no-such"}); err == nil {
+	if _, err := allreduceTime(nil, allreduceConfig{Nodes: 4, Elems: 16, Algo: "no-such"}); err == nil {
 		t.Error("unknown algorithm must be rejected")
 	}
 }

@@ -46,10 +46,10 @@ func TestRunnersReturnRequestErrors(t *testing.T) {
 		name string
 		run  func(mpiImpl) (float64, error)
 	}{
-		{"PingPong", func(im mpiImpl) (float64, error) { return rawPingPong(im, mx, 64) }},
-		{"MultiSegPingPong", func(im mpiImpl) (float64, error) { return multiSegPingPong(im, mx, 64, 4) }},
-		{"DatatypePingPong", func(im mpiImpl) (float64, error) { return datatypePingPong(im, mx, 1<<20) }},
-		{"CompositeControlLatency", func(im mpiImpl) (float64, error) { return compositeControlLatency(im, mx, 1024, 4, false) }},
+		{"PingPong", func(im mpiImpl) (float64, error) { return rawPingPong(nil, im, mx, 64) }},
+		{"MultiSegPingPong", func(im mpiImpl) (float64, error) { return multiSegPingPong(nil, im, mx, 64, 4) }},
+		{"DatatypePingPong", func(im mpiImpl) (float64, error) { return datatypePingPong(nil, im, mx, 1<<20) }},
+		{"CompositeControlLatency", func(im mpiImpl) (float64, error) { return compositeControlLatency(nil, im, mx, 1024, 4, false) }},
 	}
 	for _, r := range runners {
 		for failing := 0; failing < 2; failing++ {

@@ -42,7 +42,7 @@ func faultStamp(fp simnet.FaultProfile) string {
 // engines configured by opts, the rail dropping packets at rate drop
 // under seed (lossless at 0). Every payload is verified: a corrupted one
 // fails the run's integrity assertion, and with it the point.
-func runPhase(nodes int, opts core.Options, drop float64, seed uint64, ph scenario.PhaseSpec) (*scenario.Report, error) {
+func runPhase(wk *sim.Work, nodes int, opts core.Options, drop float64, seed uint64, ph scenario.PhaseSpec) (*scenario.Report, error) {
 	sc := &scenario.Scenario{
 		Name:       ph.Kind,
 		Cluster:    scenario.ClusterSpec{Nodes: nodes, Rails: []string{"mx10g"}, Engine: opts.NodeConfig},
@@ -53,14 +53,14 @@ func runPhase(nodes int, opts core.Options, drop float64, seed uint64, ph scenar
 		fp := simnet.UniformLoss(seed, drop, 1)
 		sc.Cluster.Faults = &fp
 	}
-	return scenario.Run(sc, scenario.Config{})
+	return scenario.Run(sc, scenario.Config{Work: wk})
 }
 
 // figScaleNodes sweeps the emulated job size from 8 to 1024 nodes:
 // barrier and allgather completion, lossless vs 1% drop, reliability on
 // throughout. The paper runs on real clusters; this is where the
 // simulation goes beyond them.
-func figScaleNodes() (Figure, error) {
+func figScaleNodes(wk *sim.Work) (Figure, error) {
 	fig := Figure{
 		ID: "scale-nodes", Title: "Scale — collective completion vs emulated job size (MX, reliability on)",
 		XLabel: "nodes", YLabel: "completion (µs)",
@@ -92,7 +92,7 @@ func figScaleNodes() (Figure, error) {
 		}
 		retrans := 0
 		for _, n := range nodes {
-			rep, err := runPhase(n, opts, c.drop, faultSeed, c.phase)
+			rep, err := runPhase(wk, n, opts, c.drop, faultSeed, c.phase)
 			if err != nil {
 				return fig, err
 			}
@@ -117,7 +117,7 @@ func figScaleNodes() (Figure, error) {
 // phase per sink. Three workers run every job at once: contention is on
 // the shared engine, not in the queue. Phase 0 of the report is the
 // victim; phases 1 and 2 are the burst.
-func tenantIsolation(msgs int) (*scenario.Report, error) {
+func tenantIsolation(wk *sim.Work, msgs int) (*scenario.Report, error) {
 	opts := strategy("prio")
 	sc := &scenario.Scenario{
 		Name:    "tenant-isolation",
@@ -142,13 +142,13 @@ func tenantIsolation(msgs int) (*scenario.Report, error) {
 			})
 		}
 	}
-	return scenario.Run(sc, scenario.Config{})
+	return scenario.Run(sc, scenario.Config{Work: wk})
 }
 
 // figTenantIsolation sweeps the burst intensity and plots the victim's
 // completion time against its unloaded baseline — the tenant-isolation
 // claim as a trend-gated figure.
-func figTenantIsolation() (Figure, error) {
+func figTenantIsolation(wk *sim.Work) (Figure, error) {
 	fig := Figure{
 		ID:     "tenant-isolation",
 		Title:  "Multi-tenant isolation — victim pingpong vs competing incast burst (MX, prio, job queue on node 0)",
@@ -158,7 +158,7 @@ func figTenantIsolation() (Figure, error) {
 			"victim: 16 x 64B priority pingpong; acceptance: loaded within 2x unloaded while the burst completes",
 		},
 	}
-	unloaded, err := tenantIsolation(0)
+	unloaded, err := tenantIsolation(wk, 0)
 	if err != nil {
 		return fig, err
 	}
@@ -166,7 +166,7 @@ func figTenantIsolation() (Figure, error) {
 	baseS := Series{Label: "victim[unloaded]", Strategy: "prio"}
 	burstS := Series{Label: "burst[completion]", Strategy: "prio"}
 	for _, msgs := range []int{8, 32, 128} {
-		rep, err := tenantIsolation(msgs)
+		rep, err := tenantIsolation(wk, msgs)
 		if err != nil {
 			return fig, err
 		}

@@ -15,7 +15,7 @@ func TestLossyCollectiveSeededDeterminism(t *testing.T) {
 	opts.Reliability = true
 	run := func(seed uint64) *scenario.Report {
 		t.Helper()
-		rep, err := runPhase(8, opts, 0.30, seed, scenario.PhaseSpec{Kind: "ring", Msgs: 16, Size: 256, Count: 1})
+		rep, err := runPhase(nil, 8, opts, 0.30, seed, scenario.PhaseSpec{Kind: "ring", Msgs: 16, Size: 256, Count: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,19 +53,20 @@ func mxRails() []simnet.Profile { return []simnet.Profile{simnet.MX10G()} }
 func qsRails() []simnet.Profile { return []simnet.Profile{simnet.QsNetII()} }
 
 // line is one series of a measured figure: its stamped Series and the
-// measurement that yields its point at each x of the figure's grid.
+// measurement that yields its point at each x of the figure's grid, the
+// worlds it builds counting their work into wk (nil: none do).
 type line struct {
 	Series
-	measure func(x int) (float64, error)
+	measure func(x int, wk *sim.Work) (float64, error)
 }
 
 // sweep turns implementations into lines, one each, stamped with the
 // implementation's engine configuration and measured by measure.
-func sweep(impls []mpiImpl, measure func(impl mpiImpl, x int) (float64, error)) []line {
+func sweep(impls []mpiImpl, measure func(impl mpiImpl, x int, wk *sim.Work) (float64, error)) []line {
 	return each(impls, func(impl mpiImpl) line {
 		return line{
 			Series{Label: impl.Name, Strategy: impl.Strategy, EngineOptions: impl.EngineOptions},
-			func(x int) (float64, error) { return measure(impl, x) },
+			func(x int, wk *sim.Work) (float64, error) { return measure(impl, x, wk) },
 		}
 	})
 }
@@ -121,7 +122,7 @@ var (
 
 // tab51 reproduces the §5.1 in-text numbers: the constant software
 // overhead of MAD-MPI vs MPICH at small sizes, and the peak bandwidths.
-func tab51() (Figure, error) {
+func tab51(wk *sim.Work) (Figure, error) {
 	fig := Figure{
 		ID: "5.1", Title: "§5.1 summary — MAD-MPI overhead and peak bandwidth",
 		XLabel: "-", YLabel: "-",
@@ -136,11 +137,11 @@ func tab51() (Figure, error) {
 		var overhead float64
 		smalls := []int{4, 8, 16, 32, 64}
 		for _, size := range smalls {
-			mad, err := rawPingPong(madMPI(core.DefaultOptions()), net.rails, size)
+			mad, err := rawPingPong(wk, madMPI(core.DefaultOptions()), net.rails, size)
 			if err != nil {
 				return fig, err
 			}
-			mpich, err := rawPingPong(mpichLike(), net.rails, size)
+			mpich, err := rawPingPong(wk, mpichLike(), net.rails, size)
 			if err != nil {
 				return fig, err
 			}
@@ -148,7 +149,7 @@ func tab51() (Figure, error) {
 		}
 		overhead /= float64(len(smalls))
 		peakAt := 2 << 20
-		lat, err := rawPingPong(madMPI(core.DefaultOptions()), net.rails, peakAt)
+		lat, err := rawPingPong(wk, madMPI(core.DefaultOptions()), net.rails, peakAt)
 		if err != nil {
 			return fig, err
 		}
@@ -164,7 +165,7 @@ func tab51() (Figure, error) {
 // slow receiver with a burst of eager messages. Without flow control the
 // receiver's unexpected queue grows with the burst; with a credit budget
 // it is bounded by the budget while every payload still arrives intact.
-func figIncast() (Figure, error) {
+func figIncast(wk *sim.Work) (Figure, error) {
 	fig := Figure{
 		ID: "incast", Title: "Incast overload — receiver queue high-water mark (MX, 32 x 1KB burst per sender, slow receiver)",
 		XLabel: "senders", YLabel: "peak unexpected queue (wrappers)",
@@ -184,7 +185,7 @@ func figIncast() (Figure, error) {
 		s := Series{Label: c.label, Strategy: "aggreg", EngineOptions: summarizeOptions(opts)}
 		var last *scenario.Report
 		for _, n := range []int{2, 4, 8} {
-			rep, err := runPhase(n+1, opts, 0, 0, scenario.PhaseSpec{
+			rep, err := runPhase(wk, n+1, opts, 0, 0, scenario.PhaseSpec{
 				Kind: "incast", Target: 0, Msgs: 32, Size: 1 << 10, Count: 1, DrainGap: 2 * sim.Microsecond,
 			})
 			if err != nil {
@@ -217,26 +218,27 @@ type figure struct {
 	xs       []int
 	lines    []line
 	from     string
-	build    func() (Figure, error)
+	build    func(wk *sim.Work) (Figure, error)
 }
 
 // run regenerates the row's figure; a measured row measures every line at
-// every x, line by line.
-func (f figure) run() (Figure, error) {
+// every x, line by line. Every world it builds counts its work into wk
+// (nil: none does).
+func (f figure) run(wk *sim.Work) (Figure, error) {
 	if f.build != nil {
-		return f.build()
+		return f.build(wk)
 	}
 	fig := f.head
 	fig.ID = f.id
 	if f.from != "" {
-		src, err := Run(f.from)
+		src, err := runFigure(f.from, wk)
 		fig.Series = toBandwidth(src.Series)
 		return fig, err
 	}
 	for _, l := range f.lines {
 		s := l.Series
 		for _, x := range f.xs {
-			y, err := l.measure(x)
+			y, err := l.measure(x, wk)
 			if err != nil {
 				return fig, err
 			}
@@ -272,7 +274,7 @@ var figureList = []figure{
 		head: Figure{Title: "Raw point-to-point ping-pong — latency over MX/Myri-10G", XLabel: sizeAxis, YLabel: latencyAxis,
 			Notes: []string{"paper: MAD-MPI tracks MPICH with a constant < 0.5 µs overhead"}},
 		xs:    fig2Sizes,
-		lines: sweep(madVsAll, func(im mpiImpl, x int) (float64, error) { return rawPingPong(im, mxRails(), x) }),
+		lines: sweep(madVsAll, func(im mpiImpl, x int, wk *sim.Work) (float64, error) { return rawPingPong(wk, im, mxRails(), x) }),
 	},
 	{
 		id: "2b", desc: "raw ping-pong bandwidth over MX/Myri-10G", from: "2a",
@@ -283,7 +285,7 @@ var figureList = []figure{
 		id: "2c", desc: "raw ping-pong latency over Elan/Quadrics",
 		head:  Figure{Title: "Raw point-to-point ping-pong — latency over Elan/Quadrics", XLabel: sizeAxis, YLabel: latencyAxis},
 		xs:    fig2Sizes,
-		lines: sweep(madVsMPICH, func(im mpiImpl, x int) (float64, error) { return rawPingPong(im, qsRails(), x) }),
+		lines: sweep(madVsMPICH, func(im mpiImpl, x int, wk *sim.Work) (float64, error) { return rawPingPong(wk, im, qsRails(), x) }),
 	},
 	{
 		id: "2d", desc: "raw ping-pong bandwidth over Elan/Quadrics", from: "2c",
@@ -293,41 +295,49 @@ var figureList = []figure{
 	{id: "5.1", desc: "§5.1 summary: constant software overhead and peak bandwidths", build: tab51},
 	{
 		id: "3a", desc: "8-segment ping-pong over MX, one communicator per segment",
-		head:  Figure{Title: "8-segment ping-pong — latency over mx10g (one communicator per segment)", XLabel: segAxis, YLabel: latencyAxis, Notes: fig3Notes},
-		xs:    fig3SizesMX,
-		lines: sweep(madVsAll, func(im mpiImpl, x int) (float64, error) { return multiSegPingPong(im, mxRails(), x, 8) }),
+		head: Figure{Title: "8-segment ping-pong — latency over mx10g (one communicator per segment)", XLabel: segAxis, YLabel: latencyAxis, Notes: fig3Notes},
+		xs:   fig3SizesMX,
+		lines: sweep(madVsAll, func(im mpiImpl, x int, wk *sim.Work) (float64, error) {
+			return multiSegPingPong(wk, im, mxRails(), x, 8)
+		}),
 	},
 	{
 		id: "3b", desc: "16-segment ping-pong over MX",
-		head:  Figure{Title: "16-segment ping-pong — latency over mx10g (one communicator per segment)", XLabel: segAxis, YLabel: latencyAxis, Notes: fig3Notes},
-		xs:    fig3SizesMX,
-		lines: sweep(madVsAll, func(im mpiImpl, x int) (float64, error) { return multiSegPingPong(im, mxRails(), x, 16) }),
+		head: Figure{Title: "16-segment ping-pong — latency over mx10g (one communicator per segment)", XLabel: segAxis, YLabel: latencyAxis, Notes: fig3Notes},
+		xs:   fig3SizesMX,
+		lines: sweep(madVsAll, func(im mpiImpl, x int, wk *sim.Work) (float64, error) {
+			return multiSegPingPong(wk, im, mxRails(), x, 16)
+		}),
 	},
 	{
 		id: "3c", desc: "8-segment ping-pong over Quadrics",
-		head:  Figure{Title: "8-segment ping-pong — latency over qsnet2 (one communicator per segment)", XLabel: segAxis, YLabel: latencyAxis, Notes: fig3Notes},
-		xs:    fig3SizesQs,
-		lines: sweep(madVsMPICH, func(im mpiImpl, x int) (float64, error) { return multiSegPingPong(im, qsRails(), x, 8) }),
+		head: Figure{Title: "8-segment ping-pong — latency over qsnet2 (one communicator per segment)", XLabel: segAxis, YLabel: latencyAxis, Notes: fig3Notes},
+		xs:   fig3SizesQs,
+		lines: sweep(madVsMPICH, func(im mpiImpl, x int, wk *sim.Work) (float64, error) {
+			return multiSegPingPong(wk, im, qsRails(), x, 8)
+		}),
 	},
 	{
 		id: "3d", desc: "16-segment ping-pong over Quadrics",
-		head:  Figure{Title: "16-segment ping-pong — latency over qsnet2 (one communicator per segment)", XLabel: segAxis, YLabel: latencyAxis, Notes: fig3Notes},
-		xs:    fig3SizesQs,
-		lines: sweep(madVsMPICH, func(im mpiImpl, x int) (float64, error) { return multiSegPingPong(im, qsRails(), x, 16) }),
+		head: Figure{Title: "16-segment ping-pong — latency over qsnet2 (one communicator per segment)", XLabel: segAxis, YLabel: latencyAxis, Notes: fig3Notes},
+		xs:   fig3SizesQs,
+		lines: sweep(madVsMPICH, func(im mpiImpl, x int, wk *sim.Work) (float64, error) {
+			return multiSegPingPong(wk, im, qsRails(), x, 16)
+		}),
 	},
 	{
 		id: "4a", desc: "indexed-datatype (64B+256KB blocks) transfer time over MX",
 		head: Figure{Title: "Indexed datatype (64B + 256KB blocks) — transfer time over mx10g",
 			XLabel: "total message size (bytes)", YLabel: "transfer time (µs)", Notes: fig4Notes},
 		xs:    fig4Sizes,
-		lines: sweep(madVsAll, func(im mpiImpl, x int) (float64, error) { return datatypePingPong(im, mxRails(), x) }),
+		lines: sweep(madVsAll, func(im mpiImpl, x int, wk *sim.Work) (float64, error) { return datatypePingPong(wk, im, mxRails(), x) }),
 	},
 	{
 		id: "4b", desc: "indexed-datatype transfer time over Quadrics",
 		head: Figure{Title: "Indexed datatype (64B + 256KB blocks) — transfer time over qsnet2",
 			XLabel: "total message size (bytes)", YLabel: "transfer time (µs)", Notes: fig4Notes},
 		xs:    fig4Sizes,
-		lines: sweep(madVsMPICH, func(im mpiImpl, x int) (float64, error) { return datatypePingPong(im, qsRails(), x) }),
+		lines: sweep(madVsMPICH, func(im mpiImpl, x int, wk *sim.Work) (float64, error) { return datatypePingPong(wk, im, qsRails(), x) }),
 	},
 	{id: "incast", desc: "N-to-1 eager overload: receiver queue bound under credit flow control", build: figIncast},
 	{id: "allreduce", desc: "collective schedule engine: tree/pipelined-ring allreduce vs the seed blocking tree, size × nodes", build: figAllreduce},
@@ -339,7 +349,9 @@ var figureList = []figure{
 			Notes: []string{"default = FIFO without aggregation: the engine without its window"}},
 		xs: sizes(4, 4<<10),
 		lines: sweep([]mpiImpl{madMPI(core.DefaultOptions()), madMPI(strategy("default")), madMPI(strategy("prio")), mpichLike()},
-			func(im mpiImpl, x int) (float64, error) { return multiSegPingPong(im, mxRails(), x, 16) }),
+			func(im mpiImpl, x int, wk *sim.Work) (float64, error) {
+				return multiSegPingPong(wk, im, mxRails(), x, 16)
+			}),
 	},
 	{
 		// One large body over MX alone vs MX+Quadrics under the split strategy.
@@ -349,10 +361,10 @@ var figureList = []figure{
 		xs: sizes(64<<10, 16<<20),
 		lines: append(
 			sweep([]mpiImpl{variant("MadMPI (MX only)", func(*core.Options) {})},
-				func(im mpiImpl, x int) (float64, error) { return rawPingPong(im, mxRails(), x) }),
+				func(im mpiImpl, x int, wk *sim.Work) (float64, error) { return rawPingPong(wk, im, mxRails(), x) }),
 			sweep([]mpiImpl{variant("MadMPI[split] (MX + Quadrics)", func(o *core.Options) { o.Strategy = "split" })},
-				func(im mpiImpl, x int) (float64, error) {
-					return rawPingPong(im, []simnet.Profile{simnet.MX10G(), simnet.QsNetII()}, x)
+				func(im mpiImpl, x int, wk *sim.Work) (float64, error) {
+					return rawPingPong(wk, im, []simnet.Profile{simnet.MX10G(), simnet.QsNetII()}, x)
 				})...),
 	},
 	{
@@ -367,7 +379,7 @@ var figureList = []figure{
 			variant("MadMPI[no-sched]", func(o *core.Options) { o.ScheduleOverhead = 0 }),
 			variant("MadMPI[zero-overhead]", func(o *core.Options) { o.SubmitOverhead, o.ScheduleOverhead = 0, 0 }),
 			mpichLike(),
-		}, func(im mpiImpl, x int) (float64, error) { return rawPingPong(im, mxRails(), x) }),
+		}, func(im mpiImpl, x int, wk *sim.Work) (float64, error) { return rawPingPong(wk, im, mxRails(), x) }),
 	},
 	{
 		// The threshold lives in the profile: each line has its own MX rail.
@@ -381,7 +393,7 @@ var figureList = []figure{
 			impl := madMPI(core.DefaultOptions())
 			return line{
 				Series{Label: fmt.Sprintf("MadMPI[rdv=%dK]", thr>>10), Strategy: impl.Strategy, EngineOptions: impl.EngineOptions},
-				func(x int) (float64, error) { return rawPingPong(impl, []simnet.Profile{prof}, x) },
+				func(x int, wk *sim.Work) (float64, error) { return rawPingPong(wk, impl, []simnet.Profile{prof}, x) },
 			}
 		}),
 	},
@@ -399,7 +411,9 @@ var figureList = []figure{
 			variant("anticipate", func(o *core.Options) { o.Anticipate = true }),
 			variant("flush-4", func(o *core.Options) { o.FlushBacklog = 4 }),
 			variant("flush-8", func(o *core.Options) { o.FlushBacklog = 8 }),
-		}, func(im mpiImpl, x int) (float64, error) { return multiSegPingPong(im, mxRails(), x, 16) }),
+		}, func(im mpiImpl, x int, wk *sim.Work) (float64, error) {
+			return multiSegPingPong(wk, im, mxRails(), x, 16)
+		}),
 	},
 	{
 		// The multiplexing scenario of §2: under the prio strategy the
@@ -413,8 +427,8 @@ var figureList = []figure{
 			variant("MadMPI[prio]+priority-flag", func(o *core.Options) { o.Strategy = "prio" }),
 			variant("MadMPI[aggreg]", func(*core.Options) {}),
 			mpichLike(),
-		}, func(im mpiImpl, x int) (float64, error) {
-			return compositeControlLatency(im, mxRails(), x, 16, im.Strategy == "prio")
+		}, func(im mpiImpl, x int, wk *sim.Work) (float64, error) {
+			return compositeControlLatency(wk, im, mxRails(), x, 16, im.Strategy == "prio")
 		}),
 	},
 	{
@@ -427,8 +441,8 @@ var figureList = []figure{
 			Notes: []string{"cold = nominal-bandwidth plan; warmed = plan from sampled functional bandwidth"}},
 		xs: []int{2 << 20, 4 << 20, 8 << 20},
 		lines: []line{
-			{Series{Label: "cold (nominal plan)", Strategy: "split"}, func(x int) (float64, error) { return congestedTransfer(x, 0.3, 0) }},
-			{Series{Label: "warmed (sampled plan)", Strategy: "split"}, func(x int) (float64, error) { return congestedTransfer(x, 0.3, 4) }},
+			{Series{Label: "cold (nominal plan)", Strategy: "split"}, func(x int, wk *sim.Work) (float64, error) { return congestedTransfer(wk, x, 0.3, 0) }},
+			{Series{Label: "warmed (sampled plan)", Strategy: "split"}, func(x int, wk *sim.Work) (float64, error) { return congestedTransfer(wk, x, 0.3, 4) }},
 		},
 	},
 	{id: "scale-nodes", desc: "collective completion vs emulated job size, 8..1024 nodes, lossless vs 1% drop", build: figScaleNodes},
@@ -446,8 +460,8 @@ var figureList = []figure{
 			opts.Reliability = true
 			return line{
 				Series{Label: "MadMPI[" + strat + "]", Strategy: strat, EngineOptions: summarizeOptions(opts), Seed: faultSeed, Faults: "drop swept 0..30%"},
-				func(pct int) (float64, error) {
-					rep, err := runPhase(8, opts, float64(pct)/100, faultSeed, scenario.PhaseSpec{Kind: "ring", Msgs: 16, Size: 256, Count: 1})
+				func(pct int, wk *sim.Work) (float64, error) {
+					rep, err := runPhase(wk, 8, opts, float64(pct)/100, faultSeed, scenario.PhaseSpec{Kind: "ring", Msgs: 16, Size: 256, Count: 1})
 					if err != nil {
 						return 0, err
 					}
@@ -480,10 +494,14 @@ func Figures() []FigureInfo {
 }
 
 // Run regenerates one figure by id.
-func Run(id string) (Figure, error) {
+func Run(id string) (Figure, error) { return runFigure(id, nil) }
+
+// runFigure regenerates figure id, every world it builds counting its
+// work into wk (nil: none does).
+func runFigure(id string, wk *sim.Work) (Figure, error) {
 	for _, e := range figureList {
 		if e.id == id {
-			return e.run()
+			return e.run(wk)
 		}
 	}
 	return Figure{}, fmt.Errorf("bench: unknown figure %q (have %v)", id, FigureIDs())

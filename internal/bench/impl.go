@@ -219,8 +219,8 @@ func toBaselineSegs(segs []seg) []baseline.Segment {
 
 // start builds a fresh two-node world over the given rails and the
 // implementation's two ranks on it, ready to spawn into.
-func (im mpiImpl) start(profs []simnet.Profile) (*sim.Group, mpiPeer, mpiPeer, error) {
-	f, err := simnet.Machine{Nodes: 2, Rails: profs}.Build()
+func (im mpiImpl) start(wk *sim.Work, profs []simnet.Profile) (*sim.Group, mpiPeer, mpiPeer, error) {
+	f, err := build(wk, simnet.Machine{Nodes: 2, Rails: profs})
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("bench: %w", err)
 	}

@@ -8,7 +8,9 @@ import (
 )
 
 // Runners for the three workloads of §5. Each returns the mean one-way
-// transfer time in virtual microseconds.
+// transfer time in virtual microseconds. Here and in every measurement of
+// the package, wk is the Work the measured worlds count into (nil: not
+// counting).
 
 // defaultWarmup and defaultIters: the simulation is deterministic, so a
 // couple of warmup round-trips (to establish gates and reach steady
@@ -26,8 +28,8 @@ type exchange func(p *sim.Proc, peer mpiPeer, me int) error
 // only in what a ping sends and what a pong receives: rank 0 sends then
 // receives, rank 1 mirrors it, and the clock is read on rank 0 around
 // the measured iterations. what labels the error of a failed run.
-func pingPong(impl mpiImpl, profs []simnet.Profile, what string, send, recv exchange) (float64, error) {
-	g, p0, p1, err := impl.start(profs)
+func pingPong(wk *sim.Work, impl mpiImpl, profs []simnet.Profile, what string, send, recv exchange) (float64, error) {
+	g, p0, p1, err := impl.start(wk, profs)
 	if err != nil {
 		return 0, err
 	}
@@ -63,9 +65,9 @@ func pingPong(impl mpiImpl, profs []simnet.Profile, what string, send, recv exch
 
 // rawPingPong runs the §5.1 workload: a single-segment ping-pong of the
 // given size, returning the one-way latency in µs.
-func rawPingPong(impl mpiImpl, profs []simnet.Profile, size int) (float64, error) {
+func rawPingPong(wk *sim.Work, impl mpiImpl, profs []simnet.Profile, size int) (float64, error) {
 	buf := [2][]byte{make([]byte, size), make([]byte, size)}
-	return pingPong(impl, profs, fmt.Sprintf("ping-pong(%s, %d)", impl.Name, size),
+	return pingPong(wk, impl, profs, fmt.Sprintf("ping-pong(%s, %d)", impl.Name, size),
 		func(p *sim.Proc, peer mpiPeer, me int) error { return peer.Isend(p, buf[me], 1-me, 0, 0).Wait(p) },
 		func(p *sim.Proc, peer mpiPeer, me int) error { return peer.Irecv(p, buf[me], 1-me, 0, 0).Wait(p) })
 }
@@ -74,7 +76,7 @@ func rawPingPong(impl mpiImpl, profs []simnet.Profile, size int) (float64, error
 // independent Isends of segSize bytes, each on its own communicator
 // (showing that the optimization scope is global), completed by Wait on
 // every request. Returns the one-way latency in µs.
-func multiSegPingPong(impl mpiImpl, profs []simnet.Profile, segSize, nsegs int) (float64, error) {
+func multiSegPingPong(wk *sim.Work, impl mpiImpl, profs []simnet.Profile, segSize, nsegs int) (float64, error) {
 	var bufs [2][][]byte
 	for me := range bufs {
 		bufs[me] = make([][]byte, nsegs)
@@ -93,7 +95,7 @@ func multiSegPingPong(impl mpiImpl, profs []simnet.Profile, segSize, nsegs int) 
 			return waitEach(p, reqs)
 		}
 	}
-	return pingPong(impl, profs, fmt.Sprintf("multiseg(%s, %d x %d)", impl.Name, nsegs, segSize),
+	return pingPong(wk, impl, profs, fmt.Sprintf("multiseg(%s, %d x %d)", impl.Name, nsegs, segSize),
 		all(mpiPeer.Isend), all(mpiPeer.Irecv))
 }
 
@@ -137,11 +139,11 @@ func datatypeExtent(total int) int {
 // datatypePingPong runs the §5.3 workload: a ping-pong of the indexed
 // datatype (small/large block pairs) totalling total bytes. Returns the
 // one-way transfer time in µs.
-func datatypePingPong(impl mpiImpl, profs []simnet.Profile, total int) (float64, error) {
+func datatypePingPong(wk *sim.Work, impl mpiImpl, profs []simnet.Profile, total int) (float64, error) {
 	segs := paperDatatypeSegs(total)
 	extent := datatypeExtent(total)
 	base := [2][]byte{make([]byte, extent), make([]byte, extent)}
-	return pingPong(impl, profs, fmt.Sprintf("datatype(%s, %d)", impl.Name, total),
+	return pingPong(wk, impl, profs, fmt.Sprintf("datatype(%s, %d)", impl.Name, total),
 		func(p *sim.Proc, peer mpiPeer, me int) error { return peer.SendTyped(p, base[me], segs, 1-me, 0, 0) },
 		func(p *sim.Proc, peer mpiPeer, me int) error { return peer.RecvTyped(p, base[me], segs, 1-me, 0, 0) })
 }

@@ -5,6 +5,7 @@ import (
 
 	"nmad/internal/core"
 	"nmad/internal/replay"
+	"nmad/internal/sim"
 )
 
 // figReplayAB is the trace-driven replay A/B figure: the canonical
@@ -13,7 +14,7 @@ import (
 // submission instants, same sizes, same flows — is re-driven under each
 // strategy. Unlike live ablations, the submission timing cannot drift
 // with the schedule, so the deltas are pure strategy effects.
-func figReplayAB() (Figure, error) {
+func figReplayAB(wk *sim.Work) (Figure, error) {
 	fig := Figure{
 		ID:     "replay-ab",
 		Title:  "Trace-driven replay A/B — strategies on the recorded composite workload (MX)",
@@ -41,7 +42,7 @@ func figReplayAB() (Figure, error) {
 			return fig, fmt.Errorf("bench: replay-ab recording (bulk %d): %w", bulk, err)
 		}
 		for _, s := range strategies {
-			res, err := replay.Run(rec, replay.Config{Strategy: s})
+			res, err := replay.Run(rec, replay.Config{Strategy: s, Work: wk})
 			if err != nil {
 				return fig, fmt.Errorf("bench: replay-ab %s (bulk %d): %w", s, bulk, err)
 			}

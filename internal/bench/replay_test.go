@@ -7,7 +7,7 @@ import "testing"
 // (packet count, completion) may differ. And the aggregating strategy
 // can never lose to the window-less default on the composite workload.
 func TestReplayABFigure(t *testing.T) {
-	fig, err := figReplayAB()
+	fig, err := figReplayAB(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

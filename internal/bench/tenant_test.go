@@ -6,7 +6,7 @@ import (
 )
 
 func TestTenantIsolationBound(t *testing.T) {
-	unloaded, err := tenantIsolation(0)
+	unloaded, err := tenantIsolation(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +18,7 @@ func TestTenantIsolationBound(t *testing.T) {
 		t.Errorf("unloaded: jobs completed/rejected = %d/%d, want 1/0", st.JobsCompleted, st.JobsRejected)
 	}
 	for _, msgs := range []int{8, 32, 128} {
-		rep, err := tenantIsolation(msgs)
+		rep, err := tenantIsolation(nil, msgs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,11 +41,11 @@ func TestTenantIsolationBound(t *testing.T) {
 }
 
 func TestTenantIsolationDeterministic(t *testing.T) {
-	a, err := tenantIsolation(32)
+	a, err := tenantIsolation(nil, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := tenantIsolation(32)
+	b, err := tenantIsolation(nil, 32)
 	if err != nil {
 		t.Fatal(err)
 	}

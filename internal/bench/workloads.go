@@ -20,8 +20,8 @@ import (
 // delivery latency in µs — the figure of merit for multiplexing quality.
 // prio selects the engine's priority flag for the control message (only
 // meaningful for MAD-MPI).
-func compositeControlLatency(impl mpiImpl, profs []simnet.Profile, bulkSize, nbulk int, prio bool) (float64, error) {
-	g, p0, p1, err := impl.start(profs)
+func compositeControlLatency(wk *sim.Work, impl mpiImpl, profs []simnet.Profile, bulkSize, nbulk int, prio bool) (float64, error) {
+	g, p0, p1, err := impl.start(wk, profs)
 	if err != nil {
 		return 0, err
 	}
@@ -70,8 +70,8 @@ func compositeControlLatency(impl mpiImpl, profs []simnet.Profile, bulkSize, nbu
 // bandwidth and the split strategy rebalances; with warmup == 0 the plan
 // uses nominal figures and overloads the congested rail. Returns the
 // measured transfer's one-way time in µs.
-func congestedTransfer(size int, mxScale float64, warmup int) (float64, error) {
-	f, err := simnet.Machine{Nodes: 2, Rails: []simnet.Profile{simnet.MX10G(), simnet.QsNetII()}}.Build()
+func congestedTransfer(wk *sim.Work, size int, mxScale float64, warmup int) (float64, error) {
+	f, err := build(wk, simnet.Machine{Nodes: 2, Rails: []simnet.Profile{simnet.MX10G(), simnet.QsNetII()}})
 	if err != nil {
 		return 0, err
 	}

@@ -471,13 +471,21 @@ func (e *Engine) traceEvent(kind trace.Kind, peer simnet.NodeID, rail int, tag T
 	})
 }
 
-// recordSend appends one application-level send to the attached
-// recording (Options.Record): called at entry, before the submit
+// The application-level operations an engine was handed: the op a work
+// count is per.
+var (
+	cSends = sim.Counter("core.sends")
+	cRecvs = sim.Counter("core.recvs")
+)
+
+// recordSend counts one application-level send and appends it to the
+// attached recording (Options.Record): called at entry, before the submit
 // overhead is charged, so replay re-drives the call at the same instant
 // and pays the same costs. The segment lengths go in from the stack:
 // RecordOp copies them, and the Engine has no word to spare for a scratch
 // (it fills its malloc size class, see doc.go).
 func (e *Engine) recordSend(g *Gate, tag Tag, iov iovec, cfg sendConfig) {
+	e.world.Count(cSends)
 	if e.opts.Record == nil {
 		return
 	}
@@ -496,9 +504,11 @@ func (e *Engine) recordSend(g *Gate, tag Tag, iov iovec, cfg sendConfig) {
 	})
 }
 
-// recordRecv appends one application-level receive posting to the
-// attached recording, its segment lengths from the stack like a send's.
+// recordRecv counts one application-level receive posting and appends
+// it to the attached recording, its segment lengths from the stack like a
+// send's.
 func (e *Engine) recordRecv(g *Gate, req *RecvRequest) {
+	e.world.Count(cRecvs)
 	if e.opts.Record == nil {
 		return
 	}
@@ -644,12 +654,12 @@ func (e *Engine) prepare(g *Gate, r *rail) {
 		return
 	}
 	oversized := e.oversized[:0]
-	g.win.scan(r.idx, func(pw *packet) bool {
+	e.countWalk(g.win.scan(r.idx, func(pw *packet) bool {
 		if pw.kind == kindData && pw.payloadLen() >= threshold {
 			oversized = append(oversized, pw)
 		}
 		return true
-	})
+	}))
 	for _, pw := range oversized {
 		e.convertToRTS(pw)
 	}

@@ -295,7 +295,7 @@ func (g *Gate) Send(p *sim.Proc, tag Tag, data []byte) error {
 // send submits data on an engine-owned request, waits it out and files
 // the request back (pool.go has the ownership rule that allows it).
 func (g *Gate) send(p *sim.Proc, tag Tag, data []byte, cfg sendConfig) error {
-	req := g.eng.freeSends.get()
+	req := g.eng.freeSends.get(g.eng.world, cMissSends)
 	g.isendIov(req, p, tag, singleIov(data), cfg)
 	err := req.Wait(p)
 	g.eng.freeSendRequest(req)
@@ -385,7 +385,7 @@ func (g *Gate) Recv(p *sim.Proc, tag Tag, buf []byte) (int, error) {
 // (ErrTruncated). As for Send, the request is the engine's and goes back
 // on its list before RecvMasked returns.
 func (g *Gate) RecvMasked(p *sim.Proc, want, mask Tag, buf []byte) (n int, tag Tag, err error) {
-	req := g.eng.freeRecvs.get()
+	req := g.eng.freeRecvs.get(g.eng.world, cMissRecvs)
 	IrecvMaskedInto(req, g, p, want, mask, buf, nil)
 	err = req.Wait(p)
 	n, tag = req.n, req.tag

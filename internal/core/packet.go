@@ -184,18 +184,34 @@ func (w *window) pending(driver int) int {
 // scan visits, in submission order, every wrapper the given driver could
 // send (its pinned list first, then the common list). The visit function
 // returns false to stop early. Wrappers must not be removed during a scan;
-// strategies collect candidates and then call take.
-func (w *window) scan(driver int, visit func(pw *packet) bool) {
+// strategies collect candidates and then call take. It returns how many
+// wrappers it showed visit, for the caller to count (countWalk).
+func (w *window) scan(driver int, visit func(pw *packet) bool) (shown int) {
 	for _, pw := range w.perDriver[driver] {
+		shown++
 		if !visit(pw) {
-			return
+			return shown
 		}
 	}
 	for _, pw := range w.common {
+		shown++
 		if !visit(pw) {
-			return
+			return shown
 		}
 	}
+	return shown
+}
+
+var (
+	cWalks = sim.Counter("core.window_walks")
+	cShown = sim.Counter("core.wrappers_shown")
+)
+
+// countWalk counts one scan of a window in the world: the walk, and the
+// wrappers it showed its visitor.
+func (e *Engine) countWalk(shown int) {
+	e.world.Count(cWalks)
+	e.world.Add(cShown, shown)
 }
 
 // take removes the given wrappers from their submission lists. Wrappers

@@ -91,13 +91,28 @@ import (
 // replay).
 
 // freeList is the one free list: a stack of recycled *T. get pops one, or
-// allocates a zero T when the stack is empty; put takes back a T its
-// caller has reset.
+// allocates a zero T when the stack is empty and counts the miss; put
+// takes back a T its caller has reset.
 type freeList[T any] []*T
 
-func (l *freeList[T]) get() *T {
+// One miss counter per free list: the objects a run had to make.
+var (
+	cMissPackets   = sim.Counter("core.misses.packets")
+	cMissOutputs   = sim.Counter("core.misses.outputs")
+	cMissInEntries = sim.Counter("core.misses.in_entries")
+	cMissRecvDones = sim.Counter("core.misses.recv_dones")
+	cMissSends     = sim.Counter("core.misses.send_requests")
+	cMissRecvs     = sim.Counter("core.misses.recv_requests")
+	cMissRdvSends  = sim.Counter("core.misses.rdv_sends")
+	cMissRdvRecvs  = sim.Counter("core.misses.rdv_recvs")
+	cMissChains    = sim.Counter("core.misses.rdma_chains")
+	cMissLinks     = sim.Counter("core.misses.link_frames")
+)
+
+func (l *freeList[T]) get(w *sim.World, miss sim.CounterID) *T {
 	n := len(*l) - 1
 	if n < 0 {
+		w.Count(miss)
 		return new(T)
 	}
 	v := (*l)[n]
@@ -114,7 +129,7 @@ func (l *freeList[T]) put(v *T) { *l = append(*l, v) }
 // segment headers are copied into the wrapper-owned backing array (kept
 // across recycles), never aliasing the caller's slice.
 func (e *Engine) newPacket(g *Gate, h header, driver int, iov iovec, req *SendRequest) *packet {
-	pw := e.freePkts.get()
+	pw := e.freePkts.get(e.world, cMissPackets)
 	pw.gate = g
 	pw.kind, pw.flags, pw.tag, pw.seq, pw.size, pw.aux = h.kind, h.flags, h.tag, h.seq, h.length, h.aux
 	pw.iov = append(pw.iov, iov...)
@@ -139,7 +154,7 @@ func (e *Engine) freePacket(pw *packet) {
 // newOutput returns an empty output train, reusing a recycled one's
 // entries backing array and bound callbacks.
 func (e *Engine) newOutput() *output {
-	out := e.freeOuts.get()
+	out := e.freeOuts.get(e.world, cMissOutputs)
 	if out.onSent == nil { // fresh, not recycled
 		out.onReady, out.onSent = out.ready, out.sent
 	}
@@ -161,7 +176,7 @@ func (e *Engine) freeOutput(out *output) {
 // unexpected arrival), recycled when possible. The entry takes its own
 // reference to fr, the frame payload is a slice of.
 func (e *Engine) newInEntry(h header, payload []byte, fr *simnet.Frame) *inEntry {
-	ent := e.freeEnts.get()
+	ent := e.freeEnts.get(e.world, cMissInEntries)
 	fr.Retain()
 	*ent = inEntry{h: h, payload: payload, frame: fr}
 	return ent
@@ -195,7 +210,7 @@ type recvDone struct {
 
 // completeAfter completes r with err once delay has elapsed.
 func (e *Engine) completeAfter(delay sim.Time, r *RecvRequest, err error) {
-	d := e.freeDone.get()
+	d := e.freeDone.get(e.world, cMissRecvDones)
 	if d.fire == nil { // fresh, not recycled
 		d.eng, d.fire = e, d.run
 	}

@@ -89,7 +89,7 @@ func (rs *rdvSend) retire() {
 // the record's old (cleared) backing, which the wrapper keeps, so neither
 // side regrows one.
 func (e *Engine) newRdvSend(id uint32, pw *packet) *rdvSend {
-	rs := e.freeRdvSends.get()
+	rs := e.freeRdvSends.get(e.world, cMissRdvSends)
 	rs.eng = e
 	rs.id, rs.gate, rs.tag, rs.req, rs.live = id, pw.gate, pw.tag, pw.req, true
 	rs.body, pw.iov = pw.iov, rs.body
@@ -334,7 +334,7 @@ func (e *Engine) grantRdv(g *Gate, r *RecvRequest, h header) {
 		r.complete(err)
 		return
 	}
-	rr := e.freeRdvRecvs.get()
+	rr := e.freeRdvRecvs.get(e.world, cMissRdvRecvs)
 	rr.eng = e
 	rr.gate, rr.key, rr.tag, rr.req, rr.live = g, rdvKey{src: g.peer, id: h.aux}, h.tag, r, true
 	rr.remaining, rr.granted, rr.total = grant, grant, int(h.length)
@@ -569,7 +569,7 @@ type rdmaChain struct {
 // newChain starts a recycled chain on rail r at share i of the stream
 // whose plan ends at end.
 func (e *Engine) newChain(rs *rdvSend, r *rail, reissue bool, i, end int) *rdmaChain {
-	c := e.freeChains.get()
+	c := e.freeChains.get(e.world, cMissChains)
 	if c.sentFn == nil { // fresh, not recycled
 		c.sentFn = c.sent
 	}

@@ -127,7 +127,7 @@ func appendLinkHeader(dst []byte, sub uint32, seq uint32, floor uint32) []byte {
 // the wrappers even with retransmissions ahead.
 func (e *Engine) linkSend(out *output) {
 	g := out.gate
-	fr := e.freeLinks.get()
+	fr := e.freeLinks.get(e.world, cMissLinks)
 	if fr.armFn == nil { // fresh, not recycled
 		fr.eng, fr.armFn, fr.expireFn = e, fr.arm, fr.expire
 	}

@@ -1,6 +1,9 @@
 package core
 
-import "nmad/sched"
+import (
+	"nmad/internal/sim"
+	"nmad/sched"
+)
 
 // The engine's side of the public scheduling SPI (package sched): this
 // file adapts the internal window and packet wrappers to the read-only
@@ -57,17 +60,17 @@ func (v *windowView) Scan(visit func(sched.Wrapper) bool) {
 // another rail keeps the count above zero, and the scan walks the whole
 // view.
 func (g *Gate) scanEligible(drv int, visit func(pw *packet) bool) {
+	e := g.eng
 	queue := g.dataWindow()
-	if g.eng.opts.Credits == 0 || g.credits >= len(queue) {
+	if e.opts.Credits == 0 || g.credits >= len(queue) {
 		// Flow control off, or the budget covers the whole backlog:
 		// nothing to hide, skip the filter entirely.
-		g.win.scan(drv, visit)
+		e.countWalk(g.win.scan(drv, visit))
 		return
 	}
 	// Stamp the credit window — the first `credits` FIFO entries — with
 	// a fresh generation so the scan filters with one comparison per
 	// wrapper, not a membership probe per entry.
-	e := g.eng
 	e.creditGen++
 	data := 0 // stamped wrappers this rail can see
 	if g.credits > 0 {
@@ -82,7 +85,7 @@ func (g *Gate) scanEligible(drv int, visit func(pw *packet) bool) {
 	if data == 0 && other == 0 {
 		return
 	}
-	g.win.scan(drv, func(pw *packet) bool {
+	e.countWalk(g.win.scan(drv, func(pw *packet) bool {
 		switch {
 		case pw.kind != kindData:
 			other--
@@ -92,7 +95,7 @@ func (g *Gate) scanEligible(drv int, visit func(pw *packet) bool) {
 			data--
 		}
 		return visit(pw) && (data > 0 || other > 0)
-	})
+	}))
 }
 
 // wrapperView builds the SPI descriptor of one wrapper: the per-packet
@@ -153,6 +156,11 @@ func (e *Engine) liveRails() []sched.RailInfo {
 	return live
 }
 
+var (
+	cElections      = sim.Counter("core.elections")       // strategy Elect calls
+	cEmptyElections = sim.Counter("core.elections_empty") // of which nothing valid was elected
+)
+
 // electOutput runs the strategy for one (gate, rail) pair and converts
 // its election into an output that records both, enforcing the SPI
 // contract: a pick must have been shown by this Elect call's Scan (not
@@ -172,8 +180,10 @@ func (e *Engine) electOutput(g *Gate, r *rail) *output {
 	// value shared between engines) are rejected explicitly, since the
 	// stamp alone does not tell them apart.
 	e.electGen++
+	e.world.Count(cElections)
 	el := e.strat.Elect(&g.views[r.idx], info)
 	if el.Empty() {
+		e.world.Count(cEmptyElections)
 		return nil
 	}
 	maxSegs := info.Caps.MaxSegments
@@ -194,6 +204,7 @@ func (e *Engine) electOutput(g *Gate, r *rail) *output {
 		out.add(pw)
 	}
 	if len(out.entries) == 0 {
+		e.world.Count(cEmptyElections)
 		e.freeOutput(out)
 		return nil
 	}

@@ -48,6 +48,17 @@ func CanonicalConfig() CompositeConfig {
 	}
 }
 
+// RingConfig is CanonicalConfig with its byte counts slimmed so that in a
+// composite ring the node count, not the payload, is what scales: the
+// ring the host-cost measurements replay.
+func RingConfig() CompositeConfig {
+	cfg := CanonicalConfig()
+	cfg.Bulk = 2 << 10
+	cfg.NBulk = 8
+	cfg.Large = 32 << 10
+	return cfg
+}
+
 // Flow tags of the composite workload.
 const (
 	bulkTag  = core.Tag(1)

@@ -81,6 +81,9 @@ type Config struct {
 	// is seeded, the same faults hit the same packets — a lossy recording
 	// replays deterministically, retransmissions included.
 	DisableFaults bool
+	// Work, when non-nil, receives the replay's host-work counts
+	// (sim.World.CountWork).
+	Work *sim.Work
 }
 
 // Result is one replayed run: the schedule the configured engines
@@ -185,9 +188,11 @@ const maxOpBytes int64 = math.MaxUint32
 // outside input, and Recording.RecordOp checks nothing. It returns each
 // node's ops as indexes into ops, in recorded order, the payload size of
 // the largest op, the segment count of all of them and how many are
-// receives.
+// receives. The lists are windows of one flat index, each sized by a
+// counting pass, so a 1024-node ring makes three slices, not one growing
+// slice per node.
 func checkOps(ops []trace.Op, nodes, rails int) (perNode [][]int, maxBytes, segs, recvs int, err error) {
-	perNode = make([][]int, nodes)
+	starts := make([]int, nodes+1) // first counts node n's ops in starts[n+1]
 	for i, op := range ops {
 		if op.Node < 0 || op.Node >= nodes || op.Peer < 0 || op.Peer >= nodes {
 			return nil, 0, 0, 0, fmt.Errorf("replay: op %d addresses node %d -> %d outside the %d-node topology",
@@ -215,6 +220,17 @@ func checkOps(ops []trace.Op, nodes, rails int) (perNode [][]int, maxBytes, segs
 		}
 		maxBytes = max(maxBytes, total)
 		segs += len(op.Segs)
+		starts[op.Node+1]++
+	}
+	for n := range nodes {
+		starts[n+1] += starts[n]
+	}
+	flat := make([]int, len(ops))
+	perNode = make([][]int, nodes)
+	for n := range perNode {
+		perNode[n] = flat[starts[n]:starts[n]:starts[n+1]]
+	}
+	for i, op := range ops {
 		perNode[op.Node] = append(perNode[op.Node], i)
 	}
 	return perNode, maxBytes, segs, recvs, nil
@@ -239,6 +255,7 @@ func Run(rec *trace.Recording, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	f.World().CountWork(cfg.Work)
 
 	tracers := make([]*trace.Recorder, hdr.Nodes)
 	engines, err := core.NewEngines(f, func(node int) core.Options {

@@ -44,6 +44,9 @@ type Config struct {
 	Record *trace.Recording
 	// Verbose, when non-nil, streams phase/event progress lines.
 	Verbose io.Writer
+	// Work, when non-nil, receives the run's host-work counts
+	// (sim.World.CountWork).
+	Work *sim.Work
 }
 
 // PhaseReport is one phase's outcome in the report.
@@ -167,6 +170,7 @@ func Run(sc *Scenario, cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
 	w := f.World()
+	w.CountWork(cfg.Work)
 	r := &runner{
 		cfg: cfg, world: w, fabric: f,
 		snapshots: map[string]*snapshot{},

@@ -125,7 +125,9 @@ func (q *eventQueue) nextWake() slotLink {
 // push queues fn (a wake-up if wake is wakeBit) at at and returns its
 // slot: on the FIFO if at is not after now (an earlier at is clamped to
 // now), else on an open or new bucket for at, its key sifted up the heap.
-func (q *eventQueue) push(now, at Time, seq uint64, fn func(), wake slotLink) slotLink {
+// The event, and a new bucket, are counted in wk.
+func (q *eventQueue) push(now, at Time, seq uint64, fn func(), wake slotLink, wk *Work) slotLink {
+	wk.add(cEvents, 1)
 	if q.free == 0 {
 		q.extend()
 	}
@@ -149,6 +151,7 @@ func (q *eventQueue) push(now, at Time, seq uint64, fn func(), wake slotLink) sl
 		}
 	}
 	s.last |= l
+	wk.add(cBuckets, 1)
 	q.newest = (q.newest + 1) % openBuckets
 	q.open[q.newest] = openBucket{at: at, first: l}
 	h := q.heap

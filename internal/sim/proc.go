@@ -109,6 +109,10 @@ func (p *Proc) Sleep(d Time) {
 	at := w.after(max(d, 0))
 	if w.cur == p && !w.stopped && (!w.bounded || at <= w.limit) && w.queue.firesNext(at) {
 		w.seq++
+		if wk := w.work; wk != nil {
+			wk.n[cEvents]++
+			wk.n[cInPlace]++
+		}
 		w.now = at
 		return
 	}
@@ -186,6 +190,7 @@ func (p *Proc) block() bool {
 			}
 			w.now, _ = w.queue.pop(w.now)
 			p.wake = 0
+			w.work.add(cInPlace, 1)
 			return true
 		}
 		var fn func()

@@ -31,6 +31,8 @@ type World struct {
 	stopped bool
 	bounded bool // inside RunUntil: events due after limit stay queued
 	limit   Time
+
+	work *Work // where the world counts its work, nil when it does not (work.go)
 }
 
 // NewWorld returns an empty world with the clock at zero.
@@ -46,13 +48,13 @@ func (w *World) Now() Time { return w.now }
 // conditions and complete requests, but it must not block.
 func (w *World) At(t Time, fn func()) {
 	w.seq++
-	w.queue.push(w.now, t, w.seq, fn, 0)
+	w.queue.push(w.now, t, w.seq, fn, 0, w.work)
 }
 
 // atProc schedules p's wake-up at t: Spawn's first step, Unpark, Sleep.
 func (w *World) atProc(t Time, p *Proc) {
 	w.seq++
-	p.wake = w.queue.push(w.now, t, w.seq, p.runFn, wakeBit)
+	p.wake = w.queue.push(w.now, t, w.seq, p.runFn, wakeBit, w.work)
 }
 
 // After schedules fn to run d from now. Negative d means now; a d that
@@ -143,6 +145,7 @@ func (w *World) runProc(p *Proc) {
 		panic("sim: runProc while another process is running")
 	}
 	w.cur, p.wake = p, 0
+	w.work.add(cResumes, 1)
 	defer func() { w.cur = nil }()
 	p.next()
 	if w.reraise != nil {

@@ -77,6 +77,7 @@ func NewFabric(w *sim.World, n int, host Host) *Fabric {
 		panic("simnet: fabric needs at least one node")
 	}
 	f := &Fabric{world: w}
+	f.frames.world = w
 	for i := 0; i < n; i++ {
 		f.nodes = append(f.nodes, &Node{ID: NodeID(i), host: host})
 	}

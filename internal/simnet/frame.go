@@ -1,6 +1,10 @@
 package simnet
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"nmad/internal/sim"
+)
 
 // Frame is the one representation of bytes held in flight below the
 // engine: a contiguous, reference-counted buffer that is filled once and
@@ -53,10 +57,23 @@ func (f *Frame) Release() {
 // allocated at exactly the size asked for, so a miss costs what the plain
 // make it replaces did and equal-sized traffic still hits every time.
 //
+// A size whose own class has no fit is served from the smallest
+// non-empty larger class, whose every frame fits: traffic whose sizes
+// rise wave by wave (a ring replay's nodes make frames of 2 072, 9 504,
+// 6 296, 24 and 1 048 bytes in turn, two in flight) reuses the larger
+// frames it has already made instead of making one per size.
+//
 // A nil *FrameList is valid and makes frames that are never recycled.
 type FrameList struct {
-	free [bits.UintSize]*Frame // per class, most recently released first
+	free  [bits.UintSize]*Frame // per class, most recently released first
+	world *sim.World            // where frames made, reused and filled are counted
 }
+
+var (
+	cFramesMade   = sim.Counter("simnet.frames_made")
+	cFramesReused = sim.Counter("simnet.frames_reused")
+	cBytesCopied  = sim.Counter("simnet.bytes_copied") // into frames, and placed by DMA reads
+)
 
 // frameScan bounds how many of a class's most recently released frames
 // New inspects for one large enough, keeping it O(1) however long the
@@ -71,6 +88,7 @@ func (l *FrameList) New(segs [][]byte) *Frame {
 		size += len(s)
 	}
 	f := l.take(size)
+	l.count(cBytesCopied, size)
 	buf := f.buf[:0]
 	for _, s := range segs {
 		buf = append(buf, s...)
@@ -80,19 +98,48 @@ func (l *FrameList) New(segs [][]byte) *Frame {
 }
 
 // take returns a frame of capacity >= size: a recycled one when the
-// size's class has a fit near the front, a fresh one otherwise.
+// size's class has a fit near the front, else as miss does.
 func (l *FrameList) take(size int) *Frame {
 	if l != nil {
 		link := &l.free[bits.Len(uint(size))]
 		for i := 0; *link != nil && i < frameScan; i++ {
-			f := *link
-			if cap(f.buf) >= size {
-				*link, f.next = f.next, nil
-				f.refs = 1
-				return f
+			if cap((*link).buf) >= size {
+				return l.reuse(link)
 			}
-			link = &f.next
+			link = &(*link).next
 		}
 	}
+	return l.miss(size)
+}
+
+// miss serves a size whose class has no fit: from the smallest non-empty
+// larger class, or a fresh frame. It is kept apart so that take inlines.
+func (l *FrameList) miss(size int) *Frame {
+	if l == nil {
+		return &Frame{buf: make([]byte, 0, size), refs: 1}
+	}
+	for c := bits.Len(uint(size)) + 1; c < len(l.free); c++ {
+		if l.free[c] != nil {
+			return l.reuse(&l.free[c])
+		}
+	}
+	l.count(cFramesMade, 1)
 	return &Frame{buf: make([]byte, 0, size), refs: 1, list: l}
+}
+
+// reuse unlinks the frame *link points at and hands it out with one
+// reference.
+func (l *FrameList) reuse(link **Frame) *Frame {
+	f := *link
+	*link, f.next = f.next, nil
+	f.refs = 1
+	l.count(cFramesReused, 1)
+	return f
+}
+
+// count adds n to counter c of the list's world, if it has one.
+func (l *FrameList) count(c sim.CounterID, n int) {
+	if l != nil && l.world != nil {
+		l.world.Add(c, n)
+	}
 }

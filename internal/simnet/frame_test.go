@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+
+	"nmad/internal/sim"
 )
 
 // listed counts the frames on the fabric's free list, failing on a chain
@@ -159,6 +161,44 @@ func TestFrameListSizing(t *testing.T) {
 	a.Release()
 	if b := l.New(seg(3_000_000)); b == a || cap(b.Bytes()) != 3_000_000 {
 		t.Error("a larger request was served by a frame too small for it")
+	}
+}
+
+// TestFrameListLargerClass: a size whose own class holds no fit takes a
+// frame of the smallest non-empty larger class, a fit in its own class
+// comes first, and a reused frame reads back at the length asked for, not
+// its capacity. The world counts each frame made and reused.
+func TestFrameListLargerClass(t *testing.T) {
+	w := sim.NewWorld()
+	var wk sim.Work
+	w.CountWork(&wk)
+	l := FrameList{world: w}
+	seg := func(n int) [][]byte { return [][]byte{make([]byte, n)} }
+	small, mid, big := l.New(seg(24)), l.New(seg(1_048)), l.New(seg(9_504))
+	small.Release()
+	mid.Release()
+	big.Release()
+
+	if f := l.New(seg(600)); f != mid || len(f.Bytes()) != 600 {
+		t.Errorf("a 600-byte request took %p of length %d, want the 1 048-byte frame %p (the smallest larger class) at length 600",
+			f, len(f.Bytes()), mid)
+	}
+	if f := l.New(seg(20)); f != small || len(f.Bytes()) != 20 {
+		t.Errorf("a 20-byte request took %p of length %d, want the 24-byte frame %p of its own class at length 20",
+			f, len(f.Bytes()), small)
+	}
+	if f := l.New(seg(9_000)); f != big || len(f.Bytes()) != 9_000 {
+		t.Errorf("a 9 000-byte request took %p of length %d, want the 9 504-byte frame %p of its own class",
+			f, len(f.Bytes()), big)
+	}
+	if f := l.New(seg(100)); f == small || f == mid || f == big || cap(f.Bytes()) != 100 {
+		t.Error("a request with every frame out was not made fresh at its size")
+	}
+	if made, reused := wk.Get("simnet.frames_made"), wk.Get("simnet.frames_reused"); made != 4 || reused != 3 {
+		t.Errorf("counted %d frames made and %d reused, want 4 and 3", made, reused)
+	}
+	if copied := wk.Get("simnet.bytes_copied"); copied != 24+1_048+9_504+600+20+9_000+100 {
+		t.Errorf("counted %d bytes copied into frames", copied)
 	}
 }
 

@@ -202,15 +202,29 @@ type flight struct {
 	pending uint8 // at most three: the completion and two deliveries
 }
 
+var (
+	cFlights     = sim.Counter("simnet.flights") // transactions submitted
+	cFlightsMade = sim.Counter("simnet.flights_made")
+)
+
 // newFlight draws a zeroed flight from the fabric's free list.
 func (f *Fabric) newFlight() *flight {
 	fl := f.flights
 	if fl == nil {
-		fl = new(flight)
-		fl.fireFn = fl.fire
-		return fl
+		return f.makeFlight()
 	}
 	f.flights, fl.next = fl.next, nil
+	return fl
+}
+
+// makeFlight is newFlight's miss: a fresh flight, its callback bound. It
+// is kept out of line so that newFlight, a submit's every call, inlines.
+//
+//go:noinline
+func (f *Fabric) makeFlight() *flight {
+	f.world.Count(cFlightsMade)
+	fl := new(flight)
+	fl.fireFn = fl.fire
 	return fl
 }
 
@@ -252,6 +266,7 @@ func (n *NIC) Submit(tx *Tx) error {
 	if p.MTU > 0 && size > p.MTU {
 		return fmt.Errorf("%w: %d bytes > MTU %d on %s", errOversized, size, p.MTU, p.Name)
 	}
+	n.net.fabric.world.Count(cFlights)
 	fl := n.net.fabric.newFlight()
 	fl.nic, fl.dst, fl.kind, fl.nsegs, fl.size, fl.aux, fl.onSent = n, int32(tx.Dst), tx.Kind, int32(nsegs), size, tx.Aux, tx.OnSent
 	switch {
@@ -398,14 +413,17 @@ func (fl *flight) sent() {
 func (fl *flight) dmaRead() {
 	if pl := fl.nic.net.nics[fl.dst].place; pl != nil {
 		src := fl.nic.node.ID
+		placed := 0
 		if fl.frame != nil {
 			pl.Place(src, fl.aux, 0, fl.frame.buf)
+			placed = len(fl.frame.buf)
 		}
 		at := 0
 		for _, s := range fl.segs {
 			pl.Place(src, fl.aux, at, s)
 			at += len(s)
 		}
+		fl.nic.net.fabric.world.Add(cBytesCopied, placed+at)
 	}
 	if fl.frame != nil {
 		fl.frame.Release()

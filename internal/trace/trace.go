@@ -135,10 +135,17 @@ func (r *Recorder) Record(ev Event) {
 	r.events = append(r.events, ev)
 }
 
-// Events returns the retained events in chronological order.
+// Events returns the retained events in chronological order. The slice
+// is read-only: an unbounded recorder returns its own storage, capped at
+// its length, so a later Record never shows through it and an append to
+// it copies. A ring recorder returns a copy, since once full it
+// overwrites its oldest slot in place, slot 0 included.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
+	}
+	if r.limit == 0 {
+		return r.events[:len(r.events):len(r.events)]
 	}
 	if r.start == 0 {
 		return append([]Event(nil), r.events...)

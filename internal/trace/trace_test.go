@@ -51,6 +51,48 @@ func TestUnboundedRecorderKeepsOrder(t *testing.T) {
 	}
 }
 
+// Events of an unbounded recorder is its own storage, not a copy: a run
+// that reads every node's timeline once pays for no second one. The
+// slice is capped at its length, so a later Record leaves it as it was
+// and an append to it cannot reach the recorder's next slot.
+func TestUnboundedEventsSharesStorage(t *testing.T) {
+	r := NewRecorder()
+	r.Record(Event{At: 1, Kind: Submit})
+	r.Record(Event{At: 2, Kind: Elect})
+	evs := r.Events()
+	if &evs[0] != &r.Events()[0] {
+		t.Error("an unbounded recorder's Events copied its storage")
+	}
+	if cap(evs) != len(evs) {
+		t.Errorf("Events has capacity %d past its length %d", cap(evs), len(evs))
+	}
+	_ = append(evs, Event{At: 99, Kind: Depart})
+	r.Record(Event{At: 3, Kind: Depart})
+	if len(evs) != 2 || evs[0].At != 1 || evs[1].At != 2 {
+		t.Errorf("a returned slice changed under later records: %v", evs)
+	}
+	if got := r.Events(); len(got) != 3 || got[2].At != 3 || got[2].Kind != Depart {
+		t.Errorf("events after an append to a returned slice: %v", got)
+	}
+}
+
+// A ring recorder still copies, even with its head at slot 0: once full
+// it overwrites slot 0 in place, which a shared slice would show.
+func TestRingEventsCopies(t *testing.T) {
+	r := NewRingRecorder(2)
+	r.Record(Event{At: 1, Kind: Submit})
+	r.Record(Event{At: 2, Kind: Submit})
+	evs := r.Events() // full, head at slot 0
+	r.Record(Event{At: 3, Kind: Submit})
+	r.Record(Event{At: 4, Kind: Submit}) // head back at slot 0
+	if evs[0].At != 1 || evs[1].At != 2 {
+		t.Errorf("a ring recorder's returned slice changed under later records: %v", evs)
+	}
+	if got := r.Events(); got[0].At != 3 || got[1].At != 4 {
+		t.Errorf("ring retained %v, want instants 3 and 4", got)
+	}
+}
+
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Record(Event{Kind: Submit})

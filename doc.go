@@ -112,7 +112,8 @@
 //     aging, per-tenant counters.
 //   - internal/baseline: MPICH-like and OpenMPI-like comparators.
 //   - internal/bench: the harness regenerating every evaluation figure,
-//     each pinned byte-for-byte by a golden under testdata/figures.
+//     each pinned byte-for-byte by a golden under
+//     internal/bench/testdata/figures.
 //   - internal/analysis, cmd/nmad-vet: the static-analysis suite
 //     enforcing the engine's invariants.
 //

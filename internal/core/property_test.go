@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"nmad/internal/sim"
 	"nmad/internal/simnet"
+	"nmad/internal/trace"
 )
 
 // Property-based tests: whatever the optimizer does to the packets —
@@ -37,6 +39,7 @@ func genWorkload(seed uint64) workload {
 		{simnet.QsNetII()},
 		{simnet.MX10G(), simnet.QsNetII()},
 		{simnet.GM2000()},
+		{simnet.SISCI()},
 	}
 	w := workload{
 		strategy: strategies[rng.Intn(len(strategies))],
@@ -69,13 +72,15 @@ func genWorkload(seed uint64) workload {
 }
 
 // runWorkload pushes the schedule one way and returns the received
-// payloads per tag, in delivery order.
-func runWorkload(t *testing.T, wl workload) map[Tag][][]byte {
+// payloads per tag, in delivery order. Both engines record into rec when
+// it is non-nil.
+func runWorkload(t *testing.T, wl workload, rec *trace.Recorder) map[Tag][][]byte {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.Strategy = wl.strategy
 	opts.Anticipate = wl.anticipate
 	opts.FlushBacklog = wl.flush
+	opts.Tracer = rec
 	w, e0, e1 := testWorld(t, opts, wl.profiles...)
 
 	perTag := map[Tag]int{}
@@ -94,8 +99,8 @@ func runWorkload(t *testing.T, wl workload) map[Tag][][]byte {
 	for tag, count := range perTag {
 		tag, count := tag, count
 		w.Spawn(fmt.Sprintf("recv-%d", tag), func(p *sim.Proc) {
+			buf := make([]byte, 300<<10)
 			for i := 0; i < count; i++ {
-				buf := make([]byte, 300<<10)
 				n, err := e1.Gate(0).Recv(p, tag, buf)
 				if err != nil {
 					t.Errorf("tag %d message %d: %v", tag, i, err)
@@ -112,7 +117,7 @@ func runWorkload(t *testing.T, wl workload) map[Tag][][]byte {
 func TestPropertyDeliveryIntactAndOrdered(t *testing.T) {
 	f := func(seed uint64) bool {
 		wl := genWorkload(seed)
-		got := runWorkload(t, wl)
+		got := runWorkload(t, wl, nil)
 		want := map[Tag][][]byte{}
 		for _, m := range wl.msgs {
 			want[m.tag] = append(want[m.tag], m.data)
@@ -137,6 +142,36 @@ func TestPropertyDeliveryIntactAndOrdered(t *testing.T) {
 	}
 }
 
+// TestPropertyTrainsDepartInElectionOrder: on one rail without faults,
+// trains reach the receiver in the order the sender elected them — the
+// k-th eager arrival is as long as the k-th election — on every
+// single-rail profile, those whose ports gather in software included.
+// A train elected while the NIC still copies a bounced one queues behind
+// it instead of overtaking it.
+func TestPropertyTrainsDepartInElectionOrder(t *testing.T) {
+	profiles := []simnet.Profile{simnet.MX10G(), simnet.QsNetII(), simnet.GM2000(), simnet.SISCI()}
+	for seed := uint64(1); seed <= 100; seed++ {
+		wl := genWorkload(seed)
+		for _, prof := range profiles {
+			wl.profiles = []simnet.Profile{prof}
+			rec := trace.NewRecorder()
+			runWorkload(t, wl, rec)
+			var elected, arrived []int
+			for _, ev := range rec.Events() {
+				switch {
+				case ev.Kind == trace.Elect && ev.Node == 0:
+					elected = append(elected, ev.Bytes)
+				case ev.Kind == trace.Arrive && ev.Node == 1 && ev.Note == simnet.TxEager.String():
+					arrived = append(arrived, ev.Bytes)
+				}
+			}
+			if !slices.Equal(elected, arrived) {
+				t.Errorf("%s seed %d (%s): trains elected %v arrive as %v", prof.Name, seed, wl.strategy, elected, arrived)
+			}
+		}
+	}
+}
+
 func TestPropertyStrategiesAgreeOnSemantics(t *testing.T) {
 	// The same schedule under every strategy yields byte-identical
 	// deliveries (timing differs; contents and order must not).
@@ -148,7 +183,7 @@ func TestPropertyStrategiesAgreeOnSemantics(t *testing.T) {
 		for _, strat := range []string{"default", "aggreg", "split", "prio", "adaptive"} {
 			wl := base
 			wl.strategy = strat
-			got := runWorkload(t, wl)
+			got := runWorkload(t, wl, nil)
 			if ref == nil {
 				ref = got
 				continue

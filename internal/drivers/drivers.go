@@ -86,9 +86,10 @@ var errNotOpen = errors.New("drivers: driver is not open")
 type port struct {
 	name string
 	// softSegments, when set, replaces the NIC's native gather capacity in
-	// the capability report: transactions with more segments than the NIC
-	// accepts are flattened into one contiguous bounce buffer, and the
-	// memcpy is charged to the host by delaying the NIC submission.
+	// the capability report: a transaction with more segments than the NIC
+	// accepts goes to it marked simnet.Tx.Bounce, and the NIC flattens it
+	// into one contiguous bounce buffer and charges the memcpy as part of
+	// the transaction's setup, busy from the post.
 	softSegments int
 }
 
@@ -208,32 +209,17 @@ func (b *base) SendFrame(dst simnet.NodeID, kind simnet.TxKind, fr *simnet.Frame
 	return b.post(&simnet.Tx{Dst: dst, Kind: kind, Frame: fr, NSegs: nsegs, Aux: aux, OnSent: onSent}, nsegs)
 }
 
-// post submits a transaction gathered from nsegs segments, through the
-// software gather when that is more than the NIC takes natively.
+// post submits a transaction gathered from nsegs segments, marked for
+// the NIC's software gather when that is more than it takes natively.
 func (b *base) post(tx *simnet.Tx, nsegs int) error {
 	if !b.open {
 		return errNotOpen
 	}
-	if nsegs <= b.nic.Profile().MaxSegments {
-		return b.nic.Submit(tx)
-	}
-	if nsegs > b.softSegments {
-		return fmt.Errorf("%w on %s: %d segments", simnet.ErrTooManySegments, b.name, nsegs)
-	}
-	// Software gather: the bounce buffer is the transaction's frame —
-	// flattened here unless the caller already did — and the memcpy is
-	// charged by delaying the submission of what is now one segment: a
-	// copy of the transaction, so that tx itself never leaves the stack.
-	bounced := *tx
-	if bounced.Frame == nil {
-		bounced.Frame, bounced.Segs = b.nic.Network().Frames().New(tx.Segs), nil
-	}
-	bounced.NSegs = 1
-	delay := b.nic.Node().CopyCost(len(bounced.Frame.Bytes()))
-	b.nic.Network().World().After(delay, func() {
-		if err := b.nic.Submit(&bounced); err != nil {
-			panic("drivers: bounce submit failed: " + err.Error())
+	if nsegs > b.nic.Profile().MaxSegments {
+		if nsegs > b.softSegments {
+			return fmt.Errorf("%w on %s: %d segments", simnet.ErrTooManySegments, b.name, nsegs)
 		}
-	})
-	return nil
+		tx.Bounce = true
+	}
+	return b.nic.Submit(tx)
 }

@@ -114,8 +114,10 @@ func TestOpenSendReceiveClose(t *testing.T) {
 
 func TestGMBouncesLongGatherLists(t *testing.T) {
 	// GM's NIC takes 2 segments; the driver must still accept more by
-	// flattening, and the flattened packet must arrive intact and *later*
-	// than a native 2-segment send (the bounce memcpy costs time).
+	// flattening, and the flattened packet must arrive intact and later
+	// than a native 2-segment send by exactly the bounce memcpy, less the
+	// PerSegment charge of the segment it saves: the copy is charged
+	// once, by the NIC.
 	deliver := func(nsegs int) (string, sim.Time) {
 		w, d0, d1 := pair(t, simnet.GM2000())
 		var got []byte
@@ -147,8 +149,10 @@ func TestGMBouncesLongGatherLists(t *testing.T) {
 	if len(native) != 4096 || len(bounced) != 4096 {
 		t.Fatalf("payload sizes %d / %d, want 4096", len(native), len(bounced))
 	}
-	if bouncedAt <= nativeAt {
-		t.Errorf("bounced 8-segment send arrived at %v, native at %v: the bounce copy must cost time", bouncedAt, nativeAt)
+	host := simnet.NewFabric(sim.NewWorld(), 1, simnet.DefaultHost()).Node(0)
+	if want := host.CopyCost(4096) - simnet.GM2000().PerSegment; bouncedAt-nativeAt != want {
+		t.Errorf("bounced 8-segment send arrived at %v, native at %v: %v later, want the bounce copy less one segment, %v",
+			bouncedAt, nativeAt, bouncedAt-nativeAt, want)
 	}
 	for i := 0; i < 8; i++ {
 		if bounced[i*512] != byte(i) {
@@ -228,6 +232,93 @@ func TestSendFrameTimedLikeItsGatherList(t *testing.T) {
 	err := d0.SendFrame(1, simnet.TxEager, list.New([][]byte{{1}}), d0.Caps().MaxSegments+1, 0, nil)
 	if !errors.Is(err, simnet.ErrTooManySegments) {
 		t.Errorf("frame shaped beyond the soft limit: err = %v, want ErrTooManySegments", err)
+	}
+}
+
+// eightSegments is a 4 KB gather list of 8 segments, segment i filled
+// with byte i: more than GM's or SISCI's NIC takes natively.
+func eightSegments() [][]byte {
+	segs := make([][]byte, 8)
+	for i := range segs {
+		segs[i] = make([]byte, 512)
+		for j := range segs[i] {
+			segs[i][j] = byte(i)
+		}
+	}
+	return segs
+}
+
+// TestBouncedSendHoldsTheNICFromThePost: the software gather's copy is
+// the NIC's work, so the NIC is busy from the bounced post — Poll reads
+// false until the bounced transaction's OnSent — and a one-segment send
+// posted right behind it queues and arrives second.
+func TestBouncedSendHoldsTheNICFromThePost(t *testing.T) {
+	for _, prof := range []simnet.Profile{simnet.GM2000(), simnet.SISCI()} {
+		t.Run(prof.Name, func(t *testing.T) {
+			w, d0, d1 := pair(t, prof)
+			var order []uint64
+			if err := d1.Open(func(d simnet.Delivery) { order = append(order, d.Aux) }, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := d0.Open(func(simnet.Delivery) {}, nil); err != nil {
+				t.Fatal(err)
+			}
+			sent := false
+			if err := d0.Send(1, simnet.TxEager, eightSegments(), 1, func() { sent = true }); err != nil {
+				t.Fatal(err)
+			}
+			var probe func()
+			probe = func() {
+				if sent {
+					return
+				}
+				if d0.Poll() {
+					t.Errorf("Poll() reads idle at %v, before the bounced send's OnSent", w.Now())
+					return
+				}
+				w.After(100*sim.Nanosecond, probe)
+			}
+			probe()
+			if err := d0.Send(1, simnet.TxEager, [][]byte{{9}}, 2, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if len(order) != 2 || order[0] != 1 || order[1] != 2 {
+				t.Errorf("deliveries in order %v (1 = bounced, 2 = one segment), want [1 2]", order)
+			}
+		})
+	}
+}
+
+// TestRefusedBounceFailsTheSend: a bounced transaction the NIC refuses —
+// addressed to the sender itself or to a node the network lacks — fails
+// the Send with the NIC's error, and leaves nothing behind: no queued
+// transaction, no bounce frame.
+func TestRefusedBounceFailsTheSend(t *testing.T) {
+	for _, prof := range []simnet.Profile{simnet.GM2000(), simnet.SISCI()} {
+		for _, dst := range []simnet.NodeID{0, 5} {
+			w, d0, _ := pair(t, prof)
+			var wk sim.Work
+			w.CountWork(&wk)
+			if err := d0.Open(func(simnet.Delivery) {}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := d0.Send(dst, simnet.TxEager, eightSegments(), 0, nil); err == nil {
+				t.Errorf("%s: bounced send to node %d succeeded, want the NIC's refusal", prof.Name, dst)
+				continue
+			}
+			if n := wk.Get("simnet.frames_made"); n != 0 || !d0.Poll() {
+				t.Errorf("%s: refused send to node %d made %d frames, NIC idle %v", prof.Name, dst, n, d0.Poll())
+			}
+			if err := w.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if st := d0.Stats(); st.TxPackets != 0 || st.MaxQueue != 0 {
+				t.Errorf("%s: refused send to node %d left traffic %+v", prof.Name, dst, st)
+			}
+		}
 	}
 }
 

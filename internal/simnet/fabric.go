@@ -156,12 +156,6 @@ func (n *Network) scale() float64 {
 // Profile returns the technology parameters of the network.
 func (n *Network) Profile() Profile { return n.prof }
 
-// World returns the simulation world the network lives in.
-func (n *Network) World() *sim.World { return n.fabric.world }
-
-// Frames returns the frame free list of the network's fabric.
-func (n *Network) Frames() *FrameList { return &n.fabric.frames }
-
 // NIC returns the adapter of the given node on this network.
 func (n *Network) NIC(id NodeID) *NIC {
 	if int(id) < 0 || int(id) >= len(n.nics) {

@@ -57,6 +57,12 @@ type Tx struct {
 	// frame from, 0 or 1 for a buffer that was contiguous to begin with.
 	Frame *Frame
 	NSegs int
+	// Bounce is set only by a driver whose port gathers in software: the
+	// gather list is longer than the NIC takes natively, so Submit
+	// flattens it into a frame (unless Frame already holds the bytes),
+	// charges it as one segment, and start adds the host's memcpy of the
+	// bytes to the transaction's setup. The NIC is busy from the post.
+	Bounce bool
 	// Aux is 64 bits of out-of-band immediate data delivered with the
 	// packet (models RDMA immediate data / MX match bits). The engine uses
 	// it for rendezvous body identification.
@@ -143,12 +149,6 @@ func newNIC(node *Node, net *Network) *NIC {
 	return &NIC{node: node, net: net}
 }
 
-// Node returns the host this NIC is plugged into.
-func (n *NIC) Node() *Node { return n.node }
-
-// Network returns the network this NIC is attached to.
-func (n *NIC) Network() *Network { return n.net }
-
 // Profile returns the NIC's technology parameters.
 func (n *NIC) Profile() Profile { return n.net.prof }
 
@@ -199,6 +199,7 @@ type flight struct {
 	nsegs   int32
 	kind    TxKind
 	isSent  bool  // the sender-side completion has run
+	bounce  bool  // a software gather: start charges the host memcpy
 	pending uint8 // at most three: the completion and two deliveries
 }
 
@@ -254,6 +255,9 @@ func (n *NIC) Submit(tx *Tx) error {
 			size += len(s)
 		}
 	}
+	if tx.Bounce {
+		nsegs = 1
+	}
 	if nsegs > p.MaxSegments {
 		return fmt.Errorf("%w: %d segments > %d on %s", ErrTooManySegments, nsegs, p.MaxSegments, p.Name)
 	}
@@ -269,17 +273,19 @@ func (n *NIC) Submit(tx *Tx) error {
 	n.net.fabric.world.Count(cFlights)
 	fl := n.net.fabric.newFlight()
 	fl.nic, fl.dst, fl.kind, fl.nsegs, fl.size, fl.aux, fl.onSent = n, int32(tx.Dst), tx.Kind, int32(nsegs), size, tx.Aux, tx.OnSent
+	fl.bounce = tx.Bounce
 	switch {
 	case tx.Frame != nil:
 		fl.frame = tx.Frame
-	case tx.Kind == TxRdma:
+	case tx.Kind == TxRdma && !tx.Bounce:
 		// The DMA read happens when the transaction ends (sent): keep the
 		// list, never the bytes.
 		fl.segs = tx.Segs
 	default:
 		// Snapshot now, not at transmission start: a queued eager
 		// transaction must not read the caller's buffers later (the
-		// documented Segs contract).
+		// documented Segs contract). A bounced RDMA list is flattened
+		// here too: the bounce buffer is what the DMA engine reads.
 		fl.frame = n.net.fabric.frames.New(tx.Segs)
 	}
 	if depth := n.queued + 1; depth > n.stats.MaxQueue {
@@ -320,6 +326,9 @@ func (n *NIC) start(fl *flight) {
 
 	now := w.Now()
 	setup := p.SendOverhead + p.Gap + sim.Time(fl.nsegs)*p.PerSegment
+	if fl.bounce {
+		setup += n.node.CopyCost(size)
+	}
 	var arrival, nicFree sim.Time
 	switch fl.kind {
 	case TxEager:

@@ -499,7 +499,7 @@ func TestFabricAccessors(t *testing.T) {
 	if len(f.Networks()) != 1 || f.Networks()[0] != net {
 		t.Error("Networks() does not report the added network")
 	}
-	if net.NIC(2).Node().ID != 2 {
+	if net.NIC(2).node.ID != 2 {
 		t.Error("NIC/node wiring broken")
 	}
 	defer func() {

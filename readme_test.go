@@ -4,10 +4,13 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/types"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+	"unicode"
 
 	"nmad"
 	"nmad/internal/analysis"
@@ -123,4 +126,104 @@ func cliFlags(t *testing.T) map[string][]string {
 		t.Fatal("found no flag definitions under cmd/")
 	}
 	return flags
+}
+
+// TestDocsCiteWhatExists: the prose that tells a reader what to run and
+// where to look — README.md, every package's doc.go and the verify skill
+// — cites only what exists. A Test, Benchmark or Fuzz name must be
+// declared by some test file (a trailing * makes it a prefix). A
+// repository path — a word with a slash whose first element is an entry
+// of the repository root — must name a file or directory, with a <name>
+// placeholder standing for any one path element, a leading ./ and a
+// trailing / or /... dropped, and a :line suffix ignored.
+func TestDocsCiteWhatExists(t *testing.T) {
+	docs := []string{"README.md", ".claude/skills/verify/SKILL.md"}
+	declared := map[string]bool{}
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir // fixtures, and what git or a build keeps
+		case d.Name() == "doc.go":
+			docs = append(docs, path)
+		case strings.HasSuffix(path, "_test.go"):
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
+				declared[m[1]] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := map[string]bool{}
+	for _, e := range entries {
+		roots[e.Name()] = true
+	}
+	cited := regexp.MustCompile(`\b((?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*)(\*?)`)
+	for _, doc := range docs {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(raw), "\n") {
+			for _, m := range cited.FindAllStringSubmatch(line, -1) {
+				if !isDeclared(declared, m[1], m[2] == "*") {
+					t.Errorf("%s:%d cites %s, which no test file declares", doc, i+1, m[0])
+				}
+			}
+			words := strings.FieldsFunc(line, func(r rune) bool { return unicode.IsSpace(r) || r == '`' })
+			for _, word := range words {
+				path, ok := repoPath(word, roots)
+				if !ok {
+					continue
+				}
+				if found, _ := filepath.Glob(path); len(found) == 0 {
+					t.Errorf("%s:%d cites %s, which does not exist", doc, i+1, word)
+				}
+			}
+		}
+	}
+}
+
+// isDeclared reports whether name, or with prefix any name it begins,
+// is among the declared test functions.
+func isDeclared(declared map[string]bool, name string, prefix bool) bool {
+	if !prefix {
+		return declared[name]
+	}
+	for d := range declared {
+		if strings.HasPrefix(d, name) {
+			return true
+		}
+	}
+	return false
+}
+
+var (
+	lineSuffix  = regexp.MustCompile(`:\d+(-\d+)?$`)
+	placeholder = regexp.MustCompile(`<[^>/]*>`)
+)
+
+// repoPath turns a word of prose into the glob of the repository path it
+// cites, if it cites one.
+func repoPath(word string, roots map[string]bool) (string, bool) {
+	p := strings.TrimRight(strings.TrimLeft(word, `("'[`), `,;.:)]"'`)
+	p = lineSuffix.ReplaceAllString(strings.TrimPrefix(p, "./"), "")
+	p = strings.TrimSuffix(strings.TrimSuffix(p, "/..."), "/")
+	first, _, ok := strings.Cut(p, "/")
+	if !ok || !roots[first] {
+		return "", false
+	}
+	return placeholder.ReplaceAllString(p, "*"), true
 }

@@ -236,6 +236,25 @@ func TestRequestSizeClasses(t *testing.T) {
 	}
 }
 
+// The engine's own long-lived records sit at the top of their size
+// classes, so one more word moves each into the next class.
+func TestEngineSizeClasses(t *testing.T) {
+	// An object over 512 B that holds pointers carries an 8-byte malloc
+	// header: 1 016 B fills the 1 024-byte class, 1 024 B lands in 1 152.
+	if got := unsafe.Sizeof(Engine{}); got > 1016 {
+		t.Errorf("Engine is %d bytes: with its 8-byte malloc header it is over the 1024-byte size class", got)
+	}
+	// 568 B plus the malloc header fills the 576-byte class.
+	if got := unsafe.Sizeof(Gate{}); got > 568 {
+		t.Errorf("Gate is %d bytes: with its 8-byte malloc header it is over the 576-byte size class", got)
+	}
+	// A wrapper with its inline first segment: 120 B in the 128-byte
+	// class, where a larger one lands in 144.
+	if got := unsafe.Sizeof(packet{}); got > 128 {
+		t.Errorf("packet is %d bytes, over the 128-byte size class (the next is 144)", got)
+	}
+}
+
 // retransmitWorkload sends one eager message into a rail that is dark
 // for the first `dark` of the run: the link layer re-injects the frame
 // every RetransmitTimeout until the outage ends. It returns how many

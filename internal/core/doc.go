@@ -93,23 +93,24 @@
 // when the frame is filled or the DMA read ends, whoever parks frame
 // bytes holds a reference, and strategies cannot retain
 // window views (the spileak analyzer enforces the SPI aliasing
-// contract). Three more objects live for one election, one NIC
-// transaction and one receive completion, and are owned rather than
-// allocated each time. The election a built-in strategy returns is that
-// strategy value's own, reset at its next Elect with its picks cleared;
-// electOutput reads it before anything can elect again and keeps only
-// the *packet behind each Ref. A transaction inside the NIC is a
-// simnet flight, drawn from the fabric's list at Submit — which copies
-// the driver's Tx and keeps nothing of it but an RDMA gather list's
-// slice header — and held by the events the NIC scheduled for it: the
-// sender-side completion and every delivery, late duplicates included;
-// the last to fire files it back. The deferred
-// completion of an eager receive is a recvDone (pool.go), the engine's
-// from the match until the copy cost has elapsed, filed back as its
-// event fires. Each binds its callbacks once, so none of the three
-// events allocates a closure, and a plain Irecv's one-segment landing
-// area is a field of its request. What a steady-state message leaves on
-// the heap is what its caller keeps: the request of a nonblocking call.
+// contract). Two more objects live for one election and one NIC
+// transaction, and are owned rather than allocated each time. The
+// election a built-in strategy returns is that strategy value's own,
+// reset at its next Elect with its picks cleared; electOutput reads it
+// before anything can elect again and keeps only the *packet behind each
+// Ref. A transaction inside the NIC is a simnet flight, drawn from the
+// fabric's list at Submit — which copies the driver's Tx and keeps
+// nothing of it but an RDMA gather list's slice header — and held by the
+// events the NIC scheduled for it: the sender-side completion and every
+// delivery, late duplicates included; the last to fire files it back.
+// Each binds its callbacks once, so neither event allocates a closure.
+// The deferred completion of an eager receive is no object at all: from
+// the match until the copy cost has elapsed it is a value in one engine
+// queue, ordered as the events that pop it fire, with one callback bound
+// per engine (pool.go). A plain Irecv's one-segment landing area is a
+// field of its request, as a one-segment send's is of its wrapper. What
+// a steady-state message leaves on the heap is what its caller keeps:
+// the request of a nonblocking call.
 // The caller of a blocking Send, Ssend, Recv or RecvMasked never sees
 // its request, so that request is the engine's (as MPI frees a blocking
 // call's request inside the call): taken from a per-engine free list and

@@ -67,7 +67,6 @@ type Engine struct {
 
 	gates     map[simnet.NodeID]*Gate
 	gateOrder []*Gate // deterministic iteration
-	rr        int     // round-robin cursor over gates
 	electGen  uint64  // election-validation generation (see electOutput)
 	creditGen uint64  // credit-window stamp generation (see scanEligible)
 
@@ -75,6 +74,7 @@ type Engine struct {
 	rdvRecv   landings
 	rdvWait   []pendingGrant // matched RTSes awaiting a grant slot (Options.MaxGrants)
 	nextRdvID uint32
+	rr        int32 // round-robin cursor over gates
 
 	// posts[postHead:] are the PostSendv / PostRecvvMasked calls waiting
 	// out their submit overhead, oldest first; postFn is runPost, bound
@@ -102,7 +102,11 @@ type Engine struct {
 	freePkts freeList[packet]
 	freeOuts freeList[output]
 	freeEnts freeList[inEntry]
-	freeDone freeList[recvDone]
+	// dones are the eager receives whose copy cost is still elapsing,
+	// in the order their completions fire; doneFn is runDone, bound on
+	// the first (see completeAfter).
+	dones  []pendingDone
+	doneFn func()
 	// The requests of blocking calls (Gate.Send, Ssend, RecvMasked):
 	// taken at entry, filed back once the call has its result.
 	freeSends freeList[SendRequest]
@@ -564,13 +568,13 @@ func (e *Engine) pumpAll() {
 func (e *Engine) elect(r *rail) *output {
 	n := len(e.gateOrder)
 	for i := 0; i < n; i++ {
-		g := e.gateOrder[(e.rr+i)%n]
+		g := e.gateOrder[(int(e.rr)+i)%n]
 		if g.win.pending(r.idx) == 0 {
 			continue
 		}
 		e.prepare(g, r)
 		if out := e.electOutput(g, r); out != nil {
-			e.rr = (e.rr + i + 1) % n
+			e.rr = int32((int(e.rr) + i + 1) % n)
 			return out
 		}
 	}

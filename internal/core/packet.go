@@ -15,14 +15,12 @@ const anyDriver = -1
 // carries one segment, a vector send (Isendv) several — either way it is
 // one wire entry under one header.
 type packet struct {
-	gate  *Gate
-	kind  entryKind
-	flags flags
-	tag   Tag
-	seq   seqNum
-	iov   iovec  // payload segments for data entries; nil for control entries
-	aux   uint32 // rendezvous id for rts/cts
-	size  uint32 // body size for rts; payload length otherwise
+	gate *Gate
+	tag  Tag
+	iov  iovec // payload segments for data entries; nil for control entries
+	// seg is a fresh wrapper's iov backing (see newPacket): a
+	// one-segment send's wrapper is then a single object.
+	seg [1][]byte
 
 	// driver pins the wrapper to one rail, or anyDriver for the common
 	// list.
@@ -37,10 +35,6 @@ type packet struct {
 	// window of the current scan (see Gate.scanEligible), the same
 	// generation trick as gen.
 	creditStamp uint64
-	// taken flags the wrapper for removal during window.take — a mark on
-	// the wrapper itself instead of a per-call membership map, since take
-	// runs once per elected output on the pump hot path.
-	taken bool
 
 	// req is the send request this wrapper belongs to, if any.
 	req *SendRequest
@@ -48,6 +42,16 @@ type packet struct {
 	// original stream: the NIC's completion of the chunk's train counts
 	// it in the transaction's countdown (rdvSend.retire).
 	rdv *rdvSend
+
+	seq   seqNum
+	aux   uint32 // rendezvous id for rts/cts
+	size  uint32 // body size for rts; payload length otherwise
+	flags flags
+	kind  entryKind
+	// taken flags the wrapper for removal during window.take — a mark on
+	// the wrapper itself instead of a per-call membership map, since take
+	// runs once per elected output on the pump hot path.
+	taken bool
 }
 
 // payloadLen is the wrapper's logical payload size (0 for control

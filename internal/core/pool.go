@@ -7,12 +7,14 @@ import (
 
 // Free-list recycling for the engine hot path. Every eager send allocates
 // a packet wrapper, every elected train an output, every out-of-order or
-// unexpected arrival an inEntry, every eager receive a deferred
-// completion (recvDone), every rendezvous a transaction record on each
-// side (rdvSend, rdvRecv) and a chain per RDMA rail (rdmaChain), every
-// reliable train a linkFrame, and every blocking Send, Ssend or Recv the
-// request its caller never sees (SendRequest, RecvRequest) — at replay
-// scale these dominate the engine's allocation profile. The engine
+// unexpected arrival an inEntry, every rendezvous a transaction record on
+// each side (rdvSend, rdvRecv) and a chain per RDMA rail (rdmaChain),
+// every reliable train a linkFrame, and every blocking Send, Ssend or
+// Recv the request its caller never sees (SendRequest, RecvRequest) — at
+// replay scale these dominate the engine's allocation profile. Each is
+// one object: a wrapper's first payload segment is a field of its own.
+// The deferred completion of an eager receive is no record at all but a
+// value in one engine queue (pendingDone). The engine
 // recycles them through plain per-engine free lists rather than
 // sync.Pool: the deterministic packages must not couple behaviour (or
 // even allocation addresses feeding map iteration) to GC timing, and a
@@ -25,10 +27,11 @@ import (
 //     conversion that replaced it) is done with it: the send-completion
 //     callback for elected entries, convertToRTS for the data wrapper a
 //     rendezvous request replaces.
-//   - A freed wrapper's iov backing array is kept for reuse, so whoever
-//     transfers the payload out must leave the wrapper another array:
-//     convertToRTS swaps it with the rendezvous record's old one
-//     (newRdvSend), so neither side regrows one.
+//   - A freed wrapper's iov backing — its inline seg, or an array of its
+//     own once a longer iovec outgrew that — is kept for reuse, so
+//     whoever keeps the payload beyond the wrapper copies the segment
+//     headers out: convertToRTS copies them into the rendezvous record's
+//     own backing (newRdvSend), never taking the wrapper's.
 //   - A blocking call's request is taken at entry and filed back once
 //     the call has its result, so it is always complete by then, and a
 //     completed request is touched by no engine record again: a send
@@ -86,7 +89,8 @@ import (
 //     the delivery that let it through.
 //
 // Options.NoRecycle turns the free lists off for A/B testing — the
-// engine's frames then belong to no list — and the timeline must be
+// engine's frames then belong to no list; the completion queue stays, as
+// it recycles no record — and the timeline must be
 // byte-identical either way (see the pooling property test in package
 // replay).
 
@@ -100,7 +104,6 @@ var (
 	cMissPackets   = sim.Counter("core.misses.packets")
 	cMissOutputs   = sim.Counter("core.misses.outputs")
 	cMissInEntries = sim.Counter("core.misses.in_entries")
-	cMissRecvDones = sim.Counter("core.misses.recv_dones")
 	cMissSends     = sim.Counter("core.misses.send_requests")
 	cMissRecvs     = sim.Counter("core.misses.recv_requests")
 	cMissRdvSends  = sim.Counter("core.misses.rdv_sends")
@@ -127,9 +130,14 @@ func (l *freeList[T]) put(v *T) { *l = append(*l, v) }
 // that will travel under header h, pinned to driver (or anyDriver) and
 // completing req. It is recycled when the free list has one; iov's
 // segment headers are copied into the wrapper-owned backing array (kept
-// across recycles), never aliasing the caller's slice.
+// across recycles), never aliasing the caller's slice. A fresh wrapper's
+// backing is its own seg field, so a one-segment payload costs no second
+// object; a longer iovec moves it to an array of its own.
 func (e *Engine) newPacket(g *Gate, h header, driver int, iov iovec, req *SendRequest) *packet {
 	pw := e.freePkts.get(e.world, cMissPackets)
+	if pw.iov == nil { // fresh, not recycled
+		pw.iov = pw.seg[:0]
+	}
 	pw.gate = g
 	pw.kind, pw.flags, pw.tag, pw.seq, pw.size, pw.aux = h.kind, h.flags, h.tag, h.seq, h.length, h.aux
 	pw.iov = append(pw.iov, iov...)
@@ -195,36 +203,51 @@ func (e *Engine) freeInEntry(ent *inEntry) {
 	e.freeEnts.put(ent)
 }
 
-// recvDone is the deferred completion of one eager receive: the request
-// completes when the payload copy into the user buffer has been paid for.
-// The engine owns the record from completeAfter until its event fires,
-// which takes the request out and files the record back before
-// completing; fire is d.run, bound when the record is first made, so the
-// event captures nothing per message.
-type recvDone struct {
-	eng  *Engine
-	req  *RecvRequest
-	err  error
-	fire func()
+// pendingDone is the deferred completion of one eager receive: req
+// completes, with ErrTruncated if truncated is set, once the payload copy
+// into the user buffer has been paid for at instant at. It is a value in
+// Engine.dones, so a completion allocates nothing of its own.
+type pendingDone struct {
+	at        sim.Time
+	req       *RecvRequest
+	truncated bool
 }
 
-// completeAfter completes r with err once delay has elapsed.
-func (e *Engine) completeAfter(delay sim.Time, r *RecvRequest, err error) {
-	d := e.freeDone.get(e.world, cMissRecvDones)
-	if d.fire == nil { // fresh, not recycled
-		d.eng, d.fire = e, d.run
+// completeAfter completes r — with ErrTruncated if truncated — once delay
+// has elapsed. Each completion schedules one event, and the events fire in
+// (instant, scheduling) order; e.dones is kept in that same order — by
+// instant, ties in match order — so the event that fires always belongs
+// to the head, which runDone pops. doneFn is bound on the first
+// completion, not in New, where it would cost every engine an object
+// whether it receives or not.
+func (e *Engine) completeAfter(delay sim.Time, r *RecvRequest, truncated bool) {
+	if e.doneFn == nil {
+		e.doneFn = e.runDone
 	}
-	d.req, d.err = r, err
-	e.world.After(delay, d.fire)
+	at := e.world.Now() + delay
+	i := len(e.dones)
+	for i > 0 && e.dones[i-1].at > at {
+		i--
+	}
+	e.dones = append(e.dones, pendingDone{})
+	copy(e.dones[i+1:], e.dones[i:])
+	e.dones[i] = pendingDone{at: at, req: r, truncated: truncated}
+	e.world.After(delay, e.doneFn)
 }
 
-func (d *recvDone) run() {
-	r, err := d.req, d.err
-	d.req, d.err = nil, nil
-	if !d.eng.opts.NoRecycle {
-		d.eng.freeDone.put(d)
+// runDone completes the earliest pending receive. It pops the queue
+// before completing, so a completion hook that receives again queues
+// after it, not in its place.
+func (e *Engine) runDone() {
+	d := e.dones[0]
+	n := copy(e.dones, e.dones[1:])
+	e.dones[n] = pendingDone{}
+	e.dones = e.dones[:n]
+	var err error
+	if d.truncated {
+		err = ErrTruncated
 	}
-	r.complete(err)
+	d.req.complete(err)
 }
 
 // freeSendRequest files back the completed request of a blocking send

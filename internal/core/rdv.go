@@ -85,14 +85,15 @@ func (rs *rdvSend) retire() {
 }
 
 // newRdvSend fills a recycled sender-side record for a data wrapper being
-// converted to a rendezvous request. The body iovec changes hands with
-// the record's old (cleared) backing, which the wrapper keeps, so neither
-// side regrows one.
+// converted to a rendezvous request. The body's segment headers are copied
+// into the record's own backing (kept across recycles): the wrapper's may
+// be its inline seg, which recycling the wrapper clears and its next
+// send overwrites.
 func (e *Engine) newRdvSend(id uint32, pw *packet) *rdvSend {
 	rs := e.freeRdvSends.get(e.world, cMissRdvSends)
 	rs.eng = e
 	rs.id, rs.gate, rs.tag, rs.req, rs.live = id, pw.gate, pw.tag, pw.req, true
-	rs.body, pw.iov = pw.iov, rs.body
+	rs.body = append(rs.body, pw.iov...)
 	e.rdvSend[id] = rs
 	return rs
 }
@@ -275,10 +276,8 @@ func (e *Engine) convertToRTS(pw *packet) *packet {
 	}
 	e.stats.RdvStarted++
 	e.traceEvent(trace.RdvStart, g.peer, -1, pw.tag, size, 0, "")
-	// The data wrapper is fully replaced: the rendezvous state owns its
-	// iovec now (the wrapper holds the record's old backing instead, so
-	// recycling cannot reuse the array under the body), and nothing else
-	// references the wrapper.
+	// The data wrapper is fully replaced: the rendezvous state holds its
+	// own copy of the iovec, and nothing else references the wrapper.
 	e.freePacket(pw)
 	return rts
 }

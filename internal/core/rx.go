@@ -196,10 +196,6 @@ func (e *Engine) consume(g *Gate, r *RecvRequest, h header, payload []byte) {
 		// plain Irecv); whatever exceeds the landing area is dropped.
 		n := r.iov.copyAt(0, payload)
 		r.n = n
-		var err error
-		if len(payload) > r.iov.total() {
-			err = ErrTruncated
-		}
 		if h.flags&flagNeedAck != 0 {
 			// Synchronous send: tell the sender the match happened. The
 			// ack rides the window like any wrapper and may aggregate
@@ -207,7 +203,7 @@ func (e *Engine) consume(g *Gate, r *RecvRequest, h header, payload []byte) {
 			g.pushCtrl(kindAck, h.tag, 0, h.aux)
 		}
 		e.returnCredit(g)
-		e.completeAfter(e.node.CopyCost(n), r, err)
+		e.completeAfter(e.node.CopyCost(n), r, len(payload) > n)
 	case kindRTS:
 		e.acceptRdv(g, r, h)
 	default:

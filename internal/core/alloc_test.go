@@ -202,25 +202,6 @@ func TestAllocsBlockingSendRecv(t *testing.T) {
 	}
 }
 
-// The same eager workload with recycling disabled must allocate
-// strictly more than the pooled run — if it does not, the pools are
-// dead code and the NoRecycle A/B (and the pooling property test that
-// relies on it) is comparing a path against itself.
-func TestAllocsRecyclingActuallyRecycles(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation measurement")
-	}
-	opts := DefaultOptions()
-	opts.Strategy = "aggreg"
-	pooled := marginalAllocs(eagerWorkload(opts, false), 64, 320)
-	opts.NoRecycle = true
-	fresh := marginalAllocs(eagerWorkload(opts, false), 64, 320)
-	t.Logf("pooled %.2f vs no-recycle %.2f allocs per message", pooled, fresh)
-	if pooled >= fresh {
-		t.Errorf("recycling saves nothing: %.2f allocs pooled vs %.2f without", pooled, fresh)
-	}
-}
-
 // A request is one allocation per message, and each fills its malloc
 // size class to the byte: one more word rounds every message up a class.
 // SendRequest is 64 bytes. RecvRequest is 128: the 104 bytes of

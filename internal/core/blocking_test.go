@@ -12,17 +12,17 @@ import (
 	"nmad/internal/trace"
 )
 
-// TestBlockingPooledEqualsFresh: the request of a blocking Send, Ssend or
-// Recv comes from the engine's free lists, and recycling it must change
-// nothing but what the run allocates. Each case runs the same blocking
-// ping-pong twice — two flows between two engines, so each engine's
-// lists hold more than one request and hand them out in a different
-// order than they were taken — with recycling on and off, and demands
-// the same timeline, the same Stats and the same received bytes, errors
-// and instants. A request filed back while an engine record still
-// refers to it shows up as a divergence, a wrong payload or an
-// over-completion panic.
-func TestBlockingPooledEqualsFresh(t *testing.T) {
+// TestBlockingRequestsChecked: the request of a blocking Send, Ssend or
+// Recv comes from the engine's free lists and is filed back before the
+// call returns. Each case runs a blocking ping-pong — two flows between
+// two engines, so each engine's lists hold more than one request and
+// hand them out in a different order than they were taken — under the
+// engine self-checks (selfcheck_test.go): a request filed back while an
+// engine record still refers to it shows up as a wrong payload, an
+// error, an over-completion panic or a leak in the drain audit. The run
+// is repeated on a new pair and must reproduce the same timeline, Stats
+// and receives, bytes and instants included.
+func TestBlockingRequestsChecked(t *testing.T) {
 	const big = 256 << 10 // above every rail's rendezvous threshold
 	reliable := DefaultOptions()
 	reliable.Reliability = true
@@ -47,30 +47,29 @@ func TestBlockingPooledEqualsFresh(t *testing.T) {
 		{name: "reliable-lossy", opts: reliable, faults: lossy, sizes: []int{512, big}, room: big},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pooled := blockingPingPong(t, tc.opts, tc.profs, tc.faults, tc.ssend, tc.sizes, tc.room)
-			tc.opts.NoRecycle = true
-			fresh := blockingPingPong(t, tc.opts, tc.profs, tc.faults, tc.ssend, tc.sizes, tc.room)
-			for i, line := range pooled.timeline {
-				if i >= len(fresh.timeline) || line != fresh.timeline[i] {
-					t.Fatalf("timelines diverge at event %d of %d:\n  pooled: %s\n  fresh:  %s", i, len(pooled.timeline), line, fresh.timeline[min(i, len(fresh.timeline)-1)])
+			first := blockingPingPong(t, tc.opts, tc.profs, tc.faults, tc.ssend, tc.sizes, tc.room)
+			again := blockingPingPong(t, tc.opts, tc.profs, tc.faults, tc.ssend, tc.sizes, tc.room)
+			for _, msg := range takeSelfCheck("TestBlockingRequestsChecked") {
+				t.Error(msg)
+			}
+			if !slices.Equal(first.timeline, again.timeline) {
+				t.Errorf("the timeline of a second run differs (%d events, then %d)", len(first.timeline), len(again.timeline))
+			}
+			if !reflect.DeepEqual(first.stats, again.stats) {
+				t.Errorf("Stats of a second run differ:\nfirst: %+v\nagain: %+v", first.stats, again.stats)
+			}
+			if !slices.Equal(first.recvs, again.recvs) {
+				t.Errorf("the receives of a second run differ")
+			}
+			if len(first.recvs) != 2*2*blockingRounds {
+				t.Errorf("%d receives, want %d", len(first.recvs), 2*2*blockingRounds)
+			}
+			for i, r := range first.recvs {
+				if i > 0 && r.at < first.recvs[i-1].at {
+					t.Errorf("receive %d returned at %v, before receive %d at %v", i, r.at, i-1, first.recvs[i-1].at)
 				}
 			}
-			if len(pooled.timeline) != len(fresh.timeline) {
-				t.Errorf("timeline length: %d events pooled, %d fresh", len(pooled.timeline), len(fresh.timeline))
-			}
-			if !reflect.DeepEqual(pooled.stats, fresh.stats) {
-				t.Errorf("Stats differ:\npooled: %+v\nfresh:  %+v", pooled.stats, fresh.stats)
-			}
-			if len(pooled.recvs) != len(fresh.recvs) {
-				t.Fatalf("%d receives pooled, %d fresh", len(pooled.recvs), len(fresh.recvs))
-			}
-			for i, r := range pooled.recvs {
-				if f := fresh.recvs[i]; r != f {
-					t.Errorf("receive %d differs: pooled node %d at %v n=%d err=%v, fresh node %d at %v n=%d err=%v (payloads equal: %v)",
-						i, r.node, r.at, r.n, r.err, f.node, f.at, f.n, f.err, r.payload == f.payload)
-				}
-			}
-			s := pooled.stats
+			s := first.stats
 			if slices.Contains(tc.sizes, big) && s[0].RdvStarted+s[1].RdvStarted == 0 {
 				t.Error("no rendezvous ran")
 			}
@@ -81,7 +80,7 @@ func TestBlockingPooledEqualsFresh(t *testing.T) {
 			if tc.truncated {
 				want = ErrTruncated
 			}
-			for _, r := range pooled.recvs {
+			for _, r := range first.recvs {
 				if r.err != want {
 					t.Fatalf("receive at %v: err %v, want %v", r.at, r.err, want)
 				}
@@ -89,6 +88,10 @@ func TestBlockingPooledEqualsFresh(t *testing.T) {
 		})
 	}
 }
+
+// blockingRounds is how many round trips each flow of a blocking
+// ping-pong makes.
+const blockingRounds = 6
 
 // blockingRun is what a blocking ping-pong produced: every engine's
 // timeline, both engines' Stats and, per receive, what it returned.
@@ -114,7 +117,6 @@ type blockingRecv struct {
 // match the other run's.
 func blockingPingPong(t *testing.T, opts Options, profs []simnet.Profile, faults simnet.FaultProfile, ssend bool, sizes []int, room int) blockingRun {
 	t.Helper()
-	const rounds = 6
 	rec := trace.NewRecorder()
 	opts.Tracer = rec
 	w, e0, e1 := faultyPair(t, opts, faults, profs...)
@@ -128,7 +130,7 @@ func blockingPingPong(t *testing.T, opts Options, profs []simnet.Profile, faults
 			return func(p *sim.Proc) {
 				g := e.Gate(peer)
 				buf := make([]byte, room)
-				for i := 0; i < rounds; i++ {
+				for i := 0; i < blockingRounds; i++ {
 					msg := make([]byte, sizes[i%len(sizes)])
 					fillSeq(msg, byte(int(flow)*31+i*7+node))
 					if first {

@@ -140,9 +140,10 @@
 // rdvRecv keeps no count: under reliability its one body watch is
 // pending from the grant on, and the watch that finds the transaction
 // landed files the record back.
-// Options.NoRecycle turns every pool off for A/B comparison: the
-// replayed timeline must be byte-identical either way, which the pooling
-// property test in internal/replay asserts. The repo benchmark
+// The package's tests watch every engine's world (a seam in New,
+// sim.World.Watch): no rail may idle while a gate shows it a wrapper it
+// can gather once an instant's events have fired, and a drained world
+// accounts for every pooled record and credit. The repo benchmark
 // (benchmark/, workload ring-replay-1024) measures the resulting host
 // cost and allocs/op, and allocation-regression pins live in
 // alloc_test.go.

@@ -21,15 +21,6 @@ type Options struct {
 	// by every engine constructed with it; stateful strategies must
 	// synchronize or be registered instead (one instance per engine).
 	StrategyImpl sched.Strategy
-	// NoRecycle disables the engine's free-list recycling of packet
-	// wrappers, output trains, receive entries, the requests of blocking
-	// calls and wire frames (see pool.go), making every hot-path object
-	// a fresh allocation. It exists as the A/B escape hatch for the
-	// pooling property tests and for leak hunting; the virtual timeline
-	// and Stats must be byte-identical either way.
-	// The flag is deliberately not part of the recorded NodeConfig — it
-	// changes nothing a replay could observe.
-	NoRecycle bool
 	// Tracer, when non-nil, records every scheduling decision on the
 	// virtual timeline (see package trace).
 	Tracer *trace.Recorder
@@ -96,8 +87,7 @@ type Engine struct {
 
 	// Free-list recycling and encode scratch (see pool.go). All
 	// per-engine and unsynchronized: the world is single-threaded.
-	// frames is the fabric's list, shared with the NICs; nil under
-	// Options.NoRecycle, which makes frames no list takes back.
+	// frames is the fabric's list, shared with the NICs.
 	frames   *simnet.FrameList
 	freePkts freeList[packet]
 	freeOuts freeList[output]
@@ -192,23 +182,26 @@ func New(f *simnet.Fabric, node simnet.NodeID, opts Options) (*Engine, error) {
 	// Recorded after defaulting, under the name the strategy resolved to.
 	opts.Strategy = strat.Name()
 	opts.Record.RegisterEngine(int(node), opts.NodeConfig)
-	w := f.World()
-	frames := f.Frames()
-	if opts.NoRecycle {
-		frames = nil
-	}
-	return &Engine{
-		world:    w,
+	e := &Engine{
+		world:    f.World(),
 		node:     f.Node(node),
 		opts:     opts,
 		strat:    strat,
-		frames:   frames,
+		frames:   f.Frames(),
 		gates:    make(map[simnet.NodeID]*Gate),
 		rdvSend:  make(map[uint32]*rdvSend),
 		rdvRecv:  make(landings),
 		syncAcks: make(map[uint32]*SendRequest),
-	}, nil
+	}
+	if newEngineHook != nil {
+		newEngineHook(e)
+	}
+	return e, nil
 }
+
+// newEngineHook, when set, sees every engine New makes: the seam through
+// which the package's tests check the engines any harness builds.
+var newEngineHook func(*Engine)
 
 // Attach registers and opens one transfer-layer driver as a new rail.
 func (e *Engine) Attach(drv drivers.Driver) error {

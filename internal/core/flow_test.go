@@ -408,7 +408,7 @@ func TestIncastBoundedQueuesUnderCredits(t *testing.T) {
 // arrive dispatches one wrapper the way a delivery would: the payload
 // sits in a wire frame whose reference is dropped when dispatch returns.
 func arrive(e *Engine, src simnet.NodeID, h header, payload []byte) {
-	fr := (*simnet.FrameList)(nil).New([][]byte{payload})
+	fr := new(simnet.FrameList).New([][]byte{payload})
 	e.dispatch(src, h, fr.Bytes(), fr)
 	fr.Release()
 }

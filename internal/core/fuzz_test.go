@@ -32,7 +32,8 @@ func fuzzTrains() [][]byte {
 // it leaves on the queue; every payload the decoder yields is a slice of
 // the input; and a train the decoder refuses is counted in
 // Stats.ProtocolErrors — entries before the damage are dispatched, the
-// rest is dropped, nothing is lost silently.
+// rest is dropped, nothing is lost silently. Each input's worlds run
+// under the engine self-checks, and a violation fails the input.
 func FuzzWalkEntries(f *testing.F) {
 	for _, train := range fuzzTrains() {
 		f.Add(train)
@@ -86,6 +87,9 @@ func FuzzWalkEntries(f *testing.F) {
 			if err := w.RunUntil(w.Now() + 10*sim.Millisecond); err != nil {
 				t.Errorf("reliability %v: %v", reliable, err)
 			}
+		}
+		for _, msg := range takeSelfCheck("FuzzWalkEntries") {
+			t.Error(msg)
 		}
 	})
 }

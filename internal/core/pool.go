@@ -88,11 +88,10 @@ import (
 //     resequencing drain keeps following its own frame, not the frame of
 //     the delivery that let it through.
 //
-// Options.NoRecycle turns the free lists off for A/B testing — the
-// engine's frames then belong to no list; the completion queue stays, as
-// it recycles no record — and the timeline must be
-// byte-identical either way (see the pooling property test in package
-// replay).
+// The tests' drain audit (selfcheck_test.go) holds every record a list
+// made (core.misses.*) to be on it or held by engine state; put zeroes
+// what it takes back, so a record filed too early poisons its holder.
+// That the lists recycle at all is pinned by work.golden's misses rows.
 
 // freeList is the one free list: a stack of recycled *T. get pops one, or
 // allocates a zero T when the stack is empty and counts the miss; put
@@ -151,9 +150,6 @@ func (e *Engine) newPacket(g *Gate, h header, driver int, iov iovec, req *SendRe
 // the iov backing array is kept, so steady-state sends stop allocating
 // the per-wrapper iovec.
 func (e *Engine) freePacket(pw *packet) {
-	if e.opts.NoRecycle {
-		return
-	}
 	clear(pw.iov)
 	*pw = packet{iov: pw.iov[:0]}
 	e.freePkts.put(pw)
@@ -172,9 +168,6 @@ func (e *Engine) newOutput() *output {
 // freeOutput recycles an output whose entries have all been freed (or
 // were never filled).
 func (e *Engine) freeOutput(out *output) {
-	if e.opts.NoRecycle {
-		return
-	}
 	clear(out.entries)
 	*out = output{entries: out.entries[:0], onReady: out.onReady, onSent: out.onSent}
 	e.freeOuts.put(out)
@@ -196,9 +189,6 @@ func (e *Engine) newInEntry(h header, payload []byte, fr *simnet.Frame) *inEntry
 // match returns).
 func (e *Engine) freeInEntry(ent *inEntry) {
 	ent.frame.Release()
-	if e.opts.NoRecycle {
-		return
-	}
 	*ent = inEntry{}
 	e.freeEnts.put(ent)
 }
@@ -254,17 +244,11 @@ func (e *Engine) runDone() {
 // (see the ownership rules above); freeRecvRequest does the same for a
 // receive.
 func (e *Engine) freeSendRequest(r *SendRequest) {
-	if e.opts.NoRecycle {
-		return
-	}
 	*r = SendRequest{}
 	e.freeSends.put(r)
 }
 
 func (e *Engine) freeRecvRequest(r *RecvRequest) {
-	if e.opts.NoRecycle {
-		return
-	}
 	*r = RecvRequest{}
 	e.freeRecvs.put(r)
 }

@@ -110,7 +110,7 @@ func (e *Engine) dropRdvSend(rs *rdvSend) {
 // its RDMA chains is still streaming — a reissue can outlive the
 // retirement.
 func (e *Engine) releaseRdvSend(rs *rdvSend) {
-	if rs.live || rs.left > 0 || rs.chains > 0 || e.opts.NoRecycle {
+	if rs.live || rs.left > 0 || rs.chains > 0 {
 		return
 	}
 	clear(rs.body)
@@ -222,9 +222,6 @@ func (rr *rdvRecv) cover(lo, hi int) int {
 // releaseRdvRecv recycles a retired receiver-side record that no body
 // watch refers to any more.
 func (e *Engine) releaseRdvRecv(rr *rdvRecv) {
-	if e.opts.NoRecycle {
-		return
-	}
 	*rr = rdvRecv{spans: rr.spans[:0], watchFn: rr.watchFn}
 	e.freeRdvRecvs.put(rr)
 }
@@ -627,11 +624,9 @@ func (c *rdmaChain) sent() {
 		return
 	}
 	rs.chains--
-	if !e.opts.NoRecycle {
-		clear(c.segs)
-		*c = rdmaChain{sentFn: c.sentFn, segs: c.segs[:0]}
-		e.freeChains.put(c)
-	}
+	clear(c.segs)
+	*c = rdmaChain{sentFn: c.sentFn, segs: c.segs[:0]}
+	e.freeChains.put(c)
 	e.releaseRdvSend(rs)
 }
 

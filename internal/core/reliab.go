@@ -195,7 +195,7 @@ func (fr *linkFrame) expire() {
 
 // releaseLink recycles an acked frame record no pending event refers to.
 func (e *Engine) releaseLink(fr *linkFrame) {
-	if !fr.acked || fr.sending > 0 || fr.checks > 0 || e.opts.NoRecycle {
+	if !fr.acked || fr.sending > 0 || fr.checks > 0 {
 		return
 	}
 	*fr = linkFrame{eng: e, armFn: fr.armFn, expireFn: fr.expireFn}

@@ -204,8 +204,7 @@ func TestSendFrameTimedLikeItsGatherList(t *testing.T) {
 		onSent := func() { sent = w.Now() }
 		var err error
 		if framed {
-			var list *simnet.FrameList // frames no list takes back
-			err = d0.SendFrame(1, simnet.TxEager, list.New(segs), nsegs, 0, onSent)
+			err = d0.SendFrame(1, simnet.TxEager, new(simnet.FrameList).New(segs), nsegs, 0, onSent)
 		} else {
 			err = d0.Send(1, simnet.TxEager, segs, 0, onSent)
 		}
@@ -228,8 +227,7 @@ func TestSendFrameTimedLikeItsGatherList(t *testing.T) {
 	if err := d0.Open(func(simnet.Delivery) {}, nil); err != nil {
 		t.Fatal(err)
 	}
-	var list *simnet.FrameList
-	err := d0.SendFrame(1, simnet.TxEager, list.New([][]byte{{1}}), d0.Caps().MaxSegments+1, 0, nil)
+	err := d0.SendFrame(1, simnet.TxEager, new(simnet.FrameList).New([][]byte{{1}}), d0.Caps().MaxSegments+1, 0, nil)
 	if !errors.Is(err, simnet.ErrTooManySegments) {
 		t.Errorf("frame shaped beyond the soft limit: err = %v, want ErrTooManySegments", err)
 	}

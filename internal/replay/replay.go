@@ -67,12 +67,6 @@ type Config struct {
 	// budgets on every node.
 	Credits   *int
 	MaxGrants *int
-	// NoRecycle replays with the engine's free-list recycling disabled
-	// (core.Options.NoRecycle): every wrapper, train and receive entry is
-	// a fresh allocation. Recycling is a pure memory optimization — the
-	// timeline and Stats must be byte-identical either way, which is
-	// exactly what the pooling property test asserts with this switch.
-	NoRecycle bool
 	// DisableFaults replays a lossy recording on a lossless fabric: the
 	// recorded fault profile in the header is ignored (the engines keep
 	// their recorded reliability settings — an idle link layer does not
@@ -470,6 +464,5 @@ func nodeOptions(hdr trace.RecordingHeader, node int, cfg Config) core.Options {
 	if cfg.MaxGrants != nil {
 		opts.MaxGrants = *cfg.MaxGrants
 	}
-	opts.NoRecycle = cfg.NoRecycle
 	return opts
 }

@@ -50,9 +50,10 @@ type eventQueue struct {
 	// slots, and the current-instant FIFO.
 	free       slotLink
 	head, tail slotLink
-	// open are the last buckets opened, open[newest] the latest.
+	// open are the last buckets opened, open[newest] the latest; a uint32
+	// newest packs beside the links (World stays 224 B).
+	newest uint32
 	open   [openBuckets]openBucket
-	newest uint
 }
 
 // openBuckets is how many recently opened buckets a future push tries
@@ -141,7 +142,7 @@ func (q *eventQueue) push(now, at Time, seq uint64, fn func(), wake slotLink, wk
 	}
 	// With the heap empty every open bucket has fired.
 	if len(q.heap) != 0 {
-		for i := range uint(openBuckets) {
+		for i := range uint32(openBuckets) {
 			if b := q.open[(q.newest-i)%openBuckets]; b.at == at {
 				f := &q.slab[b.first-1]
 				q.slab[f.last&^wakeBit-1].next = l

@@ -108,6 +108,9 @@ func (p *Proc) Sleep(d Time) {
 	w := p.w
 	at := w.after(max(d, 0))
 	if w.cur == p && !w.stopped && (!w.bounded || at <= w.limit) && w.queue.firesNext(at) {
+		if w.watch != nil && at > w.now {
+			w.watch(false)
+		}
 		w.seq++
 		if wk := w.work; wk != nil {
 			wk.n[cEvents]++
@@ -188,10 +191,16 @@ func (p *Proc) block() bool {
 			if l != p.wake {
 				return false
 			}
+			if w.watch != nil && w.queue.head == 0 {
+				w.watch(false)
+			}
 			w.now, _ = w.queue.pop(w.now)
 			p.wake = 0
 			w.work.add(cInPlace, 1)
 			return true
+		}
+		if w.watch != nil && w.queue.head == 0 {
+			w.watch(false)
 		}
 		var fn func()
 		w.now, fn = w.queue.pop(w.now)

@@ -89,9 +89,12 @@ func (wk *Work) Tallies() []Tally {
 	return out
 }
 
-// CountWork makes the world add its work to wk from now on; nil stops
-// counting.
-func (w *World) CountWork(wk *Work) { w.work = wk }
+// CountWork makes the world add its work to wk from now on, and returns
+// the Work it counted into until then; nil stops counting.
+func (w *World) CountWork(wk *Work) (was *Work) {
+	was, w.work = w.work, wk
+	return was
+}
 
 // Count adds one to counter c when the world counts its work.
 func (w *World) Count(c CounterID) { w.work.add(c, 1) }

@@ -33,6 +33,8 @@ type World struct {
 	limit   Time
 
 	work *Work // where the world counts its work, nil when it does not (work.go)
+
+	watch func(drained bool) // see Watch, nil when nothing watches
 }
 
 // NewWorld returns an empty world with the clock at zero.
@@ -75,6 +77,13 @@ func (w *World) after(d Time) Time {
 // that returned in place) that is the same on any machine.
 func (w *World) Events() uint64 { return w.seq }
 
+// Watch makes the world call fn(false) before its clock leaves an
+// instant, every event due then having fired, and fn(true) when Run
+// drains the queue with no process blocked; nil stops watching. fn only
+// reads: it must not schedule, block or count work. Unwatched, it costs
+// a nil test per event.
+func (w *World) Watch(fn func(drained bool)) { w.watch = fn }
+
 // Stop makes Run return after the event currently firing.
 func (w *World) Stop() { w.stopped = true }
 
@@ -96,6 +105,9 @@ func (e *DeadlockError) Error() string {
 func (w *World) Run() error {
 	w.stopped = false
 	for w.ready() {
+		if w.watch != nil && w.queue.head == 0 {
+			w.watch(false)
+		}
 		var fn func()
 		w.now, fn = w.queue.pop(w.now)
 		fn()
@@ -103,9 +115,14 @@ func (w *World) Run() error {
 	if !w.stopped && !w.queue.empty() {
 		// Past the horizon: leave the event unfired for a later Run,
 		// and never move the clock backwards.
+		if w.watch != nil && w.limit > w.now {
+			w.watch(false)
+		}
 		w.now = max(w.now, w.limit)
 	} else if w.queue.empty() && w.live > 0 {
 		return w.deadlock()
+	} else if w.queue.empty() && w.watch != nil {
+		w.watch(true)
 	}
 	return nil
 }

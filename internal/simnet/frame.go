@@ -20,7 +20,7 @@ import (
 type Frame struct {
 	buf  []byte
 	refs int
-	list *FrameList // nil: the frame belongs to no free list
+	list *FrameList // the free list the frame returns to
 	next *Frame     // free-list link while released
 }
 
@@ -42,7 +42,7 @@ func (f *Frame) Release() {
 		panic("simnet: release of a released frame")
 	}
 	f.refs--
-	if f.refs == 0 && f.list != nil {
+	if f.refs == 0 {
 		head := &f.list.free[bits.Len(uint(cap(f.buf)))]
 		f.next, *head = *head, f
 	}
@@ -62,8 +62,6 @@ func (f *Frame) Release() {
 // rise wave by wave (a ring replay's nodes make frames of 2 072, 9 504,
 // 6 296, 24 and 1 048 bytes in turn, two in flight) reuses the larger
 // frames it has already made instead of making one per size.
-//
-// A nil *FrameList is valid and makes frames that are never recycled.
 type FrameList struct {
 	free  [bits.UintSize]*Frame // per class, most recently released first
 	world *sim.World            // where frames made, reused and filled are counted
@@ -100,14 +98,12 @@ func (l *FrameList) New(segs [][]byte) *Frame {
 // take returns a frame of capacity >= size: a recycled one when the
 // size's class has a fit near the front, else as miss does.
 func (l *FrameList) take(size int) *Frame {
-	if l != nil {
-		link := &l.free[bits.Len(uint(size))]
-		for i := 0; *link != nil && i < frameScan; i++ {
-			if cap((*link).buf) >= size {
-				return l.reuse(link)
-			}
-			link = &(*link).next
+	link := &l.free[bits.Len(uint(size))]
+	for i := 0; *link != nil && i < frameScan; i++ {
+		if cap((*link).buf) >= size {
+			return l.reuse(link)
 		}
+		link = &(*link).next
 	}
 	return l.miss(size)
 }
@@ -115,9 +111,6 @@ func (l *FrameList) take(size int) *Frame {
 // miss serves a size whose class has no fit: from the smallest non-empty
 // larger class, or a fresh frame. It is kept apart so that take inlines.
 func (l *FrameList) miss(size int) *Frame {
-	if l == nil {
-		return &Frame{buf: make([]byte, 0, size), refs: 1}
-	}
 	for c := bits.Len(uint(size)) + 1; c < len(l.free); c++ {
 		if l.free[c] != nil {
 			return l.reuse(&l.free[c])
@@ -139,7 +132,7 @@ func (l *FrameList) reuse(link **Frame) *Frame {
 
 // count adds n to counter c of the list's world, if it has one.
 func (l *FrameList) count(c sim.CounterID, n int) {
-	if l != nil && l.world != nil {
+	if l.world != nil {
 		l.world.Add(c, n)
 	}
 }

@@ -43,7 +43,9 @@ import (
 //     ends parked in Wait) leaves its request off the list. The request
 //     of a nonblocking or Post* call is its caller's — returned to it, or
 //     in storage it passed (a MAD-MPI handle, a replay or collective
-//     slab) — and the engine never recycles it.
+//     slab) — and the engine never recycles it. MAD-MPI recycles its own
+//     at Wait, which this rule makes safe: it zeroes a waited request and
+//     posts it again.
 //   - Strategies never see wrappers after election (the spileak analyzer
 //     forbids retaining SPI views), so recycling cannot dangle into sched.
 //   - A record an event or a NIC completion refers to returns to its list

@@ -595,27 +595,198 @@ func TestAllocsBlockingPingPong(t *testing.T) {
 
 // TestAllocsNonblockingPingPong is the same round trip through Isend /
 // Irecv and Wait: the handle a nonblocking operation returns and the
-// engine request it names are one record, so the caller's four handles
-// are the whole cost.
+// engine request it names are one record, and Wait files it back on its
+// MPI's list for the next operation, as MPI_Wait frees a request. A
+// waited round trip allocates nothing.
 func TestAllocsNonblockingPingPong(t *testing.T) {
 	got := roundTripAllocs(t,
 		func(p *sim.Proc, c *Comm, buf []byte, peer int) error { return c.Isend(p, buf, peer, 0).Wait(p) },
 		func(p *sim.Proc, c *Comm, buf []byte, peer int) error { return c.Irecv(p, buf, peer, 0).Wait(p) })
 	t.Logf("nonblocking ping-pong: %.2f objects per round trip", got)
-	if got > 5 {
-		t.Errorf("a nonblocking round trip allocates %.2f objects, want the 4 handles, each one record with its engine request (ceiling 5)", got)
+	if got > 0.5 {
+		t.Errorf("a waited nonblocking round trip allocates %.2f objects, want 0 (ceiling 0.5): Wait no longer frees its record", got)
 	}
 }
 
-// The record of a nonblocking operation fills a malloc size class to the
-// byte: a send is the 16-byte handle and the 64-byte engine request (80),
-// a receive the handle and the 128-byte request (144). One more word on
-// the handle rounds every operation up a class.
+// The record of a nonblocking operation fills a malloc size class: a
+// send is the 24-byte handle (the embedded request and the owning MPI)
+// and the 64-byte engine request (96-byte class), a receive the handle
+// and the 128-byte request (160-byte class). Naming the MPI costs the
+// handle a word and each record a class, which a waited record pays once
+// per MPI, not per operation.
 func TestOpRecordSizeClasses(t *testing.T) {
-	if got := unsafe.Sizeof(sendOp{}); got > 80 {
-		t.Errorf("sendOp is %d bytes, over the 80-byte size class", got)
+	if got := unsafe.Sizeof(sendOp{}); got > 96 {
+		t.Errorf("sendOp is %d bytes, over the 96-byte size class", got)
 	}
-	if got := unsafe.Sizeof(recvOp{}); got > 144 {
-		t.Errorf("recvOp is %d bytes, over the 144-byte size class", got)
+	if got := unsafe.Sizeof(recvOp{}); got > 160 {
+		t.Errorf("recvOp is %d bytes, over the 160-byte size class", got)
+	}
+}
+
+// TestWaitFreesRequest pins the null-handle contract: Wait, WaitStatus
+// and Waitall free the request they complete (MPI_Wait's rule) and
+// nothing else does.
+func TestWaitFreesRequest(t *testing.T) {
+	isNull := func(t *testing.T, what string, r *Request) {
+		t.Helper()
+		if !r.Done() || !r.Test() || r.Err() != nil || r.Bytes() != 0 || r.Status() != (Status{Source: -1, Tag: -1}) {
+			t.Errorf("%s does not read as the null request", what)
+		}
+		if err := r.Wait(nil); err != nil {
+			t.Errorf("waiting %s again = %v, want nil at once", what, err)
+		}
+	}
+	listed := func(t *testing.T, m *MPI, sends, recvs int) {
+		t.Helper()
+		l := m.lists()
+		if len(l.sends) != sends || len(l.recvs) != recvs {
+			t.Errorf("rank %d lists %d send and %d receive records, want %d and %d",
+				m.Rank(), len(l.sends), len(l.recvs), sends, recvs)
+		}
+	}
+	msg := []byte("0123456789")
+	var unwaited [2]*Request
+	for _, tc := range []struct {
+		name  string
+		body  func(t *testing.T, p *sim.Proc, m *MPI) // runs on ranks 0 and 1
+		after func(t *testing.T)                      // runs once the job has ended
+	}{{
+		name: "Waitall nils and skips slots",
+		body: func(t *testing.T, p *sim.Proc, m *MPI) {
+			c, peer := m.CommWorld(), 1-m.Rank()
+			reqs := []*Request{nil, c.Isend(p, msg, peer, 0), nil, c.Irecv(p, make([]byte, len(msg)), peer, 0)}
+			if err := Waitall(p, reqs...); err != nil {
+				t.Error(err)
+			}
+			for i, r := range reqs {
+				if r != nil {
+					t.Errorf("slot %d is not nil after Waitall", i)
+				}
+			}
+			listed(t, m, 1, 1)
+		},
+	}, {
+		name: "a freed handle reads as null until reused",
+		body: func(t *testing.T, p *sim.Proc, m *MPI) {
+			c := m.CommWorld()
+			if m.Rank() == 0 {
+				h := c.Isend(p, msg, 1, 0)
+				if err := h.Wait(p); err != nil {
+					t.Error(err)
+				}
+				isNull(t, "a waited send", h)
+				listed(t, m, 1, 0)
+				if h2 := c.Isend(p, msg, 1, 1); h2 != h || h2.Bytes() != len(msg) {
+					t.Error("the next send does not reuse the freed record live")
+				} else if err := h2.Wait(p); err != nil {
+					t.Error(err)
+				}
+				return
+			}
+			buf := make([]byte, len(msg))
+			r := c.Irecv(p, buf, 0, 0)
+			if err := r.Wait(p); err != nil {
+				t.Error(err)
+			}
+			isNull(t, "a waited receive", r)
+			r2 := c.Irecv(p, buf, 0, 1)
+			if r2 != r {
+				t.Error("the next receive does not reuse the freed record")
+			}
+			if st, err := r2.WaitStatus(p); err != nil || st != (Status{Source: 0, Tag: 1, Count: len(msg)}) {
+				t.Errorf("reused receive: status %+v, err %v", st, err)
+			}
+			listed(t, m, 0, 1)
+		},
+	}, {
+		name: "a truncated WaitStatus returns the status, then frees",
+		body: func(t *testing.T, p *sim.Proc, m *MPI) {
+			c := m.CommWorld()
+			if m.Rank() == 0 {
+				if err := c.Send(p, msg, 1, 8); err != nil {
+					t.Error(err)
+				}
+				return
+			}
+			r := c.Irecv(p, make([]byte, 4), 0, 8)
+			st, err := r.WaitStatus(p)
+			if !errors.Is(err, core.ErrTruncated) {
+				t.Errorf("err = %v, want ErrTruncated", err)
+			}
+			if st != (Status{Source: 0, Tag: 8, Count: 4}) {
+				t.Errorf("status %+v, want {Source:0 Tag:8 Count:4} despite the truncation", st)
+			}
+			isNull(t, "a truncated receive", r)
+			listed(t, m, 0, 1)
+		},
+	}, {
+		name: "a validation failure is never listed",
+		body: func(t *testing.T, p *sim.Proc, m *MPI) {
+			c := m.CommWorld()
+			for _, h := range []*Request{c.Isend(p, msg, 99, 0), c.Irecv(p, msg, 99, 0)} {
+				for i := 0; i < 2; i++ {
+					if err := h.Wait(p); !errors.Is(err, ErrBadRank) {
+						t.Errorf("wait %d = %v, want ErrBadRank", i, err)
+					}
+				}
+				if err := Waitall(p, h); !errors.Is(err, ErrBadRank) {
+					t.Errorf("Waitall = %v, want ErrBadRank", err)
+				}
+			}
+			listed(t, m, 0, 0)
+		},
+	}, {
+		name: "an unwaited handle stays its caller's",
+		body: func(t *testing.T, p *sim.Proc, m *MPI) {
+			c := m.CommWorld()
+			if m.Rank() == 0 {
+				unwaited[0] = c.Isend(p, msg, 1, 3)
+			} else {
+				unwaited[1] = c.Irecv(p, make([]byte, len(msg)), 0, 3)
+			}
+		},
+		after: func(t *testing.T) {
+			for i, r := range unwaited {
+				if !r.Done() || r.Err() != nil || r.Bytes() != len(msg) {
+					t.Errorf("handle %d after the run: Done %v, Err %v, Bytes %d", i, r.Done(), r.Err(), r.Bytes())
+				}
+			}
+			if st := unwaited[1].Status(); st != (Status{Source: 0, Tag: 3, Count: len(msg)}) {
+				t.Errorf("unwaited receive status %+v", st)
+			}
+		},
+	}, {
+		name: "WaitAny frees nothing, WaitAll frees every handle",
+		body: func(t *testing.T, p *sim.Proc, m *MPI) {
+			c := m.CommWorld()
+			if m.Rank() == 1 {
+				if _, err := c.Recv(p, make([]byte, len(msg)), 0, 0); err != nil {
+					t.Error(err)
+				}
+				if err := c.Send(p, msg, 0, 1); err != nil {
+					t.Error(err)
+				}
+				return
+			}
+			s, r := c.Isend(p, msg, 1, 0), c.Irecv(p, make([]byte, len(msg)), 1, 1)
+			reqs := []core.Request{s, r}
+			if _, err := core.WaitAny(p, reqs...); err != nil {
+				t.Error(err)
+			}
+			listed(t, m, 0, 0)
+			if err := core.WaitAll(p, reqs...); err != nil {
+				t.Error(err)
+			}
+			isNull(t, "a send waited by WaitAll", s)
+			isNull(t, "a receive waited by WaitAll", r)
+			listed(t, m, 1, 1)
+		},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			job(t, 2, func(p *sim.Proc, m *MPI) { tc.body(t, p, m) })
+			if tc.after != nil {
+				tc.after(t)
+			}
+		})
 	}
 }

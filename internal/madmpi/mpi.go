@@ -4,8 +4,9 @@
 // posting (Isend, Irecv) and completion (Wait, Test) operations map
 // directly onto the equivalent engine operations; completion itself is
 // the engine's unified core.Request layer (Request embeds the one
-// engine request it posted, and a nonblocking operation allocates the
-// two as one record); communicators multiplex onto engine flow tags;
+// engine request it posted, the two are one record, and Wait files that
+// record back for the next operation, as MPI_Wait frees the request it
+// completes); communicators multiplex onto engine flow tags;
 // derived datatypes flatten onto the engine's vector (iovec) path, so a
 // non-contiguous layout travels as one multi-segment wrapper the
 // scheduling strategies aggregate natively (§5.3).
@@ -34,6 +35,25 @@ type MPI struct {
 	// (empty = automatic selection) and the pipelining segment size.
 	collForce map[CollKind]string
 	collSeg   int
+
+	// recs holds the records of waited nonblocking operations (see
+	// Request.Wait). The first nonblocking operation makes it, so a rank
+	// that only makes blocking calls pays nothing for it.
+	recs *records
+}
+
+// records is an MPI's two free lists, one per record kind.
+type records struct {
+	sends recordList[core.SendRequest]
+	recvs recordList[core.RecvRequest]
+}
+
+// lists returns m's free lists, making them on first use.
+func (m *MPI) lists() *records {
+	if m.recs == nil {
+		m.recs = new(records)
+	}
+	return m.recs
 }
 
 // Init creates the MPI environment of one rank. opts selects the engine
@@ -173,18 +193,33 @@ type Status struct {
 // the operation posted (every MPI operation, typed ones included, is a
 // single wrapper below), so it satisfies the engine's unified
 // core.Request interface by embedding it — the MPI layer does not
-// reimplement completion. A nonblocking send or receive allocates the
-// handle and that engine request as one record (sendOp, recvOp), so an
-// MPI operation costs the engine's single allocation and no more.
+// reimplement completion. A nonblocking send or receive keeps the
+// handle and that engine request as one record (sendOp, recvOp), taken
+// from the posting MPI's free list.
+//
+// Wait, WaitStatus and Waitall free the request they complete, as
+// MPI_Wait does: the record goes back on its list, and until an
+// operation reuses it the handle reads as the null request
+// (MPI_REQUEST_NULL) — Done and Test true, Err nil, Wait nil at once,
+// Status {-1, -1, 0}. Done, Test, Err, Bytes and Status never free, so a
+// handle nobody waits stays its caller's for good.
 type Request struct {
 	core.Request
+	// mpi is the MPI whose list the record goes back to; nil for a
+	// handle that is not a live record (a validation failure, or one
+	// already freed).
+	mpi *MPI
 }
 
 // Request is used by core.WaitAll/WaitAny through the unified interface.
 var _ core.Request = (*Request)(nil)
 
+// nullRequest is what every freed handle names: an empty, completed
+// request group.
+var nullRequest core.Request = new(core.RequestGroup)
+
 // sendOp and recvOp are that record: the handle the caller keeps and the
-// engine request it names, side by side (80 and 160 bytes, each filling
+// engine request it names, side by side (96 and 160 bytes, each filling
 // its malloc size class).
 type sendOp struct {
 	Request
@@ -196,21 +231,97 @@ type recvOp struct {
 	r core.RecvRequest
 }
 
-// newRecvOp returns a receive record whose handle names its request.
-func newRecvOp() *recvOp {
+// record is a record on its MPI's free list: the handle and the engine
+// request (a core.SendRequest or core.RecvRequest) it named while live.
+// A freed handle names the null request, so the list keeps the second
+// half.
+type record[T any] struct {
+	h   *Request
+	req *T
+}
+
+// recordList is a plain stack of records, like the engine's free lists
+// (core's pool.go): the deterministic packages keep recycling off
+// sync.Pool and GC timing, and a World is single-threaded. get pops one,
+// or makes one with fresh when the list is empty and counts the miss.
+type recordList[T any] []record[T]
+
+// One miss counter per list: the records a run had to make.
+var (
+	cMissSendOps = sim.Counter("madmpi.misses.send_ops")
+	cMissRecvOps = sim.Counter("madmpi.misses.recv_ops")
+)
+
+func (l *recordList[T]) get(w *sim.World, miss sim.CounterID, fresh func() record[T]) record[T] {
+	n := len(*l) - 1
+	if n < 0 {
+		w.Count(miss)
+		return fresh()
+	}
+	rec := (*l)[n]
+	(*l)[n] = record[T]{}
+	*l = (*l)[:n]
+	return rec
+}
+
+func (l *recordList[T]) put(rec record[T]) { *l = append(*l, rec) }
+
+// sendRecord returns a live send record of m: its handle, naming the
+// zero engine request it returns beside it.
+func (m *MPI) sendRecord() (*Request, *core.SendRequest) {
+	rec := m.lists().sends.get(m.eng.World(), cMissSendOps, newSendRecord)
+	*rec.h = Request{Request: rec.req, mpi: m}
+	return rec.h, rec.req
+}
+
+func newSendRecord() record[core.SendRequest] {
+	op := new(sendOp)
+	return record[core.SendRequest]{&op.Request, &op.s}
+}
+
+// recvRecord is sendRecord for a receive.
+func (m *MPI) recvRecord() (*Request, *core.RecvRequest) {
+	rec := m.lists().recvs.get(m.eng.World(), cMissRecvOps, newRecvRecord)
+	*rec.h = Request{Request: rec.req, mpi: m}
+	return rec.h, rec.req
+}
+
+func newRecvRecord() record[core.RecvRequest] {
 	op := new(recvOp)
-	op.Request.Request = &op.r
-	return op
+	return record[core.RecvRequest]{&op.Request, &op.r}
+}
+
+// free files a completed handle's record back on its MPI's list and
+// leaves the handle naming the null request. The engine request is
+// zeroed here, so the record drops the caller's buffers; no engine
+// record touches a completed request again (core's pool.go), so the
+// next operation can post it. A handle that is not a live record is
+// left as it is.
+func (r *Request) free() {
+	m := r.mpi
+	if m == nil {
+		return
+	}
+	switch req := r.Request.(type) {
+	case *core.SendRequest:
+		*req = core.SendRequest{}
+		m.recs.sends.put(record[core.SendRequest]{r, req})
+	case *core.RecvRequest:
+		*req = core.RecvRequest{}
+		m.recs.recvs.put(record[core.RecvRequest]{r, req})
+	}
+	*r = Request{Request: nullRequest}
 }
 
 // failedRequest wraps an immediate validation error so Wait/Test report
-// it.
+// it. It is never listed, so waiting it frees nothing.
 func failedRequest(err error) *Request {
 	return &Request{Request: core.FailedRequest(err)}
 }
 
 // Status returns the receive status (Source and Tag of -1 and a zero
-// Count for sends). Valid once the request is Done.
+// Count for sends and for the null request). Valid once the request is
+// Done.
 func (r *Request) Status() Status {
 	if rr, ok := r.Request.(*core.RecvRequest); ok {
 		return recvStatus(rr)
@@ -223,25 +334,42 @@ func recvStatus(r *core.RecvRequest) Status {
 	return Status{Source: int(r.Source()), Tag: userTag(r.Tag()), Count: r.N()}
 }
 
-// WaitStatus blocks until completion and returns the receive status
-// (zero for pure sends) — the MPI_Wait(&status) form; Wait (from the
-// unified request interface) is the status-less form. Like MPI_Wait on
-// MPI_ERR_TRUNCATE, the status is populated even when the operation
-// completes with an error (the truncated count, the matched source and
-// tag).
-func (r *Request) WaitStatus(p *sim.Proc) (Status, error) {
-	err := r.Wait(p)
-	return r.Status(), err
+// Wait blocks until the operation completes, returns its error and frees
+// the request (MPI_Wait without a status). Waiting the null request
+// returns nil at once.
+func (r *Request) Wait(p *sim.Proc) error {
+	err := r.Request.Wait(p)
+	r.free()
+	return err
 }
 
-// Waitall completes every request in argument order, returning the first
-// error (MPI_Waitall).
+// WaitStatus is Wait returning the receive status (Source and Tag of -1
+// for pure sends) — the MPI_Wait(&status) form. Like MPI_Wait on
+// MPI_ERR_TRUNCATE, the status is populated even when the operation
+// completes with an error (the truncated count, the matched source and
+// tag); it is read before the request is freed.
+func (r *Request) WaitStatus(p *sim.Proc) (Status, error) {
+	err := r.Request.Wait(p)
+	st := r.Status()
+	r.free()
+	return st, err
+}
+
+// Waitall completes and frees every request in argument order, returning
+// the first error (MPI_Waitall). Like MPI_Waitall it sets each slot to
+// the null handle, here nil, and skips the nil slots it is handed. A
+// caller that needs a receive's status waits that request with
+// WaitStatus instead.
 func Waitall(p *sim.Proc, reqs ...*Request) error {
 	var first error
-	for _, r := range reqs {
+	for i, r := range reqs {
+		if r == nil {
+			continue
+		}
 		if err := r.Wait(p); err != nil && first == nil {
 			first = err
 		}
+		reqs[i] = nil
 	}
 	return first
 }

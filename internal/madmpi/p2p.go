@@ -7,9 +7,11 @@ import (
 
 // Point-to-point operations. The four nonblocking primitives (Isend,
 // Irecv, Wait, Test) are direct mappings onto the engine, per §3.4 of the
-// paper. The blocking forms map onto the engine's blocking calls, whose
-// request the engine takes from a free list and files back before the
-// call returns: the caller never sees it, and MPI frees the request of a
+// paper. A nonblocking operation's request comes from its MPI's free
+// list and goes back at Wait, as MPI frees a request where it is waited.
+// The blocking forms map onto the engine's blocking calls, whose request
+// the engine takes from a free list and files back before the call
+// returns: the caller never sees it, and MPI frees the request of a
 // blocking call inside the call.
 
 // Isend starts a nonblocking send of buf to rank dest with the given
@@ -22,13 +24,12 @@ func (c *Comm) Isend(p *sim.Proc, buf []byte, dest, tag int, opts ...core.SendOp
 	return c.postSend(p, [][]byte{buf}, dest, tag, opts)
 }
 
-// postSend posts a validated send into a new sendOp and returns its
+// postSend posts a validated send into a send record and returns its
 // handle.
 func (c *Comm) postSend(p *sim.Proc, segs [][]byte, dest, tag int, opts []core.SendOption) *Request {
-	op := new(sendOp)
-	op.Request.Request = &op.s
-	core.IsendvInto(&op.s, c.gate(dest), p, c.flowTag(tag), segs, nil, opts...)
-	return &op.Request
+	h, req := c.mpi.sendRecord()
+	core.IsendvInto(req, c.gate(dest), p, c.flowTag(tag), segs, nil, opts...)
+	return h
 }
 
 // checkSend validates the peer and the tag of a send.
@@ -46,9 +47,9 @@ func (c *Comm) Irecv(p *sim.Proc, buf []byte, src, tag int) *Request {
 	if err != nil {
 		return failedRequest(err)
 	}
-	op := newRecvOp()
-	core.IrecvMaskedInto(&op.r, c.gate(src), p, want, mask, buf, nil)
-	return &op.Request
+	h, req := c.mpi.recvRecord()
+	core.IrecvMaskedInto(req, c.gate(src), p, want, mask, buf, nil)
+	return h
 }
 
 // recvMatch validates a receive's peer and tag and returns the engine

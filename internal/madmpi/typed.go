@@ -45,9 +45,9 @@ func (c *Comm) IrecvTyped(p *sim.Proc, base []byte, t Datatype, count, src, tag 
 	if err != nil {
 		return failedRequest(err)
 	}
-	op := newRecvOp()
-	core.IrecvvMaskedInto(&op.r, c.gate(src), p, c.flowTag(tag), ^core.Tag(0), iov, nil)
-	return &op.Request
+	h, req := c.mpi.recvRecord()
+	core.IrecvvMaskedInto(req, c.gate(src), p, c.flowTag(tag), ^core.Tag(0), iov, nil)
+	return h
 }
 
 // iovec flattens count elements of datatype t at base into the gather

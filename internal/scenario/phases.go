@@ -131,6 +131,25 @@ func received(buf []byte, n, ph, s, m int) int {
 	return verify(buf, ph, s, m)
 }
 
+// waitChecked waits every request in posting order, as madmpi.Waitall
+// does, but reads each one's status from its own WaitStatus: a waited
+// request is freed, so its status cannot be read after Waitall. check
+// scores the i-th request's delivered count, and the sum is returned
+// unless a request failed; then the first error is.
+func waitChecked(q *sim.Proc, reqs []*madmpi.Request, check func(i, n int) int) (bad int, err error) {
+	for i, r := range reqs {
+		st, werr := r.WaitStatus(q)
+		if werr != nil && err == nil {
+			err = werr
+		}
+		bad += check(i, st.Count)
+	}
+	if err != nil {
+		return 0, err
+	}
+	return bad, nil
+}
+
 // nodesOrAll defaults an empty participant list to the whole cluster.
 func nodesOrAll(nodes []int, n int) []int {
 	if len(nodes) > 0 {
@@ -256,8 +275,8 @@ func startRing(r *runner, pr *phaseRun) {
 			c := r.comm(me)
 			// Every send of every round is a window onto one pattern.
 			// The receive buffers and the request list serve every
-			// round: all of a round's requests have completed at
-			// Waitall.
+			// round: all of a round's requests are waited, in posting
+			// order, before the next round posts.
 			pat, in := pattern(ph, slot, size), payloads(p.Msgs, size)
 			reqs := make([]*madmpi.Request, 0, 2*p.Msgs)
 			for round := 0; round < p.Count; round++ {
@@ -267,13 +286,17 @@ func startRing(r *runner, pr *phaseRun) {
 					reqs = append(reqs, c.Isend(q, out, next, base+slot*p.Count+round, pr.send...))
 					reqs = append(reqs, c.Irecv(q, in[m], prev, base+prevSlot*p.Count+round))
 				}
-				if err := madmpi.Waitall(q, reqs...); err != nil {
+				roundBad, err := waitChecked(q, reqs, func(i, n int) int {
+					if i%2 == 0 { // a send
+						return 0
+					}
+					m := i / 2
+					return received(in[m], n, ph, prevSlot, round*p.Msgs+m)
+				})
+				if err != nil {
 					return bad, err
 				}
-				for m := 0; m < p.Msgs; m++ {
-					n := reqs[2*m+1].Status().Count
-					bad += received(in[m], n, ph, prevSlot, round*p.Msgs+m)
-				}
+				bad += roundBad
 			}
 			return bad, nil
 		})
@@ -352,14 +375,12 @@ func startComposite(r *runner, pr *phaseRun) {
 			reqs = append(reqs, c.Irecv(q, bigs[m], a, base))
 			reqs = append(reqs, c.Irecv(q, ctls[m], a, base+1))
 		}
-		if err := madmpi.Waitall(q, reqs...); err != nil {
-			return 0, err
-		}
-		for m := 0; m < p.Msgs; m++ {
-			bad += received(bigs[m], reqs[2*m].Status().Count, ph, a, 2*m)
-			bad += received(ctls[m], reqs[2*m+1].Status().Count, ph, a, 2*m+1)
-		}
-		return bad, nil
+		return waitChecked(q, reqs, func(i, n int) int {
+			if i%2 == 0 {
+				return received(bigs[i/2], n, ph, a, i)
+			}
+			return received(ctls[i/2], n, ph, a, i)
+		})
 	})
 }
 

@@ -57,6 +57,8 @@ type (
 	// Status describes a completed MPI receive.
 	Status = madmpi.Status
 	// MPIRequest is a MAD-MPI nonblocking handle (it satisfies Request).
+	// Waiting it frees it, as MPI_Wait does: the handle then reads as the
+	// null request until a later operation reuses it.
 	MPIRequest = madmpi.Request
 	// Datatype describes a (possibly non-contiguous) memory layout.
 	Datatype = madmpi.Datatype

@@ -608,12 +608,12 @@ func TestAllocsNonblockingPingPong(t *testing.T) {
 	}
 }
 
-// The record of a nonblocking operation fills a malloc size class: a
-// send is the 24-byte handle (the embedded request and the owning MPI)
+// The record of a nonblocking operation stays in its malloc size class:
+// a send is the 24-byte handle (the embedded request and the owning MPI)
 // and the 64-byte engine request (96-byte class), a receive the handle
 // and the 128-byte request (160-byte class). Naming the MPI costs the
-// handle a word and each record a class, which a waited record pays once
-// per MPI, not per operation.
+// handle a word and each record a class, paid once per record an MPI
+// has in flight at its peak, since Wait recycles it, not per operation.
 func TestOpRecordSizeClasses(t *testing.T) {
 	if got := unsafe.Sizeof(sendOp{}); got > 96 {
 		t.Errorf("sendOp is %d bytes, over the 96-byte size class", got)

@@ -219,8 +219,8 @@ var _ core.Request = (*Request)(nil)
 var nullRequest core.Request = new(core.RequestGroup)
 
 // sendOp and recvOp are that record: the handle the caller keeps and the
-// engine request it names, side by side (96 and 160 bytes, each filling
-// its malloc size class).
+// engine request it names, side by side (88 and 152 bytes, in the 96-
+// and 160-byte malloc size classes).
 type sendOp struct {
 	Request
 	s core.SendRequest

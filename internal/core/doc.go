@@ -130,19 +130,24 @@
 // its plan copied into the transaction, with one recycled rdmaChain per
 // rail that computes each next chunk as it goes; the link layer takes
 // its linkFrames from a free list, encodes headers into scratch, and
-// binds its retransmit check and delayed ack once per record or gate. A
-// timer cannot be cancelled, so a record counts the events still pending
-// on it; all of a record's timers wait the same delay and fire in the
-// order they were armed, so a count also tells which of them are void (a
-// delayed ack superseded by a later one, a retransmit check armed before
-// the latest retransmission); and a record returns to its list only once
-// it is retired and the count is zero — the rule of the NIC's flight. An
-// rdvRecv keeps no count: under reliability its one body watch is
-// pending from the grant on, and the watch that finds the transaction
-// landed files the record back.
+// binds its delayed ack once per gate. A timer cannot be cancelled. An
+// engine's retransmit checks all wait RetransmitTimeout, so they wait in
+// one FIFO, like the posts, each stamped with its frame's generation,
+// which every retransmission and recycling advance (railFail resets
+// attempts, never the generation): a check whose stamp no longer matches
+// is void, and a frame has one live clock, armed when its last copy in
+// flight leaves the NIC. A frame record returns to its list at its ack
+// once no copy is in flight. Other records count the events still
+// pending on them — a gate its delayed acks, of which all but the latest
+// are void; an rdvSend its unsent chunks and streaming chains — and
+// return to their list only once retired with the count at zero, the
+// rule of the NIC's flight. An rdvRecv keeps no count: under reliability
+// its one body watch is pending from the grant on, and the watch that
+// finds the transaction landed files the record back.
 // The package's tests watch every engine's world (a seam in New,
 // sim.World.Watch): no rail may idle while a gate shows it a wrapper it
-// can gather once an instant's events have fired, and a drained world
+// can gather once an instant's events have fired, no unacked link frame
+// may have other than one retransmit clock, and a drained world
 // accounts for every pooled record and credit. The repo benchmark
 // (benchmark/, workload ring-replay-1024) measures the resulting host
 // cost and allocs/op, and allocation-regression pins live in
@@ -161,8 +166,8 @@
 // is validated against the stamp the strategy's own Scan left on it (see
 // electOutput), so no step walks the view a second time. The counts sit
 // in the window, not in Engine or Gate, for a measured reason: Engine
-// (1 016 B) and Gate (568 B) each fill their malloc size class (1 024
-// and 576 B, counting the 8 B header a pointerful object over 512 B
-// carries), and one more word in either moves the 64 B ping-pong's heap
-// bytes per operation by about 3 %.
+// (992 B, at most 1 016) and Gate (568 B) sit at the top of their malloc
+// size classes (1 024 and 576 B, counting the 8 B header a pointerful
+// object over 512 B carries), and a word past either top moves the 64 B
+// ping-pong's heap bytes per operation by about 3 %.
 package core

@@ -67,12 +67,11 @@ type Engine struct {
 	nextRdvID uint32
 	rr        int32 // round-robin cursor over gates
 
-	// posts[postHead:] are the PostSendv / PostRecvvMasked calls waiting
-	// out their submit overhead, oldest first; postFn is runPost, bound
-	// on the first post (see post).
-	posts    []pendingPost
-	postHead int
-	postFn   func()
+	// posts are the PostSendv / PostRecvvMasked calls waiting out their
+	// submit overhead; postFn is runPost, bound on the first post (see
+	// post).
+	posts  fifo[pendingPost]
+	postFn func()
 
 	syncAcks   map[uint32]*SendRequest // synchronous sends awaiting the ack
 	nextSyncID uint32
@@ -101,12 +100,14 @@ type Engine struct {
 	// taken at entry, filed back once the call has its result.
 	freeSends freeList[SendRequest]
 	freeRecvs freeList[RecvRequest]
-	// Rendezvous and link-layer records (rdv.go, reliab.go): each is
-	// filed back once nothing pending refers to it any more.
+	// Rendezvous records (rdv.go): each is filed back once nothing
+	// pending refers to it any more. link holds the link layer's frame
+	// records and retransmit checks (reliab.go), made by the first
+	// reliable train.
 	freeRdvSends freeList[rdvSend]
 	freeRdvRecvs freeList[rdvRecv]
 	freeChains   freeList[rdmaChain]
-	freeLinks    freeList[linkFrame]
+	link         *linkLayer
 	encHdrs      []byte
 	// encSegs is the gather-list scratch: an encoded train's (see
 	// encodeOutput) or a rendezvous body chunk's (see streamBody), dead
@@ -378,23 +379,13 @@ func (e *Engine) post(p pendingPost) {
 	if e.postFn == nil {
 		e.postFn = e.runPost
 	}
-	e.posts = append(e.posts, p)
+	e.posts.push(p)
 	e.world.After(e.opts.SubmitOverhead, e.postFn)
 }
 
 // runPost runs the oldest waiting post. It pops the FIFO before running
-// it, so a completion hook that posts again queues behind, not in place;
-// the dead prefix is compacted away once it outgrows the tail.
-func (e *Engine) runPost() {
-	p := e.posts[e.postHead]
-	e.posts[e.postHead] = pendingPost{}
-	if e.postHead++; e.postHead*2 >= len(e.posts) {
-		n := copy(e.posts, e.posts[e.postHead:])
-		clear(e.posts[n:])
-		e.posts, e.postHead = e.posts[:n], 0
-	}
-	e.runPosted(p)
-}
+// it, so a completion hook that posts again queues behind, not in place.
+func (e *Engine) runPost() { e.runPosted(e.posts.pop()) }
 
 // runPosted is what a post does once its submit overhead is paid: post
 // the receive, or submit the send — after the software-gather copy when

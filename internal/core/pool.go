@@ -48,24 +48,24 @@ import (
 //     posts it again.
 //   - Strategies never see wrappers after election (the spileak analyzer
 //     forbids retaining SPI views), so recycling cannot dangle into sched.
-//   - A record an event or a NIC completion refers to returns to its list
-//     only when nothing pending refers to it. A timer cannot be
-//     cancelled, so the record counts what is pending on it and is filed
-//     back once it is retired and the count is zero: a linkFrame once
-//     acked with no transmission in flight and no retransmit check armed
-//     (linkFrame.sending, checks), an rdvSend once retired with no chunk
-//     of its original stream unsent and no RDMA chain — reissues
-//     included — streaming (rdvSend.left, rdvSend.chains). An rdvRecv
-//     needs no count: under Options.Reliability exactly one body watch
-//     is pending from the grant on, and the watch that finds the record
-//     landed files it back; without reliability onBody does. All of a
-//     record's timers wait one delay and fire in the order armed, so
-//     counts also replace the attempt or generation stamp a closure per
-//     timer used to carry: a delayed ack that fires while a later one is
-//     pending is void, as is a retransmit check armed before the frame's
-//     latest retransmission (linkFrame.stale). The callbacks themselves
-//     are method values bound when the record is first made (or first
-//     needs them) and kept across recycling.
+//   - A record a NIC completion refers to returns to its list only when
+//     no transmission of it is in flight, and a record a timer refers to
+//     only when that timer can no longer act on it. A timer cannot be
+//     cancelled. A linkFrame is filed back once acked with no
+//     transmission in flight (linkFrame.sending): its pending retransmit
+//     check is an entry of the engine's check FIFO stamped with the
+//     frame's generation, which the recycling advances, so the check
+//     finds the record reused or listed and is void. An rdvSend is filed
+//     back once retired with no chunk of its original stream unsent and
+//     no RDMA chain — reissues included — streaming (rdvSend.left,
+//     rdvSend.chains). An rdvRecv needs no count: under
+//     Options.Reliability exactly one body watch is pending from the
+//     grant on, and the watch that finds the record landed files it
+//     back; without reliability onBody does. A gate's delayed acks all
+//     wait one delay and fire in the order armed, so a count tells that
+//     one firing while a later one is pending is void. The callbacks
+//     themselves are method values bound when the record (or the FIFO)
+//     is first made, or first needs them, and kept across recycling.
 //
 // Wire frames (simnet.Frame) are the one pooled object shared with the
 // layers below: the engine draws them from the fabric's list, fills each
@@ -126,6 +126,30 @@ func (l *freeList[T]) get(w *sim.World, miss sim.CounterID) *T {
 }
 
 func (l *freeList[T]) put(v *T) { *l = append(*l, v) }
+
+// fifo is a queue of values served oldest first: items[head:] are
+// queued. It backs the engine's timer queues, whose events all wait one
+// delay and so fire in the order they were scheduled, each popping the
+// head. pop zeroes the slot it takes and compacts the dead prefix away
+// once it outgrows the tail, so the backing array serves for good.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) push(v T) { q.items = append(q.items, v) }
+
+func (q *fifo[T]) pop() T {
+	v := q.items[q.head]
+	var zero T
+	q.items[q.head] = zero
+	if q.head++; q.head*2 >= len(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	return v
+}
 
 // newPacket is the one place a wrapper is filled: a wrapper for gate g
 // that will travel under header h, pinned to driver (or anyDriver) and

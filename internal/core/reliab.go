@@ -53,26 +53,44 @@ const (
 // frame it was flattened into, so it can be re-injected verbatim after
 // the original segments' buffers were reused.
 //
-// Records are recycled (Engine.freeLinks). A timer cannot be cancelled,
-// so the record counts the events that still refer to it — sending
-// transmissions, whose NIC completion arms a check, and checks armed but
-// not fired — and returns to the list only once it is acked and both
-// counts are zero (see releaseLink). Every check waits the same delay, so
-// checks fire in the order they were armed: stale counts the oldest
-// pending ones, armed before the latest retransmission, which are void.
+// A frame has one retransmit clock, the check armed when its last copy in
+// flight leaves the NIC (arm). A timer cannot be cancelled, so a check is
+// an entry of the engine's FIFO (linkLayer) stamped with the frame's
+// generation, which every retransmission and every recycling of the
+// record advance: a check whose stamp no longer matches is void. railFail
+// resets attempts, never gen. Records are recycled (linkLayer.free) as
+// soon as they are acked with no transmission in flight (see releaseLink).
 type linkFrame struct {
 	eng      *Engine
 	gate     *Gate
 	seq      uint32
+	gen      uint32        // stamp of the frame's live check
 	frame    *simnet.Frame // link header + encoded train
 	rail     *rail         // rail of the last (re)transmission
 	attempts int           // transmissions so far
-	acked    bool          // retired: a pending retransmit check is void
+	sending  int           // transmissions the NIC is not done with
+	acked    bool          // retired by a cumulative ack
+	// armFn is arm, bound when the record is first made: the NIC
+	// completion of a retransmission.
+	armFn func()
+}
 
-	sending, checks, stale int
-	// armFn and expireFn are arm and expire, bound when the record is
-	// first made: a transmission's NIC completion and the check it arms.
-	armFn, expireFn func()
+// linkLayer is an engine's sender-side link state, made by its first
+// reliable train (links). Every retransmit check of an engine waits
+// RetransmitTimeout, so checks expire in the order they were armed: each
+// arm pushes one entry and schedules one event, expireFn
+// (Engine.linkExpire, bound once), which pops the head.
+type linkLayer struct {
+	free     freeList[linkFrame]
+	checks   fifo[linkCheck]
+	expireFn func()
+}
+
+// linkCheck is one armed retransmit check, live while fr is at generation
+// gen. A nil fr is void from the start.
+type linkCheck struct {
+	fr  *linkFrame
+	gen uint32
 }
 
 // linkTx is the sender half of a gate's link state. Frame sequence
@@ -127,9 +145,9 @@ func appendLinkHeader(dst []byte, sub uint32, seq uint32, floor uint32) []byte {
 // the wrappers even with retransmissions ahead.
 func (e *Engine) linkSend(out *output) {
 	g := out.gate
-	fr := e.freeLinks.get(e.world, cMissLinks)
+	fr := e.links().free.get(e.world, cMissLinks)
 	if fr.armFn == nil { // fresh, not recycled
-		fr.eng, fr.armFn, fr.expireFn = e, fr.arm, fr.expire
+		fr.eng, fr.armFn = e, fr.arm
 	}
 	// The train's own transmission is the first sending one; its
 	// completion (output.sent) arms the first check.
@@ -145,33 +163,44 @@ func (e *Engine) linkSend(out *output) {
 	e.transmit(out)
 }
 
+// links returns e's link layer, made on the first call.
+func (e *Engine) links() *linkLayer {
+	if e.link == nil {
+		e.link = &linkLayer{}
+		e.link.expireFn = e.linkExpire
+	}
+	return e.link
+}
+
 // arm schedules the retransmit check of the transmission that just
 // completed. It runs from the NIC's send-completion callback, not at
 // submission: the ack clock must not start while the frame still waits
 // behind a long wire reservation (a rendezvous body can hold the pair's
 // wire for longer than the whole timeout), or an idle fabric would
-// retransmit spuriously.
+// retransmit spuriously. While another copy of the frame is in flight
+// the check is void, still one event: the clock starts when the last
+// copy leaves the NIC.
 func (fr *linkFrame) arm() {
+	e := fr.eng
 	fr.sending--
-	fr.checks++
-	fr.eng.world.After(fr.eng.opts.RetransmitTimeout, fr.expireFn)
+	var check linkCheck
+	if fr.sending == 0 {
+		check = linkCheck{fr, fr.gen}
+	}
+	e.link.checks.push(check)
+	e.world.After(e.opts.RetransmitTimeout, e.link.expireFn)
+	e.releaseLink(fr)
 }
 
-// expire fires when a check's timeout has elapsed. A check armed before
-// the frame's latest retransmission is void — a newer attempt owns the
-// frame — as is any check of an acked frame.
-func (fr *linkFrame) expire() {
-	e, g := fr.eng, fr.gate
-	fr.checks--
-	if fr.stale > 0 {
-		fr.stale--
-		e.releaseLink(fr)
+// linkExpire fires when the oldest check's timeout has elapsed. The check
+// is void unless its frame is still at the generation it was armed at.
+func (e *Engine) linkExpire() {
+	c := e.link.checks.pop()
+	fr := c.fr
+	if fr == nil || fr.gen != c.gen {
 		return
 	}
-	if fr.acked {
-		e.releaseLink(fr)
-		return
-	}
+	g := fr.gate
 	if fr.attempts >= e.opts.RetransmitBudget {
 		if e.aliveRail(fr.rail) == nil {
 			// No surviving alternative: the last rail is never declared
@@ -193,13 +222,14 @@ func (fr *linkFrame) expire() {
 	e.linkResend(g, fr, r)
 }
 
-// releaseLink recycles an acked frame record no pending event refers to.
+// releaseLink recycles an acked frame record with no transmission in
+// flight. The new generation voids the frame's pending check, if any.
 func (e *Engine) releaseLink(fr *linkFrame) {
-	if !fr.acked || fr.sending > 0 || fr.checks > 0 {
+	if !fr.acked || fr.sending > 0 {
 		return
 	}
-	*fr = linkFrame{eng: e, armFn: fr.armFn, expireFn: fr.expireFn}
-	e.freeLinks.put(fr)
+	*fr = linkFrame{eng: e, gen: fr.gen + 1, armFn: fr.armFn}
+	e.link.free.put(fr)
 }
 
 // linkResend re-injects a retained frame, bypassing the window: the
@@ -209,7 +239,7 @@ func (e *Engine) releaseLink(fr *linkFrame) {
 func (e *Engine) linkResend(g *Gate, fr *linkFrame, r *rail) {
 	fr.attempts++
 	fr.sending++
-	fr.stale = fr.checks
+	fr.gen++ // voids the pending check
 	fr.rail = r
 	size := len(fr.frame.Bytes())
 	e.stats.Retransmits++

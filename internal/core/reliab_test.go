@@ -442,62 +442,63 @@ func TestProbeBudgetAbandonsPermanentOutage(t *testing.T) {
 	}
 }
 
-// A link frame record returns to its list only once the retransmit check
-// armed at its transmission has fired, even though the frame was acked
-// long before: the check cannot be cancelled, and on a recycled record it
-// would judge the wrong frame. A train sent meanwhile gets another
-// record; one sent after the check fired reuses one; and on a lossless
-// fabric nothing is ever retransmitted.
-func TestLinkFrameRecycledOnlyAfterItsCheck(t *testing.T) {
+// An acked link frame's record goes back on its list at the ack, while
+// the retransmit check armed at its transmission is still pending: the
+// check cannot be cancelled, but the recycling advanced the record's
+// generation. The next train reuses the record before that check fires,
+// and the check, firing while the new frame is in flight, does nothing.
+// On a lossless fabric nothing is ever retransmitted.
+func TestLinkFrameRecycledBeforeItsCheck(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Reliability = true
 	w, e0, e1 := testWorld(t, opts)
 	g := e0.Gate(1)
-	data, buf := make([]byte, 512), make([]byte, 512)
-	sends := []sim.Time{0, 100 * sim.Microsecond, 500 * sim.Microsecond}
+	data := make([]byte, 512)
+	pending := func() int { q := &e0.link.checks; return len(q.items) - q.head }
+	var first *linkFrame
 	w.Spawn("send", func(p *sim.Proc) {
-		for _, at := range sends {
-			p.Sleep(at - p.Now())
-			if err := g.Send(p, 7, data); err != nil {
-				t.Error(err)
+		// A blocking send returns at its train's NIC completion, the
+		// instant the train's check is armed.
+		if err := g.Send(p, 7, data); err != nil {
+			t.Error(err)
+			return
+		}
+		if len(g.ltx.unacked) != 1 || pending() != 1 {
+			t.Errorf("%d unacked, %d checks pending once the first train left the NIC, want 1 and 1", len(g.ltx.unacked), pending())
+			return
+		}
+		first = g.ltx.unacked[0]
+		fires := p.Now() + e0.opts.RetransmitTimeout
+		p.Sleep(50 * sim.Microsecond)
+		if len(g.ltx.unacked) != 0 || len(e0.link.free) != 1 || e0.link.free[0] != first || pending() != 1 {
+			t.Errorf("acked frame: %d unacked, %d records listed, %d checks pending; want its record listed, its check pending",
+				len(g.ltx.unacked), len(e0.link.free), pending())
+		}
+		// The next train leaves just before the first check fires, and
+		// is still unacked when it does.
+		p.Sleep(fires - sim.Microsecond - p.Now())
+		second := g.Isend(p, 7, data)
+		p.Sleep(sim.Microsecond / 2) // the election's schedule overhead
+		if len(g.ltx.unacked) != 1 || g.ltx.unacked[0] != first {
+			t.Error("the next train took a fresh record while an acked one was listed")
+		}
+		w.At(fires, func() { // after the first check, armed earlier
+			if pending() != 0 || first.sending != 1 {
+				t.Errorf("%d checks pending, %d copies in flight; want the first check fired and the second train on the wire", pending(), first.sending)
 			}
+			if len(g.ltx.unacked) != 1 || g.ltx.unacked[0] != first || e0.Stats().Retransmits != 0 {
+				t.Errorf("the void check acted: %d unacked, %d retransmissions", len(g.ltx.unacked), e0.Stats().Retransmits)
+			}
+		})
+		if err := second.Wait(p); err != nil {
+			t.Error(err)
 		}
 	})
 	w.Spawn("recv", func(p *sim.Proc) {
-		for range sends {
-			if _, err := e1.Gate(0).Recv(p, 7, buf); err != nil {
+		for range 2 {
+			if _, err := e1.Gate(0).Recv(p, 7, make([]byte, 512)); err != nil {
 				t.Error(err)
 			}
-		}
-	})
-	// inFlight is the record of the one train in flight just after a send.
-	inFlight := func() *linkFrame {
-		if len(g.ltx.unacked) != 1 {
-			t.Fatalf("at %v: %d unacked trains, want 1", w.Now(), len(g.ltx.unacked))
-		}
-		return g.ltx.unacked[0]
-	}
-	var first, second *linkFrame
-	w.At(sim.Microsecond, func() { first = inFlight() })
-	w.At(50*sim.Microsecond, func() {
-		if !first.acked || first.checks != 1 || len(e0.freeLinks) != 0 {
-			t.Errorf("acked frame: acked=%v checks=%d with %d records listed; want acked, its check pending, none listed",
-				first.acked, first.checks, len(e0.freeLinks))
-		}
-	})
-	w.At(101*sim.Microsecond, func() {
-		if second = inFlight(); second == first {
-			t.Error("a train reused the record of a frame whose check is still pending")
-		}
-	})
-	w.At(450*sim.Microsecond, func() {
-		if len(e0.freeLinks) != 2 {
-			t.Errorf("%d records listed once both checks fired, want 2", len(e0.freeLinks))
-		}
-	})
-	w.At(501*sim.Microsecond, func() {
-		if third := inFlight(); third != first && third != second {
-			t.Error("a train after both checks fired took a fresh record")
 		}
 	})
 	run(t, w)

@@ -15,7 +15,7 @@ import (
 // The engine self-checks. Every engine a test of this package builds —
 // directly, or through a harness in the external tests (the scenario
 // corpus, replayed recordings, the figures) — is seen by newEngineHook,
-// and its world is watched (sim.World.Watch) by two checks:
+// and its world is watched (sim.World.Watch) by three checks:
 //
 //   - The just-in-time checker runs before the clock leaves each instant.
 //     The transfer layer hands a rail the next packet as soon as it goes
@@ -23,6 +23,11 @@ import (
 //     not failed, no output claiming or staged for it, its NIC polling
 //     idle — while a gate's eligible view shows it a wrapper it can
 //     gather, and no failed or idle rail may hold a staged output.
+//   - The one-clock check runs at the same moments, on each reliable
+//     engine that armed or expired a retransmit check since it last
+//     looked. Every unacked link frame has exactly one retransmit clock:
+//     a transmission in flight, whose completion arms the check, or else
+//     one live check.
 //   - The drain audit runs when Run empties the queue. Each free list
 //     holds every record it ever made (its core.misses.* count) minus
 //     those engine state still refers to; no link frame stays unacked;
@@ -31,9 +36,11 @@ import (
 //
 // A violation is reported with the test that built the world, and fails
 // the package (TestMain) unless a test took it first (takeSelfCheck).
-// The checks only read: they bump no work counter (watch turns counting
-// off) and allocate nothing while the engines behave, so every
-// allocation pin holds with them on.
+// The checks only read — the one-clock check learns of expiries through
+// a wrapper around the engine's expiry callback, put in when the engine
+// is built — bump no work counter (watch turns counting off) and
+// allocate nothing while the engines behave, so every allocation pin
+// holds with them on.
 
 func TestMain(m *testing.M) {
 	newEngineHook = checks.add
@@ -73,6 +80,12 @@ type checkedWorld struct {
 	gatherOK  bool
 	gatherFn  func(pw *packet) bool
 	drainRdvs []*rdvSend
+
+	// The one-clock check's state, per engine in engines order: whether
+	// a retransmit check of it expired, and its check FIFO's length, at
+	// its last scan.
+	expired []bool
+	queued  []int
 }
 
 // poolCounters names the nine free lists' miss counters, in the order
@@ -109,6 +122,13 @@ func (c *selfChecks) add(e *Engine) {
 		w.Watch(cw.watch)
 	}
 	cw.engines = append(cw.engines, e)
+	cw.expired, cw.queued = append(cw.expired, false), append(cw.queued, 0)
+	if e.opts.Reliability {
+		// Each expiry marks the engine for the next scan.
+		l, i := e.links(), len(cw.engines)-1
+		expire := l.expireFn
+		l.expireFn = func() { cw.expired[i] = true; expire() }
+	}
 }
 
 // testName is the Test, Fuzz or Benchmark function on the calling stack.
@@ -167,12 +187,43 @@ func (cw *checkedWorld) watch(drained bool) {
 		cw.audit()
 		return
 	}
-	for _, e := range cw.engines {
+	for i, e := range cw.engines {
 		// Every submitted wrapper not yet elected is windowed (the
 		// audit holds that), and only anticipation stages: an engine
 		// with neither has nothing to check.
 		if e.stats.Submitted != e.stats.EntriesSent || e.opts.Anticipate {
 			cw.justInTime(e)
+		}
+		// A frame gains or loses a clock only when a check is armed,
+		// which lengthens the FIFO, or expires, which may retransmit or
+		// fail a rail: an engine with neither since its last scan has
+		// nothing new to check.
+		if l := e.link; l != nil && (cw.expired[i] || len(l.checks.items) != cw.queued[i]) {
+			cw.expired[i], cw.queued[i] = false, len(l.checks.items)
+			cw.oneClock(e)
+		}
+	}
+}
+
+// oneClock reports every unacked link frame of e whose live checks plus
+// one for any transmission in flight do not add up to one.
+func (cw *checkedWorld) oneClock(e *Engine) {
+	q := &e.link.checks
+	for _, g := range e.gateOrder {
+		for _, fr := range g.ltx.unacked {
+			clocks := 0
+			if fr.sending > 0 {
+				clocks++
+			}
+			for _, c := range q.items[q.head:] {
+				if c.fr == fr && c.gen == fr.gen {
+					clocks++
+				}
+			}
+			if clocks != 1 {
+				cw.report(fmt.Sprintf("one clock: at %v node %d frame %d to node %d has %d retransmit clocks, %d transmission(s) in flight",
+					e.world.Now(), e.node.ID, fr.seq, g.peer, clocks, fr.sending))
+			}
 		}
 	}
 }
@@ -247,7 +298,10 @@ func (cw *checkedWorld) records(e *Engine) (listed, held [len(poolCounters)]uint
 		uint64(len(e.freePkts)), uint64(len(e.freeOuts)), uint64(len(e.freeEnts)),
 		uint64(len(e.freeSends)), uint64(len(e.freeRecvs)),
 		uint64(len(e.freeRdvSends)), uint64(len(e.freeRdvRecvs)),
-		uint64(len(e.freeChains)), uint64(len(e.freeLinks)),
+		uint64(len(e.freeChains)), 0,
+	}
+	if e.link != nil {
+		listed[8] = uint64(len(e.link.free))
 	}
 	retired := cw.drainRdvs[:0]
 	note := func(pw *packet) {
@@ -456,7 +510,7 @@ func TestDrainAuditNamesALeakedRecord(t *testing.T) {
 		func(e *Engine) { e.freeRdvSends.get(e.world, cMissRdvSends) },
 		func(e *Engine) { e.freeRdvRecvs.get(e.world, cMissRdvRecvs) },
 		func(e *Engine) { e.freeChains.get(e.world, cMissChains) },
-		func(e *Engine) { e.freeLinks.get(e.world, cMissLinks) },
+		func(e *Engine) { e.links().free.get(e.world, cMissLinks) },
 	}
 	for i, list := range poolCounters {
 		t.Run(list, func(t *testing.T) {
@@ -509,5 +563,48 @@ func TestDrainAuditChecksTheBooks(t *testing.T) {
 	}
 	if !slices.Equal(*got, want) {
 		t.Errorf("the self-checks reported %q, want %q", *got, want)
+	}
+}
+
+// TestOneClockCatchesASecondCheck: a live check pushed by hand beside the
+// one a train's completion armed gives its frame two retransmit clocks.
+// The check names the frame at every instant until the ack retires it —
+// and nothing else is wrong with the world.
+func TestOneClockCatchesASecondCheck(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Reliability = true
+	w, e0, e1 := testWorld(t, opts)
+	got := captureChecks(t, w)
+	var at sim.Time
+	w.Spawn("send", func(p *sim.Proc) {
+		// A blocking send returns at its train's NIC completion, once
+		// the train's check is armed.
+		if err := e0.Gate(1).Send(p, 7, make([]byte, 64)); err != nil {
+			t.Error(err)
+			return
+		}
+		fr, l := e0.Gate(1).ltx.unacked[0], e0.link
+		l.checks.push(linkCheck{fr, fr.gen})
+		w.After(e0.opts.RetransmitTimeout, l.expireFn)
+		at = w.Now()
+	})
+	w.Spawn("recv", func(p *sim.Proc) {
+		if _, err := e1.Gate(0).Recv(p, 7, make([]byte, 64)); err != nil {
+			t.Error(err)
+		}
+	})
+	run(t, w)
+	const says = " node 0 frame 0 to node 1 has 2 retransmit clocks, 0 transmission(s) in flight"
+	want := fmt.Sprintf("one clock: at %v", at) + says
+	if len(*got) == 0 || (*got)[0] != want {
+		t.Fatalf("the self-checks reported %q, want %q first", *got, want)
+	}
+	for _, msg := range *got {
+		if !strings.HasPrefix(msg, "one clock: at ") || !strings.HasSuffix(msg, says) {
+			t.Errorf("the self-checks also reported %q", msg)
+		}
+	}
+	if n := e0.Stats().Retransmits; n != 0 {
+		t.Errorf("%d retransmissions: the frame was acked before either check fired", n)
 	}
 }

@@ -1,5 +1,5 @@
 // Command nmad-replay re-drives a recorded offered load (written by
-// nmad-trace -record, nmad-sim run -record or nmad.WithRecording) through
+// nmad-sim run -record or nmad.WithRecording) through
 // the engine: every recorded submission is re-issued at its recorded
 // virtual time, on the recorded topology, under the recorded strategy —
 // or under a different one, for exact A/B comparisons on identical load.
@@ -36,8 +36,9 @@ func main() {
 	lossless := flag.Bool("lossless", false, "ignore the recorded fault profile and replay on a lossless fabric")
 	flag.Parse()
 
-	if flag.NArg() != 1 || (*strategy != "" && *ab != "") {
-		fmt.Fprintln(os.Stderr, "usage: nmad-replay [-strategy s | -ab s1,s2,...] [-credits n] [-grants n] [-lossless] recording.jsonl")
+	if flag.NArg() != 1 || (*strategy != "" && *ab != "") || *credits < -1 || *grants < -1 {
+		fmt.Fprintln(os.Stderr, "usage: nmad-replay [-strategy s | -ab s1,s2,...] [-credits n] [-grants n] [-lossless] recording.jsonl\n"+
+			"  -credits and -grants take n >= 0, or -1 for as recorded")
 		os.Exit(2)
 	}
 	f, err := os.Open(flag.Arg(0))

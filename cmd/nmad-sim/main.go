@@ -6,6 +6,8 @@
 // Usage:
 //
 //	nmad-sim run scenario.yaml...            # run, print reports
+//	nmad-sim run -timeline s.yaml            # also every node's scheduling timeline
+//	nmad-sim run -chrome out.json s.yaml     # that timeline as Chrome trace-event JSON
 //	nmad-sim run -record out.jsonl s.yaml    # also capture the offered load
 //	nmad-sim run -v s.yaml                   # stream phase/event progress
 //	nmad-sim validate scenario.yaml...       # parse + validate only
@@ -13,19 +15,22 @@
 //
 // `run` executes each scenario and prints its report; any assertion
 // failure, incomplete phase or engine error makes the exit status 1.
-// `validate` classifies every mistake in each file (syntax, schema,
-// unknown action, bad target, overlapping phases, assertion on an
-// undeclared checkpoint, ...) without running anything. `-record`
-// writes the PR-5 record/replay format, stamped with the scenario name
-// and fault seed, replayable through nmad-replay (one scenario per
-// invocation when recording).
+// `-timeline` follows each report with every node's scheduling decisions
+// in time order, then their per-kind counts; `-chrome` writes them for
+// chrome://tracing or Perfetto. `-record` writes the load for
+// nmad-replay, stamped with the scenario name and fault seed. `-chrome`
+// and `-record` take one scenario. `validate` classifies every mistake
+// in each file (syntax, schema, unknown action, bad target, overlapping
+// phases, assertion on an undeclared checkpoint, ...) without running.
 //
 // Exit status: 0 all good, 1 scenario failures, 2 usage or load errors.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -51,22 +56,25 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: nmad-sim <command> [flags] args...
 
-  run [-record out.jsonl] [-v] scenario.yaml...   run scenarios, print reports
-  validate scenario.yaml...                       parse and validate only
-  list dir                                        one line per scenario in a directory`)
+  run [-v] [-timeline] [-record out.jsonl] [-chrome out.json] scenario.yaml...
+                                   run scenarios, print reports (and timelines)
+  validate scenario.yaml...        parse and validate only
+  list dir                         one line per scenario in a directory`)
 	os.Exit(2)
 }
 
 func cmdRun(args []string) int {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	record := fs.String("record", "", "capture the offered load into this JSONL recording (single scenario only)")
+	timeline := fs.Bool("timeline", false, "print every node's scheduling timeline and its per-kind counts after each report")
+	chrome := fs.String("chrome", "", "write the scheduling timeline as Chrome trace-event JSON to this file (single scenario only)")
 	verbose := fs.Bool("v", false, "stream phase/event progress while running")
 	fs.Parse(args)
 	if fs.NArg() == 0 {
 		usage()
 	}
-	if *record != "" && fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "nmad-sim: -record takes exactly one scenario (one recording per run)")
+	if (*record != "" || *chrome != "") && fs.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "nmad-sim: -record and -chrome take exactly one scenario (one file per run)")
 		return 2
 	}
 
@@ -81,10 +89,11 @@ func cmdRun(args []string) int {
 		if *verbose {
 			cfg.Verbose = os.Stdout
 		}
-		var rec *nmad.Recording
 		if *record != "" {
-			rec = nmad.NewRecording()
-			cfg.Record = rec
+			cfg.Record = nmad.NewRecording()
+		}
+		if *timeline || *chrome != "" {
+			cfg.Trace = nmad.NewTracer()
 		}
 		rep, err := nmad.RunScenario(sc, cfg)
 		if rep != nil {
@@ -94,25 +103,42 @@ func cmdRun(args []string) int {
 			fmt.Fprintf(os.Stderr, "nmad-sim: %v\n", err)
 			status = 1
 		}
-		if rec != nil {
-			f, err := os.Create(*record)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "nmad-sim: %v\n", err)
+		if *timeline {
+			if err := cfg.Trace.Dump(os.Stdout); err != nil {
+				fmt.Fprintf(os.Stderr, "nmad-sim: writing the timeline: %v\n", err)
 				return 2
 			}
-			werr := rec.Write(f)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				fmt.Fprintf(os.Stderr, "nmad-sim: writing %s: %v\n", *record, werr)
+			fmt.Println(cfg.Trace.Summary())
+		}
+		if *record != "" {
+			if !writeFile(*record, cfg.Record.Write) {
 				return 2
 			}
 			fmt.Printf("recorded %d operations to %s (scenario %s, seed %s)\n",
-				rec.Len(), *record, rec.Meta("scenario"), rec.Meta("seed"))
+				cfg.Record.Len(), *record, cfg.Record.Meta("scenario"), cfg.Record.Meta("seed"))
+		}
+		if *chrome != "" {
+			if !writeFile(*chrome, cfg.Trace.WriteChrome) {
+				return 2
+			}
+			fmt.Printf("wrote %d events to %s\n", cfg.Trace.Total(), *chrome)
 		}
 	}
 	return status
+}
+
+// writeFile creates path and fills it through write, reporting on stderr
+// any error of the create, the write or the close.
+func writeFile(path string, write func(io.Writer) error) bool {
+	f, err := os.Create(path)
+	if err == nil {
+		err = errors.Join(write(f), f.Close())
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "nmad-sim: writing %s: %v\n", path, err)
+		return false
+	}
+	return true
 }
 
 func cmdValidate(args []string) int {

@@ -47,13 +47,15 @@
 // derived aggregation_ratio; a faults assertion likewise any field of
 // simnet.FaultStats. A checkpoint event snapshots the counters under a
 // name, and an assertion anchored `at:` that name sees the mid-run
-// values.
+// values. Overlapping squeeze_credits on one node hold their union.
 //
 // Everything is virtual-time and seeded, so a scenario run is
 // byte-deterministic: the same file produces the same report, counters
 // included, on every run. Config.Record captures the offered load in
 // the trace.Recording format, stamped with the scenario name and seed,
-// replayable through package replay.
+// replayable through package replay. Config.Trace records every node's
+// scheduling decisions as one chronological timeline (the world is
+// single-threaded); a traced run reports what an untraced one does.
 //
 // The package deliberately parses only a YAML subset (see yaml.go) so
 // the repository needs no YAML dependency; files using unsupported

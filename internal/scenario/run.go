@@ -38,10 +38,11 @@ func Load(path string) (*Scenario, error) {
 
 // Config adjusts one run of a scenario.
 type Config struct {
-	// Record, when non-nil, captures the offered load of the run (the
-	// PR-5 record/replay format), stamped with the scenario name and
-	// fault seed.
+	// Record, when non-nil, captures the offered load of the run,
+	// stamped with the scenario name and fault seed.
 	Record *trace.Recording
+	// Trace, when non-nil, records every node's scheduling decisions.
+	Trace *trace.Recorder
 	// Verbose, when non-nil, streams phase/event progress lines.
 	Verbose io.Writer
 	// Work, when non-nil, receives the run's host-work counts
@@ -127,6 +128,8 @@ type runner struct {
 	// queue is the multi-tenant job queue (nil unless the scenario
 	// declares tenants).
 	queue *queue.Queue
+	// squeezes counts each node's active squeeze_credits events.
+	squeezes []int
 }
 
 func (r *runner) nodes() int { return r.fabric.Nodes() }
@@ -176,7 +179,7 @@ func Run(sc *Scenario, cfg Config) (*Report, error) {
 		snapshots: map[string]*snapshot{},
 	}
 
-	if r.mpis, err = madmpi.InitAll(f, core.Options{NodeConfig: c.Engine, Record: cfg.Record}); err != nil {
+	if r.mpis, err = madmpi.InitAll(f, core.Options{NodeConfig: c.Engine, Record: cfg.Record, Tracer: cfg.Trace}); err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
 	if len(sc.Tenants) > 0 {
@@ -377,11 +380,20 @@ var eventActions = map[string]eventAction{
 			}
 		},
 		fire: func(r *runner, e EventSpec) {
+			// Overlapping squeezes hold their union: the node freezes at
+			// the first start and thaws at the last release.
 			eng := r.mpis[e.Node].Engine()
-			eng.FreezeCredits(true)
+			if r.squeezes == nil {
+				r.squeezes = make([]int, r.nodes())
+			}
+			if r.squeezes[e.Node]++; r.squeezes[e.Node] == 1 {
+				eng.FreezeCredits(true)
+			}
 			r.world.After(e.Duration, func() {
 				r.logf("%v: event squeeze_credits on node %d released", r.world.Now(), e.Node)
-				eng.FreezeCredits(false)
+				if r.squeezes[e.Node]--; r.squeezes[e.Node] == 0 {
+					eng.FreezeCredits(false)
+				}
 			})
 		},
 	},

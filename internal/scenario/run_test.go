@@ -251,6 +251,74 @@ assertions:
 	}
 }
 
+// TestOverlappingSqueezesHoldTheirUnion: two squeeze_credits on one node,
+// 100-400us and 200-700us, freeze its credit replenishment from the
+// first start to the last release. The node sends no credit between a
+// checkpoint inside the first squeeze and one inside the second, after
+// the first's release, and the run is the run of one squeeze spanning
+// both.
+func TestOverlappingSqueezesHoldTheirUnion(t *testing.T) {
+	doc := func(squeezes string) string {
+		return `
+name: squeezes
+cluster:
+  nodes: 5
+  engine:
+    credits: 8
+phases:
+  - name: burst
+    kind: incast
+    at: 0us
+    target: 0
+    msgs: 512
+    size: 1024
+events:` + squeezes + `
+  - at: 150us
+    action: checkpoint
+    name: first
+  - at: 690us
+    action: checkpoint
+    name: second
+assertions:
+  - type: stats
+    at: first
+    node: "0"
+    field: credits_sent
+    op: ">="
+    value: 0
+  - type: stats
+    at: second
+    node: "0"
+    field: credits_sent
+    op: ">="
+    value: 0
+`
+	}
+	overlap := runDoc(t, doc(`
+  - at: 100us
+    action: squeeze_credits
+    node: 0
+    duration: 300us
+  - at: 200us
+    action: squeeze_credits
+    node: 0
+    duration: 500us`), Config{})
+	union := runDoc(t, doc(`
+  - at: 100us
+    action: squeeze_credits
+    node: 0
+    duration: 600us`), Config{})
+	if first, second := overlap.Results[0].Detail, overlap.Results[1].Detail; first != second {
+		t.Errorf("node 0 replenished credits inside the second squeeze: at 150us %s; at 690us %s", first, second)
+	}
+	var got, want bytes.Buffer
+	overlap.Write(&got)
+	union.Write(&want)
+	if got.String() != want.String() || !reflect.DeepEqual(overlap.Stats, union.Stats) {
+		t.Errorf("overlapping squeezes differ from their union:\n--- overlapping\n%s--- union\n%s", got.String(), want.String())
+	}
+}
+
 // TestDegradeRailStretchesCompletion: halving the wire speed during a
 // bulk transfer must stretch it.
 func TestDegradeRailStretchesCompletion(t *testing.T) {

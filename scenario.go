@@ -20,7 +20,8 @@ import (
 // Scenario is one parsed scenario: cluster, phases, events, assertions.
 type Scenario = scenario.Scenario
 
-// ScenarioConfig adjusts one run (recording capture, verbose progress).
+// ScenarioConfig adjusts one run (recording capture, scheduling
+// timeline, verbose progress).
 type ScenarioConfig = scenario.Config
 
 // ScenarioReport is the outcome of one run: per-phase completion,

@@ -102,7 +102,26 @@ func workRows(corpus string) []workRow {
 			})
 			return err
 		}},
+		{"allgather ring 64 ranks", func(wk *sim.Work) error {
+			_, err := runPhase(wk, 64, reliable(), 0, faultSeed, scenario.PhaseSpec{
+				Kind: "allgather", Msgs: 1, Size: 512, Count: 1,
+			})
+			return err
+		}},
+		{"barrier x1000 4 ranks", func(wk *sim.Work) error {
+			_, err := runPhase(wk, 4, reliable(), 0, faultSeed, scenario.PhaseSpec{
+				Kind: "barrier", Msgs: 1, Count: 1000,
+			})
+			return err
+		}},
 	}
+}
+
+// reliable is the default engine with reliability on.
+func reliable() core.Options {
+	opts := core.DefaultOptions()
+	opts.Reliability = true
+	return opts
 }
 
 // workRow is one run of the work golden, counting into wk.

@@ -47,9 +47,10 @@
 // reported to a callback. A workload driven either way produces the same
 // schedule event for event (post_test.go); package replay re-issues
 // recordings this way and needs no goroutine per operation. A process
-// with many requests in flight can take the same callback (IsendvInto,
-// IrecvvMaskedInto) and learn which request finished without scanning
-// them, as MAD-MPI's collective executor does.
+// with many requests in flight can take a callback too (IsendvInto,
+// IrecvvMaskedInto): it numbers each request, and one callback bound for
+// all of them learns from the number which one finished, with no closure
+// per request and no scan, as MAD-MPI's collective executor does.
 //
 // # Engine state
 //

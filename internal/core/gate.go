@@ -137,7 +137,7 @@ func (g *Gate) Isend(p *sim.Proc, tag Tag, data []byte, opts ...SendOption) *Sen
 // natively (the paper's §5.3 optimization without per-block requests).
 func (g *Gate) Isendv(p *sim.Proc, tag Tag, segs [][]byte, opts ...SendOption) *SendRequest {
 	req := new(SendRequest)
-	IsendvInto(req, g, p, tag, segs, nil, opts...)
+	IsendvInto(req, g, p, tag, segs, 0, nil, opts...)
 	return req
 }
 
@@ -147,12 +147,12 @@ func (g *Gate) Isendv(p *sim.Proc, tag Tag, segs [][]byte, opts ...SendOption) *
 // request (MAD-MPI's Request) allocates the two as one record this way.
 // segs is not retained, so a one-buffer send can pass a composite literal
 // that stays on the caller's stack. done, when not nil, is called once in
-// scheduler context with the completion error at the instant req
+// scheduler context with id and the completion error at the instant req
 // completes — before IsendvInto returns for a send that fails its entry
-// check — so a caller with many requests in flight learns which one
-// finished without scanning them.
-func IsendvInto(req *SendRequest, g *Gate, p *sim.Proc, tag Tag, segs [][]byte, done func(err error), opts ...SendOption) {
-	req.hook = done
+// check — so a caller with many requests in flight binds one done for all
+// of them and learns from id which one finished, without scanning them.
+func IsendvInto(req *SendRequest, g *Gate, p *sim.Proc, tag Tag, segs [][]byte, id uint32, done func(id uint32, err error), opts ...SendOption) {
+	req.id, req.hook = id, done
 	g.isendIov(req, p, tag, iovec(segs), resolveSend(opts))
 }
 
@@ -202,7 +202,8 @@ func (g *Gate) isendIov(req *SendRequest, p *sim.Proc, tag Tag, iov iovec, cfg s
 // the continuation then runs inline), so a workload driven either way
 // produces the same schedule. done is called once, in scheduler context,
 // with the completion error at the instant the request completes —
-// possibly before PostSendv returns (a send that fails its entry check).
+// possibly before PostSendv returns (a send that fails its entry check) —
+// and an id of 0: only the Into forms number their requests.
 //
 // req, a zero SendRequest in the caller's storage that is never copied,
 // becomes the send's request, as for IsendvInto: it is pending while the
@@ -211,7 +212,7 @@ func (g *Gate) isendIov(req *SendRequest, p *sim.Proc, tag Tag, iov iovec, cfg s
 // that keeps its requests side by side asks them Done or Err later
 // instead of capturing per-message state in done, which lets one hook
 // serve every send.
-func (g *Gate) PostSendv(req *SendRequest, tag Tag, segs [][]byte, done func(err error), opts ...SendOption) {
+func (g *Gate) PostSendv(req *SendRequest, tag Tag, segs [][]byte, done func(id uint32, err error), opts ...SendOption) {
 	iov, cfg := iovec(segs), resolveSend(opts)
 	req.hook, req.tag = done, tag
 	if err := g.sendCheck(cfg); err != nil {
@@ -321,7 +322,7 @@ func (g *Gate) Irecvv(p *sim.Proc, tag Tag, segs [][]byte) *RecvRequest {
 // ANY_TAG receives on it by masking out the user-tag bits.
 func (g *Gate) IrecvMasked(p *sim.Proc, want, mask Tag, buf []byte) *RecvRequest {
 	req := new(RecvRequest)
-	IrecvMaskedInto(req, g, p, want, mask, buf, nil)
+	IrecvMaskedInto(req, g, p, want, mask, buf, 0, nil)
 	return req
 }
 
@@ -330,24 +331,24 @@ func (g *Gate) IrecvMasked(p *sim.Proc, want, mask Tag, buf []byte) *RecvRequest
 // a replayed recording re-posts (package replay).
 func (g *Gate) IrecvvMasked(p *sim.Proc, want, mask Tag, segs [][]byte) *RecvRequest {
 	req := new(RecvRequest)
-	IrecvvMaskedInto(req, g, p, want, mask, segs, nil)
+	IrecvvMaskedInto(req, g, p, want, mask, segs, 0, nil)
 	return req
 }
 
 // IrecvMaskedInto is g.IrecvMasked with the request in the caller's
 // storage, as IsendvInto is for a send: req must be a zero RecvRequest
-// that is never copied, and done, when not nil, is called at the instant
-// it completes. The one-segment landing area is the request's own, so
-// the receive allocates nothing beyond req.
-func IrecvMaskedInto(req *RecvRequest, g *Gate, p *sim.Proc, want, mask Tag, buf []byte, done func(err error)) {
+// that is never copied, and done, when not nil, is called with id at the
+// instant it completes. The one-segment landing area is the request's
+// own, so the receive allocates nothing beyond req.
+func IrecvMaskedInto(req *RecvRequest, g *Gate, p *sim.Proc, want, mask Tag, buf []byte, id uint32, done func(id uint32, err error)) {
 	req.one[0] = buf
-	IrecvvMaskedInto(req, g, p, want, mask, req.one[:], done)
+	IrecvvMaskedInto(req, g, p, want, mask, req.one[:], id, done)
 }
 
 // IrecvvMaskedInto is the vector form of IrecvMaskedInto; the request
 // lands the payload in segs, which it keeps until it completes.
-func IrecvvMaskedInto(req *RecvRequest, g *Gate, p *sim.Proc, want, mask Tag, segs [][]byte, done func(err error)) {
-	req.hook, req.want, req.mask, req.iov = done, want, mask, segs
+func IrecvvMaskedInto(req *RecvRequest, g *Gate, p *sim.Proc, want, mask Tag, segs [][]byte, id uint32, done func(id uint32, err error)) {
+	req.id, req.hook, req.want, req.mask, req.iov = id, done, want, mask, segs
 	g.eng.recordRecv(g, req)
 	g.eng.chargeSubmit(p)
 	g.postRecv(req)
@@ -360,7 +361,7 @@ func IrecvvMaskedInto(req *RecvRequest, g *Gate, p *sim.Proc, want, mask Tag, se
 // waiting process. req, a zero RecvRequest in the caller's storage, is
 // posted once the overhead has elapsed and is Done from the instant done
 // is called.
-func (g *Gate) PostRecvvMasked(req *RecvRequest, want, mask Tag, segs [][]byte, done func(err error)) {
+func (g *Gate) PostRecvvMasked(req *RecvRequest, want, mask Tag, segs [][]byte, done func(id uint32, err error)) {
 	req.hook, req.want, req.mask, req.iov = done, want, mask, segs
 	g.eng.recordRecv(g, req)
 	g.eng.post(pendingPost{g: g, recv: req})
@@ -386,7 +387,7 @@ func (g *Gate) Recv(p *sim.Proc, tag Tag, buf []byte) (int, error) {
 // on its list before RecvMasked returns.
 func (g *Gate) RecvMasked(p *sim.Proc, want, mask Tag, buf []byte) (n int, tag Tag, err error) {
 	req := g.eng.freeRecvs.get(g.eng.world, cMissRecvs)
-	IrecvMaskedInto(req, g, p, want, mask, buf, nil)
+	IrecvMaskedInto(req, g, p, want, mask, buf, 0, nil)
 	err = req.Wait(p)
 	n, tag = req.n, req.tag
 	g.eng.freeRecvRequest(req)

@@ -48,7 +48,7 @@ func TestDeferredCompletionOrder(t *testing.T) {
 	for i, r := range recvs {
 		bufs[i] = make([]byte, r.buf)
 		w.At(r.postAt, func() {
-			e1.Gate(0).PostRecvvMasked(&reqs[i], r.tag, ^Tag(0), [][]byte{bufs[i]}, func(err error) {
+			e1.Gate(0).PostRecvvMasked(&reqs[i], r.tag, ^Tag(0), [][]byte{bufs[i]}, func(_ uint32, err error) {
 				doneAt[i], errs[i] = w.Now(), err
 				order = append(order, i)
 			})

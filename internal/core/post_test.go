@@ -105,20 +105,25 @@ func runPostWorkload(t *testing.T, opts Options, host simnet.Host, ops []postOp,
 	}
 	// live runs op i, and whatever chains on it, in process p. Its
 	// request's hook must fire once, at the instant Wait returns, with
-	// the error Wait returns.
+	// the id the request was posted with and the error Wait returns.
 	var live func(p *sim.Proc, i int)
 	live = func(p *sim.Proc, i int) {
 		op := ops[i]
 		hooks, hookAt, hookErr := 0, sim.Time(0), error(nil)
-		hook := func(err error) { hooks, hookAt, hookErr = hooks+1, w.Now(), err }
+		hook := func(id uint32, err error) {
+			if id != uint32(i) {
+				t.Errorf("op %d: hook got id %d", i, id)
+			}
+			hooks, hookAt, hookErr = hooks+1, w.Now(), err
+		}
 		var req Request
 		if op.send {
 			s := new(SendRequest)
-			IsendvInto(s, gate(i), p, op.tag, bufs[i], hook, op.opts...)
+			IsendvInto(s, gate(i), p, op.tag, bufs[i], uint32(i), hook, op.opts...)
 			req = s
 		} else {
 			r := new(RecvRequest)
-			IrecvvMaskedInto(r, gate(i), p, op.tag, mask(i), bufs[i], hook)
+			IrecvvMaskedInto(r, gate(i), p, op.tag, mask(i), bufs[i], uint32(i), hook)
 			req = r
 		}
 		res.Errs[i] = req.Wait(p)
@@ -137,7 +142,7 @@ func runPostWorkload(t *testing.T, opts Options, host simnet.Host, ops []postOp,
 	post = func(i int) {
 		op := ops[i]
 		fired := false
-		done := func(err error) {
+		done := func(_ uint32, err error) {
 			if fired {
 				t.Errorf("op %d: completion hook fired twice", i)
 			}
@@ -324,7 +329,7 @@ func TestPostSendvWithoutDrivers(t *testing.T) {
 	}
 	calls := 0
 	var got error
-	e.Gate(1).PostSendv(new(SendRequest), 1, [][]byte{make([]byte, 8)}, func(err error) { calls++; got = err })
+	e.Gate(1).PostSendv(new(SendRequest), 1, [][]byte{make([]byte, 8)}, func(_ uint32, err error) { calls++; got = err })
 	if calls != 1 || !errors.Is(got, errNoDrivers) {
 		t.Errorf("hook called %d time(s) with %v, want once with %v", calls, got, errNoDrivers)
 	}
@@ -359,7 +364,7 @@ func TestOnRailOutOfRangeFailsTheSend(t *testing.T) {
 			}
 		})
 		w.At(0, func() {
-			g.PostSendv(new(SendRequest), 3, [][]byte{data}, func(err error) { posted = err }, OnRail(rail))
+			g.PostSendv(new(SendRequest), 3, [][]byte{data}, func(_ uint32, err error) { posted = err }, OnRail(rail))
 		})
 		run(t, w)
 		if !errors.Is(posted, ErrBadRail) {
@@ -398,11 +403,11 @@ func TestPostWithoutOverheadSubmitsInline(t *testing.T) {
 	opts.SubmitOverhead = 0
 	_, e0, _ := testWorld(t, opts) // the world never runs: nothing here waits for the wire
 	g := e0.Gate(1)
-	g.PostSendv(new(SendRequest), 1, [][]byte{make([]byte, 64)}, func(error) {})
+	g.PostSendv(new(SendRequest), 1, [][]byte{make([]byte, 64)}, func(uint32, error) {})
 	if got := e0.Stats().Submitted; got != 1 {
 		t.Errorf("%d wrappers submitted when PostSendv returned, want 1", got)
 	}
-	g.PostRecvvMasked(new(RecvRequest), 2, ^Tag(0), [][]byte{make([]byte, 64)}, func(error) {})
+	g.PostRecvvMasked(new(RecvRequest), 2, ^Tag(0), [][]byte{make([]byte, 64)}, func(uint32, error) {})
 	if got := g.PendingPosted(); got != 1 {
 		t.Errorf("%d receives posted when PostRecvvMasked returned, want 1", got)
 	}

@@ -88,16 +88,20 @@ type request struct {
 	// the last one whose WaitAny scanned the request.
 	waiter *sim.Proc
 	done   bool
-	err    error
-	// hook, when set, is called once with the completion error at the
-	// instant the request completes: how a submission from scheduler
+	// id is what the request's poster numbered it (IsendvInto,
+	// IrecvvMaskedInto; 0 otherwise), handed back to hook. It sits in
+	// the padding after done.
+	id  uint32
+	err error
+	// hook, when set, is called once with id and the completion error at
+	// the instant the request completes: how a submission from scheduler
 	// context (Gate.PostSendv / PostRecvvMasked), which has no process to
 	// Wait with, learns of completion, and how a process with many
-	// requests in flight (IsendvInto, IrecvvMaskedInto) learns which one
-	// finished without scanning them. waiter and hook are one word each
+	// requests in flight learns which one finished without scanning them
+	// or binding a closure per request. waiter and hook are one word each
 	// on purpose: together they fill SendRequest's and RecvRequest's
 	// malloc size classes (see TestRequestSizeClasses).
-	hook func(err error)
+	hook func(id uint32, err error)
 }
 
 // Done reports whether the request has completed.
@@ -138,7 +142,7 @@ func (r *request) complete(err error) {
 	r.err = err
 	r.waiter.Unpark()
 	if r.hook != nil {
-		r.hook(err)
+		r.hook(r.id, err)
 	}
 }
 

@@ -157,12 +157,12 @@ func TestWaitAnyAcrossEngines(t *testing.T) {
 				// ...and a send on e2, a different engine, that completes fast.
 				fast := e2.Gate(1).Isend(p, 6, []byte("quick"))
 				var doneAt sim.Time
-				fast.hook = func(error) { doneAt = p.Now() }
+				fast.hook = func(uint32, error) { doneAt = p.Now() }
 				var quick Request = fast
 				if grouped {
 					// Node 1 answers the send at once, back on e0.
 					echo := e0.Gate(1).Irecv(p, 7, make([]byte, 8))
-					echo.hook = func(error) { doneAt = p.Now() }
+					echo.hook = func(uint32, error) { doneAt = p.Now() }
 					quick = NewRequestGroup(fast, echo)
 				}
 				idx, err := WaitAny(p, stuck, quick)
@@ -320,7 +320,7 @@ func TestStaleWatcherDoesNotDisturbSleep(t *testing.T) {
 		early := e1.Gate(0).Irecv(p, 1, make([]byte, 8))
 		late := e1.Gate(0).Irecv(p, 2, make([]byte, 8))
 		var lateAt sim.Time
-		late.hook = func(error) { lateAt = p.Now() }
+		late.hook = func(uint32, error) { lateAt = p.Now() }
 		if idx, err := WaitAny(p, early, late); idx != 0 || err != nil {
 			t.Fatalf("WaitAny = %d, %v; want the early receive", idx, err)
 		}

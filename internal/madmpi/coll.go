@@ -35,13 +35,14 @@ func (c *Comm) Barrier(p *sim.Proc) error {
 // transitive happened-before chain that makes the barrier a barrier.
 func barrierDissemination(pl *CollPlan, a CollArgs) error {
 	n, me := a.Size, a.Rank
-	token := []byte{1}
+	token := pl.token[:] // every round sends it and lands in it; nobody reads it
+	token[0] = 1
 	prev := -1
 	for dist := 1; dist < n; dist *= 2 {
 		to := (me + dist) % n
 		from := (me - dist + n) % n
 		pl.Send(to, token, prev)
-		prev = pl.Recv(from, make([]byte, 1))
+		prev = pl.Recv(from, token)
 	}
 	return nil
 }
@@ -66,13 +67,13 @@ func (c *Comm) Bcast(p *sim.Proc, buf []byte, root int) error {
 func bcastBinomial(pl *CollPlan, a CollArgs) error {
 	n, root := a.Size, a.Root
 	vrank := (a.Rank - root + n) % n
+	mask := binomialMask(vrank)
 	recvStep := -1
 	if vrank != 0 {
-		parent := (binomialParent(vrank) + root) % n
-		recvStep = pl.Recv(parent, a.Buf)
+		recvStep = pl.Recv((vrank-mask/2+root)%n, a.Buf)
 	}
-	for _, child := range binomialChildren(vrank, n) {
-		pl.Send((child+root)%n, a.Buf, recvStep)
+	for ; vrank+mask < n; mask <<= 1 {
+		pl.Send((vrank+mask+root)%n, a.Buf, recvStep)
 	}
 	return nil
 }
@@ -236,17 +237,18 @@ func allgatherGatherBcast(pl *CollPlan, a CollArgs) error {
 		for r := 1; r < n; r++ {
 			gdeps = append(gdeps, pl.Recv(r, a.RecvBuf[r*per:(r+1)*per]))
 		}
-		for _, child := range binomialChildren(0, n) {
+		for child := 1; child < n; child <<= 1 {
 			pl.Send(child, a.RecvBuf, gdeps...)
 		}
 		return nil
 	}
 	// The broadcast receive overwrites recvBuf, which may alias the
 	// contribution still streaming to the root — order them.
+	mask := binomialMask(me)
 	s := pl.Send(0, a.SendBuf)
-	r := pl.Recv(binomialParent(me), a.RecvBuf, s)
-	for _, child := range binomialChildren(me, n) {
-		pl.Send(child, a.RecvBuf, r)
+	r := pl.Recv(me-mask/2, a.RecvBuf, s)
+	for ; me+mask < n; mask <<= 1 {
+		pl.Send(me+mask, a.RecvBuf, r)
 	}
 	return nil
 }
@@ -305,12 +307,9 @@ func alltoallPairwise(pl *CollPlan, a CollArgs) error {
 	for r := 1; r < n; r++ {
 		to := (me + r) % n
 		from := (me - r + n) % n
-		var deps []int
-		if prevS >= 0 {
-			deps = []int{prevS, prevR}
-		}
-		prevS = pl.Send(to, a.SendBuf[to*per:(to+1)*per], deps...)
-		prevR = pl.Recv(from, a.RecvBuf[from*per:(from+1)*per], deps...)
+		s := pl.Send(to, a.SendBuf[to*per:(to+1)*per], prevS, prevR)
+		prevR = pl.Recv(from, a.RecvBuf[from*per:(from+1)*per], prevS, prevR)
+		prevS = s
 	}
 	return nil
 }

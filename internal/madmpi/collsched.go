@@ -16,11 +16,18 @@ import (
 // dependencies are satisfied is posted immediately, so multiple rounds
 // and segments of one collective are in flight at once and all of the
 // traffic flows through the engine's optimization window, where the
-// scheduling strategies aggregate and balance it. Each posted request
-// reports its completion through a hook onto a FIFO the process drains,
-// so a step in flight costs nothing until it finishes. This replaces the
-// seed's blocking Sendrecv round-loops, which serialized every round and
-// gave the strategy layer nothing to optimize.
+// scheduling strategies aggregate and balance it. Every posted request
+// carries its step's index and reports to the one completion hook of the
+// run, which queues the step on a FIFO the process drains, so a step in
+// flight costs nothing until it finishes. This replaces the seed's
+// blocking Sendrecv round-loops, which serialized every round and gave
+// the strategy layer nothing to optimize.
+//
+// A run's state (collRun) — the plan in flat arenas, the DAG and the
+// request slabs — comes from its MPI's free list and goes back when the
+// run succeeds, so the executor makes no object per step, and none per
+// call once warm (LibNBC's reused schedules: Hoefler, Lumsdaine and Rehm,
+// SC 2007); what a builder allocates, such as fold buffers, is its own.
 //
 // # Tag space
 //
@@ -82,11 +89,10 @@ const (
 // collStep is one node of the schedule DAG.
 type collStep struct {
 	kind stepKind
-	peer int
-	sub  int // per-(peer, direction) sub-tag, assigned at build time
+	sub  uint16 // per-(peer, direction) sub-tag, assigned at build time
+	peer int32
 	buf  []byte
 	fn   func()
-	deps []int
 }
 
 // CollPlan accumulates the step DAG of one collective. Algorithm
@@ -95,14 +101,29 @@ type collStep struct {
 // step as soon as every dependency has completed, so independent steps —
 // different rounds, different segments — overlap freely.
 type CollPlan struct {
-	steps   []collStep
-	sendSub map[int]int
-	recvSub map[int]int
-	err     error
+	c     *Comm // whose ranks the steps name
+	steps []collStep
+	deps  [][2]uint32 // (step, dependency) edges, in step order
+	subs  [][2]uint16 // per peer, the next sub-tag of each direction (by stepKind)
+	kinds [3]int      // steps of each stepKind
+	err   error
+	token [1]byte // what a barrier round sends and receives
 }
 
-func newCollPlan() *CollPlan {
-	return &CollPlan{sendSub: map[int]int{}, recvSub: map[int]int{}}
+// reset empties pl for a collective on c, keeping its storage.
+func (pl *CollPlan) reset(c *Comm) {
+	pl.c, pl.steps, pl.deps, pl.kinds, pl.err = c, pl.steps[:0], pl.deps[:0], [3]int{}, nil
+	pl.subs = grown(pl.subs, c.Size())
+	clear(pl.subs)
+}
+
+// grown returns s resliced to n elements, or n zero elements made anew
+// when s is too short to hold them.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func (pl *CollPlan) fail(err error) int {
@@ -112,28 +133,22 @@ func (pl *CollPlan) fail(err error) int {
 	return len(pl.steps) - 1
 }
 
-// realDeps drops negative step ids: a -1 means "no dependency", so
-// builders can thread an optional predecessor without branching. The
-// input is returned as-is when nothing needs dropping (callers may
-// share a deps slice between steps).
-func realDeps(deps []int) []int {
-	neg := false
+// add appends s with its dependencies and returns its id. A negative id
+// means "no dependency" and is dropped, so builders can thread an
+// optional predecessor without branching.
+func (pl *CollPlan) add(s collStep, deps []int) int {
+	i := len(pl.steps)
 	for _, d := range deps {
-		if d < 0 {
-			neg = true
-			break
+		if d >= i {
+			return pl.fail(fmt.Errorf("madmpi: collective schedule step %d has invalid dependency %d", i, d))
 		}
-	}
-	if !neg {
-		return deps
-	}
-	keep := make([]int, 0, len(deps))
-	for _, d := range deps {
 		if d >= 0 {
-			keep = append(keep, d)
+			pl.deps = append(pl.deps, [2]uint32{uint32(i), uint32(d)})
 		}
 	}
-	return keep
+	pl.steps = append(pl.steps, s)
+	pl.kinds[s.kind]++
+	return i
 }
 
 // Send schedules a nonblocking send of buf to peer, started once every
@@ -142,40 +157,38 @@ func realDeps(deps []int) []int {
 // reused. Zero-length buffers become no-op steps (both sides of a pair
 // know the length, so the elision is symmetric). Returns the step id.
 func (pl *CollPlan) Send(peer int, buf []byte, deps ...int) int {
-	if len(buf) == 0 {
-		return pl.Compute(nil, deps...)
-	}
-	sub := pl.sendSub[peer]
-	if sub >= collPairSpace {
-		return pl.fail(fmt.Errorf("madmpi: collective schedule exceeds %d messages to rank %d", collPairSpace, peer))
-	}
-	pl.sendSub[peer] = sub + 1
-	pl.steps = append(pl.steps, collStep{kind: stepSend, peer: peer, sub: sub, buf: buf, deps: realDeps(deps)})
-	return len(pl.steps) - 1
+	return pl.message(stepSend, peer, buf, deps)
 }
 
 // Recv schedules a nonblocking receive into buf from peer. Receives with
 // no dependencies are preposted before any send of the schedule leaves.
 // Returns the step id.
 func (pl *CollPlan) Recv(peer int, buf []byte, deps ...int) int {
+	return pl.message(stepRecv, peer, buf, deps)
+}
+
+// message adds a send or receive step, numbered among the messages of
+// its direction with peer.
+func (pl *CollPlan) message(kind stepKind, peer int, buf []byte, deps []int) int {
 	if len(buf) == 0 {
 		return pl.Compute(nil, deps...)
 	}
-	sub := pl.recvSub[peer]
-	if sub >= collPairSpace {
-		return pl.fail(fmt.Errorf("madmpi: collective schedule exceeds %d messages from rank %d", collPairSpace, peer))
+	if err := pl.c.checkPeer(peer); err != nil {
+		return pl.fail(fmt.Errorf("madmpi: collective schedule step %d: %w", len(pl.steps), err))
 	}
-	pl.recvSub[peer] = sub + 1
-	pl.steps = append(pl.steps, collStep{kind: stepRecv, peer: peer, sub: sub, buf: buf, deps: realDeps(deps)})
-	return len(pl.steps) - 1
+	sub := pl.subs[peer][kind]
+	if sub >= collPairSpace {
+		return pl.fail(fmt.Errorf("madmpi: collective schedule exceeds %d messages %s rank %d", collPairSpace, [...]string{"to", "from"}[kind], peer))
+	}
+	pl.subs[peer][kind]++
+	return pl.add(collStep{kind: kind, peer: int32(peer), sub: sub, buf: buf}, deps)
 }
 
 // Compute schedules a local step (a reduction fold, a pack) run inline
 // once deps have completed. fn may be nil for a pure ordering point.
 // Returns the step id.
 func (pl *CollPlan) Compute(fn func(), deps ...int) int {
-	pl.steps = append(pl.steps, collStep{kind: stepCompute, fn: fn, deps: realDeps(deps)})
-	return len(pl.steps) - 1
+	return pl.add(collStep{kind: stepCompute, fn: fn}, deps)
 }
 
 // nextCollSeq consumes the next collective slot. Entry points call it
@@ -208,14 +221,16 @@ func (c *Comm) collTags(seq uint64) (core.Tag, error) {
 	return core.Tag(lane)<<32 | core.Tag(base), nil
 }
 
-// execute runs a compiled schedule to completion on the calling process,
-// on the tag lane of collective slot seq. The process posts ready steps
-// in step order, paying their submit overheads one after another, each
-// on the next request of the run's send or receive slab with a hook that
-// queues the step on the run's FIFO as it completes. It finishes steps
-// off the FIFO in completion order, posting what each unlocks, and parks
-// only when the FIFO is empty: no step in flight is looked at twice.
-func (c *Comm) execute(p *sim.Proc, seq uint64, pl *CollPlan) error {
+// execute runs x's compiled schedule to completion on the calling
+// process, on the tag lane of collective slot seq. The process posts
+// ready steps in step order, paying their submit overheads one after
+// another, each on the next request of x's send or receive slab, numbered
+// with its step and reporting to x's hook, which queues the step on x's
+// FIFO as it completes. It finishes steps off the FIFO in completion
+// order, posting what each unlocks, and parks only when the FIFO is
+// empty: no step in flight is looked at twice.
+func (c *Comm) execute(p *sim.Proc, seq uint64, x *collRun) error {
+	pl := &x.pl
 	if pl.err != nil {
 		return pl.err
 	}
@@ -223,48 +238,36 @@ func (c *Comm) execute(p *sim.Proc, seq uint64, pl *CollPlan) error {
 	if err != nil {
 		return err
 	}
-	n := len(pl.steps)
-	var kinds [3]int        // steps of each stepKind
-	off := make([]int, n+1) // step d's dependents: adj[off[d]:off[d+1]]
-	for i, s := range pl.steps {
-		if s.kind != stepCompute {
-			if err := c.checkPeer(s.peer); err != nil {
-				return fmt.Errorf("madmpi: collective schedule step %d: %w", i, err)
-			}
-		}
-		kinds[s.kind]++
-		for _, d := range s.deps {
-			if d < 0 || d >= i {
-				return fmt.Errorf("madmpi: collective schedule step %d has invalid dependency %d", i, d)
-			}
-			off[d+1]++
-		}
+	// Each step becomes ready once and each send or receive completes
+	// once, so neither the ready queue nor the FIFO outgrows its part.
+	n, edges, io := len(pl.steps), len(pl.deps), pl.kinds[stepSend]+pl.kinds[stepRecv]
+	x.slab = grown(x.slab, 3*n+1+edges+io)
+	indeg, off, adj := x.slab[:n], x.slab[n:2*n+1], x.slab[2*n+1:2*n+1+edges]
+	ready, fifo := x.slab[2*n+1+edges:2*n+1+edges:3*n+1+edges], x.slab[3*n+1+edges:3*n+1+edges]
+	clear(x.slab[:2*n+1])
+	for _, e := range pl.deps {
+		indeg[e[0]]++
+		off[e[1]+1]++
 	}
 	for d := range n {
 		off[d+1] += off[d]
 	}
-	// Each step becomes ready once and each send or receive completes
-	// once, so neither the ready queue nor the FIFO outgrows its part.
-	edges, io := off[n], kinds[stepSend]+kinds[stepRecv]
-	slab := make([]int, 2*n+edges+io)
-	indeg, adj, ready := slab[:n], slab[n:n+edges], slab[n+edges:n+edges:2*n+edges]
-	x := &collRun{p: p, fifo: slab[2*n+edges : 2*n+edges]}
-	for i, s := range pl.steps {
-		indeg[i] = len(s.deps)
-		for _, d := range s.deps {
-			adj[off[d]] = i
-			off[d]++
-		}
+	for _, e := range pl.deps { // step d's dependents: adj[off[d]:off[d+1]]
+		adj[off[e[1]]] = e[0]
+		off[e[1]]++
+	}
+	copy(off[1:], off) // each off[d] advanced to d's end: shift back
+	off[0] = 0
+	for i := range uint32(n) {
 		if indeg[i] == 0 {
 			ready = append(ready, i)
 		}
 	}
-	copy(off[1:], off) // each off[d] advanced to d's end: shift back
-	off[0] = 0
-	sends := make([]core.SendRequest, kinds[stepSend])
-	recvs := make([]core.RecvRequest, kinds[stepRecv])
+	x.sends, x.recvs = grown(x.sends, pl.kinds[stepSend]), grown(x.recvs, pl.kinds[stepRecv])
+	sends, recvs := x.sends, x.recvs
+	x.p, x.fifo, x.err = p, fifo, nil
 	done := 0
-	finish := func(i int) {
+	finish := func(i uint32) {
 		done++
 		for _, j := range adj[off[i]:off[i+1]] {
 			if indeg[j]--; indeg[j] == 0 {
@@ -283,10 +286,10 @@ func (c *Comm) execute(p *sim.Proc, seq uint64, pl *CollPlan) error {
 				}
 				finish(i)
 			case stepSend:
-				core.IsendvInto(&sends[0], c.gate(s.peer), p, base+core.Tag(s.sub), [][]byte{s.buf}, x.hook(i))
+				core.IsendvInto(&sends[0], c.gate(int(s.peer)), p, base+core.Tag(s.sub), [][]byte{s.buf}, i, x.hookFn)
 				sends = sends[1:]
 			case stepRecv:
-				core.IrecvMaskedInto(&recvs[0], c.gate(s.peer), p, base+core.Tag(s.sub), ^core.Tag(0), s.buf, x.hook(i))
+				core.IrecvMaskedInto(&recvs[0], c.gate(int(s.peer)), p, base+core.Tag(s.sub), ^core.Tag(0), s.buf, i, x.hookFn)
 				recvs = recvs[1:]
 			}
 		}
@@ -301,11 +304,7 @@ func (c *Comm) execute(p *sim.Proc, seq uint64, pl *CollPlan) error {
 		if x.err != nil && head == x.failed {
 			x.p = nil // steps still in flight complete into x, waking nobody
 			s := pl.steps[i]
-			dir := "send to"
-			if s.kind == stepRecv {
-				dir = "recv from"
-			}
-			return fmt.Errorf("madmpi: collective %s rank %d: %w", dir, s.peer, x.err)
+			return fmt.Errorf("madmpi: collective %s rank %d: %w", [...]string{"send to", "recv from"}[s.kind], s.peer, x.err)
 		}
 		head++
 		finish(i)
@@ -313,44 +312,63 @@ func (c *Comm) execute(p *sim.Proc, seq uint64, pl *CollPlan) error {
 	return nil
 }
 
-// collRun is what the hooks of one execute share with its process. It is
-// never reused: a step still in flight when execute fails completes into
-// storage nothing else reads.
+// collRun is one collective run's state: its plan, execute's DAG slab
+// (in-degrees, dependents, ready queue, FIFO), its request slabs and what
+// their one hook shares with the process. Each run takes its own from its
+// MPI's free list and files it back only on success: a step in flight
+// when execute fails completes into storage nothing reads again.
 type collRun struct {
-	p      *sim.Proc // woken by each completion while execute runs
-	fifo   []int     // completed steps, in completion order
-	err    error     // the first failure, of the step at fifo[failed]
+	pl     CollPlan
+	slab   []uint32
+	sends  []core.SendRequest
+	recvs  []core.RecvRequest
+	next   *collRun            // the next state on its MPI's free list
+	hookFn func(uint32, error) // hook, bound once per state
+	p      *sim.Proc           // woken by each completion while execute runs
+	fifo   []uint32            // completed steps, in completion order
+	err    error               // the first failure, of the step at fifo[failed]
 	failed int
 }
 
-// hook returns step i's completion hook.
-func (x *collRun) hook(i int) func(error) {
-	return func(err error) {
-		if err != nil && x.err == nil {
-			x.err, x.failed = err, len(x.fifo)
-		}
-		x.fifo = append(x.fifo, i)
-		x.p.Unpark()
+// hook is every request's completion hook: id is the request's step.
+func (x *collRun) hook(id uint32, err error) {
+	if err != nil && x.err == nil {
+		x.err, x.failed = err, len(x.fifo)
 	}
+	x.fifo = append(x.fifo, id)
+	x.p.Unpark()
 }
 
 // runColl is the common tail of every collective entry point: resolve
 // the algorithm (pinned or auto-selected from bytes), compile the
-// schedule, execute it on the lane of slot seq (consumed by the entry
-// point via nextCollSeq before any asymmetric validation). The kind
-// doubles as the operation name in error context.
+// schedule into a run state, execute it on the lane of slot seq
+// (consumed by the entry point via nextCollSeq before any asymmetric
+// validation), and file the state back, without the caller's buffers
+// and with zero requests. The kind names the operation in errors.
 func (c *Comm) runColl(p *sim.Proc, kind CollKind, bytes int, seq uint64, a CollArgs) error {
 	algo, err := c.algoFor(kind, bytes)
 	if err != nil {
 		return fmt.Errorf("madmpi: %s: %w", kind, err)
 	}
-	pl := newCollPlan()
-	if err := algo(pl, a); err != nil {
+	m := c.mpi
+	x := m.runs
+	if x == nil {
+		m.eng.World().Count(cMissCollRuns)
+		x = new(collRun)
+		x.hookFn = x.hook
+	}
+	m.runs, x.next = x.next, nil
+	x.pl.reset(c)
+	if err := algo(&x.pl, a); err != nil {
 		return fmt.Errorf("madmpi: %s: %w", kind, err)
 	}
-	if err := c.execute(p, seq, pl); err != nil {
+	if err := c.execute(p, seq, x); err != nil {
 		return fmt.Errorf("madmpi: %s: %w", kind, err)
 	}
+	clear(x.pl.steps)
+	clear(x.sends)
+	clear(x.recvs)
+	x.p, x.next, m.runs = nil, m.runs, x
 	return nil
 }
 
@@ -399,25 +417,14 @@ func foldF64(dst, src []byte, op Op) {
 	}
 }
 
-// binomialParent returns the tree parent of vrank (vrank 0 is the root).
-func binomialParent(vrank int) int {
+// binomialMask returns the distance from vrank to its first binomial
+// tree child (vrank 0 is the root): its children are vrank+mask for mask,
+// 2·mask, ... up to the communicator size, in increasing-distance order,
+// and its parent is vrank-mask/2.
+func binomialMask(vrank int) int {
 	mask := 1
 	for mask <= vrank {
 		mask <<= 1
 	}
-	return vrank - mask>>1
-}
-
-// binomialChildren returns the tree children of vrank in a comm of size
-// n, in increasing-distance order.
-func binomialChildren(vrank, n int) []int {
-	mask := 1
-	for mask <= vrank {
-		mask <<= 1
-	}
-	var kids []int
-	for ; vrank+mask < n; mask <<= 1 {
-		kids = append(kids, vrank+mask)
-	}
-	return kids
+	return mask
 }

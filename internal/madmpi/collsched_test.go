@@ -474,7 +474,8 @@ func TestSelectionRespectsPairBudget(t *testing.T) {
 	}
 	// A ring schedule past the budget fails at build time with a clear
 	// error rather than silently wrapping sub-tags.
-	pl := newCollPlan()
+	pl := new(CollPlan)
+	pl.reset(&Comm{mpi: &MPI{size: 600}})
 	if err := allreduceRing(pl, CollArgs{Rank: 0, Size: 600, Buf: make([]byte, 600*8), SegBytes: 8 << 10}); err != nil {
 		t.Fatal(err)
 	}
@@ -596,4 +597,140 @@ func TestCollectiveStepErrorSurfaces(t *testing.T) {
 				}
 			})
 	})
+}
+
+// A run's state goes back on its MPI's list only when the run succeeds.
+// Here rank 1's alltoall fails while its receive from rank 2, which
+// enters a millisecond late, is still posted, so that receive completes
+// during rank 1's next collective on the same communicator. Had the
+// failed run filed its state back, the next run would take it and the
+// late completion would finish one of the new run's steps.
+func TestCollRunStateAfterFailure(t *testing.T) {
+	const late, per = sim.Millisecond, 64
+	jobCfg(t, 3,
+		func(m *MPI) {
+			if err := m.ForceCollAlgo(CollAlltoall, "linear"); err != nil {
+				t.Fatal(err)
+			}
+		},
+		func(p *sim.Proc, m *MPI) {
+			me, c := m.Rank(), m.CommWorld()
+			gather := func(what string) {
+				send := bytes.Repeat([]byte{byte('a' + me)}, per)
+				got := make([]byte, 3*per)
+				if err := c.Allgather(p, send, got); err != nil {
+					t.Errorf("rank %d: %s Allgather = %v", me, what, err)
+				}
+				for r := range 3 {
+					if w := bytes.Repeat([]byte{byte('a' + r)}, per); !bytes.Equal(got[r*per:(r+1)*per], w) {
+						t.Errorf("rank %d: %s Allgather block %d = %q, want %q", me, what, r, got[r*per:(r+1)*per], w)
+					}
+				}
+			}
+			gather("first") // leaves one state on the list
+			if n := listedRuns(m); n != 1 {
+				t.Errorf("rank %d: %d run states listed after a successful run, want 1", me, n)
+			}
+			slice := 32
+			if me == 1 {
+				slice = 16 // rank 0's 32 B fail at once
+			}
+			if me == 2 {
+				p.Sleep(late)
+			}
+			err := c.Alltoall(p, make([]byte, 3*slice), make([]byte, 3*slice))
+			if me == 1 {
+				if !errors.Is(err, core.ErrTruncated) {
+					t.Errorf("rank 1: Alltoall = %v, want ErrTruncated", err)
+				}
+				if p.Now() >= late {
+					t.Fatalf("rank 1 returned at %v, after rank 2 sent: no step was left in flight", p.Now())
+				}
+				if n := listedRuns(m); n != 0 {
+					t.Errorf("rank 1: %d run states listed after a failed run, want 0: it was filed back", n)
+				}
+			} else if err != nil {
+				t.Errorf("rank %d: Alltoall = %v", me, err)
+			}
+			gather("next")
+		})
+}
+
+// Two collectives in flight at once on one rank, each on its own Dup'd
+// communicator and in its own process, take a run state each.
+func TestOverlappingCollectivesTakeTheirOwnState(t *testing.T) {
+	const n, per = 4, 256
+	w := sim.NewWorld()
+	f := simnet.NewFabric(w, n, simnet.DefaultHost())
+	if _, err := f.AddNetwork(simnet.MX10G()); err != nil {
+		t.Fatal(err)
+	}
+	ranks, err := InitAll(f, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range ranks {
+		comms := []*Comm{m.CommWorld().Dup(), m.CommWorld().Dup()}
+		for k, c := range comms {
+			w.Spawn("rank", func(p *sim.Proc) {
+				me := m.Rank()
+				send := bytes.Repeat([]byte{byte(16*k + me)}, per)
+				got := make([]byte, n*per)
+				if err := c.Allgather(p, send, got); err != nil {
+					t.Errorf("rank %d comm %d: Allgather = %v", me, k, err)
+				}
+				for r := range n {
+					if want := bytes.Repeat([]byte{byte(16*k + r)}, per); !bytes.Equal(got[r*per:(r+1)*per], want) {
+						t.Errorf("rank %d comm %d: block %d = %v, want %v", me, k, r, got[r*per], want[0])
+					}
+				}
+			})
+		}
+	}
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range ranks {
+		if got := listedRuns(m); got != 2 {
+			t.Errorf("rank %d: %d run states listed, want 2: the overlapping runs shared one", m.Rank(), got)
+		}
+	}
+}
+
+// A warm barrier makes no object in MAD-MPI: its plan, DAG and requests
+// are its run state's, the hook is bound once per state, and the token
+// is the plan's. The marginal count per barrier (a long loop minus a
+// short one, on 4 ranks) is exact. All of it is the engine's flow-table
+// entries: each barrier message travels on a fresh collective tag, which
+// stays an entry in the sender's sequence table and the receiver's flow
+// table for good. A closure per step, a plan with maps and slices of its
+// own, and fresh DAG and request slabs per call read 108.375.
+func TestAllocsWarmBarrier(t *testing.T) {
+	loop := func(barriers int) {
+		job(t, 4, func(p *sim.Proc, m *MPI) {
+			for range barriers {
+				if err := m.CommWorld().Barrier(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	const short, long = 64, 320
+	loop(4)
+	a1 := testing.AllocsPerRun(5, func() { loop(short) })
+	a2 := testing.AllocsPerRun(5, func() { loop(long) })
+	got := (a2 - a1) / (long - short)
+	t.Logf("warm 4-rank barrier: %.3f objects per barrier", got)
+	if got > 16.375 {
+		t.Errorf("a warm 4-rank barrier allocates %.3f objects, over the 16.375 of its flow-table entries: the collective executor allocates per step or per call again", got)
+	}
+}
+
+// listedRuns counts the run states on m's free list.
+func listedRuns(m *MPI) int {
+	n := 0
+	for x := m.runs; x != nil; x = x.next {
+		n++
+	}
+	return n
 }

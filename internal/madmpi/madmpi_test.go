@@ -623,6 +623,15 @@ func TestOpRecordSizeClasses(t *testing.T) {
 	}
 }
 
+// An MPI fills the 64-byte size class, its collective run states'
+// free list included: a slice header for that list instead of one
+// pointer would move every rank into the next class.
+func TestMPISizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(MPI{}); got > 64 {
+		t.Errorf("MPI is %d bytes, over the 64-byte size class", got)
+	}
+}
+
 // TestWaitFreesRequest pins the null-handle contract: Wait, WaitStatus
 // and Waitall free the request they complete (MPI_Wait's rule) and
 // nothing else does.

@@ -24,10 +24,9 @@ import (
 // MPI is one rank's MPI environment. Every node of a job creates its own
 // over the shared fabric (ranks are node ids).
 type MPI struct {
-	eng   *core.Engine
-	rank  int
-	size  int
-	world *Comm
+	eng        *core.Engine
+	rank, size int32
+	world      *Comm
 
 	nextCommID uint32
 
@@ -40,6 +39,9 @@ type MPI struct {
 	// Request.Wait). The first nonblocking operation makes it, so a rank
 	// that only makes blocking calls pays nothing for it.
 	recs *records
+	// runs is the stack of run states collectives filed back (runColl),
+	// linked through collRun.next: a slice would outgrow MPI's size class.
+	runs *collRun
 }
 
 // records is an MPI's two free lists, one per record kind.
@@ -66,7 +68,7 @@ func Init(f *simnet.Fabric, node simnet.NodeID, opts core.Options) (*MPI, error)
 	if err := eng.AttachFabric(f); err != nil {
 		return nil, err
 	}
-	m := &MPI{eng: eng, rank: int(node), size: f.Nodes(), nextCommID: 1}
+	m := &MPI{eng: eng, rank: int32(node), size: int32(f.Nodes()), nextCommID: 1}
 	m.world = &Comm{mpi: m, id: m.nextCommID}
 	return m, nil
 }
@@ -86,10 +88,10 @@ func InitAll(f *simnet.Fabric, opts core.Options) ([]*MPI, error) {
 }
 
 // Rank returns this process's rank in COMM_WORLD.
-func (m *MPI) Rank() int { return m.rank }
+func (m *MPI) Rank() int { return int(m.rank) }
 
 // Size returns the number of ranks in COMM_WORLD.
-func (m *MPI) Size() int { return m.size }
+func (m *MPI) Size() int { return int(m.size) }
 
 // CommWorld returns the predefined world communicator.
 func (m *MPI) CommWorld() *Comm { return m.world }
@@ -136,10 +138,10 @@ func (c *Comm) Dup() *Comm {
 }
 
 // Rank returns the caller's rank.
-func (c *Comm) Rank() int { return c.mpi.rank }
+func (c *Comm) Rank() int { return c.mpi.Rank() }
 
 // Size returns the communicator size.
-func (c *Comm) Size() int { return c.mpi.size }
+func (c *Comm) Size() int { return c.mpi.Size() }
 
 // ID returns the communicator's numeric id (diagnostics).
 func (c *Comm) ID() uint32 { return c.id }
@@ -160,10 +162,10 @@ func userTag(flow core.Tag) int { return int(uint32(flow)) }
 
 // checkPeer validates a peer rank.
 func (c *Comm) checkPeer(peer int) error {
-	if peer < 0 || peer >= c.mpi.size {
-		return fmt.Errorf("%w: %d of %d", ErrBadRank, peer, c.mpi.size)
+	if peer < 0 || peer >= c.Size() {
+		return fmt.Errorf("%w: %d of %d", ErrBadRank, peer, c.Size())
 	}
-	if peer == c.mpi.rank {
+	if peer == c.Rank() {
 		return ErrSelfMessage
 	}
 	return nil
@@ -246,10 +248,11 @@ type record[T any] struct {
 // or makes one with fresh when the list is empty and counts the miss.
 type recordList[T any] []record[T]
 
-// One miss counter per list: the records a run had to make.
+// One miss counter per list: what a run had to make.
 var (
-	cMissSendOps = sim.Counter("madmpi.misses.send_ops")
-	cMissRecvOps = sim.Counter("madmpi.misses.recv_ops")
+	cMissSendOps  = sim.Counter("madmpi.misses.send_ops")
+	cMissRecvOps  = sim.Counter("madmpi.misses.recv_ops")
+	cMissCollRuns = sim.Counter("madmpi.misses.coll_runs")
 )
 
 func (l *recordList[T]) get(w *sim.World, miss sim.CounterID, fresh func() record[T]) record[T] {

@@ -28,7 +28,7 @@ func (c *Comm) Isend(p *sim.Proc, buf []byte, dest, tag int, opts ...core.SendOp
 // handle.
 func (c *Comm) postSend(p *sim.Proc, segs [][]byte, dest, tag int, opts []core.SendOption) *Request {
 	h, req := c.mpi.sendRecord()
-	core.IsendvInto(req, c.gate(dest), p, c.flowTag(tag), segs, nil, opts...)
+	core.IsendvInto(req, c.gate(dest), p, c.flowTag(tag), segs, 0, nil, opts...)
 	return h
 }
 
@@ -48,7 +48,7 @@ func (c *Comm) Irecv(p *sim.Proc, buf []byte, src, tag int) *Request {
 		return failedRequest(err)
 	}
 	h, req := c.mpi.recvRecord()
-	core.IrecvMaskedInto(req, c.gate(src), p, want, mask, buf, nil)
+	core.IrecvMaskedInto(req, c.gate(src), p, want, mask, buf, 0, nil)
 	return h
 }
 

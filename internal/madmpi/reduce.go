@@ -76,11 +76,7 @@ func reduceBinomial(pl *CollPlan, a CollArgs) error {
 			src := (vrank + mask + root) % n
 			tmp := make([]byte, len(acc))
 			r := pl.Recv(src, tmp)
-			deps := []int{r}
-			if lastFold >= 0 {
-				deps = append(deps, lastFold)
-			}
-			lastFold = pl.Compute(func() { foldF64(acc, tmp, op) }, deps...)
+			lastFold = pl.Compute(func() { foldF64(acc, tmp, op) }, r, lastFold)
 		}
 	}
 	return nil
@@ -153,22 +149,17 @@ func allreduceTree(pl *CollPlan, a CollArgs) error {
 		if me+mask < n {
 			tmp := make([]byte, len(acc))
 			r := pl.Recv(me+mask, tmp)
-			deps := []int{r}
-			if lastFold >= 0 {
-				deps = append(deps, lastFold)
-			}
-			lastFold = pl.Compute(func() { foldF64(acc, tmp, op) }, deps...)
+			lastFold = pl.Compute(func() { foldF64(acc, tmp, op) }, r, lastFold)
 		}
 	}
 	// Broadcast phase from vrank 0 over the same buffer.
-	bcastReady := -1
-	if me == 0 {
-		bcastReady = lastFold
-	} else {
-		bcastReady = pl.Recv(binomialParent(me), acc, reduceSend)
+	mask := binomialMask(me)
+	bcastReady := lastFold
+	if me != 0 {
+		bcastReady = pl.Recv(me-mask/2, acc, reduceSend)
 	}
-	for _, child := range binomialChildren(me, n) {
-		pl.Send(child, acc, bcastReady)
+	for ; me+mask < n; mask <<= 1 {
+		pl.Send(me+mask, acc, bcastReady)
 	}
 	return nil
 }

@@ -97,7 +97,11 @@ func TestScaleAllgather1024Lossy(t *testing.T) {
 // the collective executor's per-layer number. At that size the automatic
 // selection runs gather-bcast on 256 ranks and the ring on 512, about
 // 261 000 messages, where the engine's per-message work dominates: the
-// executor finishes each step once, off its completion FIFO. Run it with
+// executor finishes each step once, off the FIFO its one completion hook
+// fills, and builds the plan into flat arenas, so it makes a few objects
+// per rank, not per step. Each rank runs one collective here, so its run
+// state is made once and never reused. CI gates the object count of the
+// 512-rank run. Run it with
 // go test -run=NONE -bench AllgatherRing -benchtime 1x -benchmem ./internal/madmpi
 func BenchmarkAllgatherRing(b *testing.B) {
 	const per = 64

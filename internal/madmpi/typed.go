@@ -46,7 +46,7 @@ func (c *Comm) IrecvTyped(p *sim.Proc, base []byte, t Datatype, count, src, tag 
 		return failedRequest(err)
 	}
 	h, req := c.mpi.recvRecord()
-	core.IrecvvMaskedInto(req, c.gate(src), p, c.flowTag(tag), ^core.Tag(0), iov, nil)
+	core.IrecvvMaskedInto(req, c.gate(src), p, c.flowTag(tag), ^core.Tag(0), iov, 0, nil)
 	return h
 }
 

@@ -321,7 +321,7 @@ type run struct {
 	arena  [][]byte           // the segment slots no issued op has taken yet
 	zero   []byte
 	sink   []byte
-	doneFn func(error) // complete, bound once: the hook of every request
+	doneFn func(uint32, error) // complete, bound once: the hook of every request
 }
 
 // dispatcher walks one node's ops in recorded order: next is the first
@@ -383,8 +383,8 @@ func (d *dispatcher) issueNext() {
 }
 
 // complete is every re-issued request's completion hook; the request
-// itself records which op completed.
-func (r *run) complete(err error) {
+// itself records which op completed, so the hook's id goes unused.
+func (r *run) complete(_ uint32, err error) {
 	if err != nil {
 		r.res.RequestErrors++
 	}

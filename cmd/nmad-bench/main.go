@@ -6,7 +6,7 @@
 //
 //	nmad-bench -list              # figure ids with one-line descriptions
 //	nmad-bench -fig 2a            # one figure, aligned table on stdout
-//	nmad-bench -fig all           # everything (scale-nodes alone takes minutes)
+//	nmad-bench -fig all           # everything
 //	nmad-bench -fig incast,5.1 -format json  # machine-readable
 //	nmad-bench -work -fig 3a      # host work the figure cost, per layer
 //	nmad-bench -work              # the work golden's runs (from the repository root)
@@ -21,9 +21,10 @@
 // With -work, a figure prints instead the host work its runs cost: the
 // counters each layer bumps (sim events, elections, frames made and
 // reused, ...), totalled over every point and per engine op. The counts
-// are the same on every machine. Without -fig, -work runs the set of runs
-// internal/bench/testdata/work.golden pins and prints that file's bytes;
-// it reads the scenario corpus from scenarios/, so run it from the
+// are the same on every machine, and print as a table only (-work with
+// -format json is a usage error). Without -fig, -work runs the set of
+// runs internal/bench/testdata/work.golden pins and prints that file's
+// bytes; it reads the scenario corpus from scenarios/, so run it from the
 // repository root.
 package main
 
@@ -44,6 +45,10 @@ func main() {
 	flag.Parse()
 	if *format != "table" && *format != "json" {
 		fmt.Fprintf(os.Stderr, "nmad-bench: unknown format %q (table or json)\n", *format)
+		os.Exit(2)
+	}
+	if *work && *format != "table" {
+		fmt.Fprintf(os.Stderr, "nmad-bench: -work prints a table only, not -format %s\n", *format)
 		os.Exit(2)
 	}
 

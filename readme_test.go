@@ -1,13 +1,17 @@
 package nmad_test
 
 import (
+	"encoding/json"
+	"fmt"
 	"go/ast"
 	"go/constant"
 	"go/types"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode"
@@ -226,4 +230,74 @@ func repoPath(word string, roots map[string]bool) (string, bool) {
 		return "", false
 	}
 	return placeholder.ReplaceAllString(p, "*"), true
+}
+
+// TestGateTableNamesTheBenchmark: every row of .github/gates.tsv, the
+// table of CI's allocation gates, names a workload and an end-to-end
+// metric that BENCHMARK.json declares, a finite bound above 0 and the
+// message a breach prints, and no gate appears twice. A typo in the
+// table fails here, not only in the CI step that runs .github/gates.sh.
+func TestGateTableNamesTheBenchmark(t *testing.T) {
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec struct {
+		Workloads []struct{ Name string } `json:"workloads"`
+		EndToEnd  []struct{ Name string } `json:"end_to_end"`
+	}
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		t.Fatal(err)
+	}
+	workloads, metrics := map[string]bool{}, map[string]bool{}
+	for _, w := range spec.Workloads {
+		workloads[w.Name] = true
+	}
+	for _, m := range spec.EndToEnd {
+		metrics[m.Name] = true
+	}
+
+	table, err := os.ReadFile(".github/gates.tsv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.Split(strings.TrimSuffix(string(table), "\n"), "\n")
+	seen := map[[2]string]bool{}
+	for i, row := range rows {
+		at := fmt.Sprintf(".github/gates.tsv:%d", i+1)
+		f := strings.Split(row, "\t")
+		if len(f) != 4 {
+			t.Errorf("%s has %d tab-separated fields, want 4: workload, metric, bound, message", at, len(f))
+			continue
+		}
+		workload, metric, bound, message := f[0], f[1], f[2], f[3]
+		if !workloads[workload] {
+			t.Errorf("%s: %q is not a workload of BENCHMARK.json", at, workload)
+		}
+		if !metrics[metric] {
+			t.Errorf("%s: %q is not an end-to-end metric of BENCHMARK.json", at, metric)
+		}
+		if b, err := strconv.ParseFloat(bound, 64); err != nil || math.IsInf(b, 0) || math.IsNaN(b) || b <= 0 {
+			t.Errorf("%s: bound %q is not a finite number above 0", at, bound)
+		}
+		if strings.TrimSpace(message) == "" {
+			t.Errorf("%s: the breach message is empty", at)
+		}
+		if key := [2]string{workload, metric}; seen[key] {
+			t.Errorf("%s: %s %s is gated twice", at, workload, metric)
+		} else {
+			seen[key] = true
+		}
+	}
+	if len(seen) == 0 {
+		t.Error(".github/gates.tsv holds no gate")
+	}
+
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(ci), "bash .github/gates.sh") {
+		t.Error(".github/workflows/ci.yml does not run bash .github/gates.sh")
+	}
 }

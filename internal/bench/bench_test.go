@@ -170,10 +170,10 @@ func TestPaperDatatypeSegs(t *testing.T) {
 	total := 0
 	last := -1
 	for _, s := range segs {
-		if s.Off <= last {
-			t.Errorf("blocks must be separated by gaps (non-contiguous layout); offset %d after %d", s.Off, last)
+		if s.Offset <= last {
+			t.Errorf("blocks must be separated by gaps (non-contiguous layout); offset %d after %d", s.Offset, last)
 		}
-		last = s.Off + s.Len
+		last = s.Offset + s.Len
 		total += s.Len
 	}
 	if total != 2*(64+256<<10) {

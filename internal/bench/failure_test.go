@@ -26,8 +26,8 @@ func (s stubPeer) Wait(p *sim.Proc) error {
 func (s stubPeer) Isend(*sim.Proc, []byte, int, int, int) pending { return s }
 func (s stubPeer) Irecv(*sim.Proc, []byte, int, int, int) pending { return s }
 
-func (s stubPeer) SendTyped(p *sim.Proc, _ []byte, _ []seg, _, _, _ int) error { return s.Wait(p) }
-func (s stubPeer) RecvTyped(p *sim.Proc, _ []byte, _ []seg, _, _, _ int) error { return s.Wait(p) }
+func (s stubPeer) SendTyped(p *sim.Proc, _ []byte, _ *datatype, _, _, _ int) error { return s.Wait(p) }
+func (s stubPeer) RecvTyped(p *sim.Proc, _ []byte, _ *datatype, _, _, _ int) error { return s.Wait(p) }
 
 // stubImpl pairs a rank whose requests fail with a rank whose requests
 // hang, so a run ends in one process error plus the deadlock that error

@@ -34,11 +34,21 @@ import (
 	"nmad/internal/simnet"
 )
 
-// seg is one contiguous block of a non-contiguous layout, shared between
-// the MAD-MPI and baseline typed paths.
-type seg struct {
-	Off int
-	Len int
+// datatype is a non-contiguous layout in the form each datatype engine
+// takes, built once per series point: the blocks the baselines pack, and
+// the MAD-MPI Hindexed over the same blocks.
+type datatype struct {
+	segs []baseline.Segment
+	mad  madmpi.Datatype
+}
+
+func newDatatype(segs []baseline.Segment) *datatype {
+	lens := make([]int, len(segs))
+	displs := make([]int, len(segs))
+	for i, s := range segs {
+		lens[i], displs[i] = s.Len, s.Offset
+	}
+	return &datatype{segs: segs, mad: madmpi.Hindexed(lens, displs, madmpi.Byte)}
 }
 
 // pending is a nonblocking operation in flight.
@@ -55,8 +65,8 @@ type mpiPeer interface {
 	Irecv(p *sim.Proc, buf []byte, src, tag, comm int) pending
 	// SendTyped/RecvTyped move a non-contiguous layout, each
 	// implementation using its own datatype engine.
-	SendTyped(p *sim.Proc, base []byte, segs []seg, dest, tag, comm int) error
-	RecvTyped(p *sim.Proc, base []byte, segs []seg, src, tag, comm int) error
+	SendTyped(p *sim.Proc, base []byte, dt *datatype, dest, tag, comm int) error
+	RecvTyped(p *sim.Proc, base []byte, dt *datatype, src, tag, comm int) error
 }
 
 // mpiImpl names an MPI implementation and builds a two-rank job over a
@@ -169,26 +179,16 @@ func (m *madPeer) Irecv(p *sim.Proc, buf []byte, src, tag, comm int) pending {
 	return m.comm(comm).Irecv(p, buf, src, tag)
 }
 
-func (m *madPeer) SendTyped(p *sim.Proc, base []byte, segs []seg, dest, tag, comm int) error {
-	return m.comm(comm).IsendTyped(p, base, segsToDatatype(segs), 1, dest, tag).Wait(p)
+func (m *madPeer) SendTyped(p *sim.Proc, base []byte, dt *datatype, dest, tag, comm int) error {
+	return m.comm(comm).IsendTyped(p, base, dt.mad, 1, dest, tag).Wait(p)
 }
 
-func (m *madPeer) RecvTyped(p *sim.Proc, base []byte, segs []seg, src, tag, comm int) error {
-	return m.comm(comm).IrecvTyped(p, base, segsToDatatype(segs), 1, src, tag).Wait(p)
+func (m *madPeer) RecvTyped(p *sim.Proc, base []byte, dt *datatype, src, tag, comm int) error {
+	return m.comm(comm).IrecvTyped(p, base, dt.mad, 1, src, tag).Wait(p)
 }
 
 // Stats exposes the engine counters for assertions and reports.
 func (m *madPeer) Stats() core.Stats { return m.mpi.Engine().Stats() }
-
-func segsToDatatype(segs []seg) madmpi.Datatype {
-	lens := make([]int, len(segs))
-	displs := make([]int, len(segs))
-	for i, s := range segs {
-		lens[i] = s.Len
-		displs[i] = s.Off
-	}
-	return madmpi.Hindexed(lens, displs, madmpi.Byte)
-}
 
 // basePeer adapts a baseline rank to the mpiPeer interface.
 type basePeer struct{ r *baseline.Rank }
@@ -201,20 +201,12 @@ func (b *basePeer) Irecv(p *sim.Proc, buf []byte, src, tag, comm int) pending {
 	return b.r.Irecv(p, buf, src, tag, comm)
 }
 
-func (b *basePeer) SendTyped(p *sim.Proc, base []byte, segs []seg, dest, tag, comm int) error {
-	return b.r.SendTyped(p, base, toBaselineSegs(segs), dest, tag, comm)
+func (b *basePeer) SendTyped(p *sim.Proc, base []byte, dt *datatype, dest, tag, comm int) error {
+	return b.r.SendTyped(p, base, dt.segs, dest, tag, comm)
 }
 
-func (b *basePeer) RecvTyped(p *sim.Proc, base []byte, segs []seg, src, tag, comm int) error {
-	return b.r.RecvTyped(p, base, toBaselineSegs(segs), src, tag, comm)
-}
-
-func toBaselineSegs(segs []seg) []baseline.Segment {
-	out := make([]baseline.Segment, len(segs))
-	for i, s := range segs {
-		out[i] = baseline.Segment{Offset: s.Off, Len: s.Len}
-	}
-	return out
+func (b *basePeer) RecvTyped(p *sim.Proc, base []byte, dt *datatype, src, tag, comm int) error {
+	return b.r.RecvTyped(p, base, dt.segs, src, tag, comm)
 }
 
 // start builds a fresh two-node world over the given rails and the

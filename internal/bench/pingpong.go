@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"nmad/internal/baseline"
 	"nmad/internal/sim"
 	"nmad/internal/simnet"
 )
@@ -104,13 +105,13 @@ func multiSegPingPong(wk *sim.Work, impl mpiImpl, profs []simnet.Profile, segSiz
 // separated by gaps in memory — that is what makes the datatype genuinely
 // non-contiguous (adjacent blocks would flatten into one segment and
 // nobody would need to pack anything).
-func paperDatatypeSegs(total int) []seg {
+func paperDatatypeSegs(total int) []baseline.Segment {
 	const small, large, gap = 64, 256 << 10, 64
 	pair := small + large
-	var segs []seg
+	var segs []baseline.Segment
 	off, data := 0, 0
 	add := func(n int) {
-		segs = append(segs, seg{Off: off, Len: n})
+		segs = append(segs, baseline.Segment{Offset: off, Len: n})
 		off += n + gap
 		data += n
 	}
@@ -133,17 +134,17 @@ func paperDatatypeSegs(total int) []seg {
 func datatypeExtent(total int) int {
 	segs := paperDatatypeSegs(total)
 	last := segs[len(segs)-1]
-	return last.Off + last.Len
+	return last.Offset + last.Len
 }
 
 // datatypePingPong runs the §5.3 workload: a ping-pong of the indexed
 // datatype (small/large block pairs) totalling total bytes. Returns the
 // one-way transfer time in µs.
 func datatypePingPong(wk *sim.Work, impl mpiImpl, profs []simnet.Profile, total int) (float64, error) {
-	segs := paperDatatypeSegs(total)
+	dt := newDatatype(paperDatatypeSegs(total))
 	extent := datatypeExtent(total)
 	base := [2][]byte{make([]byte, extent), make([]byte, extent)}
 	return pingPong(wk, impl, profs, fmt.Sprintf("datatype(%s, %d)", impl.Name, total),
-		func(p *sim.Proc, peer mpiPeer, me int) error { return peer.SendTyped(p, base[me], segs, 1-me, 0, 0) },
-		func(p *sim.Proc, peer mpiPeer, me int) error { return peer.RecvTyped(p, base[me], segs, 1-me, 0, 0) })
+		func(p *sim.Proc, peer mpiPeer, me int) error { return peer.SendTyped(p, base[me], dt, 1-me, 0, 0) },
+		func(p *sim.Proc, peer mpiPeer, me int) error { return peer.RecvTyped(p, base[me], dt, 1-me, 0, 0) })
 }

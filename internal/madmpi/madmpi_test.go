@@ -3,6 +3,7 @@ package madmpi
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -260,7 +261,7 @@ func TestLargeMessageRendezvous(t *testing.T) {
 }
 
 func TestDatatypeSizeExtent(t *testing.T) {
-	if Byte.Size() != 1 || (basic{4}).Size() != 4 {
+	if Byte.Size() != 1 || (basic(4)).Size() != 4 {
 		t.Error("basic type sizes wrong")
 	}
 	c := Contiguous(10, Byte)
@@ -288,6 +289,10 @@ func TestFlattenCoalesces(t *testing.T) {
 	segs := flatten(Contiguous(100, Byte), 3)
 	if len(segs) != 1 || segs[0] != (segment{Offset: 0, Len: 300}) {
 		t.Errorf("contiguous flatten = %v, want one 300-byte segment", segs)
+	}
+	// A dense run is one block however many bytes it spans.
+	if segs := flatten(Contiguous(1<<30, Byte), 4); !slices.Equal(segs, []segment{{0, 4 << 30}}) {
+		t.Errorf("flatten(Contiguous(1<<30, Byte), 4) = %v, want one block", segs)
 	}
 	v := Vector(4, 8, 16, Byte)
 	segs = flatten(v, 1)
@@ -322,7 +327,7 @@ func TestFlattenPaperDatatype(t *testing.T) {
 func TestStructDatatype(t *testing.T) {
 	// struct { int32 a; pad 4; float64 b[2] } — 2 fields at displacements
 	// 0 and 8.
-	st := Struct([]int{1, 2}, []int{0, 8}, []Datatype{basic{4}, basic{8}})
+	st := Struct([]int{1, 2}, []int{0, 8}, []Datatype{basic(4), basic(8)})
 	if st.Size() != 4+16 {
 		t.Errorf("struct size %d, want 20", st.Size())
 	}
@@ -407,8 +412,9 @@ func TestTypedBoundsChecked(t *testing.T) {
 		c := m.CommWorld()
 		dt := Hindexed([]int{16}, []int{100}, Byte)
 		short := make([]byte, 50)
-		if err := c.IsendTyped(p, short, dt, 1, 1-m.Rank(), 0).Wait(p); err == nil {
-			t.Error("out-of-bounds datatype send must fail")
+		err := c.IsendTyped(p, short, dt, 1, 1-m.Rank(), 0).Wait(p)
+		if want := "madmpi: datatype segment [100,116) outside the 50-byte buffer"; err == nil || err.Error() != want {
+			t.Errorf("out-of-bounds datatype send: error %v, want %q", err, want)
 		}
 		if err := c.Barrier(p); err != nil {
 			t.Error(err)
@@ -605,6 +611,28 @@ func TestAllocsNonblockingPingPong(t *testing.T) {
 	t.Logf("nonblocking ping-pong: %.2f objects per round trip", got)
 	if got > 0.5 {
 		t.Errorf("a waited nonblocking round trip allocates %.2f objects, want 0 (ceiling 0.5): Wait no longer frees its record", got)
+	}
+}
+
+// TestAllocsTypedPingPong pins a typed round trip: a datatype is
+// flattened when it is built, so a typed call allocates only the gather
+// list it hands the engine, one per call and four per round trip.
+// Reusing that list (ROADMAP 20(c)) is what is left.
+func TestAllocsTypedPingPong(t *testing.T) {
+	for _, dt := range []Datatype{
+		Vector(4, 8, 16, Byte),
+		Hindexed([]int{4, 4, 4, 4, 4, 4, 4, 4}, []int{0, 8, 16, 24, 32, 40, 48, 56}, Byte),
+	} {
+		got := roundTripAllocs(t,
+			func(p *sim.Proc, c *Comm, buf []byte, peer int) error { return c.SendTyped(p, buf, dt, 1, peer, 0) },
+			func(p *sim.Proc, c *Comm, buf []byte, peer int) error {
+				_, err := c.RecvTyped(p, buf, dt, 1, peer, 0)
+				return err
+			})
+		t.Logf("%v ping-pong: %.2f objects per round trip", dt, got)
+		if got > 4.5 {
+			t.Errorf("a typed round trip of %v allocates %.2f objects, want 4 (ceiling 4.5): a typed call walks its type again", dt, got)
+		}
 	}
 }
 

@@ -52,13 +52,21 @@ func (c *Comm) IrecvTyped(p *sim.Proc, base []byte, t Datatype, count, src, tag 
 
 // iovec flattens count elements of datatype t at base into the gather
 // list the engine's vector path consumes, bounds-checking every block.
+// One element is the type's stored blocks, so it is read as it stands.
 func iovec(base []byte, t Datatype, count int) ([][]byte, error) {
-	segs := flatten(t, count)
-	if err := checkBounds(base, segs); err != nil {
-		return nil, err
+	if count < 0 {
+		return nil, fmt.Errorf("madmpi: datatype count %d is negative", count)
+	}
+	segs := t.layout().blocks
+	if count != 1 {
+		segs = flatten(t, count)
 	}
 	iov := make([][]byte, len(segs))
 	for i, s := range segs {
+		if s.Offset < 0 || s.Offset+s.Len > len(base) {
+			return nil, fmt.Errorf("madmpi: datatype segment [%d,%d) outside the %d-byte buffer",
+				s.Offset, s.Offset+s.Len, len(base))
+		}
 		iov[i] = base[s.Offset : s.Offset+s.Len]
 	}
 	return iov, nil
@@ -71,14 +79,4 @@ func (c *Comm) SendTyped(p *sim.Proc, base []byte, t Datatype, count, dest, tag 
 
 func (c *Comm) RecvTyped(p *sim.Proc, base []byte, t Datatype, count, src, tag int) (Status, error) {
 	return c.IrecvTyped(p, base, t, count, src, tag).WaitStatus(p)
-}
-
-func checkBounds(base []byte, segs []segment) error {
-	for _, s := range segs {
-		if s.Offset < 0 || s.Offset+s.Len > len(base) {
-			return fmt.Errorf("madmpi: datatype segment [%d,%d) outside the %d-byte buffer",
-				s.Offset, s.Offset+s.Len, len(base))
-		}
-	}
-	return nil
 }

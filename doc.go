@@ -74,8 +74,8 @@
 //     internal/trace record.go, internal/replay.
 //   - declarative scenarios (LoadScenario, RunScenario, cmd/nmad-sim):
 //     internal/scenario.
-//   - static analysis of the determinism, counter-coverage, sentinel and
-//     SPI-aliasing invariants (cmd/nmad-vet): internal/analysis.
+//   - static analysis (cmd/nmad-vet): the determinism, sentinelcmp and
+//     spileak analyzers, internal/analysis.
 //   - figures and measurement: internal/bench regenerates the paper's
 //     figures in virtual time, pinned by goldens; benchmark/ measures
 //     host cost.

@@ -1,10 +1,9 @@
 // Package analysis is nmad's static-analysis suite: a small, dependency
 // free re-implementation of the golang.org/x/tools/go/analysis model
-// (Analyzer, Pass, diagnostics, testdata fixtures) plus the project
-// analyzers that machine-check the engine's determinism, locking and SPI
-// invariants. The cmd/nmad-vet binary drives the suite either standalone
-// (nmad-vet ./...) or under the go command's vet protocol
-// (go vet -vettool=nmad-vet ./...).
+// (Analyzer, Pass, diagnostics, testdata fixtures) plus the three project
+// analyzers: determinism, sentinelcmp and spileak. The cmd/nmad-vet
+// binary drives the suite either standalone (nmad-vet ./...) or under the
+// go command's vet protocol (go vet -vettool=nmad-vet ./...).
 //
 // Findings can be suppressed, one site at a time, with an allow comment
 // on the flagged line or the line directly above it:

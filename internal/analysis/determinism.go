@@ -12,11 +12,10 @@ import (
 // deterministicPkgPaths lists the packages whose behavior must be a
 // pure function of their inputs: the engine, the virtual-time machine,
 // the fabric, MPI, scenarios, the job queue, replay, the recording
-// format and the SPI.
-// Byte-identical replay (PR 5), seeded fault injection (PR 6) and the
-// scenario corpus (PR 7) all stand on this property. A package outside
-// the list can opt in by carrying a //nmadvet:deterministic comment in
-// any of its files.
+// format and the SPI. Byte-identical replay, seeded fault injection and
+// the scenario corpus all stand on this property. A package outside the
+// list can opt in by carrying a //nmadvet:deterministic comment in any of
+// its files.
 var deterministicPkgPaths = []string{
 	"nmad/internal/core",
 	"nmad/internal/sim",

@@ -58,8 +58,8 @@ func FormatWork(wk *sim.Work) string {
 // chosen because a different layer does its work: a replay of the
 // canonical recording and of a 256-node composite ring, the scenario
 // corpus, figure 2a's MAD-MPI point at 64 B, figure 3a's at 16 B per
-// segment, and a lossy credit-starved incast. corpus is the directory of
-// the scenario corpus.
+// segment, a lossy credit-starved incast, a 64-rank ring allgather and
+// 1 000 4-rank barriers. corpus is the directory of the scenario corpus.
 func workRows(corpus string) []workRow {
 	return []workRow{
 		{"replay canonical", func(wk *sim.Work) error {

@@ -71,88 +71,17 @@
 //
 // # Engine performance
 //
-// The engine's own cost is held down by free-list recycling (pool.go):
-// packet wrappers, output trains, held receive entries and the
-// per-train encode scratch are recycled on plain per-engine slices, and
-// the bytes themselves travel in reference-counted wire frames
-// (simnet.Frame) drawn from the fabric's list. sync.Pool is deliberately
-// not used — its GC-driven emptying would couple allocation behavior to
-// collector timing in packages that promise determinism. A byte is
-// copied once below the engine. An eager train is flattened into its
-// frame when it is handed to the driver, the NIC delivers that frame, the
-// reliability layer retransmits that frame, and the receive path scatters
-// out of it. An RDMA body chunk makes no frame: the NIC reads the
-// caller's iovec when the chunk's DMA read ends and places the bytes
-// straight into the landing buffer (the landings registry, rdv.go), before
-// the send request's completion can hand the sender's memory back. A
-// reissue's bytes come from there as well: a reliable send completes
-// only when the receiver reports its body landed, and a reissue still
-// reading after that places nothing. The
-// ownership rules that make recycling safe are documented in pool.go; the
-// short form is that wrappers own their iovec backing (isendIov copies
-// the caller's segment headers), user memory is read for the last time
-// when the frame is filled or the DMA read ends, whoever parks frame
-// bytes holds a reference, and strategies cannot retain
-// window views (the spileak analyzer enforces the SPI aliasing
-// contract). Two more objects live for one election and one NIC
-// transaction, and are owned rather than allocated each time. The
-// election a built-in strategy returns is that strategy value's own,
-// reset at its next Elect with its picks cleared; electOutput reads it
-// before anything can elect again and keeps only the *packet behind each
-// Ref. A transaction inside the NIC is a simnet flight, drawn from the
-// fabric's list at Submit — which copies the driver's Tx and keeps
-// nothing of it but an RDMA gather list's slice header — and held by the
-// events the NIC scheduled for it: the sender-side completion and every
-// delivery, late duplicates included; the last to fire files it back.
-// Each binds its callbacks once, so neither event allocates a closure.
-// The deferred completion of an eager receive is no object at all: from
-// the match until the copy cost has elapsed it is a value in one engine
-// queue, ordered as the events that pop it fire, with one callback bound
-// per engine (pool.go). A plain Irecv's one-segment landing area is a
-// field of its request, as a one-segment send's is of its wrapper. What
-// a steady-state message leaves on the heap is what its caller keeps:
-// the request of a nonblocking call.
-// The caller of a blocking Send, Ssend, Recv or RecvMasked never sees
-// its request, so that request is the engine's (as MPI frees a blocking
-// call's request inside the call): taken from a per-engine free list and
-// filed back before the call returns. The rule that makes this safe:
-// once a request completes, no engine record touches it again — every
-// unit of a send retires exactly once, and a receive completes only
-// after it has left every list that matches or grants it.
-//
-// Work run from scheduler callbacks follows the same rule: whatever is
-// pushed with World.At / After or handed to a NIC is a callback bound
-// once, on a record that is owned and recycled or on a FIFO. A PostSendv
-// / PostRecvvMasked waits out its submit overhead in the engine's post
-// FIFO (every such wait lasts SubmitOverhead, so they end in the order
-// they began) on a request in its caller's storage, so a caller that
-// keeps its requests in a slab needs neither an object nor a closure per
-// message; a rendezvous body runs on recycled rdvSend / rdvRecv records,
-// its plan copied into the transaction, with one recycled rdmaChain per
-// rail that computes each next chunk as it goes; the link layer takes
-// its linkFrames from a free list, encodes headers into scratch, and
-// binds its delayed ack once per gate. A timer cannot be cancelled. An
-// engine's retransmit checks all wait RetransmitTimeout, so they wait in
-// one FIFO, like the posts, each stamped with its frame's generation,
-// which every retransmission and recycling advance (railFail resets
-// attempts, never the generation): a check whose stamp no longer matches
-// is void, and a frame has one live clock, armed when its last copy in
-// flight leaves the NIC. A frame record returns to its list at its ack
-// once no copy is in flight. Other records count the events still
-// pending on them — a gate its delayed acks, of which all but the latest
-// are void; an rdvSend its unsent chunks and streaming chains — and
-// return to their list only once retired with the count at zero, the
-// rule of the NIC's flight. An rdvRecv keeps no count: under reliability
-// its one body watch is pending from the grant on, and the watch that
-// finds the transaction landed files the record back.
-// The package's tests watch every engine's world (a seam in New,
-// sim.World.Watch): no rail may idle while a gate shows it a wrapper it
-// can gather once an instant's events have fired, no unacked link frame
-// may have other than one retransmit clock, and a drained world
-// accounts for every pooled record and credit. The repo benchmark
-// (benchmark/, workload ring-replay-1024) measures the resulting host
-// cost and allocs/op, and allocation-regression pins live in
-// alloc_test.go.
+// The engine's per-message records are recycled on plain per-engine free
+// lists, and the bytes in flight travel in reference-counted wire frames
+// drawn from the fabric's list: pool.go states what is recycled, who owns
+// what when, and why a completed request is safe to reuse. Work run from
+// scheduler callbacks follows the same rule — a callback bound once, on
+// a record that is owned and recycled or on a FIFO, never a closure per
+// message — and each record documents its own: the post FIFO (runPost,
+// engine.go), the rendezvous records and RDMA chains (rdv.go) and the
+// link layer's retransmit checks (reliab.go). The package's tests watch
+// every engine's world (selfcheck_test.go), and alloc_test.go pins the
+// allocations.
 //
 // An election attempt costs what the strategy can elect, not the size of
 // the window: on a credit-starved gate the window holds the whole held-back

@@ -49,19 +49,57 @@ func (l *layout) String() string  { return l.name }
 func (l *layout) layout() *layout { return l }
 
 // run appends count elements of l to out, the first at base and each
-// next one Extent() further, merging touching blocks. A dense layout —
-// one block that fills its extent — makes the whole run one block, so
-// construction and flattening stay proportional to blocks, not bytes.
+// next one Extent() further, merging touching blocks.
 func (l *layout) run(out []segment, count, base int) []segment {
-	if count > 0 && len(l.blocks) == 1 && l.blocks[0] == (segment{0, l.extent}) {
-		return appendMerged(out, segment{base, count * l.extent})
-	}
-	for i := 0; i < count; i++ {
-		for _, b := range l.blocks {
-			out = appendMerged(out, segment{base + i*l.extent + b.Offset, b.Len})
-		}
+	w := blockWalk{l: l, count: count}
+	for s, ok := w.next(); ok; s, ok = w.next() {
+		out = appendMerged(out, segment{base + s.Offset, s.Len})
 	}
 	return out
+}
+
+// blockWalk yields the merged blocks of count elements of l, the first
+// at offset 0 and each next one Extent() further, one at a time and
+// without building the list, so a typed call stops at the first block
+// outside its buffer. A dense layout — one block that fills its extent —
+// makes the whole run one block, so construction and flattening stay
+// proportional to blocks, not bytes.
+type blockWalk struct {
+	l        *layout
+	count    int
+	elem, at int // the next block: element elem, stored block at
+}
+
+func (w *blockWalk) next() (segment, bool) {
+	l := w.l
+	if w.elem >= w.count || len(l.blocks) == 0 {
+		return segment{}, false
+	}
+	if len(l.blocks) == 1 && l.blocks[0] == (segment{0, l.extent}) {
+		s := segment{w.elem * l.extent, (w.count - w.elem) * l.extent}
+		w.elem = w.count
+		return s, true
+	}
+	s := w.block()
+	for w.step(); w.elem < w.count; w.step() {
+		b := w.block()
+		if s.Offset+s.Len != b.Offset {
+			break
+		}
+		s.Len += b.Len
+	}
+	return s, true
+}
+
+func (w *blockWalk) block() segment {
+	b := w.l.blocks[w.at]
+	return segment{w.elem*w.l.extent + b.Offset, b.Len}
+}
+
+func (w *blockWalk) step() {
+	if w.at++; w.at == len(w.l.blocks) {
+		w.elem, w.at = w.elem+1, 0
+	}
 }
 
 func appendMerged(out []segment, s segment) []segment {

@@ -232,3 +232,24 @@ func FuzzDatatypeLayout(f *testing.F) {
 		checkLayout(t, dt, tm, int(count), int(buflen))
 	})
 }
+
+// TestTypedCallPastItsBufferBuildsNothing: a typed call whose count runs
+// far past its buffer fails at the first merged block outside it, with
+// the error of the bounded call and the same allocations, however many
+// elements follow that block.
+func TestTypedCallPastItsBufferBuildsNothing(t *testing.T) {
+	dt := Vector(4, 8, 16, Byte)
+	base := make([]byte, 64)
+	const want = "madmpi: datatype segment [64,72) outside the 64-byte buffer"
+	allocs := map[int]float64{}
+	for _, count := range []int{2, 65536} {
+		if _, err := iovec(base, dt, count); err == nil || err.Error() != want {
+			t.Fatalf("%v x %d in 64 bytes: iovec error %v, want %q", dt, count, err, want)
+		}
+		allocs[count] = testing.AllocsPerRun(10, func() { iovec(base, dt, count) })
+	}
+	if allocs[65536] != allocs[2] {
+		t.Errorf("a failing typed call allocates %.0f objects at count 65536, %.0f at count 2: it builds the blocks past the bad one",
+			allocs[65536], allocs[2])
+	}
+}

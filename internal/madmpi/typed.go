@@ -51,23 +51,27 @@ func (c *Comm) IrecvTyped(p *sim.Proc, base []byte, t Datatype, count, src, tag 
 }
 
 // iovec flattens count elements of datatype t at base into the gather
-// list the engine's vector path consumes, bounds-checking every block.
-// One element is the type's stored blocks, so it is read as it stands.
+// list the engine's vector path consumes. A first walk of the merged
+// blocks checks each against the buffer and counts them, so a call that
+// runs past its buffer fails at the first bad block having built
+// nothing; a second fills a list of exactly that length.
 func iovec(base []byte, t Datatype, count int) ([][]byte, error) {
 	if count < 0 {
 		return nil, fmt.Errorf("madmpi: datatype count %d is negative", count)
 	}
-	segs := t.layout().blocks
-	if count != 1 {
-		segs = flatten(t, count)
-	}
-	iov := make([][]byte, len(segs))
-	for i, s := range segs {
+	l, n := t.layout(), 0
+	w := blockWalk{l: l, count: count}
+	for s, ok := w.next(); ok; s, ok = w.next() {
 		if s.Offset < 0 || s.Offset+s.Len > len(base) {
 			return nil, fmt.Errorf("madmpi: datatype segment [%d,%d) outside the %d-byte buffer",
 				s.Offset, s.Offset+s.Len, len(base))
 		}
-		iov[i] = base[s.Offset : s.Offset+s.Len]
+		n++
+	}
+	iov := make([][]byte, 0, n)
+	w = blockWalk{l: l, count: count}
+	for s, ok := w.next(); ok; s, ok = w.next() {
+		iov = append(iov, base[s.Offset:s.Offset+s.Len])
 	}
 	return iov, nil
 }

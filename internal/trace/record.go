@@ -134,7 +134,8 @@ type NodeConfig struct {
 	// setting — the link framing changes the wire format.
 	Reliability bool `json:"reliability,omitempty"`
 	// RetransmitTimeout is how long an unacknowledged frame waits before
-	// re-injection. 0 means 200µs.
+	// re-injection. 0 means 200µs. Read only under Reliability, as are
+	// RetransmitBudget and ProbeBudget.
 	RetransmitTimeout sim.Time `json:"retransmit_timeout,omitempty"`
 	// RetransmitBudget is how many transmissions one frame may consume on
 	// one rail before the rail is declared failed (when a surviving rail
@@ -145,8 +146,8 @@ type NodeConfig struct {
 	// good and stops probing, so a run over a permanently dead rail
 	// terminates on its own instead of rescheduling probe events forever
 	// (which forces callers onto RunUntil horizons). A late pong still
-	// recovers an abandoned rail if one ever arrives. 0 means probe
-	// forever (the historical behaviour).
+	// recovers an abandoned rail if one ever arrives (Stats.AbandonedRails
+	// counts the abandoned episodes). 0 means probe forever.
 	ProbeBudget int `json:"probe_budget,omitempty"`
 }
 

@@ -120,81 +120,52 @@ func WithRecording(rec *trace.Recording) EngineOption {
 	return func(c *engineConfig) { c.Record = rec }
 }
 
-// WithBodyChunk caps the size of one rendezvous body transaction; larger
-// bodies are pipelined in chunks of this size.
+// WithBodyChunk sets trace.NodeConfig.BodyChunk, the rendezvous body chunk.
 func WithBodyChunk(bytes int) EngineOption {
 	return func(c *engineConfig) { c.BodyChunk = bytes }
 }
 
-// WithAnticipation enables the second scheduling mode of the paper's
-// §3.2: while a rail is busy the engine pre-builds one ready-to-send
-// packet, hiding the election cost behind the previous transmission.
+// WithAnticipation sets trace.NodeConfig.Anticipate, the §3.2 anticipation
+// mode.
 func WithAnticipation() EngineOption {
 	return func(c *engineConfig) { c.Anticipate = true }
 }
 
-// WithFlushBacklog enables the third scheduling mode of §3.2: once the
-// backlog a rail could send reaches n wrappers, the engine elects
-// unconditionally and queues the output at the (possibly busy) NIC.
+// WithFlushBacklog sets trace.NodeConfig.FlushBacklog, the §3.2 flush
+// mode.
 func WithFlushBacklog(n int) EngineOption {
 	return func(c *engineConfig) { c.FlushBacklog = n }
 }
 
-// WithCredits enables credit-based receive flow control: every gate
-// starts with n eager landing credits, each eager data wrapper sent
-// consumes one, and the receiver returns credits as it consumes the
-// wrappers (replenishment aggregates with outbound traffic like the
-// rendezvous handshake). While a peer's credits are exhausted the
-// sender's data wrappers wait in the collect layer, invisible to the
-// strategies, so an overloaded receiver's queues stay bounded by the
-// budget instead of growing without limit. Configure every engine of a
-// cluster with the same budget.
+// WithCredits sets trace.NodeConfig.Credits, the receive flow control
+// budget.
 func WithCredits(n int) EngineOption {
 	return func(c *engineConfig) { c.Credits = n }
 }
 
-// WithMaxGrants caps the concurrent inbound rendezvous transactions a
-// node grants: further matched rendezvous requests wait in FIFO order
-// with their CTS deferred until an active transaction retires, bounding
-// the registered landing traffic a flood of large senders can force on
-// one receiver.
+// WithMaxGrants sets trace.NodeConfig.MaxGrants, the inbound rendezvous
+// cap.
 func WithMaxGrants(n int) EngineOption {
 	return func(c *engineConfig) { c.MaxGrants = n }
 }
 
-// WithReliability enables the engine's link-layer reliability protocol:
-// sequence-checked delivery with ack/timeout/retransmission for eager
-// trains, watchdog-driven reissue for rendezvous bodies, and failover of
-// pinned traffic off a rail whose frames exhaust their retransmit budget
-// (see the package documentation's "Fault injection and reliability").
-// The link framing changes the wire format, so every engine of a cluster
-// must agree on this setting.
+// WithReliability sets trace.NodeConfig.Reliability, the link-layer
+// reliability protocol.
 func WithReliability() EngineOption {
 	return func(c *engineConfig) { c.Reliability = true }
 }
 
-// WithRetransmitTimeout sets how long an unacknowledged link frame waits
-// before it is re-injected (default 200µs). Implies nothing unless
-// WithReliability is set.
+// WithRetransmitTimeout sets trace.NodeConfig.RetransmitTimeout.
 func WithRetransmitTimeout(d Time) EngineOption {
 	return func(c *engineConfig) { c.RetransmitTimeout = d }
 }
 
-// WithRetransmitBudget sets how many re-injections one frame may cost
-// before its rail is declared failed and surviving rails take over the
-// traffic (default 8). On the last surviving rail the budget resets
-// instead — the engine retries forever rather than lose data.
+// WithRetransmitBudget sets trace.NodeConfig.RetransmitBudget.
 func WithRetransmitBudget(n int) EngineOption {
 	return func(c *engineConfig) { c.RetransmitBudget = n }
 }
 
-// WithProbeBudget bounds the recovery probe of a failed rail: after n
-// unanswered pings the engine abandons the rail for good (counted in
-// Stats.AbandonedRails) instead of probing forever. Without a budget a
-// permanently dead rail keeps the probe rescheduling itself, so a
-// simulation can only be ended with a RunUntil horizon; with one, runs
-// over permanent outages terminate on their own. 0 (the default) probes
-// forever. Implies nothing unless WithReliability is set.
+// WithProbeBudget sets trace.NodeConfig.ProbeBudget.
 func WithProbeBudget(n int) EngineOption {
 	return func(c *engineConfig) { c.ProbeBudget = n }
 }

@@ -301,3 +301,38 @@ func TestGateTableNamesTheBenchmark(t *testing.T) {
 		t.Error(".github/workflows/ci.yml does not run bash .github/gates.sh")
 	}
 }
+
+// TestDocsCarryNoChangelog: the documents TestDocsCiteWhatExists checks
+// describe what the code does and where it is measured, not the history
+// of its numbers, which CHANGES.md keeps. A numeric before → after
+// figure — a digit, an arrow (→ or ->), then a digit or ~ — fails;
+// prose arrows such as "Submit → Elect" do not.
+func TestDocsCarryNoChangelog(t *testing.T) {
+	docs := []string{"README.md", ".claude/skills/verify/SKILL.md"}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir
+		case d.Name() == "doc.go":
+			docs = append(docs, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	figure := regexp.MustCompile(`\d\s*(→|->)\s*[\d~]`)
+	for _, doc := range docs {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(raw), "\n") {
+			if m := figure.FindString(line); m != "" {
+				t.Errorf("%s:%d carries a before → after figure (%q); CHANGES.md keeps the history", doc, i+1, m)
+			}
+		}
+	}
+}

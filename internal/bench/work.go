@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -73,7 +75,10 @@ func workRows(corpus string) []workRow {
 		{"scenario corpus", func(wk *sim.Work) error {
 			scs, bad := scenario.ListDir(corpus)
 			if len(bad) > 0 {
-				return fmt.Errorf("bench: corpus: %v", bad)
+				// The first failing path, by name: the directory itself
+				// when it cannot be read.
+				path := slices.Min(slices.Collect(maps.Keys(bad)))
+				return fmt.Errorf("bench: corpus: %s: %w", path, bad[path])
 			}
 			for _, sc := range scs {
 				if _, err := scenario.Run(sc, scenario.Config{Work: wk}); err != nil {

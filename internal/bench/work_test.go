@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"errors"
+	"io/fs"
 	"maps"
 	"os"
 	"slices"
@@ -48,6 +50,24 @@ func TestWorkGolden(t *testing.T) {
 		}
 	}
 	t.Log("regenerate with -update and review the diff")
+}
+
+// TestWorkCorpusRowNamesTheFailingPath: run where the corpus directory
+// is missing (`nmad-bench -work` outside the repository root), the
+// corpus row's error names the one path that failed and its cause.
+func TestWorkCorpusRowNamesTheFailingPath(t *testing.T) {
+	t.Chdir(t.TempDir())
+	i := slices.IndexFunc(workRows("scenarios"), func(r workRow) bool { return r.name == "scenario corpus" })
+	if i < 0 {
+		t.Fatal("no scenario corpus row")
+	}
+	err := workRows("scenarios")[i].run(new(sim.Work))
+	if !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("corpus row without a corpus: %v, want a not-exist error", err)
+	}
+	if want := "bench: corpus: scenarios: open scenarios: "; !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("corpus row without a corpus says %q, want it to begin %q", err, want)
+	}
 }
 
 // workLines keys each line of a work report by its row and counter, so a

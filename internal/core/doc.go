@@ -67,7 +67,10 @@
 // completion — takes the output alone, and the two events of its life are
 // method values bound once per recycled output. Per-gate state that is
 // indexed by rail (the pinned window lists and the SPI views) grows with
-// Attach too; per-flow state is one tagTable each way.
+// Attach too. Per-flow ordering state is one flat table per gate, an
+// entry per tag holding both directions (gate.go, flowTable), with no map
+// and no record per entry; a flow of one message, a collective step,
+// keeps none (IsendvOnceInto).
 //
 // # Engine performance
 //

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"nmad/internal/sim"
 	"nmad/internal/simnet"
@@ -19,12 +21,16 @@ type Gate struct {
 	// boxing a fresh view per Elect call (see strategy.go).
 	views []windowView
 
-	// sender side: next sequence number per flow tag.
-	sendSeq tagTable[seqNum]
+	// Per-flow ordering, both directions: the next sequence number sent
+	// and delivered on each flow tag, the ordered wrappers that arrived
+	// ahead of their turn (held, gate-wide), and the one-shot lane, which
+	// numbers and deduplicates the wrappers of flows that carry one
+	// message (IsendvOnceInto) so they keep no per-tag state.
+	flows flowTable
+	held  []*inEntry
+	once  onceLane
 
-	// receiver side: resequencing per flow, posted receives, unexpected
-	// arrivals.
-	flows      tagTable[rxFlow]
+	// receiver side: posted receives, unexpected arrivals.
 	posted     []*RecvRequest
 	unexpected []*inEntry
 	probers    []*sim.Proc // parked in ProbeWait, woken by the next unexpected arrival
@@ -154,6 +160,20 @@ func (g *Gate) Isendv(p *sim.Proc, tag Tag, segs [][]byte, opts ...SendOption) *
 func IsendvInto(req *SendRequest, g *Gate, p *sim.Proc, tag Tag, segs [][]byte, id uint32, done func(id uint32, err error), opts ...SendOption) {
 	req.id, req.hook = id, done
 	g.isendIov(req, p, tag, iovec(segs), resolveSend(opts))
+}
+
+// IsendvOnceInto is IsendvInto for the one message ever sent on its tag,
+// with no options: a collective step, whose tag MAD-MPI never reuses. A
+// flow of one message has no order to keep, so neither gate keeps state
+// for its tag. The wrapper takes its sequence number from the gate's
+// one-shot lane instead, where the receiver drops a duplicate as it
+// drops one on an ordered flow (onceLane). It is delivered as it
+// arrives, ordered against no other send on its tag. A recording notes
+// it as a plain send: a replay sends a flow of one in order, which
+// delivers the same.
+func IsendvOnceInto(req *SendRequest, g *Gate, p *sim.Proc, tag Tag, segs [][]byte, id uint32, done func(id uint32, err error)) {
+	req.id, req.hook = id, done
+	g.isendIov(req, p, tag, iovec(segs), sendConfig{flags: flagOnce, driver: anyDriver})
 }
 
 // sendCheck is the entry check of every send, packed pieces included:
@@ -424,69 +444,116 @@ func (g *Gate) dropData(pw *packet) {
 	}
 }
 
-// tagSlots is how many distinct flow tags per gate a tagTable holds in
-// its flat fast-path array before falling back to a map. Tags are
-// arbitrary 64-bit values (MAD-MPI packs the communicator id into the
-// high bits), so the slots pair tag and value rather than indexing by
-// tag; a linear scan over at most tagSlots entries beats a map probe and
-// its allocation. The benchmark exercises both sides of the eight, which
-// is why both paths stay: pingpong-64B, bulk-4MB-2rail and
-// incast-16to1-lossy put one tag on a gate; multiflow-16x256B and Figures
-// 3b/3d put 16 communicators on one, so half their lookups take the map,
-// as do 16 % of ring-replay-1024's (11 tags) and 27 % of scenario-corpus's.
-const tagSlots = 8
+// flowSlots is how many flow tags a gate's flowTable holds inline. Tags
+// are arbitrary 64-bit values (MAD-MPI packs the communicator id into
+// the high bits), so a slot pairs a tag with its state rather than being
+// indexed by it, and a lookup scans the slots in first-use order. Fourteen
+// slots, with the held list and the one-shot lane beside them, fill the
+// Gate's size class (TestEngineSizeClasses). A gate with more tags keeps
+// the rest in a sorted slice it grows once and keeps. The benchmark's
+// gates carry one tag (pingpong-64B, bulk-4MB-2rail, incast-16to1-lossy),
+// 11 (ring-replay-1024) or 16 (multiflow-16x256B and Figures 3b/3d, whose
+// last two spill); a collective's steps carry none (IsendvOnceInto).
+const flowSlots = 14
 
-// tagTable is a gate's per-flow state keyed by flow tag: the first
-// tagSlots distinct tags live in a flat association array scanned
-// linearly, the rest in a map made lazily — a gate with at most tagSlots
-// flows never pays for it.
-type tagTable[V any] struct {
-	tags [tagSlots]Tag
-	vals [tagSlots]V
-	n    int
-	more map[Tag]*V
+// flowState is one flow tag's ordering state, both directions: the next
+// sequence number the gate sends on it and the next it delivers.
+type flowState struct {
+	tag        Tag
+	send, recv seqNum
+}
+
+// flowTable is a gate's per-flow state, with no map and no record per
+// entry: the first flowSlots tags inline, the rest in more, sorted by
+// tag. An entry is made zero on first use and lives as long as the gate.
+// A pointer at returns is good until the next at of a tag the table has
+// not seen, which may move more: a caller that delivers (whose
+// completion hooks may send on a new tag) looks the flow up again.
+type flowTable struct {
+	slots [flowSlots]flowState
+	n     int
+	more  []flowState
 }
 
 // at returns the state of a flow, zero on first use.
-func (t *tagTable[V]) at(tag Tag) *V {
-	for i := 0; i < t.n; i++ {
-		if t.tags[i] == tag {
-			return &t.vals[i]
+func (t *flowTable) at(tag Tag) *flowState {
+	for i := range t.slots[:t.n] {
+		if t.slots[i].tag == tag {
+			return &t.slots[i]
 		}
 	}
-	if t.n < tagSlots {
-		t.tags[t.n] = tag
+	if t.n < flowSlots {
+		t.slots[t.n] = flowState{tag: tag}
 		t.n++
-		return &t.vals[t.n-1]
+		return &t.slots[t.n-1]
 	}
-	v := t.more[tag]
-	if v == nil {
-		if t.more == nil {
-			t.more = make(map[Tag]*V)
-		}
-		v = new(V)
-		t.more[tag] = v
+	i, ok := slices.BinarySearchFunc(t.more, tag, func(f flowState, tag Tag) int { return cmp.Compare(f.tag, tag) })
+	if !ok {
+		t.more = slices.Insert(t.more, i, flowState{tag: tag})
 	}
-	return v
+	return &t.more[i]
 }
 
-// nextSeq assigns the next sender-side sequence number of a flow.
-func (g *Gate) nextSeq(tag Tag) seqNum {
-	s := g.sendSeq.at(tag)
-	*s++
-	return *s - 1
+// onceLane numbers a gate's one-shot wrappers (IsendvOnceInto), both
+// directions. next is the sender's next number. The receiver keeps a
+// floor, below which every number has arrived, and the numbers above it
+// that overtook a missing one, ascending: a number it holds either way
+// is a duplicate. What it keeps is bounded by how far the lane's
+// wrappers overtake each other, not by how many went by.
+type onceLane struct {
+	next  seqNum
+	floor seqNum
+	seen  []seqNum
+}
+
+// admit notes the arrival of one-shot number s and reports whether it is
+// the first. Distances from the floor are taken modulo the number space,
+// so the lane wraps as a flow's sequence does.
+func (l *onceLane) admit(s seqNum) bool {
+	d := s - l.floor
+	if d >= 1<<31 {
+		return false // below the floor
+	}
+	i := 0
+	for i < len(l.seen) && l.seen[i]-l.floor < d {
+		i++
+	}
+	if i < len(l.seen) && l.seen[i] == s {
+		return false
+	}
+	if d > 0 {
+		l.seen = slices.Insert(l.seen, i, s)
+		return true
+	}
+	// s is the floor: raise it past s and past every number that had
+	// already overtaken s.
+	l.floor++
+	k := 0
+	for k < len(l.seen) && l.seen[k] == l.floor {
+		l.floor++
+		k++
+	}
+	l.seen = append(l.seen[:0], l.seen[k:]...)
+	return true
 }
 
 // seqFor assigns the flow sequence number of one data wrapper. Unordered
 // wrappers bypass the receiver's resequencing entirely, so they must not
 // consume a slot in the flow order: an ordered send following an
 // unordered one on the same flow would otherwise wait forever for a
-// sequence number nobody delivers in order.
+// sequence number nobody delivers in order. A one-shot wrapper takes the
+// gate's next one-shot number instead of a slot of its tag's.
 func (g *Gate) seqFor(tag Tag, flags flags) seqNum {
-	if flags&flagUnordered != 0 {
+	switch {
+	case flags&flagUnordered != 0:
 		return 0
+	case flags&flagOnce != 0:
+		g.once.next++
+		return g.once.next - 1
 	}
-	return g.nextSeq(tag)
+	f := g.flows.at(tag)
+	f.send++
+	return f.send - 1
 }
 
 // pushCtrl submits a control wrapper (rendezvous handshake). Control

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"nmad/internal/drivers"
@@ -194,20 +196,61 @@ func TestEngineHasOnePerRailSlice(t *testing.T) {
 	}
 }
 
-// TestTagTableBothSides: a tagTable keeps one zero-initialised value per
-// tag, stable across lookups, in its flat slots and past them.
+// TestTagTableBothSides: a gate's flowTable keeps one zero-initialised
+// entry per tag holding both directions, found again on every lookup,
+// in its inline slots and past them, where the spilled tags stay sorted
+// however they arrive.
 func TestTagTableBothSides(t *testing.T) {
-	var tt tagTable[int]
+	var ft flowTable
+	const tags = 3 * flowSlots
 	for round := 1; round <= 3; round++ {
-		for tag := Tag(0); tag < 3*tagSlots; tag++ {
-			v := tt.at(tag << 40)
-			if *v != (round-1)*int(tag+1) {
-				t.Fatalf("round %d tag %d: value %d", round, tag, *v)
+		for i := range tags {
+			tag := Tag(i*5%tags) << 40 // out of order past the slots
+			f := ft.at(tag)
+			k := seqNum(tag>>40) + 1
+			if f.tag != tag || f.send != seqNum(round-1)*k || f.recv != seqNum(round-1)*2*k {
+				t.Fatalf("round %d tag %#x: entry %+v", round, tag, *f)
 			}
-			*v += int(tag + 1)
+			f.send += k
+			f.recv += 2 * k
 		}
 	}
-	if tt.n != tagSlots || len(tt.more) != 2*tagSlots {
-		t.Errorf("%d slots and %d map entries for %d tags", tt.n, len(tt.more), 3*tagSlots)
+	if ft.n != flowSlots || len(ft.more) != tags-flowSlots {
+		t.Errorf("%d slots and %d spilled entries for %d tags", ft.n, len(ft.more), tags)
+	}
+	if !slices.IsSortedFunc(ft.more, func(a, b flowState) int { return cmp.Compare(a.tag, b.tag) }) {
+		t.Error("spilled entries are out of tag order")
+	}
+}
+
+// TestOnceLaneAdmitsEachNumberOnce: the one-shot lane admits every number
+// the first time it arrives, in any order, drops each later copy, and
+// keeps nothing above its floor once the numbers below have all come —
+// across the wrap of the number space too.
+func TestOnceLaneAdmitsEachNumberOnce(t *testing.T) {
+	for _, start := range []seqNum{0, 1<<32 - 20} {
+		l := onceLane{floor: start}
+		const n = 64
+		var came [n]bool
+		for i := range 3 * n {
+			// Numbers arrive in order, each also once early, overtaking
+			// up to five before it, and again as a late copy.
+			j := i / 3
+			if i%3 == 1 {
+				j = min(j+5, n-1)
+			}
+			if got := l.admit(start + seqNum(j)); got != !came[j] {
+				t.Fatalf("start %d: arrival %d of number %d admitted %v, want %v", start, i, j, got, !came[j])
+			}
+			came[j] = true
+		}
+		for j := range n {
+			if l.admit(start + seqNum(j)) {
+				t.Fatalf("start %d: number %d admitted a second time", start, j)
+			}
+		}
+		if l.floor != start+n || len(l.seen) != 0 {
+			t.Errorf("start %d: floor %d, %d numbers kept above it; want floor %d and none", start, l.floor, len(l.seen), start+n)
+		}
 	}
 }

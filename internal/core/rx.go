@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"nmad/internal/simnet"
 	"nmad/internal/trace"
@@ -23,14 +24,6 @@ import (
 // receive). Anomaly counts are in Stats.ProtocolErrors and per gate in
 // Gate.ProtocolErrors.
 var ErrProtocol = errors.New("core: protocol anomaly")
-
-// rxFlow is the resequencing state of one (gate, tag) flow. The held map
-// is made lazily at the first out-of-order arrival: an in-order flow —
-// the overwhelmingly common case — never allocates it.
-type rxFlow struct {
-	next seqNum
-	held map[seqNum]*inEntry
-}
 
 // inEntry is one arrived wrapper awaiting resequencing or matching. Its
 // payload is a slice of the wire frame it arrived in, which the entry
@@ -91,56 +84,83 @@ func (e *Engine) dispatch(src simnet.NodeID, h header, payload []byte, fr *simne
 	case kindDone:
 		e.onRdvDone(g, h.aux)
 	case kindData, kindRTS:
-		if h.flags&flagUnordered != 0 {
-			e.deliver(g, h, payload, fr)
-			return
-		}
-		f := g.flows.at(h.tag)
 		switch {
-		case h.seq == f.next:
+		case h.flags&flagUnordered != 0:
 			e.deliver(g, h, payload, fr)
-			f.next++
-			for {
-				ent, ok := f.held[f.next]
-				if !ok {
-					break
-				}
-				delete(f.held, f.next)
-				// The held entry brings its own frame, not fr; deliver
-				// copied the payload or re-parked it under a new reference.
-				e.deliver(g, ent.h, ent.payload, ent.frame)
-				e.freeInEntry(ent)
-				f.next++
-			}
-		case h.seq > f.next:
-			if _, dup := f.held[h.seq]; dup {
-				// Keep the first copy; the duplicate's credit must not
-				// leak (only one copy will ever be consumed).
-				e.protoErr(g, fmt.Sprintf("duplicate held wrapper (tag %#x, seq %d)", h.tag, h.seq))
-				if h.kind == kindData {
-					e.returnCredit(g)
-				}
+		case h.flags&flagOnce != 0:
+			if !g.once.admit(h.seq) {
+				e.dropDuplicate(g, h, "duplicate one-shot wrapper")
 				return
 			}
-			if f.held == nil {
-				f.held = make(map[seqNum]*inEntry)
-			}
-			f.held[h.seq] = e.newInEntry(h, payload, fr)
-			e.stats.Reordered++
-			if len(f.held) > e.stats.PeakHeld {
-				e.stats.PeakHeld = len(f.held)
-			}
+			e.deliver(g, h, payload, fr)
 		default:
-			e.protoErr(g, fmt.Sprintf("duplicate wrapper (tag %#x, seq %d)", h.tag, h.seq))
-			if h.kind == kindData {
-				// The sender spent a landing credit on this wrapper and
-				// it will never be consumed; dropping it must not leak
-				// the credit into a shrinking budget.
-				e.returnCredit(g)
-			}
+			e.resequence(g, h, payload, fr)
 		}
 	default:
 		e.protoErr(g, "dispatch of unknown kind "+h.kind.String())
+	}
+}
+
+// resequence delivers an ordered wrapper in its flow's order: at once
+// when it is the flow's next, followed by every held wrapper it lets
+// through; held when it is ahead; dropped when its number was delivered
+// already. The flow is looked up again after each delivery, whose
+// completion hooks may send on the gate and move its flow table.
+func (e *Engine) resequence(g *Gate, h header, payload []byte, fr *simnet.Frame) {
+	f := g.flows.at(h.tag)
+	switch {
+	case h.seq == f.recv:
+		f.recv++
+		e.deliver(g, h, payload, fr)
+		for len(g.held) > 0 {
+			f = g.flows.at(h.tag)
+			i := g.heldAt(h.tag, f.recv)
+			if i < 0 {
+				return
+			}
+			ent := g.held[i]
+			g.held = slices.Delete(g.held, i, i+1)
+			f.recv++
+			// The held entry brings its own frame, not fr; deliver
+			// copied the payload or re-parked it under a new reference.
+			e.deliver(g, ent.h, ent.payload, ent.frame)
+			e.freeInEntry(ent)
+		}
+	case h.seq > f.recv:
+		if g.heldAt(h.tag, h.seq) >= 0 {
+			// Keep the first copy; the duplicate's credit must not
+			// leak (only one copy will ever be consumed).
+			e.dropDuplicate(g, h, "duplicate held wrapper")
+			return
+		}
+		g.held = append(g.held, e.newInEntry(h, payload, fr))
+		e.stats.Reordered++
+		n := 0
+		for _, ent := range g.held {
+			if ent.h.tag == h.tag {
+				n++
+			}
+		}
+		e.stats.PeakHeld = max(e.stats.PeakHeld, n)
+	default:
+		e.dropDuplicate(g, h, "duplicate wrapper")
+	}
+}
+
+// heldAt returns the index in g.held of the wrapper of flow tag numbered
+// seq, or -1.
+func (g *Gate) heldAt(tag Tag, seq seqNum) int {
+	return slices.IndexFunc(g.held, func(ent *inEntry) bool { return ent.h.tag == tag && ent.h.seq == seq })
+}
+
+// dropDuplicate counts a second copy of a delivered or held wrapper and
+// drops it. The sender spent a landing credit on a data wrapper, and
+// only one copy will ever be consumed: dropping the other must not leak
+// the credit into a shrinking budget.
+func (e *Engine) dropDuplicate(g *Gate, h header, what string) {
+	e.protoErr(g, fmt.Sprintf("%s (tag %#x, seq %d)", what, h.tag, h.seq))
+	if h.kind == kindData {
+		e.returnCredit(g)
 	}
 }
 

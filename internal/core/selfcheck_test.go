@@ -31,7 +31,8 @@ import (
 //   - The drain audit runs when Run empties the queue. Each free list
 //     holds every record it ever made (its core.misses.* count) minus
 //     those engine state still refers to; no link frame stays unacked;
-//     every submitted wrapper was elected or is still windowed; and the
+//     every submitted wrapper was elected or is still windowed; no gate
+//     keeps a flow entry on MAD-MPI's collective tag lane; and the
 //     landing credits between two engines are all accounted for.
 //
 // A violation is reported with the test that built the world, and fails
@@ -87,6 +88,13 @@ type checkedWorld struct {
 	expired []bool
 	queued  []int
 }
+
+// collLane marks a tag of MAD-MPI's collective lane: the top bit of the
+// tag's upper word (madmpi's collLaneBit). Collective steps go out
+// one-shot (IsendvOnceInto), so no gate keeps a flow entry for one. A
+// replay sends recorded steps as plain ordered sends, which would keep
+// entries; no checked world replays collective traffic.
+const collLane = Tag(1) << 63
 
 // poolCounters names the nine free lists' miss counters, in the order
 // the audit reports them.
@@ -327,12 +335,19 @@ func (cw *checkedWorld) records(e *Engine) (listed, held [len(poolCounters)]uint
 				note(pw)
 			}
 		}
-		held[2] += uint64(len(g.unexpected))
-		for i := range g.flows.n {
-			held[2] += uint64(len(g.flows.vals[i].held))
+		held[2] += uint64(len(g.unexpected) + len(g.held))
+		lane, first := 0, Tag(0)
+		for _, l := range [...][]flowState{g.flows.slots[:g.flows.n], g.flows.more} {
+			for _, f := range l {
+				if f.tag&collLane != 0 {
+					if lane++; lane == 1 {
+						first = f.tag
+					}
+				}
+			}
 		}
-		for _, f := range g.flows.more {
-			held[2] += uint64(len(f.held))
+		if lane > 0 {
+			cw.report(fmt.Sprintf("drain audit: node %d: gate to node %d keeps %d flow entries for collective tags, the first %#x", e.node.ID, g.peer, lane, first))
 		}
 		held[8] += uint64(len(g.ltx.unacked))
 		if len(g.ltx.unacked) > 0 {
@@ -385,17 +400,7 @@ func (cw *checkedWorld) credits() {
 			}
 			if gb != nil {
 				sum += gb.creditOwed
-				for _, ent := range gb.unexpected {
-					if ent.h.kind == kindData {
-						sum++
-					}
-				}
-				for i := range gb.flows.n {
-					sum += heldData(gb.flows.vals[i].held)
-				}
-				for _, f := range gb.flows.more {
-					sum += heldData(f.held)
-				}
+				sum += dataEntries(gb.unexpected) + dataEntries(gb.held)
 				sum += creditsQueued(gb)
 			}
 			if sum != a.opts.Credits {
@@ -429,9 +434,10 @@ func countKind(l []*packet, k entryKind) int {
 	return n
 }
 
-func heldData(held map[seqNum]*inEntry) int {
+// dataEntries counts the data wrappers among parked arrivals.
+func dataEntries(l []*inEntry) int {
 	n := 0
-	for _, ent := range held {
+	for _, ent := range l {
 		if ent.h.kind == kindData {
 			n++
 		}

@@ -33,6 +33,10 @@ const (
 	// semantics; the receiver answers with an ack control entry, which
 	// aggregates with its outbound traffic like any other wrapper).
 	flagNeedAck
+	// flagOnce marks the one message of a one-shot flow (IsendvOnceInto):
+	// its seq is a number of the gate's one-shot lane, not of its tag's
+	// order. Strategies see it as an ordered flow of one.
+	flagOnce
 )
 
 // entryKind discriminates the entries of the engine wire format.

@@ -216,6 +216,7 @@ func allgatherRing(pl *CollPlan, a CollArgs) error {
 	n, me := a.Size, a.Rank
 	per := len(a.SendBuf)
 	next, prev := (me+1)%n, (me-1+n)%n
+	pl.reserve(2*(n-1), max(n-2, 0)) // each send after the first waits on a receive
 	prevRecv := -1
 	for t := 0; t < n-1; t++ {
 		sendSlot := (me - t + n) % n

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"nmad/internal/core"
 	"nmad/internal/sim"
@@ -47,6 +48,11 @@ import (
 // silently reused. Only after collMaxEpoch epochs (2^29 collectives on
 // one communicator) does the space genuinely end, and that is detected
 // and reported as ErrCollTags instead of wrapping.
+//
+// A fresh tag leaves no state behind. Each step's tag carries that one
+// message, so the executor sends it one-shot (core.IsendvOnceInto):
+// neither gate keeps a flow entry for the tag. The gate's one-shot lane
+// still drops a duplicated step, as an ordered flow drops a duplicate.
 
 // Typed collective errors.
 var (
@@ -131,6 +137,14 @@ func (pl *CollPlan) fail(err error) int {
 		pl.err = err
 	}
 	return len(pl.steps) - 1
+}
+
+// reserve makes room for steps more steps and edges more dependency
+// edges: a builder that knows its counts up front makes each arena once
+// on a cold run state, instead of growing it by append.
+func (pl *CollPlan) reserve(steps, edges int) {
+	pl.steps = slices.Grow(pl.steps, steps)
+	pl.deps = slices.Grow(pl.deps, edges)
 }
 
 // add appends s with its dependencies and returns its id. A negative id
@@ -286,7 +300,7 @@ func (c *Comm) execute(p *sim.Proc, seq uint64, x *collRun) error {
 				}
 				finish(i)
 			case stepSend:
-				core.IsendvInto(&sends[0], c.gate(int(s.peer)), p, base+core.Tag(s.sub), [][]byte{s.buf}, i, x.hookFn)
+				core.IsendvOnceInto(&sends[0], c.gate(int(s.peer)), p, base+core.Tag(s.sub), [][]byte{s.buf}, i, x.hookFn)
 				sends = sends[1:]
 			case stepRecv:
 				core.IrecvMaskedInto(&recvs[0], c.gate(int(s.peer)), p, base+core.Tag(s.sub), ^core.Tag(0), s.buf, i, x.hookFn)

@@ -699,12 +699,14 @@ func TestOverlappingCollectivesTakeTheirOwnState(t *testing.T) {
 
 // A warm barrier makes no object in MAD-MPI: its plan, DAG and requests
 // are its run state's, the hook is bound once per state, and the token
-// is the plan's. The marginal count per barrier (a long loop minus a
-// short one, on 4 ranks) is exact. All of it is the engine's flow-table
-// entries: each barrier message travels on a fresh collective tag, which
-// stays an entry in the sender's sequence table and the receiver's flow
-// table for good. A closure per step, a plan with maps and slices of its
-// own, and fresh DAG and request slabs per call read 108.375.
+// is the plan's; and each step goes out one-shot on its fresh tag, so no
+// gate makes a flow entry for it. The marginal count per barrier (a long
+// loop minus a short one, on 4 ranks) is exact. A closure per step, a
+// plan with maps and slices of its own, and fresh DAG and request slabs
+// per call read 108.375; a flow-table entry per step in a map read
+// 16.375. (Ordered steps whose entries spill into the flat table's
+// reused slice cost no object here: TestBarriersLeaveNoFlowState and the
+// drain audit in internal/core catch those.)
 func TestAllocsWarmBarrier(t *testing.T) {
 	loop := func(barriers int) {
 		job(t, 4, func(p *sim.Proc, m *MPI) {
@@ -721,8 +723,8 @@ func TestAllocsWarmBarrier(t *testing.T) {
 	a2 := testing.AllocsPerRun(5, func() { loop(long) })
 	got := (a2 - a1) / (long - short)
 	t.Logf("warm 4-rank barrier: %.3f objects per barrier", got)
-	if got > 16.375 {
-		t.Errorf("a warm 4-rank barrier allocates %.3f objects, over the 16.375 of its flow-table entries: the collective executor allocates per step or per call again", got)
+	if got > 0.5 {
+		t.Errorf("a warm 4-rank barrier allocates %.3f objects, over 0.5: the collective executor allocates per step or per call again, or a flow entry is a heap record again", got)
 	}
 }
 

@@ -387,18 +387,19 @@ func TestPlanBodyOverLiveRails(t *testing.T) {
 	opts.Strategy = "split"
 	_, e0, _ := allocEngines(opts, simnet.MX10G(), simnet.QsNetII())
 	const size = 4 << 20
-	if plan := e0.planBody(size); len(plan) != 2 {
+	dst := make([]sched.BodyShare, 0, 2)
+	if plan := e0.planBody(dst, size); len(plan) != 2 {
 		t.Fatalf("healthy plan %v, want a share on each rail", plan)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { e0.planBody(size) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { e0.planBody(dst, size) }); allocs != 0 {
 		t.Errorf("healthy body plan: %.1f allocations, want 0", allocs)
 	}
 	e0.rails[0].failed = true
 	want := []sched.BodyShare{{Rail: 1, Offset: 0, Size: size}}
-	if plan := e0.planBody(size); !slices.Equal(plan, want) {
+	if plan := e0.planBody(dst, size); !slices.Equal(plan, want) {
 		t.Fatalf("plan with rail 0 failed: %v, want %v", plan, want)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { e0.planBody(size) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { e0.planBody(dst, size) }); allocs != 0 {
 		t.Errorf("body plan with rail 0 failed: %.1f allocations, want 0", allocs)
 	}
 }

@@ -63,11 +63,9 @@
 // report plus the sampler's estimate), Stats.PerDriverBytes a snapshot of
 // it. One output (packet.go) records its gate, its rail and its totals
 // when it is elected, so every later step — account, feed, send,
-// linkSend, transmit and the NIC
-// completion — takes the output alone, and the two events of its life are
-// method values bound once per recycled output. Per-gate state that is
-// indexed by rail (the pinned window lists and the SPI views) grows with
-// Attach too. Per-flow ordering state is one flat table per gate, an
+// linkSend, transmit and the NIC completion — takes the output alone.
+// Per-gate state that is indexed by rail (the pinned window lists and the
+// SPI views) grows with Attach too. Per-flow ordering state is one flat table per gate, an
 // entry per tag holding both directions (gate.go, flowTable), with no map
 // and no record per entry; a flow of one message, a collective step,
 // keeps none (IsendvOnceInto).
@@ -79,12 +77,15 @@
 // drawn from the fabric's list: pool.go states what is recycled, who owns
 // what when, and why a completed request is safe to reuse. Work run from
 // scheduler callbacks follows the same rule — a callback bound once, on
-// a record that is owned and recycled or on a FIFO, never a closure per
-// message — and each record documents its own: the post FIFO (runPost,
-// engine.go), the rendezvous records and RDMA chains (rdv.go) and the
-// link layer's retransmit checks (reliab.go). The package's tests watch
-// every engine's world (selfcheck_test.go), and alloc_test.go pins the
-// allocations.
+// a record that is owned and recycled, never a closure per message. Each
+// step an engine defers (a post's submit overhead, an eager receive's
+// copy, an output's schedule overhead, a retransmit check, a delayed ack,
+// a rendezvous body watch, a rail probe) is one entry of its one timer
+// queue and one kernel event (timer.go), and a step that must not act
+// once its record moved on carries the record's generation. Only a post's
+// software-gather copy keeps a closure of its own. The package's
+// tests watch every engine's world (selfcheck_test.go), and alloc_test.go
+// pins the allocations.
 //
 // An election attempt costs what the strategy can elect, not the size of
 // the window: on a credit-starved gate the window holds the whole held-back

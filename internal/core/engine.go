@@ -67,13 +67,21 @@ type Engine struct {
 	nextRdvID uint32
 	rr        int32 // round-robin cursor over gates
 
-	// posts are the PostSendv / PostRecvvMasked calls waiting out their
-	// submit overhead; postFn is runPost, bound on the first post (see
-	// post).
-	posts  fifo[pendingPost]
-	postFn func()
+	// run and timers are the queue of deferred steps (see after), the
+	// entries pushed in order and a min-heap by (at, seq) of the rest;
+	// timerSeq is the last seq pushed and fireFn fire, bound at the first
+	// deferral. posts are the PostSendv / PostRecvvMasked calls waiting
+	// out their submit overhead, oldest first: each has an entry with no
+	// record in the queue (see post).
+	run      fifo[timer]
+	timers   []timer
+	timerSeq uint32
+	fireFn   func()
+	posts    fifo[pendingPost]
 
-	syncAcks   map[uint32]*SendRequest // synchronous sends awaiting the ack
+	// syncAcks are the synchronous sends awaiting the ack, made by the
+	// first (most engines never send one).
+	syncAcks   map[uint32]*SendRequest
 	nextSyncID uint32
 
 	// creditFreeze suspends credit replenishment (FreezeCredits): the
@@ -91,23 +99,17 @@ type Engine struct {
 	freePkts freeList[packet]
 	freeOuts freeList[output]
 	freeEnts freeList[inEntry]
-	// dones are the eager receives whose copy cost is still elapsing,
-	// in the order their completions fire; doneFn is runDone, bound on
-	// the first (see completeAfter).
-	dones  []pendingDone
-	doneFn func()
 	// The requests of blocking calls (Gate.Send, Ssend, RecvMasked):
 	// taken at entry, filed back once the call has its result.
 	freeSends freeList[SendRequest]
 	freeRecvs freeList[RecvRequest]
-	// Rendezvous records (rdv.go): each is filed back once nothing
-	// pending refers to it any more. link holds the link layer's frame
-	// records and retransmit checks (reliab.go), made by the first
-	// reliable train.
+	// Rendezvous records (rdv.go) and the link layer's frame records
+	// (reliab.go): each is filed back once nothing pending refers to it
+	// any more.
 	freeRdvSends freeList[rdvSend]
 	freeRdvRecvs freeList[rdvRecv]
 	freeChains   freeList[rdmaChain]
-	link         *linkLayer
+	freeLinks    freeList[linkFrame]
 	encHdrs      []byte
 	// encSegs is the gather-list scratch: an encoded train's (see
 	// encodeOutput) or a rendezvous body chunk's (see streamBody), dead
@@ -115,10 +117,8 @@ type Engine struct {
 	encSegs [][]byte
 	// railScratch backs liveRails() so the per-body-plan rail survey
 	// stops allocating (strategies must not retain the slice — the
-	// spileak analyzer enforces that). singlePlan backs the single-rail
-	// body plan, which streamBody copies before anything can plan again.
+	// spileak analyzer enforces that).
 	railScratch []sched.RailInfo
-	singlePlan  [1]sched.BodyShare
 	// oversized is prepare's list of wrappers to convert, dead once
 	// prepare returns.
 	oversized []*packet
@@ -137,10 +137,11 @@ type rail struct {
 	staged  *output     // pre-built packet (Options.Anticipate)
 	sampler railSampler // achieved-bandwidth estimator
 	bytes   int64       // payload carried (Stats.PerDriverBytes)
-	// Link-layer reliability (Options.Reliability): failure flag and
-	// probe-in-progress latch.
-	failed  bool
-	probing bool
+	// Link-layer reliability (Options.Reliability): failure flag,
+	// probe-in-progress latch and the peer the probe pings (probe).
+	failed    bool
+	probing   bool
+	probePeer simnet.NodeID
 }
 
 // New creates an engine for one node of a fabric. Drivers must then be
@@ -184,15 +185,14 @@ func New(f *simnet.Fabric, node simnet.NodeID, opts Options) (*Engine, error) {
 	opts.Strategy = strat.Name()
 	opts.Record.RegisterEngine(int(node), opts.NodeConfig)
 	e := &Engine{
-		world:    f.World(),
-		node:     f.Node(node),
-		opts:     opts,
-		strat:    strat,
-		frames:   f.Frames(),
-		gates:    make(map[simnet.NodeID]*Gate),
-		rdvSend:  make(map[uint32]*rdvSend),
-		rdvRecv:  make(landings),
-		syncAcks: make(map[uint32]*SendRequest),
+		world:   f.World(),
+		node:    f.Node(node),
+		opts:    opts,
+		strat:   strat,
+		frames:  f.Frames(),
+		gates:   make(map[simnet.NodeID]*Gate),
+		rdvSend: make(map[uint32]*rdvSend),
+		rdvRecv: make(landings),
 	}
 	if newEngineHook != nil {
 		newEngineHook(e)
@@ -360,32 +360,24 @@ type pendingPost struct {
 	cfg  sendConfig
 }
 
-// post and afterCopy are chargeSubmit and chargeCopy for a caller in
+// post and runPosted's copy are chargeSubmit and chargeCopy for a caller in
 // scheduler context (Gate.PostSendv / PostRecvvMasked): the cost elapses
 // before the work runs instead of putting a process to sleep. They take
 // an event number exactly when their twins would — a zero overhead
 // charges nothing and runs the work inline, while a copy cost that rounds
 // to zero still yields the instant, as Sleep(0) does.
 //
-// Every submit-overhead wait of an engine lasts SubmitOverhead, so the
-// waits end in the order they began: the posts queue in one FIFO and each
-// event runs its head (runPost). postFn is bound on the first post, not in
-// New, where it would cost every engine an object whether it posts or not.
+// Every post waits SubmitOverhead, so the posts end in the order they
+// began: the calls wait in a FIFO, and the entry each defers carries no
+// record — when it fires, the FIFO's head is its call.
 func (e *Engine) post(p pendingPost) {
 	if e.opts.SubmitOverhead <= 0 {
 		e.runPosted(p)
 		return
 	}
-	if e.postFn == nil {
-		e.postFn = e.runPost
-	}
 	e.posts.push(p)
-	e.world.After(e.opts.SubmitOverhead, e.postFn)
+	e.after(e.opts.SubmitOverhead, nil, 0)
 }
-
-// runPost runs the oldest waiting post. It pops the FIFO before running
-// it, so a completion hook that posts again queues behind, not in place.
-func (e *Engine) runPost() { e.runPosted(e.posts.pop()) }
 
 // runPosted is what a post does once its submit overhead is paid: post
 // the receive, or submit the send — after the software-gather copy when
@@ -401,15 +393,14 @@ func (e *Engine) runPosted(p pendingPost) {
 		return
 	}
 	flat := iovec{p.iov.flatten()}
-	e.afterCopy(size, func() { p.g.submitSend(p.send, flat, p.cfg) })
-}
-
-func (e *Engine) afterCopy(n int, fn func()) {
-	if n > 0 {
-		e.world.After(e.node.CopyCost(n), fn)
+	submit := func() { p.g.submitSend(p.send, flat, p.cfg) }
+	if size == 0 {
+		submit()
 		return
 	}
-	fn()
+	// The one deferral that is no queue entry: the call it continues is
+	// 64 B, and the software gather is rare.
+	e.world.After(e.node.CopyCost(size), submit)
 }
 
 // needsFlatten reports whether no rail eligible for a wrapper (its
@@ -582,7 +573,7 @@ func (e *Engine) pump(r *rail) {
 		r.feeding++
 		delay := max(out.readyAt-e.world.Now(), 0)
 		r.freeAt = max(r.freeAt, e.world.Now()+delay)
-		e.world.After(delay, out.onReady)
+		e.after(delay, out, 0)
 		return
 	}
 	if out := e.elect(r); out != nil {
@@ -739,7 +730,7 @@ func (e *Engine) feed(out *output) {
 	done := max(now, r.freeAt) + e.opts.ScheduleOverhead
 	r.freeAt = done
 	if done > now {
-		e.world.After(done-now, out.onReady)
+		e.after(done-now, out, 0)
 	} else {
 		out.ready()
 	}

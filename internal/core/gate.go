@@ -259,6 +259,9 @@ func (g *Gate) submitSend(req *SendRequest, iov iovec, cfg sendConfig) {
 		req.add(1)
 		g.eng.nextSyncID++
 		pw.aux = g.eng.nextSyncID
+		if g.eng.syncAcks == nil {
+			g.eng.syncAcks = make(map[uint32]*SendRequest)
+		}
 		g.eng.syncAcks[pw.aux] = req
 	}
 	g.eng.submit(pw)

@@ -290,11 +290,11 @@ type output struct {
 	sentAt  sim.Time   // when the train was handed to the driver
 	link    *linkFrame // the retained link frame (Options.Reliability)
 
-	// onReady and onSent are the method values o.ready and o.sent, bound
-	// when the output is first allocated and kept across recycling: the
-	// two events of an output's life capture nothing but the output, so a
-	// recycled one schedules them without allocating a closure.
-	onReady, onSent func()
+	// onSent is the method value o.sent, the NIC completion, bound when
+	// the output is first allocated and kept across recycling, so a
+	// recycled output is handed to the driver without allocating a
+	// closure.
+	onSent func()
 }
 
 // add appends one wrapper to the train, keeping the running totals

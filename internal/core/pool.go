@@ -13,13 +13,12 @@ import (
 // Recv the request its caller never sees (SendRequest, RecvRequest) — at
 // replay scale these dominate the engine's allocation profile. Each is
 // one object: a wrapper's first payload segment is a field of its own.
-// The deferred completion of an eager receive is no record at all but a
-// value in one engine queue (pendingDone). The engine
-// recycles them through plain per-engine free lists rather than
-// sync.Pool: the deterministic packages must not couple behaviour (or
-// even allocation addresses feeding map iteration) to GC timing, and a
-// World is single-threaded by construction so an unsynchronized slice is
-// all the machinery needed.
+// A deferred step is no record at all but a value in the engine's timer
+// queue (timer.go). The engine recycles them through plain per-engine
+// free lists rather than sync.Pool: the deterministic packages must not
+// couple behaviour (or even allocation addresses feeding map iteration)
+// to GC timing, and a World is single-threaded by construction so an
+// unsynchronized slice is all the machinery needed.
 //
 // Ownership rules, enforced by the call sites:
 //
@@ -49,23 +48,20 @@ import (
 //   - Strategies never see wrappers after election (the spileak analyzer
 //     forbids retaining SPI views), so recycling cannot dangle into sched.
 //   - A record a NIC completion refers to returns to its list only when
-//     no transmission of it is in flight, and a record a timer refers to
-//     only when that timer can no longer act on it. A timer cannot be
-//     cancelled. A linkFrame is filed back once acked with no
+//     no transmission of it is in flight, and a record a timer entry
+//     refers to only when that entry can no longer act on it. An entry
+//     cannot be cancelled. A linkFrame is filed back once acked with no
 //     transmission in flight (linkFrame.sending): its pending retransmit
-//     check is an entry of the engine's check FIFO stamped with the
-//     frame's generation, which the recycling advances, so the check
-//     finds the record reused or listed and is void. An rdvSend is filed
-//     back once retired with no chunk of its original stream unsent and
-//     no RDMA chain — reissues included — streaming (rdvSend.left,
-//     rdvSend.chains). An rdvRecv needs no count: under
-//     Options.Reliability exactly one body watch is pending from the
-//     grant on, and the watch that finds the record landed files it
-//     back; without reliability onBody does. A gate's delayed acks all
-//     wait one delay and fire in the order armed, so a count tells that
-//     one firing while a later one is pending is void. The callbacks
-//     themselves are method values bound when the record (or the FIFO)
-//     is first made, or first needs them, and kept across recycling.
+//     check is stamped with the frame's generation, which the recycling
+//     advances, so the check finds the record reused or listed and is
+//     void. An rdvSend is filed back once retired with no chunk of its
+//     original stream unsent and no RDMA chain — reissues included —
+//     streaming (rdvSend.left, rdvSend.chains). An rdvRecv needs no
+//     count: under Options.Reliability exactly one body watch is pending
+//     from the grant on, and the watch that finds the record landed files
+//     it back; without reliability onBody does. The NIC completions are
+//     method values bound when the record is first made and kept across
+//     recycling.
 //
 // Wire frames (simnet.Frame) are the one pooled object shared with the
 // layers below: the engine draws them from the fabric's list, fills each
@@ -128,10 +124,12 @@ func (l *freeList[T]) get(w *sim.World, miss sim.CounterID) *T {
 func (l *freeList[T]) put(v *T) { *l = append(*l, v) }
 
 // fifo is a queue of values served oldest first: items[head:] are
-// queued. It backs the engine's timer queues, whose events all wait one
-// delay and so fire in the order they were scheduled, each popping the
-// head. pop zeroes the slot it takes and compacts the dead prefix away
-// once it outgrows the tail, so the backing array serves for good.
+// queued. It holds the engine's waiting posts (see post) and the run of
+// its timer queue. pop zeroes the slot it takes (swapping in the zero
+// result) and compacts the dead prefix away once it outgrows the tail, so
+// the backing array serves for good. A queue popped empty, the common
+// case of a timer run, only rewinds: its slots are zero already, and a
+// copy and clear there would cost runtime calls on every deferred step.
 type fifo[T any] struct {
 	items []T
 	head  int
@@ -139,13 +137,13 @@ type fifo[T any] struct {
 
 func (q *fifo[T]) push(v T) { q.items = append(q.items, v) }
 
-func (q *fifo[T]) pop() T {
-	v := q.items[q.head]
-	var zero T
-	q.items[q.head] = zero
-	if q.head++; q.head*2 >= len(q.items) {
+func (q *fifo[T]) pop() (v T) {
+	v, q.items[q.head] = q.items[q.head], v
+	if q.head++; q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	} else if q.head*2 >= len(q.items) {
 		n := copy(q.items, q.items[q.head:])
-		clear(q.items[n:])
+		clear(q.items[q.head:]) // [n, head) was zeroed by its pops
 		q.items, q.head = q.items[:n], 0
 	}
 	return v
@@ -182,11 +180,11 @@ func (e *Engine) freePacket(pw *packet) {
 }
 
 // newOutput returns an empty output train, reusing a recycled one's
-// entries backing array and bound callbacks.
+// entries backing array and bound NIC completion.
 func (e *Engine) newOutput() *output {
 	out := e.freeOuts.get(e.world, cMissOutputs)
 	if out.onSent == nil { // fresh, not recycled
-		out.onReady, out.onSent = out.ready, out.sent
+		out.onSent = out.sent
 	}
 	return out
 }
@@ -195,7 +193,7 @@ func (e *Engine) newOutput() *output {
 // were never filled).
 func (e *Engine) freeOutput(out *output) {
 	clear(out.entries)
-	*out = output{entries: out.entries[:0], onReady: out.onReady, onSent: out.onSent}
+	*out = output{entries: out.entries[:0], onSent: out.onSent}
 	e.freeOuts.put(out)
 }
 
@@ -217,53 +215,6 @@ func (e *Engine) freeInEntry(ent *inEntry) {
 	ent.frame.Release()
 	*ent = inEntry{}
 	e.freeEnts.put(ent)
-}
-
-// pendingDone is the deferred completion of one eager receive: req
-// completes, with ErrTruncated if truncated is set, once the payload copy
-// into the user buffer has been paid for at instant at. It is a value in
-// Engine.dones, so a completion allocates nothing of its own.
-type pendingDone struct {
-	at        sim.Time
-	req       *RecvRequest
-	truncated bool
-}
-
-// completeAfter completes r — with ErrTruncated if truncated — once delay
-// has elapsed. Each completion schedules one event, and the events fire in
-// (instant, scheduling) order; e.dones is kept in that same order — by
-// instant, ties in match order — so the event that fires always belongs
-// to the head, which runDone pops. doneFn is bound on the first
-// completion, not in New, where it would cost every engine an object
-// whether it receives or not.
-func (e *Engine) completeAfter(delay sim.Time, r *RecvRequest, truncated bool) {
-	if e.doneFn == nil {
-		e.doneFn = e.runDone
-	}
-	at := e.world.Now() + delay
-	i := len(e.dones)
-	for i > 0 && e.dones[i-1].at > at {
-		i--
-	}
-	e.dones = append(e.dones, pendingDone{})
-	copy(e.dones[i+1:], e.dones[i:])
-	e.dones[i] = pendingDone{at: at, req: r, truncated: truncated}
-	e.world.After(delay, e.doneFn)
-}
-
-// runDone completes the earliest pending receive. It pops the queue
-// before completing, so a completion hook that receives again queues
-// after it, not in its place.
-func (e *Engine) runDone() {
-	d := e.dones[0]
-	n := copy(e.dones, e.dones[1:])
-	e.dones[n] = pendingDone{}
-	e.dones = e.dones[:n]
-	var err error
-	if d.truncated {
-		err = ErrTruncated
-	}
-	d.req.complete(err)
 }
 
 // freeSendRequest files back the completed request of a blocking send

@@ -155,7 +155,6 @@ func splitBodyAux(aux uint64) (id uint32, off int) {
 // pending from the grant on, so the watch that finds the record retired
 // files it back; without reliability onBody does.
 type rdvRecv struct {
-	eng       *Engine
 	gate      *Gate
 	key       rdvKey
 	tag       Tag
@@ -170,11 +169,9 @@ type rdvRecv struct {
 	spans []span
 
 	// live marks the transaction as in Engine.rdvRecv. mark is remaining
-	// when the pending body watch was armed; watchFn is watch, bound at
-	// the record's first watch and kept across recycling.
-	live    bool
-	mark    int
-	watchFn func()
+	// when the pending body watch was armed.
+	live bool
+	mark int
 }
 
 // span is one covered byte range [lo, hi) of a rendezvous body.
@@ -222,7 +219,7 @@ func (rr *rdvRecv) cover(lo, hi int) int {
 // releaseRdvRecv recycles a retired receiver-side record that no body
 // watch refers to any more.
 func (e *Engine) releaseRdvRecv(rr *rdvRecv) {
-	*rr = rdvRecv{spans: rr.spans[:0], watchFn: rr.watchFn}
+	*rr = rdvRecv{spans: rr.spans[:0]}
 	e.freeRdvRecvs.put(rr)
 }
 
@@ -323,15 +320,10 @@ func (e *Engine) grantRdv(g *Gate, r *RecvRequest, h header) {
 		// sender retires its transaction state.
 		g.pushCtrl(kindCTS, h.tag, 0, h.aux)
 		r.n = 0
-		var err error
-		if h.length > 0 {
-			err = ErrTruncated
-		}
-		r.complete(err)
+		r.complete(truncErr(h.length > 0))
 		return
 	}
 	rr := e.freeRdvRecvs.get(e.world, cMissRdvRecvs)
-	rr.eng = e
 	rr.gate, rr.key, rr.tag, rr.req, rr.live = g, rdvKey{src: g.peer, id: h.aux}, h.tag, r, true
 	rr.remaining, rr.granted, rr.total = grant, grant, int(h.length)
 	e.rdvRecv[rr.key] = rr
@@ -345,19 +337,16 @@ func (e *Engine) grantRdv(g *Gate, r *RecvRequest, h header) {
 // watched transaction makes no progress over one body-timeout window —
 // RDMA fragments travel below the link layer and can be lost outright —
 // the receiver re-pushes the CTS and the sender re-streams the span
-// (span tracking keeps duplicates harmless). One watch is pending at a
-// time; the record keeps what it compares against.
+// (span tracking keeps duplicates harmless). The window is two retransmit
+// timeouts, since a body spans many transactions. One watch is pending at
+// a time; the record keeps what it compares against.
 func (e *Engine) armBodyWatch(rr *rdvRecv) {
-	if rr.watchFn == nil {
-		rr.watchFn = rr.watch
-	}
 	rr.mark = rr.remaining
-	e.world.After(e.bodyTimeout(), rr.watchFn)
+	e.after(2*e.opts.RetransmitTimeout, rr, 0)
 }
 
-// watch is the body watch's event.
-func (rr *rdvRecv) watch() {
-	e := rr.eng
+// bodyWatch is the body watch's step.
+func (e *Engine) bodyWatch(rr *rdvRecv) {
 	if !rr.live {
 		e.releaseRdvRecv(rr) // landed; the watchdog dies with it
 		return
@@ -426,7 +415,7 @@ func (e *Engine) streamBody(rs *rdvSend, granted int, reissue bool) {
 		rs.plan = rs.plan[:0]
 	}
 	base := len(rs.plan)
-	rs.plan = append(rs.plan, e.planBody(size)...)
+	rs.plan = e.planBody(rs.plan, size)
 
 	chunks := 0
 	for _, share := range rs.plan[base:] {
@@ -677,11 +666,8 @@ func (e *Engine) onBody(src simnet.NodeID, id uint32, offset, n int, data []byte
 			// send (both wait for this to answer reissue requests).
 			e.Gate(src).pushCtrl(kindDone, r.tag, 0, id)
 		}
-		var err error
 		r.n = rr.granted
-		if rr.total > rr.granted {
-			err = ErrTruncated
-		}
+		err := truncErr(rr.total > rr.granted)
 		if !e.opts.Reliability {
 			e.releaseRdvRecv(rr) // else the pending body watch does
 		}

@@ -55,10 +55,10 @@ const (
 //
 // A frame has one retransmit clock, the check armed when its last copy in
 // flight leaves the NIC (arm). A timer cannot be cancelled, so a check is
-// an entry of the engine's FIFO (linkLayer) stamped with the frame's
+// an entry of the engine's timer queue stamped with the frame's
 // generation, which every retransmission and every recycling of the
 // record advance: a check whose stamp no longer matches is void. railFail
-// resets attempts, never gen. Records are recycled (linkLayer.free) as
+// resets attempts, never gen. Records are recycled (Engine.freeLinks) as
 // soon as they are acked with no transmission in flight (see releaseLink).
 type linkFrame struct {
 	eng      *Engine
@@ -75,24 +75,6 @@ type linkFrame struct {
 	armFn func()
 }
 
-// linkLayer is an engine's sender-side link state, made by its first
-// reliable train (links). Every retransmit check of an engine waits
-// RetransmitTimeout, so checks expire in the order they were armed: each
-// arm pushes one entry and schedules one event, expireFn
-// (Engine.linkExpire, bound once), which pops the head.
-type linkLayer struct {
-	free     freeList[linkFrame]
-	checks   fifo[linkCheck]
-	expireFn func()
-}
-
-// linkCheck is one armed retransmit check, live while fr is at generation
-// gen. A nil fr is void from the start.
-type linkCheck struct {
-	fr  *linkFrame
-	gen uint32
-}
-
 // linkTx is the sender half of a gate's link state. Frame sequence
 // numbers are issued in order and acks are cumulative, so unacked is
 // ordered by seq and an ack retires a prefix of it.
@@ -105,21 +87,13 @@ type linkTx struct {
 // linkRx is the receiver half: the cumulative floor (all frames below it
 // arrived) plus the out-of-order set above it.
 type linkRx struct {
-	floor      uint32
-	seen       map[uint32]bool
+	floor uint32
+	seen  map[uint32]bool
+	// ackPending is set while a delayed ack is due; ackGen stamps the
+	// latest one armed, the only one that may send (linkAckDue).
 	ackPending bool
-	// acks counts the delayed-ack events not yet fired; ackFn is
-	// Gate.linkAckDue, bound at the gate's first delayed ack.
-	acks  int
-	ackFn func()
+	ackGen     uint32
 }
-
-// bodyTimeout is the rendezvous body progress window: generous relative
-// to the frame timeout because a body spans many transactions.
-func (e *Engine) bodyTimeout() sim.Time { return 2 * e.opts.RetransmitTimeout }
-
-// probeInterval paces the ping/pong liveness probe of a failed rail.
-func (e *Engine) probeInterval() sim.Time { return 4 * e.opts.RetransmitTimeout }
 
 // appendLinkHeader appends one encoded link entry to dst.
 func appendLinkHeader(dst []byte, sub uint32, seq uint32, floor uint32) []byte {
@@ -145,7 +119,7 @@ func appendLinkHeader(dst []byte, sub uint32, seq uint32, floor uint32) []byte {
 // the wrappers even with retransmissions ahead.
 func (e *Engine) linkSend(out *output) {
 	g := out.gate
-	fr := e.links().free.get(e.world, cMissLinks)
+	fr := e.freeLinks.get(e.world, cMissLinks)
 	if fr.armFn == nil { // fresh, not recycled
 		fr.eng, fr.armFn = e, fr.arm
 	}
@@ -163,41 +137,29 @@ func (e *Engine) linkSend(out *output) {
 	e.transmit(out)
 }
 
-// links returns e's link layer, made on the first call.
-func (e *Engine) links() *linkLayer {
-	if e.link == nil {
-		e.link = &linkLayer{}
-		e.link.expireFn = e.linkExpire
-	}
-	return e.link
-}
-
 // arm schedules the retransmit check of the transmission that just
 // completed. It runs from the NIC's send-completion callback, not at
 // submission: the ack clock must not start while the frame still waits
 // behind a long wire reservation (a rendezvous body can hold the pair's
 // wire for longer than the whole timeout), or an idle fabric would
 // retransmit spuriously. While another copy of the frame is in flight
-// the check is void, still one event: the clock starts when the last
-// copy leaves the NIC.
+// the check is void, still one event (a nil frame): the clock starts when
+// the last copy leaves the NIC.
 func (fr *linkFrame) arm() {
 	e := fr.eng
 	fr.sending--
-	var check linkCheck
-	if fr.sending == 0 {
-		check = linkCheck{fr, fr.gen}
+	check := fr
+	if fr.sending > 0 {
+		check = nil
 	}
-	e.link.checks.push(check)
-	e.world.After(e.opts.RetransmitTimeout, e.link.expireFn)
+	e.after(e.opts.RetransmitTimeout, check, fr.gen)
 	e.releaseLink(fr)
 }
 
-// linkExpire fires when the oldest check's timeout has elapsed. The check
-// is void unless its frame is still at the generation it was armed at.
-func (e *Engine) linkExpire() {
-	c := e.link.checks.pop()
-	fr := c.fr
-	if fr == nil || fr.gen != c.gen {
+// linkExpire fires when a check's timeout has elapsed. The check is void
+// unless its frame is still at the generation gen it was armed at.
+func (e *Engine) linkExpire(fr *linkFrame, gen uint32) {
+	if fr == nil || fr.gen != gen {
 		return
 	}
 	g := fr.gate
@@ -229,7 +191,7 @@ func (e *Engine) releaseLink(fr *linkFrame) {
 		return
 	}
 	*fr = linkFrame{eng: e, gen: fr.gen + 1, armFn: fr.armFn}
-	e.link.free.put(fr)
+	e.freeLinks.put(fr)
 }
 
 // linkResend re-injects a retained frame, bypassing the window: the
@@ -350,20 +312,16 @@ func (e *Engine) linkScheduleAck(g *Gate) {
 		return
 	}
 	g.lrx.ackPending = true
-	g.lrx.acks++
-	if g.lrx.ackFn == nil {
-		g.lrx.ackFn = g.linkAckDue
-	}
-	e.world.After(linkAckDelay, g.lrx.ackFn)
+	g.lrx.ackGen++
+	e.after(linkAckDelay, g, g.lrx.ackGen)
 }
 
-// linkAckDue is the delayed ack's event. Every one waits linkAckDelay, so
-// they fire in the order they were scheduled, and one that fires while a
-// later one is pending is stale: an outbound frame carried the floor
-// since and the gate scheduled again. The latest sends the ack unless an
+// linkAckDue is the delayed ack armed at generation gen. One armed before
+// the gate's latest is stale: an outbound frame carried the floor since
+// and the gate scheduled again. The latest sends the ack unless an
 // outbound frame has carried the floor after it was scheduled.
-func (g *Gate) linkAckDue() {
-	if g.lrx.acks--; g.lrx.acks > 0 || !g.lrx.ackPending {
+func (g *Gate) linkAckDue(gen uint32) {
+	if gen != g.lrx.ackGen || !g.lrx.ackPending {
 		return
 	}
 	g.lrx.ackPending = false
@@ -430,39 +388,33 @@ func (e *Engine) railFail(r *rail, peer simnet.NodeID) {
 			}
 		}
 	}
-	e.probeRail(r, peer)
+	if !r.probing {
+		r.probing, r.probePeer = true, peer
+		e.probe(r, 0)
+	}
 	e.pumpAll()
 }
 
-// probeRail pings a failed rail until it answers (see railRecover) or,
-// with Options.ProbeBudget set, until the budget of unanswered pings is
-// spent — at which point the rail is abandoned: probing stops, the rail
-// stays failed, and the run can terminate without a RunUntil horizon. A
-// recovery (railRecover) resets the count, so the budget is per failure
-// episode, not per rail lifetime.
-func (e *Engine) probeRail(r *rail, peer simnet.NodeID) {
-	if r.probing {
+// probe is one tick of a failed rail's probe, sent pings into its
+// episode. It pings the rail every 4 retransmit timeouts until it answers
+// (see railRecover) or, with Options.ProbeBudget set, until the budget of
+// unanswered pings is spent — at which point the rail is abandoned:
+// probing stops, the rail stays failed, and the run can terminate without
+// a RunUntil horizon. An episode starts at railFail, so the budget is per
+// failure episode, not per rail lifetime.
+func (e *Engine) probe(r *rail, sent uint32) {
+	if !r.failed {
+		r.probing = false
 		return
 	}
-	r.probing = true
-	sent := 0
-	var tick func()
-	tick = func() {
-		if !r.failed {
-			r.probing = false
-			return
-		}
-		if e.opts.ProbeBudget > 0 && sent >= e.opts.ProbeBudget {
-			r.probing = false
-			e.stats.AbandonedRails++
-			e.traceEvent(trace.RailEvent, peer, r.idx, 0, 0, sent, "abandoned")
-			return
-		}
-		sent++
-		e.linkCtl(e.Gate(peer), r, linkPingTag, 0, 0)
-		e.world.After(e.probeInterval(), tick)
+	if e.opts.ProbeBudget > 0 && int(sent) >= e.opts.ProbeBudget {
+		r.probing = false
+		e.stats.AbandonedRails++
+		e.traceEvent(trace.RailEvent, r.probePeer, r.idx, 0, 0, int(sent), "abandoned")
+		return
 	}
-	tick()
+	e.linkCtl(e.Gate(r.probePeer), r, linkPingTag, 0, 0)
+	e.after(4*e.opts.RetransmitTimeout, r, sent+1)
 }
 
 // railRecover puts a rail back in service when its probe is answered.

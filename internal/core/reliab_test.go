@@ -454,7 +454,9 @@ func TestLinkFrameRecycledBeforeItsCheck(t *testing.T) {
 	w, e0, e1 := testWorld(t, opts)
 	g := e0.Gate(1)
 	data := make([]byte, 512)
-	pending := func() int { q := &e0.link.checks; return len(q.items) - q.head }
+	pending := func() int {
+		return queuedSteps(e0, func(t timer) bool { _, ok := t.ref.(*linkFrame); return ok })
+	}
 	var first *linkFrame
 	w.Spawn("send", func(p *sim.Proc) {
 		// A blocking send returns at its train's NIC completion, the
@@ -470,9 +472,9 @@ func TestLinkFrameRecycledBeforeItsCheck(t *testing.T) {
 		first = g.ltx.unacked[0]
 		fires := p.Now() + e0.opts.RetransmitTimeout
 		p.Sleep(50 * sim.Microsecond)
-		if len(g.ltx.unacked) != 0 || len(e0.link.free) != 1 || e0.link.free[0] != first || pending() != 1 {
+		if len(g.ltx.unacked) != 0 || len(e0.freeLinks) != 1 || e0.freeLinks[0] != first || pending() != 1 {
 			t.Errorf("acked frame: %d unacked, %d records listed, %d checks pending; want its record listed, its check pending",
-				len(g.ltx.unacked), len(e0.link.free), pending())
+				len(g.ltx.unacked), len(e0.freeLinks), pending())
 		}
 		// The next train leaves just before the first check fires, and
 		// is still unacked when it does.
@@ -524,12 +526,27 @@ func TestStaleAckEventDoesNothing(t *testing.T) {
 		if n := e0.Stats().WireBytes; n != 0 {
 			t.Errorf("the superseded ack event sent %d bytes", n)
 		}
-		if !g.lrx.ackPending || g.lrx.acks != 1 {
-			t.Errorf("after the stale event: ackPending=%v with %d events pending, want true and 1", g.lrx.ackPending, g.lrx.acks)
+		n := queuedSteps(e0, func(t timer) bool { return t.ref == any(g) })
+		latest := queuedSteps(e0, func(t timer) bool { return t.ref == any(g) && t.arg == g.lrx.ackGen })
+		if !g.lrx.ackPending || n != 1 || latest != 1 {
+			t.Errorf("after the stale event: ackPending=%v with %d acks pending, %d of the latest generation; want true, 1 and 1", g.lrx.ackPending, n, latest)
 		}
 	})
 	run(t, w)
 	if n := e0.Stats().WireBytes; n != headerSize {
 		t.Errorf("%d bytes of pure acks sent, want one ack (%d)", n, headerSize)
 	}
+}
+
+// queuedSteps counts e's queued timer entries that match.
+func queuedSteps(e *Engine, match func(t timer) bool) int {
+	n := 0
+	for _, q := range queued(e) {
+		for _, t := range q {
+			if match(t) {
+				n++
+			}
+		}
+	}
+	return n
 }

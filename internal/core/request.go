@@ -146,6 +146,15 @@ func (r *request) complete(err error) {
 	}
 }
 
+// truncErr is a receive's completion error: ErrTruncated if some bytes
+// did not fit its buffer.
+func truncErr(short bool) error {
+	if short {
+		return ErrTruncated
+	}
+	return nil
+}
+
 // SendRequest tracks one submitted message (one wrapper for Isend;
 // several for a packed message). It completes when the NIC has finished
 // with every wrapper — for rendezvous sends, when the whole body has

@@ -223,7 +223,9 @@ func (e *Engine) consume(g *Gate, r *RecvRequest, h header, payload []byte) {
 			g.pushCtrl(kindAck, h.tag, 0, h.aux)
 		}
 		e.returnCredit(g)
-		e.completeAfter(e.node.CopyCost(n), r, len(payload) > n)
+		// r completes once the copy is paid for, with ErrTruncated if
+		// some bytes did not fit (fire).
+		e.after(e.node.CopyCost(n), r, uint32(len(payload)-n))
 	case kindRTS:
 		e.acceptRdv(g, r, h)
 	default:

@@ -24,23 +24,23 @@ import (
 //     idle — while a gate's eligible view shows it a wrapper it can
 //     gather, and no failed or idle rail may hold a staged output.
 //   - The one-clock check runs at the same moments, on each reliable
-//     engine that armed or expired a retransmit check since it last
-//     looked. Every unacked link frame has exactly one retransmit clock:
-//     a transmission in flight, whose completion arms the check, or else
-//     one live check.
+//     engine whose timer queue took or fired a step since it last looked.
+//     Every unacked link frame has exactly one retransmit clock: a
+//     transmission in flight, whose completion arms the check, or else
+//     one live check entry in the queue.
 //   - The drain audit runs when Run empties the queue. Each free list
 //     holds every record it ever made (its core.misses.* count) minus
-//     those engine state still refers to; no link frame stays unacked;
-//     every submitted wrapper was elected or is still windowed; no gate
-//     keeps a flow entry on MAD-MPI's collective tag lane; and the
-//     landing credits between two engines are all accounted for.
+//     those engine state still refers to; no engine has a deferred step
+//     queued or a post waiting, each having had its one kernel event; no
+//     link frame stays unacked; every submitted wrapper was elected or is
+//     still windowed; no gate keeps a flow entry on MAD-MPI's collective
+//     tag lane; and the landing credits between two engines are all
+//     accounted for.
 //
 // A violation is reported with the test that built the world, and fails
 // the package (TestMain) unless a test took it first (takeSelfCheck).
-// The checks only read — the one-clock check learns of expiries through
-// a wrapper around the engine's expiry callback, put in when the engine
-// is built — bump no work counter (watch turns counting off) and
-// allocate nothing while the engines behave, so every allocation pin
+// The checks only read, bump no work counter (watch turns counting off)
+// and allocate nothing while the engines behave, so every allocation pin
 // holds with them on.
 
 func TestMain(m *testing.M) {
@@ -82,11 +82,12 @@ type checkedWorld struct {
 	gatherFn  func(pw *packet) bool
 	drainRdvs []*rdvSend
 
-	// The one-clock check's state, per engine in engines order: whether
-	// a retransmit check of it expired, and its check FIFO's length, at
-	// its last scan.
-	expired []bool
-	queued  []int
+	// The one-clock check's state, per engine in engines order: its
+	// timer queue's last push and length at its last scan; and its
+	// scratch, the frames of the live checks.
+	pushed []uint32
+	queued []int
+	live   []*linkFrame
 }
 
 // collLane marks a tag of MAD-MPI's collective lane: the top bit of the
@@ -130,13 +131,7 @@ func (c *selfChecks) add(e *Engine) {
 		w.Watch(cw.watch)
 	}
 	cw.engines = append(cw.engines, e)
-	cw.expired, cw.queued = append(cw.expired, false), append(cw.queued, 0)
-	if e.opts.Reliability {
-		// Each expiry marks the engine for the next scan.
-		l, i := e.links(), len(cw.engines)-1
-		expire := l.expireFn
-		l.expireFn = func() { cw.expired[i] = true; expire() }
-	}
+	cw.pushed, cw.queued = append(cw.pushed, 0), append(cw.queued, 0)
 }
 
 // testName is the Test, Fuzz or Benchmark function on the calling stack.
@@ -202,29 +197,37 @@ func (cw *checkedWorld) watch(drained bool) {
 		if e.stats.Submitted != e.stats.EntriesSent || e.opts.Anticipate {
 			cw.justInTime(e)
 		}
-		// A frame gains or loses a clock only when a check is armed,
-		// which lengthens the FIFO, or expires, which may retransmit or
-		// fail a rail: an engine with neither since its last scan has
+		// A frame gains or loses a clock only when a check is pushed
+		// or fires, which may retransmit or fail a rail: an engine whose
+		// queue neither took nor fired a step since its last scan has
 		// nothing new to check.
-		if l := e.link; l != nil && (cw.expired[i] || len(l.checks.items) != cw.queued[i]) {
-			cw.expired[i], cw.queued[i] = false, len(l.checks.items)
+		if n := queuedLen(e); e.opts.Reliability && (e.timerSeq != cw.pushed[i] || n != cw.queued[i]) {
+			cw.pushed[i], cw.queued[i] = e.timerSeq, n
 			cw.oneClock(e)
 		}
 	}
 }
 
-// oneClock reports every unacked link frame of e whose live checks plus
-// one for any transmission in flight do not add up to one.
+// oneClock reports every unacked link frame of e whose live check entries
+// plus one for any transmission in flight do not add up to one.
 func (cw *checkedWorld) oneClock(e *Engine) {
-	q := &e.link.checks
+	live := cw.live[:0]
+	for _, q := range queued(e) {
+		for _, t := range q {
+			if c, ok := t.ref.(*linkFrame); ok && c != nil && t.arg == c.gen {
+				live = append(live, c)
+			}
+		}
+	}
+	cw.live = live
 	for _, g := range e.gateOrder {
 		for _, fr := range g.ltx.unacked {
 			clocks := 0
 			if fr.sending > 0 {
 				clocks++
 			}
-			for _, c := range q.items[q.head:] {
-				if c.fr == fr && c.gen == fr.gen {
+			for _, c := range live {
+				if c == fr {
 					clocks++
 				}
 			}
@@ -235,6 +238,11 @@ func (cw *checkedWorld) oneClock(e *Engine) {
 		}
 	}
 }
+
+// queued returns e's queued timer entries: its run's, then its heap's.
+func queued(e *Engine) [2][]timer { return [2][]timer{e.run.items[e.run.head:], e.timers} }
+
+func queuedLen(e *Engine) int { return len(e.run.items) - e.run.head + len(e.timers) }
 
 // justInTime reports every idle rail of e that a gate shows a wrapper it
 // can gather — one within the rail's gather capacity, less the slot the
@@ -282,6 +290,9 @@ func (cw *checkedWorld) audit() {
 			held[i] += h[i]
 		}
 		cw.conservation(e)
+		if q, p := queuedLen(e), len(e.posts.items)-e.posts.head; q+p > 0 {
+			cw.report(fmt.Sprintf("drain audit: node %d: %d deferred step(s) queued, %d post(s) waiting, with no event pending", e.node.ID, q, p))
+		}
 	}
 	for i, name := range poolCounters {
 		made := cw.work.Get(name) - cw.base[i]
@@ -296,9 +307,9 @@ func (cw *checkedWorld) audit() {
 // records counts, per free list in poolCounters order, the records of e
 // on the list and those its state still refers to once the queue is
 // empty. No event is pending, so no NIC holds an output, a chain or a
-// transmission, no body watch holds a retired rdvRecv and no timer a
-// retired link frame; no process is alive, so no blocking call holds a
-// request. What is left is queued work: windowed and staged wrappers,
+// transmission, and no timer entry a retired rdvRecv or link frame (the
+// audit reports any entry left); no process is alive, so no blocking
+// call holds a request. What is left is queued work: windowed and staged wrappers,
 // parked arrivals, live rendezvous transactions (and a retired one whose
 // eager chunks still wait in a window), unacked link frames.
 func (cw *checkedWorld) records(e *Engine) (listed, held [len(poolCounters)]uint64) {
@@ -306,10 +317,7 @@ func (cw *checkedWorld) records(e *Engine) (listed, held [len(poolCounters)]uint
 		uint64(len(e.freePkts)), uint64(len(e.freeOuts)), uint64(len(e.freeEnts)),
 		uint64(len(e.freeSends)), uint64(len(e.freeRecvs)),
 		uint64(len(e.freeRdvSends)), uint64(len(e.freeRdvRecvs)),
-		uint64(len(e.freeChains)), 0,
-	}
-	if e.link != nil {
-		listed[8] = uint64(len(e.link.free))
+		uint64(len(e.freeChains)), uint64(len(e.freeLinks)),
 	}
 	retired := cw.drainRdvs[:0]
 	note := func(pw *packet) {
@@ -516,7 +524,7 @@ func TestDrainAuditNamesALeakedRecord(t *testing.T) {
 		func(e *Engine) { e.freeRdvSends.get(e.world, cMissRdvSends) },
 		func(e *Engine) { e.freeRdvRecvs.get(e.world, cMissRdvRecvs) },
 		func(e *Engine) { e.freeChains.get(e.world, cMissChains) },
-		func(e *Engine) { e.links().free.get(e.world, cMissLinks) },
+		func(e *Engine) { e.freeLinks.get(e.world, cMissLinks) },
 	}
 	for i, list := range poolCounters {
 		t.Run(list, func(t *testing.T) {
@@ -542,9 +550,10 @@ func TestDrainAuditNamesALeakedRecord(t *testing.T) {
 	}
 }
 
-// TestDrainAuditChecksTheBooks: a sender credit lost, and a wrapper
-// counted as submitted that no window holds and no election took, are
-// each reported by what they break.
+// TestDrainAuditChecksTheBooks: a sender credit lost, a wrapper counted
+// as submitted that no window holds and no election took, and a post left
+// waiting in the timer queue with no kernel event to fire it, are each
+// reported by what they break.
 func TestDrainAuditChecksTheBooks(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Credits = 8
@@ -561,10 +570,13 @@ func TestDrainAuditChecksTheBooks(t *testing.T) {
 		}
 		e0.Gate(1).credits--
 		e1.stats.Submitted++
+		e1.posts.push(pendingPost{})
+		e1.timers = append(e1.timers, timer{at: w.Now()})
 	})
 	run(t, w)
 	want := []string{
 		"drain audit: node 1: Submitted 1, but EntriesSent 0 + 0 windowed",
+		"drain audit: node 1: 1 deferred step(s) queued, 1 post(s) waiting, with no event pending",
 		"drain audit: credits 0->1: 7 accounted for, budget 8",
 	}
 	if !slices.Equal(*got, want) {
@@ -589,9 +601,8 @@ func TestOneClockCatchesASecondCheck(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		fr, l := e0.Gate(1).ltx.unacked[0], e0.link
-		l.checks.push(linkCheck{fr, fr.gen})
-		w.After(e0.opts.RetransmitTimeout, l.expireFn)
+		fr := e0.Gate(1).ltx.unacked[0]
+		e0.after(e0.opts.RetransmitTimeout, fr, fr.gen)
 		at = w.Now()
 	})
 	w.Spawn("recv", func(p *sim.Proc) {

@@ -211,21 +211,19 @@ func (e *Engine) electOutput(g *Gate, r *rail) *output {
 	return out
 }
 
-// planBody asks the strategy for a rendezvous body plan and validates
-// it: shares must cover [0, size) exactly, in ascending offset order, on
-// attached rails. Invalid plans (and non-planner strategies) stream over
-// the best single rail. The plan is storage of the strategy's or of the
-// engine's, valid until the next planBody: the caller copies it.
-func (e *Engine) planBody(size int) []sched.BodyShare {
+// planBody asks the strategy for a rendezvous body plan, validates it
+// and appends it to dst: shares must cover [0, size) exactly, in
+// ascending offset order, on attached rails. Invalid plans (and
+// non-planner strategies) stream over the best single rail
+// (sched.SingleRail).
+func (e *Engine) planBody(dst []sched.BodyShare, size int) []sched.BodyShare {
 	rails := e.liveRails()
 	if bp, ok := e.strat.(sched.BodyPlanner); ok && len(rails) > 1 {
 		if plan := bp.PlanBody(rails, size); e.validPlan(plan, size) {
-			return plan
+			return append(dst, plan...)
 		}
 	}
-	// sched.SingleRail, in the engine's own storage.
-	e.singlePlan[0] = sched.BodyShare{Rail: sched.BestRail(rails), Size: size}
-	return e.singlePlan[:]
+	return append(dst, sched.BodyShare{Rail: sched.BestRail(rails), Size: size})
 }
 
 // validPlan checks the BodyPlanner contract (and that no share landed on

@@ -92,16 +92,16 @@ func TestScaleAllgather1024Lossy(t *testing.T) {
 	})
 }
 
-// BenchmarkAllgatherRing is the host cost of one lossless allgather of
-// 64 B per rank (reliability on, one MX rail) across 256 and 512 ranks:
-// the collective executor's per-layer number. At that size the automatic
-// selection runs gather-bcast on 256 ranks and the ring on 512, about
-// 261 000 messages, where the engine's per-message work dominates: the
-// executor finishes each step once, off the FIFO its one completion hook
-// fills, and builds the plan into flat arenas, so it makes a few objects
-// per rank, not per step. Each rank runs one collective here, so its run
-// state is made once and never reused. CI gates the object count of the
-// 512-rank run. Run it with
+// BenchmarkAllgatherRing is the host cost of one lossless ring allgather
+// of 64 B per rank (reliability on, one MX rail) across 256 and 512 ranks:
+// the collective executor's per-layer number. The ring is forced, since
+// the automatic selection would run gather-bcast on 256 ranks. At 512
+// ranks that is about 261 000 messages, where the engine's per-message
+// work dominates: the executor finishes each step once, off the FIFO its
+// one completion hook fills, and builds the plan into flat arenas, so it
+// makes a few objects per rank, not per step. Each rank runs one
+// collective here, so its run state is made once and never reused. CI
+// gates the object count of the 512-rank run. Run it with
 // go test -run=NONE -bench AllgatherRing -benchtime 1x -benchmem ./internal/madmpi
 func BenchmarkAllgatherRing(b *testing.B) {
 	const per = 64
@@ -109,6 +109,10 @@ func BenchmarkAllgatherRing(b *testing.B) {
 		b.Run(fmt.Sprintf("ranks=%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				reliableJob(b, size, simnet.FaultProfile{}, func(p *sim.Proc, m *MPI) {
+					if err := m.ForceCollAlgo(CollAllgather, "ring"); err != nil {
+						b.Error(err)
+						return
+					}
 					all := make([]byte, size*per)
 					if err := m.CommWorld().Allgather(p, make([]byte, per), all); err != nil {
 						b.Errorf("rank %d allgather: %v", m.Rank(), err)

@@ -61,6 +61,9 @@ type Gate struct {
 	// inbound ones and owes the cumulative ack.
 	ltx linkTx
 	lrx linkRx
+
+	// slabs carves the requests of the gate's nonblocking calls (pool.go).
+	slabs reqSlabs
 }
 
 // Peer returns the remote node the gate connects to.
@@ -130,8 +133,12 @@ func resolveSend(opts []SendOption) sendConfig {
 // the software-gather copy cost is then charged, and nothing can Wait on
 // the request. A scheduler-context caller that wants the same schedule a
 // process would get uses PostSendv / PostRecvvMasked instead.
+//
+// The request is carved from one of the gate's 512-byte slabs, not
+// allocated per call, and is never recycled: it stays the caller's for
+// good, and no later call's request aliases it (pool.go).
 func (g *Gate) Isend(p *sim.Proc, tag Tag, data []byte, opts ...SendOption) *SendRequest {
-	req := new(SendRequest)
+	req := g.slabs.send()
 	g.isendIov(req, p, tag, singleIov(data), resolveSend(opts))
 	return req
 }
@@ -142,7 +149,7 @@ func (g *Gate) Isend(p *sim.Proc, tag Tag, data []byte, opts ...SendOption) *Sen
 // blocks so the strategies can aggregate and reorder the whole layout
 // natively (the paper's §5.3 optimization without per-block requests).
 func (g *Gate) Isendv(p *sim.Proc, tag Tag, segs [][]byte, opts ...SendOption) *SendRequest {
-	req := new(SendRequest)
+	req := g.slabs.send()
 	IsendvInto(req, g, p, tag, segs, 0, nil, opts...)
 	return req
 }
@@ -273,7 +280,11 @@ func (g *Gate) submitSend(req *SendRequest, iov iovec, cfg sendConfig) {
 // handshake already implies a match; below it the receiver returns an ack
 // control entry.
 func (g *Gate) Issend(p *sim.Proc, tag Tag, data []byte, opts ...SendOption) *SendRequest {
-	return g.Isend(p, tag, data, append(opts, Synchronous())...)
+	cfg := resolveSend(opts)
+	cfg.flags |= flagNeedAck
+	req := g.slabs.send()
+	g.isendIov(req, p, tag, singleIov(data), cfg)
+	return req
 }
 
 // Ssend is the blocking form of Issend; like Send, it runs on a request
@@ -342,9 +353,11 @@ func (g *Gate) Irecvv(p *sim.Proc, tag Tag, segs [][]byte) *RecvRequest {
 
 // IrecvMasked posts a wildcard receive: it matches the first arriving
 // message whose tag satisfies tag&mask == want&mask. MAD-MPI builds
-// ANY_TAG receives on it by masking out the user-tag bits.
+// ANY_TAG receives on it by masking out the user-tag bits. As for Isend,
+// the request is carved from one of the gate's slabs and stays the
+// caller's for good (pool.go).
 func (g *Gate) IrecvMasked(p *sim.Proc, want, mask Tag, buf []byte) *RecvRequest {
-	req := new(RecvRequest)
+	req := g.slabs.recv()
 	IrecvMaskedInto(req, g, p, want, mask, buf, 0, nil)
 	return req
 }
@@ -353,7 +366,7 @@ func (g *Gate) IrecvMasked(p *sim.Proc, want, mask Tag, buf []byte) *RecvRequest
 // scattering across the iovec segments. It is the general receive shape
 // a replayed recording re-posts (package replay).
 func (g *Gate) IrecvvMasked(p *sim.Proc, want, mask Tag, segs [][]byte) *RecvRequest {
-	req := new(RecvRequest)
+	req := g.slabs.recv()
 	IrecvvMaskedInto(req, g, p, want, mask, segs, 0, nil)
 	return req
 }
@@ -375,6 +388,17 @@ func IrecvvMaskedInto(req *RecvRequest, g *Gate, p *sim.Proc, want, mask Tag, se
 	g.eng.recordRecv(g, req)
 	g.eng.chargeSubmit(p)
 	g.postRecv(req)
+}
+
+// PostedSegs returns the segment list req was posted with by
+// IrecvvMaskedInto, or nil for a one-buffer receive, which lands in the
+// request's own segment. A caller that reuses its lists takes one back
+// here once req has completed: the engine reads it until then.
+func PostedSegs(req *RecvRequest) [][]byte {
+	if len(req.iov) == 1 && &req.iov[0] == &req.one[0] {
+		return nil
+	}
+	return req.iov
 }
 
 // PostRecvvMasked is IrecvvMasked for a caller in scheduler context; see

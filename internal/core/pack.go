@@ -9,21 +9,23 @@ import "nmad/internal/sim"
 // wrapper sharing the message's flow tag, so the optimizer is free to
 // aggregate, reorder or split them.
 
-// Message is an outgoing message under construction.
+// Message is an outgoing message under construction. Its request rides
+// inside it, so a packed message is one allocation.
 type Message struct {
 	g     *Gate
 	tag   Tag
 	cfg   sendConfig
-	req   *SendRequest
+	req   SendRequest
 	ended bool
 }
 
 // BeginPack starts a message on the given flow. Options apply to every
 // packed piece.
 func (g *Gate) BeginPack(p *sim.Proc, tag Tag, opts ...SendOption) *Message {
-	req := &SendRequest{tag: tag}
-	req.add(1) // construction hold, released by End
-	return &Message{g: g, tag: tag, cfg: resolveSend(opts), req: req}
+	m := &Message{g: g, tag: tag, cfg: resolveSend(opts)}
+	m.req.tag = tag
+	m.req.add(1) // construction hold, released by End
+	return m
 }
 
 // Pack appends one piece of data to the message. The piece may start
@@ -62,7 +64,7 @@ func (m *Message) pack(p *sim.Proc, data []byte, flags flags) {
 	m.req.bytes += len(data)
 	e.submit(e.newPacket(g, header{
 		kind: kindData, flags: flags, tag: m.tag, seq: g.seqFor(m.tag, flags), length: uint32(len(data)),
-	}, m.cfg.driver, iov, m.req))
+	}, m.cfg.driver, iov, &m.req))
 }
 
 // End finalizes the message and blocks until every piece has left the
@@ -78,7 +80,7 @@ func (m *Message) End(p *sim.Proc) error {
 
 // Request exposes the underlying send request (for Test-style polling
 // between Pack calls).
-func (m *Message) Request() *SendRequest { return m.req }
+func (m *Message) Request() *SendRequest { return &m.req }
 
 // InMessage is an incoming message being unpacked.
 type InMessage struct {

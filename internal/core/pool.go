@@ -1,6 +1,8 @@
 package core
 
 import (
+	"unsafe"
+
 	"nmad/internal/sim"
 	"nmad/internal/simnet"
 )
@@ -44,7 +46,11 @@ import (
 //     in storage it passed (a MAD-MPI handle, a replay or collective
 //     slab) — and the engine never recycles it. MAD-MPI recycles its own
 //     at Wait, which this rule makes safe: it zeroes a waited request and
-//     posts it again.
+//     posts it again. A request the engine returns (Isend, Irecv and
+//     their vector, masked and synchronous forms) is carved from its
+//     gate's current 512-byte slab (reqSlabs) and never recycled, so no
+//     later call's request aliases one a caller still holds, and a held
+//     request keeps at most its slab's 512 bytes alive.
 //   - Strategies never see wrappers after election (the spileak analyzer
 //     forbids retaining SPI views), so recycling cannot dangle into sched.
 //   - A record a NIC completion refers to returns to its list only when
@@ -122,6 +128,42 @@ func (l *freeList[T]) get(w *sim.World, miss sim.CounterID) *T {
 }
 
 func (l *freeList[T]) put(v *T) { *l = append(*l, v) }
+
+// Requests per slab: as many as fit in 512 bytes, the largest size class
+// whose pointer-holding objects carry no 8-byte malloc header, so a
+// carved request costs what one allocated alone would (64 and 128 bytes).
+const (
+	sendsPerSlab = 512 / unsafe.Sizeof(SendRequest{})
+	recvsPerSlab = 512 / unsafe.Sizeof(RecvRequest{})
+)
+
+// reqSlabs carves the requests a gate's nonblocking calls return: one
+// slab of each kind is current, handed out in order, and replaced by a
+// fresh one once used up. A request is never given back, so a slab is
+// garbage once its caller drops every request carved from it.
+type reqSlabs struct {
+	sends              *[sendsPerSlab]SendRequest
+	recvs              *[recvsPerSlab]RecvRequest
+	sendLeft, recvLeft uint8 // requests not yet handed out of the current slabs
+}
+
+func (s *reqSlabs) send() *SendRequest {
+	if s.sendLeft == 0 {
+		s.sends, s.sendLeft = new([sendsPerSlab]SendRequest), uint8(sendsPerSlab)
+	}
+	r := &s.sends[len(s.sends)-int(s.sendLeft)]
+	s.sendLeft--
+	return r
+}
+
+func (s *reqSlabs) recv() *RecvRequest {
+	if s.recvLeft == 0 {
+		s.recvs, s.recvLeft = new([recvsPerSlab]RecvRequest), uint8(recvsPerSlab)
+	}
+	r := &s.recvs[len(s.recvs)-int(s.recvLeft)]
+	s.recvLeft--
+	return r
+}
 
 // fifo is a queue of values served oldest first: items[head:] are
 // queued. It holds the engine's waiting posts (see post) and the run of

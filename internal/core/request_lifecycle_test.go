@@ -390,3 +390,58 @@ func TestBystandersCostNoEvents(t *testing.T) {
 		t.Errorf("seven parked bystanders cost %d events next to 1 message and %d next to 10", one, ten)
 	}
 }
+
+// TestSlabRequestsStayTheCallers: the requests Isend and Irecv return
+// are carved from the gate's slabs and never recycled, so a request held
+// while a hundred more of each kind are issued still reads its own tag,
+// size and error, and no two calls share a request.
+func TestSlabRequestsStayTheCallers(t *testing.T) {
+	const more = 100
+	w, e0, e1 := testWorld(t, DefaultOptions())
+	var firstSend *SendRequest
+	var firstRecv *RecvRequest
+	sends, recvs := map[*SendRequest]int{}, map[*RecvRequest]int{}
+	w.Spawn("send", func(p *sim.Proc) {
+		g := e0.Gate(1)
+		firstSend = g.Isend(p, 1, make([]byte, 48))
+		sends[firstSend] = 48
+		for i := 1; i <= more; i++ {
+			sends[g.Isend(p, 2, make([]byte, i))] = i
+		}
+	})
+	w.Spawn("recv", func(p *sim.Proc) {
+		g := e1.Gate(0)
+		firstRecv = g.Irecv(p, 1, make([]byte, 32)) // truncates the 48-byte send
+		recvs[firstRecv] = 32
+		for i := 1; i <= more; i++ {
+			r := g.Irecv(p, 2, make([]byte, 128))
+			recvs[r] = i
+			if err := r.Wait(p); err != nil {
+				t.Errorf("receive %d: %v", i, err)
+			}
+		}
+		firstRecv.Wait(p)
+	})
+	run(t, w)
+	if len(sends) != more+1 || len(recvs) != more+1 {
+		t.Fatalf("%d distinct send and %d distinct receive requests, want %d of each", len(sends), len(recvs), more+1)
+	}
+	if firstSend.Tag() != 1 || firstSend.Bytes() != 48 || !firstSend.Done() || firstSend.Err() != nil {
+		t.Errorf("held send reads tag %d, %d bytes, done %v, err %v; want tag 1, 48 bytes, done, nil",
+			firstSend.Tag(), firstSend.Bytes(), firstSend.Done(), firstSend.Err())
+	}
+	if firstRecv.Tag() != 1 || firstRecv.N() != 32 || !errors.Is(firstRecv.Err(), ErrTruncated) {
+		t.Errorf("held receive reads tag %d, %d bytes, err %v; want tag 1, 32 bytes, ErrTruncated",
+			firstRecv.Tag(), firstRecv.N(), firstRecv.Err())
+	}
+	for r, n := range sends {
+		if r != firstSend && (r.Tag() != 2 || r.Bytes() != n || r.Err() != nil) {
+			t.Errorf("send of %d bytes reads tag %d, %d bytes, err %v", n, r.Tag(), r.Bytes(), r.Err())
+		}
+	}
+	for r, n := range recvs {
+		if r != firstRecv && (r.Tag() != 2 || r.N() != n || r.Err() != nil) {
+			t.Errorf("receive of %d bytes reads tag %d, %d bytes, err %v", n, r.Tag(), r.N(), r.Err())
+		}
+	}
+}

@@ -2,6 +2,7 @@ package madmpi
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 )
@@ -209,13 +210,13 @@ func (m *MPI) CollSegment() int {
 	if m.collSeg <= 0 {
 		return defaultCollSegment
 	}
-	return m.collSeg
+	return int(m.collSeg)
 }
 
 // SetCollSegment sets the pipelining segment size in bytes for the
 // segmented collective algorithms (pipeline bcast/reduce, ring
-// allreduce). Configure every rank identically.
-func (m *MPI) SetCollSegment(bytes int) { m.collSeg = bytes }
+// allreduce), at most math.MaxInt32. Configure every rank identically.
+func (m *MPI) SetCollSegment(bytes int) { m.collSeg = int32(min(bytes, math.MaxInt32)) }
 
 // algoFor resolves the algorithm to run: the forced name if pinned,
 // otherwise the automatic selection.

@@ -127,7 +127,7 @@ func checkLayout(t *testing.T, dt Datatype, tm []int, count, buflen int) {
 	for i := range base {
 		base[i] = byte(i)
 	}
-	iov, err := iovec(base, dt, count)
+	iov, err := iovec(nil, base, dt, count)
 	wantErr := ""
 	if count < 0 {
 		wantErr = fmt.Sprintf("madmpi: datatype count %d is negative", count)
@@ -177,11 +177,11 @@ func TestFlattenFollowsTypeMap(t *testing.T) {
 		}
 	}
 	below := Hindexed([]int{1, 2}, []int{-1, 1}, Byte)
-	if _, err := iovec(make([]byte, 4), below, 1); err == nil ||
+	if _, err := iovec(nil, make([]byte, 4), below, 1); err == nil ||
 		err.Error() != "madmpi: datatype segment [-1,0) outside the 4-byte buffer" {
 		t.Errorf("a block below the base: iovec error %v", err)
 	}
-	if _, err := iovec(make([]byte, 8), Contiguous(4, Byte), -1); err == nil { // once a slice panic
+	if _, err := iovec(nil, make([]byte, 8), Contiguous(4, Byte), -1); err == nil { // once a slice panic
 		t.Error("a negative count must fail")
 	}
 
@@ -247,13 +247,13 @@ func TestTypedCallPastItsBufferBuildsNothing(t *testing.T) {
 	const runs, slack = 10, 4 << 10
 	perCall := map[int]uint64{}
 	for _, count := range []int{2, 65536} {
-		if _, err := iovec(base, dt, count); err == nil || err.Error() != want {
+		if _, err := iovec(nil, base, dt, count); err == nil || err.Error() != want {
 			t.Fatalf("%v x %d in 64 bytes: iovec error %v, want %q", dt, count, err, want)
 		}
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		for range runs {
-			iovec(base, dt, count)
+			iovec(nil, base, dt, count)
 		}
 		runtime.ReadMemStats(&m1)
 		perCall[count] = (m1.TotalAlloc - m0.TotalAlloc) / runs
@@ -262,4 +262,114 @@ func TestTypedCallPastItsBufferBuildsNothing(t *testing.T) {
 		t.Errorf("a failing typed call allocates %d B at count 65536, %d B at count 2: it builds the blocks past the bad one",
 			perCall[65536], perCall[2])
 	}
+}
+
+// TestTypedReceivesKeepTheirLists: the engine reads a typed receive's
+// gather list until the receive completes, so two typed receives posted
+// side by side, and a typed send made while they wait, each scatter or
+// gather through a list of their own. Over the rounds the layouts swap,
+// so a list that went back at Wait serves a receive of the other layout.
+func TestTypedReceivesKeepTheirLists(t *testing.T) {
+	layouts := [2]Datatype{
+		Vector(4, 2, 8, Byte),
+		Hindexed([]int{3, 1, 2}, []int{0, 10, 20}, Byte),
+	}
+	// scattered is what a typed receive of dt leaves in a zeroed buffer
+	// of n bytes when the payload is msg.
+	scattered := func(dt Datatype, n int, msg []byte) []byte {
+		out := make([]byte, n)
+		for _, s := range flatten(dt, 1) {
+			msg = msg[copy(out[s.Offset:s.Offset+s.Len], msg):]
+		}
+		return out
+	}
+	payload := func(tag, size int) []byte {
+		b := make([]byte, size)
+		for i := range b {
+			b[i] = byte(tag<<5 + i + 1)
+		}
+		return b
+	}
+	job(t, 2, func(p *sim.Proc, m *MPI) {
+		c := m.CommWorld()
+		for round := range 4 {
+			first, second := layouts[round%2], layouts[1-round%2]
+			if m.Rank() == 0 {
+				if _, err := c.RecvTyped(p, make([]byte, 32), first, 1, 1, 9); err != nil {
+					t.Fatal(err)
+				}
+				for i, dt := range []Datatype{first, second} {
+					if err := c.Send(p, payload(i+1, dt.Size()), 1, i+1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				continue
+			}
+			bufs := [2][]byte{make([]byte, 32), make([]byte, 32)}
+			r1 := c.IrecvTyped(p, bufs[0], first, 1, 0, 1)
+			r2 := c.IrecvTyped(p, bufs[1], second, 1, 0, 2)
+			if err := c.SendTyped(p, make([]byte, 32), first, 1, 0, 9); err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range []*Request{r1, r2} {
+				dt := [2]Datatype{first, second}[i]
+				if err := r.Wait(p); err != nil {
+					t.Fatal(err)
+				}
+				if want := scattered(dt, 32, payload(i+1, dt.Size())); !bytes.Equal(bufs[i], want) {
+					t.Errorf("round %d, receive %d of %v: buffer %v, want %v", round, i+1, dt, bufs[i], want)
+				}
+			}
+		}
+	})
+}
+
+// TestTypedSendsOfOneRankOverlap: a typed send's gather list is its
+// MPI's scratch only while no other process of the rank holds it, so two
+// processes of one rank whose typed sends wait out their submit overhead
+// together each gather their own layout, with the scratch warm from the
+// rounds before.
+func TestTypedSendsOfOneRankOverlap(t *testing.T) {
+	// The second process's list is the longer, so the scratch it leaves
+	// fits the first process's list of the next round.
+	layouts := []Datatype{Hindexed([]int{3, 1, 2}, []int{0, 10, 20}, Byte), Vector(4, 2, 8, Byte)}
+	src := make([]byte, 32)
+	for i := range src {
+		src[i] = byte(i + 1)
+	}
+	const rounds = 3
+	job(t, 2, func(p *sim.Proc, m *MPI) {
+		c := m.CommWorld()
+		if m.Rank() == 0 {
+			for range rounds {
+				done := false
+				p.World().Spawn("second", func(q *sim.Proc) {
+					if err := c.SendTyped(q, src, layouts[1], 1, 1, 2); err != nil {
+						t.Error(err)
+					}
+					done = true
+				})
+				if err := c.SendTyped(p, src, layouts[0], 1, 1, 1); err != nil {
+					t.Error(err)
+				}
+				for !done {
+					p.Sleep(sim.Microsecond)
+				}
+			}
+			return
+		}
+		for round := range rounds {
+			for i, dt := range layouts {
+				var want []byte
+				for _, s := range flatten(dt, 1) {
+					want = append(want, src[s.Offset:s.Offset+s.Len]...)
+				}
+				got := make([]byte, 32)
+				st, err := c.Recv(p, got, 0, i+1)
+				if err != nil || !bytes.Equal(got[:st.Count], want) {
+					t.Errorf("round %d, typed send %d of %v: received %v (%v), want %v", round, i+1, dt, got[:st.Count], err, want)
+				}
+			}
+		}
+	})
 }

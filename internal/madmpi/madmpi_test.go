@@ -573,10 +573,17 @@ func roundTripAllocs(t *testing.T, send, recv func(p *sim.Proc, c *Comm, buf []b
 			}
 		})
 	}
+	return marginalAllocs(pingpong)
+}
+
+// marginalAllocs is what one more round of run leaves on the heap: a
+// long run minus a short run, per extra round, so world and engine
+// construction cancel out.
+func marginalAllocs(run func(rounds int)) float64 {
 	const short, long = 32, 288
-	pingpong(4) // warm lazy runtime and package init paths out of the measurement
-	a1 := testing.AllocsPerRun(5, func() { pingpong(short) })
-	a2 := testing.AllocsPerRun(5, func() { pingpong(long) })
+	run(4) // warm lazy runtime and package init paths out of the measurement
+	a1 := testing.AllocsPerRun(5, func() { run(short) })
+	a2 := testing.AllocsPerRun(5, func() { run(long) })
 	return (a2 - a1) / (long - short)
 }
 
@@ -614,10 +621,34 @@ func TestAllocsNonblockingPingPong(t *testing.T) {
 	}
 }
 
+// TestAllocsWarmSendrecv: Sendrecv posts its receive into a record of
+// the MPI's list and frees it once the status is read, and its send is a
+// blocking one on the engine's request, so a warm exchange allocates
+// nothing.
+func TestAllocsWarmSendrecv(t *testing.T) {
+	got := marginalAllocs(func(rounds int) {
+		out, in := [2][]byte{make([]byte, 64), make([]byte, 64)}, [2][]byte{make([]byte, 64), make([]byte, 64)}
+		job(t, 2, func(p *sim.Proc, m *MPI) {
+			c, me := m.CommWorld(), m.Rank()
+			for i := 0; i < rounds; i++ {
+				st, err := c.Sendrecv(p, out[me], 1-me, 0, in[me], 1-me, 0)
+				if err != nil || st != (Status{Source: 1 - me, Tag: 0, Count: 64}) {
+					t.Fatalf("Sendrecv = %+v, %v", st, err)
+				}
+			}
+		})
+	})
+	t.Logf("warm Sendrecv: %.2f objects per exchange", got)
+	if got > 0.5 {
+		t.Errorf("a warm Sendrecv exchange allocates %.2f objects, want 0 (ceiling 0.5): its receive takes a fresh engine request again", got)
+	}
+}
+
 // TestAllocsTypedPingPong pins a typed round trip: a datatype is
-// flattened when it is built, so a typed call allocates only the gather
-// list it hands the engine, one per call and four per round trip.
-// Reusing that list (ROADMAP 20(c)) is what is left.
+// flattened when it is built, a typed send builds its gather list in
+// its MPI's scratch, and a typed receive takes its list from the MPI's
+// side list and gives it back at Wait, so a waited round trip allocates
+// nothing.
 func TestAllocsTypedPingPong(t *testing.T) {
 	for _, dt := range []Datatype{
 		Vector(4, 8, 16, Byte),
@@ -630,8 +661,8 @@ func TestAllocsTypedPingPong(t *testing.T) {
 				return err
 			})
 		t.Logf("%v ping-pong: %.2f objects per round trip", dt, got)
-		if got > 4.5 {
-			t.Errorf("a typed round trip of %v allocates %.2f objects, want 4 (ceiling 4.5): a typed call walks its type again", dt, got)
+		if got > 0.5 {
+			t.Errorf("a typed round trip of %v allocates %.2f objects, want 0 (ceiling 0.5): a typed call allocates its gather list or walks its type again", dt, got)
 		}
 	}
 }

@@ -30,10 +30,11 @@ type MPI struct {
 
 	nextCommID uint32
 
-	// Collective algorithm configuration: pinned algorithms per kind
-	// (empty = automatic selection) and the pipelining segment size.
+	// Collective algorithm configuration: the pipelining segment size
+	// (an int32, so it shares a word with nextCommID) and pinned
+	// algorithms per kind (empty = automatic selection).
+	collSeg   int32
 	collForce map[CollKind]string
-	collSeg   int
 
 	// recs holds the records of waited nonblocking operations (see
 	// Request.Wait). The first nonblocking operation makes it, so a rank
@@ -42,12 +43,44 @@ type MPI struct {
 	// runs is the stack of run states collectives filed back (runColl),
 	// linked through collRun.next: a slice would outgrow MPI's size class.
 	runs *collRun
+	// gathers holds the gather lists of typed calls (typed.go), made by
+	// the first one.
+	gathers *gathers
 }
 
 // records is an MPI's two free lists, one per record kind.
 type records struct {
 	sends recordList[core.SendRequest]
 	recvs recordList[core.RecvRequest]
+}
+
+// gathers is an MPI's gather lists for typed calls: scratch is the typed
+// sends' list, which the engine copies when the send is posted, and free
+// holds the lists of waited typed receives (Request.free).
+type gathers struct {
+	scratch [][]byte
+	free    [][][]byte
+}
+
+// gatherLists returns m's gather lists, making them on first use.
+func (m *MPI) gatherLists() *gathers {
+	if m.gathers == nil {
+		m.gathers = new(gathers)
+	}
+	return m.gathers
+}
+
+// get pops a waited typed receive's gather list, or returns nil when
+// there is none.
+func (g *gathers) get() [][]byte {
+	n := len(g.free) - 1
+	if n < 0 {
+		return nil
+	}
+	l := g.free[n]
+	g.free[n] = nil
+	g.free = g.free[:n]
+	return l
 }
 
 // lists returns m's free lists, making them on first use.
@@ -298,8 +331,9 @@ func newRecvRecord() record[core.RecvRequest] {
 // leaves the handle naming the null request. The engine request is
 // zeroed here, so the record drops the caller's buffers; no engine
 // record touches a completed request again (core's pool.go), so the
-// next operation can post it. A handle that is not a live record is
-// left as it is.
+// next operation can post it. A typed receive's gather list goes back on
+// the side list, emptied. A handle that is not a live record is left as
+// it is.
 func (r *Request) free() {
 	m := r.mpi
 	if m == nil {
@@ -310,6 +344,10 @@ func (r *Request) free() {
 		*req = core.SendRequest{}
 		m.recs.sends.put(record[core.SendRequest]{r, req})
 	case *core.RecvRequest:
+		if segs := core.PostedSegs(req); segs != nil {
+			clear(segs)
+			m.gathers.free = append(m.gathers.free, segs[:0])
+		}
 		*req = core.RecvRequest{}
 		m.recs.recvs.put(record[core.RecvRequest]{r, req})
 	}
@@ -327,14 +365,9 @@ func failedRequest(err error) *Request {
 // Done.
 func (r *Request) Status() Status {
 	if rr, ok := r.Request.(*core.RecvRequest); ok {
-		return recvStatus(rr)
+		return Status{Source: int(rr.Source()), Tag: userTag(rr.Tag()), Count: rr.N()}
 	}
 	return Status{Source: -1, Tag: -1}
-}
-
-// recvStatus is the MPI_Status of an engine receive.
-func recvStatus(r *core.RecvRequest) Status {
-	return Status{Source: int(r.Source()), Tag: userTag(r.Tag()), Count: r.N()}
 }
 
 // Wait blocks until the operation completes, returns its error and frees

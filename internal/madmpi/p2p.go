@@ -91,7 +91,9 @@ func (c *Comm) Recv(p *sim.Proc, buf []byte, src, tag int) (Status, error) {
 // Sendrecv exchanges messages with a peer without deadlocking: the
 // receive is posted nonblocking, then the send completes, then the
 // receive. Both peers are validated first, so a failed call posts
-// nothing.
+// nothing. The receive runs on a record of the MPI's list, which is
+// freed once its status is read, so a warm exchange allocates nothing;
+// a failed send leaves the posted receive its record.
 func (c *Comm) Sendrecv(p *sim.Proc, sendBuf []byte, dest, sendTag int, recvBuf []byte, src, recvTag int) (Status, error) {
 	if err := c.checkSend(dest, sendTag); err != nil {
 		return Status{}, err
@@ -100,10 +102,10 @@ func (c *Comm) Sendrecv(p *sim.Proc, sendBuf []byte, dest, sendTag int, recvBuf 
 	if err != nil {
 		return Status{Source: -1, Tag: -1}, err
 	}
-	rr := c.gate(src).IrecvMasked(p, want, mask, recvBuf)
+	h, rr := c.mpi.recvRecord()
+	core.IrecvMaskedInto(rr, c.gate(src), p, want, mask, recvBuf, 0, nil)
 	if err := c.gate(dest).Send(p, c.flowTag(sendTag), sendBuf); err != nil {
 		return Status{}, err
 	}
-	err = rr.Wait(p)
-	return recvStatus(rr), err
+	return h.WaitStatus(p)
 }

@@ -2,6 +2,7 @@ package madmpi
 
 import (
 	"fmt"
+	"slices"
 
 	"nmad/internal/core"
 	"nmad/internal/sim"
@@ -18,22 +19,33 @@ import (
 // — and scatters zero-copy into — the scattered blocks.
 
 // IsendTyped starts a nonblocking send of count elements of datatype t
-// read from base (the address of the first element).
+// read from base (the address of the first element). The gather list is
+// the MPI's scratch: the engine copies it when the send is posted.
 func (c *Comm) IsendTyped(p *sim.Proc, base []byte, t Datatype, count, dest, tag int) *Request {
 	if err := c.checkSend(dest, tag); err != nil {
 		return failedRequest(err)
 	}
-	iov, err := iovec(base, t, count)
+	gl := c.mpi.gatherLists()
+	iov, err := iovec(gl.scratch, base, t, count)
 	if err != nil {
 		return failedRequest(err)
 	}
-	return c.postSend(p, iov, dest, tag, nil)
+	// The scratch is out of the MPI while the send is posted: another
+	// process of this rank that posts while this one waits out its
+	// submit overhead builds a list of its own.
+	gl.scratch = nil
+	h := c.postSend(p, iov, dest, tag, nil)
+	clear(iov)
+	gl.scratch = iov[:0]
+	return h
 }
 
 // IrecvTyped starts a nonblocking receive of count elements of datatype t
 // scattered into base. The sender must use a layout with the same total
 // size (the usual MPI contract: matching type signatures); the payload
-// scatters across the blocks in flattening order.
+// scatters across the blocks in flattening order. The engine reads the
+// gather list until the receive completes, so the list is the request's
+// until Wait files it back on the MPI's side list (Request.free).
 func (c *Comm) IrecvTyped(p *sim.Proc, base []byte, t Datatype, count, src, tag int) *Request {
 	if err := c.checkPeer(src); err != nil {
 		return failedRequest(err)
@@ -41,7 +53,7 @@ func (c *Comm) IrecvTyped(p *sim.Proc, base []byte, t Datatype, count, src, tag 
 	if err := checkTag(tag); err != nil {
 		return failedRequest(err)
 	}
-	iov, err := iovec(base, t, count)
+	iov, err := iovec(c.mpi.gatherLists().get(), base, t, count)
 	if err != nil {
 		return failedRequest(err)
 	}
@@ -51,11 +63,11 @@ func (c *Comm) IrecvTyped(p *sim.Proc, base []byte, t Datatype, count, src, tag 
 }
 
 // iovec flattens count elements of datatype t at base into the gather
-// list the engine's vector path consumes. A first walk of the merged
-// blocks checks each against the buffer and counts them, so a call that
-// runs past its buffer fails at the first bad block having built
-// nothing; a second fills a list of exactly that length.
-func iovec(base []byte, t Datatype, count int) ([][]byte, error) {
+// list the engine's vector path consumes, reusing dst's array when it is
+// long enough. A first walk of the merged blocks checks each against the
+// buffer and counts them, so a call that runs past its buffer fails at
+// the first bad block having built nothing; a second fills the list.
+func iovec(dst [][]byte, base []byte, t Datatype, count int) ([][]byte, error) {
 	if count < 0 {
 		return nil, fmt.Errorf("madmpi: datatype count %d is negative", count)
 	}
@@ -68,7 +80,7 @@ func iovec(base []byte, t Datatype, count int) ([][]byte, error) {
 		}
 		n++
 	}
-	iov := make([][]byte, 0, n)
+	iov := slices.Grow(dst[:0], n)
 	w = blockWalk{l: l, count: count}
 	for s, ok := w.next(); ok; s, ok = w.next() {
 		iov = append(iov, base[s.Offset:s.Offset+s.Len])

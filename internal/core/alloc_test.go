@@ -206,8 +206,9 @@ func TestAllocsBlockingSendRecv(t *testing.T) {
 // the engine's side: its request is carved from a 512-byte slab of the
 // gate's, so a waited Isend costs an eighth of an object and a waited
 // Irecv a quarter, and a packed message is the one Message its request
-// rides in. Everything else on the path is recycled; the other side of
-// each exchange is a blocking call on the engine's request.
+// rides in, an unpacked one the one InMessage. Everything else on the
+// path is recycled; the other side of each exchange is a blocking call
+// on the engine's request.
 func TestAllocsNonblockingCalls(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
@@ -257,6 +258,12 @@ func TestAllocsNonblockingCalls(t *testing.T) {
 			must(m.End(p))
 		}, blockingRecv),
 			1, "a packed message's request is an object of its own again"},
+		{"BeginUnpack", exchange(blockingSend, func(g *Gate, p *sim.Proc, buf []byte) {
+			m := g.BeginUnpack(p, 7)
+			m.Unpack(p, buf)
+			must(m.End(p))
+		}),
+			1, "an unpacked message's first request or its request list is an object of its own again"},
 	} {
 		got := marginalAllocs(tc.run, 64, 320)
 		t.Logf("%s: %.3f allocs per message", tc.name, got)

@@ -96,20 +96,20 @@ type Engine struct {
 	// per-engine and unsynchronized: the world is single-threaded.
 	// frames is the fabric's list, shared with the NICs.
 	frames   *simnet.FrameList
-	freePkts freeList[packet]
-	freeOuts freeList[output]
-	freeEnts freeList[inEntry]
+	freePkts freeList[packet, *packet]
+	freeOuts freeList[output, *output]
+	freeEnts freeList[inEntry, *inEntry]
 	// The requests of blocking calls (Gate.Send, Ssend, RecvMasked):
 	// taken at entry, filed back once the call has its result.
-	freeSends freeList[SendRequest]
-	freeRecvs freeList[RecvRequest]
+	freeSends reqStack[SendRequest]
+	freeRecvs reqStack[RecvRequest]
 	// Rendezvous records (rdv.go) and the link layer's frame records
 	// (reliab.go): each is filed back once nothing pending refers to it
 	// any more.
-	freeRdvSends freeList[rdvSend]
-	freeRdvRecvs freeList[rdvRecv]
-	freeChains   freeList[rdmaChain]
-	freeLinks    freeList[linkFrame]
+	freeRdvSends freeList[rdvSend, *rdvSend]
+	freeRdvRecvs freeList[rdvRecv, *rdvRecv]
+	freeChains   freeList[rdmaChain, *rdmaChain]
+	freeLinks    freeList[linkFrame, *linkFrame]
 	encHdrs      []byte
 	// encSegs is the gather-list scratch: an encoded train's (see
 	// encodeOutput) or a rendezvous body chunk's (see streamBody), dead

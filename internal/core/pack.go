@@ -82,17 +82,24 @@ func (m *Message) End(p *sim.Proc) error {
 // between Pack calls).
 func (m *Message) Request() *SendRequest { return &m.req }
 
-// InMessage is an incoming message being unpacked.
+// InMessage is an incoming message being unpacked. Its first piece's
+// request rides inside it, as a Message's does, and reqs starts on a
+// one-entry backing of its own, so a one-piece message is one
+// allocation.
 type InMessage struct {
 	g     *Gate
 	tag   Tag
+	first RecvRequest
 	reqs  []*RecvRequest
+	one   [1]*RecvRequest
 	ended bool
 }
 
 // BeginUnpack starts receiving a message on the given flow.
 func (g *Gate) BeginUnpack(p *sim.Proc, tag Tag) *InMessage {
-	return &InMessage{g: g, tag: tag}
+	m := &InMessage{g: g, tag: tag}
+	m.reqs = m.one[:0]
+	return m
 }
 
 // Unpack posts the receive for the next piece of the message into buf.
@@ -102,7 +109,13 @@ func (m *InMessage) Unpack(p *sim.Proc, buf []byte) *RecvRequest {
 	if m.ended {
 		panic("core: Unpack after End")
 	}
-	r := m.g.Irecv(p, m.tag, buf)
+	var r *RecvRequest
+	if len(m.reqs) == 0 {
+		r = &m.first
+		IrecvMaskedInto(r, m.g, p, m.tag, ^Tag(0), buf, 0, nil)
+	} else {
+		r = m.g.Irecv(p, m.tag, buf)
+	}
 	m.reqs = append(m.reqs, r)
 	return r
 }

@@ -52,6 +52,8 @@ type packet struct {
 	// the wrapper itself instead of a per-call membership map, since take
 	// runs once per elected output on the pump hot path.
 	taken bool
+
+	listLink[packet] // Engine.freePkts
 }
 
 // payloadLen is the wrapper's logical payload size (0 for control
@@ -295,6 +297,8 @@ type output struct {
 	// recycled output is handed to the driver without allocating a
 	// closure.
 	onSent func()
+
+	listLink[output] // Engine.freeOuts
 }
 
 // add appends one wrapper to the train, keeping the running totals

@@ -14,13 +14,22 @@ import (
 // every reliable train a linkFrame, and every blocking Send, Ssend or
 // Recv the request its caller never sees (SendRequest, RecvRequest) — at
 // replay scale these dominate the engine's allocation profile. Each is
-// one object: a wrapper's first payload segment is a field of its own.
-// A deferred step is no record at all but a value in the engine's timer
-// queue (timer.go). The engine recycles them through plain per-engine
-// free lists rather than sync.Pool: the deterministic packages must not
-// couple behaviour (or even allocation addresses feeding map iteration)
-// to GC timing, and a World is single-threaded by construction so an
-// unsynchronized slice is all the machinery needed.
+// one fixed-size record: a wrapper's first payload segment is a field of
+// its own. A deferred step is no record at all but a value in the
+// engine's timer queue (timer.go). The engine recycles them through plain
+// per-engine free lists rather than sync.Pool: the deterministic packages
+// must not couple behaviour (or even allocation addresses feeding map
+// iteration) to GC timing, and a World is single-threaded by construction
+// so an unsynchronized list is all the machinery needed.
+//
+// The seven engine record lists are linked through the records
+// (freeList), so a list allocates nothing of its own, and a miss carves a
+// slab of records (Bonwick's slab allocator, USENIX Summer 1994) whose
+// length doubles from one: a cold engine that needs one record makes
+// one, and one that needs seventeen makes them in six allocations. The
+// two request lists stay stacks (reqStack): a link word would push
+// SendRequest and RecvRequest out of their 64- and 128-byte size classes
+// (TestRequestSizeClasses), and every request a caller holds would pay it.
 //
 // Ownership rules, enforced by the call sites:
 //
@@ -93,16 +102,35 @@ import (
 //     the delivery that let it through.
 //
 // The tests' drain audit (selfcheck_test.go) holds every record a list
-// made (core.misses.*) to be on it or held by engine state; put zeroes
-// what it takes back, so a record filed too early poisons its holder.
-// That the lists recycle at all is pinned by work.golden's misses rows.
+// made (core.misses.*, carved spares included) to be on it or held by
+// engine state; put zeroes what it takes back, so a record filed too
+// early poisons its holder. That the lists recycle at all is pinned by
+// work.golden's misses rows.
 
-// freeList is the one free list: a stack of recycled *T. get pops one, or
-// allocates a zero T when the stack is empty and counts the miss; put
-// takes back a T its caller has reset.
-type freeList[T any] []*T
+// freeList is the free list of one engine record type T, linked through
+// the records: head is the most recently filed one, and each listed
+// record's link field (listLink, embedded in T) names the next. get takes
+// the head, or carves a slab when the list is empty; put files back a T
+// its caller has reset.
+type freeList[T any, P interface {
+	*T
+	freeNext() **T
+}] struct {
+	head *T
+	slab int // records in the last slab carved
+}
 
-// One miss counter per free list: the objects a run had to make.
+// listLink is a record's free-list link, nil while the record is in use.
+type listLink[T any] struct{ next *T }
+
+func (l *listLink[T]) freeNext() **T { return &l.next }
+
+// slabBytes bounds a slab: 512 B is the largest size class whose
+// pointer-holding objects carry no 8-byte malloc header, so a carved
+// record costs no more than one made alone.
+const slabBytes = 512
+
+// One miss counter per free list: the records a run had to make.
 var (
 	cMissPackets   = sim.Counter("core.misses.packets")
 	cMissOutputs   = sim.Counter("core.misses.outputs")
@@ -115,7 +143,44 @@ var (
 	cMissLinks     = sim.Counter("core.misses.link_frames")
 )
 
-func (l *freeList[T]) get(w *sim.World, miss sim.CounterID) *T {
+func (l *freeList[T, P]) get(w *sim.World, miss sim.CounterID) *T {
+	v := l.head
+	if v == nil {
+		v = l.carve(w, miss)
+	}
+	next := P(v).freeNext()
+	l.head, *next = *next, nil
+	return v
+}
+
+func (l *freeList[T, P]) put(v *T) {
+	*P(v).freeNext() = l.head
+	l.head = v
+}
+
+// carve is get's miss: a slab of zero records twice as long as the last
+// (one at first), up to as many as fit in slabBytes, linked in order and
+// returned by its first record for get to take; the rest become the
+// list. Every record made counts as a miss.
+func (l *freeList[T, P]) carve(w *sim.World, miss sim.CounterID) *T {
+	var zero T
+	n := min(max(2*l.slab, 1), max(slabBytes/int(unsafe.Sizeof(zero)), 1))
+	slab := make([]T, n)
+	for i := range n - 1 {
+		*P(&slab[i]).freeNext() = &slab[i+1]
+	}
+	l.slab = n
+	w.Add(miss, n)
+	return &slab[0]
+}
+
+// reqStack is the free list of a blocking call's requests: a stack of
+// recycled *T, as the requests have no room for a link (see above). get
+// pops one, or allocates a zero T when the stack is empty and counts the
+// miss; put takes back a T its caller has reset.
+type reqStack[T any] []*T
+
+func (l *reqStack[T]) get(w *sim.World, miss sim.CounterID) *T {
 	n := len(*l) - 1
 	if n < 0 {
 		w.Count(miss)
@@ -127,14 +192,13 @@ func (l *freeList[T]) get(w *sim.World, miss sim.CounterID) *T {
 	return v
 }
 
-func (l *freeList[T]) put(v *T) { *l = append(*l, v) }
+func (l *reqStack[T]) put(v *T) { *l = append(*l, v) }
 
-// Requests per slab: as many as fit in 512 bytes, the largest size class
-// whose pointer-holding objects carry no 8-byte malloc header, so a
-// carved request costs what one allocated alone would (64 and 128 bytes).
+// Requests per slab: as many as fit in slabBytes, so a carved request
+// costs what one allocated alone would (64 and 128 bytes).
 const (
-	sendsPerSlab = 512 / unsafe.Sizeof(SendRequest{})
-	recvsPerSlab = 512 / unsafe.Sizeof(RecvRequest{})
+	sendsPerSlab = slabBytes / unsafe.Sizeof(SendRequest{})
+	recvsPerSlab = slabBytes / unsafe.Sizeof(RecvRequest{})
 )
 
 // reqSlabs carves the requests a gate's nonblocking calls return: one

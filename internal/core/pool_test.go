@@ -3,11 +3,24 @@ package core
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"slices"
 	"testing"
 
 	"nmad/internal/sim"
 )
+
+// len walks the list and counts its records. A record filed twice links
+// the list into a loop, which it reports instead of walking for good.
+func (l *freeList[T, P]) len() int {
+	n := 0
+	for v := l.head; v != nil; v = *P(v).freeNext() {
+		if n++; n > 1<<24 {
+			panic("core: free list does not end: a record was filed twice")
+		}
+	}
+	return n
+}
 
 // Deferred eager-receive completions wait in one engine queue, and each
 // event pops its head. The queue must follow the events' order — by due
@@ -115,5 +128,80 @@ func TestRendezvousBodySurvivesWrapperReuse(t *testing.T) {
 	run(t, w)
 	if s := e0.Stats(); s.RdvStarted != 1 || s.RdvCompleted != 1 {
 		t.Errorf("rendezvous started %d, completed %d; want one each", s.RdvStarted, s.RdvCompleted)
+	}
+}
+
+// TestColdEngineCarvesItsRecords: a fresh engine windowing 17 eager sends
+// at once, a 1 024-node ring replay's per-node peak, makes the wrappers
+// in slabs of 1, 2, 4, 4, 4 and 4 records (pool.go): six allocations, read
+// as what the burst allocates beyond the same burst in a world whose
+// wrapper list was stocked before it ran. One record made apiece would
+// read 17. A second burst in the same world makes nothing on any list.
+func TestColdEngineCarvesItsRecords(t *testing.T) {
+	const peak = 17
+	opts := DefaultOptions()
+	opts.SubmitOverhead = 0 // every send is in the window before the first train leaves
+	data, buf := make([]byte, 64), make([]byte, 64)
+	burst := func(w *sim.World, e0, e1 *Engine) {
+		w.Spawn("send", func(p *sim.Proc) {
+			var reqs [peak]Request
+			for i := range reqs {
+				reqs[i] = e0.Gate(1).Isend(p, 7, data)
+			}
+			if err := WaitAll(p, reqs[:]...); err != nil {
+				t.Error(err)
+			}
+		})
+		w.Spawn("recv", func(p *sim.Proc) {
+			for range peak {
+				if _, err := e1.Gate(0).Recv(p, 7, buf); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		run(t, w)
+	}
+	// mallocs runs a burst in a fresh world, its wrapper list stocked
+	// with peak records first when stocked is set, and returns the
+	// world, its engines and the objects the burst allocated.
+	mallocs := func(stocked bool) (*sim.World, *Engine, *Engine, uint64) {
+		w, e0, e1 := testWorld(t, opts)
+		if stocked {
+			var pws [peak]*packet
+			for i := range pws {
+				pws[i] = e0.freePkts.get(w, cMissPackets)
+			}
+			for _, pw := range pws {
+				e0.freePkts.put(pw)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		burst(w, e0, e1)
+		runtime.ReadMemStats(&after)
+		return w, e0, e1, after.Mallocs - before.Mallocs
+	}
+	mallocs(false) // warm lazy runtime and package init paths out of the measurement
+	w, e0, e1, cold := mallocs(false)
+	_, _, _, warm := mallocs(true)
+	wk := w.CountWork(nil)
+	w.CountWork(wk)
+	if made := wk.Get("core.misses.packets"); made < peak || e0.freePkts.len() != int(made) {
+		t.Fatalf("%d wrappers made, %d listed after the burst: the burst did not window %d sends at once", made, e0.freePkts.len(), peak)
+	}
+	t.Logf("the cold burst allocated %d objects, the stocked one %d", cold, warm)
+	if cold < warm || cold-warm > 6 {
+		t.Errorf("a cold engine's %d wrappers cost %d allocations, want at most 6: a record is made one at a time again", peak, int64(cold)-int64(warm))
+	}
+	counters := append(poolCounters[:], "simnet.flights_made")
+	made := make([]uint64, len(counters))
+	for i, name := range counters {
+		made[i] = wk.Get(name)
+	}
+	burst(w, e0, e1)
+	for i, name := range counters {
+		if got := wk.Get(name); got != made[i] {
+			t.Errorf("%s: the second burst made %d records, want 0", name, got-made[i])
+		}
 	}
 }

@@ -61,6 +61,8 @@ type rdvSend struct {
 	// chains counts its RDMA chains still streaming, reissues included.
 	live   bool
 	chains int
+
+	listLink[rdvSend] // Engine.freeRdvSends
 }
 
 // retire counts one chunk of the original stream fully sent — an RDMA
@@ -172,6 +174,8 @@ type rdvRecv struct {
 	// when the pending body watch was armed.
 	live bool
 	mark int
+
+	listLink[rdvRecv] // Engine.freeRdvRecvs
 }
 
 // span is one covered byte range [lo, hi) of a rendezvous body.
@@ -549,6 +553,8 @@ type rdmaChain struct {
 	// read ends, so it stays put until sent; its backing is kept across
 	// recycling.
 	segs [][]byte
+
+	listLink[rdmaChain] // Engine.freeChains
 }
 
 // newChain starts a recycled chain on rail r at share i of the stream

@@ -135,16 +135,16 @@ func TestBodyReissueOnRecycledRecords(t *testing.T) {
 		what string
 		n    int
 	}{
-		{"sender-side transaction records", len(e0.freeRdvSends)},
-		{"RDMA chains", len(e0.freeChains)},
-		{"receiver-side transaction records", len(e1.freeRdvRecvs)},
+		{"sender-side transaction records", e0.freeRdvSends.len()},
+		{"RDMA chains", e0.freeChains.len()},
+		{"receiver-side transaction records", e1.freeRdvRecvs.len()},
 	} {
 		if l.n == 0 || l.n > bodies/4 {
 			t.Errorf("%d %s on the list after %d streams, want between 1 and %d", l.n, l.what, streams, bodies/4)
 		}
 	}
 	t.Logf("%d bodies, %d reissues: %d/%d/%d records", bodies, st.BodyReissues,
-		len(e0.freeRdvSends), len(e0.freeChains), len(e1.freeRdvRecvs))
+		e0.freeRdvSends.len(), e0.freeChains.len(), e1.freeRdvRecvs.len())
 }
 
 // TestLateReissueLeavesTheRepostedBuffer: under Options.Reliability a

@@ -73,6 +73,8 @@ type linkFrame struct {
 	// armFn is arm, bound when the record is first made: the NIC
 	// completion of a retransmission.
 	armFn func()
+
+	listLink[linkFrame] // Engine.freeLinks
 }
 
 // linkTx is the sender half of a gate's link state. Frame sequence

@@ -472,9 +472,9 @@ func TestLinkFrameRecycledBeforeItsCheck(t *testing.T) {
 		first = g.ltx.unacked[0]
 		fires := p.Now() + e0.opts.RetransmitTimeout
 		p.Sleep(50 * sim.Microsecond)
-		if len(g.ltx.unacked) != 0 || len(e0.freeLinks) != 1 || e0.freeLinks[0] != first || pending() != 1 {
+		if len(g.ltx.unacked) != 0 || e0.freeLinks.len() != 1 || e0.freeLinks.head != first || pending() != 1 {
 			t.Errorf("acked frame: %d unacked, %d records listed, %d checks pending; want its record listed, its check pending",
-				len(g.ltx.unacked), len(e0.freeLinks), pending())
+				len(g.ltx.unacked), e0.freeLinks.len(), pending())
 		}
 		// The next train leaves just before the first check fires, and
 		// is still unacked when it does.

@@ -32,6 +32,8 @@ type inEntry struct {
 	h       header
 	payload []byte
 	frame   *simnet.Frame
+
+	listLink[inEntry] // Engine.freeEnts
 }
 
 // protoErr counts one receive-path protocol anomaly against a gate

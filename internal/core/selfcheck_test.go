@@ -314,10 +314,10 @@ func (cw *checkedWorld) audit() {
 // eager chunks still wait in a window), unacked link frames.
 func (cw *checkedWorld) records(e *Engine) (listed, held [len(poolCounters)]uint64) {
 	listed = [...]uint64{
-		uint64(len(e.freePkts)), uint64(len(e.freeOuts)), uint64(len(e.freeEnts)),
+		uint64(e.freePkts.len()), uint64(e.freeOuts.len()), uint64(e.freeEnts.len()),
 		uint64(len(e.freeSends)), uint64(len(e.freeRecvs)),
-		uint64(len(e.freeRdvSends)), uint64(len(e.freeRdvRecvs)),
-		uint64(len(e.freeChains)), uint64(len(e.freeLinks)),
+		uint64(e.freeRdvSends.len()), uint64(e.freeRdvRecvs.len()),
+		uint64(e.freeChains.len()), uint64(e.freeLinks.len()),
 	}
 	retired := cw.drainRdvs[:0]
 	note := func(pw *packet) {
@@ -513,9 +513,15 @@ func TestJustInTimeCatchesAnIdleRailWithWork(t *testing.T) {
 
 // TestDrainAuditNamesALeakedRecord: a record taken from a free list and
 // dropped is one the audit finds neither on its list nor in engine
-// state, for each of the nine lists.
+// state, for each of the nine lists; so is a spare of a carved slab that
+// never reached its list.
 func TestDrainAuditNamesALeakedRecord(t *testing.T) {
-	leaks := []func(e *Engine){
+	type leak struct {
+		name, list string // the subtest, and the list the audit names
+		drop       func(e *Engine)
+	}
+	var leaks []leak
+	for i, drop := range []func(e *Engine){
 		func(e *Engine) { e.freePkts.get(e.world, cMissPackets) },
 		func(e *Engine) { e.freeOuts.get(e.world, cMissOutputs) },
 		func(e *Engine) { e.freeEnts.get(e.world, cMissInEntries) },
@@ -525,9 +531,17 @@ func TestDrainAuditNamesALeakedRecord(t *testing.T) {
 		func(e *Engine) { e.freeRdvRecvs.get(e.world, cMissRdvRecvs) },
 		func(e *Engine) { e.freeChains.get(e.world, cMissChains) },
 		func(e *Engine) { e.freeLinks.get(e.world, cMissLinks) },
+	} {
+		leaks = append(leaks, leak{poolCounters[i], poolCounters[i], drop})
 	}
-	for i, list := range poolCounters {
-		t.Run(list, func(t *testing.T) {
+	// A slab of two whose first record goes back on the list while the
+	// spare linked behind it is dropped.
+	leaks = append(leaks, leak{"carved_spare", "core.misses.outputs", func(e *Engine) {
+		e.freeOuts.slab = 1
+		e.freeOuts.put(e.freeOuts.carve(e.world, cMissOutputs))
+	}})
+	for _, l := range leaks {
+		t.Run(l.name, func(t *testing.T) {
 			w, e0, e1 := testWorld(t, DefaultOptions())
 			got := captureChecks(t, w)
 			w.Spawn("pingpong", func(p *sim.Proc) {
@@ -539,12 +553,12 @@ func TestDrainAuditNamesALeakedRecord(t *testing.T) {
 				if _, err := e1.Gate(0).Recv(p, 1, make([]byte, 64)); err != nil {
 					t.Error(err)
 				}
-				leaks[i](e1)
+				l.drop(e1)
 			})
 			run(t, w)
-			want := fmt.Sprintf("drain audit: %s: ", list)
+			want := fmt.Sprintf("drain audit: %s: ", l.list)
 			if len(*got) != 1 || !strings.HasPrefix((*got)[0], want) || !strings.HasSuffix((*got)[0], ": 1 leaked") {
-				t.Errorf("the self-checks reported %q, want one leak of %s", *got, list)
+				t.Errorf("the self-checks reported %q, want one leak of %s", *got, l.list)
 			}
 		})
 	}

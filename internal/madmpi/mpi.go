@@ -275,8 +275,8 @@ type record[T any] struct {
 	req *T
 }
 
-// recordList is a plain stack of records, like the engine's free lists
-// (core's pool.go): the deterministic packages keep recycling off
+// recordList is a plain stack of records, like the engine's request lists
+// (core's pool.go, reqStack): the deterministic packages keep recycling off
 // sync.Pool and GC timing, and a World is single-threaded. get pops one,
 // or makes one with fresh when the list is empty and counts the miss.
 type recordList[T any] []record[T]

@@ -67,8 +67,10 @@ type Fabric struct {
 	faults *FaultProfile // installed fault injection, nil = perfect fabric
 	frames FrameList     // every frame in flight on the fabric is drawn from here
 	// flights is the free list of NIC transaction records (see flight),
-	// shared by every NIC of the fabric and linked through the records.
-	flights *flight
+	// shared by every NIC of the fabric and linked through the records;
+	// flightSlab is how many records its last miss made (makeFlight).
+	flights    *flight
+	flightSlab int
 }
 
 // NewFabric creates n nodes sharing one world and one host parameter set.

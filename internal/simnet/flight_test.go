@@ -180,6 +180,32 @@ func TestDroppedTransactionReturnsItsFlight(t *testing.T) {
 	}
 }
 
+// TestFlightSlabsFileTheirSpares: twelve transactions queued at once take
+// twelve flights, carved in slabs of 1, 2, 4 and 5 records (makeFlight),
+// and once the run is over every record made is back on the list, the
+// spares no transaction took included.
+func TestFlightSlabsFileTheirSpares(t *testing.T) {
+	w, f, net := testFabric(t, MX10G())
+	wk := new(sim.Work)
+	w.CountWork(wk)
+	net.NIC(1).OnRecv(func(Delivery) {})
+	for range 12 {
+		if err := net.NIC(0).Submit(&Tx{Dst: 1, Kind: TxEager, Segs: [][]byte{{1}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	made := wk.Get("simnet.flights_made")
+	if made != 1+2+4+5 {
+		t.Errorf("%d flights made for 12 transactions in progress at once, want slabs of 1, 2, 4 and 5", made)
+	}
+	if idle := idleFlights(t, f); uint64(idle) != made {
+		t.Errorf("%d flights made, %d on the free list once the run is over", made, idle)
+	}
+}
+
 // TestFlightDoubleReleaseCaught: retiring an event of a record that has
 // none left would file it twice and hand one record to two transactions.
 func TestFlightDoubleReleaseCaught(t *testing.T) {

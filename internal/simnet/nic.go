@@ -3,6 +3,7 @@ package simnet
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"nmad/internal/sim"
 )
@@ -218,15 +219,28 @@ func (f *Fabric) newFlight() *flight {
 	return fl
 }
 
-// makeFlight is newFlight's miss: a fresh flight, its callback bound. It
-// is kept out of line so that newFlight, a submit's every call, inlines.
+// makeFlight is newFlight's miss, so the list is empty: it carves a slab
+// of flights, each with its callback bound, hands out the first and files
+// the rest in order. A slab is twice as long as the last, from one up to
+// as many as fit in 512 bytes (five), the largest size class whose
+// pointer-holding objects carry no malloc header — the rule the engine's
+// record lists follow (core/pool.go). It is kept out of line so that
+// newFlight, a submit's every call, inlines.
 //
 //go:noinline
 func (f *Fabric) makeFlight() *flight {
-	f.world.Count(cFlightsMade)
-	fl := new(flight)
-	fl.fireFn = fl.fire
-	return fl
+	n := min(max(2*f.flightSlab, 1), int(512/unsafe.Sizeof(flight{})))
+	slab := make([]flight, n)
+	for i := range slab {
+		slab[i].fireFn = slab[i].fire
+		if i > 0 {
+			slab[i-1].next = &slab[i]
+		}
+	}
+	f.flights, slab[0].next = slab[0].next, nil
+	f.flightSlab = n
+	f.world.Add(cFlightsMade, n)
+	return &slab[0]
 }
 
 // done retires one scheduled event of the flight; the last one clears it
